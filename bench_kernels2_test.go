@@ -172,6 +172,76 @@ int main() {
 }
 `
 
+// withRowSrc isolates one body shape per row of the flat engine's
+// layer table: the measured loop repeats so its cells dominate the
+// program, and every input is filled by a flat loop on either side of
+// the strip-engine change, so the before and after columns of
+// BENCH_kernels2.json time the same work.
+var withRowSrc = []struct {
+	name  string
+	cells int // evaluations of the measured body per run
+	src   string
+}{
+	{"stencil_256", 8 * 254 * 254, `
+int main() {
+	int n = 256;
+	float alpha = 0.25;
+	Matrix float <2> u;
+	u = with ([96, 96] <= [i, j] < [160, 160]) genarray([n, n], 64.0);
+	for (int step = 0; step < 8; step++) {
+		Matrix float <2> next;
+		next = with ([1, 1] <= [i, j] < [n - 1, n - 1])
+			genarray([n, n],
+				u[i, j] + alpha * (u[i - 1, j] + u[i + 1, j]
+					+ u[i, j - 1] + u[i, j + 1] - 4.0 * u[i, j]));
+		u = next;
+	}
+	return (int)u[128, 128];
+}`},
+	{"fill_768", 4 * 768 * 768, `
+int main() {
+	int n = 768;
+	int s = 0;
+	for (int r = 0; r < 4; r++) {
+		Matrix int <2> m;
+		m = with ([0, 0] <= [i, j] < [n, n]) genarray([n, n], i * 1000 + j + r);
+		s = s + m[r, 700];
+	}
+	return s % 251;
+}`},
+	{"difffold_768", 8 * 768 * 768, `
+int main() {
+	int n = 768;
+	Matrix int <2> m;
+	m = with ([0, 0] <= [i, j] < [n, n]) genarray([n, n], i * 1000 + j);
+	Matrix int <2> back;
+	back = with ([0, 0] <= [i, j] < [n, n]) genarray([n, n], i * 1000 + j + 1);
+	int s = 0;
+	for (int r = 0; r < 8; r++) {
+		s = s + with ([0, 0] <= [i, j] < [n, n]) fold(+, r, back[i, j] - m[i, j]);
+	}
+	return s % 251;
+}`},
+	{"nested_mean_96x96x64", 4 * 96 * 96 * 64, `
+int main() {
+	int m = 96;
+	int n = 96;
+	int p = 64;
+	Matrix float <3> mat;
+	mat = with ([0, 0, 0] <= [i, j, k] < [m, n, p]) genarray([m, n, p], 0.5 * i - 0.25 * j + k);
+	float s = 0.0;
+	for (int r = 0; r < 4; r++) {
+		Matrix float <2> means;
+		means = with ([0, 0] <= [i, j] < [m, n])
+			genarray([m, n],
+				with ([0] <= [k] < [p])
+					fold(+, 0.0, mat[i, j, k]) / p);
+		s = s + means[r, 5];
+	}
+	return (int)s % 251;
+}`},
+}
+
 // BenchmarkKernelWithCompiled: the with-loop compilation ablation.
 // tree = per-node evaluation; vm_closure = bytecode engine but boxed
 // per-element body closures (compiled without facts); vm_flat = the
@@ -219,6 +289,22 @@ func BenchmarkKernelWithCompiled(b *testing.B) {
 	run("vm_closure", 1, closure)
 	run("vm_flat", 1, flat)
 	run("vm_flat_threads4", 4, flat)
+	// One body shape per row, flat engine, one thread, ns per cell.
+	for _, row := range withRowSrc {
+		rp := compileBench(b, row.src)
+		b.Run("rows/"+row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				it := interp.New(rp.prog, rp.info, interp.Options{Threads: 1, Stdout: io.Discard})
+				_, err := vm.NewMachine(rp.vmp, it).Run()
+				it.Close()
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(row.cells), "ns/cell")
+		})
+	}
 	want, ok := codes["tree"], false
 	for name, code := range codes {
 		ok = true

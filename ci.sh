@@ -5,15 +5,18 @@
 # crash-proofing layers (pool, matrix runtime, interpreter, server), a
 # race-enabled dual-engine differential pass (bytecode VM vs the
 # tree-walking oracle), a race pass over the with-loop flat engine
-# (vet plans + VM flat execution), the race-enabled fleet chaos suite (cmgate
+# (vet plans, the strip compiler and evaluator, VM flat execution), the
+# race-enabled fleet chaos suite (cmgate
 # routing under shard kill/restart/hang), the race-enabled tenant
 # isolation suite (token buckets, noisy-neighbor chaos, key rotation),
 # a fuzz smoke over the frontend, the cmvet analyzer, the VM
 # differential fuzzer, the consistent-hash ring and the tenant key
 # file parser, the vet findings manifest,
-# and a one-shot benchmark smoke pass (E1 plus the compile-service
-# cold/warm pair). Run locally before pushing; the GitHub Actions
-# workflow runs this script.
+# a one-shot benchmark smoke pass (E1 plus the compile-service
+# cold/warm pair), and the bench/ module (its own go.mod, so the root
+# module's build and tests never reach it): vet, tests and a two-second
+# smoke run. Run locally before pushing; the GitHub Actions workflow
+# runs this script.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -52,8 +55,8 @@ go test -race ./internal/par ./internal/matrix ./internal/interp ./internal/serv
 echo "== go test -race (kernel differential + integration suites) =="
 go test -race -run 'Kernel|Conv2D|FoldExec|Recycle|FreeList|SetOnFree' ./internal/matrix ./internal/interp ./internal/rc
 
-echo "== with-loop flat engine (vet plans + VM flat execution, race) =="
-go test -race -run 'TestWithPlan|TestWithFlat|TestCompileWith' ./internal/vet ./internal/vm
+echo "== with-loop flat engine (vet plans, strip compiler + evaluator, VM flat execution, race) =="
+go test -race -run 'TestWithPlan|TestWithFlat|TestCompileWith|TestWithNested|TestWithStrip' ./internal/vet ./internal/matrix ./internal/vm
 
 echo "== chaos suite (flood / drain / disk-cache recovery) =="
 go test -race -run 'TestChaos|TestCrash' ./internal/server
@@ -85,5 +88,9 @@ go test -run='^$' -bench='BenchmarkE1_' -benchtime=1x .
 go test -run='^$' -bench='BenchmarkCompileService' -benchtime=1x ./internal/driver
 go test -run='^$' -bench='Kernel' -benchtime=1x .
 go test -run='^$' -bench='VetFacts|FusedChain' -benchtime=1x .
+
+echo "== bench module (vet + tests + smoke run) =="
+(cd bench && go vet ./... && go test ./...)
+bash bench/run.sh -workload compute_parallel -seconds 2 -trace 0 >/dev/null
 
 echo "OK"

@@ -200,10 +200,13 @@ type MetricsSnapshot struct {
 	VMFusedSites int64 `json:"vm_fused_sites"`
 	VMFusedLoops int64 `json:"vm_fused_loops"`
 	// With-loop compilation: sites lowered to the flat engine by
-	// bytecode compilations, and with-loops actually executed flat
-	// (process-wide, from vm.WithFlatLoopsRun).
-	VMWithSites    int64 `json:"with_loops_compiled"`
-	VMWithFlatRuns int64 `json:"with_loops_flat_runs"`
+	// bytecode compilations, with-loops actually executed flat, and
+	// executions of a compiled site the flat engine handed back to the
+	// closure path at run time (process-wide, from vm.WithFlatLoopsRun
+	// and vm.WithFlatLoopsDeclined).
+	VMWithSites        int64 `json:"with_loops_compiled"`
+	VMWithFlatRuns     int64 `json:"with_loops_flat_runs"`
+	VMWithFlatDeclined int64 `json:"with_loops_flat_declined"`
 
 	VetRuns      int64 `json:"vet_runs"`
 	VetHits      int64 `json:"vet_cache_hits"`
@@ -301,6 +304,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		VMFusedLoops:       vm.FusedLoopsRun(),
 		VMWithSites:        m.VMWithSites.Load(),
 		VMWithFlatRuns:     vm.WithFlatLoopsRun(),
+		VMWithFlatDeclined: vm.WithFlatLoopsDeclined(),
 		VetRuns:            m.VetRuns.Load(),
 		VetHits:            m.VetHits.Load(),
 		VetMisses:          m.VetMisses.Load(),

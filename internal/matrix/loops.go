@@ -16,6 +16,7 @@ package matrix
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/par"
 )
@@ -84,43 +85,59 @@ func GenArrayExec(elem Elem, lower, upper, shape []int, body BodyFunc, x Exec) (
 	if out.Size() == 0 {
 		return out, nil
 	}
-	n0 := upper[0] - lower[0]
-	runRow := func(i0 int) error {
-		lo := append([]int{i0}, lower[1:]...)
-		hi := append([]int{i0 + 1}, upper[1:]...)
-		var ierr error
-		indexSpace(lo, hi, func(idx []int) {
-			if ierr != nil {
-				return
+	rank := len(lower)
+	// runRow fills row i0 of the box through body, walking the inner
+	// dimensions with an odometer over idx and the running output offset.
+	runRow := func(i0 int, idx []int) error {
+		copy(idx, lower)
+		idx[0] = i0
+		off := i0 * out.strides[0]
+		for d := 1; d < rank; d++ {
+			if lower[d] >= upper[d] {
+				return nil
 			}
+			off += lower[d] * out.strides[d]
+		}
+		for {
 			v, err := body(idx)
 			if err != nil {
-				ierr = err
-				return
-			}
-			off, err := out.Offset(idx)
-			if err != nil {
-				ierr = err
-				return
+				return err
 			}
 			if err := out.Set(off, v); err != nil {
-				ierr = err
+				return err
 			}
-		})
-		return ierr
+			d := rank - 1
+			for ; d >= 1; d-- {
+				idx[d]++
+				off += out.strides[d]
+				if idx[d] < upper[d] {
+					break
+				}
+				off -= (upper[d] - lower[d]) * out.strides[d]
+				idx[d] = lower[d]
+			}
+			if d < 1 {
+				return nil
+			}
+		}
 	}
+	n0 := upper[0] - lower[0]
 	if x.Pool == nil || n0 < 2 {
+		idx := make([]int, rank)
 		for i0 := lower[0]; i0 < upper[0]; i0++ {
 			if err := x.cancelled(); err != nil {
 				return nil, err
 			}
-			if err := runRow(i0); err != nil {
+			if err := runRow(i0, idx); err != nil {
 				return nil, err
 			}
 		}
 		return out, nil
 	}
-	if err := x.Pool.ParallelForCtx(x.Ctx, lower[0], upper[0], runRow); err != nil {
+	err = x.Pool.ParallelForCtx(x.Ctx, lower[0], upper[0], func(i0 int) error {
+		return runRow(i0, make([]int, rank))
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -322,7 +339,7 @@ func FoldExec(kind FoldKind, base any, lower, upper []int, body BodyFunc, x Exec
 	}
 	// Each goroutine folds rows through its own folder so the index
 	// buffer is allocated once, not per row (bodies receive idx for the
-	// duration of one call only, exactly like indexSpace).
+	// duration of one call only).
 	rank := len(lower)
 	newRowFolder := func() func(i0 int, acc *foldAcc) error {
 		idx := make([]int, rank)
@@ -371,7 +388,8 @@ func FoldExec(kind FoldKind, base any, lower, upper []int, body BodyFunc, x Exec
 		return acc.value(), nil
 	}
 	// Parallel: per-worker partials seeded with the identity; base is
-	// combined exactly once at the end.
+	// combined exactly once at the end. A worker whose chunk is empty
+	// contributes nothing.
 	ident, err := foldIdentity(kind, base)
 	if err != nil {
 		return nil, err
@@ -384,6 +402,9 @@ func FoldExec(kind FoldKind, base any, lower, upper []int, body BodyFunc, x Exec
 		end := start + chunk
 		if end > upper[0] {
 			end = upper[0]
+		}
+		if start >= end {
+			return nil
 		}
 		acc := newFoldAcc(kind, ident)
 		foldRow := newRowFolder()
@@ -419,30 +440,42 @@ func FoldExec(kind FoldKind, base any, lower, upper []int, body BodyFunc, x Exec
 // foldIdentity returns the identity element of kind in the numeric
 // type of base.
 func foldIdentity(kind FoldKind, base any) (any, error) {
-	_, isInt := toInt(base)
 	switch kind {
-	case FoldAdd:
-		if isInt {
-			return int64(0), nil
-		}
-		return float64(0), nil
-	case FoldMul:
-		if isInt {
-			return int64(1), nil
-		}
-		return float64(1), nil
-	case FoldMin:
-		if isInt {
-			return int64(1) << 62, nil
-		}
-		return float64(1e308), nil
-	case FoldMax:
-		if isInt {
-			return int64(-1) << 62, nil
-		}
-		return float64(-1e308), nil
+	case FoldAdd, FoldMul, FoldMin, FoldMax:
+	default:
+		return nil, fmt.Errorf("matrix: unknown fold kind %d", kind)
 	}
-	return nil, fmt.Errorf("matrix: unknown fold kind %d", kind)
+	if _, isInt := toInt(base); isInt {
+		return foldIdentInt(kind), nil
+	}
+	return foldIdentFloat(kind), nil
+}
+
+// foldIdentInt / foldIdentFloat are the true identities of each fold
+// operator: a stand-in such as ±1e308 would win a min/max against
+// values beyond it and make a pooled fold disagree with a serial one.
+func foldIdentInt(kind FoldKind) int64 {
+	switch kind {
+	case FoldMul:
+		return 1
+	case FoldMin:
+		return math.MaxInt64
+	case FoldMax:
+		return math.MinInt64
+	}
+	return 0
+}
+
+func foldIdentFloat(kind FoldKind) float64 {
+	switch kind {
+	case FoldMul:
+		return 1
+	case FoldMin:
+		return math.Inf(1)
+	case FoldMax:
+		return math.Inf(-1)
+	}
+	return 0
 }
 
 // MapFunc applies a user function to one sub-matrix in matrixMap.

@@ -1,9 +1,11 @@
 // Flat with-loop execution — the kernel half of compiled with-loops.
 // vet proves a genarray/fold body is an effect-free index expression
-// and compiles it to the tiny postfix instruction set below; the VM
-// resolves the leaf slots and calls GenArrayFlat/FoldFlat, which
-// evaluate the body directly over the backing slices instead of
-// calling back into tree evaluation per element.
+// and writes it in the small postfix plan language below; the VM has
+// CompileWith turn each plan into a strip program once, binds the
+// leaves per execution in a WithRun, and calls GenArrayFlat/FoldFlat,
+// which evaluate the body over the backing slices a strip of the
+// innermost dimension at a time (withstrip.go) instead of calling back
+// into tree evaluation per element.
 //
 // The contract with the closure path is byte-exactness: both flat
 // entry points replay GenArrayExec/FoldExec's admission sequence
@@ -12,22 +14,39 @@
 // refuse — returning handled=false, never an error of their own — any
 // case where the closure path would produce an observable the flat
 // path cannot reproduce. An up-front interval analysis over the
-// generator box proves every matrix load in bounds before the first
-// element is touched; anything it cannot bound falls back.
+// generator box, fold brackets included, proves every matrix load in
+// bounds before the first element is touched; anything it cannot bound
+// falls back.
 package matrix
 
-// WithOp is one opcode of the flat with-loop body language: a postfix
+import (
+	"math"
+	"sync"
+)
+
+// WithOp is one opcode of the flat with-loop plan language: a postfix
 // expression machine with separate int and float stacks, no branches
-// and no failure paths (loads are proven in bounds, int division is
-// not in the language).
+// and no failure paths (loads are proven in bounds, int division and
+// remainder take a non-zero literal divisor only).
 type WithOp uint8
 
-// Flat body opcodes. *I opcodes work the int stack, *F the float
-// stack; WI2F/WF2I move a value between them (WF2I truncates like the
-// (int) cast). WLoadI/WLoadF pop B int indices and push the element of
-// matrix slot A.
+// Plan opcodes. *I opcodes work the int stack, *F the float stack;
+// WI2F/WF2I move a value between them (WF2I truncates like the (int)
+// cast). WLoadI/WLoadF pop B int indices and push the element of
+// matrix slot A. WDivI/WModI divide the top of the int stack by the
+// literal K.
+//
+// WFoldI/WFoldF ... WFoldEnd bracket a nested fold. Before the opening
+// bracket the code leaves the base (already of the accumulator's type)
+// and then, above it on the int stack, lower and upper for each of the
+// fold's A generated ids, which are numbered from B; K is the pc of the
+// closing bracket and Kind the operator. The bracketed code is the
+// fold's body: it may push ids B..B+A-1 and leaves one value of the
+// accumulator's type, which WFoldEnd (A = pc of its opening bracket)
+// combines into the base, once per inner index in ascending row-major
+// order. After the bracket the fold's value sits where the base was.
 const (
-	WPushID      WithOp = iota // push generator id A
+	WPushID      WithOp = iota // push generated id A
 	WPushInt                   // push constant K
 	WPushFloat                 // push constant F
 	WPushScalarI               // push int scalar slot A
@@ -35,6 +54,8 @@ const (
 	WAddI
 	WSubI
 	WMulI
+	WDivI
+	WModI
 	WNegI
 	WAddF
 	WSubF
@@ -45,126 +66,94 @@ const (
 	WF2I
 	WLoadI
 	WLoadF
+	WFoldI
+	WFoldF
+	WFoldEnd
 )
 
-// WithInstr is one flat body instruction.
+// WithInstr is one plan instruction.
 type WithInstr struct {
-	Op WithOp
-	A  int32   // id index / scalar slot / matrix slot
-	B  int32   // load arity
-	K  int64   // int constant
-	F  float64 // float constant
+	Op   WithOp
+	A    int32    // id / scalar slot / matrix slot / fold id count / pc of the opening bracket
+	B    int32    // load arity / first fold id
+	K    int64    // int constant / literal divisor / pc of the closing bracket
+	F    float64  // float constant
+	Kind FoldKind // WFoldI, WFoldF
 }
 
-// WithEnv is a flat body bound to its runtime leaves: the code from
-// vet's proof, the matrices and scalar values the VM resolved from
-// registers, and whether the body's static type is float.
-type WithEnv struct {
-	Code    []WithInstr
-	Mats    []*Matrix
-	ScalarI []int64
-	ScalarF []float64
-	Float   bool
+// WithRun is one execution of a compiled plan: the generator box, the
+// result shape and the runtime leaves, which the caller fills in, plus
+// the per-execution scratch the engines need. Runs are pooled; Release
+// hands one back.
+type WithRun struct {
+	Lower, Upper []int     // the generator box
+	Shape        []int     // the result shape (genarray only)
+	Mats         []*Matrix // matrix leaves, by load slot
+	ScalarI      []int64   // int scalar leaves, by slot
+	ScalarF      []float64 // float scalar leaves, by slot
+
+	prog  *WithProg
+	ints  []int     // backs Lower, Upper, Shape
+	ui    []int64   // uniform int file image; ScalarI is a window of it
+	uf    []float64 // uniform float file image; ScalarF is a window of it
+	ivals []wival   // interval analysis: ids, then the int stack
+	mults []int64   // interval analysis: trip products of the open brackets
 }
 
-// Verify re-checks the env against the runtime leaves; exported so the
-// prover's tests can assert every proven plan round-trips through the
-// engine's own admission.
-func (env *WithEnv) Verify(rank int) bool { return env.verify(rank) }
+var withRunPool = sync.Pool{New: func() any { return new(WithRun) }}
 
-// verify re-checks the env against the runtime leaves: stack shape,
-// slot ranges, matrix rank and element types, and the final value's
-// type. vet proved all of this statically, but the matrices only exist
-// now — a nil or mistyped leaf makes the flat path decline rather than
+// grow returns s with length n, reallocating only when it must. The
+// contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// NewRun returns a run of p with every leaf slice sized and zero
+// matrices bound.
+func (p *WithProg) NewRun() *WithRun {
+	r := withRunPool.Get().(*WithRun)
+	r.prog = p
+	rank := p.spec.Rank
+	r.ints = grow(r.ints, 3*rank)
+	r.Lower, r.Upper, r.Shape = r.ints[:rank:rank], r.ints[rank:2*rank:2*rank], r.ints[2*rank:]
+	r.Mats = grow(r.Mats, len(p.spec.MatElem))
+	r.ui = append(r.ui[:0], p.uiInit...)
+	r.uf = append(r.uf[:0], p.ufInit...)
+	r.ScalarI = r.ui[p.scalarI : p.scalarI+p.spec.ScalarI]
+	r.ScalarF = r.uf[:p.spec.ScalarF]
+	r.ivals = grow(r.ivals, p.ids+len(p.spec.Code)+1)
+	r.mults = grow(r.mults, p.nests)
+	return r
+}
+
+// Release returns the run to the pool; it must not be used afterwards.
+func (r *WithRun) Release() {
+	clear(r.Mats)
+	r.prog = nil
+	withRunPool.Put(r)
+}
+
+// leavesOK re-checks the matrices the plan loads from: vet proved
+// element types and ranks statically, but the matrices only exist now —
+// a nil or mistyped leaf makes the flat path decline rather than
 // misbehave.
-func (env *WithEnv) verify(rank int) bool {
-	var ints, floats int
-	for i := range env.Code {
-		in := &env.Code[i]
-		switch in.Op {
-		case WPushID:
-			if in.A < 0 || int(in.A) >= rank {
-				return false
-			}
-			ints++
-		case WPushInt:
-			ints++
-		case WPushFloat:
-			floats++
-		case WPushScalarI:
-			if in.A < 0 || int(in.A) >= len(env.ScalarI) {
-				return false
-			}
-			ints++
-		case WPushScalarF:
-			if in.A < 0 || int(in.A) >= len(env.ScalarF) {
-				return false
-			}
-			floats++
-		case WAddI, WSubI, WMulI:
-			if ints < 2 {
-				return false
-			}
-			ints--
-		case WNegI:
-			if ints < 1 {
-				return false
-			}
-		case WAddF, WSubF, WMulF, WDivF:
-			if floats < 2 {
-				return false
-			}
-			floats--
-		case WNegF:
-			if floats < 1 {
-				return false
-			}
-		case WI2F:
-			if ints < 1 {
-				return false
-			}
-			ints--
-			floats++
-		case WF2I:
-			if floats < 1 {
-				return false
-			}
-			floats--
-			ints++
-		case WLoadI, WLoadF:
-			if in.A < 0 || int(in.A) >= len(env.Mats) {
-				return false
-			}
-			m := env.Mats[in.A]
-			ar := int(in.B)
-			if m == nil || m.Rank() != ar || ints < ar {
-				return false
-			}
-			ints -= ar
-			if in.Op == WLoadI {
-				if m.elem != Int {
-					return false
-				}
-				ints++
-			} else {
-				if m.elem != Float {
-					return false
-				}
-				floats++
-			}
-		default:
+func (r *WithRun) leavesOK() bool {
+	p := r.prog
+	for k, m := range r.Mats {
+		if p.matRank[k] != 0 && (m == nil || m.elem != p.spec.MatElem[k] || m.Rank() != p.matRank[k]) {
 			return false
 		}
 	}
-	if env.Float {
-		return floats == 1 && ints == 0
-	}
-	return ints == 1 && floats == 0
+	return true
 }
 
 // withIvalMax bounds the interval analysis: a value whose magnitude
 // may exceed it becomes unknown, and unknown values cannot feed a
-// load. Loop ids and affine offsets stay far below it.
+// load. Loop ids and their constant offsets stay far below it. It also caps the
+// per-cell cost the analysis reports.
 const withIvalMax = int64(1) << 40
 
 type wival struct {
@@ -186,189 +175,156 @@ func wivalClamp(w wival) wival {
 	return w
 }
 
-// feasible runs the body once over intervals — each id spanning its
-// generator range — and proves every load index lands inside its
-// matrix for every index in the box. Sound over-approximation: an
-// interval it cannot bound (scalar too large, truncated float,
-// non-monotone product growth) makes the load infeasible and the whole
-// loop falls back to the closure path. The box must be non-empty.
-func (env *WithEnv) feasible(lower, upper []int) bool {
-	is := make([]wival, 0, len(env.Code))
-	floats := 0
-	for i := range env.Code {
-		in := &env.Code[i]
+// satMul multiplies two positive costs, saturating at withIvalMax.
+func satMul(a, b int64) int64 {
+	if a > withIvalMax/b {
+		return withIvalMax
+	}
+	return a * b
+}
+
+// wivalMod bounds a % k: the remainder takes the dividend's sign and
+// stays below |k|, whatever the dividend.
+func wivalMod(a wival, k int64) wival {
+	if k == math.MinInt64 {
+		return wival{}
+	}
+	m := max(k, -k) - 1
+	r := wival{lo: -m, hi: m, known: true}
+	if a.known {
+		r.lo, r.hi = max(a.lo, -m), min(a.hi, m)
+		if a.lo >= 0 {
+			r.lo = 0
+			if a.hi <= m {
+				r.lo = a.lo
+			}
+		}
+		if a.hi <= 0 {
+			r.hi = 0
+			if a.lo >= -m {
+				r.hi = a.hi
+			}
+		}
+	}
+	return wivalClamp(r)
+}
+
+// feasible runs the plan once over intervals — each id spanning its
+// generator range, a nested fold's ids the widest range their bounds
+// allow — and proves every load index lands inside its matrix for every
+// index in the box. Sound over-approximation: an interval it cannot
+// bound (scalar too large, truncated float, non-monotone product
+// growth) makes the load infeasible and the whole loop falls back to
+// the closure path. A nested fold whose range is empty for every cell
+// never runs its body, so its loads are not checked. The box must be
+// non-empty. The second result is the plan's cost per cell in plan
+// instructions, a nested body counted once per inner trip.
+func (r *WithRun) feasible() (int64, bool) {
+	p := r.prog
+	code := p.spec.Code
+	ids := r.ivals[:p.ids]
+	is := r.ivals[p.ids:p.ids]
+	mults := r.mults[:0]
+	for k := range r.Lower {
+		ids[k] = wivalClamp(wival{lo: int64(r.Lower[k]), hi: int64(r.Upper[k] - 1), known: true})
+	}
+	cost, mult := int64(0), int64(1)
+	for pc := 0; pc < len(code); pc++ {
+		in := &code[pc]
+		cost = min(cost+mult, withIvalMax)
 		switch in.Op {
 		case WPushID:
-			is = append(is, wivalClamp(wival{lo: int64(lower[in.A]), hi: int64(upper[in.A] - 1), known: true}))
+			is = append(is, ids[in.A])
 		case WPushInt:
 			is = append(is, wivalConst(in.K))
 		case WPushScalarI:
-			is = append(is, wivalConst(env.ScalarI[in.A]))
-		case WPushFloat:
-			floats++
-		case WPushScalarF:
-			floats++
+			is = append(is, wivalConst(r.ScalarI[in.A]))
 		case WAddI, WSubI:
 			n := len(is)
 			a, b := is[n-2], is[n-1]
-			var r wival
+			var v wival
 			if a.known && b.known {
 				if in.Op == WAddI {
-					r = wival{lo: a.lo + b.lo, hi: a.hi + b.hi, known: true}
+					v = wival{lo: a.lo + b.lo, hi: a.hi + b.hi, known: true}
 				} else {
-					r = wival{lo: a.lo - b.hi, hi: a.hi - b.lo, known: true}
+					v = wival{lo: a.lo - b.hi, hi: a.hi - b.lo, known: true}
 				}
 			}
-			is = append(is[:n-2], wivalClamp(r))
+			is = append(is[:n-2], wivalClamp(v))
 		case WMulI:
 			n := len(is)
 			a, b := is[n-2], is[n-1]
-			var r wival
+			var v wival
 			const mulMax = int64(1) << 31
 			if a.known && b.known &&
 				a.lo >= -mulMax && a.hi <= mulMax && b.lo >= -mulMax && b.hi <= mulMax {
 				p1, p2, p3, p4 := a.lo*b.lo, a.lo*b.hi, a.hi*b.lo, a.hi*b.hi
-				r = wival{lo: min(min(p1, p2), min(p3, p4)), hi: max(max(p1, p2), max(p3, p4)), known: true}
+				v = wival{lo: min(p1, p2, p3, p4), hi: max(p1, p2, p3, p4), known: true}
 			}
-			is = append(is[:n-2], wivalClamp(r))
+			is = append(is[:n-2], wivalClamp(v))
+		case WDivI:
+			// Truncating division by a constant is monotone.
+			if a := &is[len(is)-1]; a.known {
+				lo, hi := a.lo/in.K, a.hi/in.K
+				a.lo, a.hi = min(lo, hi), max(lo, hi)
+			}
+		case WModI:
+			is[len(is)-1] = wivalMod(is[len(is)-1], in.K)
 		case WNegI:
-			n := len(is)
-			a := is[n-1]
-			if a.known {
-				is[n-1] = wival{lo: -a.hi, hi: -a.lo, known: true}
-			} else {
-				is[n-1] = wival{}
+			if a := &is[len(is)-1]; a.known {
+				a.lo, a.hi = -a.hi, -a.lo
 			}
-		case WAddF, WSubF, WMulF, WDivF:
-			floats--
-		case WNegF:
-			// float stack depth unchanged
 		case WI2F:
 			is = is[:len(is)-1]
-			floats++
 		case WF2I:
-			floats--
 			is = append(is, wival{})
 		case WLoadI, WLoadF:
-			m := env.Mats[in.A]
-			ar := int(in.B)
-			base := len(is) - ar
-			for d := 0; d < ar; d++ {
-				w := is[base+d]
+			m := r.Mats[in.A]
+			base := len(is) - int(in.B)
+			for d, w := range is[base:] {
 				if !w.known || w.lo < 0 || w.hi >= int64(m.shape[d]) {
-					return false
+					return 0, false
 				}
 			}
 			is = is[:base]
 			if in.Op == WLoadI {
 				is = append(is, wival{})
-			} else {
-				floats++
 			}
-		}
-	}
-	return true
-}
-
-// withEval evaluates a verified body; one per worker chunk (the stacks
-// are scratch state). No checks remain at this level.
-type withEval struct {
-	env *WithEnv
-	is  []int64
-	fs  []float64
-}
-
-func newWithEval(env *WithEnv) *withEval {
-	n := len(env.Code) + 1
-	return &withEval{env: env, is: make([]int64, 0, n), fs: make([]float64, 0, n)}
-}
-
-func (e *withEval) run(idx []int) {
-	is, fs := e.is[:0], e.fs[:0]
-	code := e.env.Code
-	for pc := range code {
-		in := &code[pc]
-		switch in.Op {
-		case WPushID:
-			is = append(is, int64(idx[in.A]))
-		case WPushInt:
-			is = append(is, in.K)
-		case WPushFloat:
-			fs = append(fs, in.F)
-		case WPushScalarI:
-			is = append(is, e.env.ScalarI[in.A])
-		case WPushScalarF:
-			fs = append(fs, e.env.ScalarF[in.A])
-		case WAddI:
-			n := len(is)
-			is[n-2] += is[n-1]
-			is = is[:n-1]
-		case WSubI:
-			n := len(is)
-			is[n-2] -= is[n-1]
-			is = is[:n-1]
-		case WMulI:
-			n := len(is)
-			is[n-2] *= is[n-1]
-			is = is[:n-1]
-		case WNegI:
-			is[len(is)-1] = -is[len(is)-1]
-		case WAddF:
-			n := len(fs)
-			fs[n-2] += fs[n-1]
-			fs = fs[:n-1]
-		case WSubF:
-			n := len(fs)
-			fs[n-2] -= fs[n-1]
-			fs = fs[:n-1]
-		case WMulF:
-			n := len(fs)
-			fs[n-2] *= fs[n-1]
-			fs = fs[:n-1]
-		case WDivF:
-			n := len(fs)
-			fs[n-2] /= fs[n-1]
-			fs = fs[:n-1]
-		case WNegF:
-			fs[len(fs)-1] = -fs[len(fs)-1]
-		case WI2F:
-			fs = append(fs, float64(is[len(is)-1]))
-			is = is[:len(is)-1]
-		case WF2I:
-			is = append(is, int64(fs[len(fs)-1]))
-			fs = fs[:len(fs)-1]
-		case WLoadI:
-			m := e.env.Mats[in.A]
-			ar := int(in.B)
-			base := len(is) - ar
-			off := 0
-			for d := 0; d < ar; d++ {
-				off += int(is[base+d]) * m.strides[d]
-			}
-			is = append(is[:base], m.i[off])
-		case WLoadF:
-			m := e.env.Mats[in.A]
-			ar := int(in.B)
-			base := len(is) - ar
-			off := 0
-			for d := 0; d < ar; d++ {
-				off += int(is[base+d]) * m.strides[d]
+		case WFoldI, WFoldF:
+			n := int(in.A)
+			base := len(is) - 2*n
+			trips, empty := int64(1), false
+			for d := 0; d < n; d++ {
+				lo, hi := is[base+2*d], is[base+2*d+1]
+				if !lo.known || !hi.known {
+					return 0, false
+				}
+				if hi.hi <= lo.lo {
+					empty = true
+					continue
+				}
+				ids[int(in.B)+d] = wival{lo: lo.lo, hi: hi.hi - 1, known: true}
+				trips = satMul(trips, hi.hi-lo.lo)
 			}
 			is = is[:base]
-			fs = append(fs, m.f[off])
+			if in.Op == WFoldI {
+				is[base-1] = wival{} // the fold's value
+			}
+			if empty {
+				pc = int(in.K)
+				continue
+			}
+			mults = append(mults, mult)
+			mult = satMul(mult, trips)
+		case WFoldEnd:
+			if code[in.A].Op == WFoldI {
+				is = is[:len(is)-1]
+			}
+			mult = mults[len(mults)-1]
+			mults = mults[:len(mults)-1]
 		}
 	}
-	e.is, e.fs = is, fs
-}
-
-func (e *withEval) evalI(idx []int) int64 {
-	e.run(idx)
-	return e.is[0]
-}
-
-func (e *withEval) evalF(idx []int) float64 {
-	e.run(idx)
-	return e.fs[0]
+	return cost, true
 }
 
 // matchSingleLoad recognizes a body that is exactly one matrix load
@@ -444,16 +400,15 @@ func matchSingleLoad(code []WithInstr) *withLoadPlan {
 // GenArrayFlat is the flat engine for a proven genarray body. It
 // returns handled=false — having allocated nothing and fired no hooks
 // — whenever the closure path must run instead, either to reproduce an
-// admission error exactly or because the body/leaves fall outside what
-// the flat engine handles. When handled, the result (matrix, budget
+// admission error exactly or because the leaves fall outside what the
+// flat engine handles. When handled, the result (matrix, budget
 // charges, alloc-hook firings, error) is observably identical to
 // GenArrayExec with a closure of the same body.
-func GenArrayFlat(elem Elem, lower, upper, shape []int, env *WithEnv, x Exec) (*Matrix, bool, error) {
+func GenArrayFlat(elem Elem, r *WithRun, x Exec) (*Matrix, bool, error) {
 	// Replay the admission checks; a failure falls back so the closure
 	// path raises the exact error text.
-	if len(lower) != len(shape) || len(upper) != len(shape) {
-		return nil, false, nil
-	}
+	p := r.prog
+	lower, upper, shape := r.Lower, r.Upper, r.Shape
 	n, err := checkedSize(shape)
 	if err != nil {
 		return nil, false, nil
@@ -463,14 +418,7 @@ func GenArrayFlat(elem Elem, lower, upper, shape []int, env *WithEnv, x Exec) (*
 			return nil, false, nil
 		}
 	}
-	rank := len(shape)
-	if rank == 0 || !env.verify(rank) {
-		return nil, false, nil
-	}
-	if env.Float && elem != Float {
-		return nil, false, nil
-	}
-	if !env.Float && elem == Bool {
+	if elem == Bool || (elem == Float) != p.spec.OutFloat || !r.leavesOK() {
 		return nil, false, nil
 	}
 	empty := false
@@ -483,8 +431,12 @@ func GenArrayFlat(elem Elem, lower, upper, shape []int, env *WithEnv, x Exec) (*
 			full = false
 		}
 	}
-	if !empty && !env.feasible(lower, upper) {
-		return nil, false, nil
+	cost := int64(0)
+	if !empty {
+		var ok bool
+		if cost, ok = r.feasible(); !ok {
+			return nil, false, nil
+		}
 	}
 	// Allocation: same hook/charge sequence as the closure path's
 	// NewBudgeted. Cells outside the generator box must read zero, so
@@ -502,12 +454,13 @@ func GenArrayFlat(elem Elem, lower, upper, shape []int, env *WithEnv, x Exec) (*
 	if n == 0 || empty {
 		return out, true, nil
 	}
+	rank := len(shape)
 
 	// Transpose pattern: out[i,j] = m[j,i] over the whole matrix runs
 	// the cache-blocked transpose kernel.
-	if lp := matchSingleLoad(env.Code); lp != nil && full && !lp.i2f && rank == 2 &&
+	if lp := p.load; lp != nil && full && !lp.i2f && rank == 2 &&
 		lp.perm[0] == 1 && lp.perm[1] == 0 && lp.off[0] == 0 && lp.off[1] == 0 {
-		m := env.Mats[lp.mat]
+		m := r.Mats[lp.mat]
 		if m.elem == elem && m.shape[0] == shape[1] && m.shape[1] == shape[0] {
 			kernelTransposeCount.Add(1)
 			srcRows, srcCols := m.shape[0], m.shape[1]
@@ -532,21 +485,33 @@ func GenArrayFlat(elem Elem, lower, upper, shape []int, env *WithEnv, x Exec) (*
 		}
 	}
 
-	// General path: evaluate the postfix body per cell, one odometer
-	// walk per row band, rows distributed over the pool.
+	// General path: rows distributed over the pool, each row walked in
+	// strips. The grain counts plan instructions per row, nested bodies
+	// once per inner trip, so polls stay a bounded amount of work apart.
 	n0 := upper[0] - lower[0]
 	perRow := 1
 	for d := 1; d < rank; d++ {
 		perRow *= upper[d] - lower[d]
 	}
-	cost := perRow * len(env.Code)
 	grainRows := 1
-	if cost > 0 {
-		grainRows = (ParallelGrain + cost - 1) / cost
+	if cost < int64(ParallelGrain) {
+		if rowCost := perRow * int(cost); rowCost > 0 {
+			grainRows = (ParallelGrain + rowCost - 1) / rowCost
+		}
+	}
+	w := min(withStrip, upper[rank-1]-lower[rank-1])
+	var serial *wState // the pool's chunks run concurrently: one state each
+	if x.Pool == nil || n0 < 2 {
+		serial = r.newState(w)
+		defer serial.release()
 	}
 	err = runWithKernel(x, n0, grainRows, func(lo, hi int) error {
-		genFillRows(out, env, elem, lower, upper, lower[0]+lo, lower[0]+hi)
-		return nil
+		st := serial
+		if st == nil {
+			st = r.newState(w)
+			defer st.release()
+		}
+		return st.walk(r, lower[0]+lo, lower[0]+hi, x, out, nil)
 	})
 	if err != nil {
 		out.Recycle()
@@ -567,82 +532,22 @@ func runWithKernel(x Exec, n, grain int, body func(lo, hi int) error) error {
 	return runKernel(x, n, grain, body)
 }
 
-// genFillRows fills output rows [r0, r1) of the generator box by
-// direct postfix evaluation, walking the box odometer with an
-// incrementally-maintained output offset.
-func genFillRows(out *Matrix, env *WithEnv, elem Elem, lower, upper []int, r0, r1 int) {
-	rank := len(lower)
-	e := newWithEval(env)
-	idx := make([]int, rank)
-	// 0 = int body into int cells, 1 = float body, 2 = int body
-	// store-promoted into float cells.
-	store := 0
-	if env.Float {
-		store = 1
-	} else if elem == Float {
-		store = 2
-	}
-	for i0 := r0; i0 < r1; i0++ {
-		idx[0] = i0
-		off := i0 * out.strides[0]
-		for d := 1; d < rank; d++ {
-			idx[d] = lower[d]
-			off += lower[d] * out.strides[d]
-		}
-		for {
-			switch store {
-			case 0:
-				out.i[off] = e.evalI(idx)
-			case 1:
-				out.f[off] = e.evalF(idx)
-			default:
-				out.f[off] = float64(e.evalI(idx))
-			}
-			d := rank - 1
-			for ; d >= 1; d-- {
-				idx[d]++
-				off += out.strides[d]
-				if idx[d] < upper[d] {
-					break
-				}
-				off -= (upper[d] - lower[d]) * out.strides[d]
-				idx[d] = lower[d]
-			}
-			if d < 1 {
-				break
-			}
-		}
-	}
-}
-
 // FoldFlat is the flat engine for a proven fold body. The parallel
 // split mirrors FoldExec exactly — same per-worker row chunks, same
-// identity seeds, same base-first combine order — so float results are
-// bit-identical to the closure path. handled=false defers to the
+// identity seeds, same base-first combine order — and within a chunk
+// every strip is reduced in ascending element order, so float results
+// are bit-identical to the closure path. handled=false defers to the
 // closure path (mixed int/float min-max folds, unverifiable leaves).
-func FoldFlat(kind FoldKind, base any, lower, upper []int, env *WithEnv, x Exec) (any, bool, error) {
-	if len(lower) != len(upper) {
-		return nil, false, nil
-	}
-	if len(lower) == 0 {
-		return base, true, nil
-	}
+func FoldFlat(kind FoldKind, base any, r *WithRun, x Exec) (any, bool, error) {
+	p := r.prog
+	lower, upper := r.Lower, r.Upper
 	rank := len(lower)
-	if !env.verify(rank) {
-		return nil, false, nil
-	}
 	floatAcc := false
 	switch base.(type) {
 	case int64:
-		if env.Float {
-			// int base with a float body would promote mid-fold; the VM
-			// pre-promotes the base when the static type is float, so
-			// this only happens in corners the closure path owns.
-			return nil, false, nil
-		}
 	case float64:
 		floatAcc = true
-		if !env.Float && (kind == FoldMin || kind == FoldMax) {
+		if !p.spec.Float && (kind == FoldMin || kind == FoldMax) {
 			// Boxed min/max keep the winning operand's dynamic type; a
 			// typed float accumulator cannot.
 			return nil, false, nil
@@ -650,30 +555,32 @@ func FoldFlat(kind FoldKind, base any, lower, upper []int, env *WithEnv, x Exec)
 	default:
 		return nil, false, nil
 	}
-	empty := false
-	for d := range lower {
-		if upper[d] <= lower[d] {
-			empty = true
-		}
-	}
-	if !empty && !env.feasible(lower, upper) {
+	// An int base under a float body would promote mid-fold; the VM
+	// pre-promotes the base when the static type is float, so a mismatch
+	// only happens in corners the closure path owns.
+	if floatAcc != p.spec.OutFloat || !r.leavesOK() {
 		return nil, false, nil
-	}
-	if empty {
-		return base, true, nil
 	}
 	switch kind {
 	case FoldAdd, FoldMul, FoldMin, FoldMax:
 	default:
 		return nil, false, nil
 	}
+	for d := range lower {
+		if upper[d] <= lower[d] {
+			return base, true, nil
+		}
+	}
+	if _, ok := r.feasible(); !ok {
+		return nil, false, nil
+	}
 
 	// Whole-matrix single-load folds reduce contiguous row slices; any
-	// other body evaluates per cell through the box odometer. Both
-	// combine in ascending element order within a row chunk.
+	// other body is evaluated a strip at a time. Both combine in
+	// ascending element order within a row chunk.
 	var whole *Matrix
-	if lp := matchSingleLoad(env.Code); lp != nil && !lp.i2f {
-		m := env.Mats[lp.mat]
+	if lp := p.load; lp != nil && !lp.i2f {
+		m := r.Mats[lp.mat]
 		match := m.Rank() == rank
 		for d := 0; match && d < rank; d++ {
 			if lp.perm[d] != d || lp.off[d] != 0 || lower[d] != 0 || upper[d] != m.shape[d] {
@@ -688,181 +595,124 @@ func FoldFlat(kind FoldKind, base any, lower, upper []int, env *WithEnv, x Exec)
 	for d := 1; d < rank; d++ {
 		rowLen *= upper[d] - lower[d]
 	}
+	w := min(withStrip, upper[rank-1]-lower[rank-1])
+	// A rank-1 box has one-cell rows: the engines below step through it
+	// a strip's worth of cells at a time instead.
+	step := 1
+	if rank == 1 {
+		step = w
+	}
 
-	foldRowsF := func(e *withEval, r0, r1 int, acc float64) float64 {
-		if whole != nil {
-			if whole.elem == Int {
-				for _, v := range whole.i[r0*rowLen : r1*rowLen] {
-					acc = combineFloat(kind, acc, float64(v))
-				}
-				return acc
-			}
-			for _, v := range whole.f[r0*rowLen : r1*rowLen] {
-				acc = combineFloat(kind, acc, v)
-			}
-			return acc
-		}
-		idx := make([]int, rank)
-		intBody := !env.Float
-		for i0 := r0; i0 < r1; i0++ {
-			idx[0] = i0
-			for d := 1; d < rank; d++ {
-				idx[d] = lower[d]
-			}
-			for {
-				if intBody {
-					acc = combineFloat(kind, acc, float64(e.evalI(idx)))
-				} else {
-					acc = combineFloat(kind, acc, e.evalF(idx))
-				}
-				d := rank - 1
-				for ; d >= 1; d-- {
-					idx[d]++
-					if idx[d] < upper[d] {
-						break
-					}
-					idx[d] = lower[d]
-				}
-				if d < 1 {
-					break
-				}
-			}
-		}
-		return acc
+	// folder returns the function one goroutine folds row ranges with,
+	// and the release of the state behind it.
+	type acc struct {
+		i int64
+		f float64
 	}
-	foldRowsI := func(e *withEval, r0, r1 int, acc int64) int64 {
+	folder := func() (func(a *acc, r0, r1 int) error, func()) {
 		if whole != nil {
-			for _, v := range whole.i[r0*rowLen : r1*rowLen] {
-				acc = combineInt(kind, acc, v)
-			}
-			return acc
-		}
-		idx := make([]int, rank)
-		for i0 := r0; i0 < r1; i0++ {
-			idx[0] = i0
-			for d := 1; d < rank; d++ {
-				idx[d] = lower[d]
-			}
-			for {
-				acc = combineInt(kind, acc, e.evalI(idx))
-				d := rank - 1
-				for ; d >= 1; d-- {
-					idx[d]++
-					if idx[d] < upper[d] {
-						break
+			return func(a *acc, r0, r1 int) error {
+				switch {
+				case !floatAcc:
+					a.i = foldSlice(kind, a.i, whole.i[r0*rowLen:r1*rowLen])
+				case whole.elem == Float:
+					a.f = foldSlice(kind, a.f, whole.f[r0*rowLen:r1*rowLen])
+				default:
+					for _, v := range whole.i[r0*rowLen : r1*rowLen] {
+						a.f = combineFloat(kind, a.f, float64(v))
 					}
-					idx[d] = lower[d]
 				}
-				if d < 1 {
-					break
-				}
+				return nil
+			}, func() {}
+		}
+		st := r.newState(w)
+		st.ownOut(p)
+		var cur *acc
+		each := func(n int) {
+			if floatAcc {
+				cur.f = foldSlice(kind, cur.f, st.f.out[:n])
+			} else {
+				cur.i = foldSlice(kind, cur.i, st.i.out[:n])
 			}
 		}
-		return acc
+		return func(a *acc, r0, r1 int) error {
+			cur = a
+			return st.walk(r, r0, r1, x, nil, each)
+		}, st.release
 	}
+
 	n0 := upper[0] - lower[0]
 	if x.Pool == nil || n0 < 2 {
-		// Serial: same per-row cancellation polls as FoldExec.
-		e := newWithEval(env)
-		accI, accF := int64(0), float64(0)
+		// Serial: cancellation polls no further apart than FoldExec's.
+		a := acc{}
 		if floatAcc {
-			accF = base.(float64)
+			a.f = base.(float64)
 		} else {
-			accI = base.(int64)
+			a.i = base.(int64)
 		}
-		for i0 := lower[0]; i0 < upper[0]; i0++ {
+		fold, release := folder()
+		defer release()
+		for i0 := lower[0]; i0 < upper[0]; i0 += step {
 			if err := x.cancelled(); err != nil {
 				return nil, true, err
 			}
-			if floatAcc {
-				accF = foldRowsF(e, i0, i0+1, accF)
-			} else {
-				accI = foldRowsI(e, i0, i0+1, accI)
+			if err := fold(&a, i0, min(i0+step, upper[0])); err != nil {
+				return nil, true, err
 			}
 		}
 		if floatAcc {
-			return accF, true, nil
+			return a.f, true, nil
 		}
-		return accI, true, nil
+		return a.i, true, nil
 	}
 	// Parallel: FoldExec's exact worker split — ceil chunks over the
-	// outermost dimension, identity-seeded partials, per-row abort and
-	// ctx polls, base-first combine in worker order.
-	identF, identI := foldIdentFloat(kind), foldIdentInt(kind)
+	// outermost dimension, identity-seeded partials, abort and ctx
+	// polls between rows, base-first combine in worker order. A worker
+	// whose chunk is empty contributes nothing.
 	pool := x.Pool
-	type partial struct {
-		f   float64
-		i   int64
-		set bool
-	}
-	partials := make([]partial, pool.Workers())
+	partials := make([]acc, pool.Workers())
+	set := make([]bool, pool.Workers())
 	err := pool.RunErr(func(worker, workers int) error {
 		chunk := (n0 + workers - 1) / workers
 		start := lower[0] + worker*chunk
-		end := start + chunk
-		if end > upper[0] {
-			end = upper[0]
+		end := min(start+chunk, upper[0])
+		if start >= end {
+			return nil
 		}
-		e := newWithEval(env)
-		accF, accI := identF, identI
-		for i0 := start; i0 < end; i0++ {
+		a := acc{i: foldIdentInt(kind), f: foldIdentFloat(kind)}
+		fold, release := folder()
+		defer release()
+		for i0 := start; i0 < end; i0 += step {
 			if pool.Aborted() {
 				return nil
 			}
 			if err := x.cancelled(); err != nil {
 				return err
 			}
-			if floatAcc {
-				accF = foldRowsF(e, i0, i0+1, accF)
-			} else {
-				accI = foldRowsI(e, i0, i0+1, accI)
+			if err := fold(&a, i0, min(i0+step, end)); err != nil {
+				return err
 			}
 		}
-		partials[worker] = partial{f: accF, i: accI, set: true}
+		partials[worker], set[worker] = a, true
 		return nil
 	})
 	if err != nil {
 		return nil, true, err
 	}
 	if floatAcc {
-		acc := base.(float64)
-		for _, p := range partials {
-			if p.set {
-				acc = combineFloat(kind, acc, p.f)
+		a := base.(float64)
+		for k, pt := range partials {
+			if set[k] {
+				a = combineFloat(kind, a, pt.f)
 			}
 		}
-		return acc, true, nil
+		return a, true, nil
 	}
-	acc := base.(int64)
-	for _, p := range partials {
-		if p.set {
-			acc = combineInt(kind, acc, p.i)
+	a := base.(int64)
+	for k, pt := range partials {
+		if set[k] {
+			a = combineInt(kind, a, pt.i)
 		}
 	}
-	return acc, true, nil
-}
-
-// foldIdentInt / foldIdentFloat are foldIdentity's typed values.
-func foldIdentInt(kind FoldKind) int64 {
-	switch kind {
-	case FoldMul:
-		return 1
-	case FoldMin:
-		return int64(1) << 62
-	case FoldMax:
-		return int64(-1) << 62
-	}
-	return 0
-}
-
-func foldIdentFloat(kind FoldKind) float64 {
-	switch kind {
-	case FoldMul:
-		return 1
-	case FoldMin:
-		return 1e308
-	case FoldMax:
-		return -1e308
-	}
-	return 0
+	return a, true, nil
 }

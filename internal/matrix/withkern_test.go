@@ -1,0 +1,849 @@
+// Tests for the strip evaluator. The oracle is refPlan: the plan
+// language evaluated one cell at a time, the obvious way — a postfix
+// machine over two stacks with a nested fold run as a plain loop. Every
+// result of GenArrayFlat/FoldFlat must match it bit for bit, serial and
+// pooled, at every row width around the strip width.
+package matrix
+
+import (
+	"context"
+	"errors"
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/par"
+)
+
+// refPlan evaluates code[pc:end) at one cell. ids holds every generated
+// id in scope (the loop's, then open folds').
+func refPlan(code []WithInstr, pc, end int, ids []int64, mats []*Matrix, sI []int64, sF []float64, is []int64, fs []float64) ([]int64, []float64) {
+	for ; pc < end; pc++ {
+		in := &code[pc]
+		ni, nf := len(is), len(fs)
+		switch in.Op {
+		case WPushID:
+			is = append(is, ids[in.A])
+		case WPushInt:
+			is = append(is, in.K)
+		case WPushFloat:
+			fs = append(fs, in.F)
+		case WPushScalarI:
+			is = append(is, sI[in.A])
+		case WPushScalarF:
+			fs = append(fs, sF[in.A])
+		case WAddI:
+			is = append(is[:ni-2], is[ni-2]+is[ni-1])
+		case WSubI:
+			is = append(is[:ni-2], is[ni-2]-is[ni-1])
+		case WMulI:
+			is = append(is[:ni-2], is[ni-2]*is[ni-1])
+		case WDivI:
+			is[ni-1] /= in.K
+		case WModI:
+			is[ni-1] %= in.K
+		case WNegI:
+			is[ni-1] = -is[ni-1]
+		case WAddF:
+			fs = append(fs[:nf-2], fs[nf-2]+fs[nf-1])
+		case WSubF:
+			fs = append(fs[:nf-2], fs[nf-2]-fs[nf-1])
+		case WMulF:
+			fs = append(fs[:nf-2], fs[nf-2]*fs[nf-1])
+		case WDivF:
+			fs = append(fs[:nf-2], fs[nf-2]/fs[nf-1])
+		case WNegF:
+			fs[nf-1] = -fs[nf-1]
+		case WI2F:
+			fs = append(fs, float64(is[ni-1]))
+			is = is[:ni-1]
+		case WF2I:
+			is = append(is, int64(fs[nf-1]))
+			fs = fs[:nf-1]
+		case WLoadI, WLoadF:
+			m := mats[in.A]
+			base := ni - int(in.B)
+			off := 0
+			for d := 0; d < int(in.B); d++ {
+				off += int(is[base+d]) * m.strides[d]
+			}
+			is = is[:base]
+			if in.Op == WLoadI {
+				is = append(is, m.i[off])
+			} else {
+				fs = append(fs, m.f[off])
+			}
+		case WFoldI, WFoldF:
+			n := int(in.A)
+			bounds := append([]int64(nil), is[ni-2*n:]...)
+			is = is[:ni-2*n]
+			inner := append(append([]int64(nil), ids[:in.B]...), make([]int64, n)...)
+			empty := false
+			for d := 0; d < n; d++ {
+				inner[int(in.B)+d] = bounds[2*d]
+				if bounds[2*d+1] <= bounds[2*d] {
+					empty = true
+				}
+			}
+			for !empty {
+				bi, bf := refPlan(code, pc+1, int(in.K), inner, mats, sI, sF, nil, nil)
+				if in.Op == WFoldI {
+					is[len(is)-1] = combineInt(in.Kind, is[len(is)-1], bi[0])
+				} else {
+					fs[len(fs)-1] = combineFloat(in.Kind, fs[len(fs)-1], bf[0])
+				}
+				d := n - 1
+				for ; d >= 0; d-- {
+					k := int(in.B) + d
+					inner[k]++
+					if inner[k] < bounds[2*d+1] {
+						break
+					}
+					inner[k] = bounds[2*d]
+				}
+				empty = d < 0
+			}
+			pc = int(in.K)
+		}
+	}
+	return is, fs
+}
+
+// planGen writes random plans: every value shape the compiler
+// distinguishes (uniform, lazy id strip, strip), both load addressings, literal
+// divisors of both signs, and fold brackets to depth two.
+type planGen struct {
+	r     *rand.Rand
+	code  []WithInstr
+	rank  int // the loop's ids
+	ids   int // ids in scope
+	depth int // open brackets
+}
+
+func (g *planGen) emit(in WithInstr) { g.code = append(g.code, in) }
+
+// testDim and testLong are the extents of the test matrices'
+// dimensions: a long one takes a loop id directly (a lazy strip), a
+// short one only an index reduced into range.
+const (
+	testDim  = 7
+	testLong = 2*withStrip + 16
+)
+
+// index emits an int expression proven inside [0, extent): a loop id
+// plus a small offset, or its mirror image, when the dimension is long
+// enough for any box the tests use, else a double remainder, which
+// bounds whatever the inner expression is.
+func (g *planGen) index(extent int) {
+	if extent == testLong && g.r.Intn(2) == 0 {
+		id := WithInstr{Op: WPushID, A: int32(g.r.Intn(g.rank))} // never negative, unlike a fold's
+		switch g.r.Intn(3) {
+		case 0:
+			g.emit(id)
+		case 1:
+			g.emit(id)
+			g.emit(WithInstr{Op: WPushInt, K: int64(g.r.Intn(4))})
+			g.emit(WithInstr{Op: WAddI})
+		default:
+			g.emit(WithInstr{Op: WPushInt, K: testLong - 1})
+			g.emit(id)
+			g.emit(WithInstr{Op: WSubI})
+		}
+		return
+	}
+	g.intExpr(2, false)
+	g.emit(WithInstr{Op: WModI, K: testDim})
+	g.emit(WithInstr{Op: WPushInt, K: testDim})
+	g.emit(WithInstr{Op: WAddI})
+	g.emit(WithInstr{Op: WModI, K: testDim})
+}
+
+// pushID pushes a generated id; uniform excludes the strip id.
+func (g *planGen) pushID(uniform bool) {
+	k := g.r.Intn(g.ids)
+	if uniform && k == g.rank-1 {
+		if g.rank == 1 && g.ids == 1 {
+			g.emit(WithInstr{Op: WPushInt, K: 2})
+			return
+		}
+		k = (k + 1) % g.ids
+	}
+	g.emit(WithInstr{Op: WPushID, A: int32(k)})
+}
+
+func (g *planGen) intExpr(depth int, uniform bool) {
+	if depth == 0 {
+		switch g.r.Intn(3) {
+		case 0:
+			g.pushID(uniform)
+		case 1:
+			g.emit(WithInstr{Op: WPushInt, K: int64(g.r.Intn(9) - 4)})
+		default:
+			g.emit(WithInstr{Op: WPushScalarI, A: int32(g.r.Intn(2))})
+		}
+		return
+	}
+	switch g.r.Intn(9) {
+	case 0, 1, 2:
+		g.intExpr(depth-1, uniform)
+		g.intExpr(depth-1, uniform)
+		g.emit(WithInstr{Op: []WithOp{WAddI, WSubI, WMulI}[g.r.Intn(3)]})
+	case 3:
+		g.intExpr(depth-1, uniform)
+		g.emit(WithInstr{Op: []WithOp{WDivI, WModI}[g.r.Intn(2)], K: []int64{1, -1, 2, 3, -3, 5}[g.r.Intn(6)]})
+	case 4:
+		g.intExpr(depth-1, uniform)
+		g.emit(WithInstr{Op: WNegI})
+	case 5:
+		if uniform {
+			g.intExpr(depth-1, uniform)
+			return
+		}
+		g.index(testLong)
+		g.index(testDim)
+		g.emit(WithInstr{Op: WLoadI, A: 0, B: 2})
+	case 6:
+		if uniform {
+			g.intExpr(depth-1, uniform)
+			return
+		}
+		g.floatExpr(depth - 1)
+		// Keep the truncation defined: |x| stays far below 2^63.
+		g.emit(WithInstr{Op: WF2I})
+		g.emit(WithInstr{Op: WModI, K: 1000})
+	case 7:
+		if uniform || g.depth >= 2 {
+			g.intExpr(depth-1, uniform)
+			return
+		}
+		g.fold(false, depth)
+	default:
+		g.intExpr(0, uniform)
+	}
+}
+
+func (g *planGen) floatExpr(depth int) {
+	if depth == 0 {
+		switch g.r.Intn(3) {
+		case 0:
+			g.emit(WithInstr{Op: WPushFloat, F: float64(g.r.Intn(17)-8) * 0.37})
+		case 1:
+			g.emit(WithInstr{Op: WPushScalarF, A: 0})
+		default:
+			g.intExpr(0, false)
+			g.emit(WithInstr{Op: WI2F})
+		}
+		return
+	}
+	switch g.r.Intn(8) {
+	case 0, 1, 2:
+		g.floatExpr(depth - 1)
+		g.floatExpr(depth - 1)
+		g.emit(WithInstr{Op: []WithOp{WAddF, WSubF, WMulF, WDivF}[g.r.Intn(4)]})
+	case 3:
+		g.floatExpr(depth - 1)
+		g.emit(WithInstr{Op: WNegF})
+	case 4:
+		g.intExpr(depth-1, false)
+		g.emit(WithInstr{Op: WI2F})
+	case 5:
+		g.index(testDim)
+		g.index(testDim)
+		g.index(testLong)
+		g.emit(WithInstr{Op: WLoadF, A: 1, B: 3})
+	case 6:
+		if g.depth >= 2 {
+			g.floatExpr(depth - 1)
+			return
+		}
+		g.fold(true, depth)
+	default:
+		g.floatExpr(0)
+	}
+}
+
+// fold emits one bracket: base, uniform bounds a few cells apart
+// (sometimes empty), then the bracketed body.
+func (g *planGen) fold(float bool, depth int) {
+	if float {
+		g.floatExpr(depth - 1)
+	} else {
+		g.intExpr(depth-1, false)
+	}
+	n := 1 + g.r.Intn(3)
+	for d := 0; d < n; d++ {
+		g.intExpr(1, true)
+		g.emit(WithInstr{Op: WModI, K: 3})
+		g.intExpr(1, true)
+		g.emit(WithInstr{Op: WModI, K: 3})
+		g.emit(WithInstr{Op: WPushInt, K: int64(g.r.Intn(4))})
+		g.emit(WithInstr{Op: WAddI})
+	}
+	begin := len(g.code)
+	op := WFoldI
+	if float {
+		op = WFoldF
+	}
+	g.emit(WithInstr{Op: op, A: int32(n), B: int32(g.ids), Kind: FoldKind(g.r.Intn(4))})
+	g.ids += n
+	g.depth++
+	if float {
+		g.floatExpr(depth - 1)
+	} else {
+		g.intExpr(depth-1, false)
+	}
+	g.depth--
+	g.ids -= n
+	g.code[begin].K = int64(len(g.code))
+	g.emit(WithInstr{Op: WFoldEnd, A: int32(begin)})
+}
+
+// testLeaves builds the runtime leaves every generated plan runs
+// against.
+func testLeaves() ([]*Matrix, []int64, []float64) {
+	mi := New(Int, testLong, testDim)
+	for k := range mi.i {
+		mi.i[k] = int64((k*37)%23 - 11)
+	}
+	mf := New(Float, testDim, testDim, testLong)
+	for k := range mf.f {
+		mf.f[k] = float64((k*53)%29-14)*0.173 + 0.011
+	}
+	return []*Matrix{mi, mf}, []int64{3, -2}, []float64{0.625}
+}
+
+func testSpec(code []WithInstr, rank int, float, outFloat bool) WithSpec {
+	return WithSpec{Code: code, Rank: rank, MatElem: []Elem{Int, Float},
+		ScalarI: 2, ScalarF: 1, Float: float, OutFloat: outFloat}
+}
+
+var leafMats, leafI, leafF = testLeaves()
+
+func bindRun(p *WithProg, lower, upper, shape []int) *WithRun {
+	run := p.NewRun()
+	mats, sI, sF := leafMats, leafI, leafF
+	copy(run.Lower, lower)
+	copy(run.Upper, upper)
+	copy(run.Shape, shape)
+	copy(run.Mats, mats)
+	copy(run.ScalarI, sI)
+	copy(run.ScalarF, sF)
+	return run
+}
+
+func testPool(t *testing.T) *par.Pool {
+	t.Helper()
+	pool := par.NewPool(3)
+	t.Cleanup(pool.Shutdown)
+	return pool
+}
+
+// TestWithStripMatchesCellByCell: random plans, boxes whose innermost
+// extent straddles the strip width, genarray and all four folds, serial
+// and pooled, against the one-cell-at-a-time oracle — bit for bit.
+func TestWithStripMatchesCellByCell(t *testing.T) {
+	pool := testPool(t)
+	mats, sI, sF := leafMats, leafI, leafF
+	boxes := [][2][]int{
+		{{0}, {1}}, {{0}, {2}}, {{3}, {withStrip + 2}}, {{0}, {withStrip}}, {{1}, {withStrip + 2}}, {{0}, {2*withStrip + 3}},
+		{{0, 0}, {3, 1}}, {{1, 2}, {4, withStrip + 1}}, {{0, 0}, {2, withStrip}}, {{0, 5}, {3, withStrip + 6}}, {{0, 0}, {2, 2*withStrip + 3}},
+		{{0, 1, 0}, {2, 3, withStrip + 1}}, {{1, 0, 2}, {3, 2, 9}},
+	}
+	compiled := 0
+	for seed := int64(0); seed < 48; seed++ {
+		for _, box := range boxes {
+			lower, upper := box[0], box[1]
+			rank := len(lower)
+			float := seed%2 == 0
+			g := &planGen{r: rand.New(rand.NewSource(seed*31 + int64(rank))), rank: rank, ids: rank}
+			if float {
+				g.floatExpr(3)
+			} else {
+				g.intExpr(3, false)
+			}
+			p, ok := CompileWith(testSpec(g.code, rank, float, float))
+			if !ok {
+				t.Fatalf("seed %d rank %d: generated plan does not compile: %+v", seed, rank, g.code)
+			}
+			compiled++
+			cell := func(idx []int) (int64, float64) {
+				ids := make([]int64, rank)
+				for d := range idx {
+					ids[d] = int64(idx[d])
+				}
+				is, fs := refPlan(g.code, 0, len(g.code), ids, mats, sI, sF, nil, nil)
+				if float {
+					return 0, fs[0]
+				}
+				return is[0], 0
+			}
+			elem := Int
+			if float {
+				elem = Float
+			}
+			shape := make([]int, rank)
+			for d := range shape {
+				shape[d] = upper[d] + 1
+			}
+			for _, x := range []Exec{{}, {Pool: pool}} {
+				run := bindRun(p, lower, upper, shape)
+				out, handled, err := GenArrayFlat(elem, run, x)
+				run.Release()
+				if !handled || err != nil {
+					t.Fatalf("seed %d box %v: genarray handled=%v err=%v\n%+v", seed, box, handled, err, g.code)
+				}
+				indexSpace(make([]int, rank), shape, func(idx []int) {
+					inside := true
+					for d := range idx {
+						inside = inside && idx[d] >= lower[d] && idx[d] < upper[d]
+					}
+					var wi int64
+					var wf float64
+					if inside {
+						wi, wf = cell(idx)
+					}
+					off, _ := out.Offset(idx)
+					if float && math.Float64bits(out.f[off]) != math.Float64bits(wf) {
+						t.Fatalf("seed %d box %v pool=%v cell %v: got %v want %v\n%+v", seed, box, x.Pool != nil, idx, out.f[off], wf, g.code)
+					}
+					if !float && out.i[off] != wi {
+						t.Fatalf("seed %d box %v pool=%v cell %v: got %d want %d\n%+v", seed, box, x.Pool != nil, idx, out.i[off], wi, g.code)
+					}
+				})
+				for kind := FoldAdd; kind <= FoldMax; kind++ {
+					var base any = int64(2)
+					if float {
+						base = 0.75
+					}
+					// The closure path with the oracle as its body: same
+					// worker split, same seeds, same combine order.
+					want, err := FoldExec(kind, base, lower, upper, func(idx []int) (any, error) {
+						wi, wf := cell(idx)
+						if float {
+							return wf, nil
+						}
+						return wi, nil
+					}, x)
+					if err != nil {
+						t.Fatal(err)
+					}
+					run := bindRun(p, lower, upper, shape)
+					got, handled, err := FoldFlat(kind, base, run, x)
+					run.Release()
+					if !handled || err != nil {
+						t.Fatalf("seed %d box %v: fold handled=%v err=%v", seed, box, handled, err)
+					}
+					same := got == want
+					if float {
+						same = math.Float64bits(got.(float64)) == math.Float64bits(want.(float64))
+					}
+					if !same {
+						t.Fatalf("seed %d box %v pool=%v fold %v: got %v want %v\n%+v", seed, box, x.Pool != nil, kind, got, want, g.code)
+					}
+				}
+			}
+		}
+	}
+	if compiled == 0 {
+		t.Fatal("nothing compiled")
+	}
+}
+
+// TestWithStripIntBodyIntoFloatCells: an int body promotes per cell
+// into float cells and into a float accumulator, as Set and the closure
+// path's accumulator do.
+func TestWithStripIntBodyIntoFloatCells(t *testing.T) {
+	code := []WithInstr{{Op: WPushID, A: 0}, {Op: WPushInt, K: 3}, {Op: WMulI}, {Op: WPushInt, K: 4}, {Op: WSubI}}
+	p, ok := CompileWith(testSpec(code, 1, false, true))
+	if !ok {
+		t.Fatal("plan does not compile")
+	}
+	n := withStrip + 5
+	run := bindRun(p, []int{0}, []int{n}, []int{n})
+	out, handled, err := GenArrayFlat(Float, run, Exec{})
+	run.Release()
+	if !handled || err != nil {
+		t.Fatalf("handled=%v err=%v", handled, err)
+	}
+	for i, v := range out.f {
+		if v != float64(i*3-4) {
+			t.Fatalf("cell %d = %v, want %v", i, v, float64(i*3-4))
+		}
+	}
+	run = bindRun(p, []int{0}, []int{n}, []int{n})
+	got, handled, err := FoldFlat(FoldAdd, 0.5, run, Exec{})
+	run.Release()
+	if want := 0.5 + float64(3*n*(n-1)/2-4*n); !handled || err != nil || got != want {
+		t.Fatalf("fold = %v handled=%v err=%v, want %v", got, handled, err, want)
+	}
+	// The same plan into int cells needs a program compiled for int cells.
+	run = bindRun(p, []int{0}, []int{n}, []int{n})
+	_, handled, _ = GenArrayFlat(Int, run, Exec{})
+	run.Release()
+	if handled {
+		t.Error("a program compiled for float cells filled an int matrix")
+	}
+}
+
+// TestWithStripDeclinesBeforeAnyObservable: what the interval analysis
+// cannot prove, and leaves that do not match the plan, fall back with
+// no hook firing and no budget charge.
+func TestWithStripDeclinesBeforeAnyObservable(t *testing.T) {
+	// m[i, i+1] one past the row's end, then a nested fold reading
+	// m[i, k] one past it.
+	shifted := []WithInstr{{Op: WPushID, A: 0}, {Op: WPushID, A: 0}, {Op: WPushInt, K: 1}, {Op: WAddI}, {Op: WLoadI, A: 0, B: 2}}
+	nested := []WithInstr{
+		{Op: WPushInt, K: 0},
+		{Op: WPushInt, K: 0}, {Op: WPushInt, K: testDim + 1},
+		{Op: WFoldI, A: 1, B: 1, K: 7, Kind: FoldAdd},
+		{Op: WPushID, A: 0}, {Op: WPushID, A: 1}, {Op: WLoadI, A: 0, B: 2},
+		{Op: WFoldEnd, A: 3},
+	}
+	var fired int
+	TestHookAllocFail = func(int) error { fired++; return nil }
+	defer func() { TestHookAllocFail = nil }()
+	for name, code := range map[string][]WithInstr{"shifted": shifted, "nested": nested} {
+		p, ok := CompileWith(testSpec(code, 1, false, false))
+		if !ok {
+			t.Fatalf("%s: plan does not compile", name)
+		}
+		budget := NewBudget(1 << 20)
+		run := bindRun(p, []int{0}, []int{testDim}, []int{testDim})
+		fired = 0
+		_, handled, err := GenArrayFlat(Int, run, Exec{Budget: budget})
+		if handled || err != nil || fired != 0 || budget.Used() != 0 {
+			t.Errorf("%s: handled=%v err=%v hook fired %d budget %d, want a silent decline",
+				name, handled, err, fired, budget.Used())
+		}
+		if name == "shifted" {
+			// One row fewer keeps the load inside: the same run is handled.
+			run.Upper[0] = testDim - 1
+			if _, handled, err := GenArrayFlat(Int, run, Exec{Budget: budget}); !handled || err != nil {
+				t.Errorf("shifted, one row fewer: handled=%v err=%v", handled, err)
+			}
+			if budget.Used() != testDim || fired != 1 {
+				t.Errorf("after one handled run: budget %d, hook fired %d, want %d and 1", budget.Used(), fired, testDim)
+			}
+			mistyped := New(Float, testDim, testDim)
+			fired = 0
+			for _, leaf := range []*Matrix{nil, mistyped, New(Int, testDim)} {
+				run.Mats[0] = leaf
+				if _, handled, _ := GenArrayFlat(Int, run, Exec{Budget: budget}); handled {
+					t.Errorf("leaf %v was handled", leaf)
+				}
+			}
+			if budget.Used() != testDim {
+				t.Errorf("declines charged the budget: %d", budget.Used())
+			}
+		}
+		run.Release()
+	}
+}
+
+// TestCompileWithRejectsMalformedPlans: the strip compiler is the
+// plan's verifier.
+func TestCompileWithRejectsMalformedPlans(t *testing.T) {
+	for name, tc := range map[string]struct {
+		code  []WithInstr
+		float bool
+	}{
+		"empty":              {nil, false},
+		"stack_underflow":    {[]WithInstr{{Op: WPushInt, K: 1}, {Op: WAddI}}, false},
+		"two_values_left":    {[]WithInstr{{Op: WPushInt, K: 1}, {Op: WPushInt, K: 2}}, false},
+		"wrong_result_type":  {[]WithInstr{{Op: WPushInt, K: 1}}, true},
+		"id_out_of_scope":    {[]WithInstr{{Op: WPushID, A: 1}}, false},
+		"scalar_slot":        {[]WithInstr{{Op: WPushScalarI, A: 2}}, false},
+		"matrix_slot":        {[]WithInstr{{Op: WPushID, A: 0}, {Op: WPushID, A: 0}, {Op: WLoadI, A: 2, B: 2}}, false},
+		"matrix_elem":        {[]WithInstr{{Op: WPushID, A: 0}, {Op: WPushID, A: 0}, {Op: WLoadF, A: 0, B: 2}, {Op: WF2I}}, false},
+		"divisor_zero":       {[]WithInstr{{Op: WPushID, A: 0}, {Op: WModI, K: 0}}, false},
+		"unknown_opcode":     {[]WithInstr{{Op: WFoldEnd + 1}}, false},
+		"fold_unclosed":      {[]WithInstr{{Op: WPushInt}, {Op: WPushInt}, {Op: WPushInt, K: 2}, {Op: WFoldI, A: 1, B: 1, K: 5, Kind: FoldAdd}, {Op: WPushInt, K: 1}}, false},
+		"fold_end_alone":     {[]WithInstr{{Op: WPushInt}, {Op: WFoldEnd, A: 0}}, false},
+		"fold_first_id":      {[]WithInstr{{Op: WPushInt}, {Op: WPushInt}, {Op: WPushInt, K: 2}, {Op: WFoldI, A: 1, B: 2, K: 5, Kind: FoldAdd}, {Op: WPushInt, K: 1}, {Op: WFoldEnd, A: 3}}, false},
+		"fold_kind":          {[]WithInstr{{Op: WPushInt}, {Op: WPushInt}, {Op: WPushInt, K: 2}, {Op: WFoldI, A: 1, B: 1, K: 5, Kind: FoldMax + 1}, {Op: WPushInt, K: 1}, {Op: WFoldEnd, A: 3}}, false},
+		"fold_bound_strip":   {[]WithInstr{{Op: WPushInt}, {Op: WPushInt}, {Op: WPushID, A: 0}, {Op: WFoldI, A: 1, B: 1, K: 5, Kind: FoldAdd}, {Op: WPushInt, K: 1}, {Op: WFoldEnd, A: 3}}, false},
+		"fold_body_type":     {[]WithInstr{{Op: WPushInt}, {Op: WPushInt}, {Op: WPushInt, K: 2}, {Op: WFoldI, A: 1, B: 1, K: 5, Kind: FoldAdd}, {Op: WPushFloat, F: 1}, {Op: WFoldEnd, A: 3}}, false},
+		"fold_body_two_vals": {[]WithInstr{{Op: WPushInt}, {Op: WPushInt}, {Op: WPushInt, K: 2}, {Op: WFoldI, A: 1, B: 1, K: 6, Kind: FoldAdd}, {Op: WPushInt, K: 1}, {Op: WPushInt, K: 1}, {Op: WFoldEnd, A: 3}}, false},
+		"fold_id_after_end":  {[]WithInstr{{Op: WPushInt}, {Op: WPushInt}, {Op: WPushInt, K: 2}, {Op: WFoldI, A: 1, B: 1, K: 5, Kind: FoldAdd}, {Op: WPushInt, K: 1}, {Op: WFoldEnd, A: 3}, {Op: WPushID, A: 1}, {Op: WAddI}}, false},
+	} {
+		if _, ok := CompileWith(testSpec(tc.code, 1, tc.float, tc.float)); ok {
+			t.Errorf("%s: malformed plan compiled", name)
+		}
+	}
+	if _, ok := CompileWith(testSpec([]WithInstr{{Op: WPushFloat, F: 1}}, 1, true, false)); ok {
+		t.Error("a float body compiled for int cells")
+	}
+	if _, ok := CompileWith(testSpec([]WithInstr{{Op: WPushInt, K: 1}}, 0, false, false)); ok {
+		t.Error("a rank-0 loop compiled")
+	}
+}
+
+// TestWithStripRegistersFollowLiveDepth: a long chain of additions
+// needs two strip registers however many instructions it has, and a
+// body of id±constant loads builds no index strips at all.
+func TestWithStripRegistersFollowLiveDepth(t *testing.T) {
+	var code []WithInstr
+	load := func(di, dj int64) {
+		code = append(code, WithInstr{Op: WPushID, A: 0}, WithInstr{Op: WPushInt, K: di}, WithInstr{Op: WAddI},
+			WithInstr{Op: WPushID, A: 1}, WithInstr{Op: WPushInt, K: dj}, WithInstr{Op: WSubI},
+			WithInstr{Op: WPushInt, K: 0}, WithInstr{Op: WLoadF, A: 1, B: 3})
+	}
+	load(0, 0)
+	for k := int64(1); k < 40; k++ {
+		load(k%3, k%2)
+		code = append(code, WithInstr{Op: WAddF})
+	}
+	p, ok := CompileWith(testSpec(code, 2, true, true))
+	if !ok {
+		t.Fatal("plan does not compile")
+	}
+	if p.nSF != 2 || p.nSI != 0 {
+		t.Errorf("%d float and %d int strip registers for a %d-instruction chain of shifted loads, want 2 and 0",
+			p.nSF, p.nSI, len(code))
+	}
+}
+
+// TestWithStripSharedProgram: one compiled program, many concurrent
+// executions — the program is immutable and every run owns its scratch
+// (the race pass is what gives this teeth).
+func TestWithStripSharedProgram(t *testing.T) {
+	g := &planGen{r: rand.New(rand.NewSource(99)), rank: 2, ids: 2}
+	g.floatExpr(3)
+	p, ok := CompileWith(testSpec(g.code, 2, true, true))
+	if !ok {
+		t.Fatal("plan does not compile")
+	}
+	lower, upper, shape := []int{0, 0}, []int{5, withStrip + 9}, []int{5, withStrip + 9}
+	ref := bindRun(p, lower, upper, shape)
+	want, _, err := GenArrayFlat(Float, ref, Exec{})
+	ref.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := testPool(t)
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		x := Exec{}
+		if w == 0 {
+			x.Pool = pool // one pooled execution among the serial ones
+		}
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 20; rep++ {
+				run := bindRun(p, lower, upper, shape)
+				out, handled, err := GenArrayFlat(Float, run, x)
+				run.Release()
+				if !handled || err != nil {
+					t.Errorf("handled=%v err=%v", handled, err)
+					return
+				}
+				for k := range out.f {
+					if math.Float64bits(out.f[k]) != math.Float64bits(want.f[k]) {
+						t.Errorf("cell %d differs between concurrent executions", k)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestWithStripScratchIsPooled: after warm-up a flat genarray allocates
+// its output and nothing per cell or per row.
+func TestWithStripScratchIsPooled(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pooled scratch is dropped at random under the race detector")
+	}
+	code := []WithInstr{{Op: WPushID, A: 0}, {Op: WPushID, A: 1}, {Op: WAddI}, {Op: WI2F}, {Op: WPushFloat, F: 0.5}, {Op: WMulF}}
+	p, ok := CompileWith(testSpec(code, 2, true, true))
+	if !ok {
+		t.Fatal("plan does not compile")
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		run := p.NewRun()
+		run.Lower[0], run.Lower[1] = 0, 0
+		run.Upper[0], run.Upper[1] = 64, 300
+		run.Shape[0], run.Shape[1] = 64, 300
+		out, _, err := GenArrayFlat(Float, run, Exec{})
+		run.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Recycle()
+	})
+	// The output's header and the row closure; nothing may scale with
+	// the 64 rows or the 19200 cells.
+	if allocs > 6 {
+		t.Errorf("%.0f allocations for a 64x300 flat genarray", allocs)
+	}
+}
+
+// TestFoldIdentitiesAreTrueIdentities: a pooled min/max over values
+// beyond any finite stand-in equals the serial fold, on both engines,
+// and a worker with an empty chunk contributes nothing.
+func TestFoldIdentitiesAreTrueIdentities(t *testing.T) {
+	pool := par.NewPool(4)
+	defer pool.Shutdown()
+	huge := 1.5 * math.Pow(2, 1023)
+	for _, tc := range []struct {
+		kind FoldKind
+		base any
+		val  any
+	}{
+		{FoldMin, math.Inf(1), huge},
+		{FoldMin, math.Inf(1), math.Inf(1)},
+		{FoldMax, math.Inf(-1), -huge},
+		{FoldMax, math.Inf(-1), math.Inf(-1)},
+		{FoldMax, int64(math.MinInt64), int64(-1)<<62 - 1000},
+		{FoldMin, int64(math.MaxInt64), int64(1)<<62 + 1000},
+	} {
+		// Five rows over four workers: ceil chunks of two leave the last
+		// worker empty.
+		for _, n := range []int{5, 64} {
+			body := func([]int) (any, error) { return tc.val, nil }
+			serial, err := FoldExec(tc.kind, tc.base, []int{0}, []int{n}, body, Exec{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pooled, err := FoldExec(tc.kind, tc.base, []int{0}, []int{n}, body, Exec{Pool: pool})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if serial != tc.val || pooled != serial {
+				t.Errorf("FoldExec %v of %d x %v: serial %v, pooled %v", tc.kind, n, tc.val, serial, pooled)
+			}
+			m := New(Int, n)
+			code := []WithInstr{{Op: WPushID, A: 0}, {Op: WLoadI, A: 0, B: 1}}
+			_, float := tc.val.(float64)
+			if float {
+				m = New(Float, n)
+				code[1].Op = WLoadF
+				for k := range m.f {
+					m.f[k] = tc.val.(float64)
+				}
+			} else {
+				for k := range m.i {
+					m.i[k] = tc.val.(int64)
+				}
+			}
+			p, ok := CompileWith(WithSpec{Code: code, Rank: 1, MatElem: []Elem{m.elem}, Float: float, OutFloat: float})
+			if !ok {
+				t.Fatal("plan does not compile")
+			}
+			for _, x := range []Exec{{}, {Pool: pool}} {
+				run := p.NewRun()
+				run.Lower[0], run.Upper[0], run.Mats[0] = 0, n, m
+				got, handled, err := FoldFlat(tc.kind, tc.base, run, x)
+				run.Release()
+				if !handled || err != nil || got != tc.val {
+					t.Errorf("FoldFlat %v of %d x %v (pool %v) = %v, handled=%v err=%v", tc.kind, n, tc.val, x.Pool != nil, got, handled, err)
+				}
+			}
+		}
+	}
+}
+
+// TestWithNestedFoldIsTheSequentialFold: the paper's Fig 1 as one plan —
+// genarray over [i, j] of fold(+) over k of mat[i, j, k], divided by p.
+// Every cell must be the plain loop `acc = base; acc += v` over
+// ascending k, bit for bit (the values make float summation order
+// matter), at a width past the strip, serial and pooled; an empty inner
+// range yields the base.
+func TestWithNestedFoldIsTheSequentialFold(t *testing.T) {
+	m, n, p := 3, withStrip+5, 9
+	mat := New(Float, m, n, p)
+	for k := range mat.f {
+		mat.f[k] = float64(k%7)*1e15 + float64(k%11)*0.1 - float64(k%3)*1e15
+	}
+	code := []WithInstr{
+		{Op: WPushFloat, F: 0.25},
+		{Op: WPushInt, K: 0}, {Op: WPushScalarI, A: 0},
+		{Op: WFoldF, A: 1, B: 2, K: 8, Kind: FoldAdd},
+		{Op: WPushID, A: 0}, {Op: WPushID, A: 1}, {Op: WPushID, A: 2}, {Op: WLoadF, A: 0, B: 3},
+		{Op: WFoldEnd, A: 3},
+		{Op: WPushScalarI, A: 0}, {Op: WI2F}, {Op: WDivF},
+	}
+	prog, ok := CompileWith(WithSpec{Code: code, Rank: 2, MatElem: []Elem{Float}, ScalarI: 1, Float: true, OutFloat: true})
+	if !ok {
+		t.Fatal("plan does not compile")
+	}
+	pool := testPool(t)
+	for _, trips := range []int{p, 0} {
+		for _, x := range []Exec{{}, {Pool: pool}} {
+			run := prog.NewRun()
+			copy(run.Upper, []int{m, n})
+			copy(run.Shape, []int{m, n})
+			run.Lower[0], run.Lower[1] = 0, 0
+			run.Mats[0], run.ScalarI[0] = mat, int64(trips)
+			out, handled, err := GenArrayFlat(Float, run, x)
+			run.Release()
+			if !handled || err != nil {
+				t.Fatalf("handled=%v err=%v", handled, err)
+			}
+			for i := 0; i < m; i++ {
+				for j := 0; j < n; j++ {
+					acc := 0.25
+					for k := 0; k < trips; k++ {
+						acc += mat.f[(i*n+j)*p+k]
+					}
+					want := acc / float64(trips)
+					if got := out.f[i*n+j]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("trips %d pool %v cell [%d,%d] = %v, want %v", trips, x.Pool != nil, i, j, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWithNestedFoldPollsContext: a tiny outer box over a huge inner
+// fold is one strip, so the poll between strips never comes; the fold's
+// back edge must see the deadline itself. genarray and fold outers,
+// serial and pooled.
+func TestWithNestedFoldPollsContext(t *testing.T) {
+	code := []WithInstr{
+		{Op: WPushInt, K: 0},
+		{Op: WPushInt, K: 0}, {Op: WPushScalarI, A: 0},
+		{Op: WFoldI, A: 1, B: 1, K: 7, Kind: FoldAdd},
+		{Op: WPushID, A: 0}, {Op: WPushID, A: 1}, {Op: WAddI},
+		{Op: WFoldEnd, A: 3},
+	}
+	prog, ok := CompileWith(WithSpec{Code: code, Rank: 1, ScalarI: 1})
+	if !ok {
+		t.Fatal("plan does not compile")
+	}
+	pool := testPool(t)
+	for _, pooled := range []bool{false, true} {
+		for _, fold := range []bool{false, true} {
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+			x := Exec{Ctx: ctx}
+			if pooled {
+				x.Pool = pool
+			}
+			run := prog.NewRun()
+			run.Lower[0], run.Upper[0], run.Shape[0] = 0, 4, 4
+			run.ScalarI[0] = 2_000_000_000
+			start := time.Now()
+			var handled bool
+			var err error
+			if fold {
+				_, handled, err = FoldFlat(FoldAdd, int64(0), run, x)
+			} else {
+				_, handled, err = GenArrayFlat(Int, run, x)
+			}
+			took := time.Since(start)
+			run.Release()
+			cancel()
+			if !handled || !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("pooled %v fold %v: handled=%v err=%v, want the deadline", pooled, fold, handled, err)
+			}
+			if took > 2*time.Second {
+				t.Errorf("pooled %v fold %v: deadline of 20ms seen after %v", pooled, fold, took)
+			}
+		}
+	}
+}

@@ -28,14 +28,16 @@ int main() {
 }
 `
 
-// bigParallelSrc is a large parallel with-loop: interpreted, it takes
-// far longer than the tight deadlines the tests set, so cancellation
-// must be observed mid-construct.
+// bigParallelSrc is a large parallel with-loop: 4M cells of a
+// 400-trip nested fold take seconds even on the flat engine, far longer
+// than the tight deadlines the tests set, so cancellation must be
+// observed mid-construct.
 const bigParallelSrc = `
 int main() {
 	int n = 2000;
 	Matrix float <2> m;
-	m = with ([0, 0] <= [i, j] < [n, n]) genarray([n, n], (float)i * 2.0 + j);
+	m = with ([0, 0] <= [i, j] < [n, n])
+		genarray([n, n], with ([0] <= [k] < [400]) fold(+, 0.0, (float)(i * k) * 2.0 + j));
 	return 0;
 }
 `
@@ -168,6 +170,33 @@ func TestCrashDeadlineInsideParallelConstruct(t *testing.T) {
 	}
 	if code := getJSON(t, ts.URL+"/metrics", &ms); code != http.StatusOK || ms.RunTimeouts != 1 {
 		t.Fatalf("run_timeouts = %d (status %d), want 1", ms.RunTimeouts, code)
+	}
+}
+
+// TestCrashDeadlineInsideNestedFold: four cells, each a two-billion-trip
+// fold, are a single strip of the flat engine — the deadline has to be
+// seen inside it, or one request pins a worker for half a minute.
+func TestCrashDeadlineInsideNestedFold(t *testing.T) {
+	ts, _ := newTestServer(t, server.Config{})
+	const src = `
+int main() {
+	Matrix int <1> m;
+	m = with ([0] <= [i] < [4])
+		genarray([4], with ([0] <= [k] < [2000000000]) fold(+, 0, i + k));
+	return 0;
+}
+`
+	for _, threads := range []int{1, 4} {
+		start := time.Now()
+		code, body := postJSON(t, ts.URL+"/v1/run",
+			map[string]any{"source": src, "engine": "vm", "threads": threads, "timeout_ms": 30})
+		if code != http.StatusGatewayTimeout {
+			t.Fatalf("threads %d: status = %d %v, want 504", threads, code, body)
+		}
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Fatalf("threads %d: cancellation inside the fold took %s", threads, elapsed)
+		}
+		mustHealthz(t, ts.URL)
 	}
 }
 

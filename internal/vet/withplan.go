@@ -1,23 +1,43 @@
 // With-loop compilation proofs — the second Facts family. A
-// genarray/fold body that is an effect-free scalar index expression
-// (ids, literals, scalar and matrix identifier leaves, +,-,*, float /,
-// negation, int↔float casts, and matrix loads whose indices are int
-// affine-ish expressions) is compiled here to the flat postfix
-// instruction set of matrix.WithInstr. The VM resolves the leaf names
-// against its registers and runs the loop through
-// matrix.GenArrayFlat/FoldFlat instead of a per-element closure.
+// genarray/fold body that is an effect-free scalar index expression is
+// written here in the flat postfix plan language of matrix.WithInstr;
+// the VM has matrix.CompileWith turn the plan into a strip program,
+// resolves the leaf names against its registers and runs the loop
+// through matrix.GenArrayFlat/FoldFlat instead of a per-element closure.
+//
+// The plan language:
+//
+//	ids, int and float literals, int and float scalar identifiers
+//	+ - * and negation on both types; float /
+//	int / and int % by a non-zero integer literal (c or -c)
+//	(int) and (float) casts
+//	m[e1, ..., ek] for a matrix identifier m of pinned element type and
+//	  rank k, every index an int expression of the index language: ids,
+//	  int literals, int scalar identifiers, + - * negation, / and % by a
+//	  literal
+//	with ([l...] <= [ids] < [u...]) fold(op, base, body) nested in a
+//	  body: bounds in the index language and not mentioning the
+//	  enclosing loop's innermost id, base and body in the plan language
+//	  (the body may use the fold's own ids), emitted as a
+//	  WFoldI/WFoldF ... WFoldEnd bracket of the outer plan
 //
 // Legality is strict for the same reason chain fusion is: the flat
-// engine must replay the closure engine's observables exactly.
-// Excluded on principle: `%` and int `/` (trap per element mid-loop),
-// comparisons and logicals (bool bodies), calls (effects, recursion),
-// `end` (needs the enclosing indexing context), nested with-loops
-// (inner loops get their own plans), transform clauses, and any leaf
-// that is not a plain identifier or literal. A float-typed `/` is
-// total (IEEE), so it is allowed on float bodies.
+// engine must replay the closure engine's observables exactly, and the
+// plan language has no failure paths. Excluded on principle: `%` and
+// int `/` by anything but a non-zero literal (the closure path traps
+// per element mid-loop), comparisons and logicals (bool bodies), calls
+// (effects, recursion), `end` (needs the enclosing indexing context),
+// nested genarrays (matrix values), a nested min/max fold of an int
+// body from a float base (the boxed accumulator keeps the winner's
+// dynamic type), transform clauses, and any leaf that is not a plain
+// identifier or literal. A float-typed `/` is total (IEEE), so it is
+// allowed on float bodies. A nested fold keeps a plan of its own as
+// well: it is what runs when the outer loop stays on the closure path.
 package vet
 
 import (
+	"maps"
+
 	"repro/internal/ast"
 	"repro/internal/matrix"
 	"repro/internal/sem"
@@ -73,6 +93,7 @@ func proveWith(info *sem.Info, w *ast.WithLoop) *WithPlan {
 	for k, name := range w.Ids {
 		b.ids[name] = k // a repeated name shadows: the last binding wins
 	}
+	b.nids, b.strip = len(w.Ids), len(w.Ids)-1
 	var body ast.Expr
 	switch op := w.Op.(type) {
 	case *ast.GenArrayOp:
@@ -80,16 +101,8 @@ func proveWith(info *sem.Info, w *ast.WithLoop) *WithPlan {
 	case *ast.FoldOp:
 		body = op.Body
 		b.plan.Fold = true
-		switch op.Kind {
-		case ast.FoldAdd:
-			b.plan.Kind = matrix.FoldAdd
-		case ast.FoldMul:
-			b.plan.Kind = matrix.FoldMul
-		case ast.FoldMin:
-			b.plan.Kind = matrix.FoldMin
-		case ast.FoldMax:
-			b.plan.Kind = matrix.FoldMax
-		default:
+		var ok bool
+		if b.plan.Kind, ok = foldKindOf(op.Kind); !ok {
 			return nil
 		}
 	default:
@@ -103,9 +116,26 @@ func proveWith(info *sem.Info, w *ast.WithLoop) *WithPlan {
 	return b.plan
 }
 
+// foldKindOf maps the parsed fold operator to the engines'.
+func foldKindOf(k ast.FoldKind) (matrix.FoldKind, bool) {
+	switch k {
+	case ast.FoldAdd:
+		return matrix.FoldAdd, true
+	case ast.FoldMul:
+		return matrix.FoldMul, true
+	case ast.FoldMin:
+		return matrix.FoldMin, true
+	case ast.FoldMax:
+		return matrix.FoldMax, true
+	}
+	return 0, false
+}
+
 type withBuilder struct {
 	info  *sem.Info
-	ids   map[string]int
+	ids   map[string]int // generated ids in scope, by name
+	nids  int            // how many: a nested fold numbers its ids on from here
+	strip int            // the loop's innermost id: nested fold bounds must not vary along it
 	plan  *WithPlan
 	mats  map[string]int
 	sInts map[string]int
@@ -188,13 +218,138 @@ func (b *withBuilder) build(e ast.Expr) (types.Kind, bool) {
 		return b.binary(e)
 	case *ast.IndexExpr:
 		return b.load(e)
+	case *ast.WithLoop:
+		return b.nestedFold(e)
 	}
 	return 0, false
+}
+
+// intLiteral matches the divisors `%` and int `/` may take: c or -c.
+func intLiteral(e ast.Expr) (int64, bool) {
+	switch e := e.(type) {
+	case *ast.IntLit:
+		return e.Value, true
+	case *ast.UnaryExpr:
+		if lit, ok := e.X.(*ast.IntLit); ok && e.Op == ast.OpNeg {
+			return -lit.Value, true
+		}
+	}
+	return 0, false
+}
+
+// buildInt compiles e, which must come out int.
+func (b *withBuilder) buildInt(e ast.Expr) bool {
+	k, ok := b.build(e)
+	return ok && k == types.Int
+}
+
+// byLiteral compiles l / c or l % c over ints, with buildInt or index
+// compiling l. A zero or non-literal divisor is outside the language:
+// it traps per element on the closure path.
+func (b *withBuilder) byLiteral(e *ast.BinaryExpr, left func(ast.Expr) bool) bool {
+	c, ok := intLiteral(e.R)
+	if !ok || c == 0 || b.kindOf(e.L) != types.Int || !left(e.L) {
+		return false
+	}
+	op := matrix.WDivI
+	if e.Op == ast.OpMod {
+		op = matrix.WModI
+	}
+	b.emit(matrix.WithInstr{Op: op, K: c})
+	return true
+}
+
+// nestedFold compiles a fold nested in a body as a bracket of the
+// enclosing plan: base, then the bounds, then the bracketed body. The
+// fold's ids are numbered after those in scope and shadow them by name
+// inside the body only.
+func (b *withBuilder) nestedFold(w *ast.WithLoop) (types.Kind, bool) {
+	op, ok := w.Op.(*ast.FoldOp)
+	if !ok || len(w.Transforms) != 0 || len(w.Ids) == 0 ||
+		len(w.Lower) != len(w.Ids) || len(w.Upper) != len(w.Ids) {
+		return 0, false
+	}
+	kind, ok := foldKindOf(op.Kind)
+	if !ok {
+		return 0, false
+	}
+	// The fold's static type is float when base or body is; the engines
+	// promote an int base up front and an int body per element, which is
+	// exact for + and * but not for min/max over a float base.
+	bodyK := b.kindOf(op.Body)
+	res := b.kindOf(w)
+	if bodyK == types.Invalid || res == types.Invalid ||
+		(res == types.Float && bodyK == types.Int && (kind == matrix.FoldMin || kind == matrix.FoldMax)) {
+		return 0, false
+	}
+	baseK, ok := b.build(op.Init)
+	if !ok {
+		return 0, false
+	}
+	if baseK == types.Int && res == types.Float {
+		b.emit(matrix.WithInstr{Op: matrix.WI2F})
+	}
+	for k := range w.Ids {
+		if !b.uniformIndex(w.Lower[k]) || !b.uniformIndex(w.Upper[k]) {
+			return 0, false
+		}
+	}
+	begin := len(b.plan.Code)
+	open := matrix.WithInstr{Op: matrix.WFoldI, A: int32(len(w.Ids)), B: int32(b.nids), Kind: kind}
+	if res == types.Float {
+		open.Op = matrix.WFoldF
+	}
+	b.emit(open)
+	outer := b.ids
+	b.ids = maps.Clone(outer)
+	for k, name := range w.Ids {
+		b.ids[name] = b.nids + k
+	}
+	b.nids += len(w.Ids)
+	gotK, ok := b.build(op.Body)
+	b.nids -= len(w.Ids)
+	b.ids = outer
+	if !ok || gotK != bodyK {
+		return 0, false
+	}
+	if bodyK == types.Int && res == types.Float {
+		b.emit(matrix.WithInstr{Op: matrix.WI2F})
+	}
+	b.plan.Code[begin].K = int64(len(b.plan.Code))
+	b.emit(matrix.WithInstr{Op: matrix.WFoldEnd, A: int32(begin)})
+	return res, true
+}
+
+// uniformIndex compiles a nested fold bound: an index expression that
+// is the same for every cell along the enclosing loop's innermost id,
+// so a strip of cells runs its inner trips in lockstep.
+func (b *withBuilder) uniformIndex(e ast.Expr) bool {
+	return b.kindOf(e) == types.Int && !b.usesStrip(e) && b.index(e)
+}
+
+// usesStrip reports whether an index-language expression mentions the
+// loop's innermost id.
+func (b *withBuilder) usesStrip(e ast.Expr) bool {
+	switch e := e.(type) {
+	case *ast.Ident:
+		k, ok := b.ids[e.Name]
+		return ok && k == b.strip
+	case *ast.UnaryExpr:
+		return b.usesStrip(e.X)
+	case *ast.BinaryExpr:
+		return b.usesStrip(e.L) || b.usesStrip(e.R)
+	}
+	return false
 }
 
 func (b *withBuilder) binary(e *ast.BinaryExpr) (types.Kind, bool) {
 	switch e.Op {
 	case ast.OpAdd, ast.OpSub, ast.OpMul, ast.OpDiv:
+	case ast.OpMod:
+		if b.kindOf(e) != types.Int {
+			return 0, false
+		}
+		return types.Int, b.byLiteral(e, b.buildInt)
 	default:
 		return 0, false
 	}
@@ -210,7 +365,7 @@ func (b *withBuilder) binary(e *ast.BinaryExpr) (types.Kind, bool) {
 		res = types.Float
 	}
 	if e.Op == ast.OpDiv && res != types.Float {
-		return 0, false // int division traps per element
+		return types.Int, b.byLiteral(e, b.buildInt)
 	}
 	gotL, ok := b.build(e.L)
 	if !ok || gotL != lk {
@@ -308,8 +463,8 @@ func (b *withBuilder) load(e *ast.IndexExpr) (types.Kind, bool) {
 }
 
 // index compiles one index subexpression: ids, int literals, int
-// scalar identifiers, +, -, *, and negation — the language the flat
-// engine's interval analysis can bound.
+// scalar identifiers, +, -, *, negation, and / and % by a literal — the
+// language the flat engine's interval analysis can bound.
 func (b *withBuilder) index(e ast.Expr) bool {
 	switch e := e.(type) {
 	case *ast.IntLit:
@@ -340,6 +495,8 @@ func (b *withBuilder) index(e ast.Expr) bool {
 			op = matrix.WSubI
 		case ast.OpMul:
 			op = matrix.WMulI
+		case ast.OpDiv, ast.OpMod:
+			return b.kindOf(e) == types.Int && b.byLiteral(e, b.index)
 		default:
 			return false
 		}

@@ -118,20 +118,31 @@ int main() {
 
 func TestWithPlanDeclines(t *testing.T) {
 	for name, body := range map[string]string{
-		"modulo":       "i % 3",
-		"int_division": "i / 2",
-		"comparison":   "i", // placeholder; replaced below
-		"call":         "f(i)",
-		"float_index":  "g[(int)(0.5 * i)] ", // cast inside index language
-		"end_keyword":  "g[end - i]",
+		"modulo_zero":        "i % 0",
+		"modulo_variable":    "i % d",
+		"division_zero":      "i / 0",
+		"division_variable":  "i / d",
+		"index_modulo_var":   "v[i % d]",
+		"comparison":         "i", // placeholder; replaced below
+		"call":               "(int)f(i)",
+		"float_index":        "(int)g[(int)(0.5 * i)]", // cast inside index language
+		"end_keyword":        "(int)g[end - i]",
+		"nested_genarray":    "dimSize(with ([0] <= [k] < [3]) genarray([3], k + i), 0)",
+		"nested_strip_bound": "with ([0] <= [k] < [i]) fold(+, 0, k)",
+		"nested_call_bound":  "with ([0] <= [k] < [dimSize(v, 0)]) fold(+, 0, k)",
+		"nested_mixed_min":   "(int)(with ([0] <= [k] < [3]) fold(min, 9.5, k + i))",
+		"nested_call_body":   "with ([0] <= [k] < [3]) fold(+, 0, (int)f(k))",
 	} {
 		src := `
 float f(int i) { return (float)i; }
 int main() {
+	int d = 3;
+	Matrix int <1> v = [0 :: 7];
 	Matrix float <1> g = [0 :: 7] * 1.0;
-	Matrix float <1> m;
-	m = with ([0] <= [i] < [8]) genarray([8], 0.0 + ` + body + `);
-	print(m[0] + g[0]);
+	Matrix int <1> m;
+	m = with ([0] <= [i] < [8]) genarray([8], ` + body + `);
+	print(m[0] + v[0] + d);
+	print(g[0]);
 	return 0;
 }`
 		if name == "comparison" {
@@ -143,23 +154,105 @@ int main() {
 	return 0;
 }`
 		}
-		if name == "modulo" || name == "int_division" {
-			src = `
-int main() {
-	Matrix int <1> m;
-	m = with ([0] <= [i] < [8]) genarray([8], ` + body + `);
-	print(m[0]);
-	return 0;
-}`
-		}
 		t.Run(name, func(t *testing.T) {
 			f := factsFor(t, src)
-			for _, wp := range f.withs {
-				if !wp.Fold {
+			for w, wp := range f.withs {
+				if !wp.Fold && len(w.Ids) == 1 && w.Ids[0] == "i" {
 					t.Errorf("body %q proved a genarray plan: %+v", body, wp)
 				}
 			}
 		})
+	}
+}
+
+// TestWithPlanLiteralDivisors pins what `%` and int `/` admit: a
+// non-zero integer literal, negated or not, in bodies and in indices.
+func TestWithPlanLiteralDivisors(t *testing.T) {
+	f := factsFor(t, `
+int main() {
+	Matrix int <1> v = [0 :: 7];
+	Matrix int <1> m;
+	m = with ([0] <= [i] < [8]) genarray([8], (i - 4) % 3 + (i - 4) / -2 + i % 1 + v[(i * 5) % 8] + v[i / 2]);
+	print(m[0]);
+	return 0;
+}`)
+	wp := onlyPlan(t, f)
+	var divs, mods []int64
+	for _, in := range wp.Code {
+		switch in.Op {
+		case matrix.WDivI:
+			divs = append(divs, in.K)
+		case matrix.WModI:
+			mods = append(mods, in.K)
+		}
+	}
+	if len(divs) != 2 || divs[0] != -2 || divs[1] != 2 {
+		t.Errorf("WDivI literals = %v, want [-2 2]", divs)
+	}
+	if len(mods) != 3 || mods[0] != 3 || mods[1] != 1 || mods[2] != 8 {
+		t.Errorf("WModI literals = %v, want [3 1 8]", mods)
+	}
+}
+
+// TestWithPlanNestedFold pins the bracket encoding of a fold nested in
+// a genarray body: the paper's Fig 1 shape proves as one outer plan,
+// and the inner fold keeps a plan of its own for the closure path.
+func TestWithPlanNestedFold(t *testing.T) {
+	f := factsFor(t, `
+int main() {
+	int p = 4;
+	Matrix float <3> mat = init(Matrix float <3>, 2, 3, 4);
+	Matrix float <2> means;
+	means = with ([0, 0] <= [i, j] < [2, 3])
+		genarray([2, 3], with ([0] <= [k] < [p]) fold(+, 0, mat[i, j, k]) / p);
+	print(means[0, 0]);
+	return 0;
+}`)
+	if f.WithCount() != 2 {
+		t.Fatalf("WithCount = %d, want 2 (outer genarray and inner fold)", f.WithCount())
+	}
+	var outer *WithPlan
+	for _, wp := range f.withs {
+		if !wp.Fold {
+			outer = wp
+		}
+	}
+	if outer == nil {
+		t.Fatal("outer genarray not proven")
+	}
+	begin, end := -1, -1
+	for pc, in := range outer.Code {
+		switch in.Op {
+		case matrix.WFoldF:
+			begin = pc
+			if in.A != 1 || in.B != 2 || in.Kind != matrix.FoldAdd {
+				t.Errorf("bracket %+v, want 1 id numbered from 2, kind +", in)
+			}
+		case matrix.WFoldI:
+			t.Errorf("int bracket for a float fold at pc %d", pc)
+		case matrix.WFoldEnd:
+			end = pc
+		}
+	}
+	if begin < 0 || end < begin || int(outer.Code[begin].K) != end || int(outer.Code[end].A) != begin {
+		t.Fatalf("brackets at %d/%d do not point at each other: %+v", begin, end, outer.Code)
+	}
+	// The int base is promoted before the bracket opens, and the body
+	// reads the fold's own id as id 2.
+	if outer.Code[0].Op != matrix.WPushInt || outer.Code[1].Op != matrix.WI2F {
+		t.Errorf("base not promoted up front: %+v", outer.Code[:2])
+	}
+	sawInnerID := false
+	for _, in := range outer.Code[begin:end] {
+		if in.Op == matrix.WPushID && in.A == 2 {
+			sawInnerID = true
+		}
+	}
+	if !sawInnerID {
+		t.Error("bracketed body never pushes the fold's id")
+	}
+	if len(outer.ScalarI) != 1 || outer.ScalarI[0] != "p" {
+		t.Errorf("ScalarI = %v, want [p] (bound and divisor share the slot)", outer.ScalarI)
 	}
 }
 
@@ -181,35 +274,37 @@ int main() {
 }
 
 func TestWithPlanVerifyRoundTrip(t *testing.T) {
-	// Every proven plan must pass the flat engine's own verifier — the
-	// two layers implement the same language.
+	// Every proven plan must compile on the flat engine — the two layers
+	// implement the same language, fold brackets included.
 	f := factsFor(t, `
 int main() {
 	int n = 6;
 	Matrix int <2> a;
-	a = with ([0, 0] <= [i, j] < [n, n]) genarray([n, n], i * 10 + j);
+	a = with ([0, 0] <= [i, j] < [n, n]) genarray([n, n], (i * 10 + j) % 7);
 	Matrix int <2> tr;
 	tr = with ([0, 0] <= [i, j] < [n, n]) genarray([n, n], a[j, i]);
 	int s = with ([0, 0] <= [i, j] < [n, n]) fold(+, 0, a[i, j] * tr[j, i]);
 	print(s);
+	Matrix float <1> rows;
+	rows = with ([0] <= [i] < [n])
+		genarray([n], with ([0, 0] <= [j, k] < [n, 2])
+			fold(+, 0.5, a[i, j] * 1.0 + with ([0] <= [l] < [j + 1]) fold(max, 0, tr[l, j] / 2 + k)));
+	print(rows[0]);
+	int deep = with ([0] <= [i] < [n]) fold(*, 1, with ([0] <= [j] < [n]) fold(min, 9, a[i, j] - j));
+	print(deep);
 	return 0;
 }`)
-	if f.WithCount() != 3 {
-		t.Fatalf("WithCount = %d, want 3", f.WithCount())
+	if f.WithCount() != 8 {
+		t.Fatalf("WithCount = %d, want 8", f.WithCount())
 	}
 	for w, wp := range f.withs {
-		env := &matrix.WithEnv{
-			Code:    wp.Code,
-			Mats:    make([]*matrix.Matrix, len(wp.Mats)),
-			ScalarI: make([]int64, len(wp.ScalarI)),
-			ScalarF: make([]float64, len(wp.ScalarF)),
-			Float:   wp.Float,
-		}
-		for k, el := range wp.MatElem {
-			env.Mats[k] = matrix.New(el, 6, 6)
-		}
-		if !env.Verify(len(w.Ids)) {
-			t.Errorf("proven plan fails the flat engine verifier: %+v", wp)
+		_, ok := matrix.CompileWith(matrix.WithSpec{
+			Code: wp.Code, Rank: len(w.Ids), MatElem: wp.MatElem,
+			ScalarI: len(wp.ScalarI), ScalarF: len(wp.ScalarF),
+			Float: wp.Float, OutFloat: wp.Float,
+		})
+		if !ok {
+			t.Errorf("proven plan does not compile on the flat engine: %+v", wp)
 		}
 	}
 }

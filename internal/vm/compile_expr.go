@@ -734,6 +734,12 @@ func (f *fnc) compileWith(w *ast.WithLoop) (int32, class) {
 		return f.reg(), classOf(f.c.info.TypeOf(w))
 	}
 	d.body, d.captures = f.compileWithBody(w, bodyExpr)
+	d.reuse = true
+	for _, in := range f.c.protos[d.body].code {
+		if in.op == opSpawn || in.op == opSync {
+			d.reuse = false
+		}
+	}
 	op := opWith
 	if d.staticFail == nil {
 		if fp := f.flatWithPlan(w, d); fp != nil {
@@ -752,19 +758,31 @@ func (f *fnc) compileWith(w *ast.WithLoop) (int32, class) {
 }
 
 // flatWithPlan binds a vet-proven flat plan's leaf names to this
-// function's local registers. Every leaf must be a local of the proven
-// class (globals decline: a mid-run global rebind from a spawned task
-// must keep per-element closure semantics), and the proven fold kind
-// must match the compiled one. Any mismatch keeps the closure path.
+// function's local registers and compiles the plan to its strip
+// program. Every leaf must be a local of the proven class (globals
+// decline: a mid-run global rebind from a spawned task must keep
+// per-element closure semantics), the proven fold kind must match the
+// compiled one, and the strip compiler must accept the plan. Any
+// mismatch keeps the closure path.
 func (f *fnc) flatWithPlan(w *ast.WithLoop, d *withDesc) *flatPlan {
 	wp := f.c.facts.WithAt(w)
 	if wp == nil || wp.Fold != d.fold {
 		return nil
 	}
-	if d.fold && wp.Kind != d.foldKind {
-		return nil
+	// The accumulator is float when the fold's static type is; a
+	// genarray's cells have the element type the checker gave it.
+	outFloat := d.promote
+	if d.fold {
+		if wp.Kind != d.foldKind {
+			return nil
+		}
+	} else {
+		if len(d.shape) != len(d.lower) || d.elem == matrix.Bool {
+			return nil
+		}
+		outFloat = d.elem == matrix.Float
 	}
-	fp := &flatPlan{code: wp.Code, matEl: wp.MatElem, float: wp.Float}
+	fp := &flatPlan{}
 	for _, name := range wp.Mats {
 		vs, ok := f.resolve(name)
 		if !ok || vs.cl != clR || vs.ty == nil || vs.ty.Kind != types.Matrix {
@@ -785,6 +803,15 @@ func (f *fnc) flatWithPlan(w *ast.WithLoop, d *withDesc) *flatPlan {
 			return nil
 		}
 		fp.sF = append(fp.sF, vs.reg)
+	}
+	var ok bool
+	fp.prog, ok = matrix.CompileWith(matrix.WithSpec{
+		Code: wp.Code, Rank: len(w.Ids), MatElem: wp.MatElem,
+		ScalarI: len(wp.ScalarI), ScalarF: len(wp.ScalarF),
+		Float: wp.Float, OutFloat: outFloat,
+	})
+	if !ok {
+		return nil
 	}
 	return fp
 }

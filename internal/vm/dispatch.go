@@ -30,6 +30,14 @@ var withFlatRun atomic.Int64
 // the flat engine process-wide.
 func WithFlatLoopsRun() int64 { return withFlatRun.Load() }
 
+// withFlatDeclined counts executions of a flat-compiled with-loop that
+// the flat engine handed back to the closure path at run time.
+var withFlatDeclined atomic.Int64
+
+// WithFlatLoopsDeclined reports the number of flat-compiled with-loop
+// executions that fell back to the closure path process-wide.
+func WithFlatLoopsDeclined() int64 { return withFlatDeclined.Load() }
+
 // fusedArg resolves one compiled fused operand against the frame's
 // registers. A boxed register holding a non-matrix (only possible via
 // unchecked programs) resolves to a nil matrix, which FusedExec rejects

@@ -17,6 +17,8 @@
 package vm
 
 import (
+	"sync"
+
 	"repro/internal/ast"
 	"repro/internal/matrix"
 	"repro/internal/sem"
@@ -318,24 +320,24 @@ type withDesc struct {
 	promote    bool // fold base int→float when the loop's type is float
 	body       int  // body proto index
 	captures   []capture
-	ids        int // w.Ids occupy body regs [0, ids)
+	ids        int       // w.Ids occupy body regs [0, ids)
+	reuse      bool      // the body cannot leave work in its frame: frames are pooled
+	frames     sync.Pool // *frame sized for the body proto; scratch, not program state
 	resCl      class
 	staticFail error     // deferred "internal error" diagnosis, nil normally
 	flat       *flatPlan // non-nil for opWithGen/opWithFold sites
 }
 
-// flatPlan binds a vet.WithPlan's leaf names to registers so the flat
-// with-loop engine (matrix.GenArrayFlat / matrix.FoldFlat) can build
-// its WithEnv from the frame at run time. Leaves resolve to locals
-// only: a global leaf keeps the closure path so a racy global rebind
-// stays observable per element.
+// flatPlan is a vet.WithPlan compiled for this site: the strip program
+// (immutable, shared by every run of the cached program) and the
+// registers its leaves are read from at run time. Leaves resolve to
+// locals only: a global leaf keeps the closure path so a racy global
+// rebind stays observable per element.
 type flatPlan struct {
-	code  []matrix.WithInstr
-	mats  []int32       // R regs, by WLoad* slot
-	matEl []matrix.Elem // proven element type per matrix leaf
-	sI    []int32       // I regs, by WPushScalarI slot
-	sF    []int32       // F regs, by WPushScalarF slot
-	float bool          // body's static type is float
+	prog *matrix.WithProg
+	mats []int32 // R regs, by load slot
+	sI   []int32 // I regs, by int scalar slot
+	sF   []int32 // F regs, by float scalar slot
 }
 
 // mapDesc drives opMatMap.

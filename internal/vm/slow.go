@@ -306,21 +306,36 @@ func (mc *Machine) execWith(fr *frame, in *instr) error {
 		template[cp.to] = fr.regs[cp.from]
 	}
 	bodyNode := bodyExprOf(d.w)
+	// Body frames come from the site's pool, registers reset from the
+	// template per cell, unless the body can spawn: a frame with
+	// outstanding futures is not reusable.
 	body := func(idx []int) (any, error) {
 		if err := mc.in.CheckCancel(bodyNode); err != nil {
 			return nil, err
 		}
-		bf := &frame{regs: make([]value, bp.nregs), depth: fr.depth + 1}
+		var bf *frame
+		if d.reuse {
+			bf, _ = d.frames.Get().(*frame)
+		}
+		if bf == nil {
+			bf = &frame{regs: make([]value, bp.nregs)}
+		}
+		bf.depth = fr.depth + 1
 		copy(bf.regs, template)
 		for k := range idx {
 			bf.regs[k].i = int64(idx[k])
 		}
 		err := mc.exec(bf, bp)
 		mc.flush(bf)
+		ret := bf.ret
+		if d.reuse {
+			bf.ret, bf.hasRet = nil, false
+			d.frames.Put(bf)
+		}
 		if err != nil {
 			return nil, err
 		}
-		return bf.ret, nil
+		return ret, nil
 	}
 	x := mc.in.Exec(fr.pool)
 	if d.fold {
@@ -353,41 +368,42 @@ func (mc *Machine) execWith(fr *frame, in *instr) error {
 // an unexpected value, or the flat engine itself declined (infeasible
 // indices, element mismatch) — with nothing observable done: no hook
 // firings, no budget charges. The caller then falls back to the
-// closure engine, which reproduces any error byte-identically.
+// closure engine, which reproduces any error byte-identically; the
+// decline is counted.
 func (mc *Machine) execWithFlat(fr *frame, in *instr) (bool, error) {
 	d := in.aux.(*withDesc)
 	fp := d.flat
 	if fp == nil || d.staticFail != nil {
 		return false, nil
 	}
-	lower := make([]int, len(d.lower))
-	upper := make([]int, len(d.upper))
+	handled, err := mc.runFlat(fr, in, d, fp)
+	if handled {
+		withFlatRun.Add(1)
+	} else {
+		withFlatDeclined.Add(1)
+	}
+	return handled, err
+}
+
+func (mc *Machine) runFlat(fr *frame, in *instr, d *withDesc, fp *flatPlan) (bool, error) {
+	run := fp.prog.NewRun()
+	defer run.Release()
 	for k := range d.lower {
-		lower[k] = int(fr.regs[d.lower[k]].i)
-		upper[k] = int(fr.regs[d.upper[k]].i)
+		run.Lower[k] = int(fr.regs[d.lower[k]].i)
+		run.Upper[k] = int(fr.regs[d.upper[k]].i)
 	}
-	env := &matrix.WithEnv{Code: fp.code, Float: fp.float}
-	if len(fp.mats) > 0 {
-		env.Mats = make([]*matrix.Matrix, len(fp.mats))
-		for k, r := range fp.mats {
-			m, ok := fr.regs[r].r.(*matrix.Matrix)
-			if !ok || m == nil || m.Elem() != fp.matEl[k] {
-				return false, nil
-			}
-			env.Mats[k] = m
+	for k, r := range fp.mats {
+		m, ok := fr.regs[r].r.(*matrix.Matrix)
+		if !ok {
+			return false, nil
 		}
+		run.Mats[k] = m
 	}
-	if len(fp.sI) > 0 {
-		env.ScalarI = make([]int64, len(fp.sI))
-		for k, r := range fp.sI {
-			env.ScalarI[k] = fr.regs[r].i
-		}
+	for k, r := range fp.sI {
+		run.ScalarI[k] = fr.regs[r].i
 	}
-	if len(fp.sF) > 0 {
-		env.ScalarF = make([]float64, len(fp.sF))
-		for k, r := range fp.sF {
-			env.ScalarF[k] = fr.regs[r].f
-		}
+	for k, r := range fp.sF {
+		run.ScalarF[k] = fr.regs[r].f
 	}
 	x := mc.in.Exec(fr.pool)
 	if d.fold {
@@ -397,25 +413,22 @@ func (mc *Machine) execWithFlat(fr *frame, in *instr) (bool, error) {
 				base = float64(iv)
 			}
 		}
-		out, handled, err := matrix.FoldFlat(d.foldKind, base, lower, upper, env, x)
+		out, handled, err := matrix.FoldFlat(d.foldKind, base, run, x)
 		if !handled {
 			return false, nil
 		}
-		withFlatRun.Add(1)
 		if err != nil {
 			return true, interp.WrapError(in.nd, err)
 		}
 		return true, fr.store(in.a, d.resCl, out, in.nd)
 	}
-	shape := make([]int, len(d.shape))
 	for k, r := range d.shape {
-		shape[k] = int(fr.regs[r].i)
+		run.Shape[k] = int(fr.regs[r].i)
 	}
-	out, handled, err := matrix.GenArrayFlat(d.elem, lower, upper, shape, env, x)
+	out, handled, err := matrix.GenArrayFlat(d.elem, run, x)
 	if !handled {
 		return false, nil
 	}
-	withFlatRun.Add(1)
 	if err != nil {
 		return true, interp.WrapError(in.nd, err)
 	}

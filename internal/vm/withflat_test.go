@@ -57,26 +57,27 @@ int main() {
 	print(m[0]);
 	return 0;
 }`},
-		{"modulo_body", `
+		{"modulo_variable_body", `
 int main() {
+	int d = 3;
 	Matrix int <1> m;
-	m = with ([0] <= [i] < [4]) genarray([4], i % 3);
+	m = with ([0] <= [i] < [4]) genarray([4], i % d);
 	print(m[0]);
 	return 0;
 }`},
-		{"int_division_body", `
+		{"int_division_zero_body", `
 int main() {
 	Matrix int <1> m;
-	m = with ([0] <= [i] < [4]) genarray([4], i / 2);
+	m = with ([0] <= [i] < [4]) genarray([4], i / 0);
 	print(m[0]);
 	return 0;
 }`},
-		{"nested_with_body", `
+		{"nested_bound_along_strip", `
 int main() {
-	Matrix float <1> m;
+	Matrix int <1> m;
 	m = with ([0] <= [i] < [4])
-		genarray([4], with ([0] <= [k] < [3]) fold(+, 0.0, (float)(i + k)) / 3.0);
-	print(m[0]);
+		genarray([4], with ([0] <= [k] < [i]) fold(+, 0, k));
+	print(m[3]);
 	return 0;
 }`},
 	} {
@@ -84,10 +85,10 @@ int main() {
 			p := compile(t, tc.src)
 			ops := countOps(p)
 			switch tc.name {
-			case "nested_with_body":
-				// The outer genarray keeps the closure path, but the inner
-				// fold compiles flat inside the body proto (its leaves are
-				// the outer ids, plain int locals there).
+			case "nested_bound_along_strip":
+				// The triangular outer genarray keeps the closure path, but
+				// the inner fold compiles flat inside the body proto (its
+				// leaves are the outer ids, plain int locals there).
 				if p.WithCompiled() != 1 || ops[opWith] != 1 || ops[opWithFold] != 1 {
 					t.Errorf("WithCompiled = %d, opWith = %d, opWithFold = %d, want 1/1/1",
 						p.WithCompiled(), ops[opWith], ops[opWithFold])
@@ -101,6 +102,45 @@ int main() {
 				}
 			}
 		})
+	}
+}
+
+// TestCompileWithNestedFoldSites: a fold nested in a genarray or fold
+// body compiles as part of the outer site's plan; literal % and / no
+// longer keep a body off the flat engine.
+func TestCompileWithNestedFoldSites(t *testing.T) {
+	p := compile(t, `
+int main() {
+	int p = 3;
+	Matrix float <1> m;
+	m = with ([0] <= [i] < [4])
+		genarray([4], with ([0] <= [k] < [p]) fold(+, 0.0, (float)((i + k) % 5)) / p);
+	print(m[0]);
+	return 0;
+}`)
+	ops := countOps(p)
+	// Outer site flat; the inner fold is compiled flat too, inside the
+	// body proto the outer site falls back to.
+	if p.WithCompiled() != 2 || ops[opWith] != 0 || ops[opWithGen] != 1 || ops[opWithFold] != 1 {
+		t.Errorf("WithCompiled = %d, opWith = %d, opWithGen = %d, opWithFold = %d, want 2/0/1/1",
+			p.WithCompiled(), ops[opWith], ops[opWithGen], ops[opWithFold])
+	}
+	before, declined := WithFlatLoopsRun(), WithFlatLoopsDeclined()
+	var out strings.Builder
+	i := interp.New(p.prog, p.info, interp.Options{Stdout: &out})
+	defer i.Close()
+	if _, err := NewMachine(p, i).Run(); err != nil {
+		t.Fatal(err)
+	}
+	// m[0] = (0%5 + 1%5 + 2%5) / 3 = 1
+	if want := "1\n"; out.String() != want {
+		t.Errorf("stdout = %q, want %q", out.String(), want)
+	}
+	if got := WithFlatLoopsRun() - before; got != 1 {
+		t.Errorf("WithFlatLoopsRun advanced by %d, want 1 (the inner fold runs inside the outer plan)", got)
+	}
+	if got := WithFlatLoopsDeclined() - declined; got != 0 {
+		t.Errorf("WithFlatLoopsDeclined advanced by %d, want 0", got)
 	}
 }
 
@@ -163,5 +203,46 @@ int main() {
 	}
 	if want := "3.5\n7\n"; out.String() != want {
 		t.Errorf("stdout = %q, want %q", out.String(), want)
+	}
+}
+
+// TestWithFlatAdmissionAllocs pins the per-execution cost of the flat
+// engine's admission: a 16x16 flat genarray in a loop allocates its
+// output matrix (header, shape, strides; the cells come back from the
+// free list), the row closure and the rc header its binding takes —
+// not bounds, leaves, an evaluator and index buffers per loop. Before
+// the strip engine the same loop took 14; bench's withloop_flat_small,
+// which also indexes the result, went from 21 a loop to 11.
+func TestWithFlatAdmissionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pooled scratch is dropped at random under the race detector")
+	}
+	src := func(loops string) string {
+		return `
+int main() {
+	int n = 16;
+	for (int r = 0; r < ` + loops + `; r++) {
+		Matrix float <2> g;
+		g = with ([0, 0] <= [i, j] < [n, n]) genarray([n, n], 1.0 * (i + j + r));
+	}
+	return 0;
+}`
+	}
+	allocs := func(loops string) float64 {
+		p := compile(t, src(loops))
+		if p.WithCompiled() != 1 {
+			t.Fatalf("WithCompiled = %d, want 1", p.WithCompiled())
+		}
+		return testing.AllocsPerRun(5, func() {
+			i := interp.New(p.prog, p.info, interp.Options{})
+			defer i.Close()
+			if _, err := NewMachine(p, i).Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	per := (allocs("1000") - allocs("0")) / 1000
+	if per > 8 {
+		t.Errorf("%.1f allocations per 16x16 flat genarray execution, want at most 8", per)
 	}
 }

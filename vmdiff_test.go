@@ -311,6 +311,159 @@ int main() {
 	print(prod);
 	return 0;
 }`},
+	{name: "with_nested_folds", src: `
+void show(Matrix float <2> m) {
+	for (int i = 0; i < dimSize(m, 0); i++) {
+		for (int j = 0; j < dimSize(m, 1); j++) { print(m[i, j]); }
+	}
+}
+void showi(Matrix int <2> m) {
+	for (int i = 0; i < dimSize(m, 0); i++) {
+		for (int j = 0; j < dimSize(m, 1); j++) { print(m[i, j]); }
+	}
+}
+int main() {
+	int n = 5;
+	int p = 4;
+	int q = 3;
+	int z = 0;
+	Matrix int <3> c;
+	c = with ([0, 0, 0] <= [i, j, k] < [n, p, q]) genarray([n, p, q], (i * 7 + j * 3 - k * 5) % 11 - 4);
+	Matrix float <3> cf;
+	cf = with ([0, 0, 0] <= [i, j, k] < [n, p, q])
+		genarray([n, p, q], 0.1 * ((i * 7 + j * 3 + k * 5) % 13) - 0.37);
+	// genarray of fold, inner rank 1: all four kinds, float and int
+	// bodies, bounds from int scalars.
+	Matrix float <2> fadd;
+	fadd = with ([0, 0] <= [i, j] < [n, p]) genarray([n, p], with ([0] <= [k] < [q]) fold(+, 0.0, cf[i, j, k]));
+	show(fadd);
+	Matrix float <2> fmul;
+	fmul = with ([0, 0] <= [i, j] < [n, p]) genarray([n, p], with ([0] <= [k] < [q]) fold(*, 1.0, cf[i, j, k] + 1.0));
+	show(fmul);
+	Matrix float <2> fmin;
+	fmin = with ([0, 0] <= [i, j] < [n, p]) genarray([n, p], with ([1] <= [k] < [q]) fold(min, 2.5, cf[i, j, k]));
+	show(fmin);
+	Matrix float <2> fmax;
+	fmax = with ([0, 0] <= [i, j] < [n, p]) genarray([n, p], with ([0] <= [k] < [q - 1]) fold(max, 0.0 - 2.5, cf[i, j, k]));
+	show(fmax);
+	Matrix int <2> iadd;
+	iadd = with ([0, 0] <= [i, j] < [n, p]) genarray([n, p], with ([0] <= [k] < [q]) fold(+, j, c[i, j, k] * k));
+	showi(iadd);
+	Matrix int <2> imul;
+	imul = with ([0, 0] <= [i, j] < [n, p]) genarray([n, p], with ([0] <= [k] < [q]) fold(*, 1, c[i, j, k]));
+	showi(imul);
+	Matrix int <2> imin;
+	imin = with ([0, 0] <= [i, j] < [n, p]) genarray([n, p], with ([0] <= [k] < [q]) fold(min, 100, c[i, j, k]));
+	showi(imin);
+	Matrix int <2> imax;
+	imax = with ([0, 0] <= [i, j] < [n, p]) genarray([n, p], with ([0] <= [k] < [q]) fold(max, 0 - 100, c[i, j, k]));
+	showi(imax);
+	// An int base under a float body, a float base over an int body,
+	// and the paper's mean: the fold's value used further.
+	Matrix float <2> mixed;
+	mixed = with ([0, 0] <= [i, j] < [n, p])
+		genarray([n, p], with ([0] <= [k] < [q]) fold(+, 1, cf[i, j, k]) / q
+			+ with ([0] <= [k] < [q]) fold(*, 0.5, c[i, j, k]));
+	show(mixed);
+	// Inner rank 2, under a rank-1 genarray: the strip runs along i.
+	Matrix float <1> r2;
+	r2 = with ([0] <= [i] < [n])
+		genarray([n], with ([0, 1] <= [j, k] < [p, q]) fold(+, 0.25, cf[i, j, k] * 1.5 - j));
+	for (int i = 0; i < n; i++) { print(r2[i]); }
+	// Inner rank 3 under a fold: fold of fold, and a fold in a fold in
+	// a genarray.
+	float ff = with ([0] <= [t] < [3])
+		fold(+, 0.0, with ([0, 0, 0] <= [i, j, k] < [n, p, q]) fold(max, 0.0 - 9.0, cf[i, j, k] * t));
+	print(ff);
+	int fi = with ([0, 0] <= [a, b] < [2, 3])
+		fold(+, 0, with ([0, 0] <= [i, j] < [n, p]) fold(min, 50, c[i, j, b] + a));
+	print(fi);
+	Matrix int <1> deep;
+	deep = with ([0] <= [i] < [n])
+		genarray([n], with ([0] <= [j] < [p])
+			fold(+, 0, with ([0] <= [k] < [q]) fold(max, 0 - 50, c[i, j, k] - j)));
+	for (int i = 0; i < n; i++) { print(deep[i]); }
+	// An empty inner range yields the base; bounds may follow an outer
+	// id that is not the innermost one.
+	Matrix int <1> none;
+	none = with ([0] <= [i] < [n]) genarray([n], with ([2] <= [k] < [z]) fold(+, 7 + i, c[i, 0, k]));
+	for (int i = 0; i < n; i++) { print(none[i]); }
+	Matrix int <2> tri;
+	tri = with ([0, 0] <= [i, j] < [n, p])
+		genarray([n, p], with ([0] <= [k] < [i % 4]) fold(+, 0, c[i, j, k % 3]));
+	showi(tri);
+	// Inner ids shadow outer names inside the body only.
+	Matrix int <2> shadow;
+	shadow = with ([0, 0] <= [i, j] < [n, p])
+		genarray([n, p], with ([0] <= [i] < [q]) fold(+, 0, c[j, j, i]) + i);
+	showi(shadow);
+	return 0;
+}`},
+	{name: "with_literal_div_mod", src: `
+int main() {
+	int n = 9;
+	Matrix int <1> v = [0 :: 8];
+	Matrix int <1> a;
+	a = with ([0] <= [i] < [n]) genarray([n], (i - 4) % 3);
+	Matrix int <1> b;
+	b = with ([0] <= [i] < [n]) genarray([n], (i - 4) % -3);
+	Matrix int <1> c;
+	c = with ([0] <= [i] < [n]) genarray([n], (i - 4) / 2);
+	Matrix int <1> d;
+	d = with ([0] <= [i] < [n]) genarray([n], (i - 4) / -2);
+	Matrix int <1> e;
+	e = with ([0] <= [i] < [n]) genarray([n], (i * 7 - 30) % 1 + (i * 7 - 30) / 1 + (i - 4) / -1);
+	for (int i = 0; i < n; i++) { print(a[i]); print(b[i]); print(c[i]); print(d[i]); print(e[i]); }
+	// In index position: the interval analysis bounds % and / by a
+	// literal, also over a dividend it cannot bound.
+	Matrix int <2> g;
+	g = with ([0, 0] <= [i, j] < [4, n]) genarray([4, n], v[(i * j * j) % 9] * 10 + v[(i + j) / 2] + v[8 + (0 - j) % 9]);
+	for (int i = 0; i < 4; i++) { for (int j = 0; j < n; j++) { print(g[i, j]); } }
+	Matrix float <1> f;
+	f = with ([0] <= [i] < [n]) genarray([n], 1.0 * ((i + 2 * i) % 7) + (i / 3) * 0.5);
+	for (int i = 0; i < n; i++) { print(f[i]); }
+	int s = with ([0] <= [i] < [n]) fold(+, 0, (i * i - 20) % 7 + (i * i - 20) / 7);
+	print(s);
+	return 0;
+}`},
+	{name: "with_strip_widths", src: `
+int cells(int n) {
+	// Rank 1: the strip runs along the loop's only dimension.
+	Matrix int <1> v;
+	v = with ([0] <= [i] < [n]) genarray([n], (i * 37) % 101 - 50);
+	Matrix float <1> w;
+	w = with ([0] <= [i] < [n]) genarray([n], v[i] * 0.125 + v[n - 1 - i]);
+	float fs = with ([0] <= [i] < [n]) fold(+, 0.0, w[i] * 0.3 - v[i]);
+	print(fs);
+	int mx = with ([0] <= [i] < [n]) fold(max, 0 - 1000, v[i] - i);
+	print(mx);
+	print(w[0]);
+	print(w[n - 1]);
+	print(w[n / 2]);
+	// Rank 2: three rows, rows of width n, a box inside the shape.
+	Matrix float <2> g;
+	g = with ([0, 0] <= [i, j] < [3, n]) genarray([3, n], w[j] * (i + 1) - v[(j * 3 + i) % n]);
+	Matrix float <2> h;
+	h = with ([1, 0] <= [i, j] < [3, n - 1]) genarray([3, n], g[i - 1, j + 1] + g[i, j] * 0.5);
+	float hs = with ([0, 0] <= [i, j] < [3, n]) fold(+, 0.0, h[i, j] * 0.7);
+	print(hs);
+	print(h[0, 0]);
+	print(h[2, n - 1]);
+	print(h[1, n / 2]);
+	// A nested fold at this width: the strip runs along j.
+	Matrix float <1> col;
+	col = with ([0] <= [j] < [n]) genarray([n], with ([0] <= [i] < [3]) fold(+, 0.0, g[i, j] * 1.1));
+	print(col[0]);
+	print(col[n - 1]);
+	float cs = with ([0] <= [j] < [n]) fold(+, 0.0, col[j]);
+	print(cs);
+	return n;
+}
+int main() {
+	// 1, strip - 1, strip, strip + 1, 2 strip + 3, and a two-cell loop.
+	print(cells(2) + cells(127) + cells(128) + cells(129) + cells(259));
+	return 0;
+}`},
 	{name: "matrix_map_both_forms", src: `
 Matrix float <1> double(Matrix float <1> ts) {
 	int n = dimSize(ts, 0);
@@ -434,6 +587,35 @@ int main() {
 	int n = 0 - 3;
 	Matrix float <1> m;
 	m = with ([0] <= [i] < [n]) genarray([n], 1.0);
+	return 0;
+}`},
+	{name: "err_with_mod_literal_zero", src: `
+int main() {
+	Matrix int <1> m;
+	m = with ([0] <= [i] < [6]) genarray([6], (i + 3) % 0);
+	print(m[0]);
+	return 0;
+}`},
+	{name: "err_with_div_variable_zero", src: `
+int main() {
+	int d = 2;
+	Matrix int <1> ok;
+	ok = with ([0] <= [i] < [6]) genarray([6], (i + 3) / d + (i + 3) % d);
+	print(ok[5]);
+	d = d - 2;
+	Matrix int <2> m;
+	m = with ([0, 0] <= [i, j] < [3, 6]) genarray([3, 6], (i + j) / d);
+	print(m[0, 0]);
+	return 0;
+}`},
+	{name: "err_with_nested_out_of_bounds_load", src: `
+int main() {
+	int n = 4;
+	Matrix int <2> m;
+	m = with ([0, 0] <= [i, j] < [n, n]) genarray([n, n], i - j);
+	Matrix int <1> rows;
+	rows = with ([0] <= [i] < [n]) genarray([n], with ([0] <= [k] < [n + 1]) fold(+, 0, m[i, k]));
+	print(rows[0]);
 	return 0;
 }`},
 	{name: "err_trap_depth", src: `

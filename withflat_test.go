@@ -1,0 +1,145 @@
+// Suite-level checks on the flat with-loop engine: no shipped program
+// with a proven plan falls back to the closure path at run time, and a
+// fold gives one answer serial, pooled, on the tree walker and on the
+// VM even when its values lie beyond any stand-in identity.
+package repro_test
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+
+	"repro/internal/driver"
+	"repro/internal/interp"
+	"repro/internal/matrix"
+	"repro/internal/vm"
+)
+
+// TestWithFlatNoRuntimeDeclines runs testdata/, the programs embedded
+// in examples/ and the error-free vmdiff corpus on the VM and requires
+// that every execution of a flat-compiled with-loop stayed on the flat
+// engine. Not parallel: the counters are process-wide.
+func TestWithFlatNoRuntimeDeclines(t *testing.T) {
+	type prog struct{ name, src string }
+	var progs []prog
+	paths, err := filepath.Glob("testdata/*.xc")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no testdata programs: %v", err)
+	}
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, prog{path, string(src)})
+	}
+	mains, err := filepath.Glob("examples/*/main.go")
+	if err != nil || len(mains) == 0 {
+		t.Fatalf("no example programs: %v", err)
+	}
+	embedded := regexp.MustCompile("(?s)= `\n(.*?)`")
+	for _, path := range mains {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, m := range embedded.FindAllStringSubmatch(string(src), -1) {
+			if strings.Contains(m[1], "int main()") {
+				progs = append(progs, prog{fmt.Sprintf("%s#%d", path, k), m[1]})
+			}
+		}
+	}
+	for _, tc := range vmCorpus {
+		if !strings.HasPrefix(tc.name, "err_") {
+			progs = append(progs, prog{"corpus/" + tc.name, tc.src})
+		}
+	}
+	exts, err := driver.ParseExtensions("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := driver.New()
+	ran := vm.WithFlatLoopsRun()
+	for _, p := range progs {
+		for _, threads := range []int{1, 4} {
+			before := vm.WithFlatLoopsDeclined()
+			var out bytes.Buffer
+			res, err := d.Run(context.Background(), driver.RunRequest{
+				Name: p.name, Source: p.src, Exts: exts, Threads: threads,
+				MaxSteps: 50_000_000, MaxCells: 1 << 24,
+				Files:  map[string]*matrix.Matrix{"ssh.data": sshCube(4, 5, 6, 7)},
+				Stdout: &out, Engine: "vm",
+			})
+			if err != nil || res == nil || !res.OK {
+				continue // a fragment that needs other inputs; the other suites own it
+			}
+			if got := vm.WithFlatLoopsDeclined() - before; got != 0 {
+				t.Errorf("%s (threads %d): %d flat with-loop executions fell back to the closure path", p.name, threads, got)
+			}
+		}
+	}
+	if vm.WithFlatLoopsRun() == ran {
+		t.Fatal("no with-loop ran flat: the check is vacuous")
+	}
+}
+
+// TestWithFoldBeyondStandInIdentities: min/max folds over values no
+// finite stand-in identity bounds — 1.5·2^1023, +Inf, ints below
+// -(1<<62) — on the flat engine (plain loads) and on the closure path
+// (a call in the body), tree and VM, serial and pooled.
+func TestWithFoldBeyondStandInIdentities(t *testing.T) {
+	prog := parseAndCheck(t, "identities.xc", `
+float same(float x) { return x; }
+int samei(int x) { return x; }
+int main() {
+	int n = 64;
+	float big = 1.5;
+	for (int k = 0; k < 1023; k++) { big = big * 2.0; }
+	float inf = big * 4.0;
+	int low = 0 - 4611686018427387904 - 1000;
+	Matrix float <1> bigs;
+	bigs = with ([0] <= [i] < [n]) genarray([n], big);
+	Matrix float <1> infs;
+	infs = with ([0] <= [i] < [n]) genarray([n], inf);
+	Matrix float <1> ninfs;
+	ninfs = with ([0] <= [i] < [n]) genarray([n], 0.0 - inf);
+	Matrix int <1> lows;
+	lows = with ([0] <= [i] < [n]) genarray([n], low - i);
+	Matrix int <1> highs;
+	highs = with ([0] <= [i] < [n]) genarray([n], 0 - low + i);
+	print(with ([0] <= [i] < [n]) fold(min, inf, bigs[i]));
+	print(with ([0] <= [i] < [n]) fold(min, inf, infs[i]));
+	print(with ([0] <= [i] < [n]) fold(max, 0.0 - inf, 0.0 - bigs[i]));
+	print(with ([0] <= [i] < [n]) fold(max, 0.0 - inf, ninfs[i]));
+	print(with ([0] <= [i] < [n]) fold(max, low - 5000, lows[i]));
+	print(with ([0] <= [i] < [n]) fold(min, 0 - low + 5000, highs[i]));
+	print(with ([0] <= [i] < [n]) fold(min, inf, same(bigs[i])));
+	print(with ([0] <= [i] < [n]) fold(min, inf, same(infs[i])));
+	print(with ([0] <= [i] < [n]) fold(max, 0.0 - inf, same(ninfs[i])));
+	print(with ([0] <= [i] < [n]) fold(max, low - 5000, samei(lows[i])));
+	print(with ([0] <= [i] < [n]) fold(min, 0 - low + 5000, samei(highs[i])));
+	return 0;
+}`)
+	want := runOne(t, prog, "tree", interp.Options{Threads: 1})
+	if want.err != "" {
+		t.Fatalf("serial tree run failed: %s", want.err)
+	}
+	for _, run := range []struct {
+		engine  string
+		threads int
+	}{{"tree", 4}, {"vm", 1}, {"vm", 4}} {
+		got := runOne(t, prog, run.engine, interp.Options{Threads: run.threads})
+		if got.out != want.out || got.err != want.err {
+			t.Errorf("%s at %d threads diverged from the serial tree walker\n--- want ---\n%s--- got ---\n%s%s",
+				run.engine, run.threads, want.out, got.out, got.err)
+		}
+	}
+	if !strings.Contains(want.out, "Inf") {
+		t.Errorf("expected an infinite fold result in:\n%s", want.out)
+	}
+}
