@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/attr"
 	"repro/internal/cgen"
@@ -27,6 +28,7 @@ import (
 	"repro/internal/parser"
 	"repro/internal/rc"
 	"repro/internal/sem"
+	"repro/internal/source"
 )
 
 const fig1Src = `
@@ -440,6 +442,72 @@ func BenchmarkFrontEnd(b *testing.B) {
 			}
 		}
 	})
+}
+
+// Frontend layer numbers beside the end-to-end serve_cold workload
+// (PR 13, EXPERIMENTS E17; committed before/after in
+// BENCH_frontend.json). Every iteration parses and checks a source text
+// no earlier iteration saw — one of three figure programs plus a fresh
+// function — so nothing but the cached LALR/scanner tables is warm.
+// Parse and check are timed separately (parse-us/op, check-us/op);
+// B/op and allocs/op cover both. Run with:
+//
+//	go test -run '^$' -bench 'FrontendCold|BuildTable' -benchmem .
+func BenchmarkFrontendCold(b *testing.B) {
+	srcs := []string{fig1Src, fig9Src, fig8Src}
+	if _, err := parser.BuildTable(parser.AllExtensions()); err != nil {
+		b.Fatal(err)
+	}
+	var parse, check time.Duration
+	var bytes int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src := fmt.Sprintf("%s\n// variant %d\nint fresh_%d(int v_%d) { return v_%d + %d; }\n",
+			srcs[i%len(srcs)], i, i, i, i, i)
+		bytes += len(src)
+		var diags source.Diagnostics
+		t0 := time.Now()
+		prog := parser.ParseFile("cold.xc", src, parser.AllExtensions(), &diags)
+		t1 := time.Now()
+		if prog == nil {
+			b.Fatal(diags.String())
+		}
+		sem.Check(prog, &diags)
+		check += time.Since(t1)
+		parse += t1.Sub(t0)
+		if diags.HasErrors() {
+			b.Fatal(diags.String())
+		}
+	}
+	b.SetBytes(int64(bytes / b.N))
+	b.ReportMetric(float64(parse.Microseconds())/float64(b.N), "parse-us/op")
+	b.ReportMetric(float64(check.Microseconds())/float64(b.N), "check-us/op")
+}
+
+// BenchmarkBuildTable is what a process pays once per extension set
+// before its first parse (parser.first_call_ms, part of every
+// workload's setup_s): grammar composition, the LALR(1) tables and the
+// scanner tables, uncached.
+func BenchmarkBuildTable(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		o    parser.Options
+	}{{"all", parser.AllExtensions()}, {"host", parser.Options{}}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g, err := grammar.New(parser.StartSymbol, parser.HostSpec(), c.o.Specs()...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				t, err := grammar.BuildTable(g)
+				if err != nil || len(t.Conflicts) != 0 {
+					b.Fatalf("table: %v, %d conflicts", err, len(t.Conflicts))
+				}
+			}
+		})
+	}
 }
 
 // ---- kernel benchmarks (PR 5) ----

@@ -4,14 +4,17 @@
 # tests, a race-detector pass over the
 # crash-proofing layers (pool, matrix runtime, interpreter, server), a
 # race-enabled dual-engine differential pass (bytecode VM vs the
-# tree-walking oracle), a race pass over the with-loop flat engine
+# tree-walking oracle), a race pass over the frontend (scanner, LALR
+# driver, parser: concurrent parses share one table and its scanner
+# DFAs lock-free), a race pass over the with-loop flat engine
 # (vet plans, the strip compiler and evaluator, VM flat execution), the
 # race-enabled fleet chaos suite (cmgate
 # routing under shard kill/restart/hang), the race-enabled tenant
 # isolation suite (token buckets, noisy-neighbor chaos, key rotation),
-# a fuzz smoke over the frontend, the cmvet analyzer, the VM
-# differential fuzzer, the consistent-hash ring and the tenant key
-# file parser, the vet findings manifest,
+# a fuzz smoke over the frontend (never panics; FuzzScanDiff: the
+# generated scanner agrees with the reference NFA scanner), the cmvet
+# analyzer, the VM differential fuzzer, the consistent-hash ring and
+# the tenant key file parser, the vet findings manifest,
 # a one-shot benchmark smoke pass (E1 plus the compile-service
 # cold/warm pair), and the bench/ module (its own go.mod, so the root
 # module's build and tests never reach it): vet, tests and a two-second
@@ -55,6 +58,9 @@ go test -race ./internal/par ./internal/matrix ./internal/interp ./internal/serv
 echo "== go test -race (kernel differential + integration suites) =="
 go test -race -run 'Kernel|Conv2D|FoldExec|Recycle|FreeList|SetOnFree' ./internal/matrix ./internal/interp ./internal/rc
 
+echo "== go test -race (frontend: generated scanner + LALR driver off one shared table) =="
+go test -race ./internal/lexer ./internal/grammar ./internal/parser
+
 echo "== with-loop flat engine (vet plans, strip compiler + evaluator, VM flat execution, race) =="
 go test -race -run 'TestWithPlan|TestWithFlat|TestCompileWith|TestWithNested|TestWithStrip' ./internal/vet ./internal/matrix ./internal/vm
 
@@ -73,6 +79,7 @@ go test -race -run 'TestVMDifferential|TestVMStep' -count=1 .
 
 echo "== fuzz smoke (frontend + analyzer never panic) =="
 go test -run='^$' -fuzz='^FuzzLex$' -fuzztime=10s ./internal/parser
+go test -run='^$' -fuzz='^FuzzScanDiff$' -fuzztime=10s ./internal/parser
 go test -run='^$' -fuzz='^FuzzParse$' -fuzztime=10s ./internal/parser
 go test -run='^$' -fuzz='^FuzzVet$' -fuzztime=10s ./internal/vet
 go test -run='^$' -fuzz='^FuzzKernelDiff$' -fuzztime=10s ./internal/matrix

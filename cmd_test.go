@@ -192,6 +192,7 @@ int main() {
 	return 0;
 }`)
 	bad := writeProg("bad.xc", `int main() { return zzz; }`)
+	openComment := writeProg("open.xc", "int main() {\n\treturn 0; /* no end\n}\n")
 
 	cases := []struct {
 		name string
@@ -203,6 +204,8 @@ int main() {
 		{"step budget", []string{"-maxsteps", "10000", spin}, 4, "trap:step"},
 		{"cell budget", []string{"-maxcells", "1000", alloc}, 4, "trap:oom"},
 		{"compile error", []string{bad}, 2, "undeclared"},
+		// A scan error: the location once, and the comment named as what is open.
+		{"scan error", []string{openComment}, 2, openComment + ":2:12: error: scan error: unterminated block comment\n"},
 		{"deadline", []string{"-timeout", "150ms", spin}, 1, "deadline"},
 	}
 	for _, c := range cases {

@@ -38,9 +38,13 @@ type AnalysisReport struct {
 	MWDA []AnalysisRow `json:"mwda"`
 
 	// CompositionOK reports that host + all passing extensions builds
-	// a conflict-free LALR(1) table with CompositionStates states.
+	// a conflict-free LALR(1) table with CompositionStates states; its
+	// generated scanner has ScannerStates DFA states for the token
+	// terminals and SkipStates for whitespace and comments.
 	CompositionOK     bool   `json:"composition_ok"`
 	CompositionStates int    `json:"composition_states,omitempty"`
+	ScannerStates     int    `json:"scanner_states,omitempty"`
+	SkipStates        int    `json:"skip_states,omitempty"`
 	CompositionErr    string `json:"composition_err,omitempty"`
 
 	// SemCompositionOK reports that the composed attribute grammar is
@@ -95,6 +99,8 @@ func runAnalyses() *AnalysisReport {
 	} else {
 		rep.CompositionOK = true
 		rep.CompositionStates = tab.NumStates()
+		rep.ScannerStates = tab.Scanner().Tokens.NumStates()
+		rep.SkipStates = tab.Scanner().Skips.NumStates()
 	}
 
 	mwda := func(name string, r attr.MWDAReport) {
@@ -155,6 +161,8 @@ func (rep *AnalysisReport) Render(w io.Writer) {
 	} else {
 		fmt.Fprintf(w, "  host + matrix + transform + refcount + cilk: LALR(1), %d states, 0 conflicts\n",
 			rep.CompositionStates)
+		fmt.Fprintf(w, "  its context-aware scanner: one DFA of %d states for the tokens, one of %d for whitespace and comments\n",
+			rep.ScannerStates, rep.SkipStates)
 	}
 
 	fmt.Fprintln(w, "\n== Modular well-definedness analysis (Silver, §VI-B) ==")

@@ -160,7 +160,7 @@ func TestComposedParserParsesAllExtensions(t *testing.T) {
 	}
 	for i, p := range programs {
 		var d source.Diagnostics
-		_, ok := tab.Parse(&SliceTokenSource{Tokens: p}, &d)
+		_, ok := tab.Parse(&sliceTokenSource{tab: tab, Tokens: p}, &d)
 		if !ok {
 			t.Errorf("program %d failed to parse: %s", i, d.String())
 		}

@@ -41,6 +41,12 @@ type Terminal struct {
 	Skip     bool   // whitespace/comment terminals: matched, never shifted
 	Prec     int    // operator precedence (0 = none)
 	Assoc    Assoc
+	// Delimited names, for diagnostics, a terminal that runs from an
+	// opener to a closer ("block comment", "string literal"). When the
+	// input, or the part of it the pattern can cross, ends inside one,
+	// the scanner reports "unterminated <Delimited>" from the opener
+	// instead of rejecting the opener's first byte.
+	Delimited string
 }
 
 // Nonterminal is a syntactic category.
@@ -240,12 +246,19 @@ func (g *Grammar) prodPrec(p *Production) (int, Assoc) {
 	return t.Prec, t.Assoc
 }
 
-// Token is one scanned token delivered to the parser.
+// Token is one scanned token delivered to the parser. ID is the
+// terminal's id in the table the scanner was generated for (its
+// declaration index among the non-skip terminals, after EOFID); the
+// parser indexes its tables by it and never looks at the name.
 type Token struct {
+	ID       int32
 	Terminal string
 	Text     string
 	Span     source.Span
 }
+
+// EOFID is the terminal id of EOFName in every table.
+const EOFID int32 = 0
 
 func (t Token) String() string {
 	if t.Text == "" || t.Text == t.Terminal {
@@ -254,28 +267,19 @@ func (t Token) String() string {
 	return fmt.Sprintf("%s(%q)", t.Terminal, t.Text)
 }
 
+// TermSet is a set of terminal ids: bit id%64 of word id/64. The sets
+// a Table hands out are sized for its terminals and shared; do not
+// modify them.
+type TermSet []uint64
+
+// Has reports whether id is in the set.
+func (s TermSet) Has(id int32) bool { return s[id>>6]&(1<<(id&63)) != 0 }
+
 // TokenSource is the scanner interface the parser drives. The parser
-// passes the set of terminal names that are valid in its current state;
-// a context-aware scanner restricts matching to that set (plus skips).
+// passes the set of terminals that are valid in its current state; a
+// context-aware scanner restricts matching to that set (plus skips).
 type TokenSource interface {
-	NextToken(valid map[string]bool) (Token, error)
-}
-
-// SliceTokenSource adapts a pre-scanned token slice to TokenSource,
-// ignoring the valid set. Used in tests.
-type SliceTokenSource struct {
-	Tokens []Token
-	pos    int
-}
-
-// NextToken returns the next token, or an $eof token when exhausted.
-func (s *SliceTokenSource) NextToken(valid map[string]bool) (Token, error) {
-	if s.pos >= len(s.Tokens) {
-		return Token{Terminal: EOFName}, nil
-	}
-	t := s.Tokens[s.pos]
-	s.pos++
-	return t, nil
+	NextToken(valid TermSet) (Token, error)
 }
 
 // Lit is a convenience constructor for a fixed-spelling terminal
@@ -303,8 +307,8 @@ func Rule(owner, lhs string, rhs []string, action func([]any) any) *Production {
 	return &Production{LHS: lhs, RHS: rhs, Owner: owner, Action: action}
 }
 
-// Describe returns a human-readable grammar summary, used by
-// cmd/composecheck and in debugging.
+// Describe returns a human-readable grammar summary, for debugging;
+// Table.Describe adds the sizes of the tables generated from it.
 func (g *Grammar) Describe() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "start: %s\n", g.Start)

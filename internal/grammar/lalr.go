@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/rx"
 )
 
 // symRef identifies a grammar symbol in compiled (integer) form.
@@ -152,25 +154,24 @@ func (c *compiled) computeFirst() {
 	}
 }
 
-// firstOfSeq computes FIRST(rest · la) where rest is a symbol sequence
-// and la is a terminal id (or dummyLA). Result is written into out;
-// returns true if the whole sequence is nullable (so la is included).
-func (c *compiled) firstOfSeq(rest []symRef, la int32, add func(int32)) {
+// firstOfSeq appends FIRST(rest · la) to out, where rest is a symbol
+// sequence and la is a terminal id (or dummyLA): la is included when
+// the whole sequence is nullable. Duplicates are possible.
+func (c *compiled) firstOfSeq(rest []symRef, la int32, out []int32) []int32 {
 	for _, s := range rest {
 		if s.term {
-			add(s.id)
-			return
+			return append(out, s.id)
 		}
 		for t, ok := range c.first[s.id] {
 			if ok {
-				add(int32(t))
+				out = append(out, int32(t))
 			}
 		}
 		if !c.nullable[s.id] {
-			return
+			return out
 		}
 	}
-	add(la)
+	return append(out, la)
 }
 
 // lr0State is one state of the LR(0) automaton: its kernel items
@@ -277,16 +278,59 @@ type lr1Item struct {
 	la int32
 }
 
-// closure1 computes the LR(1) closure of the given items.
-func (c *compiled) closure1(seed []lr1Item) []lr1Item {
-	seen := map[lr1Item]bool{}
-	var out, stack []lr1Item
+// closer computes LR(1) closures for one BuildTable call, reusing its
+// scratch between calls. Every item a closure adds has its dot at 0, so
+// those are deduplicated in a dense table stamped with the call's
+// generation instead of a map; only seeds can have the dot further on.
+type closer struct {
+	c      *compiled
+	stride int32    // lookaheads per production: dummyLA plus every terminal
+	stamp  []uint32 // [prod*stride+la+1] == gen: dot-0 item is in this closure
+	gen    uint32
+	las    []int32
+	out    []lr1Item
+	stack  []lr1Item
+}
+
+func (c *compiled) newCloser() *closer {
+	stride := int32(len(c.termNames)) + 1
+	return &closer{c: c, stride: stride, stamp: make([]uint32, int32(len(c.prods))*stride)}
+}
+
+// addDot0 reports whether the dot-0 item (prod, la) is new to the
+// current closure, marking it.
+func (cl *closer) addDot0(prod, la int32) bool {
+	i := prod*cl.stride + la + 1
+	if cl.stamp[i] == cl.gen {
+		return false
+	}
+	cl.stamp[i] = cl.gen
+	return true
+}
+
+// closure1 computes the LR(1) closure of the given items. The result
+// is valid until the next call.
+func (cl *closer) closure1(seed []lr1Item) []lr1Item {
+	c := cl.c
+	cl.gen++
+	out, stack := cl.out[:0], cl.stack[:0]
+	var seenSeed map[lr1Item]bool // seeds with the dot past 0
 	for _, it := range seed {
-		if !seen[it] {
-			seen[it] = true
-			out = append(out, it)
-			stack = append(stack, it)
+		if it.dot == 0 {
+			if !cl.addDot0(it.prod, it.la) {
+				continue
+			}
+		} else {
+			if seenSeed[it] {
+				continue
+			}
+			if seenSeed == nil {
+				seenSeed = make(map[lr1Item]bool, len(seed))
+			}
+			seenSeed[it] = true
 		}
+		out = append(out, it)
+		stack = append(stack, it)
 	}
 	for len(stack) > 0 {
 		it := stack[len(stack)-1]
@@ -295,20 +339,18 @@ func (c *compiled) closure1(seed []lr1Item) []lr1Item {
 		if int(it.dot) >= len(rhs) || rhs[it.dot].term {
 			continue
 		}
-		rest := rhs[it.dot+1:]
-		var las []int32
-		c.firstOfSeq(rest, it.la, func(t int32) { las = append(las, t) })
+		cl.las = c.firstOfSeq(rhs[it.dot+1:], it.la, cl.las[:0])
 		for _, pi := range c.byLHS[rhs[it.dot].id] {
-			for _, la := range las {
-				ni := lr1Item{item{pi, 0}, la}
-				if !seen[ni] {
-					seen[ni] = true
+			for _, la := range cl.las {
+				if cl.addDot0(pi, la) {
+					ni := lr1Item{item{pi, 0}, la}
 					out = append(out, ni)
 					stack = append(stack, ni)
 				}
 			}
 		}
 	}
+	cl.out, cl.stack = out, stack
 	return out
 }
 
@@ -349,7 +391,8 @@ type Table struct {
 	action    [][]int32 // [state][terminal id]
 	gotoTab   [][]int32 // [state][nt id], -1 = none
 	Conflicts []Conflict
-	valid     []map[string]bool // per-state valid terminal names (for the scanner)
+	valid     []TermSet // per state: terminals with a defined action (for the scanner)
+	scan      *Scanner
 	// lookaheads of each kernel item per state; kept for the
 	// composability analysis.
 	kernelLA [][]map[int32]bool
@@ -360,6 +403,63 @@ func (t *Table) NumStates() int { return len(t.states) }
 
 // Grammar returns the grammar the table was built from.
 func (t *Table) Grammar() *Grammar { return t.c.g }
+
+// Describe returns the grammar's summary (Grammar.Describe) under the
+// sizes of what was generated from it: the LR automaton and the
+// scanner's two DFAs.
+func (t *Table) Describe() string {
+	return fmt.Sprintf("LALR(1): %d states, %d conflicts\nscanner: %d token DFA states, %d skip DFA states\n%s",
+		len(t.states), len(t.Conflicts), t.scan.Tokens.NumStates(), t.scan.Skips.NumStates(), t.c.g.Describe())
+}
+
+// Scanner is the generated scanner of a composed grammar: one DFA for
+// the union of its token terminals and one for its skip terminals. It
+// is built with the LALR tables, lives as long as they do, and is
+// immutable, so concurrent parses off one table share it without locks.
+type Scanner struct {
+	// Tokens matches the non-skip terminals. A pattern's index is its
+	// terminal id, so a state's accept set intersects directly with the
+	// parser's valid TermSet; index EOFID matches nothing.
+	Tokens *rx.DFA
+	// Skips matches the skip terminals; a pattern's index is its index
+	// in SkipTerms.
+	Skips *rx.DFA
+	// Terms is the non-skip terminals by id, declaration order after
+	// Terms[EOFID]; SkipTerms the skip terminals in declaration order.
+	Terms     []*Terminal
+	SkipTerms []*Terminal
+}
+
+// Scanner returns the scanner tables built for the table's grammar.
+func (t *Table) Scanner() *Scanner { return t.scan }
+
+func buildScanner(c *compiled) (*Scanner, error) {
+	sc := &Scanner{Terms: make([]*Terminal, len(c.termNames))}
+	for id, name := range c.termNames {
+		sc.Terms[id] = c.g.terms[name]
+	}
+	for _, t := range c.g.Terminals() {
+		if t.Skip {
+			sc.SkipTerms = append(sc.SkipTerms, t)
+		}
+	}
+	var err error
+	if sc.Tokens, err = rx.BuildDFA(patterns(sc.Terms)); err != nil {
+		return nil, fmt.Errorf("grammar: token scanner: %w", err)
+	}
+	if sc.Skips, err = rx.BuildDFA(patterns(sc.SkipTerms)); err != nil {
+		return nil, fmt.Errorf("grammar: skip scanner: %w", err)
+	}
+	return sc, nil
+}
+
+func patterns(terms []*Terminal) []*rx.NFA {
+	out := make([]*rx.NFA, len(terms))
+	for i, t := range terms {
+		out[i] = t.Pattern // nil for $eof
+	}
+	return out
+}
 
 // BuildTable constructs the LALR(1) table for g. Conflicts that are not
 // resolved by declared precedence are resolved by the default policy
@@ -386,10 +486,11 @@ func BuildTable(g *Grammar) (*Table, error) {
 		}
 	}
 	la[0][0][0] = true // $eof for the start item
+	cl := c.newCloser()
 	links := map[slot][]slot{}
 	for si, st := range states {
 		for ki, kit := range st.kernel {
-			j := c.closure1([]lr1Item{{kit, dummyLA}})
+			j := cl.closure1([]lr1Item{{kit, dummyLA}})
 			for _, it := range j {
 				rhs := c.prods[it.prod]
 				if int(it.dot) >= len(rhs) {
@@ -429,7 +530,7 @@ func BuildTable(g *Grammar) (*Table, error) {
 	t := &Table{c: c, states: states, kernelLA: la}
 	t.action = make([][]int32, len(states))
 	t.gotoTab = make([][]int32, len(states))
-	t.valid = make([]map[string]bool, len(states))
+	t.valid = make([]TermSet, len(states))
 	for si := range states {
 		t.action[si] = make([]int32, len(c.termNames))
 		t.gotoTab[si] = make([]int32, len(c.ntNames))
@@ -455,7 +556,7 @@ func BuildTable(g *Grammar) (*Table, error) {
 				seed = append(seed, lr1Item{kit, l})
 			}
 		}
-		full := c.closure1(seed)
+		full := cl.closure1(seed)
 		for _, it := range full {
 			if int(it.dot) != len(c.prods[it.prod]) {
 				continue
@@ -469,15 +570,21 @@ func BuildTable(g *Grammar) (*Table, error) {
 			t.setAction(si, it.la, encReduce(it.prod))
 		}
 	}
-	// valid terminal sets for the context-aware scanner.
+	// valid terminal sets for the context-aware scanner, and the scanner.
+	words := (len(c.termNames) + 63) / 64
+	sets := make([]uint64, len(states)*words)
 	for si := range states {
-		v := map[string]bool{}
+		v := TermSet(sets[si*words : (si+1)*words : (si+1)*words])
 		for tid, a := range t.action[si] {
 			if a != actErr {
-				v[c.termNames[tid]] = true
+				v[tid>>6] |= 1 << (tid & 63)
 			}
 		}
 		t.valid[si] = v
+	}
+	var err error
+	if t.scan, err = buildScanner(c); err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -550,9 +657,9 @@ func (t *Table) resolveSR(state int, term int32, termName string, shiftTo, redPr
 	}
 }
 
-// ValidTerminals returns the terminal names with a defined action in
-// the given state — the set the context-aware scanner may match.
-func (t *Table) ValidTerminals(state int) map[string]bool { return t.valid[state] }
+// ValidTerminals returns the terminals with a defined action in the
+// given state — the set the context-aware scanner may match.
+func (t *Table) ValidTerminals(state int) TermSet { return t.valid[state] }
 
 // ActionRow returns a copy of the (terminal name -> encoded action)
 // row for a state; used by the composability analysis.

@@ -50,7 +50,30 @@ func exprSpec() *Spec {
 	}
 }
 
-func tokens(kinds ...string) *SliceTokenSource {
+// sliceTokenSource feeds a pre-scanned token slice to Parse, ignoring
+// the valid set and filling in each token's id from its name (-1, which
+// Parse rejects, for a name the table does not have).
+type sliceTokenSource struct {
+	tab    *Table
+	Tokens []Token
+	pos    int
+}
+
+func (s *sliceTokenSource) NextToken(valid TermSet) (Token, error) {
+	if s.pos >= len(s.Tokens) {
+		return Token{ID: EOFID, Terminal: EOFName}, nil
+	}
+	t := s.Tokens[s.pos]
+	s.pos++
+	id, ok := s.tab.c.termID[t.Terminal]
+	if !ok {
+		id = -1
+	}
+	t.ID = id
+	return t, nil
+}
+
+func tokens(tab *Table, kinds ...string) *sliceTokenSource {
 	var ts []Token
 	for _, k := range kinds {
 		text := k
@@ -60,7 +83,7 @@ func tokens(kinds ...string) *SliceTokenSource {
 		}
 		ts = append(ts, Token{Terminal: k, Text: text})
 	}
-	return &SliceTokenSource{Tokens: ts}
+	return &sliceTokenSource{tab: tab, Tokens: ts}
 }
 
 func mustTable(t *testing.T, start string, host *Spec, exts ...*Spec) *Table {
@@ -83,7 +106,7 @@ func TestExprGrammarConflictFree(t *testing.T) {
 	}
 }
 
-func parseExpr(t *testing.T, tab *Table, src *SliceTokenSource) (int, bool) {
+func parseExpr(t *testing.T, tab *Table, src *sliceTokenSource) (int, bool) {
 	t.Helper()
 	var d source.Diagnostics
 	res, ok := tab.Parse(src, &d)
@@ -106,7 +129,7 @@ func TestExprEvaluation(t *testing.T) {
 		{[]string{"#7"}, 7},
 	}
 	for _, c := range cases {
-		got, ok := parseExpr(t, tab, tokens(c.toks...))
+		got, ok := parseExpr(t, tab, tokens(tab, c.toks...))
 		if !ok {
 			t.Errorf("parse %v failed", c.toks)
 			continue
@@ -129,7 +152,7 @@ func TestSyntaxErrors(t *testing.T) {
 	}
 	for _, toks := range bad {
 		var d source.Diagnostics
-		_, ok := tab.Parse(tokens(toks...), &d)
+		_, ok := tab.Parse(tokens(tab, toks...), &d)
 		if ok {
 			t.Errorf("parse %v should fail", toks)
 		}
@@ -142,7 +165,7 @@ func TestSyntaxErrors(t *testing.T) {
 func TestErrorMessageMentionsExpected(t *testing.T) {
 	tab := mustTable(t, "E", exprSpec())
 	var d source.Diagnostics
-	tab.Parse(tokens("#1", "+", "+"), &d)
+	tab.Parse(tokens(tab, "#1", "+", "+"), &d)
 	msg := d.String()
 	if !strings.Contains(msg, "unexpected") {
 		t.Errorf("error message should say unexpected: %q", msg)
@@ -205,7 +228,7 @@ func TestQuickRandomExpressions(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		e := genRandomExpr(r, 4)
-		got, ok := parseExpr(t, tab, tokens(e.toks...))
+		got, ok := parseExpr(t, tab, tokens(tab, e.toks...))
 		return ok && got == e.val
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -244,7 +267,7 @@ func TestDanglingElseShiftPreference(t *testing.T) {
 		t.Fatalf("conflict kind = %s", tab.Conflicts[0].Kind)
 	}
 	var d source.Diagnostics
-	res, ok := tab.Parse(tokens("if", "expr", "if", "expr", "other", "else", "other"), &d)
+	res, ok := tab.Parse(tokens(tab, "if", "expr", "if", "expr", "other", "else", "other"), &d)
 	if !ok {
 		t.Fatalf("parse failed: %s", d.String())
 	}
@@ -271,11 +294,11 @@ func TestNonassocMakesErrorEntry(t *testing.T) {
 	// '<' has prec 1 like +; make it truly nonassoc at its own level
 	tab := mustTable(t, "E", host)
 	var d source.Diagnostics
-	_, ok := tab.Parse(tokens("#1", "<", "#2", "<", "#3"), &d)
+	_, ok := tab.Parse(tokens(tab, "#1", "<", "#2", "<", "#3"), &d)
 	if ok {
 		t.Error("chained nonassoc comparison should be a syntax error")
 	}
-	_, ok = tab.Parse(tokens("#1", "<", "#2"), &d)
+	_, ok = tab.Parse(tokens(tab, "#1", "<", "#2"), &d)
 	if !ok {
 		t.Error("single comparison should parse")
 	}
@@ -302,7 +325,7 @@ func TestEpsilonProductions(t *testing.T) {
 			ks = append(ks, "x")
 		}
 		var d source.Diagnostics
-		res, ok := tab.Parse(tokens(ks...), &d)
+		res, ok := tab.Parse(tokens(tab, ks...), &d)
 		if !ok || res.Value.(int) != n {
 			t.Errorf("list of %d: got %v ok=%v", n, res.Value, ok)
 		}
@@ -350,10 +373,11 @@ func TestGrammarValidation(t *testing.T) {
 func TestValidTerminalsReflectState(t *testing.T) {
 	tab := mustTable(t, "E", exprSpec())
 	v0 := tab.ValidTerminals(0)
-	if !v0["Num"] || !v0["("] {
+	has := func(name string) bool { return v0.Has(tab.c.termID[name]) }
+	if !has("Num") || !has("(") {
 		t.Errorf("state 0 should allow Num and (: %v", v0)
 	}
-	if v0["+"] || v0[")"] || v0[EOFName] {
+	if has("+") || has(")") || has(EOFName) {
 		t.Errorf("state 0 should not allow +, ), eof: %v", v0)
 	}
 }
@@ -366,5 +390,15 @@ func TestProductionString(t *testing.T) {
 	e := &Production{LHS: "L"}
 	if !strings.Contains(e.String(), "empty") {
 		t.Errorf("empty production string = %q", e.String())
+	}
+}
+
+func TestTableDescribe(t *testing.T) {
+	tab := mustTable(t, "E", exprSpec())
+	got := tab.Describe()
+	want := fmt.Sprintf("LALR(1): %d states, 0 conflicts\nscanner: %d token DFA states, %d skip DFA states\nstart: E\n",
+		tab.NumStates(), tab.Scanner().Tokens.NumStates(), tab.Scanner().Skips.NumStates())
+	if !strings.HasPrefix(got, want) {
+		t.Errorf("Describe() = %q, want it to start %q", got, want)
 	}
 }

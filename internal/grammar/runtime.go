@@ -49,12 +49,12 @@ func (t *Table) Parse(src TokenSource, diags *source.Diagnostics) (ParseResult, 
 			}
 		}
 		state := stack[len(stack)-1].state
-		tid, ok := t.c.termID[tok.Terminal]
-		if !ok {
+		row := t.action[state]
+		if uint(tok.ID) >= uint(len(row)) {
 			diags.Errorf(tok.Span, "unknown terminal %q from scanner", tok.Terminal)
 			return ParseResult{}, false
 		}
-		kind, val := decode(t.action[state][tid])
+		kind, val := decode(row[tok.ID])
 		switch kind {
 		case actShift:
 			stack = append(stack, frame{state: val, value: tok, span: tok.Span})
@@ -108,8 +108,10 @@ func (t *Table) Parse(src TokenSource, diags *source.Diagnostics) (ParseResult, 
 
 func (t *Table) reportSyntaxError(tok Token, state int32, diags *source.Diagnostics) {
 	var expected []string
-	for name := range t.valid[state] {
-		expected = append(expected, name)
+	for id, name := range t.c.termNames {
+		if t.valid[state].Has(int32(id)) {
+			expected = append(expected, name)
+		}
 	}
 	sort.Strings(expected)
 	if len(expected) > 8 {

@@ -6,6 +6,12 @@
 // stealing them from host-language code that uses the same spellings
 // as identifiers: the keyword only exists where the grammar allows it.
 //
+// The scanner is generated: grammar.BuildTable makes one DFA for the
+// union of the token terminals and one for the skip terminals, and a
+// Scanner only walks them. Skipping runs the skip DFA until it stops
+// matching; a token is one walk of the token DFA that remembers the
+// last position whose accept set meets the valid set.
+//
 // Disambiguation among valid terminals follows maximal munch: the
 // longest match wins; at equal length the higher-priority terminal
 // wins (keywords are declared with priority 1, identifier-class
@@ -14,94 +20,134 @@ package lexer
 
 import (
 	"fmt"
+	"math/bits"
+	"unicode/utf8"
 
 	"repro/internal/grammar"
+	"repro/internal/rx"
 	"repro/internal/source"
 )
 
-// Scanner scans one source file against a grammar's terminal set.
+// Scanner scans one source file with a table's generated scanner.
 type Scanner struct {
-	file  *source.File
-	terms []*grammar.Terminal // non-skip terminals, declaration order
-	skips []*grammar.Terminal
-	first []([256]bool) // per non-skip terminal: possible first bytes
-	pos   int
+	file *source.File
+	sc   *grammar.Scanner
+	pos  int
 }
 
-// New creates a scanner for file using g's terminals.
-func New(g *grammar.Grammar, file *source.File) *Scanner {
-	s := &Scanner{file: file}
-	for _, t := range g.Terminals() {
-		if t.Skip {
-			s.skips = append(s.skips, t)
-		} else {
-			s.terms = append(s.terms, t)
-			s.first = append(s.first, t.Pattern.FirstBytes())
-		}
-	}
-	return s
+// New creates a scanner for file over tab's terminals.
+func New(tab *grammar.Table, file *source.File) *Scanner {
+	return &Scanner{file: file, sc: tab.Scanner()}
 }
 
 // Pos returns the current byte offset, for tests.
 func (s *Scanner) Pos() int { return s.pos }
 
-// skipIgnorable consumes whitespace and comments.
-func (s *Scanner) skipIgnorable() {
-	for {
-		advanced := false
-		for _, t := range s.skips {
-			if n := t.Pattern.MatchPrefix(s.file.Content, s.pos); n > 0 {
-				s.pos += n
-				advanced = true
-			}
-		}
-		if !advanced {
-			return
-		}
-	}
-}
-
 // NextToken implements grammar.TokenSource. Terminals not in valid are
-// invisible to the match, which is the context-aware behaviour.
-func (s *Scanner) NextToken(valid map[string]bool) (grammar.Token, error) {
-	s.skipIgnorable()
-	if s.pos >= len(s.file.Content) {
+// invisible to the match, which is the context-aware behaviour; a nil
+// valid admits every terminal.
+func (s *Scanner) NextToken(valid grammar.TermSet) (grammar.Token, error) {
+	src := s.file.Content
+	for {
+		n, _ := s.sc.Skips.Longest(src, s.pos, nil)
+		if n <= 0 {
+			break
+		}
+		s.pos += n
+	}
+	if s.pos >= len(src) {
 		return grammar.Token{
+			ID:       grammar.EOFID,
 			Terminal: grammar.EOFName,
 			Span:     s.file.SpanAt(s.pos, s.pos),
 		}, nil
 	}
-	b := s.file.Content[s.pos]
-	bestLen := -1
-	var best *grammar.Terminal
-	for i, t := range s.terms {
-		if valid != nil && !valid[t.Name] {
-			continue
-		}
-		if !s.first[i][b] {
-			continue
-		}
-		n := t.Pattern.MatchPrefix(s.file.Content, s.pos)
-		if n <= 0 {
-			continue
-		}
-		if n > bestLen || (n == bestLen && best != nil && t.Priority > best.Priority) {
-			bestLen = n
-			best = t
-		}
+	n, state := s.sc.Tokens.Longest(src, s.pos, valid)
+	if n <= 0 {
+		return s.reject()
 	}
-	if best == nil {
-		span := s.file.SpanAt(s.pos, s.pos+1)
-		return grammar.Token{Terminal: "", Text: string(b), Span: span},
-			fmt.Errorf("%s: no valid token can start with %q", span, string(b))
+	// Among the valid terminals matching the longest prefix: highest
+	// priority, then lowest id, which is declaration order.
+	var best *grammar.Terminal
+	id := int32(-1)
+	for w, acc := range s.sc.Tokens.Accept(state) {
+		if valid != nil {
+			acc &= valid[w]
+		}
+		for ; acc != 0; acc &= acc - 1 {
+			i := int32(w<<6 + bits.TrailingZeros64(acc))
+			if t := s.sc.Terms[i]; best == nil || t.Priority > best.Priority {
+				best, id = t, i
+			}
+		}
 	}
 	tok := grammar.Token{
+		ID:       id,
 		Terminal: best.Name,
-		Text:     s.file.Content[s.pos : s.pos+bestLen],
-		Span:     s.file.SpanAt(s.pos, s.pos+bestLen),
+		Text:     src[s.pos : s.pos+n],
+		Span:     s.file.SpanAt(s.pos, s.pos+n),
 	}
-	s.pos += bestLen
+	s.pos += n
 	return tok, nil
+}
+
+// reject reports that no valid token starts at the current position.
+// The returned token carries the span the error is about.
+func (s *Scanner) reject() (grammar.Token, error) {
+	src := s.file.Content
+	what, end := unterminated(s.sc.Skips, s.sc.SkipTerms, src, s.pos)
+	if what == "" {
+		what, end = unterminated(s.sc.Tokens, s.sc.Terms, src, s.pos)
+	}
+	if what != "" {
+		return grammar.Token{ID: -1, Text: src[s.pos:end], Span: s.file.SpanAt(s.pos, end)},
+			fmt.Errorf("unterminated %s", what)
+	}
+	// One whole character, or one byte of invalid UTF-8 (which %q
+	// renders as a \x escape).
+	_, size := utf8.DecodeRuneInString(src[s.pos:])
+	text := src[s.pos : s.pos+size]
+	return grammar.Token{ID: -1, Text: text, Span: s.file.SpanAt(s.pos, s.pos+size)},
+		fmt.Errorf("no valid token can start with %q", text)
+}
+
+// unterminated walks d from pos with every pattern admitted. If the
+// walk runs out of input, or of bytes the patterns can cross (a string
+// literal's end of line), while exactly one pattern is still in play,
+// nothing has accepted on the way, and that pattern's terminal is a
+// Delimited one, the input stops inside that terminal: the result is
+// its name and where the walk ended. Otherwise what is "".
+func unterminated(d *rx.DFA, terms []*grammar.Terminal, src string, pos int) (what string, end int) {
+	state := d.Start()
+	for end = pos; end < len(src); end++ {
+		next := d.Step(state, src[end])
+		if next == 0 {
+			break
+		}
+		state = next
+		for _, acc := range d.Accept(state) {
+			if acc != 0 {
+				return "", 0
+			}
+		}
+	}
+	if end == pos {
+		return "", 0
+	}
+	only := -1
+	for w, live := range d.Live(state) {
+		if live == 0 {
+			continue
+		}
+		if only >= 0 || live&(live-1) != 0 {
+			return "", 0
+		}
+		only = w<<6 + bits.TrailingZeros64(live)
+	}
+	if only < 0 {
+		return "", 0
+	}
+	return terms[only].Delimited, end
 }
 
 // ScanAll scans the whole file context-free (all terminals valid).
@@ -112,9 +158,9 @@ func (s *Scanner) ScanAll() ([]grammar.Token, error) {
 	for {
 		t, err := s.NextToken(nil)
 		if err != nil {
-			return out, err
+			return out, fmt.Errorf("%s: %w", t.Span, err)
 		}
-		if t.Terminal == grammar.EOFName {
+		if t.ID == grammar.EOFID {
 			return out, nil
 		}
 		out = append(out, t)
@@ -130,5 +176,6 @@ func StandardSkips(owner string) []*grammar.Terminal {
 	line.Skip = true
 	block := grammar.Pat("BlockComment", "/\\*([^*]|\\*+[^*/])*\\*+/", owner)
 	block.Skip = true
+	block.Delimited = "block comment"
 	return []*grammar.Terminal{ws, line, block}
 }

@@ -7,8 +7,9 @@
 // scanner's maximal-munch loop and the parser's error recovery.
 //
 // CI runs a short coverage-guided pass per target
-// (go test -fuzz=FuzzLex -fuzztime=10s, same for FuzzParse); the
-// checked-in seeds always run as part of the normal test suite.
+// (go test -fuzz=FuzzLex -fuzztime=10s, same for FuzzScanDiff and
+// FuzzParse); the checked-in seeds always run as part of the normal
+// test suite.
 package parser_test
 
 import (
@@ -17,6 +18,7 @@ import (
 	"testing"
 
 	"repro/internal/lexer"
+	"repro/internal/lexer/refscan"
 	"repro/internal/parser"
 	"repro/internal/sem"
 	"repro/internal/source"
@@ -66,9 +68,8 @@ func FuzzLex(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	g := tab.Grammar()
 	f.Fuzz(func(t *testing.T, src string) {
-		toks, err := lexer.New(g, source.NewFile("fuzz.xc", src)).ScanAll()
+		toks, err := lexer.New(tab, source.NewFile("fuzz.xc", src)).ScanAll()
 		if err == nil {
 			// A clean scan must have consumed real text: token spans are
 			// within bounds and non-empty.
@@ -77,6 +78,33 @@ func FuzzLex(f *testing.F) {
 					t.Fatalf("empty token %q scanned from %q", tok.Terminal, src)
 				}
 			}
+		}
+	})
+}
+
+// FuzzScanDiff holds the generated scanner to the reference (the
+// per-terminal NFA scanner it replaced) on arbitrary bytes: the same
+// tokens and the same error position, under the valid sets the parser
+// really asks with — up to wherever the parse gives up — and
+// context-free over the whole input.
+func FuzzScanDiff(f *testing.F) {
+	addSeeds(f)
+	tab, err := parser.BuildTable(parser.AllExtensions())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		file := source.NewFile("fuzz.xc", src)
+		var diags source.Diagnostics
+		both := refscan.NewBoth(tab, file)
+		tab.Parse(both, &diags)
+		if both.Mismatch != "" {
+			t.Fatalf("parser-driven scan of %q: %s", src, both.Mismatch)
+		}
+		both = refscan.NewBoth(tab, file)
+		both.ScanAll()
+		if both.Mismatch != "" {
+			t.Fatalf("context-free scan of %q: %s", src, both.Mismatch)
 		}
 	})
 }

@@ -121,7 +121,9 @@ func buildHost(withTuples bool) *grammar.Spec {
 	b.term(grammar.Pat("Identifier", "[a-zA-Z_][a-zA-Z0-9_]*", OwnerHost))
 	b.term(grammar.Pat("FloatLit", "[0-9]+\\.[0-9]+", OwnerHost))
 	b.term(grammar.Pat("IntLit", "[0-9]+", OwnerHost))
-	b.term(grammar.Pat("StringLit", "\"[^\"\n]*\"", OwnerHost))
+	str := grammar.Pat("StringLit", "\"[^\"\n]*\"", OwnerHost)
+	str.Delimited = "string literal"
+	b.term(str)
 	for _, kw := range []string{"int", "float", "bool", "void", "while", "for",
 		"return", "break", "continue", "true", "false", "end"} {
 		b.term(grammar.Lit(kw, kw, OwnerHost))

@@ -86,7 +86,7 @@ func ParseFile(name, content string, o Options, diags *source.Diagnostics) *ast.
 		return nil
 	}
 	file := source.NewFile(name, content)
-	scan := lexer.New(tab.Grammar(), file)
+	scan := lexer.New(tab, file)
 	res, ok := tab.Parse(scan, diags)
 	if !ok {
 		return nil

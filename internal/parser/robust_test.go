@@ -1,11 +1,14 @@
 package parser
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/ast"
 	"repro/internal/source"
 )
 
@@ -59,21 +62,28 @@ func TestTruncationsOfValidProgram(t *testing.T) {
 }
 
 func TestUnterminatedConstructs(t *testing.T) {
-	bad := []string{
-		`int main() { /* unterminated comment`,
-		`int main() { Matrix float <`,
-		`int main() { x = with ([0] <= [i] < `,
-		`int main() { "unterminated string`,
-		`int main() { a[0`,
-		`(int, float`,
+	bad := []struct{ src, want string }{
+		{`int main() { /* unterminated comment`, "bad.xc:1:14: error: scan error: unterminated block comment"},
+		{`int main() { Matrix float <`, "syntax error: unexpected end of input"},
+		{`int main() { x = with ([0] <= [i] < `, "syntax error: unexpected end of input"},
+		{`int main() { "unterminated string`, "bad.xc:1:14: error: scan error: unterminated string literal"},
+		{"int main() { print(\"to end of line\n\"); }", "bad.xc:1:20: error: scan error: unterminated string literal"},
+		{`int main() { a[0`, "syntax error: unexpected end of input"},
+		{`(int, float`, "syntax error: unexpected end of input"},
+		{`int main() { int é = 1; }`, "bad.xc:1:18: error: scan error: no valid token can start with \"é\""},
+		{"int main() { int \xff = 1; }", `bad.xc:1:18: error: scan error: no valid token can start with "\xff"`},
 	}
-	for _, src := range bad {
+	for _, c := range bad {
 		var d source.Diagnostics
-		if p := ParseFile("bad.xc", src, AllExtensions(), &d); p != nil {
-			t.Errorf("%q should not parse", src)
+		if p := ParseFile("bad.xc", c.src, AllExtensions(), &d); p != nil {
+			t.Errorf("%q should not parse", c.src)
 		}
-		if d.Len() == 0 {
-			t.Errorf("%q should produce diagnostics", src)
+		got := d.String()
+		if !strings.Contains(got, c.want) {
+			t.Errorf("%q: diagnostics %q, want %q", c.src, got, c.want)
+		}
+		if strings.Count(got, "bad.xc:") != 1 {
+			t.Errorf("%q: the location should be printed once: %q", c.src, got)
 		}
 	}
 }
@@ -86,4 +96,40 @@ func TestDeeplyNestedExpressions(t *testing.T) {
 	if p := ParseFile("deep.xc", src, AllExtensions(), &d); p == nil {
 		t.Fatalf("deep nesting failed: %s", d.String())
 	}
+}
+
+// One cached Table — LALR tables, valid sets and the scanner's DFAs —
+// serves every parse in the process, without locks: eight goroutines
+// parsing different sources at once must each get the tree a parse on
+// its own gets. `go test -race` (ci.sh) is what makes this a check of
+// the "immutable after BuildTable" claim.
+func TestConcurrentParsesShareOneTable(t *testing.T) {
+	const workers, rounds = 8, 20
+	srcs := make([]string, workers)
+	want := make([]string, workers)
+	for w := range srcs {
+		srcs[w] = fmt.Sprintf("%s\n/* worker %d */\nint only_%d(int v) { return v * %d; } // tail\n",
+			[]string{fig1Src, fig8Src}[w%2], w, w, w)
+		want[w] = ast.Print(mustParse(t, srcs[w]))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				var d source.Diagnostics
+				p := ParseFile("test.xc", srcs[w], AllExtensions(), &d)
+				if p == nil {
+					t.Errorf("worker %d: %s", w, d.String())
+					return
+				}
+				if got := ast.Print(p); got != want[w] {
+					t.Errorf("worker %d, round %d: tree differs from the serial parse", w, r)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

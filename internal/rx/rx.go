@@ -4,9 +4,12 @@
 // classes ([a-z], [^...]), '.', grouping, alternation, and the
 // *, +, ? repetition operators.
 //
-// Patterns compile to Thompson NFAs; matching is done by parallel NFA
-// simulation with longest-match semantics, which is what a generated
-// scanner (like Copper's) implements.
+// Patterns compile to Thompson NFAs. BuildDFA (dfa.go) turns the
+// union of a grammar's patterns into one DFA, which is what the scanner
+// runs — a generated scanner, like Copper's. The NFA's own matching
+// (MatchPrefix: parallel simulation, longest match) no longer runs in
+// a parse; it is the reference the DFA and the scanner are tested
+// against (internal/lexer/refscan).
 package rx
 
 import (
@@ -454,8 +457,7 @@ func (n *NFA) Matches(s string) bool {
 }
 
 // FirstBytes returns the set of bytes that can begin a match, as a
-// 256-entry bitmap. Used by the composability analysis to compute the
-// "initial terminal" condition and by the scanner as a fast filter.
+// 256-entry bitmap. The reference scanner uses it as a fast filter.
 func (n *NFA) FirstBytes() [256]bool {
 	var out [256]bool
 	set := map[int]bool{n.start: true}
