@@ -138,7 +138,7 @@ func BenchmarkKernelRecMatMul(b *testing.B) {
 	y := kb2Mat(matrix.Float, size, size)
 	b.Run(fmt.Sprintf("kernel/%d", size), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := matrix.MatMul(x, y); err != nil {
+			if _, err := matrix.MatMulExec(x, y, matrix.Exec{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -9,7 +9,8 @@
 # DFAs lock-free), a race pass over the with-loop flat engine
 # (vet plans, the strip compiler and evaluator, VM flat execution), the
 # race-enabled fleet chaos suite (cmgate
-# routing under shard kill/restart/hang), the race-enabled tenant
+# routing under shard kill/restart/hang, and the gate's degraded
+# /healthz twenty times over), the race-enabled tenant
 # isolation suite (token buckets, noisy-neighbor chaos, key rotation),
 # a fuzz smoke over the frontend (never panics; FuzzScanDiff: the
 # generated scanner agrees with the reference NFA scanner), the cmvet
@@ -17,9 +18,9 @@
 # the tenant key file parser, the vet findings manifest,
 # a one-shot benchmark smoke pass (E1 plus the compile-service
 # cold/warm pair), and the bench/ module (its own go.mod, so the root
-# module's build and tests never reach it): vet, tests and a two-second
-# smoke run. Run locally before pushing; the GitHub Actions workflow
-# runs this script.
+# module's build and tests never reach it): vet, tests and two-second
+# smoke runs of the compute and both serve workloads. Run locally before
+# pushing; the GitHub Actions workflow runs this script.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -69,6 +70,7 @@ go test -race -run 'TestChaos|TestCrash' ./internal/server
 
 echo "== fleet chaos suite (kill / restart / hang / slow shards under flood) =="
 go test -race ./internal/fleet
+go test -race -run '^TestGateHealthzDegraded$' -count=20 ./internal/fleet
 
 echo "== tenant isolation (registry + buckets + noisy-neighbor chaos) =="
 go test -race ./internal/tenant
@@ -98,6 +100,8 @@ go test -run='^$' -bench='VetFacts|FusedChain' -benchtime=1x .
 
 echo "== bench module (vet + tests + smoke run) =="
 (cd bench && go vet ./... && go test ./...)
-bash bench/run.sh -workload compute_parallel -seconds 2 -trace 0 >/dev/null
+for w in compute_parallel serve_warm serve_cold; do
+    bash bench/run.sh -workload "$w" -seconds 2 -trace 0 >/dev/null
+done
 
 echo "OK"

@@ -11,7 +11,9 @@
 //
 // The default engine is the register bytecode VM; -engine tree selects
 // the tree-walking interpreter (the VM's differential oracle). The two
-// are observably identical — output, traps, exit codes, budgets.
+// are observably identical — output, traps, exit codes, budgets. The
+// flag is for local runs: the service always runs the VM, so -engine
+// tree with -server is a usage error.
 //
 // With -server, the program is shipped to a cmserved instance (or a
 // cmgate fleet front) instead of running locally; -retries bounds
@@ -82,10 +84,14 @@ func main() {
 		defer cancel()
 	}
 	if *serverURL != "" {
+		if *engine != "vm" {
+			fmt.Fprintln(os.Stderr, "cmrun: -engine applies to local runs only; the service always runs the vm")
+			os.Exit(2)
+		}
 		os.Exit(runRemote(ctx, strings.TrimRight(*serverURL, "/"), *apiKey, remoteRunRequest{
 			Name: file, Source: string(src), Extensions: *extFlag,
 			Threads: *threads, TimeoutMS: int64(*timeout / time.Millisecond),
-			MaxSteps: *steps, MaxCells: *cells, Engine: *engine,
+			MaxSteps: *steps, MaxCells: *cells,
 		}, *retries))
 	}
 	res, err := driver.New().Run(ctx, driver.RunRequest{

@@ -31,7 +31,6 @@ type remoteRunRequest struct {
 	TimeoutMS  int64  `json:"timeout_ms,omitempty"`
 	MaxSteps   int64  `json:"max_steps,omitempty"`
 	MaxCells   int64  `json:"max_cells,omitempty"`
-	Engine     string `json:"engine,omitempty"`
 }
 
 // remoteRunResponse mirrors the server's runResponse wire shape.

@@ -60,7 +60,6 @@ func main() {
 	cacheEntries := flag.Int("cache-entries", 0, "in-memory cache cap, entries per cache (0 = default)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "in-memory cache cap, approximate bytes per cache (0 = default)")
 	warm := flag.Bool("warm", true, "pre-build the composed grammar table and §VI analyses at startup")
-	engine := flag.String("engine", "vm", "default execution engine for /v1/run: vm or tree")
 	shardID := flag.String("shard-id", "", "fleet identity stamped on responses as X-CM-Shard (empty = standalone)")
 	keys := flag.String("keys", "", "tenant API-key file (JSON); empty = anonymous only, no limits")
 	trustGate := flag.Bool("trust-gate", false, "trust the X-CM-Tenant stamp from a fronting cmgate (only behind the gate)")
@@ -90,7 +89,6 @@ func main() {
 		MaxQueueWait:      *queueWait,
 		DefaultTimeout:    *timeout,
 		MaxTimeout:        *maxTimeout,
-		DefaultEngine:     *engine,
 		ShardID:           *shardID,
 		Tenants:           reg,
 		TrustGateHeader:   *trustGate,

@@ -75,8 +75,7 @@ func (d *Driver) ExportArtifact(ctx context.Context, key string) ([]byte, bool) 
 	if !ValidArtifactKey(key) {
 		return nil, false
 	}
-	if res, ok := d.emits.peek(key); ok {
-		er := res.(*emitResult)
+	if er, ok := d.emits.peek(key); ok {
 		if !er.ok {
 			return nil, false
 		}

@@ -1,165 +1,225 @@
-// Bounded in-memory cache for the driver: an LRU over singleflight
-// slots with caps on both entry count and approximate bytes. The
-// original driver kept plain maps that grew without bound — every
-// distinct source text ever compiled (including failed compiles) was
-// retained for the life of the process. Under sustained traffic from
-// many users that is an OOM with extra steps; the LRU makes the
-// memory ceiling a configuration knob instead.
+// Bounded in-memory caching for the driver: an LRU over singleflight
+// slots with caps on both entry count and approximate bytes, and the
+// once-only product a cached value computes lazily. The original driver
+// kept plain maps that grew without bound — every distinct source text
+// ever compiled (including failed compiles) was retained for the life
+// of the process. Under sustained traffic from many users that is an
+// OOM with extra steps; the LRU makes the memory ceiling a
+// configuration knob instead.
 //
-// Concurrency contract: an in-flight slot (whose pipeline execution
-// has not completed) is pinned — it is never evicted, so waiters
-// blocked on call.done always observe the result. Only completed
-// entries participate in eviction.
+// Concurrency contract: an in-flight slot (whose owner has not called
+// complete) is pinned — it is never evicted, so waiters blocked on
+// slot.done always observe the result. Only completed slots
+// participate in eviction, and a waiter that already holds an evicted
+// slot keeps reading it: eviction only stops the cache from retaining
+// the value.
 package driver
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 )
 
-// cacheEntry is one LRU node: a singleflight slot plus its accounting.
-type cacheEntry struct {
-	key   string
-	c     *call
-	bytes int64
-	done  bool // completed entries are evictable; in-flight ones are pinned
+// outcome says how one cached derivation was served.
+type outcome int
+
+const (
+	miss      outcome = iota // the caller computes: it owns the slot or product
+	coalesced                // joined an identical in-flight computation
+	hit                      // the value was already complete
+)
+
+// tally names the counters one cached derivation reports into. A nil
+// coalesced counter leaves joins uncounted.
+type tally struct{ hit, coalesced, miss *atomic.Int64 }
+
+func (t tally) count(o outcome) {
+	switch {
+	case o == hit:
+		t.hit.Add(1)
+	case o == miss:
+		t.miss.Add(1)
+	case t.coalesced != nil:
+		t.coalesced.Add(1)
+	}
 }
 
-// lruCache bounds a singleflight map by entry count and approximate
-// bytes. The zero value is not usable; call newLRUCache.
-type lruCache struct {
+// slot is one LRU node and singleflight cell. The owner (the lookup
+// that got miss) hands its result to complete, which closes done;
+// everyone else reads res after done. The remaining fields belong to
+// the lru and are guarded by its mutex.
+type slot[V any] struct {
+	key  string
+	done chan struct{}
+	res  V
+
+	prev, next *slot[V]
+	bytes      int64
+	completed  bool // evictable; in-flight slots are pinned
+}
+
+// lru bounds a singleflight map by entry count and approximate bytes.
+// The zero value is not usable; call newLRU.
+type lru[V any] struct {
 	mu         sync.Mutex
 	maxEntries int
 	maxBytes   int64
-	ll         *list.List // front = most recently used
-	index      map[string]*list.Element
+	root       slot[V] // list sentinel: root.next is most recently used
+	index      map[string]*slot[V]
 	bytes      int64
-	completed  int           // done entries; in-flight slots are not counted
-	evictions  *atomic.Int64 // shared eviction counter (driver metrics)
+	completed  int           // completed slots; in-flight ones are not counted
+	evictions  *atomic.Int64 // driver metrics
 }
 
-func newLRUCache(maxEntries int, maxBytes int64, evictions *atomic.Int64) *lruCache {
-	return &lruCache{
+func newLRU[V any](maxEntries int, maxBytes int64, evictions *atomic.Int64) *lru[V] {
+	l := &lru[V]{
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
-		ll:         list.New(),
-		index:      map[string]*list.Element{},
+		index:      map[string]*slot[V]{},
 		evictions:  evictions,
 	}
+	l.root.prev, l.root.next = &l.root, &l.root
+	return l
 }
 
-// lookup finds or installs the singleflight slot for key. It returns
-// the slot and whether the caller must execute the pipeline (owner).
-// For non-owners, hit reports the result was already complete at
-// lookup time (a pure cache hit) as opposed to joining an in-flight
-// execution. A hit promotes the entry to most-recently-used.
-func (l *lruCache) lookup(key string) (c *call, owner, hit bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if el, ok := l.index[key]; ok {
-		e := el.Value.(*cacheEntry)
-		l.ll.MoveToFront(el)
-		return e.c, false, e.done
-	}
-	c = &call{done: make(chan struct{})}
-	el := l.ll.PushFront(&cacheEntry{key: key, c: c})
-	l.index[key] = el
-	return c, true, false
+func (l *lru[V]) pushFront(s *slot[V]) {
+	s.prev, s.next = &l.root, l.root.next
+	s.prev.next, s.next.prev = s, s
 }
 
-// complete marks the owner's execution finished: the entry becomes
-// evictable, is charged bytes, and the cache is trimmed back under its
-// caps. If retain is false the entry is dropped immediately (the
-// result is still delivered to any waiters already holding the call).
-func (l *lruCache) complete(key string, bytes int64, retain bool) {
+func (l *lru[V]) unlink(s *slot[V]) {
+	s.prev.next, s.next.prev = s.next, s.prev
+}
+
+// lookup finds or installs the slot for key. On miss the caller owns
+// the slot and must call complete; otherwise it waits on done, and the
+// outcome tells a completed value (hit) from an execution still in
+// flight (coalesced). Either way the slot becomes most recently used.
+func (l *lru[V]) lookup(key string) (*slot[V], outcome) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	el, ok := l.index[key]
-	if !ok {
-		return
+	if s, ok := l.index[key]; ok {
+		l.unlink(s)
+		l.pushFront(s)
+		if s.completed {
+			return s, hit
+		}
+		return s, coalesced
 	}
-	if !retain {
-		l.removeLocked(el)
-		return
-	}
-	e := el.Value.(*cacheEntry)
-	e.done = true
-	e.bytes = bytes
+	s := &slot[V]{key: key, done: make(chan struct{})}
+	l.index[key] = s
+	l.pushFront(s)
+	return s, miss
+}
+
+// complete publishes the owner's result: waiters are released, the slot
+// becomes evictable and is charged bytes, and the cache is trimmed back
+// under its caps.
+func (l *lru[V]) complete(s *slot[V], res V, bytes int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.completeLocked(s, res, bytes)
+}
+
+func (l *lru[V]) completeLocked(s *slot[V], res V, bytes int64) {
+	s.res = res
+	close(s.done)
+	s.completed = true
+	s.bytes = bytes
 	l.bytes += bytes
 	l.completed++
 	l.trimLocked()
 }
 
-// trimLocked evicts completed entries, least recently used first,
-// until both caps hold. In-flight entries are skipped: they hold no
-// accounted bytes and must stay reachable for their waiters.
-func (l *lruCache) trimLocked() {
-	over := func() bool {
-		return l.completed > l.maxEntries || l.bytes > l.maxBytes
+// grow charges a completed slot delta more bytes (a product landed on
+// its value). A slot evicted in the meantime is left alone: it is no
+// longer retained, so there is nothing to account.
+func (l *lru[V]) grow(s *slot[V], delta int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.index[s.key] != s {
+		return
 	}
-	el := l.ll.Back()
-	for el != nil && over() {
-		prev := el.Prev()
-		if e := el.Value.(*cacheEntry); e.done {
-			l.removeLocked(el)
-			l.evictions.Add(1)
-		}
-		el = prev
-	}
+	s.bytes += delta
+	l.bytes += delta
+	l.trimLocked()
 }
 
-func (l *lruCache) removeLocked(el *list.Element) {
-	e := el.Value.(*cacheEntry)
-	if e.done {
-		l.bytes -= e.bytes
-		l.completed--
+// trimLocked evicts completed slots, least recently used first, until
+// both caps hold. In-flight slots are skipped: they hold no accounted
+// bytes and must stay reachable for their waiters.
+func (l *lru[V]) trimLocked() {
+	s := l.root.prev
+	for s != &l.root && (l.completed > l.maxEntries || l.bytes > l.maxBytes) {
+		prev := s.prev
+		if s.completed {
+			l.bytes -= s.bytes
+			l.completed--
+			l.unlink(s)
+			delete(l.index, s.key)
+			l.evictions.Add(1)
+		}
+		s = prev
 	}
-	l.ll.Remove(el)
-	delete(l.index, e.key)
 }
 
 // peek returns the completed result stored under key without
 // installing a slot, promoting the entry, or blocking on an in-flight
 // execution. Fleet artifact export uses it: a peer asking "do you have
 // this?" must never create a slot it will not fill.
-func (l *lruCache) peek(key string) (any, bool) {
+func (l *lru[V]) peek(key string) (res V, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	el, ok := l.index[key]
-	if !ok {
-		return nil, false
+	if s, found := l.index[key]; found && s.completed {
+		return s.res, true
 	}
-	e := el.Value.(*cacheEntry)
-	if !e.done {
-		return nil, false
-	}
-	return e.c.res, true
+	return res, false
 }
 
 // install puts an already-completed result under key if no slot exists
 // yet, reporting whether it was installed. An existing entry — complete
 // or in flight — wins: a peer-imported artifact never replaces a local
 // result or races an execution already under way.
-func (l *lruCache) install(key string, res any, bytes int64) bool {
+func (l *lru[V]) install(key string, res V, bytes int64) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if _, ok := l.index[key]; ok {
 		return false
 	}
-	c := &call{done: make(chan struct{}), res: res}
-	close(c.done)
-	el := l.ll.PushFront(&cacheEntry{key: key, c: c, bytes: bytes, done: true})
-	l.index[key] = el
-	l.bytes += bytes
-	l.completed++
-	l.trimLocked()
+	s := &slot[V]{key: key, done: make(chan struct{})}
+	l.index[key] = s
+	l.pushFront(s)
+	l.completeLocked(s, res, bytes)
 	return true
 }
 
 // stats reports the completed-entry count and accounted bytes.
-func (l *lruCache) stats() (entries int, bytes int64) {
+func (l *lru[V]) stats() (entries int, bytes int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.completed, l.bytes
+}
+
+// product is a value derived from a cached one on first demand and at
+// most once; callers that arrive while it is being computed wait for
+// it. It is computed outside every cache lock, and lives and dies with
+// the value that holds it.
+type product[V any] struct {
+	once sync.Once
+	done atomic.Bool
+	val  V
+}
+
+// get returns the product, running compute if this is the first call.
+func (p *product[V]) get(compute func() V) (V, outcome) {
+	if p.done.Load() {
+		return p.val, hit
+	}
+	how := coalesced
+	p.once.Do(func() {
+		p.val = compute()
+		p.done.Store(true)
+		how = miss
+	})
+	return p.val, how
 }

@@ -6,11 +6,15 @@
 // long-lived compile service needs on top of the one-shot internal/core
 // facade:
 //
-//   - a content-addressed artifact cache — SHA-256 of (source ⊕
-//     extension set ⊕ codegen flags) keys parsed+checked programs and
-//     emitted artifacts, so repeated requests skip the pipeline; both
-//     caches are LRU-bounded (entries and approximate bytes, see
-//     Config) so the daemon's memory ceiling is a knob, not traffic;
+//   - two content-addressed caches. units holds one program unit per
+//     (name, source, extension set): the parse+check result and, on
+//     the unit, the two products derived from it at most once — the
+//     bytecode program (first Run) and the vet findings (first Vet).
+//     emits holds the emitted artifacts, keyed by the same triple plus
+//     the codegen flags. Both are LRU-bounded (entries and approximate
+//     bytes, see Config) so the daemon's memory ceiling is a knob, not
+//     traffic; a unit is charged once and evicted whole, so a bytecode
+//     program never outlives the AST it points into;
 //   - an optional crash-safe on-disk artifact tier (Config.CacheDir):
 //     compile artifacts persist across restarts, written atomically
 //     and digest-verified on read (see diskcache.go);
@@ -22,8 +26,8 @@
 //     run once per process, not once per request.
 //
 // The composed grammar tables themselves are memoized per extension
-// set inside internal/parser; the driver's frontend cache sits above
-// that and memoizes whole parse+check results per source text.
+// set inside internal/parser; the driver's unit cache sits above that
+// and memoizes whole parse+check results per source text.
 package driver
 
 import (
@@ -44,7 +48,6 @@ import (
 	"repro/internal/parser"
 	"repro/internal/sem"
 	"repro/internal/source"
-	"repro/internal/vet"
 	"repro/internal/vm"
 )
 
@@ -53,13 +56,13 @@ import (
 // setting — an unbounded cache under sustained unique traffic is an
 // OOM scheduled for later).
 type Config struct {
-	// MaxCacheEntries caps completed entries per cache (frontend and
-	// compile each); default 4096.
+	// MaxCacheEntries caps completed entries per cache (units and
+	// artifacts each); default 4096.
 	MaxCacheEntries int
 	// MaxCacheBytes caps the approximate bytes retained per cache;
-	// default 256 MiB. Frontend entries are charged the source length
-	// (a proxy for AST size); compile entries the artifact + diagnostic
-	// lengths.
+	// default 256 MiB. A unit is charged the source length (a proxy for
+	// AST and bytecode size) plus its diagnostics, and its vet findings
+	// once they exist; an artifact its output + diagnostic lengths.
 	MaxCacheBytes int64
 	// CacheDir enables the on-disk artifact tier (see diskcache.go):
 	// successful compile artifacts are persisted content-addressed and
@@ -75,11 +78,8 @@ type Config struct {
 type Driver struct {
 	metrics Metrics
 
-	front *lruCache // frontend (parse+check) results by content key
-	emits *lruCache // emitted artifacts by content key
-	vets  *lruCache // vet findings by content key
-	vms   *lruCache // compiled bytecode programs by content key
-	facts *lruCache // vet.Facts side tables by content key
+	units *lru[*unit]       // program units by (name, source, extensions)
+	emits *lru[*emitResult] // emitted artifacts by that triple + codegen flags
 	disk  *diskCache
 }
 
@@ -95,11 +95,8 @@ func NewWith(cfg Config) *Driver {
 		cfg.MaxCacheBytes = 256 << 20
 	}
 	d := &Driver{}
-	d.front = newLRUCache(cfg.MaxCacheEntries, cfg.MaxCacheBytes, &d.metrics.FrontendEvictions)
-	d.emits = newLRUCache(cfg.MaxCacheEntries, cfg.MaxCacheBytes, &d.metrics.CompileEvictions)
-	d.vets = newLRUCache(cfg.MaxCacheEntries, cfg.MaxCacheBytes, &d.metrics.VetEvictions)
-	d.vms = newLRUCache(cfg.MaxCacheEntries, cfg.MaxCacheBytes, &d.metrics.VMEvictions)
-	d.facts = newLRUCache(cfg.MaxCacheEntries, cfg.MaxCacheBytes, &d.metrics.FactsEvictions)
+	d.units = newLRU[*unit](cfg.MaxCacheEntries, cfg.MaxCacheBytes, &d.metrics.UnitEvictions)
+	d.emits = newLRU[*emitResult](cfg.MaxCacheEntries, cfg.MaxCacheBytes, &d.metrics.CompileEvictions)
 	if cfg.CacheDir != "" {
 		disk, err := newDiskCache(cfg.CacheDir, &d.metrics)
 		if err != nil {
@@ -119,21 +116,11 @@ func (d *Driver) Metrics() *Metrics { return &d.metrics }
 // (entries, bytes) that only the driver itself can read.
 func (d *Driver) MetricsSnapshot() MetricsSnapshot {
 	s := d.metrics.Snapshot()
-	fe, fb := d.front.stats()
+	ue, ub := d.units.stats()
 	ee, eb := d.emits.stats()
-	ve, vb := d.vets.stats()
-	me, mb := d.vms.stats()
-	ke, kb := d.facts.stats()
-	s.CacheEntries = int64(fe + ee + ve + me + ke)
-	s.CacheBytes = fb + eb + vb + mb + kb
+	s.CacheEntries = int64(ue + ee)
+	s.CacheBytes = ub + eb
 	return s
-}
-
-// call is one singleflight cache slot: the first requester executes and
-// closes done; later requesters block on done and share res.
-type call struct {
-	done chan struct{}
-	res  any
 }
 
 // StageTimings records where a request's time went, in nanoseconds.
@@ -146,14 +133,24 @@ type StageTimings struct {
 	RunNS   int64 `json:"run_ns,omitempty"`
 }
 
-// frontResult is a cached parse+check outcome. prog and info are
-// immutable after Check and are shared by concurrent consumers.
+// frontResult is a parse+check outcome. prog and info are immutable
+// after Check and are shared by concurrent consumers.
 type frontResult struct {
 	prog   *ast.Program
 	info   *sem.Info
 	diags  []string
 	ok     bool
 	stages StageTimings
+}
+
+// unit is everything the driver derives from one (name, source,
+// extension set): the frontend result, which the singleflight owner
+// stores before the slot completes (failed frontends included), and the
+// two products later requests add to it.
+type unit struct {
+	frontResult
+	code product[vmEntry]  // bytecode program, computed by the first Run
+	vet  product[vetEntry] // vet findings, computed by the first Vet
 }
 
 // emitResult is a cached back-end artifact (C text or printed AST).
@@ -226,7 +223,7 @@ type RunRequest struct {
 // RunResult is the outcome of a Run.
 type RunResult struct {
 	Key string
-	// Cached reports the parse+check half came from the frontend cache.
+	// Cached reports the parse+check half came from the unit cache.
 	Cached      bool
 	OK          bool
 	Diagnostics []string
@@ -238,20 +235,22 @@ type RunResult struct {
 }
 
 // hashKey content-addresses a request: a SHA-256 over length-prefixed
-// fields, so no field boundary ambiguity.
+// fields, so no field boundary ambiguity. Fields pass through a small
+// stack buffer: sha256's digest has no WriteString, so io.WriteString
+// (like h.Write([]byte(p))) would copy every source to the heap.
 func hashKey(parts ...string) string {
 	h := sha256.New()
-	var n [8]byte
+	var buf [512]byte
 	for _, p := range parts {
-		binary.LittleEndian.PutUint64(n[:], uint64(len(p)))
-		h.Write(n[:])
-		h.Write([]byte(p))
+		binary.LittleEndian.PutUint64(buf[:8], uint64(len(p)))
+		h.Write(buf[:8])
+		for len(p) > 0 {
+			n := copy(buf[:], p)
+			h.Write(buf[:n])
+			p = p[n:]
+		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-func frontKey(name, src string, exts parser.Options) string {
-	return hashKey("front", name, src, FormatExtensions(exts))
 }
 
 func compileKey(req *CompileRequest) string {
@@ -268,46 +267,41 @@ func diagBytes(diags []string) int64 {
 	return n
 }
 
-// frontend returns the parse+check result for (name, src, exts),
-// executing at most once per content key. Entries are charged the
-// source length as an approximation of the retained AST size.
-func (d *Driver) frontend(name, src string, exts parser.Options) (*frontResult, bool) {
-	key := frontKey(name, src, exts)
-	c, owner, hit := d.front.lookup(key)
-	if !owner {
-		if hit {
-			d.metrics.FrontendHits.Add(1)
-		}
-		<-c.done
-		return c.res.(*frontResult), true
+// unitFor returns the slot holding the program unit of (name, src, exts) —
+// the slot's key is the unit's content address — parsing and checking
+// the source if no request has asked for it yet. cached reports that
+// this caller did not execute the frontend.
+func (d *Driver) unitFor(name, src string, exts parser.Options) (s *slot[*unit], cached bool) {
+	s, how := d.units.lookup(hashKey("front", name, src, FormatExtensions(exts)))
+	tally{hit: &d.metrics.FrontendHits, miss: &d.metrics.FrontendMisses}.count(how)
+	if how != miss {
+		<-s.done
+		return s, true
 	}
-	d.metrics.FrontendMisses.Add(1)
 	d.metrics.FrontendExecutions.Add(1)
-	res := &frontResult{}
+	u := &unit{}
 	var diags source.Diagnostics
 
 	t0 := time.Now()
-	res.prog = parser.ParseFile(name, src, exts, &diags)
+	u.prog = parser.ParseFile(name, src, exts, &diags)
 	parseD := time.Since(t0)
 	d.metrics.ParseLatency.Observe(parseD)
-	res.stages.ParseNS = int64(parseD)
+	u.stages.ParseNS = int64(parseD)
 
-	if res.prog != nil {
+	if u.prog != nil {
 		t1 := time.Now()
-		res.info = sem.Check(res.prog, &diags)
+		u.info = sem.Check(u.prog, &diags)
 		checkD := time.Since(t1)
 		d.metrics.CheckLatency.Observe(checkD)
-		res.stages.CheckNS = int64(checkD)
+		u.stages.CheckNS = int64(checkD)
 	}
 	for _, diag := range diags.All() {
-		res.diags = append(res.diags, diag.String())
+		u.diags = append(u.diags, diag.String())
 	}
-	res.ok = res.prog != nil && !diags.HasErrors()
+	u.ok = u.prog != nil && !diags.HasErrors()
 
-	c.res = res
-	close(c.done)
-	d.front.complete(key, int64(len(src))+diagBytes(res.diags), true)
-	return res, false
+	d.units.complete(s, u, int64(len(src))+diagBytes(u.diags))
+	return s, false
 }
 
 // Compile translates req.Source, serving repeated identical requests
@@ -334,20 +328,15 @@ func (d *Driver) Compile(ctx context.Context, req CompileRequest) *CompileResult
 		return out
 	}
 
-	c, owner, hit := d.emits.lookup(key)
-	if !owner {
-		if hit {
-			d.metrics.CompileHits.Add(1)
-		} else {
-			d.metrics.CompileCoalesced.Add(1)
-		}
-		<-c.done
-		res := c.res.(*emitResult)
+	s, how := d.emits.lookup(key)
+	tally{&d.metrics.CompileHits, &d.metrics.CompileCoalesced, &d.metrics.CompileMisses}.count(how)
+	if how != miss {
+		<-s.done
+		res := s.res
 		out.Cached = true
 		out.OK, out.Output, out.Diagnostics, out.Stages = res.ok, res.output, res.diags, res.stages
 		return out
 	}
-	d.metrics.CompileMisses.Add(1)
 
 	// Second tier: a prior process may have left the artifact on disk.
 	// A verified disk object skips the whole pipeline; the result is
@@ -355,9 +344,7 @@ func (d *Driver) Compile(ctx context.Context, req CompileRequest) *CompileResult
 	if d.disk != nil {
 		if art, ok := d.disk.get(ctx, key); ok {
 			res := &emitResult{output: art.Output, diags: art.Diags, ok: true}
-			c.res = res
-			close(c.done)
-			d.emits.complete(key, int64(len(res.output))+diagBytes(res.diags), true)
+			d.emits.complete(s, res, int64(len(res.output))+diagBytes(res.diags))
 			out.Cached = true
 			out.OK, out.Output, out.Diagnostics = res.ok, res.output, res.diags
 			return out
@@ -366,7 +353,8 @@ func (d *Driver) Compile(ctx context.Context, req CompileRequest) *CompileResult
 	d.metrics.CompileExecutions.Add(1)
 
 	res := &emitResult{}
-	fr, _ := d.frontend(req.Name, req.Source, req.Exts)
+	us, _ := d.unitFor(req.Name, req.Source, req.Exts)
+	fr := &us.res.frontResult
 	res.diags = fr.diags
 	res.stages = fr.stages
 	if fr.ok {
@@ -382,9 +370,7 @@ func (d *Driver) Compile(ctx context.Context, req CompileRequest) *CompileResult
 			res.output, res.ok = output, true
 		}
 	}
-	c.res = res
-	close(c.done)
-	d.emits.complete(key, int64(len(res.output))+diagBytes(res.diags), true)
+	d.emits.complete(s, res, int64(len(res.output))+diagBytes(res.diags))
 	if d.disk != nil && res.ok {
 		d.disk.put(key, &diskArtifact{Output: res.output, Diags: res.diags})
 	}
@@ -405,91 +391,55 @@ func emit(fr *frontResult, req *CompileRequest) (string, error) {
 	}
 }
 
-// vmEntry is a cached bytecode compilation outcome. err records a
-// compiler bail (a construct the bytecode engine declines), which is
-// cached too so the fallback decision is made once per content key.
+// vmEntry is a bytecode compilation outcome. err records a compiler
+// bail (a construct the bytecode engine declines), which is kept too so
+// the fallback decision is made once per unit.
 type vmEntry struct {
 	p   *vm.Program
 	err error
 }
 
-// factsFor returns the vet.Facts side table for an already-checked
-// frontend result, computing it at most once per content key. The key
-// includes the extension set: the same source parsed under a different
-// grammar is a different AST, so its proven facts must not be shared.
-func (d *Driver) factsFor(fr *frontResult, name, src string, exts parser.Options) *vet.Facts {
-	key := hashKey("facts", name, src, FormatExtensions(exts))
-	c, owner, _ := d.facts.lookup(key)
-	if !owner {
-		d.metrics.FactsHits.Add(1)
-		<-c.done
-		return c.res.(*vet.Facts)
-	}
-	d.metrics.FactsMisses.Add(1)
-	f := vet.ComputeFacts(fr.prog, fr.info)
-	c.res = f
-	close(c.done)
-	// Charged the source length, like the vm cache: the table holds
-	// pointers into the cached AST, so its marginal size is small.
-	d.facts.complete(key, int64(len(src)), true)
-	return f
+// bytecode returns u's compiled program, running the bytecode compiler
+// (and, inside it, the vet.Facts analysis it consumes as its fusion and
+// with-loop legality oracle) on the first call only.
+func (d *Driver) bytecode(u *unit) (*vm.Program, error) {
+	e, how := u.code.get(func() vmEntry {
+		d.metrics.VMCompileTotal.Add(1)
+		p, err := vm.Compile(u.prog, u.info)
+		if err == nil {
+			d.metrics.VMFusedSites.Add(int64(p.FusedSites()))
+			d.metrics.VMWithSites.Add(int64(p.WithCompiled()))
+		}
+		return vmEntry{p, err}
+	})
+	tally{&d.metrics.VMCacheHits, &d.metrics.VMCacheHits, &d.metrics.VMCacheMisses}.count(how)
+	return e.p, e.err
 }
 
-// vmProgram returns the compiled bytecode for an already-checked
-// frontend result, executing the bytecode compiler at most once per
-// content key (singleflight + LRU, like every other driver artifact).
-// The compiler consumes the cached vet.Facts side table as its
-// fusion-legality oracle.
-func (d *Driver) vmProgram(fr *frontResult, name, src string, exts parser.Options) (*vm.Program, error) {
-	key := hashKey("vm", name, src, FormatExtensions(exts))
-	c, owner, _ := d.vms.lookup(key)
-	if !owner {
-		d.metrics.VMCacheHits.Add(1)
-		<-c.done
-		e := c.res.(*vmEntry)
-		return e.p, e.err
-	}
-	d.metrics.VMCacheMisses.Add(1)
-	d.metrics.VMCompileTotal.Add(1)
-	p, err := vm.CompileWithFacts(fr.prog, fr.info, d.factsFor(fr, name, src, exts))
-	if err == nil {
-		d.metrics.VMFusedSites.Add(int64(p.FusedSites()))
-		d.metrics.VMWithSites.Add(int64(p.WithCompiled()))
-	}
-	c.res = &vmEntry{p: p, err: err}
-	close(c.done)
-	// Charged the source length: a proxy for code size, consistent
-	// with the frontend cache's accounting.
-	d.vms.complete(key, int64(len(src)), true)
-	return p, err
-}
-
-// Run parses and checks req.Source through the frontend cache, then
+// Run parses and checks req.Source through the unit cache, then
 // executes it — on the register bytecode machine by default, or on the
 // tree-walking interpreter when req.Engine says so or the bytecode
 // compiler declines the program. The returned error is nil unless
 // execution itself failed (including ctx cancellation); frontend
 // failures are reported through RunResult.OK and Diagnostics.
 func (d *Driver) Run(ctx context.Context, req RunRequest) (*RunResult, error) {
-	out := &RunResult{Key: frontKey(req.Name, req.Source, req.Exts)}
 	engine := req.Engine
 	switch engine {
 	case "", "vm":
 		engine = "vm"
 	case "tree":
 	default:
-		return out, fmt.Errorf("unknown engine %q (have: vm, tree)", req.Engine)
+		return &RunResult{}, fmt.Errorf("unknown engine %q (have: vm, tree)", req.Engine)
 	}
-	fr, cached := d.frontend(req.Name, req.Source, req.Exts)
-	out.Cached = cached
-	out.Diagnostics = fr.diags
-	out.Stages = fr.stages
-	if !fr.ok {
+	s, cached := d.unitFor(req.Name, req.Source, req.Exts)
+	u := s.res
+	out := &RunResult{Key: s.key, Cached: cached, Diagnostics: u.diags, Stages: u.stages}
+	if !u.ok {
 		return out, nil
 	}
 	var prog *vm.Program
 	if engine == "vm" {
-		p, err := d.vmProgram(fr, req.Name, req.Source, req.Exts)
+		p, err := d.bytecode(u)
 		if err != nil {
 			engine = "tree" // transparent fallback, same observable semantics
 		} else {
@@ -503,7 +453,7 @@ func (d *Driver) Run(ctx context.Context, req RunRequest) (*RunResult, error) {
 	}
 	d.metrics.RunsStarted.Add(1)
 	d.metrics.countTenantRun(req.Tenant)
-	i := interp.New(fr.prog, fr.info, interp.Options{
+	i := interp.New(u.prog, u.info, interp.Options{
 		Threads:  threads,
 		Stdout:   req.Stdout,
 		Dir:      req.Dir,

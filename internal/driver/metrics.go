@@ -97,9 +97,10 @@ type Metrics struct {
 	CompileExecutions  atomic.Int64
 	FrontendExecutions atomic.Int64
 
-	// LRU evictions per cache (the caches are bounded; see Config).
-	FrontendEvictions atomic.Int64
-	CompileEvictions  atomic.Int64
+	// LRU evictions per cache (the caches are bounded; see Config). A
+	// unit evicts whole: its bytecode and findings go with it.
+	UnitEvictions    atomic.Int64
+	CompileEvictions atomic.Int64
 
 	// Disk-tier outcomes. A corrupt read (digest mismatch) quarantines
 	// the object and also counts as a miss; write errors degrade the
@@ -126,15 +127,14 @@ type Metrics struct {
 	RunsTrapped atomic.Int64
 
 	// Bytecode engine counters: actual bytecode compilations, VM
-	// executions, compiled-program cache outcomes, evictions, and the
-	// total nanoseconds spent inside the VM dispatch loop (the whole
-	// Machine.Run, which is pure dispatch — parse/check time is
+	// executions, outcomes of asking a unit for its compiled program,
+	// and the total nanoseconds spent inside the VM dispatch loop (the
+	// whole Machine.Run, which is pure dispatch — parse/check time is
 	// accounted separately).
 	VMCompileTotal atomic.Int64
 	VMExecTotal    atomic.Int64
 	VMCacheHits    atomic.Int64
 	VMCacheMisses  atomic.Int64
-	VMEvictions    atomic.Int64
 	VMDispatchNS   atomic.Int64
 	// VMFusedSites totals the facts-proven fused chain sites emitted by
 	// actual bytecode compilations (cache hits don't re-count).
@@ -143,19 +143,13 @@ type Metrics struct {
 	// the flat engine by actual bytecode compilations.
 	VMWithSites atomic.Int64
 
-	// Facts side-table cache outcomes (the vet.Facts fusion-legality
-	// oracle the bytecode compiler consumes).
-	FactsHits      atomic.Int64
-	FactsMisses    atomic.Int64
-	FactsEvictions atomic.Int64
-
-	// Vet stage counters: requests, cache outcomes, evictions and the
-	// total findings produced by actual analysis executions.
+	// Vet stage counters: requests, outcomes of asking a unit for its
+	// findings, and the total findings produced by actual analysis
+	// executions.
 	VetRuns      atomic.Int64
 	VetHits      atomic.Int64
 	VetMisses    atomic.Int64
 	VetCoalesced atomic.Int64
-	VetEvictions atomic.Int64
 	VetFindings  atomic.Int64
 	// VetRacesFound totals CM-RACE findings produced by actual analysis
 	// executions (the determinacy-race detector).
@@ -215,9 +209,6 @@ type MetricsSnapshot struct {
 	VetFindings  int64 `json:"vet_findings_total"`
 	// CM-RACE findings from the determinacy-race detector.
 	VetRacesFound int64 `json:"vet_races_found"`
-
-	FactsHits   int64 `json:"facts_cache_hits"`
-	FactsMisses int64 `json:"facts_cache_misses"`
 
 	// Interpreter executions by tenant label (empty until a labeled
 	// run arrives; anonymous runs count under "anonymous").
@@ -311,9 +302,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		VetCoalesced:       m.VetCoalesced.Load(),
 		VetFindings:        m.VetFindings.Load(),
 		VetRacesFound:      m.VetRacesFound.Load(),
-		FactsHits:          m.FactsHits.Load(),
-		FactsMisses:        m.FactsMisses.Load(),
-		CacheEvictions:     m.FrontendEvictions.Load() + m.CompileEvictions.Load() + m.VetEvictions.Load() + m.VMEvictions.Load() + m.FactsEvictions.Load(),
+		CacheEvictions:     m.UnitEvictions.Load() + m.CompileEvictions.Load(),
 		DiskHits:           m.DiskHits.Load(),
 		DiskMisses:         m.DiskMisses.Load(),
 		DiskCorrupt:        m.DiskCorrupt.Load(),

@@ -14,7 +14,7 @@ import (
 func TestSnapshotKernelCounters(t *testing.T) {
 	matrix.ResetKernelStats()
 	a := matrix.New(matrix.Float, 512)
-	if _, err := matrix.Elementwise(matrix.OpAdd, a, a); err != nil {
+	if _, err := matrix.ElementwiseExec(matrix.OpAdd, a, a, matrix.Exec{}); err != nil {
 		t.Fatal(err)
 	}
 	var m Metrics

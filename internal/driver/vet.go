@@ -1,9 +1,8 @@
-// The vet stage: cmvet static analysis as a cached pipeline stage
-// between check and emit. Results are content-addressed like compile
-// artifacts — repeated requests for identical (name, source,
-// extension set) return the memoized findings without re-analyzing —
-// and concurrent identical requests coalesce through the same
-// singleflight cache as the other stages.
+// The vet stage: cmvet static analysis between check and emit. The
+// findings are a product of the program unit — repeated requests for
+// identical (name, source, extension set) return the memoized findings
+// without re-analyzing, and concurrent identical requests wait for the
+// one analysis under way.
 package driver
 
 import (
@@ -25,10 +24,10 @@ type VetRequest struct {
 // rejected the program (Diagnostics holds its errors) or when vet
 // produced error-severity findings.
 type VetResult struct {
-	// Key is the content address of the vet result.
+	// Key is the content address of the analyzed program unit.
 	Key string
-	// Cached reports the findings came from the vet cache (or an
-	// identical in-flight analysis).
+	// Cached reports the findings were already on the unit (or an
+	// identical in-flight analysis produced them).
 	Cached      bool
 	OK          bool
 	Diagnostics []string
@@ -38,18 +37,13 @@ type VetResult struct {
 	Stages StageTimings
 }
 
-// vetEntry is a cached vet outcome. Findings are immutable after
-// Check and are shared by concurrent consumers.
+// vetEntry is a vet outcome. Findings are immutable after Check and
+// are shared by concurrent consumers.
 type vetEntry struct {
 	ok       bool
-	diags    []string
 	findings []source.Diagnostic
 	errors   int
 	stages   StageTimings
-}
-
-func vetKey(req *VetRequest) string {
-	return hashKey("vet", req.Name, req.Source, FormatExtensions(req.Exts))
 }
 
 // findingBytes is the retained-size contribution of a findings list.
@@ -61,57 +55,42 @@ func findingBytes(findings []source.Diagnostic) int64 {
 	return n
 }
 
-// Vet parses and checks req.Source through the frontend cache, then
-// runs the cmvet analyses over the checked AST, serving repeated
-// identical requests from the vet cache.
+// Vet parses and checks req.Source through the unit cache, then runs
+// the cmvet analyses over the checked AST — once per unit; repeated
+// identical requests share the findings.
 func (d *Driver) Vet(req VetRequest) *VetResult {
 	t0 := time.Now()
 	d.metrics.VetRuns.Add(1)
 	defer func() { d.metrics.VetLatency.Observe(time.Since(t0)) }()
-	key := vetKey(&req)
-	out := &VetResult{Key: key}
 
-	c, owner, hit := d.vets.lookup(key)
-	if !owner {
-		if hit {
-			d.metrics.VetHits.Add(1)
-		} else {
-			d.metrics.VetCoalesced.Add(1)
+	s, _ := d.unitFor(req.Name, req.Source, req.Exts)
+	u := s.res
+	e, how := u.vet.get(func() vetEntry {
+		e := vetEntry{stages: u.stages}
+		if u.prog != nil {
+			t1 := time.Now()
+			e.findings = vet.Check(u.prog, u.info)
+			vetD := time.Since(t1)
+			d.metrics.VetAnalysisLatency.Observe(vetD)
+			e.stages.VetNS = int64(vetD)
 		}
-		<-c.done
-		res := c.res.(*vetEntry)
-		out.Cached = true
-		out.OK, out.Diagnostics, out.Findings = res.ok, res.diags, res.findings
-		out.Errors, out.Stages = res.errors, res.stages
-		return out
-	}
-	d.metrics.VetMisses.Add(1)
-
-	res := &vetEntry{}
-	fr, _ := d.frontend(req.Name, req.Source, req.Exts)
-	res.diags = fr.diags
-	res.stages = fr.stages
-	if fr.prog != nil {
-		t1 := time.Now()
-		res.findings = vet.Check(fr.prog, fr.info)
-		vetD := time.Since(t1)
-		d.metrics.VetAnalysisLatency.Observe(vetD)
-		res.stages.VetNS = int64(vetD)
-	}
-	res.errors = vet.ErrorCount(res.findings)
-	res.ok = fr.ok && res.errors == 0
-	d.metrics.VetFindings.Add(int64(len(res.findings)))
-	for _, f := range res.findings {
-		if f.Code == vet.CodeRace {
-			d.metrics.VetRacesFound.Add(1)
+		e.errors = vet.ErrorCount(e.findings)
+		e.ok = u.ok && e.errors == 0
+		d.metrics.VetFindings.Add(int64(len(e.findings)))
+		for _, f := range e.findings {
+			if f.Code == vet.CodeRace {
+				d.metrics.VetRacesFound.Add(1)
+			}
 		}
+		return e
+	})
+	tally{&d.metrics.VetHits, &d.metrics.VetCoalesced, &d.metrics.VetMisses}.count(how)
+	if how == miss {
+		d.units.grow(s, findingBytes(e.findings))
 	}
-
-	c.res = res
-	close(c.done)
-	d.vets.complete(key, diagBytes(res.diags)+findingBytes(res.findings), true)
-
-	out.OK, out.Diagnostics, out.Findings = res.ok, res.diags, res.findings
-	out.Errors, out.Stages = res.errors, res.stages
-	return out
+	return &VetResult{
+		Key: s.key, Cached: how != miss,
+		OK: e.ok, Diagnostics: u.diags, Findings: e.findings,
+		Errors: e.errors, Stages: e.stages,
+	}
 }

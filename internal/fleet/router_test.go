@@ -291,19 +291,24 @@ func TestGateMetricsEndpoint(t *testing.T) {
 }
 
 func TestGateHealthzDegraded(t *testing.T) {
-	rt, _ := newFakeFleet(t, 2, Config{
-		HedgeDisabled: true,
-		ProbeInterval: 10 * time.Millisecond,
-		ProbeTimeout:  5 * time.Millisecond,
-	})
+	// The fault goes in before the fleet exists, so cleanup (last in,
+	// first out) stops the probers before it clears the hook they read.
 	setFault(t, func(shard int, op string) error {
 		if shard == 0 {
 			return errors.New("down")
 		}
 		return nil
 	})
+	// The probe timeout leaves the healthy shard room to answer under
+	// the race detector on a loaded box; at 5 ms it was marked down too
+	// and shard_healthy == 1 was never seen.
+	rt, _ := newFakeFleet(t, 2, Config{
+		HedgeDisabled: true,
+		ProbeInterval: 100 * time.Millisecond,
+		ProbeTimeout:  80 * time.Millisecond,
+	})
 	rt.Start()
-	deadline := time.Now().Add(2 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
 		w := httptest.NewRecorder()

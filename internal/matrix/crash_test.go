@@ -130,11 +130,11 @@ func TestGenArrayAbortsAfterFirstError(t *testing.T) {
 	defer pool.Shutdown()
 	bad := errors.New("poisoned row")
 	var calls atomic.Int64
-	_, err := GenArray(Float, []int{0}, []int{1000}, []int{1000},
+	_, err := GenArrayExec(Float, []int{0}, []int{1000}, []int{1000},
 		func(idx []int) (any, error) {
 			calls.Add(1)
 			return nil, bad
-		}, pool)
+		}, Exec{Pool: pool})
 	if !errors.Is(err, bad) {
 		t.Fatalf("err = %v, want poisoned row", err)
 	}
@@ -148,11 +148,11 @@ func TestFoldAbortsAfterFirstError(t *testing.T) {
 	defer pool.Shutdown()
 	bad := errors.New("poisoned element")
 	var calls atomic.Int64
-	_, err := Fold(FoldAdd, float64(0), []int{0}, []int{1000},
+	_, err := FoldExec(FoldAdd, float64(0), []int{0}, []int{1000},
 		func(idx []int) (any, error) {
 			calls.Add(1)
 			return nil, bad
-		}, pool)
+		}, Exec{Pool: pool})
 	if !errors.Is(err, bad) {
 		t.Fatalf("err = %v, want poisoned element", err)
 	}
@@ -167,11 +167,11 @@ func TestMatrixMapAbortsAfterFirstError(t *testing.T) {
 	bad := errors.New("poisoned sub-matrix")
 	var calls atomic.Int64
 	m := New(Float, 1000, 4)
-	_, err := MatrixMap(m, []int{1}, Float,
+	_, err := MatrixMapExec(m, []int{1}, Float,
 		func(sub *Matrix) (*Matrix, error) {
 			calls.Add(1)
 			return nil, bad
-		}, pool)
+		}, Exec{Pool: pool})
 	if !errors.Is(err, bad) {
 		t.Fatalf("err = %v, want poisoned sub-matrix", err)
 	}
@@ -212,20 +212,20 @@ func TestGenArrayExecCancelled(t *testing.T) {
 func TestGenArrayBodyPanicSurfacesAsError(t *testing.T) {
 	pool := par.NewPool(4)
 	defer pool.Shutdown()
-	_, err := GenArray(Float, []int{0}, []int{100}, []int{100},
+	_, err := GenArrayExec(Float, []int{0}, []int{100}, []int{100},
 		func(idx []int) (any, error) {
 			if idx[0] == 37 {
 				panic("body crash")
 			}
 			return float64(idx[0]), nil
-		}, pool)
+		}, Exec{Pool: pool})
 	var pe *par.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *par.PanicError", err)
 	}
 	// The pool stays usable.
-	m, err := GenArray(Float, []int{0}, []int{10}, []int{10},
-		func(idx []int) (any, error) { return float64(idx[0]), nil }, pool)
+	m, err := GenArrayExec(Float, []int{0}, []int{10}, []int{10},
+		func(idx []int) (any, error) { return float64(idx[0]), nil }, Exec{Pool: pool})
 	if err != nil || m == nil {
 		t.Errorf("pool unusable after body panic: %v", err)
 	}

@@ -60,8 +60,7 @@ var (
 )
 
 // get returns a retained slice re-sliced to n cells, or false when none
-// fits. The contents are NOT zeroed — callers either overwrite every
-// cell (kernels) or clear explicitly (NewBudgeted).
+// fits. The contents are NOT zeroed; see take.
 func (p *bufFreeList[T]) get(n int) ([]T, bool) {
 	if n < minReuseCells {
 		return nil, false
@@ -94,6 +93,19 @@ func (p *bufFreeList[T]) get(n int) ([]T, bool) {
 	}
 	p.mu.Unlock()
 	return nil, false
+}
+
+// take returns n cells: a retained slice when one fits — cleared if
+// zeroed — and a fresh one otherwise.
+func (p *bufFreeList[T]) take(n int, zeroed bool) []T {
+	s, ok := p.get(n)
+	if !ok {
+		return make([]T, n)
+	}
+	if zeroed {
+		clear(s)
+	}
+	return s
 }
 
 // put retains s for reuse, dropping it when it is too small, its class

@@ -82,9 +82,10 @@ func FusedExec(stages []FusedStage, elem Elem, x Exec) (*Matrix, int, error) {
 	}
 
 	// Admission replay: per stage, in order — nil checks, the
-	// elementwise shape check, then hook + budget charge, exactly as
+	// elementwise shape check, then admit, exactly as
 	// ElementwiseExec/BroadcastExec admit one stage at a time.
 	shapes := make([][]int, len(stages))
+	var n int // the last admitted stage's cell count: the root's
 	for idx := range stages {
 		st := &stages[idx]
 		lShape, lIsM, err := fusedOperandShape(st.L, shapes)
@@ -109,16 +110,7 @@ func FusedExec(stages []FusedStage, elem Elem, x Exec) (*Matrix, int, error) {
 		default:
 			return nil, idx, errors.New("matrix: fused stage with two scalar operands")
 		}
-		n, err := checkedSize(shape)
-		if err != nil {
-			return nil, idx, err
-		}
-		if hook := TestHookAllocFail; hook != nil {
-			if err := hook(n); err != nil {
-				return nil, idx, err
-			}
-		}
-		if err := x.Budget.Charge(n); err != nil {
+		if n, err = admit(x.Budget, shape); err != nil {
 			return nil, idx, err
 		}
 		shapes[idx] = shape
@@ -128,25 +120,10 @@ func FusedExec(stages []FusedStage, elem Elem, x Exec) (*Matrix, int, error) {
 	// root's shape drives the single loop. The root was charged above
 	// (last, like the unfused engine); allocate its storage now.
 	root := len(stages) - 1
-	out := &Matrix{elem: elem, shape: append([]int(nil), shapes[root]...)}
-	out.strides = stridesFor(out.shape)
-	n, _ := checkedSize(out.shape)
-	switch elem {
-	case Float:
-		if s, ok := floatFree.get(n); ok {
-			out.f = s
-		} else {
-			out.f = make([]float64, n)
-		}
-	case Int:
-		if s, ok := intFree.get(n); ok {
-			out.i = s
-		} else {
-			out.i = make([]int64, n)
-		}
-	default:
+	if elem != Float && elem != Int {
 		return nil, root, fmt.Errorf("matrix: fused chain over %s elements", elem)
 	}
+	out := alloc(elem, shapes[root], n, false)
 	if n == 0 {
 		return out, -1, nil
 	}
@@ -203,11 +180,7 @@ func fusedFloatRange(stages []FusedStage, dst []float64, lo, hi int) error {
 	}
 	scratch := make([][]float64, root)
 	for i := range scratch {
-		if s, ok := floatFree.get(blen); ok {
-			scratch[i] = s
-		} else {
-			scratch[i] = make([]float64, blen)
-		}
+		scratch[i] = floatFree.take(blen, false)
 	}
 	defer func() {
 		for _, s := range scratch {
@@ -257,11 +230,7 @@ func fusedIntRange(stages []FusedStage, dst []int64, lo, hi int) error {
 	}
 	scratch := make([][]int64, root)
 	for i := range scratch {
-		if s, ok := intFree.get(blen); ok {
-			scratch[i] = s
-		} else {
-			scratch[i] = make([]int64, blen)
-		}
+		scratch[i] = intFree.take(blen, false)
 	}
 	defer func() {
 		for _, s := range scratch {

@@ -56,46 +56,15 @@ func ResetKernelStats() {
 	kernelBuffersReused.Store(0)
 }
 
-// newKernelOut allocates a kernel output like NewBudgeted — shape
-// validated and the cell count charged before any storage exists — but
-// serves the backing slice from the free list when possible and skips
-// zeroing, because the kernel writes every cell of its range.
+// newKernelOut allocates a kernel output like NewBudgeted — the same
+// admission — but skips zeroing a reused buffer, because the kernel
+// writes every cell of its range.
 func newKernelOut(b *Budget, elem Elem, shape []int) (*Matrix, error) {
-	n, err := checkedSize(shape)
+	n, err := admit(b, shape)
 	if err != nil {
 		return nil, err
 	}
-	if hook := TestHookAllocFail; hook != nil {
-		if err := hook(n); err != nil {
-			return nil, err
-		}
-	}
-	if err := b.Charge(n); err != nil {
-		return nil, err
-	}
-	m := &Matrix{elem: elem, shape: append([]int(nil), shape...)}
-	m.strides = stridesFor(m.shape)
-	switch elem {
-	case Float:
-		if s, ok := floatFree.get(n); ok {
-			m.f = s
-		} else {
-			m.f = make([]float64, n)
-		}
-	case Int:
-		if s, ok := intFree.get(n); ok {
-			m.i = s
-		} else {
-			m.i = make([]int64, n)
-		}
-	case Bool:
-		if s, ok := boolFree.get(n); ok {
-			m.b = s
-		} else {
-			m.b = make([]bool, n)
-		}
-	}
-	return m, nil
+	return alloc(elem, shape, n, false), nil
 }
 
 // runKernel executes body over [0, n) in chunks of at least grain
@@ -187,10 +156,7 @@ func floatScratch(x Exec, m *Matrix) (view []float64, scratch bool, err error) {
 	if err := x.Budget.Charge(n); err != nil {
 		return nil, false, err
 	}
-	s, ok := floatFree.get(n)
-	if !ok {
-		s = make([]float64, n)
-	}
+	s := floatFree.take(n, false)
 	for k, v := range m.i {
 		s[k] = float64(v)
 	}

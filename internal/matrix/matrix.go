@@ -95,51 +95,53 @@ const (
 	maxCells = maxInt / 8
 )
 
-// NewBudgeted allocates a zeroed matrix after validating the shape and
-// charging the cell count against b (nil = unlimited). The charge
-// happens before the storage is made, so an oversized request fails as
-// a *BudgetError rather than an OOM kill.
-func NewBudgeted(b *Budget, elem Elem, shape ...int) (*Matrix, error) {
+// admit is the admission sequence of every budgeted allocation, in its
+// one observable order: validate the shape, consult TestHookAllocFail,
+// charge the cell count against b (nil = unlimited). It returns the
+// cell count; nothing has been allocated yet, so an oversized request
+// fails as a *BudgetError rather than an OOM kill.
+func admit(b *Budget, shape []int) (int, error) {
 	n, err := checkedSize(shape)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if hook := TestHookAllocFail; hook != nil {
 		if err := hook(n); err != nil {
-			return nil, err
+			return 0, err
 		}
 	}
 	if err := b.Charge(n); err != nil {
-		return nil, err
+		return 0, err
 	}
+	return n, nil
+}
+
+// alloc makes the matrix admit approved: n is shape's cell count. The
+// backing slice comes from the kernel free list when a released buffer
+// fits; zeroed clears such a buffer, and may be false only when the
+// caller writes every cell.
+func alloc(elem Elem, shape []int, n int, zeroed bool) *Matrix {
 	m := &Matrix{elem: elem, shape: append([]int(nil), shape...)}
 	m.strides = stridesFor(m.shape)
-	// Serve the backing slice from the kernel free list when a released
-	// buffer fits; NewBudgeted promises zeroed storage, so clear it.
 	switch elem {
 	case Float:
-		if s, ok := floatFree.get(n); ok {
-			clear(s)
-			m.f = s
-			return m, nil
-		}
-		m.f = make([]float64, n)
+		m.f = floatFree.take(n, zeroed)
 	case Int:
-		if s, ok := intFree.get(n); ok {
-			clear(s)
-			m.i = s
-			return m, nil
-		}
-		m.i = make([]int64, n)
+		m.i = intFree.take(n, zeroed)
 	case Bool:
-		if s, ok := boolFree.get(n); ok {
-			clear(s)
-			m.b = s
-			return m, nil
-		}
-		m.b = make([]bool, n)
+		m.b = boolFree.take(n, zeroed)
 	}
-	return m, nil
+	return m
+}
+
+// NewBudgeted allocates a zeroed matrix after validating the shape and
+// charging the cell count against b (nil = unlimited); see admit.
+func NewBudgeted(b *Budget, elem Elem, shape ...int) (*Matrix, error) {
+	n, err := admit(b, shape)
+	if err != nil {
+		return nil, err
+	}
+	return alloc(elem, shape, n, true), nil
 }
 
 // NewTracked is New plus reference-count tracking on heap.

@@ -202,28 +202,28 @@ func TestSetIndex(t *testing.T) {
 func TestElementwiseOps(t *testing.T) {
 	a := FromFloats([]float64{1, 2, 3, 4}, 2, 2)
 	b := FromFloats([]float64{10, 20, 30, 40}, 2, 2)
-	sum, err := Elementwise(OpAdd, a, b)
+	sum, err := ElementwiseExec(OpAdd, a, b, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sum.f[3] != 44 {
 		t.Errorf("sum[3] = %v", sum.f[3])
 	}
-	cmp, err := Elementwise(OpLt, a, b)
+	cmp, err := ElementwiseExec(OpLt, a, b, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cmp.elem != Bool || !cmp.b[0] {
 		t.Error("comparison should give bool matrix")
 	}
-	if _, err := Elementwise(OpAdd, a, seqFloat(3, 3)); err == nil {
+	if _, err := ElementwiseExec(OpAdd, a, seqFloat(3, 3), Exec{}); err == nil {
 		t.Error("shape mismatch should error")
 	}
 }
 
 func TestBroadcast(t *testing.T) {
 	a := FromInts([]int64{1, 2, 3}, 3)
-	out, err := Broadcast(OpMul, a, int64(2), true)
+	out, err := BroadcastExec(OpMul, a, int64(2), true, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestBroadcast(t *testing.T) {
 		t.Errorf("broadcast = %v", out)
 	}
 	// int matrix * float scalar promotes
-	outf, err := Broadcast(OpMul, a, 0.5, true)
+	outf, err := BroadcastExec(OpMul, a, 0.5, true, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestBroadcast(t *testing.T) {
 		t.Errorf("promoted broadcast = %v", outf)
 	}
 	// scalar on the left: 10 - a
-	outl, err := Broadcast(OpSub, a, int64(10), false)
+	outl, err := BroadcastExec(OpSub, a, int64(10), false, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestBroadcast(t *testing.T) {
 		t.Errorf("left broadcast = %v", outl)
 	}
 	// comparison: ssh < i (Fig 4)
-	cmp, err := Broadcast(OpLt, a, int64(3), true)
+	cmp, err := BroadcastExec(OpLt, a, int64(3), true, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestBroadcast(t *testing.T) {
 func TestMatMul(t *testing.T) {
 	a := FromFloats([]float64{1, 2, 3, 4}, 2, 2)
 	id := FromFloats([]float64{1, 0, 0, 1}, 2, 2)
-	out, err := MatMul(a, id)
+	out, err := MatMulExec(a, id, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,47 +267,47 @@ func TestMatMul(t *testing.T) {
 		t.Errorf("a * I = %v", out)
 	}
 	b := FromFloats([]float64{5, 6, 7, 8}, 2, 2)
-	out, _ = MatMul(a, b)
+	out, _ = MatMulExec(a, b, Exec{})
 	want := FromFloats([]float64{19, 22, 43, 50}, 2, 2)
 	if !Equal(out, want) {
 		t.Errorf("a*b = %v, want %v", out, want)
 	}
 	ai := FromInts([]int64{1, 2, 3, 4}, 2, 2)
-	outi, err := MatMul(ai, ai)
+	outi, err := MatMulExec(ai, ai, Exec{})
 	if err != nil || outi.elem != Int || outi.i[0] != 7 {
 		t.Errorf("int matmul = %v (%v)", outi, err)
 	}
-	if _, err := MatMul(a, seqFloat(3, 2)); err == nil {
+	if _, err := MatMulExec(a, seqFloat(3, 2), Exec{}); err == nil {
 		t.Error("inner dimension mismatch should error")
 	}
-	if _, err := MatMul(seqFloat(2), a); err == nil {
+	if _, err := MatMulExec(seqFloat(2), a, Exec{}); err == nil {
 		t.Error("rank-1 matmul should error")
 	}
 }
 
 func TestUnary(t *testing.T) {
 	a := FromInts([]int64{1, -2}, 2)
-	n, err := Unary(true, a)
+	n, err := UnaryExec(true, a, Exec{})
 	if err != nil || n.i[0] != -1 || n.i[1] != 2 {
 		t.Errorf("neg = %v (%v)", n, err)
 	}
 	b := FromBools([]bool{true, false}, 2)
-	nb, err := Unary(false, b)
+	nb, err := UnaryExec(false, b, Exec{})
 	if err != nil || nb.b[0] || !nb.b[1] {
 		t.Errorf("not = %v (%v)", nb, err)
 	}
-	if _, err := Unary(true, b); err == nil {
+	if _, err := UnaryExec(true, b, Exec{}); err == nil {
 		t.Error("negating bool matrix should error")
 	}
-	if _, err := Unary(false, a); err == nil {
+	if _, err := UnaryExec(false, a, Exec{}); err == nil {
 		t.Error("logical not of int matrix should error")
 	}
 }
 
 func TestGenArraySequential(t *testing.T) {
 	// with ([0,0] <= [i,j] < [2,3]) genarray([2,3], i*10+j)
-	out, err := GenArray(Int, []int{0, 0}, []int{2, 3}, []int{2, 3},
-		func(idx []int) (any, error) { return int64(idx[0]*10 + idx[1]), nil }, nil)
+	out, err := GenArrayExec(Int, []int{0, 0}, []int{2, 3}, []int{2, 3},
+		func(idx []int) (any, error) { return int64(idx[0]*10 + idx[1]), nil }, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,8 +319,8 @@ func TestGenArraySequential(t *testing.T) {
 
 func TestGenArraySubsetZeroFill(t *testing.T) {
 	// generator covers a subset; the rest is 0 (§III-A.4).
-	out, err := GenArray(Int, []int{1, 1}, []int{3, 3}, []int{4, 4},
-		func(idx []int) (any, error) { return int64(1), nil }, nil)
+	out, err := GenArrayExec(Int, []int{1, 1}, []int{3, 3}, []int{4, 4},
+		func(idx []int) (any, error) { return int64(1), nil }, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,8 +340,8 @@ func TestGenArraySubsetZeroFill(t *testing.T) {
 func TestGenArraySupersetCheck(t *testing.T) {
 	// "the shape in the operation must be a superset of the indexes in
 	// the generator, which is something that can be checked at runtime"
-	_, err := GenArray(Int, []int{0}, []int{10}, []int{5},
-		func(idx []int) (any, error) { return int64(0), nil }, nil)
+	_, err := GenArrayExec(Int, []int{0}, []int{10}, []int{5},
+		func(idx []int) (any, error) { return int64(0), nil }, Exec{})
 	if err == nil {
 		t.Fatal("generator exceeding shape must be a runtime error")
 	}
@@ -349,30 +349,30 @@ func TestGenArraySupersetCheck(t *testing.T) {
 
 func TestFoldKinds(t *testing.T) {
 	body := func(idx []int) (any, error) { return int64(idx[0]), nil }
-	sum, err := Fold(FoldAdd, int64(0), []int{0}, []int{10}, body, nil)
+	sum, err := FoldExec(FoldAdd, int64(0), []int{0}, []int{10}, body, Exec{})
 	if err != nil || sum.(int64) != 45 {
 		t.Errorf("fold + = %v (%v)", sum, err)
 	}
-	prod, err := Fold(FoldMul, int64(1), []int{1}, []int{5}, body, nil)
+	prod, err := FoldExec(FoldMul, int64(1), []int{1}, []int{5}, body, Exec{})
 	if err != nil || prod.(int64) != 24 {
 		t.Errorf("fold * = %v (%v)", prod, err)
 	}
-	mn, err := Fold(FoldMin, int64(100), []int{3}, []int{9}, body, nil)
+	mn, err := FoldExec(FoldMin, int64(100), []int{3}, []int{9}, body, Exec{})
 	if err != nil || mn.(int64) != 3 {
 		t.Errorf("fold min = %v (%v)", mn, err)
 	}
-	mx, err := Fold(FoldMax, int64(-100), []int{3}, []int{9}, body, nil)
+	mx, err := FoldExec(FoldMax, int64(-100), []int{3}, []int{9}, body, Exec{})
 	if err != nil || mx.(int64) != 8 {
 		t.Errorf("fold max = %v (%v)", mx, err)
 	}
 	// float fold (Fig 1's temporal mean numerator)
-	fsum, err := Fold(FoldAdd, 0.0, []int{0}, []int{4},
-		func(idx []int) (any, error) { return float64(idx[0]) + 0.5, nil }, nil)
+	fsum, err := FoldExec(FoldAdd, 0.0, []int{0}, []int{4},
+		func(idx []int) (any, error) { return float64(idx[0]) + 0.5, nil }, Exec{})
 	if err != nil || fsum.(float64) != 8.0 {
 		t.Errorf("float fold = %v (%v)", fsum, err)
 	}
 	// empty generator returns base
-	e, err := Fold(FoldAdd, int64(7), []int{5}, []int{5}, body, nil)
+	e, err := FoldExec(FoldAdd, int64(7), []int{5}, []int{5}, body, Exec{})
 	if err != nil || e.(int64) != 7 {
 		t.Errorf("empty fold = %v (%v)", e, err)
 	}
@@ -381,9 +381,9 @@ func TestFoldKinds(t *testing.T) {
 func TestMatrixMapSequential(t *testing.T) {
 	// double every element of each row vector (dims = [1])
 	m := seqFloat(3, 4)
-	out, err := MatrixMap(m, []int{1}, Float, func(sub *Matrix) (*Matrix, error) {
-		return Broadcast(OpMul, sub, 2.0, true)
-	}, nil)
+	out, err := MatrixMapExec(m, []int{1}, Float, func(sub *Matrix) (*Matrix, error) {
+		return BroadcastExec(OpMul, sub, 2.0, true, Exec{})
+	}, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,8 +400,8 @@ func TestMatrixMapSequential(t *testing.T) {
 func TestMatrixMapEquivalentToExplicitLoop(t *testing.T) {
 	// Fig 5: matrixMap(f, ssh, [0,1]) ≡ loop over dim 2 applying f.
 	ssh := seqFloat(4, 5, 6)
-	f := func(sub *Matrix) (*Matrix, error) { return Broadcast(OpAdd, sub, 1.0, true) }
-	got, err := MatrixMap(ssh, []int{0, 1}, Float, f, nil)
+	f := func(sub *Matrix) (*Matrix, error) { return BroadcastExec(OpAdd, sub, 1.0, true, Exec{}) }
+	got, err := MatrixMapExec(ssh, []int{0, 1}, Float, f, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,20 +421,20 @@ func TestMatrixMapEquivalentToExplicitLoop(t *testing.T) {
 func TestMatrixMapErrors(t *testing.T) {
 	m := seqFloat(3, 4)
 	double := func(sub *Matrix) (*Matrix, error) { return sub.Copy(), nil }
-	if _, err := MatrixMap(m, []int{0, 1}, Float, double, nil); err == nil {
+	if _, err := MatrixMapExec(m, []int{0, 1}, Float, double, Exec{}); err == nil {
 		t.Error("mapping all dims should error")
 	}
-	if _, err := MatrixMap(m, nil, Float, double, nil); err == nil {
+	if _, err := MatrixMapExec(m, nil, Float, double, Exec{}); err == nil {
 		t.Error("mapping no dims should error")
 	}
-	if _, err := MatrixMap(m, []int{5}, Float, double, nil); err == nil {
+	if _, err := MatrixMapExec(m, []int{5}, Float, double, Exec{}); err == nil {
 		t.Error("out-of-range dim should error")
 	}
-	if _, err := MatrixMap(m, []int{1, 1}, Float, double, nil); err == nil {
+	if _, err := MatrixMapExec(m, []int{1, 1}, Float, double, Exec{}); err == nil {
 		t.Error("duplicate dim should error")
 	}
 	bad := func(sub *Matrix) (*Matrix, error) { return New(Float, 2), nil }
-	if _, err := MatrixMap(m, []int{1}, Float, bad, nil); err == nil {
+	if _, err := MatrixMapExec(m, []int{1}, Float, bad, Exec{}); err == nil {
 		t.Error("size-changing function should error")
 	}
 }

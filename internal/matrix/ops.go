@@ -10,7 +10,7 @@ import "fmt"
 // Op is a runtime binary operator.
 type Op int
 
-// Runtime operators (Mul here is elementwise; use MatMul for the
+// Runtime operators (Mul here is elementwise; use MatMulExec for the
 // linear-algebra product).
 const (
 	OpAdd Op = iota
@@ -170,51 +170,6 @@ func resultElem(op Op, a, b Elem) Elem {
 		return Bool
 	}
 	return Int
-}
-
-// Elementwise applies op pointwise over two matrices of equal shape.
-// It runs the specialized kernels of kernels.go serially; callers with
-// a worker pool use ElementwiseExec directly.
-func Elementwise(op Op, a, b *Matrix) (*Matrix, error) {
-	return ElementwiseExec(op, a, b, Exec{})
-}
-
-// Broadcast applies op between a matrix and a scalar; matLeft selects
-// which side the matrix is on (m op s vs s op m). It runs the
-// specialized kernels serially; callers with a pool use BroadcastExec.
-func Broadcast(op Op, m *Matrix, s any, matLeft bool) (*Matrix, error) {
-	return BroadcastExec(op, m, s, matLeft, Exec{})
-}
-
-// MatMul computes the linear-algebra product of two rank-2 matrices.
-// It runs the blocked kernel serially; callers with a pool use
-// MatMulExec.
-func MatMul(a, b *Matrix) (*Matrix, error) {
-	return MatMulExec(a, b, Exec{})
-}
-
-// Unary applies negation or logical not elementwise, serially; callers
-// with a pool use UnaryExec.
-func Unary(neg bool, m *Matrix) (*Matrix, error) {
-	return UnaryExec(neg, m, Exec{})
-}
-
-// Transpose returns the transpose of a rank-2 matrix, serially;
-// callers with a pool use TransposeExec.
-func Transpose(m *Matrix) (*Matrix, error) {
-	return TransposeExec(m, Exec{})
-}
-
-// Conv2D computes the same-size constant-boundary 2-D convolution of
-// src with kern, serially; callers with a pool use Conv2DExec.
-func Conv2D(src, kern *Matrix) (*Matrix, error) {
-	return Conv2DExec(src, kern, Exec{})
-}
-
-// ReduceAxis reduces m along one axis, serially; callers with a pool
-// use ReduceAxisExec.
-func ReduceAxis(kind FoldKind, m *Matrix, axis int) (*Matrix, error) {
-	return ReduceAxisExec(kind, m, axis, Exec{})
 }
 
 // --- reference oracles ---

@@ -21,11 +21,11 @@ func TestQuickParallelGenArrayMatchesSequential(t *testing.T) {
 		body := func(idx []int) (any, error) {
 			return float64(idx[0]*31+idx[1]*7) * 0.5, nil
 		}
-		seq, err := GenArray(Float, []int{0, 0}, []int{rows, cols}, []int{rows, cols}, body, nil)
+		seq, err := GenArrayExec(Float, []int{0, 0}, []int{rows, cols}, []int{rows, cols}, body, Exec{})
 		if err != nil {
 			return false
 		}
-		parl, err := GenArray(Float, []int{0, 0}, []int{rows, cols}, []int{rows, cols}, body, pool)
+		parl, err := GenArrayExec(Float, []int{0, 0}, []int{rows, cols}, []int{rows, cols}, body, Exec{Pool: pool})
 		if err != nil {
 			return false
 		}
@@ -44,11 +44,11 @@ func TestQuickParallelFoldMatchesSequential(t *testing.T) {
 		n := 1 + r.Intn(100)
 		body := func(idx []int) (any, error) { return int64(idx[0] % 17), nil }
 		for _, kind := range []FoldKind{FoldAdd, FoldMin, FoldMax} {
-			seq, err := Fold(kind, int64(5), []int{0}, []int{n}, body, nil)
+			seq, err := FoldExec(kind, int64(5), []int{0}, []int{n}, body, Exec{})
 			if err != nil {
 				return false
 			}
-			parl, err := Fold(kind, int64(5), []int{0}, []int{n}, body, pool)
+			parl, err := FoldExec(kind, int64(5), []int{0}, []int{n}, body, Exec{Pool: pool})
 			if err != nil {
 				return false
 			}
@@ -67,12 +67,12 @@ func TestParallelMatrixMapMatchesSequential(t *testing.T) {
 	pool := par.NewPool(4)
 	defer pool.Shutdown()
 	m := seqFloat(6, 5, 7)
-	f := func(sub *Matrix) (*Matrix, error) { return Broadcast(OpMul, sub, 3.0, true) }
-	seq, err := MatrixMap(m, []int{0, 1}, Float, f, nil)
+	f := func(sub *Matrix) (*Matrix, error) { return BroadcastExec(OpMul, sub, 3.0, true, Exec{}) }
+	seq, err := MatrixMapExec(m, []int{0, 1}, Float, f, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parl, err := MatrixMap(m, []int{0, 1}, Float, f, pool)
+	parl, err := MatrixMapExec(m, []int{0, 1}, Float, f, Exec{Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,22 +92,22 @@ func TestTemporalMeanWithLoops(t *testing.T) {
 	for k := range mat.f {
 		mat.f[k] = r.Float64() * 10
 	}
-	means, err := GenArray(Float, []int{0, 0}, []int{m, n}, []int{m, n},
+	means, err := GenArrayExec(Float, []int{0, 0}, []int{m, n}, []int{m, n},
 		func(idx []int) (any, error) {
 			i, j := idx[0], idx[1]
-			sum, err := Fold(FoldAdd, 0.0, []int{0}, []int{p},
+			sum, err := FoldExec(FoldAdd, 0.0, []int{0}, []int{p},
 				func(kidx []int) (any, error) {
 					v, err := mat.At(i, j, kidx[0])
 					if err != nil {
 						return nil, err
 					}
 					return v, nil
-				}, nil) // inner construct runs sequentially, as in the generated C
+				}, Exec{}) // inner construct runs sequentially, as in the generated C
 			if err != nil {
 				return nil, err
 			}
 			return sum.(float64) / p, nil
-		}, pool)
+		}, Exec{Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,13 +130,13 @@ func TestTemporalMeanWithLoops(t *testing.T) {
 func TestGenArrayErrorPropagatesFromPool(t *testing.T) {
 	pool := par.NewPool(2)
 	defer pool.Shutdown()
-	_, err := GenArray(Float, []int{0}, []int{100}, []int{100},
+	_, err := GenArrayExec(Float, []int{0}, []int{100}, []int{100},
 		func(idx []int) (any, error) {
 			if idx[0] == 63 {
 				return nil, errBody
 			}
 			return 0.0, nil
-		}, pool)
+		}, Exec{Pool: pool})
 	if err != errBody {
 		t.Fatalf("err = %v, want body error", err)
 	}

@@ -189,7 +189,7 @@ int main() {
 	for _, threads := range []int{1, 4} {
 		start := time.Now()
 		code, body := postJSON(t, ts.URL+"/v1/run",
-			map[string]any{"source": src, "engine": "vm", "threads": threads, "timeout_ms": 30})
+			map[string]any{"source": src, "threads": threads, "timeout_ms": 30})
 		if code != http.StatusGatewayTimeout {
 			t.Fatalf("threads %d: status = %d %v, want 504", threads, code, body)
 		}

@@ -75,9 +75,6 @@ type Config struct {
 	// timeout) — a run that cannot start before its deadline is shed,
 	// not left to occupy the queue). Defaults to DefaultTimeout.
 	MaxQueueWait time.Duration
-	// DefaultEngine selects the execution engine for run requests that
-	// specify none: "vm" (the default) or "tree".
-	DefaultEngine string
 	// ShardID, when set, labels this instance in an X-CM-Shard response
 	// header on every reply. The cmgate router and the chaos harness use
 	// it to attribute responses to fleet members.
@@ -151,9 +148,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxQueueWait <= 0 {
 		cfg.MaxQueueWait = cfg.DefaultTimeout
-	}
-	if cfg.DefaultEngine == "" {
-		cfg.DefaultEngine = "vm"
 	}
 	return &Server{
 		cfg:       cfg,
@@ -290,16 +284,13 @@ type runRequest struct {
 	// MaxCells bounds matrix cells the run may allocate; 0 or a value
 	// above the server's cap selects the cap.
 	MaxCells int64 `json:"max_cells,omitempty"`
-	// Engine selects the execution engine: "vm" (default) or "tree";
-	// empty selects the server's configured default.
-	Engine string `json:"engine,omitempty"`
 }
 
 type runResponse struct {
 	Key    string `json:"key"`
 	Cached bool   `json:"cached"`
-	// Engine is the engine that executed: "vm" or "tree" (the latter
-	// also when the bytecode compiler fell back).
+	// Engine is the engine that executed: "vm", or "tree" when the
+	// bytecode compiler declined the program and the run fell back.
 	Engine      string              `json:"engine"`
 	ExitCode    int                 `json:"exit_code"`
 	Stdout      string              `json:"stdout"`
@@ -636,18 +627,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if quota.MaxCells > 0 && maxCells > quota.MaxCells {
 		maxCells = quota.MaxCells
 	}
-	engine := req.Engine
-	if engine == "" {
-		engine = s.cfg.DefaultEngine
-	}
-	switch engine {
-	case "vm", "tree":
-	default:
-		s.clientError(w, http.StatusBadRequest, errorResponse{
-			Error: fmt.Sprintf("unknown engine %q (have: vm, tree)", req.Engine),
-		})
-		return
-	}
 
 	// Admission control: acquire an execution slot through the bounded,
 	// deadline-aware, tenant-partitioned run queue, or shed now with a
@@ -679,7 +658,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	res, err := s.d.Run(ctx, driver.RunRequest{
 		Name: name, Source: req.Source, Exts: exts,
 		Threads: req.Threads, MaxSteps: req.MaxSteps, MaxCells: maxCells,
-		Engine: engine, Tenant: tenantName,
+		Tenant: tenantName,
 		// No Dir + non-nil Files: file I/O stays in this request-local
 		// in-memory map, never the server's filesystem.
 		Files:  map[string]*matrix.Matrix{},

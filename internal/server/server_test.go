@@ -269,4 +269,9 @@ func TestMethodAndValidationErrors(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Fatalf("missing source: %d", code)
 	}
+	// The service runs one engine: the request has no field to pick another.
+	code, body = postJSON(t, ts.URL+"/v1/run", map[string]any{"source": okSrc, "engine": "tree"})
+	if code != http.StatusBadRequest || !strings.Contains(body["error"].(string), "engine") {
+		t.Fatalf("engine in a run request: %d %v", code, body)
+	}
 }

@@ -31,10 +31,9 @@ func Compile(prog *ast.Program, info *sem.Info) (p *Program, err error) {
 	return CompileWithFacts(prog, info, vet.ComputeFacts(prog, info))
 }
 
-// CompileWithFacts is Compile with a precomputed vet.Facts side table
-// (the driver caches Facts content-addressed and passes them in so the
-// analysis runs once per source, not once per compile). facts may be
-// nil: the program compiles without fusion.
+// CompileWithFacts is Compile with the vet.Facts side table handed in
+// (bench/ times the analysis and the lowering apart). facts may be nil:
+// the program compiles without fusion.
 func CompileWithFacts(prog *ast.Program, info *sem.Info, facts *vet.Facts) (p *Program, err error) {
 	defer func() {
 		if r := recover(); r != nil {
