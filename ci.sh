@@ -6,7 +6,9 @@
 # race-enabled dual-engine differential pass (bytecode VM vs the
 # tree-walking oracle), a race pass over the frontend (scanner, LALR
 # driver, parser: concurrent parses share one table and its scanner
-# DFAs lock-free), a race pass over the with-loop flat engine
+# DFAs lock-free; attribute-grammar evaluator and sem: concurrent checks
+# share one composed grammar, and agree with the parent's evaluator on
+# the whole corpus), a race pass over the with-loop flat engine
 # (vet plans, the strip compiler and evaluator, VM flat execution), the
 # race-enabled fleet chaos suite (cmgate
 # routing under shard kill/restart/hang, and the gate's degraded
@@ -59,8 +61,10 @@ go test -race ./internal/par ./internal/matrix ./internal/interp ./internal/serv
 echo "== go test -race (kernel differential + integration suites) =="
 go test -race -run 'Kernel|Conv2D|FoldExec|Recycle|FreeList|SetOnFree' ./internal/matrix ./internal/interp ./internal/rc
 
-echo "== go test -race (frontend: generated scanner + LALR driver off one shared table) =="
+echo "== go test -race (frontend: generated scanner + LALR driver off one shared table, AG evaluator + sem off one composed grammar) =="
 go test -race ./internal/lexer ./internal/grammar ./internal/parser
+go test -race ./internal/attr ./internal/sem
+go test -race -run 'TestSemMatchesParent|TestCheckSharesOneGrammar' -count=1 .
 
 echo "== with-loop flat engine (vet plans, strip compiler + evaluator, VM flat execution, race) =="
 go test -race -run 'TestWithPlan|TestWithFlat|TestCompileWith|TestWithNested|TestWithStrip' ./internal/vet ./internal/matrix ./internal/vm
@@ -97,6 +101,7 @@ go test -run='^$' -bench='BenchmarkE1_' -benchtime=1x .
 go test -run='^$' -bench='BenchmarkCompileService' -benchtime=1x ./internal/driver
 go test -run='^$' -bench='Kernel' -benchtime=1x .
 go test -run='^$' -bench='VetFacts|FusedChain' -benchtime=1x .
+go test -run='^$' -bench='FrontendCold|SemCheck' -benchtime=1x .
 
 echo "== bench module (vet + tests + smoke run) =="
 (cd bench && go vet ./... && go test ./...)

@@ -1,8 +1,23 @@
 package attr
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+)
+
+// Handles for the attributes the test grammars declare.
+var (
+	aAttr      = Intern("a")
+	bAttr      = Intern("b")
+	depthAttr  = Intern("depth")
+	downAttr   = Intern("down")
+	foldedAttr = Intern("folded")
+	ghostAttr  = Intern("ghost")
+	scaleAttr  = Intern("scale")
+	sumAttr    = Intern("sum")
+	vAttr      = Intern("v")
+	valueAttr  = Intern("value")
 )
 
 // demoHost builds a small expression-language attribute grammar:
@@ -26,15 +41,15 @@ func demoHost() *AGSpec {
 		},
 		SynEqs: []SynEq{
 			{Prod: "const", Attr: "value", F: func(t *Tree) any {
-				return t.Value.(int) * t.Inh("scale").(int)
+				return t.Value.(int) * t.Inh(scaleAttr).(int)
 			}},
 			{Prod: "add", Attr: "value", F: func(t *Tree) any {
-				return t.Child(0).Syn("value").(int) + t.Child(1).Syn("value").(int)
+				return t.Child(0).Syn(valueAttr).(int) + t.Child(1).Syn(valueAttr).(int)
 			}},
 		},
 		InhEqs: []InhEq{
 			{Prod: "add", Child: -1, Attr: "scale", F: func(p *Tree, c int) any {
-				return p.Inh("scale")
+				return p.Inh(scaleAttr)
 			}},
 		},
 	}
@@ -48,13 +63,13 @@ func doubleExt() *AGSpec {
 		Prods: []ProdDecl{{Name: "double", LHS: "Expr", ChildNTs: []string{"Expr"}, Owner: "double"}},
 		InhEqs: []InhEq{
 			{Prod: "double", Child: 0, Attr: "scale", Owner: "double", F: func(p *Tree, c int) any {
-				return p.Inh("scale")
+				return p.Inh(scaleAttr)
 			}},
 		},
 		Forwards: []FwdEq{
 			{Prod: "double", Owner: "double", F: func(t *Tree) *Tree {
 				// forward: double(e) -> add(e, e)
-				return t.g.MustTree("add", nil, t.Child(0), cloneLeafy(t.g, t.Child(0)))
+				return t.p.g.MustTree("add", nil, t.Child(0), cloneLeafy(t.p.g, t.Child(0)))
 			}},
 		},
 	}
@@ -79,8 +94,8 @@ func depthExt() *AGSpec {
 		SynEqs: []SynEq{
 			{Prod: "const", Attr: "depth", Owner: "depth", F: func(t *Tree) any { return 1 }},
 			{Prod: "add", Attr: "depth", Owner: "depth", F: func(t *Tree) any {
-				a := t.Child(0).Syn("depth").(int)
-				b := t.Child(1).Syn("depth").(int)
+				a := t.Child(0).Syn(depthAttr).(int)
+				b := t.Child(1).Syn(depthAttr).(int)
 				if a > b {
 					return a + 1
 				}
@@ -105,8 +120,8 @@ func TestBasicEvaluation(t *testing.T) {
 	g := buildDemo(t)
 	// (1 + 2) + 4, scale 10 => 70
 	tree := g.MustTree("add", nil, g.MustTree("add", nil, leaf(g, 1), leaf(g, 2)), leaf(g, 4))
-	tree.SetRootInh("scale", 10)
-	if v := tree.Syn("value"); v != 70 {
+	tree.SetRootInh(scaleAttr, 10)
+	if v := tree.Syn(valueAttr); v != 70 {
 		t.Errorf("value = %v, want 70", v)
 	}
 }
@@ -116,16 +131,16 @@ func TestMemoization(t *testing.T) {
 	host := demoHost()
 	host.SynEqs[0].F = func(t *Tree) any {
 		calls++
-		return t.Value.(int) * t.Inh("scale").(int)
+		return t.Value.(int) * t.Inh(scaleAttr).(int)
 	}
 	g, err := Compose(host)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tree := g.MustTree("const", 5)
-	tree.SetRootInh("scale", 2)
-	tree.Syn("value")
-	tree.Syn("value")
+	tree.SetRootInh(scaleAttr, 2)
+	tree.Syn(valueAttr)
+	tree.Syn(valueAttr)
 	if calls != 1 {
 		t.Errorf("equation evaluated %d times, want 1 (memoized)", calls)
 	}
@@ -135,8 +150,8 @@ func TestForwardingProvidesHostSemantics(t *testing.T) {
 	g := buildDemo(t, doubleExt())
 	// double(3) with scale 2 forwards to add(3,3) => 12
 	tree := g.MustTree("double", nil, leaf(g, 3))
-	tree.SetRootInh("scale", 2)
-	if v := tree.Syn("value"); v != 12 {
+	tree.SetRootInh(scaleAttr, 2)
+	if v := tree.Syn(valueAttr); v != 12 {
 		t.Errorf("double value = %v, want 12", v)
 	}
 	if tree.Forward() == nil || tree.Forward().Prod() != "add" {
@@ -148,9 +163,9 @@ func TestForwardSeesForwardersInherited(t *testing.T) {
 	g := buildDemo(t, doubleExt())
 	inner := g.MustTree("double", nil, leaf(g, 1))
 	root := g.MustTree("add", nil, inner, leaf(g, 5))
-	root.SetRootInh("scale", 3)
+	root.SetRootInh(scaleAttr, 3)
 	// add(double(1), 5) @3 = (1*3 + 1*3) + 15 = 21
-	if v := root.Syn("value"); v != 21 {
+	if v := root.Syn(valueAttr); v != 21 {
 		t.Errorf("value = %v, want 21", v)
 	}
 }
@@ -158,10 +173,10 @@ func TestForwardSeesForwardersInherited(t *testing.T) {
 func TestNewAttributeViaExtension(t *testing.T) {
 	g := buildDemo(t, doubleExt(), depthExt())
 	tree := g.MustTree("add", nil, g.MustTree("double", nil, leaf(g, 1)), leaf(g, 2))
-	tree.SetRootInh("scale", 1)
+	tree.SetRootInh(scaleAttr, 1)
 	// depth on double has no equation -> computed on the forward add(e,e):
 	// depth(double(1)) = depth(add(1,1)) = 2; root = 3.
-	if v := tree.Syn("depth"); v != 3 {
+	if v := tree.Syn(depthAttr); v != 3 {
 		t.Errorf("depth = %v, want 3", v)
 	}
 }
@@ -176,22 +191,22 @@ func TestHigherOrderAttribute(t *testing.T) {
 	host.Occurs = append(host.Occurs, Occurs{Attr: "folded", NT: "Expr"})
 	host.SynEqs = append(host.SynEqs,
 		SynEq{Prod: "const", Attr: "folded", F: func(t *Tree) any {
-			return t.g.MustTree("const", t.Value)
+			return t.p.g.MustTree("const", t.Value)
 		}},
 		SynEq{Prod: "add", Attr: "folded", F: func(t *Tree) any {
-			l := t.Child(0).Syn("folded").(*Tree)
-			r := t.Child(1).Syn("folded").(*Tree)
+			l := t.Child(0).Syn(foldedAttr).(*Tree)
+			r := t.Child(1).Syn(foldedAttr).(*Tree)
 			if l.Prod() == "const" && r.Prod() == "const" {
-				return t.g.MustTree("const", l.Value.(int)+r.Value.(int))
+				return t.p.g.MustTree("const", l.Value.(int)+r.Value.(int))
 			}
-			return t.g.MustTree("add", nil, l, r)
+			return t.p.g.MustTree("add", nil, l, r)
 		}})
 	g, err := Compose(host)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tree := g.MustTree("add", nil, g.MustTree("add", nil, leaf(g, 1), leaf(g, 2)), leaf(g, 4))
-	folded := tree.Syn("folded").(*Tree)
+	folded := tree.Syn(foldedAttr).(*Tree)
 	if folded.Prod() != "const" || folded.Value.(int) != 7 {
 		t.Errorf("folded = %s value %v, want const 7", folded.Prod(), folded.Value)
 	}
@@ -204,8 +219,8 @@ func TestCycleDetection(t *testing.T) {
 		Occurs: []Occurs{{Attr: "a", NT: "X"}, {Attr: "b", NT: "X"}},
 		Prods:  []ProdDecl{{Name: "x", LHS: "X"}},
 		SynEqs: []SynEq{
-			{Prod: "x", Attr: "a", F: func(t *Tree) any { return t.Syn("b") }},
-			{Prod: "x", Attr: "b", F: func(t *Tree) any { return t.Syn("a") }},
+			{Prod: "x", Attr: "a", F: func(t *Tree) any { return t.Syn(bAttr) }},
+			{Prod: "x", Attr: "b", F: func(t *Tree) any { return t.Syn(aAttr) }},
 		},
 	}
 	g, err := Compose(host)
@@ -213,7 +228,7 @@ func TestCycleDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree := g.MustTree("x", nil)
-	if _, err := tree.SafeSyn("a"); err == nil || !strings.Contains(err.Error(), "cycle") {
+	if _, err := tree.SafeSyn(aAttr); err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Errorf("expected cycle error, got %v", err)
 	}
 }
@@ -226,8 +241,8 @@ func TestMissingEquationError(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree := g.MustTree("add", nil, leaf(g, 1), leaf(g, 2))
-	tree.SetRootInh("scale", 1)
-	if _, err := tree.SafeSyn("value"); err == nil || !strings.Contains(err.Error(), "no equation") {
+	tree.SetRootInh(scaleAttr, 1)
+	if _, err := tree.SafeSyn(valueAttr); err == nil || !strings.Contains(err.Error(), "no equation") {
 		t.Errorf("expected missing-equation error, got %v", err)
 	}
 }
@@ -277,7 +292,7 @@ func TestMWDARejectsNonForwardingProduction(t *testing.T) {
 		// no value equation, no forward => host attribute undefined here
 		InhEqs: []InhEq{
 			{Prod: "neg", Child: 0, Attr: "scale", Owner: "broken", F: func(p *Tree, c int) any {
-				return p.Inh("scale")
+				return p.Inh(scaleAttr)
 			}},
 		},
 	}
@@ -339,11 +354,11 @@ func TestMWDAGuarantee(t *testing.T) {
 	}
 	// And it actually evaluates, cross-extension.
 	tree := g.MustTree("double", nil, g.MustTree("double", nil, leaf(g, 2)))
-	tree.SetRootInh("scale", 1)
-	if v := tree.Syn("value"); v != 8 {
+	tree.SetRootInh(scaleAttr, 1)
+	if v := tree.Syn(valueAttr); v != 8 {
 		t.Errorf("value = %v, want 8", v)
 	}
-	if v := tree.Syn("depth"); v != 3 {
+	if v := tree.Syn(depthAttr); v != 3 {
 		t.Errorf("depth = %v, want 3", v)
 	}
 }
@@ -362,7 +377,7 @@ func TestVariadicProduction(t *testing.T) {
 			{Prod: "list", Attr: "sum", F: func(t *Tree) any {
 				s := 0
 				for i := 0; i < t.NumChildren(); i++ {
-					s += t.Child(i).Syn("v").(int)
+					s += t.Child(i).Syn(vAttr).(int)
 				}
 				return s
 			}},
@@ -373,7 +388,7 @@ func TestVariadicProduction(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := g.MustTree("list", nil, g.MustTree("num", 1), g.MustTree("num", 2), g.MustTree("num", 3))
-	if v := l.Syn("sum"); v != 6 {
+	if v := l.Syn(sumAttr); v != 6 {
 		t.Errorf("sum = %v", v)
 	}
 }
@@ -440,7 +455,7 @@ func TestComposeStructuralErrors(t *testing.T) {
 func TestInheritedAtRootWithoutSeed(t *testing.T) {
 	g := buildDemo(t)
 	tree := leaf(g, 3)
-	if _, err := tree.SafeSyn("value"); err == nil ||
+	if _, err := tree.SafeSyn(valueAttr); err == nil ||
 		!strings.Contains(err.Error(), "SetRootInh") {
 		t.Errorf("expected root-inherited error, got %v", err)
 	}
@@ -449,7 +464,7 @@ func TestInheritedAtRootWithoutSeed(t *testing.T) {
 func TestUndeclaredAttributeDemand(t *testing.T) {
 	g := buildDemo(t)
 	tree := leaf(g, 3)
-	if _, err := tree.SafeSyn("ghost"); err == nil {
+	if _, err := tree.SafeSyn(ghostAttr); err == nil {
 		t.Error("demanding an attribute that does not occur should error")
 	}
 }
@@ -476,5 +491,190 @@ func TestMWDAReportString(t *testing.T) {
 			F: func(t *Tree) any { return 0 }}}})
 	if !strings.Contains(bad.String(), "FAIL") {
 		t.Errorf("report = %q", bad.String())
+	}
+}
+
+// sumAllExt adds a variadic production sumAll(e...) that forwards to a
+// chain of adds and hands its children twice its own scale through an
+// all-children equation. The equation reads the child it is asked
+// about, so it fails if it is ever run for the forward tree (child -1).
+func sumAllExt() *AGSpec {
+	return &AGSpec{
+		Name:  "sumAll",
+		Prods: []ProdDecl{{Name: "sumAll", LHS: "Expr", ChildNTs: []string{"Expr"}, Variadic: true, Owner: "sumAll"}},
+		InhEqs: []InhEq{
+			{Prod: "sumAll", Child: -1, Attr: "scale", Owner: "sumAll", F: func(p *Tree, c int) any {
+				_ = p.Child(c)
+				return 2 * p.Inh(scaleAttr).(int)
+			}},
+		},
+		Forwards: []FwdEq{
+			{Prod: "sumAll", Owner: "sumAll", F: func(t *Tree) *Tree {
+				acc := t.Child(0)
+				for i := 1; i < t.NumChildren(); i++ {
+					acc = t.p.g.MustTree("add", nil, acc, t.Child(i))
+				}
+				return acc
+			}},
+		},
+	}
+}
+
+// A forward tree receives the forwarding node's own inherited
+// attributes; the forwarding production's all-children equation is for
+// its children, not for its forward.
+func TestForwardSkipsAllChildrenEquation(t *testing.T) {
+	g := buildDemo(t, sumAllExt())
+	tree := g.MustTree("sumAll", nil, leaf(g, 1), leaf(g, 2), leaf(g, 3))
+	tree.SetRootInh(scaleAttr, 10)
+	// The forward add(add(1,2),3) sees scale 10 (not 20), and adopts the
+	// leaves: (1+2+3)*10.
+	if v, err := tree.SafeSyn(valueAttr); err != nil || v != 60 {
+		t.Errorf("sumAll value = %v, %v; want 60", v, err)
+	}
+	if got := tree.Forward().Inh(scaleAttr); got != 10 {
+		t.Errorf("forward tree's scale = %v, want the forwarding node's 10", got)
+	}
+}
+
+// --- the dense tables: error texts, slot limits, masks ---
+
+func TestEvaluationErrorTexts(t *testing.T) {
+	host := demoHost()
+	host.SynEqs = host.SynEqs[:1] // drop add.value
+	g, err := Compose(host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := g.MustTree("add", nil, leaf(g, 1), leaf(g, 2))
+	for _, c := range []struct {
+		name string
+		eval func() (any, error)
+		want string
+	}{
+		{"missing equation", func() (any, error) { return root.SafeSyn(valueAttr) },
+			`attr: no equation for add.value and no forward`},
+		{"no SetRootInh", func() (any, error) { return root.Child(0).SafeSyn(valueAttr) },
+			`attr: inherited "scale" demanded at root of add without SetRootInh`},
+		{"occurs", func() (any, error) { return root.SafeSyn(ghostAttr) },
+			`attr: "ghost" does not occur on Expr`},
+		{"handle interned after Compose", func() (any, error) { return root.SafeSyn(Intern("neverDeclaredAnywhere")) },
+			`attr: "neverDeclaredAnywhere" does not occur on Expr`},
+	} {
+		// Twice: a failed evaluation leaves no busy bit behind, so the
+		// second attempt reports the same error, not a cycle.
+		for i := 0; i < 2; i++ {
+			if _, err := c.eval(); err == nil || err.Error() != c.want {
+				t.Errorf("%s, attempt %d: error = %v, want %s", c.name, i, err, c.want)
+			}
+		}
+	}
+	if _, err := g.NewTree("add", nil, leaf(g, 1)); err == nil || err.Error() != `attr: add needs 2 children, got 1` {
+		t.Errorf("child count error = %v", err)
+	}
+	if _, err := g.NewTree("nope", nil); err == nil || err.Error() != `attr: unknown production "nope"` {
+		t.Errorf("unknown production error = %v", err)
+	}
+}
+
+// twoNT is a grammar where an inherited equation hands "down" to a
+// nonterminal the attribute is not declared to occur on: the child gets
+// a slot for it (Inh works), but it still does not occur there (Syn
+// refuses it, and NewTree checks child nonterminals).
+func twoNT(t *testing.T, inhEqs ...InhEq) *Grammar {
+	t.Helper()
+	g, err := Compose(&AGSpec{
+		NTs:    []NTDecl{{Name: "P"}, {Name: "C"}},
+		Attrs:  []AttrDecl{{Name: "down", Kind: Inherited}, {Name: "v", Kind: Synthesized}},
+		Occurs: []Occurs{{Attr: "v", NT: "P"}, {Attr: "v", NT: "C"}},
+		Prods: []ProdDecl{
+			{Name: "p", LHS: "P", ChildNTs: []string{"C"}},
+			{Name: "c", LHS: "C"},
+		},
+		SynEqs: []SynEq{
+			{Prod: "p", Attr: "v", F: func(t *Tree) any { return t.Child(0).Syn(vAttr) }},
+			{Prod: "c", Attr: "v", F: func(t *Tree) any { return t.Inh(downAttr) }},
+		},
+		InhEqs: inhEqs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func TestInheritedTargetGetsASlotButDoesNotOccur(t *testing.T) {
+	g := twoNT(t, InhEq{Prod: "p", Child: 0, Attr: "down", F: func(p *Tree, c int) any { return 7 }})
+	root := g.MustTree("p", nil, g.MustTree("c", nil))
+	if v, err := root.SafeSyn(vAttr); err != nil || v != 7 {
+		t.Errorf("v = %v, %v; want 7", v, err)
+	}
+	if _, err := root.Child(0).SafeSyn(downAttr); err == nil || err.Error() != `attr: "down" does not occur on C` {
+		t.Errorf("Syn of a slot that does not occur: %v", err)
+	}
+	if g.OccursOn("down", "C") {
+		t.Error(`OccursOn("down", "C") must stay false`)
+	}
+	if _, err := g.NewTree("p", nil, root); err == nil || err.Error() != `attr: p child 0 must be C, got P` {
+		t.Errorf("child nonterminal error = %v", err)
+	}
+
+	// Without the equation the child has no slot for it at all.
+	g = twoNT(t)
+	root = g.MustTree("p", nil, g.MustTree("c", nil))
+	if _, err := root.SafeSyn(vAttr); err == nil || err.Error() != `attr: no inherited equation for p child 0 attr "down"` {
+		t.Errorf("missing inherited equation: %v", err)
+	}
+}
+
+func TestInheritedCycle(t *testing.T) {
+	g := twoNT(t, InhEq{Prod: "p", Child: 0, Attr: "down", F: func(p *Tree, c int) any { return p.Child(c).Inh(downAttr) }})
+	root := g.MustTree("p", nil, g.MustTree("c", nil))
+	if _, err := root.SafeSyn(vAttr); err == nil || err.Error() != `attr: cycle evaluating inherited "down" on c` {
+		t.Errorf("expected inherited cycle error, got %v", err)
+	}
+}
+
+func TestComposeRejectsInheritedEquationForMissingChild(t *testing.T) {
+	bad := &AGSpec{Name: "bad", InhEqs: []InhEq{
+		{Prod: "add", Child: 2, Attr: "scale", Owner: "bad", F: func(p *Tree, c int) any { return 0 }}}}
+	if _, err := Compose(demoHost(), bad); err == nil || !strings.Contains(err.Error(), "add has 2 children") {
+		t.Errorf("inherited equation for child 2 of add: %v", err)
+	}
+}
+
+// wide is a one-production grammar with n synthesized attributes
+// a0..a(n-1) on its nonterminal, a(i) = a(i-1) + 1.
+func wide(n int) *AGSpec {
+	s := &AGSpec{NTs: []NTDecl{{Name: "W"}}, Prods: []ProdDecl{{Name: "w", LHS: "W"}}}
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("a%d", i)
+		s.Attrs = append(s.Attrs, AttrDecl{Name: name, Kind: Synthesized})
+		s.Occurs = append(s.Occurs, Occurs{Attr: name, NT: "W"})
+		prev := Intern(fmt.Sprintf("a%d", i-1))
+		s.SynEqs = append(s.SynEqs, SynEq{Prod: "w", Attr: name, F: func(t *Tree) any {
+			if i == 0 {
+				return 0
+			}
+			return t.Syn(prev).(int) + 1
+		}})
+	}
+	return s
+}
+
+func TestSlotLimit(t *testing.T) {
+	g, err := Compose(wide(MaxSlots))
+	if err != nil {
+		t.Fatalf("%d attributes on one nonterminal must compose: %v", MaxSlots, err)
+	}
+	// The last attribute sits in the masks' top bit and its evaluation
+	// runs through every other slot.
+	last := Intern(fmt.Sprintf("a%d", MaxSlots-1))
+	if v, err := g.MustTree("w", nil).SafeSyn(last); err != nil || v != MaxSlots-1 {
+		t.Errorf("a%d = %v, %v", MaxSlots-1, v, err)
+	}
+	if _, err := Compose(wide(MaxSlots + 1)); err == nil ||
+		err.Error() != `attr: nonterminal "W" needs more than 64 attribute slots` {
+		t.Errorf("%d attributes on one nonterminal: %v", MaxSlots+1, err)
 	}
 }

@@ -270,22 +270,15 @@ func orHost(owner string) string {
 func (g *Grammar) CheckComplete() []string {
 	var out []string
 	for name, p := range g.prods {
-		_, hasFwd := g.fwds[name]
-		for occ := range g.occurs {
-			if occ[1] == p.LHS && g.attrs[occ[0]].Kind == Synthesized {
-				if _, ok := g.synEqs[[2]string{name, occ[0]}]; !ok && !hasFwd {
-					out = append(out, fmt.Sprintf("%s lacks equation for %s", name, occ[0]))
-				}
+		for _, a := range g.AttrsOn(p.LHS, Synthesized) {
+			if p.syn[p.nt.slotOf(Intern(a))] == nil && p.fwd == nil {
+				out = append(out, fmt.Sprintf("%s lacks equation for %s", name, a))
 			}
 		}
-		for ci, cnt := range p.ChildNTs {
-			for occ := range g.occurs {
-				if occ[1] == cnt && g.attrs[occ[0]].Kind == Inherited {
-					_, s := g.inhEqs[inhKey{name, ci, occ[0]}]
-					_, b := g.inhEqs[inhKey{name, -1, occ[0]}]
-					if !s && !b {
-						out = append(out, fmt.Sprintf("%s child %d lacks inherited %s", name, ci, occ[0]))
-					}
+		for ci, cnt := range p.kids {
+			for _, a := range g.AttrsOn(cnt.name, Inherited) {
+				if p.inh[ci][cnt.slotOf(Intern(a))] == nil {
+					out = append(out, fmt.Sprintf("%s child %d lacks inherited %s", name, ci, a))
 				}
 			}
 		}

@@ -111,12 +111,11 @@ func runAnalyses() *AnalysisReport {
 		}
 		rep.MWDA = append(rep.MWDA, row)
 	}
-	info := sem.NewInfo()
-	mwda("matrix semantics vs host", attr.CheckWellDefined(sem.HostAG(info, nil), sem.MatrixAG(info)))
-	mwda("transform semantics vs host+matrix", attr.CheckWellDefined(mergedSemHost(), sem.TransformAG(info)))
-	mwda("cilk semantics vs host", attr.CheckWellDefined(sem.HostAG(sem.NewInfo(), nil), sem.CilkAG(sem.NewInfo())))
+	mwda("matrix semantics vs host", attr.CheckWellDefined(sem.HostAG(nil), sem.MatrixAG()))
+	mwda("transform semantics vs host+matrix", attr.CheckWellDefined(mergedSemHost(), sem.TransformAG()))
+	mwda("cilk semantics vs host", attr.CheckWellDefined(sem.HostAG(nil), sem.CilkAG()))
 
-	g, err := sem.ComposeAG(sem.NewInfo())
+	g, err := sem.Grammar()
 	if err != nil {
 		rep.SemCompositionErr = fmt.Sprintf("semantic composition FAILED: %v", err)
 		rep.Unexpected++
@@ -209,9 +208,8 @@ func mergedHostMatrix() *grammar.Spec {
 // mergedSemHost merges the matrix attribute grammar into the host's for
 // analyzing the transform semantics against host+matrix.
 func mergedSemHost() *attr.AGSpec {
-	info := sem.NewInfo()
-	h := sem.HostAG(info, nil)
-	m := sem.MatrixAG(info)
+	h := sem.HostAG(nil)
+	m := sem.MatrixAG()
 	h.NTs = append(h.NTs, m.NTs...)
 	h.Attrs = append(h.Attrs, m.Attrs...)
 	h.Occurs = append(h.Occurs, m.Occurs...)

@@ -56,7 +56,8 @@ type Nonterminal struct {
 }
 
 // Production is one grammar rule LHS -> RHS with a semantic action.
-// The action receives one value per RHS symbol: a Token for terminals
+// The action receives one value per RHS symbol: a *Token for terminals
+// (valid for as long as the action's result keeps it; never mutated)
 // and the child production's action result for nonterminals.
 type Production struct {
 	Name   string // optional label, for diagnostics and debugging

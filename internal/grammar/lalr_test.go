@@ -44,7 +44,7 @@ func exprSpec() *Spec {
 				return c[1]
 			}),
 			Rule(HostOwner, "E", []string{"Num"}, func(c []any) any {
-				return atoi(c[0].(Token).Text)
+				return atoi(c[0].(*Token).Text)
 			}),
 		},
 	}

@@ -29,6 +29,11 @@ func (t *Table) Parse(src TokenSource, diags *source.Diagnostics) (ParseResult, 
 	stack := []frame{{state: 0}}
 	var tok Token
 	var haveTok bool
+	// Shifted tokens live in slabs, so an action's *Token costs an
+	// allocation per tokenSlab shifts, not one boxed Token per shift. A
+	// full slab is left to the values that point into it.
+	const tokenSlab = 32
+	var slab []Token
 
 	fetch := func() bool {
 		state := stack[len(stack)-1].state
@@ -57,7 +62,11 @@ func (t *Table) Parse(src TokenSource, diags *source.Diagnostics) (ParseResult, 
 		kind, val := decode(row[tok.ID])
 		switch kind {
 		case actShift:
-			stack = append(stack, frame{state: val, value: tok, span: tok.Span})
+			if len(slab) == cap(slab) {
+				slab = make([]Token, 0, tokenSlab)
+			}
+			slab = append(slab, tok)
+			stack = append(stack, frame{state: val, value: &slab[len(slab)-1], span: tok.Span})
 			haveTok = false
 		case actReduce:
 			prod := t.c.src[val]

@@ -31,7 +31,7 @@ const (
 
 // --- small helpers shared by all spec builders ---
 
-func tk(v any) grammar.Token  { return v.(grammar.Token) }
+func tk(v any) *grammar.Token { return v.(*grammar.Token) }
 func ex(v any) ast.Expr       { return v.(ast.Expr) }
 func st(v any) ast.Stmt       { return v.(ast.Stmt) }
 func ty(v any) ast.TypeExpr   { return v.(ast.TypeExpr) }

@@ -129,7 +129,7 @@ func TransformSpec() *grammar.Spec {
 }
 
 // intLitOf builds an IntLit expression from a scanned integer token.
-func intLitOf(t grammar.Token) *ast.IntLit {
+func intLitOf(t *grammar.Token) *ast.IntLit {
 	n, _ := strconv.ParseInt(t.Text, 10, 64)
 	lit := &ast.IntLit{Value: n}
 	lit.Loc = t.Span

@@ -11,7 +11,7 @@
 package sem
 
 import (
-	"fmt"
+	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/attr"
@@ -32,10 +32,33 @@ const (
 	ntClause     = "Clause"
 )
 
-// globalEnvVal is the value of the program's globalEnv attribute.
+// Attribute handles: the host's analysis attributes, then the transform
+// extension's two.
+var (
+	aEnv       = attr.Intern("env")
+	aEnvOut    = attr.Intern("envOut")
+	aTyp       = attr.Intern("typ")
+	aTyps      = attr.Intern("typs")
+	aErrs      = attr.Intern("errs")
+	aOwnErrs   = attr.Intern("ownErrs")
+	aRetType   = attr.Intern("retType")
+	aInLoop    = attr.Intern("inLoop")
+	aInIndex   = attr.Intern("inIndex")
+	aGlobalEnv = attr.Intern("globalEnv")
+	aArgInfo   = attr.Intern("argInfo")
+
+	aLoopIds = attr.Intern("loopIds")
+	aIdsOut  = attr.Intern("idsOut")
+)
+
+// globalEnvVal is the value of the program's globalEnv attribute: the
+// top-level scope, the signatures and global types Info publishes, and
+// the declaration errors.
 type globalEnvVal struct {
-	scope *Scope
-	errs  errlist
+	scope   *Scope
+	funcs   map[string]*FuncSig
+	globals map[string]*types.Type
+	errs    errlist
 }
 
 // idxInfo is the value of the argInfo attribute on index arguments.
@@ -132,10 +155,9 @@ func typesStr(ts []*types.Type) string {
 
 // --- helper accessors used inside equations ---
 
-func env(t *attr.Tree) *Scope           { return t.Inh("env").(*Scope) }
-func typOf(t *attr.Tree) *types.Type    { return t.Syn("typ").(*types.Type) }
-func typsOf(t *attr.Tree) []*types.Type { return t.Syn("typs").([]*types.Type) }
-func errsOf(t *attr.Tree) errlist       { return t.Syn("errs").(errlist) }
+func env(t *attr.Tree) *Scope           { return t.Inh(aEnv).(*Scope) }
+func typOf(t *attr.Tree) *types.Type    { return t.Syn(aTyp).(*types.Type) }
+func typsOf(t *attr.Tree) []*types.Type { return t.Syn(aTyps).([]*types.Type) }
 
 func resolveType(te ast.TypeExpr, at ast.Node) (*types.Type, errlist) {
 	ty, err := types.FromAST(te)
@@ -145,49 +167,62 @@ func resolveType(te ast.TypeExpr, at ast.Node) (*types.Type, errlist) {
 	return ty, nil
 }
 
-// HostAG builds the host-language semantic specification. The info
-// receives inferred types and signatures as attributes are evaluated;
-// builtins is the library table (host builtins plus any extension
-// contributions).
-func HostAG(info *Info, builtins map[string]builtinFn) *attr.AGSpec {
-	s := &attr.AGSpec{Name: ""}
+// specBuilder accumulates one AGSpec; everything it declares carries
+// the spec's owner tag.
+type specBuilder struct{ *attr.AGSpec }
 
-	for _, nt := range []string{ntProgram, ntDecl, ntStmt, ntExpr, ntExprList, ntIdxArgList, ntIdxArg} {
-		s.NTs = append(s.NTs, attr.NTDecl{Name: nt})
-	}
-	s.Attrs = []attr.AttrDecl{
-		{Name: "env", Kind: attr.Inherited},
-		{Name: "envOut", Kind: attr.Synthesized},
-		{Name: "typ", Kind: attr.Synthesized},
-		{Name: "typs", Kind: attr.Synthesized},
-		{Name: "errs", Kind: attr.Synthesized},
-		{Name: "ownErrs", Kind: attr.Synthesized},
-		{Name: "retType", Kind: attr.Inherited},
-		{Name: "inLoop", Kind: attr.Inherited},
-		{Name: "inIndex", Kind: attr.Inherited},
-		{Name: "globalEnv", Kind: attr.Synthesized},
-		{Name: "argInfo", Kind: attr.Synthesized},
-	}
-	occ := func(a string, nts ...string) {
-		for _, nt := range nts {
-			s.Occurs = append(s.Occurs, attr.Occurs{Attr: a, NT: nt})
-		}
-	}
-	occ("env", ntDecl, ntStmt, ntExpr, ntExprList, ntIdxArgList, ntIdxArg)
-	occ("envOut", ntStmt)
-	occ("typ", ntExpr)
-	occ("typs", ntExprList)
-	occ("errs", ntProgram, ntDecl, ntStmt, ntExpr, ntExprList, ntIdxArgList, ntIdxArg)
-	occ("ownErrs", ntProgram, ntDecl, ntStmt, ntExpr, ntExprList, ntIdxArgList, ntIdxArg)
-	occ("retType", ntStmt)
-	occ("inLoop", ntStmt)
-	occ("inIndex", ntExpr, ntExprList)
-	occ("globalEnv", ntProgram)
-	occ("argInfo", ntIdxArg)
+func newSpec(owner string) specBuilder { return specBuilder{&attr.AGSpec{Name: owner}} }
 
-	p := func(name, lhs string, variadic bool, kids ...string) {
-		s.Prods = append(s.Prods, attr.ProdDecl{Name: name, LHS: lhs, ChildNTs: kids, Variadic: variadic})
+func (b specBuilder) nts(names ...string) {
+	for _, n := range names {
+		b.NTs = append(b.NTs, attr.NTDecl{Name: n, Owner: b.Name})
 	}
+}
+
+func (b specBuilder) attrs(kind attr.AttrKind, as ...attr.Attr) {
+	for _, a := range as {
+		b.Attrs = append(b.Attrs, attr.AttrDecl{Name: a.String(), Kind: kind, Owner: b.Name})
+	}
+}
+
+func (b specBuilder) occ(a attr.Attr, nts ...string) {
+	for _, nt := range nts {
+		b.Occurs = append(b.Occurs, attr.Occurs{Attr: a.String(), NT: nt, Owner: b.Name})
+	}
+}
+
+func (b specBuilder) prod(name, lhs string, variadic bool, kids ...string) {
+	b.Prods = append(b.Prods, attr.ProdDecl{Name: name, LHS: lhs, ChildNTs: kids, Variadic: variadic, Owner: b.Name})
+}
+
+func (b specBuilder) syn(prod string, a attr.Attr, f func(t *attr.Tree) any) {
+	b.SynEqs = append(b.SynEqs, attr.SynEq{Prod: prod, Attr: a.String(), Owner: b.Name, F: f})
+}
+
+func (b specBuilder) inh(prod string, child int, a attr.Attr, f func(p *attr.Tree, c int) any) {
+	b.InhEqs = append(b.InhEqs, attr.InhEq{Prod: prod, Child: child, Attr: a.String(), Owner: b.Name, F: f})
+}
+
+// HostAG builds the host-language semantic specification; builtins is
+// the library table (host builtins plus any extension contributions).
+func HostAG(builtins map[string]builtinFn) *attr.AGSpec {
+	s := newSpec("")
+	s.nts(ntProgram, ntDecl, ntStmt, ntExpr, ntExprList, ntIdxArgList, ntIdxArg)
+	s.attrs(attr.Inherited, aEnv, aRetType, aInLoop, aInIndex)
+	s.attrs(attr.Synthesized, aEnvOut, aTyp, aTyps, aErrs, aOwnErrs, aGlobalEnv, aArgInfo)
+	occ, p, syn, inh := s.occ, s.prod, s.syn, s.inh
+	occ(aEnv, ntDecl, ntStmt, ntExpr, ntExprList, ntIdxArgList, ntIdxArg)
+	occ(aEnvOut, ntStmt)
+	occ(aTyp, ntExpr)
+	occ(aTyps, ntExprList)
+	occ(aErrs, ntProgram, ntDecl, ntStmt, ntExpr, ntExprList, ntIdxArgList, ntIdxArg)
+	occ(aOwnErrs, ntProgram, ntDecl, ntStmt, ntExpr, ntExprList, ntIdxArgList, ntIdxArg)
+	occ(aRetType, ntStmt)
+	occ(aInLoop, ntStmt)
+	occ(aInIndex, ntExpr, ntExprList)
+	occ(aGlobalEnv, ntProgram)
+	occ(aArgInfo, ntIdxArg)
+
 	p("program", ntProgram, true, ntDecl)
 	p("funcDecl", ntDecl, false, ntStmt)
 	p("globalVar", ntDecl, false)
@@ -225,38 +260,26 @@ func HostAG(info *Info, builtins map[string]builtinFn) *attr.AGSpec {
 	p("idxRange", ntIdxArg, false, ntExpr, ntExpr)
 	p("idxAll", ntIdxArg, false)
 
-	syn := func(prod, attrName string, f func(t *attr.Tree) any) {
-		s.SynEqs = append(s.SynEqs, attr.SynEq{Prod: prod, Attr: attrName, F: f})
+	inhCopy := func(prod string, child int, a attr.Attr) {
+		inh(prod, child, a, func(p *attr.Tree, c int) any { return p.Inh(a) })
 	}
-	inh := func(prod string, child int, attrName string, f func(p *attr.Tree, c int) any) {
-		s.InhEqs = append(s.InhEqs, attr.InhEq{Prod: prod, Child: child, Attr: attrName, F: f})
+	inhConst := func(prod string, child int, a attr.Attr, v any) {
+		inh(prod, child, a, func(p *attr.Tree, c int) any { return v })
 	}
-	inhCopy := func(prod string, child int, attrName string) {
-		inh(prod, child, attrName, func(p *attr.Tree, c int) any { return p.Inh(attrName) })
-	}
-	inhConst := func(prod string, child int, attrName string, v any) {
-		inh(prod, child, attrName, func(p *attr.Tree, c int) any { return v })
-	}
-	// typ equation wrapper: records the inferred type in info.Types.
 	typEq := func(prod string, f func(t *attr.Tree) *types.Type) {
-		syn(prod, "typ", func(t *attr.Tree) any {
-			ty := f(t)
-			if e, ok := t.Value.(ast.Expr); ok {
-				info.Types[e] = ty
-			}
-			return ty
-		})
+		syn(prod, aTyp, func(t *attr.Tree) any { return f(t) })
 	}
 	noErrs := func(prods ...string) {
 		for _, pr := range prods {
-			syn(pr, "ownErrs", func(t *attr.Tree) any { return errlist(nil) })
+			syn(pr, aOwnErrs, func(t *attr.Tree) any { return errlist(nil) })
 		}
 	}
 
 	// --- program ---
-	syn("program", "globalEnv", func(t *attr.Tree) any {
+	syn("program", aGlobalEnv, func(t *attr.Tree) any {
 		var errs errlist
 		sc := (*Scope)(nil).Push()
+		funcs, globals := map[string]*FuncSig{}, map[string]*types.Type{}
 		seen := map[string]bool{}
 		for i := 0; i < t.NumChildren(); i++ {
 			switch d := t.Child(i).Value.(type) {
@@ -276,7 +299,7 @@ func HostAG(info *Info, builtins map[string]builtinFn) *attr.AGSpec {
 				seen[d.Name] = true
 				ft := types.FuncOf(ret, params...)
 				sc = sc.Bind(d.Name, ft, d)
-				info.Funcs[d.Name] = &FuncSig{Name: d.Name, Type: ft, Decl: d}
+				funcs[d.Name] = &FuncSig{Name: d.Name, Type: ft, Decl: d}
 			case *ast.GlobalVarDecl:
 				ty, e := resolveType(d.Type, d)
 				errs = append(errs, e...)
@@ -290,21 +313,21 @@ func HostAG(info *Info, builtins map[string]builtinFn) *attr.AGSpec {
 				}
 				seen[d.Name] = true
 				sc = sc.Bind(d.Name, ty, d)
-				info.GlobalTypes[d.Name] = ty
+				globals[d.Name] = ty
 			}
 		}
-		return globalEnvVal{scope: sc, errs: errs}
+		return globalEnvVal{scope: sc, funcs: funcs, globals: globals, errs: errs}
 	})
-	syn("program", "ownErrs", func(t *attr.Tree) any {
-		return t.Syn("globalEnv").(globalEnvVal).errs
+	syn("program", aOwnErrs, func(t *attr.Tree) any {
+		return t.Syn(aGlobalEnv).(globalEnvVal).errs
 	})
-	inh("program", -1, "env", func(p *attr.Tree, c int) any {
-		return p.Syn("globalEnv").(globalEnvVal).scope
+	inh("program", -1, aEnv, func(p *attr.Tree, c int) any {
+		return p.Syn(aGlobalEnv).(globalEnvVal).scope
 	})
 
 	// --- declarations ---
-	syn("funcDecl", "ownErrs", func(t *attr.Tree) any { return errlist(nil) })
-	inh("funcDecl", 0, "env", func(p *attr.Tree, c int) any {
+	syn("funcDecl", aOwnErrs, func(t *attr.Tree) any { return errlist(nil) })
+	inh("funcDecl", 0, aEnv, func(p *attr.Tree, c int) any {
 		d := p.Value.(*ast.FuncDecl)
 		sc := env(p).Push()
 		seen := map[string]bool{}
@@ -318,15 +341,15 @@ func HostAG(info *Info, builtins map[string]builtinFn) *attr.AGSpec {
 		}
 		return sc
 	})
-	inh("funcDecl", 0, "retType", func(p *attr.Tree, c int) any {
+	inh("funcDecl", 0, aRetType, func(p *attr.Tree, c int) any {
 		d := p.Value.(*ast.FuncDecl)
 		ret, _ := resolveType(d.Ret, d)
 		return ret
 	})
-	inhConst("funcDecl", 0, "inLoop", false)
+	inhConst("funcDecl", 0, aInLoop, false)
 
 	noErrs("globalVar")
-	syn("globalVarInit", "ownErrs", func(t *attr.Tree) any {
+	syn("globalVarInit", aOwnErrs, func(t *attr.Tree) any {
 		d := t.Value.(*ast.GlobalVarDecl)
 		ty, _ := resolveType(d.Type, d)
 		it := typOf(t.Child(0))
@@ -335,20 +358,20 @@ func HostAG(info *Info, builtins map[string]builtinFn) *attr.AGSpec {
 		}
 		return errlist(nil)
 	})
-	inhCopy("globalVarInit", 0, "env")
-	inhConst("globalVarInit", 0, "inIndex", false)
+	inhCopy("globalVarInit", 0, aEnv)
+	inhConst("globalVarInit", 0, aInIndex, false)
 
 	// --- statements ---
 	noErrs("block", "emptyStmt", "exprStmt")
-	syn("block", "envOut", func(t *attr.Tree) any { return t.Inh("env") })
-	inh("block", -1, "env", func(p *attr.Tree, c int) any {
+	syn("block", aEnvOut, func(t *attr.Tree) any { return t.Inh(aEnv) })
+	inh("block", -1, aEnv, func(p *attr.Tree, c int) any {
 		if c == 0 {
 			return env(p).Push()
 		}
-		return p.Child(c - 1).Syn("envOut")
+		return p.Child(c - 1).Syn(aEnvOut)
 	})
-	inhCopy("block", -1, "retType")
-	inhCopy("block", -1, "inLoop")
+	inhCopy("block", -1, aRetType)
+	inhCopy("block", -1, aInLoop)
 
 	declCheck := func(t *attr.Tree) (string, *types.Type, errlist) {
 		d := t.Value.(*ast.DeclStmt)
@@ -362,15 +385,15 @@ func HostAG(info *Info, builtins map[string]builtinFn) *attr.AGSpec {
 		}
 		return d.Name, ty, errs
 	}
-	syn("declStmt", "ownErrs", func(t *attr.Tree) any {
+	syn("declStmt", aOwnErrs, func(t *attr.Tree) any {
 		_, _, errs := declCheck(t)
 		return errs
 	})
-	syn("declStmt", "envOut", func(t *attr.Tree) any {
+	syn("declStmt", aEnvOut, func(t *attr.Tree) any {
 		name, ty, _ := declCheck(t)
 		return env(t).Bind(name, ty, t.Value.(ast.Node))
 	})
-	syn("declStmtInit", "ownErrs", func(t *attr.Tree) any {
+	syn("declStmtInit", aOwnErrs, func(t *attr.Tree) any {
 		d := t.Value.(*ast.DeclStmt)
 		_, ty, errs := declCheck(t)
 		it := typOf(t.Child(0))
@@ -379,14 +402,14 @@ func HostAG(info *Info, builtins map[string]builtinFn) *attr.AGSpec {
 		}
 		return errs
 	})
-	syn("declStmtInit", "envOut", func(t *attr.Tree) any {
+	syn("declStmtInit", aEnvOut, func(t *attr.Tree) any {
 		name, ty, _ := declCheck(t)
 		return env(t).Bind(name, ty, t.Value.(ast.Node))
 	})
-	inhCopy("declStmtInit", 0, "env")
-	inhConst("declStmtInit", 0, "inIndex", false)
+	inhCopy("declStmtInit", 0, aEnv)
+	inhConst("declStmtInit", 0, aInIndex, false)
 
-	syn("assign", "ownErrs", func(t *attr.Tree) any {
+	syn("assign", aOwnErrs, func(t *attr.Tree) any {
 		a := t.Value.(*ast.AssignStmt)
 		var errs errlist
 		lhsTypes := typsOf(t.Child(0))
@@ -424,10 +447,10 @@ func HostAG(info *Info, builtins map[string]builtinFn) *attr.AGSpec {
 		}
 		return errs
 	})
-	syn("assign", "envOut", func(t *attr.Tree) any { return t.Inh("env") })
-	inhCopy("assign", -1, "env")
-	inhConst("assign", 0, "inIndex", false)
-	inhConst("assign", 1, "inIndex", false)
+	syn("assign", aEnvOut, func(t *attr.Tree) any { return t.Inh(aEnv) })
+	inhCopy("assign", -1, aEnv)
+	inhConst("assign", 0, aInIndex, false)
+	inhConst("assign", 1, aInIndex, false)
 
 	condCheck := func(name string) func(t *attr.Tree) any {
 		return func(t *attr.Tree) any {
@@ -438,53 +461,53 @@ func HostAG(info *Info, builtins map[string]builtinFn) *attr.AGSpec {
 			return errlist(nil)
 		}
 	}
-	syn("ifStmt", "ownErrs", condCheck("if"))
-	syn("ifStmt", "envOut", func(t *attr.Tree) any { return t.Inh("env") })
-	inhCopy("ifStmt", -1, "env")
-	inhConst("ifStmt", 0, "inIndex", false)
-	inhCopy("ifStmt", 1, "retType")
-	inhCopy("ifStmt", 1, "inLoop")
+	syn("ifStmt", aOwnErrs, condCheck("if"))
+	syn("ifStmt", aEnvOut, func(t *attr.Tree) any { return t.Inh(aEnv) })
+	inhCopy("ifStmt", -1, aEnv)
+	inhConst("ifStmt", 0, aInIndex, false)
+	inhCopy("ifStmt", 1, aRetType)
+	inhCopy("ifStmt", 1, aInLoop)
 
-	syn("ifElseStmt", "ownErrs", condCheck("if"))
-	syn("ifElseStmt", "envOut", func(t *attr.Tree) any { return t.Inh("env") })
-	inhCopy("ifElseStmt", -1, "env")
-	inhConst("ifElseStmt", 0, "inIndex", false)
-	inhCopy("ifElseStmt", 1, "retType")
-	inhCopy("ifElseStmt", 1, "inLoop")
-	inhCopy("ifElseStmt", 2, "retType")
-	inhCopy("ifElseStmt", 2, "inLoop")
+	syn("ifElseStmt", aOwnErrs, condCheck("if"))
+	syn("ifElseStmt", aEnvOut, func(t *attr.Tree) any { return t.Inh(aEnv) })
+	inhCopy("ifElseStmt", -1, aEnv)
+	inhConst("ifElseStmt", 0, aInIndex, false)
+	inhCopy("ifElseStmt", 1, aRetType)
+	inhCopy("ifElseStmt", 1, aInLoop)
+	inhCopy("ifElseStmt", 2, aRetType)
+	inhCopy("ifElseStmt", 2, aInLoop)
 
-	syn("whileStmt", "ownErrs", condCheck("while"))
-	syn("whileStmt", "envOut", func(t *attr.Tree) any { return t.Inh("env") })
-	inhCopy("whileStmt", -1, "env")
-	inhConst("whileStmt", 0, "inIndex", false)
-	inhCopy("whileStmt", 1, "retType")
-	inhConst("whileStmt", 1, "inLoop", true)
+	syn("whileStmt", aOwnErrs, condCheck("while"))
+	syn("whileStmt", aEnvOut, func(t *attr.Tree) any { return t.Inh(aEnv) })
+	inhCopy("whileStmt", -1, aEnv)
+	inhConst("whileStmt", 0, aInIndex, false)
+	inhCopy("whileStmt", 1, aRetType)
+	inhConst("whileStmt", 1, aInLoop, true)
 
-	syn("forStmt", "ownErrs", func(t *attr.Tree) any {
+	syn("forStmt", aOwnErrs, func(t *attr.Tree) any {
 		ct := typOf(t.Child(1))
 		if ct.Kind != types.Bool && ct.Kind != types.Invalid {
 			return errlist{errf(t.Value.(ast.Node), "for condition must be bool, got %s", ct)}
 		}
 		return errlist(nil)
 	})
-	syn("forStmt", "envOut", func(t *attr.Tree) any { return t.Inh("env") })
-	inh("forStmt", 0, "env", func(p *attr.Tree, c int) any { return env(p).Push() })
-	inh("forStmt", 1, "env", func(p *attr.Tree, c int) any { return p.Child(0).Syn("envOut") })
-	inh("forStmt", 2, "env", func(p *attr.Tree, c int) any { return p.Child(0).Syn("envOut") })
-	inh("forStmt", 3, "env", func(p *attr.Tree, c int) any { return p.Child(0).Syn("envOut") })
-	inhConst("forStmt", 1, "inIndex", false)
-	inhCopy("forStmt", 0, "retType")
-	inhCopy("forStmt", 2, "retType")
-	inhCopy("forStmt", 3, "retType")
-	inhConst("forStmt", 0, "inLoop", false)
-	inhConst("forStmt", 2, "inLoop", true)
-	inhConst("forStmt", 3, "inLoop", true)
+	syn("forStmt", aEnvOut, func(t *attr.Tree) any { return t.Inh(aEnv) })
+	inh("forStmt", 0, aEnv, func(p *attr.Tree, c int) any { return env(p).Push() })
+	inh("forStmt", 1, aEnv, func(p *attr.Tree, c int) any { return p.Child(0).Syn(aEnvOut) })
+	inh("forStmt", 2, aEnv, func(p *attr.Tree, c int) any { return p.Child(0).Syn(aEnvOut) })
+	inh("forStmt", 3, aEnv, func(p *attr.Tree, c int) any { return p.Child(0).Syn(aEnvOut) })
+	inhConst("forStmt", 1, aInIndex, false)
+	inhCopy("forStmt", 0, aRetType)
+	inhCopy("forStmt", 2, aRetType)
+	inhCopy("forStmt", 3, aRetType)
+	inhConst("forStmt", 0, aInLoop, false)
+	inhConst("forStmt", 2, aInLoop, true)
+	inhConst("forStmt", 3, aInLoop, true)
 
-	syn("emptyStmt", "envOut", func(t *attr.Tree) any { return t.Inh("env") })
+	syn("emptyStmt", aEnvOut, func(t *attr.Tree) any { return t.Inh(aEnv) })
 
-	syn("returnStmt", "ownErrs", func(t *attr.Tree) any {
-		ret := t.Inh("retType").(*types.Type)
+	syn("returnStmt", aOwnErrs, func(t *attr.Tree) any {
+		ret := t.Inh(aRetType).(*types.Type)
 		vt := typOf(t.Child(0))
 		if ret.Kind == types.Void {
 			return errlist{errf(t.Value.(ast.Node), "void function cannot return a value")}
@@ -494,35 +517,35 @@ func HostAG(info *Info, builtins map[string]builtinFn) *attr.AGSpec {
 		}
 		return errlist(nil)
 	})
-	syn("returnStmt", "envOut", func(t *attr.Tree) any { return t.Inh("env") })
-	inhCopy("returnStmt", 0, "env")
-	inhConst("returnStmt", 0, "inIndex", false)
+	syn("returnStmt", aEnvOut, func(t *attr.Tree) any { return t.Inh(aEnv) })
+	inhCopy("returnStmt", 0, aEnv)
+	inhConst("returnStmt", 0, aInIndex, false)
 
-	syn("returnVoid", "ownErrs", func(t *attr.Tree) any {
-		ret := t.Inh("retType").(*types.Type)
+	syn("returnVoid", aOwnErrs, func(t *attr.Tree) any {
+		ret := t.Inh(aRetType).(*types.Type)
 		if ret.Kind != types.Void {
 			return errlist{errf(t.Value.(ast.Node), "missing return value in function returning %s", ret)}
 		}
 		return errlist(nil)
 	})
-	syn("returnVoid", "envOut", func(t *attr.Tree) any { return t.Inh("env") })
+	syn("returnVoid", aEnvOut, func(t *attr.Tree) any { return t.Inh(aEnv) })
 
-	syn("exprStmt", "envOut", func(t *attr.Tree) any { return t.Inh("env") })
-	inhCopy("exprStmt", 0, "env")
-	inhConst("exprStmt", 0, "inIndex", false)
+	syn("exprStmt", aEnvOut, func(t *attr.Tree) any { return t.Inh(aEnv) })
+	inhCopy("exprStmt", 0, aEnv)
+	inhConst("exprStmt", 0, aInIndex, false)
 
 	loopOnly := func(word string) func(t *attr.Tree) any {
 		return func(t *attr.Tree) any {
-			if !t.Inh("inLoop").(bool) {
+			if !t.Inh(aInLoop).(bool) {
 				return errlist{errf(t.Value.(ast.Node), "%s outside a loop", word)}
 			}
 			return errlist(nil)
 		}
 	}
-	syn("breakStmt", "ownErrs", loopOnly("break"))
-	syn("breakStmt", "envOut", func(t *attr.Tree) any { return t.Inh("env") })
-	syn("continueStmt", "ownErrs", loopOnly("continue"))
-	syn("continueStmt", "envOut", func(t *attr.Tree) any { return t.Inh("env") })
+	syn("breakStmt", aOwnErrs, loopOnly("break"))
+	syn("breakStmt", aEnvOut, func(t *attr.Tree) any { return t.Inh(aEnv) })
+	syn("continueStmt", aOwnErrs, loopOnly("continue"))
+	syn("continueStmt", aEnvOut, func(t *attr.Tree) any { return t.Inh(aEnv) })
 
 	// --- expressions ---
 	noErrs("intLit", "floatLit", "boolLit", "strLit", "exprList", "idxArgList", "tupleExpr")
@@ -538,7 +561,7 @@ func HostAG(info *Info, builtins map[string]builtinFn) *attr.AGSpec {
 		}
 		return types.InvalidT
 	})
-	syn("ident", "ownErrs", func(t *attr.Tree) any {
+	syn("ident", aOwnErrs, func(t *attr.Tree) any {
 		id := t.Value.(*ast.Ident)
 		if env(t).Lookup(id.Name) == nil {
 			return errlist{errf(id, "undeclared variable %q", id.Name)}
@@ -551,31 +574,31 @@ func HostAG(info *Info, builtins map[string]builtinFn) *attr.AGSpec {
 		res, _ := types.BinaryResult(e.Op, typOf(t.Child(0)), typOf(t.Child(1)))
 		return res
 	})
-	syn("binary", "ownErrs", func(t *attr.Tree) any {
+	syn("binary", aOwnErrs, func(t *attr.Tree) any {
 		e := t.Value.(*ast.BinaryExpr)
 		if _, err := types.BinaryResult(e.Op, typOf(t.Child(0)), typOf(t.Child(1))); err != nil {
 			return errlist{errf(e, "%v", err)}
 		}
 		return errlist(nil)
 	})
-	inhCopy("binary", -1, "env")
-	inhCopy("binary", 0, "inIndex")
-	inhCopy("binary", 1, "inIndex")
+	inhCopy("binary", -1, aEnv)
+	inhCopy("binary", 0, aInIndex)
+	inhCopy("binary", 1, aInIndex)
 
 	typEq("unary", func(t *attr.Tree) *types.Type {
 		e := t.Value.(*ast.UnaryExpr)
 		res, _ := types.UnaryResult(e.Op, typOf(t.Child(0)))
 		return res
 	})
-	syn("unary", "ownErrs", func(t *attr.Tree) any {
+	syn("unary", aOwnErrs, func(t *attr.Tree) any {
 		e := t.Value.(*ast.UnaryExpr)
 		if _, err := types.UnaryResult(e.Op, typOf(t.Child(0))); err != nil {
 			return errlist{errf(e, "%v", err)}
 		}
 		return errlist(nil)
 	})
-	inhCopy("unary", 0, "env")
-	inhCopy("unary", 0, "inIndex")
+	inhCopy("unary", 0, aEnv)
+	inhCopy("unary", 0, aInIndex)
 
 	callResolve := func(t *attr.Tree) (*types.Type, errlist) {
 		e := t.Value.(*ast.CallExpr)
@@ -602,9 +625,9 @@ func HostAG(info *Info, builtins map[string]builtinFn) *attr.AGSpec {
 		return types.InvalidT, errlist{errf(e, "undeclared function %q", e.Fun)}
 	}
 	typEq("call", func(t *attr.Tree) *types.Type { ty, _ := callResolve(t); return ty })
-	syn("call", "ownErrs", func(t *attr.Tree) any { _, errs := callResolve(t); return errs })
-	inhCopy("call", 0, "env")
-	inhConst("call", 0, "inIndex", false)
+	syn("call", aOwnErrs, func(t *attr.Tree) any { _, errs := callResolve(t); return errs })
+	inhCopy("call", 0, aEnv)
+	inhConst("call", 0, aInIndex, false)
 
 	typEq("cast", func(t *attr.Tree) *types.Type {
 		e := t.Value.(*ast.CastExpr)
@@ -618,7 +641,7 @@ func HostAG(info *Info, builtins map[string]builtinFn) *attr.AGSpec {
 		}
 		return types.InvalidT
 	})
-	syn("cast", "ownErrs", func(t *attr.Tree) any {
+	syn("cast", aOwnErrs, func(t *attr.Tree) any {
 		e := t.Value.(*ast.CastExpr)
 		xt := typOf(t.Child(0))
 		if xt.Kind == types.Invalid {
@@ -632,8 +655,8 @@ func HostAG(info *Info, builtins map[string]builtinFn) *attr.AGSpec {
 		}
 		return errlist(nil)
 	})
-	inhCopy("cast", 0, "env")
-	inhCopy("cast", 0, "inIndex")
+	inhCopy("cast", 0, aEnv)
+	inhCopy("cast", 0, aInIndex)
 
 	indexResolve := func(t *attr.Tree) (*types.Type, errlist) {
 		e := t.Value.(*ast.IndexExpr)
@@ -654,7 +677,7 @@ func HostAG(info *Info, builtins map[string]builtinFn) *attr.AGSpec {
 		}
 		kept := 0
 		for i := 0; i < argsT.NumChildren(); i++ {
-			ai := argsT.Child(i).Syn("argInfo").(idxInfo)
+			ai := argsT.Child(i).Syn(aArgInfo).(idxInfo)
 			switch ai.kind {
 			case idxRangeK, idxAllK, idxMaskK:
 				kept++
@@ -668,21 +691,21 @@ func HostAG(info *Info, builtins map[string]builtinFn) *attr.AGSpec {
 		return types.MatrixOf(base.Elem, kept), nil
 	}
 	typEq("index", func(t *attr.Tree) *types.Type { ty, _ := indexResolve(t); return ty })
-	syn("index", "ownErrs", func(t *attr.Tree) any { _, errs := indexResolve(t); return errs })
-	inhCopy("index", 0, "env")
-	inhConst("index", 0, "inIndex", false)
-	inhCopy("index", 1, "env")
+	syn("index", aOwnErrs, func(t *attr.Tree) any { _, errs := indexResolve(t); return errs })
+	inhCopy("index", 0, aEnv)
+	inhConst("index", 0, aInIndex, false)
+	inhCopy("index", 1, aEnv)
 
 	typEq("endExpr", func(t *attr.Tree) *types.Type { return types.IntT })
-	syn("endExpr", "ownErrs", func(t *attr.Tree) any {
-		if !t.Inh("inIndex").(bool) {
+	syn("endExpr", aOwnErrs, func(t *attr.Tree) any {
+		if !t.Inh(aInIndex).(bool) {
 			return errlist{errf(t.Value.(ast.Node), "'end' is only valid inside matrix index expressions")}
 		}
 		return errlist(nil)
 	})
 
 	typEq("rangeExpr", func(t *attr.Tree) *types.Type { return types.MatrixOf(types.IntT, 1) })
-	syn("rangeExpr", "ownErrs", func(t *attr.Tree) any {
+	syn("rangeExpr", aOwnErrs, func(t *attr.Tree) any {
 		var errs errlist
 		for i := 0; i < 2; i++ {
 			if ty := typOf(t.Child(i)); ty.Kind != types.Int && ty.Kind != types.Invalid {
@@ -691,29 +714,29 @@ func HostAG(info *Info, builtins map[string]builtinFn) *attr.AGSpec {
 		}
 		return errs
 	})
-	inhCopy("rangeExpr", -1, "env")
-	inhCopy("rangeExpr", 0, "inIndex")
-	inhCopy("rangeExpr", 1, "inIndex")
+	inhCopy("rangeExpr", -1, aEnv)
+	inhCopy("rangeExpr", 0, aInIndex)
+	inhCopy("rangeExpr", 1, aInIndex)
 
 	typEq("tupleExpr", func(t *attr.Tree) *types.Type {
 		return types.TupleOf(typsOf(t.Child(0))...)
 	})
-	inhCopy("tupleExpr", 0, "env")
-	inhConst("tupleExpr", 0, "inIndex", false)
+	inhCopy("tupleExpr", 0, aEnv)
+	inhConst("tupleExpr", 0, aInIndex, false)
 
-	syn("exprList", "typs", func(t *attr.Tree) any {
+	syn("exprList", aTyps, func(t *attr.Tree) any {
 		out := make([]*types.Type, t.NumChildren())
 		for i := range out {
 			out[i] = typOf(t.Child(i))
 		}
 		return out
 	})
-	inhCopy("exprList", -1, "env")
-	inh("exprList", -1, "inIndex", func(p *attr.Tree, c int) any { return p.Inh("inIndex") })
+	inhCopy("exprList", -1, aEnv)
+	inh("exprList", -1, aInIndex, func(p *attr.Tree, c int) any { return p.Inh(aInIndex) })
 
-	inhCopy("idxArgList", -1, "env")
+	inhCopy("idxArgList", -1, aEnv)
 
-	syn("idxScalar", "argInfo", func(t *attr.Tree) any {
+	syn("idxScalar", aArgInfo, func(t *attr.Tree) any {
 		ty := typOf(t.Child(0))
 		switch {
 		case ty.Kind == types.Int:
@@ -725,7 +748,7 @@ func HostAG(info *Info, builtins map[string]builtinFn) *attr.AGSpec {
 		}
 		return idxInfo{idxBadK}
 	})
-	syn("idxScalar", "ownErrs", func(t *attr.Tree) any {
+	syn("idxScalar", aOwnErrs, func(t *attr.Tree) any {
 		ty := typOf(t.Child(0))
 		if ty.Kind == types.Int || ty.Kind == types.Invalid {
 			return errlist(nil)
@@ -735,17 +758,17 @@ func HostAG(info *Info, builtins map[string]builtinFn) *attr.AGSpec {
 		}
 		return errlist{errf(t.Value.(ast.Node), "index must be an int or a rank-1 bool matrix (logical index), got %s", ty)}
 	})
-	inhCopy("idxScalar", 0, "env")
-	inhConst("idxScalar", 0, "inIndex", true)
+	inhCopy("idxScalar", 0, aEnv)
+	inhConst("idxScalar", 0, aInIndex, true)
 
-	syn("idxRange", "argInfo", func(t *attr.Tree) any {
+	syn("idxRange", aArgInfo, func(t *attr.Tree) any {
 		lo, hi := typOf(t.Child(0)), typOf(t.Child(1))
 		if (lo.Kind == types.Int || lo.Kind == types.Invalid) && (hi.Kind == types.Int || hi.Kind == types.Invalid) {
 			return idxInfo{idxRangeK}
 		}
 		return idxInfo{idxBadK}
 	})
-	syn("idxRange", "ownErrs", func(t *attr.Tree) any {
+	syn("idxRange", aOwnErrs, func(t *attr.Tree) any {
 		var errs errlist
 		for i := 0; i < 2; i++ {
 			if ty := typOf(t.Child(i)); ty.Kind != types.Int && ty.Kind != types.Invalid {
@@ -754,50 +777,37 @@ func HostAG(info *Info, builtins map[string]builtinFn) *attr.AGSpec {
 		}
 		return errs
 	})
-	inhCopy("idxRange", -1, "env")
-	inhConst("idxRange", 0, "inIndex", true)
-	inhConst("idxRange", 1, "inIndex", true)
+	inhCopy("idxRange", -1, aEnv)
+	inhConst("idxRange", 0, aInIndex, true)
+	inhConst("idxRange", 1, aInIndex, true)
 
-	syn("idxAll", "argInfo", func(t *attr.Tree) any { return idxInfo{idxAllK} })
+	syn("idxAll", aArgInfo, func(t *attr.Tree) any { return idxInfo{idxAllK} })
 	noErrs("idxAll")
 
-	addErrsProjections(s, info)
-	return s
+	s.addErrsProjections()
+	return s.AGSpec
 }
 
 // addErrsProjections generates, for every production in the spec, the
-// "errs" equation: own errors plus the concatenation of all children's
-// errors. For expression-valued productions it also forces "typ" so
-// that Info.Types is fully populated.
-func addErrsProjections(s *attr.AGSpec, info *Info) {
-	hasTyp := func(lhs string) bool { return lhs == ntExpr || lhs == ntWithOp }
-	for _, p := range s.Prods {
-		prod := p
-		s.SynEqs = append(s.SynEqs, attr.SynEq{Prod: prod.Name, Attr: "errs", Owner: s.Name,
-			F: func(t *attr.Tree) any {
-				if hasTyp(prod.LHS) {
-					t.Syn("typ")
-				}
-				out := append(errlist(nil), t.Syn("ownErrs").(errlist)...)
-				for i := 0; i < t.NumChildren(); i++ {
-					out = append(out, t.Child(i).Syn("errs").(errlist)...)
-				}
-				return out
-			}})
+// aErrs equation: own errors plus the concatenation of all children's
+// errors. On nonterminals that carry aTyp it demands that first, so a
+// tree whose root aErrs is evaluated has a type on every such node —
+// what Check reads Info.Types from.
+func (b specBuilder) addErrsProjections() {
+	for _, p := range b.Prods {
+		hasTyp := p.LHS == ntExpr || p.LHS == ntWithOp
+		b.syn(p.Name, aErrs, func(t *attr.Tree) any {
+			if hasTyp {
+				t.Syn(aTyp)
+			}
+			out := append(errlist(nil), t.Syn(aOwnErrs).(errlist)...)
+			for i := 0; i < t.NumChildren(); i++ {
+				out = append(out, t.Child(i).Syn(aErrs).(errlist)...)
+			}
+			return out
+		})
 	}
-	_ = info
 }
 
 // fmtNames joins names for error messages.
-func fmtNames(names []string) string {
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += ", "
-		}
-		out += n
-	}
-	return out
-}
-
-var _ = fmt.Sprintf
+func fmtNames(names []string) string { return strings.Join(names, ", ") }

@@ -11,18 +11,20 @@ import (
 	"repro/internal/attr"
 )
 
-// BuildTree converts a parsed program into a decorated tree for g.
-func BuildTree(g *attr.Grammar, prog *ast.Program) *attr.Tree {
+// BuildTree converts a parsed program into a decorated tree for g, and
+// counts the expression nodes it made.
+func BuildTree(g *attr.Grammar, prog *ast.Program) (root *attr.Tree, exprs int) {
 	b := &treeBuilder{g: g}
 	kids := make([]*attr.Tree, len(prog.Decls))
 	for i, d := range prog.Decls {
 		kids[i] = b.decl(d)
 	}
-	return g.MustTree("program", prog, kids...)
+	return g.MustTree("program", prog, kids...), b.exprs
 }
 
 type treeBuilder struct {
-	g *attr.Grammar
+	g     *attr.Grammar
+	exprs int
 }
 
 func (b *treeBuilder) decl(d ast.Decl) *attr.Tree {
@@ -92,6 +94,7 @@ func (b *treeBuilder) exprList(es []ast.Expr) *attr.Tree {
 }
 
 func (b *treeBuilder) expr(e ast.Expr) *attr.Tree {
+	b.exprs++
 	switch e := e.(type) {
 	case *ast.IntLit:
 		return b.g.MustTree("intLit", e)

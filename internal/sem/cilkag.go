@@ -17,24 +17,13 @@ import (
 const OwnerCilkSem = "cilk"
 
 // CilkAG builds the Cilk extension's semantic specification.
-func CilkAG(info *Info) *attr.AGSpec {
-	s := &attr.AGSpec{Name: OwnerCilkSem}
-	p := func(name string, kids ...string) {
-		s.Prods = append(s.Prods, attr.ProdDecl{Name: name, LHS: ntStmt,
-			ChildNTs: kids, Owner: OwnerCilkSem})
-	}
-	p("spawnStmt", ntExpr)
-	p("syncStmt")
+func CilkAG() *attr.AGSpec {
+	s := newSpec(OwnerCilkSem)
+	syn, inh := s.syn, s.inh
+	s.prod("spawnStmt", ntStmt, false, ntExpr)
+	s.prod("syncStmt", ntStmt, false)
 
-	syn := func(prod, attrName string, f func(t *attr.Tree) any) {
-		s.SynEqs = append(s.SynEqs, attr.SynEq{Prod: prod, Attr: attrName, Owner: OwnerCilkSem, F: f})
-	}
-	inh := func(prod string, child int, attrName string, f func(p *attr.Tree, c int) any) {
-		s.InhEqs = append(s.InhEqs, attr.InhEq{Prod: prod, Child: child, Attr: attrName,
-			Owner: OwnerCilkSem, F: f})
-	}
-
-	syn("spawnStmt", "ownErrs", func(t *attr.Tree) any {
+	syn("spawnStmt", aOwnErrs, func(t *attr.Tree) any {
 		sp := t.Value.(*ast.SpawnStmt)
 		var errs errlist
 		call, isCall := sp.Call.(*ast.CallExpr)
@@ -67,13 +56,13 @@ func CilkAG(info *Info) *attr.AGSpec {
 		}
 		return errs
 	})
-	syn("spawnStmt", "envOut", func(t *attr.Tree) any { return t.Inh("env") })
-	inh("spawnStmt", 0, "env", func(p *attr.Tree, c int) any { return p.Inh("env") })
-	inh("spawnStmt", 0, "inIndex", func(p *attr.Tree, c int) any { return false })
+	syn("spawnStmt", aEnvOut, func(t *attr.Tree) any { return t.Inh(aEnv) })
+	inh("spawnStmt", 0, aEnv, func(p *attr.Tree, c int) any { return p.Inh(aEnv) })
+	inh("spawnStmt", 0, aInIndex, func(p *attr.Tree, c int) any { return false })
 
-	syn("syncStmt", "ownErrs", func(t *attr.Tree) any { return errlist(nil) })
-	syn("syncStmt", "envOut", func(t *attr.Tree) any { return t.Inh("env") })
+	syn("syncStmt", aOwnErrs, func(t *attr.Tree) any { return errlist(nil) })
+	syn("syncStmt", aEnvOut, func(t *attr.Tree) any { return t.Inh(aEnv) })
 
-	addErrsProjections(s, info)
-	return s
+	s.addErrsProjections()
+	return s.AGSpec
 }

@@ -19,26 +19,15 @@ const (
 )
 
 // MatrixAG builds the matrix extension's semantic specification.
-func MatrixAG(info *Info) *attr.AGSpec {
-	s := &attr.AGSpec{Name: OwnerMatrixSem}
-	s.NTs = []attr.NTDecl{
-		{Name: ntWithOp, Owner: OwnerMatrixSem},
-		{Name: ntWithSuffix, Owner: OwnerMatrixSem},
-	}
-	occ := func(a string, nts ...string) {
-		for _, nt := range nts {
-			s.Occurs = append(s.Occurs, attr.Occurs{Attr: a, NT: nt, Owner: OwnerMatrixSem})
-		}
-	}
-	occ("errs", ntWithOp, ntWithSuffix)
-	occ("ownErrs", ntWithOp, ntWithSuffix)
-	occ("typ", ntWithOp)
-	occ("env", ntWithOp)
+func MatrixAG() *attr.AGSpec {
+	s := newSpec(OwnerMatrixSem)
+	s.nts(ntWithOp, ntWithSuffix)
+	occ, p, syn, inh := s.occ, s.prod, s.syn, s.inh
+	occ(aErrs, ntWithOp, ntWithSuffix)
+	occ(aOwnErrs, ntWithOp, ntWithSuffix)
+	occ(aTyp, ntWithOp)
+	occ(aEnv, ntWithOp)
 
-	p := func(name, lhs string, variadic bool, kids ...string) {
-		s.Prods = append(s.Prods, attr.ProdDecl{Name: name, LHS: lhs, ChildNTs: kids,
-			Variadic: variadic, Owner: OwnerMatrixSem})
-	}
 	p("withLoop", ntExpr, false, ntExprList, ntExprList, ntWithOp, ntWithSuffix)
 	p("genarrayOp", ntWithOp, false, ntExprList, ntExpr)
 	p("foldOp", ntWithOp, false, ntExpr, ntExpr)
@@ -46,21 +35,9 @@ func MatrixAG(info *Info) *attr.AGSpec {
 	p("initExpr", ntExpr, false, ntExprList)
 	p("emptySuffix", ntWithSuffix, false)
 
-	syn := func(prod, attrName string, f func(t *attr.Tree) any) {
-		s.SynEqs = append(s.SynEqs, attr.SynEq{Prod: prod, Attr: attrName, Owner: OwnerMatrixSem, F: f})
-	}
-	inh := func(prod string, child int, attrName string, f func(p *attr.Tree, c int) any) {
-		s.InhEqs = append(s.InhEqs, attr.InhEq{Prod: prod, Child: child, Attr: attrName,
-			Owner: OwnerMatrixSem, F: f})
-	}
-
 	// --- with-loop (§III-A.4) ---
-	syn("withLoop", "typ", func(t *attr.Tree) any {
-		ty := typOf(t.Child(2))
-		info.Types[t.Value.(ast.Expr)] = ty
-		return ty
-	})
-	syn("withLoop", "ownErrs", func(t *attr.Tree) any {
+	syn("withLoop", aTyp, func(t *attr.Tree) any { return typOf(t.Child(2)) })
+	syn("withLoop", aOwnErrs, func(t *attr.Tree) any {
 		w := t.Value.(*ast.WithLoop)
 		var errs errlist
 		// "The number of expressions in both the upper bound and lower
@@ -98,11 +75,11 @@ func MatrixAG(info *Info) *attr.AGSpec {
 		}
 		return errs
 	})
-	inh("withLoop", 0, "env", func(p *attr.Tree, c int) any { return env(p) })
-	inh("withLoop", 1, "env", func(p *attr.Tree, c int) any { return env(p) })
-	inh("withLoop", 0, "inIndex", func(p *attr.Tree, c int) any { return false })
-	inh("withLoop", 1, "inIndex", func(p *attr.Tree, c int) any { return false })
-	inh("withLoop", 2, "env", func(p *attr.Tree, c int) any {
+	inh("withLoop", 0, aEnv, func(p *attr.Tree, c int) any { return env(p) })
+	inh("withLoop", 1, aEnv, func(p *attr.Tree, c int) any { return env(p) })
+	inh("withLoop", 0, aInIndex, func(p *attr.Tree, c int) any { return false })
+	inh("withLoop", 1, aInIndex, func(p *attr.Tree, c int) any { return false })
+	inh("withLoop", 2, aEnv, func(p *attr.Tree, c int) any {
 		w := p.Value.(*ast.WithLoop)
 		sc := env(p).Push()
 		for _, id := range w.Ids {
@@ -112,7 +89,7 @@ func MatrixAG(info *Info) *attr.AGSpec {
 	})
 
 	// --- genarray ---
-	syn("genarrayOp", "typ", func(t *attr.Tree) any {
+	syn("genarrayOp", aTyp, func(t *attr.Tree) any {
 		op := t.Value.(*ast.GenArrayOp)
 		body := typOf(t.Child(1))
 		if !body.IsScalar() {
@@ -120,7 +97,7 @@ func MatrixAG(info *Info) *attr.AGSpec {
 		}
 		return types.MatrixOf(body, len(op.Shape))
 	})
-	syn("genarrayOp", "ownErrs", func(t *attr.Tree) any {
+	syn("genarrayOp", aOwnErrs, func(t *attr.Tree) any {
 		op := t.Value.(*ast.GenArrayOp)
 		var errs errlist
 		for i, ty := range typsOf(t.Child(0)) {
@@ -138,12 +115,12 @@ func MatrixAG(info *Info) *attr.AGSpec {
 		}
 		return errs
 	})
-	inh("genarrayOp", -1, "env", func(p *attr.Tree, c int) any { return p.Inh("env") })
-	inh("genarrayOp", 0, "inIndex", func(p *attr.Tree, c int) any { return false })
-	inh("genarrayOp", 1, "inIndex", func(p *attr.Tree, c int) any { return false })
+	inh("genarrayOp", -1, aEnv, func(p *attr.Tree, c int) any { return p.Inh(aEnv) })
+	inh("genarrayOp", 0, aInIndex, func(p *attr.Tree, c int) any { return false })
+	inh("genarrayOp", 1, aInIndex, func(p *attr.Tree, c int) any { return false })
 
 	// --- fold ---
-	syn("foldOp", "typ", func(t *attr.Tree) any {
+	syn("foldOp", aTyp, func(t *attr.Tree) any {
 		op := t.Value.(*ast.FoldOp)
 		base, body := typOf(t.Child(0)), typOf(t.Child(1))
 		if base.Kind == types.Invalid || body.Kind == types.Invalid {
@@ -158,7 +135,7 @@ func MatrixAG(info *Info) *attr.AGSpec {
 		}
 		return types.IntT
 	})
-	syn("foldOp", "ownErrs", func(t *attr.Tree) any {
+	syn("foldOp", aOwnErrs, func(t *attr.Tree) any {
 		op := t.Value.(*ast.FoldOp)
 		base, body := typOf(t.Child(0)), typOf(t.Child(1))
 		var errs errlist
@@ -170,9 +147,9 @@ func MatrixAG(info *Info) *attr.AGSpec {
 		}
 		return errs
 	})
-	inh("foldOp", -1, "env", func(p *attr.Tree, c int) any { return p.Inh("env") })
-	inh("foldOp", 0, "inIndex", func(p *attr.Tree, c int) any { return false })
-	inh("foldOp", 1, "inIndex", func(p *attr.Tree, c int) any { return false })
+	inh("foldOp", -1, aEnv, func(p *attr.Tree, c int) any { return p.Inh(aEnv) })
+	inh("foldOp", 0, aInIndex, func(p *attr.Tree, c int) any { return false })
+	inh("foldOp", 1, aInIndex, func(p *attr.Tree, c int) any { return false })
 
 	// --- matrixMap (§III-A.5) ---
 	mmResolve := func(t *attr.Tree) (*types.Type, errlist) {
@@ -234,14 +211,10 @@ func MatrixAG(info *Info) *attr.AGSpec {
 		// getting mapped over" — element type comes from f's result.
 		return types.MatrixOf(ret.Elem, arg.Rank), nil
 	}
-	syn("matrixMap", "typ", func(t *attr.Tree) any {
-		ty, _ := mmResolve(t)
-		info.Types[t.Value.(ast.Expr)] = ty
-		return ty
-	})
-	syn("matrixMap", "ownErrs", func(t *attr.Tree) any { _, errs := mmResolve(t); return errs })
-	inh("matrixMap", 0, "env", func(p *attr.Tree, c int) any { return env(p) })
-	inh("matrixMap", 0, "inIndex", func(p *attr.Tree, c int) any { return false })
+	syn("matrixMap", aTyp, func(t *attr.Tree) any { ty, _ := mmResolve(t); return ty })
+	syn("matrixMap", aOwnErrs, func(t *attr.Tree) any { _, errs := mmResolve(t); return errs })
+	inh("matrixMap", 0, aEnv, func(p *attr.Tree, c int) any { return env(p) })
+	inh("matrixMap", 0, aInIndex, func(p *attr.Tree, c int) any { return false })
 
 	// --- init ---
 	initResolve := func(t *attr.Tree) (*types.Type, errlist) {
@@ -268,75 +241,55 @@ func MatrixAG(info *Info) *attr.AGSpec {
 		}
 		return ty, errs
 	}
-	syn("initExpr", "typ", func(t *attr.Tree) any {
-		ty, _ := initResolve(t)
-		info.Types[t.Value.(ast.Expr)] = ty
-		return ty
-	})
-	syn("initExpr", "ownErrs", func(t *attr.Tree) any { _, errs := initResolve(t); return errs })
-	inh("initExpr", 0, "env", func(p *attr.Tree, c int) any { return env(p) })
-	inh("initExpr", 0, "inIndex", func(p *attr.Tree, c int) any { return false })
+	syn("initExpr", aTyp, func(t *attr.Tree) any { ty, _ := initResolve(t); return ty })
+	syn("initExpr", aOwnErrs, func(t *attr.Tree) any { _, errs := initResolve(t); return errs })
+	inh("initExpr", 0, aEnv, func(p *attr.Tree, c int) any { return env(p) })
+	inh("initExpr", 0, aInIndex, func(p *attr.Tree, c int) any { return false })
 
 	// --- empty transform suffix ---
-	syn("emptySuffix", "ownErrs", func(t *attr.Tree) any { return errlist(nil) })
+	syn("emptySuffix", aOwnErrs, func(t *attr.Tree) any { return errlist(nil) })
 
-	addErrsProjections(s, info)
-	return s
+	s.addErrsProjections()
+	return s.AGSpec
 }
 
 // TransformAG builds the transform extension's semantic specification
 // (§V): clause indices must name loop indices that exist at that point
 // in the clause sequence, split/tile factors must be positive, and
 // split-introduced names must be fresh.
-func TransformAG(info *Info) *attr.AGSpec {
-	s := &attr.AGSpec{Name: OwnerTransformSem}
-	s.NTs = []attr.NTDecl{{Name: ntClause, Owner: OwnerTransformSem}}
-	s.Attrs = []attr.AttrDecl{
-		{Name: "loopIds", Kind: attr.Inherited, Owner: OwnerTransformSem},
-		{Name: "idsOut", Kind: attr.Synthesized, Owner: OwnerTransformSem},
-	}
-	s.Occurs = []attr.Occurs{
-		{Attr: "loopIds", NT: ntWithSuffix, Owner: OwnerTransformSem},
-		{Attr: "loopIds", NT: ntClause, Owner: OwnerTransformSem},
-		{Attr: "idsOut", NT: ntClause, Owner: OwnerTransformSem},
-		{Attr: "errs", NT: ntClause, Owner: OwnerTransformSem},
-		{Attr: "ownErrs", NT: ntClause, Owner: OwnerTransformSem},
-	}
-	p := func(name string, lhs string, variadic bool, kids ...string) {
-		s.Prods = append(s.Prods, attr.ProdDecl{Name: name, LHS: lhs, ChildNTs: kids,
-			Variadic: variadic, Owner: OwnerTransformSem})
-	}
+func TransformAG() *attr.AGSpec {
+	s := newSpec(OwnerTransformSem)
+	s.nts(ntClause)
+	s.attrs(attr.Inherited, aLoopIds)
+	s.attrs(attr.Synthesized, aIdsOut)
+	occ, p, syn, inh := s.occ, s.prod, s.syn, s.inh
+	occ(aLoopIds, ntWithSuffix, ntClause)
+	occ(aIdsOut, ntClause)
+	occ(aErrs, ntClause)
+	occ(aOwnErrs, ntClause)
 	p("transformSuffix", ntWithSuffix, true, ntClause)
 	for _, c := range []string{"splitClause", "vectorizeClause", "parallelizeClause",
 		"reorderClause", "tileClause", "unrollClause"} {
 		p(c, ntClause, false)
 	}
 
-	syn := func(prod, attrName string, f func(t *attr.Tree) any) {
-		s.SynEqs = append(s.SynEqs, attr.SynEq{Prod: prod, Attr: attrName, Owner: OwnerTransformSem, F: f})
-	}
-	inh := func(prod string, child int, attrName string, f func(p *attr.Tree, c int) any) {
-		s.InhEqs = append(s.InhEqs, attr.InhEq{Prod: prod, Child: child, Attr: attrName,
-			Owner: OwnerTransformSem, F: f})
-	}
-
 	// The matrix extension's withLoop production supplies the initial
 	// loop-index set to its WithSuffix child. The transform extension
 	// owns the loopIds attribute, so it provides this equation — the
 	// composition pattern the MWDA's ownership rule permits.
-	inh("withLoop", 3, "loopIds", func(p *attr.Tree, c int) any {
+	inh("withLoop", 3, aLoopIds, func(p *attr.Tree, c int) any {
 		return append([]string(nil), p.Value.(*ast.WithLoop).Ids...)
 	})
 
-	syn("transformSuffix", "ownErrs", func(t *attr.Tree) any { return errlist(nil) })
-	inh("transformSuffix", -1, "loopIds", func(p *attr.Tree, c int) any {
+	syn("transformSuffix", aOwnErrs, func(t *attr.Tree) any { return errlist(nil) })
+	inh("transformSuffix", -1, aLoopIds, func(p *attr.Tree, c int) any {
 		if c == 0 {
-			return p.Inh("loopIds")
+			return p.Inh(aLoopIds)
 		}
-		return p.Child(c - 1).Syn("idsOut")
+		return p.Child(c - 1).Syn(aIdsOut)
 	})
 
-	ids := func(t *attr.Tree) []string { return t.Inh("loopIds").([]string) }
+	ids := func(t *attr.Tree) []string { return t.Inh(aLoopIds).([]string) }
 	has := func(list []string, x string) bool {
 		for _, s := range list {
 			if s == x {
@@ -346,7 +299,7 @@ func TransformAG(info *Info) *attr.AGSpec {
 		return false
 	}
 
-	syn("splitClause", "ownErrs", func(t *attr.Tree) any {
+	syn("splitClause", aOwnErrs, func(t *attr.Tree) any {
 		c := t.Value.(*ast.SplitClause)
 		var errs errlist
 		if !has(ids(t), c.Index) {
@@ -365,7 +318,7 @@ func TransformAG(info *Info) *attr.AGSpec {
 		}
 		return errs
 	})
-	syn("splitClause", "idsOut", func(t *attr.Tree) any {
+	syn("splitClause", aIdsOut, func(t *attr.Tree) any {
 		c := t.Value.(*ast.SplitClause)
 		var out []string
 		for _, id := range ids(t) {
@@ -388,14 +341,14 @@ func TransformAG(info *Info) *attr.AGSpec {
 	}
 	passIds := func(t *attr.Tree) any { return ids(t) }
 
-	syn("vectorizeClause", "ownErrs", indexOnly("vectorize",
+	syn("vectorizeClause", aOwnErrs, indexOnly("vectorize",
 		func(v any) string { return v.(*ast.VectorizeClause).Index }))
-	syn("vectorizeClause", "idsOut", passIds)
-	syn("parallelizeClause", "ownErrs", indexOnly("parallelize",
+	syn("vectorizeClause", aIdsOut, passIds)
+	syn("parallelizeClause", aOwnErrs, indexOnly("parallelize",
 		func(v any) string { return v.(*ast.ParallelizeClause).Index }))
-	syn("parallelizeClause", "idsOut", passIds)
+	syn("parallelizeClause", aIdsOut, passIds)
 
-	syn("reorderClause", "ownErrs", func(t *attr.Tree) any {
+	syn("reorderClause", aOwnErrs, func(t *attr.Tree) any {
 		c := t.Value.(*ast.ReorderClause)
 		var errs errlist
 		for _, idx := range c.Indices {
@@ -405,9 +358,9 @@ func TransformAG(info *Info) *attr.AGSpec {
 		}
 		return errs
 	})
-	syn("reorderClause", "idsOut", passIds)
+	syn("reorderClause", aIdsOut, passIds)
 
-	syn("tileClause", "ownErrs", func(t *attr.Tree) any {
+	syn("tileClause", aOwnErrs, func(t *attr.Tree) any {
 		c := t.Value.(*ast.TileClause)
 		var errs errlist
 		for _, idx := range []string{c.IndexA, c.IndexB} {
@@ -425,14 +378,14 @@ func TransformAG(info *Info) *attr.AGSpec {
 		}
 		return errs
 	})
-	syn("tileClause", "idsOut", func(t *attr.Tree) any {
+	syn("tileClause", aIdsOut, func(t *attr.Tree) any {
 		// tile desugars to split a + split b + reorder (see loopir);
 		// the derived inner/outer names are internal, so later clauses
 		// keep referring to the original indices.
 		return ids(t)
 	})
 
-	syn("unrollClause", "ownErrs", func(t *attr.Tree) any {
+	syn("unrollClause", aOwnErrs, func(t *attr.Tree) any {
 		c := t.Value.(*ast.UnrollClause)
 		errs := indexOnly("unroll", func(v any) string { return v.(*ast.UnrollClause).Index })(t).(errlist)
 		if lit, ok := c.Factor.(*ast.IntLit); !ok || lit.Value < 1 {
@@ -440,8 +393,8 @@ func TransformAG(info *Info) *attr.AGSpec {
 		}
 		return errs
 	})
-	syn("unrollClause", "idsOut", passIds)
+	syn("unrollClause", aIdsOut, passIds)
 
-	addErrsProjections(s, info)
-	return s
+	s.addErrsProjections()
+	return s.AGSpec
 }

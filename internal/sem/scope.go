@@ -6,6 +6,11 @@
 // describes: the host language and each extension contribute attribute
 // equations, and the modular well-definedness analysis validates each
 // extension's spec (see sem_test.go).
+//
+// The equations are pure functions of the tree — they name attributes
+// by interned handle and write nothing outside their result — so the
+// composed grammar is built once per process (Grammar) and shared,
+// lock-free, by every Check; Info is read off the decorated tree.
 package sem
 
 import (
@@ -81,7 +86,8 @@ type FuncSig struct {
 }
 
 // Info is the result of semantic analysis, consumed by the
-// interpreter and the code generator.
+// interpreter and the code generator. Check reads it off the decorated
+// tree; after an internal error its maps are nil (reads still work).
 type Info struct {
 	// Types maps every analyzed expression to its inferred type.
 	Types map[ast.Expr]*types.Type
@@ -89,15 +95,6 @@ type Info struct {
 	Funcs map[string]*FuncSig
 	// GlobalTypes maps global variable names to their types.
 	GlobalTypes map[string]*types.Type
-}
-
-// NewInfo allocates an empty Info.
-func NewInfo() *Info {
-	return &Info{
-		Types:       map[ast.Expr]*types.Type{},
-		Funcs:       map[string]*FuncSig{},
-		GlobalTypes: map[string]*types.Type{},
-	}
 }
 
 // TypeOf returns the recorded type of e (InvalidT if unrecorded).

@@ -358,14 +358,13 @@ func TestTypesRecordedForAllExprs(t *testing.T) {
 // described above pass this analysis.") ---
 
 func TestRealSpecsPassMWDA(t *testing.T) {
-	info := NewInfo()
-	host := HostAG(info, hostBuiltins())
-	if r := attr.CheckWellDefined(host, MatrixAG(info)); !r.Passed {
+	host := HostAG(hostBuiltins())
+	if r := attr.CheckWellDefined(host, MatrixAG()); !r.Passed {
 		t.Errorf("matrix semantic spec must pass MWDA: %s", r)
 	}
 	// The transform extension builds on host ∪ matrix.
-	merged := HostAG(info, hostBuiltins())
-	m := MatrixAG(info)
+	merged := HostAG(hostBuiltins())
+	m := MatrixAG()
 	merged.NTs = append(merged.NTs, m.NTs...)
 	merged.Attrs = append(merged.Attrs, m.Attrs...)
 	merged.Occurs = append(merged.Occurs, m.Occurs...)
@@ -375,18 +374,52 @@ func TestRealSpecsPassMWDA(t *testing.T) {
 	for i := range merged.Prods {
 		merged.Prods[i].Owner = ""
 	}
-	if r := attr.CheckWellDefined(merged, TransformAG(info)); !r.Passed {
+	if r := attr.CheckWellDefined(merged, TransformAG()); !r.Passed {
 		t.Errorf("transform semantic spec must pass MWDA: %s", r)
 	}
 }
 
 func TestComposedSemanticGrammarComplete(t *testing.T) {
-	info := NewInfo()
-	g, err := ComposeAG(info)
+	g, err := Grammar()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if missing := g.CheckComplete(); len(missing) != 0 {
 		t.Errorf("composed semantic grammar incomplete:\n%s", strings.Join(missing, "\n"))
+	}
+}
+
+// A check allocates per tree node: the node, its slot values, the
+// child slice, the occasional boxed attribute value and scope — 3.7 per
+// node on fig1 (64 nodes, 237 allocations; the map-per-node evaluator
+// paid 1099 for the same check, composition included). The bound leaves
+// a third of headroom and is below what one lazily made map per node
+// would add (two allocations: header and first bucket).
+func TestCheckAllocsPerNode(t *testing.T) {
+	prog, _ := mustCheck(t, fig1)
+	g, err := Grammar()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var count func(n *attr.Tree) int
+	count = func(n *attr.Tree) int {
+		total := 1
+		for i := 0; i < n.NumChildren(); i++ {
+			total += count(n.Child(i))
+		}
+		return total
+	}
+	root, _ := BuildTree(g, prog)
+	nodes := count(root)
+	allocs := testing.AllocsPerRun(50, func() {
+		var d source.Diagnostics
+		Check(prog, &d)
+	})
+	perNode := allocs / float64(nodes)
+	t.Logf("%d nodes, %.0f allocations per check, %.2f per node", nodes, allocs, perNode)
+	const bound = 5.0
+	if perNode > bound {
+		t.Errorf("%.2f allocations per attr.Tree node (%d nodes, %.0f allocations), want <= %.1f",
+			perNode, nodes, allocs, bound)
 	}
 }
