@@ -17,10 +17,10 @@ import (
 	"repro/internal/vm"
 )
 
-// chainedSrc runs a three-stage elementwise chain over 64k floats
+// chainedSrc runs a four-stage elementwise chain over 64k floats
 // repeatedly: the fusable shape the paper's §III-A.4 optimization
-// targets. Unfused, every repetition materializes two full
-// intermediates; fused, intermediates live in block-sized scratch.
+// targets. Unfused, every repetition materializes three full
+// intermediates; fused, intermediates live in strip registers.
 const chainedSrc = `
 int main() {
 	Matrix float <1> a = [0 :: 65535] * 1.0;

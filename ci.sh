@@ -9,7 +9,8 @@
 # DFAs lock-free; attribute-grammar evaluator and sem: concurrent checks
 # share one composed grammar, and agree with the parent's evaluator on
 # the whole corpus), a race pass over the with-loop flat engine
-# (vet plans, the strip compiler and evaluator, VM flat execution), the
+# (vet plans, the strip compiler and evaluator, VM flat execution, fused
+# chains on it), the
 # race-enabled fleet chaos suite (cmgate
 # routing under shard kill/restart/hang, and the gate's degraded
 # /healthz twenty times over), the race-enabled tenant
@@ -21,8 +22,9 @@
 # a one-shot benchmark smoke pass (E1 plus the compile-service
 # cold/warm pair), and the bench/ module (its own go.mod, so the root
 # module's build and tests never reach it): vet, tests and two-second
-# smoke runs of the compute and both serve workloads. Run locally before
-# pushing; the GitHub Actions workflow runs this script.
+# smoke runs of all four workloads (compute_serial is the one that runs
+# the strip engine at one thread; a wrong output fails the run). Run
+# locally before pushing; the GitHub Actions workflow runs this script.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -66,8 +68,8 @@ go test -race ./internal/lexer ./internal/grammar ./internal/parser
 go test -race ./internal/attr ./internal/sem
 go test -race -run 'TestSemMatchesParent|TestCheckSharesOneGrammar' -count=1 .
 
-echo "== with-loop flat engine (vet plans, strip compiler + evaluator, VM flat execution, race) =="
-go test -race -run 'TestWithPlan|TestWithFlat|TestCompileWith|TestWithNested|TestWithStrip' ./internal/vet ./internal/matrix ./internal/vm
+echo "== with-loop flat engine (vet plans, strip compiler + evaluator, VM flat execution, fused chains, race) =="
+go test -race -run 'TestWithPlan|TestWithFlat|TestCompileWith|TestWithNested|TestWithStrip|TestChain' ./internal/vet ./internal/matrix ./internal/vm
 
 echo "== chaos suite (flood / drain / disk-cache recovery) =="
 go test -race -run 'TestChaos|TestCrash' ./internal/server
@@ -105,7 +107,7 @@ go test -run='^$' -bench='FrontendCold|SemCheck' -benchtime=1x .
 
 echo "== bench module (vet + tests + smoke run) =="
 (cd bench && go vet ./... && go test ./...)
-for w in compute_parallel serve_warm serve_cold; do
+for w in compute_parallel compute_serial serve_warm serve_cold; do
     bash bench/run.sh -workload "$w" -seconds 2 -trace 0 >/dev/null
 done
 

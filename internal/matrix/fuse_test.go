@@ -1,0 +1,375 @@
+// Chains on the strip engine against the unfused kernels they replace:
+// ChainFlat must be ElementwiseExec/BroadcastExec run one stage at a
+// time — the same cells bit for bit, the same budget, the same
+// allocation-hook calls in the same order, the same error at the same
+// stage — whatever the rank, serial and pooled.
+package matrix
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sync/atomic"
+	"testing"
+)
+
+// chainNode is a test chain's expression tree: a leaf (matrix slot,
+// scalar slot or constant) or a stage.
+type chainNode struct {
+	op     WithOp // a stage's operator; 0 for leaves
+	l, r   *chainNode
+	mat    int // leaf: matrix slot, or -1
+	scalar int // leaf: scalar slot, or -1 for the constant k
+	k      float64
+}
+
+// chainGen writes random legal chains: every stage has a matrix
+// operand, a scalar only ever meets a matrix.
+type chainGen struct {
+	r           *rand.Rand
+	float       bool
+	mats, scals int
+}
+
+func (g *chainGen) leaf(scalarOK bool) *chainNode {
+	if scalarOK && g.r.Intn(3) == 0 {
+		if g.r.Intn(2) == 0 {
+			return &chainNode{mat: -1, scalar: -1, k: float64(g.r.Intn(7) - 3)}
+		}
+		g.scals++
+		return &chainNode{mat: -1, scalar: g.scals - 1}
+	}
+	g.mats++
+	return &chainNode{mat: g.mats - 1, scalar: -1}
+}
+
+func (g *chainGen) stage(depth int) *chainNode {
+	ops := []WithOp{WAddI, WSubI, WMulI}
+	if g.float {
+		ops = []WithOp{WAddF, WSubF, WMulF, WDivF}
+	}
+	n := &chainNode{op: ops[g.r.Intn(len(ops))]}
+	sub := func(scalarOK bool) *chainNode {
+		if depth > 0 && g.r.Intn(2) == 0 {
+			return g.stage(depth - 1)
+		}
+		return g.leaf(scalarOK)
+	}
+	n.l = sub(true)
+	n.r = sub(n.l.op != 0 || n.l.mat >= 0)
+	return n
+}
+
+// plan writes the tree as vet does: post-order, loads at id 0.
+func (n *chainNode) plan(float bool, code []WithInstr) []WithInstr {
+	switch {
+	case n.op != 0:
+		code = n.l.plan(float, code)
+		code = n.r.plan(float, code)
+		return append(code, WithInstr{Op: n.op})
+	case n.mat >= 0:
+		load := WLoadI
+		if float {
+			load = WLoadF
+		}
+		return append(code, WithInstr{Op: WPushID}, WithInstr{Op: load, A: int32(n.mat), B: 1})
+	case n.scalar >= 0 && float:
+		return append(code, WithInstr{Op: WPushScalarF, A: int32(n.scalar)})
+	case n.scalar >= 0:
+		return append(code, WithInstr{Op: WPushScalarI, A: int32(n.scalar)})
+	case float:
+		return append(code, WithInstr{Op: WPushFloat, F: n.k})
+	}
+	return append(code, WithInstr{Op: WPushInt, K: int64(n.k)})
+}
+
+// chainEnv is what a test chain runs against.
+type chainEnv struct {
+	float bool
+	mats  []*Matrix
+	sI    []int64
+	sF    []float64
+}
+
+// unfused evaluates the tree through the kernels, one stage at a time
+// in post-order, recycling intermediates like the interpreter; stage
+// counts the stages begun, so it ends on the failing one.
+func (n *chainNode) unfused(e *chainEnv, x Exec, stage *int) (any, error) {
+	switch {
+	case n.op == 0 && n.mat >= 0:
+		return e.mats[n.mat], nil
+	case n.op == 0 && n.scalar >= 0 && e.float:
+		return e.sF[n.scalar], nil
+	case n.op == 0 && n.scalar >= 0:
+		return e.sI[n.scalar], nil
+	case n.op == 0 && e.float:
+		return n.k, nil
+	case n.op == 0:
+		return int64(n.k), nil
+	}
+	l, err := n.l.unfused(e, x, stage)
+	if err != nil {
+		return nil, err
+	}
+	r, err := n.r.unfused(e, x, stage)
+	if err != nil {
+		return nil, err
+	}
+	*stage++
+	lm, lIsM := l.(*Matrix)
+	rm, rIsM := r.(*Matrix)
+	if lIsM && lm == nil || rIsM && rm == nil {
+		return nil, ErrUnassignedOperand
+	}
+	var out *Matrix
+	switch {
+	case lIsM && rIsM:
+		out, err = ElementwiseExec(chainOp[n.op], lm, rm, x)
+	case lIsM:
+		out, err = BroadcastExec(chainOp[n.op], lm, r, true, x)
+	default:
+		out, err = BroadcastExec(chainOp[n.op], rm, l, false, x)
+	}
+	if n.l.op != 0 {
+		lm.Recycle()
+	}
+	if n.r.op != 0 {
+		rm.Recycle()
+	}
+	return out, err
+}
+
+// chain compiles the tree's plan and runs it on the strip engine.
+func (n *chainNode) chain(t *testing.T, e *chainEnv, x Exec) (*Matrix, int, error) {
+	t.Helper()
+	spec := WithSpec{Code: n.plan(e.float, nil), Rank: 1, MatElem: make([]Elem, len(e.mats)),
+		ScalarI: len(e.sI), ScalarF: len(e.sF), Float: e.float, OutFloat: e.float}
+	if !e.float {
+		for k := range spec.MatElem {
+			spec.MatElem[k] = Int
+		}
+	}
+	p, ok := CompileWith(spec)
+	if !ok {
+		t.Fatalf("chain plan does not compile: %+v", spec.Code)
+	}
+	run := p.NewRun()
+	defer run.Release()
+	copy(run.Mats, e.mats)
+	copy(run.ScalarI, e.sI)
+	copy(run.ScalarF, e.sF)
+	return ChainFlat(run, x)
+}
+
+// recordAllocs installs an allocation hook that records every request.
+func recordAllocs(t *testing.T) *[]int {
+	var calls []int
+	TestHookAllocFail = func(cells int) error { calls = append(calls, cells); return nil }
+	t.Cleanup(func() { TestHookAllocFail = nil })
+	return &calls
+}
+
+// TestChainMatchesUnfusedStages: random float and int chains over
+// shapes of every rank — an innermost extent of one, no cells at all,
+// more cells than two parallel grains — against the stage-at-a-time
+// kernels.
+func TestChainMatchesUnfusedStages(t *testing.T) {
+	pool := testPool(t)
+	calls := recordAllocs(t)
+	shapes := [][]int{{1}, {7}, {stripMax + 3}, {3, 5}, {4096, 1}, {2, 3, 4}, {0}, {3, 0, 2}, {2*ParallelGrain + 5}, {3, ParallelGrain}}
+	for seed := int64(0); seed < 40; seed++ {
+		float := seed%2 == 0
+		g := &chainGen{r: rand.New(rand.NewSource(seed)), float: float}
+		tree := g.stage(3)
+		elem := Int
+		if float {
+			elem = Float
+		}
+		for _, shape := range shapes {
+			e := &chainEnv{float: float, mats: make([]*Matrix, g.mats)}
+			for k := range e.mats {
+				e.mats[k] = randKernelMat(g.r, elem, shape...)
+			}
+			for k := 0; k < g.scals; k++ {
+				if float {
+					e.sF = append(e.sF, 0.5+float64(k))
+				} else {
+					e.sI = append(e.sI, math.MaxInt64-int64(k)) // products wrap alike
+				}
+			}
+			mats := e.mats
+			// The leaves' cells before anything ran.
+			beforeF, beforeI := make([][]float64, len(mats)), make([][]int64, len(mats))
+			for k, m := range mats {
+				beforeF[k], beforeI[k] = slices.Clone(m.f), slices.Clone(m.i)
+			}
+			for _, p := range []*Exec{{}, {Pool: pool}} {
+				label := fmt.Sprintf("seed %d shape %v pooled %v", seed, shape, p.Pool != nil)
+				*calls = (*calls)[:0]
+				x := Exec{Pool: p.Pool, Budget: NewBudget(1 << 30)}
+				stage := -1
+				want, werr := tree.unfused(e, x, &stage)
+				if werr != nil {
+					t.Fatalf("%s: unfused stages: %v", label, werr)
+				}
+				wantCalls := slices.Clone(*calls)
+				*calls = (*calls)[:0]
+				y := Exec{Pool: p.Pool, Budget: NewBudget(1 << 30)}
+				got, failed, err := tree.chain(t, e, y)
+				if err != nil || failed != -1 {
+					t.Fatalf("%s: chain: stage %d: %v", label, failed, err)
+				}
+				if !slices.Equal(*calls, wantCalls) {
+					t.Errorf("%s: allocation hook saw %v, unfused stages %v", label, *calls, wantCalls)
+				}
+				if x.Budget.Used() != y.Budget.Used() {
+					t.Errorf("%s: chain charged %d cells, unfused stages %d", label, y.Budget.Used(), x.Budget.Used())
+				}
+				wm := want.(*Matrix)
+				if !got.SameShape(wm) || got.elem != wm.elem {
+					t.Fatalf("%s: chain result %v %v, want %v %v", label, got.elem, got.shape, wm.elem, wm.shape)
+				}
+				for k := range wm.f {
+					if math.Float64bits(got.f[k]) != math.Float64bits(wm.f[k]) {
+						t.Fatalf("%s: cell %d = %v, want %v", label, k, got.f[k], wm.f[k])
+					}
+				}
+				if !slices.Equal(got.i, wm.i) {
+					t.Fatalf("%s: int cells differ", label)
+				}
+				// Loads alias the leaves' cells: the result must not, and
+				// nothing may have been written through them.
+				for k, m := range mats {
+					if len(m.f) > 0 && &m.f[0] == &got.f[0] || len(m.i) > 0 && &m.i[0] == &got.i[0] {
+						t.Fatalf("%s: the result is leaf %d's storage", label, k)
+					}
+					if !slices.Equal(m.i, beforeI[k]) || !slices.EqualFunc(m.f, beforeF[k], func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+						t.Fatalf("%s: leaf %d was written", label, k)
+					}
+				}
+				got.Recycle()
+				wm.Recycle()
+			}
+		}
+	}
+}
+
+// TestChainAdmissionFailsAtTheStage: an unassigned leaf, two shapes of
+// equal cell count, a budget that runs out mid-chain and an allocation
+// hook that refuses the second stage each fail where and how the
+// unfused stages do, having charged what they charged.
+func TestChainAdmissionFailsAtTheStage(t *testing.T) {
+	leaf := func(k int) *chainNode { return &chainNode{mat: k, scalar: -1} }
+	// (m0 + m1) - (m2 .* m3): stages 0, 1, root 2.
+	tree := &chainNode{op: WSubF,
+		l: &chainNode{op: WAddF, l: leaf(0), r: leaf(1)},
+		r: &chainNode{op: WMulF, l: leaf(2), r: leaf(3)}}
+	r := rand.New(rand.NewSource(1))
+	a, b := randKernelMat(r, Float, 2, 3), randKernelMat(r, Float, 3, 2)
+	for _, tc := range []struct {
+		name   string
+		mats   []*Matrix
+		budget int64
+		hook   func(call int) error
+		stage  int
+		text   string
+	}{
+		{name: "unassigned", mats: []*Matrix{a, a, a, nil}, stage: 1, text: ErrUnassignedOperand.Error()},
+		{name: "equal cells, different shape", mats: []*Matrix{a, a, a, b}, stage: 1,
+			text: "matrix: * requires equal shapes, got [2 3] and [3 2]"},
+		{name: "different shape at the root", mats: []*Matrix{a, a, b, b}, stage: 2,
+			text: "matrix: - requires equal shapes, got [2 3] and [3 2]"},
+		{name: "budget mid-chain", mats: []*Matrix{a, a, a, a}, budget: 13, stage: 2,
+			text: "matrix: allocation of 6 cells exceeds the budget (12 of 13 cells already used)"},
+		{name: "allocation refused", mats: []*Matrix{a, a, a, a}, stage: 1, text: "injected",
+			hook: func(call int) error {
+				if call == 1 {
+					return errors.New("injected")
+				}
+				return nil
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(chain bool) (int, string, int64, int) {
+				calls := 0
+				TestHookAllocFail = func(int) error {
+					calls++
+					if tc.hook != nil {
+						return tc.hook(calls - 1)
+					}
+					return nil
+				}
+				defer func() { TestHookAllocFail = nil }()
+				x, e := Exec{Budget: NewBudget(tc.budget)}, &chainEnv{float: true, mats: tc.mats}
+				stage := -1
+				var err error
+				if chain {
+					_, stage, err = tree.chain(t, e, x)
+				} else {
+					_, err = tree.unfused(e, x, &stage)
+				}
+				if err == nil {
+					t.Fatalf("chain %v: no error", chain)
+				}
+				return stage, err.Error(), x.Budget.Used(), calls
+			}
+			ws, wtext, wcells, wcalls := run(false)
+			if ws != tc.stage || wtext != tc.text {
+				t.Fatalf("unfused stages fail at %d with %q, the test expects %d, %q", ws, wtext, tc.stage, tc.text)
+			}
+			gs, gtext, gcells, gcalls := run(true)
+			if gs != ws || gtext != wtext || gcells != wcells || gcalls != wcalls {
+				t.Errorf("chain: stage %d %q, %d cells, %d hook calls; unfused stages: stage %d %q, %d cells, %d hook calls",
+					gs, gtext, gcells, gcalls, ws, wtext, wcells, wcalls)
+			}
+		})
+	}
+}
+
+// pollCtx is a context cancelled by its own n-th poll, counting them.
+type pollCtx struct {
+	context.Context
+	cancel context.CancelFunc
+	at     int64
+	polls  atomic.Int64
+}
+
+func (c *pollCtx) Done() <-chan struct{} {
+	if c.polls.Add(1) == c.at {
+		c.cancel()
+	}
+	return c.Context.Done()
+}
+
+// TestChainPollsContext: a 2^24-cell chain whose context dies at the
+// fifth poll stops there — it does not run to completion, and after the
+// cancellation a goroutine polls once more at most (twice, if it polled
+// between the count and the cancel): what is evaluated between two polls
+// is one strip, serially and pooled alike.
+func TestChainPollsContext(t *testing.T) {
+	a := New(Float, 1<<24)
+	leaf := &chainNode{mat: 0, scalar: -1}
+	tree := &chainNode{op: WSubF, l: &chainNode{op: WAddF, l: leaf, r: leaf}, r: leaf}
+	pool := testPool(t)
+	for _, pooled := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		pc := &pollCtx{Context: ctx, cancel: cancel, at: 5}
+		x := Exec{Ctx: pc}
+		after := int64(0)
+		if pooled {
+			x.Pool = pool
+			after = 2 * int64(pool.Workers()-1)
+		}
+		out, stage, err := tree.chain(t, &chainEnv{float: true, mats: []*Matrix{a}}, x)
+		cancel()
+		if !errors.Is(err, context.Canceled) || out != nil || stage != 1 {
+			t.Fatalf("pooled %v: out %v stage %d err %v, want the cancellation at the root", pooled, out != nil, stage, err)
+		}
+		if polls := pc.polls.Load(); polls > pc.at+after {
+			t.Errorf("pooled %v: %d polls, cancelled at the %dth: want at most %d more", pooled, polls, pc.at, after)
+		}
+	}
+}

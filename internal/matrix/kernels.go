@@ -49,6 +49,21 @@ func KernelStats() (parallel, serial, buffersReused int64) {
 	return kernelParallelCount.Load(), kernelSerialCount.Load(), kernelBuffersReused.Load()
 }
 
+// Process-wide per-kernel-family counters, surfaced on driver /metrics
+// as kernel_transpose_total / kernel_conv_total / kernel_reduce_total.
+var (
+	kernelTransposeCount atomic.Int64
+	kernelConvCount      atomic.Int64
+	kernelReduceCount    atomic.Int64
+)
+
+// KernelOpStats returns the per-family kernel invocation counters:
+// transposes (including with-loops compiled to the transpose kernel),
+// 2-D convolutions, and axis reductions.
+func KernelOpStats() (transpose, conv, reduce int64) {
+	return kernelTransposeCount.Load(), kernelConvCount.Load(), kernelReduceCount.Load()
+}
+
 // ResetKernelStats zeroes the kernel counters (tests only).
 func ResetKernelStats() {
 	kernelParallelCount.Store(0)
@@ -432,11 +447,7 @@ func MatMulExec(a, b *Matrix, x Exec) (*Matrix, error) {
 		}
 		ai, bi, di := a.i, b.i, out.i
 		err = runKernel(x, m, grainRows, func(rlo, rhi int) error {
-			if k > mmRecCutoff && n > mmRecCutoff {
-				mmRecRows(di, ai, bi, rlo, rhi, k, n)
-			} else {
-				mmInt(di, ai, bi, rlo, rhi, k, n)
-			}
+			mmRows(di, ai, bi, rlo, rhi, k, n)
 			return nil
 		})
 		if err != nil {
@@ -462,11 +473,7 @@ func MatMulExec(a, b *Matrix, x Exec) (*Matrix, error) {
 	}
 	df := out.f
 	err = runKernel(x, m, grainRows, func(rlo, rhi int) error {
-		if k > mmRecCutoff && n > mmRecCutoff {
-			mmRecRows(df, av, bv, rlo, rhi, k, n)
-		} else {
-			mmFloat(df, av, bv, rlo, rhi, k, n)
-		}
+		mmRows(df, av, bv, rlo, rhi, k, n)
 		return nil
 	})
 	releaseFloatScratch(av, aScr)
@@ -476,61 +483,6 @@ func MatMulExec(a, b *Matrix, x Exec) (*Matrix, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// mmBlockK is the k-dimension block size of the matmul kernels: one
-// block of b's rows (mmBlockK x n cells) is streamed repeatedly against
-// a block of output rows while it is still cache-resident.
-const mmBlockK = 128
-
-// mmFloat computes rows [rlo, rhi) of dst = a x b in i-k-j order:
-// the inner loop walks one row of b and one row of dst sequentially,
-// so stores stream and the loop vectorizes — unlike i-j-k, which
-// strides down b's columns. Rows are cleared here (outputs are not
-// pre-zeroed) and accumulated block by block over k.
-func mmFloat(dst, a, b []float64, rlo, rhi, kk, n int) {
-	for i := rlo; i < rhi; i++ {
-		clear(dst[i*n : (i+1)*n])
-	}
-	for k0 := 0; k0 < kk; k0 += mmBlockK {
-		k1 := k0 + mmBlockK
-		if k1 > kk {
-			k1 = kk
-		}
-		for i := rlo; i < rhi; i++ {
-			row := dst[i*n : (i+1)*n]
-			arow := a[i*kk+k0 : i*kk+k1]
-			for kx, av := range arow {
-				brow := b[(k0+kx)*n : (k0+kx+1)*n]
-				for j, bv := range brow {
-					row[j] += av * bv
-				}
-			}
-		}
-	}
-}
-
-// mmInt is mmFloat for exact int64 products.
-func mmInt(dst, a, b []int64, rlo, rhi, kk, n int) {
-	for i := rlo; i < rhi; i++ {
-		clear(dst[i*n : (i+1)*n])
-	}
-	for k0 := 0; k0 < kk; k0 += mmBlockK {
-		k1 := k0 + mmBlockK
-		if k1 > kk {
-			k1 = kk
-		}
-		for i := rlo; i < rhi; i++ {
-			row := dst[i*n : (i+1)*n]
-			arow := a[i*kk+k0 : i*kk+k1]
-			for kx, av := range arow {
-				brow := b[(k0+kx)*n : (k0+kx+1)*n]
-				for j, bv := range brow {
-					row[j] += av * bv
-				}
-			}
-		}
-	}
 }
 
 // --- elementwise inner loops ---
@@ -543,25 +495,7 @@ func mmInt(dst, a, b []int64, rlo, rhi, kk, n int) {
 // ewArithFloat: float arithmetic, no data-dependent failure (float
 // division follows IEEE, as the generic path always has).
 func ewArithFloat(op Op, dst, a, b []float64, lo, hi int) {
-	d, x, y := dst[lo:hi], a[lo:hi], b[lo:hi]
-	switch op {
-	case OpAdd:
-		for i, v := range x {
-			d[i] = v + y[i]
-		}
-	case OpSub:
-		for i, v := range x {
-			d[i] = v - y[i]
-		}
-	case OpMul:
-		for i, v := range x {
-			d[i] = v * y[i]
-		}
-	case OpDiv:
-		for i, v := range x {
-			d[i] = v / y[i]
-		}
-	}
+	arithSS(op, dst[lo:hi], a[lo:hi], b[lo:hi])
 }
 
 // ewArithInt: int arithmetic; division and modulo keep their
@@ -569,18 +503,6 @@ func ewArithFloat(op Op, dst, a, b []float64, lo, hi int) {
 func ewArithInt(op Op, dst, a, b []int64, lo, hi int) error {
 	d, x, y := dst[lo:hi], a[lo:hi], b[lo:hi]
 	switch op {
-	case OpAdd:
-		for i, v := range x {
-			d[i] = v + y[i]
-		}
-	case OpSub:
-		for i, v := range x {
-			d[i] = v - y[i]
-		}
-	case OpMul:
-		for i, v := range x {
-			d[i] = v * y[i]
-		}
 	case OpDiv:
 		for i, v := range x {
 			if y[i] == 0 {
@@ -595,6 +517,8 @@ func ewArithInt(op Op, dst, a, b []int64, lo, hi int) error {
 			}
 			d[i] = v % y[i]
 		}
+	default:
+		arithSS(op, d, x, y)
 	}
 	return nil
 }
@@ -656,39 +580,13 @@ func ewBool(op Op, dst, a, b []bool, lo, hi int) {
 
 // --- broadcast inner loops ---
 
-// bcArithFloat: float arithmetic against a scalar; matLeft resolves the
-// operand order for the non-commutative operators outside the loop.
+// bcArithFloat: float arithmetic against a scalar; matLeft gives the
+// operand order, m op s or s op m.
 func bcArithFloat(op Op, dst, a []float64, s float64, matLeft bool, lo, hi int) {
-	d, x := dst[lo:hi], a[lo:hi]
-	switch op {
-	case OpAdd:
-		for i, v := range x {
-			d[i] = v + s
-		}
-	case OpMul:
-		for i, v := range x {
-			d[i] = v * s
-		}
-	case OpSub:
-		if matLeft {
-			for i, v := range x {
-				d[i] = v - s
-			}
-		} else {
-			for i, v := range x {
-				d[i] = s - v
-			}
-		}
-	case OpDiv:
-		if matLeft {
-			for i, v := range x {
-				d[i] = v / s
-			}
-		} else {
-			for i, v := range x {
-				d[i] = s / v
-			}
-		}
+	if matLeft {
+		arithSU(op, dst[lo:hi], a[lo:hi], s)
+	} else {
+		arithUS(op, dst[lo:hi], s, a[lo:hi])
 	}
 }
 
@@ -697,51 +595,27 @@ func bcArithFloat(op Op, dst, a []float64, s float64, matLeft bool, lo, hi int) 
 // elements keeps the per-element zero check.
 func bcArithInt(op Op, dst, a []int64, s int64, matLeft bool, lo, hi int) error {
 	d, x := dst[lo:hi], a[lo:hi]
-	switch op {
-	case OpAdd:
+	switch {
+	case matLeft && op == OpMod:
+		modSU(d, x, s)
+	case matLeft:
+		arithSU(op, d, x, s)
+	case op == OpDiv:
 		for i, v := range x {
-			d[i] = v + s
+			if v == 0 {
+				return fmt.Errorf("matrix: integer division by zero")
+			}
+			d[i] = s / v
 		}
-	case OpMul:
+	case op == OpMod:
 		for i, v := range x {
-			d[i] = v * s
+			if v == 0 {
+				return fmt.Errorf("matrix: integer modulo by zero")
+			}
+			d[i] = s % v
 		}
-	case OpSub:
-		if matLeft {
-			for i, v := range x {
-				d[i] = v - s
-			}
-		} else {
-			for i, v := range x {
-				d[i] = s - v
-			}
-		}
-	case OpDiv:
-		if matLeft {
-			for i, v := range x {
-				d[i] = v / s
-			}
-		} else {
-			for i, v := range x {
-				if v == 0 {
-					return fmt.Errorf("matrix: integer division by zero")
-				}
-				d[i] = s / v
-			}
-		}
-	case OpMod:
-		if matLeft {
-			for i, v := range x {
-				d[i] = v % s
-			}
-		} else {
-			for i, v := range x {
-				if v == 0 {
-					return fmt.Errorf("matrix: integer modulo by zero")
-				}
-				d[i] = s % v
-			}
-		}
+	default:
+		arithUS(op, d, s, x)
 	}
 	return nil
 }

@@ -1,31 +1,12 @@
-// The second kernel wave (ROADMAP item 2): cache-blocked transpose,
-// 2-D convolution/stencil with constant (zero) boundary, axis
-// reductions with stride-1 inner loops, and the blocked-recursive
-// matmul split used above the size cutoff. All follow the kernels.go
-// contract — validate before allocating, newKernelOut for outputs,
+// The blocked kernels: cache-blocked transpose, 2-D convolution/stencil
+// with constant (zero) boundary, axis reductions with stride-1 inner
+// loops, and the matmul row kernel with its blocked-recursive split
+// above the size cutoff. All follow the kernels.go contract — validate before allocating, newKernelOut for outputs,
 // runKernel for pool distribution with cooperative cancellation, boxed
 // reference oracles in ops.go pinned by differential tests.
 package matrix
 
-import (
-	"fmt"
-	"sync/atomic"
-)
-
-// Process-wide per-kernel-family counters, surfaced on driver /metrics
-// as kernel_transpose_total / kernel_conv_total / kernel_reduce_total.
-var (
-	kernelTransposeCount atomic.Int64
-	kernelConvCount      atomic.Int64
-	kernelReduceCount    atomic.Int64
-)
-
-// KernelOpStats returns the per-family kernel invocation counters:
-// transposes (including with-loops compiled to the transpose kernel),
-// 2-D convolutions, and axis reductions.
-func KernelOpStats() (transpose, conv, reduce int64) {
-	return kernelTransposeCount.Load(), kernelConvCount.Load(), kernelReduceCount.Load()
-}
+import "fmt"
 
 // transposeBlock is the tile edge of the transpose kernels: a
 // transposeBlock² tile of each operand (8 KB at float64) stays
@@ -373,14 +354,48 @@ func reduceBlocks[T int64 | float64](kind FoldKind, dst, src []T, olo, ohi, axis
 }
 
 // mmRecCutoff: a matmul whose k and n dimensions both exceed this
-// enters the blocked-recursive split; below it the flat i-k-j kernel's
+// enters the blocked-recursive split; below it the i-k-j kernel's
 // k-blocking is already cache-sufficient.
 const mmRecCutoff = 512
 
 // mmRecBase is the sub-block edge at which recursion bottoms out into
-// the leading-dimension i-k-j base kernel (a 256² float tile of each
-// operand is 512 KB — L2-resident on current cores).
+// the i-k-j base kernel (a 256² float tile of each operand is 512 KB —
+// L2-resident on current cores).
 const mmRecBase = 256
+
+// mmBlockK is the k-dimension block size of the matmul kernels: one
+// block of b's rows (mmBlockK x n cells) is streamed repeatedly against
+// a block of output rows while it is still cache-resident.
+const mmBlockK = 128
+
+// mmRows computes output rows [rlo, rhi) of dst = a x b — the entry
+// point of MatMulExec's row-parallel driver, for int64 and float64
+// alike. Rows are cleared here (outputs are not pre-zeroed) and
+// accumulated in i-k-j order, block by block over k: the inner loop
+// walks one row of b and one row of dst sequentially, so stores stream
+// — unlike i-j-k, which strides down b's columns. When k and n exceed
+// mmRecCutoff the accumulation goes through the recursive split
+// instead.
+func mmRows[T int64 | float64](dst, a, b []T, rlo, rhi, kk, n int) {
+	clear(dst[rlo*n : rhi*n])
+	if kk > mmRecCutoff && n > mmRecCutoff {
+		mmRec(dst, a, b, rlo, rhi, 0, kk, 0, n, kk, n, n)
+		return
+	}
+	for k0 := 0; k0 < kk; k0 += mmBlockK {
+		k1 := min(k0+mmBlockK, kk)
+		for i := rlo; i < rhi; i++ {
+			row := dst[i*n : (i+1)*n]
+			arow := a[i*kk+k0 : i*kk+k1]
+			for kx, av := range arow {
+				brow := b[(k0+kx)*n : (k0+kx+1)*n]
+				for j, bv := range brow {
+					row[j] += av * bv
+				}
+			}
+		}
+	}
+}
 
 // mmRec multiplies the sub-block dst[i0:i1, j0:j1] += a[i0:i1, k0:k1]
 // × b[k0:k1, j0:j1] by halving the largest extent until every extent
@@ -410,8 +425,7 @@ func mmRec[T int64 | float64](dst, a, b []T, i0, i1, k0, k1, j0, j1, lda, ldb, l
 }
 
 // mmBase is the leading-dimension-aware i-k-j accumulation kernel the
-// recursion bottoms out in (same loop order as mmFloat/mmInt, but over
-// a sub-block and without clearing).
+// recursion bottoms out in (mmRows' loop order, over a sub-block).
 func mmBase[T int64 | float64](dst, a, b []T, i0, i1, k0, k1, j0, j1, lda, ldb, ldd int) {
 	for kb := k0; kb < k1; kb += mmBlockK {
 		ke := kb + mmBlockK
@@ -429,14 +443,4 @@ func mmBase[T int64 | float64](dst, a, b []T, i0, i1, k0, k1, j0, j1, lda, ldb, 
 			}
 		}
 	}
-}
-
-// mmRecRows clears and computes output rows [rlo, rhi) through the
-// recursive split; the entry point the row-parallel driver calls when
-// k and n exceed mmRecCutoff.
-func mmRecRows[T int64 | float64](dst, a, b []T, rlo, rhi, kk, n int) {
-	for i := rlo; i < rhi; i++ {
-		clear(dst[i*n : (i+1)*n])
-	}
-	mmRec(dst, a, b, rlo, rhi, 0, kk, 0, n, kk, n, n)
 }

@@ -93,11 +93,13 @@ type WithRun struct {
 	ScalarF      []float64 // float scalar leaves, by slot
 
 	prog  *WithProg
-	ints  []int     // backs Lower, Upper, Shape
-	ui    []int64   // uniform int file image; ScalarI is a window of it
-	uf    []float64 // uniform float file image; ScalarF is a window of it
-	ivals []wival   // interval analysis: ids, then the int stack
-	mults []int64   // interval analysis: trip products of the open brackets
+	ints  []int      // backs Lower, Upper, Shape
+	ui    []int64    // uniform int file image; ScalarI is a window of it
+	uf    []float64  // uniform float file image; ScalarF is a window of it
+	ivals []wival    // interval analysis: ids, then the int stack
+	mults []int64    // interval analysis: trip products of the open brackets
+	chain []chainVal // chain admission: the operand stack
+	views []Matrix   // chain execution: the leaves as flat views
 }
 
 var withRunPool = sync.Pool{New: func() any { return new(WithRun) }}
@@ -132,6 +134,7 @@ func (p *WithProg) NewRun() *WithRun {
 // Release returns the run to the pool; it must not be used afterwards.
 func (r *WithRun) Release() {
 	clear(r.Mats)
+	clear(r.views)
 	r.prog = nil
 	withRunPool.Put(r)
 }
@@ -477,7 +480,7 @@ func GenArrayFlat(elem Elem, r *WithRun, x Exec) (*Matrix, bool, error) {
 				src, dst := m.i, out.i
 				body = func(lo, hi int) error { transposeTiles(dst, src, lo, hi, srcRows, srcCols); return nil }
 			}
-			if err := runWithKernel(x, srcRows, grainRows, body); err != nil {
+			if err := runKernel(x, srcRows, poolGrain(x, srcRows, grainRows), body); err != nil {
 				out.Recycle()
 				return nil, true, err
 			}
@@ -487,49 +490,57 @@ func GenArrayFlat(elem Elem, r *WithRun, x Exec) (*Matrix, bool, error) {
 
 	// General path: rows distributed over the pool, each row walked in
 	// strips. The grain counts plan instructions per row, nested bodies
-	// once per inner trip, so polls stay a bounded amount of work apart.
-	n0 := upper[0] - lower[0]
-	perRow := 1
-	for d := 1; d < rank; d++ {
-		perRow *= upper[d] - lower[d]
-	}
-	grainRows := 1
-	if cost < int64(ParallelGrain) {
-		if rowCost := perRow * int(cost); rowCost > 0 {
-			grainRows = (ParallelGrain + rowCost - 1) / rowCost
+	// once per inner trip; a rank-1 box has no rows and is cut by cells,
+	// like the elementwise kernels.
+	grain := ParallelGrain
+	if rank > 1 {
+		grain = 1
+		rowCost := int(cost)
+		for d := 1; d < rank; d++ {
+			rowCost *= upper[d] - lower[d]
+		}
+		if cost < int64(ParallelGrain) && rowCost > 0 {
+			grain = (ParallelGrain + rowCost - 1) / rowCost
 		}
 	}
-	w := min(withStrip, upper[rank-1]-lower[rank-1])
-	var serial *wState // the pool's chunks run concurrently: one state each
-	if x.Pool == nil || n0 < 2 {
-		serial = r.newState(w)
-		defer serial.release()
-	}
-	err = runWithKernel(x, n0, grainRows, func(lo, hi int) error {
-		st := serial
-		if st == nil {
-			st = r.newState(w)
-			defer st.release()
-		}
-		return st.walk(r, lower[0]+lo, lower[0]+hi, x, out, nil)
-	})
-	if err != nil {
+	if err := r.fill(out, poolGrain(x, upper[0]-lower[0], grain), x); err != nil {
 		out.Recycle()
 		return nil, true, err
 	}
 	return out, true, nil
 }
 
-// runWithKernel distributes genarray rows like runKernel, except the
-// pool engages whenever GenArrayExec's would (Pool non-nil, two or
-// more rows): pool-worker observables — injected test panics, traps
-// attributed to workers — must be identical across engines, and the
-// closure path parallelizes every pool-backed loop regardless of size.
-func runWithKernel(x Exec, n, grain int, body func(lo, hi int) error) error {
+// fill evaluates the program over the run's box into out: the outermost
+// dimension goes through runKernel in chunks of at least grain, and
+// every chunk is walked in strips on a state of its own — the pool's
+// chunks run concurrently.
+func (r *WithRun) fill(out *Matrix, grain int, x Exec) error {
+	lo0, w := r.Lower[0], r.stripWidth()
+	return runKernel(x, r.Upper[0]-lo0, grain, func(lo, hi int) error {
+		st := r.newState(w)
+		defer st.release()
+		return st.walk(r, lo0+lo, lo0+hi, x, out, nil)
+	})
+}
+
+// stripWidth is the program's strip width, or the innermost extent of
+// the box when that is narrower.
+func (r *WithRun) stripWidth() int {
+	last := len(r.Lower) - 1
+	return min(r.prog.width, r.Upper[last]-r.Lower[last])
+}
+
+// poolGrain is the grain a genarray hands runKernel: grain, lowered
+// when that is what it takes for the pool to engage whenever
+// GenArrayExec's would (Pool non-nil, two or more rows) — pool-worker
+// observables — injected test panics, traps attributed to workers — must
+// be identical across engines, and the closure path parallelizes every
+// pool-backed loop regardless of size.
+func poolGrain(x Exec, n, grain int) int {
 	if x.Pool != nil && n >= 2 && n < 2*grain {
-		grain = n / 2 // force runKernel's parallel branch
+		return n / 2 // force runKernel's parallel branch
 	}
-	return runKernel(x, n, grain, body)
+	return grain
 }
 
 // FoldFlat is the flat engine for a proven fold body. The parallel
@@ -595,7 +606,7 @@ func FoldFlat(kind FoldKind, base any, r *WithRun, x Exec) (any, bool, error) {
 	for d := 1; d < rank; d++ {
 		rowLen *= upper[d] - lower[d]
 	}
-	w := min(withStrip, upper[rank-1]-lower[rank-1])
+	w := r.stripWidth()
 	// A rank-1 box has one-cell rows: the engines below step through it
 	// a strip's worth of cells at a time instead.
 	step := 1

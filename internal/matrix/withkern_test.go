@@ -129,7 +129,7 @@ func (g *planGen) emit(in WithInstr) { g.code = append(g.code, in) }
 // short one only an index reduced into range.
 const (
 	testDim  = 7
-	testLong = 2*withStrip + 16
+	testLong = 2*stripMax + 16
 )
 
 // index emits an int expression proven inside [0, extent): a loop id
@@ -346,16 +346,17 @@ func testPool(t *testing.T) *par.Pool {
 func TestWithStripMatchesCellByCell(t *testing.T) {
 	pool := testPool(t)
 	mats, sI, sF := leafMats, leafI, leafF
-	boxes := [][2][]int{
-		{{0}, {1}}, {{0}, {2}}, {{3}, {withStrip + 2}}, {{0}, {withStrip}}, {{1}, {withStrip + 2}}, {{0}, {2*withStrip + 3}},
-		{{0, 0}, {3, 1}}, {{1, 2}, {4, withStrip + 1}}, {{0, 0}, {2, withStrip}}, {{0, 5}, {3, withStrip + 6}}, {{0, 0}, {2, 2*withStrip + 3}},
-		{{0, 1, 0}, {2, 3, withStrip + 1}}, {{1, 0, 2}, {3, 2, 9}},
+	// w is the width of the program under test.
+	boxes := func(w int) [][2][]int {
+		return [][2][]int{
+			{{0}, {1}}, {{0}, {2}}, {{3}, {w + 2}}, {{0}, {w}}, {{1}, {w + 2}}, {{0}, {2*w + 3}},
+			{{0, 0}, {3, 1}}, {{1, 2}, {4, w + 1}}, {{0, 0}, {2, w}}, {{0, 5}, {3, w + 6}}, {{0, 0}, {2, 2*w + 3}},
+			{{0, 1, 0}, {2, 3, w + 1}}, {{1, 0, 2}, {3, 2, 9}},
+		}
 	}
-	compiled := 0
+	widths := map[int]bool{}
 	for seed := int64(0); seed < 48; seed++ {
-		for _, box := range boxes {
-			lower, upper := box[0], box[1]
-			rank := len(lower)
+		for _, rank := range []int{1, 2, 3} {
 			float := seed%2 == 0
 			g := &planGen{r: rand.New(rand.NewSource(seed*31 + int64(rank))), rank: rank, ids: rank}
 			if float {
@@ -363,91 +364,115 @@ func TestWithStripMatchesCellByCell(t *testing.T) {
 			} else {
 				g.intExpr(3, false)
 			}
-			p, ok := CompileWith(testSpec(g.code, rank, float, float))
+			code := g.code
+			p, ok := CompileWith(testSpec(code, rank, float, float))
 			if !ok {
-				t.Fatalf("seed %d rank %d: generated plan does not compile: %+v", seed, rank, g.code)
+				t.Fatalf("seed %d rank %d: generated plan does not compile: %+v", seed, rank, code)
 			}
-			compiled++
-			cell := func(idx []int) (int64, float64) {
-				ids := make([]int64, rank)
-				for d := range idx {
-					ids[d] = int64(idx[d])
+			widths[p.width] = true
+			for _, box := range boxes(p.width) {
+				lower, upper := box[0], box[1]
+				if len(lower) != rank {
+					continue
 				}
-				is, fs := refPlan(g.code, 0, len(g.code), ids, mats, sI, sF, nil, nil)
-				if float {
-					return 0, fs[0]
+				// The oracle's value at every cell of the box, computed once:
+				// the genarray and the eight folds below all ask for it, the
+				// pooled folds from several goroutines.
+				type cellVal struct {
+					i int64
+					f float64
 				}
-				return is[0], 0
-			}
-			elem := Int
-			if float {
-				elem = Float
-			}
-			shape := make([]int, rank)
-			for d := range shape {
-				shape[d] = upper[d] + 1
-			}
-			for _, x := range []Exec{{}, {Pool: pool}} {
-				run := bindRun(p, lower, upper, shape)
-				out, handled, err := GenArrayFlat(elem, run, x)
-				run.Release()
-				if !handled || err != nil {
-					t.Fatalf("seed %d box %v: genarray handled=%v err=%v\n%+v", seed, box, handled, err, g.code)
-				}
-				indexSpace(make([]int, rank), shape, func(idx []int) {
-					inside := true
+				memo := map[[3]int]cellVal{}
+				indexSpace(lower, upper, func(idx []int) {
+					ids := make([]int64, rank)
 					for d := range idx {
-						inside = inside && idx[d] >= lower[d] && idx[d] < upper[d]
+						ids[d] = int64(idx[d])
 					}
-					var wi int64
-					var wf float64
-					if inside {
-						wi, wf = cell(idx)
-					}
-					off, _ := out.Offset(idx)
-					if float && math.Float64bits(out.f[off]) != math.Float64bits(wf) {
-						t.Fatalf("seed %d box %v pool=%v cell %v: got %v want %v\n%+v", seed, box, x.Pool != nil, idx, out.f[off], wf, g.code)
-					}
-					if !float && out.i[off] != wi {
-						t.Fatalf("seed %d box %v pool=%v cell %v: got %d want %d\n%+v", seed, box, x.Pool != nil, idx, out.i[off], wi, g.code)
+					is, fs := refPlan(code, 0, len(code), ids, mats, sI, sF, nil, nil)
+					var key [3]int
+					copy(key[:], idx)
+					if float {
+						memo[key] = cellVal{f: fs[0]}
+					} else {
+						memo[key] = cellVal{i: is[0]}
 					}
 				})
-				for kind := FoldAdd; kind <= FoldMax; kind++ {
-					var base any = int64(2)
-					if float {
-						base = 0.75
-					}
-					// The closure path with the oracle as its body: same
-					// worker split, same seeds, same combine order.
-					want, err := FoldExec(kind, base, lower, upper, func(idx []int) (any, error) {
-						wi, wf := cell(idx)
-						if float {
-							return wf, nil
-						}
-						return wi, nil
-					}, x)
-					if err != nil {
-						t.Fatal(err)
-					}
+				cell := func(idx []int) (int64, float64) {
+					var key [3]int
+					copy(key[:], idx)
+					v := memo[key]
+					return v.i, v.f
+				}
+				elem := Int
+				if float {
+					elem = Float
+				}
+				shape := make([]int, rank)
+				for d := range shape {
+					shape[d] = upper[d] + 1
+				}
+				for _, x := range []Exec{{}, {Pool: pool}} {
 					run := bindRun(p, lower, upper, shape)
-					got, handled, err := FoldFlat(kind, base, run, x)
+					out, handled, err := GenArrayFlat(elem, run, x)
 					run.Release()
 					if !handled || err != nil {
-						t.Fatalf("seed %d box %v: fold handled=%v err=%v", seed, box, handled, err)
+						t.Fatalf("seed %d box %v: genarray handled=%v err=%v\n%+v", seed, box, handled, err, code)
 					}
-					same := got == want
-					if float {
-						same = math.Float64bits(got.(float64)) == math.Float64bits(want.(float64))
-					}
-					if !same {
-						t.Fatalf("seed %d box %v pool=%v fold %v: got %v want %v\n%+v", seed, box, x.Pool != nil, kind, got, want, g.code)
+					indexSpace(make([]int, rank), shape, func(idx []int) {
+						inside := true
+						for d := range idx {
+							inside = inside && idx[d] >= lower[d] && idx[d] < upper[d]
+						}
+						var wi int64
+						var wf float64
+						if inside {
+							wi, wf = cell(idx)
+						}
+						off, _ := out.Offset(idx)
+						if float && math.Float64bits(out.f[off]) != math.Float64bits(wf) {
+							t.Fatalf("seed %d box %v pool=%v cell %v: got %v want %v\n%+v", seed, box, x.Pool != nil, idx, out.f[off], wf, code)
+						}
+						if !float && out.i[off] != wi {
+							t.Fatalf("seed %d box %v pool=%v cell %v: got %d want %d\n%+v", seed, box, x.Pool != nil, idx, out.i[off], wi, code)
+						}
+					})
+					for kind := FoldAdd; kind <= FoldMax; kind++ {
+						var base any = int64(2)
+						if float {
+							base = 0.75
+						}
+						// The closure path with the oracle as its body: same
+						// worker split, same seeds, same combine order.
+						want, err := FoldExec(kind, base, lower, upper, func(idx []int) (any, error) {
+							wi, wf := cell(idx)
+							if float {
+								return wf, nil
+							}
+							return wi, nil
+						}, x)
+						if err != nil {
+							t.Fatal(err)
+						}
+						run := bindRun(p, lower, upper, shape)
+						got, handled, err := FoldFlat(kind, base, run, x)
+						run.Release()
+						if !handled || err != nil {
+							t.Fatalf("seed %d box %v: fold handled=%v err=%v", seed, box, handled, err)
+						}
+						same := got == want
+						if float {
+							same = math.Float64bits(got.(float64)) == math.Float64bits(want.(float64))
+						}
+						if !same {
+							t.Fatalf("seed %d box %v pool=%v fold %v: got %v want %v\n%+v", seed, box, x.Pool != nil, kind, got, want, code)
+						}
 					}
 				}
 			}
 		}
 	}
-	if compiled == 0 {
-		t.Fatal("nothing compiled")
+	if len(widths) < 2 {
+		t.Errorf("every generated program has one strip width: %v", widths)
 	}
 }
 
@@ -460,7 +485,7 @@ func TestWithStripIntBodyIntoFloatCells(t *testing.T) {
 	if !ok {
 		t.Fatal("plan does not compile")
 	}
-	n := withStrip + 5
+	n := stripMax + 5
 	run := bindRun(p, []int{0}, []int{n}, []int{n})
 	out, handled, err := GenArrayFlat(Float, run, Exec{})
 	run.Release()
@@ -605,6 +630,58 @@ func TestWithStripRegistersFollowLiveDepth(t *testing.T) {
 	}
 }
 
+// TestWithStripLoadsAreReadOnly: a load at stride 1 hands the matrix's
+// own cells to its register, so whatever is then written in place — a
+// nested fold's accumulator whose base is such a load, an int remainder
+// over it — must first move to the register's own storage.
+func TestWithStripLoadsAreReadOnly(t *testing.T) {
+	n := stripMax + 7
+	v := New(Float, n)
+	u := New(Int, n)
+	for k := range v.f {
+		v.f[k], u.i[k] = float64(k)+0.5, int64(k)
+	}
+	// genarray([n], fold(+, v[i], 1.0) over k < 3) and genarray([n], u[i] % 5)
+	for _, tc := range []struct {
+		code  []WithInstr
+		float bool
+	}{
+		{float: true, code: []WithInstr{
+			{Op: WPushID, A: 0}, {Op: WLoadF, A: 1, B: 1},
+			{Op: WPushInt, K: 0}, {Op: WPushInt, K: 3},
+			{Op: WFoldF, A: 1, B: 1, K: 6, Kind: FoldAdd},
+			{Op: WPushFloat, F: 1},
+			{Op: WFoldEnd, A: 4},
+		}},
+		{code: []WithInstr{{Op: WPushID, A: 0}, {Op: WLoadI, A: 0, B: 1}, {Op: WModI, K: 5}}},
+	} {
+		p, ok := CompileWith(WithSpec{Code: tc.code, Rank: 1, MatElem: []Elem{Int, Float}, Float: tc.float, OutFloat: tc.float})
+		if !ok {
+			t.Fatalf("plan does not compile: %+v", tc.code)
+		}
+		run := p.NewRun()
+		run.Lower[0], run.Upper[0], run.Shape[0] = 0, n, n
+		run.Mats[0], run.Mats[1] = u, v
+		elem := Int
+		if tc.float {
+			elem = Float
+		}
+		out, handled, err := GenArrayFlat(elem, run, Exec{})
+		run.Release()
+		if !handled || err != nil {
+			t.Fatalf("handled=%v err=%v", handled, err)
+		}
+		for k := 0; k < n; k++ {
+			if v.f[k] != float64(k)+0.5 || u.i[k] != int64(k) {
+				t.Fatalf("float %v: leaf cell %d was written: v=%v u=%d", tc.float, k, v.f[k], u.i[k])
+			}
+			if tc.float && out.f[k] != float64(k)+3.5 || !tc.float && out.i[k] != int64(k%5) {
+				t.Fatalf("float %v: cell %d = %v %d", tc.float, k, out.f, out.i[k])
+			}
+		}
+	}
+}
+
 // TestWithStripSharedProgram: one compiled program, many concurrent
 // executions — the program is immutable and every run owns its scratch
 // (the race pass is what gives this teeth).
@@ -615,7 +692,7 @@ func TestWithStripSharedProgram(t *testing.T) {
 	if !ok {
 		t.Fatal("plan does not compile")
 	}
-	lower, upper, shape := []int{0, 0}, []int{5, withStrip + 9}, []int{5, withStrip + 9}
+	lower, upper, shape := []int{0, 0}, []int{5, stripMax + 9}, []int{5, stripMax + 9}
 	ref := bindRun(p, lower, upper, shape)
 	want, _, err := GenArrayFlat(Float, ref, Exec{})
 	ref.Release()
@@ -754,7 +831,7 @@ func TestFoldIdentitiesAreTrueIdentities(t *testing.T) {
 // matter), at a width past the strip, serial and pooled; an empty inner
 // range yields the base.
 func TestWithNestedFoldIsTheSequentialFold(t *testing.T) {
-	m, n, p := 3, withStrip+5, 9
+	m, n, p := 3, stripMax+5, 9
 	mat := New(Float, m, n, p)
 	for k := range mat.f {
 		mat.f[k] = float64(k%7)*1e15 + float64(k%11)*0.1 - float64(k%3)*1e15

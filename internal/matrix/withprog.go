@@ -21,9 +21,17 @@ package matrix
 
 import "math"
 
-// withStrip is the number of cells of the innermost generated
-// dimension evaluated per instruction dispatch.
-const withStrip = 128
+// The strip width — the cells of the innermost generated dimension
+// evaluated per instruction dispatch — is the program's own: its strip
+// registers, and one more for the output, share stripCache cells (32 KB,
+// an L1 data cache), so the values of one evaluation are still in cache
+// when the next instruction reads them. A program of few registers gets
+// wide strips and few dispatches; a register-heavy nest gets stripMin.
+const (
+	stripCache = 4096
+	stripMin   = 128
+	stripMax   = 1024
+)
 
 // WithSpec is one proven plan as CompileWith takes it.
 type WithSpec struct {
@@ -48,26 +56,32 @@ type WithProg struct {
 	scalarI int           // first int scalar register (float scalars start their file)
 	nSI     int           // int strip registers
 	nSF     int           // float strip registers
+	width   int           // cells per strip
 	ids     int           // id intervals the analysis tracks
 	nests   int           // deepest fold bracket nesting
 }
 
 type wOp uint8
 
+// The four arithmetic opcodes are Op's: eval hands them to the shared
+// slice kernels as they are.
 const (
-	wAdd wOp = iota
-	wSub
-	wMul
-	wDiv   // float quotient
-	wDivK  // int quotient by the literal k
-	wModK  // int remainder by the literal k
-	wNeg   // d = -a
-	wI2F   // float d = float64(int a)
-	wF2I   // int d = int64(float a)
-	wIota  // int strip d = uniform a + i
-	wBcast // strip d = uniform a
-	wCopy  // strip d = strip a
-	wLoad  // d = matrix slot a at idx
+	wAdd = wOp(OpAdd)
+	wSub = wOp(OpSub)
+	wMul = wOp(OpMul)
+	wDiv = wOp(OpDiv) // float quotient
+)
+
+const (
+	wDivK  = wDiv + 1 + iota // int quotient by the literal k
+	wModK                    // int remainder by the literal k
+	wNeg                     // d = -a
+	wI2F                     // float d = float64(int a)
+	wF2I                     // int d = int64(float a)
+	wIota                    // int strip d = uniform a + i
+	wBcast                   // strip d = uniform a
+	wCopy                    // strip d = strip a
+	wLoad                    // d = matrix slot a at idx
 	wFoldBegin
 	wFoldEnd
 )
@@ -211,6 +225,11 @@ func CompileWith(spec WithSpec) (*WithProg, bool) {
 			}
 		}
 		p.nSI++
+	}
+	// Largest power of two that fits the cache budget.
+	p.width = stripMin
+	for p.width < stripMax && 2*p.width*(p.nSI+p.nSF+1) <= stripCache {
+		p.width *= 2
 	}
 	p.load = matchSingleLoad(spec.Code)
 	return p, true
@@ -584,6 +603,11 @@ func (c *withCompiler) foldBegin(pc int, in *WithInstr) {
 		return
 	}
 	acc := c.materialize(flt, (*st)[d], d)
+	if by := acc.by; by >= 0 && c.p.code[by].op == wLoad && c.p.code[by].mode == wLin {
+		// A strip loaded at a fixed stride may be its matrix's own cells;
+		// the accumulator is combined into in place.
+		c.emit(wInstr{op: wCopy, flt: flt, d: acc.reg, a: acc.reg})
+	}
 	ns.acc = acc.reg
 	(*st)[d] = wVal{kind: wSS, reg: acc.reg, by: -1}
 	ns.begin = c.emit(wInstr{op: wFoldBegin, flt: flt, nest: ns})

@@ -3,31 +3,48 @@
 // dispatch per instruction per strip. Nothing here can fail but on a
 // cancelled context — loads are proven in bounds before the first
 // strip, divisors are non-zero literals — and nothing allocates: states
-// come from a pool and are sized once per execution or per parallel
-// chunk.
+// come from a pool and are sized once per chunk of the box.
 package matrix
 
 import "sync"
 
 // wFile is one typed half of a strip state: the uniform registers and
-// the strip registers, w cells each, of one element type.
+// the strip registers of one element type. A strip register has w cells
+// of storage of its own in s, and v[r] is what it holds right now: those
+// cells, or — after a load that walks its matrix at stride 1 — the
+// matrix's own cells, which nothing may write. So every instruction
+// fetches its operands (strip) before it takes its destination (dst),
+// which points the register back at its own storage; what is written in
+// place without being a destination (a fold accumulator, the gather
+// offsets) is given own storage first.
 type wFile[T int64 | float64] struct {
 	u   []T
 	s   []T
+	v   [][]T
 	out []T // where the program's flagged last instruction writes
 	w   int
 }
 
+// strip returns the n cells register r holds, to read.
 func (f *wFile[T]) strip(r int32, n int) []T {
+	return f.v[r][:n]
+}
+
+// own returns the first n cells of register r's own storage.
+func (f *wFile[T]) own(r int32, n int) []T {
 	o := int(r) * f.w
 	return f.s[o : o+n]
 }
 
+// dst returns the n cells the instruction writes; a register then holds
+// its own storage.
 func (f *wFile[T]) dst(in *wInstr, n int) []T {
 	if in.out {
 		return f.out[:n]
 	}
-	return f.strip(in.d, n)
+	d := f.own(in.d, n)
+	f.v[in.d] = d
+	return d
 }
 
 // size readies the file for a program: the uniform image copied in
@@ -35,6 +52,7 @@ func (f *wFile[T]) dst(in *wInstr, n int) []T {
 func (f *wFile[T]) size(image []T, strips, w int) {
 	f.u = append(f.u[:0], image...)
 	f.s = grow(f.s, strips*w)
+	f.v = grow(f.v, strips)
 	f.w = w
 }
 
@@ -71,14 +89,16 @@ func (r *WithRun) newState(w int) *wState {
 func (st *wState) release() {
 	st.mats = nil
 	st.i.out, st.f.out = nil, nil
+	clear(st.i.v) // a pooled state must not keep a run's matrices alive
+	clear(st.f.v)
 	wStatePool.Put(st)
 }
 
 // ownOut points the output strip at the state's spare register: the
 // fold engines reduce it after every evaluation.
 func (st *wState) ownOut(p *WithProg) {
-	st.i.out = st.i.strip(int32(p.nSI), st.i.w)
-	st.f.out = st.f.strip(int32(p.nSF), st.f.w)
+	st.i.out = st.i.own(int32(p.nSI), st.i.w)
+	st.f.out = st.f.own(int32(p.nSF), st.f.w)
 }
 
 // walk evaluates the program over rows [r0, r1) of the outermost
@@ -166,19 +186,15 @@ func (st *wState) eval(p *WithProg, n int, x Exec) error {
 				ui[in.d] = ui[in.a] / in.k
 				continue
 			}
-			d, a, k := st.i.dst(in, n), st.i.strip(in.a, n), in.k
-			for i := range d {
-				d[i] = a[i] / k
-			}
+			a := st.i.strip(in.a, n)
+			arithSU(OpDiv, st.i.dst(in, n), a, in.k)
 		case wModK:
 			if in.mode == wUU {
 				ui[in.d] = ui[in.a] % in.k
 				continue
 			}
-			d, a, k := st.i.dst(in, n), st.i.strip(in.a, n), in.k
-			for i := range d {
-				d[i] = a[i] % k
-			}
+			a := st.i.strip(in.a, n)
+			modSU(st.i.dst(in, n), a, in.k)
 		case wNeg:
 			if in.flt {
 				stripNeg(in, &st.f, n)
@@ -190,7 +206,7 @@ func (st *wState) eval(p *WithProg, n int, x Exec) error {
 				uf[in.d] = float64(ui[in.a])
 				continue
 			}
-			d, a := st.f.dst(in, n), st.i.strip(in.a, n)
+			a, d := st.i.strip(in.a, n), st.f.dst(in, n)
 			for i := range d {
 				d[i] = float64(a[i])
 			}
@@ -199,7 +215,7 @@ func (st *wState) eval(p *WithProg, n int, x Exec) error {
 				ui[in.d] = int64(uf[in.a])
 				continue
 			}
-			d, a := st.i.dst(in, n), st.f.strip(in.a, n)
+			a, d := st.f.strip(in.a, n), st.i.dst(in, n)
 			for i := range d {
 				d[i] = int64(a[i])
 			}
@@ -216,9 +232,11 @@ func (st *wState) eval(p *WithProg, n int, x Exec) error {
 			}
 		case wCopy:
 			if in.flt {
-				copy(st.f.dst(in, n), st.f.strip(in.a, n))
+				a := st.f.strip(in.a, n)
+				copy(st.f.dst(in, n), a)
 			} else {
-				copy(st.i.dst(in, n), st.i.strip(in.a, n))
+				a := st.i.strip(in.a, n)
+				copy(st.i.dst(in, n), a)
 			}
 		case wLoad:
 			m := st.mats[in.a]
@@ -285,91 +303,38 @@ func stripNeg[T int64 | float64](in *wInstr, f *wFile[T], n int) {
 		f.u[in.d] = -f.u[in.a]
 		return
 	}
-	d, a := f.dst(in, n), f.strip(in.a, n)
+	a, d := f.strip(in.a, n), f.dst(in, n)
 	for i := range d {
 		d[i] = -a[i]
 	}
 }
 
-// stripArith runs one binary arithmetic instruction. Operand order is
-// kept in every mode: the result bits are those of `a op b` per cell.
+// stripArith runs one binary arithmetic instruction on the shared
+// slice kernels (arith.go).
 func stripArith[T int64 | float64](in *wInstr, f *wFile[T], n int) {
-	if in.mode == wUU {
+	op := Op(in.op)
+	switch in.mode {
+	case wUU:
 		a, b := f.u[in.a], f.u[in.b]
-		switch in.op {
-		case wAdd:
+		switch op {
+		case OpAdd:
 			f.u[in.d] = a + b
-		case wSub:
+		case OpSub:
 			f.u[in.d] = a - b
-		case wMul:
+		case OpMul:
 			f.u[in.d] = a * b
 		default:
 			f.u[in.d] = a / b
 		}
-		return
-	}
-	d := f.dst(in, n)
-	switch in.mode {
 	case wSS:
 		a, b := f.strip(in.a, n), f.strip(in.b, n)
-		switch in.op {
-		case wAdd:
-			for i := range d {
-				d[i] = a[i] + b[i]
-			}
-		case wSub:
-			for i := range d {
-				d[i] = a[i] - b[i]
-			}
-		case wMul:
-			for i := range d {
-				d[i] = a[i] * b[i]
-			}
-		default:
-			for i := range d {
-				d[i] = a[i] / b[i]
-			}
-		}
+		arithSS(op, f.dst(in, n), a, b)
 	case wSU:
-		a, b := f.strip(in.a, n), f.u[in.b]
-		switch in.op {
-		case wAdd:
-			for i := range d {
-				d[i] = a[i] + b
-			}
-		case wSub:
-			for i := range d {
-				d[i] = a[i] - b
-			}
-		case wMul:
-			for i := range d {
-				d[i] = a[i] * b
-			}
-		default:
-			for i := range d {
-				d[i] = a[i] / b
-			}
-		}
+		a := f.strip(in.a, n)
+		arithSU(op, f.dst(in, n), a, f.u[in.b])
 	default: // wUS
-		a, b := f.u[in.a], f.strip(in.b, n)
-		switch in.op {
-		case wAdd:
-			for i := range d {
-				d[i] = a + b[i]
-			}
-		case wSub:
-			for i := range d {
-				d[i] = a - b[i]
-			}
-		case wMul:
-			for i := range d {
-				d[i] = a * b[i]
-			}
-		default:
-			for i := range d {
-				d[i] = a / b[i]
-			}
-		}
+		b := f.strip(in.b, n)
+		arithUS(op, f.dst(in, n), f.u[in.a], b)
 	}
 }
 
@@ -392,11 +357,17 @@ func stripLoad[T int64 | float64](in *wInstr, data []T, strides []int, f *wFile[
 				step += strides[d]
 			}
 		}
-		dst := f.dst(in, n)
 		if step == 1 {
-			copy(dst, data[base:base+n])
+			// The matrix's own cells are the strip: no copy, unless they
+			// are the evaluation's output.
+			if in.out {
+				copy(f.out[:n], data[base:base+n])
+			} else {
+				f.v[in.d] = data[base : base+n]
+			}
 			return
 		}
+		dst := f.dst(in, n)
 		for i := range dst {
 			dst[i] = data[base]
 			base += step
@@ -404,7 +375,7 @@ func stripLoad[T int64 | float64](in *wInstr, data []T, strides []int, f *wFile[
 	default:
 		// Gather: offsets accumulate in the spare int strip, so an index
 		// strip may share its register with the destination.
-		off := ints.strip(in.b, n)
+		off := ints.own(in.b, n)
 		base, first := 0, true
 		for d, ix := range in.idx {
 			if ix.kind == wUU {

@@ -200,6 +200,49 @@ int main() {
 	}
 }
 
+// TestCrashDeadlineInsideChain: a loop of 2^20-cell fused chains spends
+// all its time inside them, and a chain is one instruction of the VM —
+// the deadline has to be seen between its strips, and the 504 says so:
+// the error is anchored at the chain's expression, not at a statement.
+func TestCrashDeadlineInsideChain(t *testing.T) {
+	ts, _ := newTestServer(t, server.Config{MaxCells: 1 << 40})
+	const src = `
+int main() {
+	Matrix float <2> a = init(Matrix float <2>, 1024, 1024);
+	Matrix float <2> b = init(Matrix float <2>, 1024, 1024);
+	for (int r = 0; r < 100000; r++) {
+		Matrix float <2> c = a .* b + a - b * 0.5;
+	}
+	return 0;
+}
+`
+	for _, threads := range []int{1, 4} {
+		// The deadline can also fall in the microseconds between two
+		// chains, or in a cold compile: every attempt must time out
+		// promptly, one must have timed out inside a chain.
+		var seen []string
+		inside := false
+		for attempt := 0; attempt < 5 && !inside; attempt++ {
+			start := time.Now()
+			code, body := postJSON(t, ts.URL+"/v1/run",
+				map[string]any{"source": src, "threads": threads, "timeout_ms": 100})
+			if code != http.StatusGatewayTimeout {
+				t.Fatalf("threads %d: status = %d %v, want 504", threads, code, body)
+			}
+			if elapsed := time.Since(start); elapsed > 5*time.Second {
+				t.Fatalf("threads %d: cancellation inside the chain took %s", threads, elapsed)
+			}
+			msg, _ := body["error"].(string)
+			seen = append(seen, msg)
+			inside = strings.Contains(msg, ":6:24:")
+			mustHealthz(t, ts.URL)
+		}
+		if !inside {
+			t.Errorf("threads %d: no deadline seen inside the chain at 6:24: %q", threads, seen)
+		}
+	}
+}
+
 func TestCrashTrapsCountedOnMetrics(t *testing.T) {
 	ts, _ := newTestServer(t, server.Config{MaxCells: 100})
 	oversized := map[string]any{"source": `

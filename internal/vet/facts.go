@@ -34,43 +34,30 @@ package vet
 
 import (
 	"repro/internal/ast"
+	"repro/internal/matrix"
 	"repro/internal/sem"
 	"repro/internal/types"
 )
 
-// ChainArgKind classifies one operand of a fused stage.
-type ChainArgKind int
-
-const (
-	// ArgStage: the operand is the result of an earlier stage in the
-	// same chain (an intermediate that will never be materialized).
-	ArgStage ChainArgKind = iota
-	// ArgMatrix: a matrix-typed identifier leaf.
-	ArgMatrix
-	// ArgScalar: a scalar literal or scalar identifier leaf.
-	ArgScalar
-)
-
-// ChainArg is one operand of a fused stage.
-type ChainArg struct {
-	Kind  ChainArgKind
-	Stage int      // ArgStage: index of the producing stage
-	X     ast.Expr // ArgMatrix / ArgScalar: the leaf expression
+// ChainLeaf is one identifier leaf of a chain: a matrix, loaded by the
+// plan's next WLoad* slot, or a scalar, pushed by its next WPushScalar*
+// slot (an int scalar on a float chain takes a float slot: the VM
+// converts it once, before the loop). Literal leaves are constants of
+// the plan.
+type ChainLeaf struct {
+	X      *ast.Ident
+	Scalar bool
 }
 
-// ChainStage is one elementwise operation of a fused chain.
-type ChainStage struct {
-	Node ast.Node // the BinaryExpr — error spans anchor here
-	Op   ast.BinOp
-	L, R ChainArg
-}
-
-// Chain is a maximal fusable elementwise expression tree, stages in
-// post-order (operands of stage i always have index < i; the last
-// stage is the root).
+// Chain is a maximal fusable elementwise expression tree, written as
+// the rank-1 plan the strip engine runs: every matrix leaf loaded at id
+// 0, one arithmetic instruction per stage, in post-order (the last is
+// the root). Admission replays the stages off the same plan.
 type Chain struct {
 	Elem   types.Kind // element type of every stage: Float or Int
-	Stages []ChainStage
+	Code   []matrix.WithInstr
+	Leaves []ChainLeaf // in tree evaluation order, which is slot order
+	Nodes  []ast.Node  // the BinaryExpr of each stage — error spans anchor here
 }
 
 // Facts is the proven-facts side table computed once per checked
@@ -235,7 +222,7 @@ func (ff *factFinder) expr(x ast.Expr) {
 }
 
 // buildChain proves the expression tree rooted at root fusable and
-// linearizes it, or returns nil.
+// writes its plan, or returns nil.
 func (ff *factFinder) buildChain(root *ast.BinaryExpr) *Chain {
 	t := ff.info.TypeOf(root)
 	if t == nil || t.Kind != types.Matrix || t.Elem == nil {
@@ -246,73 +233,113 @@ func (ff *factFinder) buildChain(root *ast.BinaryExpr) *Chain {
 		return nil
 	}
 	c := &Chain{Elem: elem}
-	if _, ok := ff.stage(c, root); !ok || len(c.Stages) < 2 {
+	if !ff.stage(c, root) || len(c.Nodes) < 2 {
 		return nil
 	}
 	return c
 }
 
-// stage linearizes one interior node, appending its operands' stages
-// first (post-order), and returns the operand describing it.
-func (ff *factFinder) stage(c *Chain, x ast.Expr) (ChainArg, bool) {
+// slot counts the chain's leaves of one kind so far: the next one's slot.
+func (c *Chain) slot(scalar bool) int32 {
+	n := int32(0)
+	for _, l := range c.Leaves {
+		if l.Scalar == scalar {
+			n++
+		}
+	}
+	return n
+}
+
+// stage appends the plan of one operand — a leaf, or an interior node
+// after its operands' (post-order) — or reports it unfusable.
+func (ff *factFinder) stage(c *Chain, x ast.Expr) bool {
 	t := ff.info.TypeOf(x)
 	if t == nil {
-		return ChainArg{}, false
+		return false
 	}
+	float := c.Elem == types.Float
 	switch t.Kind {
 	case types.Int, types.Float:
-		if t.Kind == types.Float && c.Elem != types.Float {
-			return ChainArg{}, false // float scalar promotes an int chain
+		if t.Kind == types.Float && !float {
+			return false // float scalar promotes an int chain
 		}
-		switch x.(type) {
-		case *ast.IntLit, *ast.FloatLit, *ast.Ident:
-			return ChainArg{Kind: ArgScalar, X: x}, true
+		// An int scalar on a float chain converts before the loop, like
+		// BroadcastExec's charge-free conversion.
+		switch x := x.(type) {
+		case *ast.IntLit:
+			if float {
+				c.Code = append(c.Code, matrix.WithInstr{Op: matrix.WPushFloat, F: float64(x.Value)})
+			} else {
+				c.Code = append(c.Code, matrix.WithInstr{Op: matrix.WPushInt, K: x.Value})
+			}
+		case *ast.FloatLit:
+			c.Code = append(c.Code, matrix.WithInstr{Op: matrix.WPushFloat, F: x.Value})
+		case *ast.Ident:
+			op := matrix.WPushScalarI
+			if float {
+				op = matrix.WPushScalarF
+			}
+			c.Code = append(c.Code, matrix.WithInstr{Op: op, A: c.slot(true)})
+			c.Leaves = append(c.Leaves, ChainLeaf{X: x, Scalar: true})
+		default:
+			return false
 		}
-		return ChainArg{}, false
+		return true
 
 	case types.Matrix:
 		if t.Elem == nil || t.Elem.Kind != c.Elem {
-			return ChainArg{}, false
+			return false
 		}
 		switch x := x.(type) {
 		case *ast.Ident:
-			return ChainArg{Kind: ArgMatrix, X: x}, true
+			op := matrix.WLoadI
+			if float {
+				op = matrix.WLoadF
+			}
+			c.Code = append(c.Code, matrix.WithInstr{Op: matrix.WPushID},
+				matrix.WithInstr{Op: op, A: c.slot(false), B: 1})
+			c.Leaves = append(c.Leaves, ChainLeaf{X: x})
+			return true
 		case *ast.BinaryExpr:
-			if !ff.legalOp(x) {
-				return ChainArg{}, false
+			op, ok := ff.stageOp(x, float)
+			if !ok || !ff.stage(c, x.L) || !ff.stage(c, x.R) {
+				return false
 			}
-			l, ok := ff.stage(c, x.L)
-			if !ok {
-				return ChainArg{}, false
-			}
-			r, ok := ff.stage(c, x.R)
-			if !ok {
-				return ChainArg{}, false
-			}
-			c.Stages = append(c.Stages, ChainStage{Node: x, Op: x.Op, L: l, R: r})
-			return ChainArg{Kind: ArgStage, Stage: len(c.Stages) - 1}, true
+			c.Code = append(c.Code, matrix.WithInstr{Op: op})
+			c.Nodes = append(c.Nodes, x)
+			return true
 		}
-		return ChainArg{}, false
 	}
-	return ChainArg{}, false
+	return false
 }
 
-// legalOp reports whether a matrix-typed binary node's operator is
-// fusable (see the package comment for the rationale per operator).
-func (ff *factFinder) legalOp(x *ast.BinaryExpr) bool {
+// stageOp maps a matrix-typed binary node's operator to the plan's, or
+// reports it unfusable (see the package comment for the rationale per
+// operator).
+func (ff *factFinder) stageOp(x *ast.BinaryExpr, float bool) (matrix.WithOp, bool) {
 	switch x.Op {
-	case ast.OpAdd, ast.OpSub, ast.OpElemMul:
-		return true
+	case ast.OpAdd:
+		return pick(float, matrix.WAddF, matrix.WAddI), true
+	case ast.OpSub:
+		return pick(float, matrix.WSubF, matrix.WSubI), true
+	case ast.OpElemMul:
+		return pick(float, matrix.WMulF, matrix.WMulI), true
 	case ast.OpMul:
 		// Matrix * matrix is matmul; only scalar scaling is elementwise.
 		lt, rt := ff.info.TypeOf(x.L), ff.info.TypeOf(x.R)
 		lScalar := lt != nil && (lt.Kind == types.Int || lt.Kind == types.Float)
 		rScalar := rt != nil && (rt.Kind == types.Int || rt.Kind == types.Float)
-		return lScalar != rScalar
+		return pick(float, matrix.WMulF, matrix.WMulI), lScalar != rScalar
 	case ast.OpDiv:
 		// Int division traps per element; only float chains fuse it.
-		t := ff.info.TypeOf(x)
-		return t != nil && t.Elem != nil && t.Elem.Kind == types.Float
+		return matrix.WDivF, float
 	}
-	return false
+	return 0, false
+}
+
+func pick(float bool, f, i matrix.WithOp) matrix.WithOp {
+	if float {
+		return f
+	}
+	return i
 }

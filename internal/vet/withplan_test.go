@@ -5,6 +5,8 @@
 package vet
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/matrix"
@@ -306,5 +308,62 @@ int main() {
 		if !ok {
 			t.Errorf("proven plan does not compile on the flat engine: %+v", wp)
 		}
+	}
+}
+
+// TestChainPlan: a proven chain is written in the with-loop plan
+// language — every matrix leaf loaded at id 0 by its own slot, literals
+// as constants (an int literal on a float chain already a float), one
+// arithmetic instruction per stage in post-order — and its leaves come
+// in tree evaluation order.
+func TestChainPlan(t *testing.T) {
+	f := factsFor(t, `
+int main() {
+	Matrix float <2> a = init(Matrix float <2>, 2, 3);
+	Matrix float <2> b = init(Matrix float <2>, 2, 3);
+	int k = 3;
+	Matrix float <2> r = a .* b + k * a - b / 2;
+	print(r[0, 0]);
+	return 0;
+}`)
+	if f.ChainCount() != 1 {
+		t.Fatalf("ChainCount = %d, want 1", f.ChainCount())
+	}
+	var ch *Chain
+	for _, c := range f.chains {
+		ch = c
+	}
+	load := func(slot int32) []matrix.WithInstr {
+		return []matrix.WithInstr{{Op: matrix.WPushID}, {Op: matrix.WLoadF, A: slot, B: 1}}
+	}
+	var want []matrix.WithInstr
+	want = append(want, load(0)...)
+	want = append(want, load(1)...)
+	want = append(want, matrix.WithInstr{Op: matrix.WMulF}, matrix.WithInstr{Op: matrix.WPushScalarF, A: 0})
+	want = append(want, load(2)...)
+	want = append(want, matrix.WithInstr{Op: matrix.WMulF}, matrix.WithInstr{Op: matrix.WAddF})
+	want = append(want, load(3)...)
+	want = append(want, matrix.WithInstr{Op: matrix.WPushFloat, F: 2}, matrix.WithInstr{Op: matrix.WDivF}, matrix.WithInstr{Op: matrix.WSubF})
+	if !slices.Equal(ch.Code, want) {
+		t.Errorf("plan\n got  %+v\n want %+v", ch.Code, want)
+	}
+	var leaves []string
+	for _, l := range ch.Leaves {
+		name := l.X.Name
+		if l.Scalar {
+			name = "scalar " + name
+		}
+		leaves = append(leaves, name)
+	}
+	if got := strings.Join(leaves, ", "); got != "a, b, scalar k, a, b" {
+		t.Errorf("leaves in tree order: %s", got)
+	}
+	if len(ch.Nodes) != 5 {
+		t.Errorf("%d stage nodes, want 5", len(ch.Nodes))
+	}
+	_, ok := matrix.CompileWith(matrix.WithSpec{Code: ch.Code, Rank: 1,
+		MatElem: []matrix.Elem{matrix.Float, matrix.Float, matrix.Float, matrix.Float}, ScalarF: 1, Float: true, OutFloat: true})
+	if !ok {
+		t.Error("the strip compiler declines the plan")
 	}
 }

@@ -304,81 +304,53 @@ func (f *fnc) compileBinary(e *ast.BinaryExpr) (int32, class) {
 	return dst, cl
 }
 
-// binToKernelOp mirrors interp's binToMatrixOp for the fusable
-// operators (vet's legality rules exclude the rest).
-var binToKernelOp = map[ast.BinOp]matrix.Op{
-	ast.OpAdd: matrix.OpAdd, ast.OpSub: matrix.OpSub,
-	ast.OpMul: matrix.OpMul, ast.OpElemMul: matrix.OpMul,
-	ast.OpDiv: matrix.OpDiv,
-}
-
-// compileFused lowers a proven chain to one opFused instruction. Leaf
-// expressions (identifiers and literals only, per the legality rules)
-// compile in tree evaluation order, so an undeclared-global error in a
-// global initializer still surfaces at the right leaf. Returns ok =
-// false to fall back to the generic opBinM lowering when a leaf does
-// not resolve to the expected register class (unreachable in checked
-// programs; the few dead leaf loads already emitted are side-effect
-// free).
+// compileFused lowers a proven chain to one opFused instruction: the
+// chain's plan compiled to its strip program, leaves bound like a flat
+// with-loop's. Leaf identifiers compile in tree evaluation order, so an
+// undeclared-global error in a global initializer still surfaces at the
+// right leaf; an int scalar on a float chain converts here, mirroring
+// the charge-free int→float scalar conversion BroadcastExec performs.
+// Returns ok = false to fall back to the generic opBinM lowering when a
+// leaf does not resolve to the expected register class or the strip
+// compiler declines the plan (unreachable in checked programs; the few
+// dead leaf loads already emitted are side-effect free).
 func (f *fnc) compileFused(e *ast.BinaryExpr, ch *vet.Chain) (int32, class, bool) {
-	elem := matrix.Float
-	if ch.Elem == types.Int {
-		elem = matrix.Int
+	float, elem := ch.Elem == types.Float, matrix.Int
+	if float {
+		elem = matrix.Float
 	}
-	d := &fusedDesc{e: e, elem: elem, stages: make([]fusedStagePlan, len(ch.Stages))}
-	for i, st := range ch.Stages {
-		op, ok := binToKernelOp[st.Op]
-		if !ok {
+	d := &chainDesc{nodes: ch.Nodes}
+	var elems []matrix.Elem
+	for _, lf := range ch.Leaves {
+		r, cl := f.compileExpr(lf.X)
+		switch {
+		case !lf.Scalar && cl == clR:
+			d.flat.mats, elems = append(d.flat.mats, r), append(elems, elem)
+		case lf.Scalar && float && cl == clI:
+			out := f.reg()
+			f.emit(instr{op: opI2F, a: out, b: r})
+			d.flat.sF = append(d.flat.sF, out)
+		case lf.Scalar && float && cl == clF:
+			d.flat.sF = append(d.flat.sF, r)
+		case lf.Scalar && !float && cl == clI:
+			d.flat.sI = append(d.flat.sI, r)
+		default:
 			return 0, 0, false
 		}
-		be, ok := st.Node.(*ast.BinaryExpr)
-		if !ok {
-			return 0, 0, false
-		}
-		l, ok := f.fusedArg(st.L, elem)
-		if !ok {
-			return 0, 0, false
-		}
-		r, ok := f.fusedArg(st.R, elem)
-		if !ok {
-			return 0, 0, false
-		}
-		d.stages[i] = fusedStagePlan{node: be, op: op, l: l, r: r}
+	}
+	var ok bool
+	d.flat.prog, ok = matrix.CompileWith(matrix.WithSpec{
+		Code: ch.Code, Rank: 1, MatElem: elems,
+		ScalarI: len(d.flat.sI), ScalarF: len(d.flat.sF),
+		Float: float, OutFloat: float,
+	})
+	if !ok {
+		return 0, 0, false
 	}
 	dst := f.reg()
 	f.emit(instr{op: opFused, a: dst, nd: e, aux: d})
 	f.c.fusedSites++
 	return dst, clR, true
-}
-
-// fusedArg compiles one chain operand into its runtime plan. Scalars
-// convert to the chain's element type at compile time, mirroring the
-// charge-free int→float scalar conversion BroadcastExec performs.
-func (f *fnc) fusedArg(a vet.ChainArg, elem matrix.Elem) (fusedArgPlan, bool) {
-	switch a.Kind {
-	case vet.ArgStage:
-		return fusedArgPlan{kind: matrix.FusedStageArg, stage: a.Stage}, true
-	case vet.ArgMatrix:
-		r, cl := f.compileExpr(a.X)
-		if cl != clR {
-			return fusedArgPlan{}, false
-		}
-		return fusedArgPlan{kind: matrix.FusedMatrixArg, reg: r, cl: cl}, true
-	case vet.ArgScalar:
-		r, cl := f.compileExpr(a.X)
-		switch {
-		case elem == matrix.Float && cl == clI:
-			out := f.reg()
-			f.emit(instr{op: opI2F, a: out, b: r})
-			r, cl = out, clF
-		case elem == matrix.Float && cl == clF:
-		case elem == matrix.Int && cl == clI:
-		default:
-			return fusedArgPlan{}, false
-		}
-		return fusedArgPlan{kind: matrix.FusedScalarArg, reg: r, cl: cl}, true
-	}
-	return fusedArgPlan{}, false
 }
 
 // floatOperand evaluates a statically numeric operand into a float

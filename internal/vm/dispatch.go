@@ -5,10 +5,8 @@
 package vm
 
 import (
-	"errors"
 	"sync/atomic"
 
-	"repro/internal/ast"
 	"repro/internal/interp"
 	"repro/internal/matrix"
 )
@@ -37,24 +35,6 @@ var withFlatDeclined atomic.Int64
 // WithFlatLoopsDeclined reports the number of flat-compiled with-loop
 // executions that fell back to the closure path process-wide.
 func WithFlatLoopsDeclined() int64 { return withFlatDeclined.Load() }
-
-// fusedArg resolves one compiled fused operand against the frame's
-// registers. A boxed register holding a non-matrix (only possible via
-// unchecked programs) resolves to a nil matrix, which FusedExec rejects
-// like the unfused engine's nil check.
-func (fr *frame) fusedArg(p fusedArgPlan, elem matrix.Elem) matrix.FusedArg {
-	switch p.kind {
-	case matrix.FusedStageArg:
-		return matrix.FusedArg{Kind: matrix.FusedStageArg, Stage: p.stage}
-	case matrix.FusedMatrixArg:
-		m, _ := fr.regs[p.reg].r.(*matrix.Matrix)
-		return matrix.FusedArg{Kind: matrix.FusedMatrixArg, Mat: m}
-	}
-	if elem == matrix.Int {
-		return matrix.FusedArg{Kind: matrix.FusedScalarArg, I: fr.regs[p.reg].i}
-	}
-	return matrix.FusedArg{Kind: matrix.FusedScalarArg, F: fr.regs[p.reg].f}
-}
 
 func (mc *Machine) exec(fr *frame, p *proto) error {
 	code := p.code
@@ -308,29 +288,7 @@ func (mc *Machine) exec(fr *frame, p *proto) error {
 				return err
 			}
 		case opFused:
-			d := in.aux.(*fusedDesc)
-			stages := make([]matrix.FusedStage, len(d.stages))
-			for i := range d.stages {
-				sp := &d.stages[i]
-				stages[i] = matrix.FusedStage{
-					Op: sp.op,
-					L:  fr.fusedArg(sp.l, d.elem),
-					R:  fr.fusedArg(sp.r, d.elem),
-				}
-			}
-			out, failed, err := matrix.FusedExec(stages, d.elem, mc.in.Exec(fr.pool))
-			if err != nil {
-				nd := ast.Node(d.e)
-				if failed >= 0 && failed < len(d.stages) {
-					nd = d.stages[failed].node
-				}
-				if errors.Is(err, matrix.ErrUnassignedOperand) {
-					return interp.Errorf(nd, "use of unassigned matrix")
-				}
-				return interp.WrapError(nd, err)
-			}
-			fusedLoopsRun.Add(1)
-			if err := fr.store(in.a, clR, out, in.nd); err != nil {
+			if err := mc.execChain(fr, in); err != nil {
 				return err
 			}
 

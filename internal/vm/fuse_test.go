@@ -33,20 +33,40 @@ int main() {
 	if ops[opBinM] != 2 {
 		t.Errorf("opBinM emitted %d times, want 2 (initializers only): %v", ops[opBinM], ops)
 	}
+	// A chain runs on the with-loop engine but is not a with-loop site.
+	if p.WithCompiled() != 0 {
+		t.Errorf("WithCompiled = %d, want 0", p.WithCompiled())
+	}
 }
 
 func TestCompileFusedIntScalarOnFloatChainConverts(t *testing.T) {
-	// The int literal 2 broadcast onto a float chain converts at compile
-	// time (opI2F), mirroring BroadcastExec's charge-free conversion.
+	// An int scalar broadcast onto a float chain converts before the
+	// loop, mirroring BroadcastExec's charge-free conversion: a literal
+	// in the plan itself, an identifier through one opI2F.
 	p := compile(t, `
 int main() {
 	Matrix float <1> a = [0 :: 7] * 1.0;
+	int k = 3;
 	Matrix float <1> r = a * 2 + a;
-	print(r[0]);
+	Matrix float <1> q = a * k - a;
+	print(r[7]);
+	print(q[7]);
 	return 0;
 }`)
-	if p.FusedSites() != 1 {
-		t.Fatalf("FusedSites = %d, want 1", p.FusedSites())
+	if p.FusedSites() != 2 {
+		t.Fatalf("FusedSites = %d, want 2", p.FusedSites())
+	}
+	if ops := countOps(p); ops[opI2F] != 1 {
+		t.Errorf("opI2F emitted %d times, want 1 (the identifier k): %v", ops[opI2F], ops)
+	}
+	var out strings.Builder
+	i := interp.New(p.prog, p.info, interp.Options{Stdout: &out})
+	defer i.Close()
+	if _, err := NewMachine(p, i).Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := "21\n14\n"; out.String() != want {
+		t.Errorf("stdout = %q, want %q", out.String(), want)
 	}
 }
 
@@ -117,7 +137,7 @@ int main() {
 	if p.FusedSites() != 2 {
 		t.Fatalf("FusedSites = %d, want 2", p.FusedSites())
 	}
-	before := FusedLoopsRun()
+	before, flat := FusedLoopsRun(), WithFlatLoopsRun()
 	var out strings.Builder
 	i := interp.New(p.prog, p.info, interp.Options{Stdout: &out})
 	defer i.Close()
@@ -132,5 +152,8 @@ int main() {
 	}
 	if got := FusedLoopsRun() - before; got != 2 {
 		t.Errorf("FusedLoopsRun advanced by %d, want 2", got)
+	}
+	if got := WithFlatLoopsRun() - flat; got != 0 {
+		t.Errorf("WithFlatLoopsRun advanced by %d, want 0: a chain run is a fused loop, not a flat with-loop", got)
 	}
 }

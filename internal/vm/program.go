@@ -199,7 +199,7 @@ const (
 	opSpawn  // spawn per aux *spawnDesc
 	opSync
 
-	// Fused elementwise chain (vet.Facts-proven legality), aux *fusedDesc.
+	// Fused elementwise chain (vet.Facts-proven legality), aux *chainDesc.
 	opFused
 
 	// Flat-compiled with-loops (vet.Facts-proven bodies): aux is the
@@ -328,11 +328,11 @@ type withDesc struct {
 	flat       *flatPlan // non-nil for opWithGen/opWithFold sites
 }
 
-// flatPlan is a vet.WithPlan compiled for this site: the strip program
-// (immutable, shared by every run of the cached program) and the
-// registers its leaves are read from at run time. Leaves resolve to
-// locals only: a global leaf keeps the closure path so a racy global
-// rebind stays observable per element.
+// flatPlan is a vet.WithPlan or vet.Chain compiled for this site: the
+// strip program (immutable, shared by every run of the cached program)
+// and the registers its leaves are read from at run time. A with-loop's
+// leaves resolve to locals only: a global leaf keeps the closure path
+// so a racy global rebind stays observable per element.
 type flatPlan struct {
 	prog *matrix.WithProg
 	mats []int32 // R regs, by load slot
@@ -377,30 +377,13 @@ type spawnDesc struct {
 	name   string // target name for the undeclared error
 }
 
-// fusedArgPlan locates one operand of a fused stage at compile time:
-// an earlier stage's block scratch, a matrix leaf register, or a
-// scalar register already converted to the chain's element type.
-type fusedArgPlan struct {
-	kind  matrix.FusedArgKind
-	stage int
-	reg   int32
-	cl    class
-}
-
-// fusedStagePlan is one compiled stage; node anchors any error this
-// stage's admission or execution raises, matching the span the tree
-// walker would report for the same stage.
-type fusedStagePlan struct {
-	node ast.Node
-	op   matrix.Op
-	l, r fusedArgPlan
-}
-
-// fusedDesc drives opFused.
-type fusedDesc struct {
-	e      *ast.BinaryExpr
-	elem   matrix.Elem
-	stages []fusedStagePlan
+// chainDesc drives opFused: the chain's strip program with the
+// registers its leaves are read from, and per stage the node any error
+// that stage's admission raises is anchored at, matching the span the
+// tree walker would report for the same stage.
+type chainDesc struct {
+	flat  flatPlan
+	nodes []ast.Node
 }
 
 // paramDef is one compiled parameter.

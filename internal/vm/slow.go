@@ -4,6 +4,8 @@
 package vm
 
 import (
+	"errors"
+
 	"repro/internal/ast"
 	"repro/internal/interp"
 	"repro/internal/matrix"
@@ -385,25 +387,57 @@ func (mc *Machine) execWithFlat(fr *frame, in *instr) (bool, error) {
 	return handled, err
 }
 
-func (mc *Machine) runFlat(fr *frame, in *instr, d *withDesc, fp *flatPlan) (bool, error) {
-	run := fp.prog.NewRun()
-	defer run.Release()
-	for k := range d.lower {
-		run.Lower[k] = int(fr.regs[d.lower[k]].i)
-		run.Upper[k] = int(fr.regs[d.upper[k]].i)
-	}
+// bind fills a run's leaves from the frame's registers. A matrix
+// register that holds no matrix (unassigned, or anything else an
+// unchecked program put there) binds nil and is reported.
+func (fp *flatPlan) bind(fr *frame, run *matrix.WithRun) bool {
+	ok := true
 	for k, r := range fp.mats {
-		m, ok := fr.regs[r].r.(*matrix.Matrix)
-		if !ok {
-			return false, nil
-		}
+		m, isMat := fr.regs[r].r.(*matrix.Matrix)
 		run.Mats[k] = m
+		ok = ok && isMat
 	}
 	for k, r := range fp.sI {
 		run.ScalarI[k] = fr.regs[r].i
 	}
 	for k, r := range fp.sF {
 		run.ScalarF[k] = fr.regs[r].f
+	}
+	return ok
+}
+
+// execChain runs a fused elementwise chain on the flat engine. There is
+// nothing to fall back to and nothing to decline: admission replays the
+// unfused stages', and an error is anchored at its stage's node.
+func (mc *Machine) execChain(fr *frame, in *instr) error {
+	d := in.aux.(*chainDesc)
+	run := d.flat.prog.NewRun()
+	defer run.Release()
+	d.flat.bind(fr, run) // a nil leaf is the failing stage's "unassigned matrix"
+	out, failed, err := matrix.ChainFlat(run, mc.in.Exec(fr.pool))
+	if err != nil {
+		nd := in.nd
+		if failed >= 0 {
+			nd = d.nodes[failed]
+		}
+		if errors.Is(err, matrix.ErrUnassignedOperand) {
+			return interp.Errorf(nd, "use of unassigned matrix")
+		}
+		return interp.WrapError(nd, err)
+	}
+	fusedLoopsRun.Add(1)
+	return fr.store(in.a, clR, out, in.nd)
+}
+
+func (mc *Machine) runFlat(fr *frame, in *instr, d *withDesc, fp *flatPlan) (bool, error) {
+	run := fp.prog.NewRun()
+	defer run.Release()
+	if !fp.bind(fr, run) {
+		return false, nil
+	}
+	for k := range d.lower {
+		run.Lower[k] = int(fr.regs[d.lower[k]].i)
+		run.Upper[k] = int(fr.regs[d.upper[k]].i)
 	}
 	x := mc.in.Exec(fr.pool)
 	if d.fold {

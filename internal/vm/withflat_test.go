@@ -214,10 +214,7 @@ int main() {
 // the strip engine the same loop took 14; bench's withloop_flat_small,
 // which also indexes the result, went from 21 a loop to 11.
 func TestWithFlatAdmissionAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("pooled scratch is dropped at random under the race detector")
-	}
-	src := func(loops string) string {
+	per := allocsPerLoop(t, func(loops string) string {
 		return `
 int main() {
 	int n = 16;
@@ -227,11 +224,46 @@ int main() {
 	}
 	return 0;
 }`
+	}, func(p *Program) bool { return p.WithCompiled() == 1 })
+	if per > 8 {
+		t.Errorf("%.1f allocations per 16x16 flat genarray execution, want at most 8", per)
+	}
+}
+
+// TestChainAdmissionAllocs pins a warm chain execution to the same
+// pooled run and strip state: what an 8x8 chain in a loop allocates is
+// its result (header, shape, strides; the cells come back from the free
+// list), the chunk closure and what binding it to a variable takes — no
+// stage table, leaf views or scratch per execution. The block engine
+// took 13.
+func TestChainAdmissionAllocs(t *testing.T) {
+	per := allocsPerLoop(t, func(loops string) string {
+		return `
+int main() {
+	Matrix float <2> a = init(Matrix float <2>, 8, 8);
+	Matrix float <2> b = init(Matrix float <2>, 8, 8);
+	for (int r = 0; r < ` + loops + `; r++) {
+		Matrix float <2> c = a .* b + a - b * 0.5;
+	}
+	return 0;
+}`
+	}, func(p *Program) bool { return p.FusedSites() == 1 })
+	if per > 8 {
+		t.Errorf("%.1f allocations per chain execution, want at most 8", per)
+	}
+}
+
+// allocsPerLoop reports what one trip of src's loop allocates: a run of
+// 1000 trips against a run of none, on a warm program that passes ok.
+func allocsPerLoop(t *testing.T, src func(loops string) string, ok func(*Program) bool) float64 {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("pooled scratch is dropped at random under the race detector")
 	}
 	allocs := func(loops string) float64 {
 		p := compile(t, src(loops))
-		if p.WithCompiled() != 1 {
-			t.Fatalf("WithCompiled = %d, want 1", p.WithCompiled())
+		if !ok(p) {
+			t.Fatalf("the loop body did not compile to the site under test")
 		}
 		return testing.AllocsPerRun(5, func() {
 			i := interp.New(p.prog, p.info, interp.Options{})
@@ -241,8 +273,5 @@ int main() {
 			}
 		})
 	}
-	per := (allocs("1000") - allocs("0")) / 1000
-	if per > 8 {
-		t.Errorf("%.1f allocations per 16x16 flat genarray execution, want at most 8", per)
-	}
+	return (allocs("1000") - allocs("0")) / 1000
 }

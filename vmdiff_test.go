@@ -4,7 +4,7 @@
 // identical — stdout bytes, exit code, the full error string (which
 // embeds the trap code and the source span), the budget-visible cell
 // count, and rc-heap leak-freedom. The tree walker is the oracle; the
-// VM is the engine under test.
+// VM is the engine under test, with vet's facts and without them.
 package repro_test
 
 import (
@@ -23,6 +23,7 @@ import (
 	"repro/internal/rc"
 	"repro/internal/sem"
 	"repro/internal/source"
+	"repro/internal/vet"
 	"repro/internal/vm"
 )
 
@@ -56,8 +57,12 @@ func runOne(t *testing.T, prog *parsedProg, engine string, opts interp.Options) 
 	var code int
 	var err error
 	switch engine {
-	case "vm":
-		p, cerr := vm.Compile(prog.prog, prog.info)
+	case "vm", "vm-nofacts":
+		facts := vet.ComputeFacts(prog.prog, prog.info)
+		if engine == "vm-nofacts" {
+			facts = nil // no chain fused, no with-loop compiled flat
+		}
+		p, cerr := vm.CompileWithFacts(prog.prog, prog.info, facts)
 		if cerr != nil {
 			t.Fatalf("vm.Compile declined the program: %v", cerr)
 		}
@@ -663,6 +668,111 @@ int main() {
 	print(r[0]);
 	return 0;
 }`},
+
+	// Chains run on the strip engine over the flat buffer: the shape is
+	// the admission's business alone.
+	{name: "fused_rank2_rank3", src: `
+int main() {
+	Matrix float <2> a = with ([0, 0] <= [i, j] < [5, 7]) genarray([5, 7], (float)(i * 7 + j));
+	Matrix float <2> b = with ([0, 0] <= [i, j] < [5, 7]) genarray([5, 7], 0.5 * (float)(j - i));
+	Matrix float <2> r = a .* b + a - b * 0.5;
+	print(r[0, 0]);
+	print(r[2, 3]);
+	print(r[4, 6]);
+	print(dimSize(r, 0) * 10 + dimSize(r, 1));
+	Matrix int <3> u = with ([0, 0, 0] <= [i, j, k] < [2, 3, 4]) genarray([2, 3, 4], i * 100 + j * 10 + k);
+	Matrix int <3> w = u .* u - u .* 3 + 7;
+	print(w[0, 0, 0]);
+	print(w[1, 2, 3]);
+	print(w[1, 0, 2]);
+	print(with ([0, 0, 0] <= [i, j, k] < [2, 3, 4]) fold(+, 0, w[i, j, k]));
+	return 0;
+}`},
+	{name: "fused_innermost_extent_one", src: `
+int main() {
+	Matrix float <2> a = with ([0, 0] <= [i, j] < [4096, 1]) genarray([4096, 1], (float)i);
+	Matrix float <2> r = a .* a - a * 2.0 + a / 4.0;
+	print(r[0, 0]);
+	print(r[1, 0]);
+	print(r[4095, 0]);
+	print(with ([0, 0] <= [i, j] < [4096, 1]) fold(+, 0.0, r[i, j]));
+	return 0;
+}`},
+	{name: "fused_zero_cells", src: `
+int main() {
+	int n = 0;
+	Matrix float <1> a = init(Matrix float <1>, n);
+	Matrix float <1> r = a + a - a * 2.0;
+	print(dimSize(r, 0));
+	Matrix int <2> u = init(Matrix int <2>, 3, n);
+	Matrix int <2> w = u .* u + u - 1;
+	print(dimSize(w, 0) * 10 + dimSize(w, 1));
+	return 0;
+}`},
+	{name: "fused_int_wrapping_scalar", src: `
+int main() {
+	Matrix int <1> u = [-3 :: 6];
+	Matrix int <1> w = u .* 9223372036854775807 + u - u;
+	print(w[0]);
+	print(w[4]);
+	print(w[end]);
+	int big = 9223372036854775807;
+	Matrix int <1> v = big - u + big .* u;
+	print(v[0]);
+	print(v[end]);
+	return 0;
+}`},
+	{name: "fused_result_rebinds_a_leaf", src: `
+int main() {
+	Matrix float <1> a = [1 :: 9] * 1.0;
+	Matrix float <1> keep = a;
+	a = a + a - a .* 0.5;
+	print(a[0]);
+	print(a[end]);
+	print(keep[0]);
+	print(keep[end]);
+	a = a .* a - a;
+	print(a[4]);
+	print(keep[4]);
+	return 0;
+}`},
+	{name: "fused_above_two_grains", src: `
+int main() {
+	int n = 20011;
+	Matrix float <1> a = with ([0] <= [i] < [n]) genarray([n], 0.25 * (float)(i % 97) - 3.0);
+	Matrix float <1> b = with ([0] <= [i] < [n]) genarray([n], 1.0 / (float)(i + 1));
+	Matrix float <1> r = a .* b + a / 3.0 - b * 0.1;
+	print(r[0]);
+	print(r[8191]);
+	print(r[8192]);
+	print(r[16384]);
+	print(r[end]);
+	print(with ([0] <= [i] < [n]) fold(+, 0.0, r[i]));
+	return 0;
+}`},
+	{name: "err_fused_equal_cells_different_shape", src: `
+int main() {
+	Matrix float <2> a = init(Matrix float <2>, 2, 3);
+	Matrix float <2> b = init(Matrix float <2>, 3, 2);
+	Matrix float <2> r = a .* a + b - a;
+	print(r[0, 0]);
+	return 0;
+}`},
+	{name: "err_fused_shape_mismatch_right_subtree", src: `
+int main() {
+	Matrix float <2> a = init(Matrix float <2>, 2, 3);
+	Matrix float <2> b = init(Matrix float <2>, 3, 2);
+	Matrix float <2> r = a * 2.0 - (a + b);
+	print(r[0, 0]);
+	return 0;
+}`},
+	{name: "err_fused_oom_mid_chain_rank2", opts: interp.Options{MaxCells: 40}, src: `
+int main() {
+	Matrix int <2> a = init(Matrix int <2>, 3, 4);
+	Matrix int <2> r = a + a - a .* a;
+	print(r[0, 0]);
+	return 0;
+}`},
 }
 
 func TestVMDifferentialCorpus(t *testing.T) {
@@ -677,6 +787,11 @@ func TestVMDifferentialCorpus(t *testing.T) {
 				tree := runOne(t, prog, "tree", opts)
 				vmr := runOne(t, prog, "vm", opts)
 				compare(t, fmt.Sprintf("%s/t=%d", tc.name, threads), tree, vmr)
+				// Disabling the proofs changes no observable: the VM with
+				// no facts runs every chain stage by stage and every
+				// with-loop through its closure.
+				bare := runOne(t, prog, "vm-nofacts", opts)
+				compare(t, fmt.Sprintf("%s/t=%d/no facts", tc.name, threads), tree, bare)
 			}
 		})
 	}

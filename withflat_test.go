@@ -1,5 +1,6 @@
 // Suite-level checks on the flat with-loop engine: no shipped program
-// with a proven plan falls back to the closure path at run time, and a
+// with a proven plan falls back to the closure path at run time, every
+// proven chain compiles and runs as one fused loop, and a
 // fold gives one answer serial, pooled, on the tree walker and on the
 // VM even when its values lie beyond any stand-in identity.
 package repro_test
@@ -8,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -17,26 +19,33 @@ import (
 	"repro/internal/driver"
 	"repro/internal/interp"
 	"repro/internal/matrix"
+	"repro/internal/parser"
+	"repro/internal/sem"
+	"repro/internal/source"
+	"repro/internal/vet"
 	"repro/internal/vm"
 )
 
-// TestWithFlatNoRuntimeDeclines runs testdata/, the programs embedded
-// in examples/ and the error-free vmdiff corpus on the VM and requires
-// that every execution of a flat-compiled with-loop stayed on the flat
-// engine. Not parallel: the counters are process-wide.
-func TestWithFlatNoRuntimeDeclines(t *testing.T) {
-	type prog struct{ name, src string }
-	var progs []prog
-	paths, err := filepath.Glob("testdata/*.xc")
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no testdata programs: %v", err)
-	}
-	for _, path := range paths {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
+// shippedProgram is one program the suite-level engine checks run.
+type shippedProgram struct{ name, src string }
+
+// shippedPrograms collects testdata/, the programs embedded in
+// examples/, the error-free vmdiff corpus and the benchmark's programs.
+func shippedPrograms(t *testing.T) []shippedProgram {
+	t.Helper()
+	var progs []shippedProgram
+	for _, glob := range []string{"testdata/*.xc", "bench/programs/*.xc"} {
+		paths, err := filepath.Glob(glob)
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("no programs under %s: %v", glob, err)
 		}
-		progs = append(progs, prog{path, string(src)})
+		for _, path := range paths {
+			src, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			progs = append(progs, shippedProgram{path, string(src)})
+		}
 	}
 	mains, err := filepath.Glob("examples/*/main.go")
 	if err != nil || len(mains) == 0 {
@@ -50,15 +59,23 @@ func TestWithFlatNoRuntimeDeclines(t *testing.T) {
 		}
 		for k, m := range embedded.FindAllStringSubmatch(string(src), -1) {
 			if strings.Contains(m[1], "int main()") {
-				progs = append(progs, prog{fmt.Sprintf("%s#%d", path, k), m[1]})
+				progs = append(progs, shippedProgram{fmt.Sprintf("%s#%d", path, k), m[1]})
 			}
 		}
 	}
 	for _, tc := range vmCorpus {
 		if !strings.HasPrefix(tc.name, "err_") {
-			progs = append(progs, prog{"corpus/" + tc.name, tc.src})
+			progs = append(progs, shippedProgram{"corpus/" + tc.name, tc.src})
 		}
 	}
+	return progs
+}
+
+// TestWithFlatNoRuntimeDeclines runs the shipped programs on the VM and
+// requires that every execution of a flat-compiled with-loop stayed on
+// the flat engine. Not parallel: the counters are process-wide.
+func TestWithFlatNoRuntimeDeclines(t *testing.T) {
+	progs := shippedPrograms(t)
 	exts, err := driver.ParseExtensions("all")
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +88,7 @@ func TestWithFlatNoRuntimeDeclines(t *testing.T) {
 			var out bytes.Buffer
 			res, err := d.Run(context.Background(), driver.RunRequest{
 				Name: p.name, Source: p.src, Exts: exts, Threads: threads,
-				MaxSteps: 50_000_000, MaxCells: 1 << 24,
+				MaxSteps: 50_000_000, MaxCells: 1 << 26,
 				Files:  map[string]*matrix.Matrix{"ssh.data": sshCube(4, 5, 6, 7)},
 				Stdout: &out, Engine: "vm",
 			})
@@ -85,6 +102,70 @@ func TestWithFlatNoRuntimeDeclines(t *testing.T) {
 	}
 	if vm.WithFlatLoopsRun() == ran {
 		t.Fatal("no with-loop ran flat: the check is vacuous")
+	}
+}
+
+// TestChainNoRuntimeDeclines: over the shipped programs the VM compiles
+// every chain vet proves — FusedSites is ChainCount, program by program
+// — and an execution has nowhere to decline to: every run of a site is
+// one fused loop, the same count serial and pooled, and the count the
+// source says where it says one. Not parallel: the counter is
+// process-wide.
+func TestChainNoRuntimeDeclines(t *testing.T) {
+	loops := map[string]int64{
+		"bench/programs/chain_1m.xc":          3,
+		"bench/programs/fused_chain_small.xc": 4,
+		"corpus/fused_elementwise_chain":      3,
+		"corpus/fused_rank2_rank3":            2,
+		"corpus/fused_result_rebinds_a_leaf":  2,
+	}
+	chains := 0
+	for _, sp := range shippedPrograms(t) {
+		var d source.Diagnostics
+		prog := parser.ParseFile(sp.name, sp.src, parser.AllExtensions(), &d)
+		if prog == nil {
+			continue // a fragment; the other suites own it
+		}
+		info := sem.Check(prog, &d)
+		if d.HasErrors() {
+			continue
+		}
+		facts := vet.ComputeFacts(prog, info)
+		p, err := vm.CompileWithFacts(prog, info, facts)
+		if err != nil {
+			continue // the driver runs it on the tree walker
+		}
+		if p.FusedSites() != facts.ChainCount() {
+			t.Errorf("%s: %d fused sites for %d proven chains", sp.name, p.FusedSites(), facts.ChainCount())
+		}
+		if facts.ChainCount() == 0 {
+			continue
+		}
+		chains += facts.ChainCount()
+		var ran [2]int64
+		for k, threads := range []int{1, 4} {
+			before := vm.FusedLoopsRun()
+			i := interp.New(prog, info, interp.Options{
+				Threads: threads, Stdout: io.Discard, MaxSteps: 50_000_000, MaxCells: 1 << 26,
+				Files: map[string]*matrix.Matrix{"ssh.data": sshCube(4, 5, 6, 7)},
+			})
+			_, err := vm.NewMachine(p, i).Run()
+			i.Close()
+			if err != nil {
+				t.Errorf("%s (threads %d): %v", sp.name, threads, err)
+			}
+			ran[k] = vm.FusedLoopsRun() - before
+		}
+		if ran[0] != ran[1] {
+			t.Errorf("%s: %d fused loops at one thread, %d at four", sp.name, ran[0], ran[1])
+		}
+		if want, ok := loops[sp.name]; ok && ran[0] != want {
+			t.Errorf("%s: %d fused loops ran, the source executes %d", sp.name, ran[0], want)
+		}
+		delete(loops, sp.name)
+	}
+	if chains == 0 || len(loops) != 0 {
+		t.Fatalf("%d chains proven, programs with a pinned count not seen: %v", chains, loops)
 	}
 }
 
