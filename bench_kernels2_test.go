@@ -11,6 +11,7 @@ package repro_test
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 
 	"repro/internal/interp"
@@ -36,9 +37,10 @@ func kb2Mat(elem matrix.Elem, rows, cols int) *matrix.Matrix {
 	return m
 }
 
-// kb2Execs: the serial path and a 4-worker pool. The CI box is a
-// single core, so the pool rows measure coordination overhead
-// (simulated parallelism), not wall-clock scaling.
+// kb2Execs: the serial path and one worker per core (two on the box
+// the BENCH files were recorded on). BENCH_scaling.json has the grid
+// over threads, sizes and block sizes; these rows only place the pool
+// path beside the serial kernel it forks.
 func kb2Execs() []struct {
 	name string
 	x    matrix.Exec
@@ -48,7 +50,7 @@ func kb2Execs() []struct {
 		x    matrix.Exec
 	}{
 		{"serial", matrix.Exec{}},
-		{"pool4", matrix.Exec{Pool: par.NewPool(4)}},
+		{"pool", matrix.Exec{Pool: par.NewPool(0)}},
 	}
 }
 
@@ -246,8 +248,7 @@ int main() {
 // tree = per-node evaluation; vm_closure = bytecode engine but boxed
 // per-element body closures (compiled without facts); vm_flat = the
 // facts-driven flat engine (transpose pattern-match, stencil fill,
-// fold chunks). vm_flat_threads4 adds a 4-worker pool on the same
-// single-core box to price the coordination overhead.
+// fold chunks). vm_flat_pool runs vm_flat with one worker per core.
 func BenchmarkKernelWithCompiled(b *testing.B) {
 	bp := compileBench(b, withBenchSrc)
 	// vm.Compile computes facts itself, so bp.vmp is the flat program;
@@ -288,7 +289,7 @@ func BenchmarkKernelWithCompiled(b *testing.B) {
 	run("tree", 1, nil)
 	run("vm_closure", 1, closure)
 	run("vm_flat", 1, flat)
-	run("vm_flat_threads4", 4, flat)
+	run("vm_flat_pool", runtime.NumCPU(), flat)
 	// One body shape per row, flat engine, one thread, ns per cell.
 	for _, row := range withRowSrc {
 		rp := compileBench(b, row.src)

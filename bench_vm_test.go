@@ -65,7 +65,7 @@ type benchProg struct {
 	vmp  *vm.Program
 }
 
-func compileBench(b *testing.B, src string) benchProg {
+func compileBench(b testing.TB, src string) benchProg {
 	b.Helper()
 	var d source.Diagnostics
 	p := parser.ParseFile("bench.xc", src, parser.AllExtensions(), &d)

@@ -2,7 +2,8 @@
 # ci.sh — the repo's check gate: formatting, go vet, staticcheck
 # (required; CM_SKIP_STATICCHECK=1 opts out offline), build, full
 # tests, a race-detector pass over the
-# crash-proofing layers (pool, matrix runtime, interpreter, server), a
+# crash-proofing layers (the fork-join runtime and its schedule tests,
+# matrix runtime, interpreter, server; the scaling ladder's rungs), a
 # race-enabled dual-engine differential pass (bytecode VM vs the
 # tree-walking oracle), a race pass over the frontend (scanner, LALR
 # driver, parser: concurrent parses share one table and its scanner
@@ -20,7 +21,10 @@
 # analyzer, the VM differential fuzzer, the consistent-hash ring and
 # the tenant key file parser, the vet findings manifest,
 # a one-shot benchmark smoke pass (E1 plus the compile-service
-# cold/warm pair), and the bench/ module (its own go.mod, so the root
+# cold/warm pair), a self-relative scaling smoke when there are two
+# CPUs to scale on (no stored baseline: the shipped fork-join, through
+# the real kernels and the language, is never slower on two threads than
+# on one), and the bench/ module (its own go.mod, so the root
 # module's build and tests never reach it): vet, tests and two-second
 # smoke runs of all four workloads (compute_serial is the one that runs
 # the strip engine at one thread; a wrong output fails the run). Run
@@ -59,6 +63,7 @@ go test ./...
 
 echo "== go test -race (crash-proofing + overload layers) =="
 go test -race ./internal/par ./internal/matrix ./internal/interp ./internal/server ./internal/driver
+go test -race -run '^TestLadderRungsVisitEachUnitOnce$' -count=1 .
 
 echo "== go test -race (kernel differential + integration suites) =="
 go test -race -run 'Kernel|Conv2D|FoldExec|Recycle|FreeList|SetOnFree' ./internal/matrix ./internal/interp ./internal/rc
@@ -104,6 +109,13 @@ go test -run='^$' -bench='BenchmarkCompileService' -benchtime=1x ./internal/driv
 go test -run='^$' -bench='Kernel' -benchtime=1x .
 go test -run='^$' -bench='VetFacts|FusedChain' -benchtime=1x .
 go test -run='^$' -bench='FrontendCold|SemCheck' -benchtime=1x .
+
+echo "== scaling smoke (2 threads never slower than 1; BENCH_scaling.json has the grid) =="
+if [ "$(nproc)" -ge 2 ]; then
+    go test -run '^TestScalingSmoke$' -scaling-smoke -count=1 -v . | grep -v '^=== '
+else
+    echo "one CPU: skipped"
+fi
 
 echo "== bench module (vet + tests + smoke run) =="
 (cd bench && go vet ./... && go test ./...)

@@ -120,7 +120,6 @@ func main() {
 	start = time.Now()
 	_, _ = eddy.ScoreField(ssh, pool)
 	fmt.Printf("  pool(4)     %10.1f ms\n", float64(time.Since(start).Microseconds())/1000)
-	pool.Shutdown()
 
 	if scored != nil && matrix.AlmostEqual(scored, ref, 1e-6) {
 		fmt.Println("  interpreter result matches the Go reference pointwise")

@@ -167,7 +167,6 @@ func TestScoreFieldParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := par.NewPool(4)
-	defer pool.Shutdown()
 	parl, err := ScoreField(ssh, pool)
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,8 @@
 // Package interp executes type-checked extended-CMINUS programs. It
 // implements the same semantics the code generator's emitted C has:
 // matrices are reference values managed by reference counting
-// (§III-B), with-loops and matrixMap execute on the spawn-once
-// fork-join pool (§III-C) with the outermost parallel construct
+// (§III-B), with-loops and matrixMap execute as fork-join constructs
+// (§III-C; internal/par) with the outermost parallel construct
 // distributed and inner constructs sequential, and matrix indexing /
 // overloaded operators behave per §III-A.
 //
@@ -75,7 +75,6 @@ type Interp struct {
 	steps       atomic.Int64
 	ctx         context.Context
 	done        <-chan struct{}
-	closeOnce   sync.Once
 }
 
 // New builds an interpreter for a checked program.
@@ -100,17 +99,11 @@ func New(prog *ast.Program, info *sem.Info, opts Options) *Interp {
 	return i
 }
 
-// Close shuts down the worker pool. It is idempotent and defer-safe:
-// calling it after a trap, panic or mid-run error releases the workers
-// exactly once (panic recovery in the pool guarantees no worker is
-// left spinning in an unfinished construct).
-func (i *Interp) Close() {
-	i.closeOnce.Do(func() {
-		if i.pool != nil {
-			i.pool.Shutdown()
-		}
-	})
-}
+// Close has nothing to release: the pool is a worker count and every
+// helper goroutine is joined before its construct returns, trap, panic
+// or deadline included. It stays so callers written against the
+// resident pool (and their deferred Close) still build.
+func (i *Interp) Close() {}
 
 // Heap exposes the RC heap for leak assertions in tests.
 func (i *Interp) Heap() *rc.Heap { return i.heap }

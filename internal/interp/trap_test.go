@@ -6,13 +6,17 @@ package interp
 
 import (
 	"errors"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/par"
+	"repro/internal/parser"
 	"repro/internal/rc"
+	"repro/internal/sem"
+	"repro/internal/source"
 )
 
 // mustTrap runs src and asserts it fails with the given trap code.
@@ -157,9 +161,17 @@ func TestCloseIdempotent(t *testing.T) {
 	i.Close()
 }
 
-// Repeated pooled executions must shut their workers down: the
-// goroutine count returns to (near) the baseline once the interpreters
-// are closed.
+// settled waits for helpers that have signalled their join but not yet
+// finished exiting, and reports the goroutine count.
+func settled(base int) int {
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
+	return runtime.NumGoroutine()
+}
+
+// Pooled executions leave no goroutine behind: helpers live for one
+// construct, so the count is back at the baseline after the runs.
 func TestNoGoroutineLeakAcrossRuns(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for k := 0; k < 20; k++ {
@@ -168,14 +180,35 @@ func TestNoGoroutineLeakAcrossRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Workers exit cooperatively after Shutdown; give them a moment.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= base+2 {
-			return
-		}
-		runtime.Gosched()
-		time.Sleep(5 * time.Millisecond)
+	if g := settled(base); g > base {
+		t.Errorf("goroutines: %d at start, %d after 20 pooled runs", base, g)
 	}
-	t.Errorf("goroutines: %d at start, %d after 20 pooled runs", base, runtime.NumGoroutine())
+}
+
+// Nor does a run that traps inside a parallel construct and whose
+// owner then forgets Close: there is nothing left for Close to stop.
+func TestNoGoroutineLeakAfterTrapWithoutClose(t *testing.T) {
+	par.TestHookInjectPanic = func(worker int) {
+		if worker == 1 {
+			panic("injected worker crash")
+		}
+	}
+	defer func() { par.TestHookInjectPanic = nil }()
+	var d source.Diagnostics
+	prog := parser.ParseFile("t.xc", parallelGenarraySrc, parser.AllExtensions(), &d)
+	info := sem.Check(prog, &d)
+	if d.HasErrors() {
+		t.Fatal(d.String())
+	}
+	base := runtime.NumGoroutine()
+	for k := 0; k < 20; k++ {
+		_, err := New(prog, info, Options{Threads: 8, Stdout: io.Discard}).Run() // never closed
+		var rte *RuntimeError
+		if !errors.As(err, &rte) || rte.Trap != TrapPanic {
+			t.Fatalf("err = %v, want the panic trap", err)
+		}
+	}
+	if g := settled(base); g > base {
+		t.Errorf("goroutines: %d at start, %d after 20 trapped runs that were never closed", base, g)
+	}
 }

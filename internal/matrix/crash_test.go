@@ -127,7 +127,6 @@ func TestGenArrayExecBudget(t *testing.T) {
 // exactly one body call may happen.
 func TestGenArrayAbortsAfterFirstError(t *testing.T) {
 	pool := par.NewPool(1)
-	defer pool.Shutdown()
 	bad := errors.New("poisoned row")
 	var calls atomic.Int64
 	_, err := GenArrayExec(Float, []int{0}, []int{1000}, []int{1000},
@@ -145,7 +144,6 @@ func TestGenArrayAbortsAfterFirstError(t *testing.T) {
 
 func TestFoldAbortsAfterFirstError(t *testing.T) {
 	pool := par.NewPool(1)
-	defer pool.Shutdown()
 	bad := errors.New("poisoned element")
 	var calls atomic.Int64
 	_, err := FoldExec(FoldAdd, float64(0), []int{0}, []int{1000},
@@ -163,7 +161,6 @@ func TestFoldAbortsAfterFirstError(t *testing.T) {
 
 func TestMatrixMapAbortsAfterFirstError(t *testing.T) {
 	pool := par.NewPool(1)
-	defer pool.Shutdown()
 	bad := errors.New("poisoned sub-matrix")
 	var calls atomic.Int64
 	m := New(Float, 1000, 4)
@@ -198,7 +195,6 @@ func TestGenArrayExecCancelled(t *testing.T) {
 	}
 
 	pool := par.NewPool(2)
-	defer pool.Shutdown()
 	_, err = GenArrayExec(Float, []int{0}, []int{1000}, []int{1000},
 		func(idx []int) (any, error) { return float64(0), nil },
 		Exec{Pool: pool, Ctx: ctx})
@@ -211,7 +207,6 @@ func TestGenArrayExecCancelled(t *testing.T) {
 // error (wrapping *par.PanicError), not crash the test process.
 func TestGenArrayBodyPanicSurfacesAsError(t *testing.T) {
 	pool := par.NewPool(4)
-	defer pool.Shutdown()
 	_, err := GenArrayExec(Float, []int{0}, []int{100}, []int{100},
 		func(idx []int) (any, error) {
 			if idx[0] == 37 {

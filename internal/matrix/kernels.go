@@ -4,8 +4,8 @@
 // per-element scalarOp call; these kernels validate the (op, elem)
 // combination once up front, then run tight loops directly over the
 // backing []float64/[]int64/[]bool slices, with the iteration space
-// chunked over the persistent worker pool when the matrix is large
-// enough to amortize the dispatch (see ParallelGrain).
+// chunked over a fork-join construct when the matrix is large enough
+// to amortize the fork (see ParallelGrain).
 //
 // Mixed int/float operands are promoted once into a free-list-backed
 // float64 scratch buffer (one conversion pass) instead of converting
@@ -27,11 +27,13 @@ import (
 
 // ParallelGrain is the minimum number of elements a parallel chunk must
 // hold for a kernel to be distributed over the pool; anything smaller
-// runs serially (pool dispatch costs roughly a microsecond — it only
-// pays for itself when each worker gets thousands of cells). For
-// MatMulExec the grain is interpreted in fused multiply-adds, so even a
-// single large row can be a chunk. Set it before creating traffic;
-// mutating it concurrently with running kernels is a race.
+// runs serially (a fork costs the caller about a microsecond, ten when
+// an idle CPU has to be woken for the helper, and the helper then needs
+// tens of microseconds to come up — until then the caller does the
+// work).
+// For MatMulExec the grain is interpreted in fused multiply-adds, so
+// even a single large row can be a chunk. Set it before creating
+// traffic; mutating it concurrently with running kernels is a race.
 var ParallelGrain = 8192
 
 // Process-wide kernel execution counters, surfaced on driver /metrics
@@ -84,10 +86,11 @@ func newKernelOut(b *Budget, elem Elem, shape []int) (*Matrix, error) {
 
 // runKernel executes body over [0, n) in chunks of at least grain
 // elements. With no pool (or too little work for two chunks) it runs
-// serially, polling the context between chunks; otherwise the chunks
-// are distributed over the pool via ParallelForCtx, which carries the
-// cooperative abort flag, per-worker panic isolation, and deadline
-// polls between chunks.
+// serially, polling the context between chunks; otherwise [0, n) is cut
+// into at most 4 spans a worker and the span list is the schedule: the
+// workers claim spans one at a time via ParallelChunksCtx, which
+// carries the cooperative abort flag, per-worker panic isolation, and
+// deadline polls between spans.
 func runKernel(x Exec, n, grain int, body func(lo, hi int) error) error {
 	if n <= 0 {
 		return nil
@@ -117,16 +120,8 @@ func runKernel(x Exec, n, grain int, body func(lo, hi int) error) error {
 		chunks = maxChunks
 	}
 	span := (n + chunks - 1) / chunks
-	return x.Pool.ParallelForCtx(x.Ctx, 0, chunks, func(c int) error {
-		lo := c * span
-		hi := lo + span
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			return nil
-		}
-		return body(lo, hi)
+	return x.Pool.ParallelChunksCtx(x.Ctx, (n+span-1)/span, func(c int) error {
+		return body(c*span, min(c*span+span, n))
 	})
 }
 

@@ -147,7 +147,7 @@ func TestKernelDiffRecursiveMatMul(t *testing.T) {
 	old := ParallelGrain
 	ParallelGrain = 4096
 	pool := par.NewPool(4)
-	t.Cleanup(func() { ParallelGrain = old; pool.Shutdown() })
+	t.Cleanup(func() { ParallelGrain = old })
 	r := rand.New(rand.NewSource(14))
 	par4 := Exec{Pool: pool, Ctx: context.Background()}
 
@@ -217,7 +217,6 @@ func TestKernels2ValidateBeforeAllocate(t *testing.T) {
 
 func TestKernels2Cancellation(t *testing.T) {
 	pool := par.NewPool(2)
-	defer pool.Shutdown()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	x := Exec{Pool: pool, Ctx: ctx}

@@ -79,16 +79,13 @@ func checkKernelDiff(t *testing.T, label string, got *Matrix, gerr error, want *
 
 // kernelExecs returns the serial and pool-parallel environments the
 // differential suites run every case under. The returned cleanup
-// restores ParallelGrain and shuts the pool down.
+// restores ParallelGrain.
 func kernelExecs(t *testing.T) map[string]Exec {
 	t.Helper()
 	oldGrain := ParallelGrain
 	ParallelGrain = 64 // force the parallel path on small test matrices
 	pool := par.NewPool(4)
-	t.Cleanup(func() {
-		ParallelGrain = oldGrain
-		pool.Shutdown()
-	})
+	t.Cleanup(func() { ParallelGrain = oldGrain })
 	return map[string]Exec{
 		"serial":   {},
 		"parallel": {Pool: pool, Ctx: context.Background()},
@@ -210,7 +207,6 @@ func FuzzKernelDiff(f *testing.F) {
 		f.Add(seed)
 	}
 	pool := par.NewPool(4)
-	defer pool.Shutdown()
 	f.Fuzz(func(t *testing.T, seed int64) {
 		r := rand.New(rand.NewSource(seed))
 		elems := []Elem{Float, Int, Bool}
@@ -380,10 +376,7 @@ func TestKernelCancellation(t *testing.T) {
 	oldGrain := ParallelGrain
 	ParallelGrain = 64
 	pool := par.NewPool(2)
-	defer func() {
-		ParallelGrain = oldGrain
-		pool.Shutdown()
-	}()
+	defer func() { ParallelGrain = oldGrain }()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	a := New(Float, 10000)
@@ -398,7 +391,6 @@ func TestKernelCancellation(t *testing.T) {
 // poolless ones as serial.
 func TestKernelCounters(t *testing.T) {
 	pool := par.NewPool(4)
-	defer pool.Shutdown()
 	ResetKernelStats()
 	big := New(Float, 4*ParallelGrain)
 	if _, err := ElementwiseExec(OpAdd, big, big, Exec{Pool: pool}); err != nil {

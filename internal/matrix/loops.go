@@ -308,10 +308,12 @@ func foldCombine(kind FoldKind, a, b any) (any, error) {
 
 // FoldExec reduces body over the generator box with the associative
 // operator, starting from base. When a pool is supplied the outermost
-// dimension is folded in per-worker partials combined after the stop
-// barrier — valid because the fold operators are associative and
+// dimension is folded in per-worker partials over a static block
+// partition — a pure function of (rows, workers), so a float fold
+// returns the same bits on every run — combined in worker order after
+// the join; valid because the fold operators are associative and
 // commutative. The first row error aborts the other workers' remaining
-// rows through the pool's abort flag.
+// rows through the construct's abort flag.
 func FoldExec(kind FoldKind, base any, lower, upper []int, body BodyFunc, x Exec) (any, error) {
 	if len(lower) != len(upper) {
 		return nil, fmt.Errorf("matrix: fold generator rank mismatch")
@@ -376,9 +378,8 @@ func FoldExec(kind FoldKind, base any, lower, upper []int, body BodyFunc, x Exec
 	if err != nil {
 		return nil, err
 	}
-	pool := x.Pool
-	partials := make([]any, pool.Workers())
-	err = pool.RunErr(func(worker, workers int) error {
+	partials := make([]any, x.Pool.Workers())
+	err = x.Pool.RunErr(func(c *par.Construct, worker, workers int) error {
 		chunk := (n0 + workers - 1) / workers
 		start := lower[0] + worker*chunk
 		end := start + chunk
@@ -391,7 +392,7 @@ func FoldExec(kind FoldKind, base any, lower, upper []int, body BodyFunc, x Exec
 		acc := newFoldAcc(kind, ident)
 		foldRow := newRowFolder()
 		for i0 := start; i0 < end; i0++ {
-			if pool.Aborted() {
+			if c.Aborted() {
 				return nil
 			}
 			if err := x.cancelled(); err != nil {

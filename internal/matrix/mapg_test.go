@@ -63,7 +63,6 @@ func TestMatrixMapGParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := par.NewPool(4)
-	defer pool.Shutdown()
 	parl, err := MatrixMapGExec(m, []int{2}, Float, half, Exec{Pool: pool})
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +120,6 @@ func TestMatrixMapGErrors(t *testing.T) {
 func TestFoldMulIdentityAndFloat(t *testing.T) {
 	// exercise the float multiplicative identity path
 	pool := par.NewPool(3)
-	defer pool.Shutdown()
 	prod, err := FoldExec(FoldMul, 1.0, []int{0}, []int{6},
 		func(idx []int) (any, error) { return 1.0 + float64(idx[0])*0.0, nil }, Exec{Pool: pool})
 	if err != nil || prod.(float64) != 1.0 {

@@ -1,7 +1,9 @@
 package matrix
 
 import (
+	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -13,7 +15,6 @@ import (
 // construct's semantics).
 func TestQuickParallelGenArrayMatchesSequential(t *testing.T) {
 	pool := par.NewPool(4)
-	defer pool.Shutdown()
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		rows := 1 + r.Intn(16)
@@ -38,7 +39,6 @@ func TestQuickParallelGenArrayMatchesSequential(t *testing.T) {
 
 func TestQuickParallelFoldMatchesSequential(t *testing.T) {
 	pool := par.NewPool(3)
-	defer pool.Shutdown()
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(100)
@@ -65,7 +65,6 @@ func TestQuickParallelFoldMatchesSequential(t *testing.T) {
 
 func TestParallelMatrixMapMatchesSequential(t *testing.T) {
 	pool := par.NewPool(4)
-	defer pool.Shutdown()
 	m := seqFloat(6, 5, 7)
 	f := func(sub *Matrix) (*Matrix, error) { return BroadcastExec(OpMul, sub, 3.0, true, Exec{}) }
 	seq, err := MatrixMapExec(m, []int{0, 1}, Float, f, Exec{})
@@ -85,7 +84,6 @@ func TestParallelMatrixMapMatchesSequential(t *testing.T) {
 // primitives, must equal a direct two-loop computation.
 func TestTemporalMeanWithLoops(t *testing.T) {
 	pool := par.NewPool(4)
-	defer pool.Shutdown()
 	const m, n, p = 8, 9, 10
 	mat := New(Float, m, n, p)
 	r := rand.New(rand.NewSource(42))
@@ -129,7 +127,6 @@ func TestTemporalMeanWithLoops(t *testing.T) {
 
 func TestGenArrayErrorPropagatesFromPool(t *testing.T) {
 	pool := par.NewPool(2)
-	defer pool.Shutdown()
 	_, err := GenArrayExec(Float, []int{0}, []int{100}, []int{100},
 		func(idx []int) (any, error) {
 			if idx[0] == 63 {
@@ -147,3 +144,91 @@ var errBody = &bodyErr{}
 type bodyErr struct{}
 
 func (*bodyErr) Error() string { return "body failure" }
+
+// With self-scheduling the span list runKernel cuts is the schedule:
+// the spans handed to the body are disjoint, cover [0, n) exactly once
+// and number at most four a worker.
+func TestRunKernelSpansCoverOnce(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8} {
+		pool := par.NewPool(workers)
+		for _, grain := range []int{1, 7, 64} {
+			for _, n := range []int{0, 1, 2, 2*grain - 1, 2 * grain, 2*grain + 1, 100000} {
+				hits := make([]int32, n)
+				var spans atomic.Int32
+				err := runKernel(Exec{Pool: pool}, n, grain, func(lo, hi int) error {
+					spans.Add(1)
+					for i := lo; i < hi; i++ {
+						atomic.AddInt32(&hits[i], 1)
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, h := range hits {
+					if h != 1 {
+						t.Fatalf("n=%d grain=%d workers=%d: element %d visited %d times", n, grain, workers, i, h)
+					}
+				}
+				if n >= 2*grain && int(spans.Load()) > 4*workers {
+					t.Errorf("n=%d grain=%d workers=%d: %d spans, at most %d wanted", n, grain, workers, spans.Load(), 4*workers)
+				}
+			}
+		}
+	}
+}
+
+// A pooled float fold keeps the partition it had under the resident
+// pool — ceil-sized row blocks by worker id, identity-seeded partials
+// combined base first in block order — so it returns the same bits on
+// every run, and those bits are the partition's written out by hand.
+// The values make the association order matter.
+func TestPooledFoldBitsAreStable(t *testing.T) {
+	const rows, cols, workers = 37, 53, 3
+	m := New(Float, rows, cols)
+	for k := range m.f {
+		m.f[k] = math.Ldexp(float64(k%13)-6.3, (k*7)%60-30)
+	}
+	base := 0.125
+	want := base
+	chunk := (rows + workers - 1) / workers
+	for w := 0; w < workers; w++ {
+		part := 0.0
+		for _, v := range m.f[min(w*chunk, rows)*cols : min(w*chunk+chunk, rows)*cols] {
+			part += v
+		}
+		want += part
+	}
+	serial := base
+	for _, v := range m.f {
+		serial += v
+	}
+	if serial == want {
+		t.Fatal("the data does not distinguish association orders")
+	}
+	pool := par.NewPool(workers)
+	body := func(idx []int) (any, error) { return m.f[idx[0]*cols+idx[1]], nil }
+	prog, ok := CompileWith(WithSpec{Code: []WithInstr{{Op: WPushID, A: 0}, {Op: WPushID, A: 1}, {Op: WLoadF, A: 0, B: 2}},
+		Rank: 2, MatElem: []Elem{Float}, Float: true, OutFloat: true})
+	if !ok {
+		t.Fatal("plan does not compile")
+	}
+	for run := 0; run < 200; run++ {
+		got, err := FoldExec(FoldAdd, base, []int{0, 0}, []int{rows, cols}, body, Exec{Pool: pool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := prog.NewRun()
+		copy(r.Upper, m.shape)
+		r.Mats[0] = m
+		flat, handled, err := FoldFlat(FoldAdd, base, r, Exec{Pool: pool})
+		r.Release()
+		if err != nil || !handled {
+			t.Fatalf("FoldFlat: handled=%v err=%v", handled, err)
+		}
+		if math.Float64bits(got.(float64)) != math.Float64bits(want) || math.Float64bits(flat.(float64)) != math.Float64bits(want) {
+			t.Fatalf("run %d: FoldExec %x, FoldFlat %x, want %x", run,
+				math.Float64bits(got.(float64)), math.Float64bits(flat.(float64)), math.Float64bits(want))
+		}
+	}
+}

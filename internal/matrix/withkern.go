@@ -22,6 +22,8 @@ package matrix
 import (
 	"math"
 	"sync"
+
+	"repro/internal/par"
 )
 
 // WithOp is one opcode of the flat with-loop plan language: a postfix
@@ -680,10 +682,9 @@ func FoldFlat(kind FoldKind, base any, r *WithRun, x Exec) (any, bool, error) {
 	// outermost dimension, identity-seeded partials, abort and ctx
 	// polls between rows, base-first combine in worker order. A worker
 	// whose chunk is empty contributes nothing.
-	pool := x.Pool
-	partials := make([]acc, pool.Workers())
-	set := make([]bool, pool.Workers())
-	err := pool.RunErr(func(worker, workers int) error {
+	partials := make([]acc, x.Pool.Workers())
+	set := make([]bool, x.Pool.Workers())
+	err := x.Pool.RunErr(func(c *par.Construct, worker, workers int) error {
 		chunk := (n0 + workers - 1) / workers
 		start := lower[0] + worker*chunk
 		end := min(start+chunk, upper[0])
@@ -694,7 +695,7 @@ func FoldFlat(kind FoldKind, base any, r *WithRun, x Exec) (any, bool, error) {
 		fold, release := folder()
 		defer release()
 		for i0 := start; i0 < end; i0 += step {
-			if pool.Aborted() {
+			if c.Aborted() {
 				return nil
 			}
 			if err := x.cancelled(); err != nil {

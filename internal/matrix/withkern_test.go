@@ -335,9 +335,7 @@ func bindRun(p *WithProg, lower, upper, shape []int) *WithRun {
 
 func testPool(t *testing.T) *par.Pool {
 	t.Helper()
-	pool := par.NewPool(3)
-	t.Cleanup(pool.Shutdown)
-	return pool
+	return par.NewPool(3)
 }
 
 // TestWithStripMatchesCellByCell: random plans, boxes whose innermost
@@ -764,7 +762,6 @@ func TestWithStripScratchIsPooled(t *testing.T) {
 // and a worker with an empty chunk contributes nothing.
 func TestFoldIdentitiesAreTrueIdentities(t *testing.T) {
 	pool := par.NewPool(4)
-	defer pool.Shutdown()
 	huge := 1.5 * math.Pow(2, 1023)
 	for _, tc := range []struct {
 		kind FoldKind

@@ -15,8 +15,7 @@ import (
 
 func TestRunErrRecoversPanic(t *testing.T) {
 	p := NewPool(4)
-	defer p.Shutdown()
-	err := p.RunErr(func(worker, n int) error {
+	err := p.RunErr(func(_ *Construct, worker, n int) error {
 		if worker == 2 {
 			panic("boom")
 		}
@@ -51,8 +50,7 @@ func TestRunErrRecoversPanic(t *testing.T) {
 func TestPanicErrorUnwrap(t *testing.T) {
 	sentinel := errors.New("typed failure")
 	p := NewPool(2)
-	defer p.Shutdown()
-	err := p.RunErr(func(worker, n int) error {
+	err := p.RunErr(func(_ *Construct, worker, n int) error {
 		if worker == 0 {
 			panic(sentinel)
 		}
@@ -73,7 +71,6 @@ func TestPanicErrorUnwrap(t *testing.T) {
 
 func TestRunRepanicsPanicError(t *testing.T) {
 	p := NewPool(2)
-	defer p.Shutdown()
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -95,7 +92,6 @@ func TestRunRepanicsPanicError(t *testing.T) {
 // may run.
 func TestParallelForErrEarlyAbort(t *testing.T) {
 	p := NewPool(1)
-	defer p.Shutdown()
 	bad := errors.New("poisoned row")
 	var calls atomic.Int64
 	err := p.ParallelForErr(0, 100, func(i int) error {
@@ -117,7 +113,6 @@ func TestParallelForErrEarlyAbort(t *testing.T) {
 // that a large remainder of the iteration space was skipped.
 func TestParallelForErrAbortSkipsWork(t *testing.T) {
 	p := NewPool(4)
-	defer p.Shutdown()
 	bad := errors.New("fail fast")
 	var calls atomic.Int64
 	const n = 1 << 20
@@ -135,7 +130,6 @@ func TestParallelForErrAbortSkipsWork(t *testing.T) {
 
 func TestParallelForCtxPreCancelled(t *testing.T) {
 	p := NewPool(2)
-	defer p.Shutdown()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var calls atomic.Int64
@@ -155,7 +149,6 @@ func TestParallelForCtxPreCancelled(t *testing.T) {
 
 func TestParallelForCtxCancelMidRun(t *testing.T) {
 	p := NewPool(2)
-	defer p.Shutdown()
 	ctx, cancel := context.WithCancel(context.Background())
 	release := make(chan struct{})
 	var once atomic.Bool
@@ -174,7 +167,6 @@ func TestParallelForCtxCancelMidRun(t *testing.T) {
 
 func TestParallelForCtxDeadline(t *testing.T) {
 	p := NewPool(2)
-	defer p.Shutdown()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	err := p.ParallelForCtx(ctx, 0, 1<<30, func(i int) error {
@@ -188,7 +180,6 @@ func TestParallelForCtxDeadline(t *testing.T) {
 
 func TestParallelForSingleElementPanicIsProtected(t *testing.T) {
 	p := NewPool(3)
-	defer p.Shutdown()
 	// n == 1 takes the inline fast path; it must fail identically to
 	// the pooled path.
 	err := p.ParallelForErr(7, 8, func(i int) error { panic("inline") })
@@ -200,7 +191,6 @@ func TestParallelForSingleElementPanicIsProtected(t *testing.T) {
 
 func TestParallelReduceErr(t *testing.T) {
 	p := NewPool(4)
-	defer p.Shutdown()
 	bad := errors.New("bad element")
 	_, err := p.ParallelReduceErr(0, 1000, 0,
 		func(i int) (float64, error) {
@@ -224,14 +214,13 @@ func TestParallelReduceErr(t *testing.T) {
 
 func TestInjectPanicHook(t *testing.T) {
 	p := NewPool(4)
-	defer p.Shutdown()
 	TestHookInjectPanic = func(worker int) {
 		if worker == 1 {
 			panic(fmt.Sprintf("injected into worker %d", worker))
 		}
 	}
 	defer func() { TestHookInjectPanic = nil }()
-	err := p.RunErr(func(worker, n int) error { return nil })
+	err := p.RunErr(func(_ *Construct, worker, n int) error { return nil })
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("injected panic not surfaced: err = %v", err)
@@ -240,7 +229,7 @@ func TestInjectPanicHook(t *testing.T) {
 		t.Errorf("Worker = %d, want 1", pe.Worker)
 	}
 	TestHookInjectPanic = nil
-	if err := p.RunErr(func(worker, n int) error { return nil }); err != nil {
+	if err := p.RunErr(func(_ *Construct, worker, n int) error { return nil }); err != nil {
 		t.Errorf("pool unhealthy after injected panic: %v", err)
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 func TestParallelForCoversRange(t *testing.T) {
 	p := NewPool(4)
-	defer p.Shutdown()
 	const n = 1000
 	var hits [n]atomic.Int32
 	p.ParallelFor(0, n, func(i int) { hits[i].Add(1) })
@@ -23,7 +22,6 @@ func TestParallelForCoversRange(t *testing.T) {
 
 func TestParallelForEmptyAndSingle(t *testing.T) {
 	p := NewPool(3)
-	defer p.Shutdown()
 	ran := 0
 	p.ParallelFor(5, 5, func(i int) { ran++ })
 	if ran != 0 {
@@ -42,7 +40,6 @@ func TestParallelForEmptyAndSingle(t *testing.T) {
 
 func TestPoolReuse(t *testing.T) {
 	p := NewPool(2)
-	defer p.Shutdown()
 	var total atomic.Int64
 	for round := 0; round < 50; round++ {
 		p.ParallelFor(0, 100, func(i int) { total.Add(1) })
@@ -54,7 +51,6 @@ func TestPoolReuse(t *testing.T) {
 
 func TestParallelReduce(t *testing.T) {
 	p := NewPool(4)
-	defer p.Shutdown()
 	sum := p.ParallelReduce(0, 1000, 0,
 		func(i int) float64 { return float64(i) },
 		func(a, b float64) float64 { return a + b })
@@ -76,7 +72,6 @@ func TestParallelReduce(t *testing.T) {
 
 func TestReduceEmpty(t *testing.T) {
 	p := NewPool(2)
-	defer p.Shutdown()
 	got := p.ParallelReduce(3, 3, 42, func(i int) float64 { return 0 },
 		func(a, b float64) float64 { return a + b })
 	if got != 42 {
@@ -86,18 +81,15 @@ func TestReduceEmpty(t *testing.T) {
 
 func TestWorkersCount(t *testing.T) {
 	p := NewPool(6)
-	defer p.Shutdown()
 	if p.Workers() != 6 {
 		t.Errorf("Workers = %d", p.Workers())
 	}
 	q := NewPool(0)
-	defer q.Shutdown()
 	if q.Workers() < 1 {
 		t.Error("default pool must have at least one worker")
 	}
 	// Negative counts must not construct an empty (deadlocking) pool.
 	r := NewPool(-4)
-	defer r.Shutdown()
 	if r.Workers() != runtime.GOMAXPROCS(0) {
 		t.Errorf("NewPool(-4).Workers() = %d, want GOMAXPROCS", r.Workers())
 	}
@@ -118,7 +110,6 @@ func TestNaiveSpawnCoversRange(t *testing.T) {
 // ranges and worker counts.
 func TestQuickReduceMatchesSequential(t *testing.T) {
 	p := NewPool(3)
-	defer p.Shutdown()
 	f := func(seed int64, nU uint16) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := int(nU % 500)
