@@ -9,6 +9,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -19,10 +20,9 @@ import (
 	"repro/internal/ast"
 	"repro/internal/attr"
 	"repro/internal/cgen"
-	"repro/internal/core"
+	"repro/internal/driver"
 	"repro/internal/eddy"
 	"repro/internal/grammar"
-	"repro/internal/interp"
 	"repro/internal/loopir"
 	"repro/internal/matrix"
 	"repro/internal/par"
@@ -73,9 +73,11 @@ int main() {
 func BenchmarkE1_TemporalMeanCodegen(b *testing.B) {
 	opts := cgen.Options{Par: cgen.ParNone, Optimize: true}
 	for i := 0; i < b.N; i++ {
-		res := core.Compile("fig1.xc", fig1Src, core.Config{Codegen: &opts})
-		if res.Diags.HasErrors() {
-			b.Fatal(res.Diags.String())
+		// A fresh driver per iteration: the pipeline, not a cache hit.
+		res := driver.New().Compile(context.Background(), driver.CompileRequest{
+			Name: "fig1.xc", Source: fig1Src, Exts: parser.AllExtensions(), Codegen: opts})
+		if !res.OK {
+			b.Fatal(res.Diagnostics)
 		}
 	}
 }
@@ -104,9 +106,10 @@ func BenchmarkE2_SplitTransform(b *testing.B) {
 func BenchmarkE3_VectorizeCodegen(b *testing.B) {
 	opts := cgen.Options{Par: cgen.ParOMP, Optimize: true}
 	for i := 0; i < b.N; i++ {
-		res := core.Compile("fig9.xc", fig9Src, core.Config{Codegen: &opts})
-		if res.Diags.HasErrors() {
-			b.Fatal(res.Diags.String())
+		res := driver.New().Compile(context.Background(), driver.CompileRequest{
+			Name: "fig9.xc", Source: fig9Src, Exts: parser.AllExtensions(), Codegen: opts})
+		if !res.OK {
+			b.Fatal(res.Diagnostics)
 		}
 	}
 }
@@ -197,9 +200,10 @@ func BenchmarkE6_EddyScoring(b *testing.B) {
 	b.Run("interpreter", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			files := map[string]*matrix.Matrix{"ssh.data": ssh}
-			if _, res, err := core.Run("fig8.xc", fig8Src, core.Config{},
-				interp.Options{Files: files}); err != nil {
-				b.Fatalf("%v\n%s", err, res.Diags.String())
+			res, err := driver.New().Run(context.Background(), driver.RunRequest{
+				Name: "fig8.xc", Source: fig8Src, Exts: parser.AllExtensions(), Threads: 1, Files: files})
+			if err != nil || !res.OK {
+				b.Fatalf("%v\n%v", err, res.Diagnostics)
 			}
 		}
 	})
@@ -452,9 +456,12 @@ func BenchmarkE10_FusionAblation(b *testing.B) {
 func BenchmarkFrontEnd(b *testing.B) {
 	b.Run("parse+check", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res := core.Check("fig8.xc", fig8Src, core.Config{})
-			if res.Diags.HasErrors() {
-				b.Fatal(res.Diags.String())
+			var diags source.Diagnostics
+			if prog := parser.ParseFile("fig8.xc", fig8Src, parser.AllExtensions(), &diags); prog != nil {
+				sem.Check(prog, &diags)
+			}
+			if diags.HasErrors() {
+				b.Fatal(diags.String())
 			}
 		}
 	})

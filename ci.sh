@@ -11,7 +11,12 @@
 # share one composed grammar, and agree with the parent's evaluator on
 # the whole corpus), a race pass over the with-loop flat engine
 # (vet plans, the strip compiler and evaluator, VM flat execution, fused
-# chains on it), the
+# chains on it), the gcc-guarded C back end pass (compiled Fig 8 / Fig 11
+# output and the vectorize stride regression against the interpreter),
+# the service contract under the race detector (the key list of all
+# three /metrics documents against its golden, cmrun's request body
+# through a real shard's strict decoder, gate- and shard-written
+# refusals as one error body), the
 # race-enabled fleet chaos suite (cmgate
 # routing under shard kill/restart/hang, and the gate's degraded
 # /healthz twenty times over), the race-enabled tenant
@@ -75,6 +80,13 @@ go test -race -run 'TestSemMatchesParent|TestCheckSharesOneGrammar' -count=1 .
 
 echo "== with-loop flat engine (vet plans, strip compiler + evaluator, VM flat execution, fused chains, race) =="
 go test -race -run 'TestWithPlan|TestWithFlat|TestCompileWith|TestWithNested|TestWithStrip|TestChain' ./internal/vet ./internal/matrix ./internal/vm
+
+echo "== C back end against the interpreter (gcc-guarded: Fig 8, Fig 11, vectorize stride regression) =="
+go test -run 'TestE3|TestFig8Compiled|TestVectorize' -count=1 ./internal/cgen
+
+echo "== service contract (metrics document keys, wire bodies; race) =="
+go test -race -run 'TestMetricsDocumentKeys|TestRefusalBodiesAreOneWireType|TestRunRemoteBodyPassesShardDecoder|TestArtifactRoundTripBetweenShards|TestSnapshotKernelCounters' -count=1 \
+    ./internal/server ./internal/fleet ./internal/driver ./cmd/cmrun
 
 echo "== chaos suite (flood / drain / disk-cache recovery) =="
 go test -race -run 'TestChaos|TestCrash' ./internal/server

@@ -88,11 +88,18 @@ func main() {
 			fmt.Fprintln(os.Stderr, "cmrun: -engine applies to local runs only; the service always runs the vm")
 			os.Exit(2)
 		}
-		os.Exit(runRemote(ctx, strings.TrimRight(*serverURL, "/"), *apiKey, remoteRunRequest{
-			Name: file, Source: string(src), Extensions: *extFlag,
+		req := server.RunRequest{
+			Head:    server.Head{Name: file, Source: string(src), Extensions: *extFlag},
 			Threads: *threads, TimeoutMS: int64(*timeout / time.Millisecond),
 			MaxSteps: *steps, MaxCells: *cells,
-		}, *retries))
+		}
+		// The server's own normalisation, run here first: a request it
+		// would refuse (an empty file) is not sent.
+		if _, _, err := req.Resolve(); err != nil {
+			fmt.Fprintf(os.Stderr, "cmrun: %v\n", err)
+			os.Exit(2)
+		}
+		os.Exit(runRemote(ctx, strings.TrimRight(*serverURL, "/"), *apiKey, req, *retries))
 	}
 	res, err := driver.New().Run(ctx, driver.RunRequest{
 		Name: file, Source: string(src), Exts: exts,

@@ -20,42 +20,15 @@ import (
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/server"
 )
-
-// remoteRunRequest mirrors the server's runRequest wire shape.
-type remoteRunRequest struct {
-	Name       string `json:"name,omitempty"`
-	Source     string `json:"source"`
-	Extensions string `json:"extensions,omitempty"`
-	Threads    int    `json:"threads,omitempty"`
-	TimeoutMS  int64  `json:"timeout_ms,omitempty"`
-	MaxSteps   int64  `json:"max_steps,omitempty"`
-	MaxCells   int64  `json:"max_cells,omitempty"`
-}
-
-// remoteRunResponse mirrors the server's runResponse wire shape.
-type remoteRunResponse struct {
-	ExitCode    int      `json:"exit_code"`
-	Stdout      string   `json:"stdout"`
-	Diagnostics []string `json:"diagnostics,omitempty"`
-}
-
-// remoteError mirrors the server's errorResponse wire shape. Tenant
-// names whose rate limit or quota a 429 applied to.
-type remoteError struct {
-	Error        string   `json:"error"`
-	Diagnostics  []string `json:"diagnostics,omitempty"`
-	Trap         string   `json:"trap,omitempty"`
-	RetryAfterMS int64    `json:"retry_after_ms,omitempty"`
-	Tenant       string   `json:"tenant,omitempty"`
-}
 
 // runRemote posts the program to serverURL/v1/run and maps the
 // response onto cmrun's local exit-code contract. apiKey, when
 // non-empty, is sent as Authorization: Bearer — the multi-tenant
 // credential for a keyed cmgate/cmserved. It returns the process exit
 // code.
-func runRemote(ctx context.Context, serverURL, apiKey string, req remoteRunRequest, retries int) int {
+func runRemote(ctx context.Context, serverURL, apiKey string, req server.RunRequest, retries int) int {
 	body, err := json.Marshal(req)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cmrun: %v\n", err)
@@ -69,7 +42,7 @@ func runRemote(ctx context.Context, serverURL, apiKey string, req remoteRunReque
 		if err == nil {
 			switch {
 			case status == http.StatusOK:
-				var res remoteRunResponse
+				var res server.RunResponse
 				if err := json.Unmarshal(payload, &res); err != nil {
 					fmt.Fprintf(os.Stderr, "cmrun: malformed server response: %v\n", err)
 					return 1
@@ -154,8 +127,8 @@ func postOnce(ctx context.Context, client *http.Client, url, apiKey string, body
 	return resp.StatusCode, payload, nil
 }
 
-func decodeRemoteError(payload []byte) remoteError {
-	var e remoteError
+func decodeRemoteError(payload []byte) server.ErrorResponse {
+	var e server.ErrorResponse
 	json.Unmarshal(payload, &e)
 	return e
 }

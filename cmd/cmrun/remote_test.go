@@ -11,7 +11,13 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/server"
 )
+
+func program(src string) server.RunRequest {
+	return server.RunRequest{Head: server.Head{Source: src}}
+}
 
 func TestRunRemoteRetriesShedThenSucceeds(t *testing.T) {
 	var calls atomic.Int64
@@ -29,7 +35,7 @@ func TestRunRemoteRetriesShedThenSucceeds(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	code := runRemote(context.Background(), ts.URL, "", remoteRunRequest{Source: "int main() { return 7; }"}, 2)
+	code := runRemote(context.Background(), ts.URL, "", program("int main() { return 7; }"), 2)
 	if code != 7 {
 		t.Fatalf("exit code %d, want the program's own 7", code)
 	}
@@ -47,7 +53,7 @@ func TestRunRemoteExhaustedBudgetExitsFive(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	if code := runRemote(context.Background(), ts.URL, "", remoteRunRequest{Source: "int main() { return 0; }"}, 2); code != 5 {
+	if code := runRemote(context.Background(), ts.URL, "", program("int main() { return 0; }"), 2); code != 5 {
 		t.Fatalf("exit code %d, want 5 after the retry budget", code)
 	}
 	if calls.Load() != 3 {
@@ -55,7 +61,7 @@ func TestRunRemoteExhaustedBudgetExitsFive(t *testing.T) {
 	}
 	// The default budget is zero retries: one shed, straight to 5.
 	calls.Store(0)
-	if code := runRemote(context.Background(), ts.URL, "", remoteRunRequest{Source: "x"}, 0); code != 5 || calls.Load() != 1 {
+	if code := runRemote(context.Background(), ts.URL, "", program("x"), 0); code != 5 || calls.Load() != 1 {
 		t.Fatalf("zero-retries: code=%d calls=%d", code, calls.Load())
 	}
 }
@@ -66,7 +72,7 @@ func TestRunRemoteCompileErrorExitsTwo(t *testing.T) {
 		fmt.Fprint(w, `{"error": "program does not compile", "diagnostics": ["t.xc:1:1: error: no"]}`)
 	}))
 	defer ts.Close()
-	if code := runRemote(context.Background(), ts.URL, "", remoteRunRequest{Source: "zzz"}, 3); code != 2 {
+	if code := runRemote(context.Background(), ts.URL, "", program("zzz"), 3); code != 2 {
 		t.Fatalf("exit code %d, want 2 for a client error (no retries burned)", code)
 	}
 }
@@ -75,7 +81,7 @@ func TestRunRemoteTransportFailureRetriesThenExitsOne(t *testing.T) {
 	ts := httptest.NewServer(nil)
 	url := ts.URL
 	ts.Close() // nothing listens: every attempt is a transport error
-	if code := runRemote(context.Background(), url, "", remoteRunRequest{Source: "x"}, 1); code != 1 {
+	if code := runRemote(context.Background(), url, "", program("x"), 1); code != 1 {
 		t.Fatalf("exit code %d, want 1 for an unreachable server", code)
 	}
 }
@@ -88,10 +94,25 @@ func TestRunRemoteSendsBearerKeyAndNamesThrottledTenant(t *testing.T) {
 		fmt.Fprint(w, `{"error": "tenant \"acme\" over rate limit", "retry_after_ms": 1, "tenant": "acme"}`)
 	}))
 	defer ts.Close()
-	if code := runRemote(context.Background(), ts.URL, "k-acme", remoteRunRequest{Source: "x"}, 0); code != 5 {
+	if code := runRemote(context.Background(), ts.URL, "k-acme", program("x"), 0); code != 5 {
 		t.Fatalf("exit code %d, want 5 for a tenant throttle", code)
 	}
 	if gotAuth.Load() != "Bearer k-acme" {
 		t.Fatalf("Authorization = %q, want the -key flag as a Bearer credential", gotAuth.Load())
+	}
+}
+
+// TestRunRemoteBodyPassesShardDecoder: the body cmrun -server sends,
+// every field set, is accepted by a real shard's strict
+// (DisallowUnknownFields) decoder and the run's exit code comes back.
+func TestRunRemoteBodyPassesShardDecoder(t *testing.T) {
+	ts := httptest.NewServer(server.New(server.Config{}).Handler())
+	defer ts.Close()
+	req := server.RunRequest{
+		Head:    server.Head{Name: "seven.xc", Source: "int main() { return 7; }", Extensions: "matrix,cilk"},
+		Threads: 2, TimeoutMS: 5000, MaxSteps: 100000, MaxCells: 1 << 20,
+	}
+	if code := runRemote(context.Background(), ts.URL, "", req, 0); code != 7 {
+		t.Fatalf("exit code %d, want the program's own 7", code)
 	}
 }

@@ -1,8 +1,8 @@
 // eddybench runs the §IV ocean-eddy pipeline end to end on synthetic
 // SSH data and reports timings: the Fig 8 trough-scoring program
-// executed by the translator's interpreter (optionally sweeping thread
-// counts — experiment E4's scaling shape), the native Go reference,
-// and the Fig 4 threshold-sweep detection plus tracking.
+// executed through driver.Run on the production VM engine (optionally
+// sweeping thread counts — experiment E4's scaling shape), the native
+// Go reference, and the Fig 4 threshold-sweep detection plus tracking.
 //
 // Usage:
 //
@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -17,11 +18,11 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/driver"
 	"repro/internal/eddy"
-	"repro/internal/interp"
 	"repro/internal/matrix"
 	"repro/internal/par"
+	"repro/internal/parser"
 )
 
 // fig8 is the paper's ocean-eddy scoring program (Fig 8), adapted to
@@ -90,20 +91,22 @@ func main() {
 		o.Lat, o.Lon, o.Time, o.NumEddies, o.Seed)
 	ssh, truth := eddy.Synthesize(o)
 
-	// --- Fig 8 scoring through the translator + interpreter ---
-	fmt.Println("\n== Fig 8 trough scoring (extended-C program, interpreter) ==")
+	// --- Fig 8 scoring through the driver ---
+	fmt.Println("\n== Fig 8 trough scoring (extended-C program, driver.Run) ==")
 	var scored *matrix.Matrix
 	for _, ts := range parseSweep(*sweep) {
 		files := map[string]*matrix.Matrix{"ssh.data": ssh}
 		start := time.Now()
-		_, res, err := core.Run("fig8.xc", fig8, core.Config{},
-			interp.Options{Files: files, Threads: ts})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "eddybench: %v\n%s", err, res.Diags.String())
+		// A fresh driver per thread count, so every row pays the same
+		// parse, check and bytecode compilation.
+		res, err := driver.New().Run(context.Background(), driver.RunRequest{
+			Name: "fig8.xc", Source: fig8, Exts: parser.AllExtensions(), Files: files, Threads: ts})
+		if err != nil || !res.OK {
+			fmt.Fprintf(os.Stderr, "eddybench: %v\n%s\n", err, strings.Join(res.Diagnostics, "\n"))
 			os.Exit(1)
 		}
 		el := time.Since(start)
-		fmt.Printf("  threads=%-2d  %10.1f ms\n", ts, float64(el.Microseconds())/1000)
+		fmt.Printf("  threads=%-2d  %10.1f ms  (engine %s)\n", ts, float64(el.Microseconds())/1000, res.Engine)
 		scored = files["temporalScores.data"]
 	}
 

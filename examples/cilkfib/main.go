@@ -7,13 +7,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
 
 	"repro/internal/cgen"
-	"repro/internal/core"
-	"repro/internal/interp"
+	"repro/internal/driver"
+	"repro/internal/parser"
 )
 
 const program = `
@@ -49,19 +50,23 @@ int main() {
 `
 
 func main() {
-	code, res, err := core.Run("cilkfib.xc", program, core.Config{}, interp.Options{})
-	if err != nil {
-		log.Fatalf("run failed: %v\n%s", err, res.Diags.String())
+	d := driver.New()
+	res, err := d.Run(context.Background(), driver.RunRequest{
+		Name: "cilkfib.xc", Source: program, Exts: parser.AllExtensions(),
+		Threads: 1})
+	if err != nil || !res.OK {
+		log.Fatalf("run failed: %v\n%s", err, strings.Join(res.Diagnostics, "\n"))
 	}
-	fmt.Printf("(exit code %d)\n\n", code)
+	fmt.Printf("(exit code %d)\n\n", res.ExitCode)
 
-	opts := cgen.Options{Par: cgen.ParNone, Optimize: true}
-	cres := core.Compile("cilkfib.xc", program, core.Config{Codegen: &opts})
-	if cres.Diags.HasErrors() {
-		log.Fatal(cres.Diags.String())
+	cres := d.Compile(context.Background(), driver.CompileRequest{
+		Name: "cilkfib.xc", Source: program, Exts: parser.AllExtensions(),
+		Codegen: cgen.Options{Par: cgen.ParNone, Optimize: true}})
+	if !cres.OK {
+		log.Fatal(strings.Join(cres.Diagnostics, "\n"))
 	}
 	fmt.Println("--- generated C (excerpt: the lifted spawn site for fib) ---")
-	lines := strings.Split(cres.C, "\n")
+	lines := strings.Split(cres.Output, "\n")
 	start := -1
 	for i, l := range lines {
 		if strings.Contains(l, "spawn site 1") {

@@ -12,13 +12,15 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"strings"
 
-	"repro/internal/core"
+	"repro/internal/driver"
 	"repro/internal/eddy"
-	"repro/internal/interp"
 	"repro/internal/matrix"
+	"repro/internal/parser"
 )
 
 const scoreProgram = `
@@ -79,10 +81,11 @@ func main() {
 		opts.Lat, opts.Lon, opts.Time, len(truth))
 
 	files := map[string]*matrix.Matrix{"ssh.data": ssh}
-	_, res, err := core.Run("eddyscore.xc", scoreProgram, core.Config{},
-		interp.Options{Files: files, Threads: 4})
-	if err != nil {
-		log.Fatalf("run failed: %v\n%s", err, res.Diags.String())
+	res, err := driver.New().Run(context.Background(), driver.RunRequest{
+		Name: "eddyscore.xc", Source: scoreProgram, Exts: parser.AllExtensions(),
+		Files: files, Threads: 4})
+	if err != nil || !res.OK {
+		log.Fatalf("run failed: %v\n%s", err, strings.Join(res.Diagnostics, "\n"))
 	}
 	scores := files["temporalScores.data"]
 

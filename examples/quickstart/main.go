@@ -11,14 +11,16 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
 	"strings"
 
-	"repro/internal/core"
-	"repro/internal/interp"
+	"repro/internal/cgen"
+	"repro/internal/driver"
 	"repro/internal/matrix"
+	"repro/internal/parser"
 )
 
 const program = `
@@ -49,12 +51,14 @@ func main() {
 	files := map[string]*matrix.Matrix{"ssh.data": ssh}
 
 	// Run through the translator + parallel interpreter.
-	code, res, err := core.Run("quickstart.xc", program, core.Config{},
-		interp.Options{Files: files, Threads: 4})
-	if err != nil {
-		log.Fatalf("run failed: %v\n%s", err, res.Diags.String())
+	d := driver.New()
+	res, err := d.Run(context.Background(), driver.RunRequest{
+		Name: "quickstart.xc", Source: program, Exts: parser.AllExtensions(),
+		Files: files, Threads: 4})
+	if err != nil || !res.OK {
+		log.Fatalf("run failed: %v\n%s", err, strings.Join(res.Diagnostics, "\n"))
 	}
-	fmt.Printf("program exited with code %d\n", code)
+	fmt.Printf("program exited with code %d\n", res.ExitCode)
 
 	// Verify against a direct Go computation (the Fig 3 loops).
 	means := files["means.data"]
@@ -78,12 +82,14 @@ func main() {
 
 	// Show the translation: Fig 1's with-loops expand to the Fig 3
 	// loop nest in the generated C.
-	cres := core.Compile("quickstart.xc", program, core.Config{})
-	if cres.Diags.HasErrors() {
-		log.Fatal(cres.Diags.String())
+	cres := d.Compile(context.Background(), driver.CompileRequest{
+		Name: "quickstart.xc", Source: program, Exts: parser.AllExtensions(),
+		Codegen: cgen.DefaultOptions()})
+	if !cres.OK {
+		log.Fatal(strings.Join(cres.Diagnostics, "\n"))
 	}
 	fmt.Println("\n--- generated C (excerpt: the expanded with-loops) ---")
-	printExcerpt(cres.C)
+	printExcerpt(cres.Output)
 }
 
 // printExcerpt shows the translated main function only.

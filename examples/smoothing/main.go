@@ -9,14 +9,16 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
+	"strings"
 
-	"repro/internal/core"
+	"repro/internal/driver"
 	"repro/internal/eddy"
-	"repro/internal/interp"
 	"repro/internal/matrix"
+	"repro/internal/parser"
 )
 
 const smoothProgram = `
@@ -54,10 +56,11 @@ func main() {
 		SwellAmp: opts.SwellAmp, Seed: opts.Seed})
 
 	files := map[string]*matrix.Matrix{"ssh.data": noisy}
-	_, res, err := core.Run("smoothing.xc", smoothProgram, core.Config{},
-		interp.Options{Files: files, Threads: 4})
-	if err != nil {
-		log.Fatalf("run failed: %v\n%s", err, res.Diags.String())
+	res, err := driver.New().Run(context.Background(), driver.RunRequest{
+		Name: "smoothing.xc", Source: smoothProgram, Exts: parser.AllExtensions(),
+		Files: files, Threads: 4})
+	if err != nil || !res.OK {
+		log.Fatalf("run failed: %v\n%s", err, strings.Join(res.Diagnostics, "\n"))
 	}
 	smoothed := files["smoothed.data"]
 

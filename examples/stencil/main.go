@@ -115,8 +115,8 @@ func main() {
 
 	m := d.MetricsSnapshot()
 	fmt.Printf("with-loops compiled flat: %d sites, %d flat executions\n",
-		m.VMWithSites, m.VMWithFlatRuns)
-	if m.VMWithSites == 0 || m.VMWithFlatRuns == 0 {
+		m.VMWithSites.Load(), m.VMWithFlatRuns)
+	if m.VMWithSites.Load() == 0 || m.VMWithFlatRuns == 0 {
 		log.Fatal("stencil did not run on the flat with-loop engine")
 	}
 }

@@ -9,12 +9,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
 
 	"repro/internal/cgen"
-	"repro/internal/core"
+	"repro/internal/driver"
+	"repro/internal/parser"
 )
 
 const base = `
@@ -49,12 +51,13 @@ func main() {
 
 func show(title, clause string, opts cgen.Options) {
 	src := fmt.Sprintf(base, clause)
-	res := core.Compile("transforms.xc", src, core.Config{Codegen: &opts})
-	if res.Diags.HasErrors() {
-		log.Fatalf("%s:\n%s", title, res.Diags.String())
+	res := driver.New().Compile(context.Background(), driver.CompileRequest{
+		Name: "transforms.xc", Source: src, Exts: parser.AllExtensions(), Codegen: opts})
+	if !res.OK {
+		log.Fatalf("%s:\n%s", title, strings.Join(res.Diagnostics, "\n"))
 	}
 	fmt.Printf("=== %s ===\n", title)
-	fmt.Println(excerpt(res.C))
+	fmt.Println(excerpt(res.Output))
 	fmt.Println()
 }
 

@@ -68,7 +68,7 @@ func main() {
 
 	m := d.MetricsSnapshot()
 	fmt.Printf("with-loops compiled flat: %d sites; blocked transpose kernel ran %d times\n",
-		m.VMWithSites, m.KernelTranspose)
+		m.VMWithSites.Load(), m.KernelTranspose)
 	if m.KernelTranspose < 2 {
 		log.Fatalf("expected both transposes on the blocked kernel, got %d", m.KernelTranspose)
 	}

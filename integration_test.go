@@ -7,16 +7,21 @@ package repro_test
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/cgen"
+	"repro/internal/driver"
 	"repro/internal/interp"
 	"repro/internal/matrix"
+	"repro/internal/parser"
 	"repro/internal/rc"
+	"repro/internal/sem"
+	"repro/internal/source"
 )
 
 // sshCube builds a deterministic SSH input for the testdata programs.
@@ -38,11 +43,22 @@ func runTestdata(t *testing.T, file string, files map[string]*matrix.Matrix, thr
 	}
 	var out bytes.Buffer
 	heap := rc.NewHeap()
-	code, res, err := core.Run(file, string(src), core.Config{}, interp.Options{
+	// The tree walker on a heap the test owns, for the leak assertions;
+	// driver.Run (the production path) takes no heap.
+	var diags source.Diagnostics
+	prog := parser.ParseFile(file, string(src), parser.AllExtensions(), &diags)
+	if prog == nil {
+		t.Fatalf("%s:\n%s", file, diags.String())
+	}
+	info := sem.Check(prog, &diags)
+	if diags.HasErrors() {
+		t.Fatalf("%s:\n%s", file, diags.String())
+	}
+	code, err := interp.New(prog, info, interp.Options{
 		Files: files, Threads: threads, Stdout: &out, Heap: heap, MaxSteps: 50_000_000,
-	})
+	}).Run()
 	if err != nil {
-		t.Fatalf("%s: %v\n%s", file, err, res.Diags.String())
+		t.Fatalf("%s: %v", file, err)
 	}
 	if code != 0 {
 		t.Fatalf("%s: exit code %d", file, code)
@@ -138,11 +154,12 @@ func TestIntegrationAllProgramsTranslate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := core.Compile(e.Name(), string(src), core.Config{})
-		if res.Diags.HasErrors() {
-			t.Errorf("%s: %s", e.Name(), res.Diags.String())
+		res := driver.New().Compile(context.Background(), driver.CompileRequest{
+			Name: e.Name(), Source: string(src), Exts: parser.AllExtensions(), Codegen: cgen.DefaultOptions()})
+		if !res.OK {
+			t.Errorf("%s: %s", e.Name(), strings.Join(res.Diagnostics, "\n"))
 		}
-		if !strings.Contains(res.C, "u_main") {
+		if !strings.Contains(res.Output, "u_main") {
 			t.Errorf("%s: no main emitted", e.Name())
 		}
 	}

@@ -563,3 +563,62 @@ func TestTransposeCompiledMatchesInterpreter(t *testing.T) {
 		}
 	}
 }
+
+// vecIndexSrc is an 8-cell vectorized genarray reading v at idx.
+func vecIndexSrc(idx, transform string) string {
+	return `
+int main() {
+	int c = 3;
+	Matrix float <1> v = with ([0] <= [i] < [16]) genarray([16], (float)i);
+	Matrix float <1> r;
+	r = with ([0] <= [i] < [8]) genarray([8], v[` + idx + `]) transform ` + transform + `;
+	print(r[0]); print(r[3]); print(r[5]); print(r[6]); print(r[7]);
+	return 0;
+}
+`
+}
+
+// A vectorized load is one unaligned vector load only when the index is
+// structurally unit stride in the vectorized variable; everything else
+// (the old numeric probe accepted i % 6) is a lane-wise gather.
+func TestVectorizeStrideIsStructural(t *testing.T) {
+	for _, c := range []struct {
+		idx, transform string
+		unit           bool
+	}{
+		{"i", "vectorize i", true},
+		{"i + c", "vectorize i", true},
+		{"i", "split i by 4, iin, iout. vectorize iin", true}, // iout * 4 + iin
+		{"i % 6", "vectorize i", false},
+		{"i / 2", "vectorize i", false},
+		{"2 * i", "vectorize i", false},
+		{"c * i", "vectorize i", false},
+	} {
+		out := gen(t, vecIndexSrc(c.idx, c.transform), Options{Par: ParNone, Optimize: true})
+		loadu := strings.Contains(out, "_mm_loadu_ps(&u_v")
+		gather := strings.Contains(out, "_mm_setr_ps((float)u_v")
+		if loadu != c.unit || gather == c.unit {
+			t.Errorf("v[%s] under %q: loadu=%v gather=%v, want unit stride = %v", c.idx, c.transform, loadu, gather, c.unit)
+		}
+	}
+}
+
+// The §V vectorize miscompile: v[i % 6] printed 5 6 7 for r[5..7] from
+// the generated C and 5 0 1 on the interpreter.
+func TestVectorizeModIndexCompiledMatchesInterpreter(t *testing.T) {
+	if !haveGCC() {
+		t.Skip("gcc not available")
+	}
+	for _, idx := range []string{"i % 6", "i / 2", "2 * i", "i + c"} {
+		src := vecIndexSrc(idx, "vectorize i")
+		want := runInterp(t, src, nil, 1)
+		bin := compileC(t, gen(t, src, Options{Par: ParNone, Optimize: true}), t.TempDir())
+		got, err := exec.Command(bin).Output()
+		if err != nil {
+			t.Fatalf("v[%s]: compiled program failed: %v", idx, err)
+		}
+		if string(got) != want {
+			t.Errorf("v[%s]: generated C printed %q, the interpreter %q", idx, got, want)
+		}
+	}
+}

@@ -10,7 +10,6 @@ package cgen
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/loopir"
 )
@@ -171,7 +170,7 @@ func (v *vecCtx) expr(e loopir.Expr) (string, error) {
 		if c, ok := e.C.(*loopir.Bin); ok {
 			l, lerr := v.expr(e.T)
 			r, rerr := v.expr(e.F)
-			if lerr == nil && rerr == nil && sameExpr(c.L, e.T) && sameExpr(c.R, e.F) {
+			if lerr == nil && rerr == nil && c.L.String() == e.T.String() && c.R.String() == e.F.String() {
 				switch c.Op {
 				case "<":
 					return fmt.Sprintf("_mm_min_ps(%s, %s)", l, r), nil
@@ -204,8 +203,6 @@ func laneExpr(e loopir.Expr, index string, k int) string {
 	return loopir.SubstExpr(e, index, loopir.B("+", loopir.V(index), loopir.IC(int64(k)))).String()
 }
 
-func sameExpr(a, b loopir.Expr) bool { return a.String() == b.String() }
-
 // dependsOn reports whether e references the given variable.
 func dependsOn(e loopir.Expr, name string) bool {
 	switch e := e.(type) {
@@ -230,44 +227,53 @@ func dependsOn(e loopir.Expr, name string) bool {
 }
 
 // stride1 reports whether idx advances by exactly 1 when the given
-// index variable advances by 1, tested numerically under random
-// assignments of the other variables (a standard dependence-test
-// shortcut; false negatives only cost a gather).
+// index variable advances by 1: the index's coefficient in idx, taken
+// through +, -, unary minus and * by a loop-invariant constant, is 1.
+// Anything else that mentions the index (%, /, a call, a conditional, a
+// load, a product with a variable) is not provably unit stride and
+// costs a gather.
 func stride1(idx loopir.Expr, index string) bool {
-	if !dependsOn(idx, index) {
-		return false
-	}
-	r := rand.New(rand.NewSource(12345))
-	for trial := 0; trial < 4; trial++ {
-		env := loopir.NewEnv()
-		assignVarsRandom(idx, env, r)
-		env.Vars[index] = loopir.IV(int64(trial * 3))
-		v0, err0 := env.EvalExpr(idx)
-		env.Vars[index] = loopir.IV(int64(trial*3 + 1))
-		v1, err1 := env.EvalExpr(idx)
-		if err0 != nil || err1 != nil || !v0.IsInt || !v1.IsInt || v1.I-v0.I != 1 {
-			return false
-		}
-	}
-	return true
+	c, ok := indexCoeff(idx, index)
+	return ok && c == 1
 }
 
-func assignVarsRandom(e loopir.Expr, env *loopir.Env, r *rand.Rand) {
+// indexCoeff is the coefficient of index in e when e is affine in it;
+// ok is false when e is not affine in index as far as the rules of
+// stride1 can tell.
+func indexCoeff(e loopir.Expr, index string) (c int64, ok bool) {
 	switch e := e.(type) {
 	case *loopir.VarRef:
-		if _, ok := env.Vars[e.Name]; !ok {
-			env.Vars[e.Name] = loopir.IV(int64(1 + r.Intn(50)))
+		if e.Name == index {
+			return 1, true
+		}
+	case *loopir.Un:
+		if e.Op == "-" {
+			c, ok = indexCoeff(e.X, index)
+			return -c, ok
 		}
 	case *loopir.Bin:
-		assignVarsRandom(e.L, env, r)
-		assignVarsRandom(e.R, env, r)
-	case *loopir.Un:
-		assignVarsRandom(e.X, env, r)
-	case *loopir.Load:
-		assignVarsRandom(e.Idx, env, r)
-	case *loopir.CallE:
-		for _, a := range e.Args {
-			assignVarsRandom(a, env, r)
+		if e.Op != "+" && e.Op != "-" && e.Op != "*" {
+			break
+		}
+		l, lok := indexCoeff(e.L, index)
+		r, rok := indexCoeff(e.R, index)
+		if !lok || !rok {
+			return 0, false
+		}
+		switch e.Op {
+		case "+":
+			return l + r, true
+		case "-":
+			return l - r, true
+		}
+		if k, isConst := e.L.(*loopir.IntConst); isConst {
+			return k.V * r, true
+		}
+		if k, isConst := e.R.(*loopir.IntConst); isConst {
+			return l * k.V, true
 		}
 	}
+	// Whatever is left is affine (with coefficient 0) only as a
+	// loop invariant.
+	return 0, !dependsOn(e, index)
 }

@@ -122,12 +122,3 @@ func (d *Driver) ImportArtifact(key string, raw []byte) error {
 	}
 	return nil
 }
-
-// ParseRouteExtensions is CanonicalExtensions with the wire default: an
-// empty spec means "all", matching the server's request defaulting.
-func ParseRouteExtensions(spec string) (string, error) {
-	if spec == "" {
-		spec = "all"
-	}
-	return CanonicalExtensions(spec)
-}

@@ -35,7 +35,7 @@ func TestArtifactExportImportRoundTrip(t *testing.T) {
 	if !ok || len(raw) == 0 {
 		t.Fatal("compiled artifact not exportable")
 	}
-	if a.MetricsSnapshot().ArtifactExports != 1 {
+	if a.MetricsSnapshot().ArtifactExports.Load() != 1 {
 		t.Fatal("artifact_exports not counted")
 	}
 
@@ -48,8 +48,8 @@ func TestArtifactExportImportRoundTrip(t *testing.T) {
 		t.Fatalf("imported artifact not served: OK=%v Cached=%v", res.OK, res.Cached)
 	}
 	m := b.MetricsSnapshot()
-	if m.CompileExecutions != 0 || m.ArtifactImports != 1 {
-		t.Fatalf("import metrics: executions=%d imports=%d", m.CompileExecutions, m.ArtifactImports)
+	if m.CompileExecutions.Load() != 0 || m.ArtifactImports.Load() != 1 {
+		t.Fatalf("import metrics: executions=%d imports=%d", m.CompileExecutions.Load(), m.ArtifactImports.Load())
 	}
 	// The import also landed on B's disk: a restarted B stays warm.
 	b2 := driver.NewWith(driver.Config{CacheDir: dirB})
@@ -146,14 +146,14 @@ func TestImportRefillsQuarantinedObject(t *testing.T) {
 	if res := compileOnce(t, d2, okSrc); !res.Cached {
 		t.Fatal("re-filled artifact not served")
 	}
-	if m := d2.MetricsSnapshot(); m.CompileExecutions != 0 {
-		t.Fatalf("re-fill recompiled: executions=%d", m.CompileExecutions)
+	if m := d2.MetricsSnapshot(); m.CompileExecutions.Load() != 0 {
+		t.Fatalf("re-fill recompiled: executions=%d", m.CompileExecutions.Load())
 	}
 	d3 := driver.NewWith(driver.Config{CacheDir: dir})
 	if res := compileOnce(t, d3, okSrc); !res.Cached {
 		t.Fatal("re-filled object not durable")
 	}
-	if m := d3.MetricsSnapshot(); m.DiskHits != 1 || m.DiskCorrupt != 0 || m.CompileExecutions != 0 {
+	if m := d3.MetricsSnapshot(); m.DiskHits.Load() != 1 || m.DiskCorrupt.Load() != 0 || m.CompileExecutions.Load() != 0 {
 		t.Fatalf("post-refill restart metrics: %+v", m)
 	}
 }
@@ -169,7 +169,7 @@ func TestCompileCanceledContextNothingCached(t *testing.T) {
 	if !res.Canceled || res.OK {
 		t.Fatalf("dead-context compile: Canceled=%v OK=%v", res.Canceled, res.OK)
 	}
-	if m := d.MetricsSnapshot(); m.CompileExecutions != 0 {
+	if m := d.MetricsSnapshot(); m.CompileExecutions.Load() != 0 {
 		t.Fatal("dead-context compile still executed the pipeline")
 	}
 	// The abandoned request poisoned nothing: a live one compiles fresh.
@@ -179,7 +179,7 @@ func TestCompileCanceledContextNothingCached(t *testing.T) {
 }
 
 func TestRouteKeyStableAndFlagInsensitive(t *testing.T) {
-	exts, err := driver.ParseRouteExtensions("all")
+	exts, err := driver.CanonicalExtensions("all")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,10 +33,10 @@ func TestBytecodeBailIsComputedOnce(t *testing.T) {
 		}
 	}
 	m := d.MetricsSnapshot()
-	if m.VMCompileTotal != 1 || m.VMCacheMisses != 1 || m.VMCacheHits != 1 {
-		t.Errorf("bytecode compilations %d, misses %d, hits %d, want 1/1/1", m.VMCompileTotal, m.VMCacheMisses, m.VMCacheHits)
+	if m.VMCompileTotal.Load() != 1 || m.VMCacheMisses.Load() != 1 || m.VMCacheHits.Load() != 1 {
+		t.Errorf("bytecode compilations %d, misses %d, hits %d, want 1/1/1", m.VMCompileTotal.Load(), m.VMCacheMisses.Load(), m.VMCacheHits.Load())
 	}
-	if m.VMExecTotal != 0 {
-		t.Errorf("vm_exec_total = %d, want 0", m.VMExecTotal)
+	if m.VMExecTotal.Load() != 0 {
+		t.Errorf("vm_exec_total = %d, want 0", m.VMExecTotal.Load())
 	}
 }

@@ -18,6 +18,8 @@ package driver
 import (
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/obs"
 )
 
 // outcome says how one cached derivation was served.
@@ -31,7 +33,7 @@ const (
 
 // tally names the counters one cached derivation reports into. A nil
 // coalesced counter leaves joins uncounted.
-type tally struct{ hit, coalesced, miss *atomic.Int64 }
+type tally struct{ hit, coalesced, miss *obs.Counter }
 
 func (t tally) count(o outcome) {
 	switch {
@@ -67,11 +69,11 @@ type lru[V any] struct {
 	root       slot[V] // list sentinel: root.next is most recently used
 	index      map[string]*slot[V]
 	bytes      int64
-	completed  int           // completed slots; in-flight ones are not counted
-	evictions  *atomic.Int64 // driver metrics
+	completed  int          // completed slots; in-flight ones are not counted
+	evictions  *obs.Counter // driver metrics
 }
 
-func newLRU[V any](maxEntries int, maxBytes int64, evictions *atomic.Int64) *lru[V] {
+func newLRU[V any](maxEntries int, maxBytes int64, evictions *obs.Counter) *lru[V] {
 	l := &lru[V]{
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,

@@ -5,7 +5,7 @@ package driver
 
 import (
 	"fmt"
-	"sync/atomic"
+	"repro/internal/obs"
 	"testing"
 )
 
@@ -32,7 +32,7 @@ func present(l *lru[int], key string) bool {
 }
 
 func TestLRUEntryCapEvictsOldestFirst(t *testing.T) {
-	var ev atomic.Int64
+	var ev obs.Counter
 	l := newLRU[int](3, 1<<20, &ev)
 	fill(t, l, 3, 10)
 
@@ -63,7 +63,7 @@ func TestLRUEntryCapEvictsOldestFirst(t *testing.T) {
 }
 
 func TestLRUByteCapEvicts(t *testing.T) {
-	var ev atomic.Int64
+	var ev obs.Counter
 	l := newLRU[int](1000, 100, &ev)
 	fill(t, l, 5, 30) // 150 bytes demanded, 100 allowed
 	if _, b := l.stats(); b > 100 {
@@ -78,7 +78,7 @@ func TestLRUByteCapEvicts(t *testing.T) {
 }
 
 func TestLRUInFlightSlotIsPinned(t *testing.T) {
-	var ev atomic.Int64
+	var ev obs.Counter
 	l := newLRU[int](2, 1<<20, &ev)
 	inflight, how := l.lookup("inflight")
 	if how != miss {
@@ -105,7 +105,7 @@ func TestLRUInFlightSlotIsPinned(t *testing.T) {
 }
 
 func TestLRUOversizedEntryIsNotRetained(t *testing.T) {
-	var ev atomic.Int64
+	var ev obs.Counter
 	l := newLRU[int](10, 100, &ev)
 	fill(t, l, 2, 10)
 	s, _ := l.lookup("huge")
@@ -124,7 +124,7 @@ func TestLRUOversizedEntryIsNotRetained(t *testing.T) {
 // only while the cache still retains it — an evicted slot, or a new slot
 // that took over the evicted one's key, is never charged for it.
 func TestLRUGrowKeepsTheLedgerExact(t *testing.T) {
-	var ev atomic.Int64
+	var ev obs.Counter
 	l := newLRU[int](2, 100, &ev)
 	fill(t, l, 2, 10)
 	old, _ := l.lookup("key0")

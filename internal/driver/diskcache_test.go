@@ -37,8 +37,8 @@ func TestDiskCacheSurvivesRestart(t *testing.T) {
 	if !first.OK || first.Cached {
 		t.Fatalf("cold compile: OK=%v Cached=%v", first.OK, first.Cached)
 	}
-	if m := d1.MetricsSnapshot(); m.DiskWrites != 1 || m.DiskMisses != 1 {
-		t.Fatalf("writer metrics: writes=%d misses=%d", m.DiskWrites, m.DiskMisses)
+	if m := d1.MetricsSnapshot(); m.DiskWrites.Load() != 1 || m.DiskMisses.Load() != 1 {
+		t.Fatalf("writer metrics: writes=%d misses=%d", m.DiskWrites.Load(), m.DiskMisses.Load())
 	}
 	if _, err := os.Stat(objectPath(dir, first.Key)); err != nil {
 		t.Fatalf("artifact not on disk: %v", err)
@@ -54,13 +54,13 @@ func TestDiskCacheSurvivesRestart(t *testing.T) {
 		t.Fatal("disk-served artifact differs from the original")
 	}
 	m := d2.MetricsSnapshot()
-	if m.DiskHits != 1 || m.CompileExecutions != 0 {
-		t.Fatalf("restart metrics: hits=%d executions=%d, want 1 and 0", m.DiskHits, m.CompileExecutions)
+	if m.DiskHits.Load() != 1 || m.CompileExecutions.Load() != 0 {
+		t.Fatalf("restart metrics: hits=%d executions=%d, want 1 and 0", m.DiskHits.Load(), m.CompileExecutions.Load())
 	}
 	// The disk hit was promoted into memory: a third request is a pure
 	// memory hit, no disk read.
 	third := compileOnce(t, d2, okSrc)
-	if !third.Cached || d2.MetricsSnapshot().DiskHits != 1 {
+	if !third.Cached || d2.MetricsSnapshot().DiskHits.Load() != 1 {
 		t.Fatal("disk hit was not promoted into the memory tier")
 	}
 }
@@ -90,7 +90,7 @@ func TestDiskCacheCorruptObjectQuarantinedAndRecompiled(t *testing.T) {
 		t.Fatal("recompiled artifact differs")
 	}
 	m := d2.MetricsSnapshot()
-	if m.DiskCorrupt != 1 || m.DiskHits != 0 || m.CompileExecutions != 1 {
+	if m.DiskCorrupt.Load() != 1 || m.DiskHits.Load() != 0 || m.CompileExecutions.Load() != 1 {
 		t.Fatalf("corruption metrics: %+v", m)
 	}
 	if _, err := os.Stat(path + ".corrupt"); err != nil {
@@ -101,7 +101,7 @@ func TestDiskCacheCorruptObjectQuarantinedAndRecompiled(t *testing.T) {
 	if third := compileOnce(t, d3, okSrc); !third.Cached {
 		t.Fatal("object not rewritten after quarantine")
 	}
-	if m := d3.MetricsSnapshot(); m.DiskHits != 1 || m.DiskCorrupt != 0 {
+	if m := d3.MetricsSnapshot(); m.DiskHits.Load() != 1 || m.DiskCorrupt.Load() != 0 {
 		t.Fatalf("post-recovery metrics: %+v", m)
 	}
 }
@@ -122,8 +122,8 @@ func TestDiskCacheTruncatedObjectIsCorrupt(t *testing.T) {
 	if res := compileOnce(t, d2, okSrc); !res.OK || res.Cached {
 		t.Fatalf("truncated object served: %+v", res)
 	}
-	if m := d2.MetricsSnapshot(); m.DiskCorrupt != 1 {
-		t.Fatalf("DiskCorrupt = %d, want 1", m.DiskCorrupt)
+	if m := d2.MetricsSnapshot(); m.DiskCorrupt.Load() != 1 {
+		t.Fatalf("DiskCorrupt = %d, want 1", m.DiskCorrupt.Load())
 	}
 }
 
@@ -137,8 +137,8 @@ func TestDiskCacheNeverPersistsFailedCompiles(t *testing.T) {
 	if _, err := os.Stat(objectPath(dir, bad.Key)); !os.IsNotExist(err) {
 		t.Fatalf("failed compile persisted to disk: %v", err)
 	}
-	if m := d1.MetricsSnapshot(); m.DiskWrites != 0 {
-		t.Fatalf("DiskWrites = %d for a failed compile", m.DiskWrites)
+	if m := d1.MetricsSnapshot(); m.DiskWrites.Load() != 0 {
+		t.Fatalf("DiskWrites = %d for a failed compile", m.DiskWrites.Load())
 	}
 	// A fresh process re-diagnoses rather than serving stale rejections.
 	d2 := driver.NewWith(driver.Config{CacheDir: dir})

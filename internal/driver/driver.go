@@ -1,10 +1,9 @@
 // Package driver is the staged compile/run pipeline behind every entry
-// point (cmc, cmrun, cmserved): parse with the composed extension
-// grammars → check with the composed attribute-grammar semantics →
-// {emit C / print AST, interpret}. It factors the glue formerly
-// duplicated across cmd/ mains into one place and adds what a
-// long-lived compile service needs on top of the one-shot internal/core
-// facade:
+// point (cmc, cmrun, cmserved, the examples): parse with the composed
+// extension grammars → check with the composed attribute-grammar
+// semantics → {emit C / print AST, interpret}. It is the only such
+// pipeline, and adds what a long-lived compile service needs on top of
+// the one-shot use:
 //
 //   - two content-addressed caches. units holds one program unit per
 //     (name, source, extension set): the parse+check result and, on
@@ -108,20 +107,8 @@ func NewWith(cfg Config) *Driver {
 	return d
 }
 
-// Metrics exposes the driver's counters (live; use Snapshot for a
-// consistent view).
+// Metrics exposes the driver's live counters.
 func (d *Driver) Metrics() *Metrics { return &d.metrics }
-
-// MetricsSnapshot captures the counters plus the cache gauges
-// (entries, bytes) that only the driver itself can read.
-func (d *Driver) MetricsSnapshot() MetricsSnapshot {
-	s := d.metrics.Snapshot()
-	ue, ub := d.units.stats()
-	ee, eb := d.emits.stats()
-	s.CacheEntries = int64(ue + ee)
-	s.CacheBytes = ub + eb
-	return s
-}
 
 // StageTimings records where a request's time went, in nanoseconds.
 // Cached requests carry the stage times of the original execution.

@@ -88,8 +88,8 @@ func TestCompileCacheHitAndKeying(t *testing.T) {
 	if second.Output != first.Output || second.Key != first.Key {
 		t.Fatal("cached artifact differs from original")
 	}
-	m := d.Metrics().Snapshot()
-	if m.CompileHits != 1 || m.CompileMisses != 1 || m.CompileExecutions != 1 {
+	m := d.MetricsSnapshot()
+	if m.CompileHits.Load() != 1 || m.CompileMisses.Load() != 1 || m.CompileExecutions.Load() != 1 {
 		t.Fatalf("metrics after hit: %+v", m)
 	}
 
@@ -100,8 +100,8 @@ func TestCompileCacheHitAndKeying(t *testing.T) {
 		t.Fatalf("flag change reused cache: Cached=%v", third.Cached)
 	}
 	// ...but shares the cached frontend (parse+check) result.
-	if got := d.Metrics().Snapshot(); got.FrontendExecutions != 1 {
-		t.Fatalf("frontend ran %d times, want 1", got.FrontendExecutions)
+	if got := d.MetricsSnapshot(); got.FrontendExecutions.Load() != 1 {
+		t.Fatalf("frontend ran %d times, want 1", got.FrontendExecutions.Load())
 	}
 }
 
@@ -150,11 +150,11 @@ func TestConcurrentIdenticalCompilesExecuteOnce(t *testing.T) {
 			t.Fatalf("request %d: OK=%v or output mismatch", i, r.OK)
 		}
 	}
-	m := d.Metrics().Snapshot()
-	if m.CompileExecutions != 1 {
-		t.Fatalf("pipeline executed %d times for %d identical requests", m.CompileExecutions, n)
+	m := d.MetricsSnapshot()
+	if m.CompileExecutions.Load() != 1 {
+		t.Fatalf("pipeline executed %d times for %d identical requests", m.CompileExecutions.Load(), n)
 	}
-	if m.CompileHits+m.CompileCoalesced != n-1 || m.CompileMisses != 1 {
+	if m.CompileHits.Load()+m.CompileCoalesced.Load() != n-1 || m.CompileMisses.Load() != 1 {
 		t.Fatalf("hit accounting: %+v", m)
 	}
 }
@@ -201,8 +201,8 @@ func TestRunHonorsContextDeadline(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("cancellation took %s", elapsed)
 	}
-	if got := d.Metrics().Snapshot(); got.RunsCancelled != 1 {
-		t.Fatalf("RunsCancelled = %d, want 1", got.RunsCancelled)
+	if got := d.MetricsSnapshot(); got.RunsCancelled.Load() != 1 {
+		t.Fatalf("RunsCancelled = %d, want 1", got.RunsCancelled.Load())
 	}
 }
 

@@ -48,17 +48,17 @@ func TestRunEngineSelectionAndVMCache(t *testing.T) {
 	}
 
 	m := d.MetricsSnapshot()
-	if m.VMCompileTotal != 1 {
-		t.Errorf("vm_compile_total = %d, want 1 (one source, compiled once)", m.VMCompileTotal)
+	if m.VMCompileTotal.Load() != 1 {
+		t.Errorf("vm_compile_total = %d, want 1 (one source, compiled once)", m.VMCompileTotal.Load())
 	}
-	if m.VMCacheMisses != 1 || m.VMCacheHits != 1 {
-		t.Errorf("vm cache hits/misses = %d/%d, want 1/1", m.VMCacheHits, m.VMCacheMisses)
+	if m.VMCacheMisses.Load() != 1 || m.VMCacheHits.Load() != 1 {
+		t.Errorf("vm cache hits/misses = %d/%d, want 1/1", m.VMCacheHits.Load(), m.VMCacheMisses.Load())
 	}
-	if m.VMExecTotal != 2 {
-		t.Errorf("vm_exec_total = %d, want 2 (tree run must not count)", m.VMExecTotal)
+	if m.VMExecTotal.Load() != 2 {
+		t.Errorf("vm_exec_total = %d, want 2 (tree run must not count)", m.VMExecTotal.Load())
 	}
-	if m.VMDispatchNS <= 0 {
-		t.Errorf("vm_dispatch_ns = %d, want > 0", m.VMDispatchNS)
+	if m.VMDispatchNS.Load() <= 0 {
+		t.Errorf("vm_dispatch_ns = %d, want > 0", m.VMDispatchNS.Load())
 	}
 }
 

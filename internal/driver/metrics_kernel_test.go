@@ -17,8 +17,7 @@ func TestSnapshotKernelCounters(t *testing.T) {
 	if _, err := matrix.ElementwiseExec(matrix.OpAdd, a, a, matrix.Exec{}); err != nil {
 		t.Fatal(err)
 	}
-	var m Metrics
-	s := m.Snapshot()
+	s := New().MetricsSnapshot()
 	if s.KernelSerial == 0 {
 		t.Error("kernel_serial_total not populated from matrix.KernelStats")
 	}

@@ -77,8 +77,8 @@ func TestUnitKeysOnExtensionSet(t *testing.T) {
 	}
 
 	s := d.MetricsSnapshot()
-	if s.CacheEntries != 2 || s.FrontendExecutions != 2 {
-		t.Errorf("entries = %d, frontend executions = %d, want 2 units", s.CacheEntries, s.FrontendExecutions)
+	if s.CacheEntries != 2 || s.FrontendExecutions.Load() != 2 {
+		t.Errorf("entries = %d, frontend executions = %d, want 2 units", s.CacheEntries, s.FrontendExecutions.Load())
 	}
 	if s.VMFusedLoops == 0 {
 		t.Errorf("snapshot vm_fused_loops = 0, want > 0 (three fused executions ran)")
@@ -118,18 +118,18 @@ func TestRunVetCompileShareOneUnit(t *testing.T) {
 	}
 	wg.Wait()
 	s := d.MetricsSnapshot()
-	if s.FrontendExecutions != 1 || s.VMCompileTotal != 1 || s.VetAnalysis.Count != 1 || s.CompileExecutions != 1 {
+	if s.FrontendExecutions.Load() != 1 || s.VMCompileTotal.Load() != 1 || s.VetAnalysisLatency.Snapshot().Count != 1 || s.CompileExecutions.Load() != 1 {
 		t.Errorf("frontend %d, bytecode %d, analysis %d, emit %d executions, want 1 each",
-			s.FrontendExecutions, s.VMCompileTotal, s.VetAnalysis.Count, s.CompileExecutions)
+			s.FrontendExecutions.Load(), s.VMCompileTotal.Load(), s.VetAnalysisLatency.Snapshot().Count, s.CompileExecutions.Load())
 	}
 	if s.CacheEntries != 2 {
 		t.Errorf("cache_entries = %d, want 2 (one unit, one artifact)", s.CacheEntries)
 	}
-	if got := s.VMCacheHits + s.VMCacheMisses; got != (n+2)/3 {
+	if got := s.VMCacheHits.Load() + s.VMCacheMisses.Load(); got != (n+2)/3 {
 		t.Errorf("bytecode lookups = %d, want one per run (%d)", got, (n+2)/3)
 	}
-	if got := s.VetHits + s.VetCoalesced + s.VetMisses; got != s.VetRuns {
-		t.Errorf("vet outcomes = %d, want one per vet request (%d)", got, s.VetRuns)
+	if got := s.VetHits.Load() + s.VetCoalesced.Load() + s.VetMisses.Load(); got != s.VetRuns.Load() {
+		t.Errorf("vet outcomes = %d, want one per vet request (%d)", got, s.VetRuns.Load())
 	}
 }
 
@@ -138,7 +138,7 @@ func TestRunVetCompileShareOneUnit(t *testing.T) {
 // bytes in use always equal the surviving unit's own charge.
 func TestUnitEvictsWhole(t *testing.T) {
 	// use runs and vets src on d and returns the cache gauges after.
-	use := func(d *driver.Driver, name, src string) driver.MetricsSnapshot {
+	use := func(d *driver.Driver, name, src string) driver.MetricsDoc {
 		t.Helper()
 		if _, err := d.Run(context.Background(), driver.RunRequest{
 			Name: name, Source: src, Exts: parser.AllExtensions(), Threads: 1, Stdout: &bytes.Buffer{}}); err != nil {

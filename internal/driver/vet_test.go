@@ -42,13 +42,13 @@ func TestVetCachesResults(t *testing.T) {
 		t.Fatalf("cached vet result differs: first=%+v second=%+v", first, second)
 	}
 
-	m := d.Metrics().Snapshot()
-	if m.VetRuns != 2 || m.VetHits != 1 || m.VetMisses != 1 {
-		t.Fatalf("vet metrics: runs=%d hits=%d misses=%d", m.VetRuns, m.VetHits, m.VetMisses)
+	m := d.MetricsSnapshot()
+	if m.VetRuns.Load() != 2 || m.VetHits.Load() != 1 || m.VetMisses.Load() != 1 {
+		t.Fatalf("vet metrics: runs=%d hits=%d misses=%d", m.VetRuns.Load(), m.VetHits.Load(), m.VetMisses.Load())
 	}
-	if m.VetLatency.Count != 2 || m.VetAnalysis.Count != 1 {
+	if m.VetLatency.Snapshot().Count != 2 || m.VetAnalysisLatency.Snapshot().Count != 1 {
 		t.Fatalf("vet latency observed %d times (want 2), analysis %d (want 1)",
-			m.VetLatency.Count, m.VetAnalysis.Count)
+			m.VetLatency.Snapshot().Count, m.VetAnalysisLatency.Snapshot().Count)
 	}
 
 	// The vet key is a distinct content address from the compile key for
@@ -83,9 +83,9 @@ func TestVetFindingsSurviveTheCache(t *testing.T) {
 		t.Fatalf("cached findings differ: %v vs %v", second.Findings, first.Findings)
 	}
 
-	m := d.Metrics().Snapshot()
-	if m.VetFindings != 1 {
-		t.Fatalf("vet_findings_total = %d, want 1 (hits must not re-count)", m.VetFindings)
+	m := d.MetricsSnapshot()
+	if m.VetFindings.Load() != 1 {
+		t.Fatalf("vet_findings_total = %d, want 1 (hits must not re-count)", m.VetFindings.Load())
 	}
 }
 
@@ -98,9 +98,9 @@ func TestVetReusesCachedFrontend(t *testing.T) {
 	if res := d.Vet(driver.VetRequest{Name: "t.xc", Source: okSrc, Exts: parser.AllExtensions()}); !res.OK {
 		t.Fatalf("vet failed: %v", res.Diagnostics)
 	}
-	m := d.Metrics().Snapshot()
-	if m.FrontendExecutions != 1 {
-		t.Fatalf("frontend ran %d times, want 1 (vet should reuse the compile's parse+check)", m.FrontendExecutions)
+	m := d.MetricsSnapshot()
+	if m.FrontendExecutions.Load() != 1 {
+		t.Fatalf("frontend ran %d times, want 1 (vet should reuse the compile's parse+check)", m.FrontendExecutions.Load())
 	}
 }
 
@@ -134,12 +134,12 @@ func TestConcurrentIdenticalVetsAnalyzeOnce(t *testing.T) {
 			t.Fatalf("result %d: OK=%v findings=%v", i, r.OK, r.Findings)
 		}
 	}
-	m := d.Metrics().Snapshot()
-	if m.VetMisses != 1 {
+	m := d.MetricsSnapshot()
+	if m.VetMisses.Load() != 1 {
 		t.Fatalf("analysis executed %d times, want 1 (coalesced: %d, hits: %d)",
-			m.VetMisses, m.VetCoalesced, m.VetHits)
+			m.VetMisses.Load(), m.VetCoalesced.Load(), m.VetHits.Load())
 	}
-	if m.VetHits+m.VetCoalesced != n-1 {
-		t.Fatalf("hits %d + coalesced %d != %d", m.VetHits, m.VetCoalesced, n-1)
+	if m.VetHits.Load()+m.VetCoalesced.Load() != n-1 {
+		t.Fatalf("hits %d + coalesced %d != %d", m.VetHits.Load(), m.VetCoalesced.Load(), n-1)
 	}
 }

@@ -180,18 +180,24 @@ func (f *chaosFleet) post(t *testing.T, path string, body string) (int, map[stri
 	return resp.StatusCode, out
 }
 
-func (f *chaosFleet) gateMetrics(t *testing.T) MetricsSnapshot {
+func (f *chaosFleet) gateMetrics(t *testing.T) MetricsDoc {
 	t.Helper()
 	resp, err := http.Get(f.gate.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var m MetricsSnapshot
+	var m MetricsDoc
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// routeKeyFor is the ring placement key of a request body.
+func routeKeyFor(body []byte) string {
+	key, _ := server.KeysForBody(body, false)
+	return key
 }
 
 // waitFor polls cond until it holds or the deadline expires.
@@ -251,8 +257,8 @@ func TestChaosKillRestartNoLostRunsNoDuplicateCompiles(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("warm compile %d: %d %v", i, code, res)
 		}
-		key, ok := server.CompileKeyForBody([]byte(body))
-		if !ok {
+		_, key := server.KeysForBody([]byte(body), true)
+		if key == "" {
 			t.Fatalf("no compile key for program %d", i)
 		}
 		keys[i] = key
@@ -260,7 +266,7 @@ func TestChaosKillRestartNoLostRunsNoDuplicateCompiles(t *testing.T) {
 	// Cold compiles pay one-time grammar composition and can outlast
 	// the hedge delay, so the warm phase itself may hedge — that
 	// overlap is declared in the metrics and allowed for here.
-	warmHedges := f.gateMetrics(t).HedgesFired
+	warmHedges := f.gateMetrics(t).HedgesFired.Load()
 	warmCompiles := f.compileExecutions()
 	if warmCompiles > programs+warmHedges {
 		t.Fatalf("fleet executed %d compiles for %d distinct programs (+%d hedges)",
@@ -269,9 +275,9 @@ func TestChaosKillRestartNoLostRunsNoDuplicateCompiles(t *testing.T) {
 	// Replication makes the kill survivable: wait until every artifact
 	// also lives on its ring successor.
 	waitFor(t, 5*time.Second, "successor replication", func() bool {
-		return f.gateMetrics(t).PeerReplicas >= programs
+		return f.gateMetrics(t).PeerReplicas.Load() >= programs
 	})
-	hedgesBefore := f.gateMetrics(t).HedgesFired
+	hedgesBefore := f.gateMetrics(t).HedgesFired.Load()
 
 	// Phase B — flood, kill, restart. Workers hammer compile and run
 	// for the same programs while shard 0 dies and comes back.
@@ -326,7 +332,7 @@ func TestChaosKillRestartNoLostRunsNoDuplicateCompiles(t *testing.T) {
 	if lost.Load() != 0 {
 		t.Fatalf("%d lost runs under kill/restart; first: %v", lost.Load(), firstLoss.Load())
 	}
-	hedges := f.gateMetrics(t).HedgesFired - hedgesBefore
+	hedges := f.gateMetrics(t).HedgesFired.Load() - hedgesBefore
 	if got := f.compileExecutions(); got > warmCompiles+hedges {
 		t.Fatalf("duplicate compiles: %d executions after flood, %d at warm (+%d flood hedges)",
 			got, warmCompiles, hedges)
@@ -376,7 +382,7 @@ func TestChaosHungShardBreakerOpensAndRecovers(t *testing.T) {
 	waitFor(t, 2*time.Second, "breaker to open on the hung shard", func() bool {
 		return f.rt.ShardBreaker(1) == BreakerOpen
 	})
-	if f.gateMetrics(t).BreakerOpens == 0 {
+	if f.gateMetrics(t).BreakerOpens.Load() == 0 {
 		t.Fatal("breaker_open_total still zero")
 	}
 
@@ -426,8 +432,8 @@ func TestChaosSlowShardHedgeWins(t *testing.T) {
 		t.Fatalf("slow primary %d served the request; hedge should have won", primary)
 	}
 	m := f.gateMetrics(t)
-	if m.HedgesFired == 0 || m.HedgesWon == 0 {
-		t.Fatalf("hedges fired=%d won=%d, want both > 0", m.HedgesFired, m.HedgesWon)
+	if m.HedgesFired.Load() == 0 || m.HedgesWon.Load() == 0 {
+		t.Fatalf("hedges fired=%d won=%d, want both > 0", m.HedgesFired.Load(), m.HedgesWon.Load())
 	}
 	// The slow shard answered eventually (reaped off-path); its breaker
 	// must still be closed — slowness is not death.
@@ -455,6 +461,6 @@ func TestChaosClientDisconnectDoesNotPinFleet(t *testing.T) {
 	}
 	waitFor(t, 2*time.Second, "gate to drop the abandoned forward", func() bool {
 		m := f.gateMetrics(t)
-		return m.ClientGone > 0 && m.Inflight == 0
+		return m.ClientGoneTotal.Load() > 0 && m.InflightGauge.Load() == 0
 	})
 }

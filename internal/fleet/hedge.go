@@ -9,62 +9,42 @@
 package fleet
 
 import (
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
+const (
+	latencyWindowSize = 256
+	// p99RefreshEvery paces the sort: every forward reads the p99, so
+	// it is recomputed by the writer once per this many samples (on
+	// every sample while the window is still shorter than that) and
+	// read with one atomic load.
+	p99RefreshEvery = 32
+)
+
 // latencyWindow is a fixed-size ring of recent request latencies with
-// a quantile view. Writers are request goroutines; the occasional
-// reader sorts a copy, so observation stays O(1) and lock-cheap.
+// a p99 view. Writers are request goroutines.
 type latencyWindow struct {
 	mu      sync.Mutex
-	samples []time.Duration // ring storage
-	next    int
-	full    bool
-}
-
-const latencyWindowSize = 256
-
-func newLatencyWindow() *latencyWindow {
-	return &latencyWindow{samples: make([]time.Duration, latencyWindowSize)}
+	samples [latencyWindowSize]time.Duration // ring storage
+	seen    int                              // observations so far; the ring holds the last min(seen, size)
+	p99     atomic.Int64                     // of the window as of the last refresh, in ns; 0 = empty
 }
 
 // Observe records one successful forward's latency.
 func (w *latencyWindow) Observe(d time.Duration) {
 	w.mu.Lock()
-	w.samples[w.next] = d
-	w.next = (w.next + 1) % len(w.samples)
-	if w.next == 0 {
-		w.full = true
+	w.samples[w.seen%latencyWindowSize] = d
+	w.seen++
+	if w.seen < p99RefreshEvery || w.seen%p99RefreshEvery == 0 {
+		sorted := w.samples
+		s := sorted[:min(w.seen, latencyWindowSize)]
+		slices.Sort(s)
+		w.p99.Store(int64(s[max(len(s)*99/100-1, 0)]))
 	}
 	w.mu.Unlock()
-}
-
-// Quantile returns the q-quantile (0 < q <= 1) of the window, or 0
-// when the window is empty (caller falls back to its floor).
-func (w *latencyWindow) Quantile(q float64) time.Duration {
-	w.mu.Lock()
-	n := w.next
-	if w.full {
-		n = len(w.samples)
-	}
-	if n == 0 {
-		w.mu.Unlock()
-		return 0
-	}
-	cp := make([]time.Duration, n)
-	copy(cp, w.samples[:n])
-	w.mu.Unlock()
-	sort.Slice(cp, func(a, b int) bool { return cp[a] < cp[b] })
-	i := int(q*float64(n)) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= n {
-		i = n - 1
-	}
-	return cp[i]
 }
 
 // hedgeDelay derives the router's current hedge trigger: the p99 of
@@ -72,7 +52,7 @@ func (w *latencyWindow) Quantile(q float64) time.Duration {
 // the window is empty and min applies — conservative, so a cold
 // router does not hedge everything it sees.
 func hedgeDelay(w *latencyWindow, min, max time.Duration) time.Duration {
-	d := w.Quantile(0.99)
+	d := time.Duration(w.p99.Load())
 	if d < min {
 		d = min
 	}

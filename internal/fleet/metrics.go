@@ -1,33 +1,31 @@
-// Router observability, in the repo's established style: sync/atomic
-// counters snapshotted into a plain struct that marshals directly to
-// the /metrics JSON. The gauge/counter set is the fleet contract the
-// chaos harness asserts against: shard_healthy, hedges_fired,
-// hedges_won, retries_total, breaker_open_total, peer_cache_fills.
+// Router observability: Metrics is the router's live counters and,
+// through its json tags, the counter part of cmgate's /metrics — a
+// counter is declared here once. The gauge/counter set is the fleet
+// contract the chaos harness asserts against: shard_healthy,
+// hedges_fired, hedges_won, retries_total, breaker_open_total,
+// peer_cache_fills.
 package fleet
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "repro/internal/obs"
 
 // Metrics aggregates the router's counters; all fields are safe for
 // concurrent use.
 type Metrics struct {
-	ForwardedTotal  atomic.Int64 // requests relayed to a shard (first attempts)
-	RetriesTotal    atomic.Int64 // overload re-attempts after backoff
-	FailoversTotal  atomic.Int64 // attempts moved to the next ring shard after a transport fault
-	HedgesFired     atomic.Int64 // duplicate requests launched after the hedge delay
-	HedgesWon       atomic.Int64 // hedges whose response beat the primary's
-	BreakerOpens    atomic.Int64 // closed/half-open → open transitions, all shards
-	PeerCacheFills  atomic.Int64 // artifacts copied to a key's new owner before forwarding
-	PeerReplicas    atomic.Int64 // artifacts replicated to a key's ring successor after compile
-	NoShardShed     atomic.Int64 // requests answered 503: every shard refused or unreachable
-	InflightGauge   atomic.Int64 // forwards currently in flight through the router
-	ProbesTotal     atomic.Int64 // health probes sent
-	ProbeFails      atomic.Int64 // health probes failed (timeout or transport error)
-	ClientGoneTotal atomic.Int64 // forwards abandoned because the client disconnected
-	RateLimited     atomic.Int64 // requests refused 429 by a tenant's own token bucket
-	AuthRefused     atomic.Int64 // requests refused 401/403 at the front door
+	ForwardedTotal  obs.Counter `json:"forwarded_total"`    // requests relayed to a shard (first attempts)
+	RetriesTotal    obs.Counter `json:"retries_total"`      // overload re-attempts after backoff
+	FailoversTotal  obs.Counter `json:"failovers_total"`    // attempts moved to the next ring shard after a transport fault
+	HedgesFired     obs.Counter `json:"hedges_fired"`       // duplicate requests launched after the hedge delay
+	HedgesWon       obs.Counter `json:"hedges_won"`         // hedges whose response beat the primary's
+	BreakerOpens    obs.Counter `json:"breaker_open_total"` // closed/half-open → open transitions, all shards
+	PeerCacheFills  obs.Counter `json:"peer_cache_fills"`   // artifacts copied to a key's new owner before forwarding
+	PeerReplicas    obs.Counter `json:"peer_replications"`  // artifacts replicated to a key's ring successor after compile
+	NoShardShed     obs.Counter `json:"no_shard_shed"`      // requests answered 503: every shard refused or unreachable
+	InflightGauge   obs.Counter `json:"inflight"`           // forwards currently in flight through the router
+	ProbesTotal     obs.Counter `json:"probes_total"`       // health probes sent
+	ProbeFails      obs.Counter `json:"probe_failures"`     // health probes failed (timeout or transport error)
+	ClientGoneTotal obs.Counter `json:"client_gone_total"`  // forwards abandoned because the client disconnected
+	RateLimited     obs.Counter `json:"rate_limited"`       // requests refused 429 by a tenant's own token bucket
+	AuthRefused     obs.Counter `json:"auth_refused"`       // requests refused 401/403 at the front door
 }
 
 // GateTenantRow is one tenant's gate-side ledger on /metrics.
@@ -46,55 +44,19 @@ type ShardStatus struct {
 	Failures  int64  `json:"transport_failures"`
 }
 
-// MetricsSnapshot is the JSON served on cmgate's /metrics.
-type MetricsSnapshot struct {
+// MetricsDoc is the JSON served on cmgate's /metrics: the live
+// counters (by reference) plus the rows and gauges only the router can
+// see.
+type MetricsDoc struct {
+	*Metrics
 	UptimeSeconds float64       `json:"uptime_seconds"`
 	Shards        []ShardStatus `json:"shards"`
 	ShardHealthy  int           `json:"shard_healthy"`
 	ShardTotal    int           `json:"shard_total"`
+	HedgeDelayMS  float64       `json:"hedge_delay_ms"`
 
-	ForwardedTotal int64   `json:"forwarded_total"`
-	RetriesTotal   int64   `json:"retries_total"`
-	FailoversTotal int64   `json:"failovers_total"`
-	HedgesFired    int64   `json:"hedges_fired"`
-	HedgesWon      int64   `json:"hedges_won"`
-	BreakerOpens   int64   `json:"breaker_open_total"`
-	PeerCacheFills int64   `json:"peer_cache_fills"`
-	PeerReplicas   int64   `json:"peer_replications"`
-	NoShardShed    int64   `json:"no_shard_shed"`
-	Inflight       int64   `json:"inflight"`
-	ProbesTotal    int64   `json:"probes_total"`
-	ProbeFails     int64   `json:"probe_failures"`
-	ClientGone     int64   `json:"client_gone_total"`
-	HedgeDelayMS   float64 `json:"hedge_delay_ms"`
-
-	// Tenancy: front-door refusals, the live key-file generation
-	// (0 = no registry), and per-tenant ledgers.
-	RateLimited      int64           `json:"rate_limited"`
-	AuthRefused      int64           `json:"auth_refused"`
+	// The live key-file generation (0 = no registry) and per-tenant
+	// ledgers.
 	TenantGeneration int64           `json:"tenant_generation,omitempty"`
 	Tenants          []GateTenantRow `json:"tenants,omitempty"`
-}
-
-// snapshot captures the counters; the router fills in the per-shard
-// rows and gauges it alone can see.
-func (m *Metrics) snapshot(started time.Time) MetricsSnapshot {
-	return MetricsSnapshot{
-		UptimeSeconds:  time.Since(started).Seconds(),
-		ForwardedTotal: m.ForwardedTotal.Load(),
-		RetriesTotal:   m.RetriesTotal.Load(),
-		FailoversTotal: m.FailoversTotal.Load(),
-		HedgesFired:    m.HedgesFired.Load(),
-		HedgesWon:      m.HedgesWon.Load(),
-		BreakerOpens:   m.BreakerOpens.Load(),
-		PeerCacheFills: m.PeerCacheFills.Load(),
-		PeerReplicas:   m.PeerReplicas.Load(),
-		NoShardShed:    m.NoShardShed.Load(),
-		Inflight:       m.InflightGauge.Load(),
-		ProbesTotal:    m.ProbesTotal.Load(),
-		ProbeFails:     m.ProbeFails.Load(),
-		ClientGone:     m.ClientGoneTotal.Load(),
-		RateLimited:    m.RateLimited.Load(),
-		AuthRefused:    m.AuthRefused.Load(),
-	}
 }

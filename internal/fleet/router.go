@@ -18,7 +18,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -28,7 +27,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/driver"
 	"repro/internal/server"
 	"repro/internal/tenant"
 )
@@ -115,7 +113,7 @@ type Router struct {
 	shards  []*shardState
 	metrics Metrics
 	client  *http.Client
-	lat     *latencyWindow
+	lat     latencyWindow
 	started time.Time
 
 	rr   atomic.Uint64 // round-robin cursor for keyless requests
@@ -185,7 +183,6 @@ func New(cfg Config) (*Router, error) {
 		cfg:      cfg,
 		ring:     NewRing(cfg.Shards, cfg.Replicas),
 		client:   &http.Client{Transport: cfg.Transport},
-		lat:      newLatencyWindow(),
 		started:  time.Now(),
 		stop:     make(chan struct{}),
 		replSeen: map[string]bool{},
@@ -194,7 +191,7 @@ func New(cfg Config) (*Router, error) {
 	for _, u := range cfg.Shards {
 		s := &shardState{
 			url:     u,
-			breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, &rt.metrics.BreakerOpens),
+			breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, &rt.metrics.BreakerOpens.Int64),
 		}
 		s.healthy.Store(true) // optimistic until the first probe says otherwise
 		rt.shards = append(rt.shards, s)
@@ -299,47 +296,6 @@ func (rt *Router) Handler() http.Handler {
 	return mux
 }
 
-// gateError is the router's own structured error body, shaped like the
-// shards' so clients parse one format.
-type gateError struct {
-	Error        string `json:"error"`
-	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
-	Tenant       string `json:"tenant,omitempty"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-// routeHead is the minimal request prefix shared by compile, run and
-// vet bodies — all the router needs to place a request on the ring.
-type routeHead struct {
-	Name       string `json:"name"`
-	Source     string `json:"source"`
-	Extensions string `json:"extensions"`
-}
-
-// routeKeyFor derives the ring placement key for a request body, or ""
-// when the body does not parse (the shard will reject it with a proper
-// 400 — the router routes garbage anywhere, it does not judge it).
-func routeKeyFor(body []byte) string {
-	var head routeHead
-	if err := json.Unmarshal(body, &head); err != nil || head.Source == "" {
-		return ""
-	}
-	name := head.Name
-	if name == "" {
-		name = "request.xc"
-	}
-	exts, err := driver.ParseRouteExtensions(head.Extensions)
-	if err != nil {
-		return ""
-	}
-	return driver.RouteKey(name, head.Source, exts)
-}
-
 // handleRouted forwards one content-addressed verb (compile/run/vet):
 // authenticate and rate-limit at the front door, then place the
 // request on the ring. A tenant refused here never touches a shard —
@@ -348,54 +304,35 @@ func (rt *Router) handleRouted(verb string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
-			writeJSON(w, http.StatusMethodNotAllowed, gateError{Error: "method not allowed"})
+			server.WriteJSON(w, http.StatusMethodNotAllowed, server.ErrorResponse{Error: "method not allowed"})
 			return
 		}
 		// Inbound identity stamps are forgeries by definition — only
 		// this gate may assert X-CM-Tenant to the shards behind it.
 		r.Header.Del(tenant.HeaderTenant)
-		tn, _, err := rt.cfg.Tenants.Resolve(r, false)
-		if err != nil {
+		// A tenant refused here never touches a shard, and no breaker or
+		// fleet metric moves — it is the tenant's problem, not the fleet's.
+		tn, refused := server.AdmitTenant(w, r, rt.cfg.Tenants, false)
+		if refused == http.StatusTooManyRequests {
+			rt.metrics.RateLimited.Add(1)
+			rt.tenantCounts(tn.Name()).rateLimited.Add(1)
+			return
+		} else if refused != 0 {
 			rt.metrics.AuthRefused.Add(1)
-			status := http.StatusUnauthorized
-			var ae *tenant.AuthError
-			if errors.As(err, &ae) {
-				status = ae.Status
-			}
-			writeJSON(w, status, gateError{Error: err.Error()})
 			return
 		}
 		var hdr http.Header
 		if tn != nil {
-			if allow, retry := tn.Take(); !allow {
-				// A per-tenant refusal: structured 429 with the tenant's
-				// own backoff hint. No shard saw this request, no breaker
-				// or fleet metric moves — this is the tenant's problem,
-				// not the fleet's.
-				rt.metrics.RateLimited.Add(1)
-				rt.tenantCounts(tn.Name()).rateLimited.Add(1)
-				w.Header().Set("Retry-After", fmt.Sprint(int64((retry+time.Second-1)/time.Second)))
-				writeJSON(w, http.StatusTooManyRequests, gateError{
-					Error:        fmt.Sprintf("tenant %q over rate limit", tn.Name()),
-					Tenant:       tn.Name(),
-					RetryAfterMS: int64(retry / time.Millisecond),
-				})
-				return
-			}
 			rt.tenantCounts(tn.Name()).forwarded.Add(1)
 			hdr = http.Header{}
 			hdr.Set(tenant.HeaderTenant, tn.Name())
 		}
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, gateError{Error: "request body: " + err.Error()})
+			server.WriteJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: "request body: " + err.Error()})
 			return
 		}
-		key := routeKeyFor(body)
-		var artifactKey string
-		if verb == "compile" {
-			artifactKey, _ = server.CompileKeyForBody(body)
-		}
+		key, artifactKey := server.KeysForBody(body, verb == "compile")
 		rt.forward(w, r, forwardSpec{
 			verb: verb, uri: r.URL.RequestURI(), method: http.MethodPost,
 			body: body, contentType: "application/json", hdr: hdr,
@@ -414,7 +351,7 @@ func (rt *Router) handleAnalyses(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		writeJSON(w, http.StatusMethodNotAllowed, gateError{Error: "method not allowed"})
+		server.WriteJSON(w, http.StatusMethodNotAllowed, server.ErrorResponse{Error: "method not allowed"})
 		return
 	}
 	key := r.URL.Path[len("/v1/artifact/"):]
@@ -430,7 +367,7 @@ func (rt *Router) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
-	writeJSON(w, http.StatusNotFound, gateError{Error: "no shard has the artifact"})
+	server.WriteJSON(w, http.StatusNotFound, server.ErrorResponse{Error: "no shard has the artifact"})
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -442,23 +379,26 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	case healthy < len(rt.shards):
 		status = "degraded"
 	}
-	writeJSON(w, code, map[string]any{
+	server.WriteJSON(w, code, map[string]any{
 		"status": status, "shard_healthy": healthy, "shard_total": len(rt.shards),
 	})
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s := rt.metrics.snapshot(rt.started)
+	s := MetricsDoc{
+		Metrics:          &rt.metrics,
+		UptimeSeconds:    time.Since(rt.started).Seconds(),
+		ShardHealthy:     rt.healthyCount(),
+		ShardTotal:       len(rt.shards),
+		HedgeDelayMS:     float64(rt.hedgeDelay()) / float64(time.Millisecond),
+		TenantGeneration: rt.cfg.Tenants.Generation(),
+	}
 	for _, sh := range rt.shards {
 		s.Shards = append(s.Shards, ShardStatus{
 			URL: sh.url, Healthy: sh.healthy.Load(), Breaker: sh.breaker.State().String(),
 			Forwarded: sh.forwarded.Load(), Failures: sh.failures.Load(),
 		})
 	}
-	s.ShardHealthy = rt.healthyCount()
-	s.ShardTotal = len(rt.shards)
-	s.HedgeDelayMS = float64(hedgeDelay(rt.lat, rt.cfg.HedgeAfterMin, rt.cfg.HedgeAfterMax)) / float64(time.Millisecond)
-	s.TenantGeneration = rt.cfg.Tenants.Generation()
 	rt.tenMu.Lock()
 	for name, c := range rt.tenants {
 		s.Tenants = append(s.Tenants, GateTenantRow{
@@ -467,7 +407,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.tenMu.Unlock()
 	sort.Slice(s.Tenants, func(i, j int) bool { return s.Tenants[i].Tenant < s.Tenants[j].Tenant })
-	writeJSON(w, http.StatusOK, s)
+	server.WriteJSON(w, http.StatusOK, s)
 }
 
 func (rt *Router) healthyCount() int {
@@ -538,7 +478,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, spec forwardSp
 			// The client disappeared; nothing useful can be written and
 			// retrying would serve nobody.
 			rt.metrics.ClientGoneTotal.Add(1)
-			writeJSON(w, http.StatusServiceUnavailable, gateError{Error: "client went away"})
+			server.WriteJSON(w, http.StatusServiceUnavailable, server.ErrorResponse{Error: "client went away"})
 			return
 		}
 		if attempt >= rt.cfg.Retry.Max {
@@ -556,8 +496,8 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, spec forwardSp
 				return
 			}
 			rt.metrics.NoShardShed.Add(1)
-			writeJSON(w, http.StatusServiceUnavailable,
-				gateError{Error: "no shard reachable", RetryAfterMS: int64(rt.cfg.Retry.Backoff(0, 0) / time.Millisecond)})
+			server.WriteJSON(w, http.StatusServiceUnavailable,
+				server.ErrorResponse{Error: "no shard reachable", RetryAfterMS: int64(rt.cfg.Retry.Backoff(0, 0) / time.Millisecond)})
 			return
 		}
 		var hint time.Duration
@@ -567,7 +507,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, spec forwardSp
 		rt.metrics.RetriesTotal.Add(1)
 		if SleepCtx(ctx, rt.cfg.Retry.Backoff(attempt, hint)) != nil {
 			rt.metrics.ClientGoneTotal.Add(1)
-			writeJSON(w, http.StatusServiceUnavailable, gateError{Error: "client went away"})
+			server.WriteJSON(w, http.StatusServiceUnavailable, server.ErrorResponse{Error: "client went away"})
 			return
 		}
 	}
@@ -596,14 +536,9 @@ func (rt *Router) tryOnce(ctx context.Context, spec forwardSpec, order []int) (r
 			rt.peerFill(ctx, spec, i, order)
 		}
 		t0 := time.Now()
-		r2, c2, won, err := rt.doHedged(ctx, i, order, spec)
+		r2, c2, served, err := rt.doHedged(ctx, i, order[pos+1:], spec)
 		if err != nil {
 			continue
-		}
-		served := i
-		if won {
-			// The hedge's shard produced the response being relayed.
-			served = r2shard(r2, i, order)
 		}
 		rt.shards[served].forwarded.Add(1)
 		rt.lat.Observe(time.Since(t0))
@@ -633,21 +568,6 @@ func (rt *Router) feed(ctx context.Context, a attemptResult) {
 	}
 }
 
-// r2shard resolves which shard actually served a hedged response via
-// the X-CM-Routed header the router stamps before relaying; falls back
-// to the hedge candidate.
-func r2shard(resp *http.Response, primary int, order []int) int {
-	if v := resp.Header.Get("X-CM-Routed"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n >= 0 {
-			return n
-		}
-	}
-	if i := hedgeIndexAfter(order, primary); i >= 0 {
-		return i
-	}
-	return primary
-}
-
 // captureShed drains a 429 into a relayable snapshot, extracting the
 // server's retry hint (precise retry_after_ms from the body, falling
 // back to the whole-second Retry-After header).
@@ -668,40 +588,12 @@ func (rt *Router) captureShed(resp *http.Response, shard int) *shedInfo {
 	return sh
 }
 
-// hedgeIndexAfter finds the hedge candidate: the next shard in order
-// after primary whose breaker is closed (half-open shards are not
-// hedged into — trial tokens are for recovery, not tail-shaving).
-func hedgeIndexAfter(order []int, primary int) int {
-	pos := -1
-	for p, i := range order {
-		if i == primary {
-			pos = p
-			break
-		}
-	}
-	if pos < 0 {
-		return -1
-	}
-	for p := pos + 1; p < len(order); p++ {
-		return order[p]
-	}
-	return -1
-}
-
-// hedgeCandidate applies the breaker/health gate to hedgeIndexAfter.
-func (rt *Router) hedgeCandidate(order []int, primary int) int {
-	pos := -1
-	for p, i := range order {
-		if i == primary {
-			pos = p
-			break
-		}
-	}
-	if pos < 0 {
-		return -1
-	}
-	for p := pos + 1; p < len(order); p++ {
-		i := order[p]
+// hedgeCandidate picks where a hedge goes: the first shard after the
+// target in ring order that is healthy with a closed breaker (half-open
+// shards are not hedged into — trial tokens are for recovery, not
+// tail-shaving), or -1.
+func (rt *Router) hedgeCandidate(after []int) int {
+	for _, i := range after {
 		if rt.shards[i].healthy.Load() && rt.shards[i].breaker.State() == BreakerClosed {
 			return i
 		}
@@ -709,7 +601,13 @@ func (rt *Router) hedgeCandidate(order []int, primary int) int {
 	return -1
 }
 
-// attemptResult is one in-flight copy of a hedged request.
+// hedgeDelay is the router's current hedge trigger: the window's p99
+// clamped to [HedgeAfterMin, HedgeAfterMax].
+func (rt *Router) hedgeDelay() time.Duration {
+	return hedgeDelay(&rt.lat, rt.cfg.HedgeAfterMin, rt.cfg.HedgeAfterMax)
+}
+
+// attemptResult is one finished copy of a hedged request.
 type attemptResult struct {
 	resp   *http.Response
 	err    error
@@ -718,115 +616,85 @@ type attemptResult struct {
 }
 
 // doHedged sends spec to the target shard, firing one hedged copy to
-// the next closed-breaker shard on the ring if the target is still
-// silent after the p99-derived delay. The first usable response wins;
-// the loser is cancelled and reaped off the request path. won reports
-// the hedge produced the returned response.
-func (rt *Router) doHedged(ctx context.Context, target int, order []int, spec forwardSpec) (*http.Response, func(), bool, error) {
-	launch := func(i int) chan attemptResult {
-		ch := make(chan attemptResult, 1)
+// the next closed-breaker shard among after (the ring order past the
+// target) if the target is still silent after the p99-derived delay.
+// The first usable response wins and is returned with the shard that
+// served it and the release of its attempt context, to be called once
+// the body has been relayed (cancelling earlier would sever the
+// stream); the loser is cancelled and reaped off the request path.
+func (rt *Router) doHedged(ctx context.Context, target int, after []int, spec forwardSpec) (*http.Response, func(), int, error) {
+	results := make(chan attemptResult, 2)
+	outstanding := 0
+	launch := func(i int) {
+		outstanding++
 		actx, cancel := context.WithCancel(ctx)
 		go func() {
 			resp, err := rt.doShard(actx, i, spec.method, spec.uri, spec.body, spec.contentType, spec.hdr, "forward")
 			if resp != nil {
-				// Stamp the serving shard so hedge accounting stays exact
-				// even though two copies share one response path.
+				// A 429 that outlives the retry budget is relayed with
+				// the shard's own header set; this names the shard on it.
 				resp.Header.Set("X-CM-Routed", strconv.Itoa(i))
 			}
-			ch <- attemptResult{resp: resp, err: err, shard: i, cancel: cancel}
+			results <- attemptResult{resp: resp, err: err, shard: i, cancel: cancel}
 		}()
-		return ch
 	}
+	launch(target)
 
-	primaryCh := launch(target)
 	hedgeTo := -1
+	var hedgeAt <-chan time.Time // nil (never fires) without a candidate, and once fired
 	if !rt.cfg.HedgeDisabled {
-		hedgeTo = rt.hedgeCandidate(order, target)
-	}
-	if hedgeTo < 0 {
-		a := <-primaryCh
-		rt.feed(ctx, a)
-		if a.err != nil {
-			// No response will ever be relayed: release the attempt
-			// context now instead of leaking it until the parent dies.
-			a.cancel()
+		if hedgeTo = rt.hedgeCandidate(after); hedgeTo >= 0 {
+			timer := time.NewTimer(rt.hedgeDelay())
+			defer timer.Stop()
+			hedgeAt = timer.C
 		}
-		return a.resp, wrapCancel(a), false, a.err
 	}
 
-	delay := hedgeDelay(rt.lat, rt.cfg.HedgeAfterMin, rt.cfg.HedgeAfterMax)
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	select {
-	case a := <-primaryCh:
-		rt.feed(ctx, a)
-		if a.err != nil {
-			a.cancel()
-		}
-		return a.resp, wrapCancel(a), false, a.err
-	case <-timer.C:
-	}
-
-	rt.metrics.HedgesFired.Add(1)
-	hedgeCh := launch(hedgeTo)
-	var first attemptResult
-	var fromHedge bool
-	select {
-	case first = <-primaryCh:
-	case first = <-hedgeCh:
-		fromHedge = true
-	}
-	other := primaryCh
-	if !fromHedge {
-		other = hedgeCh
-	}
-	if first.err == nil {
-		// Winner. Reap the loser off-path: cancel its context, then wait
-		// for its goroutine and close any response it managed to get.
-		// A cancellation-induced error is not a shard failure, so the
-		// reaper feeds no breaker.
-		rt.wg.Add(1)
-		go func() {
-			defer rt.wg.Done()
-			b := <-other
-			b.cancel()
-			if b.resp != nil {
-				io.Copy(io.Discard, b.resp.Body)
-				b.resp.Body.Close()
-				rt.shards[b.shard].breaker.Success()
+	var firstErr error
+	for outstanding > 0 {
+		select {
+		case <-hedgeAt:
+			hedgeAt = nil
+			rt.metrics.HedgesFired.Add(1)
+			launch(hedgeTo)
+		case a := <-results:
+			outstanding--
+			// A real transport fault (not our own cancellation) feeds the
+			// breaker; a surviving copy, if any, decides the outcome.
+			rt.feed(ctx, a)
+			if a.err != nil {
+				// No response will ever be relayed: release the attempt
+				// context now instead of leaking it until the parent dies.
+				a.cancel()
+				if firstErr == nil {
+					firstErr = a.err
+				}
+				continue
 			}
-		}()
-		if fromHedge {
-			rt.metrics.HedgesWon.Add(1)
-		}
-		rt.feed(ctx, first)
-		return first.resp, wrapCancel(first), fromHedge, nil
-	}
-	// The first finisher failed at the transport; if it was a real
-	// fault (not our own cancellation) it feeds the breaker, and the
-	// surviving copy decides the outcome.
-	first.cancel()
-	rt.feed(ctx, first)
-	second := <-other
-	rt.feed(ctx, second)
-	if second.err == nil {
-		if second.shard == hedgeTo {
-			rt.metrics.HedgesWon.Add(1)
-		}
-		return second.resp, wrapCancel(second), second.shard == hedgeTo, nil
-	}
-	second.cancel()
-	return nil, nil, false, first.err
-}
-
-// wrapCancel defers an attempt's context release until the response
-// body has been relayed (cancelling earlier would sever the stream).
-func wrapCancel(a attemptResult) func() {
-	return func() {
-		if a.cancel != nil {
-			a.cancel()
+			if a.shard == hedgeTo {
+				rt.metrics.HedgesWon.Add(1)
+			}
+			if outstanding > 0 {
+				// Reap the loser off-path: wait for its goroutine, cancel
+				// its context and close any response it managed to get. A
+				// cancellation-induced error is not a shard failure, so
+				// the reaper feeds no breaker.
+				rt.wg.Add(1)
+				go func() {
+					defer rt.wg.Done()
+					b := <-results
+					b.cancel()
+					if b.resp != nil {
+						io.Copy(io.Discard, b.resp.Body)
+						b.resp.Body.Close()
+						rt.shards[b.shard].breaker.Success()
+					}
+				}()
+			}
+			return a.resp, a.cancel, a.shard, nil
 		}
 	}
+	return nil, nil, 0, firstErr
 }
 
 // relay copies a shard response to the client: status, safe headers,

@@ -273,14 +273,14 @@ func TestGateMetricsEndpoint(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("/metrics: %d", w.Code)
 	}
-	var m MetricsSnapshot
+	var m MetricsDoc
 	if err := json.Unmarshal(w.Body.Bytes(), &m); err != nil {
 		t.Fatalf("decoding /metrics: %v", err)
 	}
 	if m.ShardTotal != 2 || m.ShardHealthy != 2 {
 		t.Fatalf("shard counts: healthy=%d total=%d", m.ShardHealthy, m.ShardTotal)
 	}
-	if m.ForwardedTotal != 1 || len(m.Shards) != 2 {
+	if m.ForwardedTotal.Load() != 1 || len(m.Shards) != 2 {
 		t.Fatalf("snapshot: %+v", m)
 	}
 	for _, s := range m.Shards {

@@ -207,8 +207,8 @@ func TestChaosNoisyNeighborIsolation(t *testing.T) {
 
 	// Tenant 429s are not transport failures: no breaker may have
 	// opened, and every shard must still be closed and healthy.
-	if gm.BreakerOpens != 0 {
-		t.Fatalf("%d breaker opens during a pure-overload flood", gm.BreakerOpens)
+	if gm.BreakerOpens.Load() != 0 {
+		t.Fatalf("%d breaker opens during a pure-overload flood", gm.BreakerOpens.Load())
 	}
 	for i := range f.shards {
 		if st := f.rt.ShardBreaker(i); st != BreakerClosed {

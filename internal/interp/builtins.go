@@ -15,22 +15,22 @@ func (c *ctx) evalBuiltin(e *ast.CallExpr, args []any) (any, error) {
 	case "dimSize":
 		m, ok := args[0].(*matrix.Matrix)
 		if !ok || m == nil {
-			return nil, rerr(e, "dimSize of a non-matrix or unassigned matrix")
+			return nil, Errorf(e, "dimSize of a non-matrix or unassigned matrix")
 		}
 		d, ok := args[1].(int64)
 		if !ok {
-			return nil, rerr(e, "dimSize dimension must be int")
+			return nil, Errorf(e, "dimSize dimension must be int")
 		}
 		n, err := m.DimSize(int(d))
 		if err != nil {
-			return nil, wrap(e, err)
+			return nil, WrapError(e, err)
 		}
 		return int64(n), nil
 
 	case "readMatrix":
 		name, ok := args[0].(string)
 		if !ok {
-			return nil, rerr(e, "readMatrix expects a file name string")
+			return nil, Errorf(e, "readMatrix expects a file name string")
 		}
 		return c.readMatrix(e, name)
 
@@ -38,7 +38,7 @@ func (c *ctx) evalBuiltin(e *ast.CallExpr, args []any) (any, error) {
 		name, _ := args[0].(string)
 		m, ok := args[1].(*matrix.Matrix)
 		if !ok || m == nil {
-			return nil, rerr(e, "writeMatrix of a non-matrix or unassigned matrix")
+			return nil, Errorf(e, "writeMatrix of a non-matrix or unassigned matrix")
 		}
 		return nil, c.writeMatrix(e, name, m)
 
@@ -63,7 +63,7 @@ func (c *ctx) evalBuiltin(e *ast.CallExpr, args []any) (any, error) {
 	case "rcrelease":
 		return nil, c.i.RcRelease(e, args[0])
 	}
-	return nil, rerr(e, "undeclared function %q", e.Fun)
+	return nil, Errorf(e, "undeclared function %q", e.Fun)
 }
 
 // rcElemType resolves the declared element type of an rc-pointer

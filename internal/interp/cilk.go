@@ -25,11 +25,11 @@ type spawnFuture struct {
 func (c *ctx) execSpawn(s *ast.SpawnStmt) error {
 	call, ok := s.Call.(*ast.CallExpr)
 	if !ok {
-		return rerr(s, "spawn requires a function call")
+		return Errorf(s, "spawn requires a function call")
 	}
 	sig, ok := c.i.info.Funcs[call.Fun]
 	if !ok {
-		return rerr(s, "spawn requires a user-defined function, %q is not one", call.Fun)
+		return Errorf(s, "spawn requires a user-defined function, %q is not one", call.Fun)
 	}
 	args := make([]any, len(call.Args))
 	for k, a := range call.Args {
@@ -40,14 +40,14 @@ func (c *ctx) execSpawn(s *ast.SpawnStmt) error {
 		// The goroutine owns a reference to each argument until the
 		// call completes (the caller may reassign its variables in the
 		// meantime).
-		c.bindValue(v)
+		c.i.BindValue(v)
 		args[k] = v
 	}
 	var target *binding
 	if s.Target != "" {
 		b, found := c.frame.lookup(s.Target)
 		if !found {
-			return rerr(s, "spawn target %q is not declared", s.Target)
+			return Errorf(s, "spawn target %q is not declared", s.Target)
 		}
 		target = b
 	}
@@ -62,7 +62,7 @@ func (c *ctx) execSpawn(s *ast.SpawnStmt) error {
 		// joining sync propagates like any other spawn failure.
 		defer func() {
 			if r := recover(); r != nil {
-				fut.err = recoveredError(s, r)
+				fut.err = Recovered(s, r)
 			}
 		}()
 		fut.val, fut.err = gctx.callFunction(sig.Decl, args, s)
@@ -82,14 +82,14 @@ func (c *ctx) syncFutures() error {
 				firstErr = fut.err
 			}
 		} else if fut.target != nil {
-			cv, err := c.coerceToType(fut.node, fut.target.ty, fut.val)
+			cv, err := CoerceValue(fut.node, fut.target.ty, fut.val)
 			if err != nil {
 				if firstErr == nil {
 					firstErr = err
 				}
 			} else {
-				c.bindValue(cv)
-				c.releaseValue(fut.target.v)
+				c.i.BindValue(cv)
+				c.i.ReleaseValue(fut.target.v)
 				fut.target.v = cv
 			}
 		}
@@ -97,7 +97,7 @@ func (c *ctx) syncFutures() error {
 		// references taken at spawn time.
 		fut.gctx.releasePending(0)
 		for _, a := range fut.args {
-			c.releaseValue(a)
+			c.i.ReleaseValue(a)
 		}
 	}
 	c.futures = nil

@@ -49,7 +49,7 @@ func (i *Interp) CheckCancel(n ast.Node) error {
 	}
 	select {
 	case <-i.done:
-		return wrap(n, i.ctx.Err())
+		return WrapError(n, i.ctx.Err())
 	default:
 		return nil
 	}
@@ -67,7 +67,7 @@ func (i *Interp) StepTick(n ast.Node) error {
 		return nil
 	}
 	if s := i.steps.Add(1); s > max {
-		return trapErr(n, TrapStep, "execution exceeded %d steps", max)
+		return Trapf(n, TrapStep, "execution exceeded %d steps", max)
 	}
 	return nil
 }
@@ -80,10 +80,10 @@ func (i *Interp) ChargeCells(n ast.Node, cells int64) error {
 		return nil
 	}
 	if cells < 0 || cells > int64(^uint(0)>>1) {
-		return trapErr(n, TrapShape, "allocation of %d cells is impossible", cells)
+		return Trapf(n, TrapShape, "allocation of %d cells is impossible", cells)
 	}
 	if err := i.budget.Charge(int(cells)); err != nil {
-		return wrap(n, err)
+		return WrapError(n, err)
 	}
 	return nil
 }
@@ -183,12 +183,12 @@ func (i *Interp) ReadMatrixFile(n ast.Node, name string) (*matrix.Matrix, error)
 			return m.Copy(), nil
 		}
 		if i.opts.Dir == "" {
-			return nil, rerr(n, "readMatrix: no matrix %q provided", name)
+			return nil, Errorf(n, "readMatrix: no matrix %q provided", name)
 		}
 	}
 	m, err := matio.ReadFile(filepath.Join(i.opts.Dir, name))
 	if err != nil {
-		return nil, wrap(n, err)
+		return nil, WrapError(n, err)
 	}
 	return m, nil
 }
@@ -201,7 +201,7 @@ func (i *Interp) WriteMatrixFile(n ast.Node, name string, m *matrix.Matrix) erro
 		i.opts.Files[name] = m.Copy()
 		return nil
 	}
-	return wrap(n, matio.WriteFile(filepath.Join(i.opts.Dir, name), m))
+	return WrapError(n, matio.WriteFile(filepath.Join(i.opts.Dir, name), m))
 }
 
 // RcNew allocates a refcounted cell holding v, returning the opaque
@@ -217,10 +217,10 @@ func (i *Interp) RcNew(v any) (cell any, hdr *rc.Header) {
 func (i *Interp) RcGet(n ast.Node, cellv any) (any, error) {
 	cell, ok := cellv.(*rcCell)
 	if !ok || cell == nil {
-		return nil, rerr(n, "rcget of a null refcounted pointer")
+		return nil, Errorf(n, "rcget of a null refcounted pointer")
 	}
 	if cell.hdr.Freed() {
-		return nil, trapErr(n, TrapRC, "rcget of a freed refcounted pointer (use after release)")
+		return nil, Trapf(n, TrapRC, "rcget of a freed refcounted pointer (use after release)")
 	}
 	return cell.val, nil
 }
@@ -232,13 +232,13 @@ func (i *Interp) RcGet(n ast.Node, cellv any) (any, error) {
 func (i *Interp) RcSet(n ast.Node, cellv, v any, elem *types.Type) error {
 	cell, ok := cellv.(*rcCell)
 	if !ok || cell == nil {
-		return rerr(n, "rcset of a null refcounted pointer")
+		return Errorf(n, "rcset of a null refcounted pointer")
 	}
 	if cell.hdr.Freed() {
-		return trapErr(n, TrapRC, "rcset of a freed refcounted pointer (use after release)")
+		return Trapf(n, TrapRC, "rcset of a freed refcounted pointer (use after release)")
 	}
 	if elem != nil {
-		v = promoteScalar(elem, v)
+		v = PromoteScalar(elem, v)
 	}
 	cell.val = v
 	return nil
@@ -248,20 +248,20 @@ func (i *Interp) RcSet(n ast.Node, cellv, v any, elem *types.Type) error {
 func (i *Interp) RcRelease(n ast.Node, cellv any) error {
 	cell, ok := cellv.(*rcCell)
 	if !ok || cell == nil {
-		return rerr(n, "rcrelease of a null refcounted pointer")
+		return Errorf(n, "rcrelease of a null refcounted pointer")
 	}
 	if !cell.hdr.ForceFree() {
-		return trapErr(n, TrapRC, "rcrelease of an already-released refcounted pointer (double release)")
+		return Trapf(n, TrapRC, "rcrelease of an already-released refcounted pointer (double release)")
 	}
 	return nil
 }
 
-// promoteScalar applies the int→float promotion that AssignableTo
+// PromoteScalar applies the int→float promotion that AssignableTo
 // admits statically to an already-evaluated value, recursively through
 // tuples. It never checks and never fails; both engines apply it at
 // function returns and rcset stores so a value's runtime
 // representation always matches its static scalar type.
-func promoteScalar(ty *types.Type, v any) any {
+func PromoteScalar(ty *types.Type, v any) any {
 	switch ty.Kind {
 	case types.Float:
 		if iv, ok := v.(int64); ok {
@@ -274,28 +274,11 @@ func promoteScalar(ty *types.Type, v any) any {
 		}
 		out := make([]any, len(tup))
 		for k := range tup {
-			out[k] = promoteScalar(ty.Elems[k], tup[k])
+			out[k] = PromoteScalar(ty.Elems[k], tup[k])
 		}
 		return out
 	}
 	return v
-}
-
-// PromoteScalar is promoteScalar for alternate engines.
-func PromoteScalar(ty *types.Type, v any) any { return promoteScalar(ty, v) }
-
-// CastScalar applies a C-style scalar cast to an evaluated value;
-// exported so alternate engines share one conversion semantics.
-func CastScalar(n ast.Node, to ast.PrimKind, v any) (any, error) {
-	return castScalar(n, to, v)
-}
-
-// CoerceValue checks v against declared type ty at binding time: this
-// is where AnyMatrix values (readMatrix results) are validated against
-// declared matrix types and int→float promotion happens for scalars.
-// Exported so alternate engines share one coercion semantics.
-func CoerceValue(n ast.Node, ty *types.Type, v any) (any, error) {
-	return coerceValue(n, ty, v)
 }
 
 // ZeroValue produces the default value for a declared type: scalars

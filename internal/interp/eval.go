@@ -20,20 +20,20 @@ const (
 // callFunction runs fn with already-evaluated arguments.
 func (c *ctx) callFunction(fn *ast.FuncDecl, args []any, site ast.Node) (any, error) {
 	if c.depth > 512 {
-		return nil, trapErr(site, TrapDepth, "call stack exceeded 512 frames (infinite recursion in %q?)", fn.Name)
+		return nil, Trapf(site, TrapDepth, "call stack exceeded 512 frames (infinite recursion in %q?)", fn.Name)
 	}
 	f := newFrame(c.i.globalFrame)
 	cc := c.child(f, c.pool)
 	for k, p := range fn.Params {
 		ty, err := types.FromAST(p.Type)
 		if err != nil {
-			return nil, wrap(p, err)
+			return nil, WrapError(p, err)
 		}
-		v, err := cc.coerceToType(site, ty, args[k])
+		v, err := CoerceValue(site, ty, args[k])
 		if err != nil {
 			return nil, err
 		}
-		cc.bindValue(v)
+		cc.i.BindValue(v)
 		f.vars[p.Name] = &binding{v: v, ty: ty}
 	}
 	ctl, ret, err := cc.execStmt(fn.Body)
@@ -54,7 +54,7 @@ func (c *ctx) callFunction(fn *ast.FuncDecl, args []any, site ast.Node) (any, er
 			// (an int returned from a float function arrives as float)
 			// so a call result's representation always matches its
 			// static type under both engines.
-			ret = promoteScalar(sig.Type.Ret, ret)
+			ret = PromoteScalar(sig.Type.Ret, ret)
 		} else if ctl != ctlReturn {
 			// A non-void function that falls off its end yields the
 			// declared type's zero value, deterministically, under
@@ -65,7 +65,7 @@ func (c *ctx) callFunction(fn *ast.FuncDecl, args []any, site ast.Node) (any, er
 	if ctl == ctlReturn && ret != nil {
 		// Keep the return value alive across the frame teardown; the
 		// reference is released by the caller's enclosing statement.
-		c.escapeRef(ret)
+		c.i.EscapeRef(ret, &c.pending)
 	}
 	cc.releasePending(0)
 	cc.popFrame(f)
@@ -76,7 +76,7 @@ func (c *ctx) callFunction(fn *ast.FuncDecl, args []any, site ast.Node) (any, er
 // statement runs are released when it completes (unless it returns,
 // in which case callFunction handles them).
 func (c *ctx) execStmt(s ast.Stmt) (control, any, error) {
-	if err := c.step(s); err != nil {
+	if err := c.i.StepTick(s); err != nil {
 		return ctlNone, nil, err
 	}
 	mark := len(c.pending)
@@ -101,7 +101,7 @@ func (c *ctx) execStmtInner(s ast.Stmt) (control, any, error) {
 				// in this block; keep it alive across the frame pop.
 				// callFunction takes the caller's own reference before
 				// releasing this pending one.
-				c.escapeRef(v)
+				c.i.EscapeRef(v, &c.pending)
 			}
 			c.popFrame(f)
 			c.frame = saved
@@ -119,7 +119,7 @@ func (c *ctx) execStmtInner(s ast.Stmt) (control, any, error) {
 	case *ast.DeclStmt:
 		ty, err := types.FromAST(s.Type)
 		if err != nil {
-			return ctlNone, nil, wrap(s, err)
+			return ctlNone, nil, WrapError(s, err)
 		}
 		var v any
 		if s.Init != nil {
@@ -127,14 +127,14 @@ func (c *ctx) execStmtInner(s ast.Stmt) (control, any, error) {
 			if err != nil {
 				return ctlNone, nil, err
 			}
-			v, err = c.coerceToType(s, ty, v)
+			v, err = CoerceValue(s, ty, v)
 			if err != nil {
 				return ctlNone, nil, err
 			}
 		} else {
 			v = zeroValue(s.Type)
 		}
-		c.bindValue(v)
+		c.i.BindValue(v)
 		c.frame.vars[s.Name] = &binding{v: v, ty: ty}
 		return ctlNone, nil, nil
 
@@ -148,7 +148,7 @@ func (c *ctx) execStmtInner(s ast.Stmt) (control, any, error) {
 		}
 		tup, ok := rhs.([]any)
 		if !ok || len(tup) != len(s.LHS) {
-			return ctlNone, nil, rerr(s, "destructuring assignment requires a %d-tuple", len(s.LHS))
+			return ctlNone, nil, Errorf(s, "destructuring assignment requires a %d-tuple", len(s.LHS))
 		}
 		for k, l := range s.LHS {
 			if err := c.assignTo(l, tup[k]); err != nil {
@@ -197,7 +197,7 @@ func (c *ctx) execStmtInner(s ast.Stmt) (control, any, error) {
 		c.frame = f
 		pop := func(ctl control, v any) {
 			if ctl == ctlReturn && v != nil {
-				c.escapeRef(v) // see BlockStmt
+				c.i.EscapeRef(v, &c.pending) // see BlockStmt
 			}
 			c.popFrame(f)
 			c.frame = saved
@@ -267,7 +267,7 @@ func (c *ctx) execStmtInner(s ast.Stmt) (control, any, error) {
 	case *ast.SyncStmt:
 		return ctlNone, nil, c.syncFutures()
 	}
-	return ctlNone, nil, rerr(s, "unknown statement %T", s)
+	return ctlNone, nil, Errorf(s, "unknown statement %T", s)
 }
 
 // assignTo stores v into an lvalue (identifier or indexed matrix).
@@ -276,14 +276,14 @@ func (c *ctx) assignTo(lhs ast.Expr, v any) error {
 	case *ast.Ident:
 		b, ok := c.frame.lookup(l.Name)
 		if !ok {
-			return rerr(l, "undeclared variable %q", l.Name)
+			return Errorf(l, "undeclared variable %q", l.Name)
 		}
-		cv, err := c.coerceToType(l, b.ty, v)
+		cv, err := CoerceValue(l, b.ty, v)
 		if err != nil {
 			return err
 		}
-		c.bindValue(cv)
-		c.releaseValue(b.v)
+		c.i.BindValue(cv)
+		c.i.ReleaseValue(b.v)
 		b.v = cv
 		return nil
 	case *ast.IndexExpr:
@@ -293,15 +293,15 @@ func (c *ctx) assignTo(lhs ast.Expr, v any) error {
 		}
 		m, ok := baseV.(*matrix.Matrix)
 		if !ok || m == nil {
-			return rerr(l, "cannot index-assign into a non-matrix or unassigned matrix")
+			return Errorf(l, "cannot index-assign into a non-matrix or unassigned matrix")
 		}
 		specs, err := c.indexSpecs(l, m)
 		if err != nil {
 			return err
 		}
-		return wrap(l, m.SetIndex(v, specs...))
+		return WrapError(l, m.SetIndex(v, specs...))
 	}
-	return rerr(lhs, "cannot assign to %s", ast.ExprString(lhs))
+	return Errorf(lhs, "cannot assign to %s", ast.ExprString(lhs))
 }
 
 func (c *ctx) evalBool(e ast.Expr) (bool, error) {
@@ -311,7 +311,7 @@ func (c *ctx) evalBool(e ast.Expr) (bool, error) {
 	}
 	b, ok := v.(bool)
 	if !ok {
-		return false, rerr(e, "condition evaluated to %T, not bool", v)
+		return false, Errorf(e, "condition evaluated to %T, not bool", v)
 	}
 	return b, nil
 }
@@ -323,7 +323,7 @@ func (c *ctx) evalInt(e ast.Expr) (int64, error) {
 	}
 	n, ok := v.(int64)
 	if !ok {
-		return 0, rerr(e, "expected an int value, got %T", v)
+		return 0, Errorf(e, "expected an int value, got %T", v)
 	}
 	return n, nil
 }
@@ -352,7 +352,7 @@ func (c *ctx) evalExpr(e ast.Expr) (any, error) {
 	case *ast.Ident:
 		b, ok := c.frame.lookup(e.Name)
 		if !ok {
-			return nil, rerr(e, "undeclared variable %q", e.Name)
+			return nil, Errorf(e, "undeclared variable %q", e.Name)
 		}
 		return b.v, nil
 
@@ -376,7 +376,7 @@ func (c *ctx) evalExpr(e ast.Expr) (any, error) {
 				}
 				rb, ok := r.(bool)
 				if !ok {
-					return nil, rerr(e, "operator %s requires bool operands", e.Op)
+					return nil, Errorf(e, "operator %s requires bool operands", e.Op)
 				}
 				return rb, nil
 			}
@@ -408,7 +408,7 @@ func (c *ctx) evalExpr(e ast.Expr) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		return castScalar(e, e.To, v)
+		return CastScalar(e, e.To, v)
 
 	case *ast.CallExpr:
 		return c.evalCall(e)
@@ -420,18 +420,18 @@ func (c *ctx) evalExpr(e ast.Expr) (any, error) {
 		}
 		m, ok := baseV.(*matrix.Matrix)
 		if !ok || m == nil {
-			return nil, rerr(e, "cannot index a non-matrix or unassigned matrix")
+			return nil, Errorf(e, "cannot index a non-matrix or unassigned matrix")
 		}
 		specs, err := c.indexSpecs(e, m)
 		if err != nil {
 			return nil, err
 		}
 		v, err := m.Index(specs...)
-		return v, wrap(e, err)
+		return v, WrapError(e, err)
 
 	case *ast.EndExpr:
 		if len(c.end) == 0 {
-			return nil, rerr(e, "'end' used outside an index expression")
+			return nil, Errorf(e, "'end' used outside an index expression")
 		}
 		return c.end[len(c.end)-1], nil
 
@@ -445,7 +445,7 @@ func (c *ctx) evalExpr(e ast.Expr) (any, error) {
 			return nil, err
 		}
 		if hi >= lo {
-			if err := c.charge(e, hi-lo+1); err != nil {
+			if err := c.i.ChargeCells(e, hi-lo+1); err != nil {
 				return nil, err
 			}
 		}
@@ -476,7 +476,7 @@ func (c *ctx) evalExpr(e ast.Expr) (any, error) {
 				return nil, err
 			}
 			if n < 0 {
-				return nil, rerr(e, "init dimension %d is negative (%d)", k, n)
+				return nil, Errorf(e, "init dimension %d is negative (%d)", k, n)
 			}
 			dims[k] = int(n)
 		}
@@ -485,9 +485,9 @@ func (c *ctx) evalExpr(e ast.Expr) (any, error) {
 			return nil, err
 		}
 		m, err := matrix.NewBudgeted(c.i.budget, elem, dims...)
-		return m, wrap(e, err)
+		return m, WrapError(e, err)
 	}
-	return nil, rerr(e, "unknown expression %T", e)
+	return nil, Errorf(e, "unknown expression %T", e)
 }
 
 // binaryVals applies a binary operator to evaluated operands.
@@ -503,33 +503,33 @@ func EvalBinary(e *ast.BinaryExpr, l, r any, x matrix.Exec) (any, error) {
 	lm, lIsM := l.(*matrix.Matrix)
 	rm, rIsM := r.(*matrix.Matrix)
 	if lIsM && lm == nil || rIsM && rm == nil {
-		return nil, rerr(e, "use of unassigned matrix")
+		return nil, Errorf(e, "use of unassigned matrix")
 	}
 	op, ok := binToMatrixOp[e.Op]
 	if !ok {
-		return nil, rerr(e, "unknown operator %s", e.Op)
+		return nil, Errorf(e, "unknown operator %s", e.Op)
 	}
 	switch {
 	case lIsM && rIsM:
 		if e.Op == ast.OpMul {
 			out, err := matrix.MatMulExec(lm, rm, x)
 			recycleTemps(e, lm, rm)
-			return out, wrap(e, err)
+			return out, WrapError(e, err)
 		}
 		out, err := matrix.ElementwiseExec(op, lm, rm, x)
 		recycleTemps(e, lm, rm)
-		return out, wrap(e, err)
+		return out, WrapError(e, err)
 	case lIsM:
 		out, err := matrix.BroadcastExec(op, lm, r, true, x)
 		recycleTemps(e, lm, nil)
-		return out, wrap(e, err)
+		return out, WrapError(e, err)
 	case rIsM:
 		out, err := matrix.BroadcastExec(op, rm, l, false, x)
 		recycleTemps(e, nil, rm)
-		return out, wrap(e, err)
+		return out, WrapError(e, err)
 	default:
 		v, err := matrix.ScalarBinary(op, l, r)
-		return v, wrap(e, err)
+		return v, WrapError(e, err)
 	}
 }
 
@@ -541,7 +541,7 @@ func EvalUnary(e *ast.UnaryExpr, v any, x matrix.Exec) (any, error) {
 		if kernelTemp(e.X, m) {
 			m.Recycle()
 		}
-		return out, wrap(e, err)
+		return out, WrapError(e, err)
 	}
 	switch s := v.(type) {
 	case int64:
@@ -557,7 +557,7 @@ func EvalUnary(e *ast.UnaryExpr, v any, x matrix.Exec) (any, error) {
 			return !s, nil
 		}
 	}
-	return nil, rerr(e, "operator %s cannot be applied to %T", e.Op, v)
+	return nil, Errorf(e, "operator %s cannot be applied to %T", e.Op, v)
 }
 
 // kernelTemp reports whether m is an expression temporary produced by
@@ -594,7 +594,9 @@ func recycleTemps(e *ast.BinaryExpr, lm, rm *matrix.Matrix) {
 	}
 }
 
-func castScalar(n ast.Node, to ast.PrimKind, v any) (any, error) {
+// CastScalar applies a C-style scalar cast to an evaluated value; both
+// engines share it.
+func CastScalar(n ast.Node, to ast.PrimKind, v any) (any, error) {
 	switch to {
 	case ast.PrimInt:
 		switch x := v.(type) {
@@ -630,21 +632,21 @@ func castScalar(n ast.Node, to ast.PrimKind, v any) (any, error) {
 			return x != 0, nil
 		}
 	}
-	return nil, rerr(n, "cannot cast %T to %s", v, to)
+	return nil, Errorf(n, "cannot cast %T to %s", v, to)
 }
 
 // indexSpecs evaluates the index arguments of e against matrix m,
 // binding 'end' per dimension (§III-A.3).
 func (c *ctx) indexSpecs(e *ast.IndexExpr, m *matrix.Matrix) ([]matrix.IndexSpec, error) {
 	if len(e.Args) != m.Rank() {
-		return nil, rerr(e, "matrix of rank %d requires %d index expression(s), got %d",
+		return nil, Errorf(e, "matrix of rank %d requires %d index expression(s), got %d",
 			m.Rank(), m.Rank(), len(e.Args))
 	}
 	specs := make([]matrix.IndexSpec, len(e.Args))
 	for d, arg := range e.Args {
 		size, err := m.DimSize(d)
 		if err != nil {
-			return nil, wrap(e, err)
+			return nil, WrapError(e, err)
 		}
 		c.end = append(c.end, int64(size-1))
 		spec, err := c.oneIndexSpec(arg)
@@ -670,7 +672,7 @@ func (c *ctx) oneIndexSpec(arg ast.IndexArg) (matrix.IndexSpec, error) {
 		case *matrix.Matrix:
 			return matrix.Mask(x), nil
 		}
-		return matrix.IndexSpec{}, rerr(a, "index must be an int or a bool matrix, got %T", v)
+		return matrix.IndexSpec{}, Errorf(a, "index must be an int or a bool matrix, got %T", v)
 	case *ast.IdxRange:
 		lo, err := c.evalInt(a.Lo)
 		if err != nil {
@@ -684,7 +686,7 @@ func (c *ctx) oneIndexSpec(arg ast.IndexArg) (matrix.IndexSpec, error) {
 	case *ast.IdxAll:
 		return matrix.All(), nil
 	}
-	return matrix.IndexSpec{}, rerr(arg, "unknown index argument %T", arg)
+	return matrix.IndexSpec{}, Errorf(arg, "unknown index argument %T", arg)
 }
 
 // evalWithLoop executes a with-loop (§III-A.4) on the pool; bodies run
@@ -706,7 +708,7 @@ func (c *ctx) evalWithLoop(w *ast.WithLoop) (any, error) {
 	}
 	body := func(op ast.Expr) matrix.BodyFunc {
 		return func(idx []int) (any, error) {
-			if err := c.checkCancel(op); err != nil {
+			if err := c.i.CheckCancel(op); err != nil {
 				return nil, err
 			}
 			f := newFrame(c.frame)
@@ -738,7 +740,7 @@ func (c *ctx) evalWithLoop(w *ast.WithLoop) (any, error) {
 			return nil, err
 		}
 		out, err := matrix.GenArrayExec(elem, lower, upper, shape, body(op.Body), c.exec())
-		return out, wrap(w, err)
+		return out, WrapError(w, err)
 	case *ast.FoldOp:
 		base, err := c.evalExpr(op.Init)
 		if err != nil {
@@ -756,9 +758,9 @@ func (c *ctx) evalWithLoop(w *ast.WithLoop) (any, error) {
 			}
 		}
 		out, err := matrix.FoldExec(kind, base, lower, upper, body(op.Body), c.exec())
-		return out, wrap(w, err)
+		return out, WrapError(w, err)
 	}
-	return nil, rerr(w, "unknown with-loop operation %T", w.Op)
+	return nil, Errorf(w, "unknown with-loop operation %T", w.Op)
 }
 
 // evalMatrixMap executes matrixMap(f, m, dims) (§III-A.5) in parallel
@@ -770,19 +772,19 @@ func (c *ctx) evalMatrixMap(e *ast.MatrixMap) (any, error) {
 	}
 	m, ok := argV.(*matrix.Matrix)
 	if !ok || m == nil {
-		return nil, rerr(e, "matrixMap requires a matrix argument")
+		return nil, Errorf(e, "matrixMap requires a matrix argument")
 	}
 	dims := make([]int, len(e.Dims))
 	for k, d := range e.Dims {
 		lit, ok := d.(*ast.IntLit)
 		if !ok {
-			return nil, rerr(d, "matrixMap dimensions must be integer literals")
+			return nil, Errorf(d, "matrixMap dimensions must be integer literals")
 		}
 		dims[k] = int(lit.Value)
 	}
 	sig, ok := c.i.info.Funcs[e.Fun]
 	if !ok {
-		return nil, rerr(e, "undeclared function %q", e.Fun)
+		return nil, Errorf(e, "undeclared function %q", e.Fun)
 	}
 	outElem, err := matrixElemOf(e, c.i.info.TypeOf(e))
 	if err != nil {
@@ -798,7 +800,7 @@ func (c *ctx) evalMatrixMap(e *ast.MatrixMap) (any, error) {
 		res, ok := v.(*matrix.Matrix)
 		if !ok || res == nil {
 			cc.releasePending(0)
-			return nil, rerr(e, "matrixMap function %q returned %T, want a matrix", e.Fun, v)
+			return nil, Errorf(e, "matrixMap function %q returned %T, want a matrix", e.Fun, v)
 		}
 		// The result is copied into the output before the escape
 		// reference is dropped, so this release is safe.
@@ -808,16 +810,16 @@ func (c *ctx) evalMatrixMap(e *ast.MatrixMap) (any, error) {
 	}
 	if e.General {
 		out, err := matrix.MatrixMapGExec(m, dims, outElem, mapF, c.exec())
-		return out, wrap(e, err)
+		return out, WrapError(e, err)
 	}
 	out, err := matrix.MatrixMapExec(m, dims, outElem, mapF, c.exec())
-	return out, wrap(e, err)
+	return out, WrapError(e, err)
 }
 
 // matrixElemOf maps a static matrix type to the runtime element kind.
 func matrixElemOf(n ast.Node, ty *types.Type) (matrix.Elem, error) {
 	if ty == nil || ty.Kind != types.Matrix {
-		return 0, rerr(n, "internal error: expected a matrix type, have %s", ty)
+		return 0, Errorf(n, "internal error: expected a matrix type, have %s", ty)
 	}
 	switch ty.Elem.Kind {
 	case types.Float:
@@ -827,7 +829,7 @@ func matrixElemOf(n ast.Node, ty *types.Type) (matrix.Elem, error) {
 	case types.Bool:
 		return matrix.Bool, nil
 	}
-	return 0, rerr(n, "internal error: bad matrix element type %s", ty.Elem)
+	return 0, Errorf(n, "internal error: bad matrix element type %s", ty.Elem)
 }
 
 // evalCall dispatches builtin and user function calls.

@@ -141,11 +141,14 @@ func (e *RuntimeError) SpanString() string {
 	return ""
 }
 
-func rerr(n ast.Node, format string, args ...any) error {
+// Errorf builds an ordinary (untrapped) runtime error at n.
+func Errorf(n ast.Node, format string, args ...any) error {
 	return &RuntimeError{Node: n, Err: fmt.Errorf(format, args...)}
 }
 
-func wrap(n ast.Node, err error) error {
+// WrapError attaches a source node and trap classification to err,
+// passing existing *RuntimeErrors through unchanged.
+func WrapError(n ast.Node, err error) error {
 	if err == nil {
 		return nil
 	}
@@ -210,17 +213,6 @@ func (c *ctx) child(frame *frame, pool *par.Pool) *ctx {
 	return &ctx{i: c.i, pool: pool, frame: frame, depth: c.depth + 1}
 }
 
-// bindValue takes a reference to v on behalf of a variable binding.
-func (c *ctx) bindValue(v any) { c.i.BindValue(v) }
-
-// releaseValue drops a reference taken by bindValue.
-func (c *ctx) releaseValue(v any) { c.i.ReleaseValue(v) }
-
-// escapeRef takes an extra reference so a value survives its frame's
-// teardown; the reference is registered for release at the end of the
-// consuming statement.
-func (c *ctx) escapeRef(v any) { c.i.EscapeRef(v, &c.pending) }
-
 // releasePending drops escape references accumulated since mark.
 func (c *ctx) releasePending(mark int) {
 	for _, h := range c.pending[mark:] {
@@ -232,18 +224,9 @@ func (c *ctx) releasePending(mark int) {
 // popFrame releases all bindings in f.
 func (c *ctx) popFrame(f *frame) {
 	for _, b := range f.vars {
-		c.releaseValue(b.v)
+		c.i.ReleaseValue(b.v)
 	}
 }
-
-// checkCancel aborts execution once the interpreter's context is
-// cancelled.
-func (c *ctx) checkCancel(n ast.Node) error { return c.i.CheckCancel(n) }
-
-// step ticks the statement budget: exactly one tick per executed
-// statement, never for conditions or expressions (the contract both
-// engines share — see engine.go).
-func (c *ctx) step(n ast.Node) error { return c.i.StepTick(n) }
 
 // exec is the matrix-runtime execution environment for this context:
 // the pool (nil in nested constructs), the interpreter's allocation
@@ -251,10 +234,6 @@ func (c *ctx) step(n ast.Node) error { return c.i.StepTick(n) }
 func (c *ctx) exec() matrix.Exec {
 	return matrix.Exec{Pool: c.pool, Budget: c.i.budget, Ctx: c.i.ctx}
 }
-
-// charge debits cells from the allocation budget before an allocation
-// the matrix package does not make itself (ranges, file reads).
-func (c *ctx) charge(n ast.Node, cells int64) error { return c.i.ChargeCells(n, cells) }
 
 // Run executes main() and returns its exit code. Run never panics: a
 // panic escaping evaluation — a matrix kernel shape violation, an rc
@@ -264,7 +243,7 @@ func (c *ctx) charge(n ast.Node, cells int64) error { return c.i.ChargeCells(n, 
 func (i *Interp) Run() (code int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			code, err = 0, recoveredError(i.prog, r)
+			code, err = 0, Recovered(i.prog, r)
 		}
 	}()
 	return i.run()
@@ -286,7 +265,7 @@ func (i *Interp) run() (int, error) {
 		}
 		ty, terr := types.FromAST(g.Type)
 		if terr != nil {
-			return 0, wrap(g, terr)
+			return 0, WrapError(g, terr)
 		}
 		var v any
 		var err error
@@ -295,14 +274,14 @@ func (i *Interp) run() (int, error) {
 			if err != nil {
 				return 0, err
 			}
-			v, err = root.coerceToType(g, ty, v)
+			v, err = CoerceValue(g, ty, v)
 			if err != nil {
 				return 0, err
 			}
 		} else {
 			v = zeroValue(g.Type)
 		}
-		root.bindValue(v)
+		root.i.BindValue(v)
 		gframe.vars[g.Name] = &binding{v: v, ty: ty}
 		root.releasePending(0)
 	}
@@ -354,23 +333,11 @@ type rcCell struct {
 	val any
 }
 
-// coerceToDeclared checks a value against a declared type at binding
-// time — this is where readMatrix's dynamically typed result (and any
-// other AnyMatrix value) is validated, and int→float promotion
-// happens for scalars.
-func (c *ctx) coerceToDeclared(n ast.Node, te ast.TypeExpr, v any) (any, error) {
-	ty, err := types.FromAST(te)
-	if err != nil {
-		return nil, wrap(n, err)
-	}
-	return c.coerceToType(n, ty, v)
-}
-
-func (c *ctx) coerceToType(n ast.Node, ty *types.Type, v any) (any, error) {
-	return coerceValue(n, ty, v)
-}
-
-func coerceValue(n ast.Node, ty *types.Type, v any) (any, error) {
+// CoerceValue checks v against declared type ty at binding time: this
+// is where AnyMatrix values (readMatrix results) are validated against
+// declared matrix types and int→float promotion happens for scalars.
+// Both engines share it.
+func CoerceValue(n ast.Node, ty *types.Type, v any) (any, error) {
 	switch ty.Kind {
 	case types.Float:
 		if iv, ok := v.(int64); ok {
@@ -379,26 +346,26 @@ func coerceValue(n ast.Node, ty *types.Type, v any) (any, error) {
 	case types.Matrix:
 		m, ok := v.(*matrix.Matrix)
 		if !ok {
-			return nil, rerr(n, "expected a matrix value, got %T", v)
+			return nil, Errorf(n, "expected a matrix value, got %T", v)
 		}
 		if m == nil {
-			return nil, rerr(n, "use of unassigned matrix")
+			return nil, Errorf(n, "use of unassigned matrix")
 		}
 		wantElem := map[types.Kind]matrix.Elem{
 			types.Float: matrix.Float, types.Int: matrix.Int, types.Bool: matrix.Bool,
 		}[ty.Elem.Kind]
 		if m.Elem() != wantElem || m.Rank() != ty.Rank {
-			return nil, rerr(n, "matrix of type Matrix %s <%d> cannot hold a Matrix %s <%d> value",
+			return nil, Errorf(n, "matrix of type Matrix %s <%d> cannot hold a Matrix %s <%d> value",
 				ty.Elem, ty.Rank, m.Elem(), m.Rank())
 		}
 	case types.Tuple:
 		tup, ok := v.([]any)
 		if !ok || len(tup) != len(ty.Elems) {
-			return nil, rerr(n, "expected a %d-tuple", len(ty.Elems))
+			return nil, Errorf(n, "expected a %d-tuple", len(ty.Elems))
 		}
 		out := make([]any, len(tup))
 		for k := range tup {
-			cv, err := coerceValue(n, ty.Elems[k], tup[k])
+			cv, err := CoerceValue(n, ty.Elems[k], tup[k])
 			if err != nil {
 				return nil, err
 			}

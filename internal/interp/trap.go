@@ -89,39 +89,16 @@ func classifyPanicValue(r any) TrapCode {
 	return TrapPanic
 }
 
-// trapErr builds a RuntimeError with an explicit trap code.
-func trapErr(n ast.Node, code TrapCode, format string, args ...any) error {
+// Trapf builds a RuntimeError with an explicit trap code at n.
+func Trapf(n ast.Node, code TrapCode, format string, args ...any) error {
 	return &RuntimeError{Node: n, Trap: code, Err: fmt.Errorf(format, args...)}
 }
 
-// Classify assigns a trap code to an arbitrary execution error;
-// exported for alternate execution engines.
-func Classify(err error) TrapCode { return classifyErr(err) }
-
-// WrapError attaches a source node and trap classification to err,
-// passing existing *RuntimeErrors through unchanged; exported for
-// alternate execution engines.
-func WrapError(n ast.Node, err error) error { return wrap(n, err) }
-
-// Errorf builds an ordinary (untrapped) runtime error at n.
-func Errorf(n ast.Node, format string, args ...any) error {
-	return rerr(n, format, args...)
-}
-
-// Trapf builds a RuntimeError with an explicit trap code at n.
-func Trapf(n ast.Node, code TrapCode, format string, args ...any) error {
-	return trapErr(n, code, format, args...)
-}
-
-// Recovered converts a recovered panic value into a *RuntimeError;
-// exported for alternate execution engines.
-func Recovered(n ast.Node, r any) *RuntimeError { return recoveredError(n, r) }
-
-// recoveredError converts a recovered panic value into a
+// Recovered converts a recovered panic value into a
 // *RuntimeError, classifying typed runtime panics (rc violations,
 // shape panics, pool panics) and capturing the stack for genuinely
 // unexpected ones.
-func recoveredError(n ast.Node, r any) *RuntimeError {
+func Recovered(n ast.Node, r any) *RuntimeError {
 	if re, ok := r.(*RuntimeError); ok {
 		return re
 	}

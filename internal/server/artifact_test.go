@@ -18,8 +18,8 @@ func TestArtifactRoundTripBetweenShards(t *testing.T) {
 	b, bd := newTestServer(t, server.Config{ShardID: "s1"})
 
 	body := []byte(`{"source": ` + jsonString(okSrc) + `}`)
-	key, ok := server.CompileKeyForBody(body)
-	if !ok {
+	_, key := server.KeysForBody(body, true)
+	if key == "" {
 		t.Fatal("no compile key for a valid body")
 	}
 
@@ -28,7 +28,7 @@ func TestArtifactRoundTripBetweenShards(t *testing.T) {
 		t.Fatalf("compile on A: %d %v", code, res)
 	}
 	if res["key"] != key {
-		t.Fatalf("CompileKeyForBody=%s, server key=%v — peer fill would miss", key, res["key"])
+		t.Fatalf("KeysForBody=%s, server key=%v — peer fill would miss", key, res["key"])
 	}
 
 	resp, err := http.Get(a.URL + "/v1/artifact/" + key)

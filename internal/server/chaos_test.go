@@ -339,8 +339,8 @@ func TestChaosRestartServesFromDiskAndQuarantinesCorruption(t *testing.T) {
 	if code != http.StatusOK || warm["cached"] != true || warm["output"] != first["output"] {
 		t.Fatalf("restart compile: %d cached=%v", code, warm["cached"])
 	}
-	if m := d2.MetricsSnapshot(); m.DiskHits != 1 || m.CompileExecutions != 0 {
-		t.Fatalf("restart metrics: hits=%d execs=%d", m.DiskHits, m.CompileExecutions)
+	if m := d2.MetricsSnapshot(); m.DiskHits.Load() != 1 || m.CompileExecutions.Load() != 0 {
+		t.Fatalf("restart metrics: hits=%d execs=%d", m.DiskHits.Load(), m.CompileExecutions.Load())
 	}
 
 	// Corrupt the object, restart again: quarantined + recompiled.
@@ -358,8 +358,8 @@ func TestChaosRestartServesFromDiskAndQuarantinesCorruption(t *testing.T) {
 	if code != http.StatusOK || rec["cached"] != false || rec["output"] != first["output"] {
 		t.Fatalf("post-corruption compile: %d cached=%v (must recompile, same artifact)", code, rec["cached"])
 	}
-	if m := d3.MetricsSnapshot(); m.DiskCorrupt != 1 || m.CompileExecutions != 1 {
-		t.Fatalf("corruption metrics: corrupt=%d execs=%d", m.DiskCorrupt, m.CompileExecutions)
+	if m := d3.MetricsSnapshot(); m.DiskCorrupt.Load() != 1 || m.CompileExecutions.Load() != 1 {
+		t.Fatalf("corruption metrics: corrupt=%d execs=%d", m.DiskCorrupt.Load(), m.CompileExecutions.Load())
 	}
 	if _, err := os.Stat(path + ".corrupt"); err != nil {
 		t.Fatalf("corrupt object not quarantined: %v", err)

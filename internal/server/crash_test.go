@@ -162,8 +162,8 @@ func TestCrashDeadlineInsideParallelConstruct(t *testing.T) {
 		t.Fatalf("mid-construct cancellation took %s", elapsed)
 	}
 	mustHealthz(t, ts.URL)
-	if m := d.Metrics().Snapshot(); m.RunsCancelled != 1 {
-		t.Fatalf("RunsCancelled = %d", m.RunsCancelled)
+	if m := d.MetricsSnapshot(); m.RunsCancelled.Load() != 1 {
+		t.Fatalf("RunsCancelled = %d", m.RunsCancelled.Load())
 	}
 	var ms struct {
 		RunTimeouts int64 `json:"run_timeouts"`

@@ -22,7 +22,7 @@ func TestWithRecoverMiddleware(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), "handler bug") {
 		t.Errorf("body = %q, want the panic value in it", rec.Body.String())
 	}
-	if got := s.panicsCaught.Load(); got != 1 {
+	if got := s.metrics.PanicsRecovered.Load(); got != 1 {
 		t.Errorf("panicsCaught = %d, want 1", got)
 	}
 
@@ -32,7 +32,7 @@ func TestWithRecoverMiddleware(t *testing.T) {
 	}))
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
-	if rec.Code != http.StatusTeapot || s.panicsCaught.Load() != 1 {
-		t.Errorf("pass-through: status %d, panicsCaught %d", rec.Code, s.panicsCaught.Load())
+	if rec.Code != http.StatusTeapot || s.metrics.PanicsRecovered.Load() != 1 {
+		t.Errorf("pass-through: status %d, panicsCaught %d", rec.Code, s.metrics.PanicsRecovered.Load())
 	}
 }

@@ -31,17 +31,18 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/cgen"
 	"repro/internal/driver"
 	"repro/internal/interp"
 	"repro/internal/matrix"
+	"repro/internal/obs"
+	"repro/internal/parser"
 	"repro/internal/source"
 	"repro/internal/tenant"
 )
@@ -106,18 +107,8 @@ type Server struct {
 	d     *driver.Driver
 	admit *admitter
 
-	compileReqs  atomic.Int64
-	runReqs      atomic.Int64
-	vetReqs      atomic.Int64
-	analysesReqs atomic.Int64
-	clientErrors atomic.Int64
-	runTimeouts  atomic.Int64
-	inflightRuns atomic.Int64
-	runTraps     atomic.Int64
-	panicsCaught atomic.Int64
-	rateLimited  atomic.Int64
-	authRefused  atomic.Int64
-	startedAt    time.Time
+	metrics   Metrics
+	startedAt time.Time
 
 	trapMu sync.Mutex
 	traps  map[string]int64 // per-TrapCode counts
@@ -168,7 +159,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.admit.drain()
 	tick := time.NewTicker(5 * time.Millisecond)
 	defer tick.Stop()
-	for s.inflightRuns.Load() > 0 {
+	for s.metrics.InflightRuns.Load() > 0 {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
@@ -213,11 +204,11 @@ func (s *Server) withRecover(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if rec := recover(); rec != nil {
-				s.panicsCaught.Add(1)
+				s.metrics.PanicsRecovered.Add(1)
 				// Best effort — if the handler already wrote a status
 				// this only appends to the body.
-				writeJSON(w, http.StatusInternalServerError,
-					errorResponse{Error: fmt.Sprintf("internal error: %v", rec)})
+				WriteJSON(w, http.StatusInternalServerError,
+					ErrorResponse{Error: fmt.Sprintf("internal error: %v", rec)})
 			}
 		}()
 		next.ServeHTTP(w, r)
@@ -226,128 +217,15 @@ func (s *Server) withRecover(next http.Handler) http.Handler {
 
 // countTrap records a trap-coded run failure for /metrics.
 func (s *Server) countTrap(code interp.TrapCode) {
-	s.runTraps.Add(1)
+	s.metrics.RunTraps.Add(1)
 	s.trapMu.Lock()
 	s.traps[string(code)]++
 	s.trapMu.Unlock()
 }
 
-func (s *Server) trapSnapshot() map[string]int64 {
-	s.trapMu.Lock()
-	defer s.trapMu.Unlock()
-	if len(s.traps) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(s.traps))
-	for k, v := range s.traps {
-		out[k] = v
-	}
-	return out
-}
-
-// --- request/response shapes ---
-
-type compileRequest struct {
-	// Name labels diagnostics (default "request.xc").
-	Name   string `json:"name,omitempty"`
-	Source string `json:"source"`
-	// Extensions is the -ext syntax: "matrix,transform,rc,cilk", "all",
-	// "none" (default "all").
-	Extensions string `json:"extensions,omitempty"`
-	// Emit is "c" (default) or "ast".
-	Emit string `json:"emit,omitempty"`
-	// Par is "pthread" (default), "omp" or "none".
-	Par string `json:"par,omitempty"`
-	// Optimize enables the §III-A.4 optimizations (default true).
-	Optimize *bool `json:"optimize,omitempty"`
-}
-
-type compileResponse struct {
-	Key         string              `json:"key"`
-	Cached      bool                `json:"cached"`
-	Output      string              `json:"output"`
-	Diagnostics []string            `json:"diagnostics,omitempty"`
-	Stages      driver.StageTimings `json:"stages"`
-}
-
-type runRequest struct {
-	Name       string `json:"name,omitempty"`
-	Source     string `json:"source"`
-	Extensions string `json:"extensions,omitempty"`
-	// Threads sizes the worker pool; <= 0 selects GOMAXPROCS.
-	Threads int `json:"threads,omitempty"`
-	// TimeoutMS is the execution deadline (default/clamped by server
-	// config).
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// MaxSteps bounds interpreter steps (0 = unlimited).
-	MaxSteps int64 `json:"max_steps,omitempty"`
-	// MaxCells bounds matrix cells the run may allocate; 0 or a value
-	// above the server's cap selects the cap.
-	MaxCells int64 `json:"max_cells,omitempty"`
-}
-
-type runResponse struct {
-	Key    string `json:"key"`
-	Cached bool   `json:"cached"`
-	// Engine is the engine that executed: "vm", or "tree" when the
-	// bytecode compiler declined the program and the run fell back.
-	Engine      string              `json:"engine"`
-	ExitCode    int                 `json:"exit_code"`
-	Stdout      string              `json:"stdout"`
-	Diagnostics []string            `json:"diagnostics,omitempty"`
-	Stages      driver.StageTimings `json:"stages"`
-	DurationMS  float64             `json:"duration_ms"`
-}
-
-type vetRequest struct {
-	Name       string `json:"name,omitempty"`
-	Source     string `json:"source"`
-	Extensions string `json:"extensions,omitempty"`
-}
-
-// vetResponse is the /v1/vet document, returned with 200 when the
-// program passes (no error-severity findings) and 422 when it is
-// rejected — the structured findings ride along either way. Findings
-// carry stable codes (CM-SHAPE-*, CM-RC-*, CM-RACE, CM-SYNC-MISSING,
-// CM-SPAWN-DEAD, ...; see the README's diagnostic table); race
-// findings include a related span marking the outstanding spawn.
-type vetResponse struct {
-	Key         string              `json:"key"`
-	Cached      bool                `json:"cached"`
-	OK          bool                `json:"ok"`
-	Findings    []source.Diagnostic `json:"findings"`
-	Errors      int                 `json:"errors"`
-	Diagnostics []string            `json:"diagnostics,omitempty"`
-	Stages      driver.StageTimings `json:"stages"`
-}
-
-type errorResponse struct {
-	Error       string   `json:"error"`
-	Diagnostics []string `json:"diagnostics,omitempty"`
-	// Trap is the stable trap code ("shape", "rc", "oom", "step",
-	// "depth", "panic") when execution hit the crash-proofing layer;
-	// Span is the source position of the failing construct.
-	Trap string `json:"trap,omitempty"`
-	Span string `json:"span,omitempty"`
-	// RetryAfterMS accompanies a 429 shed: the server's estimate of
-	// when capacity will free up (also sent as a Retry-After header,
-	// in whole seconds). Tenant names the authenticated tenant the
-	// refusal applies to.
-	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
-	Tenant       string `json:"tenant,omitempty"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.Encode(v)
-}
-
-func (s *Server) clientError(w http.ResponseWriter, code int, resp errorResponse) {
-	s.clientErrors.Add(1)
-	writeJSON(w, code, resp)
+func (s *Server) clientError(w http.ResponseWriter, code int, resp ErrorResponse) {
+	s.metrics.ClientErrors.Add(1)
+	WriteJSON(w, code, resp)
 }
 
 // shedResponse answers a load-shed run request: 429, a Retry-After
@@ -365,53 +243,23 @@ func (s *Server) shedResponse(w http.ResponseWriter, res admitResult, tenantName
 	case shedTenantQuota:
 		reason = fmt.Sprintf("tenant %q concurrency quota exhausted", tenantName)
 	}
-	writeRetryAfter(w, retry)
-	writeJSON(w, http.StatusTooManyRequests, errorResponse{
-		Error:        fmt.Sprintf("%v: %s", ErrOverloaded, reason),
-		Tenant:       tenantName,
-		RetryAfterMS: int64(retry / time.Millisecond),
-	})
+	WriteShed(w, retry, fmt.Sprintf("%v: %s", ErrOverloaded, reason), tenantName)
 }
 
-// writeRetryAfter sets the header form of a backoff estimate (whole
-// seconds, rounded up so it is never 0).
-func writeRetryAfter(w http.ResponseWriter, retry time.Duration) {
-	w.Header().Set("Retry-After", fmt.Sprint(int64((retry+time.Second-1)/time.Second)))
-}
-
-// resolveTenant authenticates a request against the key registry and
-// charges the tenant's token bucket. With no registry configured it is
-// a no-op returning a nil tenant (anonymous, unlimited). Requests that
-// arrived through a trusted gate are identified by the X-CM-Tenant
-// stamp and NOT charged again — the gate already spent a token. On a
-// refusal (401 unknown key, 403 disabled tenant, 429 over rate) the
-// structured response has been written and ok is false.
-func (s *Server) resolveTenant(w http.ResponseWriter, r *http.Request) (tn *tenant.Tenant, ok bool) {
-	tn, viaGate, err := s.cfg.Tenants.Resolve(r, s.cfg.TrustGateHeader)
-	if err != nil {
-		s.authRefused.Add(1)
-		status := http.StatusUnauthorized
-		var ae *tenant.AuthError
-		if errors.As(err, &ae) {
-			status = ae.Status
-		}
-		s.clientError(w, status, errorResponse{Error: err.Error()})
-		return nil, false
-	}
-	if tn == nil || viaGate {
+// admitTenant runs the front-door check (AdmitTenant) and counts a
+// refusal; ok is false when the refusal has been written.
+func (s *Server) admitTenant(w http.ResponseWriter, r *http.Request) (tn *tenant.Tenant, ok bool) {
+	tn, refused := AdmitTenant(w, r, s.cfg.Tenants, s.cfg.TrustGateHeader)
+	switch refused {
+	case 0:
 		return tn, true
+	case http.StatusTooManyRequests:
+		s.metrics.RateLimited.Add(1)
+	default:
+		s.metrics.AuthRefused.Add(1)
+		s.metrics.ClientErrors.Add(1)
 	}
-	if allow, retry := tn.Take(); !allow {
-		s.rateLimited.Add(1)
-		writeRetryAfter(w, retry)
-		writeJSON(w, http.StatusTooManyRequests, errorResponse{
-			Error:        fmt.Sprintf("tenant %q over rate limit", tn.Name()),
-			Tenant:       tn.Name(),
-			RetryAfterMS: int64(retry / time.Millisecond),
-		})
-		return nil, false
-	}
-	return tn, true
+	return nil, false
 }
 
 // decode parses a JSON body into v, enforcing the size limit.
@@ -420,17 +268,31 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		s.clientError(w, http.StatusBadRequest, errorResponse{Error: "bad request: " + err.Error()})
+		s.clientError(w, http.StatusBadRequest, ErrorResponse{Error: "bad request: " + err.Error()})
 		return false
 	}
 	return true
 }
 
+// decodeHead decodes a verb's body into v and resolves its head (a
+// field of v); ok is false when the 400 has been written.
+func (s *Server) decodeHead(w http.ResponseWriter, r *http.Request, v any, head *Head) (name string, exts parser.Options, ok bool) {
+	if !s.decode(w, r, v) {
+		return "", exts, false
+	}
+	name, exts, err := head.Resolve()
+	if err != nil {
+		s.clientError(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
+		return "", exts, false
+	}
+	return name, exts, true
+}
+
 func requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
 	if r.Method != method {
 		w.Header().Set("Allow", method)
-		writeJSON(w, http.StatusMethodNotAllowed,
-			errorResponse{Error: fmt.Sprintf("method %s not allowed", r.Method)})
+		WriteJSON(w, http.StatusMethodNotAllowed,
+			ErrorResponse{Error: fmt.Sprintf("method %s not allowed", r.Method)})
 		return false
 	}
 	return true
@@ -438,74 +300,22 @@ func requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
 
 // --- handlers ---
 
-// buildCompileRequest maps the wire-format compile body (already
-// decoded JSON) to the driver request, applying the handler's
-// defaults. CompileKeyForBody builds on it so the cmgate router
-// derives the same content-addressed cache key the shard will store
-// the artifact under — the address peer cache-fill moves objects by.
-func buildCompileRequest(req compileRequest) (driver.CompileRequest, error) {
-	if req.Source == "" {
-		return driver.CompileRequest{}, errors.New(`missing "source"`)
-	}
-	name := req.Name
-	if name == "" {
-		name = "request.xc"
-	}
-	if req.Extensions == "" {
-		req.Extensions = "all"
-	}
-	exts, err := driver.ParseExtensions(req.Extensions)
-	if err != nil {
-		return driver.CompileRequest{}, err
-	}
-	if req.Par == "" {
-		req.Par = "pthread"
-	}
-	par, err := driver.ParseParMode(req.Par)
-	if err != nil {
-		return driver.CompileRequest{}, err
-	}
-	if req.Emit != "" && req.Emit != "c" && req.Emit != "ast" {
-		return driver.CompileRequest{}, fmt.Errorf("unknown emit kind %q (have: c, ast)", req.Emit)
-	}
-	optimize := req.Optimize == nil || *req.Optimize
-	return driver.CompileRequest{
-		Name: name, Source: req.Source, Exts: exts, Emit: req.Emit,
-		Codegen: cgen.Options{Par: par, Optimize: optimize},
-	}, nil
-}
-
-// CompileKeyForBody derives the artifact cache key for a raw compile
-// request body, without compiling anything. The router uses it for
-// peer cache-fill; ok is false when the body does not decode to a
-// valid compile request (the shard will reject it with a 400 anyway).
-func CompileKeyForBody(raw []byte) (key string, ok bool) {
-	var req compileRequest
-	if err := json.Unmarshal(raw, &req); err != nil {
-		return "", false
-	}
-	dreq, err := buildCompileRequest(req)
-	if err != nil {
-		return "", false
-	}
-	return driver.CompileCacheKey(dreq), true
-}
-
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	s.compileReqs.Add(1)
+	s.metrics.CompileRequests.Add(1)
 	if !requireMethod(w, r, http.MethodPost) {
 		return
 	}
-	if _, ok := s.resolveTenant(w, r); !ok {
+	if _, ok := s.admitTenant(w, r); !ok {
 		return
 	}
-	var req compileRequest
-	if !s.decode(w, r, &req) {
+	var req CompileRequest
+	name, exts, ok := s.decodeHead(w, r, &req, &req.Head)
+	if !ok {
 		return
 	}
-	dreq, err := buildCompileRequest(req)
+	dreq, err := req.driverRequest(name, exts)
 	if err != nil {
-		s.clientError(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		s.clientError(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
 
@@ -514,18 +324,18 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// cannot pin its slot behind a hung disk read.
 	res := s.d.Compile(r.Context(), dreq)
 	if res.Canceled {
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "client went away"})
+		WriteJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "client went away"})
 		return
 	}
 	if !res.OK {
 		// Source the pipeline rejected: the parser's error-recovery
 		// diagnostics (and any semantic errors) ride in the body.
-		s.clientError(w, http.StatusUnprocessableEntity, errorResponse{
+		s.clientError(w, http.StatusUnprocessableEntity, ErrorResponse{
 			Error: "compilation failed", Diagnostics: res.Diagnostics,
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, compileResponse{
+	WriteJSON(w, http.StatusOK, CompileResponse{
 		Key: res.Key, Cached: res.Cached, Output: res.Output,
 		Diagnostics: res.Diagnostics, Stages: res.Stages,
 	})
@@ -546,14 +356,14 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	key := strings.TrimPrefix(r.URL.Path, "/v1/artifact/")
 	if !driver.ValidArtifactKey(key) {
 		s.clientError(w, http.StatusBadRequest,
-			errorResponse{Error: "malformed artifact key (want 64 hex bytes)"})
+			ErrorResponse{Error: "malformed artifact key (want 64 hex bytes)"})
 		return
 	}
 	switch r.Method {
 	case http.MethodGet:
 		raw, ok := s.d.ExportArtifact(r.Context(), key)
 		if !ok {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: "no artifact under key"})
+			WriteJSON(w, http.StatusNotFound, ErrorResponse{Error: "no artifact under key"})
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
@@ -562,48 +372,33 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPut:
 		raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxSourceBytes*4))
 		if err != nil {
-			s.clientError(w, http.StatusBadRequest, errorResponse{Error: "artifact body: " + err.Error()})
+			s.clientError(w, http.StatusBadRequest, ErrorResponse{Error: "artifact body: " + err.Error()})
 			return
 		}
 		if err := s.d.ImportArtifact(key, raw); err != nil {
-			s.clientError(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+			s.clientError(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
 	default:
 		w.Header().Set("Allow", "GET, PUT")
-		writeJSON(w, http.StatusMethodNotAllowed,
-			errorResponse{Error: fmt.Sprintf("method %s not allowed", r.Method)})
+		WriteJSON(w, http.StatusMethodNotAllowed,
+			ErrorResponse{Error: fmt.Sprintf("method %s not allowed", r.Method)})
 	}
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	s.runReqs.Add(1)
+	s.metrics.RunRequests.Add(1)
 	if !requireMethod(w, r, http.MethodPost) {
 		return
 	}
-	tn, ok := s.resolveTenant(w, r)
+	tn, ok := s.admitTenant(w, r)
 	if !ok {
 		return
 	}
-	var req runRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if req.Source == "" {
-		s.clientError(w, http.StatusBadRequest, errorResponse{Error: `missing "source"`})
-		return
-	}
-	name := req.Name
-	if name == "" {
-		name = "request.xc"
-	}
-	if req.Extensions == "" {
-		req.Extensions = "all"
-	}
-	exts, err := driver.ParseExtensions(req.Extensions)
-	if err != nil {
-		s.clientError(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+	var req RunRequest
+	name, exts, ok := s.decodeHead(w, r, &req, &req.Head)
+	if !ok {
 		return
 	}
 	timeout := s.cfg.DefaultTimeout
@@ -638,14 +433,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	case clientGone:
 		// The caller disconnected while queued; nothing useful can be
 		// written, and it is not a shed — the server did not refuse work.
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "client went away while queued"})
+		WriteJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "client went away while queued"})
 		return
 	default:
 		s.shedResponse(w, admit, tenantName)
 		return
 	}
-	s.inflightRuns.Add(1)
-	defer s.inflightRuns.Add(-1)
+	s.metrics.InflightRuns.Add(1)
+	defer s.metrics.InflightRuns.Add(-1)
 	if hook := TestHookRunBarrier; hook != nil {
 		hook()
 	}
@@ -667,8 +462,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	dur := time.Since(t0)
 	if err != nil {
 		if ctx.Err() != nil {
-			s.runTimeouts.Add(1)
-			writeJSON(w, http.StatusGatewayTimeout, errorResponse{
+			s.metrics.RunTimeouts.Add(1)
+			WriteJSON(w, http.StatusGatewayTimeout, ErrorResponse{
 				Error: fmt.Sprintf("execution timed out after %s: %v", timeout, err),
 			})
 			return
@@ -679,7 +474,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		var rte *interp.RuntimeError
 		if errors.As(err, &rte) && rte.Trap != interp.TrapNone {
 			s.countTrap(rte.Trap)
-			s.clientError(w, http.StatusUnprocessableEntity, errorResponse{
+			s.clientError(w, http.StatusUnprocessableEntity, ErrorResponse{
 				Error:       fmt.Sprintf("execution trapped: %v", err),
 				Diagnostics: res.Diagnostics,
 				Trap:        string(rte.Trap),
@@ -687,18 +482,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			})
 			return
 		}
-		s.clientError(w, http.StatusUnprocessableEntity, errorResponse{
+		s.clientError(w, http.StatusUnprocessableEntity, ErrorResponse{
 			Error: fmt.Sprintf("execution failed: %v", err), Diagnostics: res.Diagnostics,
 		})
 		return
 	}
 	if !res.OK {
-		s.clientError(w, http.StatusUnprocessableEntity, errorResponse{
+		s.clientError(w, http.StatusUnprocessableEntity, ErrorResponse{
 			Error: "compilation failed", Diagnostics: res.Diagnostics,
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, runResponse{
+	WriteJSON(w, http.StatusOK, RunResponse{
 		Key: res.Key, Cached: res.Cached, Engine: res.Engine, ExitCode: res.ExitCode,
 		Stdout: stdout.String(), Diagnostics: res.Diagnostics,
 		Stages: res.Stages, DurationMS: float64(dur) / float64(time.Millisecond),
@@ -706,36 +501,21 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleVet(w http.ResponseWriter, r *http.Request) {
-	s.vetReqs.Add(1)
+	s.metrics.VetRequests.Add(1)
 	if !requireMethod(w, r, http.MethodPost) {
 		return
 	}
-	if _, ok := s.resolveTenant(w, r); !ok {
+	if _, ok := s.admitTenant(w, r); !ok {
 		return
 	}
-	var req vetRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if req.Source == "" {
-		s.clientError(w, http.StatusBadRequest, errorResponse{Error: `missing "source"`})
-		return
-	}
-	name := req.Name
-	if name == "" {
-		name = "request.xc"
-	}
-	if req.Extensions == "" {
-		req.Extensions = "all"
-	}
-	exts, err := driver.ParseExtensions(req.Extensions)
-	if err != nil {
-		s.clientError(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+	var req VetRequest
+	name, exts, ok := s.decodeHead(w, r, &req, &req.Head)
+	if !ok {
 		return
 	}
 
 	res := s.d.Vet(driver.VetRequest{Name: name, Source: req.Source, Exts: exts})
-	resp := vetResponse{
+	resp := VetResponse{
 		Key: res.Key, Cached: res.Cached, OK: res.OK,
 		Findings: res.Findings, Errors: res.Errors,
 		Diagnostics: res.Diagnostics, Stages: res.Stages,
@@ -747,19 +527,19 @@ func (s *Server) handleVet(w http.ResponseWriter, r *http.Request) {
 		// Rejected program — frontend errors or error-severity findings.
 		// The structured findings still ride in the body so clients can
 		// show spans and codes.
-		s.clientErrors.Add(1)
-		writeJSON(w, http.StatusUnprocessableEntity, resp)
+		s.metrics.ClientErrors.Add(1)
+		WriteJSON(w, http.StatusUnprocessableEntity, resp)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleAnalyses(w http.ResponseWriter, r *http.Request) {
-	s.analysesReqs.Add(1)
+	s.metrics.AnalysesRequests.Add(1)
 	if !requireMethod(w, r, http.MethodGet) {
 		return
 	}
-	writeJSON(w, http.StatusOK, driver.Analyses())
+	WriteJSON(w, http.StatusOK, driver.Analyses())
 }
 
 // healthzResponse is the liveness document. Status is "ok" or
@@ -783,25 +563,43 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if recent > 0 {
 		status = "degraded"
 	}
-	writeJSON(w, http.StatusOK, healthzResponse{
+	WriteJSON(w, http.StatusOK, healthzResponse{
 		Status:       status,
 		QueueDepth:   s.admit.queued.Load(),
 		RecentSheds:  recent,
-		InflightRuns: s.inflightRuns.Load(),
+		InflightRuns: s.metrics.InflightRuns.Load(),
 	})
 }
 
-// metricsSnapshot is the /metrics JSON document.
-type metricsSnapshot struct {
-	UptimeSeconds   float64 `json:"uptime_seconds"`
-	CompileRequests int64   `json:"compile_requests"`
-	RunRequests     int64   `json:"run_requests"`
-	VetRequests     int64   `json:"vet_requests"`
-	AnalysisReqs    int64   `json:"analyses_requests"`
-	ClientErrors    int64   `json:"client_errors"`
-	RunTimeouts     int64   `json:"run_timeouts"`
-	InflightRuns    int64   `json:"inflight_runs"`
-	MaxRuns         int     `json:"max_concurrent_runs"`
+// Metrics is the server's live counters; through its json tags it is
+// also the top level of the /metrics document, so a counter is declared
+// here once.
+type Metrics struct {
+	CompileRequests  obs.Counter `json:"compile_requests"`
+	RunRequests      obs.Counter `json:"run_requests"`
+	VetRequests      obs.Counter `json:"vet_requests"`
+	AnalysesRequests obs.Counter `json:"analyses_requests"`
+	ClientErrors     obs.Counter `json:"client_errors"`
+	RunTimeouts      obs.Counter `json:"run_timeouts"`
+	InflightRuns     obs.Counter `json:"inflight_runs"` // gauge
+
+	// Tenancy: refusals at the front door.
+	RateLimited obs.Counter `json:"rate_limited"`
+	AuthRefused obs.Counter `json:"auth_refused"`
+
+	// Crash-proofing: trap-coded run failures and handler panics
+	// absorbed by the recover middleware.
+	RunTraps        obs.Counter `json:"run_traps"`
+	PanicsRecovered obs.Counter `json:"panics_recovered"`
+}
+
+// MetricsDoc is the /metrics JSON document: the live counters (by
+// reference) plus what is configuration, owned by admission control or
+// the registry, or another layer's document.
+type MetricsDoc struct {
+	*Metrics
+	UptimeSeconds float64 `json:"uptime_seconds"`
+	MaxRuns       int     `json:"max_concurrent_runs"`
 
 	// Admission control: current waiters, the queue's capacity, and
 	// requests refused with 429 (cumulative).
@@ -809,46 +607,34 @@ type metricsSnapshot struct {
 	RunQueueMax   int   `json:"run_queue_max"`
 	RunsShed      int64 `json:"runs_shed"`
 
-	// Tenancy: refusals at the front door, the live key-file
-	// generation (0 = no registry), and per-tenant admission rows.
-	RateLimited      int64                `json:"rate_limited"`
-	AuthRefused      int64                `json:"auth_refused"`
+	// The live key-file generation (0 = no registry) and per-tenant
+	// admission rows.
 	TenantGeneration int64                `json:"tenant_generation,omitempty"`
 	Tenants          []TenantAdmissionRow `json:"tenants,omitempty"`
 
-	// Crash-proofing counters: trap-coded run failures (total and by
-	// code) and handler panics absorbed by the recover middleware.
-	RunTraps        int64            `json:"run_traps"`
-	Traps           map[string]int64 `json:"traps,omitempty"`
-	PanicsRecovered int64            `json:"panics_recovered"`
+	// Trap-coded run failures by code.
+	Traps map[string]int64 `json:"traps,omitempty"`
 
-	Driver driver.MetricsSnapshot `json:"driver"`
+	Driver driver.MetricsDoc `json:"driver"`
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodGet) {
 		return
 	}
-	writeJSON(w, http.StatusOK, metricsSnapshot{
+	s.trapMu.Lock()
+	traps := maps.Clone(s.traps)
+	s.trapMu.Unlock()
+	WriteJSON(w, http.StatusOK, MetricsDoc{
+		Metrics:          &s.metrics,
 		UptimeSeconds:    time.Since(s.startedAt).Seconds(),
-		CompileRequests:  s.compileReqs.Load(),
-		RunRequests:      s.runReqs.Load(),
-		VetRequests:      s.vetReqs.Load(),
-		AnalysisReqs:     s.analysesReqs.Load(),
-		ClientErrors:     s.clientErrors.Load(),
-		RunTimeouts:      s.runTimeouts.Load(),
-		InflightRuns:     s.inflightRuns.Load(),
 		MaxRuns:          s.cfg.MaxConcurrentRuns,
 		RunQueueDepth:    s.admit.queued.Load(),
 		RunQueueMax:      s.cfg.RunQueueSize,
 		RunsShed:         s.admit.shed.Load(),
-		RateLimited:      s.rateLimited.Load(),
-		AuthRefused:      s.authRefused.Load(),
 		TenantGeneration: s.cfg.Tenants.Generation(),
 		Tenants:          s.admit.tenantRows(),
-		RunTraps:         s.runTraps.Load(),
-		Traps:            s.trapSnapshot(),
-		PanicsRecovered:  s.panicsCaught.Load(),
+		Traps:            traps,
 		Driver:           s.d.MetricsSnapshot(),
 	})
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/driver"
+	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -100,14 +101,21 @@ func TestCompileMissThenHitReflectedInMetrics(t *testing.T) {
 		t.Fatal("cached artifact differs")
 	}
 
+	// The document type decodes its own JSON; the histograms (which only
+	// marshal) are read through their snapshot shape laid over it.
 	var m struct {
-		CompileRequests int64                  `json:"compile_requests"`
-		Driver          driver.MetricsSnapshot `json:"driver"`
+		server.MetricsDoc
+		Driver struct {
+			driver.MetricsDoc
+			ParseLatency   obs.HistogramSnapshot `json:"parse_latency"`
+			EmitLatency    obs.HistogramSnapshot `json:"emit_latency"`
+			CompileLatency obs.HistogramSnapshot `json:"compile_latency"`
+		} `json:"driver"`
 	}
 	if code := getJSON(t, ts.URL+"/metrics", &m); code != http.StatusOK {
 		t.Fatalf("/metrics: %d", code)
 	}
-	if m.CompileRequests != 2 || m.Driver.CompileHits != 1 || m.Driver.CompileMisses != 1 {
+	if m.CompileRequests.Load() != 2 || m.Driver.CompileHits.Load() != 1 || m.Driver.CompileMisses.Load() != 1 {
 		t.Fatalf("metrics: %+v", m)
 	}
 	// The warm request skipped every pipeline stage: stage histograms
@@ -147,11 +155,11 @@ func TestConcurrentIdenticalRequestsCompileOnce(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	m := d.Metrics().Snapshot()
-	if m.CompileExecutions != 1 {
-		t.Fatalf("pipeline executed %d times for %d identical concurrent requests", m.CompileExecutions, n)
+	m := d.MetricsSnapshot()
+	if m.CompileExecutions.Load() != 1 {
+		t.Fatalf("pipeline executed %d times for %d identical concurrent requests", m.CompileExecutions.Load(), n)
 	}
-	if m.CompileMisses != 1 || m.CompileHits+m.CompileCoalesced != n-1 {
+	if m.CompileMisses.Load() != 1 || m.CompileHits.Load()+m.CompileCoalesced.Load() != n-1 {
 		t.Fatalf("cache accounting: %+v", m)
 	}
 }
@@ -184,8 +192,8 @@ func TestRunTimeoutKeepsServerHealthy(t *testing.T) {
 	if got := strings.TrimSpace(ok["stdout"].(string)); got != "56" {
 		t.Fatalf("stdout = %q, want 56", got)
 	}
-	if m := d.Metrics().Snapshot(); m.RunsCancelled != 1 {
-		t.Fatalf("RunsCancelled = %d", m.RunsCancelled)
+	if m := d.MetricsSnapshot(); m.RunsCancelled.Load() != 1 {
+		t.Fatalf("RunsCancelled = %d", m.RunsCancelled.Load())
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/driver"
+	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/vet"
 )
@@ -60,22 +61,25 @@ func TestVetRejectsShapeMismatchWithStructuredFinding(t *testing.T) {
 	}
 
 	var m struct {
-		VetRequests  int64                  `json:"vet_requests"`
-		ClientErrors int64                  `json:"client_errors"`
-		Driver       driver.MetricsSnapshot `json:"driver"`
+		server.MetricsDoc
+		Driver struct {
+			driver.MetricsDoc
+			VetLatency  obs.HistogramSnapshot `json:"vet_latency"`
+			VetAnalysis obs.HistogramSnapshot `json:"vet_analysis_latency"`
+		} `json:"driver"`
 	}
 	if code := getJSON(t, ts.URL+"/metrics", &m); code != http.StatusOK {
 		t.Fatalf("/metrics: %d", code)
 	}
-	if m.VetRequests != 2 || m.ClientErrors != 2 {
-		t.Fatalf("vet_requests=%d client_errors=%d, want 2 and 2", m.VetRequests, m.ClientErrors)
+	if m.VetRequests.Load() != 2 || m.ClientErrors.Load() != 2 {
+		t.Fatalf("vet_requests=%d client_errors=%d, want 2 and 2", m.VetRequests.Load(), m.ClientErrors.Load())
 	}
-	if m.Driver.VetRuns != 2 || m.Driver.VetHits != 1 || m.Driver.VetMisses != 1 {
+	if m.Driver.VetRuns.Load() != 2 || m.Driver.VetHits.Load() != 1 || m.Driver.VetMisses.Load() != 1 {
 		t.Fatalf("driver vet metrics: runs=%d hits=%d misses=%d",
-			m.Driver.VetRuns, m.Driver.VetHits, m.Driver.VetMisses)
+			m.Driver.VetRuns.Load(), m.Driver.VetHits.Load(), m.Driver.VetMisses.Load())
 	}
-	if m.Driver.VetFindings != 1 {
-		t.Fatalf("vet_findings_total = %d, want 1", m.Driver.VetFindings)
+	if m.Driver.VetFindings.Load() != 1 {
+		t.Fatalf("vet_findings_total = %d, want 1", m.Driver.VetFindings.Load())
 	}
 	if m.Driver.VetLatency.Count != 2 || m.Driver.VetAnalysis.Count != 1 {
 		t.Fatalf("vet latency counts: whole=%d analysis=%d",

@@ -415,7 +415,7 @@ func (f *fnc) compileCast(e *ast.CastExpr) (int32, class) {
 			}
 		}
 	}
-	// Boxed operand or non-scalar target: the dynamic castScalar path
+	// Boxed operand or non-scalar target: the dynamic CastScalar path
 	// carries the tree walker's "cannot cast %T to %s" error.
 	dst := f.reg()
 	rcl := classOf(f.c.info.TypeOf(e))
