@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/interp"
@@ -315,5 +316,60 @@ func BenchmarkKernelWithCompiled(b *testing.B) {
 	}
 	if !ok {
 		b.Log("no engine variant ran (benchtime 0?)")
+	}
+}
+
+// foldWholeSrc folds the whole of one matrix, reps times: the program
+// FoldFlat's whole-matrix single-load branch exists for. PR 20 measured
+// it against the strip walk of the same cells and kept it (EXPERIMENTS.md
+// E19).
+const foldWholeSrc = `
+int main() {
+	int n = %d;
+	Matrix float <2> c;
+	c = with ([0, 0] <= [i, j] < [n, n]) genarray([n, n], 0.37 * i - 0.11 * j + 1.0 / (1.0 + i + j));
+	float total = 0.0;
+	for (int r = 0; r < %d; r++) {
+		total = with ([0, 0] <= [i, j] < [n, n]) fold(+, 0.0, c[i, j]);
+	}
+	print(total);
+	return 0;
+}
+`
+
+// BenchmarkFoldWholeMatrix: fold(+, 0.0, c[i, j]) over all of c at 256²
+// and 1024², on one thread and on two, in ns per folded cell. What it
+// prints pins the sum's bits: %g is the shortest text that reads back
+// as the same float64.
+func BenchmarkFoldWholeMatrix(b *testing.B) {
+	for _, size := range []struct {
+		n, reps int
+		want    [2]string // threads 1, threads 2
+	}{
+		{256, 256, [2]string{"2.1728727918447386e+06", "2.1728727918447196e+06"}},
+		{1024, 16, [2]string{"1.394515413055465e+08", "1.3945154130554724e+08"}},
+	} {
+		bp := compileBench(b, fmt.Sprintf(foldWholeSrc, size.n, size.reps))
+		if bp.vmp.WithCompiled() != 2 {
+			b.Fatalf("expected both with-loops compiled flat, got %d", bp.vmp.WithCompiled())
+		}
+		for threads := 1; threads <= 2; threads++ {
+			b.Run(fmt.Sprintf("%dx%d/threads_%d", size.n, size.n, threads), func(b *testing.B) {
+				var out strings.Builder
+				for i := 0; i < b.N; i++ {
+					out.Reset()
+					it := interp.New(bp.prog, bp.info, interp.Options{Threads: threads, Stdout: &out})
+					_, err := vm.NewMachine(bp.vmp, it).Run()
+					it.Close()
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				if got := strings.TrimSpace(out.String()); got != size.want[threads-1] {
+					b.Fatalf("sum = %s, want %s", got, size.want[threads-1])
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(size.reps*size.n*size.n), "ns/cell")
+			})
+		}
 	}
 }

@@ -94,8 +94,8 @@ var ladderRungs = []ladderRung{
 	{"counter_blocked", "spawn + shared counter handing out blocks: par.ParallelChunksCtx itself, the shipped rung", true, func(workers int) (forRange, func()) {
 		p := par.NewPool(workers)
 		return func(n, block int, body func(lo, hi int)) {
-			_ = p.ParallelChunksCtx(context.Background(), (n+block-1)/block, func(c int) error {
-				body(c*block, min(c*block+block, n))
+			_ = p.ParallelChunksCtx(context.Background(), n, block, func(lo, hi int) error {
+				body(lo, hi)
 				return nil
 			})
 		}, func() {}
@@ -594,7 +594,7 @@ var gridKernels = []gridKernel{
 			m.Floats()[s*48] = -1
 		}
 		return func(x matrix.Exec) (*matrix.Matrix, error) {
-			return matrix.MatrixMapExec(m, []int{1}, matrix.Float, func(sub *matrix.Matrix) (*matrix.Matrix, error) {
+			return matrix.MatrixMapExec(m, []int{1}, matrix.Float, false, func(sub *matrix.Matrix, store func(*matrix.Matrix) error) error {
 				out := matrix.New(matrix.Float, 48)
 				in, o := sub.Floats(), out.Floats()
 				copy(o, in)
@@ -607,7 +607,7 @@ var gridKernels = []gridKernel{
 						o[k] = 0.5*o[k] + 0.25*(o[k-1]+in[k+1])
 					}
 				}
-				return out, nil
+				return store(out)
 			}, x)
 		}
 	})},

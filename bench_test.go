@@ -166,7 +166,14 @@ func BenchmarkE5_MatrixMapConnComp(b *testing.B) {
 	}
 	b.Run("matrixMap", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := matrix.MatrixMapExec(ssh, []int{0, 1}, matrix.Int, label, matrix.Exec{}); err != nil {
+			mapF := func(sub *matrix.Matrix, store func(*matrix.Matrix) error) error {
+				res, err := label(sub)
+				if err != nil {
+					return err
+				}
+				return store(res)
+			}
+			if _, err := matrix.MatrixMapExec(ssh, []int{0, 1}, matrix.Int, false, mapF, matrix.Exec{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,39 +1,36 @@
 #!/usr/bin/env bash
 # ci.sh — the repo's check gate: formatting, go vet, staticcheck
 # (required; CM_SKIP_STATICCHECK=1 opts out offline), build, full
-# tests, a race-detector pass over the
+# tests, then the race detector, each package once: whole over the
 # crash-proofing layers (the fork-join runtime and its schedule tests,
-# matrix runtime, interpreter, server; the scaling ladder's rungs), a
-# race-enabled dual-engine differential pass (bytecode VM vs the
-# tree-walking oracle), a race pass over the frontend (scanner, LALR
-# driver, parser: concurrent parses share one table and its scanner
-# DFAs lock-free; attribute-grammar evaluator and sem: concurrent checks
-# share one composed grammar, and agree with the parent's evaluator on
-# the whole corpus), a race pass over the with-loop flat engine
-# (vet plans, the strip compiler and evaluator, VM flat execution, fused
-# chains on it), the gcc-guarded C back end pass (compiled Fig 8 / Fig 11
-# output and the vectorize stride regression against the interpreter),
-# the service contract under the race detector (the key list of all
-# three /metrics documents against its golden, cmrun's request body
-# through a real shard's strict decoder, gate- and shard-written
-# refusals as one error body), the
-# race-enabled fleet chaos suite (cmgate
-# routing under shard kill/restart/hang, and the gate's degraded
-# /healthz twenty times over), the race-enabled tenant
-# isolation suite (token buckets, noisy-neighbor chaos, key rotation),
-# a fuzz smoke over the frontend (never panics; FuzzScanDiff: the
-# generated scanner agrees with the reference NFA scanner), the cmvet
-# analyzer, the VM differential fuzzer, the consistent-hash ring and
-# the tenant key file parser, the vet findings manifest,
-# a one-shot benchmark smoke pass (E1 plus the compile-service
-# cold/warm pair), a self-relative scaling smoke when there are two
-# CPUs to scale on (no stored baseline: the shipped fork-join, through
-# the real kernels and the language, is never slower on two threads than
-# on one), and the bench/ module (its own go.mod, so the root
-# module's build and tests never reach it): vet, tests and two-second
-# smoke runs of all four workloads (compute_serial is the one that runs
-# the strip engine at one thread; a wrong output fails the run). Run
-# locally before pushing; the GitHub Actions workflow runs this script.
+# matrix runtime and its kernel differentials, interpreter, server and
+# its chaos suites, driver; the scaling ladder's rungs), rc, the
+# frontend (scanner, LALR driver, parser: concurrent parses share one
+# table and its scanner DFAs lock-free; attribute-grammar evaluator and
+# sem: concurrent checks share one composed grammar, and agree with the
+# parent's evaluator on the whole corpus), the with-loop flat engine's
+# halves outside matrix (vet plans, VM flat execution, fused chains),
+# cmrun's request body through a real shard's strict decoder, the fleet
+# (cmgate routing under shard kill/restart/hang, tenants and noisy
+# neighbors, the /metrics key list against its golden; the gate's
+# degraded /healthz twenty times over), the tenant registry, and the
+# dual-engine differential pass (bytecode VM vs the tree-walking
+# oracle). After those: the gcc-guarded C back end pass (compiled
+# Fig 8 / Fig 11 output and the vectorize stride regression against the
+# interpreter), a fuzz smoke over the frontend (never panics;
+# FuzzScanDiff: the generated scanner agrees with the reference NFA
+# scanner), the cmvet analyzer, the VM differential fuzzer, the
+# consistent-hash ring and the tenant key file parser, the vet findings
+# manifest, a one-shot benchmark smoke pass (E1 plus the
+# compile-service cold/warm pair), a self-relative scaling smoke when
+# there are two CPUs to scale on (no stored baseline: the shipped
+# fork-join, through the real kernels and the language, is never slower
+# on two threads than on one), and the bench/ module (its own go.mod,
+# so the root module's build and tests never reach it): vet, tests and
+# two-second smoke runs of all four workloads (compute_serial is the
+# one that runs the strip engine at one thread; a wrong output fails
+# the run). Run locally before pushing; the GitHub Actions workflow
+# runs this script.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -70,34 +67,29 @@ echo "== go test -race (crash-proofing + overload layers) =="
 go test -race ./internal/par ./internal/matrix ./internal/interp ./internal/server ./internal/driver
 go test -race -run '^TestLadderRungsVisitEachUnitOnce$' -count=1 .
 
-echo "== go test -race (kernel differential + integration suites) =="
-go test -race -run 'Kernel|Conv2D|FoldExec|Recycle|FreeList|SetOnFree' ./internal/matrix ./internal/interp ./internal/rc
+echo "== go test -race (rc) =="
+go test -race ./internal/rc
 
 echo "== go test -race (frontend: generated scanner + LALR driver off one shared table, AG evaluator + sem off one composed grammar) =="
 go test -race ./internal/lexer ./internal/grammar ./internal/parser
 go test -race ./internal/attr ./internal/sem
 go test -race -run 'TestSemMatchesParent|TestCheckSharesOneGrammar' -count=1 .
 
-echo "== with-loop flat engine (vet plans, strip compiler + evaluator, VM flat execution, fused chains, race) =="
-go test -race -run 'TestWithPlan|TestWithFlat|TestCompileWith|TestWithNested|TestWithStrip|TestChain' ./internal/vet ./internal/matrix ./internal/vm
+echo "== with-loop flat engine outside matrix (vet plans, VM flat execution, fused chains, race) =="
+go test -race -run 'TestWithPlan|TestWithFlat|TestCompileWith|TestWithNested|TestWithStrip|TestChain' ./internal/vet ./internal/vm
 
 echo "== C back end against the interpreter (gcc-guarded: Fig 8, Fig 11, vectorize stride regression) =="
 go test -run 'TestE3|TestFig8Compiled|TestVectorize' -count=1 ./internal/cgen
 
-echo "== service contract (metrics document keys, wire bodies; race) =="
-go test -race -run 'TestMetricsDocumentKeys|TestRefusalBodiesAreOneWireType|TestRunRemoteBodyPassesShardDecoder|TestArtifactRoundTripBetweenShards|TestSnapshotKernelCounters' -count=1 \
-    ./internal/server ./internal/fleet ./internal/driver ./cmd/cmrun
+echo "== service contract (cmrun's body through a shard's strict decoder; race) =="
+go test -race -run 'TestRunRemoteBodyPassesShardDecoder' -count=1 ./cmd/cmrun
 
-echo "== chaos suite (flood / drain / disk-cache recovery) =="
-go test -race -run 'TestChaos|TestCrash' ./internal/server
-
-echo "== fleet chaos suite (kill / restart / hang / slow shards under flood) =="
+echo "== fleet (chaos: kill / restart / hang / slow shards under flood; tenants; metrics keys) =="
 go test -race ./internal/fleet
 go test -race -run '^TestGateHealthzDegraded$' -count=20 ./internal/fleet
 
-echo "== tenant isolation (registry + buckets + noisy-neighbor chaos) =="
+echo "== tenant registry + buckets (race) =="
 go test -race ./internal/tenant
-go test -race -run 'TestChaosNoisyNeighborIsolation|TestChaosTenantKeyRotationLive|TestTenant|TestGateHeaderTrust' ./internal/fleet ./internal/server
 
 echo "== vm differential (bytecode engine vs tree-walking oracle) =="
 go test -race -run 'TestVMDifferential|TestVMStep' -count=1 .

@@ -83,8 +83,9 @@ func ScoreTS(ts []float64) []float64 {
 }
 
 // ScoreField applies ScoreTS along the time dimension (dim 2) of a
-// lat x lon x time SSH matrix, optionally in parallel on a pool —
-// the reference for Fig 8's matrixMap(scoreTS, data, [2]).
+// lat x lon x time SSH matrix, the cells distributed over the pool's
+// workers (nil = one) — the reference for Fig 8's matrixMap(scoreTS,
+// data, [2]).
 func ScoreField(ssh *matrix.Matrix, pool *par.Pool) (*matrix.Matrix, error) {
 	if ssh.Rank() != 3 || ssh.Elem() != matrix.Float {
 		return nil, fmt.Errorf("eddy: ScoreField requires a rank-3 float matrix")
@@ -94,19 +95,10 @@ func ScoreField(ssh *matrix.Matrix, pool *par.Pool) (*matrix.Matrix, error) {
 	out := matrix.New(matrix.Float, lat, lon, tn)
 	src := ssh.Floats()
 	dst := out.Floats()
-	scoreOne := func(cell int) {
+	pool.ParallelFor(0, lat*lon, func(cell int) {
 		base := cell * tn
-		ts := make([]float64, tn)
-		copy(ts, src[base:base+tn])
-		copy(dst[base:base+tn], ScoreTS(ts))
-	}
-	if pool == nil {
-		for cell := 0; cell < lat*lon; cell++ {
-			scoreOne(cell)
-		}
-		return out, nil
-	}
-	pool.ParallelFor(0, lat*lon, scoreOne)
+		copy(dst[base:base+tn], ScoreTS(src[base:base+tn]))
+	})
 	return out, nil
 }
 

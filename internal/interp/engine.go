@@ -26,9 +26,9 @@ import (
 	"repro/internal/types"
 )
 
-// Pool returns the interpreter's worker pool (nil when sequential);
-// engines pass it to Exec for outermost constructs and nil inside
-// nested parallel bodies.
+// Pool returns the interpreter's worker pool (nil at one thread, which
+// is par's one-worker pool); engines pass it to Exec for outermost
+// constructs and nil inside nested parallel bodies.
 func (i *Interp) Pool() *par.Pool { return i.pool }
 
 // Exec is the matrix-runtime execution environment: the supplied pool,

@@ -790,29 +790,22 @@ func (c *ctx) evalMatrixMap(e *ast.MatrixMap) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	mapF := func(sub *matrix.Matrix) (*matrix.Matrix, error) {
+	mapF := func(sub *matrix.Matrix, store func(*matrix.Matrix) error) error {
 		cc := c.child(c.frame, nil)
 		v, err := cc.callFunction(sig.Decl, []any{sub}, e)
-		if err != nil {
-			cc.releasePending(0)
-			return nil, err
+		if err == nil {
+			// The result is stored into the output before its escape
+			// reference is dropped: the release below may recycle it.
+			if res, ok := v.(*matrix.Matrix); ok && res != nil {
+				err = store(res)
+			} else {
+				err = Errorf(e, "matrixMap function %q returned %T, want a matrix", e.Fun, v)
+			}
 		}
-		res, ok := v.(*matrix.Matrix)
-		if !ok || res == nil {
-			cc.releasePending(0)
-			return nil, Errorf(e, "matrixMap function %q returned %T, want a matrix", e.Fun, v)
-		}
-		// The result is copied into the output before the escape
-		// reference is dropped, so this release is safe.
-		out := res.Copy()
 		cc.releasePending(0)
-		return out, nil
+		return err
 	}
-	if e.General {
-		out, err := matrix.MatrixMapGExec(m, dims, outElem, mapF, c.exec())
-		return out, WrapError(e, err)
-	}
-	out, err := matrix.MatrixMapExec(m, dims, outElem, mapF, c.exec())
+	out, err := matrix.MatrixMapExec(m, dims, outElem, e.General, mapF, c.exec())
 	return out, WrapError(e, err)
 }
 

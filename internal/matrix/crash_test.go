@@ -6,6 +6,7 @@ package matrix
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -164,10 +165,10 @@ func TestMatrixMapAbortsAfterFirstError(t *testing.T) {
 	bad := errors.New("poisoned sub-matrix")
 	var calls atomic.Int64
 	m := New(Float, 1000, 4)
-	_, err := MatrixMapExec(m, []int{1}, Float,
-		func(sub *Matrix) (*Matrix, error) {
+	_, err := MatrixMapExec(m, []int{1}, Float, false,
+		func(*Matrix, func(*Matrix) error) error {
 			calls.Add(1)
-			return nil, bad
+			return bad
 		}, Exec{Pool: pool})
 	if !errors.Is(err, bad) {
 		t.Fatalf("err = %v, want poisoned sub-matrix", err)
@@ -203,25 +204,150 @@ func TestGenArrayExecCancelled(t *testing.T) {
 	}
 }
 
-// A panic inside a with-loop body under a pool must surface as an
-// error (wrapping *par.PanicError), not crash the test process.
+// A panic inside a with-loop body must surface as an error (wrapping
+// *par.PanicError), not crash the test process — under a pool, and on
+// one worker too: every construct runs on par's driver, which isolates
+// the caller's share like a helper's.
 func TestGenArrayBodyPanicSurfacesAsError(t *testing.T) {
 	pool := par.NewPool(4)
-	_, err := GenArrayExec(Float, []int{0}, []int{100}, []int{100},
-		func(idx []int) (any, error) {
-			if idx[0] == 37 {
-				panic("body crash")
-			}
-			return float64(idx[0]), nil
-		}, Exec{Pool: pool})
+	crashing := func(idx []int) (any, error) {
+		if idx[0] == 37 {
+			panic("body crash")
+		}
+		return float64(idx[0]), nil
+	}
+	_, err := GenArrayExec(Float, []int{0}, []int{100}, []int{100}, crashing, Exec{Pool: pool})
 	var pe *par.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *par.PanicError", err)
+	}
+	for name, serial := range map[string]func() error{
+		"GenArrayExec": func() error {
+			_, err := GenArrayExec(Float, []int{0}, []int{100}, []int{100}, crashing, Exec{})
+			return err
+		},
+		"FoldExec": func() error {
+			_, err := FoldExec(FoldAdd, 0.0, []int{0}, []int{100}, crashing, Exec{})
+			return err
+		},
+		"MatrixMapExec": func() error {
+			_, err := MatrixMapExec(New(Float, 3, 4), []int{1}, Float, false,
+				func(*Matrix, func(*Matrix) error) error { panic("body crash") }, Exec{})
+			return err
+		},
+		"MatrixMapExec general, first application": func() error {
+			_, err := MatrixMapExec(New(Float, 3, 4), []int{1}, Float, true,
+				func(*Matrix, func(*Matrix) error) error { panic("body crash") }, Exec{})
+			return err
+		},
+	} {
+		var pe *par.PanicError
+		if err := serial(); !errors.As(err, &pe) || pe.Worker != 0 || pe.Value != "body crash" || !strings.Contains(string(pe.Stack), "crash_test.go") {
+			t.Errorf("%s on one worker: err = %v, want the *par.PanicError of worker 0 with the stack of the panic site", name, err)
+		}
 	}
 	// The pool stays usable.
 	m, err := GenArrayExec(Float, []int{0}, []int{10}, []int{10},
 		func(idx []int) (any, error) { return float64(idx[0]), nil }, Exec{Pool: pool})
 	if err != nil || m == nil {
 		t.Errorf("pool unusable after body panic: %v", err)
+	}
+}
+
+// One worker polls the context where the serial loops did, between two
+// rows (steps, applications, chunks): a context that dies inside row k
+// stops the construct after that row, nil pool and pool of one alike.
+func TestOneWorkerPollsBetweenRows(t *testing.T) {
+	const rows, dieIn = 100, 6
+	m := New(Float, rows, 4)
+	for _, pool := range []*par.Pool{nil, par.NewPool(1)} {
+		for name, construct := range map[string]func(x Exec, row func()) error{
+			"GenArrayExec": func(x Exec, row func()) error {
+				_, err := GenArrayExec(Float, []int{0}, []int{rows}, []int{rows},
+					func([]int) (any, error) { row(); return 0.0, nil }, x)
+				return err
+			},
+			"FoldExec": func(x Exec, row func()) error {
+				_, err := FoldExec(FoldAdd, 0.0, []int{0}, []int{rows},
+					func([]int) (any, error) { row(); return 0.0, nil }, x)
+				return err
+			},
+			"MatrixMapExec": func(x Exec, row func()) error {
+				_, err := MatrixMapExec(m, []int{1}, Float, false,
+					func(sub *Matrix, store func(*Matrix) error) error { row(); return store(sub) }, x)
+				return err
+			},
+			"MatrixMapExec general": func(x Exec, row func()) error {
+				_, err := MatrixMapExec(m, []int{1}, Float, true,
+					func(sub *Matrix, store func(*Matrix) error) error { row(); return store(sub) }, x)
+				return err
+			},
+			"runKernel": func(x Exec, row func()) error {
+				return runKernel(x, rows*8, 8, func(lo, hi int) error { row(); return nil })
+			},
+		} {
+			ctx, cancel := context.WithCancel(context.Background())
+			ran := 0
+			err := construct(Exec{Pool: pool, Ctx: ctx}, func() {
+				if ran++; ran == dieIn {
+					cancel()
+				}
+			})
+			cancel()
+			if !errors.Is(err, context.Canceled) || ran != dieIn {
+				t.Errorf("pool %v, %s: err %v after %d rows, want the cancellation after row %d", pool, name, err, ran, dieIn)
+			}
+		}
+	}
+}
+
+// matrixMap copies each result's cells into the output inside store, so
+// an engine may recycle the result as soon as store returns and makes no
+// copy of its own: the recycled buffer comes back as the next
+// application's result and the cells already stored stay right. The
+// map itself allocates the output, charged, and one sub-matrix an
+// application (Index makes them, outside the budget, as ever); the rest
+// is the callee's.
+func TestMatrixMapStoresBeforeRelease(t *testing.T) {
+	const rows, cols = 6, 2 * minReuseCells
+	m := New(Float, rows, cols)
+	for k := range m.f {
+		m.f[k] = float64(k)
+	}
+	for _, general := range []bool{false, true} {
+		for _, pool := range []*par.Pool{nil, par.NewPool(3)} {
+			DrainFreeLists()
+			ResetKernelStats()
+			budget := NewBudget(1 << 30)
+			x := Exec{Pool: pool, Budget: budget}
+			var allocated atomic.Int64
+			TestHookAllocFail = func(cells int) error { allocated.Add(int64(cells)); return nil }
+			out, err := MatrixMapExec(m, []int{1}, Float, general, func(sub *Matrix, store func(*Matrix) error) error {
+				res, err := BroadcastExec(OpMul, sub, 2.0, true, Exec{Budget: budget})
+				if err != nil {
+					return err
+				}
+				err = store(res)
+				res.Recycle() // what releasing the callee's frame does to its result
+				return err
+			}, x)
+			TestHookAllocFail = nil
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, v := range out.f {
+				if v != 2*m.f[k] {
+					t.Fatalf("general %v pool %v: out[%d] = %v, want %v", general, pool, k, v, 2*m.f[k])
+				}
+			}
+			if _, _, reused := KernelStats(); reused < rows/2 {
+				t.Errorf("general %v pool %v: %d of %d results came off the free list: nothing was recycled under the stores", general, pool, reused, rows)
+			}
+			const n = rows * cols // cells of m, of the output, of all results, of all sub-matrices
+			if allocated.Load() != 3*n || budget.Used() != 2*n {
+				t.Errorf("general %v pool %v: %d cells allocated, %d charged, want %d (output, results, sub-matrices) and %d (output, results)",
+					general, pool, allocated.Load(), budget.Used(), 3*n, 2*n)
+			}
+		}
 	}
 }

@@ -85,44 +85,27 @@ func newKernelOut(b *Budget, elem Elem, shape []int) (*Matrix, error) {
 }
 
 // runKernel executes body over [0, n) in chunks of at least grain
-// elements. With no pool (or too little work for two chunks) it runs
-// serially, polling the context between chunks; otherwise [0, n) is cut
-// into at most 4 spans a worker and the span list is the schedule: the
-// workers claim spans one at a time via ParallelChunksCtx, which
-// carries the cooperative abort flag, per-worker panic isolation, and
-// deadline polls between spans.
+// elements, claimed one at a time through par.ParallelChunksCtx, which
+// carries the cooperative abort flag, panic isolation and the deadline
+// poll between chunks. A kernel counts as serial, and runs on the
+// caller alone in chunks of exactly grain, when the pool has one worker
+// or there is too little work for two chunks; otherwise [0, n) is cut
+// into at most 4 spans a worker, and the span list is the schedule.
 func runKernel(x Exec, n, grain int, body func(lo, hi int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	if grain < 1 {
-		grain = 1
-	}
-	if x.Pool == nil || n < 2*grain {
+	grain = max(grain, 1)
+	pool := x.Pool
+	if pool.Workers() == 1 || n < 2*grain {
 		kernelSerialCount.Add(1)
-		for lo := 0; lo < n; lo += grain {
-			if err := x.cancelled(); err != nil {
-				return err
-			}
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			if err := body(lo, hi); err != nil {
-				return err
-			}
-		}
-		return nil
+		pool = nil
+	} else {
+		kernelParallelCount.Add(1)
+		chunks := min((n+grain-1)/grain, pool.Workers()*4)
+		grain = (n + chunks - 1) / chunks
 	}
-	kernelParallelCount.Add(1)
-	chunks := (n + grain - 1) / grain
-	if maxChunks := x.Pool.Workers() * 4; chunks > maxChunks {
-		chunks = maxChunks
-	}
-	span := (n + chunks - 1) / chunks
-	return x.Pool.ParallelChunksCtx(x.Ctx, (n+span-1)/span, func(c int) error {
-		return body(c*span, min(c*span+span, n))
-	})
+	return pool.ParallelChunksCtx(x.Ctx, n, grain, body)
 }
 
 // validateBinary checks an (op, elem, elem) combination and returns the

@@ -31,6 +31,19 @@ func TransposeExec(m *Matrix, x Exec) (*Matrix, error) {
 	if out.Size() == 0 {
 		return out, nil
 	}
+	if err := transposeInto(out, m, x, false); err != nil {
+		out.Recycle()
+		return nil, err
+	}
+	return out, nil
+}
+
+// transposeInto writes the transpose of the rank-2 m into every cell of
+// out, which has m's element type and its shape reversed, row bands of m
+// distributed through runKernel. A with-loop that is a transpose
+// (genarray) forks whenever the closure engine would: see poolGrain.
+func transposeInto(out, m *Matrix, x Exec, genarray bool) error {
+	rows, cols := m.shape[0], m.shape[1]
 	// Rows per parallel chunk, in whole tiles so chunks never share an
 	// output cache line along the tile boundary.
 	grainRows := 1
@@ -38,6 +51,9 @@ func TransposeExec(m *Matrix, x Exec) (*Matrix, error) {
 		grainRows = (ParallelGrain + cols - 1) / cols
 	}
 	grainRows = (grainRows + transposeBlock - 1) / transposeBlock * transposeBlock
+	if genarray {
+		grainRows = poolGrain(x, rows, grainRows)
+	}
 	var body func(lo, hi int) error
 	switch m.elem {
 	case Float:
@@ -50,11 +66,7 @@ func TransposeExec(m *Matrix, x Exec) (*Matrix, error) {
 		src, dst := m.b, out.b
 		body = func(lo, hi int) error { transposeTiles(dst, src, lo, hi, rows, cols); return nil }
 	}
-	if err := runKernel(x, rows, grainRows, body); err != nil {
-		out.Recycle()
-		return nil, err
-	}
-	return out, nil
+	return runKernel(x, rows, grainRows, body)
 }
 
 // transposeTiles writes dst[j*rows+i] = src[i*cols+j] for the row band
@@ -245,13 +257,13 @@ func ReduceAxisExec(kind FoldKind, m *Matrix, axis int, x Exec) (*Matrix, error)
 	if m.elem == Int {
 		src, dst := m.i, out.i
 		body = func(olo, ohi int) error {
-			reduceBlocks(kind, dst, src, olo, ohi, axisN, inner, reduceIdentInt(kind))
+			reduceBlocks(kind, dst, src, olo, ohi, axisN, inner, foldIdentInt(kind))
 			return nil
 		}
 	} else {
 		src, dst := m.f, out.f
 		body = func(olo, ohi int) error {
-			reduceBlocks(kind, dst, src, olo, ohi, axisN, inner, reduceIdentFloat(kind))
+			reduceBlocks(kind, dst, src, olo, ohi, axisN, inner, foldIdentFloat(kind))
 			return nil
 		}
 	}
@@ -262,28 +274,12 @@ func ReduceAxisExec(kind FoldKind, m *Matrix, axis int, x Exec) (*Matrix, error)
 	return out, nil
 }
 
-// reduceIdentInt / reduceIdentFloat are the empty-axis results for the
-// total fold operators (min/max of an empty axis were rejected before
-// allocation).
-func reduceIdentInt(kind FoldKind) int64 {
-	if kind == FoldMul {
-		return 1
-	}
-	return 0
-}
-
-func reduceIdentFloat(kind FoldKind) float64 {
-	if kind == FoldMul {
-		return 1
-	}
-	return 0
-}
-
 // reduceBlocks reduces outer blocks [olo, ohi): block o covers source
 // cells [o*axisN*inner, (o+1)*axisN*inner) and output cells
-// [o*inner, (o+1)*inner). Axis elements combine in ascending order —
-// the same order as ReduceAxisRef — so float sums are bit-identical to
-// the oracle.
+// [o*inner, (o+1)*inner); ident is the result over an empty axis (min
+// and max of one were rejected before allocation). Axis elements combine
+// in ascending order — the same order as ReduceAxisRef — so float sums
+// are bit-identical to the oracle.
 func reduceBlocks[T int64 | float64](kind FoldKind, dst, src []T, olo, ohi, axisN, inner int, ident T) {
 	for o := olo; o < ohi; o++ {
 		d := dst[o*inner : (o+1)*inner]

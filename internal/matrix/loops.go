@@ -1,38 +1,44 @@
-// Parallel execution of the with-loop (genarray and fold) and
-// matrixMap constructs (§III-A.4, §III-A.5, §III-C). The outermost
-// generated dimension is distributed over the fork-join pool; a nil
-// pool runs sequentially, which the interpreter uses for nested
-// parallel constructs (matching the generated C, which parallelizes
-// the outermost construct only).
+// The closure engine of the with-loop (genarray and fold) and matrixMap
+// constructs (§III-A.4, §III-A.5, §III-C): a row of the outermost
+// generated dimension is produced by calling back into the evaluator
+// per element. How rows are distributed, polled, aborted and folded is
+// par's: every construct here hands par.ParallelForCtx or par.Fold a
+// row function and x.Pool, and a nil pool is the one-worker pool — the
+// interpreter passes it to nested constructs, matching the generated C,
+// which parallelizes the outermost construct only.
 //
 // Every construct takes an Exec describing its execution environment:
 // pool, allocation budget and cancellation context. The first body
-// error, recovered worker panic, or deadline expiry aborts the
-// remaining iteration space cooperatively (per-row abort-flag and
-// context polls), so a poisoned row cannot keep the pool grinding
-// through millions of doomed iterations.
+// error, recovered body panic, or deadline expiry aborts the remaining
+// iteration space cooperatively (per-row abort-flag and context polls),
+// so a poisoned row cannot keep the pool grinding through millions of
+// doomed iterations.
 package matrix
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/par"
 )
 
 // Exec is the execution environment threaded through the parallel
-// constructs: Pool distributes the outermost dimension (nil =
-// sequential), Budget caps allocations (nil = unlimited), and Ctx is
-// polled between rows so a deadline is observed mid-construct (nil =
-// never cancelled). The zero Exec is sequential and unbounded.
+// constructs: Pool is the worker count the outermost dimension is
+// distributed over (nil = one worker, the caller), Budget caps
+// allocations (nil = unlimited), and Ctx is polled between rows so a
+// deadline is observed mid-construct (nil = never cancelled). There is
+// one driver and one fold behind every construct, both in par; the zero
+// Exec runs them on one worker, unbounded.
 type Exec struct {
 	Pool   *par.Pool
 	Budget *Budget
 	Ctx    context.Context
 }
 
-// cancelled polls the context without blocking.
+// cancelled polls the context without blocking, for the polls a
+// construct makes inside a row; between rows par polls.
 func (x Exec) cancelled() error {
 	if x.Ctx == nil {
 		return nil
@@ -43,6 +49,22 @@ func (x Exec) cancelled() error {
 	default:
 		return nil
 	}
+}
+
+// workerIdx holds one index buffer of rank ints a worker of a pool.
+// Bodies write their buffer per element, so the buffers lie more than a
+// cache line apart.
+type workerIdx struct {
+	buf  []int
+	rank int
+}
+
+func newWorkerIdx(pool *par.Pool, rank int) workerIdx {
+	return workerIdx{buf: make([]int, (rank+8)*pool.Workers()), rank: rank}
+}
+
+func (w workerIdx) of(worker int) []int {
+	return w.buf[worker*(w.rank+8):][:w.rank:w.rank]
 }
 
 // BodyFunc computes a with-loop body value at one generator index.
@@ -77,9 +99,11 @@ func GenArrayExec(elem Elem, lower, upper, shape []int, body BodyFunc, x Exec) (
 		return out, nil
 	}
 	rank := len(lower)
-	// runRow fills row i0 of the box through body, walking the inner
+	idxs := newWorkerIdx(x.Pool, rank)
+	// A row of the box is filled through body, walking the inner
 	// dimensions with an odometer over idx and the running output offset.
-	runRow := func(i0 int, idx []int) error {
+	err = x.Pool.ParallelForCtx(x.Ctx, lower[0], upper[0], func(worker, i0 int) error {
+		idx := idxs.of(worker)
 		copy(idx, lower)
 		idx[0] = i0
 		off := i0 * out.strides[0]
@@ -111,22 +135,6 @@ func GenArrayExec(elem Elem, lower, upper, shape []int, body BodyFunc, x Exec) (
 				return nil
 			}
 		}
-	}
-	n0 := upper[0] - lower[0]
-	if x.Pool == nil || n0 < 2 {
-		idx := make([]int, rank)
-		for i0 := lower[0]; i0 < upper[0]; i0++ {
-			if err := x.cancelled(); err != nil {
-				return nil, err
-			}
-			if err := runRow(i0, idx); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	err = x.Pool.ParallelForCtx(x.Ctx, lower[0], upper[0], func(i0 int) error {
-		return runRow(i0, make([]int, rank))
 	})
 	if err != nil {
 		return nil, err
@@ -307,13 +315,12 @@ func foldCombine(kind FoldKind, a, b any) (any, error) {
 }
 
 // FoldExec reduces body over the generator box with the associative
-// operator, starting from base. When a pool is supplied the outermost
-// dimension is folded in per-worker partials over a static block
-// partition — a pure function of (rows, workers), so a float fold
-// returns the same bits on every run — combined in worker order after
-// the join; valid because the fold operators are associative and
-// commutative. The first row error aborts the other workers' remaining
-// rows through the construct's abort flag.
+// operator, starting from base: par.Fold over the rows of the outermost
+// dimension, each folded element by element. With more than one worker
+// the rows are folded in per-worker partials seeded with the identity
+// and combined onto base in worker order — valid because the fold
+// operators are associative and commutative, and a pure function of
+// (rows, workers), so a float fold returns the same bits on every run.
 func FoldExec(kind FoldKind, base any, lower, upper []int, body BodyFunc, x Exec) (any, error) {
 	if len(lower) != len(upper) {
 		return nil, fmt.Errorf("matrix: fold generator rank mismatch")
@@ -321,27 +328,29 @@ func FoldExec(kind FoldKind, base any, lower, upper []int, body BodyFunc, x Exec
 	if len(lower) == 0 {
 		return base, nil
 	}
-	// Each goroutine folds rows through its own folder so the index
-	// buffer is allocated once, not per row (bodies receive idx for the
-	// duration of one call only).
+	ident, err := foldIdentity(kind, base)
+	if err != nil {
+		return nil, err
+	}
 	rank := len(lower)
-	newRowFolder := func() func(i0 int, acc *foldAcc) error {
-		idx := make([]int, rank)
-		return func(i0 int, acc *foldAcc) error {
+	idxs := newWorkerIdx(x.Pool, rank)
+	acc, err := par.Fold(x.Pool, x.Ctx, lower[0], upper[0], 1, newFoldAcc(kind, base), newFoldAcc(kind, ident),
+		func(worker int, acc foldAcc, i0, _ int) (foldAcc, error) {
+			idx := idxs.of(worker)
 			copy(idx, lower)
 			idx[0] = i0
 			for d := 1; d < rank; d++ {
 				if lower[d] >= upper[d] {
-					return nil
+					return acc, nil
 				}
 			}
 			for {
 				v, err := body(idx)
 				if err != nil {
-					return err
+					return acc, err
 				}
 				if err := acc.combine(v); err != nil {
-					return err
+					return acc, err
 				}
 				d := rank - 1
 				for ; d >= 1; d-- {
@@ -352,70 +361,16 @@ func FoldExec(kind FoldKind, base any, lower, upper []int, body BodyFunc, x Exec
 					idx[d] = lower[d]
 				}
 				if d < 1 {
-					return nil
+					return acc, nil
 				}
 			}
-		}
-	}
-	n0 := upper[0] - lower[0]
-	if x.Pool == nil || n0 < 2 {
-		acc := newFoldAcc(kind, base)
-		foldRow := newRowFolder()
-		for i0 := lower[0]; i0 < upper[0]; i0++ {
-			if err := x.cancelled(); err != nil {
-				return nil, err
-			}
-			if err := foldRow(i0, &acc); err != nil {
-				return nil, err
-			}
-		}
-		return acc.value(), nil
-	}
-	// Parallel: per-worker partials seeded with the identity; base is
-	// combined exactly once at the end. A worker whose chunk is empty
-	// contributes nothing.
-	ident, err := foldIdentity(kind, base)
+		},
+		func(a, part foldAcc) (foldAcc, error) {
+			err := a.combine(part.value())
+			return a, err
+		})
 	if err != nil {
 		return nil, err
-	}
-	partials := make([]any, x.Pool.Workers())
-	err = x.Pool.RunErr(func(c *par.Construct, worker, workers int) error {
-		chunk := (n0 + workers - 1) / workers
-		start := lower[0] + worker*chunk
-		end := start + chunk
-		if end > upper[0] {
-			end = upper[0]
-		}
-		if start >= end {
-			return nil
-		}
-		acc := newFoldAcc(kind, ident)
-		foldRow := newRowFolder()
-		for i0 := start; i0 < end; i0++ {
-			if c.Aborted() {
-				return nil
-			}
-			if err := x.cancelled(); err != nil {
-				return err
-			}
-			if err := foldRow(i0, &acc); err != nil {
-				return err
-			}
-		}
-		partials[worker] = acc.value()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	acc := newFoldAcc(kind, base)
-	for _, pv := range partials {
-		if pv == nil {
-			continue
-		}
-		if err := acc.combine(pv); err != nil {
-			return nil, err
-		}
 	}
 	return acc.value(), nil
 }
@@ -461,8 +416,11 @@ func foldIdentFloat(kind FoldKind) float64 {
 	return 0
 }
 
-// MapFunc applies a user function to one sub-matrix in matrixMap.
-type MapFunc func(sub *Matrix) (*Matrix, error)
+// MapFunc applies a user function to one sub-matrix in matrixMap and
+// hands the result to store, which copies its cells into the output:
+// the caller may release (and so recycle) the result once store has
+// returned, and needs no copy of its own to make it outlive that.
+type MapFunc func(sub *Matrix, store func(res *Matrix) error) error
 
 // MatrixMapExec implements matrixMap(f, m, dims) (§III-A.5): f is
 // applied to the sub-matrix spanned by dims at every combination of
@@ -470,43 +428,53 @@ type MapFunc func(sub *Matrix) (*Matrix, error)
 // pool — and the results are reassembled into a matrix of m's shape
 // ("the result is always the same size and rank as the matrix getting
 // mapped over"). outElem is the element type of f's results.
-func MatrixMapExec(m *Matrix, dims []int, outElem Elem, f MapFunc, x Exec) (*Matrix, error) {
+//
+// general selects matrixMapG, the generalization the paper describes as
+// in development ("a generalization of this extension that removes this
+// restriction is being developed", §III-A.5): the mapped function may
+// return sub-matrices of a different size than it was given. The
+// output's mapped-dimension sizes are then discovered from the first
+// application, which runs alone before the others and before the output
+// is charged; every application must agree (checked at runtime).
+func MatrixMapExec(m *Matrix, dims []int, outElem Elem, general bool, f MapFunc, x Exec) (*Matrix, error) {
+	name := "matrixMap"
+	if general {
+		name = "matrixMapG"
+	}
 	rank := m.Rank()
-	isMapped := make([]bool, rank)
-	for _, d := range dims {
+	for k, d := range dims {
 		if d < 0 || d >= rank {
-			return nil, fmt.Errorf("matrix: matrixMap dimension %d out of range for rank %d", d, rank)
+			return nil, fmt.Errorf("matrix: %s dimension %d out of range for rank %d", name, d, rank)
 		}
-		if isMapped[d] {
-			return nil, fmt.Errorf("matrix: duplicate matrixMap dimension %d", d)
+		if slices.Contains(dims[:k], d) {
+			return nil, fmt.Errorf("matrix: duplicate %s dimension %d", name, d)
 		}
-		isMapped[d] = true
 	}
 	var iterDims []int
 	for d := 0; d < rank; d++ {
-		if !isMapped[d] {
+		if !slices.Contains(dims, d) {
 			iterDims = append(iterDims, d)
 		}
 	}
 	if len(iterDims) == 0 || len(dims) == 0 {
-		return nil, fmt.Errorf("matrix: matrixMap must keep between 1 and rank-1 dimensions")
+		return nil, fmt.Errorf("matrix: %s must keep between 1 and rank-1 dimensions", name)
 	}
-	out, err := NewBudgeted(x.Budget, outElem, m.shape...)
-	if err != nil {
-		return nil, err
+	var out *Matrix
+	var err error
+	if !general {
+		if out, err = NewBudgeted(x.Budget, outElem, m.shape...); err != nil {
+			return nil, err
+		}
 	}
 	// Enumerate the iteration space linearly so the pool can split it.
 	iterSize := 1
 	for _, d := range iterDims {
 		iterSize *= m.shape[d]
 	}
-	var wantShape []int
-	for _, d := range dims {
-		wantShape = append(wantShape, m.shape[d])
-	}
-	runOne := func(it int) error {
+	specsOf := make([]IndexSpec, rank*x.Pool.Workers()) // rank a worker
+	apply := func(worker, it int) error {
 		// decode iteration index -> positions of the iterated dims
-		specs := make([]IndexSpec, rank)
+		specs := specsOf[worker*rank:][:rank:rank]
 		rem := it
 		for k := len(iterDims) - 1; k >= 0; k-- {
 			d := iterDims[k]
@@ -516,157 +484,60 @@ func MatrixMapExec(m *Matrix, dims []int, outElem Elem, f MapFunc, x Exec) (*Mat
 		for _, d := range dims {
 			specs[d] = All()
 		}
-		subAny, err := m.Index(specs...)
+		sub, err := m.Index(specs...)
 		if err != nil {
 			return err
 		}
-		sub := subAny.(*Matrix)
-		res, err := f(sub)
-		if err != nil {
-			return err
-		}
-		if res.Rank() != len(dims) {
-			return fmt.Errorf("matrix: matrixMap function returned rank %d, want %d", res.Rank(), len(dims))
-		}
-		for k, d := range dims {
-			if res.shape[k] != m.shape[d] {
+		return f(sub.(*Matrix), func(res *Matrix) error {
+			if res.Rank() != len(dims) {
+				return fmt.Errorf("matrix: %s function returned rank %d, want %d", name, res.Rank(), len(dims))
+			}
+			if res.elem != outElem {
+				return fmt.Errorf("matrix: %s function returned %s elements, want %s", name, res.elem, outElem)
+			}
+			if out == nil {
+				outShape := m.Shape()
+				for k, d := range dims {
+					outShape[d] = res.shape[k]
+				}
+				o, err := NewBudgeted(x.Budget, outElem, outShape...)
+				if err != nil {
+					return err
+				}
+				out = o
+			}
+			for k, d := range dims {
+				if res.shape[k] == out.shape[d] {
+					continue
+				}
+				if general {
+					return fmt.Errorf("matrix: matrixMapG applications disagree on result size (%v vs %v along dimension %d)",
+						res.shape[k], out.shape[d], d)
+				}
+				wantShape := make([]int, len(dims))
+				for k, d := range dims {
+					wantShape[k] = m.shape[d]
+				}
 				return fmt.Errorf("matrix: matrixMap function changed dimension size %v -> %v (result must have the mapped dimensions' sizes %v)",
 					m.shape[d], res.shape[k], wantShape)
 			}
-		}
-		if res.elem != outElem {
-			return fmt.Errorf("matrix: matrixMap function returned %s elements, want %s", res.elem, outElem)
-		}
-		return out.SetIndex(res, specs...)
+			// The iterated positions are valid in out (same sizes there);
+			// the All() specs resolve against out's own mapped sizes.
+			return out.SetIndex(res, specs...)
+		})
 	}
-	if x.Pool == nil || iterSize < 2 {
-		for it := 0; it < iterSize; it++ {
-			if err := x.cancelled(); err != nil {
-				return nil, err
-			}
-			if err := runOne(it); err != nil {
-				return nil, err
-			}
+	first := 0
+	if general {
+		first = min(1, iterSize)
+		if err := x.Pool.ParallelForCtx(x.Ctx, 0, first, apply); err != nil {
+			return nil, err
 		}
-		return out, nil
 	}
-	if err := x.Pool.ParallelForCtx(x.Ctx, 0, iterSize, runOne); err != nil {
+	if err := x.Pool.ParallelForCtx(x.Ctx, first, iterSize, apply); err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-// MatrixMapGExec is the generalized matrixMap the paper describes as
-// in development ("a generalization of this extension that removes
-// this restriction is being developed", §III-A.5): the mapped function
-// may return sub-matrices of a different size than it was given. The
-// output's mapped-dimension sizes are discovered from the first
-// application; every application must agree (checked at runtime).
-func MatrixMapGExec(m *Matrix, dims []int, outElem Elem, f MapFunc, x Exec) (*Matrix, error) {
-	rank := m.Rank()
-	isMapped := make([]bool, rank)
-	for _, d := range dims {
-		if d < 0 || d >= rank {
-			return nil, fmt.Errorf("matrix: matrixMapG dimension %d out of range for rank %d", d, rank)
-		}
-		if isMapped[d] {
-			return nil, fmt.Errorf("matrix: duplicate matrixMapG dimension %d", d)
-		}
-		isMapped[d] = true
-	}
-	var iterDims []int
-	for d := 0; d < rank; d++ {
-		if !isMapped[d] {
-			iterDims = append(iterDims, d)
-		}
-	}
-	if len(iterDims) == 0 || len(dims) == 0 {
-		return nil, fmt.Errorf("matrix: matrixMapG must keep between 1 and rank-1 dimensions")
-	}
-	iterSize := 1
-	for _, d := range iterDims {
-		iterSize *= m.shape[d]
-	}
-	specsFor := func(it int) []IndexSpec {
-		specs := make([]IndexSpec, rank)
-		rem := it
-		for k := len(iterDims) - 1; k >= 0; k-- {
-			d := iterDims[k]
-			specs[d] = Scalar(rem % m.shape[d])
-			rem /= m.shape[d]
-		}
-		for _, d := range dims {
-			specs[d] = All()
-		}
-		return specs
-	}
-	apply := func(it int) (*Matrix, error) {
-		subAny, err := m.Index(specsFor(it)...)
-		if err != nil {
-			return nil, err
-		}
-		res, err := f(subAny.(*Matrix))
-		if err != nil {
-			return nil, err
-		}
-		if res.Rank() != len(dims) {
-			return nil, fmt.Errorf("matrix: matrixMapG function returned rank %d, want %d", res.Rank(), len(dims))
-		}
-		if res.elem != outElem {
-			return nil, fmt.Errorf("matrix: matrixMapG function returned %s elements, want %s", res.elem, outElem)
-		}
-		return res, nil
-	}
-	if iterSize == 0 {
+	if out == nil { // matrixMapG over no applications
 		return NewBudgeted(x.Budget, outElem, m.shape...)
-	}
-	// Discover the output's mapped-dimension sizes from application 0.
-	first, err := apply(0)
-	if err != nil {
-		return nil, err
-	}
-	outShape := m.Shape()
-	for k, d := range dims {
-		outShape[d] = first.shape[k]
-	}
-	out, err := NewBudgeted(x.Budget, outElem, outShape...)
-	if err != nil {
-		return nil, err
-	}
-	store := func(it int, res *Matrix) error {
-		for k, d := range dims {
-			if res.shape[k] != out.shape[d] {
-				return fmt.Errorf("matrix: matrixMapG applications disagree on result size (%v vs %v along dimension %d)",
-					res.shape[k], out.shape[d], d)
-			}
-		}
-		// The iterated positions are valid in out (same sizes there);
-		// the All() specs resolve against out's own mapped sizes.
-		return out.SetIndex(res, specsFor(it)...)
-	}
-	if err := store(0, first); err != nil {
-		return nil, err
-	}
-	runOne := func(it int) error {
-		res, err := apply(it)
-		if err != nil {
-			return err
-		}
-		return store(it, res)
-	}
-	if x.Pool == nil || iterSize < 3 {
-		for it := 1; it < iterSize; it++ {
-			if err := x.cancelled(); err != nil {
-				return nil, err
-			}
-			if err := runOne(it); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	if err := x.Pool.ParallelForCtx(x.Ctx, 1, iterSize, runOne); err != nil {
-		return nil, err
 	}
 	return out, nil
 }

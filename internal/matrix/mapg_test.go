@@ -16,7 +16,7 @@ func TestMatrixMapGShrink(t *testing.T) {
 		}
 		return out.(*Matrix), nil
 	}
-	got, err := MatrixMapGExec(m, []int{1}, Float, half, Exec{})
+	got, err := MatrixMapExec(m, []int{1}, Float, true, storing(half), Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestMatrixMapGGrow(t *testing.T) {
 		}
 		return out, nil
 	}
-	got, err := MatrixMapGExec(m, []int{1}, Float, double, Exec{})
+	got, err := MatrixMapExec(m, []int{1}, Float, true, storing(double), Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,12 +58,12 @@ func TestMatrixMapGParallelMatchesSequential(t *testing.T) {
 		}
 		return out.(*Matrix), nil
 	}
-	seq, err := MatrixMapGExec(m, []int{2}, Float, half, Exec{})
+	seq, err := MatrixMapExec(m, []int{2}, Float, true, storing(half), Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool := par.NewPool(4)
-	parl, err := MatrixMapGExec(m, []int{2}, Float, half, Exec{Pool: pool})
+	parl, err := MatrixMapExec(m, []int{2}, Float, true, storing(half), Exec{Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestMatrixMapGInconsistent(t *testing.T) {
 		}
 		return out.(*Matrix), nil
 	}
-	if _, err := MatrixMapGExec(m, []int{1}, Float, varying, Exec{}); err == nil {
+	if _, err := MatrixMapExec(m, []int{1}, Float, true, storing(varying), Exec{}); err == nil {
 		t.Fatal("inconsistent result sizes must error")
 	}
 }
@@ -91,28 +91,28 @@ func TestMatrixMapGInconsistent(t *testing.T) {
 func TestMatrixMapGErrors(t *testing.T) {
 	m := seqFloat(3, 4)
 	id := func(sub *Matrix) (*Matrix, error) { return sub, nil }
-	if _, err := MatrixMapGExec(m, []int{0, 1}, Float, id, Exec{}); err == nil {
+	if _, err := MatrixMapExec(m, []int{0, 1}, Float, true, storing(id), Exec{}); err == nil {
 		t.Error("mapping all dims should error")
 	}
-	if _, err := MatrixMapGExec(m, nil, Float, id, Exec{}); err == nil {
+	if _, err := MatrixMapExec(m, nil, Float, true, storing(id), Exec{}); err == nil {
 		t.Error("no dims should error")
 	}
-	if _, err := MatrixMapGExec(m, []int{7}, Float, id, Exec{}); err == nil {
+	if _, err := MatrixMapExec(m, []int{7}, Float, true, storing(id), Exec{}); err == nil {
 		t.Error("bad dim should error")
 	}
-	if _, err := MatrixMapGExec(m, []int{1, 1}, Float, id, Exec{}); err == nil {
+	if _, err := MatrixMapExec(m, []int{1, 1}, Float, true, storing(id), Exec{}); err == nil {
 		t.Error("duplicate dim should error")
 	}
 	bad := func(sub *Matrix) (*Matrix, error) { return New(Float, 2, 2), nil }
-	if _, err := MatrixMapGExec(m, []int{1}, Float, bad, Exec{}); err == nil {
+	if _, err := MatrixMapExec(m, []int{1}, Float, true, storing(bad), Exec{}); err == nil {
 		t.Error("wrong-rank result should error")
 	}
 	wrongElem := func(sub *Matrix) (*Matrix, error) { return New(Int, 4), nil }
-	if _, err := MatrixMapGExec(m, []int{1}, Float, wrongElem, Exec{}); err == nil {
+	if _, err := MatrixMapExec(m, []int{1}, Float, true, storing(wrongElem), Exec{}); err == nil {
 		t.Error("wrong-elem result should error")
 	}
 	failing := func(sub *Matrix) (*Matrix, error) { return nil, fmt.Errorf("boom") }
-	if _, err := MatrixMapGExec(m, []int{1}, Float, failing, Exec{}); err == nil {
+	if _, err := MatrixMapExec(m, []int{1}, Float, true, storing(failing), Exec{}); err == nil {
 		t.Error("f's error should propagate")
 	}
 }

@@ -378,12 +378,24 @@ func TestFoldKinds(t *testing.T) {
 	}
 }
 
+// storing is the MapFunc of a function that owns nothing its result
+// needs: the result is stored as it is.
+func storing(f func(sub *Matrix) (*Matrix, error)) MapFunc {
+	return func(sub *Matrix, store func(*Matrix) error) error {
+		res, err := f(sub)
+		if err != nil {
+			return err
+		}
+		return store(res)
+	}
+}
+
 func TestMatrixMapSequential(t *testing.T) {
 	// double every element of each row vector (dims = [1])
 	m := seqFloat(3, 4)
-	out, err := MatrixMapExec(m, []int{1}, Float, func(sub *Matrix) (*Matrix, error) {
+	out, err := MatrixMapExec(m, []int{1}, Float, false, storing(func(sub *Matrix) (*Matrix, error) {
 		return BroadcastExec(OpMul, sub, 2.0, true, Exec{})
-	}, Exec{})
+	}), Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +413,7 @@ func TestMatrixMapEquivalentToExplicitLoop(t *testing.T) {
 	// Fig 5: matrixMap(f, ssh, [0,1]) ≡ loop over dim 2 applying f.
 	ssh := seqFloat(4, 5, 6)
 	f := func(sub *Matrix) (*Matrix, error) { return BroadcastExec(OpAdd, sub, 1.0, true, Exec{}) }
-	got, err := MatrixMapExec(ssh, []int{0, 1}, Float, f, Exec{})
+	got, err := MatrixMapExec(ssh, []int{0, 1}, Float, false, storing(f), Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,20 +433,20 @@ func TestMatrixMapEquivalentToExplicitLoop(t *testing.T) {
 func TestMatrixMapErrors(t *testing.T) {
 	m := seqFloat(3, 4)
 	double := func(sub *Matrix) (*Matrix, error) { return sub.Copy(), nil }
-	if _, err := MatrixMapExec(m, []int{0, 1}, Float, double, Exec{}); err == nil {
+	if _, err := MatrixMapExec(m, []int{0, 1}, Float, false, storing(double), Exec{}); err == nil {
 		t.Error("mapping all dims should error")
 	}
-	if _, err := MatrixMapExec(m, nil, Float, double, Exec{}); err == nil {
+	if _, err := MatrixMapExec(m, nil, Float, false, storing(double), Exec{}); err == nil {
 		t.Error("mapping no dims should error")
 	}
-	if _, err := MatrixMapExec(m, []int{5}, Float, double, Exec{}); err == nil {
+	if _, err := MatrixMapExec(m, []int{5}, Float, false, storing(double), Exec{}); err == nil {
 		t.Error("out-of-range dim should error")
 	}
-	if _, err := MatrixMapExec(m, []int{1, 1}, Float, double, Exec{}); err == nil {
+	if _, err := MatrixMapExec(m, []int{1, 1}, Float, false, storing(double), Exec{}); err == nil {
 		t.Error("duplicate dim should error")
 	}
 	bad := func(sub *Matrix) (*Matrix, error) { return New(Float, 2), nil }
-	if _, err := MatrixMapExec(m, []int{1}, Float, bad, Exec{}); err == nil {
+	if _, err := MatrixMapExec(m, []int{1}, Float, false, storing(bad), Exec{}); err == nil {
 		t.Error("size-changing function should error")
 	}
 }

@@ -399,9 +399,9 @@ func ReduceAxisRef(kind FoldKind, m *Matrix, axis int) (*Matrix, error) {
 			var acc any
 			if axisN == 0 {
 				if m.elem == Int {
-					acc = reduceIdentInt(kind)
+					acc = foldIdentInt(kind)
 				} else {
-					acc = reduceIdentFloat(kind)
+					acc = foldIdentFloat(kind)
 				}
 			} else {
 				acc = m.Get(o*axisN*inner + j)

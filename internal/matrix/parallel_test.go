@@ -3,6 +3,7 @@ package matrix
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -67,11 +68,11 @@ func TestParallelMatrixMapMatchesSequential(t *testing.T) {
 	pool := par.NewPool(4)
 	m := seqFloat(6, 5, 7)
 	f := func(sub *Matrix) (*Matrix, error) { return BroadcastExec(OpMul, sub, 3.0, true, Exec{}) }
-	seq, err := MatrixMapExec(m, []int{0, 1}, Float, f, Exec{})
+	seq, err := MatrixMapExec(m, []int{0, 1}, Float, false, storing(f), Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parl, err := MatrixMapExec(m, []int{0, 1}, Float, f, Exec{Pool: pool})
+	parl, err := MatrixMapExec(m, []int{0, 1}, Float, false, storing(f), Exec{Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,9 @@ func (*bodyErr) Error() string { return "body failure" }
 
 // With self-scheduling the span list runKernel cuts is the schedule:
 // the spans handed to the body are disjoint, cover [0, n) exactly once
-// and number at most four a worker.
+// and, where there are helpers to share them with, number at most four
+// a worker. One worker walks chunks of exactly grain, whose ends are
+// where it polls.
 func TestRunKernelSpansCoverOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8} {
 		pool := par.NewPool(workers)
@@ -170,7 +173,10 @@ func TestRunKernelSpansCoverOnce(t *testing.T) {
 						t.Fatalf("n=%d grain=%d workers=%d: element %d visited %d times", n, grain, workers, i, h)
 					}
 				}
-				if n >= 2*grain && int(spans.Load()) > 4*workers {
+				if workers == 1 && int(spans.Load()) != (n+grain-1)/grain {
+					t.Errorf("n=%d grain=%d on one worker: %d spans, want %d of grain", n, grain, spans.Load(), (n+grain-1)/grain)
+				}
+				if workers > 1 && n >= 2*grain && int(spans.Load()) > 4*workers {
 					t.Errorf("n=%d grain=%d workers=%d: %d spans, at most %d wanted", n, grain, workers, spans.Load(), 4*workers)
 				}
 			}
@@ -178,17 +184,45 @@ func TestRunKernelSpansCoverOnce(t *testing.T) {
 	}
 }
 
-// A pooled float fold keeps the partition it had under the resident
-// pool — ceil-sized row blocks by worker id, identity-seeded partials
-// combined base first in block order — so it returns the same bits on
-// every run, and those bits are the partition's written out by hand.
-// The values make the association order matter.
-func TestPooledFoldBitsAreStable(t *testing.T) {
-	const rows, cols, workers = 37, 53, 3
+// foldFixture is a float matrix whose sum depends on the association
+// order, the closure body that reads it, and two flat plans of the same
+// values: m[i, j], which FoldFlat folds where the cells lie, and
+// m[i, j] + 0.0, which it walks in strips.
+func foldFixture(t *testing.T) (*Matrix, BodyFunc, [2]*WithProg) {
+	const rows, cols = 37, 53
 	m := New(Float, rows, cols)
 	for k := range m.f {
 		m.f[k] = math.Ldexp(float64(k%13)-6.3, (k*7)%60-30)
 	}
+	body := func(idx []int) (any, error) { return m.f[idx[0]*cols+idx[1]], nil }
+	load := []WithInstr{{Op: WPushID, A: 0}, {Op: WPushID, A: 1}, {Op: WLoadF, A: 0, B: 2}}
+	var progs [2]*WithProg
+	for k, code := range [][]WithInstr{load, append(load[:3:3], WithInstr{Op: WPushFloat}, WithInstr{Op: WAddF})} {
+		prog, ok := CompileWith(WithSpec{Code: code, Rank: 2, MatElem: []Elem{Float}, Float: true, OutFloat: true})
+		if !ok {
+			t.Fatal("plan does not compile")
+		}
+		progs[k] = prog
+	}
+	if progs[0].load == nil || progs[1].load != nil {
+		t.Fatal("the fixture's plans no longer take one branch of FoldFlat each")
+	}
+	return m, body, progs
+}
+
+// A pooled float fold keeps the partition it had under the resident
+// pool — ceil-sized row blocks by worker id, identity-seeded partials
+// combined base first in block order — so it returns the same bits on
+// every run, and those bits are the partition's written out by hand.
+// One worker (a nil pool, or a pool of one) is the plain left-to-right
+// sum from the base. Both are also the bits the parent commit returned:
+// the constants come from running this fixture there, before FoldExec
+// and FoldFlat were handed to par.Fold. The values make the association
+// order matter.
+func TestPooledFoldBitsAreStable(t *testing.T) {
+	const workers = 3
+	m, body, progs := foldFixture(t)
+	rows, cols := m.shape[0], m.shape[1]
 	base := 0.125
 	want := base
 	chunk := (rows + workers - 1) / workers
@@ -206,29 +240,130 @@ func TestPooledFoldBitsAreStable(t *testing.T) {
 	if serial == want {
 		t.Fatal("the data does not distinguish association orders")
 	}
-	pool := par.NewPool(workers)
-	body := func(idx []int) (any, error) { return m.f[idx[0]*cols+idx[1]], nil }
-	prog, ok := CompileWith(WithSpec{Code: []WithInstr{{Op: WPushID, A: 0}, {Op: WPushID, A: 1}, {Op: WLoadF, A: 0, B: 2}},
-		Rank: 2, MatElem: []Elem{Float}, Float: true, OutFloat: true})
-	if !ok {
-		t.Fatal("plan does not compile")
+	if math.Float64bits(want) != 0xc205b287217268e6 || math.Float64bits(serial) != 0xc205b287217268e8 {
+		t.Fatalf("fixture: partitioned %x, serial %x: not the parent's", math.Float64bits(want), math.Float64bits(serial))
 	}
-	for run := 0; run < 200; run++ {
-		got, err := FoldExec(FoldAdd, base, []int{0, 0}, []int{rows, cols}, body, Exec{Pool: pool})
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		pool *par.Pool
+		want float64
+	}{{"three workers", par.NewPool(workers), want}, {"one worker", par.NewPool(1), serial}, {"nil pool", nil, serial}} {
+		for run := 0; run < 200; run++ {
+			got, err := FoldExec(FoldAdd, base, []int{0, 0}, []int{rows, cols}, body, Exec{Pool: tc.pool})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var flat [2]any
+			for k, prog := range progs {
+				r := prog.NewRun()
+				copy(r.Upper, m.shape)
+				r.Mats[0] = m
+				var handled bool
+				flat[k], handled, err = FoldFlat(FoldAdd, base, r, Exec{Pool: tc.pool})
+				r.Release()
+				if err != nil || !handled {
+					t.Fatalf("FoldFlat: handled=%v err=%v", handled, err)
+				}
+			}
+			for _, v := range []any{got, flat[0], flat[1]} {
+				if math.Float64bits(v.(float64)) != math.Float64bits(tc.want) {
+					t.Fatalf("%s, run %d: FoldExec %x, FoldFlat %x in place, %x in strips, want %x", tc.name, run,
+						math.Float64bits(got.(float64)), math.Float64bits(flat[0].(float64)), math.Float64bits(flat[1].(float64)), math.Float64bits(tc.want))
+				}
+			}
 		}
-		r := prog.NewRun()
-		copy(r.Upper, m.shape)
-		r.Mats[0] = m
-		flat, handled, err := FoldFlat(FoldAdd, base, r, Exec{Pool: pool})
-		r.Release()
-		if err != nil || !handled {
-			t.Fatalf("FoldFlat: handled=%v err=%v", handled, err)
+	}
+}
+
+// A construct on one worker — Exec{}'s nil pool or a pool of one — runs
+// on its caller's goroutine and allocates no more than the serial twin
+// it replaces did: the bounds are what the parent commit allocated for
+// the same call on a nil pool (this fixture, run there; a pool of one
+// cost it 4 to 41 more). The float bodies box one value a cell, which
+// is most of the large counts.
+func TestOneWorkerConstructsAllocateNoMore(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pooled scratch is dropped at random under the race detector")
+	}
+	m, body, progs := foldFixture(t)
+	mT, err := TransposeExec(m, Exec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := New(Float, 8*ParallelGrain)
+	var strayed atomic.Int32
+	for _, pool := range []*par.Pool{nil, par.NewPool(1)} {
+		x := Exec{Pool: pool}
+		base := runtime.NumGoroutine()
+		watched := func(idx []int) (any, error) {
+			if runtime.NumGoroutine() > base {
+				strayed.Add(1)
+			}
+			return body(idx)
 		}
-		if math.Float64bits(got.(float64)) != math.Float64bits(want) || math.Float64bits(flat.(float64)) != math.Float64bits(want) {
-			t.Fatalf("run %d: FoldExec %x, FoldFlat %x, want %x", run,
-				math.Float64bits(got.(float64)), math.Float64bits(flat.(float64)), math.Float64bits(want))
+		same := func(sub *Matrix, store func(*Matrix) error) error {
+			if runtime.NumGoroutine() > base {
+				strayed.Add(1)
+			}
+			return store(sub)
+		}
+		flat := func(prog *WithProg, f func(r *WithRun)) func() {
+			return func() {
+				r := prog.NewRun()
+				copy(r.Upper, m.shape)
+				copy(r.Shape, m.shape)
+				r.Mats[0] = m
+				f(r)
+				r.Release()
+			}
+		}
+		for _, tc := range []struct {
+			name   string
+			parent float64
+			f      func()
+		}{
+			{"GenArrayExec", 1969, func() {
+				out, _ := GenArrayExec(Float, []int{0, 0}, []int{37, 53}, []int{37, 53}, watched, x)
+				out.Recycle()
+			}},
+			{"FoldExec", 1966, func() { _, _ = FoldExec(FoldAdd, 0.125, []int{0, 0}, []int{37, 53}, watched, x) }},
+			{"MatrixMapExec", 4707, func() {
+				out, _ := MatrixMapExec(m, []int{1}, Float, false, same, x)
+				out.Recycle()
+			}},
+			{"MatrixMapExec general", 4747, func() {
+				out, _ := MatrixMapExec(m, []int{1}, Float, true, same, x)
+				out.Recycle()
+			}},
+			{"FoldFlat in place", 3, flat(progs[0], func(r *WithRun) { _, _, _ = FoldFlat(FoldAdd, 0.125, r, x) })},
+			{"FoldFlat in strips", 3, flat(progs[1], func(r *WithRun) { _, _, _ = FoldFlat(FoldAdd, 0.125, r, x) })},
+			{"GenArrayFlat", 10, flat(progs[1], func(r *WithRun) {
+				out, _, _ := GenArrayFlat(Float, r, x)
+				out.Recycle()
+			})},
+			{"ElementwiseExec", 4, func() {
+				out, _ := ElementwiseExec(OpAdd, m, m, x)
+				out.Recycle()
+			}},
+			{"ElementwiseExec, 8 grains", 4, func() {
+				out, _ := ElementwiseExec(OpAdd, big, big, x)
+				out.Recycle()
+			}},
+			{"TransposeExec", 5, func() {
+				out, _ := TransposeExec(m, x)
+				out.Recycle()
+			}},
+			{"MatMulExec", 11, func() {
+				out, _ := MatMulExec(m, mT, x)
+				out.Recycle()
+			}},
+		} {
+			if got := testing.AllocsPerRun(50, tc.f); got > tc.parent {
+				t.Errorf("pool %v: %s allocates %.0f a construct, the parent's serial loop %.0f", pool, tc.name, got, tc.parent)
+			}
+		}
+		if g := runtime.NumGoroutine(); g > base || strayed.Load() != 0 {
+			t.Errorf("pool %v: %d goroutines before, %d after, %d bodies saw another", pool, base, g, strayed.Load())
 		}
 	}
 }

@@ -332,72 +332,26 @@ func (r *WithRun) feasible() (int64, bool) {
 	return cost, true
 }
 
-// matchSingleLoad recognizes a body that is exactly one matrix load
-// whose d-th index is id perm[d] plus a constant offset (id, id+c,
-// id-c, c+id), with an optional trailing WI2F. Returns nil when the
-// body has any other shape.
+// withLoadPlan is a body that is exactly one matrix load indexed by the
+// bare generated ids: index d of matrix slot mat is id perm[d].
 type withLoadPlan struct {
 	mat  int
 	perm []int
-	off  []int64
-	i2f  bool
 }
 
+// matchSingleLoad returns the body's withLoadPlan, or nil when it has
+// any other shape.
 func matchSingleLoad(code []WithInstr) *withLoadPlan {
-	p := &withLoadPlan{}
-	pc := 0
-	for pc < len(code) {
-		in := code[pc]
-		if in.Op == WLoadI || in.Op == WLoadF {
-			break
-		}
-		// one index expression: id [const (add|sub)] or const id add
-		switch in.Op {
-		case WPushID:
-			if pc+2 < len(code) && code[pc+1].Op == WPushInt &&
-				(code[pc+2].Op == WAddI || code[pc+2].Op == WSubI) {
-				off := code[pc+1].K
-				if code[pc+2].Op == WSubI {
-					off = -off
-				}
-				p.perm = append(p.perm, int(in.A))
-				p.off = append(p.off, off)
-				pc += 3
-			} else {
-				p.perm = append(p.perm, int(in.A))
-				p.off = append(p.off, 0)
-				pc++
-			}
-		case WPushInt:
-			if pc+2 < len(code) && code[pc+1].Op == WPushID && code[pc+2].Op == WAddI {
-				p.perm = append(p.perm, int(code[pc+1].A))
-				p.off = append(p.off, in.K)
-				pc += 3
-			} else {
-				return nil
-			}
-		default:
+	last := len(code) - 1
+	if last < 1 || (code[last].Op != WLoadI && code[last].Op != WLoadF) || int(code[last].B) != last {
+		return nil
+	}
+	p := &withLoadPlan{mat: int(code[last].A)}
+	for _, in := range code[:last] {
+		if in.Op != WPushID {
 			return nil
 		}
-	}
-	if pc >= len(code) {
-		return nil
-	}
-	load := code[pc]
-	if int(load.B) != len(p.perm) {
-		return nil
-	}
-	p.mat = int(load.A)
-	pc++
-	if pc < len(code) {
-		if code[pc].Op != WI2F || load.Op != WLoadI || pc != len(code)-1 {
-			return nil
-		}
-		p.i2f = true
-		pc++
-	}
-	if pc != len(code) {
-		return nil
+		p.perm = append(p.perm, int(in.A))
 	}
 	return p
 }
@@ -463,26 +417,11 @@ func GenArrayFlat(elem Elem, r *WithRun, x Exec) (*Matrix, bool, error) {
 
 	// Transpose pattern: out[i,j] = m[j,i] over the whole matrix runs
 	// the cache-blocked transpose kernel.
-	if lp := p.load; lp != nil && full && !lp.i2f && rank == 2 &&
-		lp.perm[0] == 1 && lp.perm[1] == 0 && lp.off[0] == 0 && lp.off[1] == 0 {
+	if lp := p.load; lp != nil && full && rank == 2 && len(lp.perm) == 2 && lp.perm[0] == 1 && lp.perm[1] == 0 {
 		m := r.Mats[lp.mat]
 		if m.elem == elem && m.shape[0] == shape[1] && m.shape[1] == shape[0] {
 			kernelTransposeCount.Add(1)
-			srcRows, srcCols := m.shape[0], m.shape[1]
-			grainRows := 1
-			if srcCols > 0 {
-				grainRows = (ParallelGrain + srcCols - 1) / srcCols
-			}
-			grainRows = (grainRows + transposeBlock - 1) / transposeBlock * transposeBlock
-			var body func(lo, hi int) error
-			if elem == Float {
-				src, dst := m.f, out.f
-				body = func(lo, hi int) error { transposeTiles(dst, src, lo, hi, srcRows, srcCols); return nil }
-			} else {
-				src, dst := m.i, out.i
-				body = func(lo, hi int) error { transposeTiles(dst, src, lo, hi, srcRows, srcCols); return nil }
-			}
-			if err := runKernel(x, srcRows, poolGrain(x, srcRows, grainRows), body); err != nil {
+			if err := transposeInto(out, m, x, true); err != nil {
 				out.Recycle()
 				return nil, true, err
 			}
@@ -533,33 +472,40 @@ func (r *WithRun) stripWidth() int {
 }
 
 // poolGrain is the grain a genarray hands runKernel: grain, lowered
-// when that is what it takes for the pool to engage whenever
-// GenArrayExec's would (Pool non-nil, two or more rows) — pool-worker
-// observables — injected test panics, traps attributed to workers — must
-// be identical across engines, and the closure path parallelizes every
-// pool-backed loop regardless of size.
+// when that is what it takes to fork whenever GenArrayExec would (more
+// than one worker, two or more rows) — pool-worker observables —
+// injected test panics, traps attributed to workers — must be identical
+// across engines, and the closure path forks every loop of two rows
+// regardless of size.
 func poolGrain(x Exec, n, grain int) int {
-	if x.Pool != nil && n >= 2 && n < 2*grain {
+	if x.Pool.Workers() > 1 && n >= 2 && n < 2*grain {
 		return n / 2 // force runKernel's parallel branch
 	}
 	return grain
 }
 
-// FoldFlat is the flat engine for a proven fold body. The parallel
-// split mirrors FoldExec exactly — same per-worker row chunks, same
-// identity seeds, same base-first combine order — and within a chunk
-// every strip is reduced in ascending element order, so float results
-// are bit-identical to the closure path. handled=false defers to the
-// closure path (mixed int/float min-max folds, unverifiable leaves).
+// FoldFlat is the flat engine for a proven fold body: par.Fold over the
+// rows of the outermost dimension, as FoldExec, with a row folded a
+// strip at a time — and every strip reduced in ascending element order,
+// so float results are bit-identical to the closure path.
+// handled=false defers to the closure path (mixed int/float min-max
+// folds, unverifiable leaves).
 func FoldFlat(kind FoldKind, base any, r *WithRun, x Exec) (any, bool, error) {
 	p := r.prog
 	lower, upper := r.Lower, r.Upper
 	rank := len(lower)
+	// acc is the typed accumulator: the lane base has.
+	type acc struct {
+		i int64
+		f float64
+	}
+	var start acc
 	floatAcc := false
-	switch base.(type) {
+	switch b := base.(type) {
 	case int64:
+		start.i = b
 	case float64:
-		floatAcc = true
+		start.f, floatAcc = b, true
 		if !p.spec.Float && (kind == FoldMin || kind == FoldMax) {
 			// Boxed min/max keep the winning operand's dynamic type; a
 			// typed float accumulator cannot.
@@ -588,17 +534,20 @@ func FoldFlat(kind FoldKind, base any, r *WithRun, x Exec) (any, bool, error) {
 		return nil, false, nil
 	}
 
-	// Whole-matrix single-load folds reduce contiguous row slices; any
-	// other body is evaluated a strip at a time. Both combine in
-	// ascending element order within a row chunk.
+	// A fold of a whole matrix, cell for cell, reduces its rows where
+	// they lie, a step's rows in one call; any other body is evaluated a
+	// strip at a time. The strips of such a fold would be views of the
+	// same cells (a stride-1 load copies nothing), but what is paid per
+	// strip — the poll, the dispatch, the call — is not nothing beside
+	// one add a cell: without this branch BenchmarkFoldWholeMatrix takes
+	// 1.2x to 1.4x the time, at 256² and 1024², on one thread and on two
+	// (EXPERIMENTS.md E19). Both combine in ascending element order.
 	var whole *Matrix
-	if lp := p.load; lp != nil && !lp.i2f {
+	if lp := p.load; lp != nil {
 		m := r.Mats[lp.mat]
 		match := m.Rank() == rank
 		for d := 0; match && d < rank; d++ {
-			if lp.perm[d] != d || lp.off[d] != 0 || lower[d] != 0 || upper[d] != m.shape[d] {
-				match = false
-			}
+			match = lp.perm[d] == d && lower[d] == 0 && upper[d] == m.shape[d]
 		}
 		if match {
 			whole = m
@@ -609,122 +558,67 @@ func FoldFlat(kind FoldKind, base any, r *WithRun, x Exec) (any, bool, error) {
 		rowLen *= upper[d] - lower[d]
 	}
 	w := r.stripWidth()
-	// A rank-1 box has one-cell rows: the engines below step through it
-	// a strip's worth of cells at a time instead.
+	// A rank-1 box has one-cell rows: it is stepped through a strip's
+	// worth of cells at a time instead.
 	step := 1
 	if rank == 1 {
 		step = w
 	}
-
-	// folder returns the function one goroutine folds row ranges with,
-	// and the release of the state behind it.
-	type acc struct {
-		i int64
-		f float64
-	}
-	folder := func() (func(a *acc, r0, r1 int) error, func()) {
-		if whole != nil {
-			return func(a *acc, r0, r1 int) error {
-				switch {
-				case !floatAcc:
-					a.i = foldSlice(kind, a.i, whole.i[r0*rowLen:r1*rowLen])
-				case whole.elem == Float:
-					a.f = foldSlice(kind, a.f, whole.f[r0*rowLen:r1*rowLen])
-				default:
-					for _, v := range whole.i[r0*rowLen : r1*rowLen] {
-						a.f = combineFloat(kind, a.f, float64(v))
-					}
+	// states[k] is worker k's strip state, made by its first step.
+	var states []*wState
+	if whole == nil {
+		states = make([]*wState, x.Pool.Workers())
+		defer func() {
+			for _, st := range states {
+				if st != nil {
+					st.release()
 				}
-				return nil
-			}, func() {}
-		}
-		st := r.newState(w)
-		st.ownOut(p)
-		var cur *acc
-		each := func(n int) {
+			}
+		}()
+	}
+	total, err := par.Fold(x.Pool, x.Ctx, lower[0], upper[0], step, start,
+		acc{i: foldIdentInt(kind), f: foldIdentFloat(kind)},
+		func(worker int, a acc, r0, r1 int) (acc, error) {
+			switch {
+			case whole == nil:
+				st := states[worker]
+				if st == nil {
+					st = r.newState(w)
+					st.ownOut(p)
+					states[worker] = st
+				}
+				err := st.walk(r, r0, r1, x, nil, func(n int) {
+					if floatAcc {
+						a.f = foldSlice(kind, a.f, st.f.out[:n])
+					} else {
+						a.i = foldSlice(kind, a.i, st.i.out[:n])
+					}
+				})
+				return a, err
+			case !floatAcc:
+				a.i = foldSlice(kind, a.i, whole.i[r0*rowLen:r1*rowLen])
+			case whole.elem == Float:
+				a.f = foldSlice(kind, a.f, whole.f[r0*rowLen:r1*rowLen])
+			default:
+				for _, v := range whole.i[r0*rowLen : r1*rowLen] {
+					a.f = combineFloat(kind, a.f, float64(v))
+				}
+			}
+			return a, nil
+		},
+		func(a, part acc) (acc, error) {
 			if floatAcc {
-				cur.f = foldSlice(kind, cur.f, st.f.out[:n])
+				a.f = combineFloat(kind, a.f, part.f)
 			} else {
-				cur.i = foldSlice(kind, cur.i, st.i.out[:n])
+				a.i = combineInt(kind, a.i, part.i)
 			}
-		}
-		return func(a *acc, r0, r1 int) error {
-			cur = a
-			return st.walk(r, r0, r1, x, nil, each)
-		}, st.release
-	}
-
-	n0 := upper[0] - lower[0]
-	if x.Pool == nil || n0 < 2 {
-		// Serial: cancellation polls no further apart than FoldExec's.
-		a := acc{}
-		if floatAcc {
-			a.f = base.(float64)
-		} else {
-			a.i = base.(int64)
-		}
-		fold, release := folder()
-		defer release()
-		for i0 := lower[0]; i0 < upper[0]; i0 += step {
-			if err := x.cancelled(); err != nil {
-				return nil, true, err
-			}
-			if err := fold(&a, i0, min(i0+step, upper[0])); err != nil {
-				return nil, true, err
-			}
-		}
-		if floatAcc {
-			return a.f, true, nil
-		}
-		return a.i, true, nil
-	}
-	// Parallel: FoldExec's exact worker split — ceil chunks over the
-	// outermost dimension, identity-seeded partials, abort and ctx
-	// polls between rows, base-first combine in worker order. A worker
-	// whose chunk is empty contributes nothing.
-	partials := make([]acc, x.Pool.Workers())
-	set := make([]bool, x.Pool.Workers())
-	err := x.Pool.RunErr(func(c *par.Construct, worker, workers int) error {
-		chunk := (n0 + workers - 1) / workers
-		start := lower[0] + worker*chunk
-		end := min(start+chunk, upper[0])
-		if start >= end {
-			return nil
-		}
-		a := acc{i: foldIdentInt(kind), f: foldIdentFloat(kind)}
-		fold, release := folder()
-		defer release()
-		for i0 := start; i0 < end; i0 += step {
-			if c.Aborted() {
-				return nil
-			}
-			if err := x.cancelled(); err != nil {
-				return err
-			}
-			if err := fold(&a, i0, min(i0+step, end)); err != nil {
-				return err
-			}
-		}
-		partials[worker], set[worker] = a, true
-		return nil
-	})
+			return a, nil
+		})
 	if err != nil {
 		return nil, true, err
 	}
 	if floatAcc {
-		a := base.(float64)
-		for k, pt := range partials {
-			if set[k] {
-				a = combineFloat(kind, a, pt.f)
-			}
-		}
-		return a, true, nil
+		return total.f, true, nil
 	}
-	a := base.(int64)
-	for k, pt := range partials {
-		if set[k] {
-			a = combineInt(kind, a, pt.i)
-		}
-	}
-	return a, true, nil
+	return total.i, true, nil
 }

@@ -13,9 +13,16 @@ import (
 	"time"
 )
 
+// forkJoin is the bare fork-join the loop and the fold are built on:
+// share once for every worker id in [0, n), on a construct of its own.
+func forkJoin(n int, share func(c *construct, worker int) error) error {
+	c := new(construct)
+	return c.run(n, func(w int) error { return share(c, w) })
+}
+
 func TestRunErrRecoversPanic(t *testing.T) {
 	p := NewPool(4)
-	err := p.RunErr(func(_ *Construct, worker, n int) error {
+	err := forkJoin(4, func(_ *construct, worker int) error {
 		if worker == 2 {
 			panic("boom")
 		}
@@ -23,7 +30,7 @@ func TestRunErrRecoversPanic(t *testing.T) {
 	})
 	var pe *PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("RunErr = %v, want *PanicError", err)
+		t.Fatalf("run = %v, want *PanicError", err)
 	}
 	if pe.Worker != 2 {
 		t.Errorf("Worker = %d, want 2", pe.Worker)
@@ -49,8 +56,7 @@ func TestRunErrRecoversPanic(t *testing.T) {
 
 func TestPanicErrorUnwrap(t *testing.T) {
 	sentinel := errors.New("typed failure")
-	p := NewPool(2)
-	err := p.RunErr(func(_ *Construct, worker, n int) error {
+	err := forkJoin(2, func(_ *construct, worker int) error {
 		if worker == 0 {
 			panic(sentinel)
 		}
@@ -74,14 +80,14 @@ func TestRunRepanicsPanicError(t *testing.T) {
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("Run did not re-panic")
+			t.Fatal("ParallelFor did not re-panic")
 		}
 		if _, ok := r.(*PanicError); !ok {
 			t.Fatalf("recovered %T, want *PanicError", r)
 		}
 	}()
-	p.Run(func(worker, n int) {
-		if worker == 1 {
+	p.ParallelFor(0, 2, func(i int) {
+		if i == 1 {
 			panic("direct user crash")
 		}
 	})
@@ -94,7 +100,7 @@ func TestParallelForErrEarlyAbort(t *testing.T) {
 	p := NewPool(1)
 	bad := errors.New("poisoned row")
 	var calls atomic.Int64
-	err := p.ParallelForErr(0, 100, func(i int) error {
+	err := p.ParallelForCtx(nil, 0, 100, func(_, i int) error {
 		calls.Add(1)
 		if i == 0 {
 			return bad
@@ -116,7 +122,7 @@ func TestParallelForErrAbortSkipsWork(t *testing.T) {
 	bad := errors.New("fail fast")
 	var calls atomic.Int64
 	const n = 1 << 20
-	err := p.ParallelForErr(0, n, func(i int) error {
+	err := p.ParallelForCtx(nil, 0, n, func(_, i int) error {
 		calls.Add(1)
 		return bad
 	})
@@ -133,7 +139,7 @@ func TestParallelForCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var calls atomic.Int64
-	err := p.ParallelForCtx(ctx, 0, 1000, func(i int) error {
+	err := p.ParallelForCtx(ctx, 0, 1000, func(_, i int) error {
 		calls.Add(1)
 		return nil
 	})
@@ -152,7 +158,7 @@ func TestParallelForCtxCancelMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	release := make(chan struct{})
 	var once atomic.Bool
-	err := p.ParallelForCtx(ctx, 0, 1<<20, func(i int) error {
+	err := p.ParallelForCtx(ctx, 0, 1<<20, func(_, i int) error {
 		if once.CompareAndSwap(false, true) {
 			cancel()
 			close(release)
@@ -169,7 +175,7 @@ func TestParallelForCtxDeadline(t *testing.T) {
 	p := NewPool(2)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	err := p.ParallelForCtx(ctx, 0, 1<<30, func(i int) error {
+	err := p.ParallelForCtx(ctx, 0, 1<<30, func(_, i int) error {
 		time.Sleep(50 * time.Microsecond)
 		return nil
 	})
@@ -182,7 +188,7 @@ func TestParallelForSingleElementPanicIsProtected(t *testing.T) {
 	p := NewPool(3)
 	// n == 1 takes the inline fast path; it must fail identically to
 	// the pooled path.
-	err := p.ParallelForErr(7, 8, func(i int) error { panic("inline") })
+	err := p.ParallelForCtx(nil, 7, 8, func(_, i int) error { panic("inline") })
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("inline path err = %v, want *PanicError", err)
@@ -192,35 +198,33 @@ func TestParallelForSingleElementPanicIsProtected(t *testing.T) {
 func TestParallelReduceErr(t *testing.T) {
 	p := NewPool(4)
 	bad := errors.New("bad element")
-	_, err := p.ParallelReduceErr(0, 1000, 0,
-		func(i int) (float64, error) {
+	add := func(a, b float64) (float64, error) { return a + b, nil }
+	_, err := Fold(p, nil, 0, 1000, 1, 0.0, 0.0,
+		func(_ int, acc float64, i, _ int) (float64, error) {
 			if i == 500 {
 				return 0, bad
 			}
-			return float64(i), nil
-		},
-		func(a, b float64) float64 { return a + b })
+			return acc + float64(i), nil
+		}, add)
 	if !errors.Is(err, bad) {
 		t.Fatalf("err = %v, want bad element", err)
 	}
 	// And a clean reduce still works on the same pool afterwards.
-	sum, err := p.ParallelReduceErr(0, 100, 0,
-		func(i int) (float64, error) { return 1, nil },
-		func(a, b float64) float64 { return a + b })
+	sum, err := Fold(p, nil, 0, 100, 1, 0.0, 0.0,
+		func(_ int, acc float64, _, _ int) (float64, error) { return acc + 1, nil }, add)
 	if err != nil || sum != 100 {
 		t.Errorf("clean reduce after failure = (%v, %v), want (100, nil)", sum, err)
 	}
 }
 
 func TestInjectPanicHook(t *testing.T) {
-	p := NewPool(4)
 	TestHookInjectPanic = func(worker int) {
 		if worker == 1 {
 			panic(fmt.Sprintf("injected into worker %d", worker))
 		}
 	}
 	defer func() { TestHookInjectPanic = nil }()
-	err := p.RunErr(func(_ *Construct, worker, n int) error { return nil })
+	err := forkJoin(4, func(*construct, int) error { return nil })
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("injected panic not surfaced: err = %v", err)
@@ -229,7 +233,7 @@ func TestInjectPanicHook(t *testing.T) {
 		t.Errorf("Worker = %d, want 1", pe.Worker)
 	}
 	TestHookInjectPanic = nil
-	if err := p.RunErr(func(_ *Construct, worker, n int) error { return nil }); err != nil {
+	if err := forkJoin(4, func(*construct, int) error { return nil }); err != nil {
 		t.Errorf("pool unhealthy after injected panic: %v", err)
 	}
 }

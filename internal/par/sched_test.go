@@ -30,8 +30,13 @@ func TestScheduleVisitsEachIndexOnce(t *testing.T) {
 				hits := make([]atomic.Int32, n)
 				p.ParallelFor(10, 10+n, func(i int) { hits[i-10].Add(1) })
 				chunkHits := make([]atomic.Int32, n)
-				if err := p.ParallelChunksCtx(context.Background(), n, func(c int) error {
-					chunkHits[c].Add(1)
+				if err := p.ParallelChunksCtx(context.Background(), n, 3, func(lo, hi int) error {
+					if hi-lo > 3 || (hi-lo < 3 && hi != n) {
+						t.Errorf("n=%d: piece [%d, %d) of a cut into threes", n, lo, hi)
+					}
+					for c := lo; c < hi; c++ {
+						chunkHits[c].Add(1)
+					}
 					return nil
 				}); err != nil {
 					t.Fatal(err)
@@ -65,7 +70,7 @@ func TestNoChunkClaimedAfterFailure(t *testing.T) {
 			var held sync.WaitGroup
 			held.Add(workers - 1)
 			release := make(chan struct{})
-			err := NewPool(workers).ParallelChunksCtx(context.Background(), 1000, func(int) error {
+			err := NewPool(workers).ParallelChunksCtx(context.Background(), 1000, 1, func(int, int) error {
 				if claims.Add(1) > 1 {
 					held.Done()
 					<-release
@@ -100,10 +105,9 @@ func goid() string {
 }
 
 func TestCallerIsWorkerZeroAndHelpersAreJoined(t *testing.T) {
-	p := NewPool(4)
 	caller := goid()
 	var finished atomic.Int32
-	err := p.RunErr(func(_ *Construct, worker, n int) error {
+	err := forkJoin(4, func(_ *construct, worker int) error {
 		if worker == 0 {
 			if g := goid(); g != caller {
 				t.Errorf("worker 0 runs on %s, the caller is %s", g, caller)
@@ -119,7 +123,7 @@ func TestCallerIsWorkerZeroAndHelpersAreJoined(t *testing.T) {
 		t.Fatalf("err = %v, want a *PanicError from worker 0", err)
 	}
 	if f := finished.Load(); f != 3 {
-		t.Errorf("RunErr returned with %d of 3 helpers finished", f)
+		t.Errorf("run returned with %d of 3 helpers finished", f)
 	}
 }
 
@@ -130,7 +134,7 @@ func TestMoreWorkersThanProcsMakeProgress(t *testing.T) {
 	p := NewPool(n)
 	var meet sync.WaitGroup
 	meet.Add(n)
-	if err := p.RunErr(func(*Construct, int, int) error {
+	if err := forkJoin(n, func(*construct, int) error {
 		meet.Done()
 		meet.Wait()
 		return nil
@@ -156,19 +160,19 @@ func TestOverlappingConstructsShareNoState(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		cleanErr = p.RunErr(func(c *Construct, worker, _ int) error {
+		cleanErr = forkJoin(3, func(c *construct, worker int) error {
 			if worker == 0 {
 				both.Done()
 				both.Wait() // the failing construct is running right now
-				nestedErr = p.ParallelForErr(0, 100, func(int) error { return nil })
+				nestedErr = p.ParallelForCtx(nil, 0, 100, func(int, int) error { return nil })
 			}
-			if c.Aborted() {
+			if c.abort.Load() {
 				t.Error("a clean construct sees another construct's abort flag")
 			}
 			return nil
 		})
 	}()
-	err := p.RunErr(func(_ *Construct, worker, _ int) error {
+	err := forkJoin(3, func(_ *construct, worker int) error {
 		if worker == 0 {
 			both.Done()
 			both.Wait()
@@ -183,8 +187,11 @@ func TestOverlappingConstructsShareNoState(t *testing.T) {
 }
 
 // A float reduction whose value depends on the association order: the
-// static partition makes it the same bits on every run, and the bits
-// of the partition written out by hand (the parent's, unchanged).
+// static partition makes it the same bits on every run, the bits of the
+// partition written out by hand, and the bits the parent commit returned
+// (the constants; the fixture was run there before Fold replaced
+// ParallelReduceErr). One worker, a nil pool included, is the plain
+// left-to-right sum: a lone run folds from the base itself.
 func TestReduceBitsAreStable(t *testing.T) {
 	const n, workers = 10007, 3
 	vals := make([]float64, n)
@@ -208,12 +215,87 @@ func TestReduceBitsAreStable(t *testing.T) {
 	if serial == want {
 		t.Fatal("the data does not distinguish association orders")
 	}
-	p := NewPool(workers)
-	for run := 0; run < 200; run++ {
-		got := p.ParallelReduce(0, n, 0, func(i int) float64 { return vals[i] }, add)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("run %d: %x, want %x", run, math.Float64bits(got), math.Float64bits(want))
+	if math.Float64bits(want) != 0xc227312df0f289c0 || math.Float64bits(serial) != 0xc227312df0f289bb {
+		t.Fatalf("fixture: partitioned %x, serial %x: not the parent's", math.Float64bits(want), math.Float64bits(serial))
+	}
+	for _, tc := range []struct {
+		name string
+		p    *Pool
+		want float64
+	}{{"three workers", NewPool(workers), want}, {"one worker", NewPool(1), serial}, {"nil pool", nil, serial}} {
+		for run := 0; run < 200; run++ {
+			got := tc.p.ParallelReduce(0, n, 0, func(i int) float64 { return vals[i] }, add)
+			if math.Float64bits(got) != math.Float64bits(tc.want) {
+				t.Fatalf("%s, run %d: %x, want %x", tc.name, run, math.Float64bits(got), math.Float64bits(tc.want))
+			}
 		}
+	}
+}
+
+// A construct of one worker — a nil pool, a pool of one, or a loop of
+// one block — runs on its caller: no goroutine is started, the worker id
+// is 0, and nothing is allocated beyond the closure ParallelFor and
+// ParallelReduce wrap their infallible bodies in (the parent allocated 5
+// and 6 a construct on a pool of one). It is still a construct: a body
+// panic comes back as the *PanicError of worker 0.
+func TestOneWorkerConstructsStayOnTheCaller(t *testing.T) {
+	ctx := context.Background()
+	caller := goid()
+	var strayed atomic.Int32
+	here := func(worker int) {
+		if worker != 0 || goid() != caller {
+			strayed.Add(1)
+		}
+	}
+	each := func(worker, _ int) error { here(worker); return nil }
+	piece := func(int, int) error { here(0); return nil }
+	fold := func(worker int, acc float64, i0, _ int) (float64, error) { here(worker); return acc + float64(i0), nil }
+	add := func(a, b float64) (float64, error) { return a + b, nil }
+	for _, p := range []*Pool{nil, NewPool(1)} {
+		base := runtime.NumGoroutine()
+		if err := p.ParallelForCtx(ctx, 0, 100, each); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.ParallelChunksCtx(ctx, 100, 7, piece); err != nil {
+			t.Fatal(err)
+		}
+		if sum, err := Fold(p, ctx, 0, 100, 3, 1.0, 0.0, fold, add); err != nil || sum != 1+33*34/2*3 {
+			t.Fatalf("Fold = %v, %v", sum, err)
+		}
+		p.ParallelFor(0, 100, func(int) { here(0) })
+		if g := runtime.NumGoroutine(); g > base || strayed.Load() != 0 {
+			t.Errorf("pool %v: %d goroutines before, %d after; %d bodies off the caller or off worker 0", p, base, g, strayed.Load())
+		}
+		err := p.ParallelForCtx(ctx, 0, 100, func(_, i int) error { panic("one worker's body") })
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Worker != 0 || len(pe.Stack) == 0 {
+			t.Errorf("pool %v: body panic = %v, want the *PanicError of worker 0", p, err)
+		}
+		// goid allocates; these bodies do not.
+		each := func(int, int) error { return nil }
+		piece := func(int, int) error { return nil }
+		fold := func(_ int, acc float64, _, _ int) (float64, error) { return acc + 1, nil }
+		quiet := func(int) {}
+		one := func(int) float64 { return 1 }
+		plus := func(a, b float64) float64 { return a + b }
+		for name, tc := range map[string]struct {
+			f    func()
+			most float64
+		}{
+			"ParallelForCtx":    {func() { _ = p.ParallelForCtx(ctx, 0, 100, each) }, 0},
+			"ParallelChunksCtx": {func() { _ = p.ParallelChunksCtx(ctx, 100, 7, piece) }, 0},
+			"Fold":              {func() { _, _ = Fold(p, ctx, 0, 100, 3, 1.0, 0.0, fold, add) }, 0},
+			"ParallelFor":       {func() { p.ParallelFor(0, 100, quiet) }, 1},
+			"ParallelReduce":    {func() { p.ParallelReduce(0, 100, 0, one, plus) }, 1},
+		} {
+			if got := testing.AllocsPerRun(100, tc.f); got > tc.most {
+				t.Errorf("pool %v: %s allocates %.0f a construct, want at most %.0f", p, name, got, tc.most)
+			}
+		}
+	}
+	// More workers than blocks: the single block runs on the caller.
+	if err := NewPool(4).ParallelChunksCtx(ctx, 5, 7, piece); err != nil || strayed.Load() != 0 {
+		t.Errorf("a loop of one block on a pool of four: err %v, %d bodies off the caller", err, strayed.Load())
 	}
 }
 
@@ -227,13 +309,13 @@ func TestNoGoroutineOutlivesItsConstruct(t *testing.T) {
 	for k := 0; k < 250; k++ {
 		p.ParallelFor(0, 64, func(int) {})
 		p.ParallelReduce(0, 64, 0, func(i int) float64 { return 1 }, func(a, b float64) float64 { return a + b })
-		_ = p.ParallelForErr(0, 64, func(i int) error {
+		_ = p.ParallelForCtx(nil, 0, 64, func(_, i int) error {
 			if i%2 == 0 {
 				return bad
 			}
 			panic("odd")
 		})
-		_ = p.ParallelForCtx(ctx, 0, 64, func(int) error { return nil })
+		_ = p.ParallelForCtx(ctx, 0, 64, func(int, int) error { return nil })
 	}
 	// A helper calls Done before its goroutine has finished exiting.
 	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {

@@ -499,37 +499,24 @@ func (mc *Machine) execMatMap(fr *frame, in *instr) error {
 	if d.elemFail != nil {
 		return d.elemFail
 	}
-	mapF := func(sub *matrix.Matrix) (*matrix.Matrix, error) {
+	mapF := func(sub *matrix.Matrix, store func(*matrix.Matrix) error) error {
 		var pend []*rc.Header
-		release := func() {
-			for _, h := range pend {
-				h.DecRef()
+		v, err := mc.callProto(d.proto, []any{sub}, d.e, fr.depth+1, nil, &pend)
+		if err == nil {
+			// The result is stored into the output before its escape
+			// reference is dropped: the release below may recycle it.
+			if res, ok := v.(*matrix.Matrix); ok && res != nil {
+				err = store(res)
+			} else {
+				err = interp.Errorf(d.e, "matrixMap function %q returned %T, want a matrix", d.e.Fun, v)
 			}
 		}
-		v, err := mc.callProto(d.proto, []any{sub}, d.e, fr.depth+1, nil, &pend)
-		if err != nil {
-			release()
-			return nil, err
+		for _, h := range pend {
+			h.DecRef()
 		}
-		res, ok := v.(*matrix.Matrix)
-		if !ok || res == nil {
-			release()
-			return nil, interp.Errorf(d.e, "matrixMap function %q returned %T, want a matrix", d.e.Fun, v)
-		}
-		// The result is copied into the output before its escape
-		// reference is dropped, so the release is safe.
-		out := res.Copy()
-		release()
-		return out, nil
+		return err
 	}
-	x := mc.in.Exec(fr.pool)
-	var out *matrix.Matrix
-	var err error
-	if d.general {
-		out, err = matrix.MatrixMapGExec(m, d.dims, d.elem, mapF, x)
-	} else {
-		out, err = matrix.MatrixMapExec(m, d.dims, d.elem, mapF, x)
-	}
+	out, err := matrix.MatrixMapExec(m, d.dims, d.elem, d.general, mapF, mc.in.Exec(fr.pool))
 	if err != nil {
 		return interp.WrapError(d.e, err)
 	}

@@ -10,15 +10,19 @@ package repro_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/ast"
 	"repro/internal/driver"
 	"repro/internal/interp"
 	"repro/internal/matrix"
+	"repro/internal/par"
 	"repro/internal/parser"
 	"repro/internal/rc"
 	"repro/internal/sem"
@@ -623,6 +627,19 @@ int main() {
 	print(rows[0]);
 	return 0;
 }`},
+	{name: "with_flat_vector_broadcast_over_rows", src: `
+int main() {
+	int n = 4;
+	Matrix float <1> v;
+	v = with ([0] <= [i] < [n]) genarray([n], 1.5 * i);
+	Matrix float <2> g;
+	g = with ([0, 0] <= [i, j] < [n, n]) genarray([n, n], v[j]);
+	Matrix float <2> h;
+	h = with ([0, 0] <= [i, j] < [n, n]) genarray([n, n], v[i]);
+	print(g[2, 3]);
+	print(h[2, 3]);
+	return 0;
+}`},
 	{name: "err_trap_depth", src: `
 int f(int x) { return f(x); }
 int main() { return f(1); }`},
@@ -933,4 +950,93 @@ func FuzzVMDiff(f *testing.F) {
 		}
 		_ = prog
 	})
+}
+
+// A panic in a construct that runs on one worker is the construct's own
+// trap, on both engines and whichever engine of the with-loop runs it:
+// Threads = 1 gets the isolation Threads > 1 always had. Before every
+// construct ran on par's driver the panic unwound to Interp.Run's
+// recover, which could only blame the whole program (1:1). The injected
+// panic fires in worker 0, which is every construct's only worker here.
+func TestSerialConstructPanicIsTheConstructsTrap(t *testing.T) {
+	par.TestHookInjectPanic = func(worker int) { panic(fmt.Sprintf("injected into worker %d", worker)) }
+	defer func() { par.TestHookInjectPanic = nil }()
+	for _, tc := range []struct{ name, src, span string }{
+		{"genarray", "int main() {\n\tint n = 8;\n\tMatrix float <1> m;\n\tm = with ([0] <= [i] < [n]) genarray([n], (float)i);\n\treturn 0;\n}", "4:6"},
+		{"fold", "int main() {\n\tint n = 8;\n\tint s = 1 +\n\t\twith ([0] <= [i] < [n]) fold(+, 0, i);\n\treturn s;\n}", "4:3"},
+		{"matrixMap", "Matrix float <1> same(Matrix float <1> v) { return v; }\nint main() {\n\tMatrix float <2> m = init(Matrix float <2>, 3, 4);\n\tMatrix float <2> r =\n\t\tmatrixMap(same, m, [1]);\n\treturn 0;\n}", "5:3"},
+	} {
+		prog := parseAndCheck(t, tc.name+".xc", tc.src)
+		var errs []string
+		for _, engine := range []string{"tree", "vm", "vm-nofacts"} {
+			var out bytes.Buffer
+			i := interp.New(prog.prog, prog.info, interp.Options{Threads: 1, Stdout: &out})
+			var err error
+			if engine == "tree" {
+				_, err = i.Run()
+			} else {
+				facts := vet.ComputeFacts(prog.prog, prog.info)
+				if engine == "vm-nofacts" {
+					facts = nil
+				}
+				p, cerr := vm.CompileWithFacts(prog.prog, prog.info, facts)
+				if cerr != nil {
+					t.Fatal(cerr)
+				}
+				_, err = vm.NewMachine(p, i).Run()
+			}
+			var rte *interp.RuntimeError
+			var pe *par.PanicError
+			if !errors.As(err, &rte) || rte.Trap != interp.TrapPanic || !errors.As(err, &pe) || pe.Worker != 0 {
+				t.Fatalf("%s on %s: err = %v, want the panic trap of worker 0", tc.name, engine, err)
+			}
+			if got := rte.Node.Span().Start; fmt.Sprintf("%d:%d", got.Line, got.Col) != tc.span {
+				t.Errorf("%s on %s: trapped at %s, want the construct at %s", tc.name, engine, rte.SpanString(), tc.span)
+			}
+			if !strings.Contains(string(rte.Stack), "TestSerialConstructPanicIsTheConstructsTrap") {
+				t.Errorf("%s on %s: the trap's stack is not the panic site's:\n%s", tc.name, engine, rte.Stack)
+			}
+			errs = append(errs, err.Error())
+		}
+		if errs[0] != errs[1] || errs[0] != errs[2] {
+			t.Errorf("%s: the engines disagree on the trap:\n%s", tc.name, strings.Join(errs, "\n"))
+		}
+	}
+}
+
+// matrixMap stores each mapped result into the output while the callee's
+// frame still holds it, so neither engine copies it first: what the run
+// allocates beyond its budget is one sub-matrix an application (Index's,
+// outside the budget as ever), not two. The callee's results are fresh
+// temporaries, recycled when its frame is released and handed out again
+// as the next application's; the cells already stored stay right.
+func TestMatrixMapResultIsNotCopiedOutsideTheBudget(t *testing.T) {
+	const rows, cols = 6, 512
+	prog := parseAndCheck(t, "mapstore.xc", fmt.Sprintf(`
+Matrix float <1> twice(Matrix float <1> v) { return v * 2.0; }
+int main() {
+	int n = %d;
+	int w = %d;
+	Matrix float <2> m;
+	m = with ([0, 0] <= [i, j] < [n, w]) genarray([n, w], 1.0 * (i * w + j));
+	Matrix float <2> r = matrixMap(twice, m, [1]);
+	Matrix float <2> g = matrixMapG(twice, m, [1]);
+	print(with ([0, 0] <= [i, j] < [n, w]) fold(+, 0.0, r[i, j] - 2.0 * m[i, j]));
+	print(with ([0, 0] <= [i, j] < [n, w]) fold(+, 0.0, g[i, j] - 2.0 * m[i, j]));
+	print(r[n - 1, w - 1] + g[0, 1]);
+	return 0;
+}`, rows, cols))
+	for _, engine := range []string{"tree", "vm"} {
+		var allocated atomic.Int64
+		matrix.TestHookAllocFail = func(cells int) error { allocated.Add(int64(cells)); return nil }
+		res := runOne(t, prog, engine, interp.Options{Threads: 1})
+		matrix.TestHookAllocFail = nil
+		if want := fmt.Sprintf("0\n0\n%d\n", 2*(rows*cols-1)+2); res.err != "" || res.out != want {
+			t.Fatalf("%s: out %q err %q, want %q", engine, res.out, res.err, want)
+		}
+		// m, r, g and two maps' results are charged; two maps' sub-matrices are not.
+		if charged, subs := int64(5*rows*cols), int64(2*rows*cols); res.cells != charged || allocated.Load() != charged+subs {
+			t.Errorf("%s: %d cells charged, %d allocated, want %d and %d: an allocation the budget does not see", engine, res.cells, allocated.Load(), charged, charged+subs)
+		}
+	}
 }
