@@ -373,3 +373,55 @@ func BenchmarkFoldWholeMatrix(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkIndex*: the selection layer alone — one Index or SetIndex a
+// call on a 256×256 float matrix, in ns a selected cell and objects a
+// call. The result is recycled as the interpreter does when the last
+// reference to a slice is dropped.
+func benchIndex(b *testing.B, cells int, f func(m *matrix.Matrix) error) {
+	m := matrix.New(matrix.Float, 256, 256)
+	for k, fl := 0, m.Floats(); k < len(fl); k++ {
+		fl[k] = float64(k)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := f(m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
+}
+
+func benchIndexRead(b *testing.B, cells int, specs ...matrix.IndexSpec) {
+	benchIndex(b, cells, func(m *matrix.Matrix) error {
+		out, err := m.Index(nil, specs...)
+		if err == nil {
+			out.(*matrix.Matrix).Recycle()
+		}
+		return err
+	})
+}
+
+func BenchmarkIndexColumnRead(b *testing.B) {
+	benchIndexRead(b, 256, matrix.All(), matrix.Scalar(7))
+}
+
+func BenchmarkIndexRangeRead(b *testing.B) {
+	benchIndexRead(b, 128*128, matrix.Span(8, 135), matrix.Span(64, 191))
+}
+
+func BenchmarkIndexMaskRead(b *testing.B) {
+	mask := matrix.New(matrix.Bool, 256)
+	for k, bs := 0, mask.Bools(); k < len(bs); k += 2 {
+		bs[k] = true
+	}
+	benchIndexRead(b, 128*256, matrix.Mask(mask), matrix.All())
+}
+
+func BenchmarkIndexRowStore(b *testing.B) {
+	row := matrix.New(matrix.Float, 256)
+	benchIndex(b, 256, func(m *matrix.Matrix) error {
+		return m.SetIndex(row, matrix.Scalar(9), matrix.All())
+	})
+}

@@ -183,7 +183,7 @@ func BenchmarkE5_MatrixMapConnComp(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			out := matrix.New(matrix.Int, ssh.Shape()...)
 			for t := 0; t < tn; t++ {
-				subAny, err := ssh.Index(matrix.All(), matrix.All(), matrix.Scalar(t))
+				subAny, err := ssh.Index(nil, matrix.All(), matrix.All(), matrix.Scalar(t))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -407,7 +407,7 @@ func BenchmarkE10_FusionAblation(b *testing.B) {
 	}
 	// ...versus iterating over a copied slice of mat (the library way).
 	viaSlice := func(idx []int) (any, error) {
-		subAny, err := mat.Index(matrix.Scalar(idx[0]), matrix.Scalar(idx[1]), matrix.All())
+		subAny, err := mat.Index(nil, matrix.Scalar(idx[0]), matrix.Scalar(idx[1]), matrix.All())
 		if err != nil {
 			return nil, err
 		}

@@ -1,36 +1,19 @@
 #!/usr/bin/env bash
-# ci.sh — the repo's check gate: formatting, go vet, staticcheck
-# (required; CM_SKIP_STATICCHECK=1 opts out offline), build, full
-# tests, then the race detector, each package once: whole over the
-# crash-proofing layers (the fork-join runtime and its schedule tests,
-# matrix runtime and its kernel differentials, interpreter, server and
-# its chaos suites, driver; the scaling ladder's rungs), rc, the
-# frontend (scanner, LALR driver, parser: concurrent parses share one
-# table and its scanner DFAs lock-free; attribute-grammar evaluator and
-# sem: concurrent checks share one composed grammar, and agree with the
-# parent's evaluator on the whole corpus), the with-loop flat engine's
-# halves outside matrix (vet plans, VM flat execution, fused chains),
-# cmrun's request body through a real shard's strict decoder, the fleet
-# (cmgate routing under shard kill/restart/hang, tenants and noisy
-# neighbors, the /metrics key list against its golden; the gate's
-# degraded /healthz twenty times over), the tenant registry, and the
-# dual-engine differential pass (bytecode VM vs the tree-walking
-# oracle). After those: the gcc-guarded C back end pass (compiled
-# Fig 8 / Fig 11 output and the vectorize stride regression against the
-# interpreter), a fuzz smoke over the frontend (never panics;
-# FuzzScanDiff: the generated scanner agrees with the reference NFA
-# scanner), the cmvet analyzer, the VM differential fuzzer, the
-# consistent-hash ring and the tenant key file parser, the vet findings
-# manifest, a one-shot benchmark smoke pass (E1 plus the
-# compile-service cold/warm pair), a self-relative scaling smoke when
-# there are two CPUs to scale on (no stored baseline: the shipped
-# fork-join, through the real kernels and the language, is never slower
-# on two threads than on one), and the bench/ module (its own go.mod,
-# so the root module's build and tests never reach it): vet, tests and
-# two-second smoke runs of all four workloads (compute_serial is the
-# one that runs the strip engine at one thread; a wrong output fails
-# the run). Run locally before pushing; the GitHub Actions workflow
-# runs this script.
+# ci.sh — the repo's check gate, and all of it: the GitHub Actions
+# workflow installs Go and staticcheck and runs this script, nothing
+# else. In order: formatting, go vet, staticcheck (required;
+# CM_SKIP_STATICCHECK=1 opts out offline), build, full tests, then the
+# race detector, each package once (the echo lines below say what each
+# pass is for; the matrix pass carries the indexing walker's
+# differential against its oracle, and matio's budgeted reader and the
+# obs counters ride in the same pass), the gcc-guarded C back end pass,
+# ten-second fuzz smokes, the vet findings manifest, one-shot benchmark
+# smokes, a self-relative scaling smoke when there are two CPUs to
+# scale on (no stored baseline: two threads are never slower than one),
+# and the bench/ module (its own go.mod, so the root module's build and
+# tests never reach it): vet, tests and two-second smoke runs of all
+# four workloads (a wrong output fails the run). Run locally before
+# pushing.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -64,7 +47,7 @@ echo "== go test =="
 go test ./...
 
 echo "== go test -race (crash-proofing + overload layers) =="
-go test -race ./internal/par ./internal/matrix ./internal/interp ./internal/server ./internal/driver
+go test -race ./internal/par ./internal/matrix ./internal/matio ./internal/obs ./internal/interp ./internal/server ./internal/driver
 go test -race -run '^TestLadderRungsVisitEachUnitOnce$' -count=1 .
 
 echo "== go test -race (rc) =="

@@ -205,7 +205,7 @@ func Detect(ssh *matrix.Matrix, o DetectOptions) ([][]Detection, error) {
 	tDim := ssh.Shape()[2]
 	out := make([][]Detection, tDim)
 	for ti := 0; ti < tDim; ti++ {
-		sliceAny, err := ssh.Index(matrix.All(), matrix.All(), matrix.Scalar(ti))
+		sliceAny, err := ssh.Index(nil, matrix.All(), matrix.All(), matrix.Scalar(ti))
 		if err != nil {
 			return nil, err
 		}

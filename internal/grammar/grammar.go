@@ -215,15 +215,6 @@ func (g *Grammar) Terminals() []*Terminal {
 // Productions returns the production list in composition order.
 func (g *Grammar) Productions() []*Production { return g.prods }
 
-// ProductionsFor returns the productions with the given LHS.
-func (g *Grammar) ProductionsFor(lhs string) []*Production {
-	var out []*Production
-	for _, i := range g.byLHS[lhs] {
-		out = append(out, g.prods[i])
-	}
-	return out
-}
-
 // Owners returns the owner tags composed into this grammar, host first.
 func (g *Grammar) Owners() []string { return g.specs }
 

@@ -72,22 +72,6 @@ func (i *Interp) StepTick(n ast.Node) error {
 	return nil
 }
 
-// ChargeCells debits cells from the allocation budget before an
-// allocation the matrix package does not make itself (ranges, file
-// reads).
-func (i *Interp) ChargeCells(n ast.Node, cells int64) error {
-	if i.budget == nil {
-		return nil
-	}
-	if cells < 0 || cells > int64(^uint(0)>>1) {
-		return Trapf(n, TrapShape, "allocation of %d cells is impossible", cells)
-	}
-	if err := i.budget.Charge(int(cells)); err != nil {
-		return WrapError(n, err)
-	}
-	return nil
-}
-
 // BindValue takes a reference to v on behalf of a variable binding.
 func (i *Interp) BindValue(v any) {
 	switch x := v.(type) {
@@ -171,29 +155,26 @@ func (i *Interp) PrintValue(v any) {
 }
 
 // ReadMatrixFile implements the readMatrix builtin: in-memory Files
-// first (charged against the budget), then the filesystem under Dir.
+// first, then the filesystem under Dir; either way the program's copy
+// is admitted against the budget before it is made.
 func (i *Interp) ReadMatrixFile(n ast.Node, name string) (*matrix.Matrix, error) {
 	i.fileMu.Lock()
 	defer i.fileMu.Unlock()
-	if i.opts.Files != nil {
-		if m, ok := i.opts.Files[name]; ok {
-			if err := i.ChargeCells(n, int64(m.Size())); err != nil {
-				return nil, err
-			}
-			return m.Copy(), nil
-		}
-		if i.opts.Dir == "" {
-			return nil, Errorf(n, "readMatrix: no matrix %q provided", name)
-		}
+	var m *matrix.Matrix
+	var err error
+	if src, ok := i.opts.Files[name]; ok {
+		m, err = src.CopyBudgeted(i.budget)
+	} else if i.opts.Files != nil && i.opts.Dir == "" {
+		return nil, Errorf(n, "readMatrix: no matrix %q provided", name)
+	} else {
+		m, err = matio.ReadFileBudgeted(i.budget, filepath.Join(i.opts.Dir, name))
 	}
-	m, err := matio.ReadFile(filepath.Join(i.opts.Dir, name))
-	if err != nil {
-		return nil, WrapError(n, err)
-	}
-	return m, nil
+	return m, WrapError(n, err)
 }
 
-// WriteMatrixFile implements the writeMatrix builtin.
+// WriteMatrixFile implements the writeMatrix builtin. The snapshot kept
+// in Files is the host's, outside the budget: the program can only get
+// at it through readMatrix, which charges the copy it hands out.
 func (i *Interp) WriteMatrixFile(n ast.Node, name string, m *matrix.Matrix) error {
 	i.fileMu.Lock()
 	defer i.fileMu.Unlock()

@@ -426,7 +426,7 @@ func (c *ctx) evalExpr(e ast.Expr) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		v, err := m.Index(specs...)
+		v, err := m.Index(c.i.budget, specs...)
 		return v, WrapError(e, err)
 
 	case *ast.EndExpr:
@@ -444,12 +444,11 @@ func (c *ctx) evalExpr(e ast.Expr) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		if hi >= lo {
-			if err := c.i.ChargeCells(e, hi-lo+1); err != nil {
-				return nil, err
-			}
+		m, err := matrix.RangeBudgeted(c.i.budget, lo, hi)
+		if err != nil {
+			return nil, WrapError(e, err)
 		}
-		return matrix.Range(lo, hi), nil
+		return m, nil
 
 	case *ast.TupleExpr:
 		out := make([]any, len(e.Elems))

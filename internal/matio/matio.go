@@ -59,8 +59,14 @@ func Write(w io.Writer, m *matrix.Matrix) error {
 	return bw.Flush()
 }
 
-// Read deserializes a matrix from r.
-func Read(r io.Reader) (*matrix.Matrix, error) {
+// Read deserializes a matrix from r for host code, outside any budget.
+func Read(r io.Reader) (*matrix.Matrix, error) { return ReadBudgeted(nil, r) }
+
+// ReadBudgeted deserializes a matrix from r on behalf of a running
+// program: the header's shape is checked and its cells are admitted
+// against b before any storage is made, so a few header bytes cannot
+// claim more memory than the run may use.
+func ReadBudgeted(b *matrix.Budget, r io.Reader) (*matrix.Matrix, error) {
 	br := bufio.NewReader(r)
 	var got [4]byte
 	if _, err := io.ReadFull(br, got[:]); err != nil {
@@ -83,7 +89,6 @@ func Read(r io.Reader) (*matrix.Matrix, error) {
 		return nil, fmt.Errorf("matio: invalid rank %d", rank)
 	}
 	shape := make([]int, rank)
-	total := 1
 	for d := range shape {
 		var v int64
 		if err := binary.Read(br, binary.LittleEndian, &v); err != nil {
@@ -93,17 +98,18 @@ func Read(r io.Reader) (*matrix.Matrix, error) {
 			return nil, fmt.Errorf("matio: invalid dimension size %d", v)
 		}
 		shape[d] = int(v)
-		total *= int(v)
 	}
-	m := matrix.New(matrix.Elem(elemI), shape...)
-	var err error
+	m, err := matrix.NewBudgeted(b, matrix.Elem(elemI), shape...)
+	if err != nil {
+		return nil, err
+	}
 	switch m.Elem() {
 	case matrix.Float:
 		err = binary.Read(br, binary.LittleEndian, m.Floats())
 	case matrix.Int:
 		err = binary.Read(br, binary.LittleEndian, m.Ints())
 	case matrix.Bool:
-		bs := make([]byte, total)
+		bs := make([]byte, m.Size())
 		if _, err = io.ReadFull(br, bs); err == nil {
 			bools := m.Bools()
 			for i, b := range bs {
@@ -112,7 +118,7 @@ func Read(r io.Reader) (*matrix.Matrix, error) {
 		}
 	}
 	if err != nil {
-		return nil, fmt.Errorf("matio: reading %d element(s): %w", total, err)
+		return nil, fmt.Errorf("matio: reading %d element(s): %w", m.Size(), err)
 	}
 	return m, nil
 }
@@ -130,12 +136,15 @@ func WriteFile(name string, m *matrix.Matrix) error {
 	return f.Close()
 }
 
-// ReadFile reads a matrix from the named file.
-func ReadFile(name string) (*matrix.Matrix, error) {
+// ReadFile reads a matrix from the named file for host code.
+func ReadFile(name string) (*matrix.Matrix, error) { return ReadFileBudgeted(nil, name) }
+
+// ReadFileBudgeted is ReadBudgeted on the named file.
+func ReadFileBudgeted(b *matrix.Budget, name string) (*matrix.Matrix, error) {
 	f, err := os.Open(name)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return Read(f)
+	return ReadBudgeted(b, f)
 }

@@ -2,6 +2,8 @@ package matio
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -116,5 +118,56 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// header is a file that claims the shape and carries no data.
+func header(elem matrix.Elem, shape ...int64) []byte {
+	var buf bytes.Buffer
+	buf.Write(magic[:])
+	binary.Write(&buf, binary.LittleEndian, append([]int64{int64(elem), int64(len(shape))}, shape...))
+	return buf.Bytes()
+}
+
+// A reader working for a program admits the header's cells before it
+// makes storage for them: 28 bytes claiming 2^27 cells are the budget's
+// refusal, not a gigabyte zeroed and then an EOF.
+func TestReadBudgetedRefusesAClaimItCannotHold(t *testing.T) {
+	b := matrix.NewBudget(1000)
+	_, err := ReadBudgeted(b, bytes.NewReader(header(matrix.Float, 1<<27)))
+	var be *matrix.BudgetError
+	if !errors.As(err, &be) || be.Requested != 1<<27 || be.Used != 0 || b.Used() != 0 {
+		t.Fatalf("err = %v with %d cells charged, want the budget's refusal of 2^27 cells and nothing charged", err, b.Used())
+	}
+}
+
+func TestReadBudgetedChargesTheCellsItReads(t *testing.T) {
+	for _, m := range []*matrix.Matrix{
+		matrix.FromFloats(make([]float64, 24), 2, 3, 4),
+		matrix.FromInts(make([]int64, 7), 7),
+		matrix.FromBools(make([]bool, 6), 3, 2),
+	} {
+		var buf bytes.Buffer
+		if err := Write(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		b := matrix.NewBudget(100)
+		out, err := ReadBudgeted(b, &buf)
+		if err != nil || !matrix.Equal(m, out) || b.Used() != int64(m.Size()) {
+			t.Errorf("%v: err %v, %d cells charged, want %d", m.Shape(), err, b.Used(), m.Size())
+		}
+	}
+}
+
+// A shape whose cell count overflows is the shape error of every other
+// allocation, with or without a budget, and not a panic inside New.
+func TestReadRefusesAnOverflowingShape(t *testing.T) {
+	data := header(matrix.Float, 1<<31, 1<<31, 1<<31)
+	for _, b := range []*matrix.Budget{nil, matrix.NewBudget(1000)} {
+		_, err := ReadBudgeted(b, bytes.NewReader(data))
+		var se *matrix.ShapeError
+		if !errors.As(err, &se) || !strings.Contains(err.Error(), "overflows the address space") {
+			t.Errorf("budget %v: err = %v, want the overflow shape error", b, err)
+		}
 	}
 }

@@ -55,12 +55,19 @@ func (b *Budget) Charge(cells int) error {
 	if cells < 0 {
 		return &ShapeError{msg: fmt.Sprintf("matrix: negative allocation of %d cells", cells)}
 	}
-	used := b.used.Add(int64(cells))
-	if used > b.limit {
-		b.used.Add(-int64(cells))
-		return &BudgetError{Requested: int64(cells), Used: used - int64(cells), Limit: b.limit}
+	// Compare-and-swap, not add-then-undo: workers charge concurrently
+	// (matrixMap admits a sub-matrix an application), and a refused
+	// request must neither fail a neighbour's that fits nor show in the
+	// count its error reports.
+	for {
+		used := b.used.Load()
+		if int64(cells) > b.limit-used {
+			return &BudgetError{Requested: int64(cells), Used: used, Limit: b.limit}
+		}
+		if b.used.CompareAndSwap(used, used+int64(cells)) {
+			return nil
+		}
 	}
-	return nil
 }
 
 // BudgetError reports an allocation denied by a Budget; the

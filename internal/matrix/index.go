@@ -37,197 +37,182 @@ func All() IndexSpec { return IndexSpec{Kind: SpecAll} }
 // Mask builds a logical-index spec from a rank-1 bool matrix.
 func Mask(m *Matrix) IndexSpec { return IndexSpec{Kind: SpecMask, Mask: m} }
 
-// dimSelection resolves one spec against a dimension size, returning
-// the selected positions (nil means the single scalar position).
-func dimSelection(spec IndexSpec, size, dim int) (scalar int, list []int, err error) {
-	switch spec.Kind {
-	case SpecScalar:
-		if spec.I < 0 || spec.I >= size {
-			return 0, nil, fmt.Errorf("matrix: index %d out of range [0,%d) in dimension %d", spec.I, size, dim)
-		}
-		return spec.I, nil, nil
-	case SpecRange:
-		if spec.Lo < 0 || spec.Hi >= size || spec.Lo > spec.Hi {
-			return 0, nil, fmt.Errorf("matrix: range %d:%d invalid for dimension %d of size %d", spec.Lo, spec.Hi, dim, size)
-		}
-		list = make([]int, spec.Hi-spec.Lo+1)
-		for k := range list {
-			list[k] = spec.Lo + k
-		}
-		return 0, list, nil
-	case SpecAll:
-		list = make([]int, size)
-		for k := range list {
-			list[k] = k
-		}
-		return 0, list, nil
-	case SpecMask:
-		mk := spec.Mask
-		if mk.elem != Bool || mk.Rank() != 1 {
-			return 0, nil, fmt.Errorf("matrix: logical index for dimension %d must be a rank-1 bool matrix", dim)
-		}
-		if mk.Size() != size {
-			return 0, nil, fmt.Errorf("matrix: logical index length %d does not match dimension %d of size %d", mk.Size(), dim, size)
-		}
-		for k, v := range mk.b {
-			if v {
-				list = append(list, k)
-			}
-		}
-		if list == nil {
-			list = []int{}
-		}
-		return 0, list, nil
-	}
-	return 0, nil, fmt.Errorf("matrix: unknown index spec kind %d", spec.Kind)
-}
-
-// selection is the resolved cross-product of per-dimension choices.
+// selection is a resolved m[specs...]: a strided box of the matrix.
+// Dimension d selects count[d] positions at its own stride, the first of
+// them folded into off; only a mask, whose positions are not a stride,
+// lists them in pos[d].
 type selection struct {
-	scalarOnly bool
-	scalars    []int   // fixed position per dimension (scalar dims)
-	lists      [][]int // selected positions for kept dims, nil for scalar dims
-	outShape   []int
+	off   int // the box's first cell, mask dimensions apart
+	count []int
+	pos   [][]int
+	shape []int // the counts of the dimensions a scalar did not drop
+	cells int
 }
 
+// resolve checks every spec against its dimension, before anything is
+// allocated or written.
 func (m *Matrix) resolve(specs []IndexSpec) (*selection, error) {
 	if len(specs) != len(m.shape) {
 		return nil, fmt.Errorf("matrix: rank-%d matrix requires %d index expression(s), got %d",
 			len(m.shape), len(m.shape), len(specs))
 	}
-	sel := &selection{scalarOnly: true,
-		scalars: make([]int, len(specs)), lists: make([][]int, len(specs))}
+	sel := &selection{count: make([]int, len(specs)), pos: make([][]int, len(specs)), cells: 1}
 	for d, spec := range specs {
-		sc, list, err := dimSelection(spec, m.shape[d], d)
-		if err != nil {
-			return nil, err
+		size, start := m.shape[d], 0
+		switch spec.Kind {
+		case SpecScalar:
+			if spec.I < 0 || spec.I >= size {
+				return nil, fmt.Errorf("matrix: index %d out of range [0,%d) in dimension %d", spec.I, size, d)
+			}
+			start, sel.count[d] = spec.I, 1
+		case SpecRange:
+			if spec.Lo < 0 || spec.Hi >= size || spec.Lo > spec.Hi {
+				return nil, fmt.Errorf("matrix: range %d:%d invalid for dimension %d of size %d", spec.Lo, spec.Hi, d, size)
+			}
+			start, sel.count[d] = spec.Lo, spec.Hi-spec.Lo+1
+		case SpecAll:
+			sel.count[d] = size
+		case SpecMask:
+			mk := spec.Mask
+			if mk.elem != Bool || mk.Rank() != 1 {
+				return nil, fmt.Errorf("matrix: logical index for dimension %d must be a rank-1 bool matrix", d)
+			}
+			if mk.Size() != size {
+				return nil, fmt.Errorf("matrix: logical index length %d does not match dimension %d of size %d", mk.Size(), d, size)
+			}
+			sel.pos[d] = []int{}
+			for k, v := range mk.b {
+				if v {
+					sel.pos[d] = append(sel.pos[d], k)
+				}
+			}
+			sel.count[d] = len(sel.pos[d])
+		default:
+			return nil, fmt.Errorf("matrix: unknown index spec kind %d", spec.Kind)
 		}
-		if list == nil {
-			sel.scalars[d] = sc
-		} else {
-			sel.scalarOnly = false
-			sel.lists[d] = list
-			sel.outShape = append(sel.outShape, len(list))
+		sel.off += start * m.strides[d]
+		if spec.Kind != SpecScalar {
+			sel.shape = append(sel.shape, sel.count[d])
+			sel.cells *= sel.count[d]
 		}
 	}
 	return sel, nil
 }
 
-// forEach visits every selected cell, giving the source offset and the
-// destination linear offset in the selection's output shape.
-func (sel *selection) forEach(m *Matrix, f func(srcOff, dstOff int) error) error {
-	// counters over the kept dimensions
-	var keptDims []int
-	for d, l := range sel.lists {
-		if l != nil {
-			if len(l) == 0 {
-				return nil // empty selection (e.g. all-false mask)
+// boxOp is what boxCopy does with each run of a selection.
+type boxOp int
+
+const (
+	boxRead  boxOp = iota // the box out to the dense cells
+	boxWrite              // the dense cells back into the box
+	boxFill               // the one dense cell into every cell of the box
+)
+
+// boxCopy is the one copy behind Index, SetIndex and matrixMap's
+// sub-matrices. From dimension d, at offset off of strided, it visits
+// the selection in the result's row-major order and moves one stride-1
+// run at a time — the last dimension, unless a mask picks its cells one
+// by one — returning the dense cells still to come.
+func boxCopy[T any](sel *selection, strides []int, d, off int, strided, dense []T, op boxOp) []T {
+	n := 1
+	if d < len(strides) {
+		if p := sel.pos[d]; p != nil || d < len(strides)-1 {
+			for k := 0; k < sel.count[d]; k++ {
+				at := k
+				if p != nil {
+					at = p[k]
+				}
+				dense = boxCopy(sel, strides, d+1, off+at*strides[d], strided, dense, op)
 			}
-			keptDims = append(keptDims, d)
+			return dense
 		}
+		n = sel.count[d]
 	}
-	idx := make([]int, len(m.shape))
-	copy(idx, sel.scalars)
-	counters := make([]int, len(keptDims))
-	for {
-		srcOff := 0
-		for d := range idx {
-			v := idx[d]
-			if sel.lists[d] != nil {
-				v = sel.lists[d][counters[indexOf(keptDims, d)]]
-			}
-			srcOff += v * m.strides[d]
+	run := strided[off : off+n]
+	switch op {
+	case boxRead:
+		copy(dense, run)
+	case boxWrite:
+		copy(run, dense)
+	case boxFill:
+		for j, v := 0, dense[0]; j < len(run); j++ {
+			run[j] = v
 		}
-		dstOff := 0
-		for k := range keptDims {
-			dstOff = dstOff*len(sel.lists[keptDims[k]]) + counters[k]
-		}
-		if err := f(srcOff, dstOff); err != nil {
-			return err
-		}
-		// advance counters
-		k := len(counters) - 1
-		for ; k >= 0; k-- {
-			counters[k]++
-			if counters[k] < len(sel.lists[keptDims[k]]) {
-				break
-			}
-			counters[k] = 0
-		}
-		if k < 0 {
-			return nil
-		}
-		if len(counters) == 0 {
-			return nil
-		}
+		return dense
 	}
+	return dense[n:]
 }
 
-func indexOf(xs []int, x int) int {
-	for i, v := range xs {
-		if v == x {
-			return i
-		}
+// copyBox runs boxCopy between m's storage and dense's, which holds
+// m's element type.
+func (m *Matrix) copyBox(sel *selection, dense *Matrix, op boxOp) {
+	switch m.elem {
+	case Float:
+		boxCopy(sel, m.strides, 0, sel.off, m.f, dense.f, op)
+	case Int:
+		boxCopy(sel, m.strides, 0, sel.off, m.i, dense.i, op)
+	case Bool:
+		boxCopy(sel, m.strides, 0, sel.off, m.b, dense.b, op)
 	}
-	return -1
 }
 
 // Index evaluates m[specs...]. All-scalar indexing returns the element
 // value (int64/float64/bool); otherwise a fresh matrix whose rank is
-// the number of kept dimensions.
-func (m *Matrix) Index(specs ...IndexSpec) (any, error) {
+// the number of kept dimensions, admitted against b (nil = unlimited)
+// once every spec has been checked.
+func (m *Matrix) Index(b *Budget, specs ...IndexSpec) (any, error) {
 	sel, err := m.resolve(specs)
 	if err != nil {
 		return nil, err
 	}
-	if sel.scalarOnly {
-		off, err := m.Offset(sel.scalars)
-		if err != nil {
-			return nil, err
-		}
-		return m.Get(off), nil
+	if sel.shape == nil {
+		return m.Get(sel.off), nil
 	}
-	out := New(m.elem, sel.outShape...)
-	if out.Size() == 0 {
-		return out, nil
-	}
-	err = sel.forEach(m, func(srcOff, dstOff int) error {
-		return out.Set(dstOff, m.Get(srcOff))
-	})
+	out, err := newKernelOut(b, m.elem, sel.shape) // un-zeroed: every cell is written
 	if err != nil {
 		return nil, err
 	}
+	m.copyBox(sel, out, boxRead)
 	return out, nil
 }
 
 // SetIndex assigns into m[specs...]. For an all-scalar selection v
 // must be a scalar; otherwise v may be a scalar (broadcast into the
-// selection) or a matrix whose size matches the selection.
+// selection) or a matrix whose size matches the selection. A value of
+// the wrong type writes nothing, and an empty selection takes any.
 func (m *Matrix) SetIndex(v any, specs ...IndexSpec) error {
 	sel, err := m.resolve(specs)
 	if err != nil {
 		return err
 	}
-	if sel.scalarOnly {
-		off, err := m.Offset(sel.scalars)
-		if err != nil {
+	if sel.shape == nil {
+		return m.Set(sel.off, v)
+	}
+	src, isMatrix := v.(*Matrix)
+	if isMatrix && src.Size() != sel.cells {
+		return fmt.Errorf("matrix: cannot store %d element(s) into a selection of %d", src.Size(), sel.cells)
+	}
+	if sel.cells == 0 {
+		return nil
+	}
+	op := boxWrite
+	switch {
+	case !isMatrix:
+		// One cell of m's type, so Set converts or refuses v as it
+		// would for a cell of m.
+		src, op = alloc(m.elem, []int{1}, 1, false), boxFill
+		if err := src.Set(0, v); err != nil {
 			return err
 		}
-		return m.Set(off, v)
+	case m.elem == Float && src.elem == Int:
+		// Promoted once, in scratch the program never sees and its
+		// budget is not charged for.
+		f, scratch, _ := floatScratch(Exec{}, src)
+		defer releaseFloatScratch(f, scratch)
+		src = &Matrix{elem: Float, f: f}
+	case src.elem != m.elem:
+		return fmt.Errorf("matrix: cannot store %T in %s matrix", src.Get(0), m.elem)
 	}
-	if src, ok := v.(*Matrix); ok {
-		want := 1
-		for _, d := range sel.outShape {
-			want *= d
-		}
-		if src.Size() != want {
-			return fmt.Errorf("matrix: cannot store %d element(s) into a selection of %d", src.Size(), want)
-		}
-		return sel.forEach(m, func(srcOff, dstOff int) error {
-			return m.Set(srcOff, src.Get(dstOff))
-		})
-	}
-	return sel.forEach(m, func(srcOff, dstOff int) error {
-		return m.Set(srcOff, v)
-	})
+	m.copyBox(sel, src, op)
+	return nil
 }

@@ -427,7 +427,9 @@ type MapFunc func(sub *Matrix, store func(res *Matrix) error) error
 // the remaining dimensions, which are iterated — in parallel on the
 // pool — and the results are reassembled into a matrix of m's shape
 // ("the result is always the same size and rank as the matrix getting
-// mapped over"). outElem is the element type of f's results.
+// mapped over"). outElem is the element type of f's results. Each
+// application's sub-matrix is admitted against x.Budget like the output:
+// the callee can name its cells.
 //
 // general selects matrixMapG, the generalization the paper describes as
 // in development ("a generalization of this extension that removes this
@@ -484,7 +486,7 @@ func MatrixMapExec(m *Matrix, dims []int, outElem Elem, general bool, f MapFunc,
 		for _, d := range dims {
 			specs[d] = All()
 		}
-		sub, err := m.Index(specs...)
+		sub, err := m.Index(x.Budget, specs...)
 		if err != nil {
 			return err
 		}

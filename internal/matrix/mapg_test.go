@@ -10,7 +10,7 @@ import (
 func TestMatrixMapGShrink(t *testing.T) {
 	m := seqFloat(3, 8)
 	half := func(sub *Matrix) (*Matrix, error) {
-		out, err := sub.Index(Span(0, sub.Size()/2-1))
+		out, err := sub.Index(nil, Span(0, sub.Size()/2-1))
 		if err != nil {
 			return nil, err
 		}
@@ -52,7 +52,7 @@ func TestMatrixMapGGrow(t *testing.T) {
 func TestMatrixMapGParallelMatchesSequential(t *testing.T) {
 	m := seqFloat(6, 5, 10)
 	half := func(sub *Matrix) (*Matrix, error) {
-		out, err := sub.Index(Span(0, 4))
+		out, err := sub.Index(nil, Span(0, 4))
 		if err != nil {
 			return nil, err
 		}
@@ -77,7 +77,7 @@ func TestMatrixMapGInconsistent(t *testing.T) {
 	i := 0
 	varying := func(sub *Matrix) (*Matrix, error) {
 		i++
-		out, err := sub.Index(Span(0, i))
+		out, err := sub.Index(nil, Span(0, i))
 		if err != nil {
 			return nil, err
 		}

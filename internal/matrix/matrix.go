@@ -37,14 +37,6 @@ func (e Elem) String() string {
 	return "?"
 }
 
-// size in bytes per element, for rc accounting.
-func (e Elem) size() int {
-	if e == Bool {
-		return 1
-	}
-	return 8
-}
-
 // Matrix is a dense N-dimensional array in row-major order.
 type Matrix struct {
 	elem    Elem
@@ -144,13 +136,6 @@ func NewBudgeted(b *Budget, elem Elem, shape ...int) (*Matrix, error) {
 	return alloc(elem, shape, n, true), nil
 }
 
-// NewTracked is New plus reference-count tracking on heap.
-func NewTracked(heap *rc.Heap, elem Elem, shape ...int) *Matrix {
-	m := New(elem, shape...)
-	m.Hdr = heap.Alloc(m.Size() * elem.size())
-	return m
-}
-
 func stridesFor(shape []int) []int {
 	s := make([]int, len(shape))
 	acc := 1
@@ -191,17 +176,24 @@ func FromBools(data []bool, shape ...int) *Matrix {
 	return m
 }
 
-// Range returns the rank-1 int matrix [lo, lo+1, ..., hi] (the
-// inclusive vector-building range of Fig 8 line 27).
-func Range(lo, hi int64) *Matrix {
-	if hi < lo {
-		return New(Int, 0)
+// RangeBudgeted returns the rank-1 int matrix [lo, lo+1, ..., hi] (the
+// inclusive vector-building range of Fig 8 line 27), admitted against b;
+// hi < lo is the empty vector.
+func RangeBudgeted(b *Budget, lo, hi int64) (*Matrix, error) {
+	n := 0
+	if hi >= lo {
+		// In uint64 the span is exact where hi - lo overflows int64; one
+		// no matrix can hold is clamped, for admit to refuse.
+		n = int(min(uint64(hi)-uint64(lo), uint64(maxCells))) + 1
 	}
-	m := New(Int, int(hi-lo+1))
+	m, err := newKernelOut(b, Int, []int{n})
+	if err != nil {
+		return nil, err
+	}
 	for k := range m.i {
 		m.i[k] = lo + int64(k)
 	}
-	return m
+	return m, nil
 }
 
 // Elem returns the element type.
@@ -337,13 +329,26 @@ func (m *Matrix) SetAt(v any, idx ...int) error {
 	return m.Set(off, v)
 }
 
-// Copy returns a deep copy (untracked).
+// Copy returns a deep copy (untracked) for host code, outside any
+// budget like New.
 func (m *Matrix) Copy() *Matrix {
-	out := New(m.elem, m.shape...)
+	out, err := m.CopyBudgeted(nil)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// CopyBudgeted returns a deep copy (untracked) admitted against b.
+func (m *Matrix) CopyBudgeted(b *Budget) (*Matrix, error) {
+	out, err := newKernelOut(b, m.elem, m.shape)
+	if err != nil {
+		return nil, err
+	}
 	copy(out.f, m.f)
 	copy(out.i, m.i)
 	copy(out.b, m.b)
-	return out
+	return out, nil
 }
 
 // Floats exposes the raw float storage (nil unless elem is Float).
@@ -398,35 +403,5 @@ func (m *Matrix) rawSlice() any {
 		return m.i
 	default:
 		return m.b
-	}
-}
-
-// indexSpace iterates the multi-indices of a box [lower, upper) in
-// row-major order, calling f with a reused index slice.
-func indexSpace(lower, upper []int, f func(idx []int)) {
-	n := len(lower)
-	if n == 0 {
-		return
-	}
-	idx := make([]int, n)
-	copy(idx, lower)
-	for d := 0; d < n; d++ {
-		if lower[d] >= upper[d] {
-			return
-		}
-	}
-	for {
-		f(idx)
-		d := n - 1
-		for ; d >= 0; d-- {
-			idx[d]++
-			if idx[d] < upper[d] {
-				break
-			}
-			idx[d] = lower[d]
-		}
-		if d < 0 {
-			return
-		}
 	}
 }

@@ -58,11 +58,11 @@ func TestSetPromotion(t *testing.T) {
 }
 
 func TestRangeVector(t *testing.T) {
-	r := Range(3, 7)
+	r, _ := RangeBudgeted(nil, 3, 7)
 	if r.Rank() != 1 || r.Size() != 5 || r.i[0] != 3 || r.i[4] != 7 {
 		t.Errorf("Range(3,7) = %v", r)
 	}
-	if Range(5, 4).Size() != 0 {
+	if e, _ := RangeBudgeted(nil, 5, 4); e.Size() != 0 {
 		t.Error("inverted range should be empty")
 	}
 }
@@ -70,7 +70,7 @@ func TestRangeVector(t *testing.T) {
 // §III-A.3(a): standard indexing extracts a single element.
 func TestScalarIndexing(t *testing.T) {
 	m := seqFloat(7, 5, 3)
-	v, err := m.Index(Scalar(6), Scalar(4), Scalar(1))
+	v, err := m.Index(nil, Scalar(6), Scalar(4), Scalar(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestScalarIndexing(t *testing.T) {
 func TestRangeIndexing(t *testing.T) {
 	m := seqFloat(10, 10, 10)
 	end := 9
-	v, err := m.Index(Span(0, 4), Span(end-4, end), Span(0, 4))
+	v, err := m.Index(nil, Span(0, 4), Span(end-4, end), Span(0, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestRangeIndexing(t *testing.T) {
 // §III-A.3(c): data[0, end, :] returns a vector of size dimSize(data,2).
 func TestWholeDimIndexing(t *testing.T) {
 	m := seqFloat(4, 5, 6)
-	v, err := m.Index(Scalar(0), Scalar(4), All())
+	v, err := m.Index(nil, Scalar(0), Scalar(4), All())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestWholeDimIndexing(t *testing.T) {
 func TestLogicalIndexing(t *testing.T) {
 	m := seqFloat(6, 4)
 	mask := FromBools([]bool{false, true, false, true, false, true}, 6)
-	v, err := m.Index(Mask(mask), All())
+	v, err := m.Index(nil, Mask(mask), All())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestLogicalIndexing(t *testing.T) {
 	}
 	// empty mask selection
 	none := New(Bool, 6)
-	v, err = m.Index(Mask(none), All())
+	v, err = m.Index(nil, Mask(none), All())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestIndexErrors(t *testing.T) {
 		{Mask(seqFloat(3)), All()},                // mask not bool
 	}
 	for i, specs := range cases {
-		if _, err := m.Index(specs...); err == nil {
+		if _, err := m.Index(nil, specs...); err == nil {
 			t.Errorf("case %d should error", i)
 		}
 	}
@@ -419,7 +419,7 @@ func TestMatrixMapEquivalentToExplicitLoop(t *testing.T) {
 	}
 	want := New(Float, 4, 5, 6)
 	for k := 0; k < 6; k++ {
-		subAny, _ := ssh.Index(All(), All(), Scalar(k))
+		subAny, _ := ssh.Index(nil, All(), All(), Scalar(k))
 		res, _ := f(subAny.(*Matrix))
 		if err := want.SetIndex(res, All(), All(), Scalar(k)); err != nil {
 			t.Fatal(err)
@@ -451,9 +451,21 @@ func TestMatrixMapErrors(t *testing.T) {
 	}
 }
 
+// newTracked is New plus reference-count tracking on heap, as an engine
+// does it when it binds a matrix.
+func newTracked(heap *rc.Heap, elem Elem, shape ...int) *Matrix {
+	m := New(elem, shape...)
+	size := 8 // bytes per element, for rc accounting
+	if elem == Bool {
+		size = 1
+	}
+	m.Hdr = heap.Alloc(m.Size() * size)
+	return m
+}
+
 func TestTrackedAllocation(t *testing.T) {
 	h := rc.NewHeap()
-	m := NewTracked(h, Float, 10, 10)
+	m := newTracked(h, Float, 10, 10)
 	if m.Hdr == nil || m.Hdr.Size() != 800 {
 		t.Fatalf("tracked header = %+v", m.Hdr)
 	}
@@ -485,7 +497,7 @@ func TestQuickRangeComposition(t *testing.T) {
 		m := seqFloat(n)
 		lo1 := r.Intn(n - 2)
 		hi1 := lo1 + 1 + r.Intn(n-lo1-1)
-		subAny, err := m.Index(Span(lo1, hi1))
+		subAny, err := m.Index(nil, Span(lo1, hi1))
 		if err != nil {
 			return false
 		}
@@ -493,11 +505,11 @@ func TestQuickRangeComposition(t *testing.T) {
 		k := sub.Size()
 		lo2 := r.Intn(k)
 		hi2 := lo2 + r.Intn(k-lo2)
-		inner, err := sub.Index(Span(lo2, hi2))
+		inner, err := sub.Index(nil, Span(lo2, hi2))
 		if err != nil {
 			return false
 		}
-		direct, err := m.Index(Span(lo1+lo2, lo1+hi2))
+		direct, err := m.Index(nil, Span(lo1+lo2, lo1+hi2))
 		if err != nil {
 			return false
 		}
@@ -538,7 +550,7 @@ func TestQuickLogicalIndexLaws(t *testing.T) {
 				count++
 			}
 		}
-		outAny, err := m.Index(Mask(FromBools(bits, n)), All())
+		outAny, err := m.Index(nil, Mask(FromBools(bits, n)), All())
 		if err != nil {
 			return false
 		}

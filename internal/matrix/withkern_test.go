@@ -921,3 +921,33 @@ func TestWithNestedFoldPollsContext(t *testing.T) {
 		}
 	}
 }
+
+// indexSpace iterates the multi-indices of a box [lower, upper) in
+// row-major order, calling f with a reused index slice.
+func indexSpace(lower, upper []int, f func(idx []int)) {
+	n := len(lower)
+	if n == 0 {
+		return
+	}
+	idx := make([]int, n)
+	copy(idx, lower)
+	for d := 0; d < n; d++ {
+		if lower[d] >= upper[d] {
+			return
+		}
+	}
+	for {
+		f(idx)
+		d := n - 1
+		for ; d >= 0; d-- {
+			idx[d]++
+			if idx[d] < upper[d] {
+				break
+			}
+			idx[d] = lower[d]
+		}
+		if d < 0 {
+			return
+		}
+	}
+}

@@ -43,7 +43,7 @@ func (mc *Machine) execSlow(fr *frame, in *instr) error {
 		if err != nil {
 			return err
 		}
-		v, err := m.Index(specs...)
+		v, err := m.Index(mc.in.Budget(), specs...)
 		if err != nil {
 			return interp.WrapError(in.nd, err)
 		}
@@ -65,7 +65,7 @@ func (mc *Machine) execSlow(fr *frame, in *instr) error {
 			regs[in.a].f = raw[i]
 			break
 		}
-		v, err := m.Index(matrix.Scalar(int(i)))
+		v, err := m.Index(mc.in.Budget(), matrix.Scalar(int(i)))
 		if err != nil {
 			return interp.WrapError(in.nd, err)
 		}
@@ -77,7 +77,7 @@ func (mc *Machine) execSlow(fr *frame, in *instr) error {
 			regs[in.a].i = raw[i]
 			break
 		}
-		v, err := m.Index(matrix.Scalar(int(i)))
+		v, err := m.Index(mc.in.Budget(), matrix.Scalar(int(i)))
 		if err != nil {
 			return interp.WrapError(in.nd, err)
 		}
@@ -89,7 +89,7 @@ func (mc *Machine) execSlow(fr *frame, in *instr) error {
 			regs[in.a].i = b2i(raw[i])
 			break
 		}
-		v, err := m.Index(matrix.Scalar(int(i)))
+		v, err := m.Index(mc.in.Budget(), matrix.Scalar(int(i)))
 		if err != nil {
 			return interp.WrapError(in.nd, err)
 		}
@@ -121,13 +121,11 @@ func (mc *Machine) execSlow(fr *frame, in *instr) error {
 		return interp.WrapError(in.nd, m.SetIndex(regs[in.c].i != 0, matrix.Scalar(int(i))))
 
 	case opRange:
-		lo, hi := regs[in.b].i, regs[in.c].i
-		if hi >= lo {
-			if err := mc.in.ChargeCells(in.nd, hi-lo+1); err != nil {
-				return err
-			}
+		m, err := matrix.RangeBudgeted(mc.in.Budget(), regs[in.b].i, regs[in.c].i)
+		if err != nil {
+			return interp.WrapError(in.nd, err)
 		}
-		regs[in.a].r = matrix.Range(lo, hi)
+		regs[in.a].r = m
 
 	case opCheckDim:
 		if n := regs[in.a].i; n < 0 {

@@ -10,6 +10,7 @@ package repro_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -21,6 +22,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/driver"
 	"repro/internal/interp"
+	"repro/internal/matio"
 	"repro/internal/matrix"
 	"repro/internal/par"
 	"repro/internal/parser"
@@ -126,9 +128,10 @@ func compare(t *testing.T, label string, tree, vmr engineResult) {
 // language area, each exercising evaluation order, error texts and rc
 // discipline. Every entry must compile on the VM (no fallback).
 var vmCorpus = []struct {
-	name string
-	src  string
-	opts interp.Options
+	name   string
+	src    string
+	opts   interp.Options
+	errHas string // when set, the oracle's error must contain it
 }{
 	{name: "scalar_loop", src: `
 int main() {
@@ -790,6 +793,68 @@ int main() {
 	print(r[0, 0]);
 	return 0;
 }`},
+
+	// The budget's one door: every matrix a program can name is admitted by
+	// the matrix package, so each way of making one traps oom at its own
+	// span. While slices and matrixMap sub-matrices went uncharged, the
+	// first five of these ran to completion.
+	{name: "err_oom_all_read", opts: interp.Options{MaxCells: 150}, errHas: "4:23: runtime error [trap:oom]: matrix: allocation of 100 cells exceeds the budget (100 of 150 cells already used)", src: `
+int main() {
+	Matrix float <2> m = init(Matrix float <2>, 10, 10);
+	Matrix float <2> c = m[:, :];
+	print(c[9, 9]);
+	return 0;
+}`},
+	{name: "err_oom_range_read", opts: interp.Options{MaxCells: 150}, errHas: "4:21: runtime error [trap:oom]: matrix: allocation of 60 cells exceeds the budget (100 of 150 cells already used)", src: `
+int main() {
+	Matrix int <1> v = [0 :: 99];
+	Matrix int <1> w = v[20 : 79];
+	print(w[0]);
+	return 0;
+}`},
+	{name: "err_oom_mask_read", opts: interp.Options{MaxCells: 250}, errHas: "5:8: runtime error [trap:oom]: matrix: allocation of 90 cells exceeds the budget (200 of 250 cells already used)", src: `
+int main() {
+	Matrix int <1> v = [0 :: 99];
+	Matrix int <1> big;
+	big = v[v >= 10];
+	print(big[0]);
+	return 0;
+}`},
+	{name: "err_oom_recursion_holds_slices", opts: interp.Options{MaxCells: 1000}, errHas: "4:23: runtime error [trap:oom]: matrix: allocation of 400 cells exceeds the budget (800 of 1000 cells already used)", src: `
+int deep(Matrix float <2> m, int n) {
+	if (n == 0) { return 0; }
+	Matrix float <2> c = m[:, :];
+	return deep(c, n - 1) + 1;
+}
+int main() {
+	Matrix float <2> m = init(Matrix float <2>, 20, 20);
+	print(deep(m, 51));
+	return 0;
+}`},
+	{name: "err_oom_matrix_map_sub_matrix", opts: interp.Options{MaxCells: 150}, errHas: "6:6: runtime error [trap:oom]: matrix: allocation of 8 cells exceeds the budget (144 of 150 cells already used)", src: `
+Matrix float <1> same(Matrix float <1> v) { return v; }
+int main() {
+	Matrix float <2> m = init(Matrix float <2>, 8, 8);
+	Matrix float <2> r;
+	r = matrixMap(same, m, [1]);
+	print(r[7, 7]);
+	return 0;
+}`},
+	{name: "err_oom_range_literal", opts: interp.Options{MaxCells: 150}, errHas: "4:21: runtime error [trap:oom]: matrix: allocation of 60 cells exceeds the budget (100 of 150 cells already used)", src: `
+int main() {
+	Matrix int <1> v = [0 :: 99];
+	Matrix int <1> w = [1 :: 60];
+	print(w[0]);
+	return 0;
+}`},
+	{name: "err_oom_files_read", errHas: "4:23: runtime error [trap:oom]: matrix: allocation of 120 cells exceeds the budget (120 of 200 cells already used)",
+		opts: interp.Options{MaxCells: 200, Files: map[string]*matrix.Matrix{"ssh.data": sshCube(4, 5, 6, 7)}}, src: `
+int main() {
+	Matrix float <3> a = readMatrix("ssh.data");
+	Matrix float <3> b = readMatrix("ssh.data");
+	print(dimSize(b, 2));
+	return 0;
+}`},
 }
 
 func TestVMDifferentialCorpus(t *testing.T) {
@@ -802,6 +867,9 @@ func TestVMDifferentialCorpus(t *testing.T) {
 				opts := tc.opts
 				opts.Threads = threads
 				tree := runOne(t, prog, "tree", opts)
+				if !strings.Contains(tree.err, tc.errHas) {
+					t.Errorf("%s/t=%d: the tree walker's error is %q, want one with %q", tc.name, threads, tree.err, tc.errHas)
+				}
 				vmr := runOne(t, prog, "vm", opts)
 				compare(t, fmt.Sprintf("%s/t=%d", tc.name, threads), tree, vmr)
 				// Disabling the proofs changes no observable: the VM with
@@ -1005,11 +1073,12 @@ func TestSerialConstructPanicIsTheConstructsTrap(t *testing.T) {
 }
 
 // matrixMap stores each mapped result into the output while the callee's
-// frame still holds it, so neither engine copies it first: what the run
-// allocates beyond its budget is one sub-matrix an application (Index's,
-// outside the budget as ever), not two. The callee's results are fresh
-// temporaries, recycled when its frame is released and handed out again
-// as the next application's; the cells already stored stay right.
+// frame still holds it, so neither engine copies it first, and the
+// sub-matrix it hands the callee is admitted like any other matrix the
+// program can name: the run allocates nothing its budget does not see.
+// The callee's results are fresh temporaries, recycled when its frame is
+// released and handed out again as the next application's; the cells
+// already stored stay right.
 func TestMatrixMapResultIsNotCopiedOutsideTheBudget(t *testing.T) {
 	const rows, cols = 6, 512
 	prog := parseAndCheck(t, "mapstore.xc", fmt.Sprintf(`
@@ -1034,9 +1103,51 @@ int main() {
 		if want := fmt.Sprintf("0\n0\n%d\n", 2*(rows*cols-1)+2); res.err != "" || res.out != want {
 			t.Fatalf("%s: out %q err %q, want %q", engine, res.out, res.err, want)
 		}
-		// m, r, g and two maps' results are charged; two maps' sub-matrices are not.
-		if charged, subs := int64(5*rows*cols), int64(2*rows*cols); res.cells != charged || allocated.Load() != charged+subs {
-			t.Errorf("%s: %d cells charged, %d allocated, want %d and %d: an allocation the budget does not see", engine, res.cells, allocated.Load(), charged, charged+subs)
+		// m, r, g, and two maps' sub-matrices and results.
+		if want := int64(7 * rows * cols); res.cells != want || allocated.Load() != want {
+			t.Errorf("%s: %d cells charged, %d allocated, want %d for both: an allocation the budget does not see", engine, res.cells, allocated.Load(), want)
 		}
+	}
+}
+
+// readMatrix from disk goes through the budget like every other matrix a
+// program can name, on all three arms: a file is charged the cells it
+// holds, a header claiming more than the run may use is the budget's
+// refusal at the call (no storage made, no EOF from reading into it), and
+// a shape that overflows is the shape trap at the call — not a panic
+// unwinding to the whole program's 1:1.
+func TestReadMatrixFromDiskIsAdmitted(t *testing.T) {
+	dir := t.TempDir()
+	if err := matio.WriteFile(filepath.Join(dir, "ok.data"), sshCube(4, 5, 6, 7)); err != nil {
+		t.Fatal(err)
+	}
+	for name, shape := range map[string][]int64{"huge.data": {1 << 27}, "overflow.data": {1 << 31, 1 << 31, 1 << 31}} {
+		var buf bytes.Buffer
+		buf.WriteString("CMXM")
+		binary.Write(&buf, binary.LittleEndian, append([]int64{int64(matrix.Float), int64(len(shape))}, shape...))
+		if err := os.WriteFile(filepath.Join(dir, name), buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		file, wantErr string
+		cells         int64
+	}{
+		{"ok.data", "", 120},
+		{"huge.data", "disk.xc:3:23: runtime error [trap:oom]: matrix: allocation of 134217728 cells exceeds the budget (0 of 1000 cells already used)", 0},
+		{"overflow.data", "disk.xc:3:23: runtime error [trap:shape]: matrix: shape [2147483648 2147483648 2147483648] overflows the address space", 0},
+	} {
+		rank := 1
+		if tc.file != "huge.data" {
+			rank = 3
+		}
+		prog := parseAndCheck(t, "disk.xc", fmt.Sprintf("int main() {\n\tint pad = 0;\n\tMatrix float <%d> m = readMatrix(%q);\n\treturn pad;\n}", rank, tc.file))
+		opts := interp.Options{Threads: 1, Dir: dir, MaxCells: 1000}
+		tree := runOne(t, prog, "tree", opts)
+		if tree.err != tc.wantErr || tree.cells != tc.cells {
+			t.Errorf("%s: err %q with %d cells charged, want %q and %d", tc.file, tree.err, tree.cells, tc.wantErr, tc.cells)
+		}
+		compare(t, tc.file+"/vm", tree, runOne(t, prog, "vm", opts))
+		compare(t, tc.file+"/vm no facts", tree, runOne(t, prog, "vm-nofacts", opts))
 	}
 }

@@ -8,11 +8,9 @@ package repro_test
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 
@@ -26,46 +24,27 @@ import (
 	"repro/internal/vm"
 )
 
-// shippedProgram is one program the suite-level engine checks run.
-type shippedProgram struct{ name, src string }
-
-// shippedPrograms collects testdata/, the programs embedded in
-// examples/, the error-free vmdiff corpus and the benchmark's programs.
-func shippedPrograms(t *testing.T) []shippedProgram {
+// shippedPrograms is every program the suite-level engine checks run: the
+// vet manifest's corpus (testdata/, the vet goldens, the programs
+// embedded in examples/), the benchmark's programs and the error-free
+// vmdiff corpus.
+func shippedPrograms(t *testing.T) []corpusProgram {
 	t.Helper()
-	var progs []shippedProgram
-	for _, glob := range []string{"testdata/*.xc", "bench/programs/*.xc"} {
-		paths, err := filepath.Glob(glob)
-		if err != nil || len(paths) == 0 {
-			t.Fatalf("no programs under %s: %v", glob, err)
-		}
-		for _, path := range paths {
-			src, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			progs = append(progs, shippedProgram{path, string(src)})
-		}
+	progs := corpus(t)
+	paths, err := filepath.Glob("bench/programs/*.xc")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no benchmark programs: %v", err)
 	}
-	mains, err := filepath.Glob("examples/*/main.go")
-	if err != nil || len(mains) == 0 {
-		t.Fatalf("no example programs: %v", err)
-	}
-	embedded := regexp.MustCompile("(?s)= `\n(.*?)`")
-	for _, path := range mains {
+	for _, path := range paths {
 		src, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for k, m := range embedded.FindAllStringSubmatch(string(src), -1) {
-			if strings.Contains(m[1], "int main()") {
-				progs = append(progs, shippedProgram{fmt.Sprintf("%s#%d", path, k), m[1]})
-			}
-		}
+		progs = append(progs, corpusProgram{filepath.ToSlash(path), string(src)})
 	}
 	for _, tc := range vmCorpus {
 		if !strings.HasPrefix(tc.name, "err_") {
-			progs = append(progs, shippedProgram{"corpus/" + tc.name, tc.src})
+			progs = append(progs, corpusProgram{"corpus/" + tc.name, tc.src})
 		}
 	}
 	return progs
