@@ -1,0 +1,83 @@
+// Allocation ceilings. Run times on a shared host spread 15–30 %;
+// allocation counts repeat to within a handful of objects, so they are
+// what CI can fail on. Each program below is a bench/ corpus program, run
+// through a warm driver (unit cached: no parse, check, vet or bytecode
+// compile in the measured runs) at one thread.
+package repro_test
+
+import (
+	"bytes"
+	"context"
+	"math"
+	"os"
+	"runtime"
+	"testing"
+
+	"repro/internal/driver"
+	"repro/internal/eddy"
+	"repro/internal/matrix"
+	"repro/internal/parser"
+)
+
+// allocCeilings holds, per program, the objects and KB one warm run may
+// allocate: what EXPERIMENTS.md E21 measured (in the comments) plus 5 %
+// (fib_rec, whose whole run is 21 objects, gets four). At PR 22 the five
+// read 312 900 / 27 840, 106 342 / 11 072, 41 558 / 4 866, 89 784 / 4 993
+// and 16 525 / 835.
+var allocCeilings = []struct {
+	file        string
+	objects, kb float64
+}{
+	{"eddy_score", 151_300, 11_750},     // 144 073, 11 182
+	{"fib_rec", 25, 2},                  // 21, 1.7
+	{"withloop_closure", 7_310, 60},     // 6 959, 56.8: a boxed float a cell
+	{"tuples_rc_loop", 37_620, 813},     // 35 822, 774.2: four a trip, the tuple and two boxed ints
+	{"withloop_flat_small", 7_900, 556}, // 7 524, 529.5: five a loop
+}
+
+func TestAllocationCeilings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pooled frames are dropped at random under the race detector")
+	}
+	ssh, _ := eddy.Synthesize(eddy.SynthOptions{Lat: 20, Lon: 24, Time: 48,
+		NumEddies: 5, NoiseAmp: 0.05, SwellAmp: 0.08, Seed: 1})
+	for _, tc := range allocCeilings {
+		src, err := os.ReadFile("bench/programs/" + tc.file + ".xc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := driver.New()
+		run := func() {
+			var out bytes.Buffer
+			res, err := d.Run(context.Background(), driver.RunRequest{
+				Name: tc.file + ".xc", Source: string(src), Exts: parser.AllExtensions(), Threads: 1,
+				Files: map[string]*matrix.Matrix{"ssh.data": ssh}, Stdout: &out})
+			if err != nil || !res.OK {
+				t.Fatalf("%s: %v\n%v", tc.file, err, res)
+			}
+		}
+		run() // the cold run fills the driver's unit cache and the free list
+		run()
+		// The least of three rounds: the counters are the process's, so a
+		// round in which the collector (still busy with the previous
+		// program's garbage) empties the frame pools reads high.
+		const rounds, runs = 3, 5
+		objects, kb := math.Inf(1), math.Inf(1)
+		for r := 0; r < rounds; r++ {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for k := 0; k < runs; k++ {
+				run()
+			}
+			runtime.ReadMemStats(&after)
+			objects = min(objects, float64(after.Mallocs-before.Mallocs)/runs)
+			kb = min(kb, float64(after.TotalAlloc-before.TotalAlloc)/runs/1024)
+		}
+		t.Logf("%-20s %9.0f objects %9.1f KB a run (ceilings %.0f, %.0f)", tc.file, objects, kb, tc.objects, tc.kb)
+		if objects > tc.objects || kb > tc.kb {
+			t.Errorf("%s allocates %.0f objects and %.1f KB a warm run, over its ceiling of %.0f and %.0f",
+				tc.file, objects, kb, tc.objects, tc.kb)
+		}
+	}
+}

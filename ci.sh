@@ -2,11 +2,15 @@
 # ci.sh — the repo's check gate, and all of it: the GitHub Actions
 # workflow installs Go and staticcheck and runs this script, nothing
 # else. In order: formatting, go vet, staticcheck (required;
-# CM_SKIP_STATICCHECK=1 opts out offline), build, full tests, then the
+# CM_SKIP_STATICCHECK=1 opts out offline), build, full tests (which
+# hold the allocation ceilings of alloc_ceiling_test.go: counts repeat
+# where times do not, so they are the regression CI can fail on), then the
 # race detector, each package once (the echo lines below say what each
 # pass is for; the matrix pass carries the indexing walker's
-# differential against its oracle, and matio's budgeted reader and the
-# obs counters ride in the same pass), the gcc-guarded C back end pass,
+# differential against its oracle, matio's budgeted reader and the obs
+# counters ride in the same pass, and the VM pass and the differential
+# corpus are where a pooled frame handed out twice would show), the
+# gcc-guarded C back end pass,
 # ten-second fuzz smokes, the vet findings manifest, one-shot benchmark
 # smokes, a self-relative scaling smoke when there are two CPUs to
 # scale on (no stored baseline: two threads are never slower than one),
@@ -58,8 +62,9 @@ go test -race ./internal/lexer ./internal/grammar ./internal/parser
 go test -race ./internal/attr ./internal/sem
 go test -race -run 'TestSemMatchesParent|TestCheckSharesOneGrammar' -count=1 .
 
-echo "== with-loop flat engine outside matrix (vet plans, VM flat execution, fused chains, race) =="
-go test -race -run 'TestWithPlan|TestWithFlat|TestCompileWith|TestWithNested|TestWithStrip|TestChain' ./internal/vet ./internal/vm
+echo "== with-loop plans in vet; the VM whole: pooled frames, flat execution, fused chains (race) =="
+go test -race -run 'TestWithPlan|TestWithFlat|TestCompileWith|TestWithNested|TestWithStrip|TestChain' ./internal/vet
+go test -race ./internal/vm
 
 echo "== C back end against the interpreter (gcc-guarded: Fig 8, Fig 11, vectorize stride regression) =="
 go test -run 'TestE3|TestFig8Compiled|TestVectorize' -count=1 ./internal/cgen
@@ -74,7 +79,7 @@ go test -race -run '^TestGateHealthzDegraded$' -count=20 ./internal/fleet
 echo "== tenant registry + buckets (race) =="
 go test -race ./internal/tenant
 
-echo "== vm differential (bytecode engine vs tree-walking oracle) =="
+echo "== vm differential (bytecode engine vs tree-walking oracle; the frame_* entries are what a reused frame gets wrong; race) =="
 go test -race -run 'TestVMDifferential|TestVMStep' -count=1 .
 
 echo "== fuzz smoke (frontend + analyzer never panic) =="

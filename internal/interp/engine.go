@@ -241,7 +241,8 @@ func (i *Interp) RcRelease(n ast.Node, cellv any) error {
 // admits statically to an already-evaluated value, recursively through
 // tuples. It never checks and never fails; both engines apply it at
 // function returns and rcset stores so a value's runtime
-// representation always matches its static scalar type.
+// representation always matches its static scalar type. A tuple with no
+// float anywhere in its type is returned as it is, not copied.
 func PromoteScalar(ty *types.Type, v any) any {
 	switch ty.Kind {
 	case types.Float:
@@ -250,7 +251,7 @@ func PromoteScalar(ty *types.Type, v any) any {
 		}
 	case types.Tuple:
 		tup, ok := v.([]any)
-		if !ok || len(tup) != len(ty.Elems) {
+		if !ok || len(tup) != len(ty.Elems) || !hasFloat(ty) {
 			return v
 		}
 		out := make([]any, len(tup))
@@ -260,6 +261,18 @@ func PromoteScalar(ty *types.Type, v any) any {
 		return out
 	}
 	return v
+}
+
+// hasFloat reports whether PromoteScalar can change a value of type ty.
+func hasFloat(ty *types.Type) bool {
+	if ty.Kind == types.Tuple {
+		for _, e := range ty.Elems {
+			if hasFloat(e) {
+				return true
+			}
+		}
+	}
+	return ty.Kind == types.Float
 }
 
 // ZeroValue produces the default value for a declared type: scalars

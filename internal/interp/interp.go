@@ -351,9 +351,7 @@ func CoerceValue(n ast.Node, ty *types.Type, v any) (any, error) {
 		if m == nil {
 			return nil, Errorf(n, "use of unassigned matrix")
 		}
-		wantElem := map[types.Kind]matrix.Elem{
-			types.Float: matrix.Float, types.Int: matrix.Int, types.Bool: matrix.Bool,
-		}[ty.Elem.Kind]
+		wantElem, _ := matrixElemOf(n, ty)
 		if m.Elem() != wantElem || m.Rank() != ty.Rank {
 			return nil, Errorf(n, "matrix of type Matrix %s <%d> cannot hold a Matrix %s <%d> value",
 				ty.Elem, ty.Rank, m.Elem(), m.Rank())

@@ -40,7 +40,7 @@ func Mask(m *Matrix) IndexSpec { return IndexSpec{Kind: SpecMask, Mask: m} }
 // selection is a resolved m[specs...]: a strided box of the matrix.
 // Dimension d selects count[d] positions at its own stride, the first of
 // them folded into off; only a mask, whose positions are not a stride,
-// lists them in pos[d].
+// lists them in pos[d] (pos is nil when no dimension has a mask).
 type selection struct {
 	off   int // the box's first cell, mask dimensions apart
 	count []int
@@ -49,25 +49,35 @@ type selection struct {
 	cells int
 }
 
+// selScratch backs a selection's count and shape for a matrix of rank
+// <= InlineRank: the caller keeps one on its stack, so resolving
+// allocates nothing unless a mask lists its positions.
+type selScratch [2 * InlineRank]int
+
 // resolve checks every spec against its dimension, before anything is
-// allocated or written.
-func (m *Matrix) resolve(specs []IndexSpec) (*selection, error) {
-	if len(specs) != len(m.shape) {
-		return nil, fmt.Errorf("matrix: rank-%d matrix requires %d index expression(s), got %d",
-			len(m.shape), len(m.shape), len(specs))
+// allocated or written. An all-scalar selection has an empty shape.
+func (m *Matrix) resolve(specs []IndexSpec, scratch *selScratch) (selection, error) {
+	rank := len(m.shape)
+	if len(specs) != rank {
+		return selection{}, fmt.Errorf("matrix: rank-%d matrix requires %d index expression(s), got %d",
+			rank, rank, len(specs))
 	}
-	sel := &selection{count: make([]int, len(specs)), pos: make([][]int, len(specs)), cells: 1}
+	dims := scratch[:]
+	if rank > InlineRank {
+		dims = make([]int, 2*rank)
+	}
+	sel := selection{count: dims[:rank:rank], shape: dims[rank : rank : 2*rank], cells: 1}
 	for d, spec := range specs {
 		size, start := m.shape[d], 0
 		switch spec.Kind {
 		case SpecScalar:
 			if spec.I < 0 || spec.I >= size {
-				return nil, fmt.Errorf("matrix: index %d out of range [0,%d) in dimension %d", spec.I, size, d)
+				return selection{}, fmt.Errorf("matrix: index %d out of range [0,%d) in dimension %d", spec.I, size, d)
 			}
 			start, sel.count[d] = spec.I, 1
 		case SpecRange:
 			if spec.Lo < 0 || spec.Hi >= size || spec.Lo > spec.Hi {
-				return nil, fmt.Errorf("matrix: range %d:%d invalid for dimension %d of size %d", spec.Lo, spec.Hi, d, size)
+				return selection{}, fmt.Errorf("matrix: range %d:%d invalid for dimension %d of size %d", spec.Lo, spec.Hi, d, size)
 			}
 			start, sel.count[d] = spec.Lo, spec.Hi-spec.Lo+1
 		case SpecAll:
@@ -75,10 +85,13 @@ func (m *Matrix) resolve(specs []IndexSpec) (*selection, error) {
 		case SpecMask:
 			mk := spec.Mask
 			if mk.elem != Bool || mk.Rank() != 1 {
-				return nil, fmt.Errorf("matrix: logical index for dimension %d must be a rank-1 bool matrix", d)
+				return selection{}, fmt.Errorf("matrix: logical index for dimension %d must be a rank-1 bool matrix", d)
 			}
 			if mk.Size() != size {
-				return nil, fmt.Errorf("matrix: logical index length %d does not match dimension %d of size %d", mk.Size(), d, size)
+				return selection{}, fmt.Errorf("matrix: logical index length %d does not match dimension %d of size %d", mk.Size(), d, size)
+			}
+			if sel.pos == nil {
+				sel.pos = make([][]int, rank)
 			}
 			sel.pos[d] = []int{}
 			for k, v := range mk.b {
@@ -88,7 +101,7 @@ func (m *Matrix) resolve(specs []IndexSpec) (*selection, error) {
 			}
 			sel.count[d] = len(sel.pos[d])
 		default:
-			return nil, fmt.Errorf("matrix: unknown index spec kind %d", spec.Kind)
+			return selection{}, fmt.Errorf("matrix: unknown index spec kind %d", spec.Kind)
 		}
 		sel.off += start * m.strides[d]
 		if spec.Kind != SpecScalar {
@@ -116,7 +129,11 @@ const (
 func boxCopy[T any](sel *selection, strides []int, d, off int, strided, dense []T, op boxOp) []T {
 	n := 1
 	if d < len(strides) {
-		if p := sel.pos[d]; p != nil || d < len(strides)-1 {
+		var p []int
+		if sel.pos != nil {
+			p = sel.pos[d]
+		}
+		if p != nil || d < len(strides)-1 {
 			for k := 0; k < sel.count[d]; k++ {
 				at := k
 				if p != nil {
@@ -161,18 +178,19 @@ func (m *Matrix) copyBox(sel *selection, dense *Matrix, op boxOp) {
 // the number of kept dimensions, admitted against b (nil = unlimited)
 // once every spec has been checked.
 func (m *Matrix) Index(b *Budget, specs ...IndexSpec) (any, error) {
-	sel, err := m.resolve(specs)
+	var scratch selScratch
+	sel, err := m.resolve(specs, &scratch)
 	if err != nil {
 		return nil, err
 	}
-	if sel.shape == nil {
+	if len(sel.shape) == 0 {
 		return m.Get(sel.off), nil
 	}
 	out, err := newKernelOut(b, m.elem, sel.shape) // un-zeroed: every cell is written
 	if err != nil {
 		return nil, err
 	}
-	m.copyBox(sel, out, boxRead)
+	m.copyBox(&sel, out, boxRead)
 	return out, nil
 }
 
@@ -181,11 +199,12 @@ func (m *Matrix) Index(b *Budget, specs ...IndexSpec) (any, error) {
 // selection) or a matrix whose size matches the selection. A value of
 // the wrong type writes nothing, and an empty selection takes any.
 func (m *Matrix) SetIndex(v any, specs ...IndexSpec) error {
-	sel, err := m.resolve(specs)
+	var scratch selScratch
+	sel, err := m.resolve(specs, &scratch)
 	if err != nil {
 		return err
 	}
-	if sel.shape == nil {
+	if len(sel.shape) == 0 {
 		return m.Set(sel.off, v)
 	}
 	src, isMatrix := v.(*Matrix)
@@ -213,6 +232,6 @@ func (m *Matrix) SetIndex(v any, specs ...IndexSpec) error {
 	case src.elem != m.elem:
 		return fmt.Errorf("matrix: cannot store %T in %s matrix", src.Get(0), m.elem)
 	}
-	m.copyBox(sel, src, op)
+	m.copyBox(&sel, src, op)
 	return nil
 }

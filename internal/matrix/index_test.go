@@ -253,10 +253,11 @@ func randSpecs(r *rand.Rand, shape []int) []IndexSpec {
 	return specs
 }
 
-// randIndexed draws a matrix of rank 1 to 4 with extents 0 to 4 and
-// distinct cell values.
+// randIndexed draws a matrix of rank 1 to 6 — both sides of InlineRank:
+// header-held and allocated dimensions, stack and heap selection scratch
+// — with extents 0 to 4 and distinct cell values.
 func randIndexed(r *rand.Rand, elem Elem) *Matrix {
-	shape := make([]int, 1+r.Intn(4))
+	shape := make([]int, 1+r.Intn(InlineRank+2))
 	for d := range shape {
 		shape[d] = r.Intn(5)
 	}
@@ -360,7 +361,7 @@ func TestQuickSetIndexMatchesReference(t *testing.T) {
 			v = r.Intn(100)
 		default:
 			cells := 0
-			if sel, err := orig.resolve(specs); err == nil {
+			if sel, err := orig.resolve(specs, new(selScratch)); err == nil {
 				cells = sel.cells
 			}
 			if r.Intn(8) == 0 {
@@ -398,7 +399,10 @@ func TestQuickSetIndexMatchesReference(t *testing.T) {
 
 // A selection costs its call a fixed number of objects, whatever it
 // selects: no position list for ':' or a range, no boxed cell. The
-// position-list walker made 66 000 to 200 000 for these.
+// position-list walker made 66 000 to 200 000 for these; since the
+// selection is resolved on the caller's stack and a header is one
+// object, a read allocates only its result's header (these cells come
+// back from the free list) and a store of a matrix nothing.
 func TestIndexAllocatesPerCallNotPerCell(t *testing.T) {
 	if raceEnabled {
 		t.Skip("pooled scratch is dropped at random under the race detector")
@@ -409,23 +413,24 @@ func TestIndexAllocatesPerCallNotPerCell(t *testing.T) {
 	ints := randCells(rand.New(rand.NewSource(3)), Int, n)
 	for _, tc := range []struct {
 		name string
+		most float64
 		f    func()
 	}{
-		{"column read", func() {
+		{"column read", 1, func() {
 			out, _ := m.Index(nil, All(), Scalar(7))
 			out.(*Matrix).Recycle()
 		}},
-		{"block read", func() {
+		{"block read", 1, func() {
 			out, _ := m.Index(nil, Span(3, n-4), Span(5, n-2))
 			out.(*Matrix).Recycle()
 		}},
-		{"row store", func() { _ = m.SetIndex(row, Scalar(9), All()) }},
-		{"column store", func() { _ = m.SetIndex(row, All(), Scalar(9)) }},
-		{"promoting column store", func() { _ = m.SetIndex(ints, All(), Scalar(9)) }},
-		{"scalar fill", func() { _ = m.SetIndex(0.5, All(), Span(1, n-2)) }},
+		{"row store", 0, func() { _ = m.SetIndex(row, Scalar(9), All()) }},
+		{"column store", 0, func() { _ = m.SetIndex(row, All(), Scalar(9)) }},
+		{"promoting column store", 0, func() { _ = m.SetIndex(ints, All(), Scalar(9)) }},
+		{"scalar fill", 2, func() { _ = m.SetIndex(0.5, All(), Span(1, n-2)) }},
 	} {
-		if got := testing.AllocsPerRun(50, tc.f); got > 12 {
-			t.Errorf("%s of a %d x %d matrix allocates %.0f objects", tc.name, n, n, got)
+		if got := testing.AllocsPerRun(50, tc.f); got > tc.most {
+			t.Errorf("%s of a %d x %d matrix allocates %.0f objects, measured %.0f", tc.name, n, n, got, tc.most)
 		}
 	}
 }

@@ -11,6 +11,7 @@ package matrix
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/rc"
 )
@@ -48,7 +49,18 @@ type Matrix struct {
 	// Hdr is the reference-count header when the matrix is tracked
 	// (§III-B); nil for untracked matrices.
 	Hdr *rc.Header
+	// dims is where shape and strides of a matrix of rank <= InlineRank
+	// live (alloc points the two slices into it), so such a matrix is
+	// two objects: this header and its cells.
+	dims [2 * InlineRank]int
 }
+
+// InlineRank is the highest rank served without allocating: the header
+// holds shape and strides itself, a selection resolves in stack scratch,
+// and the VM sizes its index-spec and dimension scratch from it. A
+// higher rank allocates them. The paper's data is rank 3 (latitude,
+// longitude, time).
+const InlineRank = 4
 
 // New allocates a zeroed matrix. It panics on an impossible shape
 // (negative dimension, size overflow); execution layers that must not
@@ -72,7 +84,8 @@ func checkedSize(shape []int) (int, error) {
 			return 0, &ShapeError{msg: fmt.Sprintf("matrix: negative dimension %d", d)}
 		}
 		if d > 0 && n > maxCells/d {
-			return 0, &ShapeError{msg: fmt.Sprintf("matrix: shape %v overflows the address space", shape)}
+			// The formatter gets a copy, so a caller's shape can stay on its stack.
+			return 0, &ShapeError{msg: fmt.Sprintf("matrix: shape %v overflows the address space", slices.Clone(shape))}
 		}
 		n *= d
 	}
@@ -113,8 +126,18 @@ func admit(b *Budget, shape []int) (int, error) {
 // fits; zeroed clears such a buffer, and may be false only when the
 // caller writes every cell.
 func alloc(elem Elem, shape []int, n int, zeroed bool) *Matrix {
-	m := &Matrix{elem: elem, shape: append([]int(nil), shape...)}
-	m.strides = stridesFor(m.shape)
+	m := &Matrix{elem: elem}
+	if r := len(shape); r <= InlineRank {
+		m.shape, m.strides = m.dims[:r:r], m.dims[InlineRank:InlineRank+r:InlineRank+r]
+	} else {
+		m.shape, m.strides = make([]int, r), make([]int, r)
+	}
+	copy(m.shape, shape)
+	acc := 1
+	for d := len(shape) - 1; d >= 0; d-- {
+		m.strides[d] = acc
+		acc *= shape[d]
+	}
 	switch elem {
 	case Float:
 		m.f = floatFree.take(n, zeroed)
@@ -134,16 +157,6 @@ func NewBudgeted(b *Budget, elem Elem, shape ...int) (*Matrix, error) {
 		return nil, err
 	}
 	return alloc(elem, shape, n, true), nil
-}
-
-func stridesFor(shape []int) []int {
-	s := make([]int, len(shape))
-	acc := 1
-	for d := len(shape) - 1; d >= 0; d-- {
-		s[d] = acc
-		acc *= shape[d]
-	}
-	return s
 }
 
 // FromFloats builds a float matrix from row-major data.

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -105,5 +106,35 @@ func TestMetricsJSONShape(t *testing.T) {
 	}
 	if err := json.Unmarshal(got, &back); err != nil || back.Hits.Load() != 41 {
 		t.Errorf("the counter read back as %d, %v", back.Hits.Load(), err)
+	}
+}
+
+// A histogram's JSON reads back as the snapshot it was made from: a
+// scraper needs no type of its own. An observation on a bound belongs to
+// that bound's bucket and one a microsecond over to the next; a
+// histogram nothing was observed in has no buckets at all.
+func TestHistogramSnapshotRoundTrip(t *testing.T) {
+	var h, idle Histogram
+	h.Observe(100 * time.Microsecond)
+	h.Observe(101 * time.Microsecond)
+	h.Observe(0)
+	for _, tc := range []struct {
+		h    *Histogram
+		want []BucketSnapshot
+	}{
+		{&h, []BucketSnapshot{{LeUS: 50, Count: 1}, {LeUS: 100, Count: 1}, {LeUS: 250, Count: 1}}},
+		{&idle, nil},
+	} {
+		raw, err := json.Marshal(tc.h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back HistogramSnapshot
+		if err := json.Unmarshal(raw, &back); err != nil {
+			t.Fatalf("%s: %v", raw, err)
+		}
+		if !reflect.DeepEqual(back, tc.h.Snapshot()) || !reflect.DeepEqual(back.Buckets, tc.want) {
+			t.Errorf("%s read back as %+v, the snapshot is %+v and the buckets should be %+v", raw, back, tc.h.Snapshot(), tc.want)
+		}
 	}
 }

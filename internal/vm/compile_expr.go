@@ -706,12 +706,6 @@ func (f *fnc) compileWith(w *ast.WithLoop) (int32, class) {
 		return f.reg(), classOf(f.c.info.TypeOf(w))
 	}
 	d.body, d.captures = f.compileWithBody(w, bodyExpr)
-	d.reuse = true
-	for _, in := range f.c.protos[d.body].code {
-		if in.op == opSpawn || in.op == opSync {
-			d.reuse = false
-		}
-	}
 	op := opWith
 	if d.staticFail == nil {
 		if fp := f.flatWithPlan(w, d); fp != nil {

@@ -74,7 +74,7 @@ func (mc *Machine) exec(fr *frame, p *proto) error {
 		case opRet:
 			fr.hasRet = true
 			if in.a >= 0 {
-				fr.ret = fr.box(argDesc{reg: in.a, cl: class(in.b)})
+				fr.ret, fr.retCl = regs[in.a], class(in.b)
 			}
 			return nil
 

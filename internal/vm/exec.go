@@ -29,16 +29,48 @@ func NewMachine(p *Program, in *interp.Interp) *Machine {
 	return &Machine{p: p, in: in}
 }
 
-// frame is one function activation: its registers, its statement-
-// scoped pending rc releases, and its outstanding Cilk spawns.
+// frame is one activation of a proto: its registers, its statement-
+// scoped pending rc releases, its outstanding Cilk spawns, and what it
+// returned — the returning register as it stood, in class retCl (a bare
+// `return;` and falling off the end leave the nil boxed value).
+//
+// Frames come from their proto's pool and go back to it on a clean exit
+// only (see proto.release); DESIGN.md §11 has the lifecycle.
 type frame struct {
 	regs    []value
 	pending []*rc.Header
 	futures []*vmFuture
 	pool    *par.Pool
 	depth   int
-	ret     any
+	ret     value
+	retCl   class
 	hasRet  bool
+}
+
+// frame takes an activation record for p: a pooled one, whose registers
+// release left all zero, or a new one.
+func (p *proto) frame(pool *par.Pool, depth int) *frame {
+	fr, _ := p.frames.Get().(*frame)
+	if fr == nil {
+		fr = &frame{regs: make([]value, p.nregs), retCl: clR}
+	}
+	fr.pool, fr.depth = pool, depth
+	return fr
+}
+
+// release hands a finished frame back for the next activation of p. Its
+// registers are cleared, so nothing the activation reached stays
+// reachable through the pool and the next one reads every variable it
+// has not assigned as zero / unassigned. A frame a spawn may still
+// write into is never handed out again; nor is one whose activation
+// failed — its caller simply does not release it.
+func (p *proto) release(fr *frame) {
+	if len(fr.futures) != 0 {
+		return
+	}
+	clear(fr.regs)
+	fr.ret, fr.retCl, fr.hasRet, fr.pool = value{}, clR, false, nil
+	p.frames.Put(fr)
 }
 
 // vmFuture is one outstanding spawned call (mirrors interp's
@@ -53,7 +85,10 @@ type vmFuture struct {
 	node    ast.Node
 }
 
-// box reads an operand register as a boxed value.
+// box reads an operand register as a boxed value: the one field its
+// class names, in place (the dispatch loop inlines this in a dozen
+// handlers; see EXPERIMENTS.md E21 on what copying the register first
+// did to its layout).
 func (fr *frame) box(d argDesc) any {
 	switch d.cl {
 	case clI:
@@ -64,6 +99,21 @@ func (fr *frame) box(d argDesc) any {
 		return fr.regs[d.reg].i != 0
 	default:
 		return fr.regs[d.reg].r
+	}
+}
+
+// boxValue boxes a register that has left its frame — a returned value
+// — by its class.
+func boxValue(v value, cl class) any {
+	switch cl {
+	case clI:
+		return v.i
+	case clF:
+		return v.f
+	case clB:
+		return v.i != 0
+	default:
+		return v.r
 	}
 }
 
@@ -111,6 +161,7 @@ func (mc *Machine) flush(fr *frame) {
 	for _, h := range fr.pending {
 		h.DecRef()
 	}
+	clear(fr.pending)
 	fr.pending = fr.pending[:0]
 }
 
@@ -131,11 +182,12 @@ func (mc *Machine) run() (int, error) {
 		return 0, fmt.Errorf("interp: program has no main function")
 	}
 	mc.globals = make([]value, len(mc.p.globals))
-	gfr := &frame{regs: make([]value, mc.p.ginit.nregs), pool: mc.in.Pool()}
+	gfr := mc.p.ginit.frame(mc.in.Pool(), 0)
 	if err := mc.exec(gfr, mc.p.ginit); err != nil {
 		// Globals are deliberately not released on error (tree parity).
 		return 0, err
 	}
+	mc.p.ginit.release(gfr)
 	mp := mc.p.protos[mc.p.main]
 	var rootPending []*rc.Header
 	ret, err := mc.callProto(mc.p.main, nil, mp.decl, 0, mc.in.Pool(), &rootPending)
@@ -157,30 +209,39 @@ func (mc *Machine) run() (int, error) {
 	return code, nil
 }
 
-// callProto invokes a compiled function: depth check, parameter
-// coercion and binding, execution, implicit sync, return promotion /
-// fall-off zero substitution, escape of the return value into the
-// caller's pending list, and frame teardown — each step mirroring the
-// tree walker's callFunction exactly, including its error-path
-// ordering.
-func (mc *Machine) callProto(pi int, args []any, site ast.Node, callerDepth int, pool *par.Pool, callerPending *[]*rc.Header) (any, error) {
-	p := mc.p.protos[pi]
+// A call is three steps, each mirroring the tree walker's callFunction
+// exactly, including its error-path ordering: enter (depth check, a
+// frame), parameter binding in order (bind for a boxed argument; opCall
+// moves scalars of the parameter's class across unboxed), and finish
+// (execution, implicit sync, return promotion / fall-off zero
+// substitution, escape of the return value into the caller's pending
+// list, teardown). A failed call's frame is dropped, not released: the
+// tree walker does not pop a half-built or failed frame either.
+
+// enter opens an activation of p for a caller at callerDepth.
+func (mc *Machine) enter(p *proto, site ast.Node, callerDepth int, pool *par.Pool) (*frame, error) {
 	if callerDepth > 512 {
 		return nil, interp.Trapf(site, interp.TrapDepth, "call stack exceeded 512 frames (infinite recursion in %q?)", p.name)
 	}
-	fr := &frame{regs: make([]value, p.nregs), pool: pool, depth: callerDepth + 1}
-	for k, pd := range p.params {
-		v, err := interp.CoerceValue(site, pd.ty, args[k])
-		if err != nil {
-			// Earlier parameters stay bound (tree parity: callFunction
-			// returns without popping the half-built frame).
-			return nil, err
-		}
-		mc.in.BindValue(v)
-		if err := fr.store(pd.reg, pd.cl, v, site); err != nil {
-			return nil, err
-		}
+	return p.frame(pool, callerDepth+1), nil
+}
+
+// bind coerces a boxed argument to its parameter's type and binds it.
+// On an error earlier parameters stay bound (tree parity: callFunction
+// returns without popping the half-built frame).
+func (mc *Machine) bind(fr *frame, pd paramDef, arg any, site ast.Node) error {
+	v, err := interp.CoerceValue(site, pd.ty, arg)
+	if err != nil {
+		return err
 	}
+	mc.in.BindValue(v)
+	return fr.store(pd.reg, pd.cl, v, site)
+}
+
+// finish runs a bound frame to its return and tears it down. The value
+// comes back in the register class it was returned in — a scalar never
+// boxed — and boxValue makes an any of it for the callers that need one.
+func (mc *Machine) finish(fr *frame, p *proto, callerPending *[]*rc.Header) (value, class, error) {
 	err := mc.exec(fr, p)
 	if serr := mc.syncFrame(fr); serr != nil && err == nil {
 		err = serr
@@ -188,22 +249,85 @@ func (mc *Machine) callProto(pi int, args []any, site ast.Node, callerDepth int,
 	if err != nil {
 		mc.flush(fr)
 		mc.releaseRefRegs(fr, p)
-		return nil, err
+		return value{}, clR, err
 	}
-	ret := fr.ret
+	ret, cl := fr.ret, fr.retCl
 	if p.retTy != nil && p.retTy.Kind != types.Void && p.retTy.Kind != types.Invalid {
-		if fr.hasRet && ret != nil {
-			ret = interp.PromoteScalar(p.retTy, ret)
-		} else if !fr.hasRet {
-			ret = interp.ZeroValue(p.retTy)
+		switch {
+		case !fr.hasRet:
+			ret, cl = value{}, classOf(p.retTy)
+			if cl == clR {
+				ret.r = interp.ZeroValue(p.retTy)
+			}
+		case cl == clI && p.retTy.Kind == types.Float:
+			ret, cl = value{f: float64(ret.i)}, clF
+		case cl == clR && ret.r != nil:
+			ret.r = interp.PromoteScalar(p.retTy, ret.r)
 		}
 	}
-	if fr.hasRet && ret != nil {
-		mc.in.EscapeRef(ret, callerPending)
+	if fr.hasRet && cl == clR && ret.r != nil {
+		mc.in.EscapeRef(ret.r, callerPending)
 	}
 	mc.flush(fr)
 	mc.releaseRefRegs(fr, p)
-	return ret, nil
+	p.release(fr)
+	return ret, cl, nil
+}
+
+// callProto calls a compiled function with boxed arguments: main, a
+// matrixMap application, a spawn.
+func (mc *Machine) callProto(pi int, args []any, site ast.Node, callerDepth int, pool *par.Pool, callerPending *[]*rc.Header) (any, error) {
+	p := mc.p.protos[pi]
+	fr, err := mc.enter(p, site, callerDepth, pool)
+	if err != nil {
+		return nil, err
+	}
+	for k, pd := range p.params {
+		if err := mc.bind(fr, pd, args[k], site); err != nil {
+			return nil, err
+		}
+	}
+	v, cl, err := mc.finish(fr, p, callerPending)
+	if err != nil {
+		return nil, err
+	}
+	return boxValue(v, cl), nil
+}
+
+// call runs opCall. Arguments go from the caller's registers straight
+// into the callee's: an int, float or bool whose parameter has its class
+// (or an int for a float parameter, promoted here) is never boxed, and
+// neither is a scalar result of the class the call site expects; every
+// other pairing takes the boxed path and its checks.
+func (mc *Machine) call(fr *frame, in *instr) error {
+	d := in.aux.(*callDesc)
+	p := mc.p.protos[d.proto]
+	cf, err := mc.enter(p, in.nd, fr.depth, fr.pool)
+	if err != nil {
+		return err
+	}
+	for k, pd := range p.params {
+		ad := d.args[k]
+		switch {
+		case ad.cl == pd.cl && pd.cl != clR:
+			cf.regs[pd.reg] = fr.regs[ad.reg]
+		case ad.cl == clI && pd.cl == clF:
+			cf.regs[pd.reg].f = float64(fr.regs[ad.reg].i)
+		default:
+			if err := mc.bind(cf, pd, fr.box(ad), in.nd); err != nil {
+				return err
+			}
+		}
+	}
+	v, cl, err := mc.finish(cf, p, &fr.pending)
+	if err != nil || in.a < 0 {
+		return err
+	}
+	if cl == d.retCl && cl != clR {
+		fr.regs[in.a] = v
+		return nil
+	}
+	return fr.store(in.a, d.retCl, boxValue(v, cl), in.nd)
 }
 
 // releaseRefRegs drops the binding references of the frame's boxed

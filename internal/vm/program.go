@@ -320,9 +320,7 @@ type withDesc struct {
 	promote    bool // fold base int→float when the loop's type is float
 	body       int  // body proto index
 	captures   []capture
-	ids        int       // w.Ids occupy body regs [0, ids)
-	reuse      bool      // the body cannot leave work in its frame: frames are pooled
-	frames     sync.Pool // *frame sized for the body proto; scratch, not program state
+	ids        int // w.Ids occupy body regs [0, ids)
 	resCl      class
 	staticFail error     // deferred "internal error" diagnosis, nil normally
 	flat       *flatPlan // non-nil for opWithGen/opWithFold sites
@@ -403,6 +401,7 @@ type proto struct {
 	params  []paramDef
 	refRegs []int32 // boxed variable registers released at teardown
 	retTy   *types.Type
+	frames  sync.Pool // *frame with nregs registers; scratch, not program state
 }
 
 // globalDef is one compiled global variable slot.

@@ -39,7 +39,8 @@ func (mc *Machine) execSlow(fr *frame, in *instr) error {
 	case opIndex:
 		d := in.aux.(*indexDesc)
 		m := regs[in.b].r.(*matrix.Matrix)
-		specs, err := fr.buildSpecs(d.plans)
+		var scratch [matrix.InlineRank]matrix.IndexSpec
+		specs, err := fr.buildSpecs(d.plans, scratch[:0])
 		if err != nil {
 			return err
 		}
@@ -52,7 +53,8 @@ func (mc *Machine) execSlow(fr *frame, in *instr) error {
 	case opSetIndex:
 		d := in.aux.(*setIndexDesc)
 		m := regs[in.a].r.(*matrix.Matrix)
-		specs, err := fr.buildSpecs(d.plans)
+		var scratch [matrix.InlineRank]matrix.IndexSpec
+		specs, err := fr.buildSpecs(d.plans, scratch[:0])
 		if err != nil {
 			return err
 		}
@@ -134,9 +136,10 @@ func (mc *Machine) execSlow(fr *frame, in *instr) error {
 
 	case opInit:
 		d := in.aux.(*initDesc)
-		dims := make([]int, len(d.dims))
-		for k, r := range d.dims {
-			dims[k] = int(regs[r].i)
+		var scratch [matrix.InlineRank]int
+		dims := scratch[:0]
+		for _, r := range d.dims {
+			dims = append(dims, int(regs[r].i))
 		}
 		m, err := matrix.NewBudgeted(mc.in.Budget(), d.elem, dims...)
 		if err != nil {
@@ -162,18 +165,7 @@ func (mc *Machine) execSlow(fr *frame, in *instr) error {
 		regs[in.a].r = regs[in.b].r.([]any)[in.c]
 
 	case opCall:
-		d := in.aux.(*callDesc)
-		args := make([]any, len(d.args))
-		for k, ad := range d.args {
-			args[k] = fr.box(ad)
-		}
-		v, err := mc.callProto(d.proto, args, in.nd, fr.depth, fr.pool, &fr.pending)
-		if err != nil {
-			return err
-		}
-		if in.a >= 0 {
-			return fr.store(in.a, d.retCl, v, in.nd)
-		}
+		return mc.call(fr, in)
 
 	case opPrint:
 		mc.in.PrintValue(fr.box(in.aux.(argDesc)))
@@ -257,30 +249,33 @@ func (mc *Machine) execSlow(fr *frame, in *instr) error {
 	return nil
 }
 
-// buildSpecs materializes per-dimension index specs from compiled
-// plans, mirroring the tree walker's oneIndexSpec.
-func (fr *frame) buildSpecs(plans []specPlan) ([]matrix.IndexSpec, error) {
-	specs := make([]matrix.IndexSpec, len(plans))
-	for k, p := range plans {
+// buildSpecs appends the per-dimension index specs of compiled plans to
+// specs — the handler's stack scratch, matrix.InlineRank long, so the
+// rank matrix serves without allocating is the rank the VM does —
+// mirroring the tree walker's oneIndexSpec.
+func (fr *frame) buildSpecs(plans []specPlan, specs []matrix.IndexSpec) ([]matrix.IndexSpec, error) {
+	for _, p := range plans {
+		var spec matrix.IndexSpec
 		switch p.kind {
 		case spScalar:
-			specs[k] = matrix.Scalar(int(fr.regs[p.r1].i))
+			spec = matrix.Scalar(int(fr.regs[p.r1].i))
 		case spMask:
-			specs[k] = matrix.Mask(maskMatrix(fr.regs[p.r1].r))
+			spec = matrix.Mask(maskMatrix(fr.regs[p.r1].r))
 		case spRange:
-			specs[k] = matrix.Span(int(fr.regs[p.r1].i), int(fr.regs[p.r2].i))
+			spec = matrix.Span(int(fr.regs[p.r1].i), int(fr.regs[p.r2].i))
 		case spAll:
-			specs[k] = matrix.All()
+			spec = matrix.All()
 		case spDyn:
 			switch x := fr.regs[p.r1].r.(type) {
 			case int64:
-				specs[k] = matrix.Scalar(int(x))
+				spec = matrix.Scalar(int(x))
 			case *matrix.Matrix:
-				specs[k] = matrix.Mask(x)
+				spec = matrix.Mask(x)
 			default:
 				return nil, interp.Errorf(p.nd, "index must be an int or a bool matrix, got %T", x)
 			}
 		}
+		specs = append(specs, spec)
 	}
 	return specs, nil
 }
@@ -306,35 +301,25 @@ func (mc *Machine) execWith(fr *frame, in *instr) error {
 		template[cp.to] = fr.regs[cp.from]
 	}
 	bodyNode := bodyExprOf(d.w)
-	// Body frames come from the site's pool, registers reset from the
-	// template per cell, unless the body can spawn: a frame with
-	// outstanding futures is not reusable.
+	// A body frame lives for one cell, like a call's (the body proto's
+	// pool; dropped on an error): registers set from the template, no
+	// pool of its own.
 	body := func(idx []int) (any, error) {
 		if err := mc.in.CheckCancel(bodyNode); err != nil {
 			return nil, err
 		}
-		var bf *frame
-		if d.reuse {
-			bf, _ = d.frames.Get().(*frame)
-		}
-		if bf == nil {
-			bf = &frame{regs: make([]value, bp.nregs)}
-		}
-		bf.depth = fr.depth + 1
+		bf := bp.frame(nil, fr.depth+1)
 		copy(bf.regs, template)
 		for k := range idx {
 			bf.regs[k].i = int64(idx[k])
 		}
 		err := mc.exec(bf, bp)
 		mc.flush(bf)
-		ret := bf.ret
-		if d.reuse {
-			bf.ret, bf.hasRet = nil, false
-			d.frames.Put(bf)
-		}
 		if err != nil {
 			return nil, err
 		}
+		ret := boxValue(bf.ret, bf.retCl)
+		bp.release(bf)
 		return ret, nil
 	}
 	x := mc.in.Exec(fr.pool)
@@ -538,6 +523,7 @@ func (mc *Machine) execSpawnOp(fr *frame, in *instr) error {
 		return interp.Errorf(d.s, "spawn target %q is not declared", d.name)
 	}
 	fut := &vmFuture{done: make(chan struct{}), node: d.s, args: args, target: d.target}
+	depth := fr.depth
 	go func() {
 		defer close(fut.done)
 		defer func() {
@@ -545,7 +531,7 @@ func (mc *Machine) execSpawnOp(fr *frame, in *instr) error {
 				fut.err = interp.Recovered(d.s, r)
 			}
 		}()
-		fut.val, fut.err = mc.callProto(d.proto, args, d.s, fr.depth, nil, &fut.pending)
+		fut.val, fut.err = mc.callProto(d.proto, args, d.s, depth, nil, &fut.pending)
 	}()
 	fr.futures = append(fr.futures, fut)
 	return nil

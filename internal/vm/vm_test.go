@@ -6,10 +6,13 @@
 package vm
 
 import (
+	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/interp"
+	"repro/internal/matrix"
 	"repro/internal/parser"
 	"repro/internal/sem"
 	"repro/internal/source"
@@ -158,4 +161,54 @@ int main() { g = g + 1; return g; }`)
 			t.Errorf("exit code = %d, want 4 (each machine owns its globals)", code)
 		}
 	}
+}
+
+// A Program is shared by concurrent runs, and since frames are pooled on
+// its protos so is that scratch: runs of one program on several
+// goroutines — recursion, a spawn, a with-loop body that calls, and in
+// every fourth run an error exit that drops its frames — must each see
+// only their own registers. Under -race this is also the proof that a
+// frame is never in two activations at once.
+func TestSharedProgramConcurrentRuns(t *testing.T) {
+	p := compile(t, `
+int fib(int n) {
+	if (n < 2) { return n; }
+	return fib(n - 1) + fib(n - 2);
+}
+Matrix int <1> row(int n, int seed) {
+	Matrix int <1> held;
+	if (n == 0 && seed == 3) { print(held[0]); }
+	if (n == 0) { held = [seed :: seed + 3]; return held; }
+	Matrix int <1> below = row(n - 1, seed);
+	return with ([0] <= [i] < [4]) genarray([4], below[i] + fib(i + 3));
+}
+int main() {
+	Matrix int <1> cfg = readMatrix("cfg");
+	int a = 0;
+	spawn a = fib(12);
+	Matrix int <1> r = row(3, cfg[0]);
+	sync;
+	print(a + r[0] + r[3]);
+	return 0;
+}`)
+	want := []string{"177\n", "179\n", "181\n", ""}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 20; k++ {
+				seed := (g + k) % 4
+				var out bytes.Buffer
+				i := interp.New(p.prog, p.info, interp.Options{Stdout: &out, Threads: 1 + g%2,
+					Files: map[string]*matrix.Matrix{"cfg": matrix.FromInts([]int64{int64(seed)}, 1)}})
+				_, err := NewMachine(p, i).Run()
+				i.Close()
+				if (err != nil) != (seed == 3) || out.String() != want[seed] {
+					t.Errorf("goroutine %d run %d seed %d: printed %q, error %v", g, k, seed, out.String(), err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -122,6 +122,19 @@ func compare(t *testing.T, label string, tree, vmr engineResult) {
 	if tree.err == "" && (tree.live != 0 || vmr.live != 0) {
 		t.Errorf("%s: rc leak on success: tree live=%d vm live=%d", label, tree.live, vmr.live)
 	}
+	// A failed run keeps what the oracle keeps (neither pops a failed
+	// frame), and no more: a VM frame dropped on an error exit has
+	// released what the tree walker's has.
+	if tree.live != vmr.live {
+		t.Errorf("%s: rc cells live after the run: tree %d, vm %d", label, tree.live, vmr.live)
+	}
+}
+
+// pinned is an oracle run's stdout and budget cells, recorded at the
+// commit the entry was written against.
+type pinned struct {
+	out   string
+	cells int64
 }
 
 // vmCorpus is the table-driven dual-engine suite: one entry per
@@ -131,7 +144,8 @@ var vmCorpus = []struct {
 	name   string
 	src    string
 	opts   interp.Options
-	errHas string // when set, the oracle's error must contain it
+	errHas string  // when set, the oracle's error must contain it
+	pin    *pinned // when set, the oracle's stdout and budget cells
 }{
 	{name: "scalar_loop", src: `
 int main() {
@@ -855,9 +869,152 @@ int main() {
 	print(dimSize(b, 2));
 	return 0;
 }`},
+	// What only a reused frame can get wrong (out, error and cells pinned
+	// at 5677b0f, before frames were pooled): a register the previous
+	// activation left behind, a frame handed out twice at two depths, a
+	// frame returned while a spawn still writes into it.
+	{name: "frame_second_call_reads_unassigned", pin: &pinned{"5\n7.5\n0\n", 4},
+		errHas: "9:8: runtime error: cannot index a non-matrix or unassigned matrix", src: `
+int peek(int k) {
+	Matrix float <1> v;
+	int c;
+	if (k == 0) {
+		v = init(Matrix float <1>, 4); v[0] = 7.5; c = 5;
+	}
+	print(c);
+	print(v[0]);
+	return k;
+}
+int main() {
+	peek(0);
+	peek(1);
+	return 0;
+}`},
+	{name: "frame_second_call_unassigned_operand", pin: &pinned{"1\n", 6},
+		errHas: "5:23: runtime error: use of unassigned matrix", src: `
+float tip(int k, Matrix float <1> seed) {
+	Matrix float <1> v;
+	if (k == 0) { v = seed; }
+	Matrix float <1> w = v + 1.0;
+	return w[0];
+}
+int main() {
+	Matrix float <1> seed = init(Matrix float <1>, 3);
+	print(tip(0, seed));
+	print(tip(1, seed));
+	return 0;
+}`},
+	{name: "frame_recursive_matrix_from_own_return", pin: &pinned{"11\n6\n3\n6\n", 30}, src: `
+Matrix float <1> grow(int n) {
+	if (n == 0) { return init(Matrix float <1>, 3); }
+	Matrix float <1> prev = grow(n - 1);
+	Matrix float <1> next = prev + 1.0;
+	next[0] = prev[1] + (float)n;
+	return next;
+}
+int main() {
+	Matrix float <1> r = grow(6);
+	print(r[0]);
+	print(r[1]);
+	Matrix float <1> again = grow(2);
+	print(again[0]);
+	print(r[2]);
+	return 0;
+}`},
+	{name: "frame_spawn_same_function_two_depths", pin: &pinned{"34021\n21\n", 0}, src: `
+int work(int n) {
+	if (n < 2) { return n; }
+	int a = 0;
+	int b = 0;
+	spawn a = work(n - 1);
+	spawn b = work(n - 2);
+	sync;
+	return a + b;
+}
+int twice(int n) {
+	int x = 0;
+	int y = 0;
+	spawn x = work(n);
+	y = work(n - 1);
+	sync;
+	return x * 1000 + y;
+}
+int main() {
+	int p = 0;
+	int q = 0;
+	spawn p = twice(9);
+	q = work(8);
+	sync;
+	print(p);
+	print(q);
+	return 0;
+}`},
+	{name: "frame_with_body_reenters_own_body_proto", pin: &pinned{"2226\n83\n83\n", 624}, src: `
+int nest(int n) {
+	if (n == 0) { return 1; }
+	return with ([0] <= [i] < [3]) fold(+, 0, nest(n - 1) * (i + 1) + n);
+}
+Matrix int <1> row(int n) {
+	if (n == 0) { return [1 :: 4]; }
+	Matrix int <1> below = row(n - 1);
+	return with ([0] <= [i] < [4]) genarray([4], below[i] + row(n - 1)[3 - i] + nest(1));
+}
+int main() {
+	print(nest(4));
+	Matrix int <1> r = row(3);
+	print(r[0]);
+	print(r[3]);
+	return 0;
+}`},
+	// Rank 5 and 6: above matrix.InlineRank, so shape and strides are
+	// allocated, resolve's scratch is on the heap and the VM's spec and
+	// dimension scratch overflows its stack array.
+	{name: "rank_above_inline_init_index_store", pin: &pinned{"71\n43\n3\n3\n64\n2\n64\n164\n62\n68\n151\n2.5\n2\n", 175}, src: `
+int main() {
+	Matrix int <5> m = init(Matrix int <5>, 2, 3, 2, 2, 3);
+	for (int a = 0; a < 2; a++) {
+		for (int b = 0; b < 3; b++) {
+			for (int c = 0; c < 2; c++) {
+				for (int d = 0; d < 2; d++) {
+					for (int e = 0; e < 3; e++) {
+						m[a, b, c, d, e] = (((a * 3 + b) * 2 + c) * 2 + d) * 3 + e;
+					}
+				}
+			}
+		}
+	}
+	print(m[1, 2, 1, 1, 2]);
+	print(m[end, 0, end, 0, end - 1]);
+	Matrix int <2> face = m[1, :, 0, 1, :];
+	print(dimSize(face, 0));
+	print(dimSize(face, 1));
+	print(face[2, 1]);
+	Matrix int <5> box = m[:, 1 : 2, :, :, 0 : 1];
+	print(dimSize(box, 1));
+	print(box[1, 1, 0, 1, 1]);
+	m[0, :, 1, 0, :] = face + 100;
+	print(m[0, 2, 1, 0, 1]);
+	m[1, 0 : 1, :, :, 2] = box[0, :, :, :, 1] * 2;
+	print(m[1, 1, 1, 0, 2]);
+	print(m[1, 2, 1, 0, 2]);
+	Matrix int <1> line = m[0, 1, 1, 0, :];
+	print(line[line > 107][0]);
+	Matrix float <6> z = init(Matrix float <6>, 2, 1, 2, 1, 2, 2);
+	z[1, 0, :, 0, 1, :] = init(Matrix float <2>, 2, 2) + 2.5;
+	print(z[1, 0, 1, 0, 1, 0] + z[0, 0, 1, 0, 1, 0]);
+	print(dimSize(z[:, 0, :, 0, 1, 1], 1));
+	return 0;
+}`},
 }
 
 func TestVMDifferentialCorpus(t *testing.T) {
+	// Every run has a heap of its own; the process-wide one sees none of it.
+	base := rc.DefaultHeap.Stats().Live
+	t.Cleanup(func() {
+		if live := rc.DefaultHeap.Stats().Live; live != base {
+			t.Errorf("rc.DefaultHeap holds %d live cells after the corpus, %d before", live, base)
+		}
+	})
 	for _, tc := range vmCorpus {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -869,6 +1026,9 @@ func TestVMDifferentialCorpus(t *testing.T) {
 				tree := runOne(t, prog, "tree", opts)
 				if !strings.Contains(tree.err, tc.errHas) {
 					t.Errorf("%s/t=%d: the tree walker's error is %q, want one with %q", tc.name, threads, tree.err, tc.errHas)
+				}
+				if tc.pin != nil && (tree.out != tc.pin.out || tree.cells != tc.pin.cells) {
+					t.Errorf("%s/t=%d: the tree walker printed %q and charged %d cells, pinned %q and %d", tc.name, threads, tree.out, tree.cells, tc.pin.out, tc.pin.cells)
 				}
 				vmr := runOne(t, prog, "vm", opts)
 				compare(t, fmt.Sprintf("%s/t=%d", tc.name, threads), tree, vmr)
