@@ -10,6 +10,8 @@ package repro_test
 
 import (
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/ast"
@@ -17,6 +19,7 @@ import (
 	"repro/internal/parser"
 	"repro/internal/sem"
 	"repro/internal/source"
+	"repro/internal/vet"
 	"repro/internal/vm"
 )
 
@@ -119,3 +122,37 @@ func benchEngines(b *testing.B, src string) {
 func BenchmarkScalarLoop(b *testing.B) { benchEngines(b, scalarLoopSrc) }
 func BenchmarkFib(b *testing.B)        { benchEngines(b, fibSrc) }
 func BenchmarkIndexSum(b *testing.B)   { benchEngines(b, indexSumSrc) }
+
+// BenchmarkVMCompile times the bytecode compiler alone over the
+// benchmark's programs (bench/programs/*.xc), facts computed outside
+// the loop: the us/program it reports is what bench/ samples once a
+// program as vm.compile_us.
+func BenchmarkVMCompile(b *testing.B) {
+	paths, err := filepath.Glob("bench/programs/*.xc")
+	if err != nil || len(paths) == 0 {
+		b.Fatalf("no benchmark programs: %v", err)
+	}
+	type unit struct {
+		benchProg
+		facts *vet.Facts
+	}
+	var units []unit
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bp := compileBench(b, string(src))
+		units = append(units, unit{bp, vet.ComputeFacts(bp.prog, bp.info)})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, u := range units {
+			if _, err := vm.CompileWithFacts(u.prog, u.info, u.facts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(units)), "us/program")
+}

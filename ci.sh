@@ -62,7 +62,7 @@ go test -race ./internal/lexer ./internal/grammar ./internal/parser
 go test -race ./internal/attr ./internal/sem
 go test -race -run 'TestSemMatchesParent|TestCheckSharesOneGrammar' -count=1 .
 
-echo "== with-loop plans in vet; the VM whole: pooled frames, flat execution, fused chains (race) =="
+echo "== with-loop plans in vet; the VM whole: pooled frames, flat execution, fused chains, golden hot-loop listings, the tick's countdown poll seen from a spawn and a with-loop cell (race) =="
 go test -race -run 'TestWithPlan|TestWithFlat|TestCompileWith|TestWithNested|TestWithStrip|TestChain' ./internal/vet
 go test -race ./internal/vm
 
@@ -79,7 +79,7 @@ go test -race -run '^TestGateHealthzDegraded$' -count=20 ./internal/fleet
 echo "== tenant registry + buckets (race) =="
 go test -race ./internal/tenant
 
-echo "== vm differential (bytecode engine vs tree-walking oracle; the frame_* entries are what a reused frame gets wrong; race) =="
+echo "== vm differential (bytecode engine vs tree-walking oracle, with facts and without; the frame_* entries are what a reused frame gets wrong; the MaxSteps sweep over every loop shape; race) =="
 go test -race -run 'TestVMDifferential|TestVMStep' -count=1 .
 
 echo "== fuzz smoke (frontend + analyzer never panic) =="

@@ -9,14 +9,15 @@
 // exactly once per executed statement — block entry, each statement in
 // a block, a function body once per call, each loop body (and for-loop
 // init/post) once per iteration. Conditions, expressions and global
-// initializers never tick. The VM emits one step opcode at each
-// compiled statement entry, so trap:step fires at the same program
-// point under both engines.
+// initializers never tick. The VM ticks at each compiled statement
+// entry (two adjacent entries share one instruction that ticks twice),
+// so trap:step fires at the same program point under both engines.
 package interp
 
 import (
 	"fmt"
 	"path/filepath"
+	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/matio"
@@ -67,9 +68,25 @@ func (i *Interp) StepTick(n ast.Node) error {
 		return nil
 	}
 	if s := i.steps.Add(1); s > max {
-		return Trapf(n, TrapStep, "execution exceeded %d steps", max)
+		return i.StepTrap(n)
 	}
 	return nil
+}
+
+// Cancellable reports whether CheckCancel can ever fail in this run: an
+// engine with no step budget and no cancellable context has nothing to
+// do at a statement entry.
+func (i *Interp) Cancellable() bool { return i.done != nil }
+
+// StepBudget hands an engine the run's statement counter and its bound
+// (0: none), so that it can debit statements inline. The contract is
+// StepTick's: one Add(1) a statement, a trap (StepTrap, at that
+// statement) when the sum passes the bound.
+func (i *Interp) StepBudget() (used *atomic.Int64, max int64) { return &i.steps, i.opts.MaxSteps }
+
+// StepTrap is the step budget's trap at statement n.
+func (i *Interp) StepTrap(n ast.Node) error {
+	return Trapf(n, TrapStep, "execution exceeded %d steps", i.opts.MaxSteps)
 }
 
 // BindValue takes a reference to v on behalf of a variable binding.

@@ -214,15 +214,10 @@ func (m *Matrix) SetIndex(v any, specs ...IndexSpec) error {
 	if sel.cells == 0 {
 		return nil
 	}
-	op := boxWrite
+	if !isMatrix {
+		return m.fillBox(&sel, v)
+	}
 	switch {
-	case !isMatrix:
-		// One cell of m's type, so Set converts or refuses v as it
-		// would for a cell of m.
-		src, op = alloc(m.elem, []int{1}, 1, false), boxFill
-		if err := src.Set(0, v); err != nil {
-			return err
-		}
 	case m.elem == Float && src.elem == Int:
 		// Promoted once, in scratch the program never sees and its
 		// budget is not charged for.
@@ -232,6 +227,24 @@ func (m *Matrix) SetIndex(v any, specs ...IndexSpec) error {
 	case src.elem != m.elem:
 		return fmt.Errorf("matrix: cannot store %T in %s matrix", src.Get(0), m.elem)
 	}
-	m.copyBox(&sel, src, op)
+	m.copyBox(&sel, src, boxWrite)
+	return nil
+}
+
+// fillBox stores the scalar v in every cell of the box. The value is one
+// cell of m's type on this stack, so Set converts or refuses v as it
+// would for a cell of m.
+func (m *Matrix) fillBox(sel *selection, v any) error {
+	var cell struct {
+		m Matrix
+		f [1]float64
+		i [1]int64
+		b [1]bool
+	}
+	cell.m.elem, cell.m.f, cell.m.i, cell.m.b = m.elem, cell.f[:], cell.i[:], cell.b[:]
+	if err := cell.m.Set(0, v); err != nil {
+		return err
+	}
+	m.copyBox(sel, &cell.m, boxFill)
 	return nil
 }

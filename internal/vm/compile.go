@@ -181,6 +181,9 @@ type cscope struct {
 }
 
 func (s *cscope) bind(name string, slot varSlot) {
+	if s.vars == nil {
+		s.vars = map[string]varSlot{} // most blocks declare nothing
+	}
 	if _, ok := s.vars[name]; !ok {
 		s.names = append(s.names, name)
 	}
@@ -195,7 +198,7 @@ type fnc struct {
 	scope   *cscope
 	refRegs []int32
 	// endStack tracks enclosing index dimensions for 'end'.
-	endStack []*endEntry
+	endStack []endEntry
 	// breaks/continues are per-enclosing-loop patch lists.
 	breaks    [][]int
 	continues [][]int
@@ -204,12 +207,43 @@ type fnc struct {
 	epilogue []int
 }
 
+// endEntry is one open index dimension: what an 'end' read inside it
+// is computed from (compileExpr's EndExpr case emits the opDimEnd, so a
+// dimension nobody reads 'end' in costs nothing).
 type endEntry struct {
-	base     int32 // base matrix R register
-	dim      int32
-	node     ast.Node // the enclosing IndexExpr (error attribution)
-	reg      int32
-	computed bool
+	base int32 // base matrix R register
+	dim  int32
+	node ast.Node // the enclosing IndexExpr (error attribution)
+}
+
+// dest names the register a consumer wants an expression's value in: a
+// scalar variable's own register, so that nothing sits between a
+// computed value and the variable it is assigned to (the paper's
+// §III-A.4). Only the last instruction of the expression may write it,
+// after reading its operands: the variable may be one of them.
+type dest struct {
+	reg int32 // < 0: none
+	cl  class
+}
+
+var noDest = dest{reg: -1}
+
+// destOf is the destination an assignment to slot offers. A boxed
+// variable offers none: it is rebound, not written (opBindR).
+func destOf(slot varSlot) dest {
+	if slot.cl == clR {
+		return noDest
+	}
+	return dest{reg: slot.reg, cl: slot.cl}
+}
+
+// out is where an instruction producing a value of class cl writes: the
+// wanted register when the classes agree, a fresh temporary otherwise.
+func (f *fnc) out(d dest, cl class) int32 {
+	if d.reg >= 0 && d.cl == cl {
+		return d.reg
+	}
+	return f.reg()
 }
 
 func (f *fnc) emit(i instr) int {
@@ -233,7 +267,7 @@ func (f *fnc) patch(sites []int) {
 	}
 }
 
-func (f *fnc) pushScope() { f.scope = &cscope{parent: f.scope, vars: map[string]varSlot{}} }
+func (f *fnc) pushScope() { f.scope = &cscope{parent: f.scope} }
 func (f *fnc) popScope()  { f.scope = f.scope.parent }
 
 func (f *fnc) resolve(name string) (varSlot, bool) {
@@ -259,8 +293,16 @@ func (f *fnc) resolveGlobal(name string) (int, *globalDef, bool) {
 }
 
 func (f *fnc) declare(name string, ty *types.Type) varSlot {
-	slot := varSlot{reg: f.reg(), ty: ty, cl: classOf(ty)}
+	slot := f.newSlot(ty)
 	f.scope.bind(name, slot)
+	return slot
+}
+
+// newSlot allocates a variable's register without binding its name yet:
+// a declaration's initializer is compiled into the slot while the name
+// still resolves to the enclosing binding (int x = x + 5).
+func (f *fnc) newSlot(ty *types.Type) varSlot {
+	slot := varSlot{reg: f.reg(), ty: ty, cl: classOf(ty)}
 	if slot.cl == clR {
 		f.refRegs = append(f.refRegs, slot.reg)
 	}
@@ -290,7 +332,7 @@ func (c *compiler) compileFunc(pi int, fd *ast.FuncDecl) {
 	f.compileStmt(fd.Body)
 	f.patch(f.epilogue)
 	pr := c.protos[pi]
-	pr.code = f.code
+	pr.code = fuseAcrossStatements(f.code)
 	pr.nregs = f.nreg
 	pr.params = params
 	pr.refRegs = f.refRegs
@@ -321,9 +363,9 @@ func (c *compiler) compileGinit() {
 		var cl class
 		if g.Init != nil {
 			r0, c0 := f.compileExpr(g.Init)
-			reg, cl = f.coerceTo(g, def.ty, r0, c0)
+			reg, cl = f.coerceTo(g, def.ty, r0, c0, noDest)
 		} else {
-			reg, cl = f.zeroOf(g.Type, def.ty)
+			reg, cl = f.zeroOf(g.Type, def.ty, noDest)
 		}
 		if def.cl == clR {
 			if cl != clR {
@@ -341,25 +383,20 @@ func (c *compiler) compileGinit() {
 	c.ginit = &proto{name: "<globals>", code: f.code, nregs: f.nreg}
 }
 
-// zeroOf emits the declared type's zero value (tree: zeroValue(te)).
-func (f *fnc) zeroOf(te ast.TypeExpr, ty *types.Type) (int32, class) {
-	switch classOf(ty) {
-	case clI:
-		r := f.reg()
+// zeroOf emits the declared type's zero value (tree: zeroValue(te)),
+// a scalar's straight into d when d wants one.
+func (f *fnc) zeroOf(te ast.TypeExpr, ty *types.Type, d dest) (int32, class) {
+	cl := classOf(ty)
+	r := f.out(d, cl)
+	switch cl {
+	case clI, clB:
 		f.emit(instr{op: opConstI, a: r, b: 0})
-		return r, clI
 	case clF:
-		r := f.reg()
 		f.emit(instr{op: opLoadK, a: r, b: f.c.constFloat(0)})
-		return r, clF
-	case clB:
-		r := f.reg()
-		f.emit(instr{op: opConstI, a: r, b: 0})
-		return r, clB
+	default:
+		f.emit(instr{op: opLoadK, a: r, b: f.c.constBoxed(zeroBoxed(te))})
 	}
-	r := f.reg()
-	f.emit(instr{op: opLoadK, a: r, b: f.c.constBoxed(zeroBoxed(te))})
-	return r, clR
+	return r, cl
 }
 
 // zeroBoxed mirrors the tree walker's AST-driven zeroValue for boxed
@@ -392,14 +429,14 @@ func zeroBoxed(te ast.TypeExpr) any {
 
 // coerceTo emits the binding-time coercion of (reg, cl) to declared
 // type ty at node nd (tree: coerceToType), returning a register of
-// ty's class.
-func (f *fnc) coerceTo(nd ast.Node, ty *types.Type, reg int32, cl class) (int32, class) {
+// ty's class (d when the coercion is an instruction and d wants it).
+func (f *fnc) coerceTo(nd ast.Node, ty *types.Type, reg int32, cl class, d dest) (int32, class) {
 	tcl := classOf(ty)
 	switch {
 	case tcl == cl && cl != clR:
 		return reg, cl
 	case tcl == clF && cl == clI:
-		r := f.reg()
+		r := f.out(d, clF)
 		f.emit(instr{op: opI2F, a: r, b: reg})
 		return r, clF
 	case tcl == clR:
@@ -415,7 +452,7 @@ func (f *fnc) coerceTo(nd ast.Node, ty *types.Type, reg int32, cl class) (int32,
 		r := f.reg()
 		f.emit(instr{op: opCoerce, a: r, nd: nd,
 			aux: &typeAux{ty: ty, src: argDesc{reg: reg, cl: cl}}})
-		out := f.reg()
+		out := f.out(d, tcl)
 		switch tcl {
 		case clI:
 			f.emit(instr{op: opToInt, a: out, b: r, nd: nd})
@@ -439,7 +476,7 @@ func (f *fnc) step(s ast.Stmt) {
 	if s != nil {
 		nd = s
 	}
-	f.emit(instr{op: opStep, nd: nd})
+	f.emit(instr{op: opStep, a: 1, nd: nd})
 }
 
 func (f *fnc) compileStmt(s ast.Stmt) {
@@ -466,18 +503,24 @@ func (f *fnc) compileStmtInner(s ast.Stmt) {
 			// Keep scopes coherent for the (unreachable) rest.
 			ty = types.InvalidT
 		}
-		var reg int32
-		var cl class
+		slot := f.newSlot(ty)
 		if s.Init != nil {
-			r0, c0 := f.compileExpr(s.Init)
-			reg, cl = f.coerceTo(s, ty, r0, c0)
+			f.assignLocal(s, slot, s.Init)
 		} else {
-			reg, cl = f.zeroOf(s.Type, ty)
+			reg, cl := f.zeroOf(s.Type, ty, destOf(slot))
+			f.storeVar(slot, reg, cl)
 		}
-		slot := f.declare(s.Name, ty)
-		f.storeVar(slot, reg, cl)
+		f.scope.bind(s.Name, slot)
 
 	case *ast.AssignStmt:
+		if len(s.LHS) == 1 {
+			if id, ok := s.LHS[0].(*ast.Ident); ok {
+				if slot, ok := f.resolve(id.Name); ok {
+					f.assignLocal(id, slot, s.RHS)
+					return
+				}
+			}
+		}
 		rr, rc := f.compileExpr(s.RHS)
 		if len(s.LHS) == 1 {
 			f.compileAssign(s.LHS[0], rr, rc)
@@ -498,7 +541,7 @@ func (f *fnc) compileStmtInner(s ast.Stmt) {
 		}
 
 	case *ast.IfStmt:
-		fall := f.condFalse(s.Cond)
+		fall := f.branch(s.Cond, false)
 		f.compileStmt(s.Then)
 		if s.Else != nil {
 			out := f.emit(instr{op: opJmp})
@@ -510,47 +553,14 @@ func (f *fnc) compileStmtInner(s ast.Stmt) {
 		}
 
 	case *ast.WhileStmt:
-		f.breaks = append(f.breaks, nil)
-		f.continues = append(f.continues, nil)
-		top := len(f.code)
-		exit := f.condFalse(s.Cond)
-		f.compileStmt(s.Body)
-		f.emit(instr{op: opJmp, c: int32(top)})
-		n := len(f.breaks) - 1
-		for _, site := range f.continues[n] {
-			f.code[site].c = int32(top)
-		}
-		f.patch(f.breaks[n])
-		f.patch(exit)
-		f.breaks = f.breaks[:n]
-		f.continues = f.continues[:n]
+		f.compileLoop(s.Cond, s.Body, nil)
 
 	case *ast.ForStmt:
 		f.pushScope()
 		if s.Init != nil {
 			f.compileStmt(s.Init)
 		}
-		f.breaks = append(f.breaks, nil)
-		f.continues = append(f.continues, nil)
-		top := len(f.code)
-		var exit []int
-		if s.Cond != nil {
-			exit = f.condFalse(s.Cond)
-		}
-		f.compileStmt(s.Body)
-		post := len(f.code)
-		if s.Post != nil {
-			f.compileStmt(s.Post)
-		}
-		f.emit(instr{op: opJmp, c: int32(top)})
-		n := len(f.breaks) - 1
-		for _, site := range f.continues[n] {
-			f.code[site].c = int32(post)
-		}
-		f.patch(f.breaks[n])
-		f.patch(exit)
-		f.breaks = f.breaks[:n]
-		f.continues = f.continues[:n]
+		f.compileLoop(s.Cond, s.Body, s.Post)
 		f.popScope()
 
 	case *ast.ReturnStmt:
@@ -598,11 +608,57 @@ func (f *fnc) storeVar(slot varSlot, reg int32, cl class) {
 	if slot.cl != cl {
 		bail("slot class mismatch %d vs %d", slot.cl, cl)
 	}
-	if slot.cl == clR {
+	switch {
+	case slot.cl == clR:
 		f.emit(instr{op: opBindR, a: slot.reg, b: reg})
-	} else {
+	case reg != slot.reg: // else the expression was compiled into the slot
 		f.emit(instr{op: opMove, a: slot.reg, b: reg})
 	}
+}
+
+// assignLocal compiles slot = e at node nd: e's last instruction writes
+// the variable's own register when it can (a scalar of the variable's
+// class), and the binding-time coercion and a move cover the rest.
+func (f *fnc) assignLocal(nd ast.Node, slot varSlot, e ast.Expr) {
+	d := destOf(slot)
+	r, cl := f.compileExprTo(e, d)
+	r, cl = f.coerceTo(nd, slot.ty, r, cl, d)
+	f.storeVar(slot, r, cl)
+}
+
+// compileLoop lowers while (cond) body and the loop part of for (;
+// cond; post) body rotated: the condition is tested once on entry and
+// again, negated, at the bottom, where it jumps back to the body, so an
+// iteration runs no unconditional jump. continue lands on the post
+// statement's entry (on the bottom test when there is none), break past
+// the bottom test. A nil cond is for (;;).
+func (f *fnc) compileLoop(cond ast.Expr, body, post ast.Stmt) {
+	f.breaks = append(f.breaks, nil)
+	f.continues = append(f.continues, nil)
+	var exit []int
+	if cond != nil {
+		exit = f.branch(cond, false)
+	}
+	top := int32(len(f.code))
+	f.compileStmt(body)
+	n := len(f.breaks) - 1
+	f.patch(f.continues[n])
+	if post != nil {
+		f.compileStmt(post)
+	}
+	var back []int
+	if cond != nil {
+		back = f.branch(cond, true)
+	} else {
+		back = []int{f.emit(instr{op: opJmp})}
+	}
+	for _, site := range back {
+		f.code[site].c = top
+	}
+	f.patch(f.breaks[n])
+	f.patch(exit)
+	f.breaks = f.breaks[:n]
+	f.continues = f.continues[:n]
 }
 
 // compileAssign stores an evaluated RHS into an lvalue, mirroring the
@@ -611,12 +667,12 @@ func (f *fnc) compileAssign(lhs ast.Expr, reg int32, cl class) {
 	switch l := lhs.(type) {
 	case *ast.Ident:
 		if slot, ok := f.resolve(l.Name); ok {
-			r, c := f.coerceTo(l, slot.ty, reg, cl)
+			r, c := f.coerceTo(l, slot.ty, reg, cl, destOf(slot))
 			f.storeVar(slot, r, c)
 			return
 		}
 		if gi, def, ok := f.resolveGlobal(l.Name); ok {
-			r, c := f.coerceTo(l, def.ty, reg, cl)
+			r, c := f.coerceTo(l, def.ty, reg, cl, noDest)
 			if def.cl != c {
 				bail("global %q assign class mismatch", l.Name)
 			}
@@ -632,14 +688,13 @@ func (f *fnc) compileAssign(lhs ast.Expr, reg int32, cl class) {
 	case *ast.IndexExpr:
 		base, bcl := f.compileExpr(l.X)
 		if bcl != clR {
-			f.emit(instr{op: opFail, nd: l,
-				aux: interp.Errorf(l, "cannot index-assign into a non-matrix or unassigned matrix")})
+			f.emit(instr{op: opFail, nd: l, aux: unassignedBase(l, true)})
 			return
 		}
-		f.emit(instr{op: opIdxCheck, a: base, b: int32(len(l.Args)), c: 1, nd: l})
 		if f.fusedSet(l, base, reg, cl) {
 			return
 		}
+		f.emit(instr{op: opIdxCheck, a: base, b: int32(len(l.Args)), c: 1, nd: l})
 		plans := f.compilePlans(l, base)
 		f.emit(instr{op: opSetIndex, a: base, nd: l,
 			aux: &setIndexDesc{e: l, plans: plans, val: argDesc{reg: reg, cl: cl}}})
@@ -687,30 +742,57 @@ func (f *fnc) compileSpawn(s *ast.SpawnStmt) {
 	f.emit(instr{op: opSpawn, nd: s, aux: d})
 }
 
-// condFalse compiles a statement condition and returns the patch sites
-// of the branch taken when it is false. Integer comparisons fuse into
-// compare-and-branch forms; everything else evaluates to a bool
-// register (with the tree walker's runtime check for non-bool statics).
-func (f *fnc) condFalse(cond ast.Expr) []int {
-	if be, ok := cond.(*ast.BinaryExpr); ok {
-		if neg, ok := fusableIntCmp[be.Op]; ok &&
-			f.c.info.TypeOf(be.L).Kind == types.Int &&
-			f.c.info.TypeOf(be.R).Kind == types.Int {
-			if k, ok := smallIntLit(be.R); ok {
-				l := f.operand(be.L, clI)
-				return []int{f.emit(instr{op: neg.kform, a: l, b: k, nd: be})}
+// branch compiles a statement condition as control flow: it returns the
+// patch sites of the jumps taken when the condition's value is when, and
+// falls through otherwise. && and || of bools branch per operand (the
+// tree walker's short circuit, with no bool materialised), ! of a bool
+// flips when, integer comparisons fuse into compare-and-branch forms,
+// and everything else evaluates to a bool register (with the tree
+// walker's runtime check for non-bool statics).
+func (f *fnc) branch(cond ast.Expr, when bool) []int {
+	isBool := func(e ast.Expr) bool { return f.c.info.TypeOf(e).Kind == types.Bool }
+	switch e := cond.(type) {
+	case *ast.UnaryExpr:
+		if e.Op == ast.OpNot && isBool(e.X) {
+			return f.branch(e.X, !when)
+		}
+	case *ast.BinaryExpr:
+		if (e.Op == ast.OpAnd || e.Op == ast.OpOr) && isBool(e.L) && isBool(e.R) {
+			if (e.Op == ast.OpAnd) != when {
+				// false && _ and true || _ decide the condition as when.
+				return append(f.branch(e.L, when), f.branch(e.R, when)...)
 			}
-			if k, ok := smallIntLit(be.L); ok {
-				r := f.operand(be.R, clI)
-				return []int{f.emit(instr{op: swapCmp[neg.kform], a: r, b: k, nd: be})}
+			decided := f.branch(e.L, !when) // the other way: skip the right operand
+			sites := f.branch(e.R, when)
+			f.patch(decided)
+			return sites
+		}
+		op := e.Op
+		if neg, ok := negatedCmp[op]; ok && when {
+			op = neg
+		}
+		if forms, ok := fusableIntCmp[op]; ok &&
+			f.c.info.TypeOf(e.L).Kind == types.Int &&
+			f.c.info.TypeOf(e.R).Kind == types.Int {
+			if k, ok := smallIntLit(e.R); ok {
+				l := f.operand(e.L, clI)
+				return []int{f.emit(instr{op: forms.kform, a: l, b: k, nd: e})}
 			}
-			l := f.operand(be.L, clI)
-			r := f.operand(be.R, clI)
-			return []int{f.emit(instr{op: neg.rform, a: l, b: r, nd: be})}
+			if k, ok := smallIntLit(e.L); ok {
+				r := f.operand(e.R, clI)
+				return []int{f.emit(instr{op: swapCmp[forms.kform], a: r, b: k, nd: e})}
+			}
+			l := f.operand(e.L, clI)
+			r := f.operand(e.R, clI)
+			return []int{f.emit(instr{op: forms.rform, a: l, b: r, nd: e})}
 		}
 	}
 	b := f.compileBool(cond)
-	return []int{f.emit(instr{op: opBrFalse, a: b, nd: cond})}
+	op := opBrFalse
+	if when {
+		op = opBrTrue
+	}
+	return []int{f.emit(instr{op: op, a: b, nd: cond})}
 }
 
 // compileBool evaluates cond into a bool register, mirroring evalBool.
@@ -775,6 +857,14 @@ var fusableIntCmp = map[ast.BinOp]cmpForms{
 	ast.OpNe: {opBrNeI, opBrNeIK},
 }
 
+// negatedCmp is the comparison that holds exactly when the given one
+// does not (ints are totally ordered): a branch taken when a comparison
+// holds is the branch-if-false form of its negation.
+var negatedCmp = map[ast.BinOp]ast.BinOp{
+	ast.OpLt: ast.OpGe, ast.OpLe: ast.OpGt, ast.OpGt: ast.OpLe,
+	ast.OpGe: ast.OpLt, ast.OpEq: ast.OpNe, ast.OpNe: ast.OpEq,
+}
+
 // swapCmp mirrors a K-form comparison when the literal is on the left:
 // K op x  ==  x op' K.
 var swapCmp = map[opcode]opcode{
@@ -793,4 +883,63 @@ func smallIntLit(e ast.Expr) (int32, bool) {
 		return 0, false
 	}
 	return int32(lit.Value), true
+}
+
+// branches reports whether op's c operand is a jump target.
+func (op opcode) branches() bool {
+	return op == opJmp || op == opBrFalse || op == opBrTrue || (op >= opBrLtI && op <= opIncJLeIK)
+}
+
+// incJump maps the bottom test that jumps back while a < b (a <= b)
+// holds to the opcode that also does the a = a + 1 before it.
+var incJump = map[opcode]opcode{
+	opBrGeI: opIncJLtI, opBrGeIK: opIncJLtIK,
+	opBrGtI: opIncJLeI, opBrGtIK: opIncJLeIK,
+}
+
+// fuseAcrossStatements is the one pass over a function's finished code,
+// for the two pairs no single statement's lowering can see: two
+// adjacent statement entries (a block's and its first statement's)
+// become one opStep that ticks twice, each tick still for its own node,
+// and i = i + 1 followed by the loop's bottom test on i becomes one
+// increment-compare-branch. A pair is fused only when nothing jumps to
+// its second instruction. Jump targets are renumbered.
+func fuseAcrossStatements(code []instr) []instr {
+	// at[pc] is -1 for a jump target until pc is visited, then pc's new
+	// index.
+	at := make([]int32, len(code)+1)
+	for _, in := range code {
+		if in.op.branches() {
+			at[in.c] = -1
+		}
+	}
+	out := code[:0]
+	for pc := 0; pc < len(code); pc++ {
+		in := code[pc]
+		at[pc] = int32(len(out))
+		if pc+1 < len(code) && at[pc+1] == 0 {
+			next := &code[pc+1]
+			fused := false
+			switch {
+			case in.op == opStep && in.a == 1 && next.op == opStep && next.a == 1:
+				in.a, in.aux, fused = 2, next.nd, true
+			case in.op == opAddIK && in.a == in.b && in.c == 1 && next.a == in.a:
+				if op, ok := incJump[next.op]; ok {
+					in, fused = instr{op: op, a: next.a, b: next.b, c: next.c, nd: next.nd}, true
+				}
+			}
+			if fused {
+				pc++
+				at[pc] = int32(len(out))
+			}
+		}
+		out = append(out, in)
+	}
+	at[len(code)] = int32(len(out))
+	for k := range out {
+		if out[k].op.branches() {
+			out[k].c = at[out[k].c]
+		}
+	}
+	return out
 }

@@ -13,10 +13,16 @@ import (
 	"repro/internal/vet"
 )
 
-func (f *fnc) compileExpr(e ast.Expr) (int32, class) {
+func (f *fnc) compileExpr(e ast.Expr) (int32, class) { return f.compileExprTo(e, noDest) }
+
+// compileExprTo is compileExpr for a consumer that names a destination:
+// the instruction that produces e's value writes d when it is the last
+// one of e's evaluation and its class is d's (see dest). The caller
+// checks the returned register and moves when it is another.
+func (f *fnc) compileExprTo(e ast.Expr, d dest) (int32, class) {
 	switch e := e.(type) {
 	case *ast.IntLit:
-		r := f.reg()
+		r := f.out(d, clI)
 		if k, ok := smallIntLit(e); ok {
 			f.emit(instr{op: opConstI, a: r, b: k})
 		} else {
@@ -25,12 +31,12 @@ func (f *fnc) compileExpr(e ast.Expr) (int32, class) {
 		return r, clI
 
 	case *ast.FloatLit:
-		r := f.reg()
+		r := f.out(d, clF)
 		f.emit(instr{op: opLoadK, a: r, b: f.c.constFloat(e.Value)})
 		return r, clF
 
 	case *ast.BoolLit:
-		r := f.reg()
+		r := f.out(d, clB)
 		b := int32(0)
 		if e.Value {
 			b = 1
@@ -54,7 +60,7 @@ func (f *fnc) compileExpr(e ast.Expr) (int32, class) {
 			// Globals can change mid-expression (a call may assign one),
 			// so they are loaded into a temporary at this exact point in
 			// the evaluation order.
-			r := f.reg()
+			r := f.out(d, def.cl)
 			f.emit(instr{op: opGLoad, a: r, b: int32(gi)})
 			return r, def.cl
 		}
@@ -65,19 +71,19 @@ func (f *fnc) compileExpr(e ast.Expr) (int32, class) {
 		if e.Op == ast.OpAnd || e.Op == ast.OpOr {
 			return f.compileLogical(e)
 		}
-		return f.compileBinary(e)
+		return f.compileBinary(e, d)
 
 	case *ast.UnaryExpr:
-		return f.compileUnary(e)
+		return f.compileUnary(e, d)
 
 	case *ast.CastExpr:
-		return f.compileCast(e)
+		return f.compileCast(e, d)
 
 	case *ast.CallExpr:
-		return f.compileCall(e)
+		return f.compileCall(e, d)
 
 	case *ast.IndexExpr:
-		return f.compileIndexR(e)
+		return f.compileIndexR(e, d)
 
 	case *ast.EndExpr:
 		if len(f.endStack) == 0 {
@@ -85,7 +91,12 @@ func (f *fnc) compileExpr(e ast.Expr) (int32, class) {
 				aux: interp.Errorf(e, "'end' used outside an index expression")})
 			return f.reg(), clI
 		}
-		return f.endStack[len(f.endStack)-1].reg, clI
+		// The dimension's opIdxCheck has proven the base a matrix of this
+		// rank, so the DimSize cannot fail.
+		en := f.endStack[len(f.endStack)-1]
+		r := f.reg()
+		f.emit(instr{op: opDimEnd, a: r, b: en.base, c: en.dim, nd: en.node})
+		return r, clI
 
 	case *ast.RangeExpr:
 		lo := f.compileInt(e.Lo)
@@ -142,18 +153,19 @@ func (f *fnc) compileLogical(e *ast.BinaryExpr) (int32, class) {
 	switch lk {
 	case types.Bool:
 		if rk == types.Bool {
-			l := f.operand(e.L, clB)
-			dst := f.reg()
-			f.emit(instr{op: opMove, a: dst, b: l})
+			// The result is a temporary of this expression's own, written
+			// twice: never a consumer's destination, which the right
+			// operand may still read.
+			dst := dest{reg: f.reg(), cl: clB}
+			f.moveTo(dst, e.L)
 			br := opBrFalse // && with a false left yields the left value
 			if e.Op == ast.OpOr {
 				br = opBrTrue
 			}
-			site := f.emit(instr{op: br, a: dst})
-			r := f.operand(e.R, clB)
-			f.emit(instr{op: opMove, a: dst, b: r})
+			site := f.emit(instr{op: br, a: dst.reg})
+			f.moveTo(dst, e.R)
 			f.patch([]int{site})
-			return dst, clB
+			return dst.reg, clB
 		}
 		// Bool left, non-bool right: a short-circuit yields the boxed
 		// bool constant; otherwise the right side must be bool at run
@@ -187,6 +199,17 @@ func (f *fnc) compileLogical(e *ast.BinaryExpr) (int32, class) {
 	return dst, cl
 }
 
+// moveTo evaluates e, of d's class, into d.
+func (f *fnc) moveTo(d dest, e ast.Expr) {
+	r, cl := f.compileExprTo(e, d)
+	if cl != d.cl {
+		bail("operand %s has class %d, want %d", ast.ExprString(e), cl, d.cl)
+	}
+	if r != d.reg {
+		f.emit(instr{op: opMove, a: d.reg, b: r})
+	}
+}
+
 var intArith = map[ast.BinOp]opcode{
 	ast.OpAdd: opAddI, ast.OpSub: opSubI, ast.OpMul: opMulI,
 	ast.OpDiv: opDivI, ast.OpMod: opModI,
@@ -206,7 +229,38 @@ var floatCmp = map[ast.BinOp]opcode{
 	ast.OpGe: opGeF, ast.OpEq: opEqF, ast.OpNe: opNeF,
 }
 
-func (f *fnc) compileBinary(e *ast.BinaryExpr) (int32, class) {
+// intImmediate reports e, an int operator with a small literal operand,
+// as its immediate form: opcode, the register operand's expression and
+// the immediate. - is + of the negated literal, + and * take the literal
+// on either side, / and % a non-zero literal on the right (so the form
+// has no zero test; a literal zero keeps the register form and its trap).
+func intImmediate(e *ast.BinaryExpr) (opcode, ast.Expr, int32, bool) {
+	if k, ok := smallIntLit(e.R); ok {
+		switch {
+		case e.Op == ast.OpAdd:
+			return opAddIK, e.L, k, true
+		case e.Op == ast.OpSub && k != -1<<31:
+			return opAddIK, e.L, -k, true
+		case e.Op == ast.OpMul:
+			return opMulIK, e.L, k, true
+		case e.Op == ast.OpDiv && k != 0:
+			return opDivIK, e.L, k, true
+		case e.Op == ast.OpMod && k != 0:
+			return opModIK, e.L, k, true
+		}
+	}
+	if k, ok := smallIntLit(e.L); ok {
+		switch e.Op {
+		case ast.OpAdd:
+			return opAddIK, e.R, k, true
+		case ast.OpMul:
+			return opMulIK, e.R, k, true
+		}
+	}
+	return opNop, nil, 0, false
+}
+
+func (f *fnc) compileBinary(e *ast.BinaryExpr, d dest) (int32, class) {
 	// A vet.Facts-proven fusable chain compiles to one opFused loop
 	// instead of a kernel pass per stage. Chains are matrix-typed, so
 	// the scalar fast paths below never compete with this.
@@ -219,43 +273,24 @@ func (f *fnc) compileBinary(e *ast.BinaryExpr) (int32, class) {
 	lk := f.c.info.TypeOf(e.L).Kind
 	rk := f.c.info.TypeOf(e.R).Kind
 
+	// binary emits op over two evaluated operands into d or a temporary.
+	binary := func(op opcode, l, r int32, cl class) (int32, class) {
+		dst := f.out(d, cl)
+		f.emit(instr{op: op, a: dst, b: l, c: r, nd: e})
+		return dst, cl
+	}
+
 	if lk == types.Int && rk == types.Int {
 		if op, ok := intArith[e.Op]; ok {
-			// Fused add-immediate forms (i + 1, i - 1, 1 + i).
-			if e.Op == ast.OpAdd {
-				if k, ok := smallIntLit(e.R); ok {
-					l := f.operand(e.L, clI)
-					dst := f.reg()
-					f.emit(instr{op: opAddIK, a: dst, b: l, c: k})
-					return dst, clI
-				}
-				if k, ok := smallIntLit(e.L); ok {
-					r := f.operand(e.R, clI)
-					dst := f.reg()
-					f.emit(instr{op: opAddIK, a: dst, b: r, c: k})
-					return dst, clI
-				}
-			}
-			if e.Op == ast.OpSub {
-				if k, ok := smallIntLit(e.R); ok && k != -1<<31 {
-					l := f.operand(e.L, clI)
-					dst := f.reg()
-					f.emit(instr{op: opAddIK, a: dst, b: l, c: -k})
-					return dst, clI
-				}
+			if kop, x, k, ok := intImmediate(e); ok {
+				return binary(kop, f.operand(x, clI), k, clI)
 			}
 			l := f.operand(e.L, clI)
-			r := f.operand(e.R, clI)
-			dst := f.reg()
-			f.emit(instr{op: op, a: dst, b: l, c: r, nd: e})
-			return dst, clI
+			return binary(op, l, f.operand(e.R, clI), clI)
 		}
 		if op, ok := intCmp[e.Op]; ok {
 			l := f.operand(e.L, clI)
-			r := f.operand(e.R, clI)
-			dst := f.reg()
-			f.emit(instr{op: op, a: dst, b: l, c: r})
-			return dst, clB
+			return binary(op, l, f.operand(e.R, clI), clB)
 		}
 	}
 
@@ -266,30 +301,21 @@ func (f *fnc) compileBinary(e *ast.BinaryExpr) (int32, class) {
 		// exact error.
 		if op, ok := floatArith[e.Op]; ok {
 			l := f.floatOperand(e.L, lk)
-			r := f.floatOperand(e.R, rk)
-			dst := f.reg()
-			f.emit(instr{op: op, a: dst, b: l, c: r})
-			return dst, clF
+			return binary(op, l, f.floatOperand(e.R, rk), clF)
 		}
 		if op, ok := floatCmp[e.Op]; ok {
 			l := f.floatOperand(e.L, lk)
-			r := f.floatOperand(e.R, rk)
-			dst := f.reg()
-			f.emit(instr{op: op, a: dst, b: l, c: r})
-			return dst, clB
+			return binary(op, l, f.floatOperand(e.R, rk), clB)
 		}
 	}
 
 	if lk == types.Bool && rk == types.Bool && (e.Op == ast.OpEq || e.Op == ast.OpNe) {
-		l := f.operand(e.L, clB)
-		r := f.operand(e.R, clB)
-		dst := f.reg()
 		op := opEqB
 		if e.Op == ast.OpNe {
 			op = opNeB
 		}
-		f.emit(instr{op: op, a: dst, b: l, c: r})
-		return dst, clB
+		l := f.operand(e.L, clB)
+		return binary(op, l, f.operand(e.R, clB), clB)
 	}
 
 	// Matrix operands, broadcasts, and every remaining combination go
@@ -297,8 +323,8 @@ func (f *fnc) compileBinary(e *ast.BinaryExpr) (int32, class) {
 	// recycling, exact scalarOp error texts).
 	l, lcl := f.compileExpr(e.L)
 	r, rcl := f.compileExpr(e.R)
-	dst := f.reg()
 	cl := classOf(f.c.info.TypeOf(e))
+	dst := f.out(d, cl)
 	f.emit(instr{op: opBinM, a: dst, b: int32(cl), nd: e,
 		aux: &binDesc{e: e, l: argDesc{reg: l, cl: lcl}, r: argDesc{reg: r, cl: rcl}}})
 	return dst, cl
@@ -365,24 +391,24 @@ func (f *fnc) floatOperand(e ast.Expr, k types.Kind) int32 {
 	return f.operand(e, clF)
 }
 
-func (f *fnc) compileUnary(e *ast.UnaryExpr) (int32, class) {
+func (f *fnc) compileUnary(e *ast.UnaryExpr, d dest) (int32, class) {
 	x, cl := f.compileExpr(e.X)
+	op := opNop
 	switch {
 	case cl == clI && e.Op == ast.OpNeg:
-		dst := f.reg()
-		f.emit(instr{op: opNegI, a: dst, b: x})
-		return dst, clI
+		op = opNegI
 	case cl == clF && e.Op == ast.OpNeg:
-		dst := f.reg()
-		f.emit(instr{op: opNegF, a: dst, b: x})
-		return dst, clF
+		op = opNegF
 	case cl == clB && e.Op == ast.OpNot:
-		dst := f.reg()
-		f.emit(instr{op: opNotB, a: dst, b: x})
-		return dst, clB
+		op = opNotB
 	}
-	dst := f.reg()
+	if op != opNop {
+		dst := f.out(d, cl)
+		f.emit(instr{op: op, a: dst, b: x})
+		return dst, cl
+	}
 	rcl := classOf(f.c.info.TypeOf(e))
+	dst := f.out(d, rcl)
 	f.emit(instr{op: opUnM, a: dst, b: int32(rcl), nd: e,
 		aux: &unDesc{e: e, x: argDesc{reg: x, cl: cl}}})
 	return dst, rcl
@@ -396,35 +422,31 @@ var castOps = map[class]map[ast.PrimKind]opcode{
 	clB: {ast.PrimInt: opB2I, ast.PrimFloat: opB2F, ast.PrimBool: opNop},
 }
 
-func (f *fnc) compileCast(e *ast.CastExpr) (int32, class) {
+var castClass = map[ast.PrimKind]class{ast.PrimInt: clI, ast.PrimFloat: clF, ast.PrimBool: clB}
+
+func (f *fnc) compileCast(e *ast.CastExpr, d dest) (int32, class) {
 	x, cl := f.compileExpr(e.X)
 	if forms, ok := castOps[cl]; ok {
 		if op, ok := forms[e.To]; ok {
 			if op == opNop {
 				return x, cl
 			}
-			dst := f.reg()
+			to := castClass[e.To]
+			dst := f.out(d, to)
 			f.emit(instr{op: op, a: dst, b: x})
-			switch e.To {
-			case ast.PrimInt:
-				return dst, clI
-			case ast.PrimFloat:
-				return dst, clF
-			default:
-				return dst, clB
-			}
+			return dst, to
 		}
 	}
 	// Boxed operand or non-scalar target: the dynamic CastScalar path
 	// carries the tree walker's "cannot cast %T to %s" error.
-	dst := f.reg()
 	rcl := classOf(f.c.info.TypeOf(e))
+	dst := f.out(d, rcl)
 	f.emit(instr{op: opCastD, a: dst, b: int32(rcl), nd: e,
 		aux: &castAux{to: e.To, x: argDesc{reg: x, cl: cl}}})
 	return dst, rcl
 }
 
-func (f *fnc) compileCall(e *ast.CallExpr) (int32, class) {
+func (f *fnc) compileCall(e *ast.CallExpr, d dest) (int32, class) {
 	args := make([]argDesc, len(e.Args))
 	for k, a := range e.Args {
 		r, cl := f.compileExpr(a)
@@ -444,7 +466,7 @@ func (f *fnc) compileCall(e *ast.CallExpr) (int32, class) {
 			return f.reg(), clR
 		}
 		retCl := classOf(ret)
-		dst := f.reg()
+		dst := f.out(d, retCl)
 		f.emit(instr{op: opCall, a: dst, nd: e,
 			aux: &callDesc{proto: pi, args: args, retCl: retCl}})
 		return dst, retCl
@@ -463,7 +485,7 @@ func (f *fnc) compileCall(e *ast.CallExpr) (int32, class) {
 		return f.reg(), clR
 	case "dimSize":
 		need(2)
-		dst := f.reg()
+		dst := f.out(d, clI)
 		f.emit(instr{op: opDimSize, a: dst, nd: e, aux: args})
 		return dst, clI
 	case "readMatrix":
@@ -483,7 +505,7 @@ func (f *fnc) compileCall(e *ast.CallExpr) (int32, class) {
 	case "rcget":
 		need(1)
 		retCl := classOf(f.c.info.TypeOf(e))
-		dst := f.reg()
+		dst := f.out(d, retCl)
 		f.emit(instr{op: opRcGet, a: dst, c: int32(retCl), nd: e, aux: args[0]})
 		return dst, retCl
 	case "rcset":
@@ -526,12 +548,10 @@ func (f *fnc) trustedMatrixBase(base ast.Expr) (class, bool) {
 	return classOf(ty.Elem), true
 }
 
-// pushDim opens index dimension d of base: the 'end' value is computed
-// eagerly (the tree walker calls DimSize per dimension regardless).
+// pushDim opens index dimension d of base for the 'end's read inside
+// it; nothing is emitted until one is (compileExpr's EndExpr case).
 func (f *fnc) pushDim(base int32, d int, nd ast.Node) {
-	entry := &endEntry{base: base, dim: int32(d), node: nd, reg: f.reg()}
-	f.emit(instr{op: opDimEnd, a: entry.reg, b: base, c: int32(d), nd: nd})
-	f.endStack = append(f.endStack, entry)
+	f.endStack = append(f.endStack, endEntry{base: base, dim: int32(d), node: nd})
 }
 
 func (f *fnc) popDim() {
@@ -608,28 +628,69 @@ func fusedScalarArg(e *ast.IndexExpr, info interface {
 	return sc.X, true
 }
 
-func (f *fnc) compileIndexR(e *ast.IndexExpr) (int32, class) {
+// cannotFail reports an int index expression whose evaluation neither
+// fails nor does anything: variables in scope, literals, + - * and unary
+// minus of them. The rank-1 opcodes do their own unassigned-base check,
+// so before such an index the separate opIdxCheck (which the tree walker
+// runs before evaluating the index) is not observable and is left out.
+// An 'end' is not such an expression: its opDimEnd needs a proven base.
+func (f *fnc) cannotFail(e ast.Expr) bool {
+	switch e := e.(type) {
+	case *ast.IntLit:
+		return true
+	case *ast.Ident:
+		// A global initializer cannot see a later global: that read fails.
+		_, ok := f.resolve(e.Name)
+		if !ok {
+			_, _, ok = f.resolveGlobal(e.Name)
+		}
+		return ok
+	case *ast.UnaryExpr:
+		return e.Op == ast.OpNeg && f.cannotFail(e.X)
+	case *ast.BinaryExpr:
+		return (e.Op == ast.OpAdd || e.Op == ast.OpSub || e.Op == ast.OpMul) && f.cannotFail(e.L) && f.cannotFail(e.R)
+	}
+	return false
+}
+
+// The rank-1 load and store opcodes by element class (rank1Class is the
+// way back).
+var (
+	idx1Op    = map[class]opcode{clF: opIdx1F, clI: opIdx1I, clB: opIdx1B}
+	setIdx1Op = map[class]opcode{clF: opSetIdx1F, clI: opSetIdx1I, clB: opSetIdx1B}
+)
+
+// rank1Index compiles the one index of a fused rank-1 access on base:
+// the rank check first unless the index cannotFail, then the index with
+// its dimension open for 'end'.
+func (f *fnc) rank1Index(e *ast.IndexExpr, base int32, ix ast.Expr, lvalue int32) int32 {
+	if !f.cannotFail(ix) {
+		f.emit(instr{op: opIdxCheck, a: base, b: 1, c: lvalue, nd: e})
+	}
+	f.pushDim(base, 0, e)
+	idx := f.operand(ix, clI)
+	f.popDim()
+	return idx
+}
+
+func (f *fnc) compileIndexR(e *ast.IndexExpr, d dest) (int32, class) {
 	base, bcl := f.compileExpr(e.X)
 	retCl := classOf(f.c.info.TypeOf(e))
 	if bcl != clR {
-		f.emit(instr{op: opFail, nd: e,
-			aux: interp.Errorf(e, "cannot index a non-matrix or unassigned matrix")})
+		f.emit(instr{op: opFail, nd: e, aux: unassignedBase(e, false)})
 		return f.reg(), retCl
 	}
-	f.emit(instr{op: opIdxCheck, a: base, b: int32(len(e.Args)), nd: e})
 	if elemCl, ok := f.trustedMatrixBase(e.X); ok && elemCl == retCl {
 		if ix, ok := fusedScalarArg(e, f.c.info); ok {
-			f.pushDim(base, 0, e)
-			idx := f.operand(ix, clI)
-			f.popDim()
-			dst := f.reg()
-			op := map[class]opcode{clF: opIdx1F, clI: opIdx1I, clB: opIdx1B}[elemCl]
-			f.emit(instr{op: op, a: dst, b: base, c: idx, nd: e})
+			idx := f.rank1Index(e, base, ix, 0)
+			dst := f.out(d, retCl)
+			f.emit(instr{op: idx1Op[elemCl], a: dst, b: base, c: idx, nd: e})
 			return dst, retCl
 		}
 	}
+	f.emit(instr{op: opIdxCheck, a: base, b: int32(len(e.Args)), nd: e})
 	plans := f.compilePlans(e, base)
-	dst := f.reg()
+	dst := f.out(d, retCl)
 	f.emit(instr{op: opIndex, a: dst, b: base, c: int32(retCl), nd: e,
 		aux: &indexDesc{e: e, plans: plans}})
 	return dst, retCl
@@ -643,22 +704,18 @@ func (f *fnc) fusedSet(l *ast.IndexExpr, base, vreg int32, vcl class) bool {
 		return false
 	}
 	ix, ok := fusedScalarArg(l, f.c.info)
-	if !ok {
+	if !ok || (vcl != elemCl && !(elemCl == clF && vcl == clI)) {
 		return false
 	}
+	// The unassigned-base check comes before the value's promotion and
+	// the index, as in the general lowering.
+	idx := f.rank1Index(l, base, ix, 1)
 	if elemCl == clF && vcl == clI {
 		p := f.reg()
 		f.emit(instr{op: opI2F, a: p, b: vreg})
-		vreg, vcl = p, clF
+		vreg = p
 	}
-	if vcl != elemCl {
-		return false
-	}
-	f.pushDim(base, 0, l)
-	idx := f.operand(ix, clI)
-	f.popDim()
-	op := map[class]opcode{clF: opSetIdx1F, clI: opSetIdx1I, clB: opSetIdx1B}[elemCl]
-	f.emit(instr{op: op, a: base, b: idx, c: vreg, nd: l})
+	f.emit(instr{op: setIdx1Op[elemCl], a: base, b: idx, c: vreg, nd: l})
 	return true
 }
 

@@ -7,6 +7,7 @@ package vm
 import (
 	"sync/atomic"
 
+	"repro/internal/ast"
 	"repro/internal/interp"
 	"repro/internal/matrix"
 )
@@ -36,9 +37,30 @@ var withFlatDeclined atomic.Int64
 // executions that fell back to the closure path process-wide.
 func WithFlatLoopsDeclined() int64 { return withFlatDeclined.Load() }
 
+// pollEvery is how many statement ticks pass between two polls of the
+// run's context; the first tick of every exec polls. EXPERIMENTS.md E22
+// has the measurement the value comes from.
+const pollEvery = 256
+
+// exec runs p's code in fr. Its switch holds the handlers that work
+// register to register (nothing boxed) and the in-range case of rank-1
+// indexing; every other opcode, and every error exit of the rank-1
+// group, is execSlow's.
+//
+// The statement tick (opStep) has three cases, told apart by two tests
+// that do not change during a run. A run with no step budget and no
+// cancellable context has nothing to do. A run with a context polls it
+// on a countdown: the first tick of every exec — so a context cancelled
+// before the run traps at main's first statement, like the tree walker
+// — and then every pollEvery ticks; which statement a deadline that
+// passes mid-run is noticed at depends on the clock on either engine,
+// and matrix kernels and with-loop cells poll inside themselves. A run
+// with MaxSteps debits one step a statement, at the statement.
 func (mc *Machine) exec(fr *frame, p *proto) error {
 	code := p.code
 	regs := fr.regs
+	ticking := mc.ticking
+	poll := int32(0)
 	for pc := 0; pc < len(code); {
 		in := &code[pc]
 		switch in.op {
@@ -46,12 +68,22 @@ func (mc *Machine) exec(fr *frame, p *proto) error {
 
 		case opStep:
 			// Statement boundary: the previous statement's pending rc
-			// references die, then the new statement ticks the budget.
+			// references die, then the new statement ticks.
 			if len(fr.pending) > 0 {
 				mc.flush(fr)
 			}
-			if err := mc.in.StepTick(in.nd); err != nil {
-				return err
+			if ticking {
+				if poll -= in.a; poll < 0 {
+					if err := mc.in.CheckCancel(in.nd); err != nil {
+						return err
+					}
+					poll = pollEvery
+				}
+				if steps, max := mc.in.StepBudget(); max > 0 {
+					if used := steps.Add(int64(in.a)); used > max {
+						return mc.stepTrap(in, used-1 > max)
+					}
+				}
 			}
 
 		case opFlush:
@@ -144,12 +176,39 @@ func (mc *Machine) exec(fr *frame, p *proto) error {
 				continue
 			}
 
+		// Fused back edges: increment, then jump back while the loop
+		// condition holds.
+		case opIncJLtI:
+			regs[in.a].i++
+			if regs[in.a].i < regs[in.b].i {
+				pc = int(in.c)
+				continue
+			}
+		case opIncJLeI:
+			regs[in.a].i++
+			if regs[in.a].i <= regs[in.b].i {
+				pc = int(in.c)
+				continue
+			}
+		case opIncJLtIK:
+			regs[in.a].i++
+			if regs[in.a].i < int64(in.b) {
+				pc = int(in.c)
+				continue
+			}
+		case opIncJLeIK:
+			regs[in.a].i++
+			if regs[in.a].i <= int64(in.b) {
+				pc = int(in.c)
+				continue
+			}
+
 		case opConstI:
 			regs[in.a].i = int64(in.b)
 		case opLoadK:
 			regs[in.a] = mc.p.consts[in.b]
 		case opMove:
-			regs[in.a] = regs[in.b]
+			regs[in.a].i, regs[in.a].f = regs[in.b].i, regs[in.b].f
 
 		case opGLoad:
 			regs[in.a] = mc.globals[in.b]
@@ -183,6 +242,12 @@ func (mc *Machine) exec(fr *frame, p *proto) error {
 			regs[in.a].i = -regs[in.b].i
 		case opAddIK:
 			regs[in.a].i = regs[in.b].i + int64(in.c)
+		case opMulIK:
+			regs[in.a].i = regs[in.b].i * int64(in.c)
+		case opDivIK:
+			regs[in.a].i = regs[in.b].i / int64(in.c)
+		case opModIK:
+			regs[in.a].i = regs[in.b].i % int64(in.c)
 
 		case opAddF:
 			regs[in.a].f = regs[in.b].f + regs[in.c].f
@@ -257,57 +322,60 @@ func (mc *Machine) exec(fr *frame, p *proto) error {
 				return interp.Errorf(in.nd, "expected an int value, got %T", regs[in.b].r)
 			}
 			regs[in.a].i = n
-		case opCoerce:
-			v, err := interp.CoerceValue(in.nd, in.aux.(*typeAux).ty, fr.box(in.aux.(*typeAux).src))
-			if err != nil {
-				return err
-			}
-			regs[in.a].r = v
-		case opPromote:
-			regs[in.a].r = interp.PromoteScalar(in.aux.(*typeAux).ty, fr.box(in.aux.(*typeAux).src))
 		case opBindR:
 			v := regs[in.b].r
 			mc.in.BindValue(v)
 			mc.in.ReleaseValue(regs[in.a].r)
 			regs[in.a].r = v
-		case opSCBool:
-			ta := in.aux.(*typeAux)
-			b, ok := fr.box(ta.src).(bool)
-			if !ok {
-				return interp.Errorf(in.nd, "operator %s requires bool operands", ta.op)
+		// Rank-1 indexing of a trusted base, in range. Anything else —
+		// an unassigned base, a rank mismatch, an index out of range —
+		// falls to execSlow, which raises the error.
+		case opIdxCheck:
+			if m, _ := regs[in.a].r.(*matrix.Matrix); m == nil || m.Rank() != int(in.b) {
+				if err := mc.execSlow(fr, in); err != nil {
+					return err
+				}
 			}
-			regs[in.a].r = b
-
-		case opBinM:
-			d := in.aux.(*binDesc)
-			v, err := interp.EvalBinary(d.e, fr.box(d.l), fr.box(d.r), mc.in.Exec(fr.pool))
-			if err != nil {
+		case opIdx1F:
+			m, _ := regs[in.b].r.(*matrix.Matrix)
+			if i := regs[in.c].i; m != nil && uint64(i) < uint64(len(m.Floats())) {
+				regs[in.a].f = m.Floats()[i]
+			} else if err := mc.execSlow(fr, in); err != nil {
 				return err
 			}
-			if err := fr.store(in.a, class(in.b), v, in.nd); err != nil {
+		case opIdx1I:
+			m, _ := regs[in.b].r.(*matrix.Matrix)
+			if i := regs[in.c].i; m != nil && uint64(i) < uint64(len(m.Ints())) {
+				regs[in.a].i = m.Ints()[i]
+			} else if err := mc.execSlow(fr, in); err != nil {
 				return err
 			}
-		case opFused:
-			if err := mc.execChain(fr, in); err != nil {
+		case opIdx1B:
+			m, _ := regs[in.b].r.(*matrix.Matrix)
+			if i := regs[in.c].i; m != nil && uint64(i) < uint64(len(m.Bools())) {
+				regs[in.a].i = b2i(m.Bools()[i])
+			} else if err := mc.execSlow(fr, in); err != nil {
 				return err
 			}
-
-		case opUnM:
-			d := in.aux.(*unDesc)
-			v, err := interp.EvalUnary(d.e, fr.box(d.x), mc.in.Exec(fr.pool))
-			if err != nil {
+		case opSetIdx1F:
+			m, _ := regs[in.a].r.(*matrix.Matrix)
+			if i := regs[in.b].i; m != nil && uint64(i) < uint64(len(m.Floats())) {
+				m.Floats()[i] = regs[in.c].f
+			} else if err := mc.execSlow(fr, in); err != nil {
 				return err
 			}
-			if err := fr.store(in.a, class(in.b), v, in.nd); err != nil {
+		case opSetIdx1I:
+			m, _ := regs[in.a].r.(*matrix.Matrix)
+			if i := regs[in.b].i; m != nil && uint64(i) < uint64(len(m.Ints())) {
+				m.Ints()[i] = regs[in.c].i
+			} else if err := mc.execSlow(fr, in); err != nil {
 				return err
 			}
-		case opCastD:
-			d := in.aux.(*castAux)
-			v, err := interp.CastScalar(in.nd, d.to, fr.box(d.x))
-			if err != nil {
-				return err
-			}
-			if err := fr.store(in.a, class(in.b), v, in.nd); err != nil {
+		case opSetIdx1B:
+			m, _ := regs[in.a].r.(*matrix.Matrix)
+			if i := regs[in.b].i; m != nil && uint64(i) < uint64(len(m.Bools())) {
+				m.Bools()[i] = regs[in.c].i != 0
+			} else if err := mc.execSlow(fr, in); err != nil {
 				return err
 			}
 
@@ -319,6 +387,17 @@ func (mc *Machine) exec(fr *frame, p *proto) error {
 		pc++
 	}
 	return nil
+}
+
+// stepTrap is the step budget's trap for an opStep whose debit passed
+// the bound: at the second of two statements when the first one's tick
+// still fit, else at the first.
+func (mc *Machine) stepTrap(in *instr, firstPassed bool) error {
+	if in.a == 2 && !firstPassed {
+		second, _ := in.aux.(ast.Node)
+		return mc.in.StepTrap(second)
+	}
+	return mc.in.StepTrap(in.nd)
 }
 
 func b2i(b bool) int64 {

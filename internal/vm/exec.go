@@ -21,12 +21,16 @@ type Machine struct {
 	p       *Program
 	in      *interp.Interp
 	globals []value
+	// ticking is whether a statement tick has anything to do in this
+	// run: a step budget to debit or a cancellable context to poll.
+	ticking bool
 }
 
 // NewMachine pairs a compiled program with an interpreter instance
 // (which supplies budgets, the worker pool, rc heap and I/O).
 func NewMachine(p *Program, in *interp.Interp) *Machine {
-	return &Machine{p: p, in: in}
+	_, maxSteps := in.StepBudget()
+	return &Machine{p: p, in: in, ticking: maxSteps > 0 || in.Cancellable()}
 }
 
 // frame is one activation of a proto: its registers, its statement-

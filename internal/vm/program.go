@@ -64,14 +64,16 @@ type value struct {
 }
 
 // opcode enumerates the instruction set. See DESIGN.md §11 for the
-// full table.
+// full table. The opcodes down to the rank-1 index group are handled in
+// exec's switch (register to register, nothing boxed); the ones after
+// it, and the rank-1 group's error exits, in execSlow.
 type opcode uint8
 
 const (
 	opNop opcode = iota
 
 	// Administration.
-	opStep  // statement entry: flush pending refs, poll cancel, tick step budget (nd = statement)
+	opStep  // statement entry: flush pending refs, then a ticks (1 or 2): nd's, then aux's (an ast.Node)
 	opFlush // release the frame's pending refs (global-initializer statement boundary)
 	opJmp   // pc = c
 	opBrFalse
@@ -79,8 +81,11 @@ const (
 	opRet  // return boxed reg a (class b), or nothing when a < 0
 	opFail // fail with the prebuilt error in aux (deferred compile-time diagnosis)
 
-	// Fused compare-and-branch loop headers: jump to c when the
-	// *negated* source condition holds (i.e. branch-if-false forms).
+	// Fused compare-and-branch: jump to c when the comparison the
+	// opcode names does NOT hold (a loop's entry test and an if branch
+	// on the source comparison; a rotated loop's bottom test is the
+	// complementary opcode, which jumps back while the source
+	// comparison holds).
 	opBrLtI
 	opBrLeI
 	opBrGtI
@@ -94,10 +99,17 @@ const (
 	opBrEqIK
 	opBrNeIK
 
+	// Fused back edge: a(I) = a + 1, then jump to c while a < b
+	// (Le: a <= b) holds; K forms compare with the int32 immediate b.
+	opIncJLtI
+	opIncJLeI
+	opIncJLtIK
+	opIncJLeIK
+
 	// Constants and moves.
 	opConstI // a = int32 immediate b (also bool constants, b in {0,1})
 	opLoadK  // a = consts[b]
-	opMove   // a = b (whole-value copy, class-agnostic)
+	opMove   // a = b, scalar classes (the i and f words; boxed registers go through opBindR)
 
 	// Globals.
 	opGLoad  // a = globals[b]
@@ -111,7 +123,10 @@ const (
 	opDivI // traps on zero divisor with the scalar-op error text
 	opModI
 	opNegI
-	opAddIK // a = b + int32 immediate c (fused add-const)
+	opAddIK // a = b op int32 immediate c
+	opMulIK
+	opDivIK // c != 0, proven at compile time: no zero test
+	opModIK
 
 	// Float arithmetic (IEEE, like the scalar ops).
 	opAddF
@@ -144,17 +159,30 @@ const (
 	opI2B
 	opF2B
 	opB2F
-	opCastD // dynamic cast of a boxed operand, aux *castAux
 	opToInt // a(I) = b.r with a runtime int check (evalInt parity)
 
-	// Boxed-register traffic.
+	// Boxed-register traffic that boxes nothing.
 	opUnboxI // a = b.r.(int64)
 	opUnboxF
 	opUnboxB
-	opToBool  // a(B) = b.r with a runtime bool check (condition parity)
+	opToBool // a(B) = b.r with a runtime bool check (condition parity)
+	opBindR  // rebind boxed var reg a to b.r (bind new, release old)
+
+	// Rank-1 indexing of a trusted base: the in-range case is in exec,
+	// everything else (an unassigned base, an index out of range) in
+	// execSlow. c of opIdxCheck = 1 selects the lvalue error text.
+	opIdxCheck // base a non-nil matrix of rank b
+	opIdx1F    // fused rank-1 scalar load: a(F) = b[c]
+	opIdx1I
+	opIdx1B
+	opSetIdx1F // fused rank-1 scalar store: a[b] = c
+	opSetIdx1I
+	opSetIdx1B
+
+	// Handlers that box an operand (execSlow).
+	opCastD   // dynamic cast of a boxed operand, aux *castAux
 	opCoerce  // a = CoerceValue(nd, aux.(*types.Type), b.r)
 	opPromote // a = PromoteScalar(aux.(*types.Type), b.r)
-	opBindR   // rebind boxed var reg a to b.r (bind new, release old)
 	opSCBool  // a = b.r checked bool (short-circuit RHS with non-bool static type)
 
 	// Matrix / dynamic operators (delegate to interp's exported
@@ -162,17 +190,10 @@ const (
 	opBinM // aux *binDesc
 	opUnM  // aux *ast.UnaryExpr; b operand (boxed via desc)
 
-	// Indexing.
-	opIdxCheck // base a non-nil matrix of rank b (c = 1 for lvalue error text)
-	opDimEnd   // a(I) = base b's DimSize(c) - 1  ('end')
+	// General indexing.
+	opDimEnd   // a(I) = base b's DimSize(c) - 1  ('end', emitted where one is read)
 	opIndex    // a = base b indexed per aux *indexDesc
 	opSetIndex // base a set per aux *setIndexDesc
-	opIdx1F    // fused rank-1 scalar load: a(F) = b[c]
-	opIdx1I
-	opIdx1B
-	opSetIdx1F // fused rank-1 scalar store: a[b] = c
-	opSetIdx1I
-	opSetIdx1B
 
 	// Allocation.
 	opRange    // a = lo b :: hi c (budget-charged)
@@ -208,6 +229,8 @@ const (
 	// runtime admission declines.
 	opWithGen
 	opWithFold
+
+	opCount // not an instruction: the number of opcodes
 )
 
 // instr is one instruction. nd is the span-table entry: the source

@@ -1,6 +1,8 @@
-// Handlers for the non-arithmetic opcodes: indexing, allocation,
-// tuples, calls, builtins, with-loops, matrixMap and Cilk spawn/sync.
-// Split out of the dispatch loop to keep the hot switch small.
+// Handlers for everything exec does not do register to register: the
+// opcodes that box an operand (dynamic operators, coercions), general
+// indexing and the error exits of the rank-1 group, allocation, tuples,
+// calls, builtins, with-loops, matrixMap and Cilk spawn/sync. Split out
+// of the dispatch loop to keep the hot switch small.
 package vm
 
 import (
@@ -18,15 +20,80 @@ func (mc *Machine) execSlow(fr *frame, in *instr) error {
 	case opIdxCheck:
 		m, ok := regs[in.a].r.(*matrix.Matrix)
 		if !ok || m == nil {
-			if in.c != 0 {
-				return interp.Errorf(in.nd, "cannot index-assign into a non-matrix or unassigned matrix")
-			}
-			return interp.Errorf(in.nd, "cannot index a non-matrix or unassigned matrix")
+			return unassignedBase(in.nd, in.c != 0)
 		}
 		if int(in.b) != m.Rank() {
 			return interp.Errorf(in.nd, "matrix of rank %d requires %d index expression(s), got %d",
 				m.Rank(), m.Rank(), int(in.b))
 		}
+
+	// The error exits of the rank-1 group (exec took the in-range case):
+	// an unassigned base, else whatever matrix makes of the index.
+	case opIdx1F, opIdx1I, opIdx1B:
+		m, _ := regs[in.b].r.(*matrix.Matrix)
+		if m == nil {
+			return unassignedBase(in.nd, false)
+		}
+		v, err := m.Index(mc.in.Budget(), matrix.Scalar(int(regs[in.c].i)))
+		if err != nil {
+			return interp.WrapError(in.nd, err)
+		}
+		return fr.store(in.a, rank1Class(in.op), v, in.nd)
+
+	case opSetIdx1F, opSetIdx1I, opSetIdx1B:
+		m, _ := regs[in.a].r.(*matrix.Matrix)
+		if m == nil {
+			return unassignedBase(in.nd, true)
+		}
+		v := fr.box(argDesc{reg: in.c, cl: rank1Class(in.op)})
+		return interp.WrapError(in.nd, m.SetIndex(v, matrix.Scalar(int(regs[in.b].i))))
+
+	case opCastD:
+		d := in.aux.(*castAux)
+		v, err := interp.CastScalar(in.nd, d.to, fr.box(d.x))
+		if err != nil {
+			return err
+		}
+		return fr.store(in.a, class(in.b), v, in.nd)
+
+	case opCoerce:
+		ta := in.aux.(*typeAux)
+		v, err := interp.CoerceValue(in.nd, ta.ty, fr.box(ta.src))
+		if err != nil {
+			return err
+		}
+		regs[in.a].r = v
+
+	case opPromote:
+		ta := in.aux.(*typeAux)
+		regs[in.a].r = interp.PromoteScalar(ta.ty, fr.box(ta.src))
+
+	case opSCBool:
+		ta := in.aux.(*typeAux)
+		b, ok := fr.box(ta.src).(bool)
+		if !ok {
+			return interp.Errorf(in.nd, "operator %s requires bool operands", ta.op)
+		}
+		regs[in.a].r = b
+
+	case opBinM:
+		d := in.aux.(*binDesc)
+		v, err := interp.EvalBinary(d.e, fr.box(d.l), fr.box(d.r), mc.in.Exec(fr.pool))
+		if err != nil {
+			return err
+		}
+		return fr.store(in.a, class(in.b), v, in.nd)
+
+	case opUnM:
+		d := in.aux.(*unDesc)
+		v, err := interp.EvalUnary(d.e, fr.box(d.x), mc.in.Exec(fr.pool))
+		if err != nil {
+			return err
+		}
+		return fr.store(in.a, class(in.b), v, in.nd)
+
+	case opFused:
+		return mc.execChain(fr, in)
 
 	case opDimEnd:
 		m := regs[in.b].r.(*matrix.Matrix)
@@ -59,68 +126,6 @@ func (mc *Machine) execSlow(fr *frame, in *instr) error {
 			return err
 		}
 		return interp.WrapError(in.nd, m.SetIndex(fr.box(d.val), specs...))
-
-	case opIdx1F:
-		m := regs[in.b].r.(*matrix.Matrix)
-		i := regs[in.c].i
-		if raw := m.Floats(); i >= 0 && int(i) < len(raw) {
-			regs[in.a].f = raw[i]
-			break
-		}
-		v, err := m.Index(mc.in.Budget(), matrix.Scalar(int(i)))
-		if err != nil {
-			return interp.WrapError(in.nd, err)
-		}
-		return fr.store(in.a, clF, v, in.nd)
-	case opIdx1I:
-		m := regs[in.b].r.(*matrix.Matrix)
-		i := regs[in.c].i
-		if raw := m.Ints(); i >= 0 && int(i) < len(raw) {
-			regs[in.a].i = raw[i]
-			break
-		}
-		v, err := m.Index(mc.in.Budget(), matrix.Scalar(int(i)))
-		if err != nil {
-			return interp.WrapError(in.nd, err)
-		}
-		return fr.store(in.a, clI, v, in.nd)
-	case opIdx1B:
-		m := regs[in.b].r.(*matrix.Matrix)
-		i := regs[in.c].i
-		if raw := m.Bools(); i >= 0 && int(i) < len(raw) {
-			regs[in.a].i = b2i(raw[i])
-			break
-		}
-		v, err := m.Index(mc.in.Budget(), matrix.Scalar(int(i)))
-		if err != nil {
-			return interp.WrapError(in.nd, err)
-		}
-		return fr.store(in.a, clB, v, in.nd)
-
-	case opSetIdx1F:
-		m := regs[in.a].r.(*matrix.Matrix)
-		i := regs[in.b].i
-		if raw := m.Floats(); i >= 0 && int(i) < len(raw) {
-			raw[i] = regs[in.c].f
-			break
-		}
-		return interp.WrapError(in.nd, m.SetIndex(regs[in.c].f, matrix.Scalar(int(i))))
-	case opSetIdx1I:
-		m := regs[in.a].r.(*matrix.Matrix)
-		i := regs[in.b].i
-		if raw := m.Ints(); i >= 0 && int(i) < len(raw) {
-			raw[i] = regs[in.c].i
-			break
-		}
-		return interp.WrapError(in.nd, m.SetIndex(regs[in.c].i, matrix.Scalar(int(i))))
-	case opSetIdx1B:
-		m := regs[in.a].r.(*matrix.Matrix)
-		i := regs[in.b].i
-		if raw := m.Bools(); i >= 0 && int(i) < len(raw) {
-			raw[i] = regs[in.c].i != 0
-			break
-		}
-		return interp.WrapError(in.nd, m.SetIndex(regs[in.c].i != 0, matrix.Scalar(int(i))))
 
 	case opRange:
 		m, err := matrix.RangeBudgeted(mc.in.Budget(), regs[in.b].i, regs[in.c].i)
@@ -247,6 +252,26 @@ func (mc *Machine) execSlow(fr *frame, in *instr) error {
 		return interp.Errorf(in.nd, "internal error: unknown opcode %d", in.op)
 	}
 	return nil
+}
+
+// rank1Class is the element class a rank-1 load or store opcode moves.
+func rank1Class(op opcode) class {
+	switch op {
+	case opIdx1F, opSetIdx1F:
+		return clF
+	case opIdx1I, opSetIdx1I:
+		return clI
+	}
+	return clB
+}
+
+// unassignedBase is the error of indexing (storing through, for lvalue)
+// a matrix variable nothing was assigned to.
+func unassignedBase(nd ast.Node, lvalue bool) error {
+	if lvalue {
+		return interp.Errorf(nd, "cannot index-assign into a non-matrix or unassigned matrix")
+	}
+	return interp.Errorf(nd, "cannot index a non-matrix or unassigned matrix")
 }
 
 // buildSpecs appends the per-dimension index specs of compiled plans to

@@ -7,6 +7,7 @@ package vm
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -50,62 +51,132 @@ func countOps(p *Program) map[opcode]int {
 	return n
 }
 
+// loops lists every loop of pr as the compiler laid it out: for each
+// instruction that jumps backwards, the code from its target to itself,
+// one instruction a line — what one iteration dispatches when no branch
+// inside it is taken.
+func loops(pr *proto) []string {
+	var out []string
+	for pc, in := range pr.code {
+		if in.op.branches() && int(in.c) <= pc {
+			var b strings.Builder
+			for _, body := range pr.code[in.c : pc+1] {
+				b.WriteString(body.String() + "\n")
+			}
+			out = append(out, b.String())
+		}
+	}
+	return out
+}
+
+func TestOpcodeNames(t *testing.T) {
+	if len(opNames) != int(opCount) {
+		t.Fatalf("%d opcode names for %d opcodes", len(opNames), opCount)
+	}
+	for op, want := range map[opcode]string{opNop: "Nop", opIncJLtIK: "IncJLtIK", opMove: "Move",
+		opModIK: "ModIK", opBindR: "BindR", opSetIdx1B: "SetIdx1B", opDimEnd: "DimEnd", opWithFold: "WithFold"} {
+		if op.String() != want {
+			t.Errorf("opcode %d is named %s, want %s", op, op, want)
+		}
+	}
+}
+
+// The hot loops of the scalar benchmark programs as golden listings
+// (name a b c, see program.go): a change to the compiler that adds a
+// dispatch to an iteration, or brings a move back, shows here.
+
 func TestCompileFusesScalarLoop(t *testing.T) {
 	p := compile(t, `
+int fib(int n) {
+	if (n < 2) { return n; }
+	return fib(n - 1) + fib(n - 2);
+}
+int trough(Matrix float <1> ts, int i, int n) {
+	while (i + 1 < n && ts[i] >= ts[i + 1]) { i = i + 1; }
+	return i;
+}
 int main() {
 	int s = 0;
-	for (int i = 0; i < 100; i++) { s = s + i; }
-	while (s > 10) { s = s - 3; }
-	return s;
+	for (int i = 0; i < 400000; i++) {
+		s = s + i * 3 - 1;
+	}
+	print(s);
+	return fib(21) + trough(init(Matrix float <1>, 4), 0, 4);
 }`)
-	ops := countOps(p)
-	if ops[opBrLtIK]+ops[opBrGtIK] == 0 {
-		t.Errorf("no fused compare-and-branch-with-immediate emitted: %v", ops)
+	// scalar_loop, six dispatches an iteration: both statement entries of
+	// the body in one tick, three arithmetic instructions the last of
+	// which writes s itself, the post statement's tick, and i++ with the
+	// bottom test and the jump back.
+	want := []string{"Step 2 0 0\nMulIK 2 1 3\nAddI 3 0 2\nAddIK 0 3 -1\nStep 1 0 0\nIncJLtIK 1 400000 5\n"}
+	if got := loops(p.protos[p.main]); !slices.Equal(got, want) {
+		t.Errorf("loops of main:\n%q\nwant\n%q\n%s", got, want, p.protos[p.main].disasm())
 	}
-	if ops[opAddIK] == 0 {
-		t.Errorf("no fused add-immediate emitted (i++ / s - 3): %v", ops)
+	// fib_rec: results land where they are used, no opMove anywhere.
+	wantFib := "0: Step 2 0 0\n1: BrLtIK 0 2 4\n2: Step 2 0 0\n3: Ret 0 0 0\n4: Step 1 0 0\n" +
+		"5: AddIK 1 0 -1\n6: Call 2 0 0\n7: AddIK 3 0 -2\n8: Call 4 0 0\n9: AddI 5 2 4\n10: Ret 5 0 0\n"
+	if got := p.protos[0].disasm(); got != wantFib {
+		t.Errorf("fib compiled to\n%swant\n%s", got, wantFib)
 	}
-	if ops[opBinM] != 0 {
-		t.Errorf("scalar-only program fell back to the dynamic operator %d times", ops[opBinM])
+	// The shape of the paper's Fig 8 helpers: a while over two indexed
+	// loads with && in the condition and i = i + 1 last in the body. The
+	// bottom test branches per operand, back to the body while both hold.
+	want = []string{"Step 2 0 0\nAddIK 1 1 1\nAddIK 8 1 1\nBrLtI 8 2 17\nIdx1F 9 0 1\nAddIK 10 1 1\nIdx1F 11 0 10\nGeF 12 9 11\nBrTrue 12 0 8\n"}
+	if got := loops(p.protos[1]); !slices.Equal(got, want) {
+		t.Errorf("loops of trough:\n%q\nwant\n%q\n%s", got, want, p.protos[1].disasm())
+	}
+	if n := countOps(p)[opMove] + countOps(p)[opBinM] + countOps(p)[opJmp]; n != 0 {
+		t.Errorf("%d opMove, opBinM or opJmp instructions in a program of scalar loops", n)
 	}
 }
 
 func TestCompileFusesRank1Indexing(t *testing.T) {
 	p := compile(t, `
 int main() {
-	Matrix float <1> a = init(Matrix float <1>, 8);
-	for (int i = 0; i < 8; i++) { a[i] = (float)i; }
-	float s = 0.0;
-	for (int i = 0; i < 8; i++) { s = s + a[i]; }
-	return (int)s;
-}`)
-	ops := countOps(p)
-	if ops[opSetIdx1F] == 0 {
-		t.Errorf("no fused rank-1 store emitted: %v", ops)
+	Matrix float <1> a = init(Matrix float <1>, 4096);
+	for (int i = 0; i < 4096; i++) {
+		a[i] = (float)(i % 97);
 	}
-	if ops[opIdx1F] == 0 {
-		t.Errorf("no fused rank-1 load emitted: %v", ops)
+	float s = 0.0;
+	for (int r = 0; r < 32; r++) {
+		for (int i = 0; i < 4096; i++) {
+			s = s + a[i];
+		}
+	}
+	print(s);
+	return 0;
+}`)
+	// index_sum. The store loop is six and the inner load loop five: no
+	// opIdxCheck before an index that cannot fail, no opDimEnd nobody
+	// reads, % by a literal without a zero test, the load's sum into s.
+	store := "Step 2 0 0\nModIK 5 4 97\nI2F 6 5 0\nSetIdx1F 0 4 6\nStep 1 0 0\nIncJLtIK 4 4096 9\n"
+	inner := "Step 2 0 0\nIdx1F 10 0 9\nAddF 7 7 10\nStep 1 0 0\nIncJLtIK 9 4096 24\n"
+	outer := "Step 2 0 0\nStep 1 0 0\nConstI 9 0 0\nBrLtIK 9 4096 29\n" + inner + "Step 1 0 0\nIncJLtIK 8 32 20\n"
+	if got, want := loops(p.protos[p.main]), []string{store, inner, outer}; !slices.Equal(got, want) {
+		t.Errorf("loops of main:\n%q\nwant\n%q\n%s", got, want, p.protos[p.main].disasm())
 	}
 }
 
+// A statement ticks once wherever its entry was merged: main has
+// exactly 3 statements (decl, expression statement, return) plus the
+// body block entry, and the block's tick shares an instruction with the
+// declaration's.
 func TestCompileStepPerStatement(t *testing.T) {
-	// One opStep per statement: main has exactly 3 statements (decl,
-	// expression statement, return) plus the body block entry.
 	p := compile(t, `
 int main() {
 	int x = 1;
 	print(x);
 	return 0;
 }`)
-	mp := p.protos[p.main]
-	steps := 0
-	for _, in := range mp.code {
+	ticks, steps := 0, 0
+	for _, in := range p.protos[p.main].code {
 		if in.op == opStep {
 			steps++
+			ticks += int(in.a)
 		}
 	}
-	if steps != 4 {
-		t.Errorf("main compiled with %d step ticks, want 4 (block + 3 statements)", steps)
+	if ticks != 4 || steps != 3 {
+		t.Errorf("main compiled with %d ticks in %d step instructions, want 4 in 3 (block + 3 statements)\n%s",
+			ticks, steps, p.protos[p.main].disasm())
 	}
 	// Global initializers never tick.
 	for _, in := range p.ginit.code {

@@ -966,6 +966,174 @@ int main() {
 	print(r[3]);
 	return 0;
 }`},
+	// 'end' where it is read and where it is not (out, error and cells
+	// pinned at 9c66458, where every index dimension still computed its
+	// 'end' eagerly): scalar, range and nested positions, two reads in one
+	// dimension, one behind a short circuit, and an unassigned base with
+	// and without an 'end' in the index.
+	{name: "end_scalar_range_nested", pin: &pinned{"19\n32\n36\n14\n14\n2\n11\n18\n30\ntrue\n", 32}, src: `
+int pick(int k) { print(k); return k; }
+int main() {
+	Matrix int <1> v = [10 :: 19];
+	Matrix int <1> b = [0 :: 4];
+	print(v[end]);
+	print(v[end - 1] + v[end / 2]);
+	Matrix int <1> tail = v[end - 2 : end];
+	print(tail[0] + tail[end]);
+	print(v[b[end]]);
+	print(v[b[end] + b[end - 1] - end / 3]);
+	print(v[(end - 9) * pick(2) + end % 4]);
+	Matrix int <2> m = init(Matrix int <2>, 3, 4);
+	m[end, end] = 7;
+	m[0 : end - 1, end - 1] = [5 :: 6];
+	print(m[2, 3] + m[1, end - 1] + m[end - 2, 2]);
+	v[end] = v[end] + v[b[end - 3]];
+	print(v[9]);
+	bool hit = v[0] > 100 || v[(int)(end > 3) + end - 1] == 30;
+	print(hit);
+	return 0;
+}`},
+	{name: "err_index_unassigned_no_end", pin: &pinned{"2\n", 0},
+		errHas: "6:8: runtime error: cannot index a non-matrix or unassigned matrix", src: `
+int main() {
+	Matrix float <1> v;
+	int i = 2;
+	print(i);
+	print(v[i + 1]);
+	return 0;
+}`},
+	{name: "err_index_unassigned_end", pin: &pinned{"7\n", 0},
+		errHas: "5:8: runtime error: cannot index a non-matrix or unassigned matrix", src: `
+int main() {
+	Matrix float <1> v;
+	print(7);
+	print(v[end]);
+	return 0;
+}`},
+	{name: "err_store_unassigned_no_end", pin: &pinned{"4\n", 0},
+		errHas: "6:2: runtime error: cannot index-assign into a non-matrix or unassigned matrix", src: `
+int side(int k) { print(k); return k; }
+int main() {
+	Matrix int <1> v;
+	int i = 0;
+	v[i] = side(4);
+	return 0;
+}`},
+	{name: "err_index_unassigned_impure_index", pin: &pinned{"", 0},
+		errHas: "5:8: runtime error: cannot index a non-matrix or unassigned matrix", src: `
+int side(int k) { print(k); return k; }
+int main() {
+	Matrix int <1> v;
+	print(v[side(1)]);
+	return 0;
+}`},
+	{name: "err_ginit_index_unassigned_before_later_global", pin: &pinned{"", 0},
+		errHas: "3:9: runtime error: cannot index a non-matrix or unassigned matrix", src: `
+Matrix int <1> v;
+int x = v[later + 1];
+int later = 0;
+int main() { print(x); return 0; }`},
+	{name: "err_idx1_out_of_range_in_loop", pin: &pinned{"0\n1\n3\n6\n", 4},
+		errHas: "5:33: runtime error: matrix: index 4 out of range [0,4) in dimension 0", src: `
+int main() {
+	Matrix float <1> a = init(Matrix float <1>, 4);
+	float s = 0.0;
+	for (int i = 0; i <= 4; i++) { a[i] = (float)i; s = s + a[i]; print(s); }
+	return 0;
+}`},
+	// The loop and statement shapes the compiler now lowers differently
+	// (pinned at 9c66458): destination forwarding where the target is
+	// also an operand, immediate forms of * / % -, rotated for and while
+	// loops, && / || / ! conditions, break and continue landing on a
+	// back edge, an empty body, a call in a body, a zero-trip loop.
+	{name: "loop_shapes", pin: &pinned{"125\n-11\n17\n21\n16\n51\n2\n-268\n268\n2\n-4\n-4\nfalse\ntrue\n1\n24\n21\n97531\n97538\n", 0}, src: `
+int twice(int n) { return n * 2; }
+int g = 3;
+int main() {
+	int s = 0;
+	for (int i = 0; i < 10; i++) { s = s + i * 3 - 1; }
+	print(s);
+	int i = 0;
+	while (i < 20 && s > 0) { s = s - i; i = i + 1; }
+	print(s); print(i);
+	for (int k = 0; k < 12; k++) {
+		if (k % 2 == 0) { continue; }
+		if (k > 8) { break; }
+		s = s + twice(k);
+	}
+	print(s);
+	int n = 0;
+	for (int k = 0; k < 5; k++) { }
+	for (int k = 5; k < 5; k++) { n = n + 100; }
+	for (int a = 0; a < 3; a++) {
+		for (int b = a; b <= 3; b++) { n = n + a * b; }
+	}
+	print(n);
+	int j = 10;
+	while (j > 0) {
+		j = j - 1;
+		if (j == 7) { continue; }
+		if (j < 3 || n > 1000) { break; }
+		n = n + j;
+	}
+	print(n); print(j);
+	int x = 7;
+	x = x * x - x;
+	x = 100 - x;
+	x = x / 3 + x % 5 - 3 * x + (0 - 2) * x;
+	print(x);
+	x = x / -1; print(x);
+	x = 17 % -5; print(x);
+	x = -17 / 4; print(x);
+	float f = 1.5;
+	f = f * f + x;
+	f = x;
+	print(f);
+	bool t = x > 0;
+	t = !t && (x < -5 || t);
+	print(t);
+	t = t || !t;
+	print(t);
+	int y = x;
+	y = y;
+	x = y + 1;
+	print(x - y);
+	g = g * 4;
+	g = g + g;
+	print(g);
+	for (int q = 0; !(q >= 3); q = q + 1) { g = g - q; }
+	print(g);
+	int d = 0;
+	for (int q = 9; q > 0; q = q - 2) { d = d * 10 + q; }
+	print(d);
+	for (;;) { d = d + 1; if (d % 7 == 0) { break; } }
+	print(d);
+	return 0;
+}`},
+	{name: "err_div_mod_literal_zero", pin: &pinned{"1\n", 0},
+		errHas: "5:8: runtime error: matrix: integer division by zero", src: `
+int main() {
+	int x = 9;
+	print(x % 4);
+	print(x / 0);
+	return 0;
+}`},
+	{name: "err_mod_literal_zero_into_operand", pin: &pinned{"", 0},
+		errHas: "4:6: runtime error: matrix: integer modulo by zero", src: `
+int main() {
+	int x = 9;
+	x = x % 0;
+	print(x);
+	return 0;
+}`},
+	{name: "err_div_zero_keeps_destination", pin: &pinned{"5\n6\n9\n18\n", 0},
+		errHas: "5:53: runtime error: matrix: integer division by zero", src: `
+int g = 5;
+int main() {
+	int z = 0;
+	for (int i = 3; i >= 0; i = i - 1) { print(g); g = g / i + g; }
+	return z;
+}`},
 	// Rank 5 and 6: above matrix.InlineRank, so shape and strides are
 	// allocated, resolve's scratch is on the heap and the VM's spec and
 	// dimension scratch overflows its stack array.
@@ -1096,11 +1264,38 @@ func TestVMDifferentialTestdata(t *testing.T) {
 	}
 }
 
-// TestVMStepParity sweeps the step budget over a fixed program: for
-// every budget value the two engines must agree on success vs
-// trap:step, i.e. they tick the budget at identical statement counts.
+// TestVMStepParity sweeps the step budget over one program that holds
+// every statement and loop shape the VM compiler lowers specially: for
+// every budget from one step up to the first that lets the program
+// finish, the tree walker, the VM and the VM without facts must agree on
+// the whole error string — trap code, text and source span — i.e. they
+// tick the budget at identical program points, each tick attributed to
+// its own statement.
 func TestVMStepParity(t *testing.T) {
-	prog := parseAndCheck(t, "steps.xc", `
+	prog := parseAndCheck(t, "steps.xc", stepShapesSrc)
+	finished := 0
+	for steps := int64(1); finished < 3; steps++ {
+		if steps > 2000 {
+			t.Fatal("the step-shapes program did not finish within 2000 steps")
+		}
+		opts := interp.Options{MaxSteps: steps}
+		tree := runOne(t, prog, "tree", opts)
+		compare(t, fmt.Sprintf("maxsteps=%d", steps), tree, runOne(t, prog, "vm", opts))
+		compare(t, fmt.Sprintf("maxsteps=%d/no facts", steps), tree, runOne(t, prog, "vm-nofacts", opts))
+		if tree.err == "" {
+			finished++
+		} else if !strings.Contains(tree.err, "[trap:step]") {
+			t.Fatalf("maxsteps=%d: the tree walker failed with %q, not a step trap", steps, tree.err)
+		}
+	}
+}
+
+// stepShapesSrc: a block entry with its first statement, a for post
+// with a fused back edge, a rotated while with &&, break and continue
+// landing on a fused back edge and on a while's bottom test, a nested
+// loop, a call in a loop body, an empty for body, a zero-trip loop, an
+// if with an empty then-block before the next statement, nested blocks.
+const stepShapesSrc = `
 int twice(int n) { return n * 2; }
 int main() {
 	int s = 0;
@@ -1108,16 +1303,29 @@ int main() {
 		s = s + twice(i);
 		if (s > 100) { s = 0; }
 	}
+	int j = 0;
+	while (j < 6 && s >= 0) {
+		j = j + 1;
+		if (j == 2) { continue; }
+		if (j == 5) { break; }
+		for (int k = 0; k < 2; k++) { s = s + k; }
+	}
+	for (int k = 0; k < 4; k++) {
+		if (k == 1) { continue; }
+		if (k == 3) { break; }
+	}
+	for (int k = 0; k < 3; k++) { }
+	for (int k = 3; k < 3; k++) { s = s + 1000; }
+	if (s > 0) { }
+	{ { s = s + 1; } }
+	int w = 0;
+	while (w < 3) { w = w + 1; }
+	while (w > 0 || s < 0) { { w = w - 1; } }
+	Matrix int <1> v = [0 :: 3];
+	for (int k = 0; k < 4; k++) { s = s + v[k]; v[k] = s; }
 	print(s);
 	return 0;
-}`)
-	for steps := int64(1); steps <= 40; steps++ {
-		opts := interp.Options{MaxSteps: steps}
-		tree := runOne(t, prog, "tree", opts)
-		vmr := runOne(t, prog, "vm", opts)
-		compare(t, fmt.Sprintf("maxsteps=%d", steps), tree, vmr)
-	}
-}
+}`
 
 // FuzzVMDiff cross-checks the engines on arbitrary source text: any
 // program the front end accepts must behave identically under both.
@@ -1128,6 +1336,7 @@ func FuzzVMDiff(f *testing.F) {
 	for _, tc := range vmCorpus {
 		f.Add(tc.src)
 	}
+	f.Add(stepShapesSrc)
 	f.Fuzz(func(t *testing.T, src string) {
 		var d source.Diagnostics
 		p := parser.ParseFile("fuzz.xc", src, parser.AllExtensions(), &d)
@@ -1138,15 +1347,20 @@ func FuzzVMDiff(f *testing.F) {
 		if d.HasErrors() {
 			return
 		}
-		prog := &parsedProg{prog: p, info: info}
 		vmp, cerr := vm.Compile(p, info)
 		if cerr != nil {
 			// A compiler bail is a legitimate fallback (the driver runs
 			// the tree walker), not a divergence.
 			return
 		}
+		// The third arm: no chain fused, no with-loop compiled flat. What
+		// the compiler accepts does not depend on the facts.
+		bare, cerr := vm.CompileWithFacts(p, info, nil)
+		if cerr != nil {
+			t.Fatalf("compiles with facts, not without: %v\n%s", cerr, src)
+		}
 		opts := interp.Options{Threads: 1, MaxSteps: 200_000, MaxCells: 1 << 16}
-		run := func(engine string) engineResult {
+		run := func(vmp *vm.Program) engineResult {
 			var out bytes.Buffer
 			heap := rc.NewHeap()
 			o := opts
@@ -1156,7 +1370,7 @@ func FuzzVMDiff(f *testing.F) {
 			defer i.Close()
 			var code int
 			var err error
-			if engine == "vm" {
+			if vmp != nil {
 				code, err = vm.NewMachine(vmp, i).Run()
 			} else {
 				code, err = i.Run()
@@ -1167,16 +1381,15 @@ func FuzzVMDiff(f *testing.F) {
 			}
 			return res
 		}
-		t1 := run("tree")
-		t2 := run("tree")
-		if t1 != t2 {
+		t1 := run(nil)
+		if t1 != run(nil) {
 			return // nondeterministic program; no usable oracle
 		}
-		v := run("vm")
-		if t1.out != v.out || t1.code != v.code || t1.err != v.err || t1.cells != v.cells {
-			t.Errorf("engines diverged on:\n%s\ntree: %+v\nvm:   %+v", src, t1, v)
+		for arm, vmp := range map[string]*vm.Program{"vm": vmp, "vm without facts": bare} {
+			if v := run(vmp); t1 != v {
+				t.Errorf("%s diverged on:\n%s\ntree: %+v\nvm:   %+v", arm, src, t1, v)
+			}
 		}
-		_ = prog
 	})
 }
 
