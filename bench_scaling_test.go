@@ -32,6 +32,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/eddy"
 	"repro/internal/interp"
 	"repro/internal/matrix"
 	"repro/internal/par"
@@ -516,6 +517,17 @@ const (
 	return 0;
 }
 `
+	gridChainRangeSrc = `int main() {
+	int hi = %d - 1;
+	float m = 0.75;
+	float b = 1.5;
+	for (int r = 0; r < 4; r++) {
+		Matrix float <1> line;
+		line = [0 :: hi] * m + b;
+	}
+	return 0;
+}
+`
 	gridChainSrc = `int main() {
 	int n = %d;
 	Matrix float <2> a;
@@ -559,10 +571,17 @@ func gridDirect(f func(n int) func(x matrix.Exec) (*matrix.Matrix, error)) func(
 }
 
 func gridLanguage(src string) func(testing.TB, int) func(int) {
+	return gridProgram(func(n int) (string, map[string]*matrix.Matrix) { return fmt.Sprintf(src, n), nil })
+}
+
+// gridProgram is a row family that is a program: its source and input
+// files at size n.
+func gridProgram(at func(n int) (string, map[string]*matrix.Matrix)) func(testing.TB, int) func(int) {
 	return func(tb testing.TB, n int) func(int) {
-		bp := compileBench(tb, fmt.Sprintf(src, n))
+		src, files := at(n)
+		bp := compileBench(tb, src)
 		return func(threads int) {
-			it := interp.New(bp.prog, bp.info, interp.Options{Threads: threads, Stdout: io.Discard})
+			it := interp.New(bp.prog, bp.info, interp.Options{Threads: threads, Stdout: io.Discard, Files: files})
 			if _, err := vm.NewMachine(bp.vmp, it).Run(); err != nil {
 				tb.Fatal(err)
 			}
@@ -612,6 +631,18 @@ var gridKernels = []gridKernel{
 		}
 	})},
 	{"strip_rows", []int{256, 1024}, 5, gridLanguage(gridChainSrc)},
+	// The genarray row's program at the sizes where a construct is
+	// 15-200 us: what a fork costs a short stencil (bench's stencil_256x4).
+	{"stencil_small", []int{64, 128, 256}, 9, gridLanguage(gridGenarraySrc)},
+	// Fig 8's line at scale: a range leaf, promoted, filled on the pool.
+	{"chain_range", []int{1 << 20}, 5, gridLanguage(gridChainRangeSrc)},
+	// Fig 8 itself over n series of 48 points (bench's eddy_score input at
+	// 480): matrixMap over troughs of five cells.
+	{"matrixmap_eddy", []int{480}, 5, gridProgram(func(n int) (string, map[string]*matrix.Matrix) {
+		ssh, _ := eddy.Synthesize(eddy.SynthOptions{Lat: n / 24, Lon: 24, Time: 48,
+			NumEddies: 5, NoiseAmp: 0.05, SwellAmp: 0.08, Seed: 1})
+		return fig8Src, map[string]*matrix.Matrix{"ssh.data": ssh}
+	})},
 }
 
 // runShippedGrid is one pass over kernel × size × threads through the
@@ -670,7 +701,7 @@ func cpuModel() string {
 	return "unknown"
 }
 
-const scalingDescription = "Scaling ladder for internal/par (PR 18). ladder_passes: seven fork-join designs, each one step from the one before, over this file's own row kernels (bench_scaling_test.go), as speed-up over the sequential rung and efficiency = speed-up / threads, x threads x size x blocks_per_worker (block = units / (blocks_per_worker * threads)); counter_blocked is par.ParallelChunksCtx itself, the only rung that exists in non-test code, and spin_pool is the parent's par. shipped_grid_passes: the shipped rung through the real kernels and the language (the bench module's par_grid plus matrixMap with uneven bodies and a fused chain on the strip engine), speed-up over Threads = 1 where no construct is forked. ms is the median of 7 (ladder) or 5-9 (grid) batches, cpu_ms the process CPU time per construct over those batches. Every pass made is in the file. Regenerate: go test -run '^TestScalingLadder$' -scaling-out BENCH_scaling.json ."
+const scalingDescription = "Scaling ladder for internal/par (PR 18). ladder_passes: seven fork-join designs, each one step from the one before, over this file's own row kernels (bench_scaling_test.go), as speed-up over the sequential rung and efficiency = speed-up / threads, x threads x size x blocks_per_worker (block = units / (blocks_per_worker * threads)); counter_blocked is par.ParallelChunksCtx itself, the only rung that exists in non-test code, and spin_pool is the parent's par. shipped_grid_passes: the shipped rung through the real kernels and the language (the bench module's par_grid plus matrixMap with uneven bodies and a fused chain on the strip engine; since PR 25 also the stencil at 64-256, Fig 8's line as a range chain and Fig 8 itself), speed-up over Threads = 1 where no construct is forked. ms is the median of 7 (ladder) or 5-9 (grid) batches, cpu_ms the process CPU time per construct over those batches. Every pass made is in the file. Regenerate: go test -run '^TestScalingLadder$' -scaling-out BENCH_scaling.json ."
 
 // TestScalingLadder regenerates BENCH_scaling.json: three complete
 // passes of the ladder and of the shipped grid, every one reported.

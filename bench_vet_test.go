@@ -35,6 +35,37 @@ int main() {
 }
 `
 
+// rangeLeafSrc and promotingLeafSrc are the two leaf kinds a chain has
+// beside identifiers, each alone: a range on an int chain (no vector is
+// built), an int matrix on a float chain (no conversion scratch), both
+// over 64k cells, 40 repetitions. Fig 8's line is the two together.
+const rangeLeafSrc = `
+int main() {
+	int lo = 1;
+	int hi = 65536;
+	int s = 0;
+	for (int i = 0; i < 40; i++) {
+		Matrix int <1> r = [lo :: hi] * 3 + i;
+		s = s + r[end];
+	}
+	print(s);
+	return 0;
+}
+`
+
+const promotingLeafSrc = `
+int main() {
+	Matrix int <1> v = [1 :: 65536];
+	float s = 0.0;
+	for (int i = 0; i < 40; i++) {
+		Matrix float <1> r = v * 0.5 + 1.0;
+		s = s + r[end];
+	}
+	print(s);
+	return 0;
+}
+`
+
 // BenchmarkVetFacts times the fusion-legality proof pass alone, on a
 // program with provable chains — the cost a driver cache miss pays
 // before bytecode compilation.
@@ -46,39 +77,47 @@ func BenchmarkVetFacts(b *testing.B) {
 		f := vet.ComputeFacts(bp.prog, bp.info)
 		chains = f.ChainCount()
 	}
-	if chains != 1 {
-		b.Fatalf("ChainCount = %d, want 1", chains)
+	if chains != 3 {
+		b.Fatalf("ChainCount = %d, want 3 (the loop's chain and the two range-scaling initializers)", chains)
 	}
 }
 
 // BenchmarkFusedChain is the ablation pair: identical program and VM,
 // fusion on (facts-driven opFused) vs off (nil facts, per-stage
 // kernels). The contract elsewhere (vmdiff) holds the two observably
-// identical; this measures the time and allocation difference.
+// identical; this measures the time and allocation difference — for the
+// identifier chain (FusionOn, FusionOff) and for a range leaf and a
+// promoting leaf, which also report ns a chain cell.
 func BenchmarkFusedChain(b *testing.B) {
-	bp := compileBench(b, chainedSrc)
-	if bp.vmp.FusedSites() != 1 {
-		b.Fatalf("FusedSites = %d, want 1", bp.vmp.FusedSites())
-	}
-	unfused, err := vm.CompileWithFacts(bp.prog, bp.info, nil)
-	if err != nil {
-		b.Fatalf("CompileWithFacts(nil): %v", err)
-	}
-	if unfused.FusedSites() != 0 {
-		b.Fatalf("unfused FusedSites = %d, want 0", unfused.FusedSites())
-	}
-	opts := interp.Options{Threads: 1, Stdout: io.Discard}
-	run := func(b *testing.B, p *vm.Program) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			it := interp.New(bp.prog, bp.info, opts)
-			_, err := vm.NewMachine(p, it).Run()
-			it.Close()
-			if err != nil {
-				b.Fatal(err)
-			}
+	for _, tc := range []struct {
+		name, src string
+		sites     int
+	}{{"", chainedSrc, 3}, {"range_leaf/", rangeLeafSrc, 1}, {"promoting_leaf/", promotingLeafSrc, 1}} {
+		bp := compileBench(b, tc.src)
+		if bp.vmp.FusedSites() != tc.sites {
+			b.Fatalf("%sFusedSites = %d, want %d", tc.name, bp.vmp.FusedSites(), tc.sites)
 		}
+		unfused, err := vm.CompileWithFacts(bp.prog, bp.info, nil)
+		if err != nil {
+			b.Fatalf("CompileWithFacts(nil): %v", err)
+		}
+		if unfused.FusedSites() != 0 {
+			b.Fatalf("unfused FusedSites = %d, want 0", unfused.FusedSites())
+		}
+		opts := interp.Options{Threads: 1, Stdout: io.Discard}
+		run := func(b *testing.B, p *vm.Program) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				it := interp.New(bp.prog, bp.info, opts)
+				_, err := vm.NewMachine(p, it).Run()
+				it.Close()
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(40*65536), "ns/cell")
+		}
+		b.Run(tc.name+"FusionOn", func(b *testing.B) { run(b, bp.vmp) })
+		b.Run(tc.name+"FusionOff", func(b *testing.B) { run(b, unfused) })
 	}
-	b.Run("FusionOn", func(b *testing.B) { run(b, bp.vmp) })
-	b.Run("FusionOff", func(b *testing.B) { run(b, unfused) })
 }

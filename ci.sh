@@ -7,13 +7,18 @@
 # where times do not, so they are the regression CI can fail on), then the
 # race detector, each package once (the echo lines below say what each
 # pass is for; the matrix pass carries the indexing walker's
-# differential against its oracle, matio's budgeted reader and the obs
-# counters ride in the same pass, and the VM pass and the differential
-# corpus are where a pooled frame handed out twice would show), the
+# differential against its oracle and the chain engine's — TestChain*:
+# range and promoting leaves against RangeBudgeted, floatScratch and the
+# stage kernels, every door of the admission — matio's budgeted reader
+# and the obs counters ride in the same pass, the vet pass carries
+# TestChainPlanRangeAndPromotingLeaves, and the VM pass and the
+# differential corpus, chain_range_* / chain_promote_* / err_oom_chain_*
+# included, are where a pooled frame handed out twice would show), the
 # gcc-guarded C back end pass,
 # ten-second fuzz smokes, the vet findings manifest, one-shot benchmark
 # smokes, a self-relative scaling smoke when there are two CPUs to
-# scale on (no stored baseline: two threads are never slower than one),
+# scale on (no stored baseline: two threads are never slower than one,
+# the chain_range and matrixmap_eddy rows included),
 # and the bench/ module (its own go.mod, so the root module's build and
 # tests never reach it): vet, tests and two-second smoke runs of all
 # four workloads (a wrong output fails the run). Run locally before
@@ -62,7 +67,7 @@ go test -race ./internal/lexer ./internal/grammar ./internal/parser
 go test -race ./internal/attr ./internal/sem
 go test -race -run 'TestSemMatchesParent|TestCheckSharesOneGrammar' -count=1 .
 
-echo "== with-loop plans in vet; the VM whole: pooled frames, flat execution, fused chains, golden hot-loop listings, the tick's countdown poll seen from a spawn and a with-loop cell (race) =="
+echo "== with-loop and chain plans in vet (range and promoting leaves as goldens); the VM whole: pooled frames, flat execution, fused chains, golden hot-loop listings, the tick's countdown poll seen from a spawn and a with-loop cell (race) =="
 go test -race -run 'TestWithPlan|TestWithFlat|TestCompileWith|TestWithNested|TestWithStrip|TestChain' ./internal/vet
 go test -race ./internal/vm
 
@@ -79,7 +84,7 @@ go test -race -run '^TestGateHealthzDegraded$' -count=20 ./internal/fleet
 echo "== tenant registry + buckets (race) =="
 go test -race ./internal/tenant
 
-echo "== vm differential (bytecode engine vs tree-walking oracle, with facts and without; the frame_* entries are what a reused frame gets wrong; the MaxSteps sweep over every loop shape; race) =="
+echo "== vm differential (bytecode engine vs tree-walking oracle, with facts and without; the frame_* entries are what a reused frame gets wrong, the chain_range_* / chain_promote_* / err_oom_chain_* entries what a fused range or promoting leaf does; the MaxSteps sweep over every loop shape; race) =="
 go test -race -run 'TestVMDifferential|TestVMStep' -count=1 .
 
 echo "== fuzz smoke (frontend + analyzer never panic) =="

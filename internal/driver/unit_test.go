@@ -51,8 +51,9 @@ func TestUnitKeysOnExtensionSet(t *testing.T) {
 	m := d.Metrics()
 
 	first := run("matrix")
-	if got := m.VMFusedSites.Load(); got != 1 {
-		t.Fatalf("after first run: VMFusedSites = %d, want 1 (chain must be proven and emitted)", got)
+	// Three sites: the chain, and the two range-scaling initializers.
+	if got := m.VMFusedSites.Load(); got != 3 {
+		t.Fatalf("after first run: VMFusedSites = %d, want 3 (chains must be proven and emitted)", got)
 	}
 
 	// Identical request: the unit, and the program compiled on it, are
@@ -72,8 +73,8 @@ func TestUnitKeysOnExtensionSet(t *testing.T) {
 	if got := m.VMCompileTotal.Load(); got != 2 {
 		t.Fatalf("after -ext change: VMCompileTotal = %d, want 2 (must not share across ext sets)", got)
 	}
-	if got := m.VMFusedSites.Load(); got != 2 {
-		t.Fatalf("after -ext change: VMFusedSites = %d, want 2 (recompiled with fresh facts)", got)
+	if got := m.VMFusedSites.Load(); got != 6 {
+		t.Fatalf("after -ext change: VMFusedSites = %d, want 6 (recompiled with fresh facts)", got)
 	}
 
 	s := d.MetricsSnapshot()

@@ -100,8 +100,8 @@ func (i *Interp) BindValue(v any) {
 			x.Hdr = i.heap.Alloc(x.Size()*8 + 4) // data + the 4-byte RC header of §III-B
 			// When the last reference is dropped, hand the backing
 			// storage to the kernel free list. ForceFree (rcrelease)
-			// deliberately bypasses this — see rc.Header.SetOnFree.
-			x.Hdr.SetOnFree(x.Recycle)
+			// deliberately bypasses this — see rc.Header.SetRecycler.
+			x.Hdr.SetRecycler(x)
 		} else {
 			x.Hdr.IncRef()
 		}

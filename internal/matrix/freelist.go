@@ -3,7 +3,7 @@
 // reuse every operator pays the allocator (and, under concurrency, the
 // contention §III-C warns about). Released buffers — expression
 // temporaries recycled by the interpreter, and rc-tracked matrices
-// whose last reference is dropped (rc.Header.SetOnFree) — come back
+// whose last reference is dropped (rc.Header.SetRecycler) — come back
 // here and are handed to the next kernel output of a compatible size.
 //
 // Classing is by power-of-two capacity: a slice is stored under
@@ -155,7 +155,7 @@ func DrainFreeLists() {
 // Recycle returns m's backing storage to the kernel free list and
 // detaches it from m. It must only be called when the caller owns the
 // last live reference (the interpreter calls it for spent expression
-// temporaries and, via rc.Header.SetOnFree, when a tracked matrix's
+// temporaries and, via rc.Header.SetRecycler, when a tracked matrix's
 // reference count reaches zero). After Recycle any element access on m
 // panics — a loud failure instead of silently reading a buffer that
 // now belongs to someone else. Recycle is idempotent.

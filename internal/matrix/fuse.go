@@ -6,20 +6,24 @@
 // result is materialized. What is the chain's own is the admission.
 //
 // Observable behavior must match running the stages through
-// ElementwiseExec/BroadcastExec one at a time, because the bytecode
-// VM that calls this is differentially fuzzed against the tree
-// walker, which *does* run them one at a time:
+// RangeBudgeted and ElementwiseExec/BroadcastExec one at a time, because
+// the bytecode VM that calls this is differentially fuzzed against the
+// tree walker, which *does* run them one at a time:
 //
-//   - the allocation budget is charged per stage, in tree evaluation
+//   - the allocation budget is charged per admission, in tree evaluation
 //     (post-)order, exactly like the unfused engine — the unfused
 //     engine recycles intermediate buffers but never refunds their
-//     budget, so a fused run must consume identical budget;
-//   - TestHookAllocFail fires once per stage with the stage's cell
-//     count, in the same order;
+//     budget, so a fused run must consume identical budget. A range
+//     leaf admits, at its place in that order, the vector RangeBudgeted
+//     would have built; a stage admits its output and then charges, left
+//     operand first, floatScratch's copy of each int operand of a float
+//     stage (Budget.Charge alone, as there). Neither is ever allocated;
+//   - TestHookAllocFail fires once per range leaf and once per stage
+//     with its cell count, in the same order;
 //   - a nil (unassigned) matrix leaf, a shape mismatch or a budget
-//     failure surfaces at the same stage — ChainFlat reports the
-//     failing stage index so the VM can anchor the error at that
-//     stage's AST node, matching the tree walker's span;
+//     failure surfaces at the same admission — ChainFlat reports its
+//     index so the VM can anchor the error at that AST node (the range
+//     literal, the stage's operator), matching the tree walker's span;
 //   - stage operators are restricted by the legality rules in
 //     vet/facts.go to ones that cannot fail per element, so after
 //     admission the single loop is total (only cooperative
@@ -39,10 +43,11 @@ var ErrUnassignedOperand = errors.New("matrix: unassigned operand in fused chain
 
 // chainVal is one operand on the admission replay's stack: a scalar, an
 // unassigned matrix leaf, or a matrix — leaf or stage result — by its
-// shape.
+// shape; promote marks int cells a float stage converts.
 type chainVal struct {
-	kind  uint8
-	shape []int
+	kind    uint8
+	promote bool
+	shape   []int
 }
 
 const (
@@ -52,12 +57,13 @@ const (
 )
 
 // ChainFlat runs a proven elementwise chain: r's program is a rank-1
-// plan of leaf loads at id 0, scalar pushes and one + - * / per stage,
-// and r.Mats holds the leaves as they are, nil when unassigned. On
-// error the returned stage index — stages count in plan order, the
-// tree's post-order — identifies which stage's admission or execution
-// failed, so the caller can anchor the error at that stage's source
-// span; it is -1 only for malformed chains.
+// plan of leaf loads at id 0, range leaves (id 0 plus int scalar slot A,
+// the lo; the hi is slot A+1), WI2F after an int leaf, scalar pushes and
+// one + - * / per stage, and r.Mats holds the matrix leaves as they are,
+// nil when unassigned. On error the returned index — range leaves and
+// stages count together in plan order, the tree's post-order —
+// identifies the admission or execution that failed, so the caller can
+// anchor the error at its source span; it is -1 only for malformed chains.
 func ChainFlat(r *WithRun, x Exec) (*Matrix, int, error) {
 	shape, n, root, err := r.admitChain(x.Budget)
 	if err != nil {
@@ -96,19 +102,36 @@ var flatStrides = []int{1}
 var errMalformedChain = errors.New("matrix: malformed fused chain")
 
 // admitChain replays the unfused engine's admission over the plan, per
-// stage, in order — nil checks, the elementwise shape check on the
-// leaves' real shapes, then admit, exactly as ElementwiseExec and
-// BroadcastExec admit one stage at a time. It returns the root's shape,
-// cell count and stage index, or the failing stage and its error.
+// range leaf and stage, in order — nil checks, the elementwise shape
+// check on the leaves' real shapes, then admit and the scratch charges,
+// exactly as RangeBudgeted, ElementwiseExec and BroadcastExec admit one
+// at a time. It returns the root's shape, cell count and index, or the
+// failing admission's index and its error.
 func (r *WithRun) admitChain(b *Budget) (shape []int, n, stage int, err error) {
 	code := r.prog.spec.Code
 	st := grow(r.chain, len(code))[:0]
 	r.chain = st
+	r.dims = grow(r.dims, len(code))[:0] // a range leaf's shape: one cell of this
 	stage = -1
-	for pc := range code {
+	for pc := 0; pc < len(code); pc++ {
 		in := &code[pc]
 		switch in.Op {
 		case WPushID: // the cell every leaf is loaded at
+			if pc+2 >= len(code) || code[pc+1].Op != WPushScalarI {
+				continue
+			}
+			lo := code[pc+1].A
+			if code[pc+2].Op != WAddI || int(lo)+1 >= len(r.ScalarI) {
+				return nil, 0, -1, errMalformedChain
+			}
+			pc += 2
+			stage++
+			r.dims = append(r.dims, rangeCells(r.ScalarI[lo], r.ScalarI[lo+1]))
+			shape = r.dims[len(r.dims)-1:]
+			if n, err = admit(b, shape); err != nil {
+				return nil, 0, stage, err
+			}
+			st = append(st, chainVal{kind: chainMatrix, shape: shape})
 		case WPushInt, WPushFloat, WPushScalarI, WPushScalarF:
 			st = append(st, chainVal{kind: chainScalar})
 		case WLoadI, WLoadF:
@@ -117,6 +140,11 @@ func (r *WithRun) admitChain(b *Budget) (shape []int, n, stage int, err error) {
 				v = chainVal{kind: chainMatrix, shape: m.shape}
 			}
 			st = append(st, v)
+		case WI2F:
+			if len(st) < 1 || st[len(st)-1].kind == chainScalar {
+				return nil, 0, -1, errMalformedChain
+			}
+			st[len(st)-1].promote = true
 		case WAddI, WSubI, WMulI, WAddF, WSubF, WMulF, WDivF:
 			if len(st) < 2 {
 				return nil, 0, -1, errMalformedChain
@@ -143,12 +171,19 @@ func (r *WithRun) admitChain(b *Budget) (shape []int, n, stage int, err error) {
 			if n, err = admit(b, shape); err != nil {
 				return nil, 0, stage, err
 			}
+			for _, v := range [2]chainVal{lv, rv} {
+				if v.promote {
+					if err = b.Charge(n); err != nil {
+						return nil, 0, stage, err
+					}
+				}
+			}
 			st = append(st, chainVal{kind: chainMatrix, shape: shape})
 		default:
 			return nil, 0, -1, errMalformedChain
 		}
 	}
-	if stage < 0 || len(st) != 1 {
+	if stage < 0 || len(st) != 1 || st[0].promote {
 		return nil, 0, -1, errMalformedChain
 	}
 	return shape, n, stage, nil

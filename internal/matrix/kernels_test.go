@@ -13,6 +13,7 @@ package matrix
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -228,7 +229,20 @@ func FuzzKernelDiff(f *testing.F) {
 		for _, d := range shape {
 			size *= d
 		}
-		switch r.Intn(7) {
+		switch r.Intn(8) {
+		case 7:
+			// A chain with range and promoting leaves against its unfused
+			// stages, under a budget that may run out at any door.
+			g := &chainGen{r: r, float: r.Intn(2) == 0, lift: true}
+			tree := g.stage(3)
+			if g.ranges > 0 && len(shape) > 1 {
+				shape = shape[:1]
+			}
+			budget := int64(1 << 30)
+			if r.Intn(2) == 0 {
+				budget = int64(1 + r.Intn(12*(size+1)))
+			}
+			chainDiff(t, fmt.Sprintf("fuzz chain %d", seed), tree, g.env(tree, shape), x.Pool, budget)
 		case 0:
 			a := randKernelMat(r, elems[r.Intn(3)], shape...)
 			b := randKernelMat(r, elems[r.Intn(3)], shape...)

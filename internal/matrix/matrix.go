@@ -193,13 +193,7 @@ func FromBools(data []bool, shape ...int) *Matrix {
 // inclusive vector-building range of Fig 8 line 27), admitted against b;
 // hi < lo is the empty vector.
 func RangeBudgeted(b *Budget, lo, hi int64) (*Matrix, error) {
-	n := 0
-	if hi >= lo {
-		// In uint64 the span is exact where hi - lo overflows int64; one
-		// no matrix can hold is clamped, for admit to refuse.
-		n = int(min(uint64(hi)-uint64(lo), uint64(maxCells))) + 1
-	}
-	m, err := newKernelOut(b, Int, []int{n})
+	m, err := newKernelOut(b, Int, []int{rangeCells(lo, hi)})
 	if err != nil {
 		return nil, err
 	}
@@ -207,6 +201,16 @@ func RangeBudgeted(b *Budget, lo, hi int64) (*Matrix, error) {
 		m.i[k] = lo + int64(k)
 	}
 	return m, nil
+}
+
+// rangeCells counts the cells of [lo :: hi]. In uint64 the span is exact
+// where hi - lo overflows int64; one no matrix can hold is clamped, for
+// admit to refuse.
+func rangeCells(lo, hi int64) int {
+	if hi < lo {
+		return 0
+	}
+	return int(min(uint64(hi)-uint64(lo), uint64(maxCells))) + 1
 }
 
 // Elem returns the element type.

@@ -101,6 +101,7 @@ type WithRun struct {
 	ivals []wival    // interval analysis: ids, then the int stack
 	mults []int64    // interval analysis: trip products of the open brackets
 	chain []chainVal // chain admission: the operand stack
+	dims  []int      // chain admission: the range leaves' cell counts
 	views []Matrix   // chain execution: the leaves as flat views
 }
 
@@ -454,14 +455,35 @@ func GenArrayFlat(elem Elem, r *WithRun, x Exec) (*Matrix, bool, error) {
 // fill evaluates the program over the run's box into out: the outermost
 // dimension goes through runKernel in chunks of at least grain, and
 // every chunk is walked in strips on a state of its own — the pool's
-// chunks run concurrently.
+// chunks run concurrently. A box runKernel would not fork for is one
+// chunk, walked on the caller with nothing made for it.
 func (r *WithRun) fill(out *Matrix, grain int, x Exec) error {
-	lo0, w := r.Lower[0], r.stripWidth()
-	return runKernel(x, r.Upper[0]-lo0, grain, func(lo, hi int) error {
-		st := r.newState(w)
-		defer st.release()
-		return st.walk(r, lo0+lo, lo0+hi, x, out, nil)
+	c := boxChunk{r: r, out: out, x: x, w: r.stripWidth(), lo: r.Lower[0], hi: r.Upper[0]}
+	if x.Pool.Workers() == 1 || c.hi-c.lo < 2*grain {
+		kernelSerialCount.Add(1)
+		_, err := par.Solo(c, boxChunk.walk)
+		return err
+	}
+	return runKernel(x, c.hi-c.lo, grain, func(lo, hi int) error {
+		c := c
+		c.lo, c.hi = r.Lower[0]+lo, r.Lower[0]+hi
+		_, err := c.walk()
+		return err
 	})
+}
+
+// boxChunk is rows [lo, hi) of a fill.
+type boxChunk struct {
+	r         *WithRun
+	out       *Matrix
+	x         Exec
+	w, lo, hi int
+}
+
+func (c boxChunk) walk() (struct{}, error) {
+	st := c.r.newState(c.w)
+	defer st.release()
+	return struct{}{}, st.walk(c.r, c.lo, c.hi, c.x, c.out, nil)
 }
 
 // stripWidth is the program's strip width, or the innermost extent of
@@ -494,12 +516,7 @@ func FoldFlat(kind FoldKind, base any, r *WithRun, x Exec) (any, bool, error) {
 	p := r.prog
 	lower, upper := r.Lower, r.Upper
 	rank := len(lower)
-	// acc is the typed accumulator: the lane base has.
-	type acc struct {
-		i int64
-		f float64
-	}
-	var start acc
+	var start flatAcc
 	floatAcc := false
 	switch b := base.(type) {
 	case int64:
@@ -557,63 +574,44 @@ func FoldFlat(kind FoldKind, base any, r *WithRun, x Exec) (any, bool, error) {
 	for d := 1; d < rank; d++ {
 		rowLen *= upper[d] - lower[d]
 	}
-	w := r.stripWidth()
+	j := flatFold{r: r, x: x, kind: kind, floatAcc: floatAcc, whole: whole, rowLen: rowLen,
+		w: r.stripWidth(), start: start, lo: lower[0], hi: upper[0], step: 1}
 	// A rank-1 box has one-cell rows: it is stepped through a strip's
 	// worth of cells at a time instead.
-	step := 1
 	if rank == 1 {
-		step = w
+		j.step = j.w
 	}
-	// states[k] is worker k's strip state, made by its first step.
-	var states []*wState
-	if whole == nil {
-		states = make([]*wState, x.Pool.Workers())
+	var total flatAcc
+	var err error
+	if x.Pool.Workers() == 1 || j.hi-j.lo == 1 {
+		// par.Fold's lone run, with nothing made for it.
+		if whole == nil {
+			j.st = r.newState(j.w)
+			j.st.ownOut(p)
+			defer j.st.release()
+		}
+		total, err = par.Solo(j, flatFold.lone)
+	} else {
+		// states[k] is worker k's strip state, made by its first step.
+		j.states = make([]*wState, x.Pool.Workers())
 		defer func() {
-			for _, st := range states {
+			for _, st := range j.states {
 				if st != nil {
 					st.release()
 				}
 			}
 		}()
+		total, err = par.Fold(x.Pool, x.Ctx, j.lo, j.hi, j.step, start,
+			flatAcc{i: foldIdentInt(kind), f: foldIdentFloat(kind)}, j.rows,
+			func(a, part flatAcc) (flatAcc, error) {
+				if floatAcc {
+					a.f = combineFloat(kind, a.f, part.f)
+				} else {
+					a.i = combineInt(kind, a.i, part.i)
+				}
+				return a, nil
+			})
 	}
-	total, err := par.Fold(x.Pool, x.Ctx, lower[0], upper[0], step, start,
-		acc{i: foldIdentInt(kind), f: foldIdentFloat(kind)},
-		func(worker int, a acc, r0, r1 int) (acc, error) {
-			switch {
-			case whole == nil:
-				st := states[worker]
-				if st == nil {
-					st = r.newState(w)
-					st.ownOut(p)
-					states[worker] = st
-				}
-				err := st.walk(r, r0, r1, x, nil, func(n int) {
-					if floatAcc {
-						a.f = foldSlice(kind, a.f, st.f.out[:n])
-					} else {
-						a.i = foldSlice(kind, a.i, st.i.out[:n])
-					}
-				})
-				return a, err
-			case !floatAcc:
-				a.i = foldSlice(kind, a.i, whole.i[r0*rowLen:r1*rowLen])
-			case whole.elem == Float:
-				a.f = foldSlice(kind, a.f, whole.f[r0*rowLen:r1*rowLen])
-			default:
-				for _, v := range whole.i[r0*rowLen : r1*rowLen] {
-					a.f = combineFloat(kind, a.f, float64(v))
-				}
-			}
-			return a, nil
-		},
-		func(a, part acc) (acc, error) {
-			if floatAcc {
-				a.f = combineFloat(kind, a.f, part.f)
-			} else {
-				a.i = combineInt(kind, a.i, part.i)
-			}
-			return a, nil
-		})
 	if err != nil {
 		return nil, true, err
 	}
@@ -621,4 +619,70 @@ func FoldFlat(kind FoldKind, base any, r *WithRun, x Exec) (any, bool, error) {
 		return total.f, true, nil
 	}
 	return total.i, true, nil
+}
+
+// flatAcc is a flat fold's typed accumulator: the lane its base has.
+type flatAcc struct {
+	i int64
+	f float64
+}
+
+// flatFold is one FoldFlat execution: what folding rows [lo, hi) of the
+// outermost dimension takes.
+type flatFold struct {
+	r            *WithRun
+	x            Exec
+	kind         FoldKind
+	floatAcc     bool
+	whole        *Matrix // folded where it lies, or nil: evaluated in strips
+	rowLen, w    int
+	start        flatAcc
+	lo, hi, step int
+	st           *wState   // the lone run's strip state
+	states       []*wState // or one a worker
+}
+
+// lone folds the whole range from the base on the caller, a step at a
+// time like par.Fold's lone run.
+func (j flatFold) lone() (a flatAcc, err error) {
+	a = j.start
+	for i := j.lo; i < j.hi && err == nil; i += j.step {
+		if err = j.x.cancelled(); err == nil {
+			a, err = j.rows(0, a, i, min(i+j.step, j.hi))
+		}
+	}
+	return a, err
+}
+
+// rows combines rows [r0, r1) into a.
+func (j flatFold) rows(worker int, a flatAcc, r0, r1 int) (flatAcc, error) {
+	kind, whole := j.kind, j.whole
+	switch {
+	case whole == nil:
+		st := j.st
+		if st == nil {
+			if st = j.states[worker]; st == nil {
+				st = j.r.newState(j.w)
+				st.ownOut(j.r.prog)
+				j.states[worker] = st
+			}
+		}
+		err := st.walk(j.r, r0, r1, j.x, nil, func(n int) {
+			if j.floatAcc {
+				a.f = foldSlice(kind, a.f, st.f.out[:n])
+			} else {
+				a.i = foldSlice(kind, a.i, st.i.out[:n])
+			}
+		})
+		return a, err
+	case !j.floatAcc:
+		a.i = foldSlice(kind, a.i, whole.i[r0*j.rowLen:r1*j.rowLen])
+	case whole.elem == Float:
+		a.f = foldSlice(kind, a.f, whole.f[r0*j.rowLen:r1*j.rowLen])
+	default:
+		for _, v := range whole.i[r0*j.rowLen : r1*j.rowLen] {
+			a.f = combineFloat(kind, a.f, float64(v))
+		}
+	}
+	return a, nil
 }

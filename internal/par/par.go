@@ -168,6 +168,24 @@ func (c *construct) run(n int, share func(worker int) error) error {
 	return c.err
 }
 
+// Solo is the construct that is one share on one worker, for a caller
+// that has found that out itself: share(job) runs here, as worker 0,
+// behind the same test hook and the same recovery as any other share.
+// job travels by value and share is a plain function, so nothing is
+// handed to the heap — run's one-worker case still costs its caller the
+// closure it passes in. The share polls the context itself.
+func Solo[J, R any](job J, share func(J) (R, error)) (res R, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &PanicError{Worker: 0, Value: r, Stack: debug.Stack()}
+		}
+	}()
+	if hook := TestHookInjectPanic; hook != nil {
+		hook(0)
+	}
+	return share(job)
+}
+
 // ParallelFor executes f(i) for i in [lo, hi), self-scheduled over the
 // workers. A panicking f re-panics in the caller as *PanicError.
 func (p *Pool) ParallelFor(lo, hi int, f func(i int)) {

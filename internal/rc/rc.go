@@ -39,25 +39,38 @@ type Header struct {
 	forced atomic.Bool
 	size   int
 	heap   *Heap
-	// onFree is an optional per-allocation release hook (see SetOnFree);
+	// onFree is an optional per-allocation release hook (see SetRecycler);
 	// the matrix runtime uses it to return backing storage to its
 	// kernel free list the moment the last reference is dropped.
-	onFree func()
+	onFree Recycler
 }
 
-// SetOnFree registers f to run when the allocation is released by
+// Recycler takes an allocation's storage back when its last reference
+// is dropped. The hook is an interface, not a func, so that the owner
+// itself can be it: a *matrix.Matrix in an interface allocates nothing,
+// where its method value was a closure per bound matrix.
+type Recycler interface{ Recycle() }
+
+// SetRecycler registers r to run when the allocation is released by
 // DecRef reaching zero. It must be called before the header is shared
 // across goroutines (typically right after Alloc). ForceFree — the
-// explicit early release — deliberately does NOT run f: after a forced
+// explicit early release — deliberately does NOT run it: after a forced
 // release, stale automatic references may still dereference the
 // storage (their misuse is detected via Freed, not prevented), so a
 // recycler must not hand the buffer to a new owner.
-func (hd *Header) SetOnFree(f func()) {
+func (hd *Header) SetRecycler(r Recycler) {
 	if hd == nil {
 		return
 	}
-	hd.onFree = f
+	hd.onFree = r
 }
+
+// SetOnFree is SetRecycler for a plain function.
+func (hd *Header) SetOnFree(f func()) { hd.SetRecycler(recycleFunc(f)) }
+
+type recycleFunc func()
+
+func (f recycleFunc) Recycle() { f() }
 
 // Heap tracks live allocations for leak accounting.
 type Heap struct {
@@ -123,7 +136,7 @@ func (hd *Header) DecRef() bool {
 			hd.heap.OnFree(hd.size)
 		}
 		if hd.onFree != nil {
-			hd.onFree()
+			hd.onFree.Recycle()
 		}
 		return true
 	}

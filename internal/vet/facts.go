@@ -16,20 +16,26 @@
 //     (matrix*matrix is matmul); / only on float chains (int division
 //     can trap per element mid-loop); never %, comparisons or logical
 //     ops (comparisons change the element type, % traps);
-//   - every interior stage and matrix leaf has the chain's element
-//     type exactly — no int→float promotion inside the chain, because
-//     promotion allocates conversion scratch the unfused engine
-//     charges for;
+//   - every interior stage has the chain's element type exactly; a
+//     matrix leaf has it too or — a promoting leaf — is int on a float
+//     chain: WI2F follows its load, and admission charges the conversion
+//     scratch the unfused kernels take, right after the consuming
+//     stage's output (matrix/fuse.go);
 //   - matrix leaves are plain identifiers of concrete matrix type
 //     (binding-time coercion pins the runtime element type; AnyMatrix
-//     readMatrix results are excluded), scalar leaves are literals or
-//     scalar identifiers — no calls, no indexing, nothing that could
-//     observe or modify state mid-expression;
+//     readMatrix results are excluded) or range literals whose bounds
+//     are int literals or scalar int identifiers; scalar leaves are
+//     literals or scalar identifiers — no calls, no indexing, nothing
+//     that could observe or modify state mid-expression. A range leaf
+//     is the cell's id plus lo: no vector is built, and admission
+//     admits, at the leaf's place in the post-order, the one the unfused
+//     engine would have;
 //   - float scalar leaves only on float chains (an int chain with a
 //     float scalar promotes).
 //
-// A chain needs at least two stages to be worth fusing; nested stages
-// of a recorded chain are consumed by it and not re-recorded.
+// A chain of identifiers needs two stages to be worth fusing, one with
+// a range or a promoting leaf saves a temporary from its first; nested
+// stages of a recorded chain are consumed by it and not re-recorded.
 package vet
 
 import (
@@ -39,25 +45,31 @@ import (
 	"repro/internal/types"
 )
 
-// ChainLeaf is one identifier leaf of a chain: a matrix, loaded by the
-// plan's next WLoad* slot, or a scalar, pushed by its next WPushScalar*
-// slot (an int scalar on a float chain takes a float slot: the VM
-// converts it once, before the loop). Literal leaves are constants of
-// the plan.
+// ChainLeaf is one runtime leaf of a chain: a matrix identifier, loaded
+// by the plan's next WLoad* slot, or a scalar, pushed by its next
+// WPushScalar* slot of the file Int names. On a float chain an int
+// matrix is a promoting leaf, an int scalar identifier takes a float
+// slot (the VM converts it once, before the loop), and the int slots are
+// the bounds of range leaves, lo then hi. Literal scalar leaves are
+// constants of the plan.
 type ChainLeaf struct {
-	X      *ast.Ident
+	X      ast.Expr // an identifier, or a range bound: identifier or int literal
 	Scalar bool
+	Int    bool // the slot, or the matrix's cells, are int
 }
 
 // Chain is a maximal fusable elementwise expression tree, written as
 // the rank-1 plan the strip engine runs: every matrix leaf loaded at id
-// 0, one arithmetic instruction per stage, in post-order (the last is
-// the root). Admission replays the stages off the same plan.
+// 0, a range leaf as id 0 plus its lo, WI2F after an int leaf of a float
+// chain, one arithmetic instruction per stage, in post-order (the last
+// is the root). Admission replays the same plan.
 type Chain struct {
 	Elem   types.Kind // element type of every stage: Float or Int
 	Code   []matrix.WithInstr
 	Leaves []ChainLeaf // in tree evaluation order, which is slot order
-	Nodes  []ast.Node  // the BinaryExpr of each stage — error spans anchor here
+	Nodes  []ast.Node  // per admission, in plan order: a range leaf's RangeExpr, a stage's BinaryExpr — error spans anchor here
+
+	lifted bool // holds a range or a promoting leaf
 }
 
 // Facts is the proven-facts side table computed once per checked
@@ -233,17 +245,18 @@ func (ff *factFinder) buildChain(root *ast.BinaryExpr) *Chain {
 		return nil
 	}
 	c := &Chain{Elem: elem}
-	if !ff.stage(c, root) || len(c.Nodes) < 2 {
+	if !ff.stage(c, root) || (len(c.Nodes) < 2 && !c.lifted) {
 		return nil
 	}
 	return c
 }
 
 // slot counts the chain's leaves of one kind so far: the next one's slot.
-func (c *Chain) slot(scalar bool) int32 {
+// Matrix slots are one sequence whatever their cells.
+func (c *Chain) slot(scalar, int bool) int32 {
 	n := int32(0)
 	for _, l := range c.Leaves {
-		if l.Scalar == scalar {
+		if l.Scalar == scalar && (!scalar || l.Int == int) {
 			n++
 		}
 	}
@@ -275,40 +288,61 @@ func (ff *factFinder) stage(c *Chain, x ast.Expr) bool {
 		case *ast.FloatLit:
 			c.Code = append(c.Code, matrix.WithInstr{Op: matrix.WPushFloat, F: x.Value})
 		case *ast.Ident:
-			op := matrix.WPushScalarI
-			if float {
-				op = matrix.WPushScalarF
-			}
-			c.Code = append(c.Code, matrix.WithInstr{Op: op, A: c.slot(true)})
-			c.Leaves = append(c.Leaves, ChainLeaf{X: x, Scalar: true})
+			c.Code = append(c.Code, matrix.WithInstr{Op: pick(float, matrix.WPushScalarF, matrix.WPushScalarI), A: c.slot(true, !float)})
+			c.Leaves = append(c.Leaves, ChainLeaf{X: x, Scalar: true, Int: !float})
 		default:
 			return false
 		}
 		return true
 
 	case types.Matrix:
-		if t.Elem == nil || t.Elem.Kind != c.Elem {
+		if t.Elem == nil || (t.Elem.Kind != c.Elem && t.Elem.Kind != types.Int) {
 			return false
 		}
+		promote := t.Elem.Kind != c.Elem
 		switch x := x.(type) {
 		case *ast.Ident:
-			op := matrix.WLoadI
-			if float {
-				op = matrix.WLoadF
+			c.Code = append(c.Code, matrix.WithInstr{Op: matrix.WPushID},
+				matrix.WithInstr{Op: pick(float && !promote, matrix.WLoadF, matrix.WLoadI), A: c.slot(false, false), B: 1})
+			c.Leaves = append(c.Leaves, ChainLeaf{X: x, Int: t.Elem.Kind == types.Int})
+		case *ast.RangeExpr:
+			if !ff.rangeBound(x.Lo) || !ff.rangeBound(x.Hi) {
+				return false
 			}
 			c.Code = append(c.Code, matrix.WithInstr{Op: matrix.WPushID},
-				matrix.WithInstr{Op: op, A: c.slot(false), B: 1})
-			c.Leaves = append(c.Leaves, ChainLeaf{X: x})
-			return true
+				matrix.WithInstr{Op: matrix.WPushScalarI, A: c.slot(true, true)}, matrix.WithInstr{Op: matrix.WAddI})
+			c.Leaves = append(c.Leaves, ChainLeaf{X: x.Lo, Scalar: true, Int: true}, ChainLeaf{X: x.Hi, Scalar: true, Int: true})
+			c.Nodes = append(c.Nodes, x)
+			c.lifted = true
 		case *ast.BinaryExpr:
 			op, ok := ff.stageOp(x, float)
-			if !ok || !ff.stage(c, x.L) || !ff.stage(c, x.R) {
+			if !ok || promote || !ff.stage(c, x.L) || !ff.stage(c, x.R) {
 				return false
 			}
 			c.Code = append(c.Code, matrix.WithInstr{Op: op})
 			c.Nodes = append(c.Nodes, x)
 			return true
+		default:
+			return false
 		}
+		if promote {
+			c.Code = append(c.Code, matrix.WithInstr{Op: matrix.WI2F})
+			c.lifted = true
+		}
+		return true
+	}
+	return false
+}
+
+// rangeBound reports whether a range leaf's bound can be read before the
+// loop with nothing observed: an int literal or a scalar int identifier.
+func (ff *factFinder) rangeBound(x ast.Expr) bool {
+	switch x := x.(type) {
+	case *ast.IntLit:
+		return true
+	case *ast.Ident:
+		t := ff.info.TypeOf(x)
+		return t != nil && t.Kind == types.Int
 	}
 	return false
 }

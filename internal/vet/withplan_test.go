@@ -5,14 +5,17 @@
 package vet
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/matrix"
 	"repro/internal/parser"
 	"repro/internal/sem"
 	"repro/internal/source"
+	"repro/internal/types"
 )
 
 // factsFor parses + checks src and computes the facts side table.
@@ -347,15 +350,7 @@ int main() {
 	if !slices.Equal(ch.Code, want) {
 		t.Errorf("plan\n got  %+v\n want %+v", ch.Code, want)
 	}
-	var leaves []string
-	for _, l := range ch.Leaves {
-		name := l.X.Name
-		if l.Scalar {
-			name = "scalar " + name
-		}
-		leaves = append(leaves, name)
-	}
-	if got := strings.Join(leaves, ", "); got != "a, b, scalar k, a, b" {
+	if got := leafString(ch); got != "a, b, scalar k, a, b" {
 		t.Errorf("leaves in tree order: %s", got)
 	}
 	if len(ch.Nodes) != 5 {
@@ -365,5 +360,143 @@ int main() {
 		MatElem: []matrix.Elem{matrix.Float, matrix.Float, matrix.Float, matrix.Float}, ScalarF: 1, Float: true, OutFloat: true})
 	if !ok {
 		t.Error("the strip compiler declines the plan")
+	}
+}
+
+// leafString lists a chain's leaves: a scalar slot says so, and an int
+// slot or an int matrix on a float chain says "int".
+func leafString(ch *Chain) string {
+	var leaves []string
+	for _, l := range ch.Leaves {
+		name := ast.ExprString(l.X)
+		if l.Int && ch.Elem == types.Float {
+			name = "int " + name
+		}
+		if l.Scalar {
+			name = "scalar " + name
+		}
+		leaves = append(leaves, name)
+	}
+	return strings.Join(leaves, ", ")
+}
+
+// planString writes a chain plan one word an instruction.
+func planString(code []matrix.WithInstr) string {
+	names := map[matrix.WithOp]string{
+		matrix.WPushID: "id", matrix.WPushInt: "int", matrix.WPushFloat: "float",
+		matrix.WPushScalarI: "sI", matrix.WPushScalarF: "sF", matrix.WLoadI: "loadI", matrix.WLoadF: "loadF",
+		matrix.WAddI: "addI", matrix.WSubI: "subI", matrix.WMulI: "mulI", matrix.WI2F: "i2f",
+		matrix.WAddF: "addF", matrix.WSubF: "subF", matrix.WMulF: "mulF", matrix.WDivF: "divF",
+	}
+	var words []string
+	for _, in := range code {
+		w := names[in.Op]
+		switch in.Op {
+		case matrix.WPushInt:
+			w += fmt.Sprint(in.K)
+		case matrix.WPushFloat:
+			w += fmt.Sprint(in.F)
+		case matrix.WPushID, matrix.WPushScalarI, matrix.WPushScalarF, matrix.WLoadI, matrix.WLoadF:
+			w += fmt.Sprint(in.A)
+		}
+		words = append(words, w)
+	}
+	return strings.Join(words, " ")
+}
+
+// TestChainPlanRangeAndPromotingLeaves: a range leaf is id 0 plus its lo
+// (hi in the int scalar slot after it, for admission alone), an int leaf
+// of a float chain is followed by i2f, either makes one stage worth
+// fusing, and the nodes count range leaves and stages together in plan
+// order. The shapes the legality rules keep out stay out.
+func TestChainPlanRangeAndPromotingLeaves(t *testing.T) {
+	const decls = `
+int two() { return 2; }
+int main() {
+	int x1 = 0;
+	int x2 = 5;
+	float m = 0.75;
+	float b = 1.5;
+	Matrix int <1> v = init(Matrix int <1>, 6);
+	Matrix float <1> f = init(Matrix float <1>, 6);
+`
+	for _, tc := range []struct {
+		name, typ, expr    string
+		plan, leaves, node string
+	}{
+		{"fig8_line", "float", "[x1 :: x2] * m + b",
+			"id0 sI0 addI i2f sF0 mulF sF1 addF", "scalar int x1, scalar int x2, scalar m, scalar b", "range * +"},
+		{"int_range", "int", "[x1 :: x2] * 3 + 1",
+			"id0 sI0 addI int3 mulI int1 addI", "scalar x1, scalar x2", "range * +"},
+		{"single_stage_literal_bounds", "float", "[0 :: 1048575] * 1.0",
+			"id0 sI0 addI i2f float1 mulF", "scalar int 0, scalar int 1048575", "range *"},
+		{"scalar_left_and_division", "float", "b - [x1 :: x2] / 2.0",
+			"sF0 id0 sI0 addI i2f float2 divF subF", "scalar b, scalar int x1, scalar int x2", "range / -"},
+		{"two_ranges_and_an_int_scalar", "float", "[x1 :: x2] * 0.5 + [1 :: 6] * m + x2 * f",
+			"id0 sI0 addI i2f float0.5 mulF id0 sI2 addI i2f sF0 mulF addF sF1 id0 loadF0 mulF addF",
+			"scalar int x1, scalar int x2, scalar int 1, scalar int 6, scalar m, scalar x2, f", "range * range * + * +"},
+		{"promoting_identifier", "float", "v * 0.5",
+			"id0 loadI0 i2f float0.5 mulF", "int v", "*"},
+		{"promoting_identifier_beside_a_float_matrix", "float", "f + v - 2.0",
+			"id0 loadF0 id0 loadI1 i2f addF float2 subF", "f, int v", "+ -"},
+		{"int_identifier_on_an_int_chain", "int", "v .* [x1 :: x2]",
+			"id0 loadI0 id0 sI0 addI mulI", "v, scalar x1, scalar x2", "range .*"},
+		{"one_identifier_stage_stays_unfused", "int", "v + 1", "", "", ""},
+		{"bound_is_a_call", "float", "[two() :: x2] * m + b", "", "", ""},
+		{"bound_is_an_expression", "float", "[x1 + 1 :: x2] * m", "", "", ""},
+		{"int_division", "int", "[x1 :: x2] / 2", "", "", ""},
+		{"int_remainder", "int", "[x1 :: x2] % 4", "", "", ""},
+		{"int_stage_inside_a_float_chain", "float", "([x1 :: x2] + v) * 0.5", "id0 sI0 addI id0 loadI0 addI", "scalar x1, scalar x2, v", "range +"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := factsFor(t, decls+"\tMatrix "+tc.typ+" <1> r = "+tc.expr+";\n\tprint(r[0]);\n\treturn 0;\n}")
+			if tc.plan == "" {
+				if f.ChainCount() != 0 {
+					t.Fatalf("ChainCount = %d, want the expression unfused", f.ChainCount())
+				}
+				return
+			}
+			if f.ChainCount() != 1 {
+				t.Fatalf("ChainCount = %d, want 1", f.ChainCount())
+			}
+			for _, ch := range f.chains {
+				if got := planString(ch.Code); got != tc.plan {
+					t.Errorf("plan\n got  %s\n want %s", got, tc.plan)
+				}
+				if got := leafString(ch); got != tc.leaves {
+					t.Errorf("leaves\n got  %s\n want %s", got, tc.leaves)
+				}
+				var nodes []string
+				for _, n := range ch.Nodes {
+					if b, ok := n.(*ast.BinaryExpr); ok {
+						nodes = append(nodes, b.Op.String())
+					} else {
+						nodes = append(nodes, "range")
+					}
+				}
+				if got := strings.Join(nodes, " "); got != tc.node {
+					t.Errorf("admission nodes %q, want %q", got, tc.node)
+				}
+				var elems []matrix.Elem
+				sI, sF := 0, 0
+				for _, l := range ch.Leaves {
+					switch {
+					case !l.Scalar && l.Int:
+						elems = append(elems, matrix.Int)
+					case !l.Scalar:
+						elems = append(elems, matrix.Float)
+					case l.Int:
+						sI++
+					default:
+						sF++
+					}
+				}
+				float := ch.Elem == types.Float
+				if _, ok := matrix.CompileWith(matrix.WithSpec{Code: ch.Code, Rank: 1, MatElem: elems,
+					ScalarI: sI, ScalarF: sF, Float: float, OutFloat: float}); !ok {
+					t.Error("the strip compiler declines the plan")
+				}
+			}
+		})
 	}
 }

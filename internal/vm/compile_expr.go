@@ -332,34 +332,34 @@ func (f *fnc) compileBinary(e *ast.BinaryExpr, d dest) (int32, class) {
 
 // compileFused lowers a proven chain to one opFused instruction: the
 // chain's plan compiled to its strip program, leaves bound like a flat
-// with-loop's. Leaf identifiers compile in tree evaluation order, so an
-// undeclared-global error in a global initializer still surfaces at the
-// right leaf; an int scalar on a float chain converts here, mirroring
-// the charge-free int→float scalar conversion BroadcastExec performs.
-// Returns ok = false to fall back to the generic opBinM lowering when a
-// leaf does not resolve to the expected register class or the strip
-// compiler declines the plan (unreachable in checked programs; the few
-// dead leaf loads already emitted are side-effect free).
+// with-loop's. Leaves — identifiers, and a range leaf's bounds — compile
+// in tree evaluation order, so an undeclared-global error in a global
+// initializer still surfaces at the right leaf; an int scalar on a float
+// chain converts here, mirroring the charge-free int→float scalar
+// conversion BroadcastExec performs. Returns ok = false to fall back to
+// the generic opBinM lowering when a leaf does not resolve to the
+// expected register class or the strip compiler declines the plan
+// (unreachable in checked programs; the few dead leaf loads already
+// emitted are side-effect free).
 func (f *fnc) compileFused(e *ast.BinaryExpr, ch *vet.Chain) (int32, class, bool) {
-	float, elem := ch.Elem == types.Float, matrix.Int
-	if float {
-		elem = matrix.Float
-	}
+	float := ch.Elem == types.Float
 	d := &chainDesc{nodes: ch.Nodes}
 	var elems []matrix.Elem
 	for _, lf := range ch.Leaves {
 		r, cl := f.compileExpr(lf.X)
 		switch {
+		case !lf.Scalar && cl == clR && lf.Int:
+			d.flat.mats, elems = append(d.flat.mats, r), append(elems, matrix.Int)
 		case !lf.Scalar && cl == clR:
-			d.flat.mats, elems = append(d.flat.mats, r), append(elems, elem)
-		case lf.Scalar && float && cl == clI:
+			d.flat.mats, elems = append(d.flat.mats, r), append(elems, matrix.Float)
+		case lf.Scalar && lf.Int && cl == clI:
+			d.flat.sI = append(d.flat.sI, r)
+		case lf.Scalar && !lf.Int && cl == clI:
 			out := f.reg()
 			f.emit(instr{op: opI2F, a: out, b: r})
 			d.flat.sF = append(d.flat.sF, out)
-		case lf.Scalar && float && cl == clF:
+		case lf.Scalar && !lf.Int && cl == clF:
 			d.flat.sF = append(d.flat.sF, r)
-		case lf.Scalar && !float && cl == clI:
-			d.flat.sI = append(d.flat.sI, r)
 		default:
 			return 0, 0, false
 		}

@@ -21,17 +21,18 @@ int main() {
 	print(r[end]);
 	return 0;
 }`)
-	if p.FusedSites() != 1 {
-		t.Fatalf("FusedSites = %d, want 1", p.FusedSites())
+	// The three binary ops of the chain all fold into one opFused, and
+	// the two range-scaling initializers are one-stage chains of a range
+	// leaf: no opBinM, and no opRange, is left.
+	if p.FusedSites() != 3 {
+		t.Fatalf("FusedSites = %d, want 3", p.FusedSites())
 	}
 	ops := countOps(p)
-	if ops[opFused] != 1 {
-		t.Errorf("opFused emitted %d times, want 1: %v", ops[opFused], ops)
+	if ops[opFused] != 3 {
+		t.Errorf("opFused emitted %d times, want 3: %v", ops[opFused], ops)
 	}
-	// The three binary ops of the chain all fold into the one opFused;
-	// the remaining opBinM sites are the two range-scaling initializers.
-	if ops[opBinM] != 2 {
-		t.Errorf("opBinM emitted %d times, want 2 (initializers only): %v", ops[opBinM], ops)
+	if ops[opBinM] != 0 || ops[opRange] != 0 {
+		t.Errorf("opBinM emitted %d times and opRange %d, want neither: %v", ops[opBinM], ops[opRange], ops)
 	}
 	// A chain runs on the with-loop engine but is not a with-loop site.
 	if p.WithCompiled() != 0 {
@@ -53,8 +54,8 @@ int main() {
 	print(q[7]);
 	return 0;
 }`)
-	if p.FusedSites() != 2 {
-		t.Fatalf("FusedSites = %d, want 2", p.FusedSites())
+	if p.FusedSites() != 3 {
+		t.Fatalf("FusedSites = %d, want 3 (r, q and a's initializer)", p.FusedSites())
 	}
 	if ops := countOps(p); ops[opI2F] != 1 {
 		t.Errorf("opI2F emitted %d times, want 1 (the identifier k): %v", ops[opI2F], ops)
@@ -90,17 +91,31 @@ int main() {
 }`},
 		{"single_stage", `
 int main() {
-	Matrix float <1> a = [0 :: 3] * 1.0;
+	Matrix float <1> a = init(Matrix float <1>, 4);
 	Matrix float <1> r = a + a;
 	print(r[0]);
 	return 0;
 }`},
 		{"call_leaf", `
-Matrix float <1> mk() { return [0 :: 3] * 1.0; }
+Matrix float <1> mk() { return init(Matrix float <1>, 4); }
 int main() {
-	Matrix float <1> a = [0 :: 3] * 1.0;
+	Matrix float <1> a = init(Matrix float <1>, 4);
 	Matrix float <1> r = mk() + a - a;
 	print(r[0]);
+	return 0;
+}`},
+		{"range_bound_is_a_call", `
+int two() { return 2; }
+int main() {
+	Matrix float <1> r = [two() :: 5] * 1.5 + 0.5;
+	print(r[0]);
+	return 0;
+}`},
+		{"range_int_division_and_remainder", `
+int main() {
+	Matrix int <1> d = [1 :: 8] / 2 + 1;
+	Matrix int <1> m = [1 :: 8] % 4 + 1;
+	print(d[0] + m[0]);
 	return 0;
 }`},
 		{"comparison_root", `
@@ -134,8 +149,8 @@ int main() {
 	print(w[end]);
 	return 0;
 }`)
-	if p.FusedSites() != 2 {
-		t.Fatalf("FusedSites = %d, want 2", p.FusedSites())
+	if p.FusedSites() != 4 {
+		t.Fatalf("FusedSites = %d, want 4 (r, w and the two range-scaling initializers)", p.FusedSites())
 	}
 	before, flat := FusedLoopsRun(), WithFlatLoopsRun()
 	var out strings.Builder
@@ -150,8 +165,8 @@ int main() {
 	if out.String() != want {
 		t.Errorf("stdout = %q, want %q", out.String(), want)
 	}
-	if got := FusedLoopsRun() - before; got != 2 {
-		t.Errorf("FusedLoopsRun advanced by %d, want 2", got)
+	if got := FusedLoopsRun() - before; got != 4 {
+		t.Errorf("FusedLoopsRun advanced by %d, want 4", got)
 	}
 	if got := WithFlatLoopsRun() - flat; got != 0 {
 		t.Errorf("WithFlatLoopsRun advanced by %d, want 0: a chain run is a fused loop, not a flat with-loop", got)

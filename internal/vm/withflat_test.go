@@ -208,12 +208,13 @@ int main() {
 
 // TestWithFlatAdmissionAllocs pins the per-execution cost of the flat
 // engine's admission: a 16x16 flat genarray in a loop allocates its
-// output matrix (one header; the cells come back from the free list),
-// the row closure and the rc header and release hook its binding takes
-// — not a shape, strides, bounds, leaves, an evaluator and index
-// buffers per loop. Before the strip engine the same loop took 14, with
-// a three-object header 7; bench's withloop_flat_small, which also
-// indexes the result, went from 21 a loop to 11 to 5.
+// output matrix (one header; the cells come back from the free list)
+// and the rc header its binding takes — not a shape, strides, bounds,
+// leaves, an evaluator and index buffers per loop, and since PR 25 no
+// row closure (a one-chunk fill hands none to par) and no release hook
+// (the matrix is its own). Before the strip engine the same loop took
+// 14, with a three-object header 7, then 4; bench's withloop_flat_small,
+// which also indexes the result, went from 21 a loop to 11 to 5 to 3.
 func TestWithFlatAdmissionAllocs(t *testing.T) {
 	per := allocsPerLoop(t, func(loops string) string {
 		return `
@@ -226,17 +227,18 @@ int main() {
 	return 0;
 }`
 	}, func(p *Program) bool { return p.WithCompiled() == 1 })
-	if per > 4.1 { // 4, and what a collection in mid-run drops from the pools
-		t.Errorf("%.2f allocations per 16x16 flat genarray execution, want 4", per)
+	if per > 2.1 { // 2, and what a collection in mid-run drops from the pools
+		t.Errorf("%.2f allocations per 16x16 flat genarray execution, want 2", per)
 	}
 }
 
 // TestChainAdmissionAllocs pins a warm chain execution to the same
 // pooled run and strip state: what an 8x8 chain in a loop allocates is
 // its result (one header and, under the free list's 256 cells, its
-// cells), the chunk closure and what binding it to a variable takes — no
-// stage table, leaf views or scratch per execution. The block engine
-// took 13.
+// cells) and the rc header binding it to a variable takes — no stage
+// table, leaf views or scratch per execution, no chunk closure and no
+// release hook. The block engine took 13, the strip engine 5 until
+// PR 25.
 func TestChainAdmissionAllocs(t *testing.T) {
 	per := allocsPerLoop(t, func(loops string) string {
 		return `
@@ -249,8 +251,8 @@ int main() {
 	return 0;
 }`
 	}, func(p *Program) bool { return p.FusedSites() == 1 })
-	if per > 5.1 {
-		t.Errorf("%.2f allocations per chain execution, want 5", per)
+	if per > 3.1 {
+		t.Errorf("%.2f allocations per chain execution, want 3", per)
 	}
 }
 

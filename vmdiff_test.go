@@ -130,6 +130,19 @@ func compare(t *testing.T, label string, tree, vmr engineResult) {
 	}
 }
 
+// chainRangeLine is Fig 8's line 27 over six cells.
+const chainRangeLine = `
+int main() {
+	int x1 = 0;
+	int x2 = 5;
+	float m = 0.75;
+	float b = 1.5;
+	print(3);
+	Matrix float <1> Line = [x1 :: x2] * m + b;
+	print(Line[end]);
+	return 0;
+}`
+
 // pinned is an oracle run's stdout and budget cells, recorded at the
 // commit the entry was written against.
 type pinned struct {
@@ -805,6 +818,251 @@ int main() {
 	Matrix int <2> a = init(Matrix int <2>, 3, 4);
 	Matrix int <2> r = a + a - a .* a;
 	print(r[0, 0]);
+	return 0;
+}`},
+	// Range and promoting leaves of a chain (out, error and cells pinned at
+	// 224178f, where every one of these ran stage by stage through
+	// RangeBudgeted, floatScratch and BroadcastExec): the fused plan admits
+	// the range at its leaf, the scratch after its stage's output, and
+	// allocates neither.
+	{name: "chain_range_float", pin: &pinned{"1.5\n3.75\n5.25\n6\n1\n1.4\n1.8\n-0.4000000000000001\n818.7\n818.8\n1637.9\n2001.3\n20018\n", 80132}, src: `
+int main() {
+	int x1 = 0;
+	int x2 = 5;
+	float m = 0.75;
+	float b = 1.5;
+	Matrix float <1> Line = [x1 :: x2] * m + b;
+	print(Line[0]);
+	print(Line[3]);
+	print(Line[end]);
+	print(dimSize(Line, 0));
+	Matrix float <1> tenths = [3 :: 11] * 0.1 + 0.7;
+	print(tenths[0]);
+	print(tenths[4]);
+	print(tenths[end]);
+	int n = 20010;
+	int low = -7;
+	Matrix float <1> wide = [low :: n] * 0.1 + 0.3;
+	print(wide[0]);
+	print(wide[8191]);
+	print(wide[8192]);
+	print(wide[16383]);
+	print(wide[end]);
+	print(dimSize(wide, 0));
+	return 0;
+}`},
+	{name: "chain_range_int", pin: &pinned{"-5\n10\n28\n12\n-21\n84\n1\n16385\n289000000\n", 51066}, src: `
+int g = 4;
+int main() {
+	int a = -2;
+	int b = 9;
+	Matrix int <1> v = [a :: b] * 3 + 1;
+	print(v[0]);
+	print(v[5]);
+	print(v[end]);
+	print(dimSize(v, 0));
+	Matrix int <1> w = [g :: b] .* v[0 : 5] - [1 :: 6];
+	print(w[0]);
+	print(w[end]);
+	int n = 17000;
+	Matrix int <1> wide = 2 * [1 :: n] - 1;
+	print(wide[0]);
+	print(wide[8192]);
+	print(with ([0] <= [i] < [n]) fold(+, 0, wide[i]));
+	return 0;
+}`},
+	{name: "chain_range_single_stage", pin: &pinned{"6\n3\n7\n1.5\n3.5\n0.3333333333333333\n0.25\n", 53}, src: `
+int main() {
+	int n = 6;
+	Matrix float <1> a = [0 :: n] * 1.0;
+	print(a[end]);
+	Matrix int <1> u = [2 :: n] + 1;
+	print(u[0]);
+	print(u[end]);
+	Matrix float <1> h = u * 0.5;
+	print(h[0]);
+	print(h[end]);
+	Matrix float <1> d = 1.0 / [1 :: 4];
+	print(d[2]);
+	print(d[3]);
+	return 0;
+}`},
+	{name: "chain_range_scalar_left", pin: &pinned{"1.25\n10\n9.5\n9\n6\n10\n10\n", 96}, src: `
+int main() {
+	int a = 1;
+	int b = 8;
+	float m = 1.25;
+	float c = 10.0;
+	Matrix float <1> p = m * [a :: b];
+	print(p[0]);
+	print(p[end]);
+	Matrix float <1> q = c - [a :: b] / 2.0;
+	print(q[0]);
+	print(q[1]);
+	print(q[end]);
+	Matrix float <1> r = c - m * [a :: b] + p;
+	print(r[0]);
+	print(r[end]);
+	return 0;
+}`},
+	{name: "chain_range_empty", pin: &pinned{"0\n0\n0\n1\n2.5\n", 3}, src: `
+int main() {
+	int lo = 5;
+	int hi = 2;
+	Matrix float <1> e = [lo :: hi] * 1.5 + 2.0;
+	print(dimSize(e, 0));
+	Matrix int <1> z = [lo :: hi] * 3 + 1;
+	print(dimSize(z, 0));
+	hi = 4;
+	Matrix int <1> y = [lo :: hi] - 1;
+	print(dimSize(y, 0));
+	hi = 5;
+	Matrix float <1> one = [lo :: hi] * 0.5;
+	print(dimSize(one, 0));
+	print(one[0]);
+	return 0;
+}`},
+	{name: "chain_range_wrap", pin: &pinned{"-7\n-1\n9223372036854775806\n9223372036854775807\n-9223372036854775808\n-9223372036854775807\n0\n0\n9223372036854775807\n-9223372036854775808\n-9223372036854775807\n-4.611686018427388e+18\n-4.611686018427388e+18\n", 51}, src: `
+int main() {
+	int hi = 9223372036854775807;
+	int lo = hi - 3;
+	Matrix int <1> w = [lo :: hi] * 2 + 1;
+	print(w[0]);
+	print(w[end]);
+	Matrix int <1> s = [lo :: hi] + 2;
+	print(s[0]);
+	print(s[1]);
+	print(s[2]);
+	print(s[end]);
+	Matrix float <1> f = [lo :: hi] * 1.0 - 9223372036854775807;
+	print(f[0]);
+	print(f[end]);
+	int lowest = 0 - hi - 1;
+	int low = lowest + 2;
+	Matrix int <1> n = [lowest :: low] - 1;
+	print(n[0]);
+	print(n[1]);
+	print(n[end]);
+	Matrix float <1> t = 0.5 * [lowest :: low];
+	print(t[0]);
+	print(t[end]);
+	return 0;
+}`},
+	{name: "err_chain_range_span_overflows", pin: &pinned{"1\n", 0},
+		errHas: "6:23: runtime error [trap:shape]: matrix: shape [1152921504606846976] overflows the address space", src: `
+int main() {
+	int hi = 9223372036854775807;
+	int lo = 0 - hi;
+	print(1);
+	Matrix float <1> f = [lo :: hi] * 1.0;
+	print(f[0]);
+	return 0;
+}`},
+	{name: "chain_promote_ident", pin: &pinned{"1.5\n4\n-0.75\n5.5\n0\n7.5\n-2.166666666666667\n0.43333333333333335\n2.6\n34\n", 162}, src: `
+int main() {
+	Matrix int <1> v = [1 :: 6];
+	Matrix float <1> f = [1 :: 6] * 0.25;
+	Matrix float <1> a = v * 0.5 + 1.0;
+	print(a[0]);
+	print(a[end]);
+	Matrix float <1> b = f + v - 2.0;
+	print(b[0]);
+	print(b[end]);
+	Matrix float <1> c = v .* f - v / 4.0;
+	print(c[0]);
+	print(c[end]);
+	Matrix int <2> g = with ([0, 0] <= [i, j] < [3, 4]) genarray([3, 4], i * 4 + j - 5);
+	Matrix float <2> h = 0.1 * g + g / 3.0;
+	print(h[0, 0]);
+	print(h[1, 2]);
+	print(h[2, 3]);
+	print(dimSize(h, 0) * 10 + dimSize(h, 1));
+	return 0;
+}`},
+	{name: "err_chain_range_unassigned", pin: &pinned{"7\n", 12},
+		errHas: "5:23: runtime error: use of unassigned matrix", opts: interp.Options{MaxCells: 100}, src: `
+int main() {
+	Matrix float <1> u;
+	print(7);
+	Matrix float <1> r = [0 :: 3] * 2.0 + u;
+	print(r[0]);
+	return 0;
+}`},
+	{name: "err_chain_range_unassigned_left", pin: &pinned{"", 8},
+		errHas: "4:21: runtime error: use of unassigned matrix", opts: interp.Options{MaxCells: 100}, src: `
+int main() {
+	Matrix int <1> u;
+	Matrix int <1> r = u + [0 :: 3] * 2;
+	print(r[0]);
+	return 0;
+}`},
+	{name: "err_chain_promote_unassigned", pin: &pinned{"", 0},
+		errHas: "4:23: runtime error: use of unassigned matrix", opts: interp.Options{MaxCells: 100}, src: `
+int main() {
+	Matrix int <1> u;
+	Matrix float <1> r = u * 0.5 + 1.0;
+	print(r[0]);
+	return 0;
+}`},
+	{name: "err_chain_range_shape", pin: &pinned{"5\n", 19},
+		errHas: "5:23: runtime error: matrix: * requires equal shapes, got [4] and [5]", src: `
+int main() {
+	Matrix float <1> five = [0 :: 4] * 1.0;
+	print(dimSize(five, 0));
+	Matrix float <1> r = [0 :: 3] .* five + 1.0;
+	print(r[0]);
+	return 0;
+}`},
+	// The six-cell line has four doors, in this order: the range (6), the
+	// first stage's output (12), its conversion scratch (18), the second
+	// stage's output (24).
+	{name: "err_oom_chain_range_range", pin: &pinned{"3\n", 0},
+		errHas: "8:26: runtime error [trap:oom]: matrix: allocation of 6 cells exceeds the budget (0 of 5 cells already used)", opts: interp.Options{MaxCells: 5}, src: chainRangeLine},
+	{name: "err_oom_chain_range_stage", pin: &pinned{"3\n", 6},
+		errHas: "8:26: runtime error [trap:oom]: matrix: allocation of 6 cells exceeds the budget (6 of 11 cells already used)", opts: interp.Options{MaxCells: 11}, src: chainRangeLine},
+	{name: "err_oom_chain_range_scratch", pin: &pinned{"3\n", 12},
+		errHas: "8:26: runtime error [trap:oom]: matrix: allocation of 6 cells exceeds the budget (12 of 17 cells already used)", opts: interp.Options{MaxCells: 17}, src: chainRangeLine},
+	{name: "err_oom_chain_range_next_stage", pin: &pinned{"3\n", 18},
+		errHas: "8:26: runtime error [trap:oom]: matrix: allocation of 6 cells exceeds the budget (18 of 23 cells already used)", opts: interp.Options{MaxCells: 23}, src: chainRangeLine},
+	{name: "chain_range_line_fits", pin: &pinned{"3\n5.25\n", 24}, opts: interp.Options{MaxCells: 24}, src: chainRangeLine},
+	{name: "err_oom_chain_promote_scratch", pin: &pinned{"1.5\n", 30},
+		errHas: "6:23: runtime error [trap:oom]: matrix: allocation of 6 cells exceeds the budget (30 of 32 cells already used)", opts: interp.Options{MaxCells: 32}, src: `
+int main() {
+	Matrix int <1> v = [1 :: 6];
+	Matrix float <1> f = [1 :: 6] * 0.25;
+	print(f[end]);
+	Matrix float <1> r = f + v - 2.0;
+	print(r[0]);
+	return 0;
+}`},
+	// Shapes vet declines, which stay stage by stage: a bound that can be
+	// observed, int division and remainder (a zero divisor traps per cell).
+	{name: "chain_range_declined_shapes", pin: &pinned{"1\n3.5\n11\n2\n2\n4\n1\n4\n16\n10.5\n", 112}, src: `
+int calls = 0;
+int f() { calls = calls + 1; print(calls); return 2; }
+int main() {
+	int n = 7;
+	Matrix float <1> a = [f() :: n] * 1.5 + 0.5;
+	print(a[0]);
+	print(a[end]);
+	Matrix int <1> d = [f() :: n] / 2 + 1;
+	print(d[0]);
+	print(d[end]);
+	Matrix int <1> r = [1 :: n] % 4 + 1;
+	print(r[3]);
+	print(r[end]);
+	Matrix int <1> k = ([1 :: n] + 1) * 2;
+	Matrix float <1> mixed = ([1 :: n] * 3) * 0.5;
+	print(k[end]);
+	print(mixed[end]);
+	return 0;
+}`},
+	{name: "err_chain_range_int_div_zero_unfused", pin: &pinned{"", 4},
+		errHas: "4:21: runtime error: matrix: integer division by zero", opts: interp.Options{MaxCells: 100}, src: `
+int main() {
+	int z = 0;
+	Matrix int <1> d = [1 :: 4] / z + 1;
+	print(d[0]);
 	return 0;
 }`},
 

@@ -91,12 +91,17 @@ func TestWithFlatNoRuntimeDeclines(t *testing.T) {
 // source says where it says one. Not parallel: the counter is
 // process-wide.
 func TestChainNoRuntimeDeclines(t *testing.T) {
+	// Two more than its loop runs where a program scales two ranges into
+	// its float vectors: `[0 :: n] * 1.0` is a chain of one stage.
 	loops := map[string]int64{
-		"bench/programs/chain_1m.xc":          3,
-		"bench/programs/fused_chain_small.xc": 4,
-		"corpus/fused_elementwise_chain":      3,
+		"bench/programs/chain_1m.xc":          5,
+		"bench/programs/fused_chain_small.xc": 6,
+		"bench/programs/eddy_score.xc":        38, // a Line a trough
+		"corpus/fused_elementwise_chain":      5,
 		"corpus/fused_rank2_rank3":            2,
-		"corpus/fused_result_rebinds_a_leaf":  2,
+		"corpus/fused_result_rebinds_a_leaf":  3,
+		"corpus/chain_range_float":            3,
+		"corpus/chain_range_line_fits":        1,
 	}
 	chains := 0
 	for _, sp := range shippedPrograms(t) {
