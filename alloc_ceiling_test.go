@@ -20,9 +20,13 @@ import (
 )
 
 // allocCeilings holds, per program, the objects and KB one warm run may
-// allocate: what EXPERIMENTS.md E23 (E21 where E23 did not move it)
-// measured, in the comments, plus 5 % (fib_rec and chain_1m, whose whole
-// runs are a few dozen objects, get a handful). At PR 22 the first five
+// allocate: what EXPERIMENTS.md E24 (E23 or E21 where E24 did not move
+// it) measured, in the comments, plus 5 % (fib_rec and chain_1m, whose
+// whole runs are a few dozen objects, get a handful). At PR 25 eddy_score
+// read 65 018 / 5 891 (a 208-byte header and a 48-byte rc header a
+// matrix, a []any and its boxed header a tuple return, a boxed float a
+// fold), tuples_rc_loop 35 822 / 774.2 and withloop_flat_small 4 521 /
+// 388.5. At PR 22 the first five
 // read 312 900 / 27 840, 106 342 / 11 072, 41 558 / 4 866, 89 784 / 4 993
 // and 16 525 / 835; at PR 24 eddy_score 144 073 / 11 182,
 // withloop_flat_small 7 524 / 529.5 and chain_1m 54 / 16 395 — two 8 MB
@@ -31,18 +35,24 @@ var allocCeilings = []struct {
 	file        string
 	objects, kb float64
 }{
-	{"eddy_score", 68_300, 6_190},       // 65 018, 5 891
+	{"eddy_score", 37_180, 3_620},       // 35 410, 3 447: 17 674 matrices, a 128-byte header and its cells each
 	{"fib_rec", 25, 2},                  // 21, 1.7
-	{"withloop_closure", 7_310, 60},     // 6 959, 56.8: a boxed float a cell
-	{"tuples_rc_loop", 37_620, 813},     // 35 822, 774.2: four a trip, the tuple and two boxed ints
-	{"withloop_flat_small", 4_750, 408}, // 4 521, 388.5: three a loop
-	{"chain_1m", 40, 8},                 // 31, 3.1: five chains, no range vector, no scratch
+	{"withloop_closure", 7_310, 60},     // 6 957, 56.9: a boxed float a cell
+	{"tuples_rc_loop", 9_460, 76},       // 9 004, 72.3: one a trip, rcset's boxed int
+	{"withloop_flat_small", 3_175, 211}, // 3 021, 201.0: two a loop, the header and the indexed cell's box
+	{"chain_1m", 40, 8},                 // 26, 2.5: five chains, no range vector, no scratch
 }
 
 func TestAllocationCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("pooled frames are dropped at random under the race detector")
 	}
+	// One P: sync.Pool keeps a cache a P, and the collection that opens a
+	// round drops whatever the P the round does not run on had cached. On
+	// two, one round in three made chain_1m's 28 KB strip state again
+	// (8.1 or 13.7 KB a run instead of 2.5), and one test run in six read
+	// it in all three rounds.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ssh, _ := eddy.Synthesize(eddy.SynthOptions{Lat: 20, Lon: 24, Time: 48,
 		NumEddies: 5, NoiseAmp: 0.05, SwellAmp: 0.08, Seed: 1})
 	for _, tc := range allocCeilings {

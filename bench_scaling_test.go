@@ -405,6 +405,9 @@ type scalingRow struct {
 	CPUMS           float64 `json:"cpu_ms"`
 	Speedup         float64 `json:"speedup"`
 	Efficiency      float64 `json:"efficiency"`
+	// CPURatio is cpu_ms over the Threads = 1 row's: what the speed-up
+	// cost (shipped-grid rows only).
+	CPURatio float64 `json:"cpu_ratio,omitempty"`
 }
 
 // timeCell times f (one construct, or one program run) reps times,
@@ -477,7 +480,7 @@ func runLadder(t *testing.T) []scalingRow {
 						} else if got != want {
 							t.Errorf("%s on %s/%d at %d threads, block %d: checksum %v, sequential %v", rung.name, k.name, size, th, block, got, want)
 						}
-						rows = append(rows, scalingRow{rung.name, k.name, size, th, div, block, r4(ms), r4(cpu), r4(serial / ms), r4(serial / ms / float64(th))})
+						rows = append(rows, scalingRow{rung.name, k.name, size, th, div, block, r4(ms), r4(cpu), r4(serial / ms), r4(serial / ms / float64(th)), 0})
 					}
 					stop()
 				}
@@ -653,13 +656,14 @@ func runShippedGrid(tb testing.TB) []scalingRow {
 		for _, size := range k.sizes {
 			run := k.build(tb, size)
 			awaitTwoCPUs()
-			var serial float64
+			var serial, serialCPU float64
 			for _, th := range append([]int{1}, scalingThreads...) {
 				ms, cpu := timeCell(k.reps, func() { run(th) })
 				if th == 1 {
-					serial = ms
+					serial, serialCPU = ms, cpu
 				}
-				rows = append(rows, scalingRow{Kernel: k.name, Size: size, Threads: th, MS: r4(ms), CPUMS: r4(cpu), Speedup: r4(serial / ms), Efficiency: r4(serial / ms / float64(th))})
+				rows = append(rows, scalingRow{Kernel: k.name, Size: size, Threads: th, MS: r4(ms), CPUMS: r4(cpu),
+					Speedup: r4(serial / ms), Efficiency: r4(serial / ms / float64(th)), CPURatio: r4(cpu / serialCPU)})
 			}
 		}
 	}
@@ -701,7 +705,7 @@ func cpuModel() string {
 	return "unknown"
 }
 
-const scalingDescription = "Scaling ladder for internal/par (PR 18). ladder_passes: seven fork-join designs, each one step from the one before, over this file's own row kernels (bench_scaling_test.go), as speed-up over the sequential rung and efficiency = speed-up / threads, x threads x size x blocks_per_worker (block = units / (blocks_per_worker * threads)); counter_blocked is par.ParallelChunksCtx itself, the only rung that exists in non-test code, and spin_pool is the parent's par. shipped_grid_passes: the shipped rung through the real kernels and the language (the bench module's par_grid plus matrixMap with uneven bodies and a fused chain on the strip engine; since PR 25 also the stencil at 64-256, Fig 8's line as a range chain and Fig 8 itself), speed-up over Threads = 1 where no construct is forked. ms is the median of 7 (ladder) or 5-9 (grid) batches, cpu_ms the process CPU time per construct over those batches. Every pass made is in the file. Regenerate: go test -run '^TestScalingLadder$' -scaling-out BENCH_scaling.json ."
+const scalingDescription = "Scaling ladder for internal/par (PR 18). ladder_passes: seven fork-join designs, each one step from the one before, over this file's own row kernels (bench_scaling_test.go), as speed-up over the sequential rung and efficiency = speed-up / threads, x threads x size x blocks_per_worker (block = units / (blocks_per_worker * threads)); counter_blocked is par.ParallelChunksCtx itself, the only rung that exists in non-test code, and spin_pool is the parent's par. shipped_grid_passes: the shipped rung through the real kernels and the language (the bench module's par_grid plus matrixMap with uneven bodies and a fused chain on the strip engine; since PR 25 also the stencil at 64-256, Fig 8's line as a range chain and Fig 8 itself), speed-up over Threads = 1 where no construct is forked. ms is the median of 7 (ladder) or 5-9 (grid) batches, cpu_ms the process CPU time per construct over those batches, cpu_ratio (grid rows, since PR 27) cpu_ms over the Threads = 1 row's. Every pass made is in the file. Regenerate: go test -run '^TestScalingLadder$' -scaling-out BENCH_scaling.json ."
 
 // TestScalingLadder regenerates BENCH_scaling.json: three complete
 // passes of the ladder and of the shipped grid, every one reported.

@@ -5,7 +5,10 @@
 // warm server — so the numbers isolate pure execution dispatch.
 //
 // Run with: go test -bench 'ScalarLoop|Fib|IndexSum' -benchmem
-// Results are committed in BENCH_vm.json.
+// Results are committed in BENCH_vm.json, with the two layer rows of
+// PR 27: BenchmarkTupleCall (a call of divmod destructured, beside
+// vm.call_ns's scalar call) and BenchmarkMatrixBind (a five-cell matrix
+// allocated, bound and released through the engine surface).
 package repro_test
 
 import (
@@ -16,6 +19,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/interp"
+	"repro/internal/matrix"
 	"repro/internal/parser"
 	"repro/internal/sem"
 	"repro/internal/source"
@@ -155,4 +159,59 @@ func BenchmarkVMCompile(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(units)), "us/program")
+}
+
+// tupleCallSrc is bench's tuples_rc_loop without the rc cell: one call
+// of a function returning a tuple literal, destructured, a trip.
+const tupleCalls = 20000
+const tupleCallSrc = `
+(int, int, bool) divmod(int a, int b) {
+	return (a / b, a % b, a % b == 0);
+}
+int main() {
+	int q; int r; bool exact;
+	int hits = 0;
+	for (int i = 1; i < 20001; i++) {
+		(q, r, exact) = divmod(i * 7, 5);
+		if (exact) { hits = hits + q - r; }
+	}
+	return hits % 251;
+}
+`
+
+// BenchmarkTupleCall: ns and objects one destructured tuple call costs
+// on the VM (the loop around it is six dispatches a trip, 15-20 ns).
+func BenchmarkTupleCall(b *testing.B) {
+	bp := compileBench(b, tupleCallSrc)
+	opts := interp.Options{Threads: 1, Stdout: io.Discard}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		it := interp.New(bp.prog, bp.info, opts)
+		if _, err := vm.NewMachine(bp.vmp, it).Run(); err != nil {
+			b.Fatal(err)
+		}
+		it.Close()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tupleCalls), "ns/call")
+}
+
+// BenchmarkMatrixBind: what a five-cell matrix (Fig 8's average trough)
+// costs beside its cells — admitted and allocated, bound to a variable
+// and released, through the calls an engine makes.
+func BenchmarkMatrixBind(b *testing.B) {
+	bp := compileBench(b, "int main() { return 0; }")
+	it := interp.New(bp.prog, bp.info, interp.Options{Threads: 1, Stdout: io.Discard})
+	defer it.Close()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m, err := matrix.NewBudgeted(it.Budget(), matrix.Float, 5)
+		if err != nil {
+			b.Fatal(err)
+		}
+		it.BindValue(m)
+		it.ReleaseValue(m)
+	}
+	if err := it.Heap().CheckLeaks(); err != nil {
+		b.Fatal(err)
+	}
 }

@@ -13,8 +13,15 @@
 # and the obs counters ride in the same pass, the vet pass carries
 # TestChainPlanRangeAndPromotingLeaves, and the VM pass and the
 # differential corpus, chain_range_* / chain_promote_* / err_oom_chain_*
-# included, are where a pooled frame handed out twice would show), the
-# gcc-guarded C back end pass,
+# included, are where a pooled frame handed out twice would show; since
+# PR 27 the same four passes — matrix, rc, vm, interp — and the corpus
+# are also what checks the matrix header's one unsafe data word, because
+# -race turns checkptr on: TestMatrixHeaderBudget and
+# TestTrackedAllocation in matrix, TestTupleCallAllocatesNothing in vm,
+# the tuple_ret_* / tuple_recv_* / err_tuple_ret_* / err_rc_matrix_* /
+# matmap_callee_* entries and TestVMStepParity's tuple sweep in the
+# corpus), a guard that the header's file is the only non-test file under
+# internal/ that imports unsafe, the gcc-guarded C back end pass,
 # ten-second fuzz smokes, the vet findings manifest, one-shot benchmark
 # smokes, a self-relative scaling smoke when there are two CPUs to
 # scale on (no stored baseline: two threads are never slower than one,
@@ -49,13 +56,22 @@ else
     exit 1
 fi
 
+echo "== unsafe: the matrix header's data word and nothing else =="
+unsafe_files=$(grep -rl --include='*.go' --exclude='*_test.go' '^\s*\(import \)\?"unsafe"$' internal/ || true)
+if [ "$unsafe_files" != "internal/matrix/matrix.go" ]; then
+    echo "non-test files under internal/ importing unsafe (want internal/matrix/matrix.go alone):" >&2
+    echo "$unsafe_files" >&2
+    exit 1
+fi
+go vet ./internal/matrix
+
 echo "== go build =="
 go build ./...
 
 echo "== go test =="
 go test ./...
 
-echo "== go test -race (crash-proofing + overload layers) =="
+echo "== go test -race (crash-proofing + overload layers; with rc, vm and the corpus below, checkptr over the matrix header) =="
 go test -race ./internal/par ./internal/matrix ./internal/matio ./internal/obs ./internal/interp ./internal/server ./internal/driver
 go test -race -run '^TestLadderRungsVisitEachUnitOnce$' -count=1 .
 

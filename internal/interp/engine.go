@@ -93,17 +93,8 @@ func (i *Interp) StepTrap(n ast.Node) error {
 func (i *Interp) BindValue(v any) {
 	switch x := v.(type) {
 	case *matrix.Matrix:
-		if x == nil {
-			return
-		}
-		if x.Hdr == nil {
-			x.Hdr = i.heap.Alloc(x.Size()*8 + 4) // data + the 4-byte RC header of §III-B
-			// When the last reference is dropped, hand the backing
-			// storage to the kernel free list. ForceFree (rcrelease)
-			// deliberately bypasses this — see rc.Header.SetRecycler.
-			x.Hdr.SetRecycler(x)
-		} else {
-			x.Hdr.IncRef()
+		if x != nil {
+			x.Bind(i.heap)
 		}
 	case *rcCell:
 		if x != nil {
@@ -121,7 +112,7 @@ func (i *Interp) ReleaseValue(v any) {
 	switch x := v.(type) {
 	case *matrix.Matrix:
 		if x != nil {
-			x.Hdr.DecRef()
+			x.DecRef()
 		}
 	case *rcCell:
 		if x != nil {
@@ -135,25 +126,27 @@ func (i *Interp) ReleaseValue(v any) {
 }
 
 // EscapeRef takes an extra reference on v's rc-managed parts so the
-// value survives its frame's teardown, appending the headers to
-// *pending (the consuming statement's release list).
-func (i *Interp) EscapeRef(v any, pending *[]*rc.Header) {
+// value survives its frame's teardown, and returns pending (the
+// consuming statement's release list) with them appended. The list comes
+// and goes by value so that a caller's stack scratch can serve as one.
+func (i *Interp) EscapeRef(v any, pending []rc.Ref) []rc.Ref {
 	switch x := v.(type) {
 	case *matrix.Matrix:
-		if x != nil && x.Hdr != nil {
-			x.Hdr.IncRef()
-			*pending = append(*pending, x.Hdr)
+		if x != nil && x.Tracked() {
+			x.IncRef()
+			pending = append(pending, x)
 		}
 	case *rcCell:
 		if x != nil {
 			x.hdr.IncRef()
-			*pending = append(*pending, x.hdr)
+			pending = append(pending, x.hdr)
 		}
 	case []any:
 		for _, e := range x {
-			i.EscapeRef(e, pending)
+			pending = i.EscapeRef(e, pending)
 		}
 	}
+	return pending
 }
 
 // PrintValue implements the print builtin (serialized on the output

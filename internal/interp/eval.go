@@ -65,7 +65,7 @@ func (c *ctx) callFunction(fn *ast.FuncDecl, args []any, site ast.Node) (any, er
 	if ctl == ctlReturn && ret != nil {
 		// Keep the return value alive across the frame teardown; the
 		// reference is released by the caller's enclosing statement.
-		c.i.EscapeRef(ret, &c.pending)
+		c.pending = c.i.EscapeRef(ret, c.pending)
 	}
 	cc.releasePending(0)
 	cc.popFrame(f)
@@ -101,7 +101,7 @@ func (c *ctx) execStmtInner(s ast.Stmt) (control, any, error) {
 				// in this block; keep it alive across the frame pop.
 				// callFunction takes the caller's own reference before
 				// releasing this pending one.
-				c.i.EscapeRef(v, &c.pending)
+				c.pending = c.i.EscapeRef(v, c.pending)
 			}
 			c.popFrame(f)
 			c.frame = saved
@@ -197,7 +197,7 @@ func (c *ctx) execStmtInner(s ast.Stmt) (control, any, error) {
 		c.frame = f
 		pop := func(ctl control, v any) {
 			if ctl == ctlReturn && v != nil {
-				c.i.EscapeRef(v, &c.pending) // see BlockStmt
+				c.pending = c.i.EscapeRef(v, c.pending) // see BlockStmt
 			}
 			c.popFrame(f)
 			c.frame = saved
@@ -560,16 +560,16 @@ func EvalUnary(e *ast.UnaryExpr, v any, x matrix.Exec) (any, error) {
 }
 
 // kernelTemp reports whether m is an expression temporary produced by
-// an arithmetic kernel: a matrix the rc discipline never saw (Hdr ==
-// nil) whose source expression is itself a compound operator. Kernels
-// always allocate their result fresh, so such a value is unaliased and
+// an arithmetic kernel: a matrix the rc discipline never saw
+// (untracked) whose source expression is itself a compound operator.
+// Kernels always allocate their result fresh, so such a value is unaliased and
 // its only reference is the operand slot currently being consumed —
 // which makes it safe to recycle the backing storage the moment the
 // enclosing operator has read it. Idents, index results and call
 // results are never recycled here: their values may be bound, cached,
 // or otherwise shared.
 func kernelTemp(src ast.Expr, m *matrix.Matrix) bool {
-	if m == nil || m.Hdr != nil {
+	if m == nil || m.Tracked() {
 		return false
 	}
 	switch src.(type) {

@@ -202,7 +202,7 @@ type ctx struct {
 	pool    *par.Pool
 	frame   *frame
 	end     []int64 // stack of 'end' values for nested index dims
-	pending []*rc.Header
+	pending []rc.Ref
 	depth   int
 	// futures holds the enclosing function's outstanding Cilk spawns;
 	// callFunction syncs them implicitly before returning.

@@ -311,8 +311,8 @@ func TestOneWorkerPollsBetweenRows(t *testing.T) {
 func TestMatrixMapStoresBeforeRelease(t *testing.T) {
 	const rows, cols = 6, 2 * minReuseCells
 	m := New(Float, rows, cols)
-	for k := range m.f {
-		m.f[k] = float64(k)
+	for k := range m.floats() {
+		m.floats()[k] = float64(k)
 	}
 	for _, general := range []bool{false, true} {
 		for _, pool := range []*par.Pool{nil, par.NewPool(3)} {
@@ -335,9 +335,9 @@ func TestMatrixMapStoresBeforeRelease(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for k, v := range out.f {
-				if v != 2*m.f[k] {
-					t.Fatalf("general %v pool %v: out[%d] = %v, want %v", general, pool, k, v, 2*m.f[k])
+			for k, v := range out.floats() {
+				if v != 2*m.floats()[k] {
+					t.Fatalf("general %v pool %v: out[%d] = %v, want %v", general, pool, k, v, 2*m.floats()[k])
 				}
 			}
 			if _, _, reused := KernelStats(); reused < rows/2 {

@@ -3,7 +3,7 @@
 // reuse every operator pays the allocator (and, under concurrency, the
 // contention §III-C warns about). Released buffers — expression
 // temporaries recycled by the interpreter, and rc-tracked matrices
-// whose last reference is dropped (rc.Header.SetRecycler) — come back
+// whose last reference is dropped (Matrix.DecRef) — come back
 // here and are handed to the next kernel output of a compatible size.
 //
 // Classing is by power-of-two capacity: a slice is stored under
@@ -150,34 +150,4 @@ func DrainFreeLists() {
 	floatFree.drain()
 	intFree.drain()
 	boolFree.drain()
-}
-
-// Recycle returns m's backing storage to the kernel free list and
-// detaches it from m. It must only be called when the caller owns the
-// last live reference (the interpreter calls it for spent expression
-// temporaries and, via rc.Header.SetRecycler, when a tracked matrix's
-// reference count reaches zero). After Recycle any element access on m
-// panics — a loud failure instead of silently reading a buffer that
-// now belongs to someone else. Recycle is idempotent.
-func (m *Matrix) Recycle() {
-	if m == nil {
-		return
-	}
-	switch m.elem {
-	case Float:
-		if m.f != nil {
-			floatFree.put(m.f)
-			m.f = nil
-		}
-	case Int:
-		if m.i != nil {
-			intFree.put(m.i)
-			m.i = nil
-		}
-	case Bool:
-		if m.b != nil {
-			boolFree.put(m.b)
-			m.b = nil
-		}
-	}
 }

@@ -85,7 +85,7 @@ func ChainFlat(r *WithRun, x Exec) (*Matrix, int, error) {
 	r.Lower[0], r.Upper[0] = 0, n
 	r.views = grow(r.views, len(r.Mats))
 	for k, m := range r.Mats {
-		r.views[k] = Matrix{elem: m.elem, shape: r.Upper, strides: flatStrides, f: m.f, i: m.i}
+		m.flatView(&r.views[k])
 		r.Mats[k] = &r.views[k]
 	}
 	// The elementwise kernels' split, not a genarray's poolGrain: the
@@ -96,8 +96,6 @@ func ChainFlat(r *WithRun, x Exec) (*Matrix, int, error) {
 	}
 	return out, -1, nil
 }
-
-var flatStrides = []int{1}
 
 var errMalformedChain = errors.New("matrix: malformed fused chain")
 
@@ -137,7 +135,7 @@ func (r *WithRun) admitChain(b *Budget) (shape []int, n, stage int, err error) {
 		case WLoadI, WLoadF:
 			v := chainVal{kind: chainUnassigned}
 			if m := r.Mats[in.A]; m != nil {
-				v = chainVal{kind: chainMatrix, shape: m.shape}
+				v = chainVal{kind: chainMatrix, shape: m.shape()}
 			}
 			st = append(st, v)
 		case WI2F:

@@ -269,8 +269,8 @@ func chainDiff(t *testing.T, label string, tree *chainNode, e *chainEnv, pool *p
 		return
 	}
 	wm := want.(*Matrix)
-	if !got.SameShape(wm) || got.elem != wm.elem || !slices.Equal(got.i, wm.i) ||
-		!slices.EqualFunc(got.f, wm.f, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+	if !got.SameShape(wm) || got.elem != wm.elem || !slices.Equal(got.ints(), wm.ints()) ||
+		!slices.EqualFunc(got.floats(), wm.floats(), func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
 		t.Errorf("%s: chain result differs from the unfused stages'", label)
 	}
 }
@@ -304,7 +304,7 @@ func TestChainMatchesUnfusedStages(t *testing.T) {
 			// The leaves' cells before anything ran.
 			beforeF, beforeI := make([][]float64, len(mats)), make([][]int64, len(mats))
 			for k, m := range mats {
-				beforeF[k], beforeI[k] = slices.Clone(m.f), slices.Clone(m.i)
+				beforeF[k], beforeI[k] = slices.Clone(m.floats()), slices.Clone(m.ints())
 			}
 			for _, p := range []*Exec{{}, {Pool: pool}} {
 				label := fmt.Sprintf("seed %d shape %v pooled %v", seed, shape, p.Pool != nil)
@@ -330,23 +330,23 @@ func TestChainMatchesUnfusedStages(t *testing.T) {
 				}
 				wm := want.(*Matrix)
 				if !got.SameShape(wm) || got.elem != wm.elem {
-					t.Fatalf("%s: chain result %v %v, want %v %v", label, got.elem, got.shape, wm.elem, wm.shape)
+					t.Fatalf("%s: chain result %v %v, want %v %v", label, got.elem, got.shape(), wm.elem, wm.shape())
 				}
-				for k := range wm.f {
-					if math.Float64bits(got.f[k]) != math.Float64bits(wm.f[k]) {
-						t.Fatalf("%s: cell %d = %v, want %v", label, k, got.f[k], wm.f[k])
+				for k := range wm.floats() {
+					if math.Float64bits(got.floats()[k]) != math.Float64bits(wm.floats()[k]) {
+						t.Fatalf("%s: cell %d = %v, want %v", label, k, got.floats()[k], wm.floats()[k])
 					}
 				}
-				if !slices.Equal(got.i, wm.i) {
+				if !slices.Equal(got.ints(), wm.ints()) {
 					t.Fatalf("%s: int cells differ", label)
 				}
 				// Loads alias the leaves' cells: the result must not, and
 				// nothing may have been written through them.
 				for k, m := range mats {
-					if len(m.f) > 0 && len(got.f) > 0 && &m.f[0] == &got.f[0] || len(m.i) > 0 && len(got.i) > 0 && &m.i[0] == &got.i[0] {
+					if len(m.floats()) > 0 && len(got.floats()) > 0 && &m.floats()[0] == &got.floats()[0] || len(m.ints()) > 0 && len(got.ints()) > 0 && &m.ints()[0] == &got.ints()[0] {
 						t.Fatalf("%s: the result is leaf %d's storage", label, k)
 					}
-					if !slices.Equal(m.i, beforeI[k]) || !slices.EqualFunc(m.f, beforeF[k], func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+					if !slices.Equal(m.ints(), beforeI[k]) || !slices.EqualFunc(m.floats(), beforeF[k], func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
 						t.Fatalf("%s: leaf %d was written", label, k)
 					}
 				}

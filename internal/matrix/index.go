@@ -57,7 +57,7 @@ type selScratch [2 * InlineRank]int
 // resolve checks every spec against its dimension, before anything is
 // allocated or written. An all-scalar selection has an empty shape.
 func (m *Matrix) resolve(specs []IndexSpec, scratch *selScratch) (selection, error) {
-	rank := len(m.shape)
+	rank := len(m.shape())
 	if len(specs) != rank {
 		return selection{}, fmt.Errorf("matrix: rank-%d matrix requires %d index expression(s), got %d",
 			rank, rank, len(specs))
@@ -68,7 +68,7 @@ func (m *Matrix) resolve(specs []IndexSpec, scratch *selScratch) (selection, err
 	}
 	sel := selection{count: dims[:rank:rank], shape: dims[rank : rank : 2*rank], cells: 1}
 	for d, spec := range specs {
-		size, start := m.shape[d], 0
+		size, start := m.shape()[d], 0
 		switch spec.Kind {
 		case SpecScalar:
 			if spec.I < 0 || spec.I >= size {
@@ -94,7 +94,7 @@ func (m *Matrix) resolve(specs []IndexSpec, scratch *selScratch) (selection, err
 				sel.pos = make([][]int, rank)
 			}
 			sel.pos[d] = []int{}
-			for k, v := range mk.b {
+			for k, v := range mk.bools() {
 				if v {
 					sel.pos[d] = append(sel.pos[d], k)
 				}
@@ -103,7 +103,7 @@ func (m *Matrix) resolve(specs []IndexSpec, scratch *selScratch) (selection, err
 		default:
 			return selection{}, fmt.Errorf("matrix: unknown index spec kind %d", spec.Kind)
 		}
-		sel.off += start * m.strides[d]
+		sel.off += start * m.strides()[d]
 		if spec.Kind != SpecScalar {
 			sel.shape = append(sel.shape, sel.count[d])
 			sel.cells *= sel.count[d]
@@ -165,11 +165,11 @@ func boxCopy[T any](sel *selection, strides []int, d, off int, strided, dense []
 func (m *Matrix) copyBox(sel *selection, dense *Matrix, op boxOp) {
 	switch m.elem {
 	case Float:
-		boxCopy(sel, m.strides, 0, sel.off, m.f, dense.f, op)
+		boxCopy(sel, m.strides(), 0, sel.off, m.floats(), dense.floats(), op)
 	case Int:
-		boxCopy(sel, m.strides, 0, sel.off, m.i, dense.i, op)
+		boxCopy(sel, m.strides(), 0, sel.off, m.ints(), dense.ints(), op)
 	case Bool:
-		boxCopy(sel, m.strides, 0, sel.off, m.b, dense.b, op)
+		boxCopy(sel, m.strides(), 0, sel.off, m.bools(), dense.bools(), op)
 	}
 }
 
@@ -223,28 +223,11 @@ func (m *Matrix) SetIndex(v any, specs ...IndexSpec) error {
 		// budget is not charged for.
 		f, scratch, _ := floatScratch(Exec{}, src)
 		defer releaseFloatScratch(f, scratch)
-		src = &Matrix{elem: Float, f: f}
+		src = &Matrix{elem: Float}
+		setCells(src, f)
 	case src.elem != m.elem:
 		return fmt.Errorf("matrix: cannot store %T in %s matrix", src.Get(0), m.elem)
 	}
 	m.copyBox(&sel, src, boxWrite)
-	return nil
-}
-
-// fillBox stores the scalar v in every cell of the box. The value is one
-// cell of m's type on this stack, so Set converts or refuses v as it
-// would for a cell of m.
-func (m *Matrix) fillBox(sel *selection, v any) error {
-	var cell struct {
-		m Matrix
-		f [1]float64
-		i [1]int64
-		b [1]bool
-	}
-	cell.m.elem, cell.m.f, cell.m.i, cell.m.b = m.elem, cell.f[:], cell.i[:], cell.b[:]
-	if err := cell.m.Set(0, v); err != nil {
-		return err
-	}
-	m.copyBox(sel, &cell.m, boxFill)
 	return nil
 }

@@ -47,7 +47,7 @@ func dimSelectionRef(spec IndexSpec, size, dim int) (scalar int, list []int, err
 		if mk.Size() != size {
 			return 0, nil, fmt.Errorf("matrix: logical index length %d does not match dimension %d of size %d", mk.Size(), dim, size)
 		}
-		for k, v := range mk.b {
+		for k, v := range mk.bools() {
 			if v {
 				list = append(list, k)
 			}
@@ -69,14 +69,14 @@ type selectionRef struct {
 }
 
 func (m *Matrix) resolveRef(specs []IndexSpec) (*selectionRef, error) {
-	if len(specs) != len(m.shape) {
+	if len(specs) != len(m.shape()) {
 		return nil, fmt.Errorf("matrix: rank-%d matrix requires %d index expression(s), got %d",
-			len(m.shape), len(m.shape), len(specs))
+			len(m.shape()), len(m.shape()), len(specs))
 	}
 	sel := &selectionRef{scalarOnly: true,
 		scalars: make([]int, len(specs)), lists: make([][]int, len(specs))}
 	for d, spec := range specs {
-		sc, list, err := dimSelectionRef(spec, m.shape[d], d)
+		sc, list, err := dimSelectionRef(spec, m.shape()[d], d)
 		if err != nil {
 			return nil, err
 		}
@@ -104,7 +104,7 @@ func (sel *selectionRef) forEachRef(m *Matrix, f func(srcOff, dstOff int) error)
 			keptDims = append(keptDims, d)
 		}
 	}
-	idx := make([]int, len(m.shape))
+	idx := make([]int, len(m.shape()))
 	copy(idx, sel.scalars)
 	counters := make([]int, len(keptDims))
 	for {
@@ -114,7 +114,7 @@ func (sel *selectionRef) forEachRef(m *Matrix, f func(srcOff, dstOff int) error)
 			if sel.lists[d] != nil {
 				v = sel.lists[d][counters[indexOfRef(keptDims, d)]]
 			}
-			srcOff += v * m.strides[d]
+			srcOff += v * m.strides()[d]
 		}
 		dstOff := 0
 		for k := range keptDims {
@@ -238,8 +238,8 @@ func randSpecs(r *rand.Rand, shape []int) []IndexSpec {
 			case 2:
 				mask = New(Int, size)
 			}
-			for k, density := 0, r.Intn(3); k < len(mask.b); k++ {
-				mask.b[k] = density == 2 || density == 1 && r.Intn(2) == 0
+			for k, density := 0, r.Intn(3); k < len(mask.bools()); k++ {
+				mask.bools()[k] = density == 2 || density == 1 && r.Intn(2) == 0
 			}
 			specs = append(specs, Mask(mask))
 		}
@@ -269,11 +269,11 @@ func randCells(r *rand.Rand, elem Elem, shape ...int) *Matrix {
 	for k := 0; k < m.Size(); k++ {
 		switch elem {
 		case Float:
-			m.f[k] = float64(k) + r.Float64()
+			m.floats()[k] = float64(k) + r.Float64()
 		case Int:
-			m.i[k] = int64(1000*k + r.Intn(1000))
+			m.ints()[k] = int64(1000*k + r.Intn(1000))
 		case Bool:
-			m.b[k] = r.Intn(2) == 0
+			m.bools()[k] = r.Intn(2) == 0
 		}
 	}
 	return m
@@ -287,15 +287,15 @@ func sameValue(a, b any) bool {
 	if !aok || !bok {
 		return aok == bok && reflect.DeepEqual(a, b)
 	}
-	if am.elem != bm.elem || !reflect.DeepEqual(am.shape, bm.shape) || !reflect.DeepEqual(am.strides, bm.strides) {
+	if am.elem != bm.elem || !reflect.DeepEqual(am.shape(), bm.shape()) || !reflect.DeepEqual(am.strides(), bm.strides()) {
 		return false
 	}
-	for k := range am.f {
-		if math.Float64bits(am.f[k]) != math.Float64bits(bm.f[k]) {
+	for k := range am.floats() {
+		if math.Float64bits(am.floats()[k]) != math.Float64bits(bm.floats()[k]) {
 			return false
 		}
 	}
-	return reflect.DeepEqual(am.i, bm.i) && reflect.DeepEqual(am.b, bm.b)
+	return reflect.DeepEqual(am.ints(), bm.ints()) && reflect.DeepEqual(am.bools(), bm.bools())
 }
 
 func errText(err error) string {
@@ -312,7 +312,7 @@ func TestQuickIndexMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		m := randIndexed(r, elems[r.Intn(3)])
-		specs := randSpecs(r, m.shape)
+		specs := randSpecs(r, m.shape())
 		want, werr := indexRef(m, specs...)
 		budget := NewBudget(1 << 20)
 		got, gerr := m.Index(budget, specs...)
@@ -345,7 +345,7 @@ func TestQuickSetIndexMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		orig := randIndexed(r, elems[r.Intn(3)])
-		specs := randSpecs(r, orig.shape)
+		specs := randSpecs(r, orig.shape())
 		// The value: a scalar of any Go type Set knows, or a matrix of any
 		// element type (int into float promotes, float into int is
 		// refused) whose size is the selection's, or is off by one.

@@ -143,14 +143,14 @@ func validateBinary(op Op, a, b Elem) (Elem, error) {
 // must release with releaseFloatScratch.
 func floatScratch(x Exec, m *Matrix) (view []float64, scratch bool, err error) {
 	if m.elem == Float {
-		return m.f, false, nil
+		return m.floats(), false, nil
 	}
-	n := len(m.i)
+	n := len(m.ints())
 	if err := x.Budget.Charge(n); err != nil {
 		return nil, false, err
 	}
 	s := floatFree.take(n, false)
-	for k, v := range m.i {
+	for k, v := range m.ints() {
 		s[k] = float64(v)
 	}
 	return s, true, nil
@@ -167,13 +167,13 @@ func releaseFloatScratch(s []float64, scratch bool) {
 // result is always freshly allocated (never an alias of an operand).
 func ElementwiseExec(op Op, a, b *Matrix, x Exec) (*Matrix, error) {
 	if !a.SameShape(b) {
-		return nil, fmt.Errorf("matrix: %s requires equal shapes, got %v and %v", op, a.shape, b.shape)
+		return nil, fmt.Errorf("matrix: %s requires equal shapes, got %v and %v", op, a.shape(), b.shape())
 	}
 	oe, err := validateBinary(op, a.elem, b.elem)
 	if err != nil {
 		return nil, err
 	}
-	out, err := newKernelOut(x.Budget, oe, a.shape)
+	out, err := newKernelOut(x.Budget, oe, a.shape())
 	if err != nil {
 		return nil, err
 	}
@@ -186,14 +186,14 @@ func ElementwiseExec(op Op, a, b *Matrix, x Exec) (*Matrix, error) {
 	var cleanup func()
 	switch {
 	case a.elem == Bool: // validated: b is Bool too
-		ab, bb, db := a.b, b.b, out.b
+		ab, bb, db := a.bools(), b.bools(), out.bools()
 		body = func(lo, hi int) error { ewBool(op, db, ab, bb, lo, hi); return nil }
 	case a.elem == Int && b.elem == Int:
 		if oe == Bool {
-			ai, bi, db := a.i, b.i, out.b
+			ai, bi, db := a.ints(), b.ints(), out.bools()
 			body = func(lo, hi int) error { ewCmp(op, db, ai, bi, lo, hi); return nil }
 		} else {
-			ai, bi, di := a.i, b.i, out.i
+			ai, bi, di := a.ints(), b.ints(), out.ints()
 			body = func(lo, hi int) error { return ewArithInt(op, di, ai, bi, lo, hi) }
 		}
 	default: // at least one Float operand; promote the int side once
@@ -213,10 +213,10 @@ func ElementwiseExec(op Op, a, b *Matrix, x Exec) (*Matrix, error) {
 			releaseFloatScratch(bv, bScr)
 		}
 		if oe == Bool {
-			db := out.b
+			db := out.bools()
 			body = func(lo, hi int) error { ewCmp(op, db, av, bv, lo, hi); return nil }
 		} else {
-			df := out.f
+			df := out.floats()
 			body = func(lo, hi int) error { ewArithFloat(op, df, av, bv, lo, hi); return nil }
 		}
 	}
@@ -281,7 +281,7 @@ func BroadcastExec(op Op, m *Matrix, s any, matLeft bool, x Exec) (*Matrix, erro
 			return nil, fmt.Errorf("matrix: integer modulo by zero")
 		}
 	}
-	out, err := newKernelOut(x.Budget, oe, m.shape)
+	out, err := newKernelOut(x.Budget, oe, m.shape())
 	if err != nil {
 		return nil, err
 	}
@@ -294,7 +294,7 @@ func BroadcastExec(op Op, m *Matrix, s any, matLeft bool, x Exec) (*Matrix, erro
 	var cleanup func()
 	switch {
 	case m.elem == Bool: // validated: scalar is Bool too
-		mb, db := m.b, out.b
+		mb, db := m.bools(), out.bools()
 		body = func(lo, hi int) error { ewBoolScalar(op, db, mb, sb, lo, hi); return nil }
 	case m.elem == Int && sElem == Int:
 		if oe == Bool {
@@ -302,10 +302,10 @@ func BroadcastExec(op Op, m *Matrix, s any, matLeft bool, x Exec) (*Matrix, erro
 			if !matLeft {
 				cop = flipCmp(op)
 			}
-			mi, db := m.i, out.b
+			mi, db := m.ints(), out.bools()
 			body = func(lo, hi int) error { bcCmp(cop, db, mi, si, lo, hi); return nil }
 		} else {
-			mi, di := m.i, out.i
+			mi, di := m.ints(), out.ints()
 			body = func(lo, hi int) error { return bcArithInt(op, di, mi, si, matLeft, lo, hi) }
 		}
 	default: // at least one Float side; promote the int side once
@@ -320,10 +320,10 @@ func BroadcastExec(op Op, m *Matrix, s any, matLeft bool, x Exec) (*Matrix, erro
 			if !matLeft {
 				cop = flipCmp(op)
 			}
-			db := out.b
+			db := out.bools()
 			body = func(lo, hi int) error { bcCmp(cop, db, mv, sf, lo, hi); return nil }
 		} else {
-			df := out.f
+			df := out.floats()
 			body = func(lo, hi int) error { bcArithFloat(op, df, mv, sf, matLeft, lo, hi); return nil }
 		}
 	}
@@ -347,7 +347,7 @@ func UnaryExec(neg bool, m *Matrix, x Exec) (*Matrix, error) {
 	if !neg && m.elem != Bool {
 		return nil, fmt.Errorf("matrix: logical not requires a bool matrix")
 	}
-	out, err := newKernelOut(x.Budget, m.elem, m.shape)
+	out, err := newKernelOut(x.Budget, m.elem, m.shape())
 	if err != nil {
 		return nil, err
 	}
@@ -358,7 +358,7 @@ func UnaryExec(neg bool, m *Matrix, x Exec) (*Matrix, error) {
 	var body func(lo, hi int) error
 	switch m.elem {
 	case Float:
-		src, dst := m.f, out.f
+		src, dst := m.floats(), out.floats()
 		body = func(lo, hi int) error {
 			d, s := dst[lo:hi], src[lo:hi]
 			for i, v := range s {
@@ -367,7 +367,7 @@ func UnaryExec(neg bool, m *Matrix, x Exec) (*Matrix, error) {
 			return nil
 		}
 	case Int:
-		src, dst := m.i, out.i
+		src, dst := m.ints(), out.ints()
 		body = func(lo, hi int) error {
 			d, s := dst[lo:hi], src[lo:hi]
 			for i, v := range s {
@@ -376,7 +376,7 @@ func UnaryExec(neg bool, m *Matrix, x Exec) (*Matrix, error) {
 			return nil
 		}
 	default:
-		src, dst := m.b, out.b
+		src, dst := m.bools(), out.bools()
 		body = func(lo, hi int) error {
 			d, s := dst[lo:hi], src[lo:hi]
 			for i, v := range s {
@@ -403,13 +403,13 @@ func MatMulExec(a, b *Matrix, x Exec) (*Matrix, error) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		return nil, fmt.Errorf("matrix: matmul requires rank-2 matrices, got ranks %d and %d", a.Rank(), b.Rank())
 	}
-	if a.shape[1] != b.shape[0] {
-		return nil, fmt.Errorf("matrix: matmul dimension mismatch: %v x %v", a.shape, b.shape)
+	if a.shape()[1] != b.shape()[0] {
+		return nil, fmt.Errorf("matrix: matmul dimension mismatch: %v x %v", a.shape(), b.shape())
 	}
 	if a.elem == Bool || b.elem == Bool {
 		return nil, fmt.Errorf("matrix: matmul requires numeric matrices")
 	}
-	m, k, n := a.shape[0], a.shape[1], b.shape[1]
+	m, k, n := a.shape()[0], a.shape()[1], b.shape()[1]
 	// Rows per parallel chunk: ParallelGrain counts fused multiply-adds
 	// here, so small products stay serial and a single wide row can
 	// still be its own chunk.
@@ -423,7 +423,7 @@ func MatMulExec(a, b *Matrix, x Exec) (*Matrix, error) {
 		if err != nil {
 			return nil, err
 		}
-		ai, bi, di := a.i, b.i, out.i
+		ai, bi, di := a.ints(), b.ints(), out.ints()
 		err = runKernel(x, m, grainRows, func(rlo, rhi int) error {
 			mmRows(di, ai, bi, rlo, rhi, k, n)
 			return nil
@@ -449,7 +449,7 @@ func MatMulExec(a, b *Matrix, x Exec) (*Matrix, error) {
 		releaseFloatScratch(bv, bScr)
 		return nil, err
 	}
-	df := out.f
+	df := out.floats()
 	err = runKernel(x, m, grainRows, func(rlo, rhi int) error {
 		mmRows(df, av, bv, rlo, rhi, k, n)
 		return nil

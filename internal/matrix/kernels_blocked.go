@@ -22,7 +22,7 @@ func TransposeExec(m *Matrix, x Exec) (*Matrix, error) {
 	if m.Rank() != 2 {
 		return nil, fmt.Errorf("matrix: transpose requires a rank-2 matrix, got rank %d", m.Rank())
 	}
-	rows, cols := m.shape[0], m.shape[1]
+	rows, cols := m.shape()[0], m.shape()[1]
 	out, err := newKernelOut(x.Budget, m.elem, []int{cols, rows})
 	if err != nil {
 		return nil, err
@@ -43,7 +43,7 @@ func TransposeExec(m *Matrix, x Exec) (*Matrix, error) {
 // distributed through runKernel. A with-loop that is a transpose
 // (genarray) forks whenever the closure engine would: see poolGrain.
 func transposeInto(out, m *Matrix, x Exec, genarray bool) error {
-	rows, cols := m.shape[0], m.shape[1]
+	rows, cols := m.shape()[0], m.shape()[1]
 	// Rows per parallel chunk, in whole tiles so chunks never share an
 	// output cache line along the tile boundary.
 	grainRows := 1
@@ -57,13 +57,13 @@ func transposeInto(out, m *Matrix, x Exec, genarray bool) error {
 	var body func(lo, hi int) error
 	switch m.elem {
 	case Float:
-		src, dst := m.f, out.f
+		src, dst := m.floats(), out.floats()
 		body = func(lo, hi int) error { transposeTiles(dst, src, lo, hi, rows, cols); return nil }
 	case Int:
-		src, dst := m.i, out.i
+		src, dst := m.ints(), out.ints()
 		body = func(lo, hi int) error { transposeTiles(dst, src, lo, hi, rows, cols); return nil }
 	default:
-		src, dst := m.b, out.b
+		src, dst := m.bools(), out.bools()
 		body = func(lo, hi int) error { transposeTiles(dst, src, lo, hi, rows, cols); return nil }
 	}
 	return runKernel(x, rows, grainRows, body)
@@ -106,11 +106,11 @@ func Conv2DExec(src, kern *Matrix, x Exec) (*Matrix, error) {
 	if src.elem == Bool || kern.elem == Bool {
 		return nil, fmt.Errorf("matrix: conv2d requires numeric matrices")
 	}
-	kh, kw := kern.shape[0], kern.shape[1]
+	kh, kw := kern.shape()[0], kern.shape()[1]
 	if kh%2 == 0 || kw%2 == 0 {
-		return nil, fmt.Errorf("matrix: conv2d kernel dimensions must be odd, got %v", kern.shape)
+		return nil, fmt.Errorf("matrix: conv2d kernel dimensions must be odd, got %v", kern.shape())
 	}
-	rows, cols := src.shape[0], src.shape[1]
+	rows, cols := src.shape()[0], src.shape()[1]
 	// Fused multiply-adds per output row; sizes the parallel chunks.
 	rowWork := cols * kh * kw
 	grainRows := 1
@@ -123,7 +123,7 @@ func Conv2DExec(src, kern *Matrix, x Exec) (*Matrix, error) {
 			return nil, err
 		}
 		kernelConvCount.Add(1)
-		si, ki, di := src.i, kern.i, out.i
+		si, ki, di := src.ints(), kern.ints(), out.ints()
 		err = runKernel(x, rows, grainRows, func(rlo, rhi int) error {
 			convRows(di, si, ki, rlo, rhi, rows, cols, kh, kw)
 			return nil
@@ -150,7 +150,7 @@ func Conv2DExec(src, kern *Matrix, x Exec) (*Matrix, error) {
 		return nil, err
 	}
 	kernelConvCount.Add(1)
-	df := out.f
+	df := out.floats()
 	err = runKernel(x, rows, grainRows, func(rlo, rhi int) error {
 		convRows(df, sv, kv, rlo, rhi, rows, cols, kh, kw)
 		return nil
@@ -224,13 +224,13 @@ func ReduceAxisExec(kind FoldKind, m *Matrix, axis int, x Exec) (*Matrix, error)
 	if axis < 0 || axis >= m.Rank() {
 		return nil, fmt.Errorf("matrix: reduce axis %d out of range for rank %d", axis, m.Rank())
 	}
-	axisN := m.shape[axis]
+	axisN := m.shape()[axis]
 	if axisN == 0 && (kind == FoldMin || kind == FoldMax) {
 		return nil, fmt.Errorf("matrix: reduce %s along an empty dimension", kind)
 	}
 	outShape := make([]int, 0, m.Rank()-1)
 	outer, inner := 1, 1
-	for d, n := range m.shape {
+	for d, n := range m.shape() {
 		switch {
 		case d < axis:
 			outer *= n
@@ -255,13 +255,13 @@ func ReduceAxisExec(kind FoldKind, m *Matrix, axis int, x Exec) (*Matrix, error)
 	}
 	var body func(olo, ohi int) error
 	if m.elem == Int {
-		src, dst := m.i, out.i
+		src, dst := m.ints(), out.ints()
 		body = func(olo, ohi int) error {
 			reduceBlocks(kind, dst, src, olo, ohi, axisN, inner, foldIdentInt(kind))
 			return nil
 		}
 	} else {
-		src, dst := m.f, out.f
+		src, dst := m.floats(), out.floats()
 		body = func(olo, ohi int) error {
 			reduceBlocks(kind, dst, src, olo, ohi, axisN, inner, foldIdentFloat(kind))
 			return nil

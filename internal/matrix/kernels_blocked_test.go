@@ -39,7 +39,7 @@ func TestKernelDiffTranspose(t *testing.T) {
 		}
 	}
 	z, err := TransposeExec(New(Float, 0, 5), Exec{})
-	if err != nil || z.shape[0] != 5 || z.shape[1] != 0 {
+	if err != nil || z.shape()[0] != 5 || z.shape()[1] != 0 {
 		t.Fatalf("transpose of 0x5: %v %v", z, err)
 	}
 }
@@ -131,11 +131,11 @@ func TestKernelDiffReduceAxis(t *testing.T) {
 	}
 	// Sum/prod over an empty axis yield identities.
 	sum, err := ReduceAxisExec(FoldAdd, New(Int, 0, 3), 0, Exec{})
-	if err != nil || sum.i[0] != 0 || sum.i[1] != 0 || sum.i[2] != 0 {
+	if err != nil || sum.ints()[0] != 0 || sum.ints()[1] != 0 || sum.ints()[2] != 0 {
 		t.Fatalf("empty-axis sum: %v %v", sum, err)
 	}
 	prod, err := ReduceAxisExec(FoldMul, New(Float, 2, 0), 1, Exec{})
-	if err != nil || prod.f[0] != 1 || prod.f[1] != 1 {
+	if err != nil || prod.floats()[0] != 1 || prod.floats()[1] != 1 {
 		t.Fatalf("empty-axis prod: %v %v", prod, err)
 	}
 }

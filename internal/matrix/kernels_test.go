@@ -31,20 +31,20 @@ func randKernelMat(r *rand.Rand, elem Elem, shape ...int) *Matrix {
 	m := New(elem, shape...)
 	switch elem {
 	case Float:
-		for k := range m.f {
+		for k := range m.floats() {
 			v := 0.25 + 3*r.Float64()
 			if r.Intn(2) == 0 {
 				v = -v
 			}
-			m.f[k] = v
+			m.floats()[k] = v
 		}
 	case Int:
-		for k := range m.i {
-			m.i[k] = int64(r.Intn(9) - 4)
+		for k := range m.ints() {
+			m.ints()[k] = int64(r.Intn(9) - 4)
 		}
 	case Bool:
-		for k := range m.b {
-			m.b[k] = r.Intn(2) == 0
+		for k := range m.bools() {
+			m.bools()[k] = r.Intn(2) == 0
 		}
 	}
 	return m
@@ -485,12 +485,12 @@ func TestRecycleDetachesStorage(t *testing.T) {
 func TestNewBudgetedClearsReusedBuffer(t *testing.T) {
 	DrainFreeLists()
 	m := New(Float, 512)
-	for k := range m.f {
-		m.f[k] = 7
+	for k := range m.floats() {
+		m.floats()[k] = 7
 	}
 	m.Recycle()
 	m2 := New(Float, 512)
-	for k, v := range m2.f {
+	for k, v := range m2.floats() {
 		if v != 0 {
 			t.Fatalf("reused NewBudgeted slice not cleared at %d: %v", k, v)
 		}

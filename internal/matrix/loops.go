@@ -106,12 +106,12 @@ func GenArrayExec(elem Elem, lower, upper, shape []int, body BodyFunc, x Exec) (
 		idx := idxs.of(worker)
 		copy(idx, lower)
 		idx[0] = i0
-		off := i0 * out.strides[0]
+		off := i0 * out.strides()[0]
 		for d := 1; d < rank; d++ {
 			if lower[d] >= upper[d] {
 				return nil
 			}
-			off += lower[d] * out.strides[d]
+			off += lower[d] * out.strides()[d]
 		}
 		for {
 			v, err := body(idx)
@@ -124,11 +124,11 @@ func GenArrayExec(elem Elem, lower, upper, shape []int, body BodyFunc, x Exec) (
 			d := rank - 1
 			for ; d >= 1; d-- {
 				idx[d]++
-				off += out.strides[d]
+				off += out.strides()[d]
 				if idx[d] < upper[d] {
 					break
 				}
-				off -= (upper[d] - lower[d]) * out.strides[d]
+				off -= (upper[d] - lower[d]) * out.strides()[d]
 				idx[d] = lower[d]
 			}
 			if d < 1 {
@@ -443,7 +443,7 @@ func MatrixMapExec(m *Matrix, dims []int, outElem Elem, general bool, f MapFunc,
 	if general {
 		name = "matrixMapG"
 	}
-	rank := m.Rank()
+	rank, shape := m.Rank(), m.shape()
 	for k, d := range dims {
 		if d < 0 || d >= rank {
 			return nil, fmt.Errorf("matrix: %s dimension %d out of range for rank %d", name, d, rank)
@@ -464,33 +464,21 @@ func MatrixMapExec(m *Matrix, dims []int, outElem Elem, general bool, f MapFunc,
 	var out *Matrix
 	var err error
 	if !general {
-		if out, err = NewBudgeted(x.Budget, outElem, m.shape...); err != nil {
+		if out, err = NewBudgeted(x.Budget, outElem, shape...); err != nil {
 			return nil, err
 		}
 	}
 	// Enumerate the iteration space linearly so the pool can split it.
 	iterSize := 1
 	for _, d := range iterDims {
-		iterSize *= m.shape[d]
+		iterSize *= shape[d]
 	}
 	specsOf := make([]IndexSpec, rank*x.Pool.Workers()) // rank a worker
-	apply := func(worker, it int) error {
-		// decode iteration index -> positions of the iterated dims
-		specs := specsOf[worker*rank:][:rank:rank]
-		rem := it
-		for k := len(iterDims) - 1; k >= 0; k-- {
-			d := iterDims[k]
-			specs[d] = Scalar(rem % m.shape[d])
-			rem /= m.shape[d]
-		}
-		for _, d := range dims {
-			specs[d] = All()
-		}
-		sub, err := m.Index(x.Budget, specs...)
-		if err != nil {
-			return err
-		}
-		return f(sub.(*Matrix), func(res *Matrix) error {
+	// storeOf[w] stores one of worker w's results at the position its
+	// specs hold: one closure a worker, not one an application.
+	storeOf := make([]func(*Matrix) error, x.Pool.Workers())
+	store := func(specs []IndexSpec) func(*Matrix) error {
+		return func(res *Matrix) error {
 			if res.Rank() != len(dims) {
 				return fmt.Errorf("matrix: %s function returned rank %d, want %d", name, res.Rank(), len(dims))
 			}
@@ -500,7 +488,7 @@ func MatrixMapExec(m *Matrix, dims []int, outElem Elem, general bool, f MapFunc,
 			if out == nil {
 				outShape := m.Shape()
 				for k, d := range dims {
-					outShape[d] = res.shape[k]
+					outShape[d] = res.shape()[k]
 				}
 				o, err := NewBudgeted(x.Budget, outElem, outShape...)
 				if err != nil {
@@ -509,24 +497,45 @@ func MatrixMapExec(m *Matrix, dims []int, outElem Elem, general bool, f MapFunc,
 				out = o
 			}
 			for k, d := range dims {
-				if res.shape[k] == out.shape[d] {
+				if res.shape()[k] == out.shape()[d] {
 					continue
 				}
 				if general {
 					return fmt.Errorf("matrix: matrixMapG applications disagree on result size (%v vs %v along dimension %d)",
-						res.shape[k], out.shape[d], d)
+						res.shape()[k], out.shape()[d], d)
 				}
 				wantShape := make([]int, len(dims))
 				for k, d := range dims {
-					wantShape[k] = m.shape[d]
+					wantShape[k] = shape[d]
 				}
 				return fmt.Errorf("matrix: matrixMap function changed dimension size %v -> %v (result must have the mapped dimensions' sizes %v)",
-					m.shape[d], res.shape[k], wantShape)
+					shape[d], res.shape()[k], wantShape)
 			}
 			// The iterated positions are valid in out (same sizes there);
 			// the All() specs resolve against out's own mapped sizes.
 			return out.SetIndex(res, specs...)
-		})
+		}
+	}
+	apply := func(worker, it int) error {
+		// decode iteration index -> positions of the iterated dims
+		specs := specsOf[worker*rank:][:rank:rank]
+		rem := it
+		for k := len(iterDims) - 1; k >= 0; k-- {
+			d := iterDims[k]
+			specs[d] = Scalar(rem % shape[d])
+			rem /= shape[d]
+		}
+		for _, d := range dims {
+			specs[d] = All()
+		}
+		sub, err := m.Index(x.Budget, specs...)
+		if err != nil {
+			return err
+		}
+		if storeOf[worker] == nil {
+			storeOf[worker] = store(specs)
+		}
+		return f(sub.(*Matrix), storeOf[worker])
 	}
 	first := 0
 	if general {
@@ -539,7 +548,7 @@ func MatrixMapExec(m *Matrix, dims []int, outElem Elem, general bool, f MapFunc,
 		return nil, err
 	}
 	if out == nil { // matrixMapG over no applications
-		return NewBudgeted(x.Budget, outElem, m.shape...)
+		return NewBudgeted(x.Budget, outElem, shape...)
 	}
 	return out, nil
 }

@@ -5,13 +5,15 @@
 // multiplication (§III-A.2), and parallel execution of with-loops and
 // matrixMap on the enhanced fork-join pool (§III-C).
 //
-// Allocation is accounted through internal/rc so the reference-
-// counting discipline of §III-B is checkable in tests.
+// Reference counts (§III-B) are kept in the matrix's own header and
+// accounted on an internal/rc heap, so the discipline is checkable in
+// tests.
 package matrix
 
 import (
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"repro/internal/rc"
 )
@@ -38,21 +40,32 @@ func (e Elem) String() string {
 	return "?"
 }
 
-// Matrix is a dense N-dimensional array in row-major order.
+// Matrix is a dense N-dimensional array in row-major order: one header
+// of 128 bytes and its cells. The header is the paper's and the emitted
+// C's (cm_mat: `int rc;` first, then the descriptor of the data): the
+// reference count of §III-B sits in it beside rank, element type, the
+// one word that points at the cells, and the dimensions. A matrix no
+// variable was ever bound to is untracked (heap == nil) and its count
+// unused.
+//
+// Only this file touches data: floats, ints and bools are the typed
+// views of it; setCells and Recycle write it, flatView shares it and
+// fillBox points it at a cell on its own stack.
 type Matrix struct {
-	elem    Elem
-	shape   []int
-	strides []int
-	f       []float64
-	i       []int64
-	b       []bool
-	// Hdr is the reference-count header when the matrix is tracked
-	// (§III-B); nil for untracked matrices.
-	Hdr *rc.Header
-	// dims is where shape and strides of a matrix of rank <= InlineRank
-	// live (alloc points the two slices into it), so such a matrix is
-	// two objects: this header and its cells.
+	count rc.Count
+	rank  int32
+	elem  Elem
+	heap  *rc.Heap // the heap a tracked matrix is accounted on
+	// data is the first of n cells of elem's type, of room allocated: the
+	// three words, in this order, are a []T's own header, which is how
+	// the typed views read them.
+	data unsafe.Pointer
+	n    int
+	room int
+	// dims holds shape then strides for a rank <= InlineRank; a higher
+	// rank keeps the pair, each rank long, in *ext.
 	dims [2 * InlineRank]int
+	ext  *[]int
 }
 
 // InlineRank is the highest rank served without allocating: the header
@@ -61,6 +74,132 @@ type Matrix struct {
 // higher rank allocates them. The paper's data is rank 3 (latitude,
 // longitude, time).
 const InlineRank = 4
+
+// shape is the dimension sizes, in the header.
+func (m *Matrix) shape() []int {
+	if r := int(m.rank); r <= InlineRank {
+		return m.dims[:r:r]
+	}
+	return (*m.ext)[:m.rank:m.rank]
+}
+
+// strides is the row-major cell distance per dimension, in the header.
+func (m *Matrix) strides() []int {
+	if r := int(m.rank); r <= InlineRank {
+		return m.dims[InlineRank : InlineRank+r]
+	}
+	return (*m.ext)[m.rank:]
+}
+
+// floats is the cells of a float matrix (nil for another element type,
+// after Recycle, and of no matrix).
+func (m *Matrix) floats() []float64 {
+	if m == nil || m.elem != Float {
+		return nil
+	}
+	return *(*[]float64)(unsafe.Pointer(&m.data))
+}
+
+// ints is the cells of an int matrix.
+func (m *Matrix) ints() []int64 {
+	if m == nil || m.elem != Int {
+		return nil
+	}
+	return *(*[]int64)(unsafe.Pointer(&m.data))
+}
+
+// bools is the cells of a bool matrix.
+func (m *Matrix) bools() []bool {
+	if m == nil || m.elem != Bool {
+		return nil
+	}
+	return *(*[]bool)(unsafe.Pointer(&m.data))
+}
+
+// setCells makes s, of m's element type, m's cells.
+func setCells[T float64 | int64 | bool](m *Matrix, s []T) {
+	m.data, m.n, m.room = unsafe.Pointer(unsafe.SliceData(s)), len(s), cap(s)
+}
+
+// Recycle returns m's backing storage to the kernel free list and
+// detaches it from m. It must only be called when the caller owns the
+// last live reference (the interpreter calls it for spent expression
+// temporaries, DecRef when a tracked matrix's count reaches zero). After
+// Recycle any element access on m panics — a loud failure instead of
+// silently reading a buffer that now belongs to someone else. Recycle
+// is idempotent.
+func (m *Matrix) Recycle() {
+	if m == nil || m.data == nil {
+		return
+	}
+	switch m.elem {
+	case Float:
+		floatFree.put(unsafe.Slice((*float64)(m.data), m.room))
+	case Int:
+		intFree.put(unsafe.Slice((*int64)(m.data), m.room))
+	case Bool:
+		boolFree.put(unsafe.Slice((*bool)(m.data), m.room))
+	}
+	m.data, m.n, m.room = nil, 0, 0
+}
+
+// flatView makes v the rank-1 view of m's cells (a chain runs its
+// leaves as [0, n) whatever their rank). v shares them and owns nothing.
+func (m *Matrix) flatView(v *Matrix) {
+	*v = Matrix{rank: 1, elem: m.elem, data: m.data, n: m.n, room: m.room}
+	v.dims[0], v.dims[InlineRank] = m.n, 1
+}
+
+// fillBox stores the scalar v in every cell of the box. The value is one
+// cell of m's type in a word on this stack, so Set converts or refuses v
+// as it would for a cell of m.
+func (m *Matrix) fillBox(sel *selection, v any) error {
+	var cell struct {
+		m Matrix
+		w [1]int64
+	}
+	cell.m.elem, cell.m.data, cell.m.n = m.elem, unsafe.Pointer(&cell.w), 1
+	if err := cell.m.Set(0, v); err != nil {
+		return err
+	}
+	m.copyBox(sel, &cell.m, boxFill)
+	return nil
+}
+
+// Bind takes a reference to m on behalf of a variable binding. The
+// first makes m tracked on h, at data + the 4-byte RC header of §III-B;
+// it must come before m is shared across goroutines.
+func (m *Matrix) Bind(h *rc.Heap) {
+	if m.heap != nil {
+		m.count.IncRef()
+		return
+	}
+	m.heap = h
+	m.count.Init()
+	h.Track(m.Size()*8 + 4)
+}
+
+// Tracked reports whether a variable was ever bound to m.
+func (m *Matrix) Tracked() bool { return m.heap != nil }
+
+// IncRef takes one more reference to a tracked matrix (an untracked one
+// has no count to keep).
+func (m *Matrix) IncRef() {
+	if m.heap != nil {
+		m.count.IncRef()
+	}
+}
+
+// DecRef drops a reference; the last one releases the matrix on its
+// heap and recycles its cells. It reports whether this call did.
+func (m *Matrix) DecRef() bool {
+	if m.heap == nil || !m.count.DecRef() {
+		return false
+	}
+	m.heap.Untrack(m.Size()*8 + 4)
+	m.Recycle()
+	return true
+}
 
 // New allocates a zeroed matrix. It panics on an impossible shape
 // (negative dimension, size overflow); execution layers that must not
@@ -126,25 +265,24 @@ func admit(b *Budget, shape []int) (int, error) {
 // fits; zeroed clears such a buffer, and may be false only when the
 // caller writes every cell.
 func alloc(elem Elem, shape []int, n int, zeroed bool) *Matrix {
-	m := &Matrix{elem: elem}
-	if r := len(shape); r <= InlineRank {
-		m.shape, m.strides = m.dims[:r:r], m.dims[InlineRank:InlineRank+r:InlineRank+r]
-	} else {
-		m.shape, m.strides = make([]int, r), make([]int, r)
+	m := &Matrix{elem: elem, rank: int32(len(shape))}
+	if len(shape) > InlineRank {
+		ext := make([]int, 2*len(shape))
+		m.ext = &ext
 	}
-	copy(m.shape, shape)
-	acc := 1
+	copy(m.shape(), shape)
+	strides, acc := m.strides(), 1
 	for d := len(shape) - 1; d >= 0; d-- {
-		m.strides[d] = acc
+		strides[d] = acc
 		acc *= shape[d]
 	}
 	switch elem {
 	case Float:
-		m.f = floatFree.take(n, zeroed)
+		setCells(m, floatFree.take(n, zeroed))
 	case Int:
-		m.i = intFree.take(n, zeroed)
+		setCells(m, intFree.take(n, zeroed))
 	case Bool:
-		m.b = boolFree.take(n, zeroed)
+		setCells(m, boolFree.take(n, zeroed))
 	}
 	return m
 }
@@ -165,7 +303,7 @@ func FromFloats(data []float64, shape ...int) *Matrix {
 	if len(data) != m.Size() {
 		panic(&ShapeError{msg: fmt.Sprintf("matrix: %d values for shape %v", len(data), shape)})
 	}
-	copy(m.f, data)
+	copy(m.floats(), data)
 	return m
 }
 
@@ -175,7 +313,7 @@ func FromInts(data []int64, shape ...int) *Matrix {
 	if len(data) != m.Size() {
 		panic(&ShapeError{msg: fmt.Sprintf("matrix: %d values for shape %v", len(data), shape)})
 	}
-	copy(m.i, data)
+	copy(m.ints(), data)
 	return m
 }
 
@@ -185,7 +323,7 @@ func FromBools(data []bool, shape ...int) *Matrix {
 	if len(data) != m.Size() {
 		panic(&ShapeError{msg: fmt.Sprintf("matrix: %d values for shape %v", len(data), shape)})
 	}
-	copy(m.b, data)
+	copy(m.bools(), data)
 	return m
 }
 
@@ -197,8 +335,9 @@ func RangeBudgeted(b *Budget, lo, hi int64) (*Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	for k := range m.i {
-		m.i[k] = lo + int64(k)
+	cells := m.ints()
+	for k := range cells {
+		cells[k] = lo + int64(k)
 	}
 	return m, nil
 }
@@ -217,23 +356,23 @@ func rangeCells(lo, hi int64) int {
 func (m *Matrix) Elem() Elem { return m.elem }
 
 // Rank returns the number of dimensions.
-func (m *Matrix) Rank() int { return len(m.shape) }
+func (m *Matrix) Rank() int { return int(m.rank) }
 
 // Shape returns the dimension sizes (not aliased).
-func (m *Matrix) Shape() []int { return append([]int(nil), m.shape...) }
+func (m *Matrix) Shape() []int { return append([]int(nil), m.shape()...) }
 
 // DimSize returns the size of dimension d (§III-A.3's dimSize).
 func (m *Matrix) DimSize(d int) (int, error) {
-	if d < 0 || d >= len(m.shape) {
-		return 0, fmt.Errorf("matrix: dimSize dimension %d out of range for rank %d", d, len(m.shape))
+	if d < 0 || d >= len(m.shape()) {
+		return 0, fmt.Errorf("matrix: dimSize dimension %d out of range for rank %d", d, len(m.shape()))
 	}
-	return m.shape[d], nil
+	return m.shape()[d], nil
 }
 
 // Size returns the total element count.
 func (m *Matrix) Size() int {
 	n := 1
-	for _, d := range m.shape {
+	for _, d := range m.shape() {
 		n *= d
 	}
 	return n
@@ -241,11 +380,11 @@ func (m *Matrix) Size() int {
 
 // SameShape reports whether m and o have identical shapes.
 func (m *Matrix) SameShape(o *Matrix) bool {
-	if len(m.shape) != len(o.shape) {
+	if len(m.shape()) != len(o.shape()) {
 		return false
 	}
-	for d := range m.shape {
-		if m.shape[d] != o.shape[d] {
+	for d := range m.shape() {
+		if m.shape()[d] != o.shape()[d] {
 			return false
 		}
 	}
@@ -254,15 +393,15 @@ func (m *Matrix) SameShape(o *Matrix) bool {
 
 // Offset converts a multi-index to a linear offset (bounds checked).
 func (m *Matrix) Offset(idx []int) (int, error) {
-	if len(idx) != len(m.shape) {
-		return 0, fmt.Errorf("matrix: %d indices for rank %d", len(idx), len(m.shape))
+	if len(idx) != len(m.shape()) {
+		return 0, fmt.Errorf("matrix: %d indices for rank %d", len(idx), len(m.shape()))
 	}
 	off := 0
 	for d, i := range idx {
-		if i < 0 || i >= m.shape[d] {
-			return 0, fmt.Errorf("matrix: index %d out of range [0,%d) in dimension %d", i, m.shape[d], d)
+		if i < 0 || i >= m.shape()[d] {
+			return 0, fmt.Errorf("matrix: index %d out of range [0,%d) in dimension %d", i, m.shape()[d], d)
 		}
-		off += i * m.strides[d]
+		off += i * m.strides()[d]
 	}
 	return off, nil
 }
@@ -271,11 +410,11 @@ func (m *Matrix) Offset(idx []int) (int, error) {
 func (m *Matrix) Get(off int) any {
 	switch m.elem {
 	case Float:
-		return m.f[off]
+		return m.floats()[off]
 	case Int:
-		return m.i[off]
+		return m.ints()[off]
 	default:
-		return m.b[off]
+		return m.bools()[off]
 	}
 }
 
@@ -283,11 +422,11 @@ func (m *Matrix) Get(off int) any {
 func (m *Matrix) GetFloat(off int) float64 {
 	switch m.elem {
 	case Float:
-		return m.f[off]
+		return m.floats()[off]
 	case Int:
-		return float64(m.i[off])
+		return float64(m.ints()[off])
 	default:
-		if m.b[off] {
+		if m.bools()[off] {
 			return 1
 		}
 		return 0
@@ -301,20 +440,20 @@ func (m *Matrix) Set(off int, v any) error {
 	case Float:
 		switch x := v.(type) {
 		case float64:
-			m.f[off] = x
+			m.floats()[off] = x
 		case int64:
-			m.f[off] = float64(x)
+			m.floats()[off] = float64(x)
 		case int:
-			m.f[off] = float64(x)
+			m.floats()[off] = float64(x)
 		default:
 			return fmt.Errorf("matrix: cannot store %T in float matrix", v)
 		}
 	case Int:
 		switch x := v.(type) {
 		case int64:
-			m.i[off] = x
+			m.ints()[off] = x
 		case int:
-			m.i[off] = int64(x)
+			m.ints()[off] = int64(x)
 		default:
 			return fmt.Errorf("matrix: cannot store %T in int matrix", v)
 		}
@@ -323,7 +462,7 @@ func (m *Matrix) Set(off int, v any) error {
 		if !ok {
 			return fmt.Errorf("matrix: cannot store %T in bool matrix", v)
 		}
-		m.b[off] = x
+		m.bools()[off] = x
 	}
 	return nil
 }
@@ -358,24 +497,24 @@ func (m *Matrix) Copy() *Matrix {
 
 // CopyBudgeted returns a deep copy (untracked) admitted against b.
 func (m *Matrix) CopyBudgeted(b *Budget) (*Matrix, error) {
-	out, err := newKernelOut(b, m.elem, m.shape)
+	out, err := newKernelOut(b, m.elem, m.shape())
 	if err != nil {
 		return nil, err
 	}
-	copy(out.f, m.f)
-	copy(out.i, m.i)
-	copy(out.b, m.b)
+	copy(out.floats(), m.floats())
+	copy(out.ints(), m.ints())
+	copy(out.bools(), m.bools())
 	return out, nil
 }
 
 // Floats exposes the raw float storage (nil unless elem is Float).
-func (m *Matrix) Floats() []float64 { return m.f }
+func (m *Matrix) Floats() []float64 { return m.floats() }
 
 // Ints exposes the raw int storage (nil unless elem is Int).
-func (m *Matrix) Ints() []int64 { return m.i }
+func (m *Matrix) Ints() []int64 { return m.ints() }
 
 // Bools exposes the raw bool storage (nil unless elem is Bool).
-func (m *Matrix) Bools() []bool { return m.b }
+func (m *Matrix) Bools() []bool { return m.bools() }
 
 // Equal reports elementwise equality of shape, type and contents.
 func Equal(a, b *Matrix) bool {
@@ -407,18 +546,18 @@ func AlmostEqual(a, b *Matrix, eps float64) bool {
 // String renders small matrices for debugging.
 func (m *Matrix) String() string {
 	if m.Size() > 64 {
-		return fmt.Sprintf("Matrix %s %v (%d elements)", m.elem, m.shape, m.Size())
+		return fmt.Sprintf("Matrix %s %v (%d elements)", m.elem, m.shape(), m.Size())
 	}
-	return fmt.Sprintf("Matrix %s %v %v", m.elem, m.shape, m.rawSlice())
+	return fmt.Sprintf("Matrix %s %v %v", m.elem, m.shape(), m.rawSlice())
 }
 
 func (m *Matrix) rawSlice() any {
 	switch m.elem {
 	case Float:
-		return m.f
+		return m.floats()
 	case Int:
-		return m.i
+		return m.ints()
 	default:
-		return m.b
+		return m.bools()
 	}
 }

@@ -4,14 +4,15 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/rc"
 )
 
 func seqFloat(shape ...int) *Matrix {
 	m := New(Float, shape...)
-	for k := range m.f {
-		m.f[k] = float64(k)
+	for k := range m.floats() {
+		m.floats()[k] = float64(k)
 	}
 	return m
 }
@@ -44,7 +45,7 @@ func TestShapeAndAccess(t *testing.T) {
 
 func TestSetPromotion(t *testing.T) {
 	m := New(Float, 1)
-	if err := m.Set(0, int64(3)); err != nil || m.f[0] != 3.0 {
+	if err := m.Set(0, int64(3)); err != nil || m.floats()[0] != 3.0 {
 		t.Error("int should promote into float matrix")
 	}
 	mi := New(Int, 1)
@@ -59,7 +60,7 @@ func TestSetPromotion(t *testing.T) {
 
 func TestRangeVector(t *testing.T) {
 	r, _ := RangeBudgeted(nil, 3, 7)
-	if r.Rank() != 1 || r.Size() != 5 || r.i[0] != 3 || r.i[4] != 7 {
+	if r.Rank() != 1 || r.Size() != 5 || r.ints()[0] != 3 || r.ints()[4] != 7 {
 		t.Errorf("Range(3,7) = %v", r)
 	}
 	if e, _ := RangeBudgeted(nil, 5, 4); e.Size() != 0 {
@@ -89,8 +90,8 @@ func TestRangeIndexing(t *testing.T) {
 		t.Fatal(err)
 	}
 	sub := v.(*Matrix)
-	if sub.Rank() != 3 || sub.shape[0] != 5 || sub.shape[1] != 5 || sub.shape[2] != 5 {
-		t.Fatalf("shape = %v, want 5x5x5 (paper §III-A.3(b))", sub.shape)
+	if sub.Rank() != 3 || sub.shape()[0] != 5 || sub.shape()[1] != 5 || sub.shape()[2] != 5 {
+		t.Fatalf("shape = %v, want 5x5x5 (paper §III-A.3(b))", sub.shape())
 	}
 	got, _ := sub.At(0, 0, 0)
 	want, _ := m.At(0, 5, 0)
@@ -108,12 +109,12 @@ func TestWholeDimIndexing(t *testing.T) {
 	}
 	vec := v.(*Matrix)
 	if vec.Rank() != 1 || vec.Size() != 6 {
-		t.Fatalf("shape = %v, want [6]", vec.shape)
+		t.Fatalf("shape = %v, want [6]", vec.shape())
 	}
 	for k := 0; k < 6; k++ {
 		want, _ := m.At(0, 4, k)
-		if vec.f[k] != want.(float64) {
-			t.Errorf("vec[%d] = %v, want %v", k, vec.f[k], want)
+		if vec.floats()[k] != want.(float64) {
+			t.Errorf("vec[%d] = %v, want %v", k, vec.floats()[k], want)
 		}
 	}
 }
@@ -127,8 +128,8 @@ func TestLogicalIndexing(t *testing.T) {
 		t.Fatal(err)
 	}
 	sub := v.(*Matrix)
-	if sub.shape[0] != 3 || sub.shape[1] != 4 {
-		t.Fatalf("shape = %v, want [3 4]", sub.shape)
+	if sub.shape()[0] != 3 || sub.shape()[1] != 4 {
+		t.Fatalf("shape = %v, want [3 4]", sub.shape())
 	}
 	got, _ := sub.At(1, 2)
 	want, _ := m.At(3, 2)
@@ -141,7 +142,7 @@ func TestLogicalIndexing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.(*Matrix).shape[0] != 0 {
+	if v.(*Matrix).shape()[0] != 0 {
 		t.Error("all-false mask should select 0 rows")
 	}
 }
@@ -180,7 +181,7 @@ func TestSetIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 0; k < 3; k++ {
-		if v, _ := m.At(2, 1+k); v.(float64) != row.f[k] {
+		if v, _ := m.At(2, 1+k); v.(float64) != row.floats()[k] {
 			t.Errorf("slice store [2,%d] = %v", 1+k, v)
 		}
 	}
@@ -206,14 +207,14 @@ func TestElementwiseOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.f[3] != 44 {
-		t.Errorf("sum[3] = %v", sum.f[3])
+	if sum.floats()[3] != 44 {
+		t.Errorf("sum[3] = %v", sum.floats()[3])
 	}
 	cmp, err := ElementwiseExec(OpLt, a, b, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cmp.elem != Bool || !cmp.b[0] {
+	if cmp.elem != Bool || !cmp.bools()[0] {
 		t.Error("comparison should give bool matrix")
 	}
 	if _, err := ElementwiseExec(OpAdd, a, seqFloat(3, 3), Exec{}); err == nil {
@@ -227,7 +228,7 @@ func TestBroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.elem != Int || out.i[2] != 6 {
+	if out.elem != Int || out.ints()[2] != 6 {
 		t.Errorf("broadcast = %v", out)
 	}
 	// int matrix * float scalar promotes
@@ -235,7 +236,7 @@ func TestBroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if outf.elem != Float || outf.f[1] != 1.0 {
+	if outf.elem != Float || outf.floats()[1] != 1.0 {
 		t.Errorf("promoted broadcast = %v", outf)
 	}
 	// scalar on the left: 10 - a
@@ -243,7 +244,7 @@ func TestBroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if outl.i[0] != 9 {
+	if outl.ints()[0] != 9 {
 		t.Errorf("left broadcast = %v", outl)
 	}
 	// comparison: ssh < i (Fig 4)
@@ -251,7 +252,7 @@ func TestBroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cmp.elem != Bool || !cmp.b[0] || cmp.b[2] {
+	if cmp.elem != Bool || !cmp.bools()[0] || cmp.bools()[2] {
 		t.Errorf("compare broadcast = %v", cmp)
 	}
 }
@@ -274,7 +275,7 @@ func TestMatMul(t *testing.T) {
 	}
 	ai := FromInts([]int64{1, 2, 3, 4}, 2, 2)
 	outi, err := MatMulExec(ai, ai, Exec{})
-	if err != nil || outi.elem != Int || outi.i[0] != 7 {
+	if err != nil || outi.elem != Int || outi.ints()[0] != 7 {
 		t.Errorf("int matmul = %v (%v)", outi, err)
 	}
 	if _, err := MatMulExec(a, seqFloat(3, 2), Exec{}); err == nil {
@@ -288,12 +289,12 @@ func TestMatMul(t *testing.T) {
 func TestUnary(t *testing.T) {
 	a := FromInts([]int64{1, -2}, 2)
 	n, err := UnaryExec(true, a, Exec{})
-	if err != nil || n.i[0] != -1 || n.i[1] != 2 {
+	if err != nil || n.ints()[0] != -1 || n.ints()[1] != 2 {
 		t.Errorf("neg = %v (%v)", n, err)
 	}
 	b := FromBools([]bool{true, false}, 2)
 	nb, err := UnaryExec(false, b, Exec{})
-	if err != nil || nb.b[0] || !nb.b[1] {
+	if err != nil || nb.bools()[0] || !nb.bools()[1] {
 		t.Errorf("not = %v (%v)", nb, err)
 	}
 	if _, err := UnaryExec(true, b, Exec{}); err == nil {
@@ -325,7 +326,7 @@ func TestGenArraySubsetZeroFill(t *testing.T) {
 		t.Fatal(err)
 	}
 	ones := 0
-	for _, v := range out.i {
+	for _, v := range out.ints() {
 		if v == 1 {
 			ones++
 		} else if v != 0 {
@@ -400,11 +401,11 @@ func TestMatrixMapSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !out.SameShape(m) {
-		t.Fatalf("matrixMap changed shape: %v", out.shape)
+		t.Fatalf("matrixMap changed shape: %v", out.shape())
 	}
-	for k := range m.f {
-		if out.f[k] != 2*m.f[k] {
-			t.Fatalf("out[%d] = %v", k, out.f[k])
+	for k := range m.floats() {
+		if out.floats()[k] != 2*m.floats()[k] {
+			t.Fatalf("out[%d] = %v", k, out.floats()[k])
 		}
 	}
 }
@@ -451,27 +452,64 @@ func TestMatrixMapErrors(t *testing.T) {
 	}
 }
 
-// newTracked is New plus reference-count tracking on heap, as an engine
-// does it when it binds a matrix.
-func newTracked(heap *rc.Heap, elem Elem, shape ...int) *Matrix {
-	m := New(elem, shape...)
-	size := 8 // bytes per element, for rc accounting
-	if elem == Bool {
-		size = 1
-	}
-	m.Hdr = heap.Alloc(m.Size() * size)
-	return m
-}
-
+// Binding a matrix is what tracks it: the count is in its own header,
+// the heap only accounts for it, the last DecRef recycles the cells, and
+// the discipline's violations are rc's, text for text.
 func TestTrackedAllocation(t *testing.T) {
 	h := rc.NewHeap()
-	m := newTracked(h, Float, 10, 10)
-	if m.Hdr == nil || m.Hdr.Size() != 800 {
-		t.Fatalf("tracked header = %+v", m.Hdr)
+	m := New(Float, 10, 10)
+	if m.Tracked() || m.DecRef() {
+		t.Fatal("a matrix nothing was bound to is tracked")
 	}
-	m.Hdr.DecRef()
+	m.Bind(h)
+	if st := h.Stats(); !m.Tracked() || st.Live != 1 || st.LiveBytes != 804 || st.Allocs != 1 {
+		t.Fatalf("after the first Bind: tracked %v, heap %+v", m.Tracked(), st)
+	}
+	m.Bind(h)
+	if m.DecRef() || m.Floats() == nil {
+		t.Fatal("the first of two references released the matrix")
+	}
+	if !m.DecRef() || m.Floats() != nil {
+		t.Fatal("the last reference did not release and recycle the matrix")
+	}
+	if err := h.CheckLeaks(); err != nil || h.Stats().Frees != 1 {
+		t.Fatalf("after the last DecRef: %v, heap %+v", err, h.Stats())
+	}
+	for name, op := range map[string]func(){"DecRef on freed allocation (double free)": func() { m.DecRef() },
+		"IncRef on freed allocation (use after free)": m.IncRef} {
+		func() {
+			defer func() {
+				if v, ok := recover().(*rc.Violation); !ok || v.Msg != name {
+					t.Errorf("recovered %v, want the violation %q", v, name)
+				}
+			}()
+			op()
+		}()
+	}
+}
+
+// The header is one 128-byte object (the size class the allocator
+// rounds it to), count included, and a tracked matrix of an inline rank
+// is two objects: header and cells. Above InlineRank the dimension pair
+// moves behind one pointer: a slice header and its array more.
+func TestMatrixHeaderBudget(t *testing.T) {
+	if size := unsafe.Sizeof(Matrix{}); size > 128 {
+		t.Errorf("a Matrix header is %d bytes, over 128", size)
+	}
+	h := rc.NewHeap()
+	for rank, want := range map[int]float64{1: 2, 2: 2, 3: 2, 4: 2, 5: 4} {
+		shape := []int{5, 1, 1, 1, 1}[:rank]
+		got := testing.AllocsPerRun(100, func() {
+			m := New(Float, shape...)
+			m.Bind(h)
+			m.DecRef()
+		})
+		if got != want {
+			t.Errorf("a tracked rank-%d matrix is %v objects, want %v", rank, got, want)
+		}
+	}
 	if err := h.CheckLeaks(); err != nil {
-		t.Fatal(err)
+		t.Error(err)
 	}
 }
 
@@ -555,7 +593,7 @@ func TestQuickLogicalIndexLaws(t *testing.T) {
 			return false
 		}
 		out := outAny.(*Matrix)
-		if out.shape[0] != count {
+		if out.shape()[0] != count {
 			return false
 		}
 		row := 0

@@ -184,9 +184,9 @@ func resultElem(op Op, a, b Elem) Elem {
 // ElementwiseRef is the boxed per-element reference for Elementwise.
 func ElementwiseRef(op Op, a, b *Matrix) (*Matrix, error) {
 	if !a.SameShape(b) {
-		return nil, fmt.Errorf("matrix: %s requires equal shapes, got %v and %v", op, a.shape, b.shape)
+		return nil, fmt.Errorf("matrix: %s requires equal shapes, got %v and %v", op, a.shape(), b.shape())
 	}
-	out := New(resultElem(op, a.elem, b.elem), a.shape...)
+	out := New(resultElem(op, a.elem, b.elem), a.shape()...)
 	for k, n := 0, a.Size(); k < n; k++ {
 		v, err := scalarOp(op, a.Get(k), b.Get(k))
 		if err != nil {
@@ -208,7 +208,7 @@ func BroadcastRef(op Op, m *Matrix, s any, matLeft bool) (*Matrix, error) {
 	case bool:
 		sElem = Bool
 	}
-	out := New(resultElem(op, m.elem, sElem), m.shape...)
+	out := New(resultElem(op, m.elem, sElem), m.shape()...)
 	for k, n := 0, m.Size(); k < n; k++ {
 		var v any
 		var err error
@@ -234,22 +234,22 @@ func MatMulRef(a, b *Matrix) (*Matrix, error) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		return nil, fmt.Errorf("matrix: matmul requires rank-2 matrices, got ranks %d and %d", a.Rank(), b.Rank())
 	}
-	if a.shape[1] != b.shape[0] {
-		return nil, fmt.Errorf("matrix: matmul dimension mismatch: %v x %v", a.shape, b.shape)
+	if a.shape()[1] != b.shape()[0] {
+		return nil, fmt.Errorf("matrix: matmul dimension mismatch: %v x %v", a.shape(), b.shape())
 	}
 	if a.elem == Bool || b.elem == Bool {
 		return nil, fmt.Errorf("matrix: matmul requires numeric matrices")
 	}
-	m, k, n := a.shape[0], a.shape[1], b.shape[1]
+	m, k, n := a.shape()[0], a.shape()[1], b.shape()[1]
 	if a.elem == Int && b.elem == Int {
 		out := New(Int, m, n)
 		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {
 				var acc int64
 				for x := 0; x < k; x++ {
-					acc += a.i[i*k+x] * b.i[x*n+j]
+					acc += a.ints()[i*k+x] * b.ints()[x*n+j]
 				}
-				out.i[i*n+j] = acc
+				out.ints()[i*n+j] = acc
 			}
 		}
 		return out, nil
@@ -261,7 +261,7 @@ func MatMulRef(a, b *Matrix) (*Matrix, error) {
 			for x := 0; x < k; x++ {
 				acc += a.GetFloat(i*k+x) * b.GetFloat(x*n+j)
 			}
-			out.f[i*n+j] = acc
+			out.floats()[i*n+j] = acc
 		}
 	}
 	return out, nil
@@ -272,15 +272,15 @@ func UnaryRef(neg bool, m *Matrix) (*Matrix, error) {
 	if neg {
 		switch m.elem {
 		case Float:
-			out := New(Float, m.shape...)
-			for k, v := range m.f {
-				out.f[k] = -v
+			out := New(Float, m.shape()...)
+			for k, v := range m.floats() {
+				out.floats()[k] = -v
 			}
 			return out, nil
 		case Int:
-			out := New(Int, m.shape...)
-			for k, v := range m.i {
-				out.i[k] = -v
+			out := New(Int, m.shape()...)
+			for k, v := range m.ints() {
+				out.ints()[k] = -v
 			}
 			return out, nil
 		}
@@ -289,9 +289,9 @@ func UnaryRef(neg bool, m *Matrix) (*Matrix, error) {
 	if m.elem != Bool {
 		return nil, fmt.Errorf("matrix: logical not requires a bool matrix")
 	}
-	out := New(Bool, m.shape...)
-	for k, v := range m.b {
-		out.b[k] = !v
+	out := New(Bool, m.shape()...)
+	for k, v := range m.bools() {
+		out.bools()[k] = !v
 	}
 	return out, nil
 }
@@ -301,7 +301,7 @@ func TransposeRef(m *Matrix) (*Matrix, error) {
 	if m.Rank() != 2 {
 		return nil, fmt.Errorf("matrix: transpose requires a rank-2 matrix, got rank %d", m.Rank())
 	}
-	rows, cols := m.shape[0], m.shape[1]
+	rows, cols := m.shape()[0], m.shape()[1]
 	out := New(m.elem, cols, rows)
 	for i := 0; i < rows; i++ {
 		for j := 0; j < cols; j++ {
@@ -324,15 +324,15 @@ func Conv2DRef(src, kern *Matrix) (*Matrix, error) {
 	if src.elem == Bool || kern.elem == Bool {
 		return nil, fmt.Errorf("matrix: conv2d requires numeric matrices")
 	}
-	kh, kw := kern.shape[0], kern.shape[1]
+	kh, kw := kern.shape()[0], kern.shape()[1]
 	if kh%2 == 0 || kw%2 == 0 {
-		return nil, fmt.Errorf("matrix: conv2d kernel dimensions must be odd, got %v", kern.shape)
+		return nil, fmt.Errorf("matrix: conv2d kernel dimensions must be odd, got %v", kern.shape())
 	}
 	oe := Int
 	if src.elem == Float || kern.elem == Float {
 		oe = Float
 	}
-	rows, cols := src.shape[0], src.shape[1]
+	rows, cols := src.shape()[0], src.shape()[1]
 	out := New(oe, rows, cols)
 	cy, cx := kh/2, kw/2
 	for i := 0; i < rows; i++ {
@@ -377,13 +377,13 @@ func ReduceAxisRef(kind FoldKind, m *Matrix, axis int) (*Matrix, error) {
 	if axis < 0 || axis >= m.Rank() {
 		return nil, fmt.Errorf("matrix: reduce axis %d out of range for rank %d", axis, m.Rank())
 	}
-	axisN := m.shape[axis]
+	axisN := m.shape()[axis]
 	if axisN == 0 && (kind == FoldMin || kind == FoldMax) {
 		return nil, fmt.Errorf("matrix: reduce %s along an empty dimension", kind)
 	}
 	outShape := make([]int, 0, m.Rank()-1)
 	outer, inner := 1, 1
-	for d, n := range m.shape {
+	for d, n := range m.shape() {
 		switch {
 		case d < axis:
 			outer *= n

@@ -88,8 +88,8 @@ func TestTemporalMeanWithLoops(t *testing.T) {
 	const m, n, p = 8, 9, 10
 	mat := New(Float, m, n, p)
 	r := rand.New(rand.NewSource(42))
-	for k := range mat.f {
-		mat.f[k] = r.Float64() * 10
+	for k := range mat.floats() {
+		mat.floats()[k] = r.Float64() * 10
 	}
 	means, err := GenArrayExec(Float, []int{0, 0}, []int{m, n}, []int{m, n},
 		func(idx []int) (any, error) {
@@ -116,9 +116,9 @@ func TestTemporalMeanWithLoops(t *testing.T) {
 		for j := 0; j < n; j++ {
 			acc := 0.0
 			for k := 0; k < p; k++ {
-				acc += mat.f[i*n*p+j*p+k]
+				acc += mat.floats()[i*n*p+j*p+k]
 			}
-			want.f[i*n+j] = acc / p
+			want.floats()[i*n+j] = acc / p
 		}
 	}
 	if !AlmostEqual(means, want, 1e-9) {
@@ -191,10 +191,10 @@ func TestRunKernelSpansCoverOnce(t *testing.T) {
 func foldFixture(t *testing.T) (*Matrix, BodyFunc, [2]*WithProg) {
 	const rows, cols = 37, 53
 	m := New(Float, rows, cols)
-	for k := range m.f {
-		m.f[k] = math.Ldexp(float64(k%13)-6.3, (k*7)%60-30)
+	for k := range m.floats() {
+		m.floats()[k] = math.Ldexp(float64(k%13)-6.3, (k*7)%60-30)
 	}
-	body := func(idx []int) (any, error) { return m.f[idx[0]*cols+idx[1]], nil }
+	body := func(idx []int) (any, error) { return m.floats()[idx[0]*cols+idx[1]], nil }
 	load := []WithInstr{{Op: WPushID, A: 0}, {Op: WPushID, A: 1}, {Op: WLoadF, A: 0, B: 2}}
 	var progs [2]*WithProg
 	for k, code := range [][]WithInstr{load, append(load[:3:3], WithInstr{Op: WPushFloat}, WithInstr{Op: WAddF})} {
@@ -222,19 +222,19 @@ func foldFixture(t *testing.T) (*Matrix, BodyFunc, [2]*WithProg) {
 func TestPooledFoldBitsAreStable(t *testing.T) {
 	const workers = 3
 	m, body, progs := foldFixture(t)
-	rows, cols := m.shape[0], m.shape[1]
+	rows, cols := m.shape()[0], m.shape()[1]
 	base := 0.125
 	want := base
 	chunk := (rows + workers - 1) / workers
 	for w := 0; w < workers; w++ {
 		part := 0.0
-		for _, v := range m.f[min(w*chunk, rows)*cols : min(w*chunk+chunk, rows)*cols] {
+		for _, v := range m.floats()[min(w*chunk, rows)*cols : min(w*chunk+chunk, rows)*cols] {
 			part += v
 		}
 		want += part
 	}
 	serial := base
-	for _, v := range m.f {
+	for _, v := range m.floats() {
 		serial += v
 	}
 	if serial == want {
@@ -256,10 +256,10 @@ func TestPooledFoldBitsAreStable(t *testing.T) {
 			var flat [2]any
 			for k, prog := range progs {
 				r := prog.NewRun()
-				copy(r.Upper, m.shape)
+				copy(r.Upper, m.shape())
 				r.Mats[0] = m
 				var handled bool
-				flat[k], handled, err = FoldFlat(FoldAdd, base, r, Exec{Pool: tc.pool})
+				flat[k], handled, err = foldFlatAny(FoldAdd, base, r, Exec{Pool: tc.pool})
 				r.Release()
 				if err != nil || !handled {
 					t.Fatalf("FoldFlat: handled=%v err=%v", handled, err)
@@ -311,8 +311,8 @@ func TestOneWorkerConstructsAllocateNoMore(t *testing.T) {
 		flat := func(prog *WithProg, f func(r *WithRun)) func() {
 			return func() {
 				r := prog.NewRun()
-				copy(r.Upper, m.shape)
-				copy(r.Shape, m.shape)
+				copy(r.Upper, m.shape())
+				copy(r.Shape, m.shape())
 				r.Mats[0] = m
 				f(r)
 				r.Release()
@@ -336,8 +336,8 @@ func TestOneWorkerConstructsAllocateNoMore(t *testing.T) {
 				out, _ := MatrixMapExec(m, []int{1}, Float, true, same, x)
 				out.Recycle()
 			}},
-			{"FoldFlat in place", 2, flat(progs[0], func(r *WithRun) { _, _, _ = FoldFlat(FoldAdd, 0.125, r, x) })},
-			{"FoldFlat in strips", 3, flat(progs[1], func(r *WithRun) { _, _, _ = FoldFlat(FoldAdd, 0.125, r, x) })},
+			{"FoldFlat in place", 2, flat(progs[0], func(r *WithRun) { _, _, _ = foldFlatAny(FoldAdd, 0.125, r, x) })},
+			{"FoldFlat in strips", 3, flat(progs[1], func(r *WithRun) { _, _, _ = foldFlatAny(FoldAdd, 0.125, r, x) })},
 			{"GenArrayFlat", 2, flat(progs[1], func(r *WithRun) {
 				out, _, _ := GenArrayFlat(Float, r, x)
 				out.Recycle()

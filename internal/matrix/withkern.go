@@ -288,7 +288,7 @@ func (r *WithRun) feasible() (int64, bool) {
 			m := r.Mats[in.A]
 			base := len(is) - int(in.B)
 			for d, w := range is[base:] {
-				if !w.known || w.lo < 0 || w.hi >= int64(m.shape[d]) {
+				if !w.known || w.lo < 0 || w.hi >= int64(m.shape()[d]) {
 					return 0, false
 				}
 			}
@@ -420,7 +420,7 @@ func GenArrayFlat(elem Elem, r *WithRun, x Exec) (*Matrix, bool, error) {
 	// the cache-blocked transpose kernel.
 	if lp := p.load; lp != nil && full && rank == 2 && len(lp.perm) == 2 && lp.perm[0] == 1 && lp.perm[1] == 0 {
 		m := r.Mats[lp.mat]
-		if m.elem == elem && m.shape[0] == shape[1] && m.shape[1] == shape[0] {
+		if m.elem == elem && m.shape()[0] == shape[1] && m.shape()[1] == shape[0] {
 			kernelTransposeCount.Add(1)
 			if err := transposeInto(out, m, x, true); err != nil {
 				out.Recycle()
@@ -512,35 +512,26 @@ func poolGrain(x Exec, n, grain int) int {
 // so float results are bit-identical to the closure path.
 // handled=false defers to the closure path (mixed int/float min-max
 // folds, unverifiable leaves).
-func FoldFlat(kind FoldKind, base any, r *WithRun, x Exec) (any, bool, error) {
+func FoldFlat(kind FoldKind, base FoldValue, r *WithRun, x Exec) (FoldValue, bool, error) {
 	p := r.prog
 	lower, upper := r.Lower, r.Upper
 	rank := len(lower)
-	var start flatAcc
-	floatAcc := false
-	switch b := base.(type) {
-	case int64:
-		start.i = b
-	case float64:
-		start.f, floatAcc = b, true
-		if !p.spec.Float && (kind == FoldMin || kind == FoldMax) {
-			// Boxed min/max keep the winning operand's dynamic type; a
-			// typed float accumulator cannot.
-			return nil, false, nil
-		}
-	default:
-		return nil, false, nil
+	start, floatAcc := flatAcc{i: base.I, f: base.F}, base.Float
+	if floatAcc && !p.spec.Float && (kind == FoldMin || kind == FoldMax) {
+		// Boxed min/max keep the winning operand's dynamic type; a
+		// typed float accumulator cannot.
+		return base, false, nil
 	}
 	// An int base under a float body would promote mid-fold; the VM
 	// pre-promotes the base when the static type is float, so a mismatch
 	// only happens in corners the closure path owns.
 	if floatAcc != p.spec.OutFloat || !r.leavesOK() {
-		return nil, false, nil
+		return base, false, nil
 	}
 	switch kind {
 	case FoldAdd, FoldMul, FoldMin, FoldMax:
 	default:
-		return nil, false, nil
+		return base, false, nil
 	}
 	for d := range lower {
 		if upper[d] <= lower[d] {
@@ -548,7 +539,7 @@ func FoldFlat(kind FoldKind, base any, r *WithRun, x Exec) (any, bool, error) {
 		}
 	}
 	if _, ok := r.feasible(); !ok {
-		return nil, false, nil
+		return base, false, nil
 	}
 
 	// A fold of a whole matrix, cell for cell, reduces its rows where
@@ -564,7 +555,7 @@ func FoldFlat(kind FoldKind, base any, r *WithRun, x Exec) (any, bool, error) {
 		m := r.Mats[lp.mat]
 		match := m.Rank() == rank
 		for d := 0; match && d < rank; d++ {
-			match = lp.perm[d] == d && lower[d] == 0 && upper[d] == m.shape[d]
+			match = lp.perm[d] == d && lower[d] == 0 && upper[d] == m.shape()[d]
 		}
 		if match {
 			whole = m
@@ -612,13 +603,23 @@ func FoldFlat(kind FoldKind, base any, r *WithRun, x Exec) (any, bool, error) {
 				return a, nil
 			})
 	}
-	if err != nil {
-		return nil, true, err
+	return FoldValue{I: total.i, F: total.f, Float: floatAcc}, true, err
+}
+
+// FoldValue is a flat fold's base or its result, unboxed: F when Float,
+// else I — the lane, and the register class, the fold runs in.
+type FoldValue struct {
+	I     int64
+	F     float64
+	Float bool
+}
+
+// Any boxes the value.
+func (v FoldValue) Any() any {
+	if v.Float {
+		return v.F
 	}
-	if floatAcc {
-		return total.f, true, nil
-	}
-	return total.i, true, nil
+	return v.I
 }
 
 // flatAcc is a flat fold's typed accumulator: the lane its base has.
@@ -676,11 +677,11 @@ func (j flatFold) rows(worker int, a flatAcc, r0, r1 int) (flatAcc, error) {
 		})
 		return a, err
 	case !j.floatAcc:
-		a.i = foldSlice(kind, a.i, whole.i[r0*j.rowLen:r1*j.rowLen])
+		a.i = foldSlice(kind, a.i, whole.ints()[r0*j.rowLen:r1*j.rowLen])
 	case whole.elem == Float:
-		a.f = foldSlice(kind, a.f, whole.f[r0*j.rowLen:r1*j.rowLen])
+		a.f = foldSlice(kind, a.f, whole.floats()[r0*j.rowLen:r1*j.rowLen])
 	default:
-		for _, v := range whole.i[r0*j.rowLen : r1*j.rowLen] {
+		for _, v := range whole.ints()[r0*j.rowLen : r1*j.rowLen] {
 			a.f = combineFloat(kind, a.f, float64(v))
 		}
 	}

@@ -67,13 +67,13 @@ func refPlan(code []WithInstr, pc, end int, ids []int64, mats []*Matrix, sI []in
 			base := ni - int(in.B)
 			off := 0
 			for d := 0; d < int(in.B); d++ {
-				off += int(is[base+d]) * m.strides[d]
+				off += int(is[base+d]) * m.strides()[d]
 			}
 			is = is[:base]
 			if in.Op == WLoadI {
-				is = append(is, m.i[off])
+				is = append(is, m.ints()[off])
 			} else {
-				fs = append(fs, m.f[off])
+				fs = append(fs, m.floats()[off])
 			}
 		case WFoldI, WFoldF:
 			n := int(in.A)
@@ -304,12 +304,12 @@ func (g *planGen) fold(float bool, depth int) {
 // against.
 func testLeaves() ([]*Matrix, []int64, []float64) {
 	mi := New(Int, testLong, testDim)
-	for k := range mi.i {
-		mi.i[k] = int64((k*37)%23 - 11)
+	for k := range mi.ints() {
+		mi.ints()[k] = int64((k*37)%23 - 11)
 	}
 	mf := New(Float, testDim, testDim, testLong)
-	for k := range mf.f {
-		mf.f[k] = float64((k*53)%29-14)*0.173 + 0.011
+	for k := range mf.floats() {
+		mf.floats()[k] = float64((k*53)%29-14)*0.173 + 0.011
 	}
 	return []*Matrix{mi, mf}, []int64{3, -2}, []float64{0.625}
 }
@@ -427,11 +427,11 @@ func TestWithStripMatchesCellByCell(t *testing.T) {
 							wi, wf = cell(idx)
 						}
 						off, _ := out.Offset(idx)
-						if float && math.Float64bits(out.f[off]) != math.Float64bits(wf) {
-							t.Fatalf("seed %d box %v pool=%v cell %v: got %v want %v\n%+v", seed, box, x.Pool != nil, idx, out.f[off], wf, code)
+						if float && math.Float64bits(out.floats()[off]) != math.Float64bits(wf) {
+							t.Fatalf("seed %d box %v pool=%v cell %v: got %v want %v\n%+v", seed, box, x.Pool != nil, idx, out.floats()[off], wf, code)
 						}
-						if !float && out.i[off] != wi {
-							t.Fatalf("seed %d box %v pool=%v cell %v: got %d want %d\n%+v", seed, box, x.Pool != nil, idx, out.i[off], wi, code)
+						if !float && out.ints()[off] != wi {
+							t.Fatalf("seed %d box %v pool=%v cell %v: got %d want %d\n%+v", seed, box, x.Pool != nil, idx, out.ints()[off], wi, code)
 						}
 					})
 					for kind := FoldAdd; kind <= FoldMax; kind++ {
@@ -452,7 +452,7 @@ func TestWithStripMatchesCellByCell(t *testing.T) {
 							t.Fatal(err)
 						}
 						run := bindRun(p, lower, upper, shape)
-						got, handled, err := FoldFlat(kind, base, run, x)
+						got, handled, err := foldFlatAny(kind, base, run, x)
 						run.Release()
 						if !handled || err != nil {
 							t.Fatalf("seed %d box %v: fold handled=%v err=%v", seed, box, handled, err)
@@ -490,13 +490,13 @@ func TestWithStripIntBodyIntoFloatCells(t *testing.T) {
 	if !handled || err != nil {
 		t.Fatalf("handled=%v err=%v", handled, err)
 	}
-	for i, v := range out.f {
+	for i, v := range out.floats() {
 		if v != float64(i*3-4) {
 			t.Fatalf("cell %d = %v, want %v", i, v, float64(i*3-4))
 		}
 	}
 	run = bindRun(p, []int{0}, []int{n}, []int{n})
-	got, handled, err := FoldFlat(FoldAdd, 0.5, run, Exec{})
+	got, handled, err := foldFlatAny(FoldAdd, 0.5, run, Exec{})
 	run.Release()
 	if want := 0.5 + float64(3*n*(n-1)/2-4*n); !handled || err != nil || got != want {
 		t.Fatalf("fold = %v handled=%v err=%v, want %v", got, handled, err, want)
@@ -636,8 +636,8 @@ func TestWithStripLoadsAreReadOnly(t *testing.T) {
 	n := stripMax + 7
 	v := New(Float, n)
 	u := New(Int, n)
-	for k := range v.f {
-		v.f[k], u.i[k] = float64(k)+0.5, int64(k)
+	for k := range v.floats() {
+		v.floats()[k], u.ints()[k] = float64(k)+0.5, int64(k)
 	}
 	// genarray([n], fold(+, v[i], 1.0) over k < 3) and genarray([n], u[i] % 5)
 	for _, tc := range []struct {
@@ -670,11 +670,11 @@ func TestWithStripLoadsAreReadOnly(t *testing.T) {
 			t.Fatalf("handled=%v err=%v", handled, err)
 		}
 		for k := 0; k < n; k++ {
-			if v.f[k] != float64(k)+0.5 || u.i[k] != int64(k) {
-				t.Fatalf("float %v: leaf cell %d was written: v=%v u=%d", tc.float, k, v.f[k], u.i[k])
+			if v.floats()[k] != float64(k)+0.5 || u.ints()[k] != int64(k) {
+				t.Fatalf("float %v: leaf cell %d was written: v=%v u=%d", tc.float, k, v.floats()[k], u.ints()[k])
 			}
-			if tc.float && out.f[k] != float64(k)+3.5 || !tc.float && out.i[k] != int64(k%5) {
-				t.Fatalf("float %v: cell %d = %v %d", tc.float, k, out.f, out.i[k])
+			if tc.float && out.floats()[k] != float64(k)+3.5 || !tc.float && out.ints()[k] != int64(k%5) {
+				t.Fatalf("float %v: cell %d = %v %d", tc.float, k, out.floats(), out.ints()[k])
 			}
 		}
 	}
@@ -715,8 +715,8 @@ func TestWithStripSharedProgram(t *testing.T) {
 					t.Errorf("handled=%v err=%v", handled, err)
 					return
 				}
-				for k := range out.f {
-					if math.Float64bits(out.f[k]) != math.Float64bits(want.f[k]) {
+				for k := range out.floats() {
+					if math.Float64bits(out.floats()[k]) != math.Float64bits(want.floats()[k]) {
 						t.Errorf("cell %d differs between concurrent executions", k)
 						return
 					}
@@ -796,12 +796,12 @@ func TestFoldIdentitiesAreTrueIdentities(t *testing.T) {
 			if float {
 				m = New(Float, n)
 				code[1].Op = WLoadF
-				for k := range m.f {
-					m.f[k] = tc.val.(float64)
+				for k := range m.floats() {
+					m.floats()[k] = tc.val.(float64)
 				}
 			} else {
-				for k := range m.i {
-					m.i[k] = tc.val.(int64)
+				for k := range m.ints() {
+					m.ints()[k] = tc.val.(int64)
 				}
 			}
 			p, ok := CompileWith(WithSpec{Code: code, Rank: 1, MatElem: []Elem{m.elem}, Float: float, OutFloat: float})
@@ -811,7 +811,7 @@ func TestFoldIdentitiesAreTrueIdentities(t *testing.T) {
 			for _, x := range []Exec{{}, {Pool: pool}} {
 				run := p.NewRun()
 				run.Lower[0], run.Upper[0], run.Mats[0] = 0, n, m
-				got, handled, err := FoldFlat(tc.kind, tc.base, run, x)
+				got, handled, err := foldFlatAny(tc.kind, tc.base, run, x)
 				run.Release()
 				if !handled || err != nil || got != tc.val {
 					t.Errorf("FoldFlat %v of %d x %v (pool %v) = %v, handled=%v err=%v", tc.kind, n, tc.val, x.Pool != nil, got, handled, err)
@@ -830,8 +830,8 @@ func TestFoldIdentitiesAreTrueIdentities(t *testing.T) {
 func TestWithNestedFoldIsTheSequentialFold(t *testing.T) {
 	m, n, p := 3, stripMax+5, 9
 	mat := New(Float, m, n, p)
-	for k := range mat.f {
-		mat.f[k] = float64(k%7)*1e15 + float64(k%11)*0.1 - float64(k%3)*1e15
+	for k := range mat.floats() {
+		mat.floats()[k] = float64(k%7)*1e15 + float64(k%11)*0.1 - float64(k%3)*1e15
 	}
 	code := []WithInstr{
 		{Op: WPushFloat, F: 0.25},
@@ -862,10 +862,10 @@ func TestWithNestedFoldIsTheSequentialFold(t *testing.T) {
 				for j := 0; j < n; j++ {
 					acc := 0.25
 					for k := 0; k < trips; k++ {
-						acc += mat.f[(i*n+j)*p+k]
+						acc += mat.floats()[(i*n+j)*p+k]
 					}
 					want := acc / float64(trips)
-					if got := out.f[i*n+j]; math.Float64bits(got) != math.Float64bits(want) {
+					if got := out.floats()[i*n+j]; math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("trips %d pool %v cell [%d,%d] = %v, want %v", trips, x.Pool != nil, i, j, got, want)
 					}
 				}
@@ -905,7 +905,7 @@ func TestWithNestedFoldPollsContext(t *testing.T) {
 			var handled bool
 			var err error
 			if fold {
-				_, handled, err = FoldFlat(FoldAdd, int64(0), run, x)
+				_, handled, err = foldFlatAny(FoldAdd, int64(0), run, x)
 			} else {
 				_, handled, err = GenArrayFlat(Int, run, x)
 			}
@@ -950,4 +950,24 @@ func indexSpace(lower, upper []int, f func(idx []int)) {
 			return
 		}
 	}
+}
+
+// foldFlatAny is FoldFlat for a boxed base, with the result boxed: what
+// an engine does around it (a base that is no int or float is the closure
+// path's).
+func foldFlatAny(kind FoldKind, base any, r *WithRun, x Exec) (any, bool, error) {
+	var b FoldValue
+	switch v := base.(type) {
+	case int64:
+		b.I = v
+	case float64:
+		b.F, b.Float = v, true
+	default:
+		return nil, false, nil
+	}
+	out, handled, err := FoldFlat(kind, b, r, x)
+	if !handled || err != nil {
+		return nil, handled, err
+	}
+	return out.Any(), true, nil
 }

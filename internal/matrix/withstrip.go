@@ -128,7 +128,7 @@ func (st *wState) walk(r *WithRun, r0, r1 int, x Exec, out *Matrix, each func(n 
 			row := 0
 			if out != nil {
 				for d := 0; d < last; d++ {
-					row += int(u[d]) * out.strides[d]
+					row += int(u[d]) * out.strides()[d]
 				}
 			}
 			for j0 := jlo; j0 < jhi; j0 += st.i.w {
@@ -139,9 +139,9 @@ func (st *wState) walk(r *WithRun, r0, r1 int, x Exec, out *Matrix, each func(n 
 				u[last] = int64(j0)
 				if out != nil {
 					if out.elem == Float {
-						st.f.out = out.f[row+j0 : row+j0+n]
+						st.f.out = out.floats()[row+j0 : row+j0+n]
 					} else {
-						st.i.out = out.i[row+j0 : row+j0+n]
+						st.i.out = out.ints()[row+j0 : row+j0+n]
 					}
 				}
 				if err := st.eval(p, n, x); err != nil {
@@ -241,9 +241,9 @@ func (st *wState) eval(p *WithProg, n int, x Exec) error {
 		case wLoad:
 			m := st.mats[in.a]
 			if in.flt {
-				stripLoad(in, m.f, m.strides, &st.f, &st.i, n)
+				stripLoad(in, m.floats(), m.strides(), &st.f, &st.i, n)
 			} else {
-				stripLoad(in, m.i, m.strides, &st.i, &st.i, n)
+				stripLoad(in, m.ints(), m.strides(), &st.i, &st.i, n)
 			}
 		case wFoldBegin:
 			ns := in.nest

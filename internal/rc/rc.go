@@ -2,6 +2,11 @@
 // §III-B: every allocation carries a (4-byte, in the paper) reference
 // count header; copies increment it, scope exits and reassignments
 // decrement it, and the data is freed when the count reaches zero.
+// The count is one type, Count, and it lives where the paper and the
+// emitted C (cm_mat's first field, `int rc;`) put it: a matrix keeps its
+// Count inside its own header, the word beside the data's descriptor,
+// and only an allocation with no header of its own (a refcounted cell)
+// gets a separate Header around one.
 // The package also models the allocator-scalability discussion of
 // §III-C — a global-lock allocator versus a sharded per-thread arena
 // allocator — for benchmark E9.
@@ -27,50 +32,95 @@ type Violation struct{ Msg string }
 
 func (v *Violation) Error() string { return "rc: " + v.Msg }
 
-// Header is the per-allocation reference count record — the "extra 4
-// bytes attached to every piece of memory" of §III-B.
-type Header struct {
-	count int32
+// Count is the reference count of one allocation and its released
+// state — the "extra 4 bytes attached to every piece of memory" of
+// §III-B. It accounts for nothing: its owner (a Header, a matrix) tells
+// its Heap when the allocation comes and goes.
+type Count struct {
+	n     int32
 	freed atomic.Bool
 	// forced marks an explicit early release (ForceFree): the
 	// allocation is already returned to the heap, so the automatic
 	// scope-exit DecRefs that still hold stale references become
 	// no-ops instead of double-free violations.
 	forced atomic.Bool
-	size   int
-	heap   *Heap
-	// onFree is an optional per-allocation release hook (see SetRecycler);
-	// the matrix runtime uses it to return backing storage to its
-	// kernel free list the moment the last reference is dropped.
-	onFree Recycler
 }
 
-// Recycler takes an allocation's storage back when its last reference
-// is dropped. The hook is an interface, not a func, so that the owner
-// itself can be it: a *matrix.Matrix in an interface allocates nothing,
-// where its method value was a closure per bound matrix.
-type Recycler interface{ Recycle() }
+// Init sets the count to the first reference's 1.
+func (c *Count) Init() { c.n = 1 }
 
-// SetRecycler registers r to run when the allocation is released by
+// IncRef increments the reference count ("another variable also
+// becomes a reference for that same piece of data").
+func (c *Count) IncRef() {
+	if c.freed.Load() {
+		if c.forced.Load() {
+			return // stale alias of an explicitly released cell; caught at use
+		}
+		panic(&Violation{Msg: "IncRef on freed allocation (use after free)"})
+	}
+	atomic.AddInt32(&c.n, 1)
+}
+
+// DecRef decrements the count and reports whether this call dropped the
+// last reference: the allocation is now marked freed and its owner
+// releases it.
+func (c *Count) DecRef() bool {
+	if c.freed.Load() {
+		if c.forced.Load() {
+			return false // scope-exit release after an explicit ForceFree
+		}
+		panic(&Violation{Msg: "DecRef on freed allocation (double free)"})
+	}
+	n := atomic.AddInt32(&c.n, -1)
+	if n < 0 {
+		panic(&Violation{Msg: "reference count went negative"})
+	}
+	if n == 0 {
+		c.freed.Store(true)
+	}
+	return n == 0
+}
+
+// ForceFree marks the allocation released whatever its count and
+// reports whether this call did it (false: it already was).
+func (c *Count) ForceFree() bool {
+	// forced is set before freed so a concurrent DecRef that observes
+	// freed==true also observes forced==true and no-ops.
+	c.forced.Store(true)
+	return c.freed.CompareAndSwap(false, true)
+}
+
+// Refs returns the current reference count.
+func (c *Count) Refs() int32 { return atomic.LoadInt32(&c.n) }
+
+// Freed reports whether the allocation was released.
+func (c *Count) Freed() bool { return c.freed.Load() }
+
+// Ref is a counted reference an engine holds until its statement ends:
+// a *Header and a *matrix.Matrix release alike.
+type Ref interface{ DecRef() bool }
+
+// Header is the count of an allocation that has no header of its own.
+type Header struct {
+	c    Count
+	size int
+	heap *Heap
+	// onFree is an optional per-allocation release hook (see SetOnFree).
+	onFree func()
+}
+
+// SetOnFree registers f to run when the allocation is released by
 // DecRef reaching zero. It must be called before the header is shared
 // across goroutines (typically right after Alloc). ForceFree — the
 // explicit early release — deliberately does NOT run it: after a forced
 // release, stale automatic references may still dereference the
 // storage (their misuse is detected via Freed, not prevented), so a
-// recycler must not hand the buffer to a new owner.
-func (hd *Header) SetRecycler(r Recycler) {
-	if hd == nil {
-		return
+// hook must not hand the storage to a new owner.
+func (hd *Header) SetOnFree(f func()) {
+	if hd != nil {
+		hd.onFree = f
 	}
-	hd.onFree = r
 }
-
-// SetOnFree is SetRecycler for a plain function.
-func (hd *Header) SetOnFree(f func()) { hd.SetRecycler(recycleFunc(f)) }
-
-type recycleFunc func()
-
-func (f recycleFunc) Recycle() { f() }
 
 // Heap tracks live allocations for leak accounting.
 type Heap struct {
@@ -88,59 +138,48 @@ func NewHeap() *Heap { return &Heap{} }
 // DefaultHeap is used by package-level helpers and the matrix runtime.
 var DefaultHeap = NewHeap()
 
-// Alloc records a new allocation with reference count 1.
-func (h *Heap) Alloc(size int) *Header {
+// Track records a new allocation of size bytes whose Count its owner
+// keeps; Untrack records its release.
+func (h *Heap) Track(size int) {
 	h.live.Add(1)
 	h.liveBytes.Add(int64(size))
 	h.allocs.Add(1)
-	return &Header{count: 1, size: size, heap: h}
 }
 
-// IncRef increments the reference count ("another variable also
-// becomes a reference for that same piece of data").
+// Untrack records the release of an allocation Track recorded.
+func (h *Heap) Untrack(size int) {
+	h.live.Add(-1)
+	h.liveBytes.Add(-int64(size))
+	h.frees.Add(1)
+	if h.OnFree != nil {
+		h.OnFree(size)
+	}
+}
+
+// Alloc records a new allocation with reference count 1.
+func (h *Heap) Alloc(size int) *Header {
+	h.Track(size)
+	return &Header{c: Count{n: 1}, size: size, heap: h}
+}
+
+// IncRef takes a reference (see Count.IncRef); a nil header has none.
 func (hd *Header) IncRef() {
-	if hd == nil {
-		return
+	if hd != nil {
+		hd.c.IncRef()
 	}
-	if hd.freed.Load() {
-		if hd.forced.Load() {
-			return // stale alias of an explicitly released cell; caught at use
-		}
-		panic(&Violation{Msg: "IncRef on freed allocation (use after free)"})
-	}
-	atomic.AddInt32(&hd.count, 1)
 }
 
 // DecRef decrements the count; at zero the allocation is freed.
 // Returns true if this call freed the data.
 func (hd *Header) DecRef() bool {
-	if hd == nil {
+	if hd == nil || !hd.c.DecRef() {
 		return false
 	}
-	if hd.freed.Load() {
-		if hd.forced.Load() {
-			return false // scope-exit release after an explicit ForceFree
-		}
-		panic(&Violation{Msg: "DecRef on freed allocation (double free)"})
+	hd.heap.Untrack(hd.size)
+	if hd.onFree != nil {
+		hd.onFree()
 	}
-	n := atomic.AddInt32(&hd.count, -1)
-	if n < 0 {
-		panic(&Violation{Msg: "reference count went negative"})
-	}
-	if n == 0 {
-		hd.freed.Store(true)
-		hd.heap.live.Add(-1)
-		hd.heap.liveBytes.Add(-int64(hd.size))
-		hd.heap.frees.Add(1)
-		if hd.heap.OnFree != nil {
-			hd.heap.OnFree(hd.size)
-		}
-		if hd.onFree != nil {
-			hd.onFree.Recycle()
-		}
-		return true
-	}
-	return false
+	return true
 }
 
 // ForceFree releases the allocation immediately regardless of its
@@ -151,29 +190,18 @@ func (hd *Header) DecRef() bool {
 // inert: their IncRef/DecRef calls are no-ops, and any dereference is
 // the caller's use-after-free to detect via Freed.
 func (hd *Header) ForceFree() bool {
-	if hd == nil {
+	if hd == nil || !hd.c.ForceFree() {
 		return false
 	}
-	// forced is set before freed so a concurrent DecRef that observes
-	// freed==true also observes forced==true and no-ops.
-	hd.forced.Store(true)
-	if !hd.freed.CompareAndSwap(false, true) {
-		return false
-	}
-	hd.heap.live.Add(-1)
-	hd.heap.liveBytes.Add(-int64(hd.size))
-	hd.heap.frees.Add(1)
-	if hd.heap.OnFree != nil {
-		hd.heap.OnFree(hd.size)
-	}
+	hd.heap.Untrack(hd.size)
 	return true
 }
 
 // Count returns the current reference count.
-func (hd *Header) Count() int32 { return atomic.LoadInt32(&hd.count) }
+func (hd *Header) Count() int32 { return hd.c.Refs() }
 
 // Freed reports whether the allocation was released.
-func (hd *Header) Freed() bool { return hd.freed.Load() }
+func (hd *Header) Freed() bool { return hd.c.Freed() }
 
 // Size returns the allocation size recorded at Alloc.
 func (hd *Header) Size() int { return hd.size }

@@ -197,6 +197,9 @@ type fnc struct {
 	nreg    int
 	scope   *cscope
 	refRegs []int32
+	// rets is the first of nrets return slots: registers the elements of
+	// `return (e1, ..., ek);` are left in (a tuple-returning function's).
+	rets, nrets int32
 	// endStack tracks enclosing index dimensions for 'end'.
 	endStack []endEntry
 	// breaks/continues are per-enclosing-loop patch lists.
@@ -329,9 +332,14 @@ func (c *compiler) compileFunc(pi int, fd *ast.FuncDecl) {
 		slot := f.declare(p.Name, ty)
 		params[k] = paramDef{reg: slot.reg, ty: ty, cl: slot.cl}
 	}
+	if ret := sig.Type.Ret; ret != nil && ret.Kind == types.Tuple {
+		f.rets, f.nrets = int32(f.nreg), int32(len(ret.Elems))
+		f.nreg += len(ret.Elems)
+	}
 	f.compileStmt(fd.Body)
 	f.patch(f.epilogue)
 	pr := c.protos[pi]
+	pr.rets = f.rets
 	pr.code = fuseAcrossStatements(f.code)
 	pr.nregs = f.nreg
 	pr.params = params
@@ -521,6 +529,12 @@ func (f *fnc) compileStmtInner(s ast.Stmt) {
 				}
 			}
 		}
+		if rets := f.compileTupleCall(s); rets != nil {
+			for k, l := range s.LHS {
+				f.compileAssign(l, rets[k].reg, rets[k].cl)
+			}
+			return
+		}
 		rr, rc := f.compileExpr(s.RHS)
 		if len(s.LHS) == 1 {
 			f.compileAssign(s.LHS[0], rr, rc)
@@ -565,6 +579,11 @@ func (f *fnc) compileStmtInner(s ast.Stmt) {
 
 	case *ast.ReturnStmt:
 		if s.Value == nil {
+			f.emit(instr{op: opRet, a: -1, nd: s})
+			return
+		}
+		if te, ok := s.Value.(*ast.TupleExpr); ok && len(te.Elems) == int(f.nrets) {
+			f.emit(instr{op: opRetTup, a: f.rets, nd: s, aux: f.compileArgs(te.Elems)})
 			f.emit(instr{op: opRet, a: -1, nd: s})
 			return
 		}
@@ -720,16 +739,7 @@ func (f *fnc) compileSpawn(s *ast.SpawnStmt) {
 			aux: interp.Errorf(s, "spawn requires a user-defined function, %q is not one", call.Fun)})
 		return
 	}
-	pi, ok := f.c.protoIdx[sig.Decl.Name]
-	if !ok {
-		bail("spawned function %q has no proto", call.Fun)
-	}
-	args := make([]argDesc, len(call.Args))
-	for k, a := range call.Args {
-		r, cl := f.compileExpr(a)
-		args[k] = argDesc{reg: r, cl: cl}
-	}
-	d := &spawnDesc{s: s, proto: pi, args: args, name: s.Target}
+	d := &spawnDesc{s: s, proto: f.protoOf(sig.Decl), args: f.compileArgs(call.Args), name: s.Target}
 	if s.Target == "" {
 		d.target = targetRef{kind: tgNone}
 	} else if slot, ok := f.resolve(s.Target); ok {

@@ -106,13 +106,8 @@ func (f *fnc) compileExprTo(e ast.Expr, d dest) (int32, class) {
 		return r, clR
 
 	case *ast.TupleExpr:
-		ds := make([]argDesc, len(e.Elems))
-		for k, el := range e.Elems {
-			r, cl := f.compileExpr(el)
-			ds[k] = argDesc{reg: r, cl: cl}
-		}
 		r := f.reg()
-		f.emit(instr{op: opTuple, a: r, aux: ds})
+		f.emit(instr{op: opTuple, a: r, aux: f.compileArgs(e.Elems)})
 		return r, clR
 
 	case *ast.WithLoop:
@@ -446,17 +441,55 @@ func (f *fnc) compileCast(e *ast.CastExpr, d dest) (int32, class) {
 	return dst, rcl
 }
 
-func (f *fnc) compileCall(e *ast.CallExpr, d dest) (int32, class) {
-	args := make([]argDesc, len(e.Args))
-	for k, a := range e.Args {
-		r, cl := f.compileExpr(a)
-		args[k] = argDesc{reg: r, cl: cl}
+// compileArgs evaluates a list of operands (a call's arguments, a tuple
+// literal's elements), left to right.
+func (f *fnc) compileArgs(es []ast.Expr) []argDesc {
+	ds := make([]argDesc, len(es))
+	for k, e := range es {
+		r, cl := f.compileExpr(e)
+		ds[k] = argDesc{reg: r, cl: cl}
 	}
+	return ds
+}
+
+// protoOf is the proto a call, spawn or matrixMap of the user function
+// fd runs.
+func (f *fnc) protoOf(fd *ast.FuncDecl) int {
+	pi, ok := f.c.protoIdx[fd.Name]
+	if !ok {
+		bail("function %q has no proto", fd.Name)
+	}
+	return pi
+}
+
+// compileTupleCall lowers the right side of the destructuring assignment
+// s when it is, syntactically, a call of a function declared to return a
+// tuple of s's arity: the call delivers the elements in one register
+// each, of the declared element's class, with no []any in between (nil:
+// s is not that, and its right side is an ordinary tuple value).
+func (f *fnc) compileTupleCall(s *ast.AssignStmt) []argDesc {
+	e, ok := s.RHS.(*ast.CallExpr)
+	if !ok || len(s.LHS) < 2 {
+		return nil
+	}
+	sig, ok := f.c.info.Funcs[e.Fun]
+	if !ok || sig.Type.Ret == nil || sig.Type.Ret.Kind != types.Tuple || len(sig.Type.Ret.Elems) != len(s.LHS) {
+		return nil
+	}
+	args := f.compileArgs(e.Args)
+	rets := make([]argDesc, len(s.LHS))
+	for k, ty := range sig.Type.Ret.Elems {
+		rets[k] = argDesc{reg: f.reg(), cl: classOf(ty)}
+	}
+	f.emit(instr{op: opCall, a: -1, nd: e,
+		aux: &callDesc{proto: f.protoOf(sig.Decl), args: args, retCl: clR, rets: rets, stmt: s}})
+	return rets
+}
+
+func (f *fnc) compileCall(e *ast.CallExpr, d dest) (int32, class) {
+	args := f.compileArgs(e.Args)
 	if sig, ok := f.c.info.Funcs[e.Fun]; ok {
-		pi, ok := f.c.protoIdx[sig.Decl.Name]
-		if !ok {
-			bail("called function %q has no proto", e.Fun)
-		}
+		pi := f.protoOf(sig.Decl)
 		ret := sig.Type.Ret
 		if ret == nil || ret.Kind == types.Void || ret.Kind == types.Invalid {
 			f.emit(instr{op: opCall, a: -1, nd: e,
@@ -900,11 +933,12 @@ func (f *fnc) compileMatMap(e *ast.MatrixMap) (int32, class) {
 	}
 	d.dims = dims
 	if sig, ok := f.c.info.Funcs[e.Fun]; ok {
-		pi, ok := f.c.protoIdx[sig.Decl.Name]
-		if !ok {
-			bail("matrixMap function %q has no proto", e.Fun)
+		d.proto = f.protoOf(sig.Decl)
+		if n := len(sig.Decl.Params); n != 1 {
+			// The checker admits one matrix parameter only; execMatMap
+			// binds exactly that one.
+			bail("matrixMap function %q takes %d parameters", e.Fun, n)
 		}
-		d.proto = pi
 	} else {
 		d.fnMissing = true
 	}

@@ -21,7 +21,7 @@ var opNames = strings.Fields(`
 	IdxCheck Idx1F Idx1I Idx1B SetIdx1F SetIdx1I SetIdx1B
 	CastD Coerce Promote SCBool BinM UnM
 	DimEnd Index SetIndex
-	Range CheckDim Init Tuple TupCheck TupGet
+	Range CheckDim Init Tuple TupCheck TupGet RetTup
 	Call Print DimSize ReadM WriteM RcNew RcGet RcSet RcRel
 	With MatMap Spawn Sync Fused WithGen WithFold`)
 

@@ -328,8 +328,9 @@ func (mc *Machine) exec(fr *frame, p *proto) error {
 			mc.in.ReleaseValue(regs[in.a].r)
 			regs[in.a].r = v
 		// Rank-1 indexing of a trusted base, in range. Anything else —
-		// an unassigned base, a rank mismatch, an index out of range —
-		// falls to execSlow, which raises the error.
+		// an unassigned base (no matrix has no cells), a rank mismatch,
+		// an index out of range — falls to execSlow, which raises the
+		// error.
 		case opIdxCheck:
 			if m, _ := regs[in.a].r.(*matrix.Matrix); m == nil || m.Rank() != int(in.b) {
 				if err := mc.execSlow(fr, in); err != nil {
@@ -338,43 +339,43 @@ func (mc *Machine) exec(fr *frame, p *proto) error {
 			}
 		case opIdx1F:
 			m, _ := regs[in.b].r.(*matrix.Matrix)
-			if i := regs[in.c].i; m != nil && uint64(i) < uint64(len(m.Floats())) {
-				regs[in.a].f = m.Floats()[i]
+			if fl, i := m.Floats(), regs[in.c].i; uint64(i) < uint64(len(fl)) {
+				regs[in.a].f = fl[i]
 			} else if err := mc.execSlow(fr, in); err != nil {
 				return err
 			}
 		case opIdx1I:
 			m, _ := regs[in.b].r.(*matrix.Matrix)
-			if i := regs[in.c].i; m != nil && uint64(i) < uint64(len(m.Ints())) {
-				regs[in.a].i = m.Ints()[i]
+			if is, i := m.Ints(), regs[in.c].i; uint64(i) < uint64(len(is)) {
+				regs[in.a].i = is[i]
 			} else if err := mc.execSlow(fr, in); err != nil {
 				return err
 			}
 		case opIdx1B:
 			m, _ := regs[in.b].r.(*matrix.Matrix)
-			if i := regs[in.c].i; m != nil && uint64(i) < uint64(len(m.Bools())) {
-				regs[in.a].i = b2i(m.Bools()[i])
+			if bs, i := m.Bools(), regs[in.c].i; uint64(i) < uint64(len(bs)) {
+				regs[in.a].i = b2i(bs[i])
 			} else if err := mc.execSlow(fr, in); err != nil {
 				return err
 			}
 		case opSetIdx1F:
 			m, _ := regs[in.a].r.(*matrix.Matrix)
-			if i := regs[in.b].i; m != nil && uint64(i) < uint64(len(m.Floats())) {
-				m.Floats()[i] = regs[in.c].f
+			if fl, i := m.Floats(), regs[in.b].i; uint64(i) < uint64(len(fl)) {
+				fl[i] = regs[in.c].f
 			} else if err := mc.execSlow(fr, in); err != nil {
 				return err
 			}
 		case opSetIdx1I:
 			m, _ := regs[in.a].r.(*matrix.Matrix)
-			if i := regs[in.b].i; m != nil && uint64(i) < uint64(len(m.Ints())) {
-				m.Ints()[i] = regs[in.c].i
+			if is, i := m.Ints(), regs[in.b].i; uint64(i) < uint64(len(is)) {
+				is[i] = regs[in.c].i
 			} else if err := mc.execSlow(fr, in); err != nil {
 				return err
 			}
 		case opSetIdx1B:
 			m, _ := regs[in.a].r.(*matrix.Matrix)
-			if i := regs[in.b].i; m != nil && uint64(i) < uint64(len(m.Bools())) {
-				m.Bools()[i] = regs[in.c].i != 0
+			if bs, i := m.Bools(), regs[in.b].i; uint64(i) < uint64(len(bs)) {
+				bs[i] = regs[in.c].i != 0
 			} else if err := mc.execSlow(fr, in); err != nil {
 				return err
 			}

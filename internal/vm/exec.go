@@ -24,6 +24,10 @@ type Machine struct {
 	// ticking is whether a statement tick has anything to do in this
 	// run: a step budget to debit or a cancellable context to poll.
 	ticking bool
+	// mapApp is what a matrixMap application is an activation of: no
+	// code, no registers, a frame whose pending list is where the
+	// result's escape reference waits for the result to be stored.
+	mapApp proto
 }
 
 // NewMachine pairs a compiled program with an interpreter instance
@@ -36,13 +40,16 @@ func NewMachine(p *Program, in *interp.Interp) *Machine {
 // frame is one activation of a proto: its registers, its statement-
 // scoped pending rc releases, its outstanding Cilk spawns, and what it
 // returned — the returning register as it stood, in class retCl (a bare
-// `return;` and falling off the end leave the nil boxed value).
+// `return;` and falling off the end leave the nil boxed value). After
+// `return (e1, ..., ek);` ret.r is the literal's operand list, a
+// []argDesc, and the k values stand in the proto's return slots in the
+// classes it names (see returnTuple).
 //
 // Frames come from their proto's pool and go back to it on a clean exit
 // only (see proto.release); DESIGN.md §11 has the lifecycle.
 type frame struct {
 	regs    []value
-	pending []*rc.Header
+	pending []rc.Ref
 	futures []*vmFuture
 	pool    *par.Pool
 	depth   int
@@ -83,7 +90,7 @@ type vmFuture struct {
 	done    chan struct{}
 	val     any
 	err     error
-	pending []*rc.Header
+	pending []rc.Ref
 	args    []any
 	target  targetRef
 	node    ast.Node
@@ -121,40 +128,11 @@ func boxValue(v value, cl class) any {
 	}
 }
 
-// store writes a boxed value into a typed register. The checks are
-// tolerant: a mismatch is unreachable in a checked program (binding
-// coercion and return promotion pin runtime representations to static
-// types), and int→float promotion covers the one dynamic seam the
-// tree walker also papers over.
+// store writes a boxed value into a typed register (see storeInto), an
+// error attributed to nd.
 func (fr *frame) store(reg int32, cl class, v any, nd ast.Node) error {
-	switch cl {
-	case clI:
-		n, ok := v.(int64)
-		if !ok {
-			return interp.Errorf(nd, "expected an int value, got %T", v)
-		}
-		fr.regs[reg].i = n
-	case clF:
-		switch x := v.(type) {
-		case float64:
-			fr.regs[reg].f = x
-		case int64:
-			fr.regs[reg].f = float64(x)
-		default:
-			return interp.Errorf(nd, "expected a float value, got %T", v)
-		}
-	case clB:
-		b, ok := v.(bool)
-		if !ok {
-			return interp.Errorf(nd, "condition evaluated to %T, not bool", v)
-		}
-		if b {
-			fr.regs[reg].i = 1
-		} else {
-			fr.regs[reg].i = 0
-		}
-	default:
-		fr.regs[reg].r = v
+	if err := storeInto(fr.regs, reg, cl, v); err != nil {
+		return interp.WrapError(nd, err)
 	}
 	return nil
 }
@@ -193,7 +171,7 @@ func (mc *Machine) run() (int, error) {
 	}
 	mc.p.ginit.release(gfr)
 	mp := mc.p.protos[mc.p.main]
-	var rootPending []*rc.Header
+	var rootPending []rc.Ref
 	ret, err := mc.callProto(mc.p.main, nil, mp.decl, 0, mc.in.Pool(), &rootPending)
 	if err != nil {
 		return 0, err
@@ -242,10 +220,21 @@ func (mc *Machine) bind(fr *frame, pd paramDef, arg any, site ast.Node) error {
 	return fr.store(pd.reg, pd.cl, v, site)
 }
 
+// tupleDst is where a destructuring call wants the elements of its
+// callee's tuple: the registers d.rets names, in the caller's frame fr.
+// moved says they arrived there, with no []any made.
+type tupleDst struct {
+	fr    *frame
+	d     *callDesc
+	moved bool
+}
+
 // finish runs a bound frame to its return and tears it down. The value
 // comes back in the register class it was returned in — a scalar never
 // boxed — and boxValue makes an any of it for the callers that need one.
-func (mc *Machine) finish(fr *frame, p *proto, callerPending *[]*rc.Header) (value, class, error) {
+// dst is a destructuring call's, nil for every other caller: see
+// returnTuple.
+func (mc *Machine) finish(fr *frame, p *proto, callerPending *[]rc.Ref, dst *tupleDst) (value, class, error) {
 	err := mc.exec(fr, p)
 	if serr := mc.syncFrame(fr); serr != nil && err == nil {
 		err = serr
@@ -266,21 +255,60 @@ func (mc *Machine) finish(fr *frame, p *proto, callerPending *[]*rc.Header) (val
 		case cl == clI && p.retTy.Kind == types.Float:
 			ret, cl = value{f: float64(ret.i)}, clF
 		case cl == clR && ret.r != nil:
+			if tup, ok := ret.r.([]argDesc); ok {
+				ret.r, err = mc.returnTuple(fr, p, tup, dst)
+			}
 			ret.r = interp.PromoteScalar(p.retTy, ret.r)
 		}
 	}
 	if fr.hasRet && cl == clR && ret.r != nil {
-		mc.in.EscapeRef(ret.r, callerPending)
+		*callerPending = mc.in.EscapeRef(ret.r, *callerPending)
 	}
 	mc.flush(fr)
 	mc.releaseRefRegs(fr, p)
 	p.release(fr)
-	return ret, cl, nil
+	return ret, cl, err
+}
+
+// returnTuple hands over what `return (e1, ..., ek);` left in fr's return
+// slots, in the classes tup names. For a destructuring call the elements
+// go to the registers dst names, each promoted to its declared type and
+// escaped into the caller's pending list as finish does for the value
+// whole, which is nil here: the []any is never built. Every other caller
+// gets the []any, for finish to promote and escape as any held tuple.
+func (mc *Machine) returnTuple(fr *frame, p *proto, tup []argDesc, dst *tupleDst) (any, error) {
+	slots := fr.regs[p.rets:]
+	if dst == nil {
+		out := make([]any, len(tup))
+		for k, d := range tup {
+			out[k] = boxValue(slots[k], d.cl)
+		}
+		return out, nil
+	}
+	var err error
+	to := dst.fr
+	for k, t := range dst.d.rets {
+		v, cl, ty := slots[k], tup[k].cl, p.retTy.Elems[k]
+		switch {
+		case cl == clI && ty.Kind == types.Float:
+			v, cl = value{f: float64(v.i)}, clF
+		case cl == clR && v.r != nil:
+			v.r = interp.PromoteScalar(ty, v.r)
+			to.pending = mc.in.EscapeRef(v.r, to.pending)
+		}
+		if cl == t.cl {
+			to.regs[t.reg] = v
+		} else if serr := to.store(t.reg, t.cl, boxValue(v, cl), dst.d.stmt); err == nil {
+			err = serr
+		}
+	}
+	dst.moved = true
+	return nil, err
 }
 
 // callProto calls a compiled function with boxed arguments: main, a
-// matrixMap application, a spawn.
-func (mc *Machine) callProto(pi int, args []any, site ast.Node, callerDepth int, pool *par.Pool, callerPending *[]*rc.Header) (any, error) {
+// spawn.
+func (mc *Machine) callProto(pi int, args []any, site ast.Node, callerDepth int, pool *par.Pool, callerPending *[]rc.Ref) (any, error) {
 	p := mc.p.protos[pi]
 	fr, err := mc.enter(p, site, callerDepth, pool)
 	if err != nil {
@@ -291,7 +319,7 @@ func (mc *Machine) callProto(pi int, args []any, site ast.Node, callerDepth int,
 			return nil, err
 		}
 	}
-	v, cl, err := mc.finish(fr, p, callerPending)
+	v, cl, err := mc.finish(fr, p, callerPending, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -323,7 +351,10 @@ func (mc *Machine) call(fr *frame, in *instr) error {
 			}
 		}
 	}
-	v, cl, err := mc.finish(cf, p, &fr.pending)
+	if d.rets != nil {
+		return mc.finishInto(fr, cf, p, d)
+	}
+	v, cl, err := mc.finish(cf, p, &fr.pending, nil)
 	if err != nil || in.a < 0 {
 		return err
 	}
@@ -332,6 +363,28 @@ func (mc *Machine) call(fr *frame, in *instr) error {
 		return nil
 	}
 	return fr.store(in.a, d.retCl, boxValue(v, cl), in.nd)
+}
+
+// finishInto is finish for the call a destructuring assignment makes. A
+// callee that returned a tuple literal has moved its elements into
+// d.rets; one that returned a tuple it held (or fell off its end) hands
+// the value over whole, and it is unpacked here.
+func (mc *Machine) finishInto(fr, cf *frame, p *proto, d *callDesc) error {
+	dst := tupleDst{fr: fr, d: d}
+	v, _, err := mc.finish(cf, p, &fr.pending, &dst)
+	if err != nil || dst.moved {
+		return err
+	}
+	tup, ok := v.r.([]any)
+	if !ok || len(tup) != len(d.rets) {
+		return interp.Errorf(d.stmt, "destructuring assignment requires a %d-tuple", len(d.rets))
+	}
+	for k, t := range d.rets {
+		if err := fr.store(t.reg, t.cl, tup[k], d.stmt); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // releaseRefRegs drops the binding references of the frame's boxed
@@ -388,7 +441,11 @@ func (mc *Machine) syncFrame(fr *frame) error {
 	return firstErr
 }
 
-// storeInto writes a boxed value into a register slice slot.
+// storeInto writes a boxed value into a register slice slot. The checks
+// are tolerant: a mismatch is unreachable in a checked program (binding
+// coercion and return promotion pin runtime representations to static
+// types), and int→float promotion covers the one dynamic seam the tree
+// walker also papers over.
 func storeInto(regs []value, reg int32, cl class, v any) error {
 	switch cl {
 	case clI:

@@ -202,6 +202,7 @@ const (
 	opTuple    // a = []any per aux []argDesc
 	opTupCheck // a must be a []any of len b (destructuring)
 	opTupGet   // a(R) = b.r.([]any)[c]
+	opRetTup   // the tuple literal aux []argDesc into the return slots, a the first; a bare opRet follows
 
 	// Calls and builtins.
 	opCall    // a = call aux *callDesc
@@ -310,11 +311,15 @@ type initDesc struct {
 	dims []int32
 }
 
-// callDesc drives opCall.
+// callDesc drives opCall. A destructuring assignment's call names in
+// rets the registers its callee's tuple elements arrive in, one each, and
+// in stmt the assignment (the node of the arity check).
 type callDesc struct {
 	proto int
 	args  []argDesc
 	retCl class
+	rets  []argDesc
+	stmt  ast.Node
 }
 
 // rcSetDesc drives opRcSet.
@@ -424,6 +429,7 @@ type proto struct {
 	params  []paramDef
 	refRegs []int32 // boxed variable registers released at teardown
 	retTy   *types.Type
+	rets    int32     // the first return slot: a register an element of a tuple-typed retTy
 	frames  sync.Pool // *frame with nregs registers; scratch, not program state
 }
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/ast"
 	"repro/internal/interp"
 	"repro/internal/matrix"
-	"repro/internal/rc"
 )
 
 func (mc *Machine) execSlow(fr *frame, in *instr) error {
@@ -159,6 +158,15 @@ func (mc *Machine) execSlow(fr *frame, in *instr) error {
 			out[k] = fr.box(d)
 		}
 		regs[in.a].r = out
+
+	case opRetTup:
+		// The elements as they stand now: the implicit sync that follows
+		// the return may still write the variables they were read from.
+		// finish tells the literal from a held tuple by ret.r's type.
+		for k, d := range in.aux.([]argDesc) {
+			regs[int(in.a)+k] = regs[d.reg]
+		}
+		fr.ret, fr.retCl = value{r: in.aux}, clR
 
 	case opTupCheck:
 		tup, ok := regs[in.a].r.([]any)
@@ -449,11 +457,18 @@ func (mc *Machine) runFlat(fr *frame, in *instr, d *withDesc, fp *flatPlan) (boo
 	}
 	x := mc.in.Exec(fr.pool)
 	if d.fold {
-		base := fr.box(d.foldInit)
-		if d.promote {
-			if iv, ok := base.(int64); ok {
-				base = float64(iv)
-			}
+		// The base and the result stay in their register class. A base
+		// that is no int or float register is the closure path's.
+		var base matrix.FoldValue
+		switch reg := fr.regs[d.foldInit.reg]; {
+		case d.foldInit.cl == clF:
+			base = matrix.FoldValue{F: reg.f, Float: true}
+		case d.foldInit.cl == clI && d.promote:
+			base = matrix.FoldValue{F: float64(reg.i), Float: true}
+		case d.foldInit.cl == clI:
+			base = matrix.FoldValue{I: reg.i}
+		default:
+			return false, nil
 		}
 		out, handled, err := matrix.FoldFlat(d.foldKind, base, run, x)
 		if !handled {
@@ -462,7 +477,15 @@ func (mc *Machine) runFlat(fr *frame, in *instr, d *withDesc, fp *flatPlan) (boo
 		if err != nil {
 			return true, interp.WrapError(in.nd, err)
 		}
-		return true, fr.store(in.a, d.resCl, out, in.nd)
+		switch {
+		case out.Float && d.resCl == clF:
+			fr.regs[in.a].f = out.F
+		case !out.Float && d.resCl == clI:
+			fr.regs[in.a].i = out.I
+		default:
+			return true, fr.store(in.a, d.resCl, out.Any(), in.nd)
+		}
+		return true, nil
 	}
 	for k, r := range d.shape {
 		run.Shape[k] = int(fr.regs[r].i)
@@ -491,7 +514,7 @@ func bodyExprOf(w *ast.WithLoop) ast.Node {
 }
 
 // execMatMap runs matrixMap / matrixMapG, calling the mapped function
-// through callProto per sub-matrix.
+// per sub-matrix.
 func (mc *Machine) execMatMap(fr *frame, in *instr) error {
 	d := in.aux.(*mapDesc)
 	m, ok := fr.box(d.arg).(*matrix.Matrix)
@@ -507,21 +530,34 @@ func (mc *Machine) execMatMap(fr *frame, in *instr) error {
 	if d.elemFail != nil {
 		return d.elemFail
 	}
+	p := mc.p.protos[d.proto]
 	mapF := func(sub *matrix.Matrix, store func(*matrix.Matrix) error) error {
-		var pend []*rc.Header
-		v, err := mc.callProto(d.proto, []any{sub}, d.e, fr.depth+1, nil, &pend)
-		if err == nil {
-			// The result is stored into the output before its escape
-			// reference is dropped: the release below may recycle it.
-			if res, ok := v.(*matrix.Matrix); ok && res != nil {
-				err = store(res)
-			} else {
-				err = interp.Errorf(d.e, "matrixMap function %q returned %T, want a matrix", d.e.Fun, v)
-			}
+		// callProto for the one matrix argument (compileMatMap saw to
+		// that), with nothing made for the call: sub goes straight into
+		// the parameter's register and the result's escape reference into
+		// the application's own pooled frame (a list on this stack would
+		// be moved to the heap: finish is recursive).
+		cf, err := mc.enter(p, d.e, fr.depth+1, nil)
+		if err != nil {
+			return err
 		}
-		for _, h := range pend {
-			h.DecRef()
+		if err := mc.bind(cf, p.params[0], sub, d.e); err != nil {
+			return err
 		}
+		af := mc.mapApp.frame(nil, fr.depth)
+		v, cl, err := mc.finish(cf, p, &af.pending, nil)
+		if err != nil {
+			return err
+		}
+		// The result is stored into the output before its escape
+		// reference is dropped: the release below may recycle it.
+		if res, ok := v.r.(*matrix.Matrix); ok && cl == clR && res != nil {
+			err = store(res)
+		} else {
+			err = interp.Errorf(d.e, "matrixMap function %q returned %T, want a matrix", d.e.Fun, boxValue(v, cl))
+		}
+		mc.flush(af)
+		mc.mapApp.release(af)
 		return err
 	}
 	out, err := matrix.MatrixMapExec(m, d.dims, d.elem, d.general, mapF, mc.in.Exec(fr.pool))

@@ -208,13 +208,15 @@ int main() {
 
 // TestWithFlatAdmissionAllocs pins the per-execution cost of the flat
 // engine's admission: a 16x16 flat genarray in a loop allocates its
-// output matrix (one header; the cells come back from the free list)
-// and the rc header its binding takes — not a shape, strides, bounds,
-// leaves, an evaluator and index buffers per loop, and since PR 25 no
+// output matrix's header (the cells come back from the free list), which
+// holds the count its binding takes — not a shape, strides, bounds,
+// leaves, an evaluator and index buffers per loop, since PR 25 no
 // row closure (a one-chunk fill hands none to par) and no release hook
-// (the matrix is its own). Before the strip engine the same loop took
-// 14, with a three-object header 7, then 4; bench's withloop_flat_small,
-// which also indexes the result, went from 21 a loop to 11 to 5 to 3.
+// (the matrix is its own), and since PR 27 no rc header beside the
+// matrix's. Before the strip engine the same loop took 14, with a
+// three-object header 7, then 4, then 2; bench's withloop_flat_small,
+// which also indexes the result, went from 21 a loop to 11 to 5 to 3 to
+// 2.
 func TestWithFlatAdmissionAllocs(t *testing.T) {
 	per := allocsPerLoop(t, func(loops string) string {
 		return `
@@ -227,18 +229,17 @@ int main() {
 	return 0;
 }`
 	}, func(p *Program) bool { return p.WithCompiled() == 1 })
-	if per > 2.1 { // 2, and what a collection in mid-run drops from the pools
-		t.Errorf("%.2f allocations per 16x16 flat genarray execution, want 2", per)
+	if per > 1.1 { // 1, and what a collection in mid-run drops from the pools
+		t.Errorf("%.2f allocations per 16x16 flat genarray execution, want 1", per)
 	}
 }
 
 // TestChainAdmissionAllocs pins a warm chain execution to the same
 // pooled run and strip state: what an 8x8 chain in a loop allocates is
-// its result (one header and, under the free list's 256 cells, its
-// cells) and the rc header binding it to a variable takes — no stage
-// table, leaf views or scratch per execution, no chunk closure and no
-// release hook. The block engine took 13, the strip engine 5 until
-// PR 25.
+// its result (one header, the count in it, and, under the free list's
+// 256 cells, its cells) — no stage table, leaf views or scratch per
+// execution, no chunk closure, no release hook and no rc header. The
+// block engine took 13, the strip engine 5 until PR 25, then 3.
 func TestChainAdmissionAllocs(t *testing.T) {
 	per := allocsPerLoop(t, func(loops string) string {
 		return `
@@ -251,8 +252,8 @@ int main() {
 	return 0;
 }`
 	}, func(p *Program) bool { return p.FusedSites() == 1 })
-	if per > 3.1 {
-		t.Errorf("%.2f allocations per chain execution, want 3", per)
+	if per > 2.1 {
+		t.Errorf("%.2f allocations per chain execution, want 2", per)
 	}
 }
 
@@ -282,6 +283,48 @@ int main() {
 	// a thousand trips, never one a call.
 	if per > 0.01 {
 		t.Errorf("%.3f allocations per pair of scalar calls, want none", per)
+	}
+}
+
+// A tuple literal returned into a destructuring assignment rides in
+// registers: no []any, no boxed element, an int promoted into a float
+// element or target included, and a matrix element costs what the matrix
+// does (header and cells). The []any, its boxed header and a boxed int
+// an element made it four objects a call.
+func TestTupleCallAllocatesNothing(t *testing.T) {
+	per := allocsPerLoop(t, func(loops string) string {
+		return `
+(int, int, bool) divmod(int a, int b) { return (a / b, a % b, a % b == 0); }
+(float, float) halves(int a) { return (a / 2, a * 0.5); }
+int main() {
+	int q; int r; bool exact; float h; float w;
+	int hits = 0;
+	for (int i = 1; i < ` + loops + ` + 1; i++) {
+		(q, r, exact) = divmod(i * 7001, 5);
+		(h, w) = halves(q);
+		(w, h) = halves(r);
+		if (exact) { hits = hits + 1; }
+	}
+	return hits % 7;
+}`
+	}, func(p *Program) bool { return p.Funcs() == 3 })
+	if per > 0.01 {
+		t.Errorf("%.3f allocations per three tuple-returning calls, want none", per)
+	}
+	per = allocsPerLoop(t, func(loops string) string {
+		return `
+(Matrix int <1>, int) cut(Matrix int <1> v, int i) { return (v[i :: i + 4], i + 1); }
+int main() {
+	Matrix int <1> v = [0 :: 2000];
+	Matrix int <1> piece; int i = 0;
+	for (int r = 0; r < ` + loops + `; r++) {
+		(piece, i) = cut(v, i);
+	}
+	return i % 7;
+}`
+	}, func(p *Program) bool { return p.Funcs() == 2 })
+	if per > 2.1 {
+		t.Errorf("%.2f allocations per call returning a five-cell matrix in a tuple, want 2", per)
 	}
 }
 

@@ -159,6 +159,8 @@ var vmCorpus = []struct {
 	opts   interp.Options
 	errHas string  // when set, the oracle's error must contain it
 	pin    *pinned // when set, the oracle's stdout and budget cells
+	errIs  string  // when set, the oracle's whole error, and
+	live   int64   // the rc cells its failed run leaves live
 }{
 	{name: "scalar_loop", src: `
 int main() {
@@ -1431,6 +1433,371 @@ int main() {
 	print(dimSize(z[:, 0, :, 0, 1, 1], 1));
 	return 0;
 }`},
+	// Tuple returns and the matrix header (out, error, cells and live count
+	// pinned at 3107891, where a tuple return was a heap []any and a bound
+	// matrix two rc objects): a literal returned into a destructuring
+	// assignment rides in registers, every other pairing builds or unpacks
+	// the []any at the seam.
+	{name: "tuple_ret_literal_scalars", pin: &pinned{"49\n3.5\nfalse\n4\n2.25\nfalse\n29443\n29443\n", 0}, src: `
+(int, float, bool) stats(int a, float w) {
+	if (a < 0) { return (0 - a, w, false); }
+	return (a * a, w * (float)a, a % 2 == 0);
+}
+(int, int) minmax(int a, int b) {
+	if (a < b) { return (a, b); }
+	return (b, a);
+}
+int main() {
+	int n; float x; bool even;
+	(n, x, even) = stats(7, 0.5);
+	print(n); print(x); print(even);
+	(n, x, even) = stats(0 - 4, 2.25);
+	print(n); print(x); print(even);
+	int lo; int hi;
+	int s = 0;
+	for (int i = 0; i < 40; i++) {
+		(lo, hi) = minmax(i * 7 % 11, i * 5 % 13);
+		s = s + hi * 100 + lo;
+		(n, x, even) = stats(lo - hi, (float)s);
+		if (even) { s = s + n; }
+	}
+	print(s); print(x);
+	stats(3, 1.0);
+	return 0;
+}`},
+	{name: "tuple_ret_matrix_elem", pin: &pinned{"87\n22\n23\n1\n10\n5\n6\n7\n", 225}, src: `
+(Matrix float <1>, int, int) getTrough(Matrix float <1> ts, int i) {
+	int beginning = i;
+	int n = dimSize(ts, 0);
+	while (i + 1 < n && ts[i] >= ts[i + 1]) { i = i + 1; }
+	while (i + 1 < n && ts[i] < ts[i + 1]) { i = i + 1; }
+	return (ts[beginning :: i], beginning, i);
+}
+(Matrix float <1>, Matrix float <1>, int) both(Matrix float <1> p, int k) {
+	Matrix float <1> local = p + (float)k;
+	return (p, local, k + 1);
+}
+int main() {
+	Matrix float <1> ts = init(Matrix float <1>, 24);
+	for (int k = 0; k < 24; k++) { ts[k] = (float)((k * 7) % 5) - (float)(k % 3) * 0.5; }
+	Matrix float <1> trough;
+	int beginning = 0;
+	int i = 0;
+	float acc = 0.0;
+	while (i < 23) {
+		(trough, beginning, i) = getTrough(ts, i);
+		acc = acc + trough[0] + trough[end] + (float)dimSize(trough, 0);
+	}
+	print(acc); print(beginning); print(i);
+	Matrix float <1> same; Matrix float <1> shifted; int k = 0;
+	for (int r = 0; r < 3; r++) {
+		(same, shifted, k) = both(ts, k);
+		(trough, shifted, k) = both(shifted, k);
+	}
+	print(same[3]); print(shifted[3]); print(trough[3]); print(k);
+	(ts, same, k) = both(ts, 9);
+	print(ts[5] + same[5]);
+	return 0;
+}`},
+	{name: "tuple_ret_promote", pin: &pinned{"3\n1\n1.5\n0.5\n1.5\n2\n5\n3\n3.5\n", 0}, src: `
+(float, int) halves(int a) { return (a / 2, a % 2); }
+(float, (float, int)) nested(int a) { return (a, (a + 1, a + 2)); }
+int main() {
+	float h; float rem;
+	(h, rem) = halves(7);
+	print(h); print(rem);
+	print(h / 2.0); print(rem / 2.0);
+	(float, int) in; float f; int k;
+	(h, in) = nested(3);
+	(f, k) = in;
+	print(h / 2.0); print(f / 2.0); print(k);
+	(rem, in) = nested(k);
+	(h, rem) = in;
+	print(h / 2.0); print(rem / 2.0);
+	return 0;
+}`},
+	{name: "tuple_ret_nonliteral", pin: &pinned{"1\n0.5\n3\n12\n6\n14\n3\n1.5\n5\n14\n7\n16\n2\n1.5\n3\n1\n101002\n2001\n103002\n4\n0.25\n", 31}, src: `
+(int, float, Matrix int <1>) lit(int a) { return (a, a * 0.5, [a :: a + 2]); }
+(int, float, Matrix int <1>) held(int a) {
+	(int, float, Matrix int <1>) t = lit(a + 10);
+	return t;
+}
+(int, float, Matrix int <1>) falls(int a) {
+	if (a > 0) { return (a, 1.5, [0 :: a]); }
+}
+(int, float, Matrix int <1>) either(int a) {
+	(int, float, Matrix int <1>) t = (a, 0.25, [a :: a]);
+	if (a % 2 == 0) { return t; }
+	return (a + 100, 0.75, [a :: a + 1]);
+}
+int main() {
+	int n; float x; Matrix int <1> v;
+	(n, x, v) = lit(1);
+	print(n); print(x); print(v[end]);
+	(n, x, v) = held(2);
+	print(n); print(x); print(v[end]);
+	(int, float, Matrix int <1>) t = lit(3);
+	(n, x, v) = t;
+	print(n); print(x); print(v[end]);
+	t = held(4);
+	(n, x, v) = t;
+	print(n); print(x); print(v[end]);
+	(n, x, v) = falls(2);
+	print(n); print(x); print(dimSize(v, 0));
+	for (int k = 0; k < 4; k++) {
+		(n, x, v) = either(k);
+		print(n * 1000 + dimSize(v, 0));
+		t = either(k + 1);
+	}
+	(n, x, v) = t;
+	print(n); print(x);
+	return 0;
+}`},
+	{name: "err_tuple_recv_falloff_unassigned", pin: &pinned{"2\n", 7},
+		errIs: "err_tuple_recv_falloff_unassigned.xc:9:6: runtime error: use of unassigned matrix", live: 0, src: `
+(int, Matrix int <1>) falls(int a) {
+	if (a > 0) { return (a, [0 :: a]); }
+}
+int main() {
+	int n; Matrix int <1> v = [0 :: 3];
+	(n, v) = falls(2);
+	print(n);
+	(n, v) = falls(0);
+	print(n);
+	return 0;
+}`},
+	{name: "tuple_recv_value", pin: &pinned{"14\n21\n7\n28\n", 90}, src: `
+(int, Matrix float <1>) lit(int a) { return (a * 3, [0 :: a] * 0.5); }
+float last((int, Matrix float <1>) t) {
+	int n; Matrix float <1> v;
+	(n, v) = t;
+	return v[end] + (float)n;
+}
+int main() {
+	(int, Matrix float <1>) t = lit(4);
+	print(last(t));
+	print(last(lit(6)));
+	t = lit(2);
+	(int, Matrix float <1>) u = t;
+	t = lit(8);
+	print(last(u)); print(last(t));
+	lit(5);
+	return 0;
+}`},
+	{name: "tuple_ret_recursive", pin: &pinned{"832040\n1346269\n78\n80\n12\n7\n3\n", 51}, src: `
+(int, int) fibPair(int n) {
+	if (n == 0) { return (0, 1); }
+	int a; int b;
+	(a, b) = fibPair(n - 1);
+	return (b, a + b);
+}
+(Matrix int <1>, int) climb(int n) {
+	if (n == 0) { return ([0 :: 2], 0); }
+	Matrix int <1> below; int depth;
+	(below, depth) = climb(n - 1);
+	return (below + n, depth + 1);
+}
+int main() {
+	int a; int b;
+	(a, b) = fibPair(30);
+	print(a); print(b);
+	Matrix int <1> top; int d;
+	(top, d) = climb(12);
+	print(top[0]); print(top[2]); print(d);
+	(top, d) = climb(3);
+	print(top[1]); print(d);
+	return 0;
+}`},
+	{name: "tuple_ret_into_globals", pin: &pinned{"101\n1.5\n3.5\n203\n3.5\n5\n7\n49\n9\n3\n0.5\n2\n", 26}, src: `
+int count = 0;
+float level = 0.5;
+Matrix float <1> kept = [0 :: 3] * 1.0;
+Matrix int <1> slots = [0 :: 5];
+(int, float, Matrix float <1>) next(int k) {
+	count = count + 100;
+	return (count + k, level + (float)k, kept + level);
+}
+(int, int) two(int k) { return (k, k * k); }
+int main() {
+	(count, level, kept) = next(1);
+	print(count); print(level); print(kept[3]);
+	(count, level, kept) = next(2);
+	print(count); print(level); print(kept[3]);
+	int i = 1;
+	(slots[i], slots[i + 1]) = two(7);
+	(i, slots[i]) = two(3);
+	print(slots[1]); print(slots[2]); print(slots[3]); print(i);
+	float f;
+	(f, level) = two(4);
+	print(f / 8.0); print(level / 8.0);
+	return 0;
+}`},
+	{name: "tuple_ret_spawn", pin: &pinned{"8\n4\n12\n6\n1\n2\n18\n3\n", 16}, src: `
+int slow(int n) { return n * 3; }
+(int, Matrix int <1>) make(int n) { return (n * 2, [0 :: n]); }
+(int, int) snap() {
+	int x = 1;
+	spawn x = slow(5);
+	return (x, 2);
+}
+(int, int) joined() {
+	int x = 1;
+	spawn x = slow(6);
+	sync;
+	return (x, 3);
+}
+int main() {
+	(int, Matrix int <1>) t = make(1);
+	(int, Matrix int <1>) u = make(1);
+	spawn t = make(4);
+	spawn u = make(6);
+	sync;
+	int n; Matrix int <1> v;
+	(n, v) = t;
+	print(n); print(v[end]);
+	(n, v) = u;
+	print(n); print(v[end]);
+	int a; int b;
+	(a, b) = snap();
+	print(a); print(b);
+	(a, b) = joined();
+	print(a); print(b);
+	return 0;
+}`},
+	{name: "tuple_ret_swap", pin: &pinned{"8\n3\n8\n3\n8\n5\n3\n9\n2\n42\n42\n", 9}, src: `
+(int, int) swap(int a, int b) { return (b, a); }
+(Matrix int <1>, Matrix int <1>) swapM(Matrix int <1> a, Matrix int <1> b) { return (b, a); }
+(Matrix int <1>, Matrix int <1>) twice(Matrix int <1> a) { return (a, a); }
+int main() {
+	int a = 3; int b = 8;
+	(a, b) = swap(a, b);
+	print(a); print(b);
+	(a, b) = swap(b, a);
+	print(a); print(b);
+	(a, a) = swap(a, b);
+	print(a);
+	Matrix int <1> p = [0 :: 2]; Matrix int <1> q = [5 :: 9];
+	(p, q) = swapM(p, q);
+	print(dimSize(p, 0)); print(dimSize(q, 0));
+	(p, q) = swapM(q, p);
+	print(p[end]); print(q[end]);
+	(p, q) = twice(p);
+	q[0] = 42;
+	print(p[0]);
+	(p, p) = swapM(p, [7 :: 7]);
+	print(p[0]);
+	return 0;
+}`},
+	{name: "err_tuple_ret_elem_traps", pin: &pinned{"1\n2\n3\n5\n1\n2\n", 15},
+		errIs: "err_tuple_ret_elem_traps.xc:5:20: runtime error: matrix: integer division by zero", live: 0, src: `
+int noisy(int k) { print(k); return k; }
+(int, int, int) three(Matrix int <1> held, int z) {
+	Matrix int <1> mine = held + 1;
+	return (noisy(1), noisy(2) / z, noisy(3));
+}
+int main() {
+	Matrix int <1> held = [0 :: 4];
+	int a; int b; int c;
+	(a, b, c) = three(held, 2);
+	print(a + b + c);
+	(a, b, c) = three(held, 0);
+	print(a);
+	return 0;
+}`},
+	{name: "err_tuple_ret_oom_mid", pin: &pinned{"14\n", 28}, opts: interp.Options{MaxCells: 40},
+		errIs: "err_tuple_ret_oom_mid.xc:3:20: runtime error [trap:oom]: matrix: allocation of 31 cells exceeds the budget (28 of 40 cells already used)", live: 0, src: `
+(Matrix int <1>, Matrix int <1>, int) grow(Matrix int <1> seed, int n) {
+	return (seed + 1, [0 :: n], n);
+}
+int main() {
+	Matrix int <1> seed = [0 :: 7];
+	Matrix int <1> a; Matrix int <1> b; int n;
+	(a, b, n) = grow(seed, 3);
+	print(a[end] + b[end] + n);
+	(a, b, n) = grow(a, 30);
+	print(n);
+	return 0;
+}`},
+	{name: "err_tuple_ret_coerce_mid", pin: &pinned{"3\n", 12},
+		errIs: "err_tuple_ret_coerce_mid.xc:11:6: runtime error: use of unassigned matrix", live: 0, src: `
+(int, Matrix float <1>, int) mixed(int k) {
+	if (k == 0) { return (1, [0 :: 3] * 1.0, 2); }
+	Matrix float <1> none;
+	return (k, none, k + 1);
+}
+int main() {
+	int a; Matrix float <1> m; int b;
+	(a, m, b) = mixed(0);
+	print(a + b);
+	(a, m, b) = mixed(5);
+	print(a);
+	return 0;
+}`},
+	{name: "err_rc_matrix_use_after_release_bind", pin: &pinned{"1\n", 12},
+		errIs: "err_rc_matrix_use_after_release_bind.xc:2:1: runtime error [trap:rc]: rc: IncRef on freed allocation (use after free)", live: 1, src: `
+refcounted Matrix float <1> * mk() { Matrix float <1> m = [0 :: 3] * 1.0; return rcnew(m); }
+int main() {
+	refcounted Matrix float <1> * c = mk();
+	print(1);
+	Matrix float <1> z = rcget(c);
+	print(2);
+	return 0;
+}`},
+	{name: "err_rc_matrix_use_after_release_tuple_ret", pin: &pinned{"1\n", 12},
+		errIs: "err_rc_matrix_use_after_release_tuple_ret.xc:2:1: runtime error [trap:rc]: rc: IncRef on freed allocation (use after free)", live: 1, src: `
+refcounted Matrix float <1> * mk() { Matrix float <1> m = [0 :: 3] * 1.0; return rcnew(m); }
+(Matrix float <1>, int) unwrap(refcounted Matrix float <1> * c) { return (rcget(c), 7); }
+int main() {
+	refcounted Matrix float <1> * c = mk();
+	Matrix float <1> z; int k;
+	print(1);
+	(z, k) = unwrap(c);
+	print(2);
+	return 0;
+}`},
+	{name: "err_rc_matrix_sync_rebinds_returned", pin: &pinned{"1\n", 30},
+		errIs: "err_rc_matrix_sync_rebinds_returned.xc:2:1: runtime error [trap:rc]: rc: IncRef on freed allocation (use after free)", live: 1, src: `
+Matrix float <1> fresh(int n) { return [0 :: n] * 2.0; }
+(Matrix float <1>, int) rebinds() {
+	Matrix float <1> m = [0 :: 3] * 1.0;
+	spawn m = fresh(5);
+	return (m, 1);
+}
+int main() {
+	Matrix float <1> z; int k;
+	print(1);
+	(z, k) = rebinds();
+	print(z[1]);
+	return 0;
+}`},
+	{name: "matmap_callee_param_paths", pin: &pinned{"29\n59\n2.5\n28\n", 378}, src: `
+Matrix float <1> base = [0 :: 5] * 0.5;
+Matrix float <1> same(Matrix float <1> v) { return v; }
+Matrix float <1> rebound(Matrix float <1> v) {
+	v = v * 2.0;
+	v = v + 1.0;
+	return v;
+}
+Matrix float <1> global(Matrix float <1> v) { return base; }
+Matrix float <1> viaTuple(Matrix float <1> v) {
+	Matrix float <1> a; Matrix float <1> b;
+	(a, b) = pair(v);
+	return b;
+}
+(Matrix float <1>, Matrix float <1>) pair(Matrix float <1> v) { return (v, v - 1.0); }
+int main() {
+	Matrix float <2> m;
+	m = with ([0, 0] <= [i, j] < [5, 6]) genarray([5, 6], 1.0 * (i * 6 + j));
+	Matrix float <2> r = matrixMap(same, m, [1]);
+	print(r[4, 5]);
+	r = matrixMap(rebound, m, [1]);
+	print(r[4, 5]);
+	r = matrixMap(global, m, [1]);
+	print(r[4, 5]);
+	r = matrixMapG(viaTuple, m, [1]);
+	print(r[4, 5]);
+	return 0;
+}`},
 }
 
 func TestVMDifferentialCorpus(t *testing.T) {
@@ -1455,6 +1822,9 @@ func TestVMDifferentialCorpus(t *testing.T) {
 				}
 				if tc.pin != nil && (tree.out != tc.pin.out || tree.cells != tc.pin.cells) {
 					t.Errorf("%s/t=%d: the tree walker printed %q and charged %d cells, pinned %q and %d", tc.name, threads, tree.out, tree.cells, tc.pin.out, tc.pin.cells)
+				}
+				if tc.errIs != "" && (tree.err != tc.errIs || tree.live != tc.live) {
+					t.Errorf("%s/t=%d: the tree walker failed with %q and left %d rc cells live, pinned %q and %d", tc.name, threads, tree.err, tree.live, tc.errIs, tc.live)
 				}
 				vmr := runOne(t, prog, "vm", opts)
 				compare(t, fmt.Sprintf("%s/t=%d", tc.name, threads), tree, vmr)
@@ -1530,23 +1900,58 @@ func TestVMDifferentialTestdata(t *testing.T) {
 // tick the budget at identical program points, each tick attributed to
 // its own statement.
 func TestVMStepParity(t *testing.T) {
-	prog := parseAndCheck(t, "steps.xc", stepShapesSrc)
-	finished := 0
-	for steps := int64(1); finished < 3; steps++ {
-		if steps > 2000 {
-			t.Fatal("the step-shapes program did not finish within 2000 steps")
-		}
-		opts := interp.Options{MaxSteps: steps}
-		tree := runOne(t, prog, "tree", opts)
-		compare(t, fmt.Sprintf("maxsteps=%d", steps), tree, runOne(t, prog, "vm", opts))
-		compare(t, fmt.Sprintf("maxsteps=%d/no facts", steps), tree, runOne(t, prog, "vm-nofacts", opts))
-		if tree.err == "" {
-			finished++
-		} else if !strings.Contains(tree.err, "[trap:step]") {
-			t.Fatalf("maxsteps=%d: the tree walker failed with %q, not a step trap", steps, tree.err)
+	for name, src := range map[string]string{"steps.xc": stepShapesSrc, "tuplesteps.xc": stepTupleSrc} {
+		prog := parseAndCheck(t, name, src)
+		finished := 0
+		for steps := int64(1); finished < 3; steps++ {
+			if steps > 2000 {
+				t.Fatalf("%s did not finish within 2000 steps", name)
+			}
+			opts := interp.Options{MaxSteps: steps}
+			tree := runOne(t, prog, "tree", opts)
+			compare(t, fmt.Sprintf("%s/maxsteps=%d", name, steps), tree, runOne(t, prog, "vm", opts))
+			compare(t, fmt.Sprintf("%s/maxsteps=%d/no facts", name, steps), tree, runOne(t, prog, "vm-nofacts", opts))
+			if tree.err == "" {
+				finished++
+			} else if !strings.Contains(tree.err, "[trap:step]") {
+				t.Fatalf("%s/maxsteps=%d: the tree walker failed with %q, not a step trap", name, steps, tree.err)
+			}
 		}
 	}
 }
+
+// stepTupleSrc: tuple returns on every pairing of a literal or a held
+// tuple with a destructuring or a whole-value receiver, a matrix element,
+// a literal returned from inside a loop and a block, and a recursive one
+// — a step trap inside a callee leaves the frames of a half-done tuple
+// return behind on every arm alike (the live count is compared).
+const stepTupleSrc = `
+(Matrix int <1>, int, float) cut(Matrix int <1> v, int i) {
+	int from = i;
+	while (i < 5) {
+		if (v[i] > 3) { return (v[from :: i], i + 1, 0.5); }
+		i = i + 1;
+	}
+	{ return (v[from :: i], i, 1); }
+}
+(int, int) held(int k) {
+	(int, int) t = (k, k + 1);
+	if (k > 1) { int a; int b; (a, b) = held(k - 1); return (a + k, b); }
+	return t;
+}
+int main() {
+	Matrix int <1> v = [0 :: 5];
+	Matrix int <1> piece; int i = 0; float w;
+	while (i < 5) {
+		(piece, i, w) = cut(v, i);
+	}
+	int a; int b;
+	(a, b) = held(3);
+	(int, int) t = held(2);
+	(a, b) = t;
+	print(a + b + dimSize(piece, 0));
+	return 0;
+}`
 
 // stepShapesSrc: a block entry with its first statement, a for post
 // with a fused back edge, a rotated while with &&, break and continue
