@@ -37,7 +37,7 @@ var allocCeilings = []struct {
 }{
 	{"eddy_score", 37_180, 3_620},       // 35 410, 3 447: 17 674 matrices, a 128-byte header and its cells each
 	{"fib_rec", 25, 2},                  // 21, 1.7
-	{"withloop_closure", 7_310, 60},     // 6 957, 56.9: a boxed float a cell
+	{"withloop_closure", 27, 2.1},       // 25, 2.0: weight(i, j) emitted in place, the genarray flat (E25; 6 957, 56.9 a boxed float a cell at PR 27)
 	{"tuples_rc_loop", 9_460, 76},       // 9 004, 72.3: one a trip, rcset's boxed int
 	{"withloop_flat_small", 3_175, 211}, // 3 021, 201.0: two a loop, the header and the indexed cell's box
 	{"chain_1m", 40, 8},                 // 26, 2.5: five chains, no range vector, no scratch

@@ -82,6 +82,38 @@ func BenchmarkVetFacts(b *testing.B) {
 	}
 }
 
+// inlinedCallSrc is bench/programs/withloop_closure.xc: a genarray over
+// a pure function with one if, which the plan emits in place.
+const inlinedCallSrc = `
+float weight(int i, int j) {
+	if ((i + j) % 3 == 0) { return 2.0; }
+	return 1.0 * ((i * j) % 5);
+}
+int main() {
+	int n = 96;
+	Matrix float <2> w;
+	w = with ([0, 0] <= [i, j] < [n, n]) genarray([n, n], weight(i, j));
+	float total = with ([0, 0] <= [i, j] < [n, n]) fold(+, 0.0, w[i, j]);
+	print(total);
+	return 0;
+}
+`
+
+// BenchmarkVetFactsInlinedCall times the proof pass on a program whose
+// genarray calls a pure function: the inliner's shape check and the
+// plan it writes in place of the call.
+func BenchmarkVetFactsInlinedCall(b *testing.B) {
+	bp := compileBench(b, inlinedCallSrc)
+	b.ReportAllocs()
+	var withs int
+	for i := 0; i < b.N; i++ {
+		withs = vet.ComputeFacts(bp.prog, bp.info).WithCount()
+	}
+	if withs != 2 {
+		b.Fatalf("WithCount = %d, want 2 (the genarray through its call, and the fold)", withs)
+	}
+}
+
 // BenchmarkFusedChain is the ablation pair: identical program and VM,
 // fusion on (facts-driven opFused) vs off (nil facts, per-stage
 // kernels). The contract elsewhere (vmdiff) holds the two observably

@@ -20,7 +20,13 @@
 # TestTrackedAllocation in matrix, TestTupleCallAllocatesNothing in vm,
 # the tuple_ret_* / tuple_recv_* / err_tuple_ret_* / err_rc_matrix_* /
 # matmap_callee_* entries and TestVMStepParity's tuple sweep in the
-# corpus), a guard that the header's file is the only non-test file under
+# corpus; since PR 28 the vet pass also carries the plan goldens of
+# comparisons, selects and inlined calls and the inliner's declines
+# (TestWithPlanConditionsAndCalls, TestWithPlanInlineDeclines), and the
+# VM corpus pass the with-loop decline golden (TestWithSitesGolden,
+# testdata/with_sites.txt) and the with_call_* / with_select_* /
+# err_with_call_* entries, the unbudgeted runs an inlined plan takes),
+# a guard that the header's file is the only non-test file under
 # internal/ that imports unsafe, the gcc-guarded C back end pass,
 # ten-second fuzz smokes, the vet findings manifest, one-shot benchmark
 # smokes, a self-relative scaling smoke when there are two CPUs to
@@ -101,7 +107,7 @@ echo "== tenant registry + buckets (race) =="
 go test -race ./internal/tenant
 
 echo "== vm differential (bytecode engine vs tree-walking oracle, with facts and without; the frame_* entries are what a reused frame gets wrong, the chain_range_* / chain_promote_* / err_oom_chain_* entries what a fused range or promoting leaf does; the MaxSteps sweep over every loop shape; race) =="
-go test -race -run 'TestVMDifferential|TestVMStep' -count=1 .
+go test -race -run 'TestVMDifferential|TestVMStep|TestWithSitesGolden' -count=1 .
 
 echo "== fuzz smoke (frontend + analyzer never panic) =="
 go test -run='^$' -fuzz='^FuzzLex$' -fuzztime=10s ./internal/parser
@@ -135,5 +141,14 @@ echo "== bench module (vet + tests + smoke run) =="
 for w in compute_parallel compute_serial serve_warm serve_cold; do
     bash bench/run.sh -workload "$w" -seconds 2 -trace 0 >/dev/null
 done
+
+echo "== code layout of the hot loops (address mod 64; informational: EXPERIMENTS E21, E22, E24, E25 record parent and change) =="
+syms=$(go tool nm -size .bench_build/bench |
+    grep -E ' T (repro/internal/vm\.\(\*Machine\)\.exec|repro/internal/matrix\.(mmRows|transposeTiles|stripArith|stripLoad)\[go\.shape\.float64\])$') || syms=""
+if [ -z "$syms" ]; then
+    echo "no hot-loop symbol matched (renamed, inlined, or named otherwise by this toolchain)"
+else
+    while read -r addr _ _ name; do echo "$name $((16#$addr % 64))"; done <<<"$syms"
+fi
 
 echo "OK"

@@ -29,14 +29,19 @@ import (
 // WithOp is one opcode of the flat with-loop plan language: a postfix
 // expression machine with separate int and float stacks, no branches
 // and no failure paths (loads are proven in bounds, int division and
-// remainder take a non-zero literal divisor only).
+// remainder take a non-zero literal divisor only). A condition is a 0/1
+// mask on the int stack, and a conditional evaluates both arms and
+// selects by it.
 type WithOp uint8
 
 // Plan opcodes. *I opcodes work the int stack, *F the float stack;
 // WI2F/WF2I move a value between them (WF2I truncates like the (int)
 // cast). WLoadI/WLoadF pop B int indices and push the element of
 // matrix slot A. WDivI/WModI divide the top of the int stack by the
-// literal K.
+// literal K. WCmpI/WCmpF compare the top two values of their stack by
+// the Op A (OpEq..OpGe) into a 0/1 mask on the int stack. WSelI/WSelF
+// pop else, then then, from their stack and the mask from the int stack,
+// and push then where the mask is not 0, else elsewhere.
 //
 // WFoldI/WFoldF ... WFoldEnd bracket a nested fold. Before the opening
 // bracket the code leaves the base (already of the accumulator's type)
@@ -71,12 +76,16 @@ const (
 	WFoldI
 	WFoldF
 	WFoldEnd
+	WCmpI
+	WCmpF
+	WSelI
+	WSelF
 )
 
 // WithInstr is one plan instruction.
 type WithInstr struct {
 	Op   WithOp
-	A    int32    // id / scalar slot / matrix slot / fold id count / pc of the opening bracket
+	A    int32    // id / scalar slot / matrix slot / fold id count / pc of the opening bracket / comparison
 	B    int32    // load arity / first fold id
 	K    int64    // int constant / literal divisor / pc of the closing bracket
 	F    float64  // float constant
@@ -222,7 +231,8 @@ func wivalMod(a wival, k int64) wival {
 // bound (scalar too large, truncated float, non-monotone product
 // growth) makes the load infeasible and the whole loop falls back to
 // the closure path. A nested fold whose range is empty for every cell
-// never runs its body, so its loads are not checked. The box must be
+// never runs its body, so its loads are not checked; both arms of a
+// select run, so the loads of each are. The box must be
 // non-empty. The second result is the plan's cost per cell in plan
 // instructions, a nested body counted once per inner trip.
 func (r *WithRun) feasible() (int64, bool) {
@@ -328,6 +338,14 @@ func (r *WithRun) feasible() (int64, bool) {
 			}
 			mult = mults[len(mults)-1]
 			mults = mults[:len(mults)-1]
+		case WCmpI:
+			is = append(is[:len(is)-2], wival{lo: 0, hi: 1, known: true})
+		case WCmpF:
+			is = append(is, wival{lo: 0, hi: 1, known: true})
+		case WSelI:
+			is = append(is[:len(is)-3], wival{}) // no index is a select
+		case WSelF:
+			is = is[:len(is)-1]
 		}
 	}
 	return cost, true

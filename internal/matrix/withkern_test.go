@@ -106,6 +106,31 @@ func refPlan(code []WithInstr, pc, end int, ids []int64, mats []*Matrix, sI []in
 				empty = d < 0
 			}
 			pc = int(in.K)
+		case WCmpI, WCmpF:
+			var c any
+			if in.Op == WCmpI {
+				c, _ = scalarOp(Op(in.A), is[ni-2], is[ni-1])
+				is = is[:ni-2]
+			} else {
+				c, _ = scalarOp(Op(in.A), fs[nf-2], fs[nf-1])
+				fs = fs[:nf-2]
+			}
+			is = append(is, 0)
+			if c.(bool) {
+				is[len(is)-1] = 1
+			}
+		case WSelI:
+			v := is[ni-1]
+			if is[ni-3] != 0 {
+				v = is[ni-2]
+			}
+			is = append(is[:ni-3], v)
+		case WSelF:
+			v := fs[nf-1]
+			if is[ni-1] != 0 {
+				v = fs[nf-2]
+			}
+			is, fs = is[:ni-1], append(fs[:nf-2], v)
 		}
 	}
 	return is, fs
@@ -113,7 +138,8 @@ func refPlan(code []WithInstr, pc, end int, ids []int64, mats []*Matrix, sI []in
 
 // planGen writes random plans: every value shape the compiler
 // distinguishes (uniform, lazy id strip, strip), both load addressings, literal
-// divisors of both signs, and fold brackets to depth two.
+// divisors of both signs, fold brackets to depth two, and comparisons,
+// logic over their masks and selects between arms of any shape.
 type planGen struct {
 	r     *rand.Rand
 	code  []WithInstr
@@ -185,7 +211,7 @@ func (g *planGen) intExpr(depth int, uniform bool) {
 		}
 		return
 	}
-	switch g.r.Intn(9) {
+	switch g.r.Intn(10) {
 	case 0, 1, 2:
 		g.intExpr(depth-1, uniform)
 		g.intExpr(depth-1, uniform)
@@ -219,9 +245,60 @@ func (g *planGen) intExpr(depth int, uniform bool) {
 			return
 		}
 		g.fold(false, depth)
+	case 8:
+		if uniform {
+			g.intExpr(depth-1, uniform)
+			return
+		}
+		g.mask(depth - 1)
+		if g.r.Intn(3) == 0 {
+			return // the mask itself, as (int) of the bool
+		}
+		g.intExpr(depth-1, false)
+		g.intExpr(depth-1, false)
+		g.emit(WithInstr{Op: WSelI})
 	default:
 		g.intExpr(0, uniform)
 	}
+}
+
+// mask emits a 0/1 condition as vet writes one: a comparison of two
+// ints or two floats, or && (a product), || (a sum compared with 0) and
+// ! (compared equal to 0) over conditions.
+func (g *planGen) mask(depth int) {
+	cmp := WithInstr{Op: WCmpI, A: int32(OpEq) + int32(g.r.Intn(6))}
+	switch g.r.Intn(5) {
+	case 0, 1:
+		g.intExpr(depth, false)
+		g.intExpr(depth, false)
+	case 2:
+		g.floatExpr(depth)
+		g.floatExpr(depth)
+		cmp.Op = WCmpF
+	case 3:
+		if depth == 0 {
+			g.mask(0)
+			return
+		}
+		g.mask(depth - 1)
+		g.mask(depth - 1)
+		if g.r.Intn(2) == 0 {
+			g.emit(WithInstr{Op: WMulI})
+			return
+		}
+		g.emit(WithInstr{Op: WAddI})
+		g.emit(WithInstr{Op: WPushInt})
+		cmp.A = int32(OpNe)
+	default:
+		if depth == 0 {
+			g.mask(0)
+			return
+		}
+		g.mask(depth - 1)
+		g.emit(WithInstr{Op: WPushInt})
+		cmp.A = int32(OpEq)
+	}
+	g.emit(cmp)
 }
 
 func (g *planGen) floatExpr(depth int) {
@@ -237,7 +314,7 @@ func (g *planGen) floatExpr(depth int) {
 		}
 		return
 	}
-	switch g.r.Intn(8) {
+	switch g.r.Intn(9) {
 	case 0, 1, 2:
 		g.floatExpr(depth - 1)
 		g.floatExpr(depth - 1)
@@ -259,6 +336,11 @@ func (g *planGen) floatExpr(depth int) {
 			return
 		}
 		g.fold(true, depth)
+	case 7:
+		g.mask(depth - 1)
+		g.floatExpr(depth - 1)
+		g.floatExpr(depth - 1)
+		g.emit(WithInstr{Op: WSelF})
 	default:
 		g.floatExpr(0)
 	}
@@ -353,6 +435,7 @@ func TestWithStripMatchesCellByCell(t *testing.T) {
 		}
 	}
 	widths := map[int]bool{}
+	seen := map[WithOp]bool{}
 	for seed := int64(0); seed < 48; seed++ {
 		for _, rank := range []int{1, 2, 3} {
 			float := seed%2 == 0
@@ -363,6 +446,9 @@ func TestWithStripMatchesCellByCell(t *testing.T) {
 				g.intExpr(3, false)
 			}
 			code := g.code
+			for _, in := range code {
+				seen[in.Op] = true
+			}
 			p, ok := CompileWith(testSpec(code, rank, float, float))
 			if !ok {
 				t.Fatalf("seed %d rank %d: generated plan does not compile: %+v", seed, rank, code)
@@ -472,6 +558,11 @@ func TestWithStripMatchesCellByCell(t *testing.T) {
 	if len(widths) < 2 {
 		t.Errorf("every generated program has one strip width: %v", widths)
 	}
+	for _, op := range []WithOp{WCmpI, WCmpF, WSelI, WSelF} {
+		if !seen[op] {
+			t.Errorf("no generated plan holds opcode %d", op)
+		}
+	}
 }
 
 // TestWithStripIntBodyIntoFloatCells: an int body promotes per cell
@@ -515,8 +606,14 @@ func TestWithStripIntBodyIntoFloatCells(t *testing.T) {
 // no hook firing and no budget charge.
 func TestWithStripDeclinesBeforeAnyObservable(t *testing.T) {
 	// m[i, i+1] one past the row's end, then a nested fold reading
-	// m[i, k] one past it.
+	// m[i, k] one past it, then m[i, i-1] under an arm only i > 0 takes:
+	// both arms run.
 	shifted := []WithInstr{{Op: WPushID, A: 0}, {Op: WPushID, A: 0}, {Op: WPushInt, K: 1}, {Op: WAddI}, {Op: WLoadI, A: 0, B: 2}}
+	guarded := []WithInstr{
+		{Op: WPushID, A: 0}, {Op: WPushInt}, {Op: WCmpI, A: int32(OpGt)},
+		{Op: WPushID, A: 0}, {Op: WPushID, A: 0}, {Op: WPushInt, K: 1}, {Op: WSubI}, {Op: WLoadI, A: 0, B: 2},
+		{Op: WPushInt, K: -1}, {Op: WSelI},
+	}
 	nested := []WithInstr{
 		{Op: WPushInt, K: 0},
 		{Op: WPushInt, K: 0}, {Op: WPushInt, K: testDim + 1},
@@ -527,7 +624,7 @@ func TestWithStripDeclinesBeforeAnyObservable(t *testing.T) {
 	var fired int
 	TestHookAllocFail = func(int) error { fired++; return nil }
 	defer func() { TestHookAllocFail = nil }()
-	for name, code := range map[string][]WithInstr{"shifted": shifted, "nested": nested} {
+	for name, code := range map[string][]WithInstr{"shifted": shifted, "nested": nested, "guarded": guarded} {
 		p, ok := CompileWith(testSpec(code, 1, false, false))
 		if !ok {
 			t.Fatalf("%s: plan does not compile", name)
@@ -581,7 +678,10 @@ func TestCompileWithRejectsMalformedPlans(t *testing.T) {
 		"matrix_slot":        {[]WithInstr{{Op: WPushID, A: 0}, {Op: WPushID, A: 0}, {Op: WLoadI, A: 2, B: 2}}, false},
 		"matrix_elem":        {[]WithInstr{{Op: WPushID, A: 0}, {Op: WPushID, A: 0}, {Op: WLoadF, A: 0, B: 2}, {Op: WF2I}}, false},
 		"divisor_zero":       {[]WithInstr{{Op: WPushID, A: 0}, {Op: WModI, K: 0}}, false},
-		"unknown_opcode":     {[]WithInstr{{Op: WFoldEnd + 1}}, false},
+		"unknown_opcode":     {[]WithInstr{{Op: WSelF + 1}}, false},
+		"comparison_op":      {[]WithInstr{{Op: WPushID, A: 0}, {Op: WPushInt}, {Op: WCmpI, A: int32(OpAdd)}}, false},
+		"select_underflow":   {[]WithInstr{{Op: WPushInt, K: 1}, {Op: WPushInt, K: 2}, {Op: WSelI}}, false},
+		"select_no_mask":     {[]WithInstr{{Op: WPushFloat, F: 1}, {Op: WPushFloat, F: 2}, {Op: WSelF}}, true},
 		"fold_unclosed":      {[]WithInstr{{Op: WPushInt}, {Op: WPushInt}, {Op: WPushInt, K: 2}, {Op: WFoldI, A: 1, B: 1, K: 5, Kind: FoldAdd}, {Op: WPushInt, K: 1}}, false},
 		"fold_end_alone":     {[]WithInstr{{Op: WPushInt}, {Op: WFoldEnd, A: 0}}, false},
 		"fold_first_id":      {[]WithInstr{{Op: WPushInt}, {Op: WPushInt}, {Op: WPushInt, K: 2}, {Op: WFoldI, A: 1, B: 2, K: 5, Kind: FoldAdd}, {Op: WPushInt, K: 1}, {Op: WFoldEnd, A: 3}}, false},

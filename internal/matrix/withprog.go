@@ -84,11 +84,15 @@ const (
 	wLoad                    // d = matrix slot a at idx
 	wFoldBegin
 	wFoldEnd
+	wCmp  // int d = int idx[0] (Op k) int idx[1], 0 or 1
+	wCmpF // int d = float idx[0] (Op k) float idx[1], 0 or 1
+	wSel  // d = idx[1] where the mask idx[0] is not 0, else idx[2]
 )
 
 // wMode places an instruction's operands: U is the uniform file, S a
 // strip register. Unary instructions use wUU or wSS; wLin marks a load
-// that walks its matrix at a fixed stride.
+// that walks its matrix at a fixed stride; a compare or a select is wUU
+// when it is uniform, wSS otherwise, its operands' places in idx.
 type wMode uint8
 
 const (
@@ -108,13 +112,14 @@ type wInstr struct {
 	a    int32
 	b    int32
 	k    int64
-	idx  []wIndex // wLoad: one per dimension
+	idx  []wIndex // wLoad: one per dimension; wCmp*: a, b; wSel: mask, then, else
 	nest *wNest   // wFoldBegin, wFoldEnd
 }
 
 // wIndex is one load index: a uniform register (wUU), the uniform
 // register of a lazy strip's first cell (wLin), or an int strip
-// register (wSS).
+// register (wSS); or one operand of a compare or a select, uniform or
+// a strip.
 type wIndex struct {
 	kind wMode
 	reg  int32
@@ -391,6 +396,10 @@ func (c *withCompiler) instr(pc int, in *WithInstr) {
 		c.foldBegin(pc, in)
 	case WFoldEnd:
 		c.foldEnd(pc, in)
+	case WCmpI, WCmpF:
+		c.cmp(in.Op == WCmpF, Op(in.A))
+	case WSelI, WSelF:
+		c.sel(in.Op == WSelF)
 	default:
 		c.bad = true
 	}
@@ -647,6 +656,62 @@ func (c *withCompiler) foldEnd(pc int, in *WithInstr) {
 	ns.end = c.emit(wInstr{op: wFoldEnd, mode: mode, flt: flt, a: v.reg, nest: ns})
 	c.open = c.open[:len(c.open)-1]
 	c.ids -= ns.n
+}
+
+// cmp compiles a comparison of the top two values of one stack into a
+// 0/1 mask on the int stack.
+func (c *withCompiler) cmp(flt bool, op Op) {
+	st, wop := &c.is, wCmp
+	if flt {
+		st, wop = &c.fs, wCmpF
+	}
+	b, _ := c.pop(st)
+	a, da := c.pop(st)
+	if c.bad || !op.isComparison() {
+		c.bad = true
+		return
+	}
+	a, b = c.operand(flt, a, da), c.operand(flt, b, da+1)
+	if op >= OpGt {
+		a, b, op = b, a, op-2 // a > b is b < a, a >= b is b <= a: NaNs too
+	}
+	c.is = append(c.is, c.mixed(wInstr{op: wop, k: int64(op), idx: []wIndex{{a.kind, a.reg}, {b.kind, b.reg}}}, len(c.is)))
+}
+
+// sel compiles a select. The result takes the mask's place on the int
+// stack, or the then arm's on the float stack.
+func (c *withCompiler) sel(flt bool) {
+	st := &c.is
+	if flt {
+		st = &c.fs
+	}
+	e, _ := c.pop(st)
+	t, dt := c.pop(st)
+	m, dm := c.pop(&c.is)
+	if c.bad {
+		return
+	}
+	m, t, e = c.operand(false, m, dm), c.operand(flt, t, dt), c.operand(flt, e, dt+1)
+	d := dt
+	if !flt {
+		d = dm
+	}
+	*st = append(*st, c.mixed(wInstr{op: wSel, flt: flt, idx: []wIndex{{m.kind, m.reg}, {t.kind, t.reg}, {e.kind, e.reg}}}, d))
+}
+
+// mixed emits an instruction whose idx operands are each uniform or a
+// strip: into uniform temporary d when all are uniform, else strip d.
+func (c *withCompiler) mixed(in wInstr, d int) wVal {
+	in.mode, in.d = wUU, c.tempI+int32(d)
+	if in.flt {
+		in.d = c.tempF + int32(d)
+	}
+	for _, x := range in.idx {
+		if x.kind == wSS {
+			in.mode, in.d = wSS, c.strip(in.flt, d)
+		}
+	}
+	return wVal{kind: in.mode, reg: in.d, by: c.emit(in)}
 }
 
 // finish routes the one remaining value to the evaluation's output

@@ -47,6 +47,25 @@ func (f *wFile[T]) dst(in *wInstr, n int) []T {
 	return d
 }
 
+// operand returns what a compare's or a select's operand x reads, as
+// x[i&mask]: a strip's n cells and -1, or a uniform as one cell and 0.
+// Each cell is read before it is written: the destination may alias.
+func (f *wFile[T]) operand(x wIndex, n int) ([]T, int) {
+	if x.kind == wUU {
+		return f.u[x.reg : x.reg+1], 0
+	}
+	return f.strip(x.reg, n), -1
+}
+
+// target is what a compare or a select writes: one uniform cell, or the
+// strip dst returns.
+func (f *wFile[T]) target(in *wInstr, n int) []T {
+	if in.mode == wUU {
+		return f.u[in.d : in.d+1]
+	}
+	return f.dst(in, n)
+}
+
 // size readies the file for a program: the uniform image copied in
 // and room for strips strip registers of w cells.
 func (f *wFile[T]) size(image []T, strips, w int) {
@@ -175,6 +194,16 @@ func (st *wState) eval(p *WithProg, n int, x Exec) error {
 	for pc := 0; pc < len(code); pc++ {
 		in := &code[pc]
 		switch in.op {
+		case wCmp:
+			stripCmp(in, &st.i, &st.i, n)
+		case wCmpF:
+			stripCmp(in, &st.f, &st.i, n)
+		case wSel:
+			if in.flt {
+				stripSel(in, &st.f, &st.i, n)
+			} else {
+				stripSel(in, &st.i, &st.i, n)
+			}
 		case wAdd, wSub, wMul, wDiv:
 			if in.flt {
 				stripArith(in, &st.f, n)
@@ -335,6 +364,52 @@ func stripArith[T int64 | float64](in *wInstr, f *wFile[T], n int) {
 	default: // wUS
 		b := f.strip(in.b, n)
 		arithUS(op, f.dst(in, n), f.u[in.a], b)
+	}
+}
+
+// stripCmp writes the 0/1 mask of one comparison into the int file.
+func stripCmp[T int64 | float64](in *wInstr, f *wFile[T], ints *wFile[int64], n int) {
+	a, am := f.operand(in.idx[0], n)
+	b, bm := f.operand(in.idx[1], n)
+	d := ints.target(in, n)
+	op := Op(in.k)
+	ne := mask(op == OpNe)
+	switch op { // the compiler turns > and >= around
+	case OpLt:
+		for i := range d {
+			d[i] = mask(a[i&am] < b[i&bm])
+		}
+	case OpLe:
+		for i := range d {
+			d[i] = mask(a[i&am] <= b[i&bm])
+		}
+	default: // a != b is !(a == b), NaNs too
+		for i := range d {
+			d[i] = ne ^ mask(a[i&am] == b[i&bm])
+		}
+	}
+}
+
+// mask is a comparison's cell: 1 where it holds.
+func mask(c bool) int64 {
+	if c {
+		return 1
+	}
+	return 0
+}
+
+// stripSel blends a select's arms by its mask, cell by cell.
+func stripSel[T int64 | float64](in *wInstr, f *wFile[T], ints *wFile[int64], n int) {
+	c, cm := ints.operand(in.idx[0], n)
+	t, tm := f.operand(in.idx[1], n)
+	e, em := f.operand(in.idx[2], n)
+	d := f.target(in, n)
+	for i := range d {
+		v := e[i&em]
+		if c[i&cm] != 0 {
+			v = t[i&tm]
+		}
+		d[i] = v
 	}
 }
 

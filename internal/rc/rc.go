@@ -105,21 +105,6 @@ type Header struct {
 	c    Count
 	size int
 	heap *Heap
-	// onFree is an optional per-allocation release hook (see SetOnFree).
-	onFree func()
-}
-
-// SetOnFree registers f to run when the allocation is released by
-// DecRef reaching zero. It must be called before the header is shared
-// across goroutines (typically right after Alloc). ForceFree — the
-// explicit early release — deliberately does NOT run it: after a forced
-// release, stale automatic references may still dereference the
-// storage (their misuse is detected via Freed, not prevented), so a
-// hook must not hand the storage to a new owner.
-func (hd *Header) SetOnFree(f func()) {
-	if hd != nil {
-		hd.onFree = f
-	}
 }
 
 // Heap tracks live allocations for leak accounting.
@@ -128,8 +113,6 @@ type Heap struct {
 	liveBytes atomic.Int64
 	allocs    atomic.Int64
 	frees     atomic.Int64
-	// OnFree, if set, observes each release (used by arena models).
-	OnFree func(size int)
 }
 
 // NewHeap creates an empty heap.
@@ -151,9 +134,6 @@ func (h *Heap) Untrack(size int) {
 	h.live.Add(-1)
 	h.liveBytes.Add(-int64(size))
 	h.frees.Add(1)
-	if h.OnFree != nil {
-		h.OnFree(size)
-	}
 }
 
 // Alloc records a new allocation with reference count 1.
@@ -176,9 +156,6 @@ func (hd *Header) DecRef() bool {
 		return false
 	}
 	hd.heap.Untrack(hd.size)
-	if hd.onFree != nil {
-		hd.onFree()
-	}
 	return true
 }
 

@@ -100,17 +100,6 @@ func TestConcurrentRefCounting(t *testing.T) {
 	}
 }
 
-func TestOnFreeHook(t *testing.T) {
-	h := NewHeap()
-	freedBytes := 0
-	h.OnFree = func(size int) { freedBytes += size }
-	hd := h.Alloc(96)
-	hd.DecRef()
-	if freedBytes != 96 {
-		t.Errorf("OnFree saw %d bytes", freedBytes)
-	}
-}
-
 // Property: a random sequence of incs followed by matching decs frees
 // exactly once at the end and never leaks.
 func TestQuickBalancedOps(t *testing.T) {
@@ -198,40 +187,4 @@ func TestArenaFreeReuse(t *testing.T) {
 	if !seen {
 		t.Error("freed block was never reused")
 	}
-}
-
-func TestSetOnFreeFiresOnLastDecRef(t *testing.T) {
-	h := NewHeap()
-	hd := h.Alloc(64)
-	fired := 0
-	hd.SetOnFree(func() { fired++ })
-	hd.IncRef()
-	if hd.DecRef() || fired != 0 {
-		t.Fatalf("hook fired before the count reached zero (fired=%d)", fired)
-	}
-	if !hd.DecRef() || fired != 1 {
-		t.Fatalf("hook did not fire exactly once on release (fired=%d)", fired)
-	}
-}
-
-func TestSetOnFreeSkippedOnForceFree(t *testing.T) {
-	h := NewHeap()
-	hd := h.Alloc(64)
-	fired := 0
-	hd.SetOnFree(func() { fired++ })
-	hd.IncRef() // a stale automatic reference survives the explicit release
-	if !hd.ForceFree() {
-		t.Fatal("ForceFree failed")
-	}
-	hd.DecRef()
-	hd.DecRef()
-	if fired != 0 {
-		t.Fatalf("onFree ran after ForceFree (fired=%d); stale aliases could observe a recycled buffer", fired)
-	}
-}
-
-func TestSetOnFreeNilHeader(t *testing.T) {
-	var hd *Header
-	hd.SetOnFree(func() { t.Fatal("hook on nil header ran") }) // must not panic
-	hd.DecRef()
 }

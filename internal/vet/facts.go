@@ -99,11 +99,17 @@ func (f *Facts) ChainCount() int {
 // Safe on partially-checked programs (missing type info simply proves
 // nothing).
 func ComputeFacts(prog *ast.Program, info *sem.Info) *Facts {
+	return computeFacts(prog, info, nil)
+}
+
+// computeFacts is ComputeFacts, listing every with-loop it meets in sites
+// when sites is not nil.
+func computeFacts(prog *ast.Program, info *sem.Info, sites *[]WithSite) *Facts {
 	f := &Facts{chains: map[ast.Expr]*Chain{}, withs: map[*ast.WithLoop]*WithPlan{}}
 	if prog == nil || info == nil {
 		return f
 	}
-	ff := &factFinder{info: info, facts: f}
+	ff := &factFinder{info: info, facts: f, sites: sites}
 	for _, d := range prog.Decls {
 		switch d := d.(type) {
 		case *ast.FuncDecl:
@@ -118,6 +124,7 @@ func ComputeFacts(prog *ast.Program, info *sem.Info) *Facts {
 type factFinder struct {
 	info  *sem.Info
 	facts *Facts
+	sites *[]WithSite // WithSites' list, nil for ComputeFacts
 }
 
 func (ff *factFinder) stmt(s ast.Stmt) {
@@ -200,27 +207,7 @@ func (ff *factFinder) expr(x ast.Expr) {
 			ff.expr(el)
 		}
 	case *ast.WithLoop:
-		for _, b := range x.Lower {
-			ff.expr(b)
-		}
-		for _, b := range x.Upper {
-			ff.expr(b)
-		}
-		switch op := x.Op.(type) {
-		case *ast.GenArrayOp:
-			for _, sx := range op.Shape {
-				ff.expr(sx)
-			}
-			ff.expr(op.Body)
-		case *ast.FoldOp:
-			ff.expr(op.Init)
-			ff.expr(op.Body)
-		}
-		// Bodies and bounds keep their own facts (a nested with-loop
-		// inside a non-flat body can still get its own plan).
-		if wp := proveWith(ff.info, x); wp != nil {
-			ff.facts.withs[x] = wp
-		}
+		ff.withLoop(x)
 	case *ast.MatrixMap:
 		ff.expr(x.Arg)
 		for _, d := range x.Dims {
@@ -230,6 +217,36 @@ func (ff *factFinder) expr(x ast.Expr) {
 		for _, d := range x.Dims {
 			ff.expr(d)
 		}
+	}
+}
+
+// withLoop records the facts of a with-loop: its bounds' and body's,
+// then its own plan (kept out of expr, whose frame every node pays for).
+func (ff *factFinder) withLoop(x *ast.WithLoop) {
+	for _, b := range x.Lower {
+		ff.expr(b)
+	}
+	for _, b := range x.Upper {
+		ff.expr(b)
+	}
+	switch op := x.Op.(type) {
+	case *ast.GenArrayOp:
+		for _, sx := range op.Shape {
+			ff.expr(sx)
+		}
+		ff.expr(op.Body)
+	case *ast.FoldOp:
+		ff.expr(op.Init)
+		ff.expr(op.Body)
+	}
+	// Bodies and bounds keep their own facts (a nested with-loop
+	// inside a non-flat body can still get its own plan).
+	wp, why := proveWith(ff.info, x)
+	if wp != nil {
+		ff.facts.withs[x] = wp
+	}
+	if ff.sites != nil {
+		*ff.sites = append(*ff.sites, WithSite{Loop: x, Plan: wp, Decline: why})
 	}
 }
 
@@ -371,9 +388,10 @@ func (ff *factFinder) stageOp(x *ast.BinaryExpr, float bool) (matrix.WithOp, boo
 	return 0, false
 }
 
-func pick(float bool, f, i matrix.WithOp) matrix.WithOp {
-	if float {
-		return f
+// pick is a when c holds, else b.
+func pick[T any](c bool, a, b T) T {
+	if c {
+		return a
 	}
-	return i
+	return b
 }

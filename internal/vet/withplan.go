@@ -10,7 +10,12 @@
 //	ids, int and float literals, int and float scalar identifiers
 //	+ - * and negation on both types; float /
 //	int / and int % by a non-zero integer literal (c or -c)
-//	(int) and (float) casts
+//	(int) and (float) casts, of a bool too
+//	== != < <= > >= (promoted as scalarOp promotes), && || ! and bool
+//	  literals: a bool is a 0/1 mask on the int stack; both sides of
+//	  && and || are evaluated, being pure and trap-free
+//	a call of a pure scalar function, emitted in place (inline.go), an
+//	  if in it a select: both arms evaluated, blended by the mask
 //	m[e1, ..., ek] for a matrix identifier m of pinned element type and
 //	  rank k, every index an int expression of the index language: ids,
 //	  int literals, int scalar identifiers, + - * negation, / and % by a
@@ -25,8 +30,8 @@
 // engine must replay the closure engine's observables exactly, and the
 // plan language has no failure paths. Excluded on principle: `%` and
 // int `/` by anything but a non-zero literal (the closure path traps
-// per element mid-loop), comparisons and logicals (bool bodies), calls
-// (effects, recursion), `end` (needs the enclosing indexing context),
+// per element mid-loop), bool bodies (bool cells), calls the inliner
+// cannot prove pure, `end` (needs the enclosing indexing context),
 // nested genarrays (matrix values), a nested min/max fold of an int
 // body from a float base (the boxed accumulator keeps the winner's
 // dynamic type), transform clauses, and any leaf that is not a plain
@@ -36,11 +41,14 @@
 package vet
 
 import (
+	"fmt"
 	"maps"
+	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/matrix"
 	"repro/internal/sem"
+	"repro/internal/source"
 	"repro/internal/types"
 )
 
@@ -57,6 +65,30 @@ type WithPlan struct {
 	ScalarI []string      // int scalar leaf names, by WPushScalarI slot
 	ScalarF []string      // float scalar leaf names, by WPushScalarF slot
 	Float   bool          // body's static type is float
+	Inline  int           // frames the deepest call emitted in place opens below the loop's: enclosing nested folds + calls nested; 0: none
+}
+
+// WithDecline is why a with-loop has no flat plan: the first rule of the
+// plan language its body breaks, and the node that breaks it.
+type WithDecline struct {
+	Rule string
+	Span source.Span
+}
+
+// WithSite is one with-loop and what ComputeFacts proves of it: a plan,
+// or the decline (Rule "" when Plan is set).
+type WithSite struct {
+	Loop    *ast.WithLoop
+	Plan    *WithPlan
+	Decline WithDecline
+}
+
+// WithSites lists every with-loop of a checked program, inner loops first:
+// the explain pass (ComputeFacts, whose table is cached, keeps no list).
+func WithSites(prog *ast.Program, info *sem.Info) []WithSite {
+	var sites []WithSite
+	computeFacts(prog, info, &sites)
+	return sites
 }
 
 // WithAt returns the flat plan proven for w, or nil.
@@ -75,13 +107,9 @@ func (f *Facts) WithCount() int {
 	return len(f.withs)
 }
 
-// proveWith compiles w's body to a flat plan, or returns nil if any
-// part of it falls outside the flat language.
-func proveWith(info *sem.Info, w *ast.WithLoop) *WithPlan {
-	if len(w.Transforms) != 0 || len(w.Ids) == 0 ||
-		len(w.Lower) != len(w.Ids) || len(w.Upper) != len(w.Ids) {
-		return nil
-	}
+// proveWith compiles w's body to a flat plan, or says which rule of the
+// flat language it breaks.
+func proveWith(info *sem.Info, w *ast.WithLoop) (*WithPlan, WithDecline) {
 	b := &withBuilder{
 		info:  info,
 		ids:   map[string]int{},
@@ -89,6 +117,9 @@ func proveWith(info *sem.Info, w *ast.WithLoop) *WithPlan {
 		mats:  map[string]int{},
 		sInts: map[string]int{},
 		sFlts: map[string]int{},
+	}
+	if !b.generator(w) {
+		return nil, b.why
 	}
 	for k, name := range w.Ids {
 		b.ids[name] = k // a repeated name shadows: the last binding wins
@@ -102,18 +133,30 @@ func proveWith(info *sem.Info, w *ast.WithLoop) *WithPlan {
 		body = op.Body
 		b.plan.Fold = true
 		var ok bool
-		if b.plan.Kind, ok = foldKindOf(op.Kind); !ok {
-			return nil
+		if b.plan.Kind, ok = foldKindOf(op.Kind); !ok && !b.decline(op, "fold operator") {
+			return nil, b.why
 		}
 	default:
-		return nil
+		return nil, WithDecline{Rule: "with-loop operation", Span: w.Span()}
 	}
 	k, ok := b.build(body)
-	if !ok {
-		return nil
+	if !ok || (k == types.Bool && !b.decline(body, "bool body")) {
+		return nil, b.why
 	}
 	b.plan.Float = k == types.Float
-	return b.plan
+	return b.plan, WithDecline{}
+}
+
+// generator checks the loop's own shape: one bound a generated id a side,
+// and no transform clause.
+func (b *withBuilder) generator(w *ast.WithLoop) bool {
+	switch {
+	case len(w.Transforms) != 0:
+		return b.decline(w.Transforms[0], "transform clause")
+	case len(w.Ids) == 0 || len(w.Lower) != len(w.Ids) || len(w.Upper) != len(w.Ids):
+		return b.decline(w, "generator arity")
+	}
+	return true
 }
 
 // foldKindOf maps the parsed fold operator to the engines'.
@@ -140,20 +183,33 @@ type withBuilder struct {
 	mats  map[string]int
 	sInts map[string]int
 	sFlts map[string]int
+	why   WithDecline // the first rule broken
+	env   *inlined    // the callee being emitted, nil in the body itself
+	folds int         // nested folds enclosing the node being built: each opens a frame a cell on the closure path
 }
 
 func (b *withBuilder) emit(in matrix.WithInstr) {
 	b.plan.Code = append(b.plan.Code, in)
 }
 
+// decline records the rule n breaks, unless a deeper node already
+// recorded one, and reports failure. An empty rule names the form of n,
+// an expression the plan language has no place for.
+func (b *withBuilder) decline(n ast.Node, rule string) bool {
+	if b.why.Rule != "" {
+		return false
+	}
+	if rule == "" {
+		rule = "expression " + strings.TrimPrefix(fmt.Sprintf("%T", n), "*ast.")
+	}
+	b.why = WithDecline{Rule: rule, Span: n.Span()}
+	return false
+}
+
 // kindOf returns the checker's scalar kind for e (Invalid when e is
 // untyped or not a scalar).
 func (b *withBuilder) kindOf(e ast.Expr) types.Kind {
-	t := b.info.TypeOf(e)
-	if t == nil || (t.Kind != types.Int && t.Kind != types.Float) {
-		return types.Invalid
-	}
-	return t.Kind
+	return scalarKind(b.info.TypeOf(e))
 }
 
 // build compiles e, returning its scalar kind. The emitted code's
@@ -168,10 +224,16 @@ func (b *withBuilder) build(e ast.Expr) (types.Kind, bool) {
 	case *ast.FloatLit:
 		b.emit(matrix.WithInstr{Op: matrix.WPushFloat, F: e.Value})
 		return types.Float, true
+	case *ast.BoolLit:
+		b.emit(matrix.WithInstr{Op: matrix.WPushInt, K: pick[int64](e.Value, 1, 0)})
+		return types.Bool, true
 	case *ast.Ident:
 		if k, ok := b.ids[e.Name]; ok {
 			b.emit(matrix.WithInstr{Op: matrix.WPushID, A: int32(k)})
 			return types.Int, true
+		}
+		if b.env != nil {
+			return b.param(e)
 		}
 		switch b.kindOf(e) {
 		case types.Int:
@@ -181,47 +243,60 @@ func (b *withBuilder) build(e ast.Expr) (types.Kind, bool) {
 			b.emit(matrix.WithInstr{Op: matrix.WPushScalarF, A: int32(b.slot(b.sFlts, &b.plan.ScalarF, e.Name))})
 			return types.Float, true
 		}
-		return 0, false
+		return 0, b.decline(e, "identifier not an int or float scalar")
 	case *ast.UnaryExpr:
-		if e.Op != ast.OpNeg {
-			return 0, false
+		if e.Op == ast.OpNot {
+			if !b.mask(e.X) {
+				return 0, false
+			}
+			b.emit(matrix.WithInstr{Op: matrix.WPushInt})
+			b.emit(matrix.WithInstr{Op: matrix.WCmpI, A: int32(matrix.OpEq)})
+			return types.Bool, true
 		}
 		k, ok := b.build(e.X)
-		if !ok {
-			return 0, false
+		if !ok || k == types.Bool {
+			return 0, ok && b.decline(e, "negated bool")
 		}
-		if k == types.Float {
-			b.emit(matrix.WithInstr{Op: matrix.WNegF})
-		} else {
-			b.emit(matrix.WithInstr{Op: matrix.WNegI})
-		}
+		b.emit(matrix.WithInstr{Op: pick(k == types.Float, matrix.WNegF, matrix.WNegI)})
 		return k, true
 	case *ast.CastExpr:
 		k, ok := b.build(e.X)
 		if !ok {
 			return 0, false
 		}
-		switch {
-		case e.To == ast.PrimFloat && k == types.Int:
-			b.emit(matrix.WithInstr{Op: matrix.WI2F})
+		// A mask is already the (int) of its bool.
+		switch e.To {
+		case ast.PrimFloat:
+			if k != types.Float {
+				b.emit(matrix.WithInstr{Op: matrix.WI2F})
+			}
 			return types.Float, true
-		case e.To == ast.PrimFloat && k == types.Float:
-			return types.Float, true
-		case e.To == ast.PrimInt && k == types.Float:
-			b.emit(matrix.WithInstr{Op: matrix.WF2I})
-			return types.Int, true
-		case e.To == ast.PrimInt && k == types.Int:
+		case ast.PrimInt:
+			if k == types.Float {
+				b.emit(matrix.WithInstr{Op: matrix.WF2I})
+			}
 			return types.Int, true
 		}
-		return 0, false
+		return 0, b.decline(e, "cast to bool")
 	case *ast.BinaryExpr:
 		return b.binary(e)
 	case *ast.IndexExpr:
 		return b.load(e)
+	case *ast.CallExpr:
+		return b.call(e)
 	case *ast.WithLoop:
+		if b.env != nil {
+			return 0, b.decline(e, "with-loop in a callee")
+		}
 		return b.nestedFold(e)
 	}
-	return 0, false
+	return 0, b.decline(e, "")
+}
+
+// mask compiles a condition: e must come out a bool.
+func (b *withBuilder) mask(e ast.Expr) bool {
+	k, ok := b.build(e)
+	return ok && (k == types.Bool || b.decline(e, "condition not a bool"))
 }
 
 // intLiteral matches the divisors `%` and int `/` may take: c or -c.
@@ -240,7 +315,7 @@ func intLiteral(e ast.Expr) (int64, bool) {
 // buildInt compiles e, which must come out int.
 func (b *withBuilder) buildInt(e ast.Expr) bool {
 	k, ok := b.build(e)
-	return ok && k == types.Int
+	return ok && (k == types.Int || b.decline(e, "operand not int"))
 }
 
 // byLiteral compiles l / c or l % c over ints, with buildInt or index
@@ -248,7 +323,12 @@ func (b *withBuilder) buildInt(e ast.Expr) bool {
 // it traps per element on the closure path.
 func (b *withBuilder) byLiteral(e *ast.BinaryExpr, left func(ast.Expr) bool) bool {
 	c, ok := intLiteral(e.R)
-	if !ok || c == 0 || b.kindOf(e.L) != types.Int || !left(e.L) {
+	switch {
+	case !ok || c == 0:
+		return b.decline(e.R, "divisor not a non-zero literal")
+	case b.kindOf(e.L) != types.Int:
+		return b.decline(e.L, "operand not int")
+	case !left(e.L):
 		return false
 	}
 	op := matrix.WDivI
@@ -265,22 +345,26 @@ func (b *withBuilder) byLiteral(e *ast.BinaryExpr, left func(ast.Expr) bool) boo
 // inside the body only.
 func (b *withBuilder) nestedFold(w *ast.WithLoop) (types.Kind, bool) {
 	op, ok := w.Op.(*ast.FoldOp)
-	if !ok || len(w.Transforms) != 0 || len(w.Ids) == 0 ||
-		len(w.Lower) != len(w.Ids) || len(w.Upper) != len(w.Ids) {
+	if !ok {
+		return 0, b.decline(w, "nested genarray")
+	}
+	if !b.generator(w) {
 		return 0, false
 	}
 	kind, ok := foldKindOf(op.Kind)
 	if !ok {
-		return 0, false
+		return 0, b.decline(op, "fold operator")
 	}
 	// The fold's static type is float when base or body is; the engines
 	// promote an int base up front and an int body per element, which is
 	// exact for + and * but not for min/max over a float base.
 	bodyK := b.kindOf(op.Body)
 	res := b.kindOf(w)
-	if bodyK == types.Invalid || res == types.Invalid ||
-		(res == types.Float && bodyK == types.Int && (kind == matrix.FoldMin || kind == matrix.FoldMax)) {
-		return 0, false
+	switch {
+	case bodyK == types.Invalid || res == types.Invalid:
+		return 0, b.decline(op.Body, "nested fold not int or float")
+	case res == types.Float && bodyK == types.Int && (kind == matrix.FoldMin || kind == matrix.FoldMax):
+		return 0, b.decline(op, "nested min/max of an int body from a float base")
 	}
 	baseK, ok := b.build(op.Init)
 	if !ok {
@@ -306,11 +390,13 @@ func (b *withBuilder) nestedFold(w *ast.WithLoop) (types.Kind, bool) {
 		b.ids[name] = b.nids + k
 	}
 	b.nids += len(w.Ids)
+	b.folds++
 	gotK, ok := b.build(op.Body)
+	b.folds--
 	b.nids -= len(w.Ids)
 	b.ids = outer
 	if !ok || gotK != bodyK {
-		return 0, false
+		return 0, ok && b.decline(op.Body, "kind differs from the checker's")
 	}
 	if bodyK == types.Int && res == types.Float {
 		b.emit(matrix.WithInstr{Op: matrix.WI2F})
@@ -324,7 +410,13 @@ func (b *withBuilder) nestedFold(w *ast.WithLoop) (types.Kind, bool) {
 // is the same for every cell along the enclosing loop's innermost id,
 // so a strip of cells runs its inner trips in lockstep.
 func (b *withBuilder) uniformIndex(e ast.Expr) bool {
-	return b.kindOf(e) == types.Int && !b.usesStrip(e) && b.index(e)
+	switch {
+	case b.kindOf(e) != types.Int:
+		return b.decline(e, "nested fold bound not int")
+	case b.usesStrip(e):
+		return b.decline(e, "nested fold bound varies along the strip")
+	}
+	return b.index(e)
 }
 
 // usesStrip reports whether an index-language expression mentions the
@@ -347,65 +439,77 @@ func (b *withBuilder) binary(e *ast.BinaryExpr) (types.Kind, bool) {
 	case ast.OpAdd, ast.OpSub, ast.OpMul, ast.OpDiv:
 	case ast.OpMod:
 		if b.kindOf(e) != types.Int {
+			return 0, b.decline(e, "float %")
+		}
+		return types.Int, b.byLiteral(e, b.buildInt)
+	case ast.OpEq, ast.OpNe, ast.OpLt, ast.OpLe, ast.OpGt, ast.OpGe:
+		return b.compare(e)
+	case ast.OpAnd, ast.OpOr:
+		if !b.mask(e.L) || !b.mask(e.R) {
 			return 0, false
 		}
-		return types.Int, b.byLiteral(e, b.buildInt)
+		// Over masks a && b is a * b, and a || b is a + b != 0.
+		if e.Op == ast.OpAnd {
+			b.emit(matrix.WithInstr{Op: matrix.WMulI})
+		} else {
+			b.emit(matrix.WithInstr{Op: matrix.WAddI})
+			b.emit(matrix.WithInstr{Op: matrix.WPushInt})
+			b.emit(matrix.WithInstr{Op: matrix.WCmpI, A: int32(matrix.OpNe)})
+		}
+		return types.Bool, true
 	default:
-		return 0, false
+		return 0, b.decline(e, "operator .*")
 	}
-	// Promotion sites must be known before the right operand's code is
-	// emitted (the int value to convert would otherwise be buried under
-	// it on the wrong stack), so kinds come from the checker up front.
 	lk, rk := b.kindOf(e.L), b.kindOf(e.R)
 	if lk == types.Invalid || rk == types.Invalid {
-		return 0, false
+		return 0, b.decline(e, "operand not an int or float scalar")
 	}
-	res := types.Int
-	if lk == types.Float || rk == types.Float {
-		res = types.Float
-	}
-	if e.Op == ast.OpDiv && res != types.Float {
+	float := lk == types.Float || rk == types.Float
+	if e.Op == ast.OpDiv && !float {
 		return types.Int, b.byLiteral(e, b.buildInt)
 	}
-	gotL, ok := b.build(e.L)
-	if !ok || gotL != lk {
+	if !b.promoted(e.L, lk, float) || !b.promoted(e.R, rk, float) {
 		return 0, false
 	}
-	if lk == types.Int && res == types.Float {
+	b.emit(matrix.WithInstr{Op: arith[e.Op][pick(float, 1, 0)]})
+	return pick(float, types.Float, types.Int), true
+}
+
+// arith is the plan opcode of an arithmetic operator: int, then float.
+var arith = map[ast.BinOp][2]matrix.WithOp{
+	ast.OpAdd: {matrix.WAddI, matrix.WAddF}, ast.OpSub: {matrix.WSubI, matrix.WSubF},
+	ast.OpMul: {matrix.WMulI, matrix.WMulF}, ast.OpDiv: {matrix.WDivF, matrix.WDivF},
+}
+
+// promoted compiles an operand of the checker's kind k, converted to
+// float when the operation is: where scalarOp promotes. The kinds come
+// from the checker up front because the conversion must follow the
+// operand's own code, before the other operand's is emitted.
+func (b *withBuilder) promoted(e ast.Expr, k types.Kind, float bool) bool {
+	got, ok := b.build(e)
+	if !ok || got != k {
+		return ok && b.decline(e, "kind differs from the checker's")
+	}
+	if k == types.Int && float {
 		b.emit(matrix.WithInstr{Op: matrix.WI2F})
 	}
-	gotR, ok := b.build(e.R)
-	if !ok || gotR != rk {
+	return true
+}
+
+// compare compiles a comparison to a mask: int against int compares
+// ints, any other numeric pair floats with the int side promoted.
+func (b *withBuilder) compare(e *ast.BinaryExpr) (types.Kind, bool) {
+	lk, rk := b.kindOf(e.L), b.kindOf(e.R)
+	if lk == types.Invalid || rk == types.Invalid {
+		return 0, b.decline(e, "operand not an int or float scalar")
+	}
+	float := lk == types.Float || rk == types.Float
+	if !b.promoted(e.L, lk, float) || !b.promoted(e.R, rk, float) {
 		return 0, false
 	}
-	if rk == types.Int && res == types.Float {
-		b.emit(matrix.WithInstr{Op: matrix.WI2F})
-	}
-	var op matrix.WithOp
-	switch e.Op {
-	case ast.OpAdd:
-		if res == types.Float {
-			op = matrix.WAddF
-		} else {
-			op = matrix.WAddI
-		}
-	case ast.OpSub:
-		if res == types.Float {
-			op = matrix.WSubF
-		} else {
-			op = matrix.WSubI
-		}
-	case ast.OpMul:
-		if res == types.Float {
-			op = matrix.WMulF
-		} else {
-			op = matrix.WMulI
-		}
-	case ast.OpDiv:
-		op = matrix.WDivF
-	}
-	b.emit(matrix.WithInstr{Op: op})
-	return res, true
+	// ast's comparisons and matrix's are declared in the same order.
+	b.emit(matrix.WithInstr{Op: pick(float, matrix.WCmpF, matrix.WCmpI), A: int32(matrix.OpEq + matrix.Op(e.Op-ast.OpEq))})
+	return types.Bool, true
 }
 
 // load compiles a matrix element access m[i, j, ...]: a plain matrix
@@ -414,14 +518,17 @@ func (b *withBuilder) binary(e *ast.BinaryExpr) (types.Kind, bool) {
 func (b *withBuilder) load(e *ast.IndexExpr) (types.Kind, bool) {
 	id, ok := e.X.(*ast.Ident)
 	if !ok {
-		return 0, false
+		return 0, b.decline(e.X, "indexed base not an identifier")
+	}
+	if b.env != nil {
+		return 0, b.decline(id, "callee reads a global") // its parameters are scalars
 	}
 	if _, isID := b.ids[id.Name]; isID {
-		return 0, false
+		return 0, b.decline(id, "indexed base is a generated id")
 	}
 	t := b.info.TypeOf(id)
 	if t == nil || t.Kind != types.Matrix || t.Elem == nil || t.Rank != len(e.Args) {
-		return 0, false
+		return 0, b.decline(e, "load not one cell of a typed matrix")
 	}
 	var elem matrix.Elem
 	switch t.Elem.Kind {
@@ -430,16 +537,19 @@ func (b *withBuilder) load(e *ast.IndexExpr) (types.Kind, bool) {
 	case types.Float:
 		elem = matrix.Float
 	default:
-		return 0, false
+		return 0, b.decline(e, "load of a bool matrix")
 	}
 	if len(e.Args) == 0 {
-		return 0, false
+		return 0, b.decline(e, "load not one cell of a typed matrix")
 	}
 	// Index language first (no partial emission on failure matters: a
 	// failed plan is discarded whole).
 	for _, a := range e.Args {
 		s, ok := a.(*ast.IdxScalar)
-		if !ok || !b.index(s.X) {
+		if !ok {
+			return 0, b.decline(a, "index not a scalar")
+		}
+		if !b.index(s.X) {
 			return 0, false
 		}
 	}
@@ -448,7 +558,7 @@ func (b *withBuilder) load(e *ast.IndexExpr) (types.Kind, bool) {
 		b.plan.MatElem = append(b.plan.MatElem, elem)
 	}
 	if b.plan.MatElem[slot] != elem {
-		return 0, false
+		return 0, b.decline(id, "matrix of two element types")
 	}
 	var op matrix.WithOp
 	k := types.Int
@@ -479,9 +589,12 @@ func (b *withBuilder) index(e ast.Expr) bool {
 			b.emit(matrix.WithInstr{Op: matrix.WPushScalarI, A: int32(b.slot(b.sInts, &b.plan.ScalarI, e.Name))})
 			return true
 		}
-		return false
+		return b.decline(e, "index identifier not an int scalar")
 	case *ast.UnaryExpr:
-		if e.Op != ast.OpNeg || !b.index(e.X) {
+		if e.Op != ast.OpNeg {
+			return b.decline(e, "index outside the index language")
+		}
+		if !b.index(e.X) {
 			return false
 		}
 		b.emit(matrix.WithInstr{Op: matrix.WNegI})
@@ -496,17 +609,23 @@ func (b *withBuilder) index(e ast.Expr) bool {
 		case ast.OpMul:
 			op = matrix.WMulI
 		case ast.OpDiv, ast.OpMod:
-			return b.kindOf(e) == types.Int && b.byLiteral(e, b.index)
+			if b.kindOf(e) != types.Int {
+				return b.decline(e, "index outside the index language")
+			}
+			return b.byLiteral(e, b.index)
 		default:
-			return false
+			return b.decline(e, "index outside the index language")
 		}
-		if b.kindOf(e) != types.Int || !b.index(e.L) || !b.index(e.R) {
+		if b.kindOf(e) != types.Int {
+			return b.decline(e, "index outside the index language")
+		}
+		if !b.index(e.L) || !b.index(e.R) {
 			return false
 		}
 		b.emit(matrix.WithInstr{Op: op})
 		return true
 	}
-	return false
+	return b.decline(e, "index outside the index language")
 }
 
 // slot interns a leaf name into its slot list.

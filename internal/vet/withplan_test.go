@@ -33,6 +33,18 @@ func factsFor(t *testing.T, src string) *Facts {
 	return ComputeFacts(prog, info)
 }
 
+// sitesFor parses + checks src and lists its with-loop sites.
+func sitesFor(t *testing.T, src string) []WithSite {
+	t.Helper()
+	var diags source.Diagnostics
+	prog := parser.ParseFile("test.xc", src, parser.AllExtensions(), &diags)
+	info := sem.Check(prog, &diags)
+	if diags.HasErrors() {
+		t.Fatalf("unexpected diagnostics: %v", diags.All())
+	}
+	return WithSites(prog, info)
+}
+
 // onlyPlan asserts exactly one with-loop was proven and returns its plan.
 func onlyPlan(t *testing.T, f *Facts) *WithPlan {
 	t.Helper()
@@ -138,8 +150,9 @@ func TestWithPlanDeclines(t *testing.T) {
 		"nested_mixed_min":   "(int)(with ([0] <= [k] < [3]) fold(min, 9.5, k + i))",
 		"nested_call_body":   "with ([0] <= [k] < [3]) fold(+, 0, (int)f(k))",
 	} {
+		// f prints: a call of it is no pure scalar function's.
 		src := `
-float f(int i) { return (float)i; }
+float f(int i) { print(i); return (float)i; }
 int main() {
 	int d = 3;
 	Matrix int <1> v = [0 :: 7];
@@ -387,12 +400,17 @@ func planString(code []matrix.WithInstr) string {
 		matrix.WPushScalarI: "sI", matrix.WPushScalarF: "sF", matrix.WLoadI: "loadI", matrix.WLoadF: "loadF",
 		matrix.WAddI: "addI", matrix.WSubI: "subI", matrix.WMulI: "mulI", matrix.WI2F: "i2f",
 		matrix.WAddF: "addF", matrix.WSubF: "subF", matrix.WMulF: "mulF", matrix.WDivF: "divF",
+		matrix.WDivI: "divI", matrix.WModI: "modI", matrix.WNegI: "negI", matrix.WNegF: "negF", matrix.WF2I: "f2i",
+		matrix.WCmpI: "cmpI", matrix.WCmpF: "cmpF", matrix.WSelI: "selI", matrix.WSelF: "selF",
+		matrix.WFoldI: "foldI", matrix.WFoldF: "foldF", matrix.WFoldEnd: "end",
 	}
 	var words []string
 	for _, in := range code {
 		w := names[in.Op]
 		switch in.Op {
-		case matrix.WPushInt:
+		case matrix.WCmpI, matrix.WCmpF:
+			w += matrix.Op(in.A).String()
+		case matrix.WPushInt, matrix.WDivI, matrix.WModI:
 			w += fmt.Sprint(in.K)
 		case matrix.WPushFloat:
 			w += fmt.Sprint(in.F)
@@ -496,6 +514,119 @@ int main() {
 					ScalarI: sI, ScalarF: sF, Float: float, OutFloat: float}); !ok {
 					t.Error("the strip compiler declines the plan")
 				}
+			}
+		})
+	}
+}
+
+// TestWithPlanConditionsAndCalls pins the plan of each construct PR 28
+// added: comparisons promoted as scalarOp promotes, && / || / ! over
+// masks, casts to and from bool, and a pure callee emitted in place — a
+// parameter its argument's code, promoted at the call; an if a select;
+// a return promoted to the result — with the nesting depth the VM's
+// depth rule reads.
+func TestWithPlanConditionsAndCalls(t *testing.T) {
+	const decls = `
+float weight(int i, int j) {
+	if ((i + j) % 3 == 0) { return 2.0; }
+	return 1.0 * ((i * j) % 5);
+}
+float half(float x, int k) {
+	if (x < k) { return k; } else if (x > 9.5) { return 0 - x; }
+	return x / 2.0;
+}
+int sq(int x) { return x * x; }
+int dist2(int a, int b) { return sq(a - b) + sq(b); }
+int atLeast2(int v) {
+	if (v < 2) { return 2; }
+	return v;
+}
+int main() {
+	float f = 0.5;
+	int n = 4;
+	Matrix float <1> v = [0 :: 7] * 1.0;
+`
+	for _, tc := range []struct {
+		name, typ, body, plan string
+		inline                int
+	}{
+		{"compare_int", "int", "(int)(i < n)", "id0 sI0 cmpI<", 0},
+		{"compare_promoted", "int", "(int)(i >= f)", "id0 i2f sF0 cmpF>=", 0},
+		{"and_or_not", "int", "(int)(i > 1 && !(i == 3) || false)", "id0 int1 cmpI> id0 int3 cmpI== int0 cmpI== mulI int0 addI int0 cmpI!=", 0},
+		{"bool_casts", "float", "(float)(i > 2) + (int)(v[i] != 0.5)", "id0 int2 cmpI> i2f id0 loadF0 float0.5 cmpF!= i2f addF", 0},
+		{"weight", "float", "weight(i, n)", "id0 sI0 addI modI3 int0 cmpI== float2 float1 id0 sI0 mulI modI5 i2f mulF selF", 1},
+		{"promoted_param_and_return", "float", "half(i, n)",
+			"id0 i2f sI0 i2f cmpF< sI0 i2f id0 i2f float9.5 cmpF> int0 i2f id0 i2f subF id0 i2f float2 divF selF selF", 1},
+		{"int_select", "int", "atLeast2(i - n)", "id0 sI0 subI int2 cmpI< int2 id0 sI0 subI selI", 1},
+		{"argument_is_a_call", "int", "sq(sq(i) + 1)", "id0 id0 mulI int1 addI id0 id0 mulI int1 addI mulI", 1},
+		{"callee_calls", "int", "dist2(i, n)", "id0 sI0 subI id0 sI0 subI mulI sI0 sI0 mulI addI", 2},
+		{"load_argument", "float", "weight(i, (int)v[i])", "id0 id0 loadF0 f2i addI modI3 int0 cmpI== float2 float1 id0 id0 loadF0 f2i mulI modI5 i2f mulF selF", 1},
+		// A nested fold opens a body frame a cell on the closure path: the
+		// call under it is a frame deeper than one in the body.
+		{"call_in_nested_fold", "int", "with ([0] <= [k] < [3]) fold(+, 0, sq(k + i))",
+			"int0 int0 int3 foldI id1 id0 addI id1 id0 addI mulI end", 2},
+		{"callee_calls_in_nested_fold", "int", "sq(i) + with ([0] <= [k] < [3]) fold(+, 0, dist2(k, i))",
+			"id0 id0 mulI int0 int0 int3 foldI id1 id0 subI id1 id0 subI mulI id0 id0 mulI addI end addI", 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The genarray's site is the last: a nested fold has a plan of its own.
+			sites := sitesFor(t, decls+"\tMatrix "+tc.typ+" <1> r;\n\tr = with ([0] <= [i] < [8]) genarray([8], "+tc.body+");\n\tprint(r[0] + v[0] + f);\n\treturn 0;\n}")
+			wp := sites[len(sites)-1].Plan
+			if wp == nil || wp.Fold {
+				t.Fatalf("sites %+v, want the genarray's last and flat", sites)
+			}
+			if got := planString(wp.Code); got != tc.plan {
+				t.Errorf("plan\n got  %s\n want %s", got, tc.plan)
+			}
+			if wp.Inline != tc.inline {
+				t.Errorf("Inline = %d, want %d", wp.Inline, tc.inline)
+			}
+			if _, ok := matrix.CompileWith(matrix.WithSpec{Code: wp.Code, Rank: 1, MatElem: wp.MatElem,
+				ScalarI: len(wp.ScalarI), ScalarF: len(wp.ScalarF), Float: wp.Float, OutFloat: wp.Float}); !ok {
+				t.Error("the strip compiler declines the plan")
+			}
+		})
+	}
+}
+
+// TestWithPlanInlineDeclines pins the inliner's declines, each with its
+// rule: the shape check is the purity proof.
+func TestWithPlanInlineDeclines(t *testing.T) {
+	for _, tc := range []struct{ name, callee, call, rule string }{
+		{"global", "int k = 3;\nint f(int i) { return i + k; }", "f(i)", "callee reads a global"},
+		{"global_matrix", "Matrix int <1> g = [0 :: 7];\nint f(int i) { return g[i]; }", "f(i)", "callee reads a global"},
+		{"print", "int f(int i) { print(i); return i; }", "f(i)", "callee statement with an effect"},
+		{"builtin", "", "dimSize(v, 0)", "call of a builtin"},
+		{"recursive", "int f(int i) { if (i < 1) { return 0; } return f(i - 1); }", "f(i)", "recursive call"},
+		{"mutual", "int f(int i) { return g(i); }\nint g(int i) { return f(i); }", "f(i)", "recursive call"},
+		{"loop", "int f(int i) { while (i > 3) { i = i - 3; } return i; }", "f(i)", "callee loops"},
+		{"assign", "int f(int i) { i = i + 1; return i; }", "f(i)", "callee assigns"},
+		{"local", "int f(int i) { int k = i; return k; }", "f(i)", "callee declares a local"},
+		{"falls_off", "int f(int i) { if (i > 2) { return 1; } }", "f(i)", "callee may fall off its end"},
+		{"unused_parameter", "int f(int i, int j) { return i; }", "f(i, v[i + 9])", "unused parameter"},
+		{"parameter_named_twice", "int f(int x, int x) { return x; }", "f(v[i + 9], i)", "unused parameter"},
+		{"matrix_parameter", "int f(Matrix int <1> m, int i) { return m[i]; }", "f(v, i)", "argument not an int or float scalar of its parameter's"},
+		{"bool_result", "bool f(int i) { return i > 2; }", "(int)f(i)", "callee returns no int or float"},
+		{"with_loop", "int f(int i) { return with ([0] <= [k] < [3]) fold(+, 0, k + i); }", "f(i)", "with-loop in a callee"},
+		{"too_deep", "int a(int x) { return x; }\nint b(int x) { return a(x); }\nint c(int x) { return b(x); }\nint d(int x) { return c(x); }\nint e(int x) { return d(x); }", "e(i)", "calls nested too deep"},
+		{"too_large", "int f(int x) { return x * x * x * x * x * x * x * x * x * x; }", "f(f(f(i)))", "inlined plan too large"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sites := sitesFor(t, tc.callee+`
+int main() {
+	Matrix int <1> v = [0 :: 7];
+	Matrix int <1> r;
+	r = with ([0] <= [i] < [8]) genarray([8], `+tc.call+`);
+	print(r[0] + v[0]);
+	return 0;
+}`)
+			// The genarray's site: a callee's own with-loop is a site too.
+			site := sites[len(sites)-1]
+			if _, ok := site.Loop.Op.(*ast.GenArrayOp); !ok || site.Plan != nil {
+				t.Fatalf("sites %+v, want the genarray's last and declined", sites)
+			}
+			if got := site.Decline.Rule; got != tc.rule {
+				t.Errorf("rule %q, want %q", got, tc.rule)
 			}
 		})
 	}

@@ -838,7 +838,7 @@ func (f *fnc) flatWithPlan(w *ast.WithLoop, d *withDesc) *flatPlan {
 		}
 		outFloat = d.elem == matrix.Float
 	}
-	fp := &flatPlan{}
+	fp := &flatPlan{inline: wp.Inline}
 	for _, name := range wp.Mats {
 		vs, ok := f.resolve(name)
 		if !ok || vs.cl != clR || vs.ty == nil || vs.ty.Kind != types.Matrix {

@@ -360,10 +360,11 @@ type withDesc struct {
 // leaves resolve to locals only: a global leaf keeps the closure path
 // so a racy global rebind stays observable per element.
 type flatPlan struct {
-	prog *matrix.WithProg
-	mats []int32 // R regs, by load slot
-	sI   []int32 // I regs, by int scalar slot
-	sF   []int32 // F regs, by float scalar slot
+	prog   *matrix.WithProg
+	mats   []int32 // R regs, by load slot
+	sI     []int32 // I regs, by int scalar slot
+	sF     []int32 // F regs, by float scalar slot
+	inline int     // calls nested in the plan, emitted in place (see execWithFlat)
 }
 
 // mapDesc drives opMatMap.

@@ -394,6 +394,14 @@ func (mc *Machine) execWithFlat(fr *frame, in *instr) (bool, error) {
 	if fp == nil || d.staticFail != nil {
 		return false, nil
 	}
+	// Calls a plan emits in place tick no statement and open no frame:
+	// under a step budget, or where the innermost callee's frame would
+	// pass the depth limit, the closure path runs them. Not a decline.
+	if fp.inline > 0 {
+		if _, max := mc.in.StepBudget(); max > 0 || fr.depth+fp.inline > 512 {
+			return false, nil
+		}
+	}
 	handled, err := mc.runFlat(fr, in, d, fp)
 	if handled {
 		withFlatRun.Add(1)

@@ -42,7 +42,7 @@ func TestCompileDeclinesUnprovenWithBodies(t *testing.T) {
 		name, src string
 	}{
 		{"call_in_body", `
-float f(int i) { return (float)i; }
+float f(int i) { print(i); return (float)i; }
 int main() {
 	Matrix float <1> m;
 	m = with ([0] <= [i] < [4]) genarray([4], f(i));
@@ -141,6 +141,62 @@ int main() {
 	}
 	if got := WithFlatLoopsDeclined() - declined; got != 0 {
 		t.Errorf("WithFlatLoopsDeclined advanced by %d, want 0", got)
+	}
+}
+
+// TestWithFlatInlinedCalls: a body calling a pure function compiles to a
+// flat plan that runs flat when the run has no step budget and its
+// depth leaves room for the callee's frame; under a budget, or deep
+// enough that the call traps, the closure path runs it — with the same
+// output and trap, and without counting a decline.
+func TestWithFlatInlinedCalls(t *testing.T) {
+	p := compile(t, `
+float weight(int i, int j) {
+	if ((i + j) % 3 == 0) { return 2.0; }
+	return 1.0 * ((i * j) % 5);
+}
+float at(int n) {
+	if (n > 0) { return at(n - 1); }
+	Matrix float <2> w;
+	w = with ([0, 0] <= [i, j] < [6, 6]) genarray([6, 6], weight(i, j));
+	return w[2, 3] + w[4, 5] + w[1, 1];
+}
+int main() {
+	print(at(0));
+	print(at(509));
+	print(at(510));
+	return 0;
+}`)
+	if got := p.WithCompiled(); got != 1 {
+		t.Fatalf("WithCompiled = %d, want 1", got)
+	}
+	for _, tc := range []struct {
+		opts interp.Options
+		flat int64
+	}{
+		{interp.Options{}, 2},
+		{interp.Options{MaxSteps: 1 << 20}, 0},
+	} {
+		ran, declined := WithFlatLoopsRun(), WithFlatLoopsDeclined()
+		var out strings.Builder
+		tc.opts.Stdout = &out
+		i := interp.New(p.prog, p.info, tc.opts)
+		_, err := NewMachine(p, i).Run()
+		i.Close()
+		// The with-loop at(510) reaches sits at depth 512: its callee's
+		// frame is the 513th.
+		if err == nil || !strings.Contains(err.Error(), "call stack exceeded 512 frames") {
+			t.Errorf("MaxSteps %d: err = %v, want the depth trap", tc.opts.MaxSteps, err)
+		}
+		if want := "4\n4\n"; out.String() != want {
+			t.Errorf("MaxSteps %d: stdout = %q, want %q", tc.opts.MaxSteps, out.String(), want)
+		}
+		if got := WithFlatLoopsRun() - ran; got != tc.flat {
+			t.Errorf("MaxSteps %d: %d flat runs, want %d", tc.opts.MaxSteps, got, tc.flat)
+		}
+		if got := WithFlatLoopsDeclined() - declined; got != 0 {
+			t.Errorf("MaxSteps %d: %d declines, want 0", tc.opts.MaxSteps, got)
+		}
 	}
 }
 

@@ -52,8 +52,11 @@ func runOne(t *testing.T, prog *parsedProg, engine string, opts interp.Options) 
 	heap := rc.NewHeap()
 	opts.Stdout = &out
 	opts.Heap = heap
-	if opts.MaxSteps == 0 {
+	switch {
+	case opts.MaxSteps == 0:
 		opts.MaxSteps = 5_000_000
+	case opts.MaxSteps < 0:
+		opts.MaxSteps = 0 // unbudgeted: an inlined call's plan is taken only then
 	}
 	if opts.MaxCells == 0 {
 		opts.MaxCells = 1 << 22
@@ -1798,6 +1801,248 @@ int main() {
 	print(r[4, 5]);
 	return 0;
 }`},
+	// With-loops whose bodies call a pure function (out, error, cells and
+	// live count pinned at a6a99ac, where every one ran its closure). The
+	// unbudgeted ones (MaxSteps < 0) are where the VM may take an inlined
+	// plan; under a step budget every arm runs the closure.
+	{name: "with_call_weight", opts: interp.Options{MaxSteps: -1}, pin: &pinned{"2568\n2\n4\n4\n10\n29998\n", 8100}, src: `
+float weight(int i, int j) {
+	if ((i + j) % 3 == 0) { return 2.0; }
+	return 1.0 * ((i * j) % 5);
+}
+int main() {
+	int n = 24;
+	Matrix float <2> w;
+	w = with ([0, 0] <= [i, j] < [n, n]) genarray([n, n], weight(i, j));
+	float total = with ([0, 0] <= [i, j] < [n, n]) fold(+, 0.0, weight(i, j) * w[j, i]);
+	print(total);
+	print(w[5, 7]);
+	print(w[n - 1, n - 1]);
+	float m = with ([1, 2] <= [i, j] < [n - 1, n]) fold(max, 0.0, weight(i - 1, j + i) - w[i, j - 2]);
+	print(m);
+	Matrix float <1> row;
+	row = with ([3] <= [j] < [n - 2]) genarray([n], weight(7, j) + weight(j, 7));
+	print(row[4] + row[n - 3] + row[0]);
+	Matrix float <2> big;
+	big = with ([0, 0] <= [i, j] < [3, 2500]) genarray([3, 2500], weight(i, j));
+	print(with ([0, 0] <= [i, j] < [3, 2500]) fold(+, 0.0, big[i, j] * weight(j, i)));
+	return 0;
+}`},
+	{name: "with_call_promote", opts: interp.Options{MaxSteps: -1}, pin: &pinned{"39.5\n130.5\n42.5\n120800\n22.5\n42.5\n4374\n0\n", 110}, src: `
+float scale(float x, int k) { return x * k; }
+float half(int v) {
+	if (v % 2 == 0) { return v / 2; }
+	return v * 0.5;
+}
+int clampi(int v, int lo, int hi) {
+	if (v < lo) { return lo; } else if (v > hi) { return hi; }
+	return v;
+}
+int main() {
+	int n = 10;
+	Matrix float <2> a;
+	a = with ([0, 0] <= [i, j] < [n, n]) genarray([n, n], scale(i, j) + half(i * n + j));
+	print(a[3, 7]);
+	print(a[9, 9]);
+	print(a[4, 5]);
+	Matrix int <1> c;
+	c = with ([0] <= [i] < [n]) genarray([n], clampi(i * 3 - 7, 0, 12));
+	print(c[0] + c[5] * 100 + c[9] * 10000);
+	float s = with ([0] <= [i] < [n]) fold(+, 0, half(i));
+	print(s);
+	float p = with ([0] <= [i] < [n]) fold(+, 0.5, clampi(i, 2, 6));
+	print(p);
+	int t = with ([0] <= [i] < [n]) fold(*, 1, clampi(i, 1, 3));
+	print(t);
+	float q = with ([0] <= [i] < [n]) fold(min, 100, scale(n, i) - half(i));
+	print(q);
+	return 0;
+}`},
+	{name: "with_call_nested2", opts: interp.Options{MaxSteps: -1}, pin: &pinned{"83\n409.5\n194\n", 70}, src: `
+int sq(int x) { return x * x; }
+int dist2(int a, int b) { return sq(a - b) + sq(b); }
+float ramp(int a, int b) {
+	if (dist2(a, b) < 20) { return 1.0 * dist2(b, a); }
+	return 0.5;
+}
+int main() {
+	Matrix int <2> d;
+	d = with ([0, 0] <= [i, j] < [8, 8]) genarray([8, 8], dist2(i, j));
+	print(d[2, 5] + d[7, 0]);
+	float r = with ([0, 0] <= [i, j] < [8, 8]) fold(+, 0.0, ramp(i, j));
+	print(r);
+	Matrix float <1> v;
+	v = with ([0] <= [i] < [6]) genarray([6], ramp(i, sq(i) % 7) + with ([0] <= [k] < [4]) fold(+, 0, dist2(k, i)));
+	print(v[0] + v[5]);
+	return 0;
+}`},
+	{name: "with_select_mixed", opts: interp.Options{MaxSteps: -1}, pin: &pinned{"-3.75\n10\n1\n6.5\n2.25\n-10\n-23.25\n-33\n24651\n202\n", 94}, src: `
+float band(int i, float x) {
+	if (i < 2 || x >= 7.5) { return 0 - x; }
+	else if (i > 5 && !(x < 3.0)) { return x * 2.0; }
+	else { if (i == 3) { return 1; } }
+	if (i < x) { return x - i; }
+	return x + i;
+}
+int sign(float x) {
+	if (x > 0.0) { return 1; }
+	if (x < 0.0) { return 0 - 1; }
+	return 0;
+}
+float isnan(float x) {
+	if (x != x) { return 1.0; }
+	return 0.0;
+}
+int main() {
+	int n = 9;
+	Matrix float <2> g;
+	g = with ([0, 0] <= [i, j] < [n, n]) genarray([n, n], band(i, 1.25 * j));
+	print(g[0, 3]);
+	print(g[6, 4]);
+	print(g[3, 1]);
+	print(g[4, 2]);
+	print(g[4, 5]);
+	print(g[8, 8]);
+	print(with ([0, 0] <= [i, j] < [n, n]) fold(+, 0.0, g[i, j]));
+	int s = with ([0] <= [i] < [n]) fold(+, 0, sign(2.5 - i) * (i + 1));
+	print(s);
+	Matrix int <1> m;
+	m = with ([0] <= [i] < [n]) genarray([n], (int)(i % 3 == 0) + 2 * (int)(i > 4 && i != 7) + 4 * (int)!(i < 2 || i >= 8));
+	print(m[0] + 10 * m[3] + 100 * m[5] + 1000 * m[7] + 10000 * m[8]);
+	float zero = 0.0;
+	float nan = zero / zero;
+	Matrix float <1> z;
+	z = with ([0] <= [i] < [4]) genarray([4], isnan(nan * i) + 10.0 * isnan(zero * i) + 100.0 * (float)(0.0 - zero == zero));
+	print(z[0] + z[3]);
+	return 0;
+}`},
+	{name: "with_select_guarded_load", opts: interp.Options{MaxSteps: -1}, pin: &pinned{"-1\n18\n18\n", 40}, src: `
+Matrix int <1> a = [10 :: 19];
+int prev(int i) {
+	if (i > 0) { return a[i - 1]; }
+	return 0 - 1;
+}
+int pick(int c, int v) {
+	if (c > 0) { return v; }
+	return 0 - 1;
+}
+int main() {
+	Matrix int <1> b = [10 :: 19];
+	Matrix int <1> p;
+	p = with ([0] <= [i] < [10]) genarray([10], prev(i));
+	print(p[0]);
+	print(p[9]);
+	Matrix int <1> q;
+	q = with ([0] <= [i] < [10]) genarray([10], pick(i, b[i]));
+	print(q[0] + q[9]);
+	return 0;
+}`},
+	{name: "with_call_declined_global", opts: interp.Options{MaxSteps: -1}, pin: &pinned{"8\n", 6}, src: `
+int k = 3;
+int addk(int i) { return i + k; }
+int main() {
+	Matrix int <1> m;
+	m = with ([0] <= [i] < [6]) genarray([6], addk(i));
+	print(m[5]);
+	return 0;
+}`},
+	{name: "with_call_declined_print", opts: interp.Options{MaxSteps: -1}, pin: &pinned{"2\n10\n", 6}, src: `
+int noisy(int i) {
+	if (i == 2) { print(i); }
+	return i * 2;
+}
+int main() {
+	Matrix int <1> m;
+	m = with ([0] <= [i] < [6]) genarray([6], noisy(i));
+	print(m[5]);
+	return 0;
+}`},
+	{name: "with_call_declined_recursive", opts: interp.Options{MaxSteps: -1}, pin: &pinned{"120\n", 6}, src: `
+int fact(int n) {
+	if (n <= 1) { return 1; }
+	return n * fact(n - 1);
+}
+int main() {
+	Matrix int <1> m;
+	m = with ([0] <= [i] < [6]) genarray([6], fact(i));
+	print(m[5]);
+	return 0;
+}`},
+	{name: "with_call_declined_loop", opts: interp.Options{MaxSteps: -1}, pin: &pinned{"5\n", 6}, src: `
+int wrap(int n) {
+	while (n > 10) { n = n - 10; }
+	return n;
+}
+int main() {
+	Matrix int <1> m;
+	m = with ([0] <= [i] < [6]) genarray([6], wrap(i * 7));
+	print(m[5]);
+	return 0;
+}`},
+	{name: "with_call_declined_local", opts: interp.Options{MaxSteps: -1}, pin: &pinned{"10\n", 6}, src: `
+int twice(int n) {
+	int m = n * 2;
+	return m;
+}
+int main() {
+	Matrix int <1> m;
+	m = with ([0] <= [i] < [6]) genarray([6], twice(i));
+	print(m[5]);
+	return 0;
+}`},
+	{name: "err_with_call_step", opts: interp.Options{MaxSteps: 100}, pin: &pinned{"1\n", 64},
+		errIs: "err_with_call_step.xc:4:2: runtime error [trap:step]: execution exceeded 100 steps", live: 0, src: `
+float weight(int i, int j) {
+	if ((i + j) % 3 == 0) { return 2.0; }
+	return 1.0 * ((i * j) % 5);
+}
+int main() {
+	print(1);
+	Matrix float <2> w;
+	w = with ([0, 0] <= [i, j] < [1, 64]) genarray([1, 64], weight(i, j));
+	print(w[0, 1]);
+	return 0;
+}`},
+	{name: "err_with_call_depth", opts: interp.Options{MaxSteps: -1}, pin: &pinned{"3\n", 8},
+		errIs: "err_with_call_depth.xc:9:45: runtime error [trap:depth]: call stack exceeded 512 frames (infinite recursion in \"w\"?)", live: 0, src: `
+float w(int i) {
+	if (i > 2) { return 1.0; }
+	return 2.0;
+}
+float down(int n) {
+	if (n == 0) {
+		Matrix float <1> m;
+		m = with ([0] <= [i] < [4]) genarray([4], w(i));
+		return m[0] + m[3];
+	}
+	return down(n - 1);
+}
+int main() {
+	print(down(509));
+	print(down(510));
+	return 0;
+}`},
+	// A nested fold opens a body frame a cell on the closure path: the call
+	// under it traps one level sooner than a call in the body.
+	{name: "err_with_call_depth_nested_fold", opts: interp.Options{MaxSteps: -1}, pin: &pinned{"10\n", 8},
+		errIs: "err_with_call_depth_nested_fold.xc:9:82: runtime error [trap:depth]: call stack exceeded 512 frames (infinite recursion in \"w\"?)", live: 0, src: `
+float w(int i) {
+	if (i > 2) { return 1.0; }
+	return 2.0;
+}
+float down(int n) {
+	if (n == 0) {
+		Matrix float <1> m;
+		m = with ([0] <= [i] < [4]) genarray([4], with ([0] <= [k] < [3]) fold(+, 0.5, w(k + i)));
+		return m[0] + m[3];
+	}
+	return down(n - 1);
+}
+int main() {
+	print(down(508));
+	print(down(509));
+	return 0;
+}`},
 }
 
 func TestVMDifferentialCorpus(t *testing.T) {
@@ -1900,7 +2145,7 @@ func TestVMDifferentialTestdata(t *testing.T) {
 // tick the budget at identical program points, each tick attributed to
 // its own statement.
 func TestVMStepParity(t *testing.T) {
-	for name, src := range map[string]string{"steps.xc": stepShapesSrc, "tuplesteps.xc": stepTupleSrc} {
+	for name, src := range map[string]string{"steps.xc": stepShapesSrc, "tuplesteps.xc": stepTupleSrc, "withcall.xc": stepWithCallSrc} {
 		prog := parseAndCheck(t, name, src)
 		finished := 0
 		for steps := int64(1); finished < 3; steps++ {
@@ -1919,6 +2164,23 @@ func TestVMStepParity(t *testing.T) {
 		}
 	}
 }
+
+// stepWithCallSrc: with-loops whose bodies call pure functions, which
+// the VM's plans emit in place: under a step budget every arm runs the
+// closure, so each callee statement ticks where the tree walker's does.
+const stepWithCallSrc = `
+float weight(int i, int j) {
+	if ((i + j) % 3 == 0) { return 2.0; }
+	return 1.0 * ((i * j) % 5);
+}
+int sq(int x) { return x * x; }
+int main() {
+	Matrix float <2> w;
+	w = with ([0, 0] <= [i, j] < [1, 12]) genarray([1, 12], weight(i, j));
+	int s = with ([0] <= [j] < [6]) fold(+, 0, sq(j) + (int)w[0, j]);
+	print(s);
+	return 0;
+}`
 
 // stepTupleSrc: tuple returns on every pairing of a literal or a held
 // tuple with a destructuring or a whole-value receiver, a matrix element,
@@ -2023,10 +2285,11 @@ func FuzzVMDiff(f *testing.F) {
 			t.Fatalf("compiles with facts, not without: %v\n%s", cerr, src)
 		}
 		opts := interp.Options{Threads: 1, MaxSteps: 200_000, MaxCells: 1 << 16}
-		run := func(vmp *vm.Program) engineResult {
+		run := func(vmp *vm.Program, steps int64) engineResult {
 			var out bytes.Buffer
 			heap := rc.NewHeap()
 			o := opts
+			o.MaxSteps = steps
 			o.Stdout = &out
 			o.Heap = heap
 			i := interp.New(p, info, o)
@@ -2044,13 +2307,20 @@ func FuzzVMDiff(f *testing.F) {
 			}
 			return res
 		}
-		t1 := run(nil)
-		if t1 != run(nil) {
+		t1 := run(nil, opts.MaxSteps)
+		if t1 != run(nil, opts.MaxSteps) {
 			return // nondeterministic program; no usable oracle
 		}
 		for arm, vmp := range map[string]*vm.Program{"vm": vmp, "vm without facts": bare} {
-			if v := run(vmp); t1 != v {
+			if v := run(vmp, opts.MaxSteps); t1 != v {
 				t.Errorf("%s diverged on:\n%s\ntree: %+v\nvm:   %+v", arm, src, t1, v)
+			}
+		}
+		// A program the budget did not stop runs again with none: the one
+		// run in which the VM may take a plan with calls emitted in place.
+		if !strings.Contains(t1.err, "[trap:step]") {
+			if v := run(vmp, 0); t1 != v {
+				t.Errorf("vm without a step budget diverged on:\n%s\ntree: %+v\nvm:   %+v", src, t1, v)
 			}
 		}
 	})
