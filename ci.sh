@@ -1,41 +1,19 @@
 #!/usr/bin/env bash
 # ci.sh — the repo's check gate, and all of it: the GitHub Actions
 # workflow installs Go and staticcheck and runs this script, nothing
-# else. In order: formatting, go vet, staticcheck (required;
-# CM_SKIP_STATICCHECK=1 opts out offline), build, full tests (which
-# hold the allocation ceilings of alloc_ceiling_test.go: counts repeat
-# where times do not, so they are the regression CI can fail on), then the
-# race detector, each package once (the echo lines below say what each
-# pass is for; the matrix pass carries the indexing walker's
-# differential against its oracle and the chain engine's — TestChain*:
-# range and promoting leaves against RangeBudgeted, floatScratch and the
-# stage kernels, every door of the admission — matio's budgeted reader
-# and the obs counters ride in the same pass, the vet pass carries
-# TestChainPlanRangeAndPromotingLeaves, and the VM pass and the
-# differential corpus, chain_range_* / chain_promote_* / err_oom_chain_*
-# included, are where a pooled frame handed out twice would show; since
-# PR 27 the same four passes — matrix, rc, vm, interp — and the corpus
-# are also what checks the matrix header's one unsafe data word, because
-# -race turns checkptr on: TestMatrixHeaderBudget and
-# TestTrackedAllocation in matrix, TestTupleCallAllocatesNothing in vm,
-# the tuple_ret_* / tuple_recv_* / err_tuple_ret_* / err_rc_matrix_* /
-# matmap_callee_* entries and TestVMStepParity's tuple sweep in the
-# corpus; since PR 28 the vet pass also carries the plan goldens of
-# comparisons, selects and inlined calls and the inliner's declines
-# (TestWithPlanConditionsAndCalls, TestWithPlanInlineDeclines), and the
-# VM corpus pass the with-loop decline golden (TestWithSitesGolden,
-# testdata/with_sites.txt) and the with_call_* / with_select_* /
-# err_with_call_* entries, the unbudgeted runs an inlined plan takes),
-# a guard that the header's file is the only non-test file under
-# internal/ that imports unsafe, the gcc-guarded C back end pass,
-# ten-second fuzz smokes, the vet findings manifest, one-shot benchmark
-# smokes, a self-relative scaling smoke when there are two CPUs to
-# scale on (no stored baseline: two threads are never slower than one,
-# the chain_range and matrixmap_eddy rows included),
-# and the bench/ module (its own go.mod, so the root module's build and
-# tests never reach it): vet, tests and two-second smoke runs of all
-# four workloads (a wrong output fails the run). Run locally before
-# pushing.
+# else. Run it locally before pushing. Its passes, in order:
+#   - gofmt, go vet, staticcheck (CM_SKIP_STATICCHECK=1 opts out offline)
+#   - guards: unsafe only in internal/matrix/matrix.go; interp.New only in internal/driver/driver.go
+#   - go build, then go test (the allocation ceilings of alloc_ceiling_test.go included)
+#   - go test -race, a package at a time (-race turns checkptr on over the matrix header)
+#   - the C back end against the interpreter (gcc-guarded)
+#   - the service contract, the fleet's chaos suites, the tenant registry
+#   - the VM differential corpus under -race
+#   - ten-second fuzz smokes
+#   - the vet findings manifest
+#   - one-shot benchmark smokes, and a scaling smoke when there are two CPUs
+#   - the bench/ module (its own go.mod): vet, tests, a two-second run of each workload
+#   - the hot loops' code layout (informational)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -71,6 +49,14 @@ if [ "$unsafe_files" != "internal/matrix/matrix.go" ]; then
 fi
 go vet ./internal/matrix
 
+echo "== interp.New: production builds an interpreter in the driver alone =="
+interp_files=$(grep -rl --include='*.go' --exclude='*_test.go' 'interp\.New(' internal/ cmd/ || true)
+if [ "$interp_files" != "internal/driver/driver.go" ]; then
+    echo "non-test files under internal/ and cmd/ calling interp.New (want internal/driver/driver.go alone):" >&2
+    echo "$interp_files" >&2
+    exit 1
+fi
+
 echo "== go build =="
 go build ./...
 
@@ -81,7 +67,7 @@ echo "== go test -race (crash-proofing + overload layers; with rc, vm and the co
 go test -race ./internal/par ./internal/matrix ./internal/matio ./internal/obs ./internal/interp ./internal/server ./internal/driver
 go test -race -run '^TestLadderRungsVisitEachUnitOnce$' -count=1 .
 
-echo "== go test -race (rc) =="
+echo "== go test -race (rc: one live count under concurrent binds and releases) =="
 go test -race ./internal/rc
 
 echo "== go test -race (frontend: generated scanner + LALR driver off one shared table, AG evaluator + sem off one composed grammar) =="

@@ -52,7 +52,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8340", "listen address")
 	shards := flag.String("shards", "", "comma-separated cmserved base URLs (required)")
-	replicas := flag.Int("replicas", 0, "virtual nodes per shard on the hash ring (0 = default)")
 	retries := flag.Int("retries", 2, "re-attempts after overload sheds or fleet-unreachable passes")
 	retryBase := flag.Duration("retry-base", 0, "backoff base for re-attempts (0 = default 100ms)")
 	probeInterval := flag.Duration("probe-interval", time.Second, "health probe period per shard")
@@ -86,7 +85,6 @@ func main() {
 
 	rt, err := fleet.New(fleet.Config{
 		Shards:             urls,
-		Replicas:           *replicas,
 		ProbeInterval:      *probeInterval,
 		ProbeTimeout:       *probeTimeout,
 		BreakerThreshold:   *breakerThreshold,

@@ -6,14 +6,11 @@
 //
 // Usage:
 //
-//	cmrun [-t N] [-dir path] [-timeout d] [-engine vm|tree] file.xc
+//	cmrun [-t N] [-dir path] [-timeout d] file.xc
 //	cmrun -server http://gate:8080 [-retries N] file.xc
 //
-// The default engine is the register bytecode VM; -engine tree selects
-// the tree-walking interpreter (the VM's differential oracle). The two
-// are observably identical — output, traps, exit codes, budgets. The
-// flag is for local runs: the service always runs the VM, so -engine
-// tree with -server is a usage error.
+// The program runs on the register bytecode VM, locally and in the
+// service alike.
 //
 // With -server, the program is shipped to a cmserved instance (or a
 // cmgate fleet front) instead of running locally; -retries bounds
@@ -23,7 +20,8 @@
 // matrix files).
 //
 // Exit codes: the program's own exit code on success; 1 for other
-// execution failures (e.g. a busted -timeout deadline); 2 for usage or
+// execution failures (e.g. a busted -timeout deadline, or an internal
+// error of the bytecode compiler, with its text); 2 for usage or
 // compile errors; 3 for a runtime trap (shape, rc, panic); 4 when a
 // resource budget was exceeded (-maxsteps, -maxcells, call depth); 5
 // when the compile server sheds the request under load and the
@@ -53,7 +51,6 @@ func main() {
 	cells := flag.Int64("maxcells", 0, "abort after allocating N matrix cells (0 = unlimited)")
 	timeout := flag.Duration("timeout", 0, "abort execution after this long (0 = no deadline)")
 	extFlag := flag.String("ext", "all", "comma-separated extensions to compose (matrix, transform, rc, cilk, all, none)")
-	engine := flag.String("engine", "vm", "execution engine: vm (register bytecode) or tree (AST walker)")
 	serverURL := flag.String("server", "", "execute remotely via this cmserved/cmgate base URL instead of locally")
 	retries := flag.Int("retries", 0, "remote mode: re-attempts after overload sheds or transport failures")
 	apiKey := flag.String("key", os.Getenv("CM_API_KEY"), "remote mode: tenant API key sent as Authorization: Bearer (default $CM_API_KEY)")
@@ -84,10 +81,6 @@ func main() {
 		defer cancel()
 	}
 	if *serverURL != "" {
-		if *engine != "vm" {
-			fmt.Fprintln(os.Stderr, "cmrun: -engine applies to local runs only; the service always runs the vm")
-			os.Exit(2)
-		}
 		req := server.RunRequest{
 			Head:    server.Head{Name: file, Source: string(src), Extensions: *extFlag},
 			Threads: *threads, TimeoutMS: int64(*timeout / time.Millisecond),
@@ -104,7 +97,6 @@ func main() {
 	res, err := driver.New().Run(ctx, driver.RunRequest{
 		Name: file, Source: string(src), Exts: exts,
 		Threads: *threads, MaxSteps: *steps, MaxCells: *cells, Dir: d,
-		Engine: *engine,
 	})
 	for _, diag := range res.Diagnostics {
 		fmt.Fprintln(os.Stderr, diag)

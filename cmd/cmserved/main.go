@@ -5,13 +5,14 @@
 // Usage:
 //
 //	cmserved [-addr :8347] [-runs N] [-queue N] [-queue-wait d]
-//	         [-timeout 10s] [-max-timeout 60s] [-cachedir path]
+//	         [-timeout 10s] [-cachedir path]
 //	         [-cache-entries N] [-cache-bytes N]
-//	         [-keys path] [-trust-gate] [-min-retry-after d]
+//	         [-keys path] [-trust-gate]
 //
 // Overload behaviour: beyond -runs concurrent executions, up to -queue
 // requests wait (each at most min(-queue-wait, its own timeout)); the
-// rest are shed with 429 + Retry-After. -cachedir enables the durable
+// rest are shed with 429 + Retry-After (never under 50ms). No request
+// may ask for a timeout over 60s. -cachedir enables the durable
 // artifact tier: a restarted daemon serves previously compiled
 // programs from disk instead of recompiling them.
 //
@@ -55,7 +56,6 @@ func main() {
 	queue := flag.Int("queue", 0, "max run requests queued for a slot before shedding (0 = 4x -runs)")
 	queueWait := flag.Duration("queue-wait", 0, "max time a run may wait for admission (0 = -timeout)")
 	timeout := flag.Duration("timeout", 10*time.Second, "default per-run execution deadline")
-	maxTimeout := flag.Duration("max-timeout", 60*time.Second, "cap on per-request timeout_ms")
 	cacheDir := flag.String("cachedir", "", "directory for the durable artifact cache (empty = memory only)")
 	cacheEntries := flag.Int("cache-entries", 0, "in-memory cache cap, entries per cache (0 = default)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "in-memory cache cap, approximate bytes per cache (0 = default)")
@@ -63,10 +63,9 @@ func main() {
 	shardID := flag.String("shard-id", "", "fleet identity stamped on responses as X-CM-Shard (empty = standalone)")
 	keys := flag.String("keys", "", "tenant API-key file (JSON); empty = anonymous only, no limits")
 	trustGate := flag.Bool("trust-gate", false, "trust the X-CM-Tenant stamp from a fronting cmgate (only behind the gate)")
-	minRetryAfter := flag.Duration("min-retry-after", 0, "floor on the Retry-After estimate sent with 429 sheds (0 = 50ms)")
 	flag.Parse()
 	if flag.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: cmserved [-addr :8347] [-runs N] [-queue N] [-timeout d] [-max-timeout d] [-cachedir path] [-keys path]")
+		fmt.Fprintln(os.Stderr, "usage: cmserved [-addr :8347] [-runs N] [-queue N] [-timeout d] [-cachedir path] [-keys path]")
 		os.Exit(2)
 	}
 	var reg *tenant.Registry
@@ -88,11 +87,9 @@ func main() {
 		RunQueueSize:      *queue,
 		MaxQueueWait:      *queueWait,
 		DefaultTimeout:    *timeout,
-		MaxTimeout:        *maxTimeout,
 		ShardID:           *shardID,
 		Tenants:           reg,
 		TrustGateHeader:   *trustGate,
-		MinRetryAfter:     *minRetryAfter,
 	})
 	if *warm {
 		// Pay the one-time grammar-composition and analysis cost before

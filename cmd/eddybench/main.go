@@ -106,7 +106,7 @@ func main() {
 			os.Exit(1)
 		}
 		el := time.Since(start)
-		fmt.Printf("  threads=%-2d  %10.1f ms  (engine %s)\n", ts, float64(el.Microseconds())/1000, res.Engine)
+		fmt.Printf("  threads=%-2d  %10.1f ms\n", ts, float64(el.Microseconds())/1000)
 		scored = files["temporalScores.data"]
 	}
 

@@ -207,8 +207,6 @@ int main() {
 		// A scan error: the location once, and the comment named as what is open.
 		{"scan error", []string{openComment}, 2, openComment + ":2:12: error: scan error: unterminated block comment\n"},
 		{"deadline", []string{"-timeout", "150ms", spin}, 1, "deadline"},
-		// Refused before any connection is made: the service has one engine.
-		{"remote tree engine", []string{"-server", "http://127.0.0.1:1", "-engine", "tree", spin}, 2, "-engine applies to local runs only"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

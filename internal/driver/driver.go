@@ -196,10 +196,9 @@ type RunRequest struct {
 	Files  map[string]*matrix.Matrix
 	Stdout io.Writer
 	// Engine selects the execution engine: "vm" (the default, also
-	// selected by "") runs the register bytecode machine; "tree" runs
-	// the tree-walking interpreter. A program the bytecode compiler
-	// declines falls back to the tree walker transparently — the two
-	// engines are observably identical by contract.
+	// selected by "") runs the register bytecode machine, production's
+	// one engine; "tree" runs the tree-walking interpreter, the oracle
+	// the differential tests and bench/ compare the VM against.
 	Engine string
 	// Tenant labels the execution for per-tenant metrics attribution;
 	// empty counts as anonymous. It does not participate in cache keys
@@ -216,10 +215,15 @@ type RunResult struct {
 	Diagnostics []string
 	ExitCode    int
 	Stages      StageTimings
-	// Engine is the engine that actually executed: "vm" or "tree"
-	// (the latter also when the bytecode compiler fell back).
+	// Engine is the engine that executed: "vm", or "tree" when the
+	// request asked for the oracle.
 	Engine string
 }
+
+// ErrInternal marks a run that failed through no fault of the program:
+// the bytecode compiler bailed on a checked program. The error's text
+// names the bail.
+var ErrInternal = errors.New("internal error")
 
 // hashKey content-addresses a request: a SHA-256 over length-prefixed
 // fields, so no field boundary ambiguity. Fields pass through a small
@@ -379,8 +383,8 @@ func emit(fr *frontResult, req *CompileRequest) (string, error) {
 }
 
 // vmEntry is a bytecode compilation outcome. err records a compiler
-// bail (a construct the bytecode engine declines), which is kept too so
-// the fallback decision is made once per unit.
+// bail, kept on the unit like a program so every run of the unit fails
+// at once without compiling again.
 type vmEntry struct {
 	p   *vm.Program
 	err error
@@ -393,21 +397,22 @@ func (d *Driver) bytecode(u *unit) (*vm.Program, error) {
 	e, how := u.code.get(func() vmEntry {
 		d.metrics.VMCompileTotal.Add(1)
 		p, err := vm.Compile(u.prog, u.info)
-		if err == nil {
-			d.metrics.VMFusedSites.Add(int64(p.FusedSites()))
-			d.metrics.VMWithSites.Add(int64(p.WithCompiled()))
+		if err != nil {
+			return vmEntry{err: fmt.Errorf("%w: %v", ErrInternal, err)}
 		}
-		return vmEntry{p, err}
+		d.metrics.VMFusedSites.Add(int64(p.FusedSites()))
+		d.metrics.VMWithSites.Add(int64(p.WithCompiled()))
+		return vmEntry{p: p}
 	})
 	tally{&d.metrics.VMCacheHits, &d.metrics.VMCacheHits, &d.metrics.VMCacheMisses}.count(how)
 	return e.p, e.err
 }
 
 // Run parses and checks req.Source through the unit cache, then
-// executes it — on the register bytecode machine by default, or on the
-// tree-walking interpreter when req.Engine says so or the bytecode
-// compiler declines the program. The returned error is nil unless
-// execution itself failed (including ctx cancellation); frontend
+// executes it — on the register bytecode machine, or on the
+// tree-walking interpreter when req.Engine asks for the oracle. The
+// returned error is nil unless execution itself failed (including ctx
+// cancellation) or the bytecode compiler bailed (ErrInternal); frontend
 // failures are reported through RunResult.OK and Diagnostics.
 func (d *Driver) Run(ctx context.Context, req RunRequest) (*RunResult, error) {
 	engine := req.Engine
@@ -428,10 +433,9 @@ func (d *Driver) Run(ctx context.Context, req RunRequest) (*RunResult, error) {
 	if engine == "vm" {
 		p, err := d.bytecode(u)
 		if err != nil {
-			engine = "tree" // transparent fallback, same observable semantics
-		} else {
-			prog = p
+			return out, err
 		}
+		prog = p
 	}
 	out.Engine = engine
 	threads := req.Threads

@@ -3,11 +3,15 @@ package driver_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"repro/internal/driver"
 	"repro/internal/parser"
+	"repro/internal/server"
 )
 
 // Engine selection, the vm program cache, and the vm_* observability
@@ -93,5 +97,47 @@ func TestRunVMPreservesTraps(t *testing.T) {
 	}
 	if resV.Engine != "vm" || resT.Engine != "tree" {
 		t.Errorf("engines = %q/%q, want vm/tree", resV.Engine, resT.Engine)
+	}
+}
+
+// TestServerAnswersABail500: a shard answers a bytecode compiler bail
+// with 500 and the bail's text — the service's failure, not a 422 — and
+// does not count it among client errors. (It lives here because only
+// the driver's tests can provoke a bail.)
+func TestServerAnswersABail500(t *testing.T) {
+	const src = `int unused() { return 1; } int main() { print(7); return 0; }`
+	d := driver.New()
+	driver.BreakBytecode(d, "bail.xc", src, "unused")
+	s := server.New(server.Config{Driver: d})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	body, _ := json.Marshal(server.RunRequest{Head: server.Head{Name: "bail.xc", Source: src}})
+	resp, err := http.Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got server.ErrorResponse
+	err = json.NewDecoder(resp.Body).Decode(&got)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusInternalServerError ||
+		!strings.Contains(got.Error, `vm: function "unused" missing from checker info`) {
+		t.Fatalf("status %d, body %+v (%v), want 500 with the bail's text", resp.StatusCode, got, err)
+	}
+
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m struct {
+		ClientErrors int64 `json:"client_errors"`
+		RunTraps     int64 `json:"run_traps"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	if m.ClientErrors != 0 || m.RunTraps != 0 {
+		t.Errorf("client_errors %d, run_traps %d, want 0 and 0", m.ClientErrors, m.RunTraps)
 	}
 }

@@ -50,9 +50,6 @@ type Config struct {
 	// Shards lists the cmserved base URLs (e.g. "http://10.0.0.1:8347").
 	// Required, at least one.
 	Shards []string
-	// Replicas is the virtual-node count per shard on the hash ring
-	// (default DefaultReplicas).
-	Replicas int
 
 	// ProbeInterval paces the per-shard health probes (default 1s);
 	// ProbeTimeout bounds each probe (default ProbeInterval/2).
@@ -80,10 +77,6 @@ type Config struct {
 	// never loses the only copy (default true; set DisableReplication
 	// to turn off).
 	DisableReplication bool
-
-	// MaxBodyBytes bounds request bodies (default 1 MiB, matching
-	// cmserved's MaxSourceBytes).
-	MaxBodyBytes int64
 
 	// Tenants is the API-key registry. When set, the gate authenticates
 	// every routed request, charges the tenant's token bucket before
@@ -176,12 +169,9 @@ func New(cfg Config) (*Router, error) {
 	if cfg.HedgeAfterMax <= 0 {
 		cfg.HedgeAfterMax = 2 * time.Second
 	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 1 << 20
-	}
 	rt := &Router{
 		cfg:      cfg,
-		ring:     NewRing(cfg.Shards, cfg.Replicas),
+		ring:     NewRing(cfg.Shards, DefaultReplicas),
 		client:   &http.Client{Transport: cfg.Transport},
 		started:  time.Now(),
 		stop:     make(chan struct{}),
@@ -327,7 +317,7 @@ func (rt *Router) handleRouted(verb string) http.HandlerFunc {
 			hdr = http.Header{}
 			hdr.Set(tenant.HeaderTenant, tn.Name())
 		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, server.MaxSourceBytes))
 		if err != nil {
 			server.WriteJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: "request body: " + err.Error()})
 			return
@@ -742,7 +732,7 @@ func (rt *Router) peerFill(ctx context.Context, spec forwardSpec, target int, or
 			resp.Body.Close()
 			continue
 		}
-		raw, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxBodyBytes*4))
+		raw, err := io.ReadAll(io.LimitReader(resp.Body, server.MaxSourceBytes*4))
 		resp.Body.Close()
 		if err != nil {
 			continue
@@ -808,7 +798,7 @@ func (rt *Router) maybeReplicate(spec forwardSpec, served int, order []int) {
 			rt.unsee(spec.artifactKey)
 			return
 		}
-		raw, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxBodyBytes*4))
+		raw, err := io.ReadAll(io.LimitReader(resp.Body, server.MaxSourceBytes*4))
 		resp.Body.Close()
 		if err != nil {
 			rt.unsee(spec.artifactKey)

@@ -200,7 +200,7 @@ func (i *Interp) WriteMatrixFile(n ast.Node, name string, m *matrix.Matrix) erro
 // temporary reference; the engine must register the header on the
 // enclosing statement's pending list.
 func (i *Interp) RcNew(v any) (cell any, hdr *rc.Header) {
-	h := i.heap.Alloc(8 + 4)
+	h := i.heap.Alloc()
 	return &rcCell{hdr: h, val: v}, h
 }
 

@@ -132,7 +132,7 @@ func (c *ctx) execStmtInner(s ast.Stmt) (control, any, error) {
 				return ctlNone, nil, err
 			}
 		} else {
-			v = zeroValue(s.Type)
+			v = ZeroValue(ty)
 		}
 		c.i.BindValue(v)
 		c.frame.vars[s.Name] = &binding{v: v, ty: ty}

@@ -279,7 +279,7 @@ func (i *Interp) run() (int, error) {
 				return 0, err
 			}
 		} else {
-			v = zeroValue(g.Type)
+			v = ZeroValue(ty)
 		}
 		root.i.BindValue(v)
 		gframe.vars[g.Name] = &binding{v: v, ty: ty}
@@ -296,35 +296,6 @@ func (i *Interp) run() (int, error) {
 		code = int(n)
 	}
 	return code, nil
-}
-
-// zeroValue produces the default value for a declared type.
-func zeroValue(te ast.TypeExpr) any {
-	switch t := te.(type) {
-	case *ast.PrimType:
-		switch t.Kind {
-		case ast.PrimInt:
-			return int64(0)
-		case ast.PrimFloat:
-			return float64(0)
-		case ast.PrimBool:
-			return false
-		}
-		return nil
-	case *ast.MatrixType:
-		// Declared-but-unassigned matrices start empty; they must be
-		// assigned before use (indexing an empty matrix errors).
-		return (*matrix.Matrix)(nil)
-	case *ast.TupleType:
-		out := make([]any, len(t.Elems))
-		for k, e := range t.Elems {
-			out[k] = zeroValue(e)
-		}
-		return out
-	case *ast.RcPtrType:
-		return (*rcCell)(nil)
-	}
-	return nil
 }
 
 // rcCell is the runtime value of the refcount extension's pointers.

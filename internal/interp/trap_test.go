@@ -124,7 +124,7 @@ func TestTrapRCInjectedDoubleFree(t *testing.T) {
 	// typed panic must be recovered and classified as the rc trap.
 	par.TestHookInjectPanic = func(worker int) {
 		if worker == 0 {
-			h := rc.NewHeap().Alloc(8)
+			h := rc.NewHeap().Alloc()
 			h.DecRef()
 			h.DecRef()
 		}

@@ -71,17 +71,19 @@ func (w workerIdx) of(worker int) []int {
 // The idx slice must not be retained.
 type BodyFunc func(idx []int) (any, error)
 
-// GenArrayExec produces a matrix of the given element type and shape
-// whose cells inside the generator box hold body(idx) and 0 elsewhere.
-// As §III-A.4 requires, the shape must be a superset of the generator
-// box — a runtime check. The output allocation is charged against
-// x.Budget before any storage is made.
-func GenArrayExec(elem Elem, lower, upper, shape []int, body BodyFunc, x Exec) (*Matrix, error) {
+// admitGenArray is a genarray's admission, whichever engine fills it:
+// the shape must be a superset of the generator box, as §III-A.4
+// requires — a runtime check — and the result is charged against
+// x.Budget before any storage is made. A non-empty box covering the
+// whole shape writes every cell, so its result takes the non-zeroing
+// allocator; any other box leaves cells that must read 0.
+func admitGenArray(elem Elem, lower, upper, shape []int, x Exec) (*Matrix, error) {
 	if len(lower) != len(shape) || len(upper) != len(shape) {
 		return nil, fmt.Errorf("matrix: genarray shape rank %d does not match generator rank %d",
 			len(shape), len(lower))
 	}
-	if _, err := checkedSize(shape); err != nil {
+	n, err := checkedSize(shape)
+	if err != nil {
 		return nil, err
 	}
 	for d := range shape {
@@ -91,7 +93,27 @@ func GenArrayExec(elem Elem, lower, upper, shape []int, body BodyFunc, x Exec) (
 				shape, lower, upper, d)
 		}
 	}
-	out, err := NewBudgeted(x.Budget, elem, shape...)
+	if n > 0 && covers(lower, upper, shape) {
+		return newKernelOut(x.Budget, elem, shape)
+	}
+	return NewBudgeted(x.Budget, elem, shape...)
+}
+
+// covers reports whether the box [lower, upper) is the whole of shape.
+func covers(lower, upper, shape []int) bool {
+	for d := range shape {
+		if lower[d] != 0 || upper[d] != shape[d] {
+			return false
+		}
+	}
+	return true
+}
+
+// GenArrayExec produces a matrix of the given element type and shape
+// whose cells inside the generator box hold body(idx) and 0 elsewhere
+// (see admitGenArray).
+func GenArrayExec(elem Elem, lower, upper, shape []int, body BodyFunc, x Exec) (*Matrix, error) {
+	out, err := admitGenArray(elem, lower, upper, shape, x)
 	if err != nil {
 		return nil, err
 	}

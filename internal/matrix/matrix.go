@@ -167,8 +167,8 @@ func (m *Matrix) fillBox(sel *selection, v any) error {
 }
 
 // Bind takes a reference to m on behalf of a variable binding. The
-// first makes m tracked on h, at data + the 4-byte RC header of §III-B;
-// it must come before m is shared across goroutines.
+// first makes m tracked on h; it must come before m is shared across
+// goroutines.
 func (m *Matrix) Bind(h *rc.Heap) {
 	if m.heap != nil {
 		m.count.IncRef()
@@ -176,7 +176,7 @@ func (m *Matrix) Bind(h *rc.Heap) {
 	}
 	m.heap = h
 	m.count.Init()
-	h.Track(m.Size()*8 + 4)
+	h.Track()
 }
 
 // Tracked reports whether a variable was ever bound to m.
@@ -196,7 +196,7 @@ func (m *Matrix) DecRef() bool {
 	if m.heap == nil || !m.count.DecRef() {
 		return false
 	}
-	m.heap.Untrack(m.Size()*8 + 4)
+	m.heap.Untrack()
 	m.Recycle()
 	return true
 }

@@ -462,8 +462,8 @@ func TestTrackedAllocation(t *testing.T) {
 		t.Fatal("a matrix nothing was bound to is tracked")
 	}
 	m.Bind(h)
-	if st := h.Stats(); !m.Tracked() || st.Live != 1 || st.LiveBytes != 804 || st.Allocs != 1 {
-		t.Fatalf("after the first Bind: tracked %v, heap %+v", m.Tracked(), st)
+	if !m.Tracked() || h.Live() != 1 {
+		t.Fatalf("after the first Bind: tracked %v, live %d", m.Tracked(), h.Live())
 	}
 	m.Bind(h)
 	if m.DecRef() || m.Floats() == nil {
@@ -472,8 +472,8 @@ func TestTrackedAllocation(t *testing.T) {
 	if !m.DecRef() || m.Floats() != nil {
 		t.Fatal("the last reference did not release and recycle the matrix")
 	}
-	if err := h.CheckLeaks(); err != nil || h.Stats().Frees != 1 {
-		t.Fatalf("after the last DecRef: %v, heap %+v", err, h.Stats())
+	if err := h.CheckLeaks(); err != nil {
+		t.Fatalf("after the last DecRef: %v", err)
 	}
 	for name, op := range map[string]func(){"DecRef on freed allocation (double free)": func() { m.DecRef() },
 		"IncRef on freed allocation (use after free)": m.IncRef} {

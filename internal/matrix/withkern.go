@@ -7,16 +7,14 @@
 // innermost dimension at a time (withstrip.go) instead of calling back
 // into tree evaluation per element.
 //
-// The contract with the closure path is byte-exactness: both flat
-// entry points replay GenArrayExec/FoldExec's admission sequence
-// (validation before the allocation hook and budget charge, identical
-// free-list behavior, identical combine order for float folds) and
-// refuse — returning handled=false, never an error of their own — any
-// case where the closure path would produce an observable the flat
-// path cannot reproduce. An up-front interval analysis over the
-// generator box, fold brackets included, proves every matrix load in
-// bounds before the first element is touched; anything it cannot bound
-// falls back.
+// The contract with the closure path is byte-exactness: GenArrayFlat
+// admits its result through the closure path's own admitGenArray, both
+// flat entry points combine float folds in the closure path's order,
+// and both refuse — returning handled=false, having done nothing — any
+// body the flat engine cannot run. An up-front interval analysis over
+// the generator box, fold brackets included, proves every matrix load
+// in bounds before the first element is touched; anything it cannot
+// bound falls back.
 package matrix
 
 import (
@@ -375,39 +373,22 @@ func matchSingleLoad(code []WithInstr) *withLoadPlan {
 	return p
 }
 
-// GenArrayFlat is the flat engine for a proven genarray body. It
-// returns handled=false — having allocated nothing and fired no hooks
-// — whenever the closure path must run instead, either to reproduce an
-// admission error exactly or because the leaves fall outside what the
-// flat engine handles. When handled, the result (matrix, budget
-// charges, alloc-hook firings, error) is observably identical to
-// GenArrayExec with a closure of the same body.
+// GenArrayFlat is the flat engine for a proven genarray body.
+// handled=false — with nothing allocated and no hook fired — means
+// only that this body cannot run flat here (element type, leaves, an
+// index the interval analysis cannot bound); the closure path runs it.
+// Otherwise the result (matrix, budget charges, alloc-hook firings,
+// error) is observably identical to GenArrayExec with a closure of the
+// same body: both admit through admitGenArray.
 func GenArrayFlat(elem Elem, r *WithRun, x Exec) (*Matrix, bool, error) {
-	// Replay the admission checks; a failure falls back so the closure
-	// path raises the exact error text.
 	p := r.prog
 	lower, upper, shape := r.Lower, r.Upper, r.Shape
-	n, err := checkedSize(shape)
-	if err != nil {
-		return nil, false, nil
-	}
-	for d := range shape {
-		if lower[d] < 0 || upper[d] > shape[d] {
-			return nil, false, nil
-		}
-	}
 	if elem == Bool || (elem == Float) != p.spec.OutFloat || !r.leavesOK() {
 		return nil, false, nil
 	}
 	empty := false
-	full := true
-	for d := range shape {
-		if upper[d] <= lower[d] {
-			empty = true
-		}
-		if lower[d] != 0 || upper[d] != shape[d] {
-			full = false
-		}
+	for d := range lower {
+		empty = empty || upper[d] <= lower[d]
 	}
 	cost := int64(0)
 	if !empty {
@@ -416,27 +397,18 @@ func GenArrayFlat(elem Elem, r *WithRun, x Exec) (*Matrix, bool, error) {
 			return nil, false, nil
 		}
 	}
-	// Allocation: same hook/charge sequence as the closure path's
-	// NewBudgeted. Cells outside the generator box must read zero, so
-	// only a box covering the whole shape may take the non-zeroing
-	// free-list allocator.
-	var out *Matrix
-	if full && !empty {
-		out, err = newKernelOut(x.Budget, elem, shape)
-	} else {
-		out, err = NewBudgeted(x.Budget, elem, shape...)
-	}
+	out, err := admitGenArray(elem, lower, upper, shape, x)
 	if err != nil {
 		return nil, true, err
 	}
-	if n == 0 || empty {
+	if empty {
 		return out, true, nil
 	}
 	rank := len(shape)
 
 	// Transpose pattern: out[i,j] = m[j,i] over the whole matrix runs
 	// the cache-blocked transpose kernel.
-	if lp := p.load; lp != nil && full && rank == 2 && len(lp.perm) == 2 && lp.perm[0] == 1 && lp.perm[1] == 0 {
+	if lp := p.load; lp != nil && covers(lower, upper, shape) && rank == 2 && len(lp.perm) == 2 && lp.perm[0] == 1 && lp.perm[1] == 0 {
 		m := r.Mats[lp.mat]
 		if m.elem == elem && m.shape()[0] == shape[1] && m.shape()[1] == shape[0] {
 			kernelTransposeCount.Add(1)

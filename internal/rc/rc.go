@@ -90,12 +90,6 @@ func (c *Count) ForceFree() bool {
 	return c.freed.CompareAndSwap(false, true)
 }
 
-// Refs returns the current reference count.
-func (c *Count) Refs() int32 { return atomic.LoadInt32(&c.n) }
-
-// Freed reports whether the allocation was released.
-func (c *Count) Freed() bool { return c.freed.Load() }
-
 // Ref is a counted reference an engine holds until its statement ends:
 // a *Header and a *matrix.Matrix release alike.
 type Ref interface{ DecRef() bool }
@@ -103,43 +97,28 @@ type Ref interface{ DecRef() bool }
 // Header is the count of an allocation that has no header of its own.
 type Header struct {
 	c    Count
-	size int
 	heap *Heap
 }
 
-// Heap tracks live allocations for leak accounting.
+// Heap counts the allocations tracked on it and not yet released, for
+// leak accounting.
 type Heap struct {
-	live      atomic.Int64
-	liveBytes atomic.Int64
-	allocs    atomic.Int64
-	frees     atomic.Int64
+	live atomic.Int64
 }
 
 // NewHeap creates an empty heap.
 func NewHeap() *Heap { return &Heap{} }
 
-// DefaultHeap is used by package-level helpers and the matrix runtime.
-var DefaultHeap = NewHeap()
-
-// Track records a new allocation of size bytes whose Count its owner
-// keeps; Untrack records its release.
-func (h *Heap) Track(size int) {
-	h.live.Add(1)
-	h.liveBytes.Add(int64(size))
-	h.allocs.Add(1)
-}
+// Track records a new allocation whose Count its owner keeps.
+func (h *Heap) Track() { h.live.Add(1) }
 
 // Untrack records the release of an allocation Track recorded.
-func (h *Heap) Untrack(size int) {
-	h.live.Add(-1)
-	h.liveBytes.Add(-int64(size))
-	h.frees.Add(1)
-}
+func (h *Heap) Untrack() { h.live.Add(-1) }
 
 // Alloc records a new allocation with reference count 1.
-func (h *Heap) Alloc(size int) *Header {
-	h.Track(size)
-	return &Header{c: Count{n: 1}, size: size, heap: h}
+func (h *Heap) Alloc() *Header {
+	h.Track()
+	return &Header{c: Count{n: 1}, heap: h}
 }
 
 // IncRef takes a reference (see Count.IncRef); a nil header has none.
@@ -155,7 +134,7 @@ func (hd *Header) DecRef() bool {
 	if hd == nil || !hd.c.DecRef() {
 		return false
 	}
-	hd.heap.Untrack(hd.size)
+	hd.heap.Untrack()
 	return true
 }
 
@@ -170,42 +149,21 @@ func (hd *Header) ForceFree() bool {
 	if hd == nil || !hd.c.ForceFree() {
 		return false
 	}
-	hd.heap.Untrack(hd.size)
+	hd.heap.Untrack()
 	return true
 }
 
-// Count returns the current reference count.
-func (hd *Header) Count() int32 { return hd.c.Refs() }
-
 // Freed reports whether the allocation was released.
-func (hd *Header) Freed() bool { return hd.c.Freed() }
+func (hd *Header) Freed() bool { return hd.c.freed.Load() }
 
-// Size returns the allocation size recorded at Alloc.
-func (hd *Header) Size() int { return hd.size }
-
-// Stats is a snapshot of heap accounting.
-type Stats struct {
-	Live      int64
-	LiveBytes int64
-	Allocs    int64
-	Frees     int64
-}
-
-// Stats returns the current counters.
-func (h *Heap) Stats() Stats {
-	return Stats{
-		Live:      h.live.Load(),
-		LiveBytes: h.liveBytes.Load(),
-		Allocs:    h.allocs.Load(),
-		Frees:     h.frees.Load(),
-	}
-}
+// Live returns the number of allocations tracked and not yet released.
+func (h *Heap) Live() int64 { return h.live.Load() }
 
 // CheckLeaks returns an error when live allocations remain — used by
 // tests to enforce the RC discipline end to end.
 func (h *Heap) CheckLeaks() error {
-	if s := h.Stats(); s.Live != 0 {
-		return fmt.Errorf("rc: %d allocation(s) (%d bytes) leaked", s.Live, s.LiveBytes)
+	if n := h.Live(); n != 0 {
+		return fmt.Errorf("rc: %d allocation(s) leaked", n)
 	}
 	return nil
 }

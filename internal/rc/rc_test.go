@@ -9,14 +9,11 @@ import (
 
 func TestBasicLifecycle(t *testing.T) {
 	h := NewHeap()
-	hd := h.Alloc(64)
-	if hd.Count() != 1 {
-		t.Fatalf("fresh count = %d", hd.Count())
+	hd := h.Alloc()
+	if h.Live() != 1 {
+		t.Fatalf("live after Alloc = %d", h.Live())
 	}
 	hd.IncRef()
-	if hd.Count() != 2 {
-		t.Fatalf("after inc = %d", hd.Count())
-	}
 	if hd.DecRef() {
 		t.Fatal("decref with remaining refs should not free")
 	}
@@ -33,18 +30,18 @@ func TestBasicLifecycle(t *testing.T) {
 
 func TestLeakDetection(t *testing.T) {
 	h := NewHeap()
-	h.Alloc(128)
+	h.Alloc()
 	if err := h.CheckLeaks(); err == nil {
 		t.Fatal("expected leak to be reported")
 	}
-	if s := h.Stats(); s.Live != 1 || s.LiveBytes != 128 || s.Allocs != 1 || s.Frees != 0 {
-		t.Errorf("stats = %+v", s)
+	if n := h.Live(); n != 1 {
+		t.Errorf("live = %d", n)
 	}
 }
 
 func TestDoubleFreePanics(t *testing.T) {
 	h := NewHeap()
-	hd := h.Alloc(8)
+	hd := h.Alloc()
 	hd.DecRef()
 	defer func() {
 		if recover() == nil {
@@ -56,7 +53,7 @@ func TestDoubleFreePanics(t *testing.T) {
 
 func TestUseAfterFreePanics(t *testing.T) {
 	h := NewHeap()
-	hd := h.Alloc(8)
+	hd := h.Alloc()
 	hd.DecRef()
 	defer func() {
 		if recover() == nil {
@@ -76,7 +73,7 @@ func TestNilHeaderSafe(t *testing.T) {
 
 func TestConcurrentRefCounting(t *testing.T) {
 	h := NewHeap()
-	hd := h.Alloc(1)
+	hd := h.Alloc()
 	const goroutines = 8
 	const rounds = 1000
 	var wg sync.WaitGroup
@@ -91,10 +88,9 @@ func TestConcurrentRefCounting(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if hd.Count() != 1 {
-		t.Fatalf("count after concurrent inc/dec = %d", hd.Count())
+	if !hd.DecRef() {
+		t.Fatal("the last reference after concurrent inc/dec did not free")
 	}
-	hd.DecRef()
 	if err := h.CheckLeaks(); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +102,7 @@ func TestQuickBalancedOps(t *testing.T) {
 	f := func(seed int64, incsU uint8) bool {
 		incs := int(incsU % 50)
 		h := NewHeap()
-		hd := h.Alloc(16)
+		hd := h.Alloc()
 		for i := 0; i < incs; i++ {
 			hd.IncRef()
 		}

@@ -130,7 +130,7 @@ func TestCrashRCDoubleFreeIsTrapped(t *testing.T) {
 	// typed rc panic must come back as the rc trap.
 	par.TestHookInjectPanic = func(worker int) {
 		if worker == 0 {
-			h := rc.NewHeap().Alloc(8)
+			h := rc.NewHeap().Alloc()
 			h.DecRef()
 			h.DecRef()
 		}

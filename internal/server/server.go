@@ -56,12 +56,9 @@ type Config struct {
 	// defaults to runtime.GOMAXPROCS(0), the internal/par pool's own
 	// default worker count.
 	MaxConcurrentRuns int
-	// DefaultTimeout applies to run requests that specify none;
-	// MaxTimeout clamps what a request may ask for.
+	// DefaultTimeout applies to run requests that specify none; no
+	// request gets more than maxTimeout.
 	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
-	// MaxSourceBytes bounds request bodies (default 1 MiB).
-	MaxSourceBytes int64
 	// MaxCells caps the matrix cells one run may allocate; requests
 	// asking for more (or for nothing) are clamped to it. Defaults to
 	// 1<<26 cells (512 MiB of float64), so one adversarial genarray
@@ -89,11 +86,15 @@ type Config struct {
 	// only when the daemon is reachable exclusively through the gate —
 	// the header is trivially forgeable on an open port.
 	TrustGateHeader bool
-	// MinRetryAfter floors the Retry-After estimate on shed responses
-	// (default 50ms) so a server with no latency history never invites
-	// an immediate retry storm.
-	MinRetryAfter time.Duration
 }
+
+// MaxSourceBytes bounds a request body; the gate (internal/fleet)
+// applies the same bound before it forwards one. An artifact a peer
+// PUTs may be four times as large.
+const MaxSourceBytes = 1 << 20
+
+// maxTimeout clamps the execution timeout a run request may ask for.
+const maxTimeout = 60 * time.Second
 
 // TestHookRunBarrier, when non-nil, is called by handleRun while its
 // admission slot is held, before execution. Chaos tests use it to pin
@@ -125,12 +126,6 @@ func New(cfg Config) *Server {
 	if cfg.DefaultTimeout <= 0 {
 		cfg.DefaultTimeout = 10 * time.Second
 	}
-	if cfg.MaxTimeout <= 0 {
-		cfg.MaxTimeout = 60 * time.Second
-	}
-	if cfg.MaxSourceBytes <= 0 {
-		cfg.MaxSourceBytes = 1 << 20
-	}
 	if cfg.MaxCells <= 0 {
 		cfg.MaxCells = 1 << 26
 	}
@@ -143,7 +138,7 @@ func New(cfg Config) *Server {
 	return &Server{
 		cfg:       cfg,
 		d:         cfg.Driver,
-		admit:     newAdmitter(cfg.MaxConcurrentRuns, cfg.RunQueueSize, cfg.MaxQueueWait, cfg.MinRetryAfter),
+		admit:     newAdmitter(cfg.MaxConcurrentRuns, cfg.RunQueueSize, cfg.MaxQueueWait, 0),
 		startedAt: time.Now(),
 		traps:     map[string]int64{},
 	}
@@ -264,7 +259,7 @@ func (s *Server) admitTenant(w http.ResponseWriter, r *http.Request) (tn *tenant
 
 // decode parses a JSON body into v, enforcing the size limit.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxSourceBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, MaxSourceBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -370,7 +365,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		w.Write(raw)
 	case http.MethodPut:
-		raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxSourceBytes*4))
+		raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxSourceBytes*4))
 		if err != nil {
 			s.clientError(w, http.StatusBadRequest, ErrorResponse{Error: "artifact body: " + err.Error()})
 			return
@@ -405,9 +400,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if req.TimeoutMS > 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
+	timeout = min(timeout, maxTimeout)
 	maxCells := req.MaxCells
 	if maxCells <= 0 || maxCells > s.cfg.MaxCells {
 		maxCells = s.cfg.MaxCells
@@ -461,6 +454,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	})
 	dur := time.Since(t0)
 	if err != nil {
+		if errors.Is(err, driver.ErrInternal) {
+			// The service's failure, not the client's: a 500 with the text.
+			WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
+			return
+		}
 		if ctx.Err() != nil {
 			s.metrics.RunTimeouts.Add(1)
 			WriteJSON(w, http.StatusGatewayTimeout, ErrorResponse{

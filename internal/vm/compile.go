@@ -1,8 +1,9 @@
-// The bytecode compiler: lowers a checked AST to Program protos. The
-// lowering is conservative — every construct whose exact tree-walker
-// semantics (evaluation order, error text, error position) cannot be
-// reproduced in bytecode aborts compilation with an error, and the
-// driver falls back to the tree engine for that program.
+// The bytecode compiler: lowers a checked AST to Program protos that
+// reproduce the tree walker's semantics (evaluation order, error text,
+// error position). A bail aborts compilation with an error; every bail
+// is an internal-consistency assertion no checked program reaches, and
+// the driver reports one as an internal error, never running the
+// program another way.
 package vm
 
 import (
@@ -10,7 +11,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/interp"
-	"repro/internal/matrix"
 	"repro/internal/sem"
 	"repro/internal/types"
 	"repro/internal/vet"
@@ -373,7 +373,7 @@ func (c *compiler) compileGinit() {
 			r0, c0 := f.compileExpr(g.Init)
 			reg, cl = f.coerceTo(g, def.ty, r0, c0, noDest)
 		} else {
-			reg, cl = f.zeroOf(g.Type, def.ty, noDest)
+			reg, cl = f.zeroOf(def.ty, noDest)
 		}
 		if def.cl == clR {
 			if cl != clR {
@@ -391,9 +391,9 @@ func (c *compiler) compileGinit() {
 	c.ginit = &proto{name: "<globals>", code: f.code, nregs: f.nreg}
 }
 
-// zeroOf emits the declared type's zero value (tree: zeroValue(te)),
-// a scalar's straight into d when d wants one.
-func (f *fnc) zeroOf(te ast.TypeExpr, ty *types.Type, d dest) (int32, class) {
+// zeroOf emits the declared type's zero value (interp.ZeroValue), a
+// scalar's straight into d when d wants one.
+func (f *fnc) zeroOf(ty *types.Type, d dest) (int32, class) {
 	cl := classOf(ty)
 	r := f.out(d, cl)
 	switch cl {
@@ -402,37 +402,9 @@ func (f *fnc) zeroOf(te ast.TypeExpr, ty *types.Type, d dest) (int32, class) {
 	case clF:
 		f.emit(instr{op: opLoadK, a: r, b: f.c.constFloat(0)})
 	default:
-		f.emit(instr{op: opLoadK, a: r, b: f.c.constBoxed(zeroBoxed(te))})
+		f.emit(instr{op: opLoadK, a: r, b: f.c.constBoxed(interp.ZeroValue(ty))})
 	}
 	return r, cl
-}
-
-// zeroBoxed mirrors the tree walker's AST-driven zeroValue for boxed
-// classes (matrices nil, tuples elementwise, rc pointers null).
-func zeroBoxed(te ast.TypeExpr) any {
-	switch t := te.(type) {
-	case *ast.PrimType:
-		switch t.Kind {
-		case ast.PrimInt:
-			return int64(0)
-		case ast.PrimFloat:
-			return float64(0)
-		case ast.PrimBool:
-			return false
-		}
-		return nil
-	case *ast.MatrixType:
-		return (*matrix.Matrix)(nil)
-	case *ast.TupleType:
-		out := make([]any, len(t.Elems))
-		for k, e := range t.Elems {
-			out[k] = zeroBoxed(e)
-		}
-		return out
-	case *ast.RcPtrType:
-		return interp.ZeroValue(types.RcPtrOf(types.IntT))
-	}
-	return nil
 }
 
 // coerceTo emits the binding-time coercion of (reg, cl) to declared
@@ -515,7 +487,7 @@ func (f *fnc) compileStmtInner(s ast.Stmt) {
 		if s.Init != nil {
 			f.assignLocal(s, slot, s.Init)
 		} else {
-			reg, cl := f.zeroOf(s.Type, ty, destOf(slot))
+			reg, cl := f.zeroOf(ty, destOf(slot))
 			f.storeVar(slot, reg, cl)
 		}
 		f.scope.bind(s.Name, slot)

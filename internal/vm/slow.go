@@ -382,12 +382,11 @@ func (mc *Machine) execWith(fr *frame, in *instr) error {
 }
 
 // execWithFlat attempts a facts-compiled with-loop on the flat engine.
-// handled=false means the admission declined — a leaf register holds
-// an unexpected value, or the flat engine itself declined (infeasible
-// indices, element mismatch) — with nothing observable done: no hook
-// firings, no budget charges. The caller then falls back to the
-// closure engine, which reproduces any error byte-identically; the
-// decline is counted.
+// handled=false means the flat engine cannot run this body here — a
+// leaf register holds an unexpected value, an index is infeasible, the
+// element type mismatches — with nothing observable done: no hook
+// firings, no budget charges. The caller then runs the closure engine;
+// the decline is counted.
 func (mc *Machine) execWithFlat(fr *frame, in *instr) (bool, error) {
 	d := in.aux.(*withDesc)
 	fp := d.flat

@@ -79,7 +79,7 @@ func runOne(t *testing.T, prog *parsedProg, engine string, opts interp.Options) 
 	default:
 		code, err = i.Run()
 	}
-	res := engineResult{out: out.String(), code: code, cells: i.Budget().Used(), live: heap.Stats().Live}
+	res := engineResult{out: out.String(), code: code, cells: i.Budget().Used(), live: heap.Live()}
 	if err != nil {
 		res.err = err.Error()
 	}
@@ -342,6 +342,44 @@ int main() {
 	Matrix int <1> shifted;
 	shifted = with ([0] <= [i] < [n]) genarray([n], v[i + 1]);
 	print(shifted[0]);
+	return 0;
+}`},
+	// Flat-provable genarrays whose admission fails: the flat engine
+	// raises the error the closure path raises, with the same charges.
+	{name: "err_with_flat_not_superset", pin: &pinned{"9\n", 4},
+		errIs: "err_with_flat_not_superset.xc:8:6: runtime error: matrix: genarray shape [4] is not a superset of the generator box [[1], [6]) in dimension 0", live: 0, src: `
+int main() {
+	int n = 4;
+	Matrix int <1> v;
+	v = with ([0] <= [i] < [n]) genarray([n], i * 3);
+	print(v[n - 1]);
+	Matrix int <1> w;
+	w = with ([1] <= [i] < [n + 2]) genarray([n], i * 2);
+	print(w[0]);
+	return 0;
+}`},
+	{name: "err_with_flat_shape_negative", pin: &pinned{"0.5\n", 2},
+		errIs: "err_with_flat_shape_negative.xc:8:6: runtime error [trap:shape]: matrix: negative dimension -3", live: 0, src: `
+int main() {
+	int n = 0 - 3;
+	Matrix float <1> v;
+	v = with ([0] <= [i] < [2]) genarray([2], (float)i * 0.5);
+	print(v[1]);
+	Matrix float <1> w;
+	w = with ([0] <= [i] < [2]) genarray([n], (float)i * 0.5);
+	print(w[0]);
+	return 0;
+}`},
+	{name: "err_with_flat_shape_overflow", pin: &pinned{"5\n", 6},
+		errIs: "err_with_flat_shape_overflow.xc:8:6: runtime error [trap:shape]: matrix: shape [1099511627776 1099511627776] overflows the address space", live: 0, src: `
+int main() {
+	int n = 1048576 * 1048576;
+	Matrix int <2> v;
+	v = with ([0, 0] <= [i, j] < [2, 3]) genarray([2, 3], i * 3 + j);
+	print(v[1, 2]);
+	Matrix int <2> w;
+	w = with ([0, 0] <= [i, j] < [2, 2]) genarray([n, n], i + j);
+	print(w[0, 0]);
 	return 0;
 }`},
 	{name: "with_flat_promoted_fold", src: `
@@ -2046,13 +2084,6 @@ int main() {
 }
 
 func TestVMDifferentialCorpus(t *testing.T) {
-	// Every run has a heap of its own; the process-wide one sees none of it.
-	base := rc.DefaultHeap.Stats().Live
-	t.Cleanup(func() {
-		if live := rc.DefaultHeap.Stats().Live; live != base {
-			t.Errorf("rc.DefaultHeap holds %d live cells after the corpus, %d before", live, base)
-		}
-	})
 	for _, tc := range vmCorpus {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {

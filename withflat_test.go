@@ -84,6 +84,37 @@ func TestWithFlatNoRuntimeDeclines(t *testing.T) {
 	}
 }
 
+// TestWithFlatAdmissionFailsFlat: a flat-provable genarray whose
+// admission fails — a box outside its shape, a negative dimension, a
+// shape past the address space — raises its error on the flat engine,
+// as the closure path would (the corpus entries pin that); it does not
+// decline. Each program runs two flat genarrays, the second failing.
+// Not parallel: the counters are process-wide.
+func TestWithFlatAdmissionFailsFlat(t *testing.T) {
+	for _, tc := range vmCorpus {
+		switch tc.name {
+		case "err_with_flat_not_superset", "err_with_flat_shape_negative", "err_with_flat_shape_overflow":
+		default:
+			continue
+		}
+		prog := parseAndCheck(t, tc.name+".xc", tc.src)
+		for _, threads := range []int{1, 4} {
+			declined, ran := vm.WithFlatLoopsDeclined(), vm.WithFlatLoopsRun()
+			opts := tc.opts
+			opts.Threads = threads
+			if res := runOne(t, prog, "vm", opts); res.err != tc.errIs {
+				t.Errorf("%s (threads %d): error %q, want %q", tc.name, threads, res.err, tc.errIs)
+			}
+			if got := vm.WithFlatLoopsDeclined() - declined; got != 0 {
+				t.Errorf("%s (threads %d): %d flat with-loop executions declined", tc.name, threads, got)
+			}
+			if got := vm.WithFlatLoopsRun() - ran; got != 2 {
+				t.Errorf("%s (threads %d): %d with-loops ran flat, want 2", tc.name, threads, got)
+			}
+		}
+	}
+}
+
 // TestChainNoRuntimeDeclines: over the shipped programs the VM compiles
 // every chain vet proves — FusedSites is ChainCount, program by program
 // — and an execution has nowhere to decline to: every run of a site is
@@ -117,7 +148,8 @@ func TestChainNoRuntimeDeclines(t *testing.T) {
 		facts := vet.ComputeFacts(prog, info)
 		p, err := vm.CompileWithFacts(prog, info, facts)
 		if err != nil {
-			continue // the driver runs it on the tree walker
+			t.Errorf("%s: the bytecode compiler bailed on a checked program: %v", sp.name, err)
+			continue
 		}
 		if p.FusedSites() != facts.ChainCount() {
 			t.Errorf("%s: %d fused sites for %d proven chains", sp.name, p.FusedSites(), facts.ChainCount())
