@@ -20,8 +20,8 @@ import (
 )
 
 // allocCeilings holds, per program, the objects and KB one warm run may
-// allocate: what EXPERIMENTS.md E24 (E23 or E21 where E24 did not move
-// it) measured, in the comments, plus 5 % (fib_rec and chain_1m, whose
+// allocate: what EXPERIMENTS.md E26 (E25, E24, E23 or E21 where E26 did
+// not move it) measured, in the comments, plus 5 % (fib_rec and chain_1m, whose
 // whole runs are a few dozen objects, get a handful). At PR 25 eddy_score
 // read 65 018 / 5 891 (a 208-byte header and a 48-byte rc header a
 // matrix, a []any and its boxed header a tuple return, a boxed float a
@@ -31,15 +31,17 @@ import (
 // and 16 525 / 835; at PR 24 eddy_score 144 073 / 11 182,
 // withloop_flat_small 7 524 / 529.5 and chain_1m 54 / 16 395 — two 8 MB
 // index vectors a run.
+// Before E26 (a 128-byte header, its cells a second object) eddy_score
+// read 35 410 / 3 447 and withloop_flat_small 3 021 / 201.0.
 var allocCeilings = []struct {
 	file        string
 	objects, kb float64
 }{
-	{"eddy_score", 37_180, 3_620},       // 35 410, 3 447: 17 674 matrices, a 128-byte header and its cells each
+	{"eddy_score", 20_980, 3_080},       // 19 981, 2 930: 17 674 matrices, 87 % of them ≤ 8 cells and one object each
 	{"fib_rec", 25, 2},                  // 21, 1.7
 	{"withloop_closure", 27, 2.1},       // 25, 2.0: weight(i, j) emitted in place, the genarray flat (E25; 6 957, 56.9 a boxed float a cell at PR 27)
 	{"tuples_rc_loop", 9_460, 76},       // 9 004, 72.3: one a trip, rcset's boxed int
-	{"withloop_flat_small", 3_175, 211}, // 3 021, 201.0: two a loop, the header and the indexed cell's box
+	{"withloop_flat_small", 3_175, 162}, // 3 021, 154.1: two a loop, the 96-byte header and the indexed cell's box
 	{"chain_1m", 40, 8},                 // 26, 2.5: five chains, no range vector, no scratch
 }
 

@@ -103,7 +103,7 @@ func (m *Matrix) resolve(specs []IndexSpec, scratch *selScratch) (selection, err
 		default:
 			return selection{}, fmt.Errorf("matrix: unknown index spec kind %d", spec.Kind)
 		}
-		sel.off += start * m.strides()[d]
+		sel.off = sel.off*size + start // row-major, as a Horner sum
 		if spec.Kind != SpecScalar {
 			sel.shape = append(sel.shape, sel.count[d])
 			sel.cells *= sel.count[d]
@@ -163,13 +163,15 @@ func boxCopy[T any](sel *selection, strides []int, d, off int, strided, dense []
 // copyBox runs boxCopy between m's storage and dense's, which holds
 // m's element type.
 func (m *Matrix) copyBox(sel *selection, dense *Matrix, op boxOp) {
+	var s [InlineRank]int
+	strides := m.strides(&s)
 	switch m.elem {
 	case Float:
-		boxCopy(sel, m.strides(), 0, sel.off, m.floats(), dense.floats(), op)
+		boxCopy(sel, strides, 0, sel.off, m.floats(), dense.floats(), op)
 	case Int:
-		boxCopy(sel, m.strides(), 0, sel.off, m.ints(), dense.ints(), op)
+		boxCopy(sel, strides, 0, sel.off, m.ints(), dense.ints(), op)
 	case Bool:
-		boxCopy(sel, m.strides(), 0, sel.off, m.bools(), dense.bools(), op)
+		boxCopy(sel, strides, 0, sel.off, m.bools(), dense.bools(), op)
 	}
 }
 

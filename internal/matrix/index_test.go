@@ -114,7 +114,7 @@ func (sel *selectionRef) forEachRef(m *Matrix, f func(srcOff, dstOff int) error)
 			if sel.lists[d] != nil {
 				v = sel.lists[d][counters[indexOfRef(keptDims, d)]]
 			}
-			srcOff += v * m.strides()[d]
+			srcOff += v * rowMajorStride(m.shape(), d)
 		}
 		dstOff := 0
 		for k := range keptDims {
@@ -287,7 +287,7 @@ func sameValue(a, b any) bool {
 	if !aok || !bok {
 		return aok == bok && reflect.DeepEqual(a, b)
 	}
-	if am.elem != bm.elem || !reflect.DeepEqual(am.shape(), bm.shape()) || !reflect.DeepEqual(am.strides(), bm.strides()) {
+	if am.elem != bm.elem || !reflect.DeepEqual(am.shape(), bm.shape()) {
 		return false
 	}
 	for k := range am.floats() {
@@ -296,6 +296,16 @@ func sameValue(a, b any) bool {
 		}
 	}
 	return reflect.DeepEqual(am.ints(), bm.ints()) && reflect.DeepEqual(am.bools(), bm.bools())
+}
+
+// rowMajorStride is the oracles' own stride of dimension d: the product
+// of the later dimensions, computed here rather than by the matrix.
+func rowMajorStride(shape []int, d int) int {
+	s := 1
+	for _, n := range shape[d+1:] {
+		s *= n
+	}
+	return s
 }
 
 func errText(err error) string {

@@ -202,13 +202,21 @@ func TestKernelDiffMatMul(t *testing.T) {
 }
 
 // FuzzKernelDiff drives random (op, shape, elem, scalar, mode)
-// combinations through every kernel and the boxed reference.
+// combinations through every kernel and the boxed reference. A non-zero
+// cells fixes the operands' shape at 1 to 9 cells: the seeds walk every
+// count of inline cells and the first past them, a dozen draws each, so
+// every oracle meets inline storage in all three element types.
 func FuzzKernelDiff(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
-		f.Add(seed)
+		f.Add(seed, uint8(0))
+	}
+	for cells := uint8(1); cells <= inlineCells+1; cells++ {
+		for seed := int64(0); seed < 12; seed++ {
+			f.Add(seed, cells)
+		}
 	}
 	pool := par.NewPool(4)
-	f.Fuzz(func(t *testing.T, seed int64) {
+	f.Fuzz(func(t *testing.T, seed int64, cells uint8) {
 		r := rand.New(rand.NewSource(seed))
 		elems := []Elem{Float, Int, Bool}
 		// Random shape, sometimes large enough for the parallel path at
@@ -219,6 +227,13 @@ func FuzzKernelDiff(f *testing.F) {
 		}
 		if r.Intn(4) == 0 {
 			shape = []int{2*ParallelGrain + r.Intn(100)}
+		}
+		if cells > 0 {
+			n := int(cells-1)%(inlineCells+1) + 1
+			shape = []int{n}
+			if n%2 == 0 && r.Intn(2) == 0 {
+				shape = []int{2, n / 2}
+			}
 		}
 		x := Exec{}
 		if r.Intn(2) == 0 {

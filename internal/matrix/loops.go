@@ -125,15 +125,17 @@ func GenArrayExec(elem Elem, lower, upper, shape []int, body BodyFunc, x Exec) (
 	// A row of the box is filled through body, walking the inner
 	// dimensions with an odometer over idx and the running output offset.
 	err = x.Pool.ParallelForCtx(x.Ctx, lower[0], upper[0], func(worker, i0 int) error {
+		var s [InlineRank]int // here, not captured: a captured array escapes
+		strides := out.strides(&s)
 		idx := idxs.of(worker)
 		copy(idx, lower)
 		idx[0] = i0
-		off := i0 * out.strides()[0]
+		off := i0 * strides[0]
 		for d := 1; d < rank; d++ {
 			if lower[d] >= upper[d] {
 				return nil
 			}
-			off += lower[d] * out.strides()[d]
+			off += lower[d] * strides[d]
 		}
 		for {
 			v, err := body(idx)
@@ -146,11 +148,11 @@ func GenArrayExec(elem Elem, lower, upper, shape []int, body BodyFunc, x Exec) (
 			d := rank - 1
 			for ; d >= 1; d-- {
 				idx[d]++
-				off += out.strides()[d]
+				off += strides[d]
 				if idx[d] < upper[d] {
 					break
 				}
-				off -= (upper[d] - lower[d]) * out.strides()[d]
+				off -= (upper[d] - lower[d]) * strides[d]
 				idx[d] = lower[d]
 			}
 			if d < 1 {

@@ -41,16 +41,18 @@ func (e Elem) String() string {
 }
 
 // Matrix is a dense N-dimensional array in row-major order: one header
-// of 128 bytes and its cells. The header is the paper's and the emitted
-// C's (cm_mat: `int rc;` first, then the descriptor of the data): the
-// reference count of §III-B sits in it beside rank, element type, the
-// one word that points at the cells, and the dimensions. A matrix no
-// variable was ever bound to is untracked (heap == nil) and its count
-// unused.
+// of 96 bytes and its cells — inside the header's own object when there
+// are at most inlineCells of them, so a small matrix is one object. The
+// header is the paper's and the emitted C's (cm_mat: `int rc;` first,
+// then the descriptor of the data): the reference count of §III-B sits
+// in it beside rank, element type, the one word that points at the
+// cells, and the shape. Every matrix is dense, so its strides are not
+// stored: strides derives them from the shape. A matrix no variable was
+// ever bound to is untracked (heap == nil) and its count unused.
 //
 // Only this file touches data: floats, ints and bools are the typed
-// views of it; setCells and Recycle write it, flatView shares it and
-// fillBox points it at a cell on its own stack.
+// views of it; alloc, setCells and Recycle write it, flatView shares it
+// and fillBox points it at a cell on its own stack.
 type Matrix struct {
 	count rc.Count
 	rank  int32
@@ -62,17 +64,17 @@ type Matrix struct {
 	data unsafe.Pointer
 	n    int
 	room int
-	// dims holds shape then strides for a rank <= InlineRank; a higher
-	// rank keeps the pair, each rank long, in *ext.
-	dims [2 * InlineRank]int
+	// dims holds the shape of a rank <= InlineRank; a higher rank keeps
+	// it in *ext.
+	dims [InlineRank]int
 	ext  *[]int
 }
 
 // InlineRank is the highest rank served without allocating: the header
-// holds shape and strides itself, a selection resolves in stack scratch,
-// and the VM sizes its index-spec and dimension scratch from it. A
-// higher rank allocates them. The paper's data is rank 3 (latitude,
-// longitude, time).
+// holds the shape itself, strides and a selection resolve in stack
+// scratch, and the VM sizes its index-spec and dimension scratch from
+// it. A higher rank allocates them. The paper's data is rank 3
+// (latitude, longitude, time).
 const InlineRank = 4
 
 // shape is the dimension sizes, in the header.
@@ -83,12 +85,22 @@ func (m *Matrix) shape() []int {
 	return (*m.ext)[:m.rank:m.rank]
 }
 
-// strides is the row-major cell distance per dimension, in the header.
-func (m *Matrix) strides() []int {
-	if r := int(m.rank); r <= InlineRank {
-		return m.dims[InlineRank : InlineRank+r]
+// strides writes into s, and returns, the row-major cell distance per
+// dimension: the product of the later dimensions. Above InlineRank they
+// are allocated instead. A caller derives them once per call, row or
+// strip, never per cell.
+func (m *Matrix) strides(s *[InlineRank]int) []int {
+	shape := m.shape()
+	st := s[:]
+	if len(shape) > InlineRank {
+		st = make([]int, len(shape))
 	}
-	return (*m.ext)[m.rank:]
+	acc := 1
+	for d := len(shape) - 1; d >= 0; d-- {
+		st[d] = acc
+		acc *= shape[d]
+	}
+	return st[:len(shape)]
 }
 
 // floats is the cells of a float matrix (nil for another element type,
@@ -127,7 +139,8 @@ func setCells[T float64 | int64 | bool](m *Matrix, s []T) {
 // temporaries, DecRef when a tracked matrix's count reaches zero). After
 // Recycle any element access on m panics — a loud failure instead of
 // silently reading a buffer that now belongs to someone else. Recycle
-// is idempotent.
+// is idempotent. Inline cells are detached like any others and never
+// retained: the free list drops every buffer under minReuseCells.
 func (m *Matrix) Recycle() {
 	if m == nil || m.data == nil {
 		return
@@ -144,10 +157,11 @@ func (m *Matrix) Recycle() {
 }
 
 // flatView makes v the rank-1 view of m's cells (a chain runs its
-// leaves as [0, n) whatever their rank). v shares them and owns nothing.
+// leaves as [0, n) whatever their rank). v shares them and owns nothing;
+// for inline cells its data word keeps m's whole object alive.
 func (m *Matrix) flatView(v *Matrix) {
 	*v = Matrix{rank: 1, elem: m.elem, data: m.data, n: m.n, room: m.room}
-	v.dims[0], v.dims[InlineRank] = m.n, 1
+	v.dims[0] = m.n
 }
 
 // fillBox stores the scalar v in every cell of the box. The value is one
@@ -260,30 +274,77 @@ func admit(b *Budget, shape []int) (int, error) {
 	return n, nil
 }
 
-// alloc makes the matrix admit approved: n is shape's cell count. The
-// backing slice comes from the kernel free list when a released buffer
-// fits; zeroed clears such a buffer, and may be false only when the
-// caller writes every cell.
+// alloc makes the matrix admit approved: n is shape's cell count. Up to
+// inlineCells cells, zeroed, share the header's object; more come from
+// the kernel free list when a released buffer fits — zeroed clears such
+// a buffer, and may be false only when the caller writes every cell.
 func alloc(elem Elem, shape []int, n int, zeroed bool) *Matrix {
-	m := &Matrix{elem: elem, rank: int32(len(shape))}
-	if len(shape) > InlineRank {
-		ext := make([]int, 2*len(shape))
+	var m *Matrix
+	if n >= 1 && n <= inlineCells {
+		m = withInlineCells(elem, n)
+	} else {
+		m = new(Matrix)
+		switch elem {
+		case Float:
+			setCells(m, floatFree.take(n, zeroed))
+		case Int:
+			setCells(m, intFree.take(n, zeroed))
+		case Bool:
+			setCells(m, boolFree.take(n, zeroed))
+		}
+	}
+	m.elem, m.rank = elem, int32(len(shape))
+	if len(shape) <= InlineRank {
+		copy(m.dims[:], shape)
+	} else {
+		ext := slices.Clone(shape)
 		m.ext = &ext
 	}
-	copy(m.shape(), shape)
-	strides, acc := m.strides(), 1
-	for d := len(shape) - 1; d >= 0; d-- {
-		strides[d] = acc
-		acc *= shape[d]
+	return m
+}
+
+// inlineCells is the most cells alloc stores inside the header's object:
+// eight float or int cells, a cache line. Recycle relies on the free
+// list never retaining a buffer that small.
+const inlineCells = 8
+
+const _ = uint(minReuseCells - inlineCells - 1) // inlineCells < minReuseCells
+
+// headerAndCells is a header followed by the words of its inline cells.
+// Two, four, six or eight words put the object in the allocator's 112-,
+// 128-, 144- or 160-byte size class. Nothing compares one, and the
+// zero-size func field says so: no equality function is built for it.
+type headerAndCells[C [2]uint64 | [4]uint64 | [6]uint64 | [8]uint64] struct {
+	_ [0]func()
+	m Matrix
+	c C
+}
+
+// withInlineCells makes a header whose n zeroed cells of elem's type
+// follow it in the same object; data is an interior pointer, which keeps
+// the whole object alive for as long as any view of the cells.
+func withInlineCells(elem Elem, n int) *Matrix {
+	bytes := 8 * n
+	if elem == Bool {
+		bytes = n
 	}
-	switch elem {
-	case Float:
-		setCells(m, floatFree.take(n, zeroed))
-	case Int:
-		setCells(m, intFree.take(n, zeroed))
-	case Bool:
-		setCells(m, boolFree.take(n, zeroed))
+	var m *Matrix
+	var cells unsafe.Pointer
+	switch words := (bytes + 7) / 8; {
+	case words <= 2:
+		o := new(headerAndCells[[2]uint64])
+		m, cells = &o.m, unsafe.Pointer(&o.c)
+	case words <= 4:
+		o := new(headerAndCells[[4]uint64])
+		m, cells = &o.m, unsafe.Pointer(&o.c)
+	case words <= 6:
+		o := new(headerAndCells[[6]uint64])
+		m, cells = &o.m, unsafe.Pointer(&o.c)
+	default:
+		o := new(headerAndCells[[8]uint64])
+		m, cells = &o.m, unsafe.Pointer(&o.c)
 	}
+	m.data, m.n, m.room = cells, n, n
 	return m
 }
 
@@ -401,7 +462,7 @@ func (m *Matrix) Offset(idx []int) (int, error) {
 		if i < 0 || i >= m.shape()[d] {
 			return 0, fmt.Errorf("matrix: index %d out of range [0,%d) in dimension %d", i, m.shape()[d], d)
 		}
-		off += i * m.strides()[d]
+		off = off*m.shape()[d] + i // row-major, as a Horner sum
 	}
 	return off, nil
 }

@@ -488,28 +488,122 @@ func TestTrackedAllocation(t *testing.T) {
 	}
 }
 
-// The header is one 128-byte object (the size class the allocator
-// rounds it to), count included, and a tracked matrix of an inline rank
-// is two objects: header and cells. Above InlineRank the dimension pair
-// moves behind one pointer: a slice header and its array more.
+// The header is 96 bytes, count included, and holds no strides. A
+// tracked matrix of an inline rank is one object while its cells fit in
+// it (up to inlineCells of them, whatever the element type) and two —
+// header and cells — once they do not. Above InlineRank the shape moves
+// behind one pointer: a slice header and its array more.
 func TestMatrixHeaderBudget(t *testing.T) {
-	if size := unsafe.Sizeof(Matrix{}); size > 128 {
-		t.Errorf("a Matrix header is %d bytes, over 128", size)
+	if size := unsafe.Sizeof(Matrix{}); size > 96 {
+		t.Errorf("a Matrix header is %d bytes, over 96", size)
 	}
 	h := rc.NewHeap()
-	for rank, want := range map[int]float64{1: 2, 2: 2, 3: 2, 4: 2, 5: 4} {
-		shape := []int{5, 1, 1, 1, 1}[:rank]
-		got := testing.AllocsPerRun(100, func() {
-			m := New(Float, shape...)
-			m.Bind(h)
-			m.DecRef()
-		})
-		if got != want {
-			t.Errorf("a tracked rank-%d matrix is %v objects, want %v", rank, got, want)
+	for _, tc := range []struct {
+		shape []int
+		want  float64
+	}{
+		{[]int{0}, 1}, {[]int{1}, 1}, {[]int{8}, 1}, {[]int{2, 3}, 1}, {[]int{1, 2, 4}, 1}, {[]int{2, 1, 2, 2}, 1},
+		{[]int{9}, 2}, {[]int{3, 3}, 2}, {[]int{1, 3, 3}, 2}, {[]int{3, 1, 3, 1}, 2},
+		{[]int{8, 1, 1, 1, 1}, 3}, {[]int{9, 1, 1, 1, 1}, 4},
+	} {
+		for _, elem := range elems {
+			got := testing.AllocsPerRun(100, func() {
+				m := New(elem, tc.shape...)
+				m.Bind(h)
+				m.DecRef()
+			})
+			if got != tc.want {
+				t.Errorf("a tracked %s matrix of shape %v is %v objects, want %v", elem, tc.shape, got, tc.want)
+			}
 		}
 	}
 	if err := h.CheckLeaks(); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: with strides derived from the shape, Offset, At and an
+// all-scalar Index agree with a row-major reference — each index times
+// the product of the later dimensions — on every cell of shapes of rank
+// 0 to 6, zero extents included, and refuse the first index past the
+// end of any dimension.
+func TestQuickOffsetIsRowMajor(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		shape := make([]int, r.Intn(InlineRank+3))
+		for d := range shape {
+			shape[d] = r.Intn(4)
+		}
+		m := randCells(r, elems[r.Intn(len(elems))], shape...)
+		idx := make([]int, len(shape))
+		specs := make([]IndexSpec, len(shape))
+		for k := 0; k < m.Size(); k++ {
+			ref := 0
+			for d, i := range idx {
+				ref += i * rowMajorStride(shape, d)
+				specs[d] = Scalar(i)
+			}
+			off, err := m.Offset(idx)
+			if err != nil || off != ref || ref != k {
+				return false
+			}
+			at, err := m.At(idx...)
+			if err != nil || !sameValue(at, m.Get(ref)) {
+				return false
+			}
+			got, err := m.Index(nil, specs...)
+			if err != nil || !sameValue(got, m.Get(ref)) {
+				return false
+			}
+			for d := len(idx) - 1; d >= 0; d-- {
+				if idx[d]++; idx[d] < shape[d] {
+					break
+				}
+				idx[d] = 0
+			}
+		}
+		for d := range shape {
+			past := make([]int, len(shape))
+			past[d] = shape[d]
+			if _, err := m.Offset(past); err == nil {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Recycling a matrix whose cells are inline detaches them like any
+// other: the free list keeps none of it, an access afterwards panics,
+// and a second Recycle does nothing.
+func TestRecycleInlineCells(t *testing.T) {
+	for _, elem := range elems {
+		for n := 1; n <= inlineCells; n++ {
+			m := New(elem, n)
+			if uintptr(m.data) != uintptr(unsafe.Pointer(m))+unsafe.Sizeof(*m) {
+				t.Fatalf("%d %s cells are not inline", n, elem)
+			}
+			before := freeListBytes.Load()
+			m.Recycle()
+			if got := freeListBytes.Load(); got != before {
+				t.Errorf("recycling %d inline %s cells moved the free list from %d to %d bytes", n, elem, before, got)
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("reading a recycled %s matrix of %d inline cells did not panic", elem, n)
+					}
+				}()
+				m.Get(n - 1)
+			}()
+			m.Recycle()
+			if m.data != nil || m.n != 0 || m.room != 0 || freeListBytes.Load() != before {
+				t.Errorf("a second Recycle of %d inline %s cells was not a no-op", n, elem)
+			}
+		}
 	}
 }
 

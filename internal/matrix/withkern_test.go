@@ -67,7 +67,7 @@ func refPlan(code []WithInstr, pc, end int, ids []int64, mats []*Matrix, sI []in
 			base := ni - int(in.B)
 			off := 0
 			for d := 0; d < int(in.B); d++ {
-				off += int(is[base+d]) * m.strides()[d]
+				off += int(is[base+d]) * rowMajorStride(m.shape(), d)
 			}
 			is = is[:base]
 			if in.Op == WLoadI {

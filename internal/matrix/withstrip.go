@@ -3,7 +3,8 @@
 // dispatch per instruction per strip. Nothing here can fail but on a
 // cancelled context — loads are proven in bounds before the first
 // strip, divisors are non-zero literals — and nothing allocates: states
-// come from a pool and are sized once per chunk of the box.
+// come from a pool and are sized once per chunk of the box, and strides
+// are derived on the stack (above InlineRank, on the heap).
 package matrix
 
 import "sync"
@@ -136,6 +137,11 @@ func (st *wState) walk(r *WithRun, r0, r1 int, x Exec, out *Matrix, each func(n 
 		jlo, jhi = r0, r1
 		r0, r1 = 0, 1
 	}
+	var s [InlineRank]int
+	var strides []int // out's, of the dimensions a row does not walk
+	if out != nil {
+		strides = out.strides(&s)[:last]
+	}
 	for i0 := r0; i0 < r1; i0++ {
 		if last > 0 {
 			u[0] = int64(i0)
@@ -145,10 +151,8 @@ func (st *wState) walk(r *WithRun, r0, r1 int, x Exec, out *Matrix, each func(n 
 		}
 		for {
 			row := 0
-			if out != nil {
-				for d := 0; d < last; d++ {
-					row += int(u[d]) * out.strides()[d]
-				}
+			for d, stride := range strides {
+				row += int(u[d]) * stride
 			}
 			for j0 := jlo; j0 < jhi; j0 += st.i.w {
 				if err := x.cancelled(); err != nil {
@@ -269,10 +273,12 @@ func (st *wState) eval(p *WithProg, n int, x Exec) error {
 			}
 		case wLoad:
 			m := st.mats[in.a]
+			var s [InlineRank]int
+			strides := m.strides(&s)
 			if in.flt {
-				stripLoad(in, m.floats(), m.strides(), &st.f, &st.i, n)
+				stripLoad(in, m.floats(), strides, &st.f, &st.i, n)
 			} else {
-				stripLoad(in, m.ints(), m.strides(), &st.i, &st.i, n)
+				stripLoad(in, m.ints(), strides, &st.i, &st.i, n)
 			}
 		case wFoldBegin:
 			ns := in.nest

@@ -2081,6 +2081,154 @@ int main() {
 	print(down(509));
 	return 0;
 }`},
+	// Matrices of up to eight cells, whose cells share the header's object,
+	// beside the 0-, 9- and 16-cell ones that do not (out, error, cells and
+	// live count pinned at 3f39347, where every matrix was a header and a
+	// separate cell buffer). Rank 0 is no type the checker admits; ranks 1
+	// to 5 cover both sides of InlineRank.
+	{name: "small_cells_shapes", pin: &pinned{"0\n4\n7\n8\n9\n11\n7.5\n120\n13\n0\n20\n56\n4\n7\n50\n13\n36\n24\n0\ntrue\ntrue\ntrue\ntrue\nfalse\ntrue\ntrue\n9\n", 227}, src: `
+int main() {
+	Matrix float <1> f0 = init(Matrix float <1>, 0);
+	Matrix float <1> f1;
+	f1 = with ([0] <= [i] < [1]) genarray([1], 0.5 + i);
+	Matrix float <2> f2;
+	f2 = with ([0, 0] <= [i, j] < [1, 2]) genarray([1, 2], 1.5 * (i + j + 1));
+	Matrix float <3> f3;
+	f3 = with ([0, 0, 0] <= [i, j, k] < [3, 1, 1]) genarray([3, 1, 1], 0.25 * i - k);
+	Matrix float <4> f8;
+	f8 = with ([0, 0, 0, 0] <= [a, b, c, d] < [2, 2, 1, 2]) genarray([2, 2, 1, 2], (float)(a * 4 + b * 2 + d));
+	Matrix float <5> f9 = init(Matrix float <5>, 3, 1, 3, 1, 1);
+	f9[2, 0, 1, 0, 0] = 7.5;
+	f9[0, 0, :, 0, 0] = f3[:, 0, 0];
+	Matrix float <2> f16;
+	f16 = with ([0, 0] <= [i, j] < [4, 4]) genarray([4, 4], (float)(i * 4 + j));
+	print(dimSize(f0, 0));
+	print(f1[0] + f2[0, 1] + f3[2, 0, 0]);
+	print(f8[1, 1, 0, 1]);
+	print(f9[2, 0, 1, 0, 0] + f9[0, 0, 2, 0, 0]);
+	Matrix float <4> g8 = f8 * 2.0 - 1.0;
+	print(g8[1, 0, 0, 1]);
+	Matrix float <2> half = f16[1 : 2, :];
+	print(half[1, 3]);
+	Matrix float <1> col = f9[:, 0, 1, 0, 0];
+	print(col[2]);
+	print(with ([0, 0] <= [i, j] < [4, 4]) fold(+, 0.0, f16[i, j]));
+	print(with ([0, 0, 0, 0] <= [a, b, c, d] < [2, 2, 1, 2]) fold(max, -1.0, g8[a, b, c, d]));
+
+	Matrix int <1> i0 = [3 :: 2];
+	Matrix int <1> i1 = [3 :: 3];
+	Matrix int <2> i2 = init(Matrix int <2>, 2, 1);
+	i2[1, 0] = 11;
+	Matrix int <3> i3 = init(Matrix int <3>, 1, 3, 1);
+	i3[0, :, 0] = [4 :: 6];
+	Matrix int <1> i8 = [0 :: 7];
+	Matrix int <1> i9 = [0 :: 8];
+	Matrix int <4> i16;
+	i16 = with ([0, 0, 0, 0] <= [a, b, c, d] < [2, 2, 2, 2]) genarray([2, 2, 2, 2], a * 8 + b * 4 + c * 2 + d);
+	Matrix int <5> i5 = init(Matrix int <5>, 1, 2, 1, 2, 2);
+	i5[0, 1, 0, :, :] = init(Matrix int <2>, 2, 2) + 6;
+	print(dimSize(i0, 0));
+	print(i1[0] + i2[1, 0] + i3[0, 2, 0]);
+	print(i8[end] * i9[end]);
+	Matrix int <1> odd = i9[i9 % 2 == 1];
+	print(dimSize(odd, 0));
+	print(odd[end]);
+	Matrix int <1> sq = i8 .* i8 + 1;
+	print(sq[7]);
+	Matrix int <2> blk = i16[1, :, :, 1];
+	print(blk[1, 0]);
+	print(with ([0] <= [k] < [9]) fold(+, 0, i9[k]));
+	print(with ([0, 0, 0, 0, 0] <= [a, b, c, d, e] < [1, 2, 1, 2, 2]) fold(+, 0, i5[a, b, c, d, e]));
+
+	Matrix bool <1> b0 = i0 > 0;
+	Matrix bool <1> b1 = i1 == 3;
+	Matrix bool <2> b2 = i2 > 5;
+	Matrix bool <3> b3 = init(Matrix bool <3>, 1, 3, 1);
+	b3[0, 1, 0] = true;
+	Matrix bool <1> b8 = i8 % 3 == 0;
+	Matrix bool <1> b9 = i9 >= 4;
+	Matrix bool <2> b16 = f16 > 7.5;
+	Matrix bool <5> b5 = init(Matrix bool <5>, 2, 1, 2, 1, 2);
+	b5[1, 0, 1, 0, 1] = true;
+	b5[0, 0, 1, 0, 0] = b9[5];
+	print(dimSize(b0, 0));
+	print(b1[0]);
+	print(b2[1, 0] && !b2[0, 0]);
+	print(b3[0, 1, 0]);
+	print(b8[6]);
+	print(b9[3]);
+	print(b16[2, 0]);
+	print(b5[1, 0, 1, 0, 1]);
+	Matrix int <1> picked = i8[b8];
+	print(dimSize(picked, 0) + picked[end]);
+	return 0;
+}`},
+	{name: "small_cells_aliasing", pin: &pinned{"5\n8\n1\n", 12},
+		errIs: "small_cells_aliasing.xc:2:1: runtime error [trap:rc]: rc: IncRef on freed allocation (use after free)", live: 1, src: `
+Matrix int <1> pass(Matrix int <1> v) { Matrix int <1> w = v; return w; }
+refcounted Matrix int <1> * hold(Matrix int <1> v) {
+	refcounted Matrix int <1> * c = rcnew(v + 1);
+	Matrix int <1> w = v;
+	rcset(c, w);
+	Matrix int <1> seen = rcget(c);
+	print(seen[end]);
+	return c;
+}
+refcounted Matrix int <1> * start() {
+	Matrix int <1> a = [1 :: 4];
+	Matrix int <1> b = a;
+	b = pass(b);
+	print(b[end] + a[0]);
+	return hold(pass(a * 2));
+}
+int main() {
+	refcounted Matrix int <1> * c = start();
+	print(1);
+	Matrix int <1> z = rcget(c);
+	print(z[0]);
+	return 0;
+}`},
+	{name: "small_cells_views", pin: &pinned{"1.5\n5\n10\n9.5\n3.5\n20\n119\n87\n91\n4\n14\n14.75\n", 917}, src: `
+Matrix float <1> twice(Matrix float <1> v) { return v * 2.0 + 1.0; }
+int main() {
+	Matrix float <1> m = [0 :: 7] * 0.5;
+	Matrix float <1> mid = m[1 :: 2];
+	print(mid[0] + mid[1]);
+	m[3 :: 5] = init(Matrix float <1>, 3) + 9.5;
+	m[0 :: 1] = mid * 10.0;
+	print(m[0]); print(m[1]); print(m[4]); print(m[7]);
+	Matrix int <2> q = init(Matrix int <2>, 2, 3);
+	q[1, :] = [4 :: 6];
+	q[:, 0] = init(Matrix int <1>, 2) + 7;
+	print(q[0, 0] + q[1, 0] + q[1, 2]);
+	Matrix float <3> cube;
+	cube = with ([0, 0, 0] <= [i, j, k] < [4, 5, 3]) genarray([4, 5, 3], (float)(i * 15 + j * 3 + k));
+	Matrix float <3> r = matrixMap(twice, cube, [2]);
+	print(r[3, 4, 2]);
+	r = matrixMap(twice, cube, [1]);
+	print(r[2, 4, 1]);
+	r = matrixMap(twice, cube, [0]);
+	print(r[3, 0, 0]);
+	Matrix float <1> a = [1 :: 6] * 1.0;
+	Matrix float <1> b = [2 :: 7] * 0.5;
+	Matrix int <1> c = [0 :: 5];
+	Matrix float <1> s = (a + b) * 2.0 - c;
+	print(s[0]); print(s[end]);
+	Matrix float <1> t = m[1 :: 6] .* a - b + 0.25;
+	print(t[5]);
+	return 0;
+}`},
+	{name: "err_small_cells_oom", pin: &pinned{"3\n4\n", 8}, opts: interp.Options{MaxCells: 11},
+		errIs: "err_small_cells_oom.xc:7:21: runtime error [trap:oom]: matrix: allocation of 4 cells exceeds the budget (8 of 11 cells already used)", live: 0, src: `
+int main() {
+	Matrix int <1> a = [0 :: 3];
+	print(a[end]);
+	Matrix int <1> b = a + 1;
+	print(b[end]);
+	Matrix int <1> c = b * 2;
+	print(c[end]);
+	return 0;
+}`},
 }
 
 func TestVMDifferentialCorpus(t *testing.T) {
