@@ -1,4 +1,4 @@
-// Kernel-breadth benchmarks (PR 10): the blocked transpose, 2-D
+// Kernel-breadth benchmarks (PR 10): the panel transpose, 2-D
 // convolution, axis reduction and recursive-matmul kernels against the
 // retained boxed *Ref oracles, plus the compiled with-loop ablation —
 // the same proven genarray/fold program run through the tree walker,
@@ -55,13 +55,18 @@ func kb2Execs() []struct {
 	}
 }
 
-// BenchmarkKernelTranspose: cache-blocked tiles vs the boxed
-// element-at-a-time reference. 2048x2048 float is the acceptance row.
+// BenchmarkKernelTranspose: the panel kernel vs the boxed
+// element-at-a-time reference. 2048x2048 float is the acceptance row;
+// 768x768 int is transpose_768's shape.
 func BenchmarkKernelTranspose(b *testing.B) {
-	for _, size := range []int{512, 2048} {
-		m := kb2Mat(matrix.Float, size, size)
+	for _, size := range []struct {
+		n    int
+		elem matrix.Elem
+		name string
+	}{{512, matrix.Float, "512"}, {768, matrix.Int, "768_int"}, {2048, matrix.Float, "2048"}} {
+		m := kb2Mat(size.elem, size.n, size.n)
 		for _, e := range kb2Execs() {
-			b.Run(fmt.Sprintf("kernel/%s/%d", e.name, size), func(b *testing.B) {
+			b.Run(fmt.Sprintf("kernel/%s/%s", e.name, size.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					out, err := matrix.TransposeExec(m, e.x)
 					if err != nil {
@@ -71,13 +76,66 @@ func BenchmarkKernelTranspose(b *testing.B) {
 				}
 			})
 		}
-		b.Run(fmt.Sprintf("generic/%d", size), func(b *testing.B) {
+		b.Run("generic/"+size.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := matrix.TransposeRef(m); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+	}
+}
+
+// transposePatternSrc transposes a 768² int matrix four times. With an
+// empty suffix the body is the bare m[j, i] the flat engine hands to the
+// transpose kernel; with " + 1" it is a general strip program whose load
+// strides down m's columns.
+const transposePatternSrc = `
+int main() {
+	int n = 768;
+	Matrix int <2> m;
+	m = with ([0, 0] <= [i, j] < [n, n]) genarray([n, n], i * 1000 + j);
+	Matrix int <2> t;
+	for (int r = 0; r < 4; r++) {
+		t = with ([0, 0] <= [i, j] < [n, n]) genarray([n, n], m[j, i]%s);
+	}
+	return t[3, 700] %% 251;
+}
+`
+
+// BenchmarkKernelTransposePattern: whether pattern-matching m[j, i] onto
+// the transpose kernel pays, against the strip program of m[j, i] + 1 —
+// the same loop with one add more — at one thread and one worker per
+// core. ns/cell divides the whole program, m's fill included, by the
+// 4·768² transposed cells.
+func BenchmarkKernelTransposePattern(b *testing.B) {
+	const cells = 4 * 768 * 768
+	for _, arm := range []struct{ name, suffix string }{{"pattern", ""}, {"strip", " + 1"}} {
+		bp := compileBench(b, fmt.Sprintf(transposePatternSrc, arm.suffix))
+		if bp.vmp.WithCompiled() != 2 {
+			b.Fatalf("%s: expected both with-loops compiled flat, got %d", arm.name, bp.vmp.WithCompiled())
+		}
+		for _, threads := range []int{1, runtime.NumCPU()} {
+			b.Run(fmt.Sprintf("%s/threads_%d", arm.name, threads), func(b *testing.B) {
+				t0, _, _ := matrix.KernelOpStats()
+				for i := 0; i < b.N; i++ {
+					it := interp.New(bp.prog, bp.info, interp.Options{Threads: threads, Stdout: io.Discard})
+					_, err := vm.NewMachine(bp.vmp, it).Run()
+					it.Close()
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/cells, "ns/cell")
+				want := int64(0)
+				if arm.suffix == "" {
+					want = int64(4 * b.N)
+				}
+				if t1, _, _ := matrix.KernelOpStats(); t1-t0 != want {
+					b.Fatalf("%s: %d transpose kernels in %d runs, want %d", arm.name, t1-t0, b.N, want)
+				}
+			})
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Transpose through the with-loop path: the m[j, i] genarray body is
 // proven flat by vet and pattern-matched by the VM's flat engine onto
-// the cache-blocked transpose kernel — the kernel_transpose_total
+// the panel transpose kernel — the kernel_transpose_total
 // metric confirms no per-element evaluation happened. A second
 // transpose round-trips the matrix exactly.
 //
@@ -67,9 +67,9 @@ func main() {
 	fmt.Println("double transpose round-trips exactly")
 
 	m := d.MetricsSnapshot()
-	fmt.Printf("with-loops compiled flat: %d sites; blocked transpose kernel ran %d times\n",
+	fmt.Printf("with-loops compiled flat: %d sites; panel transpose kernel ran %d times\n",
 		m.VMWithSites.Load(), m.KernelTranspose)
 	if m.KernelTranspose < 2 {
-		log.Fatalf("expected both transposes on the blocked kernel, got %d", m.KernelTranspose)
+		log.Fatalf("expected both transposes on the panel kernel, got %d", m.KernelTranspose)
 	}
 }

@@ -1,4 +1,4 @@
-// The blocked kernels: cache-blocked transpose, 2-D convolution/stencil
+// The blocked kernels: the panel transpose, 2-D convolution/stencil
 // with constant (zero) boundary, axis reductions with stride-1 inner
 // loops, and the matmul row kernel with its blocked-recursive split
 // above the size cutoff. All follow the kernels.go contract — validate before allocating, newKernelOut for outputs,
@@ -8,16 +8,15 @@ package matrix
 
 import "fmt"
 
-// transposeBlock is the tile edge of the transpose kernels: a
-// transposeBlock² tile of each operand (8 KB at float64) stays
-// cache-resident while it is read row-wise and written column-wise.
-const transposeBlock = 32
+// transposePanel is the panel width of the transpose kernel: 8 adjacent
+// source columns — one 64-byte line of 8-byte cells — are the 8 output
+// rows one walk down the source appends to. transposePanels' loop body
+// is written out for 8.
+const transposePanel = 8
 
-// TransposeExec returns the transpose of a rank-2 matrix through a
-// cache-blocked kernel: the iteration space is cut into
-// transposeBlock² tiles so both the row-major reads and the
-// column-major writes stay within a cache-resident tile, and row
-// bands are distributed over the pool.
+// TransposeExec returns the transpose of a rank-2 matrix through the
+// panel kernel: every store extends a contiguous output row, and output
+// rows are distributed over the pool.
 func TransposeExec(m *Matrix, x Exec) (*Matrix, error) {
 	if m.Rank() != 2 {
 		return nil, fmt.Errorf("matrix: transpose requires a rank-2 matrix, got rank %d", m.Rank())
@@ -39,55 +38,63 @@ func TransposeExec(m *Matrix, x Exec) (*Matrix, error) {
 }
 
 // transposeInto writes the transpose of the rank-2 m into every cell of
-// out, which has m's element type and its shape reversed, row bands of m
-// distributed through runKernel. A with-loop that is a transpose
-// (genarray) forks whenever the closure engine would: see poolGrain.
+// out, which has m's element type and its shape reversed, output rows
+// (m's columns) distributed through runKernel. A with-loop that is a
+// transpose (genarray) forks whenever the closure engine would over the
+// same output rows: see poolGrain.
 func transposeInto(out, m *Matrix, x Exec, genarray bool) error {
 	rows, cols := m.shape()[0], m.shape()[1]
-	// Rows per parallel chunk, in whole tiles so chunks never share an
-	// output cache line along the tile boundary.
-	grainRows := 1
-	if cols > 0 {
-		grainRows = (ParallelGrain + cols - 1) / cols
+	// Output rows per parallel chunk: ParallelGrain cells, in whole panels.
+	grain := 1
+	if rows > 0 {
+		grain = (ParallelGrain + rows - 1) / rows
 	}
-	grainRows = (grainRows + transposeBlock - 1) / transposeBlock * transposeBlock
+	grain = (grain + transposePanel - 1) / transposePanel * transposePanel
 	if genarray {
-		grainRows = poolGrain(x, rows, grainRows)
+		grain = poolGrain(x, cols, grain)
 	}
 	var body func(lo, hi int) error
 	switch m.elem {
 	case Float:
 		src, dst := m.floats(), out.floats()
-		body = func(lo, hi int) error { transposeTiles(dst, src, lo, hi, rows, cols); return nil }
+		body = func(lo, hi int) error { transposePanels(dst, src, lo, hi, rows, cols); return nil }
 	case Int:
 		src, dst := m.ints(), out.ints()
-		body = func(lo, hi int) error { transposeTiles(dst, src, lo, hi, rows, cols); return nil }
+		body = func(lo, hi int) error { transposePanels(dst, src, lo, hi, rows, cols); return nil }
 	default:
 		src, dst := m.bools(), out.bools()
-		body = func(lo, hi int) error { transposeTiles(dst, src, lo, hi, rows, cols); return nil }
+		body = func(lo, hi int) error { transposePanels(dst, src, lo, hi, rows, cols); return nil }
 	}
-	return runKernel(x, rows, grainRows, body)
+	return runKernel(x, cols, grain, body)
 }
 
-// transposeTiles writes dst[j*rows+i] = src[i*cols+j] for the row band
-// [rlo, rhi), tile by tile.
-func transposeTiles[T int64 | float64 | bool](dst, src []T, rlo, rhi, rows, cols int) {
-	for i0 := rlo; i0 < rhi; i0 += transposeBlock {
-		i1 := i0 + transposeBlock
-		if i1 > rhi {
-			i1 = rhi
+// transposePanels writes dst[j*rows+i] = src[i*cols+j] for the output
+// rows of the chunk [lo, hi). A panel of transposePanel rows walks the
+// source once, reading transposePanel adjacent cells of each source row
+// and appending one to each output row, so one source line and
+// transposePanel output runs are open at a time whatever the strides;
+// the rows left over run one at a time. runKernel evens its chunks out,
+// so both chunk edges are snapped down to a panel edge (hi = cols stays)
+// and no panel is split between workers; a chunk may come out empty.
+func transposePanels[T int64 | float64 | bool](dst, src []T, lo, hi, rows, cols int) {
+	j, jhi := lo-lo%transposePanel, hi
+	if hi < cols {
+		jhi = hi - hi%transposePanel
+	}
+	for ; j+transposePanel <= jhi; j += transposePanel {
+		d := dst[j*rows:]
+		d0, d1, d2, d3 := d[:rows], d[rows:][:rows], d[2*rows:][:rows], d[3*rows:][:rows]
+		d4, d5, d6, d7 := d[4*rows:][:rows], d[5*rows:][:rows], d[6*rows:][:rows], d[7*rows:][:rows]
+		for i := range rows {
+			s := (*[transposePanel]T)(src[i*cols+j:])
+			d0[i], d1[i], d2[i], d3[i] = s[0], s[1], s[2], s[3]
+			d4[i], d5[i], d6[i], d7[i] = s[4], s[5], s[6], s[7]
 		}
-		for j0 := 0; j0 < cols; j0 += transposeBlock {
-			j1 := j0 + transposeBlock
-			if j1 > cols {
-				j1 = cols
-			}
-			for i := i0; i < i1; i++ {
-				srow := src[i*cols+j0 : i*cols+j1]
-				for jx, v := range srow {
-					dst[(j0+jx)*rows+i] = v
-				}
-			}
+	}
+	for ; j < jhi; j++ {
+		d := dst[j*rows : (j+1)*rows]
+		for i := range d {
+			d[i] = src[i*cols+j]
 		}
 	}
 }

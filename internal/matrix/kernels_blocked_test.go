@@ -16,11 +16,17 @@ import (
 
 var foldKinds = []FoldKind{FoldAdd, FoldMul, FoldMin, FoldMax}
 
+// transposeShapes are the shapes the transpose kernel's loops turn on:
+// a whole panel, remainders on either side of one, one column, and
+// source or output rows a multiple of 2 KB (256 and 768 cells), where a
+// column-wise store would fall into a handful of cache sets.
+var transposeShapes = [][]int{{8, 8}, {9, 17}, {16, 1}, {256, 256}, {3, 768}, {768, 5}}
+
 func TestKernelDiffTranspose(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	execs := kernelExecs(t)
 	for _, elem := range []Elem{Float, Int, Bool} {
-		for _, shape := range [][]int{{1, 1}, {1, 7}, {7, 1}, {3, 5}, {33, 65}, {70, 40}} {
+		for _, shape := range append([][]int{{1, 1}, {1, 7}, {7, 1}, {3, 5}, {33, 65}, {70, 40}}, transposeShapes...) {
 			m := randKernelMat(r, elem, shape...)
 			want, werr := TransposeRef(m)
 			for mode, x := range execs {

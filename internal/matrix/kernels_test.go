@@ -201,11 +201,17 @@ func TestKernelDiffMatMul(t *testing.T) {
 	}
 }
 
+// transposeCells is FuzzKernelDiff's first cells value that selects a
+// transpose of transposeShapes.
+const transposeCells = 128
+
 // FuzzKernelDiff drives random (op, shape, elem, scalar, mode)
 // combinations through every kernel and the boxed reference. A non-zero
 // cells fixes the operands' shape at 1 to 9 cells: the seeds walk every
 // count of inline cells and the first past them, a dozen draws each, so
-// every oracle meets inline storage in all three element types.
+// every oracle meets inline storage in all three element types. From
+// transposeCells on, cells picks one of transposeShapes to transpose
+// instead; the seeds take each in all three element types.
 func FuzzKernelDiff(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed, uint8(0))
@@ -215,10 +221,25 @@ func FuzzKernelDiff(f *testing.F) {
 			f.Add(seed, cells)
 		}
 	}
+	for k := range transposeShapes {
+		for seed := int64(0); seed < 3; seed++ {
+			f.Add(seed, uint8(transposeCells+k))
+		}
+	}
 	pool := par.NewPool(4)
 	f.Fuzz(func(t *testing.T, seed int64, cells uint8) {
 		r := rand.New(rand.NewSource(seed))
 		elems := []Elem{Float, Int, Bool}
+		if k := int(cells) - transposeCells; k >= 0 {
+			// A transpose of one of transposeShapes, serial and pooled.
+			m := randKernelMat(r, elems[uint64(seed)%3], transposeShapes[k%len(transposeShapes)]...)
+			want, werr := TransposeRef(m)
+			for _, x := range []Exec{{}, {Pool: pool, Ctx: context.Background()}} {
+				got, gerr := TransposeExec(m, x)
+				checkKernelDiff(t, "fuzz transpose "+m.String(), got, gerr, want, werr, m.Size(), 0)
+			}
+			return
+		}
 		// Random shape, sometimes large enough for the parallel path at
 		// the default grain.
 		var shape []int

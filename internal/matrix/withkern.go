@@ -407,7 +407,7 @@ func GenArrayFlat(elem Elem, r *WithRun, x Exec) (*Matrix, bool, error) {
 	rank := len(shape)
 
 	// Transpose pattern: out[i,j] = m[j,i] over the whole matrix runs
-	// the cache-blocked transpose kernel.
+	// the panel transpose kernel.
 	if lp := p.load; lp != nil && covers(lower, upper, shape) && rank == 2 && len(lp.perm) == 2 && lp.perm[0] == 1 && lp.perm[1] == 0 {
 		m := r.Mats[lp.mat]
 		if m.elem == elem && m.shape()[0] == shape[1] && m.shape()[1] == shape[0] {

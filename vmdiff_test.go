@@ -323,6 +323,50 @@ int main() {
 	print(w);
 	return 0;
 }`},
+	// m[j, i] over every panel remainder and both degenerate shapes: the
+	// flat engine's transpose kernel against the closure path, in each
+	// element type (bool runs the closure path on both arms). Every float
+	// is a multiple of 0.25, so the folds are exact in any worker order.
+	{name: "transpose_shapes", pin: &pinned{"39\n21320\n-9.75\n-5330\n287\n39000\n21320000\n19.5\n10660\n287\n6008\n6311004\n1\n399\n651\n7015\n29651680\n-0.25\n-6136\n2752\n8016\n48271296\n0\n-7752\n3924\n2767\n4014964608\n-190.75\n-3.38188704e+08\n885120\n63063\n266057186304\n15.75\n4.4411136e+07\n2798251\n", 40944}, src: `
+int tint(int r, int c) {
+	Matrix int <2> m;
+	m = with ([0, 0] <= [i, j] < [r, c]) genarray([r, c], i * 1000 + j);
+	Matrix int <2> t;
+	t = with ([0, 0] <= [i, j] < [c, r]) genarray([c, r], m[j, i]);
+	print(t[c - 1, 0] + t[0, r - 1]);
+	return with ([0, 0] <= [i, j] < [c, r]) fold(+, 0, t[i, j] * (i * r + j + 1));
+}
+float tfloat(int r, int c) {
+	Matrix float <2> m;
+	m = with ([0, 0] <= [i, j] < [r, c]) genarray([r, c], 0.5 * i - 0.25 * j);
+	Matrix float <2> t;
+	t = with ([0, 0] <= [i, j] < [c, r]) genarray([c, r], m[j, i]);
+	print(t[c - 1, 0] + t[0, r - 1]);
+	return with ([0, 0] <= [i, j] < [c, r]) fold(+, 0.0, t[i, j] * (i * r + j + 1));
+}
+int tbool(int r, int c) {
+	Matrix bool <2> m;
+	m = with ([0, 0] <= [i, j] < [r, c]) genarray([r, c], (i + 2 * j) % 3 == 0);
+	Matrix bool <2> t;
+	t = with ([0, 0] <= [i, j] < [c, r]) genarray([c, r], m[j, i]);
+	return with ([0, 0] <= [i, j] < [c, r]) fold(+, 0, (int)t[i, j] * (i * r + j + 1));
+}
+int shape(int r, int c) {
+	print(tint(r, c));
+	print(tfloat(r, c));
+	print(tbool(r, c));
+	return 0;
+}
+int main() {
+	shape(1, 40);
+	shape(40, 1);
+	shape(7, 9);
+	shape(8, 16);
+	shape(9, 17);
+	shape(3, 768);
+	shape(64, 64);
+	return 0;
+}`},
 	{name: "err_with_flat_oom", opts: interp.Options{MaxCells: 40}, src: `
 int main() {
 	int n = 5;
@@ -2553,6 +2597,46 @@ func TestSerialConstructPanicIsTheConstructsTrap(t *testing.T) {
 		}
 		if errs[0] != errs[1] || errs[0] != errs[2] {
 			t.Errorf("%s: the engines disagree on the trap:\n%s", tc.name, strings.Join(errs, "\n"))
+		}
+	}
+}
+
+// A with-loop that is a transpose forks exactly when its closure would:
+// over the output's rows, so a panic injected into worker 1 is the same
+// trap on every engine, or none on all of them. m is made by init, which
+// forks nothing, so the transpose is the only construct that can.
+func TestTransposeForksOnTheOutputRows(t *testing.T) {
+	par.TestHookInjectPanic = func(worker int) {
+		if worker == 1 {
+			panic(fmt.Sprintf("injected into worker %d", worker))
+		}
+	}
+	defer func() { par.TestHookInjectPanic = nil }()
+	for _, shape := range [][2]int{{1, 40}, {40, 1}, {2, 300}, {300, 2}, {64, 64}} {
+		r, c := shape[0], shape[1]
+		name := fmt.Sprintf("transpose_%dx%d", r, c)
+		prog := parseAndCheck(t, name+".xc", fmt.Sprintf(`int main() {
+	Matrix float <2> m = init(Matrix float <2>, %d, %d);
+	Matrix float <2> t;
+	t = with ([0, 0] <= [i, j] < [%d, %d]) genarray([%d, %d], m[j, i]);
+	print(dimSize(t, 0) * dimSize(t, 1));
+	return 0;
+}`, r, c, c, r, c, r))
+		// The output has c rows: two or more fork, one does not.
+		want := fmt.Sprintf("%d\n", r*c)
+		if c >= 2 {
+			want = name + ".xc:4:6: runtime error [trap:panic]"
+		}
+		var got []string
+		for _, engine := range []string{"tree", "vm", "vm-nofacts"} {
+			res := runOne(t, prog, engine, interp.Options{Threads: 2})
+			got = append(got, res.out+res.err)
+			if !strings.HasPrefix(res.out+res.err, want) {
+				t.Errorf("%s on %s: %q, want %q", name, engine, res.out+res.err, want)
+			}
+		}
+		if got[0] != got[1] || got[0] != got[2] {
+			t.Errorf("%s: the engines disagree:\n%s", name, strings.Join(got, "\n"))
 		}
 	}
 }
