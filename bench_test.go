@@ -664,8 +664,12 @@ func BenchmarkKernelBroadcast(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelMatMul: blocked i-k-j kernel vs naive i-j-k reference.
+// BenchmarkKernelMatMul: the register-blocked kernel vs the naive i-j-k
+// reference, serial (one-row chunks), and at 256 and 512 on a
+// two-worker pool, which cuts the rows into 8 chunks (32 rows a chunk
+// at 256, as in the matmul_256 workload program).
 func BenchmarkKernelMatMul(b *testing.B) {
+	pool := matrix.Exec{Pool: par.NewPool(2)}
 	for _, size := range []int{64, 256, 512} {
 		for _, elem := range []matrix.Elem{matrix.Float, matrix.Int} {
 			x := kernelBenchMat(elem, size*size)
@@ -687,6 +691,15 @@ func BenchmarkKernelMatMul(b *testing.B) {
 					}
 				}
 			})
+			if size >= 256 {
+				b.Run(fmt.Sprintf("kernel/pool/%s/%d", elem, size), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if _, err := matrix.MatMulExec(xm, ym, pool); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
 			if size > 256 && elem == matrix.Int {
 				continue // the boxed reference at 512 int adds nothing new and minutes of runtime
 			}

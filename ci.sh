@@ -128,9 +128,9 @@ for w in compute_parallel compute_serial serve_warm serve_cold; do
     bash bench/run.sh -workload "$w" -seconds 2 -trace 0 >/dev/null
 done
 
-echo "== code layout of the hot loops (address mod 64; informational: EXPERIMENTS E21, E22, E24, E25, E26 record parent and change) =="
+echo "== code layout of the hot loops (address mod 64; informational: EXPERIMENTS E21, E22, E24–E28 record parent and change) =="
 syms=$(go tool nm -size .bench_build/bench |
-    grep -E ' T (repro/internal/vm\.\(\*Machine\)\.exec|repro/internal/matrix\.\(\*wState\)\.(eval|walk)|repro/internal/matrix\.(mmRows|stripArith|stripLoad|boxCopy)\[go\.shape\.float64\]|repro/internal/matrix\.transposePanels\[go\.shape\.int64\])$') || syms=""
+    grep -E ' T (repro/internal/vm\.\(\*Machine\)\.exec|repro/internal/matrix\.\(\*wState\)\.(eval|walk)|repro/internal/matrix\.(mm2x4|stripArith|stripLoad|boxCopy)\[go\.shape\.float64\]|repro/internal/matrix\.transposePanels\[go\.shape\.int64\])$') || syms=""
 if [ -z "$syms" ]; then
     echo "no hot-loop symbol matched (renamed, inlined, or named otherwise by this toolchain)"
 else

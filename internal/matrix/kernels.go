@@ -393,12 +393,12 @@ func UnaryExec(neg bool, m *Matrix, x Exec) (*Matrix, error) {
 }
 
 // MatMulExec computes the linear-algebra product of two rank-2 matrices
-// with a cache-blocked i-k-j kernel, distributing row blocks over the
-// pool. Int x Int stays exact in int64; any Float operand promotes the
-// int side once and runs the float kernel. Note the i-k-j order sums
-// float products in a different order than the naive i-j-k reference —
-// equal up to rounding, which is why the differential tests compare
-// MatMul results with a tolerance.
+// with a cache-blocked, register-blocked kernel (mmBase), distributing
+// row blocks over the pool. Int x Int stays exact in int64; any Float
+// operand promotes the int side once and runs the float kernel. Every
+// output cell adds its products in ascending k, one rounding each, as
+// the naive i-j-k reference does, so float results are bit-identical
+// to MatMulRef's and the differential tests compare them exactly.
 func MatMulExec(a, b *Matrix, x Exec) (*Matrix, error) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		return nil, fmt.Errorf("matrix: matmul requires rank-2 matrices, got ranks %d and %d", a.Rank(), b.Rank())

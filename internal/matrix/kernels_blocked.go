@@ -357,12 +357,12 @@ func reduceBlocks[T int64 | float64](kind FoldKind, dst, src []T, olo, ohi, axis
 }
 
 // mmRecCutoff: a matmul whose k and n dimensions both exceed this
-// enters the blocked-recursive split; below it the i-k-j kernel's
-// k-blocking is already cache-sufficient.
+// enters the blocked-recursive split; below it mmBase's k-blocking is
+// already cache-sufficient.
 const mmRecCutoff = 512
 
 // mmRecBase is the sub-block edge at which recursion bottoms out into
-// the i-k-j base kernel (a 256² float tile of each operand is 512 KB —
+// mmBase (a 256² float tile of each operand is 512 KB —
 // L2-resident on current cores).
 const mmRecBase = 256
 
@@ -374,37 +374,23 @@ const mmBlockK = 128
 // mmRows computes output rows [rlo, rhi) of dst = a x b — the entry
 // point of MatMulExec's row-parallel driver, for int64 and float64
 // alike. Rows are cleared here (outputs are not pre-zeroed) and
-// accumulated in i-k-j order, block by block over k: the inner loop
-// walks one row of b and one row of dst sequentially, so stores stream
-// — unlike i-j-k, which strides down b's columns. When k and n exceed
-// mmRecCutoff the accumulation goes through the recursive split
-// instead.
+// accumulated by mmBase over the whole block, or through the recursive
+// split when k and n exceed mmRecCutoff.
 func mmRows[T int64 | float64](dst, a, b []T, rlo, rhi, kk, n int) {
 	clear(dst[rlo*n : rhi*n])
 	if kk > mmRecCutoff && n > mmRecCutoff {
 		mmRec(dst, a, b, rlo, rhi, 0, kk, 0, n, kk, n, n)
 		return
 	}
-	for k0 := 0; k0 < kk; k0 += mmBlockK {
-		k1 := min(k0+mmBlockK, kk)
-		for i := rlo; i < rhi; i++ {
-			row := dst[i*n : (i+1)*n]
-			arow := a[i*kk+k0 : i*kk+k1]
-			for kx, av := range arow {
-				brow := b[(k0+kx)*n : (k0+kx+1)*n]
-				for j, bv := range brow {
-					row[j] += av * bv
-				}
-			}
-		}
-	}
+	mmBase(dst, a, b, rlo, rhi, 0, kk, 0, n, kk, n, n)
 }
 
 // mmRec multiplies the sub-block dst[i0:i1, j0:j1] += a[i0:i1, k0:k1]
 // × b[k0:k1, j0:j1] by halving the largest extent until every extent
 // fits mmRecBase (cache-oblivious: every level's working set halves).
-// dst rows must be cleared by the caller. k splits run sequentially —
-// both halves accumulate into the same dst cells.
+// dst rows must be cleared by the caller. k splits run sequentially,
+// the lower half first — both halves accumulate into the same dst
+// cells, and every cell keeps adding its products in ascending k.
 func mmRec[T int64 | float64](dst, a, b []T, i0, i1, k0, k1, j0, j1, lda, ldb, ldd int) {
 	di, dk, dj := i1-i0, k1-k0, j1-j0
 	if di <= mmRecBase && dk <= mmRecBase && dj <= mmRecBase {
@@ -427,23 +413,79 @@ func mmRec[T int64 | float64](dst, a, b []T, i0, i1, k0, k1, j0, j1, lda, ldb, l
 	}
 }
 
-// mmBase is the leading-dimension-aware i-k-j accumulation kernel the
-// recursion bottoms out in (mmRows' loop order, over a sub-block).
+// mmBase accumulates the sub-block dst[i0:i1, j0:j1] += a[i0:i1, k0:k1]
+// × b[k0:k1, j0:j1] with leading dimensions lda, ldb, ldd, block by
+// block over k (mmBlockK rows of b stay cache-resident). Within a block
+// it takes two output rows and four k at a time (mm2x4): each cell is
+// loaded and stored once per four products instead of once per product.
+// A lone last row runs mm1x4 and the k left over past the last four
+// run mm1x1. Every cell still adds its products one at a time in
+// ascending k, so results are bit-identical to MatMulRef's i-j-k loop.
+// The loops over j live in leaf functions that take only slices, a
+// stride and scalars: inlined here, beside this function's twelve live
+// parameters, the 2×4 loop spills its counter to the stack.
 func mmBase[T int64 | float64](dst, a, b []T, i0, i1, k0, k1, j0, j1, lda, ldb, ldd int) {
+	w := j1 - j0
 	for kb := k0; kb < k1; kb += mmBlockK {
-		ke := kb + mmBlockK
-		if ke > k1 {
-			ke = k1
-		}
-		for i := i0; i < i1; i++ {
-			row := dst[i*ldd+j0 : i*ldd+j1]
-			arow := a[i*lda+kb : i*lda+ke]
-			for kx, av := range arow {
-				brow := b[(kb+kx)*ldb+j0 : (kb+kx)*ldb+j1]
-				for j, bv := range brow {
-					row[j] += av * bv
-				}
+		ke := min(kb+mmBlockK, k1)
+		i := i0
+		for ; i+2 <= i1; i += 2 {
+			r0, r1 := dst[i*ldd+j0:][:w], dst[(i+1)*ldd+j0:][:w]
+			a0, a1 := a[i*lda:], a[(i+1)*lda:]
+			k := kb
+			for ; k+4 <= ke; k += 4 {
+				mm2x4(r0, r1, b[k*ldb+j0:], ldb, (*[4]T)(a0[k:]), (*[4]T)(a1[k:]))
+			}
+			for ; k < ke; k++ {
+				mm1x1(r0, b[k*ldb+j0:], a0[k])
+				mm1x1(r1, b[k*ldb+j0:], a1[k])
 			}
 		}
+		if i < i1 {
+			r0, a0 := dst[i*ldd+j0:][:w], a[i*lda:]
+			k := kb
+			for ; k+4 <= ke; k += 4 {
+				mm1x4(r0, b[k*ldb+j0:], ldb, (*[4]T)(a0[k:]))
+			}
+			for ; k < ke; k++ {
+				mm1x1(r0, b[k*ldb+j0:], a0[k])
+			}
+		}
+	}
+}
+
+// mm2x4 adds four products to each cell of two output rows: with c_t
+// the row b[t*ldb:] of b, r0[j] gets p[0]·c_0[j] … p[3]·c_3[j] and
+// r1[j] the same with q, left to right, one rounding per product and
+// per add. Every other operand is resliced to len(r0), so the loop
+// carries no bounds check.
+func mm2x4[T int64 | float64](r0, r1, b []T, ldb int, p, q *[4]T) {
+	n := len(r0)
+	b0, b1, b2, b3 := b[:n], b[ldb:][:n], b[2*ldb:][:n], b[3*ldb:][:n]
+	r1 = r1[:n]
+	p0, p1, p2, p3 := p[0], p[1], p[2], p[3]
+	q0, q1, q2, q3 := q[0], q[1], q[2], q[3]
+	for j, c0 := range b0 {
+		c1, c2, c3 := b1[j], b2[j], b3[j]
+		r0[j] = r0[j] + p0*c0 + p1*c1 + p2*c2 + p3*c3
+		r1[j] = r1[j] + q0*c0 + q1*c1 + q2*c2 + q3*c3
+	}
+}
+
+// mm1x4 is mm2x4 for one output row.
+func mm1x4[T int64 | float64](r0, b []T, ldb int, p *[4]T) {
+	n := len(r0)
+	b0, b1, b2, b3 := b[:n], b[ldb:][:n], b[2*ldb:][:n], b[3*ldb:][:n]
+	p0, p1, p2, p3 := p[0], p[1], p[2], p[3]
+	for j, c0 := range b0 {
+		r0[j] = r0[j] + p0*c0 + p1*b1[j] + p2*b2[j] + p3*b3[j]
+	}
+}
+
+// mm1x1 adds av·b[j] to each cell r[j] of an output row.
+func mm1x1[T int64 | float64](r, b []T, av T) {
+	b = b[:len(r)]
+	for j, bv := range b {
+		r[j] += av * bv
 	}
 }

@@ -31,7 +31,7 @@ func TestKernelDiffTranspose(t *testing.T) {
 			want, werr := TransposeRef(m)
 			for mode, x := range execs {
 				got, gerr := TransposeExec(m, x)
-				checkKernelDiff(t, mode+" transpose "+m.String(), got, gerr, want, werr, m.Size(), 0)
+				checkKernelDiff(t, mode+" transpose "+m.String(), got, gerr, want, werr, m.Size())
 			}
 		}
 	}
@@ -63,7 +63,7 @@ func TestKernelDiffConv2D(t *testing.T) {
 				for mode, x := range execs {
 					got, gerr := Conv2DExec(src, kern, x)
 					label := mode + " conv " + src.String() + " * " + kern.String()
-					checkKernelDiff(t, label, got, gerr, want, werr, src.Size(), 0)
+					checkKernelDiff(t, label, got, gerr, want, werr, src.Size())
 				}
 			}
 		}
@@ -73,7 +73,7 @@ func TestKernelDiffConv2D(t *testing.T) {
 	kern := randKernelMat(r, Float, 3, 3)
 	want, werr := Conv2DRef(src, kern)
 	got, gerr := Conv2DExec(src, kern, Exec{})
-	checkKernelDiff(t, "conv int*float", got, gerr, want, werr, src.Size(), 0)
+	checkKernelDiff(t, "conv int*float", got, gerr, want, werr, src.Size())
 }
 
 func TestConv2DErrors(t *testing.T) {
@@ -110,7 +110,7 @@ func TestKernelDiffReduceAxis(t *testing.T) {
 					for mode, x := range execs {
 						got, gerr := ReduceAxisExec(kind, m, axis, x)
 						label := mode + " reduce " + m.String()
-						checkKernelDiff(t, label, got, gerr, want, werr, m.Size(), 0)
+						checkKernelDiff(t, label, got, gerr, want, werr, m.Size())
 					}
 				}
 			}
@@ -166,17 +166,13 @@ func TestKernelDiffRecursiveMatMul(t *testing.T) {
 		want, werr := MatMulRef(a, b)
 		for mode, x := range map[string]Exec{"serial": {}, "parallel": par4} {
 			got, gerr := MatMulExec(a, b, x)
-			eps := 0.0
-			if elem == Float {
-				eps = 1e-9
-			}
-			checkKernelDiff(t, mode+" recursive matmul", got, gerr, want, werr, a.Size(), eps)
+			checkKernelDiff(t, mode+" recursive matmul", got, gerr, want, werr, a.Size())
 		}
 		small1 := randKernelMat(r, elem, 5, 17)
 		small2 := randKernelMat(r, elem, 17, 9)
 		want, werr = MatMulRef(small1, small2)
 		got, gerr := MatMulExec(small1, small2, Exec{})
-		checkKernelDiff(t, "small matmul", got, gerr, want, werr, small1.Size(), 1e-12)
+		checkKernelDiff(t, "small matmul", got, gerr, want, werr, small1.Size())
 	}
 }
 

@@ -50,10 +50,10 @@ func randKernelMat(r *rand.Rand, elem Elem, shape ...int) *Matrix {
 	return m
 }
 
-// checkKernelDiff applies the error-parity rule and compares values.
-// matmulEps > 0 compares floats with a tolerance (the blocked kernel
-// sums in a different order than the reference).
-func checkKernelDiff(t *testing.T, label string, got *Matrix, gerr error, want *Matrix, werr error, size int, matmulEps float64) {
+// checkKernelDiff applies the error-parity rule and compares values
+// exactly: every kernel, matmul included, combines float operands in
+// the reference's order, so the results are bit-identical.
+func checkKernelDiff(t *testing.T, label string, got *Matrix, gerr error, want *Matrix, werr error, size int) {
 	t.Helper()
 	if gerr != nil {
 		if werr == nil && size > 0 {
@@ -66,12 +66,6 @@ func checkKernelDiff(t *testing.T, label string, got *Matrix, gerr error, want *
 	}
 	if got.Elem() != want.Elem() {
 		t.Fatalf("%s: kernel elem %v, reference elem %v", label, got.Elem(), want.Elem())
-	}
-	if matmulEps > 0 {
-		if !AlmostEqual(got, want, matmulEps) {
-			t.Fatalf("%s: kernel result differs from reference:\n  got  %v\n  want %v", label, got, want)
-		}
-		return
 	}
 	if !Equal(got, want) {
 		t.Fatalf("%s: kernel result differs from reference:\n  got  %v\n  want %v", label, got, want)
@@ -108,7 +102,7 @@ func TestKernelDiffElementwise(t *testing.T) {
 					for mode, x := range execs {
 						got, gerr := ElementwiseExec(op, a, b, x)
 						label := mode + " " + op.String() + " " + a.String() + " " + b.String()
-						checkKernelDiff(t, label, got, gerr, want, werr, a.Size(), 0)
+						checkKernelDiff(t, label, got, gerr, want, werr, a.Size())
 					}
 				}
 			}
@@ -138,7 +132,7 @@ func TestKernelDiffBroadcast(t *testing.T) {
 						for mode, x := range execs {
 							got, gerr := BroadcastExec(op, m, s, matLeft, x)
 							label := mode + " " + op.String() + " " + m.String()
-							checkKernelDiff(t, label, got, gerr, want, werr, m.Size(), 0)
+							checkKernelDiff(t, label, got, gerr, want, werr, m.Size())
 						}
 					}
 				}
@@ -157,18 +151,30 @@ func TestKernelDiffUnary(t *testing.T) {
 				want, werr := UnaryRef(neg, m)
 				for mode, x := range execs {
 					got, gerr := UnaryExec(neg, m, x)
-					checkKernelDiff(t, mode+" unary "+m.String(), got, gerr, want, werr, m.Size(), 0)
+					checkKernelDiff(t, mode+" unary "+m.String(), got, gerr, want, werr, m.Size())
 				}
 			}
 		}
 	}
 }
 
+// TestKernelDiffMatMul compares the kernel with the reference exactly,
+// floats included: both add a cell's products in ascending k. The dims
+// walk the micro-kernel's edges — a lone last row (odd m), the k mod 4
+// tails, the mmBlockK boundary — serial in one-row chunks and pooled in
+// multi-row chunks of odd length (33 rows at grain 64 are 3-row chunks).
 func TestKernelDiffMatMul(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	execs := kernelExecs(t)
 	elems := []Elem{Float, Int}
-	dims := [][3]int{{1, 1, 1}, {2, 3, 4}, {5, 1, 5}, {17, 33, 9}, {31, 200, 7}, {0, 3, 4}, {3, 0, 4}}
+	dims := [][3]int{{0, 3, 4}, {3, 0, 4}, {5, 9, 0}}
+	for _, m := range []int{1, 2, 3, 5, 33} {
+		for _, k := range []int{1, 3, 4, 5, 127, 128, 129, 131, 260} {
+			for _, n := range []int{1, 7, 64} {
+				dims = append(dims, [3]int{m, k, n})
+			}
+		}
+	}
 	for _, d := range dims {
 		for _, ae := range elems {
 			for _, be := range elems {
@@ -177,11 +183,7 @@ func TestKernelDiffMatMul(t *testing.T) {
 				want, werr := MatMulRef(a, b)
 				for mode, x := range execs {
 					got, gerr := MatMulExec(a, b, x)
-					eps := 1e-9
-					if ae == Int && be == Int {
-						eps = 0
-					}
-					checkKernelDiff(t, mode+" matmul "+a.String()+" "+b.String(), got, gerr, want, werr, d[0]*d[2], eps)
+					checkKernelDiff(t, mode+" matmul "+a.String()+" "+b.String(), got, gerr, want, werr, d[0]*d[2])
 				}
 			}
 		}
@@ -236,7 +238,7 @@ func FuzzKernelDiff(f *testing.F) {
 			want, werr := TransposeRef(m)
 			for _, x := range []Exec{{}, {Pool: pool, Ctx: context.Background()}} {
 				got, gerr := TransposeExec(m, x)
-				checkKernelDiff(t, "fuzz transpose "+m.String(), got, gerr, want, werr, m.Size(), 0)
+				checkKernelDiff(t, "fuzz transpose "+m.String(), got, gerr, want, werr, m.Size())
 			}
 			return
 		}
@@ -284,7 +286,7 @@ func FuzzKernelDiff(f *testing.F) {
 			b := randKernelMat(r, elems[r.Intn(3)], shape...)
 			want, werr := ElementwiseRef(op, a, b)
 			got, gerr := ElementwiseExec(op, a, b, x)
-			checkKernelDiff(t, "fuzz ew "+op.String(), got, gerr, want, werr, size, 0)
+			checkKernelDiff(t, "fuzz ew "+op.String(), got, gerr, want, werr, size)
 		case 1:
 			m := randKernelMat(r, elems[r.Intn(3)], shape...)
 			scalars := []any{1.5, int64(r.Intn(5) - 2), true}
@@ -292,35 +294,32 @@ func FuzzKernelDiff(f *testing.F) {
 			matLeft := r.Intn(2) == 0
 			want, werr := BroadcastRef(op, m, s, matLeft)
 			got, gerr := BroadcastExec(op, m, s, matLeft, x)
-			checkKernelDiff(t, "fuzz bc "+op.String(), got, gerr, want, werr, size, 0)
+			checkKernelDiff(t, "fuzz bc "+op.String(), got, gerr, want, werr, size)
 		case 2:
 			m := randKernelMat(r, elems[r.Intn(3)], shape...)
 			neg := r.Intn(2) == 0
 			want, werr := UnaryRef(neg, m)
 			got, gerr := UnaryExec(neg, m, x)
-			checkKernelDiff(t, "fuzz unary", got, gerr, want, werr, size, 0)
+			checkKernelDiff(t, "fuzz unary", got, gerr, want, werr, size)
 		case 3:
-			mi, k, n := r.Intn(6), r.Intn(6), r.Intn(6)
+			// Dims below 12: an odd or even row count, k across 4 and 8.
+			mi, k, n := r.Intn(12), r.Intn(12), r.Intn(12)
 			a := randKernelMat(r, elems[r.Intn(2)], mi, k)
 			b := randKernelMat(r, elems[r.Intn(2)], k, n)
 			want, werr := MatMulRef(a, b)
 			got, gerr := MatMulExec(a, b, x)
-			eps := 0.0
-			if a.Elem() == Float || b.Elem() == Float {
-				eps = 1e-9
-			}
-			checkKernelDiff(t, "fuzz matmul", got, gerr, want, werr, mi*n, eps)
+			checkKernelDiff(t, "fuzz matmul", got, gerr, want, werr, mi*n)
 		case 4:
 			m := randKernelMat(r, elems[r.Intn(3)], r.Intn(40), r.Intn(40))
 			want, werr := TransposeRef(m)
 			got, gerr := TransposeExec(m, x)
-			checkKernelDiff(t, "fuzz transpose", got, gerr, want, werr, m.Size(), 0)
+			checkKernelDiff(t, "fuzz transpose", got, gerr, want, werr, m.Size())
 		case 5:
 			src := randKernelMat(r, elems[r.Intn(2)], 1+r.Intn(20), 1+r.Intn(20))
 			kern := randKernelMat(r, elems[r.Intn(2)], 1+2*r.Intn(3), 1+2*r.Intn(3))
 			want, werr := Conv2DRef(src, kern)
 			got, gerr := Conv2DExec(src, kern, x)
-			checkKernelDiff(t, "fuzz conv", got, gerr, want, werr, src.Size(), 0)
+			checkKernelDiff(t, "fuzz conv", got, gerr, want, werr, src.Size())
 		case 6:
 			var rshape []int
 			for d, rank := 0, 1+r.Intn(3); d < rank; d++ {
@@ -331,7 +330,7 @@ func FuzzKernelDiff(f *testing.F) {
 			axis := r.Intn(len(rshape))
 			want, werr := ReduceAxisRef(kind, m, axis)
 			got, gerr := ReduceAxisExec(kind, m, axis, x)
-			checkKernelDiff(t, "fuzz reduce", got, gerr, want, werr, m.Size(), 0)
+			checkKernelDiff(t, "fuzz reduce", got, gerr, want, werr, m.Size())
 		}
 	})
 }

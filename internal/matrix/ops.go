@@ -227,9 +227,9 @@ func BroadcastRef(op Op, m *Matrix, s any, matLeft bool) (*Matrix, error) {
 	return out, nil
 }
 
-// MatMulRef is the naive i-j-k reference for MatMul. Float results may
-// differ from the blocked i-k-j kernel in the last bits (different
-// summation order); differential tests compare with a tolerance.
+// MatMulRef is the naive i-j-k reference for MatMulExec. Each cell sums
+// its products in ascending k, the order the blocked kernel keeps, so
+// the differential tests compare the two exactly.
 func MatMulRef(a, b *Matrix) (*Matrix, error) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		return nil, fmt.Errorf("matrix: matmul requires rank-2 matrices, got ranks %d and %d", a.Rank(), b.Rank())
