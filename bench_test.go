@@ -634,6 +634,22 @@ func BenchmarkKernelElementwise(b *testing.B) {
 				}
 			})
 		}
+		// An int operand promoted to float, and a unary minus.
+		xi, yf := kernelBenchMat(matrix.Int, size), kernelBenchMat(matrix.Float, size)
+		b.Run(fmt.Sprintf("kernel/promote/%d", size), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := matrix.ElementwiseExec(matrix.OpAdd, xi, yf, matrix.Exec{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("kernel/neg/float/%d", size), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := matrix.UnaryExec(true, yf, matrix.Exec{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -661,6 +677,15 @@ func BenchmarkKernelBroadcast(b *testing.B) {
 				}
 			})
 		}
+		// An int matrix promoted to float by its scalar.
+		xi := kernelBenchMat(matrix.Int, size)
+		b.Run(fmt.Sprintf("kernel/promote/%d", size), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := matrix.BroadcastExec(matrix.OpMul, xi, 0.5, true, matrix.Exec{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

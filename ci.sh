@@ -3,7 +3,8 @@
 # workflow installs Go and staticcheck and runs this script, nothing
 # else. Run it locally before pushing. Its passes, in order:
 #   - gofmt, go vet, staticcheck (CM_SKIP_STATICCHECK=1 opts out offline)
-#   - guards: unsafe only in internal/matrix/matrix.go; interp.New only in internal/driver/driver.go
+#   - guards: unsafe only in internal/matrix/matrix.go; interp.New only in internal/driver/driver.go;
+#     whole-matrix arithmetic on the strip engine alone (no ew*/bc* loops; floatScratch for matmul, conv, SetIndex)
 #   - go build, then go test (the allocation ceilings of alloc_ceiling_test.go included)
 #   - go test -race, a package at a time (-race turns checkptr on over the matrix header)
 #   - the C back end against the interpreter (gcc-guarded)
@@ -54,6 +55,20 @@ interp_files=$(grep -rl --include='*.go' --exclude='*_test.go' 'interp\.New(' in
 if [ "$interp_files" != "internal/driver/driver.go" ]; then
     echo "non-test files under internal/ and cmd/ calling interp.New (want internal/driver/driver.go alone):" >&2
     echo "$interp_files" >&2
+    exit 1
+fi
+
+echo "== whole-matrix arithmetic: one engine (the strip programs) =="
+ew_loops=$(grep -nE '^func (ew|bc)[A-Z]' $(find internal/matrix -name '*.go' ! -name '*_test.go') || true)
+if [ -n "$ew_loops" ]; then
+    echo "elementwise/broadcast loops outside the strip engine (a lone operator runs as a one-node strip program):" >&2
+    echo "$ew_loops" >&2
+    exit 1
+fi
+scratch_callers=$(awk '/^func /{f=$0; sub(/^func (\([^)]*\) )?/, "", f); sub(/[[(].*/, "", f)}
+    /floatScratch\(/ && !/^func floatScratch/ {print f}' $(find internal -name '*.go' ! -name '*_test.go') | sort -u | tr '\n' ' ')
+if [ "$scratch_callers" != "Conv2DExec MatMulExec SetIndex " ]; then
+    echo "floatScratch callers: $scratch_callers(want Conv2DExec MatMulExec SetIndex; a lone operator converts as it loads)" >&2
     exit 1
 fi
 

@@ -1,11 +1,10 @@
-// The arithmetic inner loops — one set, shared by the elementwise and
-// broadcast kernels (kernels.go) and the strip evaluator
-// (withstrip.go). Each takes slices already cut to the cells it works
+// The arithmetic inner loops of the strip evaluator (withstrip.go),
+// int and float. Each takes slices already cut to the cells it works
 // on; d may be a or b (every cell is read before it is written). The
 // operator switch sits outside the loop, operand order is kept in every
 // form — the result bits are those of `a op b` per cell — and nothing
-// here can fail: an int `/` or `%` only comes here with a divisor the
-// caller has checked is not zero.
+// here can fail: an int `/` or `%` is stripQuo's, which checks its
+// divisor.
 package matrix
 
 // arithSS: d[i] = a[i] op b[i], op one of + - * /.
@@ -74,13 +73,5 @@ func arithUS[T int64 | float64](op Op, d []T, a T, b []T) {
 		for i := range d {
 			d[i] = a / b[i]
 		}
-	}
-}
-
-// modSU: d[i] = a[i] % k, k not zero.
-func modSU(d, a []int64, k int64) {
-	a = a[:len(d)]
-	for i := range d {
-		d[i] = a[i] % k
 	}
 }

@@ -15,9 +15,10 @@
 //     engine recycles intermediate buffers but never refunds their
 //     budget, so a fused run must consume identical budget. A range
 //     leaf admits, at its place in that order, the vector RangeBudgeted
-//     would have built; a stage admits its output and then charges, left
-//     operand first, floatScratch's copy of each int operand of a float
-//     stage (Budget.Charge alone, as there). Neither is ever allocated;
+//     would have built; a stage admits its output and then, left operand
+//     first, charges its cell count once more for each int operand of a
+//     float stage, as a lone operation charges a promoted operand
+//     (Budget.Charge alone, as there). Neither is ever allocated;
 //   - TestHookAllocFail fires once per range leaf and once per stage
 //     with its cell count, in the same order;
 //   - a nil (unassigned) matrix leaf, a shape mismatch or a budget
@@ -77,34 +78,39 @@ func ChainFlat(r *WithRun, x Exec) (*Matrix, int, error) {
 		elem = Float
 	}
 	out := alloc(elem, shape, n, false)
-	if n == 0 {
-		return out, -1, nil
-	}
-	// Every leaf has the root's cell count: the loop walks the flat box
-	// [0, n) over flat views, whatever the rank.
-	r.Lower[0], r.Upper[0] = 0, n
-	r.views = grow(r.views, len(r.Mats))
-	for k, m := range r.Mats {
-		m.flatView(&r.views[k])
-		r.Mats[k] = &r.views[k]
-	}
-	// The elementwise kernels' split, not a genarray's poolGrain: the
-	// reference is the unfused stages, serial below two grains of cells.
-	if err := r.fill(out, ParallelGrain, x); err != nil {
+	if err := r.runFlat(out, n, x); err != nil {
 		out.Recycle()
 		return nil, root, err
 	}
 	return out, -1, nil
 }
 
+// runFlat evaluates r's rank-1 program into the n cells of out, the
+// loop of a chain or of a lone operation: every leaf has n cells, so it
+// walks the flat box [0, n) over flat views, whatever the rank. The
+// split is the one ParallelGrain sets for elementwise work, not a
+// genarray's poolGrain: serial below two grains of cells.
+func (r *WithRun) runFlat(out *Matrix, n int, x Exec) error {
+	if n == 0 {
+		return nil
+	}
+	r.Lower[0], r.Upper[0] = 0, n
+	r.views = grow(r.views, len(r.Mats))
+	for k, m := range r.Mats {
+		m.flatView(&r.views[k])
+		r.Mats[k] = &r.views[k]
+	}
+	return r.fill(out, ParallelGrain, x)
+}
+
 var errMalformedChain = errors.New("matrix: malformed fused chain")
 
 // admitChain replays the unfused engine's admission over the plan, per
 // range leaf and stage, in order — nil checks, the elementwise shape
-// check on the leaves' real shapes, then admit and the scratch charges,
-// exactly as RangeBudgeted, ElementwiseExec and BroadcastExec admit one
-// at a time. It returns the root's shape, cell count and index, or the
-// failing admission's index and its error.
+// check on the leaves' real shapes, then admit and the promotion
+// charges, exactly as RangeBudgeted, ElementwiseExec and BroadcastExec
+// admit one at a time. It returns the root's shape, cell count and
+// index, or the failing admission's index and its error.
 func (r *WithRun) admitChain(b *Budget) (shape []int, n, stage int, err error) {
 	code := r.prog.spec.Code
 	st := grow(r.chain, len(code))[:0]

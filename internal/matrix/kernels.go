@@ -1,23 +1,14 @@
-// Type-specialized, pool-parallel arithmetic kernels — the hot half of
-// the runtime the paper's fork-join model (§III-C) exists for. The
-// generic paths in ops.go box every element through `any` and a
-// per-element scalarOp call; these kernels validate the (op, elem)
-// combination once up front, then run tight loops directly over the
-// backing []float64/[]int64/[]bool slices, with the iteration space
-// chunked over a fork-join construct when the matrix is large enough
-// to amortize the fork (see ParallelGrain).
-//
-// Mixed int/float operands are promoted once into a free-list-backed
-// float64 scratch buffer (one conversion pass) instead of converting
-// per element per operator; the scratch goes straight back to the free
-// list. Outputs come from newKernelOut, which skips zeroing because
-// every kernel writes each cell of its range exactly once (MatMulExec
-// clears its own rows before accumulating).
-//
-// The kernels keep PR 2's crash contract: errors (integer division by
-// zero, budget, cancellation) return through the Exec machinery, pool
-// workers are panic-isolated by par.Pool, and cooperative abort / ctx
-// polls run between chunks so a cancelled request stops mid-kernel.
+// Whole-matrix arithmetic on the fork-join pool of §III-C. A lone
+// elementwise, broadcast or unary operator (§III-A.2) — one no fused
+// chain absorbed — runs on the strip engine as a one-node program: its
+// entry point validates and admits, then runs the cached program of its
+// operator and operand classes over the flat cells, cut over the pool
+// when there are enough of them (see ParallelGrain). Matmul promotes an
+// int operand of a float product once into free-list-backed scratch.
+// Outputs come from newKernelOut, which skips zeroing: every cell is
+// written. Errors (integer division by zero, budget, cancellation)
+// return through the Exec machinery, pool workers are panic-isolated by
+// par.Pool, and abort / ctx polls run between chunks and strips.
 package matrix
 
 import (
@@ -162,9 +153,150 @@ func releaseFloatScratch(s []float64, scratch bool) {
 	}
 }
 
+// A lone operation's operands come in classes: an element type, as a
+// matrix or as a scalar. classNone is a unary operation's right operand
+// and has no element type.
+type opClass uint8
+
+const classNone opClass = 0
+
+func matClass(e Elem) opClass    { return opClass(1 + 2*e) }
+func scalarClass(e Elem) opClass { return opClass(2 + 2*e) }
+
+func (c opClass) elem() Elem   { return Elem((c - 1) / 2) }
+func (c opClass) scalar() bool { return c%2 == 0 }
+
+// The unary operators key the program table after the binary ones.
+const (
+	opNeg = OpOr + 1 + iota
+	opNot
+)
+
+// lonePrograms holds the one-node program of each (operator, left
+// class, right class), built the first time an operation needs it. The
+// 7 classes are classNone and each Elem as a matrix and as a scalar.
+var lonePrograms [opNot + 1][7][7]atomic.Pointer[WithProg]
+
+func loneProgram(op Op, l, r opClass) *WithProg {
+	slot := &lonePrograms[op][l][r]
+	if p := slot.Load(); p != nil {
+		return p
+	}
+	p, ok := CompileWith(lonePlan(op, l, r))
+	if !ok {
+		panic(fmt.Sprintf("matrix: no strip program for %v on operand classes %d, %d", op, l, r))
+	}
+	slot.Store(p)
+	return p
+}
+
+// loneOps is each operator's plan opcode on ints (or masks) and on
+// floats.
+var loneOps = [opNot + 1][2]WithOp{
+	OpAdd: {WAddI, WAddF}, OpSub: {WSubI, WSubF}, OpMul: {WMulI, WMulF},
+	OpDiv: {WQuoI, WDivF}, OpMod: {WRemI},
+	OpEq: {WCmpI, WCmpF}, OpNe: {WCmpI, WCmpF}, OpLt: {WCmpI, WCmpF},
+	OpLe: {WCmpI, WCmpF}, OpGt: {WCmpI, WCmpF}, OpGe: {WCmpI, WCmpF},
+	OpAnd: {WSelI}, OpOr: {WSelI}, opNeg: {WNegI, WNegF}, opNot: {WSelI},
+}
+
+// lonePlan writes the plan of op over operands of classes l and r. A
+// matrix is loaded at the cell, an int one converted when the other
+// operand is float; a scalar is a uniform slot (the program has one
+// of each), float when the operation is, else an int or a bool's 0/1.
+// The logical operators select on 0/1 masks: a && b is b where a
+// holds, else 0; a || b is 1 where a holds, else b; !a is 0 where a
+// holds, else 1.
+func lonePlan(op Op, l, r opClass) WithSpec {
+	flt := l.elem() == Float || r.elem() == Float
+	spec := WithSpec{Rank: 1, ScalarI: 1, ScalarF: 1, Float: flt && !op.isComparison()}
+	spec.OutFloat = spec.Float
+	add := func(in ...WithInstr) { spec.Code = append(spec.Code, in...) }
+	push := func(c opClass) {
+		switch {
+		case !c.scalar():
+			ld := WLoadI
+			if c.elem() == Float {
+				ld = WLoadF
+			}
+			add(WithInstr{Op: WPushID}, WithInstr{Op: ld, A: int32(len(spec.MatElem)), B: 1})
+			spec.MatElem = append(spec.MatElem, c.elem())
+			if flt && c.elem() == Int {
+				add(WithInstr{Op: WI2F})
+			}
+		case flt:
+			add(WithInstr{Op: WPushScalarF})
+		default:
+			add(WithInstr{Op: WPushScalarI})
+		}
+	}
+	push(l)
+	switch op {
+	case OpAnd:
+		push(r)
+		add(WithInstr{Op: WPushInt, K: 0})
+	case OpOr:
+		add(WithInstr{Op: WPushInt, K: 1})
+		push(r)
+	case opNot:
+		add(WithInstr{Op: WPushInt, K: 0}, WithInstr{Op: WPushInt, K: 1})
+	case opNeg:
+	default:
+		push(r)
+	}
+	in := WithInstr{Op: loneOps[op][0], A: int32(op)} // A: a compare's operator
+	if flt {
+		in.Op = loneOps[op][1]
+	}
+	add(in)
+	return spec
+}
+
+// lone is one lone operation: the operator and its operand classes, the
+// matrix operands in order, and the scalar operand's value as an int (a
+// bool's 0/1) and as a float.
+type lone struct {
+	op   Op
+	l, r opClass
+	a, b *Matrix
+	si   int64
+	sf   float64
+}
+
+// run admits the output, elem cells of shape, and then, left operand
+// first, charges its cell count again for each int matrix a float
+// operation promotes — what the copy that once held the promoted cells
+// was charged; the program converts them as it loads them. Then it
+// runs the program over the cells, if there are any.
+func (o lone) run(elem Elem, shape []int, x Exec) (*Matrix, error) {
+	out, err := newKernelOut(x.Budget, elem, shape)
+	if err != nil {
+		return nil, err
+	}
+	n := out.Size()
+	for _, c := range [2]opClass{o.l, o.r} {
+		if c == matClass(Int) && (o.l.elem() == Float || o.r.elem() == Float) {
+			if err := x.Budget.Charge(n); err != nil {
+				out.Recycle()
+				return nil, err
+			}
+		}
+	}
+	r := loneProgram(o.op, o.l, o.r).NewRun()
+	copy(r.Mats, []*Matrix{o.a, o.b})
+	r.ScalarI[0], r.ScalarF[0] = o.si, o.sf
+	err = r.runFlat(out, n, x)
+	r.Release()
+	if err != nil {
+		out.Recycle()
+		return nil, err
+	}
+	return out, nil
+}
+
 // ElementwiseExec applies op pointwise over two matrices of equal shape
-// through the specialized kernels, on x's pool/budget/context. The
-// result is always freshly allocated (never an alias of an operand).
+// on x's pool/budget/context. The result is always freshly allocated
+// (never an alias of an operand).
 func ElementwiseExec(op Op, a, b *Matrix, x Exec) (*Matrix, error) {
 	if !a.SameShape(b) {
 		return nil, fmt.Errorf("matrix: %s requires equal shapes, got %v and %v", op, a.shape(), b.shape())
@@ -173,97 +305,23 @@ func ElementwiseExec(op Op, a, b *Matrix, x Exec) (*Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := newKernelOut(x.Budget, oe, a.shape())
-	if err != nil {
-		return nil, err
-	}
-	n := out.Size()
-	if n == 0 {
-		return out, nil
-	}
-
-	var body func(lo, hi int) error
-	var cleanup func()
-	switch {
-	case a.elem == Bool: // validated: b is Bool too
-		ab, bb, db := a.bools(), b.bools(), out.bools()
-		body = func(lo, hi int) error { ewBool(op, db, ab, bb, lo, hi); return nil }
-	case a.elem == Int && b.elem == Int:
-		if oe == Bool {
-			ai, bi, db := a.ints(), b.ints(), out.bools()
-			body = func(lo, hi int) error { ewCmp(op, db, ai, bi, lo, hi); return nil }
-		} else {
-			ai, bi, di := a.ints(), b.ints(), out.ints()
-			body = func(lo, hi int) error { return ewArithInt(op, di, ai, bi, lo, hi) }
-		}
-	default: // at least one Float operand; promote the int side once
-		av, aScr, err := floatScratch(x, a)
-		if err != nil {
-			out.Recycle()
-			return nil, err
-		}
-		bv, bScr, err := floatScratch(x, b)
-		if err != nil {
-			releaseFloatScratch(av, aScr)
-			out.Recycle()
-			return nil, err
-		}
-		cleanup = func() {
-			releaseFloatScratch(av, aScr)
-			releaseFloatScratch(bv, bScr)
-		}
-		if oe == Bool {
-			db := out.bools()
-			body = func(lo, hi int) error { ewCmp(op, db, av, bv, lo, hi); return nil }
-		} else {
-			df := out.floats()
-			body = func(lo, hi int) error { ewArithFloat(op, df, av, bv, lo, hi); return nil }
-		}
-	}
-	err = runKernel(x, n, ParallelGrain, body)
-	if cleanup != nil {
-		cleanup()
-	}
-	if err != nil {
-		out.Recycle()
-		return nil, err
-	}
-	return out, nil
-}
-
-// flipCmp mirrors a comparison so `s op a[i]` can run as `a[i] op' s`,
-// collapsing the scalar-on-the-left broadcast loops into the
-// matrix-on-the-left ones.
-func flipCmp(op Op) Op {
-	switch op {
-	case OpLt:
-		return OpGt
-	case OpLe:
-		return OpGe
-	case OpGt:
-		return OpLt
-	case OpGe:
-		return OpLe
-	}
-	return op // Eq, Ne are symmetric
+	return lone{op: op, l: matClass(a.elem), r: matClass(b.elem), a: a, b: b}.run(oe, a.shape(), x)
 }
 
 // BroadcastExec applies op between a matrix and a scalar (matLeft
-// selects m op s vs s op m) through the specialized kernels.
+// selects m op s vs s op m).
 func BroadcastExec(op Op, m *Matrix, s any, matLeft bool, x Exec) (*Matrix, error) {
+	o := lone{op: op, a: m}
 	var sElem Elem
-	var sf float64
-	var si int64
-	var sb bool
 	switch v := s.(type) {
 	case float64:
-		sElem, sf = Float, v
+		sElem, o.sf = Float, v
 	case int64:
-		sElem, si, sf = Int, v, float64(v)
+		sElem, o.si, o.sf = Int, v, float64(v)
 	case int:
-		sElem, si, sf = Int, int64(v), float64(v)
+		sElem, o.si, o.sf = Int, int64(v), float64(v)
 	case bool:
-		sElem, sb = Bool, v
+		sElem, o.si = Bool, mask(v)
 	default:
 		return nil, fmt.Errorf("matrix: %s cannot be applied to a %T operand", op, s)
 	}
@@ -271,125 +329,30 @@ func BroadcastExec(op Op, m *Matrix, s any, matLeft bool, x Exec) (*Matrix, erro
 	if err != nil {
 		return nil, err
 	}
-	// A zero int divisor that is the scalar fails for every element —
-	// catch it before allocating anything.
-	if m.elem == Int && sElem == Int && matLeft && si == 0 {
-		if op == OpDiv {
-			return nil, fmt.Errorf("matrix: integer division by zero")
-		}
-		if op == OpMod {
-			return nil, fmt.Errorf("matrix: integer modulo by zero")
-		}
+	// A zero int divisor that is the scalar fails at every cell: caught
+	// before anything is admitted, when there is a cell.
+	if m.elem == Int && sElem == Int && matLeft && o.si == 0 && (op == OpDiv || op == OpMod) && m.Size() > 0 {
+		return nil, byZero(op == OpMod)
 	}
-	out, err := newKernelOut(x.Budget, oe, m.shape())
-	if err != nil {
-		return nil, err
+	o.l, o.r = matClass(m.elem), scalarClass(sElem)
+	if !matLeft {
+		o.l, o.r = o.r, o.l
 	}
-	n := out.Size()
-	if n == 0 {
-		return out, nil
-	}
-
-	var body func(lo, hi int) error
-	var cleanup func()
-	switch {
-	case m.elem == Bool: // validated: scalar is Bool too
-		mb, db := m.bools(), out.bools()
-		body = func(lo, hi int) error { ewBoolScalar(op, db, mb, sb, lo, hi); return nil }
-	case m.elem == Int && sElem == Int:
-		if oe == Bool {
-			cop := op
-			if !matLeft {
-				cop = flipCmp(op)
-			}
-			mi, db := m.ints(), out.bools()
-			body = func(lo, hi int) error { bcCmp(cop, db, mi, si, lo, hi); return nil }
-		} else {
-			mi, di := m.ints(), out.ints()
-			body = func(lo, hi int) error { return bcArithInt(op, di, mi, si, matLeft, lo, hi) }
-		}
-	default: // at least one Float side; promote the int side once
-		mv, mScr, err := floatScratch(x, m)
-		if err != nil {
-			out.Recycle()
-			return nil, err
-		}
-		cleanup = func() { releaseFloatScratch(mv, mScr) }
-		if oe == Bool {
-			cop := op
-			if !matLeft {
-				cop = flipCmp(op)
-			}
-			db := out.bools()
-			body = func(lo, hi int) error { bcCmp(cop, db, mv, sf, lo, hi); return nil }
-		} else {
-			df := out.floats()
-			body = func(lo, hi int) error { bcArithFloat(op, df, mv, sf, matLeft, lo, hi); return nil }
-		}
-	}
-	err = runKernel(x, n, ParallelGrain, body)
-	if cleanup != nil {
-		cleanup()
-	}
-	if err != nil {
-		out.Recycle()
-		return nil, err
-	}
-	return out, nil
+	return o.run(oe, m.shape(), x)
 }
 
-// UnaryExec applies negation or logical not through the specialized
-// kernels.
+// UnaryExec applies negation or logical not.
 func UnaryExec(neg bool, m *Matrix, x Exec) (*Matrix, error) {
-	if neg && m.elem == Bool {
+	op := opNot
+	switch {
+	case neg && m.elem == Bool:
 		return nil, fmt.Errorf("matrix: cannot negate a bool matrix")
-	}
-	if !neg && m.elem != Bool {
+	case !neg && m.elem != Bool:
 		return nil, fmt.Errorf("matrix: logical not requires a bool matrix")
+	case neg:
+		op = opNeg
 	}
-	out, err := newKernelOut(x.Budget, m.elem, m.shape())
-	if err != nil {
-		return nil, err
-	}
-	n := out.Size()
-	if n == 0 {
-		return out, nil
-	}
-	var body func(lo, hi int) error
-	switch m.elem {
-	case Float:
-		src, dst := m.floats(), out.floats()
-		body = func(lo, hi int) error {
-			d, s := dst[lo:hi], src[lo:hi]
-			for i, v := range s {
-				d[i] = -v
-			}
-			return nil
-		}
-	case Int:
-		src, dst := m.ints(), out.ints()
-		body = func(lo, hi int) error {
-			d, s := dst[lo:hi], src[lo:hi]
-			for i, v := range s {
-				d[i] = -v
-			}
-			return nil
-		}
-	default:
-		src, dst := m.bools(), out.bools()
-		body = func(lo, hi int) error {
-			d, s := dst[lo:hi], src[lo:hi]
-			for i, v := range s {
-				d[i] = !v
-			}
-			return nil
-		}
-	}
-	if err := runKernel(x, n, ParallelGrain, body); err != nil {
-		out.Recycle()
-		return nil, err
-	}
-	return out, nil
+	return lone{op: op, l: matClass(m.elem), a: m}.run(m.elem, m.shape(), x)
 }
 
 // MatMulExec computes the linear-algebra product of two rank-2 matrices
@@ -461,194 +424,4 @@ func MatMulExec(a, b *Matrix, x Exec) (*Matrix, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// --- elementwise inner loops ---
-//
-// Every loop re-slices its operands to [lo:hi) first so the compiler
-// can hoist bounds checks, then ranges over one operand. The operator
-// switch sits outside the loop: one validated dispatch, then a tight
-// loop per (op, elem-pair) combination.
-
-// ewArithFloat: float arithmetic, no data-dependent failure (float
-// division follows IEEE, as the generic path always has).
-func ewArithFloat(op Op, dst, a, b []float64, lo, hi int) {
-	arithSS(op, dst[lo:hi], a[lo:hi], b[lo:hi])
-}
-
-// ewArithInt: int arithmetic; division and modulo keep their
-// data-dependent zero check — the only mid-loop error path left.
-func ewArithInt(op Op, dst, a, b []int64, lo, hi int) error {
-	d, x, y := dst[lo:hi], a[lo:hi], b[lo:hi]
-	switch op {
-	case OpDiv:
-		for i, v := range x {
-			if y[i] == 0 {
-				return fmt.Errorf("matrix: integer division by zero")
-			}
-			d[i] = v / y[i]
-		}
-	case OpMod:
-		for i, v := range x {
-			if y[i] == 0 {
-				return fmt.Errorf("matrix: integer modulo by zero")
-			}
-			d[i] = v % y[i]
-		}
-	default:
-		arithSS(op, d, x, y)
-	}
-	return nil
-}
-
-// ewCmp: comparisons over same-typed numeric slices (one generic body,
-// instantiated for int64 and float64).
-func ewCmp[T int64 | float64](op Op, dst []bool, a, b []T, lo, hi int) {
-	d, x, y := dst[lo:hi], a[lo:hi], b[lo:hi]
-	switch op {
-	case OpEq:
-		for i, v := range x {
-			d[i] = v == y[i]
-		}
-	case OpNe:
-		for i, v := range x {
-			d[i] = v != y[i]
-		}
-	case OpLt:
-		for i, v := range x {
-			d[i] = v < y[i]
-		}
-	case OpLe:
-		for i, v := range x {
-			d[i] = v <= y[i]
-		}
-	case OpGt:
-		for i, v := range x {
-			d[i] = v > y[i]
-		}
-	case OpGe:
-		for i, v := range x {
-			d[i] = v >= y[i]
-		}
-	}
-}
-
-// ewBool: bool-bool operators (&&, ||, ==, !=).
-func ewBool(op Op, dst, a, b []bool, lo, hi int) {
-	d, x, y := dst[lo:hi], a[lo:hi], b[lo:hi]
-	switch op {
-	case OpAnd:
-		for i, v := range x {
-			d[i] = v && y[i]
-		}
-	case OpOr:
-		for i, v := range x {
-			d[i] = v || y[i]
-		}
-	case OpEq:
-		for i, v := range x {
-			d[i] = v == y[i]
-		}
-	case OpNe:
-		for i, v := range x {
-			d[i] = v != y[i]
-		}
-	}
-}
-
-// --- broadcast inner loops ---
-
-// bcArithFloat: float arithmetic against a scalar; matLeft gives the
-// operand order, m op s or s op m.
-func bcArithFloat(op Op, dst, a []float64, s float64, matLeft bool, lo, hi int) {
-	if matLeft {
-		arithSU(op, dst[lo:hi], a[lo:hi], s)
-	} else {
-		arithUS(op, dst[lo:hi], s, a[lo:hi])
-	}
-}
-
-// bcArithInt: int arithmetic against a scalar. A scalar divisor of zero
-// was rejected before allocation; a scalar dividend dividing by matrix
-// elements keeps the per-element zero check.
-func bcArithInt(op Op, dst, a []int64, s int64, matLeft bool, lo, hi int) error {
-	d, x := dst[lo:hi], a[lo:hi]
-	switch {
-	case matLeft && op == OpMod:
-		modSU(d, x, s)
-	case matLeft:
-		arithSU(op, d, x, s)
-	case op == OpDiv:
-		for i, v := range x {
-			if v == 0 {
-				return fmt.Errorf("matrix: integer division by zero")
-			}
-			d[i] = s / v
-		}
-	case op == OpMod:
-		for i, v := range x {
-			if v == 0 {
-				return fmt.Errorf("matrix: integer modulo by zero")
-			}
-			d[i] = s % v
-		}
-	default:
-		arithUS(op, d, s, x)
-	}
-	return nil
-}
-
-// bcCmp: comparisons against a scalar; callers pre-flip the operator
-// when the scalar is on the left, so the loop is always a[i] op s.
-func bcCmp[T int64 | float64](op Op, dst []bool, a []T, s T, lo, hi int) {
-	d, x := dst[lo:hi], a[lo:hi]
-	switch op {
-	case OpEq:
-		for i, v := range x {
-			d[i] = v == s
-		}
-	case OpNe:
-		for i, v := range x {
-			d[i] = v != s
-		}
-	case OpLt:
-		for i, v := range x {
-			d[i] = v < s
-		}
-	case OpLe:
-		for i, v := range x {
-			d[i] = v <= s
-		}
-	case OpGt:
-		for i, v := range x {
-			d[i] = v > s
-		}
-	case OpGe:
-		for i, v := range x {
-			d[i] = v >= s
-		}
-	}
-}
-
-// ewBoolScalar: bool-scalar operators (all commutative).
-func ewBoolScalar(op Op, dst, a []bool, s bool, lo, hi int) {
-	d, x := dst[lo:hi], a[lo:hi]
-	switch op {
-	case OpAnd:
-		for i, v := range x {
-			d[i] = v && s
-		}
-	case OpOr:
-		for i, v := range x {
-			d[i] = v || s
-		}
-	case OpEq:
-		for i, v := range x {
-			d[i] = v == s
-		}
-	case OpNe:
-		for i, v := range x {
-			d[i] = v != s
-		}
-	}
 }

@@ -8,13 +8,16 @@
 // TestKernelErrorTexts); on EMPTY inputs the kernel is deliberately
 // stricter — the reference discovers type errors per element, so an
 // invalid (op, elem) combination "succeeds" on zero elements, while the
-// kernels validate the combination up front regardless of size.
+// kernels validate the combination up front regardless of size. A
+// division by zero is never such an error: with no cell to divide, an
+// empty input divides by nothing.
 package matrix
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -56,7 +59,7 @@ func randKernelMat(r *rand.Rand, elem Elem, shape ...int) *Matrix {
 func checkKernelDiff(t *testing.T, label string, got *Matrix, gerr error, want *Matrix, werr error, size int) {
 	t.Helper()
 	if gerr != nil {
-		if werr == nil && size > 0 {
+		if werr == nil && (size > 0 || strings.Contains(gerr.Error(), "by zero")) {
 			t.Fatalf("%s: kernel error %v, reference succeeded", label, gerr)
 		}
 		return
@@ -218,6 +221,9 @@ func FuzzKernelDiff(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed, uint8(0))
 	}
+	// An empty int matrix by a zero int scalar: % (130) and / (32529).
+	f.Add(int64(130), uint8(0))
+	f.Add(int64(32529), uint8(0))
 	for cells := uint8(1); cells <= inlineCells+1; cells++ {
 		for seed := int64(0); seed < 12; seed++ {
 			f.Add(seed, cells)
@@ -561,5 +567,121 @@ func TestFreeListBounds(t *testing.T) {
 	DrainFreeLists()
 	if got := freeListBytes.Load(); got != 0 {
 		t.Fatalf("drain left %d bytes accounted", got)
+	}
+}
+
+// TestKernelCountersPerCall: on the TestKernelDiff* shapes, a call that
+// returns a result of n > 0 cells moves one kernel counter — parallel
+// when it is pooled and n is two grains or more, serial otherwise — and
+// an empty one moves none. No call moves two, and the totals over every
+// call, failing ones included, are pinned.
+func TestKernelCountersPerCall(t *testing.T) {
+	execs := kernelExecs(t)
+	r := rand.New(rand.NewSource(6))
+	elems := []Elem{Float, Int, Bool}
+	var calls []func(Exec) (*Matrix, error)
+	for _, shape := range [][]int{{0}, {1}, {7}, {3, 5}, {257}, {2, 3, 4}} {
+		for _, ae := range elems {
+			for _, be := range elems {
+				a, b := randKernelMat(r, ae, shape...), randKernelMat(r, be, shape...)
+				for _, op := range kernelOps {
+					calls = append(calls, func(x Exec) (*Matrix, error) { return ElementwiseExec(op, a, b, x) })
+				}
+			}
+		}
+	}
+	scalars := []any{2.5, -0.75, int64(3), int64(0), int64(-2), 4, true, false, "bad"}
+	for _, shape := range [][]int{{0}, {1}, {6}, {4, 5}, {259}} {
+		for _, me := range elems {
+			m := randKernelMat(r, me, shape...)
+			for _, s := range scalars {
+				for _, matLeft := range []bool{true, false} {
+					for _, op := range kernelOps {
+						calls = append(calls, func(x Exec) (*Matrix, error) { return BroadcastExec(op, m, s, matLeft, x) })
+					}
+				}
+			}
+		}
+	}
+	for _, elem := range elems {
+		for _, shape := range [][]int{{0}, {1}, {5, 3}, {300}} {
+			m := randKernelMat(r, elem, shape...)
+			for _, neg := range []bool{true, false} {
+				calls = append(calls, func(x Exec) (*Matrix, error) { return UnaryExec(neg, m, x) })
+			}
+		}
+	}
+	var total [2]int64
+	for _, mode := range []string{"serial", "parallel"} {
+		x := execs[mode]
+		for k, call := range calls {
+			p0, s0, _ := KernelStats()
+			out, err := call(x)
+			p1, s1, _ := KernelStats()
+			dp, ds := p1-p0, s1-s0
+			total[0], total[1] = total[0]+dp, total[1]+ds
+			if dp < 0 || ds < 0 || dp+ds > 1 {
+				t.Fatalf("%s call %d: parallel moved %d, serial %d", mode, k, dp, ds)
+			}
+			if err != nil {
+				continue
+			}
+			n := out.Size()
+			wantP := n > 0 && x.Pool.Workers() > 1 && n >= 2*ParallelGrain
+			if wantS := n > 0 && !wantP; (dp == 1) != wantP || (ds == 1) != wantS {
+				t.Fatalf("%s call %d of %d cells: parallel moved %d, serial %d", mode, k, n, dp, ds)
+			}
+		}
+	}
+	if want := [2]int64{310, 2254}; total != want {
+		t.Fatalf("parallel and serial counts over every call: %v, pinned %v", total, want)
+	}
+}
+
+// TestLoneOpAllocs: a lone elementwise, broadcast or unary operation
+// allocates its result and nothing else: its program is built once and
+// the run and strip state come from pools. Serial, on one P: sync.Pool
+// caches per P.
+func TestLoneOpAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled state at random under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	r := rand.New(rand.NewSource(7))
+	for _, n := range []int{16, 4096} {
+		f, g := randKernelMat(r, Float, n), randKernelMat(r, Float, n)
+		i, b := randKernelMat(r, Int, n), randKernelMat(r, Bool, n)
+		// The result's header, and at 16 cells its cells; at 4096 those
+		// come back from the free list.
+		most := 2.0
+		if n > 16 {
+			most = 1
+		}
+		for _, c := range []struct {
+			name string
+			most float64
+			op   func() (*Matrix, error)
+		}{
+			{"ElementwiseExec float +", most, func() (*Matrix, error) { return ElementwiseExec(OpAdd, f, g, Exec{}) }},
+			{"ElementwiseExec int / float", most, func() (*Matrix, error) { return ElementwiseExec(OpDiv, i, f, Exec{}) }},
+			{"ElementwiseExec float <", most, func() (*Matrix, error) { return ElementwiseExec(OpLt, f, g, Exec{}) }},
+			{"ElementwiseExec bool &&", most, func() (*Matrix, error) { return ElementwiseExec(OpAnd, b, b, Exec{}) }},
+			{"BroadcastExec int * 0.5", most, func() (*Matrix, error) { return BroadcastExec(OpMul, i, 0.5, true, Exec{}) }},
+			{"BroadcastExec int % 3", most, func() (*Matrix, error) { return BroadcastExec(OpMod, i, int64(3), true, Exec{}) }},
+			{"BroadcastExec 1.5 >= float", most, func() (*Matrix, error) { return BroadcastExec(OpGe, f, 1.5, false, Exec{}) }},
+			{"UnaryExec -float", most, func() (*Matrix, error) { return UnaryExec(true, f, Exec{}) }},
+			{"UnaryExec !bool", most, func() (*Matrix, error) { return UnaryExec(false, b, Exec{}) }},
+		} {
+			got := testing.AllocsPerRun(50, func() {
+				out, err := c.op()
+				if err != nil {
+					t.Fatal(err)
+				}
+				out.Recycle()
+			})
+			if got > c.most {
+				t.Errorf("%s, %d cells: %.0f objects a call, at most %.0f", c.name, n, got, c.most)
+			}
+		}
 	}
 }

@@ -26,20 +26,24 @@ import (
 
 // WithOp is one opcode of the flat with-loop plan language: a postfix
 // expression machine with separate int and float stacks, no branches
-// and no failure paths (loads are proven in bounds, int division and
-// remainder take a non-zero literal divisor only). A condition is a 0/1
-// mask on the int stack, and a conditional evaluates both arms and
-// selects by it.
+// and one failure path (loads are proven in bounds; an int division or
+// remainder by a value, not a literal, fails on a zero divisor). A
+// condition is a 0/1 mask on the int stack, and a conditional evaluates
+// both arms and selects by it.
 type WithOp uint8
 
 // Plan opcodes. *I opcodes work the int stack, *F the float stack;
 // WI2F/WF2I move a value between them (WF2I truncates like the (int)
 // cast). WLoadI/WLoadF pop B int indices and push the element of
-// matrix slot A. WDivI/WModI divide the top of the int stack by the
-// literal K. WCmpI/WCmpF compare the top two values of their stack by
-// the Op A (OpEq..OpGe) into a 0/1 mask on the int stack. WSelI/WSelF
-// pop else, then then, from their stack and the mask from the int stack,
-// and push then where the mask is not 0, else elsewhere.
+// matrix slot A; WLoadI reads a bool slot as 0/1, a strip at a fixed
+// stride (the innermost id walks it) or not at all. WDivI/WModI divide
+// the top of the int stack by the literal K; WQuoI/WRemI divide the
+// value under the top by the top, failing on a zero divisor (vet writes
+// neither: they run a lone int / or %). WCmpI/WCmpF compare the top two
+// values of their stack by the Op A (OpEq..OpGe) into a 0/1 mask on the
+// int stack. WSelI/WSelF pop else, then then, from their stack and the
+// mask from the int stack, and push then where the mask is not 0, else
+// elsewhere.
 //
 // WFoldI/WFoldF ... WFoldEnd bracket a nested fold. Before the opening
 // bracket the code leaves the base (already of the accumulator's type)
@@ -78,6 +82,8 @@ const (
 	WCmpF
 	WSelI
 	WSelF
+	WQuoI
+	WRemI
 )
 
 // WithInstr is one plan instruction.
@@ -344,6 +350,8 @@ func (r *WithRun) feasible() (int64, bool) {
 			is = append(is[:len(is)-3], wival{}) // no index is a select
 		case WSelF:
 			is = is[:len(is)-1]
+		case WQuoI, WRemI:
+			is = append(is[:len(is)-2], wival{})
 		}
 	}
 	return cost, true

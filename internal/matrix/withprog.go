@@ -73,9 +73,7 @@ const (
 )
 
 const (
-	wDivK  = wDiv + 1 + iota // int quotient by the literal k
-	wModK                    // int remainder by the literal k
-	wNeg                     // d = -a
+	wNeg   = wDiv + 1 + iota // d = -a
 	wI2F                     // float d = float64(int a)
 	wF2I                     // int d = int64(float a)
 	wIota                    // int strip d = uniform a + i
@@ -84,15 +82,19 @@ const (
 	wLoad                    // d = matrix slot a at idx
 	wFoldBegin
 	wFoldEnd
-	wCmp  // int d = int idx[0] (Op k) int idx[1], 0 or 1
-	wCmpF // int d = float idx[0] (Op k) float idx[1], 0 or 1
-	wSel  // d = idx[1] where the mask idx[0] is not 0, else idx[2]
+	wCmp   // int d = int idx[0] (Op k) int idx[1], 0 or 1
+	wCmpF  // int d = float idx[0] (Op k) float idx[1], 0 or 1
+	wSel   // d = idx[1] where the mask idx[0] is not 0, else idx[2]
+	wLoadB // int d = bool matrix slot a at idx, 0 or 1
+	wQuo   // int d = idx[0] / idx[1], failing on a zero divisor
+	wRem   // int d = idx[0] % idx[1], failing on a zero divisor
 )
 
 // wMode places an instruction's operands: U is the uniform file, S a
 // strip register. Unary instructions use wUU or wSS; wLin marks a load
-// that walks its matrix at a fixed stride; a compare or a select is wUU
-// when it is uniform, wSS otherwise, its operands' places in idx.
+// that walks its matrix at a fixed stride; a compare, a select or a
+// division by a value is wUU when it is uniform, wSS otherwise, its
+// operands' places in idx.
 type wMode uint8
 
 const (
@@ -112,7 +114,7 @@ type wInstr struct {
 	a    int32
 	b    int32
 	k    int64
-	idx  []wIndex // wLoad: one per dimension; wCmp*: a, b; wSel: mask, then, else
+	idx  []wIndex // wLoad*: one per dimension; wCmp*, wQuo, wRem: a, b; wSel: mask, then, else
 	nest *wNest   // wFoldBegin, wFoldEnd
 }
 
@@ -349,10 +351,15 @@ func (c *withCompiler) instr(pc int, in *WithInstr) {
 		c.binI(wSub)
 	case WMulI:
 		c.binI(wMul)
-	case WDivI:
-		c.byLiteral(wDivK, in.K)
-	case WModI:
-		c.byLiteral(wModK, in.K)
+	case WDivI, WModI:
+		if in.K == 0 {
+			c.bad = true
+			return
+		}
+		c.is = append(c.is, c.konstI(in.K))
+		c.quo(in.Op == WModI)
+	case WQuoI, WRemI:
+		c.quo(in.Op == WRemI)
 	case WNegI:
 		a, d := c.pop(&c.is)
 		if c.bad {
@@ -474,22 +481,19 @@ func (c *withCompiler) stripArith(op wOp, flt bool, a, b wVal, d int) wVal {
 		by: c.emit(wInstr{op: op, mode: mode, flt: flt, d: r, a: a.reg, b: b.reg})}
 }
 
-// byLiteral compiles int / and % by a non-zero literal.
-func (c *withCompiler) byLiteral(op wOp, k int64) {
+// quo compiles an int / or % (rem) of the top two int values.
+func (c *withCompiler) quo(rem bool) {
+	b, _ := c.pop(&c.is)
 	a, d := c.pop(&c.is)
-	if c.bad || k == 0 {
-		c.bad = true
+	if c.bad {
 		return
 	}
-	if a.kind == wUU {
-		t := c.tempI + int32(d)
-		c.emit(wInstr{op: op, mode: wUU, d: t, a: a.reg, k: k})
-		c.is = append(c.is, wVal{kind: wUU, reg: t})
-		return
+	a, b = c.operand(false, a, d), c.operand(false, b, d+1)
+	op := wQuo
+	if rem {
+		op = wRem
 	}
-	a = c.materialize(false, a, d)
-	c.is = append(c.is, wVal{kind: wSS, reg: a.reg,
-		by: c.emit(wInstr{op: op, mode: wSS, d: a.reg, a: a.reg, k: k})})
+	c.is = append(c.is, c.mixed(wInstr{op: op, idx: []wIndex{{a.kind, a.reg}, {b.kind, b.reg}}}, d))
 }
 
 func (c *withCompiler) i2f() {
@@ -517,6 +521,10 @@ func (c *withCompiler) load(in *WithInstr) {
 	want := Int
 	if flt {
 		want = Float
+	}
+	op := wLoad
+	if !flt && in.A >= 0 && int(in.A) < len(spec.MatElem) && spec.MatElem[in.A] == Bool {
+		op, want = wLoadB, Bool
 	}
 	if in.A < 0 || int(in.A) >= len(spec.MatElem) || spec.MatElem[in.A] != want ||
 		ar < 1 || len(c.is) < ar {
@@ -548,6 +556,10 @@ func (c *withCompiler) load(in *WithInstr) {
 		idx[k] = wIndex{kind: v.kind, reg: v.reg}
 	}
 	c.is = c.is[:base]
+	if op == wLoadB && mode != wLin {
+		c.bad = true // a mask is read as a strip at a fixed stride
+		return
+	}
 	if mode == wSS {
 		c.offReg = true
 	}
@@ -561,12 +573,12 @@ func (c *withCompiler) load(in *WithInstr) {
 		if flt {
 			t = c.tempF + int32(d)
 		}
-		c.emit(wInstr{op: wLoad, mode: wUU, flt: flt, d: t, a: in.A, idx: idx})
+		c.emit(wInstr{op: op, mode: wUU, flt: flt, d: t, a: in.A, idx: idx})
 		v = wVal{kind: wUU, reg: t}
 	} else {
 		r := c.strip(flt, d)
 		v = wVal{kind: wSS, reg: r,
-			by: c.emit(wInstr{op: wLoad, mode: mode, flt: flt, d: r, a: in.A, idx: idx})}
+			by: c.emit(wInstr{op: op, mode: mode, flt: flt, d: r, a: in.A, idx: idx})}
 	}
 	if flt {
 		c.fs = append(c.fs, v)

@@ -1,13 +1,17 @@
 // The strip evaluator: runs a compiled with-loop program over a
 // generator box one strip of the innermost dimension at a time, one
 // dispatch per instruction per strip. Nothing here can fail but on a
-// cancelled context — loads are proven in bounds before the first
-// strip, divisors are non-zero literals — and nothing allocates: states
-// come from a pool and are sized once per chunk of the box, and strides
-// are derived on the stack (above InlineRank, on the heap).
+// cancelled context or an int divisor of zero that is a value — loads
+// are proven in bounds before the first strip — and nothing allocates:
+// states come from a pool and are sized once per chunk of the box, and
+// strides are derived on the stack (above InlineRank, on the heap).
 package matrix
 
-import "sync"
+import (
+	"errors"
+	"slices"
+	"sync"
+)
 
 // wFile is one typed half of a strip state: the uniform registers and
 // the strip registers of one element type. A strip register has w cells
@@ -124,10 +128,11 @@ func (st *wState) ownOut(p *WithProg) {
 // walk evaluates the program over rows [r0, r1) of the outermost
 // generated dimension — for a rank-1 loop, over cells [r0, r1) — in
 // ascending row-major order, a strip at a time. With out non-nil each
-// strip is written to its cells of out; otherwise each(n) runs after
-// every strip with the values in the state's own output strip. The
-// context is polled before every strip, and inside a strip every
-// wPollCells accumulations of a nested fold.
+// strip is written to its cells of out — a bool out from the 0/1 mask
+// the program leaves in the state's own output strip; otherwise each(n)
+// runs after every strip with the values in that strip. The context is
+// polled before every strip, and inside a strip every wPollCells
+// accumulations of a nested fold.
 func (st *wState) walk(r *WithRun, r0, r1 int, x Exec, out *Matrix, each func(n int)) error {
 	p := r.prog
 	last := len(r.Lower) - 1
@@ -141,6 +146,9 @@ func (st *wState) walk(r *WithRun, r0, r1 int, x Exec, out *Matrix, each func(n 
 	var strides []int // out's, of the dimensions a row does not walk
 	if out != nil {
 		strides = out.strides(&s)[:last]
+		if out.elem == Bool {
+			st.ownOut(p)
+		}
 	}
 	for i0 := r0; i0 < r1; i0++ {
 		if last > 0 {
@@ -161,14 +169,21 @@ func (st *wState) walk(r *WithRun, r0, r1 int, x Exec, out *Matrix, each func(n 
 				n := min(st.i.w, jhi-j0)
 				u[last] = int64(j0)
 				if out != nil {
-					if out.elem == Float {
+					switch out.elem {
+					case Float:
 						st.f.out = out.floats()[row+j0 : row+j0+n]
-					} else {
+					case Int:
 						st.i.out = out.ints()[row+j0 : row+j0+n]
 					}
 				}
 				if err := st.eval(p, n, x); err != nil {
 					return err
+				}
+				if out != nil && out.elem == Bool {
+					d := out.bools()[row+j0 : row+j0+n]
+					for i, v := range st.i.out[:n] {
+						d[i] = v != 0
+					}
 				}
 				if each != nil {
 					each(n)
@@ -214,20 +229,6 @@ func (st *wState) eval(p *WithProg, n int, x Exec) error {
 			} else {
 				stripArith(in, &st.i, n)
 			}
-		case wDivK:
-			if in.mode == wUU {
-				ui[in.d] = ui[in.a] / in.k
-				continue
-			}
-			a := st.i.strip(in.a, n)
-			arithSU(OpDiv, st.i.dst(in, n), a, in.k)
-		case wModK:
-			if in.mode == wUU {
-				ui[in.d] = ui[in.a] % in.k
-				continue
-			}
-			a := st.i.strip(in.a, n)
-			modSU(st.i.dst(in, n), a, in.k)
 		case wNeg:
 			if in.flt {
 				stripNeg(in, &st.f, n)
@@ -279,6 +280,14 @@ func (st *wState) eval(p *WithProg, n int, x Exec) error {
 				stripLoad(in, m.floats(), strides, &st.f, &st.i, n)
 			} else {
 				stripLoad(in, m.ints(), strides, &st.i, &st.i, n)
+			}
+		case wLoadB:
+			m := st.mats[in.a]
+			var s [InlineRank]int
+			stripLoadMask(in, m.bools(), m.strides(&s), &st.i, n)
+		case wQuo, wRem:
+			if err := stripQuo(in, &st.i, n); err != nil {
+				return err
 			}
 		case wFoldBegin:
 			ns := in.nest
@@ -480,6 +489,57 @@ func stripLoad[T int64 | float64](in *wInstr, data []T, strides []int, f *wFile[
 			dst[i] = data[base+int(off[i])]
 		}
 	}
+}
+
+// stripLoadMask reads a strip of a bool matrix, at a fixed stride, as
+// 0/1 int cells.
+func stripLoadMask(in *wInstr, data []bool, strides []int, ints *wFile[int64], n int) {
+	base, step := 0, 0
+	for d, ix := range in.idx {
+		base += int(ints.u[ix.reg]) * strides[d]
+		if ix.kind == wLin {
+			step += strides[d]
+		}
+	}
+	dst := ints.dst(in, n)
+	for i := range dst {
+		dst[i] = mask(data[base])
+		base += step
+	}
+}
+
+var (
+	errDivZero = errors.New("matrix: integer division by zero")
+	errModZero = errors.New("matrix: integer modulo by zero")
+)
+
+// byZero is the error of an int / by zero, or of a % (rem).
+func byZero(rem bool) error {
+	if rem {
+		return errModZero
+	}
+	return errDivZero
+}
+
+// stripQuo divides int cells by a value: the divisor's cells are
+// scanned before a quotient is written, and a zero fails the run.
+func stripQuo(in *wInstr, f *wFile[int64], n int) error {
+	a, am := f.operand(in.idx[0], n)
+	b, bm := f.operand(in.idx[1], n)
+	if slices.Contains(b, 0) {
+		return byZero(in.op == wRem)
+	}
+	d := f.target(in, n)
+	if in.op == wRem {
+		for i := range d {
+			d[i] = a[i&am] % b[i&bm]
+		}
+		return nil
+	}
+	for i := range d {
+		d[i] = a[i&am] / b[i&bm]
+	}
+	return nil
 }
 
 // stripFold combines a fold body's value into the accumulator strip,

@@ -294,7 +294,7 @@ func (ff *factFinder) stage(c *Chain, x ast.Expr) bool {
 			return false // float scalar promotes an int chain
 		}
 		// An int scalar on a float chain converts before the loop, like
-		// BroadcastExec's charge-free conversion.
+		// the one BroadcastExec binds to its program's float slot: free.
 		switch x := x.(type) {
 		case *ast.IntLit:
 			if float {

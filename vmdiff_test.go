@@ -1152,6 +1152,109 @@ int main() {
 	print(d[0]);
 	return 0;
 }`},
+	// A lone operator (one elementwise, broadcast or unary operation, not a
+	// fused chain) on every operand class: float, int and bool matrices,
+	// int, float and bool scalars on either side, int promoted to float.
+	// The sizes walk the strip edges (1023 to 1025 cells) and the pool's
+	// split (16385); a fold sum weights every cell by its position.
+	{name: "lone_ops_shapes", pin: &pinned{"0\n0\n0\n0\n0\n0\n0\n0\n0\n0\n0\n0\n0\n0\n0\n0\n0\n1\n-2901\n-50\n-4255\n17\n17\n11\n10\n174\n-2696\n-74\n-1267\n25\n10\n3059\n16\n6\n1023\n-60123530610\n-42878\n611432349\n178287\n128887\n55186\n57904\n-85388605\n1352590257\n-42284\n631463318\n267810\n108246\n-1513153225\n193820\n33654\n1024\n-60378687800\n-43658\n614182289\n178537\n129057\n55266\n57954\n-85629135\n1356402787\n-42814\n633229748\n268220\n108346\n-1517471525\n194100\n33714\n1025\n-60659915098\n-44208\n616365228\n178812\n129244\n55354\n58009\n-85894015\n1360600739\n-43397\n635177749\n268671\n108456\n-1522215022\n194408\n33780\n16385\n-254673984628104\n-688078\n159934312920\n2866587\n2067411\n884734\n930499\n-22228229850\n352304313170\n-688118\n163091718842\n4323403\n1736490\n-399726242624\n3112488\n540615\n", 2257128}, src: `
+int fs(Matrix float <1> m) {
+	int n = dimSize(m, 0);
+	return with ([0] <= [i] < [n]) fold(+, 0, (int)(m[i] * 64.0) * (i % 13 + 1));
+}
+int is(Matrix int <1> m) {
+	int n = dimSize(m, 0);
+	return with ([0] <= [i] < [n]) fold(+, 0, m[i] * (i % 13 + 1));
+}
+int bs(Matrix bool <1> m) {
+	int n = dimSize(m, 0);
+	return with ([0] <= [i] < [n]) fold(+, 0, (int)m[i] * (i % 13 + 1));
+}
+void shapes(int n) {
+	Matrix float <1> f = [0 :: n - 1] * 0.37 - 2.5;
+	Matrix float <1> g = [0 :: n - 1] * -0.21 + 1.75;
+	Matrix float <1> h = [0 :: n - 1] % 3 * 1.0;
+	Matrix int <1> v = [0 :: n - 1] % 7 - 3;
+	Matrix int <1> d = [0 :: n - 1] % 5 + 1;
+	Matrix bool <1> b = v > 0;
+	Matrix bool <1> c = d < 3;
+	int k = 3;
+	int z = 0 - 2;
+	float s = 1.25;
+	bool t = true;
+	print(dimSize(f, 0));
+	print(fs(f + g) + 3 * fs(f - g) + 5 * fs(f .* g) + 7 * fs(f / g));
+	print(is(v + d) + 3 * is(v - d) + 5 * is(v .* d) + 7 * is(v / d) + 11 * is(v % d));
+	print(fs(v + f) + 3 * fs(f - v) + 5 * fs(v .* g) + 7 * fs(f / d) + 11 * fs(v / g));
+	print(bs(f < g) + 3 * bs(f <= g) + 5 * bs(f > g) + 7 * bs(f >= g) + 11 * bs(h == f) + 13 * bs(f != g));
+	print(bs(v < d) + 3 * bs(v <= d) + 5 * bs(v > d) + 7 * bs(v >= d) + 11 * bs(v == d) + 13 * bs(v != d));
+	print(bs(v < f) + 3 * bs(g >= v) + 5 * bs(v == h) + 7 * bs(h != v));
+	print(bs(b && c) + 3 * bs(b || c) + 5 * bs(b == c) + 7 * bs(b != c));
+	print(fs(-f) + 3 * is(-v) + 5 * bs(!b));
+	print(fs(f + s) + 3 * fs(f - s) + 5 * fs(f * s) + 7 * fs(f / s));
+	print(is(v + k) + 3 * is(v - k) + 5 * is(v * k) + 7 * is(v / k) + 11 * is(v % k) + 13 * is(v / z) + 17 * is(v % z));
+	print(fs(v * s) + 3 * fs(v - s) + 5 * fs(f + k) + 7 * fs(f / k));
+	print(bs(f < s) + 3 * bs(v >= k) + 5 * bs(h == s) + 7 * bs(v == s) + 11 * bs(f != k) + 13 * bs(v <= s) + 17 * bs(f > k));
+	print(bs(b && t) + 3 * bs(b || t) + 5 * bs(b == t) + 7 * bs(b != t) + 11 * bs(b && !t) + 13 * bs(b || !t));
+	print(fs(s - f) + 3 * fs(s / f) + 5 * is(k - v) + 7 * is(k / d) + 11 * is(k % d) + 13 * fs(s * v) + 17 * fs(k - f));
+	print(bs(s < f) + 3 * bs(k > v) + 5 * bs(s <= v) + 7 * bs(k == h) + 11 * bs(s >= g) + 13 * bs(k != v));
+	print(bs(t != b) + 3 * bs(t == b) + 5 * bs(!t == b));
+}
+int main() {
+	shapes(0);
+	shapes(1);
+	shapes(1023);
+	shapes(1024);
+	shapes(1025);
+	shapes(16385);
+	return 0;
+}`},
+	{name: "err_lone_div_zero_matrix", pin: &pinned{"1\n", 24},
+		errIs: "err_lone_div_zero_matrix.xc:6:21: runtime error: matrix: integer division by zero", live: 0, src: `
+int main() {
+	Matrix int <1> v = [1 :: 6];
+	Matrix int <1> z = [0 :: 5] % 3;
+	print(z[1]);
+	Matrix int <1> q = v / z;
+	print(q[0]);
+	return 0;
+}`},
+	// The zero divisor sits in the second strip of the matrix.
+	{name: "err_lone_mod_zero_scalar_left", pin: &pinned{"499\n", 6000},
+		errIs: "err_lone_mod_zero_scalar_left.xc:6:21: runtime error: matrix: integer modulo by zero", live: 0, src: `
+int main() {
+	int k = 7;
+	Matrix int <1> z = [1 :: 2000] % 1501;
+	print(z[end]);
+	Matrix int <1> r = k % z;
+	print(r[0]);
+	return 0;
+}`},
+	// The compare admits its output (30 of 35 cells), then charges the
+	// promoted int operand, which does not fit.
+	{name: "err_lone_promote_oom", pin: &pinned{"3\n", 30}, opts: interp.Options{MaxCells: 35},
+		errIs: "err_lone_promote_oom.xc:6:22: runtime error [trap:oom]: matrix: allocation of 6 cells exceeds the budget (30 of 35 cells already used)", live: 0, src: `
+int main() {
+	Matrix int <1> v = [1 :: 6];
+	Matrix float <1> f = [1 :: 6] * 0.5;
+	print(f[end]);
+	Matrix bool <1> r = v < f;
+	print(r[0]);
+	return 0;
+}`},
+	// An empty matrix divided by a zero scalar has no cell to divide: it is
+	// the empty result, like a zero scalar dividend or an empty divisor.
+	{name: "lone_empty_div_zero", pin: &pinned{"0\n0\n0\n", 20}, src: `
+int main() {
+	Matrix int <1> v = [0 :: 9];
+	Matrix int <1> e = v[v > 100];
+	print(dimSize(e, 0));
+	e = e % 0;
+	print(dimSize(e, 0));
+	Matrix int <1> q = e / 0;
+	print(dimSize(q, 0));
+	return 0;
+}`},
 
 	// The budget's one door: every matrix a program can name is admitted by
 	// the matrix package, so each way of making one traps oom at its own
