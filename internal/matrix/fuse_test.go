@@ -91,6 +91,38 @@ func (g *chainGen) stage(depth int) *chainNode {
 	return n
 }
 
+// tree is the selection table's tree s as a chain: a matrix leaf where
+// the entry reads a strip, a scalar where it reads a uniform.
+func (g *chainGen) tree(s wShape) *chainNode {
+	f := 0
+	if g.float {
+		f = 1
+	}
+	leaf := func(uniform bool) *chainNode {
+		switch {
+		case uniform && g.float:
+			g.scals++
+			return &chainNode{mat: -1, scalar: g.scals - 1}
+		case uniform:
+			g.ints++
+			return &chainNode{mat: -1, scalar: g.ints - 1}
+		}
+		g.mats++
+		return &chainNode{mat: g.mats - 1, scalar: -1}
+	}
+	inner, outer := &chainNode{op: shapeOps[s.op1][f]}, &chainNode{op: shapeOps[s.op2][f]}
+	if s.right {
+		outer.l = leaf(false)
+	}
+	inner.l, inner.r = leaf(s.m1 == wUS), leaf(s.m1 == wSU)
+	if s.right {
+		outer.r = inner
+	} else {
+		outer.l, outer.r = inner, leaf(false)
+	}
+	return outer
+}
+
 // plan writes the tree as vet does: post-order, loads at id 0, a range
 // as id 0 plus its lo, WI2F after an int leaf of a float chain.
 func (n *chainNode) plan(float bool, code []WithInstr) []WithInstr {

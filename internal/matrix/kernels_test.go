@@ -210,6 +210,10 @@ func TestKernelDiffMatMul(t *testing.T) {
 // transpose of transposeShapes.
 const transposeCells = 128
 
+// shapeCells is the first cells value of FuzzKernelDiff that runs a
+// selection table's tree: two a tree, float then int.
+const shapeCells = 100
+
 // FuzzKernelDiff drives random (op, shape, elem, scalar, mode)
 // combinations through every kernel and the boxed reference. A non-zero
 // cells fixes the operands' shape at 1 to 9 cells: the seeds walk every
@@ -234,10 +238,29 @@ func FuzzKernelDiff(f *testing.F) {
 			f.Add(seed, uint8(transposeCells+k))
 		}
 	}
+	for k := range 2 * len(wShapes) {
+		for seed := int64(0); seed < 3; seed++ {
+			f.Add(seed, uint8(shapeCells+k))
+		}
+	}
 	pool := par.NewPool(4)
 	f.Fuzz(func(t *testing.T, seed int64, cells uint8) {
 		r := rand.New(rand.NewSource(seed))
 		elems := []Elem{Float, Int, Bool}
+		if k := int(cells) - shapeCells; k >= 0 && k < 2*len(wShapes) {
+			// A chain of one of the selection table's trees, int or float,
+			// against its stages run one at a time, serial and pooled.
+			g := &chainGen{r: r, float: k%2 == 0}
+			tree := g.tree(wShapes[k/2])
+			shape := []int{r.Intn(4 * stripMax)}
+			if r.Intn(3) == 0 {
+				shape = []int{2*ParallelGrain + r.Intn(2*stripMax)}
+			}
+			for _, p := range []*par.Pool{nil, pool} {
+				chainDiff(t, fmt.Sprintf("fuzz tree %d", seed), tree, g.env(tree, shape), p, 1<<30)
+			}
+			return
+		}
 		if k := int(cells) - transposeCells; k >= 0 {
 			// A transpose of one of transposeShapes, serial and pooled.
 			m := randKernelMat(r, elems[uint64(seed)%3], transposeShapes[k%len(transposeShapes)]...)

@@ -211,7 +211,13 @@ func (g *planGen) intExpr(depth int, uniform bool) {
 		}
 		return
 	}
-	switch g.r.Intn(10) {
+	switch g.r.Intn(12) {
+	case 10, 11:
+		if uniform {
+			g.intExpr(depth-1, uniform)
+			return
+		}
+		g.shape(false, depth)
 	case 0, 1, 2:
 		g.intExpr(depth-1, uniform)
 		g.intExpr(depth-1, uniform)
@@ -314,7 +320,9 @@ func (g *planGen) floatExpr(depth int) {
 		}
 		return
 	}
-	switch g.r.Intn(9) {
+	switch g.r.Intn(12) {
+	case 9, 10, 11:
+		g.shape(true, depth)
 	case 0, 1, 2:
 		g.floatExpr(depth - 1)
 		g.floatExpr(depth - 1)
@@ -346,6 +354,91 @@ func (g *planGen) floatExpr(depth int) {
 	}
 }
 
+// shapeOps are the plan opcodes of a table tree's operators, int then
+// float.
+var shapeOps = map[wOp][2]WithOp{wAdd: {WAddI, WAddF}, wSub: {WSubI, WSubF}, wMul: {WMulI, WMulF}, wDiv: {WDivI, WDivF}}
+
+// Operand kinds selection tells apart, as planGen.leaf emits them.
+const (
+	leafUniform = iota
+	leafStrip   // computed
+	leafLoad    // a load at stride 1, read in place
+	leafStrided // a load at another stride, copied into a strip
+)
+
+// leaf emits one operand of the kind named.
+func (g *planGen) leaf(float bool, kind, depth int) {
+	pick := g.r.Intn(2)
+	switch {
+	case kind == leafUniform && float:
+		g.emit([]WithInstr{{Op: WPushFloat, F: float64(g.r.Intn(9)-4) * 0.75}, {Op: WPushScalarF}}[pick])
+	case kind == leafUniform:
+		g.emit([]WithInstr{{Op: WPushInt, K: int64(g.r.Intn(9) - 4)}, {Op: WPushScalarI, A: int32(g.r.Intn(2))}}[pick])
+	case kind == leafStrip && float:
+		g.floatExpr(depth)
+	case kind == leafStrip:
+		g.intExpr(depth, false)
+	default:
+		// The strip id, at times plus a few cells, indexes the long
+		// dimension of a matrix that is long last (stride 1) or long first
+		// (stride testDim). An offset is computed in a temporary the next
+		// index may reuse, and a load whose index is gone is not read
+		// again in place.
+		c := WithInstr{Op: WPushInt, K: int64(g.r.Intn(testDim))}
+		id := []WithInstr{{Op: WPushID, A: int32(g.rank - 1)}, {Op: WPushInt, K: int64(g.r.Intn(4))}, {Op: WAddI}}[:1+2*(g.r.Intn(4)/3)]
+		switch {
+		case float && kind == leafStrided:
+			g.code = append(append(g.code, id...), c, WithInstr{Op: WLoadF, A: 2, B: 2})
+		case float:
+			g.code = append(append(g.code, c, c), id...)
+			g.emit(WithInstr{Op: WLoadF, A: 1, B: 3})
+		case kind == leafStrided:
+			g.code = append(append(g.code, id...), c, WithInstr{Op: WLoadI, A: 0, B: 2})
+		default:
+			g.code = append(append(g.code, c), id...)
+			g.emit(WithInstr{Op: WLoadI, A: 3, B: 2})
+		}
+	}
+}
+
+// shape emits a tree of the selection table, each operand of a random
+// kind (uniform where the entry reads one).
+func (g *planGen) shape(float bool, depth int) {
+	g.tree(wShapes[g.r.Intn(len(wShapes))], float, -1, depth)
+}
+
+// tree emits the table's tree s, its operands of the kind named where
+// the entry does not read a uniform, or each of a random kind.
+func (g *planGen) tree(s wShape, float bool, kind, depth int) {
+	f := 0
+	if float {
+		f = 1
+	}
+	leaf := func(uniform bool) {
+		k := kind
+		switch {
+		case uniform:
+			k = leafUniform
+		case k < 0:
+			k = leafStrip + g.r.Intn(3)
+		}
+		g.leaf(float, k, depth-1)
+	}
+	inner := func() {
+		leaf(s.m1 == wUS)
+		leaf(s.m1 == wSU)
+		g.emit(WithInstr{Op: shapeOps[s.op1][f]})
+	}
+	if s.right {
+		leaf(false)
+		inner()
+	} else {
+		inner()
+		leaf(false)
+	}
+	g.emit(WithInstr{Op: shapeOps[s.op2][f]})
+}
+
 // fold emits one bracket: base, uniform bounds a few cells apart
 // (sometimes empty), then the bracketed body.
 func (g *planGen) fold(float bool, depth int) {
@@ -371,9 +464,13 @@ func (g *planGen) fold(float bool, depth int) {
 	g.emit(WithInstr{Op: op, A: int32(n), B: int32(g.ids), Kind: FoldKind(g.r.Intn(4))})
 	g.ids += n
 	g.depth++
-	if float {
+	switch {
+	case g.r.Intn(3) == 0:
+		// A body that is one load: the fold reads its matrix in place.
+		g.leaf(float, leafLoad+g.r.Intn(2), 0)
+	case float:
 		g.floatExpr(depth - 1)
-	} else {
+	default:
 		g.intExpr(depth-1, false)
 	}
 	g.depth--
@@ -393,11 +490,21 @@ func testLeaves() ([]*Matrix, []int64, []float64) {
 	for k := range mf.floats() {
 		mf.floats()[k] = float64((k*53)%29-14)*0.173 + 0.011
 	}
-	return []*Matrix{mi, mf}, []int64{3, -2}, []float64{0.625}
+	// The table's trees read one of each at stride 1 and one at stride
+	// testDim, or at stride 1 the other way round.
+	tf := New(Float, testLong, testDim)
+	for k := range tf.floats() {
+		tf.floats()[k] = float64((k*41)%31-15)*0.217 - 0.003
+	}
+	ti := New(Int, testDim, testLong)
+	for k := range ti.ints() {
+		ti.ints()[k] = int64((k*29)%37 - 18)
+	}
+	return []*Matrix{mi, mf, tf, ti}, []int64{3, -2}, []float64{0.625}
 }
 
 func testSpec(code []WithInstr, rank int, float, outFloat bool) WithSpec {
-	return WithSpec{Code: code, Rank: rank, MatElem: []Elem{Int, Float},
+	return WithSpec{Code: code, Rank: rank, MatElem: []Elem{Int, Float, Float, Int},
 		ScalarI: 2, ScalarF: 1, Float: float, OutFloat: outFloat}
 }
 
@@ -436,13 +543,18 @@ func TestWithStripMatchesCellByCell(t *testing.T) {
 	}
 	widths := map[int]bool{}
 	seen := map[WithOp]bool{}
-	for seed := int64(0); seed < 48; seed++ {
+	fused := map[[4]int]bool{} // entry, operand, its kind, float: one each program runs serial and pooled
+	foldLin := map[bool]bool{} // a fold reading its body in place, at stride 1 or another
+	for seed := int64(0); seed < 78; seed++ {
 		for _, rank := range []int{1, 2, 3} {
 			float := seed%2 == 0
 			g := &planGen{r: rand.New(rand.NewSource(seed*31 + int64(rank))), rank: rank, ids: rank}
-			if float {
+			switch j := int(seed - 48); {
+			case j >= 0: // each of the table's trees, int and float, its operands of each kind
+				g.tree(wShapes[j%len(wShapes)], float, leafStrip+j/10%3, 2)
+			case float:
 				g.floatExpr(3)
-			} else {
+			default:
 				g.intExpr(3, false)
 			}
 			code := g.code
@@ -452,6 +564,16 @@ func TestWithStripMatchesCellByCell(t *testing.T) {
 			p, ok := CompileWith(testSpec(code, rank, float, float))
 			if !ok {
 				t.Fatalf("seed %d rank %d: generated plan does not compile: %+v", seed, rank, code)
+			}
+			for _, in := range p.code {
+				switch {
+				case in.op == wFused:
+					for pos, x := range in.idx {
+						fused[[4]int{int(in.k), pos, int(x.kind), map[bool]int{false: 0, true: 1}[in.flt]}] = true
+					}
+				case in.op == wFoldEnd && in.mode == wLin:
+					foldLin[unitStride(p.code[in.a].idx)] = true
+				}
 			}
 			widths[p.width] = true
 			for _, box := range boxes(p.width) {
@@ -563,6 +685,38 @@ func TestWithStripMatchesCellByCell(t *testing.T) {
 			t.Errorf("no generated plan holds opcode %d", op)
 		}
 	}
+	for k, s := range wShapes {
+		for pos, uniform := range []bool{s.m1 == wUS, s.m1 == wSU, false} {
+			kinds := []wMode{wSS, wLin}
+			switch {
+			case uniform:
+				kinds = []wMode{wUU}
+			case pos == 1 && !s.right:
+				kinds = kinds[1:] // z is computed in y's register: a strip y is gone
+			}
+			for _, kind := range kinds {
+				for f := 0; f < 2; f++ {
+					if !fused[[4]int{k, pos, int(kind), f}] {
+						t.Errorf("%s (float %d): operand %d never read as %s", shapeName(s), f, pos, wModeNames[kind])
+					}
+				}
+			}
+		}
+	}
+	if !foldLin[true] || !foldLin[false] {
+		t.Errorf("folds reading their body in place, by stride 1 or not: %v", foldLin)
+	}
+}
+
+// unitStride reports whether a load walks its matrix at stride 1: only
+// its last index moves along the strip.
+func unitStride(idx []wIndex) bool {
+	for k, ix := range idx {
+		if (ix.kind == wLin) != (k == len(idx)-1) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestWithStripIntBodyIntoFloatCells: an int body promotes per cell

@@ -88,13 +88,15 @@ const (
 	wLoadB // int d = bool matrix slot a at idx, 0 or 1
 	wQuo   // int d = idx[0] / idx[1], failing on a zero divisor
 	wRem   // int d = idx[0] % idx[1], failing on a zero divisor
+	wFused // d = the tree wShapes[k] over idx: x, y, z
+	wNop   // what selection folded into another instruction; eval passes over it
 )
 
 // wMode places an instruction's operands: U is the uniform file, S a
 // strip register. Unary instructions use wUU or wSS; wLin marks a load
 // that walks its matrix at a fixed stride; a compare, a select or a
 // division by a value is wUU when it is uniform, wSS otherwise, its
-// operands' places in idx.
+// operands' places in idx. Only a wUU instruction writes uniform d.
 type wMode uint8
 
 const (
@@ -105,6 +107,27 @@ const (
 	wLin
 )
 
+// wShape is a tree of two arithmetic instructions that selection runs
+// as one: (x op1 y) op2 z, or z op2 (x op1 y) when right; m1 places x
+// and y, z and the inner node are strips. A wFused operand is uniform,
+// a strip, or wLin: a stride-1 load read in place (reg: the load's pc).
+type wShape struct {
+	op1   wOp
+	m1    wMode
+	op2   wOp
+	right bool
+}
+
+// wShapes is the selection table: the trees the shipped plans hold
+// most (testdata/strip_shapes.txt), each with its loop in arith.go.
+var wShapes = [...]wShape{
+	{wMul, wSS, wAdd, false}, // (x*y)+z: a .* b + a
+	{wMul, wSU, wSub, true},  // z-(x*u): ... - b * 0.5
+	{wAdd, wSS, wAdd, false}, // (x+y)+z: the stencil's neighbours
+	{wMul, wUS, wSub, true},  // z-(u*y): ... - 4.0 * u[i, j]
+	{wMul, wUS, wAdd, true},  // z+(u*y): u[i, j] + alpha * (...)
+}
+
 type wInstr struct {
 	op   wOp
 	mode wMode
@@ -114,7 +137,7 @@ type wInstr struct {
 	a    int32
 	b    int32
 	k    int64
-	idx  []wIndex // wLoad*: one per dimension; wCmp*, wQuo, wRem: a, b; wSel: mask, then, else
+	idx  []wIndex // wLoad*: one per dimension; wCmp*, wQuo, wRem: a, b; wSel: mask, then, else; wFused: x, y, z
 	nest *wNest   // wFoldBegin, wFoldEnd
 }
 
@@ -289,9 +312,9 @@ func (c *withCompiler) materialize(flt bool, v wVal, d int) wVal {
 	r := c.strip(flt, d)
 	var pc int
 	if v.kind == wLin {
-		pc = c.emit(wInstr{op: wIota, d: r, a: v.reg})
+		pc = c.emit(wInstr{op: wIota, mode: wSS, d: r, a: v.reg})
 	} else {
-		pc = c.emit(wInstr{op: wBcast, flt: flt, d: r, a: v.reg})
+		pc = c.emit(wInstr{op: wBcast, mode: wSS, flt: flt, d: r, a: v.reg})
 	}
 	return wVal{kind: wSS, reg: r, by: pc}
 }
@@ -477,8 +500,80 @@ func (c *withCompiler) stripArith(op wOp, flt bool, a, b wVal, d int) wVal {
 		mode = wSU
 	}
 	r := c.strip(flt, d)
-	return wVal{kind: wSS, reg: r,
-		by: c.emit(wInstr{op: op, mode: mode, flt: flt, d: r, a: a.reg, b: b.reg})}
+	return wVal{kind: wSS, reg: r, by: c.emit(c.fuse(wInstr{op: op, mode: mode, flt: flt, d: r, a: a.reg, b: b.reg}, a, b))}
+}
+
+// fuse is instruction selection, run as each strip instruction o is
+// about to be emitted with operands a and b: when o and the instruction
+// that computed one of them (the inner node) form a wShapes tree, both
+// become one wFused where o goes. It reads the inner's operands there,
+// so each must be intact or a load read again in place; every operand
+// a stride-1 load produced is read in place, and the load dropped.
+func (c *withCompiler) fuse(o wInstr, a, b wVal) wInstr {
+	for k, s := range wShapes {
+		inner, z := a, b
+		if s.right {
+			inner, z = b, a
+		}
+		if o.op != s.op2 || o.mode != wSS || inner.by < 0 || c.p.code[inner.by].op != s.op1 || c.p.code[inner.by].mode != s.m1 {
+			continue
+		}
+		in := c.p.code[inner.by]
+		x, dx := c.arg(o.flt, in.mode == wUS, false, in.a, inner.by)
+		y, dy := c.arg(o.flt, in.mode == wSU, false, in.b, inner.by)
+		w, dz := c.arg(o.flt, false, false, z.reg, len(c.p.code))
+		if dx < -1 || dy < -1 || dz < -1 {
+			continue
+		}
+		for _, pc := range [...]int{inner.by, dx, dy, dz} {
+			if pc >= 0 {
+				c.p.code[pc].op = wNop
+			}
+		}
+		return wInstr{op: wFused, mode: wSS, flt: o.flt, d: o.d, k: int64(k), idx: []wIndex{x, y, w}}
+	}
+	return o
+}
+
+// arg places an operand that the instruction at pc reads (or will:
+// pc = len(code)) to be read after the last one instead: as a load read
+// in place — at stride 1 unless strided — with the pc of the load to
+// drop, or as its register if that is still intact; -2 when neither.
+func (c *withCompiler) arg(flt, uniform, strided bool, reg int32, pc int) (wIndex, int) {
+	for ld := pc - 1; !uniform && ld >= 0; ld-- {
+		if in := &c.p.code[ld]; in.op != wNop && in.mode != wUU && in.flt == flt && in.d == reg {
+			unit := true // only the last index walks: stride 1
+			for k, ix := range in.idx {
+				unit = unit && (ix.kind == wLin) == (k == len(in.idx)-1)
+			}
+			if in.op != wLoad || in.mode != wLin || !unit && !strided || !c.intact(false, ld, in.idx...) {
+				break
+			}
+			return wIndex{wLin, int32(ld)}, ld
+		}
+	}
+	x := wIndex{wSS, reg}
+	if uniform {
+		x.kind = wUU
+	}
+	if !c.intact(flt, pc, x) {
+		return wIndex{}, -2
+	}
+	return x, -1
+}
+
+// intact reports whether no instruction after pc writes one of regs,
+// strip (wSS) or uniform registers of the named file. A fold bracket
+// loops, so it counts as writing every register.
+func (c *withCompiler) intact(flt bool, pc int, regs ...wIndex) bool {
+	for _, in := range c.p.code[min(pc+1, len(c.p.code)):] {
+		for _, r := range regs {
+			if in.op == wFoldBegin || in.op == wFoldEnd || in.op != wNop && in.flt == flt && in.d == r.reg && (in.mode == wUU) == (r.kind != wSS) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // quo compiles an int / or % (rem) of the top two int values.
@@ -627,7 +722,7 @@ func (c *withCompiler) foldBegin(pc int, in *WithInstr) {
 	if by := acc.by; by >= 0 && c.p.code[by].op == wLoad && c.p.code[by].mode == wLin {
 		// A strip loaded at a fixed stride may be its matrix's own cells;
 		// the accumulator is combined into in place.
-		c.emit(wInstr{op: wCopy, flt: flt, d: acc.reg, a: acc.reg})
+		c.emit(wInstr{op: wCopy, mode: wSS, flt: flt, d: acc.reg, a: acc.reg})
 	}
 	ns.acc = acc.reg
 	(*st)[d] = wVal{kind: wSS, reg: acc.reg, by: -1}
@@ -661,11 +756,13 @@ func (c *withCompiler) foldEnd(pc int, in *WithInstr) {
 		return
 	}
 	v = c.operand(flt, v, d)
-	mode := wSS
+	end := wInstr{op: wFoldEnd, mode: wSS, flt: flt, d: ns.acc, a: v.reg, nest: ns}
 	if v.kind == wUU {
-		mode = wSU
+		end.mode = wSU
+	} else if x, ld := c.arg(flt, false, true, v.reg, len(c.p.code)); x.kind == wLin {
+		end.mode, end.a, c.p.code[ld].op = wLin, x.reg, wNop // a load body: fold its cells in place
 	}
-	ns.end = c.emit(wInstr{op: wFoldEnd, mode: mode, flt: flt, a: v.reg, nest: ns})
+	ns.end = c.emit(end)
 	c.open = c.open[:len(c.open)-1]
 	c.ids -= ns.n
 }

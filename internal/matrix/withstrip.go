@@ -229,6 +229,12 @@ func (st *wState) eval(p *WithProg, n int, x Exec) error {
 			} else {
 				stripArith(in, &st.i, n)
 			}
+		case wFused:
+			if in.flt {
+				stripFused(in, code, st, (*Matrix).floats, &st.f, n)
+			} else {
+				stripFused(in, code, st, (*Matrix).ints, &st.i, n)
+			}
 		case wNeg:
 			if in.flt {
 				stripNeg(in, &st.f, n)
@@ -307,9 +313,9 @@ func (st *wState) eval(p *WithProg, n int, x Exec) error {
 		case wFoldEnd:
 			ns := in.nest
 			if in.flt {
-				stripFold(in, ns, &st.f, n)
+				stripFold(in, code, st, (*Matrix).floats, &st.f, n)
 			} else {
-				stripFold(in, ns, &st.i, n)
+				stripFold(in, code, st, (*Matrix).ints, &st.i, n)
 			}
 			// Next inner index, last id fastest: the ascending order
 			// the sequential inner fold combines in.
@@ -440,13 +446,7 @@ func stripLoad[T int64 | float64](in *wInstr, data []T, strides []int, f *wFile[
 		}
 		f.u[in.d] = data[off]
 	case wLin:
-		base, step := 0, 0
-		for d, ix := range in.idx {
-			base += int(ui[ix.reg]) * strides[d]
-			if ix.kind == wLin {
-				step += strides[d]
-			}
-		}
+		base, step := linear(in.idx, ui, strides)
 		if step == 1 {
 			// The matrix's own cells are the strip: no copy, unless they
 			// are the evaluation's output.
@@ -491,16 +491,44 @@ func stripLoad[T int64 | float64](in *wInstr, data []T, strides []int, f *wFile[
 	}
 }
 
-// stripLoadMask reads a strip of a bool matrix, at a fixed stride, as
-// 0/1 int cells.
-func stripLoadMask(in *wInstr, data []bool, strides []int, ints *wFile[int64], n int) {
-	base, step := 0, 0
-	for d, ix := range in.idx {
-		base += int(ints.u[ix.reg]) * strides[d]
+// linear is a fixed-stride load's first cell and step.
+func linear(idx []wIndex, ui []int64, strides []int) (base, step int) {
+	for d, ix := range idx {
+		base += int(ui[ix.reg]) * strides[d]
 		if ix.kind == wLin {
 			step += strides[d]
 		}
 	}
+	return base, step
+}
+
+// inPlace returns the cells the load ld reads for n cells, from its
+// first, and the step between them.
+func inPlace[T int64 | float64](ld *wInstr, st *wState, cells func(*Matrix) []T, n int) ([]T, int) {
+	m := st.mats[ld.a]
+	var s [InlineRank]int
+	base, step := linear(ld.idx, st.i.u, m.strides(&s))
+	return cells(m)[base : base+(n-1)*step+1], step
+}
+
+// stripFused runs a selected tree: its operands — loads at stride 1
+// read in place — are fetched before its destination is taken.
+func stripFused[T int64 | float64](in *wInstr, code []wInstr, st *wState, cells func(*Matrix) []T, f *wFile[T], n int) {
+	var a [3][]T
+	for k, x := range in.idx {
+		if x.kind == wLin {
+			a[k], _ = inPlace(&code[x.reg], st, cells, n)
+		} else {
+			a[k], _ = f.operand(x, n)
+		}
+	}
+	fusedStrips(int(in.k), f.dst(in, n), a[0], a[1], a[2])
+}
+
+// stripLoadMask reads a strip of a bool matrix, at a fixed stride, as
+// 0/1 int cells.
+func stripLoadMask(in *wInstr, data []bool, strides []int, ints *wFile[int64], n int) {
+	base, step := linear(in.idx, ints.u, strides)
 	dst := ints.dst(in, n)
 	for i := range dst {
 		dst[i] = mask(data[base])
@@ -542,57 +570,47 @@ func stripQuo(in *wInstr, f *wFile[int64], n int) error {
 	return nil
 }
 
-// stripFold combines a fold body's value into the accumulator strip,
-// cell by cell, with combineInt/combineFloat's exact min/max rules.
-func stripFold[T int64 | float64](in *wInstr, ns *wNest, f *wFile[T], n int) {
+// stripFold combines a fold body's value — a strip, a uniform at step
+// 0, or a load read in place — into the accumulator strip, cell by
+// cell, with combineInt/combineFloat's exact min/max rules.
+func stripFold[T int64 | float64](in *wInstr, code []wInstr, st *wState, cells func(*Matrix) []T, f *wFile[T], n int) {
+	ns := in.nest
 	acc := f.strip(ns.acc, n)
-	if in.mode == wSU {
-		v := f.u[in.a]
-		switch ns.kind {
-		case FoldAdd:
-			for i := range acc {
-				acc[i] += v
-			}
-		case FoldMul:
-			for i := range acc {
-				acc[i] *= v
-			}
-		case FoldMin:
-			for i := range acc {
-				if !(acc[i] < v) {
-					acc[i] = v
-				}
-			}
-		default:
-			for i := range acc {
-				if acc[i] < v {
-					acc[i] = v
-				}
-			}
-		}
-		return
+	var v []T
+	step := 1
+	switch in.mode {
+	case wSU:
+		v, step = f.u[in.a:in.a+1], 0
+	case wSS:
+		v = f.strip(in.a, n)
+	default:
+		v, step = inPlace(&code[in.a], st, cells, n)
 	}
-	v := f.strip(in.a, n)
+	o := 0
 	switch ns.kind {
 	case FoldAdd:
 		for i := range acc {
-			acc[i] += v[i]
+			acc[i] += v[o]
+			o += step
 		}
 	case FoldMul:
 		for i := range acc {
-			acc[i] *= v[i]
+			acc[i] *= v[o]
+			o += step
 		}
 	case FoldMin:
 		for i := range acc {
-			if !(acc[i] < v[i]) {
-				acc[i] = v[i]
+			if !(acc[i] < v[o]) {
+				acc[i] = v[o]
 			}
+			o += step
 		}
 	default:
 		for i := range acc {
-			if acc[i] < v[i] {
-				acc[i] = v[i]
+			if acc[i] < v[o] {
+				acc[i] = v[o]
 			}
+			o += step
 		}
 	}
 }

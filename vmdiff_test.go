@@ -1256,6 +1256,57 @@ int main() {
 	return 0;
 }`},
 
+	// Every two-node arithmetic tree the strip engine may run as one
+	// instruction (fusedshapes_test.go), pinned at d550d74, where each node
+	// was its own pass.
+	{name: "fused_shapes_float", pin: &pinned{"-0.7499999925494194\n5.249999992549419\n-0.7499999925494194\n2.7500000074505806\n-2\n-6.249999992549419\n0.6666666666666666\n-2.01326592e+08\n1\n5.249999992549419\n1\n1.0000000149011612\n-1.4901161193847656e-08\n-4.250000007450581\n4.967053731282552e-09\n-1.5\n-1.7500000055879354\n4.249999960884452\n-1.7500000055879354\n0.24999999441206455\n-1\n-5.249999960884452\n0.3333333333333333\n-3\n-2.000000014901161\n-6.250000039115548\n-2.000000014901161\n-1.490116141589226e-08\n-1.0000000149011614\n-5.250000039115548\n0.33333333830038714\n-2.9999999552965164\n0\n0\n2\n-0.24999999441206455\n-0.24999999441206455\n0.24999999441206455\n1\n1\n-1\n-6.249999960884452\n-6.249999960884452\n6.249999960884452\n4.249999960884452\n4.249999960884452\n-4.249999960884452\n2.000000022351742\n-7.450580596923828e-09\n-0.7499999925494194\n5.249999992549419\n-0.7499999925494194\n2.7500000074505806\n-2\n-6.249999992549419\n0.6666666666666666\n-2.01326592e+08\n1\n5.249999992549419\n1\n1.0000000149011612\n-1.4901161193847656e-08\n-4.250000007450581\n4.967053731282552e-09\n-1.5\n-1.7500000055879354\n4.249999960884452\n-1.7500000055879354\n0.24999999441206455\n-1\n-5.249999960884452\n0.3333333333333333\n-3\n-2.000000014901161\n-6.250000039115548\n-2.000000014901161\n-1.490116141589226e-08\n-1.0000000149011614\n-5.250000039115548\n0.33333333830038714\n-2.9999999552965164\n0\n0\n2\n-0.24999999441206455\n-0.24999999441206455\n0.24999999441206455\n1\n1\n-1\n-6.249999960884452\n-6.249999960884452\n6.249999960884452\n4.249999960884452\n4.249999960884452\n-4.249999960884452\n2.000000022351742\n-7.450580596923828e-09\n-0.7499999925494194\nNaN\nNaN\n-0.75\nNaN\nNaN\n5.249999992549419\n7.25\nNaN\n+Inf\nNaN\nNaN\n-0.7499999925494194\nNaN\nNaN\n-0.75\nNaN\nNaN\n2.7500000074505806\nNaN\nNaN\n0.75\n+Inf\n-Inf\n-2\nNaN\nNaN\nNaN\nNaN\n-Inf\n-6.249999992549419\n-0\nNaN\nNaN\nNaN\n-Inf\n0.6666666666666666\nNaN\n0\n+Inf\nNaN\n-Inf\n-2.01326592e+08\nNaN\n-Inf\n0\nNaN\nNaN\n1\nNaN\nNaN\n+Inf\nNaN\nNaN\n5.249999992549419\n7.25\nNaN\n+Inf\nNaN\nNaN\n1\nNaN\nNaN\n+Inf\nNaN\nNaN\n1.0000000149011612\nNaN\nNaN\n-Inf\nNaN\nNaN\n-1.4901161193847656e-08\nNaN\nNaN\nNaN\nNaN\nNaN\n-4.250000007450581\n-0\nNaN\nNaN\nNaN\n+Inf\n4.967053731282552e-09\nNaN\n0\n-Inf\nNaN\nNaN\n-1.5\nNaN\n+Inf\n-0\nNaN\n0\n-1.7500000055879354\nNaN\nNaN\n0\n-Inf\n+Inf\n4.249999960884452\n10.5\nNaN\n+Inf\nNaN\nNaN\n-1.7500000055879354\nNaN\nNaN\n0\n-Inf\n+Inf\n0.24999999441206455\nNaN\nNaN\n0\nNaN\nNaN\n-1\nNaN\nNaN\nNaN\nNaN\n+Inf\n-5.249999960884452\n-0\nNaN\nNaN\nNaN\n-Inf\n0.3333333333333333\nNaN\n-0\nNaN\nNaN\n+Inf\n-3\nNaN\n+Inf\nNaN\nNaN\n-0\n-2.000000014901161\nNaN\nNaN\n0\nNaN\nNaN\n-6.250000039115548\n-2.625\nNaN\n0\nNaN\n+Inf\n-2.000000014901161\nNaN\nNaN\n0\nNaN\nNaN\n-1.490116141589226e-08\nNaN\nNaN\n0\nNaN\nNaN\n-1.0000000149011614\nNaN\nNaN\n-0\nNaN\nNaN\n-5.250000039115548\n-0\nNaN\n0\nNaN\nNaN\n0.33333333830038714\nNaN\nNaN\n-0\nNaN\nNaN\n-2.9999999552965164\nNaN\nNaN\n+Inf\nNaN\nNaN\n0\nNaN\nNaN\nNaN\nNaN\n+Inf\n0\nNaN\nNaN\nNaN\nNaN\n+Inf\n2\nNaN\nNaN\nNaN\nNaN\nNaN\n-0.24999999441206455\nNaN\nNaN\n0\nNaN\nNaN\n-0.24999999441206455\nNaN\nNaN\n0\nNaN\nNaN\n0.24999999441206455\nNaN\nNaN\n0\nNaN\nNaN\n1\nNaN\nNaN\n+Inf\nNaN\nNaN\n1\nNaN\nNaN\n+Inf\nNaN\nNaN\n-1\nNaN\nNaN\n-Inf\nNaN\nNaN\n-6.249999960884452\n-10.5\nNaN\n-Inf\nNaN\n+Inf\n-6.249999960884452\n-10.5\nNaN\n-Inf\nNaN\n+Inf\n6.249999960884452\n10.5\nNaN\n+Inf\nNaN\n-Inf\n4.249999960884452\n10.5\nNaN\n+Inf\nNaN\nNaN\n4.249999960884452\n10.5\nNaN\n+Inf\nNaN\nNaN\n-4.249999960884452\n-10.5\nNaN\n-Inf\nNaN\nNaN\n2.000000022351742\nNaN\n0\n0\n+Inf\nNaN\n-7.450580596923828e-09\nNaN\n0\n-0\nNaN\n-Inf\n1\n1\n1\n1.0000000149011612\n-2\n-2\n-2\n6.7108864e+07\n1\n1\n1\n1.0000000149011612\n-1.4901161193847656e-08\n-1.4901161193847656e-08\n-1.4901161193847656e-08\n0.5\n0\n0\n0\n2\n-1\n-1\n-1\n1\n-2.000000014901161\n-2.000000014901161\n-2.000000014901161\n-1.490116141589226e-08\n-1.0000000149011614\n-1.0000000149011614\n-1.0000000149011614\n0.9999999850988388\n0\n0\n2\n-2\n-2\n2\n1\n1\n-1\n-2\n-2\n2\n0\n0\n0\n2.000000022351742\n-7.450580596923828e-09\n1\n1\n1\n1.0000000149011612\n-2\n-2\n-2\n6.7108864e+07\n1\n1\n1\n1.0000000149011612\n-1.4901161193847656e-08\n-1.4901161193847656e-08\n-1.4901161193847656e-08\n0.5\n0\n0\n0\n2\n-1\n-1\n-1\n1\n-2.000000014901161\n-2.000000014901161\n-2.000000014901161\n-1.490116141589226e-08\n-1.0000000149011614\n-1.0000000149011614\n-1.0000000149011614\n0.9999999850988388\n0\n0\n2\n-2\n-2\n2\n1\n1\n-1\n-2\n-2\n2\n0\n0\n0\n2.000000022351742\n-7.450580596923828e-09\n1\n1\n1\n1.0000000149011612\n-2\n-2\n-2\n6.7108864e+07\n1\n1\n1\n1.0000000149011612\n-1.4901161193847656e-08\n-1.4901161193847656e-08\n-1.4901161193847656e-08\n0.5\n0\n0\n0\n2\n-1\n-1\n-1\n1\n-2.000000014901161\n-2.000000014901161\n-2.000000014901161\n-1.490116141589226e-08\n-1.0000000149011614\n-1.0000000149011614\n-1.0000000149011614\n0.9999999850988388\n0\n0\n2\n-2\n-2\n2\n1\n1\n-1\n-2\n-2\n2\n0\n0\n0\n2.000000022351742\n-7.450580596923828e-09\n196282665687\n131997630679\n196282665687\n246268821504\n-292894277632\n-160674545664\n-97548680289\n-7117699969\n264085438464\n131997630679\n264085438464\n178466062336\n-150048866304\n-17829144918\n-49968495705\n-2913749576\n-901133609\n194471528344\n-901133609\n56220043991\n-554427482112\n-223195955200\n-184416297185\n-2431066163\n-167680938906\n-84643857796\n-167680938906\n-110559761756\n-139005491904\n-56070135785\n-46373454636\n-9666050902\n524688293888\n524688293888\n581809471488\n-56220043991\n-56220043991\n56220043991\n264085438464\n264085438464\n-264085438464\n-251592704000\n-251592704000\n251592704000\n194471528344\n194471528344\n-194471528344\n2015360974848\n-1572809474048\n", 1591590}, src: fusedShapesSrc(true)},
+	{name: "fused_shapes_int", pin: &pinned{"4611686018427387913\n21\n4611686018427387913\n4611686018427387897\n4611686018427387924\n80\n922337203685477581\n0\n4611686018427387913\n21\n4611686018427387913\n4611686018427387897\n4611686018427387894\n50\n922337203685477580\n0\n-4611686018427387896\n44\n-4611686018427387896\n-4611686018427387906\n-4611686018427387889\n195\n-922337203685477580\n0\n-1537228672809129296\n1\n-1537228672809129296\n-1537228672809129306\n7686143364045646505\n20\n307445734561825860\n0\n-4611686018427387896\n-4611686018427387896\n-4611686018427387906\n4611686018427387906\n4611686018427387906\n-4611686018427387906\n4611686018427387913\n4611686018427387913\n-4611686018427387913\n-34\n-34\n34\n44\n44\n-44\n-4611686018427387902\n-4611686018427387904\n4611686018427387913\n21\n4611686018427387913\n4611686018427387897\n4611686018427387924\n80\n922337203685477581\n0\n4611686018427387913\n21\n4611686018427387913\n4611686018427387897\n4611686018427387894\n50\n922337203685477580\n0\n-4611686018427387896\n44\n-4611686018427387896\n-4611686018427387906\n-4611686018427387889\n195\n-922337203685477580\n0\n-1537228672809129296\n1\n-1537228672809129296\n-1537228672809129306\n7686143364045646505\n20\n307445734561825860\n0\n-4611686018427387896\n-4611686018427387896\n-4611686018427387906\n4611686018427387906\n4611686018427387906\n-4611686018427387906\n4611686018427387913\n4611686018427387913\n-4611686018427387913\n-34\n-34\n34\n44\n44\n-44\n-4611686018427387902\n-4611686018427387904\n4611686018427387913\n21\n4611686018427387913\n4611686018427387897\n4611686018427387924\n80\n922337203685477581\n0\n4611686018427387913\n21\n4611686018427387913\n4611686018427387897\n4611686018427387894\n50\n922337203685477580\n0\n-4611686018427387896\n44\n-4611686018427387896\n-4611686018427387906\n-4611686018427387889\n195\n-922337203685477580\n0\n-1537228672809129296\n1\n-1537228672809129296\n-1537228672809129306\n7686143364045646505\n20\n307445734561825860\n0\n-4611686018427387896\n-4611686018427387896\n-4611686018427387906\n4611686018427387906\n4611686018427387906\n-4611686018427387906\n4611686018427387913\n4611686018427387913\n-4611686018427387913\n-34\n-34\n34\n44\n44\n-44\n-4611686018427387902\n-4611686018427387904\n383639\n301802\n383639\n191551\n1424757\n988018\n65697\n-1391\n411037\n301802\n411037\n164153\n875705\n438966\n38263\n0\n917669\n946138\n917669\n807901\n5764366\n3568838\n282719\n0\n6148914691236486456\n4613\n6148914691236486456\n6148914691236376688\n6148914691236858972\n200731\n6148914691236528586\n-16826\n1492133\n1492133\n1382365\n-807901\n-807901\n807901\n411037\n411037\n-411037\n-836370\n-836370\n836370\n946138\n946138\n-946138\n6926842\n-6351652\n", 795830}, src: fusedShapesSrc(false)},
+	{name: "fused_shapes_chains", pin: &pinned{"1.500000011175871\n2.000000022351742\n1\n-2.000000014901161\n0\n-2\n-1.4901161193847656e-08\n-0.5\n-1.0000000149011614\n-1.0000000149011614\n2\n-2\n0\n0\n-2.0000000074505806\n1.500000011175871\n2.000000022351742\n1\n-2.000000014901161\n0\n-2\n-1.4901161193847656e-08\n-0.5\n-1.0000000149011614\n-1.0000000149011614\n2\n-2\n0\n0\n-2.0000000074505806\n1.500000011175871\n2.000000022351742\n1\n-2.000000014901161\n0\n-2\n-1.4901161193847656e-08\n-0.5\n-1.0000000149011614\n-1.0000000149011614\n2\n-2\n0\n0\n-2.0000000074505806\n816100802560\n2225548034048\n291788029952\n-276003815424\n47326695612\n-110411644928\n-245397777982\n-3221631496\n-153443816973\n-153443816973\n642616524800\n-642616524800\n579531571200\n579531571200\n-642616524800\n3278331\n4611686018425613199\n-4611686018412169512\n-4611686018427748664\n-4611686018423718610\n", 1505392}, src: fusedChainsSrc()},
+	// A fold whose body is one load, at strides 1, 2 and 64 and at a
+	// negative offset (pinned at d550d74, where the load was copied into a
+	// strip before it was combined).
+	{name: "fused_shapes_strided_fold", pin: &pinned{"1535.5\n1535.5\n1539\n21518\n1537\n1539\n-1.5\n0\n-2\n2303.25\n3075.5\n-2352.5\n5427\n21514\n3078.5\n3078\n-1.5\n0\n-8\n8105.25\n6159.5\n-7946.5\n11016\n21509\n6165.5\n6156\n3\n0\n-11\n12324.5\n-11026.5\n14094\n21511\n12336.5\n12312\n1.5\n0\n0\n24642.5\n-12081\n15147\n21506\n24666.5\n24624\n4\n0\n-5\n49297\n-12324\n15390\n21498\n49345\n49248\n12\n0\n10\n98594.5\n-12324\n15390\n21509\n98690.5\n98496\n30.5\n0\n7\n", 875766}, src: `
+int main() {
+	int m = 3;
+	int n = 1027;
+	for (int p = 1; p < 65; p = p * 2) {
+		Matrix float <3> mat = with ([0, 0, 0] <= [i, j, k] < [m, n, p]) genarray([m, n, p], (float)((i * 31 + j * 7 + k * 3) % 19) * 0.5 - 4.0);
+		Matrix int <3> imat = with ([0, 0, 0] <= [i, j, k] < [m, n, p]) genarray([m, n, p], (i * 31 + j * 7 + k * 3) % 19 - 9);
+		Matrix float <2> sum = with ([0, 0] <= [i, j] < [m, n]) genarray([m, n], with ([0] <= [k] < [p]) fold(+, 0.0, mat[i, j, k]));
+		Matrix float <2> lo = with ([0, 0] <= [i, j] < [m, n]) genarray([m, n], with ([0] <= [k] < [p]) fold(min, 100.0, mat[i, j, k]));
+		Matrix float <2> hi = with ([0, 1] <= [i, j] < [m, n]) genarray([m, n], with ([0] <= [k] < [p]) fold(max, -100.0, mat[i, j - 1, k]));
+		Matrix int <2> isum = with ([0, 0] <= [i, j] < [m, n - 3]) genarray([m, n], with ([0] <= [k] < [p]) fold(+, 7, imat[i, j + 3, k]));
+		Matrix float <2> rows = with ([0, 0] <= [i, k] < [m, p]) genarray([m, p], with ([0] <= [j] < [n]) fold(+, 0.5, mat[i, j, k]));
+		Matrix float <2> down = with ([0, 0] <= [i, k] < [m, p]) genarray([m, p], with ([0] <= [j] < [n - 1]) fold(+, 0.0, mat[i, j + 1, k]));
+		print(with ([0, 0] <= [i, j] < [m, n]) fold(+, 0.0, sum[i, j]));
+		print(with ([0, 0] <= [i, j] < [m, n]) fold(+, 0.0, lo[i, j]));
+		print(with ([0, 0] <= [i, j] < [m, n]) fold(+, 0.0, hi[i, j]));
+		print(with ([0, 0] <= [i, j] < [m, n]) fold(+, 0, isum[i, j]));
+		print(with ([0, 0] <= [i, k] < [m, p]) fold(+, 0.0, rows[i, k]));
+		print(with ([0, 0] <= [i, k] < [m, p]) fold(+, 0.0, down[i, k]));
+		print(sum[2, n - 1]);
+		print(hi[1, 0]);
+		print(isum[0, n - 4]);
+		if (p < 3) {
+			Matrix float <2> prod = with ([0, 0] <= [i, j] < [m, n]) genarray([m, n], with ([0] <= [k] < [p]) fold(*, 1.5, mat[i, j, k]));
+			print(with ([0, 0] <= [i, j] < [m, n]) fold(+, 0.0, prod[i, j]));
+		}
+	}
+	return 0;
+}`},
+	// Out of budget inside the bench's fused chain, once two of its four
+	// stages are admitted (text, span and cells pinned at d550d74).
+	{name: "err_fused_shapes_oom_in_chain", opts: interp.Options{MaxCells: 7150}, pin: &pinned{"1023\n", 6144},
+		errIs: "err_fused_shapes_oom_in_chain.xc:6:23: runtime error [trap:oom]: matrix: allocation of 1024 cells exceeds the budget (6144 of 7150 cells already used)", live: 0, src: `
+int main() {
+	Matrix float <1> a = [0 :: 1023] * 1.0;
+	Matrix float <1> b = [1 :: 1024] * 0.5;
+	print(a[end]);
+	Matrix float <1> r = a .* b + a - b * 0.5;
+	print(r[end]);
+	return 0;
+}`},
+
 	// The budget's one door: every matrix a program can name is admitted by
 	// the matrix package, so each way of making one traps oom at its own
 	// span. While slices and matrixMap sub-matrices went uncharged, the
@@ -2588,6 +2639,7 @@ func FuzzVMDiff(f *testing.F) {
 		f.Add(tc.src)
 	}
 	f.Add(stepShapesSrc)
+	f.Add(fusedShapesSeed)
 	f.Fuzz(func(t *testing.T, src string) {
 		var d source.Diagnostics
 		p := parser.ParseFile("fuzz.xc", src, parser.AllExtensions(), &d)
