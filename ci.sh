@@ -97,8 +97,8 @@ go test -race ./internal/vm
 
 echo "== GOAMD64=v3 (FMA hardware): a strip instruction computing a two-node tree rounds each node, and parallel bits equal serial ones =="
 if grep -qw fma /proc/cpuinfo 2>/dev/null && grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
-    GOAMD64=v3 go test -count=1 -run 'TestWithStrip|TestCompileWith|TestChain|TestKernelDiff' ./internal/matrix
-    GOAMD64=v3 go test -count=1 -run 'TestVMDifferentialCorpus/(fused_shapes|err_fused_shapes|chain_)' .
+    GOAMD64=v3 go test -count=1 -run 'TestWithStrip|TestWithRowFold|TestCompileWith|TestChain|TestKernelDiff' ./internal/matrix
+    GOAMD64=v3 go test -count=1 -run 'TestVMDifferentialCorpus/(fused_shapes|err_fused_shapes|chain_|nested_fold_rows|err_readmatrix_|readmatrix_)' .
 else
     echo "no FMA/AVX2 on this CPU: skipped"
 fi
@@ -152,9 +152,9 @@ for w in compute_parallel compute_serial serve_warm serve_cold; do
     bash bench/run.sh -workload "$w" -seconds 2 -trace 0 >/dev/null
 done
 
-echo "== code layout of the hot loops (address mod 64; informational: EXPERIMENTS E21, E22, E24–E30 record parent and change) =="
+echo "== code layout of the hot loops (address mod 64; informational: EXPERIMENTS E21, E22, E24–E31 record parent and change) =="
 syms=$(go tool nm -size .bench_build/bench |
-    grep -E ' T (repro/internal/vm\.\(\*Machine\)\.exec|repro/internal/matrix\.\(\*wState\)\.(eval|walk)|repro/internal/matrix\.(mm2x4|stripArith|stripLoad|boxCopy|arithSS|arithSU|fusedStrips|stripFold)\[go\.shape\.float64\]|repro/internal/matrix\.transposePanels\[go\.shape\.int64\])$') || syms=""
+    grep -E ' T (repro/internal/vm\.\(\*Machine\)\.exec|repro/internal/matrix\.\(\*wState\)\.(eval|walk)|repro/internal/matrix\.(mm2x4|stripArith|stripLoad|boxCopy|arithSS|arithSU|fusedStrips|stripFold|foldRuns4)\[go\.shape\.float64\]|repro/internal/matrix\.transposePanels\[go\.shape\.int64\])$') || syms=""
 if [ -z "$syms" ]; then
     echo "no hot-loop symbol matched (renamed, inlined, or named otherwise by this toolchain)"
 else

@@ -32,7 +32,7 @@ func (c *ctx) evalBuiltin(e *ast.CallExpr, args []any) (any, error) {
 		if !ok {
 			return nil, Errorf(e, "readMatrix expects a file name string")
 		}
-		return c.readMatrix(e, name)
+		return c.i.ReadMatrixFile(e, name, c.pool)
 
 	case "writeMatrix":
 		name, _ := args[0].(string)
@@ -40,7 +40,7 @@ func (c *ctx) evalBuiltin(e *ast.CallExpr, args []any) (any, error) {
 		if !ok || m == nil {
 			return nil, Errorf(e, "writeMatrix of a non-matrix or unassigned matrix")
 		}
-		return nil, c.writeMatrix(e, name, m)
+		return nil, c.i.WriteMatrixFile(e, name, m)
 
 	case "print":
 		c.i.PrintValue(args[0])
@@ -73,12 +73,4 @@ func rcElemType(info *sem.Info, e ast.Expr) *types.Type {
 		return ty.Elem
 	}
 	return nil
-}
-
-func (c *ctx) readMatrix(e *ast.CallExpr, name string) (*matrix.Matrix, error) {
-	return c.i.ReadMatrixFile(e, name)
-}
-
-func (c *ctx) writeMatrix(e *ast.CallExpr, name string, m *matrix.Matrix) error {
-	return c.i.WriteMatrixFile(e, name, m)
 }

@@ -166,18 +166,20 @@ func (i *Interp) PrintValue(v any) {
 
 // ReadMatrixFile implements the readMatrix builtin: in-memory Files
 // first, then the filesystem under Dir; either way the program's copy
-// is admitted against the budget before it is made.
-func (i *Interp) ReadMatrixFile(n ast.Node, name string) (*matrix.Matrix, error) {
+// is admitted against the budget before it is made, and an in-memory
+// one is copied over the caller's pool (nil in nested constructs).
+func (i *Interp) ReadMatrixFile(n ast.Node, name string, pool *par.Pool) (*matrix.Matrix, error) {
+	x := i.Exec(pool)
 	i.fileMu.Lock()
 	defer i.fileMu.Unlock()
 	var m *matrix.Matrix
 	var err error
 	if src, ok := i.opts.Files[name]; ok {
-		m, err = src.CopyBudgeted(i.budget)
+		m, err = src.CopyExec(x)
 	} else if i.opts.Files != nil && i.opts.Dir == "" {
 		return nil, Errorf(n, "readMatrix: no matrix %q provided", name)
 	} else {
-		m, err = matio.ReadFileBudgeted(i.budget, filepath.Join(i.opts.Dir, name))
+		m, err = matio.ReadFileBudgeted(x.Budget, filepath.Join(i.opts.Dir, name))
 	}
 	return m, WrapError(n, err)
 }

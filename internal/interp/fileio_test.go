@@ -1,7 +1,10 @@
 package interp
 
 import (
+	"errors"
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/matio"
@@ -65,16 +68,48 @@ int main() {
 
 func TestReadMatrixIsolatesCallerCopy(t *testing.T) {
 	// mutating a matrix read from Files must not corrupt the provided
-	// input for later runs.
-	orig := matrix.FromFloats([]float64{1, 2}, 2)
-	files := map[string]*matrix.Matrix{"x.data": orig}
-	mustRun(t, `
+	// input for later runs: not when the copy is cut over a pool (more
+	// than eight grains of cells), nor when the allocator refuses it.
+	src := `
 int main() {
 	Matrix float <1> m = readMatrix("x.data");
+	print(with ([0] <= [i] < [dimSize(m, 0)]) fold(+, 0.0, m[i]));
 	m[0] = 99.0;
+	m[end] = 98.0;
 	return 0;
-}`, Options{Files: files})
-	if orig.Floats()[0] != 1 {
-		t.Fatal("readMatrix must hand out a copy of the in-memory input")
+}`
+	for _, n := range []int{2, 8*matrix.ParallelGrain + 3} {
+		orig := matrix.New(matrix.Float, n)
+		for k := range orig.Floats() {
+			orig.Floats()[k] = float64(k + 1)
+		}
+		for _, threads := range []int{1, 4} {
+			matrix.ResetKernelStats()
+			_, out := mustRun(t, src, Options{Files: map[string]*matrix.Matrix{"x.data": orig}, Threads: threads})
+			if want := fmt.Sprintf("%g\n", float64(n*(n+1)/2)); out != want || orig.Floats()[0] != 1 || orig.Floats()[n-1] != float64(n) {
+				t.Fatalf("%d cells, %d threads: printed %q, want %q; readMatrix must hand out a copy of the in-memory input", n, threads, out, want)
+			}
+			want := int64(0)
+			if threads > 1 && n > 2*matrix.ParallelGrain {
+				want = 1 // the copy forks, and nothing else does
+			}
+			if parallel, _, _ := matrix.KernelStats(); parallel != want {
+				t.Errorf("%d cells, %d threads: %d constructs on the pool, want %d", n, threads, parallel, want)
+			}
+		}
+		matrix.TestHookAllocFail = func(cells int) error {
+			if cells == n {
+				return errors.New("injected allocation failure")
+			}
+			return nil
+		}
+		_, _, _, err := run(t, src, Options{Files: map[string]*matrix.Matrix{"x.data": orig}, Threads: 4})
+		matrix.TestHookAllocFail = nil
+		if err == nil || !strings.Contains(err.Error(), "3:23") || !strings.Contains(err.Error(), "injected allocation failure") {
+			t.Errorf("%d cells: a refused copy fails with %v, want the injected failure at readMatrix", n, err)
+		}
+		if orig.Floats()[0] != 1 || orig.Floats()[n-1] != float64(n) {
+			t.Errorf("%d cells: a refused copy changed the input", n)
+		}
 	}
 }

@@ -16,6 +16,7 @@ package matrix
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -214,6 +215,45 @@ const transposeCells = 128
 // selection table's tree: two a tree, float then int.
 const shapeCells = 100
 
+// rowFoldCells is the first cells value of FuzzKernelDiff that runs a
+// genarray of a row fold: one a fold kind, float, then one each int.
+const rowFoldCells = 112
+
+// rowFoldDiff runs a genarray of the row fold g wrote over a random box,
+// serial and pooled, against refPlan cell by cell, bit for bit.
+func rowFoldDiff(t *testing.T, g *planGen, float bool, pool *par.Pool) {
+	p, ok := CompileWith(testSpec(g.code, g.rank, float, float))
+	if !ok || !strings.Contains(listing(p), "foldB.rows") {
+		t.Fatalf("not a row fold (compiled %v): %+v", ok, g.code)
+	}
+	lower, upper := make([]int, g.rank), make([]int, g.rank)
+	for d := range lower {
+		lower[d] = g.r.Intn(3)
+		upper[d] = lower[d] + 1 + g.r.Intn(3)
+	}
+	upper[g.rank-1] = lower[g.rank-1] + 1 + g.r.Intn(2*p.width+3)
+	elem := map[bool]Elem{false: Int, true: Float}[float]
+	for _, x := range []Exec{{}, {Pool: pool}} {
+		run := bindRun(p, lower, upper, upper)
+		out, handled, err := GenArrayFlat(elem, run, x)
+		run.Release()
+		if !handled || err != nil {
+			t.Fatalf("box %v %v: handled %v err %v", lower, upper, handled, err)
+		}
+		indexSpace(lower, upper, func(idx []int) {
+			ids := make([]int64, len(idx))
+			for d := range idx {
+				ids[d] = int64(idx[d])
+			}
+			is, fs := refPlan(g.code, 0, len(g.code), ids, leafMats, leafI, leafF, nil, nil)
+			off, _ := out.Offset(idx)
+			if float && math.Float64bits(out.floats()[off]) != math.Float64bits(fs[0]) || !float && out.ints()[off] != is[0] {
+				t.Fatalf("box %v %v pool=%v cell %v: got %v, want %v %v\n%+v", lower, upper, x.Pool != nil, idx, out.Get(off), is, fs, g.code)
+			}
+		})
+	}
+}
+
 // FuzzKernelDiff drives random (op, shape, elem, scalar, mode)
 // combinations through every kernel and the boxed reference. A non-zero
 // cells fixes the operands' shape at 1 to 9 cells: the seeds walk every
@@ -243,10 +283,24 @@ func FuzzKernelDiff(f *testing.F) {
 			f.Add(seed, uint8(shapeCells+k))
 		}
 	}
+	for k := range 8 {
+		for seed := int64(0); seed < 3; seed++ {
+			f.Add(seed, uint8(rowFoldCells+k))
+		}
+	}
 	pool := par.NewPool(4)
 	f.Fuzz(func(t *testing.T, seed int64, cells uint8) {
 		r := rand.New(rand.NewSource(seed))
 		elems := []Elem{Float, Int, Bool}
+		if k := int(cells) - rowFoldCells; k >= 0 && k < 8 {
+			// A genarray of a row fold of each kind, float or int, from a
+			// computed or a loaded base, against the one-cell oracle.
+			rank := 1 + r.Intn(2)
+			g := &planGen{r: r, rank: rank, ids: rank}
+			g.rowFold(FoldKind(k%4), k < 4, r.Intn(2) == 0)
+			rowFoldDiff(t, g, k < 4, pool)
+			return
+		}
 		if k := int(cells) - shapeCells; k >= 0 && k < 2*len(wShapes) {
 			// A chain of one of the selection table's trees, int or float,
 			// against its stages run one at a time, serial and pooled.

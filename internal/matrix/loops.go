@@ -191,31 +191,12 @@ func (k FoldKind) String() string {
 	return "?"
 }
 
-// combineInt and combineFloat are the typed fold steps; their min/max
-// forms reproduce foldCombine's OpLt tie-breaking exactly (min of
-// equal values keeps the right operand, max keeps the left; a NaN
-// comparison is false, so min picks the right operand and max the
-// left — identical to the boxed path).
-func combineInt(kind FoldKind, a, b int64) int64 {
-	switch kind {
-	case FoldAdd:
-		return a + b
-	case FoldMul:
-		return a * b
-	case FoldMin:
-		if a < b {
-			return a
-		}
-		return b
-	default:
-		if a < b {
-			return b
-		}
-		return a
-	}
-}
-
-func combineFloat(kind FoldKind, a, b float64) float64 {
+// combine is the typed fold step; its min/max forms reproduce
+// foldCombine's OpLt tie-breaking exactly (min of equal values keeps
+// the right operand, max keeps the left; a NaN comparison is false, so
+// min picks the right operand and max the left — identical to the
+// boxed path). With kind a constant it inlines to the one step.
+func combine[T int64 | float64](kind FoldKind, a, b T) T {
 	switch kind {
 	case FoldAdd:
 		return a + b
@@ -280,7 +261,7 @@ func (a *foldAcc) combine(v any) error {
 	case faInt:
 		switch x := v.(type) {
 		case int64:
-			a.i = combineInt(a.kind, a.i, x)
+			a.i = combine(a.kind, a.i, x)
 			return nil
 		case float64:
 			if a.kind == FoldMin || a.kind == FoldMax {
@@ -291,13 +272,13 @@ func (a *foldAcc) combine(v any) error {
 				}
 				return nil
 			}
-			a.mode, a.f = faFloat, combineFloat(a.kind, float64(a.i), x)
+			a.mode, a.f = faFloat, combine(a.kind, float64(a.i), x)
 			return nil
 		}
 	case faFloat:
 		switch x := v.(type) {
 		case float64:
-			a.f = combineFloat(a.kind, a.f, x)
+			a.f = combine(a.kind, a.f, x)
 			return nil
 		case int64:
 			if a.kind == FoldMin || a.kind == FoldMax {
@@ -306,7 +287,7 @@ func (a *foldAcc) combine(v any) error {
 				}
 				return nil
 			}
-			a.f = combineFloat(a.kind, a.f, float64(x))
+			a.f = combine(a.kind, a.f, float64(x))
 			return nil
 		}
 	}

@@ -547,24 +547,36 @@ func (m *Matrix) SetAt(v any, idx ...int) error {
 }
 
 // Copy returns a deep copy (untracked) for host code, outside any
-// budget like New.
+// budget like New, made on the caller.
 func (m *Matrix) Copy() *Matrix {
-	out, err := m.CopyBudgeted(nil)
+	out, err := m.CopyExec(Exec{})
 	if err != nil {
 		panic(err)
 	}
 	return out
 }
 
-// CopyBudgeted returns a deep copy (untracked) admitted against b.
-func (m *Matrix) CopyBudgeted(b *Budget) (*Matrix, error) {
-	out, err := newKernelOut(b, m.elem, m.shape())
+// CopyExec returns a deep copy (untracked) admitted against x.Budget,
+// its cells copied in spans over x.Pool.
+func (m *Matrix) CopyExec(x Exec) (*Matrix, error) {
+	out, err := newKernelOut(x.Budget, m.elem, m.shape())
+	if err == nil {
+		err = runKernel(x, m.n, ParallelGrain, func(lo, hi int) error {
+			switch m.elem {
+			case Float:
+				copy(out.floats()[lo:hi], m.floats()[lo:hi])
+			case Int:
+				copy(out.ints()[lo:hi], m.ints()[lo:hi])
+			default:
+				copy(out.bools()[lo:hi], m.bools()[lo:hi])
+			}
+			return nil
+		})
+	}
 	if err != nil {
+		out.Recycle()
 		return nil, err
 	}
-	copy(out.floats(), m.floats())
-	copy(out.ints(), m.ints())
-	copy(out.bools(), m.bools())
 	return out, nil
 }
 

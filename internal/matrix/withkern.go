@@ -594,9 +594,9 @@ func FoldFlat(kind FoldKind, base FoldValue, r *WithRun, x Exec) (FoldValue, boo
 			flatAcc{i: foldIdentInt(kind), f: foldIdentFloat(kind)}, j.rows,
 			func(a, part flatAcc) (flatAcc, error) {
 				if floatAcc {
-					a.f = combineFloat(kind, a.f, part.f)
+					a.f = combine(kind, a.f, part.f)
 				} else {
-					a.i = combineInt(kind, a.i, part.i)
+					a.i = combine(kind, a.i, part.i)
 				}
 				return a, nil
 			})
@@ -680,7 +680,7 @@ func (j flatFold) rows(worker int, a flatAcc, r0, r1 int) (flatAcc, error) {
 		a.f = foldSlice(kind, a.f, whole.floats()[r0*j.rowLen:r1*j.rowLen])
 	default:
 		for _, v := range whole.ints()[r0*j.rowLen : r1*j.rowLen] {
-			a.f = combineFloat(kind, a.f, float64(v))
+			a.f = combine(kind, a.f, float64(v))
 		}
 	}
 	return a, nil

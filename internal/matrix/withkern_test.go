@@ -90,9 +90,9 @@ func refPlan(code []WithInstr, pc, end int, ids []int64, mats []*Matrix, sI []in
 			for !empty {
 				bi, bf := refPlan(code, pc+1, int(in.K), inner, mats, sI, sF, nil, nil)
 				if in.Op == WFoldI {
-					is[len(is)-1] = combineInt(in.Kind, is[len(is)-1], bi[0])
+					is[len(is)-1] = combine(in.Kind, is[len(is)-1], bi[0])
 				} else {
-					fs[len(fs)-1] = combineFloat(in.Kind, fs[len(fs)-1], bf[0])
+					fs[len(fs)-1] = combine(in.Kind, fs[len(fs)-1], bf[0])
 				}
 				d := n - 1
 				for ; d >= 0; d-- {
@@ -479,6 +479,36 @@ func (g *planGen) fold(float bool, depth int) {
 	g.emit(WithInstr{Op: WFoldEnd, A: int32(begin)})
 }
 
+// rowFold emits a fold whose body is one load read along its last
+// dimension — the fold's one id indexes it, the strip id the first —
+// which runs a cell at a time (foldRows): of kind, from a base that is
+// computed or a stride-1 load, over 0, 1, 3, 4, 5, 64 or 65 trips.
+func (g *planGen) rowFold(kind FoldKind, float, loadBase bool) {
+	base := leafStrip
+	if loadBase {
+		base = leafLoad
+	}
+	g.leaf(float, base, 1)
+	lo := int64(g.r.Intn(3))
+	g.emit(WithInstr{Op: WPushInt, K: lo})
+	g.emit(WithInstr{Op: WPushInt, K: lo + []int64{0, 1, 3, 4, 5, 64, 65}[g.r.Intn(7)]})
+	op, load, mat := WFoldI, WLoadI, int32(5)
+	if float {
+		op, load, mat = WFoldF, WLoadF, 4
+	}
+	begin := len(g.code)
+	g.emit(WithInstr{Op: op, A: 1, B: int32(g.ids), Kind: kind})
+	g.emit(WithInstr{Op: WPushID, A: int32(g.rank - 1)})
+	g.emit(WithInstr{Op: WPushID, A: int32(g.ids)})
+	g.emit(WithInstr{Op: load, A: mat, B: 2})
+	g.code[begin].K = int64(len(g.code))
+	g.emit(WithInstr{Op: WFoldEnd, A: int32(begin)})
+}
+
+// testRow is the last extent of the row folds' matrices: every trip
+// count rowFold draws, from every lower bound.
+const testRow = 69
+
 // testLeaves builds the runtime leaves every generated plan runs
 // against.
 func testLeaves() ([]*Matrix, []int64, []float64) {
@@ -500,11 +530,26 @@ func testLeaves() ([]*Matrix, []int64, []float64) {
 	for k := range ti.ints() {
 		ti.ints()[k] = int64((k*29)%37 - 18)
 	}
-	return []*Matrix{mi, mf, tf, ti}, []int64{3, -2}, []float64{0.625}
+	// Row folds read one of these along its last dimension, a row a cell;
+	// a sixth of the float cells are NaN, ±0 or ±Inf, for min and max.
+	// The NaN is the one arithmetic makes (inf - inf is not folded at
+	// compile time), so every NaN a fold meets has one bit pattern and
+	// results compare bit for bit whichever operand an add keeps.
+	rf, ri := New(Float, testLong, testRow), New(Int, testLong, testRow)
+	inf := math.Inf(1)
+	special := []float64{inf - inf, math.Copysign(0, -1), 0, inf, -inf}
+	for k := range rf.floats() {
+		rf.floats()[k] = float64((k*43)%37-18) * 0.131
+		if k%6 == 5 {
+			rf.floats()[k] = special[k/6%len(special)]
+		}
+		ri.ints()[k] = int64((k*31)%41 - 20)
+	}
+	return []*Matrix{mi, mf, tf, ti, rf, ri}, []int64{3, -2}, []float64{0.625}
 }
 
 func testSpec(code []WithInstr, rank int, float, outFloat bool) WithSpec {
-	return WithSpec{Code: code, Rank: rank, MatElem: []Elem{Int, Float, Float, Int},
+	return WithSpec{Code: code, Rank: rank, MatElem: []Elem{Int, Float, Float, Int, Float, Int},
 		ScalarI: 2, ScalarF: 1, Float: float, OutFloat: outFloat}
 }
 
@@ -543,13 +588,17 @@ func TestWithStripMatchesCellByCell(t *testing.T) {
 	}
 	widths := map[int]bool{}
 	seen := map[WithOp]bool{}
-	fused := map[[4]int]bool{} // entry, operand, its kind, float: one each program runs serial and pooled
-	foldLin := map[bool]bool{} // a fold reading its body in place, at stride 1 or another
-	for seed := int64(0); seed < 78; seed++ {
+	fused := map[[4]int]bool{}   // entry, operand, its kind, float: one each program runs serial and pooled
+	foldLin := map[bool]bool{}   // a fold reading its body in place, at stride 1 or another
+	rowsRan := map[[3]int]bool{} // a row fold's kind, float, pooled: run over a strip of n%4 != 0 cells
+	for seed := int64(0); seed < 94; seed++ {
 		for _, rank := range []int{1, 2, 3} {
 			float := seed%2 == 0
 			g := &planGen{r: rand.New(rand.NewSource(seed*31 + int64(rank))), rank: rank, ids: rank}
 			switch j := int(seed - 48); {
+			case j >= 30: // a row fold of each kind, int and float, from a computed base and a loaded one
+				float = (j-30)/4%2 == 0
+				g.rowFold(FoldKind(j%4), float, j >= 38)
 			case j >= 0: // each of the table's trees, int and float, its operands of each kind
 				g.tree(wShapes[j%len(wShapes)], float, leafStrip+j/10%3, 2)
 			case float:
@@ -576,11 +625,18 @@ func TestWithStripMatchesCellByCell(t *testing.T) {
 				}
 			}
 			widths[p.width] = true
+			rows := -1 // the row fold's kind
+			for _, in := range p.code {
+				if in.op == wFoldBegin && in.nest.rows {
+					rows = int(in.nest.kind)
+				}
+			}
 			for _, box := range boxes(p.width) {
 				lower, upper := box[0], box[1]
 				if len(lower) != rank {
 					continue
 				}
+				rowsBox := rows >= 0 && (upper[rank-1]-lower[rank-1])%4 != 0
 				// The oracle's value at every cell of the box, computed once:
 				// the genarray and the eight folds below all ask for it, the
 				// pooled folds from several goroutines.
@@ -642,6 +698,9 @@ func TestWithStripMatchesCellByCell(t *testing.T) {
 							t.Fatalf("seed %d box %v pool=%v cell %v: got %d want %d\n%+v", seed, box, x.Pool != nil, idx, out.ints()[off], wi, code)
 						}
 					})
+					if rowsBox {
+						rowsRan[[3]int{rows, map[bool]int{false: 0, true: 1}[float], map[bool]int{false: 0, true: 1}[x.Pool != nil]}] = true
+					}
 					for kind := FoldAdd; kind <= FoldMax; kind++ {
 						var base any = int64(2)
 						if float {
@@ -705,6 +764,15 @@ func TestWithStripMatchesCellByCell(t *testing.T) {
 	}
 	if !foldLin[true] || !foldLin[false] {
 		t.Errorf("folds reading their body in place, by stride 1 or not: %v", foldLin)
+	}
+	for kind := FoldAdd; kind <= FoldMax; kind++ {
+		for f := 0; f < 2; f++ {
+			for pooled := 0; pooled < 2; pooled++ {
+				if !rowsRan[[3]int{int(kind), f, pooled}] {
+					t.Errorf("no row fold of kind %v (float %d, pooled %d) ran over a strip of n%%4 != 0 cells", kind, f, pooled)
+				}
+			}
+		}
 	}
 }
 
@@ -1172,6 +1240,55 @@ func TestWithNestedFoldPollsContext(t *testing.T) {
 			if took > 2*time.Second {
 				t.Errorf("pooled %v fold %v: deadline of 20ms seen after %v", pooled, fold, took)
 			}
+		}
+	}
+}
+
+// TestWithRowFoldPollsContext: a row fold runs its whole inner range in
+// one instruction, so it polls the context itself. Over one strip of a
+// genarray it asks at least once every wPollCells accumulations, and a
+// context cancelled by its own n-th poll stops it there (pollCtx,
+// fuse_test.go).
+func TestWithRowFoldPollsContext(t *testing.T) {
+	const cells, trips = 5, 40000
+	m := New(Float, cells, trips)
+	for k := range m.floats() {
+		m.floats()[k] = float64(k%7) - 2.5
+	}
+	code := []WithInstr{
+		{Op: WPushFloat}, {Op: WPushInt}, {Op: WPushInt, K: trips},
+		{Op: WFoldF, A: 1, B: 1, K: 7, Kind: FoldAdd},
+		{Op: WPushID, A: 0}, {Op: WPushID, A: 1}, {Op: WLoadF, A: 0, B: 2},
+		{Op: WFoldEnd, A: 3},
+	}
+	prog, ok := CompileWith(WithSpec{Code: code, Rank: 1, MatElem: []Elem{Float}, Float: true, OutFloat: true})
+	if !ok || listing(prog) != "bcast\nfoldB.rows\nfoldE.Lin\ncopy\n" {
+		t.Fatalf("the plan is not a row fold: ok %v\n%s", ok, listing(prog))
+	}
+	run := func(at int64) (int64, error) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		pc := &pollCtx{Context: ctx, cancel: cancel, at: at}
+		r := prog.NewRun()
+		defer r.Release()
+		r.Lower[0], r.Upper[0], r.Shape[0] = 0, cells, cells
+		r.Mats[0] = m
+		out, handled, err := GenArrayFlat(Float, r, Exec{Ctx: pc})
+		if !handled {
+			t.Fatal("the genarray is not run flat")
+		}
+		if err == nil && out.floats()[cells-1] != foldSlice(FoldAdd, 0, m.floats()[(cells-1)*trips:]) {
+			t.Errorf("last cell %v", out.floats()[cells-1])
+		}
+		return pc.polls.Load(), err
+	}
+	// One poll before the strip, then one a wPollCells accumulations.
+	if polls, err := run(-1); err != nil || polls-1 < cells*trips/wPollCells {
+		t.Errorf("%d polls and %v over %d accumulations, want one every %d", polls, err, cells*trips, wPollCells)
+	}
+	for _, at := range []int64{2, 3, 8} {
+		if polls, err := run(at); !errors.Is(err, context.Canceled) || polls != at {
+			t.Errorf("cancelled at poll %d: %d polls, err %v", at, polls, err)
 		}
 	}
 }

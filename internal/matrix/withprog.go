@@ -8,8 +8,9 @@
 // The innermost id itself, plus or minus a uniform offset, is a strip
 // kept lazily (wLin): only its first cell is computed, and it becomes a
 // real strip when arithmetic consumes it. A load whose indices are all
-// uniform or lazy walks its matrix at a fixed stride — the stencil's
-// m[i, j-1] is a copy — and never builds an index strip. A stack slot at
+// uniform or lazy walks its matrix at a fixed stride and never builds an
+// index strip; at stride 1 — the stencil's m[i, j-1] — its operand is
+// the matrix's own cells, read in place. A stack slot at
 // depth d owns uniform temporary d and strip register d of its file, so
 // the strip registers number the plan's maximum live depth.
 //
@@ -76,7 +77,7 @@ const (
 	wNeg   = wDiv + 1 + iota // d = -a
 	wI2F                     // float d = float64(int a)
 	wF2I                     // int d = int64(float a)
-	wIota                    // int strip d = uniform a + i
+	wIota                    // strip d = uniform a + i, converted when flt
 	wBcast                   // strip d = uniform a
 	wCopy                    // strip d = strip a
 	wLoad                    // d = matrix slot a at idx
@@ -162,6 +163,7 @@ type wNest struct {
 	acc   int32   // strip register of the accumulator
 	begin int     // pc of the wFoldBegin
 	end   int     // pc of the wFoldEnd
+	rows  bool    // the body is one load along its last dimension: wFoldBegin runs the range (foldRows)
 }
 
 // wVal describes one value on the simulated stacks.
@@ -312,7 +314,7 @@ func (c *withCompiler) materialize(flt bool, v wVal, d int) wVal {
 	r := c.strip(flt, d)
 	var pc int
 	if v.kind == wLin {
-		pc = c.emit(wInstr{op: wIota, mode: wSS, d: r, a: v.reg})
+		pc = c.emit(wInstr{op: wIota, mode: wSS, flt: flt, d: r, a: v.reg})
 	} else {
 		pc = c.emit(wInstr{op: wBcast, mode: wSS, flt: flt, d: r, a: v.reg})
 	}
@@ -603,6 +605,10 @@ func (c *withCompiler) i2f() {
 		c.fs = append(c.fs, wVal{kind: wUU, reg: t})
 		return
 	}
+	if a.kind == wLin {
+		c.fs = append(c.fs, c.materialize(true, a, d)) // the lazy id built as floats: one pass
+		return
+	}
 	a = c.materialize(false, a, da)
 	r := c.strip(true, d)
 	c.fs = append(c.fs, wVal{kind: wSS, reg: r,
@@ -761,10 +767,27 @@ func (c *withCompiler) foldEnd(pc int, in *WithInstr) {
 		end.mode = wSU
 	} else if x, ld := c.arg(flt, false, true, v.reg, len(c.p.code)); x.kind == wLin {
 		end.mode, end.a, c.p.code[ld].op = wLin, x.reg, wNop // a load body: fold its cells in place
+		ns.rows = c.rowFold(ns, ld)
 	}
 	ns.end = c.emit(end)
 	c.open = c.open[:len(c.open)-1]
 	c.ids -= ns.n
+}
+
+// rowFold reports whether a fold's body is the load at ld alone, its one
+// id indexing the load's last (stride-1) dimension and no other: each
+// cell then folds a contiguous run of the matrix.
+func (c *withCompiler) rowFold(ns *wNest, ld int) bool {
+	idx := c.p.code[ld].idx
+	last := len(idx) - 1
+	ok := ns.n == 1 && idx[last] == wIndex{wUU, ns.id}
+	for _, ix := range idx[:last] {
+		ok = ok && ix.reg != ns.id
+	}
+	for _, in := range c.p.code[ns.begin+1:] {
+		ok = ok && in.op == wNop
+	}
+	return ok
 }
 
 // cmp compiles a comparison of the top two values of one stack into a

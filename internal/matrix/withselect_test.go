@@ -25,7 +25,8 @@ func shapeName(s wShape) string {
 
 // listing prints a strip program an instruction a line: the opcode and
 // the operand places; a selected tree by its entry and its operands'
-// places; nothing for what selection dropped.
+// places; nothing for what selection dropped. A fold that runs its
+// range a cell at a time is foldB.rows, a range built as floats iotaF.
 func listing(p *WithProg) string {
 	var b strings.Builder
 	for _, in := range p.code {
@@ -37,6 +38,10 @@ func listing(p *WithProg) string {
 			for _, x := range in.idx {
 				b.WriteString(" " + wModeNames[x.kind])
 			}
+		case in.op == wFoldBegin && in.nest.rows:
+			b.WriteString("foldB.rows")
+		case in.op == wIota && in.flt:
+			b.WriteString("iotaF")
 		case in.op <= wDiv || in.op == wLoad || in.op == wFoldEnd:
 			b.WriteString(wOpNames[in.op] + "." + wModeNames[in.mode])
 		default:
@@ -79,7 +84,7 @@ func TestWithStripShapesTable(t *testing.T) {
 // bodies the table was chosen for, as vet plans them
 // (testdata/strip_bodies.json): chain_1m's chain in two passes,
 // stencil_256x4's body in four, and temporal_mean's fold reading its
-// matrix in place, at a stride of the cube's depth.
+// matrix in place, each cell its own contiguous run of the cube.
 func TestWithStripBenchListings(t *testing.T) {
 	data, err := os.ReadFile("../../testdata/strip_bodies.json")
 	if err != nil {
@@ -97,7 +102,7 @@ func TestWithStripBenchListings(t *testing.T) {
 		{"chain_1m", 2, "fused(mul.SS add.SS left) Lin Lin Lin\nfused(mul.SU sub.SS right) Lin UU SS\n"},
 		{"stencil_256x4", 4, "sub.UU\nload.Lin\nadd.UU\nsub.UU\nfused(add.SS add.SS left) SS Lin Lin\nadd.UU\n" +
 			"load.Lin\nadd.SS\nfused(mul.US sub.SS right) UU Lin SS\nfused(mul.US add.SS right) UU SS Lin\n"},
-		{"temporal_mean", 1, "bcast\nfoldB\nfoldE.Lin\ni2f\ndiv.SU\n"},
+		{"temporal_mean", 1, "bcast\nfoldB.rows\nfoldE.Lin\ni2f\ndiv.SU\n"},
 	} {
 		p, ok := CompileWith(bodies[tc.name])
 		if !ok {
@@ -118,6 +123,52 @@ func TestWithStripBenchListings(t *testing.T) {
 		}
 		if got != tc.want {
 			t.Errorf("%s: listing\n%s", tc.name, got)
+		}
+	}
+	// A range leaf, [lo :: hi] * k as vet writes it: the ids are built as
+	// floats, one pass before the product.
+	leaf, ok := CompileWith(WithSpec{Code: []WithInstr{{Op: WPushID}, {Op: WPushScalarI}, {Op: WAddI}, {Op: WI2F}, {Op: WPushScalarF}, {Op: WMulF}},
+		Rank: 1, ScalarI: 2, ScalarF: 1, Float: true, OutFloat: true})
+	if got := listing(leaf); !ok || got != "add.UU\niotaF\nmul.SU\n" {
+		t.Errorf("range leaf: listing\n%s", got)
+	}
+}
+
+// TestWithRowFoldRule: a fold runs its range a cell at a time only when
+// its body is one load read in place, its one id indexing the load's
+// last dimension and no other.
+func TestWithRowFoldRule(t *testing.T) {
+	id := func(a int32) WithInstr { return WithInstr{Op: WPushID, A: a} }
+	load := WithInstr{Op: WLoadF, A: 0, B: 3}
+	for _, tc := range []struct {
+		name string
+		n    int32       // the fold's ids, numbered from 2: i is 0, the strip's j 1
+		body []WithInstr // what the bracket holds
+		rows bool
+	}{
+		{"m[i, j, k]", 1, []WithInstr{id(0), id(1), id(2), load}, true},
+		{"m[j, i, k]", 1, []WithInstr{id(1), id(0), id(2), load}, true},
+		{"m[k, j, k]", 1, []WithInstr{id(2), id(1), id(2), load}, false},
+		{"m[k, j, i]", 1, []WithInstr{id(2), id(1), id(0), load}, false},
+		{"m[i, k, j]", 1, []WithInstr{id(0), id(2), id(1), load}, false},
+		{"m[i, j + 1, k]", 1, []WithInstr{id(0), id(1), {Op: WPushInt, K: 1}, {Op: WAddI}, id(2), load}, false},
+		{"m[i, j, k] * 2.0", 1, []WithInstr{id(0), id(1), id(2), load, {Op: WPushFloat, F: 2}, {Op: WMulF}}, false},
+		{"m[j, k, l]", 2, []WithInstr{id(1), id(2), id(3), load}, false},
+	} {
+		code := []WithInstr{{Op: WPushFloat}}
+		for range tc.n {
+			code = append(code, WithInstr{Op: WPushInt}, WithInstr{Op: WPushInt, K: 5})
+		}
+		begin := int32(len(code))
+		code = append(append(code, WithInstr{Op: WFoldF, A: tc.n, B: 2, Kind: FoldAdd}), tc.body...)
+		code[begin].K = int64(len(code))
+		code = append(code, WithInstr{Op: WFoldEnd, A: begin})
+		p, ok := CompileWith(WithSpec{Code: code, Rank: 2, MatElem: []Elem{Float}, Float: true, OutFloat: true})
+		if !ok {
+			t.Fatalf("%s: the plan does not compile", tc.name)
+		}
+		if got := strings.Contains(listing(p), "foldB.rows"); got != tc.rows {
+			t.Errorf("%s: row fold %v, want %v\n%s", tc.name, got, tc.rows, listing(p))
 		}
 	}
 }

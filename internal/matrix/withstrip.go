@@ -260,9 +260,10 @@ func (st *wState) eval(p *WithProg, n int, x Exec) error {
 				d[i] = int64(a[i])
 			}
 		case wIota:
-			d, v := st.i.dst(in, n), ui[in.a]
-			for i := range d {
-				d[i] = v + int64(i)
+			if in.flt {
+				stripIota(st.f.dst(in, n), ui[in.a])
+			} else {
+				stripIota(st.i.dst(in, n), ui[in.a])
 			}
 		case wBcast:
 			if in.flt {
@@ -297,18 +298,24 @@ func (st *wState) eval(p *WithProg, n int, x Exec) error {
 			}
 		case wFoldBegin:
 			ns := in.nest
-			empty := false
+			skip := false
 			for d := 0; d < ns.n; d++ {
 				lo, hi := ui[ns.src[2*d]], ui[ns.src[2*d+1]]
 				b := int(ns.bound) + 2*d
 				ui[b], ui[b+1] = lo, hi
 				ui[int(ns.id)+d] = lo
 				if hi <= lo {
-					empty = true
+					skip = true // an empty range: the accumulator keeps the base
 				}
 			}
-			if empty {
-				pc = ns.end // the accumulator keeps the base
+			if ns.rows && !skip {
+				if err := st.runRowFold(in, code, n, x); err != nil {
+					return err
+				}
+				skip = true // the accumulator holds the whole fold
+			}
+			if skip {
+				pc = ns.end
 			}
 		case wFoldEnd:
 			ns := in.nest
@@ -345,6 +352,13 @@ func (st *wState) eval(p *WithProg, n int, x Exec) error {
 func stripFill[T int64 | float64](d []T, v T) {
 	for i := range d {
 		d[i] = v
+	}
+}
+
+// stripIota writes the range from v, in the strip's type.
+func stripIota[T int64 | float64](d []T, v int64) {
+	for i := range d {
+		d[i] = T(v + int64(i))
 	}
 }
 
@@ -572,7 +586,7 @@ func stripQuo(in *wInstr, f *wFile[int64], n int) error {
 
 // stripFold combines a fold body's value — a strip, a uniform at step
 // 0, or a load read in place — into the accumulator strip, cell by
-// cell, with combineInt/combineFloat's exact min/max rules.
+// cell, with combine's exact min/max rules.
 func stripFold[T int64 | float64](in *wInstr, code []wInstr, st *wState, cells func(*Matrix) []T, f *wFile[T], n int) {
 	ns := in.nest
 	acc := f.strip(ns.acc, n)
@@ -600,19 +614,83 @@ func stripFold[T int64 | float64](in *wInstr, code []wInstr, st *wState, cells f
 		}
 	case FoldMin:
 		for i := range acc {
-			if !(acc[i] < v[o]) {
-				acc[i] = v[o]
-			}
+			acc[i] = combine(FoldMin, acc[i], v[o])
 			o += step
 		}
 	default:
 		for i := range acc {
-			if acc[i] < v[o] {
-				acc[i] = v[o]
-			}
+			acc[i] = combine(FoldMax, acc[i], v[o])
 			o += step
 		}
 	}
+}
+
+// foldRows runs a row fold's whole inner range (wNest.rows): each of
+// the n cells folds its own contiguous run of the body's matrix in
+// ascending order, stripFold's combine, four cells interleaved. The
+// context is polled every wPollCells accumulations, as on the back edge.
+func foldRows[T int64 | float64](st *wState, cells func(*Matrix) []T, f *wFile[T], end *wInstr, code []wInstr, n int, x Exec) error {
+	ns, ld := end.nest, &code[end.a]
+	m := st.mats[ld.a]
+	var s [InlineRank]int
+	base, step := linear(ld.idx, st.i.u, m.strides(&s))
+	data, acc := cells(m)[base:], f.strip(ns.acc, n)
+	trips := int(st.i.u[ns.bound+1] - st.i.u[ns.bound])
+	for c := 0; c < n; c += 4 {
+		g := min(4, n-c) // a short last group repeats its last run in the spare lanes
+		for k0 := 0; k0 < trips; {
+			k1 := min(trips, k0+max(1, st.poll/g))
+			run := data[c*step+k0:]
+			foldRuns4(ns.kind, acc[c:c+g], run[:k1-k0], run[min(1, g-1)*step:], run[min(2, g-1)*step:], run[min(3, g-1)*step:])
+			if st.poll -= g * (k1 - k0); st.poll <= 0 {
+				st.poll = wPollCells
+				if err := x.cancelled(); err != nil {
+					return err
+				}
+			}
+			k0 = k1
+		}
+	}
+	return nil
+}
+
+// runRowFold runs the row fold that wFoldBegin in opens, in the file of
+// its accumulator.
+func (st *wState) runRowFold(in *wInstr, code []wInstr, n int, x Exec) error {
+	if in.flt {
+		return foldRows(st, (*Matrix).floats, &st.f, &code[in.nest.end], code, n, x)
+	}
+	return foldRows(st, (*Matrix).ints, &st.i, &code[in.nest.end], code, n, x)
+}
+
+// foldRuns4 folds four runs of r0's length into acc's cells, four or
+// fewer, each in ascending order with combine's step: four chains in
+// flight.
+func foldRuns4[T int64 | float64](kind FoldKind, acc, r0, r1, r2, r3 []T) {
+	r1, r2, r3 = r1[:len(r0)], r2[:len(r0)], r3[:len(r0)]
+	var a [4]T
+	copy(a[:], acc)
+	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+	switch kind {
+	case FoldAdd:
+		for k, v := range r0 {
+			a0, a1, a2, a3 = a0+v, a1+r1[k], a2+r2[k], a3+r3[k]
+		}
+	case FoldMul:
+		for k, v := range r0 {
+			a0, a1, a2, a3 = a0*v, a1*r1[k], a2*r2[k], a3*r3[k]
+		}
+	case FoldMin:
+		for k, v := range r0 {
+			a0, a1, a2, a3 = combine(FoldMin, a0, v), combine(FoldMin, a1, r1[k]), combine(FoldMin, a2, r2[k]), combine(FoldMin, a3, r3[k])
+		}
+	default:
+		for k, v := range r0 {
+			a0, a1, a2, a3 = combine(FoldMax, a0, v), combine(FoldMax, a1, r1[k]), combine(FoldMax, a2, r2[k]), combine(FoldMax, a3, r3[k])
+		}
+	}
+	a = [4]T{a0, a1, a2, a3}
+	copy(acc, a[:])
 }
 
 // foldSlice folds v into acc in ascending element order — the order,

@@ -204,7 +204,7 @@ func (mc *Machine) execSlow(fr *frame, in *instr) error {
 		if !ok {
 			return interp.Errorf(in.nd, "readMatrix expects a file name string")
 		}
-		m, err := mc.in.ReadMatrixFile(in.nd, name)
+		m, err := mc.in.ReadMatrixFile(in.nd, name, fr.pool)
 		if err != nil {
 			return err
 		}

@@ -2427,6 +2427,52 @@ int main() {
 	print(c[end]);
 	return 0;
 }`},
+	// Folds nested in a genarray whose body is one load read along its
+	// last dimension (foldrows_test.go; out and cells pinned at 6b7a682,
+	// where every inner index was one pass over the strip), and the Fig 1
+	// cube read into a program: the copy admitted, over the pool and
+	// inside a matrixMap body, where there is none.
+	{name: "nested_fold_rows_float", pin: &pinned{"0\n7\n1.25\n1.25\n0\n1\n1\n0\n0\n0\n1.6100000000000003\n1.6100000000000003\n1.13\n1.7300000000000004\n0.8050000000000002\n-0.125\n-1.125\n-1.125\n0\n0\n7.53\n0.018999000000000064\n-0.18999999999999984\n5.610000000000001\n1.8825\n-0.125\n0.158203125\n-1.125\n0.375\n0.375\n10.540000000000001\n0.03128157000000003\n-0.18999999999999984\n5.610000000000001\n2.108\n1\n0.177978515625\n-1.125\n1.125\n1.5\n9.250000000000002\n-0.00535511790000001\n-1.9900000000000002\n5.610000000000001\n1.541666666666667\n0.125\n-0.155731201171875\n-1.125\n1.125\n0.625\n105.24000000000007\n-8.863861550858145e-37\n-2.59\n5.810000000000001\n1.619076923076924\n8.25\n2.0449401673539243e-17\n-1.125\n1.375\n8.75\n104.65000000000005\n1.8820074504456894e-37\n-2.59\n5.810000000000001\n1.5856060606060614\n8.375\n2.5561752091924053e-18\n-1.125\n1.375\n8.875\n0\n16\n7\n7\n0\n3\n3\n0\n0\n0\n5.880000000000001\n5.880000000000001\n5.4\n7.48\n2.9400000000000004\n2.125\n-0.875\n-1.125\n0.25\n0\n13.040000000000001\n-0.20612799999999998\n-2.1199999999999997\n11.720000000000002\n3.2600000000000002\n1.625\n-0.087890625\n-3.375\n2.125\n-1.875\n22.12\n-0.17116564000000006\n-2.1199999999999997\n12.280000000000003\n4.424\n2\n0.270263671875\n-3.375\n2.875\n-1.5\n22.300000000000004\n-0.00969116220000002\n-3.92\n12.680000000000003\n3.7166666666666672\n1.875\n-0.121124267578125\n-3.375\n2.875\n-1.625\n237.4200000000001\n6.349716665148707e-37\n-5.92\n13.280000000000005\n3.652615384615386\n25.25\n1.5244099429365616e-17\n-3.375\n4.125\n21.75\n239.2000000000001\n4.301731315304433e-37\n-5.92\n13.280000000000005\n3.6242424242424263\n28.125\n-4.601115376546329e-18\n-3.375\n4.125\n24.625\n0\n27\n7.25\n7.25\n0\n6\n6\n0\n0\n0\n3.610000000000001\n3.610000000000001\n3.130000000000001\n7.73\n1.8050000000000006\n9.25\n3.25\n-1.125\n4.375\n0\n18.830000000000002\n-0.483811\n-5.289999999999999\n19.01\n4.7075000000000005\n7.25\n-0.41015625\n-5.25\n6.25\n-1.5\n27.840000000000003\n-0.1451149300000001\n-5.289999999999999\n19.570000000000004\n5.568000000000001\n10.25\n-0.01171875\n-5.25\n7\n1.5\n29.550000000000004\n0.00951853109999998\n-7.989999999999999\n19.970000000000002\n4.925000000000001\n6.75\n0.19610595703125\n-6.75\n7\n-2\n399.24000000000024\n8.364416409073583e-37\n-9.989999999999998\n22.410000000000004\n6.14215384615385\n51.5\n-7.06433875994992e-17\n-6.75\n8.25\n42.75\n403.6500000000002\n7.2591715945762285e-37\n-9.989999999999998\n22.410000000000004\n6.115909090909094\n54\n6.134820502061773e-18\n-6.75\n8.25\n45.25\n0\n55\n17.25\n17.25\n0\n15\n15\n0\n0\n0\n11.550000000000004\n11.550000000000004\n5.0500000000000025\n23.75\n5.775000000000002\n23.375\n8.375\n-1.625\n10\n0\n36.55000000000001\n-0.566775\n-10.25\n36.650000000000006\n9.137500000000003\n24.375\n-0.224609375\n-10.125\n17.375\n3.375\n52.6\n-0.2965444500000002\n-11.75\n38.010000000000005\n10.520000000000003\n28\n0.641357421875\n-12.125\n18.125\n7\n57.150000000000006\n0.03905638549999997\n-17.450000000000003\n40.21\n9.525000000000002\n31.875\n0.758392333984375\n-13.625\n19.375\n10.875\n812.2000000000003\n4.164276541785706e-36\n-20.349999999999998\n45.65000000000001\n12.495384615384621\n133.75\n-1.5925746151816928e-16\n-16.875\n20.625\n112.75\n822.2500000000005\n1.4787201396358984e-36\n-20.349999999999998\n45.65000000000001\n12.458333333333337\n138.875\n2.5732163772536893e-17\n-16.875\n20.625\n117.875\n0\n9991\n2465.25\n2465.25\n0\n4753\n4753\n0\n0\n0\n2279.53\n2279.53\n139.8900000000002\n4604.8899999999985\n1139.765\n5420.375\n667.375\n-1310.375\n1977.75\n0\n6873.79\n-176.97260300000008\n-2216.3900000000003\n6872.59\n1718.4475\n6633.625\n-334.056640625\n-3587.375\n4847.125\n619.375\n9224.920000000004\n-47.66346529000001\n-2568.1099999999997\n7232.190000000002\n1844.984\n7105.25\n298.882568359375\n-4262.375\n5441.875\n1091\n11449.550000000001\n2.4423228302999926\n-2931.47\n7550.3099999999995\n1908.2583333333343\n7797.625\n49.882354736328125\n-4473.875\n5666.875\n1783.375\n147042.62000000008\n7.167629866180603e-34\n-3696.67\n8292.530000000002\n2262.1941538461556\n42825.25\n-1.193566165140412e-14\n-5347.125\n6535.375\n36811\n149365.45\n2.686162348200407e-34\n-3696.67\n8292.530000000002\n2263.11287878788\n43394.875\n5.475224018283694e-16\n-5347.125\n6535.375\n37380.625\n", 58860}, src: nestedFoldRowsSrc(true)},
+	{name: "nested_fold_rows_int", pin: &pinned{"0\n7\n-1\n-1\n0\n1\n1\n0\n0\n0\n14\n14\n-4\n17\n4\n-4\n-5\n-5\n0\n0\n-63\n-252\n-56\n17\n-12\n-5\n10\n-5\n1\n1\n-143\n1008\n-86\n17\n-25\n-1\n40\n-5\n4\n5\n-192\n-34272\n-86\n17\n-32\n-5\n-160\n-5\n4\n1\n-3873\n4323455642275676160\n-98\n17\n-56\n-2\n0\n-5\n5\n4\n-3932\n288230376151711744\n-98\n17\n-56\n-2\n0\n-5\n5\n4\n0\n16\n6\n6\n0\n3\n3\n0\n0\n0\n54\n54\n1\n59\n25\n-2\n-5\n-5\n0\n0\n-78\n-552\n-106\n59\n-20\n-7\n10\n-15\n7\n-9\n-231\n3180\n-171\n59\n-40\n-7\n40\n-15\n10\n-9\n-398\n-62040\n-206\n59\n-63\n-9\n-160\n-15\n10\n-11\n-8884\n-6052837899185946624\n-224\n59\n-128\n-4\n0\n-15\n15\n-6\n-9011\n3170534137668829184\n-224\n59\n-128\n6\n0\n-15\n15\n4\n0\n27\n1\n1\n0\n6\n6\n0\n0\n0\n44\n44\n-12\n57\n20\n16\n10\n-5\n15\n0\n-97\n-344\n-146\n97\n-26\n2\n10\n-24\n22\n-9\n-337\n924\n-258\n97\n-60\n11\n40\n-24\n25\n0\n-613\n-44712\n-333\n97\n-91\n-6\n-160\n-30\n25\n-17\n-14870\n-8791026472627208192\n-378\n97\n-216\n-4\n0\n-30\n30\n-15\n-15139\n7493989779944505344\n-378\n97\n-216\n3\n0\n-30\n30\n-8\n0\n55\n7\n7\n0\n15\n15\n0\n0\n0\n98\n98\n-21\n126\n43\n41\n26\n-9\n35\n0\n-36\n-526\n-227\n200\n-6\n30\n50\n-48\n62\n6\n-378\n510\n-379\n200\n-63\n37\n320\n-56\n65\n13\n-852\n-38880\n-555\n200\n-132\n45\n640\n-62\n70\n21\n-30017\n2774217370460225536\n-770\n200\n-440\n10\n0\n-75\n75\n-14\n-30513\n-2449958197289549824\n-770\n200\n-440\n23\n0\n-75\n75\n-1\n0\n9991\n-65\n-65\n0\n4753\n4753\n0\n0\n0\n10309\n10309\n-9406\n19650\n4684\n5046\n293\n-6313\n6606\n0\n30255\n-40736\n-22326\n41937\n5444\n5146\n-586\n-16726\n17012\n101\n40156\n196570\n-25730\n45553\n6398\n4656\n93298\n-19426\n19391\n-389\n49052\n204432\n-29516\n49110\n5305\n5049\n12552\n-20272\n20291\n4\n-1841042\n-6413125869375586304\n-138713\n59631\n-23902\n4946\n0\n-23765\n23765\n-99\n-1931166\n-8863084066665136128\n-139196\n59631\n-24968\n4848\n0\n-23765\n23765\n-197\n", 58860}, src: nestedFoldRowsSrc(false)},
+	{name: "nested_fold_rows_special", pin: &pinned{"NaN\n0\n0\n1.5\nNaN\n-Inf\n+Inf\n1.5\n+Inf\n-Inf\n-Inf\n0\n-2.5\n-Inf\nNaN\n-Inf\n0\n+Inf\n+Inf\n1.5\n+Inf\n+Inf\n-Inf\n0\n-2.5\n-Inf\nNaN\n-Inf\n+Inf\n+Inf\nNaN\n1.5\n+Inf\n+Inf\nNaN\nNaN\nNaN\nNaN\nNaN\n+Inf\n-Inf\n-Inf\nNaN\n-Inf\n-Inf\n-Inf\n0\n-Inf\n-Inf\n-Inf\n0\n+Inf\n+Inf\n+Inf\n1.5\n1.5\n+Inf\n+Inf\n0\n+Inf\n-Inf\n-Inf\nNaN\n-Inf\n-Inf\n-Inf\n0\n-Inf\n-Inf\n-Inf\n+Inf\n+Inf\nNaN\n+Inf\n1.5\n1.5\n+Inf\n+Inf\n+Inf\n+Inf\nNaN\nNaN\nNaN\nNaN\nNaN\nNaN\nNaN\n+Inf\nNaN\nNaN\nNaN\n-Inf\n-Inf\n-Inf\n+Inf\n+Inf\n+Inf\n+Inf\nNaN\n-Inf\n-Inf\n-Inf\n+Inf\n+Inf\n+Inf\n+Inf\nNaN\nNaN\nNaN\nNaN\n0\n-Inf\n-Inf\n-Inf\nNaN\nNaN\n-Inf\n-Inf\n0\n-Inf\n+Inf\n+Inf\n+Inf\n+Inf\n+Inf\n+Inf\n+Inf\n+Inf\n+Inf\n+Inf\n0\n-Inf\n-Inf\n-Inf\nNaN\nNaN\n-Inf\n-Inf\n0\n-Inf\n+Inf\n+Inf\nNaN\n+Inf\n+Inf\n+Inf\n+Inf\n+Inf\n+Inf\n+Inf\nNaN\nNaN\nNaN\nNaN\nNaN\nNaN\nNaN\nNaN\nNaN\nNaN\n", 1181}, src: nestedFoldRowsSpecialSrc},
+	{name: "nested_fold_rows_near_miss", pin: &pinned{"0\n-9\n0\n0\n-1.125\n-1.125\n3.2200000000000006\n-0.74\n-1.125\n0.375\n15.06\n-0.74\n0\n1.125\n21.080000000000002\n-0.74\n-0.875\n1.125\n18.500000000000004\n-3.9800000000000004\n7.25\n1.375\n210.48000000000013\n-5.18\n7.375\n1.375\n209.3000000000001\n-5.18\n0\n-27\n0\n0\n-0.875\n-0.875\n11.760000000000002\n-1.0199999999999998\n-1.375\n2.125\n26.080000000000002\n-4.6\n-1\n2.875\n44.24\n-4.6\n-1.125\n2.875\n44.60000000000001\n-7.84\n22.25\n4.125\n474.8400000000002\n-11.84\n25.125\n4.125\n478.4000000000002\n-11.84\n0\n-54\n0\n0\n3.25\n3.25\n7.220000000000002\n-6.9399999999999995\n1.25\n6.25\n37.660000000000004\n-10.94\n4.25\n7\n55.68000000000001\n-10.94\n0.75\n7\n59.10000000000001\n-15.979999999999999\n45.5\n8.25\n798.4800000000005\n-19.979999999999997\n48\n8.25\n807.3000000000004\n-19.979999999999997\n0\n-135\n0\n0\n8.375\n8.375\n23.10000000000001\n-8.2\n9.375\n17.375\n73.10000000000002\n-21.159999999999997\n13\n18.125\n105.2\n-23.86\n16.875\n19.375\n114.30000000000001\n-34.900000000000006\n118.75\n20.625\n1624.4000000000005\n-40.699999999999996\n123.875\n20.625\n1644.500000000001\n-40.699999999999996\n0\n-42777\n0\n0\n667.375\n667.375\n4559.06\n-1366.9799999999998\n1880.625\n4847.125\n13747.58\n-3961.740000000002\n2352.25\n5441.875\n18449.840000000007\n-4805.280000000001\n3044.625\n5666.875\n22899.100000000002\n-5719.74\n38072.25\n6535.375\n294085.24000000017\n-7393.34\n38641.875\n6535.375\n298730.9\n-7393.34\n", 50544}, src: nestedFoldNearMissSrc()},
+	{name: "err_readmatrix_oom", pin: &pinned{"1\n", 12}, errIs: "err_readmatrix_oom.xc:6:25: runtime error [trap:oom]: matrix: allocation of 36864 cells exceeds the budget (12 of 1000 cells already used)", live: 0,
+		opts: interp.Options{MaxCells: 1000, Files: map[string]*matrix.Matrix{"cube.data": sshCube(24, 24, 64, 3)}}, src: `
+int main() {
+	Matrix float <1> m = [0 :: 3] * 1.0;
+	refcounted Matrix float <1> * c = rcnew(m);
+	print(1);
+	Matrix float <3> big = readMatrix("cube.data");
+	print(2);
+	return 0;
+}`},
+	{name: "readmatrix_in_map", pin: &pinned{"9.67\n833361.4279687494\n0.84\n19.84\n0.84\n", 184944},
+		opts: interp.Options{Files: map[string]*matrix.Matrix{"cube.data": sshCube(24, 24, 64, 3)}}, src: `
+Matrix float <1> addCube(Matrix float <1> v) {
+	Matrix float <3> c = readMatrix("cube.data");
+	c[1, 2, 3] = c[1, 2, 3] + v[0];
+	return v + c[1, 2, 3];
+}
+int main() {
+	Matrix float <3> big = readMatrix("cube.data");
+	print(big[23, 23, 63]);
+	Matrix float <2> means;
+	means = with ([0, 0] <= [i, j] < [24, 24]) genarray([24, 24], with ([0] <= [k] < [64]) fold(+, 0.0, big[i, j, k]) / 64);
+	float s = 0.0;
+	for (int i = 0; i < 24; i++) {
+		for (int j = 0; j < 24; j++) { s = s + means[i, j] * (i * 24 + j + 1); }
+	}
+	print(s);
+	Matrix float <2> m;
+	m = with ([0, 0] <= [i, j] < [3, 4]) genarray([3, 4], 1.0 * (i * 4 + j));
+	Matrix float <2> r = matrixMap(addCube, m, [1]);
+	print(r[0, 0]);
+	print(r[2, 3]);
+	big[1, 2, 3] = 99.0;
+	Matrix float <3> again = readMatrix("cube.data");
+	print(again[1, 2, 3]);
+	return 0;
+}`},
 }
 
 func TestVMDifferentialCorpus(t *testing.T) {
