@@ -5,7 +5,8 @@
 #   - gofmt, go vet, staticcheck (CM_SKIP_STATICCHECK=1 opts out offline)
 #   - guards: unsafe only in internal/matrix/matrix.go; interp.New only in internal/driver/driver.go;
 #     whole-matrix arithmetic on the strip engine alone (no ew*/bc* loops; floatScratch for matmul, conv, SetIndex)
-#   - go build, then go test (the allocation ceilings of alloc_ceiling_test.go included)
+#   - go build; no binary of cmd/ links a test-only symbol (matrix *Ref, loopir.(*Env));
+#     then go test (the allocation ceilings of alloc_ceiling_test.go included)
 #   - go test -race, a package at a time (-race turns checkptr on over the matrix header)
 #   - the strip engine and the fused corpus entries on a GOAMD64=v3 build (FMA hardware)
 #   - the C back end against the interpreter (gcc-guarded)
@@ -75,6 +76,20 @@ fi
 
 echo "== go build =="
 go build ./...
+
+echo "== no production binary links a test-only symbol (the matrix *Ref oracles, the loop-IR interpreter) =="
+cmd_bin=$(mktemp -d)
+go build -o "$cmd_bin/" ./cmd/...
+for bin in "$cmd_bin"/*; do
+    oracles=$(go tool nm "$bin" | awk '$3 ~ /^repro\/internal\/matrix\.[A-Za-z0-9_]*Ref$/ || $3 ~ /^repro\/internal\/loopir\.\(\*Env\)/ {print $3}')
+    if [ -n "$oracles" ]; then
+        echo "$(basename "$bin") links test-only symbols:" >&2
+        echo "$oracles" >&2
+        rm -rf "$cmd_bin"
+        exit 1
+    fi
+done
+rm -rf "$cmd_bin"
 
 echo "== go test =="
 go test ./...

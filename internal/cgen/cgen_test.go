@@ -312,6 +312,9 @@ int main() {
 	print(rcget(p));
 	print(dimSize(odds, 0));
 	print(b[1, 2]);
+	print(with ([0] <= [i] < [4]) fold(min, 5.0, i + 1) / 2);
+	float h = with ([0] <= [i] < [4]) fold(max, 0.5, i) / 2;
+	print(h);
 	for (int i = 0; i < 3; i++) {
 		if (i == 1) { continue; }
 		print(i);

@@ -310,3 +310,19 @@ func ZeroValue(ty *types.Type) any {
 	}
 	return nil
 }
+
+// FoldKindOf maps the parsed fold operator to the engines': the tree
+// walker, the VM and vet's plan builder all take it from here.
+func FoldKindOf(k ast.FoldKind) (matrix.FoldKind, bool) {
+	switch k {
+	case ast.FoldAdd:
+		return matrix.FoldAdd, true
+	case ast.FoldMul:
+		return matrix.FoldMul, true
+	case ast.FoldMin:
+		return matrix.FoldMin, true
+	case ast.FoldMax:
+		return matrix.FoldMax, true
+	}
+	return 0, false
+}

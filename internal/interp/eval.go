@@ -741,23 +741,27 @@ func (c *ctx) evalWithLoop(w *ast.WithLoop) (any, error) {
 		out, err := matrix.GenArrayExec(elem, lower, upper, shape, body(op.Body), c.exec())
 		return out, WrapError(w, err)
 	case *ast.FoldOp:
-		base, err := c.evalExpr(op.Init)
+		init, err := c.evalExpr(op.Init)
 		if err != nil {
 			return nil, err
 		}
-		kind := map[ast.FoldKind]matrix.FoldKind{
-			ast.FoldAdd: matrix.FoldAdd, ast.FoldMul: matrix.FoldMul,
-			ast.FoldMin: matrix.FoldMin, ast.FoldMax: matrix.FoldMax,
-		}[op.Kind]
-		// Promote the base to float when the loop's static type is
-		// float, so int literals fold correctly with float bodies.
-		if ty := c.i.info.TypeOf(w); ty.Kind == types.Float {
-			if iv, ok := base.(int64); ok {
-				base = float64(iv)
-			}
+		kind, _ := FoldKindOf(op.Kind)
+		// The fold runs in its static type: an int base is promoted up
+		// front when that is float, and an int body value as it combines.
+		var base matrix.FoldValue
+		switch x := init.(type) {
+		case int64:
+			base = matrix.FoldValue{I: x, F: float64(x), Float: c.i.info.TypeOf(w).Kind == types.Float}
+		case float64:
+			base = matrix.FoldValue{F: x, Float: true}
+		default:
+			return nil, Errorf(op.Init, "fold base value must be numeric, got %T", init)
 		}
 		out, err := matrix.FoldExec(kind, base, lower, upper, body(op.Body), c.exec())
-		return out, WrapError(w, err)
+		if err != nil {
+			return nil, WrapError(w, err)
+		}
+		return out.Any(), nil
 	}
 	return nil, Errorf(w, "unknown with-loop operation %T", w.Op)
 }

@@ -147,7 +147,7 @@ func TestFoldAbortsAfterFirstError(t *testing.T) {
 	pool := par.NewPool(1)
 	bad := errors.New("poisoned element")
 	var calls atomic.Int64
-	_, err := FoldExec(FoldAdd, float64(0), []int{0}, []int{1000},
+	_, err := foldExecAny(FoldAdd, float64(0), []int{0}, []int{1000},
 		func(idx []int) (any, error) {
 			calls.Add(1)
 			return nil, bad
@@ -227,7 +227,7 @@ func TestGenArrayBodyPanicSurfacesAsError(t *testing.T) {
 			return err
 		},
 		"FoldExec": func() error {
-			_, err := FoldExec(FoldAdd, 0.0, []int{0}, []int{100}, crashing, Exec{})
+			_, err := foldExecAny(FoldAdd, 0.0, []int{0}, []int{100}, crashing, Exec{})
 			return err
 		},
 		"MatrixMapExec": func() error {
@@ -268,7 +268,7 @@ func TestOneWorkerPollsBetweenRows(t *testing.T) {
 				return err
 			},
 			"FoldExec": func(x Exec, row func()) error {
-				_, err := FoldExec(FoldAdd, 0.0, []int{0}, []int{rows},
+				_, err := foldExecAny(FoldAdd, 0.0, []int{0}, []int{rows},
 					func([]int) (any, error) { row(); return 0.0, nil }, x)
 				return err
 			},

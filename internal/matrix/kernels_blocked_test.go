@@ -7,6 +7,7 @@ package matrix
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -241,7 +242,7 @@ func TestFoldExecTypedAccumulator(t *testing.T) {
 	// runtime's static cache: every allocation left is FoldExec's own.
 	body := func(idx []int) (any, error) { return int64(idx[0] + idx[1]), nil }
 	lower, upper := []int{0, 0}, []int{16, 64}
-	got, err := FoldExec(FoldAdd, int64(0), lower, upper, body, Exec{})
+	got, err := FoldExec(FoldAdd, FoldValue{}, lower, upper, body, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,42 +252,76 @@ func TestFoldExecTypedAccumulator(t *testing.T) {
 			want += int64(i + j)
 		}
 	}
-	if got.(int64) != want {
-		t.Fatalf("fold sum = %v, want %d", got, want)
+	if got != (FoldValue{I: want}) {
+		t.Fatalf("fold sum = %+v, want %d", got, want)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := FoldExec(FoldAdd, int64(0), lower, upper, body, Exec{}); err != nil {
+		if _, err := FoldExec(FoldAdd, FoldValue{}, lower, upper, body, Exec{}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	// The accumulator combines unboxed; only fixed per-call setup (the
-	// index slice, the final boxed result) may allocate — never one
-	// object per element as the boxed foldCombine path did.
+	// index slice, the row function) may allocate — never one object per
+	// element.
 	if allocs > 16 {
 		t.Errorf("FoldExec allocated %.0f objects for a 1024-element typed fold", allocs)
 	}
-	// Mixed int/float min must still match the boxed oracle: the int
-	// lane -3 loses to the float lane's -9.5 and the winner keeps its
-	// dynamic type.
-	mix := func(idx []int) (any, error) {
-		if idx[0]%2 == 0 {
-			return int64(idx[0] - 3), nil
+}
+
+// TestFoldFloatBaseIntBody: a fold's value has its static type. Over an
+// int body a float base folds every kind in float, each int promoted as
+// it combines — min and max included, so a winner does not keep its int
+// type — and FoldExec and FoldFlat return the same bits at every worker
+// count, folding the cells where they lie and in strips (m[i] + 0).
+// The values are exact under + and *, so every worker split gives the
+// serial result; under min and max they include ints beyond 2^53, where
+// two ints can convert to one float, and the bases include a NaN.
+func TestFoldFloatBaseIntBody(t *testing.T) {
+	const n = 41
+	small, big := New(Int, n), New(Int, n)
+	for k := range n {
+		small.ints()[k] = []int64{1, -2, 3, 1, -1, 2}[k%6]
+		big.ints()[k] = 1<<53 + int64(k*7%5) - 2
+	}
+	load := []WithInstr{{Op: WPushID, A: 0}, {Op: WLoadI, A: 0, B: 1}}
+	var progs []*WithProg
+	for _, code := range [][]WithInstr{load, append(load, WithInstr{Op: WPushInt}, WithInstr{Op: WAddI})} {
+		p, ok := CompileWith(WithSpec{Code: code, Rank: 1, MatElem: []Elem{Int}, OutFloat: true})
+		if !ok {
+			t.Fatal("plan does not compile")
 		}
-		return float64(idx[0]) - 10.5, nil
+		progs = append(progs, p)
 	}
-	got, err = FoldExec(FoldMin, int64(100), []int{0}, []int{9}, mix, Exec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := got.(float64); !ok || v != -9.5 {
-		t.Fatalf("mixed min = %#v, want float64 -9.5", got)
-	}
-	gotInt, err := FoldExec(FoldMin, int64(100), []int{0}, []int{9},
-		func(idx []int) (any, error) { return int64(idx[0] - 3), nil }, Exec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := gotInt.(int64); !ok || v != -3 {
-		t.Fatalf("int min = %#v, want int64 -3", gotInt)
+	for kind := FoldAdd; kind <= FoldMax; kind++ {
+		mats := []*Matrix{small}
+		if kind == FoldMin || kind == FoldMax {
+			mats = append(mats, big)
+		}
+		for _, m := range mats {
+			for _, b := range []float64{0.5, math.NaN(), -7.25} {
+				base := FoldValue{F: b, Float: true}
+				want := b
+				for _, v := range m.ints() {
+					want = combine(kind, want, float64(v))
+				}
+				body := func(idx []int) (any, error) { return m.ints()[idx[0]], nil }
+				for _, workers := range []int{1, 2, 3, 4, 7} {
+					x := Exec{Pool: par.NewPool(workers)}
+					got, err := FoldExec(kind, base, []int{0}, []int{n}, body, x)
+					if err != nil || !got.Float || math.Float64bits(got.F) != math.Float64bits(want) {
+						t.Errorf("FoldExec %v from %v, %d workers: %+v, %v; want float %v", kind, b, workers, got, err, want)
+					}
+					for k, p := range progs {
+						run := p.NewRun()
+						run.Lower[0], run.Upper[0], run.Mats[0] = 0, n, m
+						flat, handled, err := FoldFlat(kind, base, run, x)
+						run.Release()
+						if !handled || err != nil || !flat.Float || math.Float64bits(flat.F) != math.Float64bits(got.F) {
+							t.Errorf("FoldFlat %v from %v, %d workers, plan %d: %+v, handled=%v, %v; FoldExec %+v", kind, b, workers, k, flat, handled, err, got)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -191,11 +191,10 @@ func (k FoldKind) String() string {
 	return "?"
 }
 
-// combine is the typed fold step; its min/max forms reproduce
-// foldCombine's OpLt tie-breaking exactly (min of equal values keeps
-// the right operand, max keeps the left; a NaN comparison is false, so
-// min picks the right operand and max the left — identical to the
-// boxed path). With kind a constant it inlines to the one step.
+// combine is the typed fold step. Of two equal values min keeps the
+// right operand and max the left; a comparison with a NaN is false, so
+// min takes the right operand and max keeps the left. With kind a
+// constant it inlines to the one step.
 func combine[T int64 | float64](kind FoldKind, a, b T) T {
 	switch kind {
 	case FoldAdd:
@@ -215,132 +214,81 @@ func combine[T int64 | float64](kind FoldKind, a, b T) T {
 	}
 }
 
-// foldAcc is FoldExec's accumulator: typed int/float lanes so the
-// common folds never re-box the accumulator through interface{} per
-// element, plus a boxed lane that reproduces foldCombine verbatim for
-// anything else (including its error texts). Lane switches follow
-// scalarOp promotion for add/mul; min/max keep the winning operand's
-// own type, exactly as the boxed OpLt path does.
-type foldAcc struct {
-	kind FoldKind
-	mode uint8 // faInt | faFloat | faBoxed
-	i    int64
-	f    float64
-	v    any
+// FoldValue is a fold's base, accumulator and result, in the fold's
+// static type: F when Float, else I — the lane, and the register class,
+// the fold runs in.
+type FoldValue struct {
+	I     int64
+	F     float64
+	Float bool
 }
 
-const (
-	faInt uint8 = iota
-	faFloat
-	faBoxed
-)
+// Any boxes the value.
+func (v FoldValue) Any() any {
+	if v.Float {
+		return v.F
+	}
+	return v.I
+}
 
-func newFoldAcc(kind FoldKind, init any) foldAcc {
-	switch x := init.(type) {
+// add combines one body value into v. An int promotes as it combines
+// into a float accumulator, under min and max as under + and *, as the
+// C back end's accumulator of the fold's type does. A float body makes
+// a float fold, so no float meets an int accumulator.
+func (v *FoldValue) add(kind FoldKind, x any) error {
+	switch x := x.(type) {
 	case int64:
-		return foldAcc{kind: kind, mode: faInt, i: x}
+		if v.Float {
+			v.F = combine(kind, v.F, float64(x))
+		} else {
+			v.I = combine(kind, v.I, x)
+		}
+		return nil
 	case float64:
-		return foldAcc{kind: kind, mode: faFloat, f: x}
+		if v.Float {
+			v.F = combine(kind, v.F, x)
+			return nil
+		}
 	}
-	return foldAcc{kind: kind, mode: faBoxed, v: init}
+	return fmt.Errorf("matrix: fold(%s) cannot combine %T into %T", kind, x, v.Any())
 }
 
-// value boxes the accumulator back to the interface form callers see.
-func (a *foldAcc) value() any {
-	switch a.mode {
-	case faInt:
-		return a.i
-	case faFloat:
-		return a.f
-	}
-	return a.v
+// identity is kind's identity in v's type: where a pooled fold's
+// partials start.
+func (v FoldValue) identity(kind FoldKind) FoldValue {
+	return FoldValue{I: foldIdentInt(kind), F: foldIdentFloat(kind), Float: v.Float}
 }
 
-func (a *foldAcc) combine(v any) error {
-	switch a.mode {
-	case faInt:
-		switch x := v.(type) {
-		case int64:
-			a.i = combine(a.kind, a.i, x)
-			return nil
-		case float64:
-			if a.kind == FoldMin || a.kind == FoldMax {
-				// The winner keeps its own type, like foldCombine's
-				// OpLt path returning a or b unconverted.
-				if (float64(a.i) < x) == (a.kind == FoldMax) {
-					a.mode, a.f = faFloat, x
-				}
-				return nil
-			}
-			a.mode, a.f = faFloat, combine(a.kind, float64(a.i), x)
-			return nil
-		}
-	case faFloat:
-		switch x := v.(type) {
-		case float64:
-			a.f = combine(a.kind, a.f, x)
-			return nil
-		case int64:
-			if a.kind == FoldMin || a.kind == FoldMax {
-				if (a.f < float64(x)) == (a.kind == FoldMax) {
-					a.mode, a.i = faInt, x
-				}
-				return nil
-			}
-			a.f = combine(a.kind, a.f, float64(x))
-			return nil
-		}
+// merge combines a pooled fold's partial onto the running value, in
+// worker order: par.Fold's combine for FoldExec and FoldFlat alike.
+func (k FoldKind) merge(a, part FoldValue) (FoldValue, error) {
+	if a.Float {
+		a.F = combine(k, a.F, part.F)
+	} else {
+		a.I = combine(k, a.I, part.I)
 	}
-	// Anything else goes through the boxed reference path.
-	nv, err := foldCombine(a.kind, a.value(), v)
-	if err != nil {
-		return err
-	}
-	*a = newFoldAcc(a.kind, nv)
-	return nil
-}
-
-func foldCombine(kind FoldKind, a, b any) (any, error) {
-	switch kind {
-	case FoldAdd:
-		return scalarOp(OpAdd, a, b)
-	case FoldMul:
-		return scalarOp(OpMul, a, b)
-	case FoldMin, FoldMax:
-		lt, err := scalarOp(OpLt, a, b)
-		if err != nil {
-			return nil, err
-		}
-		if lt.(bool) == (kind == FoldMin) {
-			return a, nil
-		}
-		return b, nil
-	}
-	return nil, fmt.Errorf("matrix: unknown fold kind %d", kind)
+	return a, nil
 }
 
 // FoldExec reduces body over the generator box with the associative
-// operator, starting from base: par.Fold over the rows of the outermost
-// dimension, each folded element by element. With more than one worker
-// the rows are folded in per-worker partials seeded with the identity
-// and combined onto base in worker order — valid because the fold
-// operators are associative and commutative, and a pure function of
-// (rows, workers), so a float fold returns the same bits on every run.
-func FoldExec(kind FoldKind, base any, lower, upper []int, body BodyFunc, x Exec) (any, error) {
+// operator, starting from base, in base's type: par.Fold over the rows
+// of the outermost dimension, each folded element by element. With more
+// than one worker the rows are folded in per-worker partials seeded
+// with the identity and combined onto base in worker order — valid
+// because the fold operators are associative and commutative, and a
+// pure function of (rows, workers), so a float fold returns the same
+// bits on every run.
+func FoldExec(kind FoldKind, base FoldValue, lower, upper []int, body BodyFunc, x Exec) (FoldValue, error) {
 	if len(lower) != len(upper) {
-		return nil, fmt.Errorf("matrix: fold generator rank mismatch")
+		return base, fmt.Errorf("matrix: fold generator rank mismatch")
 	}
 	if len(lower) == 0 {
 		return base, nil
 	}
-	ident, err := foldIdentity(kind, base)
-	if err != nil {
-		return nil, err
-	}
 	rank := len(lower)
 	idxs := newWorkerIdx(x.Pool, rank)
-	acc, err := par.Fold(x.Pool, x.Ctx, lower[0], upper[0], 1, newFoldAcc(kind, base), newFoldAcc(kind, ident),
-		func(worker int, acc foldAcc, i0, _ int) (foldAcc, error) {
+	return par.Fold(x.Pool, x.Ctx, lower[0], upper[0], 1, base, base.identity(kind),
+		func(worker int, acc FoldValue, i0, _ int) (FoldValue, error) {
 			idx := idxs.of(worker)
 			copy(idx, lower)
 			idx[0] = i0
@@ -354,7 +302,7 @@ func FoldExec(kind FoldKind, base any, lower, upper []int, body BodyFunc, x Exec
 				if err != nil {
 					return acc, err
 				}
-				if err := acc.combine(v); err != nil {
+				if err := acc.add(kind, v); err != nil {
 					return acc, err
 				}
 				d := rank - 1
@@ -369,29 +317,7 @@ func FoldExec(kind FoldKind, base any, lower, upper []int, body BodyFunc, x Exec
 					return acc, nil
 				}
 			}
-		},
-		func(a, part foldAcc) (foldAcc, error) {
-			err := a.combine(part.value())
-			return a, err
-		})
-	if err != nil {
-		return nil, err
-	}
-	return acc.value(), nil
-}
-
-// foldIdentity returns the identity element of kind in the numeric
-// type of base.
-func foldIdentity(kind FoldKind, base any) (any, error) {
-	switch kind {
-	case FoldAdd, FoldMul, FoldMin, FoldMax:
-	default:
-		return nil, fmt.Errorf("matrix: unknown fold kind %d", kind)
-	}
-	if _, isInt := toInt(base); isInt {
-		return foldIdentInt(kind), nil
-	}
-	return foldIdentFloat(kind), nil
+		}, kind.merge)
 }
 
 // foldIdentInt / foldIdentFloat are the true identities of each fold

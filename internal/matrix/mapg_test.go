@@ -120,12 +120,12 @@ func TestMatrixMapGErrors(t *testing.T) {
 func TestFoldMulIdentityAndFloat(t *testing.T) {
 	// exercise the float multiplicative identity path
 	pool := par.NewPool(3)
-	prod, err := FoldExec(FoldMul, 1.0, []int{0}, []int{6},
+	prod, err := foldExecAny(FoldMul, 1.0, []int{0}, []int{6},
 		func(idx []int) (any, error) { return 1.0 + float64(idx[0])*0.0, nil }, Exec{Pool: pool})
 	if err != nil || prod.(float64) != 1.0 {
 		t.Fatalf("prod = %v (%v)", prod, err)
 	}
-	mn, err := FoldExec(FoldMin, 100.0, []int{0}, []int{8},
+	mn, err := foldExecAny(FoldMin, 100.0, []int{0}, []int{8},
 		func(idx []int) (any, error) { return float64(10 - idx[0]), nil }, Exec{Pool: pool})
 	if err != nil || mn.(float64) != 3.0 {
 		t.Fatalf("min = %v (%v)", mn, err)

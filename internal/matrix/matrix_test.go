@@ -350,30 +350,30 @@ func TestGenArraySupersetCheck(t *testing.T) {
 
 func TestFoldKinds(t *testing.T) {
 	body := func(idx []int) (any, error) { return int64(idx[0]), nil }
-	sum, err := FoldExec(FoldAdd, int64(0), []int{0}, []int{10}, body, Exec{})
+	sum, err := foldExecAny(FoldAdd, int64(0), []int{0}, []int{10}, body, Exec{})
 	if err != nil || sum.(int64) != 45 {
 		t.Errorf("fold + = %v (%v)", sum, err)
 	}
-	prod, err := FoldExec(FoldMul, int64(1), []int{1}, []int{5}, body, Exec{})
+	prod, err := foldExecAny(FoldMul, int64(1), []int{1}, []int{5}, body, Exec{})
 	if err != nil || prod.(int64) != 24 {
 		t.Errorf("fold * = %v (%v)", prod, err)
 	}
-	mn, err := FoldExec(FoldMin, int64(100), []int{3}, []int{9}, body, Exec{})
+	mn, err := foldExecAny(FoldMin, int64(100), []int{3}, []int{9}, body, Exec{})
 	if err != nil || mn.(int64) != 3 {
 		t.Errorf("fold min = %v (%v)", mn, err)
 	}
-	mx, err := FoldExec(FoldMax, int64(-100), []int{3}, []int{9}, body, Exec{})
+	mx, err := foldExecAny(FoldMax, int64(-100), []int{3}, []int{9}, body, Exec{})
 	if err != nil || mx.(int64) != 8 {
 		t.Errorf("fold max = %v (%v)", mx, err)
 	}
 	// float fold (Fig 1's temporal mean numerator)
-	fsum, err := FoldExec(FoldAdd, 0.0, []int{0}, []int{4},
+	fsum, err := foldExecAny(FoldAdd, 0.0, []int{0}, []int{4},
 		func(idx []int) (any, error) { return float64(idx[0]) + 0.5, nil }, Exec{})
 	if err != nil || fsum.(float64) != 8.0 {
 		t.Errorf("float fold = %v (%v)", fsum, err)
 	}
 	// empty generator returns base
-	e, err := FoldExec(FoldAdd, int64(7), []int{5}, []int{5}, body, Exec{})
+	e, err := foldExecAny(FoldAdd, int64(7), []int{5}, []int{5}, body, Exec{})
 	if err != nil || e.(int64) != 7 {
 		t.Errorf("empty fold = %v (%v)", e, err)
 	}

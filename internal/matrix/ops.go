@@ -367,9 +367,9 @@ func Conv2DRef(src, kern *Matrix) (*Matrix, error) {
 	return out, nil
 }
 
-// ReduceAxisRef is the boxed per-element reference for ReduceAxis:
-// foldCombine over the axis in ascending order — the same order the
-// specialized kernel uses, so float sums compare exactly.
+// ReduceAxisRef is the boxed per-element reference for ReduceAxis: the
+// fold step over the axis in ascending order from its first cell — the
+// same order the specialized kernel uses, so float sums compare exactly.
 func ReduceAxisRef(kind FoldKind, m *Matrix, axis int) (*Matrix, error) {
 	if m.elem == Bool {
 		return nil, fmt.Errorf("matrix: reduce requires a numeric matrix")
@@ -396,24 +396,17 @@ func ReduceAxisRef(kind FoldKind, m *Matrix, axis int) (*Matrix, error) {
 	out := New(m.elem, outShape...)
 	for o := 0; o < outer; o++ {
 		for j := 0; j < inner; j++ {
-			var acc any
-			if axisN == 0 {
-				if m.elem == Int {
-					acc = foldIdentInt(kind)
-				} else {
-					acc = foldIdentFloat(kind)
-				}
-			} else {
-				acc = m.Get(o*axisN*inner + j)
-				for a := 1; a < axisN; a++ {
-					var err error
-					acc, err = foldCombine(kind, acc, m.Get(o*axisN*inner+a*inner+j))
-					if err != nil {
-						return nil, err
-					}
+			acc := FoldValue{Float: m.elem == Float}.identity(kind)
+			for a := 0; a < axisN; a++ {
+				v := m.Get(o*axisN*inner + a*inner + j)
+				if a == 0 { // the first cell starts the fold, as in the kernel
+					acc.I, _ = v.(int64)
+					acc.F, _ = v.(float64)
+				} else if err := acc.add(kind, v); err != nil {
+					return nil, err
 				}
 			}
-			if err := out.Set(o*inner+j, acc); err != nil {
+			if err := out.Set(o*inner+j, acc.Any()); err != nil {
 				return nil, err
 			}
 		}

@@ -45,11 +45,11 @@ func TestQuickParallelFoldMatchesSequential(t *testing.T) {
 		n := 1 + r.Intn(100)
 		body := func(idx []int) (any, error) { return int64(idx[0] % 17), nil }
 		for _, kind := range []FoldKind{FoldAdd, FoldMin, FoldMax} {
-			seq, err := FoldExec(kind, int64(5), []int{0}, []int{n}, body, Exec{})
+			seq, err := foldExecAny(kind, int64(5), []int{0}, []int{n}, body, Exec{})
 			if err != nil {
 				return false
 			}
-			parl, err := FoldExec(kind, int64(5), []int{0}, []int{n}, body, Exec{Pool: pool})
+			parl, err := foldExecAny(kind, int64(5), []int{0}, []int{n}, body, Exec{Pool: pool})
 			if err != nil {
 				return false
 			}
@@ -94,7 +94,7 @@ func TestTemporalMeanWithLoops(t *testing.T) {
 	means, err := GenArrayExec(Float, []int{0, 0}, []int{m, n}, []int{m, n},
 		func(idx []int) (any, error) {
 			i, j := idx[0], idx[1]
-			sum, err := FoldExec(FoldAdd, 0.0, []int{0}, []int{p},
+			sum, err := foldExecAny(FoldAdd, 0.0, []int{0}, []int{p},
 				func(kidx []int) (any, error) {
 					v, err := mat.At(i, j, kidx[0])
 					if err != nil {
@@ -249,7 +249,7 @@ func TestPooledFoldBitsAreStable(t *testing.T) {
 		want float64
 	}{{"three workers", par.NewPool(workers), want}, {"one worker", par.NewPool(1), serial}, {"nil pool", nil, serial}} {
 		for run := 0; run < 200; run++ {
-			got, err := FoldExec(FoldAdd, base, []int{0, 0}, []int{rows, cols}, body, Exec{Pool: tc.pool})
+			got, err := foldExecAny(FoldAdd, base, []int{0, 0}, []int{rows, cols}, body, Exec{Pool: tc.pool})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -327,7 +327,7 @@ func TestOneWorkerConstructsAllocateNoMore(t *testing.T) {
 				out, _ := GenArrayExec(Float, []int{0, 0}, []int{37, 53}, []int{37, 53}, watched, x)
 				out.Recycle()
 			}},
-			{"FoldExec", 1966, func() { _, _ = FoldExec(FoldAdd, 0.125, []int{0, 0}, []int{37, 53}, watched, x) }},
+			{"FoldExec", 1966, func() { _, _ = foldExecAny(FoldAdd, 0.125, []int{0, 0}, []int{37, 53}, watched, x) }},
 			{"MatrixMapExec", 117, func() {
 				out, _ := MatrixMapExec(m, []int{1}, Float, false, same, x)
 				out.Recycle()

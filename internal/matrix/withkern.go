@@ -508,22 +508,15 @@ func poolGrain(x Exec, n, grain int) int {
 // rows of the outermost dimension, as FoldExec, with a row folded a
 // strip at a time — and every strip reduced in ascending element order,
 // so float results are bit-identical to the closure path.
-// handled=false defers to the closure path (mixed int/float min-max
-// folds, unverifiable leaves).
+// handled=false defers to the closure path (a base whose type is not
+// the program's output type, unverifiable leaves).
 func FoldFlat(kind FoldKind, base FoldValue, r *WithRun, x Exec) (FoldValue, bool, error) {
 	p := r.prog
 	lower, upper := r.Lower, r.Upper
 	rank := len(lower)
-	start, floatAcc := flatAcc{i: base.I, f: base.F}, base.Float
-	if floatAcc && !p.spec.Float && (kind == FoldMin || kind == FoldMax) {
-		// Boxed min/max keep the winning operand's dynamic type; a
-		// typed float accumulator cannot.
-		return base, false, nil
-	}
-	// An int base under a float body would promote mid-fold; the VM
-	// pre-promotes the base when the static type is float, so a mismatch
-	// only happens in corners the closure path owns.
-	if floatAcc != p.spec.OutFloat || !r.leavesOK() {
+	// The base has the fold's static type, and so does what the program
+	// outputs: an int body is promoted as it is folded into a float.
+	if base.Float != p.spec.OutFloat || !r.leavesOK() {
 		return base, false, nil
 	}
 	switch kind {
@@ -563,14 +556,14 @@ func FoldFlat(kind FoldKind, base FoldValue, r *WithRun, x Exec) (FoldValue, boo
 	for d := 1; d < rank; d++ {
 		rowLen *= upper[d] - lower[d]
 	}
-	j := flatFold{r: r, x: x, kind: kind, floatAcc: floatAcc, whole: whole, rowLen: rowLen,
-		w: r.stripWidth(), start: start, lo: lower[0], hi: upper[0], step: 1}
+	j := flatFold{r: r, x: x, kind: kind, whole: whole, rowLen: rowLen,
+		w: r.stripWidth(), start: base, lo: lower[0], hi: upper[0], step: 1}
 	// A rank-1 box has one-cell rows: it is stepped through a strip's
 	// worth of cells at a time instead.
 	if rank == 1 {
 		j.step = j.w
 	}
-	var total flatAcc
+	var total FoldValue
 	var err error
 	if x.Pool.Workers() == 1 || j.hi-j.lo == 1 {
 		// par.Fold's lone run, with nothing made for it.
@@ -590,40 +583,9 @@ func FoldFlat(kind FoldKind, base FoldValue, r *WithRun, x Exec) (FoldValue, boo
 				}
 			}
 		}()
-		total, err = par.Fold(x.Pool, x.Ctx, j.lo, j.hi, j.step, start,
-			flatAcc{i: foldIdentInt(kind), f: foldIdentFloat(kind)}, j.rows,
-			func(a, part flatAcc) (flatAcc, error) {
-				if floatAcc {
-					a.f = combine(kind, a.f, part.f)
-				} else {
-					a.i = combine(kind, a.i, part.i)
-				}
-				return a, nil
-			})
+		total, err = par.Fold(x.Pool, x.Ctx, j.lo, j.hi, j.step, base, base.identity(kind), j.rows, kind.merge)
 	}
-	return FoldValue{I: total.i, F: total.f, Float: floatAcc}, true, err
-}
-
-// FoldValue is a flat fold's base or its result, unboxed: F when Float,
-// else I — the lane, and the register class, the fold runs in.
-type FoldValue struct {
-	I     int64
-	F     float64
-	Float bool
-}
-
-// Any boxes the value.
-func (v FoldValue) Any() any {
-	if v.Float {
-		return v.F
-	}
-	return v.I
-}
-
-// flatAcc is a flat fold's typed accumulator: the lane its base has.
-type flatAcc struct {
-	i int64
-	f float64
+	return total, true, err
 }
 
 // flatFold is one FoldFlat execution: what folding rows [lo, hi) of the
@@ -632,10 +594,9 @@ type flatFold struct {
 	r            *WithRun
 	x            Exec
 	kind         FoldKind
-	floatAcc     bool
 	whole        *Matrix // folded where it lies, or nil: evaluated in strips
 	rowLen, w    int
-	start        flatAcc
+	start        FoldValue
 	lo, hi, step int
 	st           *wState   // the lone run's strip state
 	states       []*wState // or one a worker
@@ -643,7 +604,7 @@ type flatFold struct {
 
 // lone folds the whole range from the base on the caller, a step at a
 // time like par.Fold's lone run.
-func (j flatFold) lone() (a flatAcc, err error) {
+func (j flatFold) lone() (a FoldValue, err error) {
 	a = j.start
 	for i := j.lo; i < j.hi && err == nil; i += j.step {
 		if err = j.x.cancelled(); err == nil {
@@ -654,7 +615,7 @@ func (j flatFold) lone() (a flatAcc, err error) {
 }
 
 // rows combines rows [r0, r1) into a.
-func (j flatFold) rows(worker int, a flatAcc, r0, r1 int) (flatAcc, error) {
+func (j flatFold) rows(worker int, a FoldValue, r0, r1 int) (FoldValue, error) {
 	kind, whole := j.kind, j.whole
 	switch {
 	case whole == nil:
@@ -667,20 +628,20 @@ func (j flatFold) rows(worker int, a flatAcc, r0, r1 int) (flatAcc, error) {
 			}
 		}
 		err := st.walk(j.r, r0, r1, j.x, nil, func(n int) {
-			if j.floatAcc {
-				a.f = foldSlice(kind, a.f, st.f.out[:n])
+			if a.Float {
+				a.F = foldSlice(kind, a.F, st.f.out[:n])
 			} else {
-				a.i = foldSlice(kind, a.i, st.i.out[:n])
+				a.I = foldSlice(kind, a.I, st.i.out[:n])
 			}
 		})
 		return a, err
-	case !j.floatAcc:
-		a.i = foldSlice(kind, a.i, whole.ints()[r0*j.rowLen:r1*j.rowLen])
+	case !a.Float:
+		a.I = foldSlice(kind, a.I, whole.ints()[r0*j.rowLen:r1*j.rowLen])
 	case whole.elem == Float:
-		a.f = foldSlice(kind, a.f, whole.floats()[r0*j.rowLen:r1*j.rowLen])
+		a.F = foldSlice(kind, a.F, whole.floats()[r0*j.rowLen:r1*j.rowLen])
 	default:
 		for _, v := range whole.ints()[r0*j.rowLen : r1*j.rowLen] {
-			a.f = combine(kind, a.f, float64(v))
+			a.F = combine(kind, a.F, float64(v))
 		}
 	}
 	return a, nil

@@ -708,7 +708,7 @@ func TestWithStripMatchesCellByCell(t *testing.T) {
 						}
 						// The closure path with the oracle as its body: same
 						// worker split, same seeds, same combine order.
-						want, err := FoldExec(kind, base, lower, upper, func(idx []int) (any, error) {
+						want, err := foldExecAny(kind, base, lower, upper, func(idx []int) (any, error) {
 							wi, wf := cell(idx)
 							if float {
 								return wf, nil
@@ -1101,11 +1101,11 @@ func TestFoldIdentitiesAreTrueIdentities(t *testing.T) {
 		// worker empty.
 		for _, n := range []int{5, 64} {
 			body := func([]int) (any, error) { return tc.val, nil }
-			serial, err := FoldExec(tc.kind, tc.base, []int{0}, []int{n}, body, Exec{})
+			serial, err := foldExecAny(tc.kind, tc.base, []int{0}, []int{n}, body, Exec{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			pooled, err := FoldExec(tc.kind, tc.base, []int{0}, []int{n}, body, Exec{Pool: pool})
+			pooled, err := foldExecAny(tc.kind, tc.base, []int{0}, []int{n}, body, Exec{Pool: pool})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -1323,17 +1323,35 @@ func indexSpace(lower, upper []int, f func(idx []int)) {
 	}
 }
 
-// foldFlatAny is FoldFlat for a boxed base, with the result boxed: what
-// an engine does around it (a base that is no int or float is the closure
-// path's).
-func foldFlatAny(kind FoldKind, base any, r *WithRun, x Exec) (any, bool, error) {
-	var b FoldValue
+// foldValueOf is a boxed int or float as a fold base of its own type.
+func foldValueOf(base any) (FoldValue, bool) {
 	switch v := base.(type) {
 	case int64:
-		b.I = v
+		return FoldValue{I: v}, true
 	case float64:
-		b.F, b.Float = v, true
-	default:
+		return FoldValue{F: v, Float: true}, true
+	}
+	return FoldValue{}, false
+}
+
+// foldExecAny and foldFlatAny are FoldExec and FoldFlat for a boxed
+// base, with the result boxed: what an engine does around them (a base
+// that is no int or float is the closure path's, and no fold at all).
+func foldExecAny(kind FoldKind, base any, lower, upper []int, body BodyFunc, x Exec) (any, error) {
+	b, ok := foldValueOf(base)
+	if !ok {
+		return nil, errors.New("fold base is no int or float")
+	}
+	out, err := FoldExec(kind, b, lower, upper, body, x)
+	if err != nil {
+		return nil, err
+	}
+	return out.Any(), nil
+}
+
+func foldFlatAny(kind FoldKind, base any, r *WithRun, x Exec) (any, bool, error) {
+	b, ok := foldValueOf(base)
+	if !ok {
 		return nil, false, nil
 	}
 	out, handled, err := FoldFlat(kind, b, r, x)

@@ -32,12 +32,11 @@
 // int `/` by anything but a non-zero literal (the closure path traps
 // per element mid-loop), bool bodies (bool cells), calls the inliner
 // cannot prove pure, `end` (needs the enclosing indexing context),
-// nested genarrays (matrix values), a nested min/max fold of an int
-// body from a float base (the boxed accumulator keeps the winner's
-// dynamic type), transform clauses, and any leaf that is not a plain
-// identifier or literal. A float-typed `/` is total (IEEE), so it is
-// allowed on float bodies. A nested fold keeps a plan of its own as
-// well: it is what runs when the outer loop stays on the closure path.
+// nested genarrays (matrix values), transform clauses, and any leaf
+// that is not a plain identifier or literal. A float-typed `/` is total
+// (IEEE), so it is allowed on float bodies. A nested fold keeps a plan
+// of its own as well: it is what runs when the outer loop stays on the
+// closure path.
 package vet
 
 import (
@@ -46,6 +45,7 @@ import (
 	"strings"
 
 	"repro/internal/ast"
+	"repro/internal/interp"
 	"repro/internal/matrix"
 	"repro/internal/sem"
 	"repro/internal/source"
@@ -133,7 +133,7 @@ func proveWith(info *sem.Info, w *ast.WithLoop) (*WithPlan, WithDecline) {
 		body = op.Body
 		b.plan.Fold = true
 		var ok bool
-		if b.plan.Kind, ok = foldKindOf(op.Kind); !ok && !b.decline(op, "fold operator") {
+		if b.plan.Kind, ok = interp.FoldKindOf(op.Kind); !ok && !b.decline(op, "fold operator") {
 			return nil, b.why
 		}
 	default:
@@ -157,21 +157,6 @@ func (b *withBuilder) generator(w *ast.WithLoop) bool {
 		return b.decline(w, "generator arity")
 	}
 	return true
-}
-
-// foldKindOf maps the parsed fold operator to the engines'.
-func foldKindOf(k ast.FoldKind) (matrix.FoldKind, bool) {
-	switch k {
-	case ast.FoldAdd:
-		return matrix.FoldAdd, true
-	case ast.FoldMul:
-		return matrix.FoldMul, true
-	case ast.FoldMin:
-		return matrix.FoldMin, true
-	case ast.FoldMax:
-		return matrix.FoldMax, true
-	}
-	return 0, false
 }
 
 type withBuilder struct {
@@ -351,20 +336,16 @@ func (b *withBuilder) nestedFold(w *ast.WithLoop) (types.Kind, bool) {
 	if !b.generator(w) {
 		return 0, false
 	}
-	kind, ok := foldKindOf(op.Kind)
+	kind, ok := interp.FoldKindOf(op.Kind)
 	if !ok {
 		return 0, b.decline(op, "fold operator")
 	}
-	// The fold's static type is float when base or body is; the engines
-	// promote an int base up front and an int body per element, which is
-	// exact for + and * but not for min/max over a float base.
+	// The fold's static type is float when base or body is: an int base
+	// is promoted up front and an int body per element, under every kind.
 	bodyK := b.kindOf(op.Body)
 	res := b.kindOf(w)
-	switch {
-	case bodyK == types.Invalid || res == types.Invalid:
+	if bodyK == types.Invalid || res == types.Invalid {
 		return 0, b.decline(op.Body, "nested fold not int or float")
-	case res == types.Float && bodyK == types.Int && (kind == matrix.FoldMin || kind == matrix.FoldMax):
-		return 0, b.decline(op, "nested min/max of an int body from a float base")
 	}
 	baseK, ok := b.build(op.Init)
 	if !ok {

@@ -147,7 +147,6 @@ func TestWithPlanDeclines(t *testing.T) {
 		"nested_genarray":    "dimSize(with ([0] <= [k] < [3]) genarray([3], k + i), 0)",
 		"nested_strip_bound": "with ([0] <= [k] < [i]) fold(+, 0, k)",
 		"nested_call_bound":  "with ([0] <= [k] < [dimSize(v, 0)]) fold(+, 0, k)",
-		"nested_mixed_min":   "(int)(with ([0] <= [k] < [3]) fold(min, 9.5, k + i))",
 		"nested_call_body":   "with ([0] <= [k] < [3]) fold(+, 0, (int)f(k))",
 	} {
 		// f prints: a call of it is no pure scalar function's.
@@ -271,6 +270,39 @@ int main() {
 	}
 	if len(outer.ScalarI) != 1 || outer.ScalarI[0] != "p" {
 		t.Errorf("ScalarI = %v, want [p] (bound and divisor share the slot)", outer.ScalarI)
+	}
+}
+
+// TestWithPlanNestedMinMaxPromotes: a nested min or max of an int body
+// from a float base is a float fold like any other — its int body
+// promoted per element, the value the closure path computes — so it is
+// proven, not declined.
+func TestWithPlanNestedMinMaxPromotes(t *testing.T) {
+	for _, kind := range []string{"min", "max"} {
+		f := factsFor(t, `
+int main() {
+	Matrix int <1> m;
+	m = with ([0] <= [i] < [8]) genarray([8], (int)(with ([0] <= [k] < [3]) fold(`+kind+`, 9.5, k + i)));
+	print(m[0]);
+	return 0;
+}`)
+		var outer *WithPlan
+		for _, wp := range f.withs {
+			if !wp.Fold {
+				outer = wp
+			}
+		}
+		if outer == nil {
+			t.Fatalf("%s: the genarray is not proven", kind)
+		}
+		end := slices.IndexFunc(outer.Code, func(in matrix.WithInstr) bool { return in.Op == matrix.WFoldEnd })
+		if end < 1 {
+			t.Fatalf("%s: no fold bracket in %+v", kind, outer.Code)
+		}
+		open := outer.Code[outer.Code[end].A]
+		if open.Op != matrix.WFoldF || open.Kind.String() != kind || outer.Code[end-1].Op != matrix.WI2F {
+			t.Errorf("%s: bracket %+v, body ends %+v: want a float %s fold promoting its body", kind, open, outer.Code[end-1], kind)
+		}
 	}
 }
 

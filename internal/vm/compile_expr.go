@@ -781,13 +781,9 @@ func (f *fnc) compileWith(w *ast.WithLoop) (int32, class) {
 		bodyExpr = op.Body
 	case *ast.FoldOp:
 		d.fold = true
-		d.foldKind = map[ast.FoldKind]matrix.FoldKind{
-			ast.FoldAdd: matrix.FoldAdd, ast.FoldMul: matrix.FoldMul,
-			ast.FoldMin: matrix.FoldMin, ast.FoldMax: matrix.FoldMax,
-		}[op.Kind]
+		d.foldKind, _ = interp.FoldKindOf(op.Kind)
 		ir, ic := f.compileExpr(op.Init)
 		d.foldInit = argDesc{reg: ir, cl: ic}
-		d.promote = f.c.info.TypeOf(w).Kind == types.Float
 		d.resCl = classOf(f.c.info.TypeOf(w))
 		bodyExpr = op.Body
 	default:
@@ -827,7 +823,7 @@ func (f *fnc) flatWithPlan(w *ast.WithLoop, d *withDesc) *flatPlan {
 	}
 	// The accumulator is float when the fold's static type is; a
 	// genarray's cells have the element type the checker gave it.
-	outFloat := d.promote
+	outFloat := d.resCl == clF
 	if d.fold {
 		if wp.Kind != d.foldKind {
 			return nil

@@ -441,11 +441,10 @@ func (mc *Machine) syncFrame(fr *frame) error {
 	return firstErr
 }
 
-// storeInto writes a boxed value into a register slice slot. The checks
-// are tolerant: a mismatch is unreachable in a checked program (binding
-// coercion and return promotion pin runtime representations to static
-// types), and int→float promotion covers the one dynamic seam the tree
-// walker also papers over.
+// storeInto writes a boxed value into a register slice slot. A mismatch
+// is unreachable in a checked program: binding coercion, return
+// promotion and a fold's static type pin runtime representations to
+// static types.
 func storeInto(regs []value, reg int32, cl class, v any) error {
 	switch cl {
 	case clI:
@@ -455,14 +454,11 @@ func storeInto(regs []value, reg int32, cl class, v any) error {
 		}
 		regs[reg].i = n
 	case clF:
-		switch x := v.(type) {
-		case float64:
-			regs[reg].f = x
-		case int64:
-			regs[reg].f = float64(x)
-		default:
+		x, ok := v.(float64)
+		if !ok {
 			return fmt.Errorf("expected a float value, got %T", v)
 		}
+		regs[reg].f = x
 	case clB:
 		b, ok := v.(bool)
 		if !ok {

@@ -345,8 +345,7 @@ type withDesc struct {
 	elem       matrix.Elem
 	foldKind   matrix.FoldKind
 	foldInit   argDesc
-	promote    bool // fold base int→float when the loop's type is float
-	body       int  // body proto index
+	body       int // body proto index
 	captures   []capture
 	ids        int // w.Ids occupy body regs [0, ids)
 	resCl      class

@@ -357,17 +357,16 @@ func (mc *Machine) execWith(fr *frame, in *instr) error {
 	}
 	x := mc.in.Exec(fr.pool)
 	if d.fold {
-		base := fr.box(d.foldInit)
-		if d.promote {
-			if iv, ok := base.(int64); ok {
-				base = float64(iv)
-			}
+		base, ok := fr.foldBase(d)
+		if !ok {
+			return interp.Errorf(in.nd, "internal error: fold base in register class %d", d.foldInit.cl)
 		}
 		out, err := matrix.FoldExec(d.foldKind, base, lower, upper, body, x)
 		if err != nil {
 			return interp.WrapError(in.nd, err)
 		}
-		return fr.store(in.a, d.resCl, out, in.nd)
+		fr.setFold(in.a, out)
+		return nil
 	}
 	shape := make([]int, len(d.shape))
 	for k, r := range d.shape {
@@ -464,17 +463,8 @@ func (mc *Machine) runFlat(fr *frame, in *instr, d *withDesc, fp *flatPlan) (boo
 	}
 	x := mc.in.Exec(fr.pool)
 	if d.fold {
-		// The base and the result stay in their register class. A base
-		// that is no int or float register is the closure path's.
-		var base matrix.FoldValue
-		switch reg := fr.regs[d.foldInit.reg]; {
-		case d.foldInit.cl == clF:
-			base = matrix.FoldValue{F: reg.f, Float: true}
-		case d.foldInit.cl == clI && d.promote:
-			base = matrix.FoldValue{F: float64(reg.i), Float: true}
-		case d.foldInit.cl == clI:
-			base = matrix.FoldValue{I: reg.i}
-		default:
+		base, ok := fr.foldBase(d)
+		if !ok {
 			return false, nil
 		}
 		out, handled, err := matrix.FoldFlat(d.foldKind, base, run, x)
@@ -484,14 +474,7 @@ func (mc *Machine) runFlat(fr *frame, in *instr, d *withDesc, fp *flatPlan) (boo
 		if err != nil {
 			return true, interp.WrapError(in.nd, err)
 		}
-		switch {
-		case out.Float && d.resCl == clF:
-			fr.regs[in.a].f = out.F
-		case !out.Float && d.resCl == clI:
-			fr.regs[in.a].i = out.I
-		default:
-			return true, fr.store(in.a, d.resCl, out.Any(), in.nd)
-		}
+		fr.setFold(in.a, out)
 		return true, nil
 	}
 	for k, r := range d.shape {
@@ -506,6 +489,29 @@ func (mc *Machine) runFlat(fr *frame, in *instr, d *withDesc, fp *flatPlan) (boo
 	}
 	fr.regs[in.a].r = out
 	return true, nil
+}
+
+// foldBase reads a fold's base register in the fold's static type, the
+// class of its result: an int is promoted when that is float. ok is
+// false for a base in no int or float register.
+func (fr *frame) foldBase(d *withDesc) (matrix.FoldValue, bool) {
+	reg := fr.regs[d.foldInit.reg]
+	switch d.foldInit.cl {
+	case clF:
+		return matrix.FoldValue{F: reg.f, Float: true}, true
+	case clI:
+		return matrix.FoldValue{I: reg.i, F: float64(reg.i), Float: d.resCl == clF}, true
+	}
+	return matrix.FoldValue{}, false
+}
+
+// setFold writes a fold's result into its register, in its class.
+func (fr *frame) setFold(dst int32, v matrix.FoldValue) {
+	if v.Float {
+		fr.regs[dst].f = v.F
+	} else {
+		fr.regs[dst].i = v.I
+	}
 }
 
 // bodyExprOf returns the with-loop's body expression node (the node

@@ -2473,6 +2473,12 @@ int main() {
 	print(again[1, 2, 3]);
 	return 0;
 }`},
+	// A fold with a float base and an int body is a float under min and
+	// max as under + and * (foldtype_test.go; out and cells pinned at
+	// e1e8b9c from the VM, where the tree walker let a min/max winner
+	// keep its int type and divided it as an int).
+	{name: "fold_minmax_int_body", pin: &pinned{"0.5\n1.5\n9.007199254740992e+15\n9.007199254740996e+15\n2.251799813685248e+15\n2.251799813685248e+15\n9007199254740993\n9007199254740993\n1.5\nNaN\n1.25\n3\n3.25\n18\n0.25\n249.75\n249750.125\n0.5\n1\n1.5\n0.25\n1.5\n3\n", 6}, src: foldMinMaxIntBodySrc},
+	{name: "fold_minmax_int_body_closure", pin: &pinned{"0.5\n1.5\n9.007199254740992e+15\n9.007199254740996e+15\n2.251799813685248e+15\n2.251799813685248e+15\n9007199254740993\n9007199254740993\n1.5\nNaN\n1.25\n3\n3.25\n18\n0.25\n249.75\n249750.125\n0.5\n1\n1.5\n0.25\n1.5\n3\n", 7}, src: foldMinMaxIntBodyClosureSrc},
 }
 
 func TestVMDifferentialCorpus(t *testing.T) {
@@ -2686,6 +2692,7 @@ func FuzzVMDiff(f *testing.F) {
 	}
 	f.Add(stepShapesSrc)
 	f.Add(fusedShapesSeed)
+	f.Add("int main() { float m = with ([0] <= [i] < [3]) fold(max, 0.5, i * 2) / 4; print(m); return 0; }")
 	f.Fuzz(func(t *testing.T, src string) {
 		var d source.Diagnostics
 		p := parser.ParseFile("fuzz.xc", src, parser.AllExtensions(), &d)
