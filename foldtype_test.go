@@ -10,8 +10,7 @@ package repro_test
 import "strings"
 
 // foldMinMaxIntBodyLines are main's body, over a body value BODY(i)
-// (i + OFF for the flat entry, a global matrix's cell for the closure
-// entry).
+// (i for the flat entry, plus a call's value for the closure entry).
 const foldMinMaxIntBodyLines = `
 	print(with ([0] <= [i] < [4]) fold(min, 5.0, BODY(i + 1)) / 2);
 	float h = with ([0] <= [i] < [4]) fold(max, 0.5, BODY(i)) / 2;
@@ -49,10 +48,12 @@ var foldMinMaxIntBodySrc = `
 int main() {
 	int big = 9007199254740993;` + strings.NewReplacer("BODY", "").Replace(foldMinMaxIntBodyLines)
 
-// foldMinMaxIntBodyClosureSrc reads every body value through a global
-// matrix, which keeps each fold on the closure path.
+// foldMinMaxIntBodyClosureSrc adds to every body value the cell of a
+// global matrix a call reads — a callee with a matrix parameter is no
+// plan's — which keeps each fold on the closure path.
 var foldMinMaxIntBodyClosureSrc = `
 Matrix int <1> gid;
+int first(Matrix int <1> v) { return v[0]; }
 int main() {
 	int big = 9007199254740993;
-	gid = [0 :: 0];` + strings.NewReplacer("BODY(", "(gid[0] + ").Replace(foldMinMaxIntBodyLines)
+	gid = [0 :: 0];` + strings.NewReplacer("BODY(", "(first(gid) + ").Replace(foldMinMaxIntBodyLines)

@@ -17,10 +17,14 @@ const (
 	ctlReturn
 )
 
+// MaxCallDepth is the deepest call stack a program may build, on every
+// engine: a call from a frame deeper than this traps.
+const MaxCallDepth = 512
+
 // callFunction runs fn with already-evaluated arguments.
 func (c *ctx) callFunction(fn *ast.FuncDecl, args []any, site ast.Node) (any, error) {
-	if c.depth > 512 {
-		return nil, Trapf(site, TrapDepth, "call stack exceeded 512 frames (infinite recursion in %q?)", fn.Name)
+	if c.depth > MaxCallDepth {
+		return nil, Trapf(site, TrapDepth, "call stack exceeded %d frames (infinite recursion in %q?)", MaxCallDepth, fn.Name)
 	}
 	f := newFrame(c.i.globalFrame)
 	cc := c.child(f, c.pool)

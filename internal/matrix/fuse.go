@@ -15,10 +15,10 @@
 //     engine recycles intermediate buffers but never refunds their
 //     budget, so a fused run must consume identical budget. A range
 //     leaf admits, at its place in that order, the vector RangeBudgeted
-//     would have built; a stage admits its output and then, left operand
-//     first, charges its cell count once more for each int operand of a
-//     float stage, as a lone operation charges a promoted operand
-//     (Budget.Charge alone, as there). Neither is ever allocated;
+//     would have built, and a stage its output. Neither is ever
+//     allocated; an int operand of a float stage is converted as it is
+//     loaded, by the fused loop as by a lone operation, and charges
+//     nothing;
 //   - TestHookAllocFail fires once per range leaf and once per stage
 //     with its cell count, in the same order;
 //   - a nil (unassigned) matrix leaf, a shape mismatch or a budget
@@ -44,11 +44,10 @@ var ErrUnassignedOperand = errors.New("matrix: unassigned operand in fused chain
 
 // chainVal is one operand on the admission replay's stack: a scalar, an
 // unassigned matrix leaf, or a matrix — leaf or stage result — by its
-// shape; promote marks int cells a float stage converts.
+// shape.
 type chainVal struct {
-	kind    uint8
-	promote bool
-	shape   []int
+	kind  uint8
+	shape []int
 }
 
 const (
@@ -107,10 +106,10 @@ var errMalformedChain = errors.New("matrix: malformed fused chain")
 
 // admitChain replays the unfused engine's admission over the plan, per
 // range leaf and stage, in order — nil checks, the elementwise shape
-// check on the leaves' real shapes, then admit and the promotion
-// charges, exactly as RangeBudgeted, ElementwiseExec and BroadcastExec
-// admit one at a time. It returns the root's shape, cell count and
-// index, or the failing admission's index and its error.
+// check on the leaves' real shapes, then admit, exactly as
+// RangeBudgeted, ElementwiseExec and BroadcastExec admit one at a time.
+// It returns the root's shape, cell count and index, or the failing
+// admission's index and its error.
 func (r *WithRun) admitChain(b *Budget) (shape []int, n, stage int, err error) {
 	code := r.prog.spec.Code
 	st := grow(r.chain, len(code))[:0]
@@ -144,11 +143,10 @@ func (r *WithRun) admitChain(b *Budget) (shape []int, n, stage int, err error) {
 				v = chainVal{kind: chainMatrix, shape: m.shape()}
 			}
 			st = append(st, v)
-		case WI2F:
+		case WI2F: // an int leaf of a float chain, converted as it is loaded
 			if len(st) < 1 || st[len(st)-1].kind == chainScalar {
 				return nil, 0, -1, errMalformedChain
 			}
-			st[len(st)-1].promote = true
 		case WAddI, WSubI, WMulI, WAddF, WSubF, WMulF, WDivF:
 			if len(st) < 2 {
 				return nil, 0, -1, errMalformedChain
@@ -175,19 +173,12 @@ func (r *WithRun) admitChain(b *Budget) (shape []int, n, stage int, err error) {
 			if n, err = admit(b, shape); err != nil {
 				return nil, 0, stage, err
 			}
-			for _, v := range [2]chainVal{lv, rv} {
-				if v.promote {
-					if err = b.Charge(n); err != nil {
-						return nil, 0, stage, err
-					}
-				}
-			}
 			st = append(st, chainVal{kind: chainMatrix, shape: shape})
 		default:
 			return nil, 0, -1, errMalformedChain
 		}
 	}
-	if stage < 0 || len(st) != 1 || st[0].promote {
+	if stage < 0 || len(st) != 1 {
 		return nil, 0, -1, errMalformedChain
 	}
 	return shape, n, stage, nil

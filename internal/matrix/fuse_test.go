@@ -391,7 +391,7 @@ func TestChainMatchesUnfusedStages(t *testing.T) {
 
 // TestChainAdmissionFailsAtTheStage: an unassigned leaf, two shapes of
 // equal cell count, a budget that runs out mid-chain — at each of a
-// range line's four doors — and an allocation hook that refuses a stage
+// range line's three doors — and an allocation hook that refuses a stage
 // or a range each fail where and how the unfused stages do, having
 // charged what they charged.
 func TestChainAdmissionFailsAtTheStage(t *testing.T) {
@@ -422,10 +422,8 @@ func TestChainAdmissionFailsAtTheStage(t *testing.T) {
 			text: "matrix: allocation of 6 cells exceeds the budget (0 of 5 cells already used)"},
 		{name: "range: budget at the stage's output", tree: line, budget: 11, stage: 1,
 			text: "matrix: allocation of 6 cells exceeds the budget (6 of 11 cells already used)"},
-		{name: "range: budget at the conversion scratch", tree: line, budget: 17, stage: 1,
+		{name: "range: budget at the next stage", tree: line, budget: 17, stage: 2,
 			text: "matrix: allocation of 6 cells exceeds the budget (12 of 17 cells already used)"},
-		{name: "range: budget at the next stage", tree: line, budget: 23, stage: 2,
-			text: "matrix: allocation of 6 cells exceeds the budget (18 of 23 cells already used)"},
 		{name: "range: allocation refused", tree: line, stage: 0, text: "injected",
 			hook: func(call int) error {
 				if call == 0 {

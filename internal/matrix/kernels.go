@@ -263,25 +263,15 @@ type lone struct {
 	sf   float64
 }
 
-// run admits the output, elem cells of shape, and then, left operand
-// first, charges its cell count again for each int matrix a float
-// operation promotes — what the copy that once held the promoted cells
-// was charged; the program converts them as it loads them. Then it
-// runs the program over the cells, if there are any.
+// run admits the output, elem cells of shape, and runs the program
+// over the cells, if there are any. An int matrix a float operation
+// promotes is converted as it is loaded: nothing is made for it.
 func (o lone) run(elem Elem, shape []int, x Exec) (*Matrix, error) {
 	out, err := newKernelOut(x.Budget, elem, shape)
 	if err != nil {
 		return nil, err
 	}
 	n := out.Size()
-	for _, c := range [2]opClass{o.l, o.r} {
-		if c == matClass(Int) && (o.l.elem() == Float || o.r.elem() == Float) {
-			if err := x.Budget.Charge(n); err != nil {
-				out.Recycle()
-				return nil, err
-			}
-		}
-	}
 	r := loneProgram(o.op, o.l, o.r).NewRun()
 	copy(r.Mats, []*Matrix{o.a, o.b})
 	r.ScalarI[0], r.ScalarF[0] = o.si, o.sf

@@ -232,10 +232,9 @@ func rowFoldDiff(t *testing.T, g *planGen, float bool, pool *par.Pool) {
 		upper[d] = lower[d] + 1 + g.r.Intn(3)
 	}
 	upper[g.rank-1] = lower[g.rank-1] + 1 + g.r.Intn(2*p.width+3)
-	elem := map[bool]Elem{false: Int, true: Float}[float]
 	for _, x := range []Exec{{}, {Pool: pool}} {
 		run := bindRun(p, lower, upper, upper)
-		out, handled, err := GenArrayFlat(elem, run, x)
+		out, handled, err := GenArrayFlat(run, x)
 		run.Release()
 		if !handled || err != nil {
 			t.Fatalf("box %v %v: handled %v err %v", lower, upper, handled, err)

@@ -339,7 +339,7 @@ func TestOneWorkerConstructsAllocateNoMore(t *testing.T) {
 			{"FoldFlat in place", 2, flat(progs[0], func(r *WithRun) { _, _, _ = foldFlatAny(FoldAdd, 0.125, r, x) })},
 			{"FoldFlat in strips", 3, flat(progs[1], func(r *WithRun) { _, _, _ = foldFlatAny(FoldAdd, 0.125, r, x) })},
 			{"GenArrayFlat", 2, flat(progs[1], func(r *WithRun) {
-				out, _, _ := GenArrayFlat(Float, r, x)
+				out, _, _ := GenArrayFlat(r, x)
 				out.Recycle()
 			})},
 			{"ElementwiseExec", 2, func() {

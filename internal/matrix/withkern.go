@@ -155,20 +155,6 @@ func (r *WithRun) Release() {
 	withRunPool.Put(r)
 }
 
-// leavesOK re-checks the matrices the plan loads from: vet proved
-// element types and ranks statically, but the matrices only exist now —
-// a nil or mistyped leaf makes the flat path decline rather than
-// misbehave.
-func (r *WithRun) leavesOK() bool {
-	p := r.prog
-	for k, m := range r.Mats {
-		if p.matRank[k] != 0 && (m == nil || m.elem != p.spec.MatElem[k] || m.Rank() != p.matRank[k]) {
-			return false
-		}
-	}
-	return true
-}
-
 // withIvalMax bounds the interval analysis: a value whose magnitude
 // may exceed it becomes unknown, and unknown values cannot feed a
 // load. Loop ids and their constant offsets stay far below it. It also caps the
@@ -237,9 +223,16 @@ func wivalMod(a wival, k int64) wival {
 // the closure path. A nested fold whose range is empty for every cell
 // never runs its body, so its loads are not checked; both arms of a
 // select run, so the loads of each are. The box must be
-// non-empty. The second result is the plan's cost per cell in plan
-// instructions, a nested body counted once per inner trip.
+// non-empty, and every matrix leaf bound: an unassigned one is
+// infeasible too (element types and ranks are the checker's — binding
+// coerces to them). The second result is the plan's cost per cell in
+// plan instructions, a nested body counted once per inner trip.
 func (r *WithRun) feasible() (int64, bool) {
+	for _, m := range r.Mats {
+		if m == nil {
+			return 0, false
+		}
+	}
 	p := r.prog
 	code := p.spec.Code
 	ids := r.ivals[:p.ids]
@@ -381,18 +374,19 @@ func matchSingleLoad(code []WithInstr) *withLoadPlan {
 	return p
 }
 
-// GenArrayFlat is the flat engine for a proven genarray body.
-// handled=false — with nothing allocated and no hook fired — means
-// only that this body cannot run flat here (element type, leaves, an
-// index the interval analysis cannot bound); the closure path runs it.
-// Otherwise the result (matrix, budget charges, alloc-hook firings,
-// error) is observably identical to GenArrayExec with a closure of the
-// same body: both admit through admitGenArray.
-func GenArrayFlat(elem Elem, r *WithRun, x Exec) (*Matrix, bool, error) {
+// GenArrayFlat is the flat engine for a proven genarray body, its
+// cells the program's output type. handled=false — with nothing
+// allocated and no hook fired — means only that this box cannot run flat
+// (an unbound leaf, an index the interval analysis cannot bound); the
+// closure path runs it. Otherwise the result (matrix, budget charges,
+// alloc-hook firings, error) is observably identical to GenArrayExec
+// with a closure of the same body: both admit through admitGenArray.
+func GenArrayFlat(r *WithRun, x Exec) (*Matrix, bool, error) {
 	p := r.prog
 	lower, upper, shape := r.Lower, r.Upper, r.Shape
-	if elem == Bool || (elem == Float) != p.spec.OutFloat || !r.leavesOK() {
-		return nil, false, nil
+	elem := Int
+	if p.spec.OutFloat {
+		elem = Float
 	}
 	empty := false
 	for d := range lower {
@@ -508,22 +502,13 @@ func poolGrain(x Exec, n, grain int) int {
 // rows of the outermost dimension, as FoldExec, with a row folded a
 // strip at a time — and every strip reduced in ascending element order,
 // so float results are bit-identical to the closure path.
-// handled=false defers to the closure path (a base whose type is not
-// the program's output type, unverifiable leaves).
+// The base has the fold's static type, and so does what the program
+// outputs: an int body is promoted as it is folded into a float.
+// handled=false defers to the closure path, as GenArrayFlat's does.
 func FoldFlat(kind FoldKind, base FoldValue, r *WithRun, x Exec) (FoldValue, bool, error) {
 	p := r.prog
 	lower, upper := r.Lower, r.Upper
 	rank := len(lower)
-	// The base has the fold's static type, and so does what the program
-	// outputs: an int body is promoted as it is folded into a float.
-	if base.Float != p.spec.OutFloat || !r.leavesOK() {
-		return base, false, nil
-	}
-	switch kind {
-	case FoldAdd, FoldMul, FoldMin, FoldMax:
-	default:
-		return base, false, nil
-	}
 	for d := range lower {
 		if upper[d] <= lower[d] {
 			return base, true, nil

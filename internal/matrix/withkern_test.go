@@ -665,17 +665,13 @@ func TestWithStripMatchesCellByCell(t *testing.T) {
 					v := memo[key]
 					return v.i, v.f
 				}
-				elem := Int
-				if float {
-					elem = Float
-				}
 				shape := make([]int, rank)
 				for d := range shape {
 					shape[d] = upper[d] + 1
 				}
 				for _, x := range []Exec{{}, {Pool: pool}} {
 					run := bindRun(p, lower, upper, shape)
-					out, handled, err := GenArrayFlat(elem, run, x)
+					out, handled, err := GenArrayFlat(run, x)
 					run.Release()
 					if !handled || err != nil {
 						t.Fatalf("seed %d box %v: genarray handled=%v err=%v\n%+v", seed, box, handled, err, code)
@@ -798,7 +794,7 @@ func TestWithStripIntBodyIntoFloatCells(t *testing.T) {
 	}
 	n := stripMax + 5
 	run := bindRun(p, []int{0}, []int{n}, []int{n})
-	out, handled, err := GenArrayFlat(Float, run, Exec{})
+	out, handled, err := GenArrayFlat(run, Exec{})
 	run.Release()
 	if !handled || err != nil {
 		t.Fatalf("handled=%v err=%v", handled, err)
@@ -814,18 +810,11 @@ func TestWithStripIntBodyIntoFloatCells(t *testing.T) {
 	if want := 0.5 + float64(3*n*(n-1)/2-4*n); !handled || err != nil || got != want {
 		t.Fatalf("fold = %v handled=%v err=%v, want %v", got, handled, err, want)
 	}
-	// The same plan into int cells needs a program compiled for int cells.
-	run = bindRun(p, []int{0}, []int{n}, []int{n})
-	_, handled, _ = GenArrayFlat(Int, run, Exec{})
-	run.Release()
-	if handled {
-		t.Error("a program compiled for float cells filled an int matrix")
-	}
 }
 
 // TestWithStripDeclinesBeforeAnyObservable: what the interval analysis
-// cannot prove, and leaves that do not match the plan, fall back with
-// no hook firing and no budget charge.
+// cannot prove, and an unbound leaf, fall back with no hook firing and
+// no budget charge.
 func TestWithStripDeclinesBeforeAnyObservable(t *testing.T) {
 	// m[i, i+1] one past the row's end, then a nested fold reading
 	// m[i, k] one past it, then m[i, i-1] under an arm only i > 0 takes:
@@ -854,7 +843,7 @@ func TestWithStripDeclinesBeforeAnyObservable(t *testing.T) {
 		budget := NewBudget(1 << 20)
 		run := bindRun(p, []int{0}, []int{testDim}, []int{testDim})
 		fired = 0
-		_, handled, err := GenArrayFlat(Int, run, Exec{Budget: budget})
+		_, handled, err := GenArrayFlat(run, Exec{Budget: budget})
 		if handled || err != nil || fired != 0 || budget.Used() != 0 {
 			t.Errorf("%s: handled=%v err=%v hook fired %d budget %d, want a silent decline",
 				name, handled, err, fired, budget.Used())
@@ -862,19 +851,16 @@ func TestWithStripDeclinesBeforeAnyObservable(t *testing.T) {
 		if name == "shifted" {
 			// One row fewer keeps the load inside: the same run is handled.
 			run.Upper[0] = testDim - 1
-			if _, handled, err := GenArrayFlat(Int, run, Exec{Budget: budget}); !handled || err != nil {
+			if _, handled, err := GenArrayFlat(run, Exec{Budget: budget}); !handled || err != nil {
 				t.Errorf("shifted, one row fewer: handled=%v err=%v", handled, err)
 			}
 			if budget.Used() != testDim || fired != 1 {
 				t.Errorf("after one handled run: budget %d, hook fired %d, want %d and 1", budget.Used(), fired, testDim)
 			}
-			mistyped := New(Float, testDim, testDim)
 			fired = 0
-			for _, leaf := range []*Matrix{nil, mistyped, New(Int, testDim)} {
-				run.Mats[0] = leaf
-				if _, handled, _ := GenArrayFlat(Int, run, Exec{Budget: budget}); handled {
-					t.Errorf("leaf %v was handled", leaf)
-				}
+			run.Mats[0] = nil
+			if _, handled, _ := GenArrayFlat(run, Exec{Budget: budget}); handled {
+				t.Error("an unbound leaf was handled")
 			}
 			if budget.Used() != testDim {
 				t.Errorf("declines charged the budget: %d", budget.Used())
@@ -982,11 +968,7 @@ func TestWithStripLoadsAreReadOnly(t *testing.T) {
 		run := p.NewRun()
 		run.Lower[0], run.Upper[0], run.Shape[0] = 0, n, n
 		run.Mats[0], run.Mats[1] = u, v
-		elem := Int
-		if tc.float {
-			elem = Float
-		}
-		out, handled, err := GenArrayFlat(elem, run, Exec{})
+		out, handled, err := GenArrayFlat(run, Exec{})
 		run.Release()
 		if !handled || err != nil {
 			t.Fatalf("handled=%v err=%v", handled, err)
@@ -1014,7 +996,7 @@ func TestWithStripSharedProgram(t *testing.T) {
 	}
 	lower, upper, shape := []int{0, 0}, []int{5, stripMax + 9}, []int{5, stripMax + 9}
 	ref := bindRun(p, lower, upper, shape)
-	want, _, err := GenArrayFlat(Float, ref, Exec{})
+	want, _, err := GenArrayFlat(ref, Exec{})
 	ref.Release()
 	if err != nil {
 		t.Fatal(err)
@@ -1031,7 +1013,7 @@ func TestWithStripSharedProgram(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 20; rep++ {
 				run := bindRun(p, lower, upper, shape)
-				out, handled, err := GenArrayFlat(Float, run, x)
+				out, handled, err := GenArrayFlat(run, x)
 				run.Release()
 				if !handled || err != nil {
 					t.Errorf("handled=%v err=%v", handled, err)
@@ -1065,7 +1047,7 @@ func TestWithStripScratchIsPooled(t *testing.T) {
 		run.Lower[0], run.Lower[1] = 0, 0
 		run.Upper[0], run.Upper[1] = 64, 300
 		run.Shape[0], run.Shape[1] = 64, 300
-		out, _, err := GenArrayFlat(Float, run, Exec{})
+		out, _, err := GenArrayFlat(run, Exec{})
 		run.Release()
 		if err != nil {
 			t.Fatal(err)
@@ -1175,7 +1157,7 @@ func TestWithNestedFoldIsTheSequentialFold(t *testing.T) {
 			copy(run.Shape, []int{m, n})
 			run.Lower[0], run.Lower[1] = 0, 0
 			run.Mats[0], run.ScalarI[0] = mat, int64(trips)
-			out, handled, err := GenArrayFlat(Float, run, x)
+			out, handled, err := GenArrayFlat(run, x)
 			run.Release()
 			if !handled || err != nil {
 				t.Fatalf("handled=%v err=%v", handled, err)
@@ -1229,7 +1211,7 @@ func TestWithNestedFoldPollsContext(t *testing.T) {
 			if fold {
 				_, handled, err = foldFlatAny(FoldAdd, int64(0), run, x)
 			} else {
-				_, handled, err = GenArrayFlat(Int, run, x)
+				_, handled, err = GenArrayFlat(run, x)
 			}
 			took := time.Since(start)
 			run.Release()
@@ -1273,7 +1255,7 @@ func TestWithRowFoldPollsContext(t *testing.T) {
 		defer r.Release()
 		r.Lower[0], r.Upper[0], r.Shape[0] = 0, cells, cells
 		r.Mats[0] = m
-		out, handled, err := GenArrayFlat(Float, r, Exec{Ctx: pc})
+		out, handled, err := GenArrayFlat(r, Exec{Ctx: pc})
 		if !handled {
 			t.Fatal("the genarray is not run flat")
 		}

@@ -18,9 +18,8 @@
 //     ops (comparisons change the element type, % traps);
 //   - every interior stage has the chain's element type exactly; a
 //     matrix leaf has it too or — a promoting leaf — is int on a float
-//     chain: WI2F follows its load, and admission charges the conversion
-//     scratch the unfused kernels take, right after the consuming
-//     stage's output (matrix/fuse.go);
+//     chain: WI2F follows its load, and nothing is charged for it, as
+//     the unfused kernels make no copy of it either (matrix/fuse.go);
 //   - matrix leaves are plain identifiers of concrete matrix type
 //     (binding-time coercion pins the runtime element type; AnyMatrix
 //     readMatrix results are excluded) or range literals whose bounds
@@ -110,21 +109,33 @@ func computeFacts(prog *ast.Program, info *sem.Info, sites *[]WithSite) *Facts {
 		return f
 	}
 	ff := &factFinder{info: info, facts: f, sites: sites}
+	// A global initializer runs before its global and the later ones are
+	// bound: unbound holds them while it is walked, and nil otherwise.
+	unbound := map[string]bool{}
+	for _, d := range prog.Decls {
+		if g, ok := d.(*ast.GlobalVarDecl); ok {
+			unbound[g.Name] = true
+		}
+	}
 	for _, d := range prog.Decls {
 		switch d := d.(type) {
 		case *ast.FuncDecl:
+			ff.unbound = nil
 			ff.stmt(d.Body)
 		case *ast.GlobalVarDecl:
+			ff.unbound = unbound
 			ff.expr(d.Init)
+			delete(unbound, d.Name)
 		}
 	}
 	return f
 }
 
 type factFinder struct {
-	info  *sem.Info
-	facts *Facts
-	sites *[]WithSite // WithSites' list, nil for ComputeFacts
+	info    *sem.Info
+	facts   *Facts
+	sites   *[]WithSite     // WithSites' list, nil for ComputeFacts
+	unbound map[string]bool // in a global initializer, the globals not bound yet
 }
 
 func (ff *factFinder) stmt(s ast.Stmt) {
@@ -241,7 +252,7 @@ func (ff *factFinder) withLoop(x *ast.WithLoop) {
 	}
 	// Bodies and bounds keep their own facts (a nested with-loop
 	// inside a non-flat body can still get its own plan).
-	wp, why := proveWith(ff.info, x)
+	wp, why := proveWith(ff.info, x, ff.unbound)
 	if wp != nil {
 		ff.facts.withs[x] = wp
 	}

@@ -2,8 +2,10 @@
 // genarray/fold body that is an effect-free scalar index expression is
 // written here in the flat postfix plan language of matrix.WithInstr;
 // the VM has matrix.CompileWith turn the plan into a strip program,
-// resolves the leaf names against its registers and runs the loop
-// through matrix.GenArrayFlat/FoldFlat instead of a per-element closure.
+// binds the leaf names — a local's register, or a global read once at
+// loop entry — and runs the loop through matrix.GenArrayFlat/FoldFlat
+// instead of a per-element closure. What is decided here is not decided
+// again: the VM compiles flat every site proven here and no other.
 //
 // The plan language:
 //
@@ -32,11 +34,15 @@
 // int `/` by anything but a non-zero literal (the closure path traps
 // per element mid-loop), bool bodies (bool cells), calls the inliner
 // cannot prove pure, `end` (needs the enclosing indexing context),
-// nested genarrays (matrix values), transform clauses, and any leaf
-// that is not a plain identifier or literal. A float-typed `/` is total
-// (IEEE), so it is allowed on float bodies. A nested fold keeps a plan
-// of its own as well: it is what runs when the outer loop stays on the
-// closure path.
+// nested genarrays (matrix values), a genarray whose shape does not
+// have one extent an id (admission fails), a leaf in a global
+// initializer naming a global not bound yet (the closure path fails
+// "undeclared" at the first cell), and any leaf that is not a plain
+// identifier or literal. Transform clauses are no reason: only the C
+// back end applies them, and every engine here computes what the
+// untransformed loop does. A float-typed `/` is total (IEEE), so it is
+// allowed on float bodies. A nested fold keeps a plan of its own as
+// well: it is what runs when the outer loop stays on the closure path.
 package vet
 
 import (
@@ -53,9 +59,10 @@ import (
 )
 
 // WithPlan is a proven flat-compilable with-loop body. Leaves are
-// recorded by name; the VM resolves them against local registers at
-// compile time (globals decline — a racy global rebind must keep
-// closure semantics) and re-verifies elements at run time.
+// recorded by name; the VM binds a local's register, or loads a global
+// once at loop entry, after the bounds, the shape and the base. The
+// body cannot rebind a global (it is pure), so only a spawned task
+// could between two cells: a determinacy race, which cmvet reports.
 type WithPlan struct {
 	Fold    bool
 	Kind    matrix.FoldKind // Fold only
@@ -108,15 +115,17 @@ func (f *Facts) WithCount() int {
 }
 
 // proveWith compiles w's body to a flat plan, or says which rule of the
-// flat language it breaks.
-func proveWith(info *sem.Info, w *ast.WithLoop) (*WithPlan, WithDecline) {
+// flat language it breaks. unbound holds the globals not bound yet where
+// w runs: in a global initializer, that global's and the later ones'.
+func proveWith(info *sem.Info, w *ast.WithLoop, unbound map[string]bool) (*WithPlan, WithDecline) {
 	b := &withBuilder{
-		info:  info,
-		ids:   map[string]int{},
-		plan:  &WithPlan{},
-		mats:  map[string]int{},
-		sInts: map[string]int{},
-		sFlts: map[string]int{},
+		info:    info,
+		unbound: unbound,
+		ids:     map[string]int{},
+		plan:    &WithPlan{},
+		mats:    map[string]int{},
+		sInts:   map[string]int{},
+		sFlts:   map[string]int{},
 	}
 	if !b.generator(w) {
 		return nil, b.why
@@ -128,6 +137,9 @@ func proveWith(info *sem.Info, w *ast.WithLoop) (*WithPlan, WithDecline) {
 	var body ast.Expr
 	switch op := w.Op.(type) {
 	case *ast.GenArrayOp:
+		if len(op.Shape) != len(w.Ids) {
+			return nil, WithDecline{Rule: "shape arity", Span: op.Span()}
+		}
 		body = op.Body
 	case *ast.FoldOp:
 		body = op.Body
@@ -147,30 +159,27 @@ func proveWith(info *sem.Info, w *ast.WithLoop) (*WithPlan, WithDecline) {
 	return b.plan, WithDecline{}
 }
 
-// generator checks the loop's own shape: one bound a generated id a side,
-// and no transform clause.
+// generator checks the loop's own shape: one bound a generated id a side.
 func (b *withBuilder) generator(w *ast.WithLoop) bool {
-	switch {
-	case len(w.Transforms) != 0:
-		return b.decline(w.Transforms[0], "transform clause")
-	case len(w.Ids) == 0 || len(w.Lower) != len(w.Ids) || len(w.Upper) != len(w.Ids):
+	if len(w.Ids) == 0 || len(w.Lower) != len(w.Ids) || len(w.Upper) != len(w.Ids) {
 		return b.decline(w, "generator arity")
 	}
 	return true
 }
 
 type withBuilder struct {
-	info  *sem.Info
-	ids   map[string]int // generated ids in scope, by name
-	nids  int            // how many: a nested fold numbers its ids on from here
-	strip int            // the loop's innermost id: nested fold bounds must not vary along it
-	plan  *WithPlan
-	mats  map[string]int
-	sInts map[string]int
-	sFlts map[string]int
-	why   WithDecline // the first rule broken
-	env   *inlined    // the callee being emitted, nil in the body itself
-	folds int         // nested folds enclosing the node being built: each opens a frame a cell on the closure path
+	info    *sem.Info
+	unbound map[string]bool // globals a global initializer cannot read yet
+	ids     map[string]int  // generated ids in scope, by name
+	nids    int             // how many: a nested fold numbers its ids on from here
+	strip   int             // the loop's innermost id: nested fold bounds must not vary along it
+	plan    *WithPlan
+	mats    map[string]int
+	sInts   map[string]int
+	sFlts   map[string]int
+	why     WithDecline // the first rule broken
+	env     *inlined    // the callee being emitted, nil in the body itself
+	folds   int         // nested folds enclosing the node being built: each opens a frame a cell on the closure path
 }
 
 func (b *withBuilder) emit(in matrix.WithInstr) {
@@ -222,11 +231,13 @@ func (b *withBuilder) build(e ast.Expr) (types.Kind, bool) {
 		}
 		switch b.kindOf(e) {
 		case types.Int:
-			b.emit(matrix.WithInstr{Op: matrix.WPushScalarI, A: int32(b.slot(b.sInts, &b.plan.ScalarI, e.Name))})
-			return types.Int, true
+			s, ok := b.leaf(e, b.sInts, &b.plan.ScalarI)
+			b.emit(matrix.WithInstr{Op: matrix.WPushScalarI, A: s})
+			return types.Int, ok
 		case types.Float:
-			b.emit(matrix.WithInstr{Op: matrix.WPushScalarF, A: int32(b.slot(b.sFlts, &b.plan.ScalarF, e.Name))})
-			return types.Float, true
+			s, ok := b.leaf(e, b.sFlts, &b.plan.ScalarF)
+			b.emit(matrix.WithInstr{Op: matrix.WPushScalarF, A: s})
+			return types.Float, ok
 		}
 		return 0, b.decline(e, "identifier not an int or float scalar")
 	case *ast.UnaryExpr:
@@ -534,7 +545,11 @@ func (b *withBuilder) load(e *ast.IndexExpr) (types.Kind, bool) {
 			return 0, false
 		}
 	}
-	slot := b.slot(b.mats, &b.plan.Mats, id.Name)
+	s, ok := b.leaf(id, b.mats, &b.plan.Mats)
+	if !ok {
+		return 0, false
+	}
+	slot := int(s)
 	for len(b.plan.MatElem) <= slot {
 		b.plan.MatElem = append(b.plan.MatElem, elem)
 	}
@@ -567,8 +582,9 @@ func (b *withBuilder) index(e ast.Expr) bool {
 			return true
 		}
 		if b.kindOf(e) == types.Int {
-			b.emit(matrix.WithInstr{Op: matrix.WPushScalarI, A: int32(b.slot(b.sInts, &b.plan.ScalarI, e.Name))})
-			return true
+			s, ok := b.leaf(e, b.sInts, &b.plan.ScalarI)
+			b.emit(matrix.WithInstr{Op: matrix.WPushScalarI, A: s})
+			return ok
 		}
 		return b.decline(e, "index identifier not an int scalar")
 	case *ast.UnaryExpr:
@@ -609,13 +625,17 @@ func (b *withBuilder) index(e ast.Expr) bool {
 	return b.decline(e, "index outside the index language")
 }
 
-// slot interns a leaf name into its slot list.
-func (b *withBuilder) slot(m map[string]int, names *[]string, name string) int {
-	if s, ok := m[name]; ok {
-		return s
+// leaf interns a leaf's name into its slot list, unless it names a
+// global not bound yet where the loop runs.
+func (b *withBuilder) leaf(id *ast.Ident, m map[string]int, names *[]string) (int32, bool) {
+	if b.unbound[id.Name] {
+		return 0, b.decline(id, "global not bound yet")
 	}
-	s := len(*names)
-	m[name] = s
-	*names = append(*names, name)
-	return s
+	s, ok := m[id.Name]
+	if !ok {
+		s = len(*names)
+		m[id.Name] = s
+		*names = append(*names, id.Name)
+	}
+	return int32(s), true
 }

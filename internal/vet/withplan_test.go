@@ -306,7 +306,10 @@ int main() {
 	}
 }
 
-func TestWithPlanTransformsDecline(t *testing.T) {
+// TestWithPlanTransformsRunFlat: transform clauses rewrite only the C
+// back end's loop nest, so they are no reason to decline — Fig 9's site
+// is flat.
+func TestWithPlanTransformsRunFlat(t *testing.T) {
 	f := factsFor(t, `
 int main() {
 	int n = 4;
@@ -318,8 +321,60 @@ int main() {
 	print(m[0, 0]);
 	return 0;
 }`)
-	if f.WithCount() != 0 {
-		t.Fatalf("WithCount = %d, want 0 (transform clauses keep the closure path)", f.WithCount())
+	if wp := onlyPlan(t, f); wp.Fold || !wp.Float {
+		t.Errorf("plan %+v, want a float genarray", wp)
+	}
+}
+
+// TestWithPlanUnboundGlobalDeclines: in a global initializer a leaf may
+// name an earlier global, and not a later one or the global being
+// initialized — they are not bound yet, and the closure path fails
+// "undeclared" there. A with-loop in a function reads any global.
+func TestWithPlanUnboundGlobalDeclines(t *testing.T) {
+	sites := sitesFor(t, `
+int n = 4;
+Matrix float <1> early = [0 :: 3] * 0.5;
+Matrix float <1> a = with ([0] <= [i] < [n]) genarray([n], early[i] * 2.0);
+Matrix float <1> b = with ([0] <= [i] < [n]) genarray([n], a[i] + late[i]);
+float self = with ([0] <= [i] < [0]) fold(+, 1.5, (float)i * self);
+int k = with ([0] <= [i] < [2]) fold(+, 0, with ([0] <= [j] < [later]) fold(+, i, j));
+Matrix float <1> late = [0 :: 3] * 1.0;
+int later = 2;
+float f() { return with ([0] <= [i] < [n]) fold(+, 0.0, late[i] * (float)later); }
+int main() {
+	print(f());
+	return 0;
+}`)
+	var got []string
+	for _, s := range sites {
+		got = append(got, fmt.Sprintf("%s %s %s", s.Loop.Span().Start, s.Decline.Rule, s.Decline.Span.Start))
+	}
+	want := []string{
+		"4:22  0:0",
+		"5:22 global not bound yet 5:67",
+		"6:14 global not bound yet 6:62",
+		"7:44  0:0", // its own bound is no leaf of its plan
+		"7:9 global not bound yet 7:64",
+		"10:20  0:0",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("sites:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestWithPlanShapeArityDeclines: a genarray whose shape has not one
+// extent an id — a program the checker rejects — proves nothing.
+func TestWithPlanShapeArityDeclines(t *testing.T) {
+	var diags source.Diagnostics
+	prog := parser.ParseFile("test.xc", `
+int main() {
+	Matrix int <1> m;
+	m = with ([0, 0] <= [i, j] < [2, 2]) genarray([4], i + j);
+	return 0;
+}`, parser.AllExtensions(), &diags)
+	sites := WithSites(prog, sem.Check(prog, &diags))
+	if len(sites) != 1 || sites[0].Plan != nil || sites[0].Decline.Rule != "shape arity" || sites[0].Decline.Span.Start.String() != "4:39" {
+		t.Errorf("sites %+v, want one declined for its shape arity at 4:39", sites)
 	}
 }
 

@@ -793,15 +793,12 @@ func (f *fnc) compileWith(w *ast.WithLoop) (int32, class) {
 	}
 	d.body, d.captures = f.compileWithBody(w, bodyExpr)
 	op := opWith
-	if d.staticFail == nil {
-		if fp := f.flatWithPlan(w, d); fp != nil {
-			d.flat = fp
-			f.c.withSites++
-			if d.fold {
-				op = opWithFold
-			} else {
-				op = opWithGen
-			}
+	if wp := f.c.facts.WithAt(w); wp != nil {
+		d.flat = f.flatWithPlan(w, d, wp)
+		f.c.withSites++
+		op = opWithGen
+		if d.fold {
+			op = opWithFold
 		}
 	}
 	dst := f.reg()
@@ -809,52 +806,24 @@ func (f *fnc) compileWith(w *ast.WithLoop) (int32, class) {
 	return dst, d.resCl
 }
 
-// flatWithPlan binds a vet-proven flat plan's leaf names to this
-// function's local registers and compiles the plan to its strip
-// program. Every leaf must be a local of the proven class (globals
-// decline: a mid-run global rebind from a spawned task must keep
-// per-element closure semantics), the proven fold kind must match the
-// compiled one, and the strip compiler must accept the plan. Any
-// mismatch keeps the closure path.
-func (f *fnc) flatWithPlan(w *ast.WithLoop, d *withDesc) *flatPlan {
-	wp := f.c.facts.WithAt(w)
-	if wp == nil || wp.Fold != d.fold {
-		return nil
-	}
-	// The accumulator is float when the fold's static type is; a
-	// genarray's cells have the element type the checker gave it.
-	outFloat := d.resCl == clF
-	if d.fold {
-		if wp.Kind != d.foldKind {
-			return nil
-		}
-	} else {
-		if len(d.shape) != len(d.lower) || d.elem == matrix.Bool {
-			return nil
-		}
-		outFloat = d.elem == matrix.Float
-	}
+// flatWithPlan binds a vet-proven flat plan's leaves — a local's
+// register, or a global loaded here, at loop entry, after the bounds,
+// the shape and the base, as a chain's global leaves are — and compiles
+// the plan to its strip program, whose cells are the loop's static type.
+func (f *fnc) flatWithPlan(w *ast.WithLoop, d *withDesc, wp *vet.WithPlan) *flatPlan {
 	fp := &flatPlan{inline: wp.Inline}
 	for _, name := range wp.Mats {
-		vs, ok := f.resolve(name)
-		if !ok || vs.cl != clR || vs.ty == nil || vs.ty.Kind != types.Matrix {
-			return nil
-		}
-		fp.mats = append(fp.mats, vs.reg)
+		fp.mats = append(fp.mats, f.leaf(name))
 	}
 	for _, name := range wp.ScalarI {
-		vs, ok := f.resolve(name)
-		if !ok || vs.cl != clI {
-			return nil
-		}
-		fp.sI = append(fp.sI, vs.reg)
+		fp.sI = append(fp.sI, f.leaf(name))
 	}
 	for _, name := range wp.ScalarF {
-		vs, ok := f.resolve(name)
-		if !ok || vs.cl != clF {
-			return nil
-		}
-		fp.sF = append(fp.sF, vs.reg)
+		fp.sF = append(fp.sF, f.leaf(name))
+	}
+	outFloat := d.resCl == clF
+	if !d.fold {
+		outFloat = d.elem == matrix.Float
 	}
 	var ok bool
 	fp.prog, ok = matrix.CompileWith(matrix.WithSpec{
@@ -863,9 +832,24 @@ func (f *fnc) flatWithPlan(w *ast.WithLoop, d *withDesc) *flatPlan {
 		Float: wp.Float, OutFloat: outFloat,
 	})
 	if !ok {
-		return nil
+		bail("the strip compiler refused the proven with-loop plan at %s", w.Span())
 	}
 	return fp
+}
+
+// leaf returns the register a plan leaf is read from: a local's own, or
+// a temporary its global is loaded into now.
+func (f *fnc) leaf(name string) int32 {
+	if vs, ok := f.resolve(name); ok {
+		return vs.reg
+	}
+	gi, _, ok := f.resolveGlobal(name)
+	if !ok {
+		bail("with-loop leaf %q is no variable in scope", name)
+	}
+	r := f.reg()
+	f.emit(instr{op: opGLoad, a: r, b: int32(gi)})
+	return r
 }
 
 // compileWithBody lowers the with-loop body expression as a proto of

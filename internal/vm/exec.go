@@ -202,8 +202,8 @@ func (mc *Machine) run() (int, error) {
 
 // enter opens an activation of p for a caller at callerDepth.
 func (mc *Machine) enter(p *proto, site ast.Node, callerDepth int, pool *par.Pool) (*frame, error) {
-	if callerDepth > 512 {
-		return nil, interp.Trapf(site, interp.TrapDepth, "call stack exceeded 512 frames (infinite recursion in %q?)", p.name)
+	if callerDepth > interp.MaxCallDepth {
+		return nil, interp.Trapf(site, interp.TrapDepth, "call stack exceeded %d frames (infinite recursion in %q?)", interp.MaxCallDepth, p.name)
 	}
 	return p.frame(pool, callerDepth+1), nil
 }

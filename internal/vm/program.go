@@ -355,9 +355,8 @@ type withDesc struct {
 
 // flatPlan is a vet.WithPlan or vet.Chain compiled for this site: the
 // strip program (immutable, shared by every run of the cached program)
-// and the registers its leaves are read from at run time. A with-loop's
-// leaves resolve to locals only: a global leaf keeps the closure path
-// so a racy global rebind stays observable per element.
+// and the registers its leaves are read from at run time — a local's
+// own, or a temporary a global leaf is loaded into at the site's entry.
 type flatPlan struct {
 	prog   *matrix.WithProg
 	mats   []int32 // R regs, by load slot

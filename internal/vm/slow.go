@@ -380,23 +380,19 @@ func (mc *Machine) execWith(fr *frame, in *instr) error {
 	return nil
 }
 
-// execWithFlat attempts a facts-compiled with-loop on the flat engine.
-// handled=false means the flat engine cannot run this body here — a
-// leaf register holds an unexpected value, an index is infeasible, the
-// element type mismatches — with nothing observable done: no hook
-// firings, no budget charges. The caller then runs the closure engine;
-// the decline is counted.
+// execWithFlat runs a with-loop vet proved flat on the flat engine.
+// handled=false means only what shows at run time — a leaf unassigned,
+// an index the interval analysis cannot bound — with nothing observable
+// done: no hook firings, no budget charges. The caller then runs the
+// closure engine; the decline is counted.
 func (mc *Machine) execWithFlat(fr *frame, in *instr) (bool, error) {
 	d := in.aux.(*withDesc)
 	fp := d.flat
-	if fp == nil || d.staticFail != nil {
-		return false, nil
-	}
 	// Calls a plan emits in place tick no statement and open no frame:
 	// under a step budget, or where the innermost callee's frame would
 	// pass the depth limit, the closure path runs them. Not a decline.
 	if fp.inline > 0 {
-		if _, max := mc.in.StepBudget(); max > 0 || fr.depth+fp.inline > 512 {
+		if _, max := mc.in.StepBudget(); max > 0 || fr.depth+fp.inline > interp.MaxCallDepth {
 			return false, nil
 		}
 	}
@@ -410,14 +406,11 @@ func (mc *Machine) execWithFlat(fr *frame, in *instr) (bool, error) {
 }
 
 // bind fills a run's leaves from the frame's registers. A matrix
-// register that holds no matrix (unassigned, or anything else an
-// unchecked program put there) binds nil and is reported.
-func (fp *flatPlan) bind(fr *frame, run *matrix.WithRun) bool {
-	ok := true
+// register that holds no matrix (unassigned) binds nil, which the flat
+// engine reports.
+func (fp *flatPlan) bind(fr *frame, run *matrix.WithRun) {
 	for k, r := range fp.mats {
-		m, isMat := fr.regs[r].r.(*matrix.Matrix)
-		run.Mats[k] = m
-		ok = ok && isMat
+		run.Mats[k], _ = fr.regs[r].r.(*matrix.Matrix)
 	}
 	for k, r := range fp.sI {
 		run.ScalarI[k] = fr.regs[r].i
@@ -425,7 +418,6 @@ func (fp *flatPlan) bind(fr *frame, run *matrix.WithRun) bool {
 	for k, r := range fp.sF {
 		run.ScalarF[k] = fr.regs[r].f
 	}
-	return ok
 }
 
 // execChain runs a fused elementwise chain on the flat engine. There is
@@ -454,19 +446,14 @@ func (mc *Machine) execChain(fr *frame, in *instr) error {
 func (mc *Machine) runFlat(fr *frame, in *instr, d *withDesc, fp *flatPlan) (bool, error) {
 	run := fp.prog.NewRun()
 	defer run.Release()
-	if !fp.bind(fr, run) {
-		return false, nil
-	}
+	fp.bind(fr, run)
 	for k := range d.lower {
 		run.Lower[k] = int(fr.regs[d.lower[k]].i)
 		run.Upper[k] = int(fr.regs[d.upper[k]].i)
 	}
 	x := mc.in.Exec(fr.pool)
 	if d.fold {
-		base, ok := fr.foldBase(d)
-		if !ok {
-			return false, nil
-		}
+		base, _ := fr.foldBase(d)
 		out, handled, err := matrix.FoldFlat(d.foldKind, base, run, x)
 		if !handled {
 			return false, nil
@@ -480,7 +467,7 @@ func (mc *Machine) runFlat(fr *frame, in *instr, d *withDesc, fp *flatPlan) (boo
 	for k, r := range d.shape {
 		run.Shape[k] = int(fr.regs[r].i)
 	}
-	out, handled, err := matrix.GenArrayFlat(d.elem, run, x)
+	out, handled, err := matrix.GenArrayFlat(run, x)
 	if !handled {
 		return false, nil
 	}

@@ -85,6 +85,13 @@ int main() {
 			p := compile(t, tc.src)
 			ops := countOps(p)
 			switch tc.name {
+			case "global_matrix_leaf":
+				// A global leaf is no reason to decline: it is loaded once,
+				// at loop entry, as a chain's global leaves are.
+				if p.WithCompiled() != 1 || ops[opWith] != 0 || ops[opWithGen] != 1 {
+					t.Errorf("WithCompiled = %d, opWith = %d, opWithGen = %d, want 1/0/1",
+						p.WithCompiled(), ops[opWith], ops[opWithGen])
+				}
 			case "nested_bound_along_strip":
 				// The triangular outer genarray keeps the closure path, but
 				// the inner fold compiles flat inside the body proto (its

@@ -107,6 +107,26 @@ func parseAndCheck(t *testing.T, name, src string) *parsedProg {
 	return &parsedProg{prog: p, info: info}
 }
 
+// parseCorpusEntry front-ends a corpus entry: checked, or — for an
+// entry that pins the checker's diagnostic — run whatever the checker
+// says, once the diagnostic is the one pinned.
+func parseCorpusEntry(t *testing.T, name, src, unchecked string) *parsedProg {
+	t.Helper()
+	if unchecked == "" {
+		return parseAndCheck(t, name+".xc", src)
+	}
+	var d source.Diagnostics
+	p := parser.ParseFile(name+".xc", src, parser.AllExtensions(), &d)
+	if p == nil {
+		t.Fatalf("%s: parse failed:\n%s", name, d.String())
+	}
+	info := sem.Check(p, &d)
+	if got := strings.TrimSpace(d.String()); got != unchecked {
+		t.Fatalf("%s: the checker said %q, pinned %q", name, got, unchecked)
+	}
+	return &parsedProg{prog: p, info: info}
+}
+
 // compare asserts two engine results are observably identical.
 func compare(t *testing.T, label string, tree, vmr engineResult) {
 	t.Helper()
@@ -164,6 +184,11 @@ var vmCorpus = []struct {
 	pin    *pinned // when set, the oracle's stdout and budget cells
 	errIs  string  // when set, the oracle's whole error, and
 	live   int64   // the rc cells its failed run leaves live
+	// threads the entry runs at: 1 and 4 when nil.
+	threads []int
+	// unchecked, when set, is the checker's one diagnostic: the entry
+	// runs the program regardless, as a host that skips the checker does.
+	unchecked string
 }{
 	{name: "scalar_loop", src: `
 int main() {
@@ -907,12 +932,12 @@ int main() {
 	print(r[0, 0]);
 	return 0;
 }`},
-	// Range and promoting leaves of a chain (out, error and cells pinned at
+	// Range and promoting leaves of a chain (out and error pinned at
 	// 224178f, where every one of these ran stage by stage through
 	// RangeBudgeted, floatScratch and BroadcastExec): the fused plan admits
-	// the range at its leaf, the scratch after its stage's output, and
+	// the range at its leaf, converts a promoted leaf as it loads it, and
 	// allocates neither.
-	{name: "chain_range_float", pin: &pinned{"1.5\n3.75\n5.25\n6\n1\n1.4\n1.8\n-0.4000000000000001\n818.7\n818.8\n1637.9\n2001.3\n20018\n", 80132}, src: `
+	{name: "chain_range_float", pin: &pinned{"1.5\n3.75\n5.25\n6\n1\n1.4\n1.8\n-0.4000000000000001\n818.7\n818.8\n1637.9\n2001.3\n20018\n", 60099}, src: `
 int main() {
 	int x1 = 0;
 	int x2 = 5;
@@ -958,7 +983,7 @@ int main() {
 	print(with ([0] <= [i] < [n]) fold(+, 0, wide[i]));
 	return 0;
 }`},
-	{name: "chain_range_single_stage", pin: &pinned{"6\n3\n7\n1.5\n3.5\n0.3333333333333333\n0.25\n", 53}, src: `
+	{name: "chain_range_single_stage", pin: &pinned{"6\n3\n7\n1.5\n3.5\n0.3333333333333333\n0.25\n", 37}, src: `
 int main() {
 	int n = 6;
 	Matrix float <1> a = [0 :: n] * 1.0;
@@ -974,7 +999,7 @@ int main() {
 	print(d[3]);
 	return 0;
 }`},
-	{name: "chain_range_scalar_left", pin: &pinned{"1.25\n10\n9.5\n9\n6\n10\n10\n", 96}, src: `
+	{name: "chain_range_scalar_left", pin: &pinned{"1.25\n10\n9.5\n9\n6\n10\n10\n", 72}, src: `
 int main() {
 	int a = 1;
 	int b = 8;
@@ -992,7 +1017,7 @@ int main() {
 	print(r[end]);
 	return 0;
 }`},
-	{name: "chain_range_empty", pin: &pinned{"0\n0\n0\n1\n2.5\n", 3}, src: `
+	{name: "chain_range_empty", pin: &pinned{"0\n0\n0\n1\n2.5\n", 2}, src: `
 int main() {
 	int lo = 5;
 	int hi = 2;
@@ -1009,7 +1034,7 @@ int main() {
 	print(one[0]);
 	return 0;
 }`},
-	{name: "chain_range_wrap", pin: &pinned{"-7\n-1\n9223372036854775806\n9223372036854775807\n-9223372036854775808\n-9223372036854775807\n0\n0\n9223372036854775807\n-9223372036854775808\n-9223372036854775807\n-4.611686018427388e+18\n-4.611686018427388e+18\n", 51}, src: `
+	{name: "chain_range_wrap", pin: &pinned{"-7\n-1\n9223372036854775806\n9223372036854775807\n-9223372036854775808\n-9223372036854775807\n0\n0\n9223372036854775807\n-9223372036854775808\n-9223372036854775807\n-4.611686018427388e+18\n-4.611686018427388e+18\n", 44}, src: `
 int main() {
 	int hi = 9223372036854775807;
 	int lo = hi - 3;
@@ -1045,7 +1070,7 @@ int main() {
 	print(f[0]);
 	return 0;
 }`},
-	{name: "chain_promote_ident", pin: &pinned{"1.5\n4\n-0.75\n5.5\n0\n7.5\n-2.166666666666667\n0.43333333333333335\n2.6\n34\n", 162}, src: `
+	{name: "chain_promote_ident", pin: &pinned{"1.5\n4\n-0.75\n5.5\n0\n7.5\n-2.166666666666667\n0.43333333333333335\n2.6\n34\n", 108}, src: `
 int main() {
 	Matrix int <1> v = [1 :: 6];
 	Matrix float <1> f = [1 :: 6] * 0.25;
@@ -1066,7 +1091,7 @@ int main() {
 	print(dimSize(h, 0) * 10 + dimSize(h, 1));
 	return 0;
 }`},
-	{name: "err_chain_range_unassigned", pin: &pinned{"7\n", 12},
+	{name: "err_chain_range_unassigned", pin: &pinned{"7\n", 8},
 		errHas: "5:23: runtime error: use of unassigned matrix", opts: interp.Options{MaxCells: 100}, src: `
 int main() {
 	Matrix float <1> u;
@@ -1091,7 +1116,7 @@ int main() {
 	print(r[0]);
 	return 0;
 }`},
-	{name: "err_chain_range_shape", pin: &pinned{"5\n", 19},
+	{name: "err_chain_range_shape", pin: &pinned{"5\n", 14},
 		errHas: "5:23: runtime error: matrix: * requires equal shapes, got [4] and [5]", src: `
 int main() {
 	Matrix float <1> five = [0 :: 4] * 1.0;
@@ -1100,20 +1125,21 @@ int main() {
 	print(r[0]);
 	return 0;
 }`},
-	// The six-cell line has four doors, in this order: the range (6), the
-	// first stage's output (12), its conversion scratch (18), the second
-	// stage's output (24).
+	// The six-cell line has three doors, in this order: the range (6), the
+	// first stage's output (12), the second stage's output (18). Its int
+	// range is converted as it is loaded: no copy, so no charge.
 	{name: "err_oom_chain_range_range", pin: &pinned{"3\n", 0},
 		errHas: "8:26: runtime error [trap:oom]: matrix: allocation of 6 cells exceeds the budget (0 of 5 cells already used)", opts: interp.Options{MaxCells: 5}, src: chainRangeLine},
 	{name: "err_oom_chain_range_stage", pin: &pinned{"3\n", 6},
 		errHas: "8:26: runtime error [trap:oom]: matrix: allocation of 6 cells exceeds the budget (6 of 11 cells already used)", opts: interp.Options{MaxCells: 11}, src: chainRangeLine},
-	{name: "err_oom_chain_range_scratch", pin: &pinned{"3\n", 12},
+	{name: "err_oom_chain_range_next_stage", pin: &pinned{"3\n", 12},
 		errHas: "8:26: runtime error [trap:oom]: matrix: allocation of 6 cells exceeds the budget (12 of 17 cells already used)", opts: interp.Options{MaxCells: 17}, src: chainRangeLine},
-	{name: "err_oom_chain_range_next_stage", pin: &pinned{"3\n", 18},
-		errHas: "8:26: runtime error [trap:oom]: matrix: allocation of 6 cells exceeds the budget (18 of 23 cells already used)", opts: interp.Options{MaxCells: 23}, src: chainRangeLine},
-	{name: "chain_range_line_fits", pin: &pinned{"3\n5.25\n", 24}, opts: interp.Options{MaxCells: 24}, src: chainRangeLine},
-	{name: "err_oom_chain_promote_scratch", pin: &pinned{"1.5\n", 30},
-		errHas: "6:23: runtime error [trap:oom]: matrix: allocation of 6 cells exceeds the budget (30 of 32 cells already used)", opts: interp.Options{MaxCells: 32}, src: `
+	{name: "chain_range_line_fits", pin: &pinned{"3\n5.25\n", 18}, opts: interp.Options{MaxCells: 18}, src: chainRangeLine},
+	// A promoting leaf's stage admits its output and nothing else: one
+	// cell short of the chain's two outputs, the root stage fails after
+	// 24 cells.
+	{name: "err_oom_chain_promote_scratch", pin: &pinned{"1.5\n", 24},
+		errHas: "6:23: runtime error [trap:oom]: matrix: allocation of 6 cells exceeds the budget (24 of 29 cells already used)", opts: interp.Options{MaxCells: 29}, src: `
 int main() {
 	Matrix int <1> v = [1 :: 6];
 	Matrix float <1> f = [1 :: 6] * 0.25;
@@ -1124,7 +1150,7 @@ int main() {
 }`},
 	// Shapes vet declines, which stay stage by stage: a bound that can be
 	// observed, int division and remainder (a zero divisor traps per cell).
-	{name: "chain_range_declined_shapes", pin: &pinned{"1\n3.5\n11\n2\n2\n4\n1\n4\n16\n10.5\n", 112}, src: `
+	{name: "chain_range_declined_shapes", pin: &pinned{"1\n3.5\n11\n2\n2\n4\n1\n4\n16\n10.5\n", 99}, src: `
 int calls = 0;
 int f() { calls = calls + 1; print(calls); return 2; }
 int main() {
@@ -1157,7 +1183,7 @@ int main() {
 	// int, float and bool scalars on either side, int promoted to float.
 	// The sizes walk the strip edges (1023 to 1025 cells) and the pool's
 	// split (16385); a fold sum weights every cell by its position.
-	{name: "lone_ops_shapes", pin: &pinned{"0\n0\n0\n0\n0\n0\n0\n0\n0\n0\n0\n0\n0\n0\n0\n0\n0\n1\n-2901\n-50\n-4255\n17\n17\n11\n10\n174\n-2696\n-74\n-1267\n25\n10\n3059\n16\n6\n1023\n-60123530610\n-42878\n611432349\n178287\n128887\n55186\n57904\n-85388605\n1352590257\n-42284\n631463318\n267810\n108246\n-1513153225\n193820\n33654\n1024\n-60378687800\n-43658\n614182289\n178537\n129057\n55266\n57954\n-85629135\n1356402787\n-42814\n633229748\n268220\n108346\n-1517471525\n194100\n33714\n1025\n-60659915098\n-44208\n616365228\n178812\n129244\n55354\n58009\n-85894015\n1360600739\n-43397\n635177749\n268671\n108456\n-1522215022\n194408\n33780\n16385\n-254673984628104\n-688078\n159934312920\n2866587\n2067411\n884734\n930499\n-22228229850\n352304313170\n-688118\n163091718842\n4323403\n1736490\n-399726242624\n3112488\n540615\n", 2257128}, src: `
+	{name: "lone_ops_shapes", pin: &pinned{"0\n0\n0\n0\n0\n0\n0\n0\n0\n0\n0\n0\n0\n0\n0\n0\n0\n1\n-2901\n-50\n-4255\n17\n17\n11\n10\n174\n-2696\n-74\n-1267\n25\n10\n3059\n16\n6\n1023\n-60123530610\n-42878\n611432349\n178287\n128887\n55186\n57904\n-85388605\n1352590257\n-42284\n631463318\n267810\n108246\n-1513153225\n193820\n33654\n1024\n-60378687800\n-43658\n614182289\n178537\n129057\n55266\n57954\n-85629135\n1356402787\n-42814\n633229748\n268220\n108346\n-1517471525\n194100\n33714\n1025\n-60659915098\n-44208\n616365228\n178812\n129244\n55354\n58009\n-85894015\n1360600739\n-43397\n635177749\n268671\n108456\n-1522215022\n194408\n33780\n16385\n-254673984628104\n-688078\n159934312920\n2866587\n2067411\n884734\n930499\n-22228229850\n352304313170\n-688118\n163091718842\n4323403\n1736490\n-399726242624\n3112488\n540615\n", 1906884}, src: `
 int fs(Matrix float <1> m) {
 	int n = dimSize(m, 0);
 	return with ([0] <= [i] < [n]) fold(+, 0, (int)(m[i] * 64.0) * (i % 13 + 1));
@@ -1230,10 +1256,11 @@ int main() {
 	print(r[0]);
 	return 0;
 }`},
-	// The compare admits its output (30 of 35 cells), then charges the
-	// promoted int operand, which does not fit.
-	{name: "err_lone_promote_oom", pin: &pinned{"3\n", 30}, opts: interp.Options{MaxCells: 35},
-		errIs: "err_lone_promote_oom.xc:6:22: runtime error [trap:oom]: matrix: allocation of 6 cells exceeds the budget (30 of 35 cells already used)", live: 0, src: `
+	// The compare's output is all it admits: one cell short of it, it
+	// fails there (18 of 23 cells). The promoted int operand is converted
+	// as it is loaded and charges nothing.
+	{name: "err_lone_promote_oom", pin: &pinned{"3\n", 18}, opts: interp.Options{MaxCells: 23},
+		errIs: "err_lone_promote_oom.xc:6:22: runtime error [trap:oom]: matrix: allocation of 6 cells exceeds the budget (18 of 23 cells already used)", live: 0, src: `
 int main() {
 	Matrix int <1> v = [1 :: 6];
 	Matrix float <1> f = [1 :: 6] * 0.5;
@@ -1295,9 +1322,9 @@ int main() {
 	return 0;
 }`},
 	// Out of budget inside the bench's fused chain, once two of its four
-	// stages are admitted (text, span and cells pinned at d550d74).
+	// stages are admitted: at the third's output, b * 0.5.
 	{name: "err_fused_shapes_oom_in_chain", opts: interp.Options{MaxCells: 7150}, pin: &pinned{"1023\n", 6144},
-		errIs: "err_fused_shapes_oom_in_chain.xc:6:23: runtime error [trap:oom]: matrix: allocation of 1024 cells exceeds the budget (6144 of 7150 cells already used)", live: 0, src: `
+		errIs: "err_fused_shapes_oom_in_chain.xc:6:36: runtime error [trap:oom]: matrix: allocation of 1024 cells exceeds the budget (6144 of 7150 cells already used)", live: 0, src: `
 int main() {
 	Matrix float <1> a = [0 :: 1023] * 1.0;
 	Matrix float <1> b = [1 :: 1024] * 0.5;
@@ -1805,7 +1832,7 @@ int main() {
 	print(n);
 	return 0;
 }`},
-	{name: "tuple_recv_value", pin: &pinned{"14\n21\n7\n28\n", 90}, src: `
+	{name: "tuple_recv_value", pin: &pinned{"14\n21\n7\n28\n", 60}, src: `
 (int, Matrix float <1>) lit(int a) { return (a * 3, [0 :: a] * 0.5); }
 float last((int, Matrix float <1>) t) {
 	int n; Matrix float <1> v;
@@ -1847,7 +1874,7 @@ int main() {
 	print(top[1]); print(d);
 	return 0;
 }`},
-	{name: "tuple_ret_into_globals", pin: &pinned{"101\n1.5\n3.5\n203\n3.5\n5\n7\n49\n9\n3\n0.5\n2\n", 26}, src: `
+	{name: "tuple_ret_into_globals", pin: &pinned{"101\n1.5\n3.5\n203\n3.5\n5\n7\n49\n9\n3\n0.5\n2\n", 22}, src: `
 int count = 0;
 float level = 0.5;
 Matrix float <1> kept = [0 :: 3] * 1.0;
@@ -1957,7 +1984,7 @@ int main() {
 	print(n);
 	return 0;
 }`},
-	{name: "err_tuple_ret_coerce_mid", pin: &pinned{"3\n", 12},
+	{name: "err_tuple_ret_coerce_mid", pin: &pinned{"3\n", 8},
 		errIs: "err_tuple_ret_coerce_mid.xc:11:6: runtime error: use of unassigned matrix", live: 0, src: `
 (int, Matrix float <1>, int) mixed(int k) {
 	if (k == 0) { return (1, [0 :: 3] * 1.0, 2); }
@@ -1972,7 +1999,7 @@ int main() {
 	print(a);
 	return 0;
 }`},
-	{name: "err_rc_matrix_use_after_release_bind", pin: &pinned{"1\n", 12},
+	{name: "err_rc_matrix_use_after_release_bind", pin: &pinned{"1\n", 8},
 		errIs: "err_rc_matrix_use_after_release_bind.xc:2:1: runtime error [trap:rc]: rc: IncRef on freed allocation (use after free)", live: 1, src: `
 refcounted Matrix float <1> * mk() { Matrix float <1> m = [0 :: 3] * 1.0; return rcnew(m); }
 int main() {
@@ -1982,7 +2009,7 @@ int main() {
 	print(2);
 	return 0;
 }`},
-	{name: "err_rc_matrix_use_after_release_tuple_ret", pin: &pinned{"1\n", 12},
+	{name: "err_rc_matrix_use_after_release_tuple_ret", pin: &pinned{"1\n", 8},
 		errIs: "err_rc_matrix_use_after_release_tuple_ret.xc:2:1: runtime error [trap:rc]: rc: IncRef on freed allocation (use after free)", live: 1, src: `
 refcounted Matrix float <1> * mk() { Matrix float <1> m = [0 :: 3] * 1.0; return rcnew(m); }
 (Matrix float <1>, int) unwrap(refcounted Matrix float <1> * c) { return (rcget(c), 7); }
@@ -1994,7 +2021,7 @@ int main() {
 	print(2);
 	return 0;
 }`},
-	{name: "err_rc_matrix_sync_rebinds_returned", pin: &pinned{"1\n", 30},
+	{name: "err_rc_matrix_sync_rebinds_returned", pin: &pinned{"1\n", 20},
 		errIs: "err_rc_matrix_sync_rebinds_returned.xc:2:1: runtime error [trap:rc]: rc: IncRef on freed allocation (use after free)", live: 1, src: `
 Matrix float <1> fresh(int n) { return [0 :: n] * 2.0; }
 (Matrix float <1>, int) rebinds() {
@@ -2009,7 +2036,7 @@ int main() {
 	print(z[1]);
 	return 0;
 }`},
-	{name: "matmap_callee_param_paths", pin: &pinned{"29\n59\n2.5\n28\n", 378}, src: `
+	{name: "matmap_callee_param_paths", pin: &pinned{"29\n59\n2.5\n28\n", 372}, src: `
 Matrix float <1> base = [0 :: 5] * 0.5;
 Matrix float <1> same(Matrix float <1> v) { return v; }
 Matrix float <1> rebound(Matrix float <1> v) {
@@ -2386,7 +2413,7 @@ int main() {
 	print(z[0]);
 	return 0;
 }`},
-	{name: "small_cells_views", pin: &pinned{"1.5\n5\n10\n9.5\n3.5\n20\n119\n87\n91\n4\n14\n14.75\n", 917}, src: `
+	{name: "small_cells_views", pin: &pinned{"1.5\n5\n10\n9.5\n3.5\n20\n119\n87\n91\n4\n14\n14.75\n", 891}, src: `
 Matrix float <1> twice(Matrix float <1> v) { return v * 2.0 + 1.0; }
 int main() {
 	Matrix float <1> m = [0 :: 7] * 0.5;
@@ -2436,7 +2463,7 @@ int main() {
 	{name: "nested_fold_rows_int", pin: &pinned{"0\n7\n-1\n-1\n0\n1\n1\n0\n0\n0\n14\n14\n-4\n17\n4\n-4\n-5\n-5\n0\n0\n-63\n-252\n-56\n17\n-12\n-5\n10\n-5\n1\n1\n-143\n1008\n-86\n17\n-25\n-1\n40\n-5\n4\n5\n-192\n-34272\n-86\n17\n-32\n-5\n-160\n-5\n4\n1\n-3873\n4323455642275676160\n-98\n17\n-56\n-2\n0\n-5\n5\n4\n-3932\n288230376151711744\n-98\n17\n-56\n-2\n0\n-5\n5\n4\n0\n16\n6\n6\n0\n3\n3\n0\n0\n0\n54\n54\n1\n59\n25\n-2\n-5\n-5\n0\n0\n-78\n-552\n-106\n59\n-20\n-7\n10\n-15\n7\n-9\n-231\n3180\n-171\n59\n-40\n-7\n40\n-15\n10\n-9\n-398\n-62040\n-206\n59\n-63\n-9\n-160\n-15\n10\n-11\n-8884\n-6052837899185946624\n-224\n59\n-128\n-4\n0\n-15\n15\n-6\n-9011\n3170534137668829184\n-224\n59\n-128\n6\n0\n-15\n15\n4\n0\n27\n1\n1\n0\n6\n6\n0\n0\n0\n44\n44\n-12\n57\n20\n16\n10\n-5\n15\n0\n-97\n-344\n-146\n97\n-26\n2\n10\n-24\n22\n-9\n-337\n924\n-258\n97\n-60\n11\n40\n-24\n25\n0\n-613\n-44712\n-333\n97\n-91\n-6\n-160\n-30\n25\n-17\n-14870\n-8791026472627208192\n-378\n97\n-216\n-4\n0\n-30\n30\n-15\n-15139\n7493989779944505344\n-378\n97\n-216\n3\n0\n-30\n30\n-8\n0\n55\n7\n7\n0\n15\n15\n0\n0\n0\n98\n98\n-21\n126\n43\n41\n26\n-9\n35\n0\n-36\n-526\n-227\n200\n-6\n30\n50\n-48\n62\n6\n-378\n510\n-379\n200\n-63\n37\n320\n-56\n65\n13\n-852\n-38880\n-555\n200\n-132\n45\n640\n-62\n70\n21\n-30017\n2774217370460225536\n-770\n200\n-440\n10\n0\n-75\n75\n-14\n-30513\n-2449958197289549824\n-770\n200\n-440\n23\n0\n-75\n75\n-1\n0\n9991\n-65\n-65\n0\n4753\n4753\n0\n0\n0\n10309\n10309\n-9406\n19650\n4684\n5046\n293\n-6313\n6606\n0\n30255\n-40736\n-22326\n41937\n5444\n5146\n-586\n-16726\n17012\n101\n40156\n196570\n-25730\n45553\n6398\n4656\n93298\n-19426\n19391\n-389\n49052\n204432\n-29516\n49110\n5305\n5049\n12552\n-20272\n20291\n4\n-1841042\n-6413125869375586304\n-138713\n59631\n-23902\n4946\n0\n-23765\n23765\n-99\n-1931166\n-8863084066665136128\n-139196\n59631\n-24968\n4848\n0\n-23765\n23765\n-197\n", 58860}, src: nestedFoldRowsSrc(false)},
 	{name: "nested_fold_rows_special", pin: &pinned{"NaN\n0\n0\n1.5\nNaN\n-Inf\n+Inf\n1.5\n+Inf\n-Inf\n-Inf\n0\n-2.5\n-Inf\nNaN\n-Inf\n0\n+Inf\n+Inf\n1.5\n+Inf\n+Inf\n-Inf\n0\n-2.5\n-Inf\nNaN\n-Inf\n+Inf\n+Inf\nNaN\n1.5\n+Inf\n+Inf\nNaN\nNaN\nNaN\nNaN\nNaN\n+Inf\n-Inf\n-Inf\nNaN\n-Inf\n-Inf\n-Inf\n0\n-Inf\n-Inf\n-Inf\n0\n+Inf\n+Inf\n+Inf\n1.5\n1.5\n+Inf\n+Inf\n0\n+Inf\n-Inf\n-Inf\nNaN\n-Inf\n-Inf\n-Inf\n0\n-Inf\n-Inf\n-Inf\n+Inf\n+Inf\nNaN\n+Inf\n1.5\n1.5\n+Inf\n+Inf\n+Inf\n+Inf\nNaN\nNaN\nNaN\nNaN\nNaN\nNaN\nNaN\n+Inf\nNaN\nNaN\nNaN\n-Inf\n-Inf\n-Inf\n+Inf\n+Inf\n+Inf\n+Inf\nNaN\n-Inf\n-Inf\n-Inf\n+Inf\n+Inf\n+Inf\n+Inf\nNaN\nNaN\nNaN\nNaN\n0\n-Inf\n-Inf\n-Inf\nNaN\nNaN\n-Inf\n-Inf\n0\n-Inf\n+Inf\n+Inf\n+Inf\n+Inf\n+Inf\n+Inf\n+Inf\n+Inf\n+Inf\n+Inf\n0\n-Inf\n-Inf\n-Inf\nNaN\nNaN\n-Inf\n-Inf\n0\n-Inf\n+Inf\n+Inf\nNaN\n+Inf\n+Inf\n+Inf\n+Inf\n+Inf\n+Inf\n+Inf\nNaN\nNaN\nNaN\nNaN\nNaN\nNaN\nNaN\nNaN\nNaN\nNaN\n", 1181}, src: nestedFoldRowsSpecialSrc},
 	{name: "nested_fold_rows_near_miss", pin: &pinned{"0\n-9\n0\n0\n-1.125\n-1.125\n3.2200000000000006\n-0.74\n-1.125\n0.375\n15.06\n-0.74\n0\n1.125\n21.080000000000002\n-0.74\n-0.875\n1.125\n18.500000000000004\n-3.9800000000000004\n7.25\n1.375\n210.48000000000013\n-5.18\n7.375\n1.375\n209.3000000000001\n-5.18\n0\n-27\n0\n0\n-0.875\n-0.875\n11.760000000000002\n-1.0199999999999998\n-1.375\n2.125\n26.080000000000002\n-4.6\n-1\n2.875\n44.24\n-4.6\n-1.125\n2.875\n44.60000000000001\n-7.84\n22.25\n4.125\n474.8400000000002\n-11.84\n25.125\n4.125\n478.4000000000002\n-11.84\n0\n-54\n0\n0\n3.25\n3.25\n7.220000000000002\n-6.9399999999999995\n1.25\n6.25\n37.660000000000004\n-10.94\n4.25\n7\n55.68000000000001\n-10.94\n0.75\n7\n59.10000000000001\n-15.979999999999999\n45.5\n8.25\n798.4800000000005\n-19.979999999999997\n48\n8.25\n807.3000000000004\n-19.979999999999997\n0\n-135\n0\n0\n8.375\n8.375\n23.10000000000001\n-8.2\n9.375\n17.375\n73.10000000000002\n-21.159999999999997\n13\n18.125\n105.2\n-23.86\n16.875\n19.375\n114.30000000000001\n-34.900000000000006\n118.75\n20.625\n1624.4000000000005\n-40.699999999999996\n123.875\n20.625\n1644.500000000001\n-40.699999999999996\n0\n-42777\n0\n0\n667.375\n667.375\n4559.06\n-1366.9799999999998\n1880.625\n4847.125\n13747.58\n-3961.740000000002\n2352.25\n5441.875\n18449.840000000007\n-4805.280000000001\n3044.625\n5666.875\n22899.100000000002\n-5719.74\n38072.25\n6535.375\n294085.24000000017\n-7393.34\n38641.875\n6535.375\n298730.9\n-7393.34\n", 50544}, src: nestedFoldNearMissSrc()},
-	{name: "err_readmatrix_oom", pin: &pinned{"1\n", 12}, errIs: "err_readmatrix_oom.xc:6:25: runtime error [trap:oom]: matrix: allocation of 36864 cells exceeds the budget (12 of 1000 cells already used)", live: 0,
+	{name: "err_readmatrix_oom", pin: &pinned{"1\n", 8}, errIs: "err_readmatrix_oom.xc:6:25: runtime error [trap:oom]: matrix: allocation of 36864 cells exceeds the budget (8 of 1000 cells already used)", live: 0,
 		opts: interp.Options{MaxCells: 1000, Files: map[string]*matrix.Matrix{"cube.data": sshCube(24, 24, 64, 3)}}, src: `
 int main() {
 	Matrix float <1> m = [0 :: 3] * 1.0;
@@ -2479,6 +2506,19 @@ int main() {
 	// keep its int type and divided it as an int).
 	{name: "fold_minmax_int_body", pin: &pinned{"0.5\n1.5\n9.007199254740992e+15\n9.007199254740996e+15\n2.251799813685248e+15\n2.251799813685248e+15\n9007199254740993\n9007199254740993\n1.5\nNaN\n1.25\n3\n3.25\n18\n0.25\n249.75\n249750.125\n0.5\n1\n1.5\n0.25\n1.5\n3\n", 6}, src: foldMinMaxIntBodySrc},
 	{name: "fold_minmax_int_body_closure", pin: &pinned{"0.5\n1.5\n9.007199254740992e+15\n9.007199254740996e+15\n2.251799813685248e+15\n2.251799813685248e+15\n9007199254740993\n9007199254740993\n1.5\nNaN\n1.25\n3\n3.25\n18\n0.25\n249.75\n249750.125\n0.5\n1\n1.5\n0.25\n1.5\n3\n", 7}, src: foldMinMaxIntBodyClosureSrc},
+	// With-loops over globals (globalleaf_test.go), pinned at 6995290,
+	// where the VM ran every one of them on the closure path.
+	{name: "with_global_matrix_leaf", threads: []int{1, 2, 3, 7}, pin: &pinned{"-0.5\n-3\n-3312\n-10212\n11.5\n-23.5\n3628800\n-11.5\n0\n-3312\n32.5\n1008\n107\n238.5\n83.75\n", 1962}, src: globalMatrixLeafSrc},
+	{name: "with_global_scalar_leaves", threads: []int{1, 2, 3, 7}, pin: &pinned{"0.75\n9.75\n1989\n6\n-72\n45\n24.5\n9499\n1332.5\n23\n2\n", 148}, src: globalScalarLeavesSrc},
+	{name: "err_with_global_unassigned", threads: []int{1, 2, 3, 7}, pin: &pinned{"4\n1.5\n2\n", 20},
+		errIs: "err_with_global_unassigned.xc:11:56: runtime error: cannot index a non-matrix or unassigned matrix", src: globalLeafUnassignedSrc},
+	{name: "err_with_ginit_later_global", threads: []int{1, 2, 3, 7}, pin: &pinned{"", 16},
+		errIs: `err_with_ginit_later_global.xc:8:67: runtime error: undeclared variable "late"`, live: 3, src: ginitLaterGlobalSrc},
+	{name: "err_genarray_shape_arity", threads: []int{1, 2, 3, 7}, pin: &pinned{"1\n", 0},
+		errIs:     "err_genarray_shape_arity.xc:5:6: runtime error: matrix: genarray shape rank 1 does not match generator rank 2",
+		unchecked: "err_genarray_shape_arity.xc:5:39: error: genarray shape has 1 dimension(s) but the generator defines 2 index(es)", src: shapeArityMismatchSrc},
+	{name: "fig9_transform_mean", threads: []int{1, 2, 3, 7}, pin: &pinned{"4.97\n", 1170},
+		opts: interp.Options{Files: map[string]*matrix.Matrix{"ssh.data": sshCube(9, 10, 12, 5)}}, src: fig9TransformMeanSrc},
 }
 
 func TestVMDifferentialCorpus(t *testing.T) {
@@ -2486,8 +2526,12 @@ func TestVMDifferentialCorpus(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			prog := parseAndCheck(t, tc.name+".xc", tc.src)
-			for _, threads := range []int{1, 4} {
+			prog := parseCorpusEntry(t, tc.name, tc.src, tc.unchecked)
+			threadCounts := tc.threads
+			if threadCounts == nil {
+				threadCounts = []int{1, 4}
+			}
+			for _, threads := range threadCounts {
 				opts := tc.opts
 				opts.Threads = threads
 				tree := runOne(t, prog, "tree", opts)

@@ -8,25 +8,32 @@
 package repro_test
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/driver"
 	"repro/internal/parser"
 	"repro/internal/sem"
 	"repro/internal/source"
 	"repro/internal/vet"
+	"repro/internal/vm"
 )
 
 var updateWithSites = flag.Bool("update-with-sites", false, "rewrite testdata/with_sites.txt")
 
 const withSitesPath = "testdata/with_sites.txt"
 
-func TestWithSitesGolden(t *testing.T) {
+// withSitePrograms is what TestWithSitesGolden reads: the vet
+// manifest's corpus and the benchmark's programs.
+func withSitePrograms(t *testing.T) []corpusProgram {
+	t.Helper()
 	progs := corpus(t)
 	paths, err := filepath.Glob("bench/programs/*.xc")
 	if err != nil || len(paths) == 0 {
@@ -39,6 +46,11 @@ func TestWithSitesGolden(t *testing.T) {
 		}
 		progs = append(progs, corpusProgram{filepath.ToSlash(path), string(src)})
 	}
+	return progs
+}
+
+func TestWithSitesGolden(t *testing.T) {
+	progs := withSitePrograms(t)
 	var b strings.Builder
 	b.WriteString("# With-loop sites: flat, or the rule the body breaks. Regenerate: go test -run TestWithSitesGolden -update-with-sites\n")
 	flat, declined := 0, 0
@@ -85,5 +97,76 @@ func TestWithSitesGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("with-loop sites drifted from %s.\nIf the change is intended, regenerate with -update-with-sites.\n--- got ---\n%s--- want ---\n%s", withSitesPath, got, want)
+	}
+}
+
+// TestWithSitesAreTheVMs: vet alone decides which with-loops run flat.
+// Over every program TestWithSitesGolden reads and every corpus entry
+// that checks, the VM compiles flat exactly the sites vet proves and
+// fuses exactly the chains it proves; and the shipped programs that need
+// no input file, run at one and two threads, never send a flat site back
+// to the closure path. The programs vet finds a determinacy race in are
+// not run: they race on purpose, and -race would report it. Not
+// parallel: the counters are process-wide.
+func TestWithSitesAreTheVMs(t *testing.T) {
+	progs := withSitePrograms(t)
+	for _, tc := range vmCorpus {
+		progs = append(progs, corpusProgram{"corpus/" + tc.name, tc.src})
+	}
+	racy := map[string]bool{}
+	for _, p := range progs {
+		var d source.Diagnostics
+		prog := parser.ParseFile(p.name, p.src, parser.AllExtensions(), &d)
+		if prog == nil {
+			continue
+		}
+		info := sem.Check(prog, &d)
+		if d.HasErrors() {
+			continue
+		}
+		for _, f := range vet.Check(prog, info) {
+			racy[p.name] = racy[p.name] || f.Code == vet.CodeRace || f.Code == vet.CodeSyncMissing
+		}
+		flat := 0
+		for _, s := range vet.WithSites(prog, info) {
+			if s.Plan != nil {
+				flat++
+			}
+		}
+		facts := vet.ComputeFacts(prog, info)
+		vp, err := vm.CompileWithFacts(prog, info, facts)
+		if err != nil {
+			t.Errorf("%s: the bytecode compiler bailed on a checked program: %v", p.name, err)
+			continue
+		}
+		if vp.WithCompiled() != flat {
+			t.Errorf("%s: vet proves %d with-loops flat, the VM compiles %d", p.name, flat, vp.WithCompiled())
+		}
+		if vp.FusedSites() != facts.ChainCount() {
+			t.Errorf("%s: vet proves %d chains, the VM fuses %d", p.name, facts.ChainCount(), vp.FusedSites())
+		}
+	}
+	exts, err := driver.ParseExtensions("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := driver.New()
+	for _, p := range shippedPrograms(t) {
+		if strings.Contains(p.src, "readMatrix") || racy[p.name] {
+			continue
+		}
+		for _, threads := range []int{1, 2} {
+			before := vm.WithFlatLoopsDeclined()
+			res, err := d.Run(context.Background(), driver.RunRequest{
+				Name: p.name, Source: p.src, Exts: exts, Threads: threads,
+				MaxSteps: 50_000_000, MaxCells: 1 << 26, Stdout: io.Discard, Engine: "vm",
+			})
+			if err != nil || res == nil || !res.OK {
+				continue // a fragment or a program that fails on purpose; the other suites own it
+			}
+			if got := vm.WithFlatLoopsDeclined() - before; got != 0 {
+				t.Errorf("%s (threads %d): %d flat with-loop executions fell back to the closure path", p.name, threads, got)
+			}
+		}
 	}
 }

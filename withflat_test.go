@@ -9,8 +9,6 @@ import (
 	"bytes"
 	"context"
 	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -30,18 +28,7 @@ import (
 // vmdiff corpus.
 func shippedPrograms(t *testing.T) []corpusProgram {
 	t.Helper()
-	progs := corpus(t)
-	paths, err := filepath.Glob("bench/programs/*.xc")
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no benchmark programs: %v", err)
-	}
-	for _, path := range paths {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		progs = append(progs, corpusProgram{filepath.ToSlash(path), string(src)})
-	}
+	progs := withSitePrograms(t)
 	for _, tc := range vmCorpus {
 		if !strings.HasPrefix(tc.name, "err_") {
 			progs = append(progs, corpusProgram{"corpus/" + tc.name, tc.src})
