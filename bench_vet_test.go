@@ -72,13 +72,11 @@ int main() {
 func BenchmarkVetFacts(b *testing.B) {
 	bp := compileBench(b, chainedSrc)
 	b.ReportAllocs()
-	var chains int
 	for i := 0; i < b.N; i++ {
-		f := vet.ComputeFacts(bp.prog, bp.info)
-		chains = f.ChainCount()
+		vet.ComputeFacts(bp.prog, bp.info)
 	}
-	if chains != 3 {
-		b.Fatalf("ChainCount = %d, want 3 (the loop's chain and the two range-scaling initializers)", chains)
+	if _, chains := provenSites(bp.prog, bp.info); chains != 3 {
+		b.Fatalf("%d chains proven, want 3 (the loop's chain and the two range-scaling initializers)", chains)
 	}
 }
 
@@ -105,12 +103,11 @@ int main() {
 func BenchmarkVetFactsInlinedCall(b *testing.B) {
 	bp := compileBench(b, inlinedCallSrc)
 	b.ReportAllocs()
-	var withs int
 	for i := 0; i < b.N; i++ {
-		withs = vet.ComputeFacts(bp.prog, bp.info).WithCount()
+		vet.ComputeFacts(bp.prog, bp.info)
 	}
-	if withs != 2 {
-		b.Fatalf("WithCount = %d, want 2 (the genarray through its call, and the fold)", withs)
+	if withs, _ := provenSites(bp.prog, bp.info); withs != 2 {
+		b.Fatalf("%d with-loops proven, want 2 (the genarray through its call, and the fold)", withs)
 	}
 }
 

@@ -11,7 +11,9 @@
 #   - the strip engine and the fused corpus entries on a GOAMD64=v3 build (FMA hardware)
 #   - the C back end against the interpreter (gcc-guarded)
 #   - the service contract, the fleet's chaos suites, the tenant registry
-#   - the VM differential corpus under -race, and vet's flat with-loop sites against the VM's (TestWithSitesAreTheVMs)
+#   - the VM differential corpus under -race (the err_global_* entries: a global read or written before it is bound),
+#     vet's flat with-loop sites and chains against the VM's (TestWithSitesAreTheVMs), and the checker rejecting
+#     every program that reaches a VM bail (TestBailsAreCheckerRejected)
 #   - ten-second fuzz smokes
 #   - the vet findings manifest
 #   - one-shot benchmark smokes, and a scaling smoke when there are two CPUs
@@ -131,8 +133,9 @@ go test -race -run '^TestGateHealthzDegraded$' -count=20 ./internal/fleet
 echo "== tenant registry + buckets (race) =="
 go test -race ./internal/tenant
 
-echo "== vm differential (bytecode engine vs tree-walking oracle, with facts and without; the frame_* entries are what a reused frame gets wrong, the chain_range_* / chain_promote_* / err_oom_chain_* entries what a fused range or promoting leaf does; the MaxSteps sweep over every loop shape; vet's flat with-loop sites are the VM's; race) =="
+echo "== vm differential (bytecode engine vs tree-walking oracle, with facts and without; the frame_* entries are what a reused frame gets wrong, the chain_range_* / chain_promote_* / err_oom_chain_* entries what a fused range or promoting leaf does, the err_global_* entries a global read or written before it is bound; the MaxSteps sweep over every loop shape; vet's flat with-loop sites and chains are the VM's; every bail is checker-rejected; race) =="
 go test -race -run 'TestVMDifferential|TestVMStep|TestWithSitesGolden|TestWithSitesAreTheVMs' -count=1 .
+go test -race -run 'TestBailsAreCheckerRejected' -count=1 ./internal/vm
 
 echo "== fuzz smoke (frontend + analyzer never panic) =="
 go test -run='^$' -fuzz='^FuzzLex$' -fuzztime=10s ./internal/parser

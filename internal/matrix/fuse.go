@@ -58,12 +58,12 @@ const (
 
 // ChainFlat runs a proven elementwise chain: r's program is a rank-1
 // plan of leaf loads at id 0, range leaves (id 0 plus int scalar slot A,
-// the lo; the hi is slot A+1), WI2F after an int leaf, scalar pushes and
+// the lo; the hi is slot B), WI2F after an int leaf, scalar pushes and
 // one + - * / per stage, and r.Mats holds the matrix leaves as they are,
 // nil when unassigned. On error the returned index — range leaves and
 // stages count together in plan order, the tree's post-order —
 // identifies the admission or execution that failed, so the caller can
-// anchor the error at its source span; it is -1 only for malformed chains.
+// anchor the error at its source span.
 func ChainFlat(r *WithRun, x Exec) (*Matrix, int, error) {
 	shape, n, root, err := r.admitChain(x.Budget)
 	if err != nil {
@@ -102,14 +102,13 @@ func (r *WithRun) runFlat(out *Matrix, n int, x Exec) error {
 	return r.fill(out, ParallelGrain, x)
 }
 
-var errMalformedChain = errors.New("matrix: malformed fused chain")
-
 // admitChain replays the unfused engine's admission over the plan, per
 // range leaf and stage, in order — nil checks, the elementwise shape
 // check on the leaves' real shapes, then admit, exactly as
 // RangeBudgeted, ElementwiseExec and BroadcastExec admit one at a time.
 // It returns the root's shape, cell count and index, or the failing
-// admission's index and its error.
+// admission's index and its error. The plan is vet's, verified by
+// CompileWith: every stage has a matrix operand.
 func (r *WithRun) admitChain(b *Budget) (shape []int, n, stage int, err error) {
 	code := r.prog.spec.Code
 	st := grow(r.chain, len(code))[:0]
@@ -119,17 +118,14 @@ func (r *WithRun) admitChain(b *Budget) (shape []int, n, stage int, err error) {
 	for pc := 0; pc < len(code); pc++ {
 		in := &code[pc]
 		switch in.Op {
-		case WPushID: // the cell every leaf is loaded at
-			if pc+2 >= len(code) || code[pc+1].Op != WPushScalarI {
+		case WPushID: // the cell every leaf is loaded at; a range leaf's lo follows
+			if code[pc+1].Op != WPushScalarI {
 				continue
 			}
-			lo := code[pc+1].A
-			if code[pc+2].Op != WAddI || int(lo)+1 >= len(r.ScalarI) {
-				return nil, 0, -1, errMalformedChain
-			}
+			lo, hi := code[pc+1].A, code[pc+1].B
 			pc += 2
 			stage++
-			r.dims = append(r.dims, rangeCells(r.ScalarI[lo], r.ScalarI[lo+1]))
+			r.dims = append(r.dims, rangeCells(r.ScalarI[lo], r.ScalarI[hi]))
 			shape = r.dims[len(r.dims)-1:]
 			if n, err = admit(b, shape); err != nil {
 				return nil, 0, stage, err
@@ -143,43 +139,25 @@ func (r *WithRun) admitChain(b *Budget) (shape []int, n, stage int, err error) {
 				v = chainVal{kind: chainMatrix, shape: m.shape()}
 			}
 			st = append(st, v)
-		case WI2F: // an int leaf of a float chain, converted as it is loaded
-			if len(st) < 1 || st[len(st)-1].kind == chainScalar {
-				return nil, 0, -1, errMalformedChain
-			}
 		case WAddI, WSubI, WMulI, WAddF, WSubF, WMulF, WDivF:
-			if len(st) < 2 {
-				return nil, 0, -1, errMalformedChain
-			}
 			stage++
 			lv, rv := st[len(st)-2], st[len(st)-1]
 			st = st[:len(st)-2]
 			if lv.kind == chainUnassigned || rv.kind == chainUnassigned {
 				return nil, 0, stage, ErrUnassignedOperand
 			}
-			switch {
-			case lv.kind == chainMatrix && rv.kind == chainMatrix:
-				if !slices.Equal(lv.shape, rv.shape) {
+			shape = lv.shape
+			if rv.kind == chainMatrix {
+				if lv.kind == chainMatrix && !slices.Equal(lv.shape, rv.shape) {
 					return nil, 0, stage, fmt.Errorf("matrix: %s requires equal shapes, got %v and %v", chainOp[in.Op], lv.shape, rv.shape)
 				}
-				shape = lv.shape
-			case lv.kind == chainMatrix:
-				shape = lv.shape
-			case rv.kind == chainMatrix:
 				shape = rv.shape
-			default:
-				return nil, 0, stage, errors.New("matrix: fused stage with two scalar operands")
 			}
 			if n, err = admit(b, shape); err != nil {
 				return nil, 0, stage, err
 			}
 			st = append(st, chainVal{kind: chainMatrix, shape: shape})
-		default:
-			return nil, 0, -1, errMalformedChain
 		}
-	}
-	if stage < 0 || len(st) != 1 {
-		return nil, 0, -1, errMalformedChain
 	}
 	return shape, n, stage, nil
 }

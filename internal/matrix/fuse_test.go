@@ -124,7 +124,8 @@ func (g *chainGen) tree(s wShape) *chainNode {
 }
 
 // plan writes the tree as vet does: post-order, loads at id 0, a range
-// as id 0 plus its lo, WI2F after an int leaf of a float chain.
+// as id 0 plus its lo (naming its hi's slot), WI2F after an int leaf of
+// a float chain.
 func (n *chainNode) plan(float bool, code []WithInstr) []WithInstr {
 	switch {
 	case n.op != 0:
@@ -133,7 +134,7 @@ func (n *chainNode) plan(float bool, code []WithInstr) []WithInstr {
 		return append(code, WithInstr{Op: n.op})
 	case n.intLeaf():
 		if n.rng {
-			code = append(code, WithInstr{Op: WPushID}, WithInstr{Op: WPushScalarI, A: int32(n.scalar)}, WithInstr{Op: WAddI})
+			code = append(code, WithInstr{Op: WPushID}, WithInstr{Op: WPushScalarI, A: int32(n.scalar), B: int32(n.scalar + 1)}, WithInstr{Op: WAddI})
 		} else {
 			code = append(code, WithInstr{Op: WPushID}, WithInstr{Op: WLoadI, A: int32(n.mat), B: 1})
 		}

@@ -358,8 +358,8 @@ func (c *withCompiler) instr(pc int, in *WithInstr) {
 		c.is = append(c.is, c.konstI(in.K))
 	case WPushFloat:
 		c.fs = append(c.fs, c.konstF(in.F))
-	case WPushScalarI:
-		if in.A < 0 || int(in.A) >= spec.ScalarI {
+	case WPushScalarI: // B: a chain range's hi, which admission reads
+		if in.A < 0 || int(in.A) >= spec.ScalarI || in.B < 0 || int(in.B) >= spec.ScalarI {
 			c.bad = true
 			return
 		}

@@ -10,11 +10,15 @@ import "repro/internal/ast"
 type loopEffects struct {
 	assigned map[string]bool // idents assigned anywhere in the body
 	released map[string]bool // idents passed to rcrelease in the body
-	calls    bool            // body calls a user function (globals havocked)
+	callees  map[string]bool // user functions the body calls (globals havocked)
+}
+
+func newEffects() *loopEffects {
+	return &loopEffects{assigned: map[string]bool{}, released: map[string]bool{}, callees: map[string]bool{}}
 }
 
 func (c *checker) widenLoop(e env, body, post ast.Stmt) {
-	fx := &loopEffects{assigned: map[string]bool{}, released: map[string]bool{}}
+	fx := newEffects()
 	stmtEffects(body, fx)
 	stmtEffects(post, fx)
 	for _, name := range sortedKeys(fx.assigned) {
@@ -38,7 +42,7 @@ func (c *checker) widenLoop(e env, body, post ast.Stmt) {
 			st.rcMust = false // released only if the body actually ran
 		}
 	}
-	if fx.calls {
+	if len(fx.callees) > 0 {
 		c.havocGlobals(e)
 	}
 }
@@ -120,7 +124,7 @@ func exprEffects(x ast.Expr, fx *loopEffects) {
 			}
 		}
 		if !isBuiltin(x.Fun) {
-			fx.calls = true
+			fx.callees[x.Fun] = true
 		}
 		for _, a := range x.Args {
 			exprEffects(a, fx)
@@ -159,7 +163,7 @@ func exprEffects(x ast.Expr, fx *loopEffects) {
 			exprEffects(op.Body, fx)
 		}
 	case *ast.MatrixMap:
-		fx.calls = true // the mapped function runs per sub-matrix
+		fx.callees[x.Fun] = true // the mapped function runs per sub-matrix
 		exprEffects(x.Arg, fx)
 		for _, d := range x.Dims {
 			exprEffects(d, fx)

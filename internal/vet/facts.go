@@ -1,97 +1,82 @@
 // vet.Facts — proven program facts exported for consumers outside the
-// diagnostics pipeline. The first (and so far only) fact family is
-// fusion legality: chained elementwise matrix expressions whose every
-// stage is effect-free, whose intermediates are provably unaliased
-// (kernel results are fresh allocations and never observable), and
-// whose per-stage semantics are total after admission, so the VM may
-// execute the whole chain as one loop with block-local temporaries
-// instead of materializing a full matrix per stage (the paper's
-// §III-A.4 "no extraneous copy" fusion).
+// diagnostics pipeline: one table of flat plans (withplan.go's WithPlan)
+// by site. A with-loop's plan is its body; a chain's is a maximal
+// fusable elementwise expression tree, whose every stage is
+// effect-free, whose intermediates are provably unaliased (kernel
+// results are fresh allocations and never observable), and whose
+// per-stage semantics are total after admission, so the VM may execute
+// the whole chain as one loop with block-local temporaries instead of
+// materializing a full matrix per stage (the paper's §III-A.4 "no
+// extraneous copy" fusion).
+//
+// A chain is written as the rank-1 plan the strip engine runs: every
+// matrix leaf loaded at id 0, a range leaf as id 0 plus its lo (slot A
+// of its WPushScalarI, the hi slot B), WI2F after an int leaf of a float
+// chain, one arithmetic instruction per stage, in post-order (the last
+// is the root). Admission replays the same plan, and the plan's Nodes —
+// range leaves and stages in plan order — anchor its errors.
 //
 // Legality is deliberately strict so the fused loop can replay the
 // unfused engine's observable behavior exactly — same error, same
-// error site, same allocation-budget consumption:
+// error site, same allocation-budget consumption. A chain root the
+// finder tries is declined with the first of these rules its tree
+// breaks:
 //
-//   - stage ops: .+ .- .* always; * only with a scalar operand
-//     (matrix*matrix is matmul); / only on float chains (int division
-//     can trap per element mid-loop); never %, comparisons or logical
-//     ops (comparisons change the element type, % traps);
-//   - every interior stage has the chain's element type exactly; a
-//     matrix leaf has it too or — a promoting leaf — is int on a float
-//     chain: WI2F follows its load, and nothing is charged for it, as
-//     the unfused kernels make no copy of it either (matrix/fuse.go);
-//   - matrix leaves are plain identifiers of concrete matrix type
-//     (binding-time coercion pins the runtime element type; AnyMatrix
-//     readMatrix results are excluded) or range literals whose bounds
-//     are int literals or scalar int identifiers; scalar leaves are
-//     literals or scalar identifiers — no calls, no indexing, nothing
-//     that could observe or modify state mid-expression. A range leaf
-//     is the cell's id plus lo: no vector is built, and admission
-//     admits, at the leaf's place in the post-order, the one the unfused
-//     engine would have;
-//   - float scalar leaves only on float chains (an int chain with a
-//     float scalar promotes).
+//   - "chain element type": the root is no int or float matrix;
+//   - "stage operator": a stage is no + - .* * /; "matrix product": a *
+//     of two matrices; "int division": / on an int chain (int division
+//     can trap per element mid-loop, % traps, comparisons and logical
+//     ops change the element type);
+//   - "int stage on a float chain": every interior stage has the
+//     chain's element type exactly;
+//   - "leaf element type": a matrix leaf has the chain's element type
+//     or — a promoting leaf — is int on a float chain: WI2F follows its
+//     load, and nothing is charged for it, as the unfused kernels make
+//     no copy of it either (matrix/fuse.go);
+//   - "float scalar on an int chain": it would promote the chain;
+//   - "range bound": a range leaf's bounds are int literals or scalar
+//     int identifiers. A range leaf is the cell's id plus lo: no vector
+//     is built, and admission admits, at the leaf's place in the
+//     post-order, the one the unfused engine would have;
+//   - an expression form as the leaf rule names it ("expression
+//     CallExpr", ...): matrix leaves are plain identifiers of concrete
+//     matrix type (binding-time coercion pins the runtime element type;
+//     AnyMatrix readMatrix results are excluded: "operand type") or
+//     range literals; scalar leaves are literals or scalar identifiers —
+//     no calls, no indexing, nothing that could observe or modify state
+//     mid-expression;
+//   - "global not bound yet": a leaf in a global initializer, or in a
+//     function one calls, names that global or a later one;
+//   - "one stage of identifiers": a chain of identifiers needs two
+//     stages to be worth fusing; one with a range or a promoting leaf
+//     saves a temporary from its first.
 //
-// A chain of identifiers needs two stages to be worth fusing, one with
-// a range or a promoting leaf saves a temporary from its first; nested
-// stages of a recorded chain are consumed by it and not re-recorded.
+// Nested stages of a proven chain are consumed by it and not tried
+// again; a declined root's operands are tried in turn.
 package vet
 
 import (
+	"maps"
+
 	"repro/internal/ast"
 	"repro/internal/matrix"
 	"repro/internal/sem"
 	"repro/internal/types"
 )
 
-// ChainLeaf is one runtime leaf of a chain: a matrix identifier, loaded
-// by the plan's next WLoad* slot, or a scalar, pushed by its next
-// WPushScalar* slot of the file Int names. On a float chain an int
-// matrix is a promoting leaf, an int scalar identifier takes a float
-// slot (the VM converts it once, before the loop), and the int slots are
-// the bounds of range leaves, lo then hi. Literal scalar leaves are
-// constants of the plan.
-type ChainLeaf struct {
-	X      ast.Expr // an identifier, or a range bound: identifier or int literal
-	Scalar bool
-	Int    bool // the slot, or the matrix's cells, are int
-}
-
-// Chain is a maximal fusable elementwise expression tree, written as
-// the rank-1 plan the strip engine runs: every matrix leaf loaded at id
-// 0, a range leaf as id 0 plus its lo, WI2F after an int leaf of a float
-// chain, one arithmetic instruction per stage, in post-order (the last
-// is the root). Admission replays the same plan.
-type Chain struct {
-	Elem   types.Kind // element type of every stage: Float or Int
-	Code   []matrix.WithInstr
-	Leaves []ChainLeaf // in tree evaluation order, which is slot order
-	Nodes  []ast.Node  // per admission, in plan order: a range leaf's RangeExpr, a stage's BinaryExpr — error spans anchor here
-
-	lifted bool // holds a range or a promoting leaf
-}
-
 // Facts is the proven-facts side table computed once per checked
 // program and cached content-addressed by the driver.
 type Facts struct {
-	chains map[ast.Expr]*Chain
-	withs  map[*ast.WithLoop]*WithPlan
+	plans map[ast.Expr]*WithPlan // by with-loop, or by chain root
 }
 
-// ChainAt returns the fusable chain rooted at e, or nil.
-func (f *Facts) ChainAt(e ast.Expr) *Chain {
+// PlanAt returns the flat plan proven for e, a with-loop or a chain
+// root, or nil.
+func (f *Facts) PlanAt(e ast.Expr) *WithPlan {
 	if f == nil {
 		return nil
 	}
-	return f.chains[e]
-}
-
-// ChainCount reports how many fusable chains were proven.
-func (f *Facts) ChainCount() int {
-	if f == nil {
-		return 0
-	}
-	return len(f.chains)
+	return f.plans[e]
 }
 
 // ComputeFacts proves fusion-legality facts over a checked program.
@@ -101,34 +86,87 @@ func ComputeFacts(prog *ast.Program, info *sem.Info) *Facts {
 	return computeFacts(prog, info, nil)
 }
 
-// computeFacts is ComputeFacts, listing every with-loop it meets in sites
+// computeFacts is ComputeFacts, listing every site it tries in sites
 // when sites is not nil.
 func computeFacts(prog *ast.Program, info *sem.Info, sites *[]WithSite) *Facts {
-	f := &Facts{chains: map[ast.Expr]*Chain{}, withs: map[*ast.WithLoop]*WithPlan{}}
+	f := &Facts{plans: map[ast.Expr]*WithPlan{}}
 	if prog == nil || info == nil {
 		return f
 	}
 	ff := &factFinder{info: info, facts: f, sites: sites}
 	// A global initializer runs before its global and the later ones are
-	// bound: unbound holds them while it is walked, and nil otherwise.
-	unbound := map[string]bool{}
+	// bound, and so does every function it calls: unbound holds them
+	// while such code is walked, and nil otherwise. In a function, a
+	// local named like one of them is declined too: the finder keeps no
+	// scopes.
+	var globals []string
 	for _, d := range prog.Decls {
 		if g, ok := d.(*ast.GlobalVarDecl); ok {
-			unbound[g.Name] = true
+			globals = append(globals, g.Name)
 		}
 	}
+	var first map[string]int
+	if len(globals) > 0 {
+		first = firstCallers(prog)
+	}
+	unbound := func(from int) map[string]bool {
+		m := map[string]bool{}
+		for _, name := range globals[from:] {
+			m[name] = true
+		}
+		return m
+	}
+	gi := 0
 	for _, d := range prog.Decls {
 		switch d := d.(type) {
 		case *ast.FuncDecl:
 			ff.unbound = nil
+			if from, ok := first[d.Name]; ok {
+				ff.unbound = unbound(from)
+			}
 			ff.stmt(d.Body)
 		case *ast.GlobalVarDecl:
-			ff.unbound = unbound
+			ff.unbound = unbound(gi)
 			ff.expr(d.Init)
-			delete(unbound, d.Name)
+			gi++
 		}
 	}
 	return f
+}
+
+// firstCallers maps every function a global initializer calls, directly
+// or through other functions, to the index of the first such global.
+func firstCallers(prog *ast.Program) map[string]int {
+	first := map[string]int{}
+	callees := map[string]map[string]bool{}
+	gi := 0
+	for _, d := range prog.Decls {
+		if fn, ok := d.(*ast.FuncDecl); ok {
+			fx := newEffects()
+			stmtEffects(fn.Body, fx)
+			callees[fn.Name] = fx.callees
+		}
+	}
+	for _, d := range prog.Decls {
+		g, ok := d.(*ast.GlobalVarDecl)
+		if !ok {
+			continue
+		}
+		fx := newEffects()
+		exprEffects(g.Init, fx)
+		for work := fx.callees; len(work) > 0; {
+			next := map[string]bool{}
+			for name := range work {
+				if _, seen := first[name]; !seen {
+					first[name] = gi
+					maps.Copy(next, callees[name])
+				}
+			}
+			work = next
+		}
+		gi++
+	}
+	return first
 }
 
 type factFinder struct {
@@ -179,13 +217,10 @@ func (ff *factFinder) expr(x ast.Expr) {
 	if x == nil {
 		return
 	}
-	if b, ok := x.(*ast.BinaryExpr); ok {
-		if c := ff.buildChain(b); c != nil {
-			ff.facts.chains[x] = c
-			// Leaves of a recorded chain hold no further chains:
-			// they are identifiers and literals by construction.
-			return
-		}
+	if b, ok := x.(*ast.BinaryExpr); ok && ff.chain(b) {
+		// Leaves of a proven chain hold no further chains: they are
+		// identifiers and literals by construction.
+		return
 	}
 	switch x := x.(type) {
 	case *ast.UnaryExpr:
@@ -252,151 +287,158 @@ func (ff *factFinder) withLoop(x *ast.WithLoop) {
 	}
 	// Bodies and bounds keep their own facts (a nested with-loop
 	// inside a non-flat body can still get its own plan).
-	wp, why := proveWith(ff.info, x, ff.unbound)
-	if wp != nil {
-		ff.facts.withs[x] = wp
-	}
-	if ff.sites != nil {
-		*ff.sites = append(*ff.sites, WithSite{Loop: x, Plan: wp, Decline: why})
-	}
+	p, why := proveWith(ff.info, x, ff.unbound)
+	ff.record(x, p, why)
 }
 
-// buildChain proves the expression tree rooted at root fusable and
-// writes its plan, or returns nil.
-func (ff *factFinder) buildChain(root *ast.BinaryExpr) *Chain {
-	t := ff.info.TypeOf(root)
-	if t == nil || t.Kind != types.Matrix || t.Elem == nil {
-		return nil
-	}
-	elem := t.Elem.Kind
-	if elem != types.Float && elem != types.Int {
-		return nil
-	}
-	c := &Chain{Elem: elem}
-	if !ff.stage(c, root) || (len(c.Nodes) < 2 && !c.lifted) {
-		return nil
-	}
-	return c
-}
-
-// slot counts the chain's leaves of one kind so far: the next one's slot.
-// Matrix slots are one sequence whatever their cells.
-func (c *Chain) slot(scalar, int bool) int32 {
-	n := int32(0)
-	for _, l := range c.Leaves {
-		if l.Scalar == scalar && (!scalar || l.Int == int) {
-			n++
-		}
-	}
-	return n
-}
-
-// stage appends the plan of one operand — a leaf, or an interior node
-// after its operands' (post-order) — or reports it unfusable.
-func (ff *factFinder) stage(c *Chain, x ast.Expr) bool {
-	t := ff.info.TypeOf(x)
-	if t == nil {
+// chain tries the matrix-typed binary expression x as a chain root and
+// reports whether it is one.
+func (ff *factFinder) chain(x *ast.BinaryExpr) bool {
+	if t := ff.info.TypeOf(x); t == nil || t.Kind != types.Matrix {
 		return false
 	}
-	float := c.Elem == types.Float
-	switch t.Kind {
-	case types.Int, types.Float:
+	p, why := proveChain(ff.info, x, ff.unbound)
+	return ff.record(x, p, why)
+}
+
+// record enters a site's plan in the table, and the site in the list
+// when there is one; it reports whether the site has a plan.
+func (ff *factFinder) record(x ast.Expr, p *WithPlan, why WithDecline) bool {
+	if p != nil {
+		ff.facts.plans[x] = p
+	}
+	if ff.sites != nil {
+		*ff.sites = append(*ff.sites, WithSite{At: x, Plan: p, Decline: why})
+	}
+	return p != nil
+}
+
+// proveChain writes the elementwise expression tree rooted at root as a
+// rank-1 plan, or says which rule of the package comment it breaks.
+func proveChain(info *sem.Info, root *ast.BinaryExpr, unbound map[string]bool) (*WithPlan, WithDecline) {
+	b := newBuilder(info, unbound)
+	t := info.TypeOf(root)
+	if t.Elem == nil || (t.Elem.Kind != types.Float && t.Elem.Kind != types.Int) {
+		return nil, WithDecline{Rule: "chain element type", Span: root.Span()}
+	}
+	float := t.Elem.Kind == types.Float
+	b.plan.Rank, b.plan.Float, b.plan.OutFloat = 1, float, float
+	if !b.stage(root) {
+		return nil, b.why
+	}
+	if len(b.plan.Nodes) < 2 && !b.lifted {
+		return nil, WithDecline{Rule: "one stage of identifiers", Span: root.Span()}
+	}
+	return b.plan, WithDecline{}
+}
+
+// stage appends the plan of one operand of a chain — a leaf, or an
+// interior node after its operands' (post-order) — or declines it.
+func (b *withBuilder) stage(x ast.Expr) bool {
+	t := b.info.TypeOf(x)
+	float := b.plan.Float
+	switch {
+	case t == nil:
+	case t.Kind == types.Int || t.Kind == types.Float:
 		if t.Kind == types.Float && !float {
-			return false // float scalar promotes an int chain
+			return b.decline(x, "float scalar on an int chain")
 		}
 		// An int scalar on a float chain converts before the loop, like
 		// the one BroadcastExec binds to its program's float slot: free.
 		switch x := x.(type) {
 		case *ast.IntLit:
-			if float {
-				c.Code = append(c.Code, matrix.WithInstr{Op: matrix.WPushFloat, F: float64(x.Value)})
-			} else {
-				c.Code = append(c.Code, matrix.WithInstr{Op: matrix.WPushInt, K: x.Value})
-			}
+			b.emit(pick(float, matrix.WithInstr{Op: matrix.WPushFloat, F: float64(x.Value)}, matrix.WithInstr{Op: matrix.WPushInt, K: x.Value}))
 		case *ast.FloatLit:
-			c.Code = append(c.Code, matrix.WithInstr{Op: matrix.WPushFloat, F: x.Value})
+			b.emit(matrix.WithInstr{Op: matrix.WPushFloat, F: x.Value})
 		case *ast.Ident:
-			c.Code = append(c.Code, matrix.WithInstr{Op: pick(float, matrix.WPushScalarF, matrix.WPushScalarI), A: c.slot(true, !float)})
-			c.Leaves = append(c.Leaves, ChainLeaf{X: x, Scalar: true, Int: !float})
+			s, ok := b.leaf(x, pick(float, &b.plan.ScalarF, &b.plan.ScalarI))
+			b.emit(matrix.WithInstr{Op: pick(float, matrix.WPushScalarF, matrix.WPushScalarI), A: s})
+			return ok
 		default:
-			return false
+			return b.decline(x, "")
 		}
 		return true
-
-	case types.Matrix:
-		if t.Elem == nil || (t.Elem.Kind != c.Elem && t.Elem.Kind != types.Int) {
-			return false
+	case t.Kind == types.Matrix:
+		if t.Elem == nil || t.Elem.Kind != types.Int && (t.Elem.Kind != types.Float || !float) {
+			return b.decline(x, "leaf element type")
 		}
-		promote := t.Elem.Kind != c.Elem
+		promote := float && t.Elem.Kind == types.Int
 		switch x := x.(type) {
 		case *ast.Ident:
-			c.Code = append(c.Code, matrix.WithInstr{Op: matrix.WPushID},
-				matrix.WithInstr{Op: pick(float && !promote, matrix.WLoadF, matrix.WLoadI), A: c.slot(false, false), B: 1})
-			c.Leaves = append(c.Leaves, ChainLeaf{X: x, Int: t.Elem.Kind == types.Int})
+			s, ok := b.mat(x, pick(float && !promote, matrix.Float, matrix.Int))
+			if !ok {
+				return false
+			}
+			b.emit(matrix.WithInstr{Op: matrix.WPushID})
+			b.emit(matrix.WithInstr{Op: pick(float && !promote, matrix.WLoadF, matrix.WLoadI), A: s, B: 1})
 		case *ast.RangeExpr:
-			if !ff.rangeBound(x.Lo) || !ff.rangeBound(x.Hi) {
+			lo, ok := b.bound(x.Lo)
+			hi, ok2 := b.bound(x.Hi)
+			if !ok || !ok2 {
 				return false
 			}
-			c.Code = append(c.Code, matrix.WithInstr{Op: matrix.WPushID},
-				matrix.WithInstr{Op: matrix.WPushScalarI, A: c.slot(true, true)}, matrix.WithInstr{Op: matrix.WAddI})
-			c.Leaves = append(c.Leaves, ChainLeaf{X: x.Lo, Scalar: true, Int: true}, ChainLeaf{X: x.Hi, Scalar: true, Int: true})
-			c.Nodes = append(c.Nodes, x)
-			c.lifted = true
+			b.emit(matrix.WithInstr{Op: matrix.WPushID})
+			b.emit(matrix.WithInstr{Op: matrix.WPushScalarI, A: lo, B: hi})
+			b.emit(matrix.WithInstr{Op: matrix.WAddI})
+			b.plan.Nodes = append(b.plan.Nodes, x)
+			b.lifted = true
 		case *ast.BinaryExpr:
-			op, ok := ff.stageOp(x, float)
-			if !ok || promote || !ff.stage(c, x.L) || !ff.stage(c, x.R) {
+			if promote {
+				return b.decline(x, "int stage on a float chain")
+			}
+			op, ok := b.stageOp(x)
+			if !ok || !b.stage(x.L) || !b.stage(x.R) {
 				return false
 			}
-			c.Code = append(c.Code, matrix.WithInstr{Op: op})
-			c.Nodes = append(c.Nodes, x)
+			b.emit(matrix.WithInstr{Op: op})
+			b.plan.Nodes = append(b.plan.Nodes, x)
 			return true
 		default:
-			return false
+			return b.decline(x, "")
 		}
 		if promote {
-			c.Code = append(c.Code, matrix.WithInstr{Op: matrix.WI2F})
-			c.lifted = true
+			b.emit(matrix.WithInstr{Op: matrix.WI2F})
+			b.lifted = true
 		}
 		return true
 	}
-	return false
+	return b.decline(x, "operand type")
 }
 
-// rangeBound reports whether a range leaf's bound can be read before the
-// loop with nothing observed: an int literal or a scalar int identifier.
-func (ff *factFinder) rangeBound(x ast.Expr) bool {
-	switch x := x.(type) {
-	case *ast.IntLit:
-		return true
-	case *ast.Ident:
-		t := ff.info.TypeOf(x)
-		return t != nil && t.Kind == types.Int
+// bound interns a range leaf's bound, read before the loop with nothing
+// observed: an int literal or a scalar int identifier.
+func (b *withBuilder) bound(x ast.Expr) (int32, bool) {
+	switch x.(type) {
+	case *ast.IntLit, *ast.Ident:
+		if b.kindOf(x) == types.Int {
+			return b.leaf(x, &b.plan.ScalarI)
+		}
 	}
-	return false
+	return 0, b.decline(x, "range bound")
 }
 
 // stageOp maps a matrix-typed binary node's operator to the plan's, or
-// reports it unfusable (see the package comment for the rationale per
-// operator).
-func (ff *factFinder) stageOp(x *ast.BinaryExpr, float bool) (matrix.WithOp, bool) {
-	switch x.Op {
-	case ast.OpAdd:
-		return pick(float, matrix.WAddF, matrix.WAddI), true
-	case ast.OpSub:
-		return pick(float, matrix.WSubF, matrix.WSubI), true
+// declines it (see the package comment for the rationale per operator).
+func (b *withBuilder) stageOp(x *ast.BinaryExpr) (matrix.WithOp, bool) {
+	op := x.Op
+	switch op {
 	case ast.OpElemMul:
-		return pick(float, matrix.WMulF, matrix.WMulI), true
+		op = ast.OpMul
 	case ast.OpMul:
 		// Matrix * matrix is matmul; only scalar scaling is elementwise.
-		lt, rt := ff.info.TypeOf(x.L), ff.info.TypeOf(x.R)
-		lScalar := lt != nil && (lt.Kind == types.Int || lt.Kind == types.Float)
-		rScalar := rt != nil && (rt.Kind == types.Int || rt.Kind == types.Float)
-		return pick(float, matrix.WMulF, matrix.WMulI), lScalar != rScalar
+		if (b.kindOf(x.L) == types.Invalid) == (b.kindOf(x.R) == types.Invalid) {
+			return 0, b.decline(x, "matrix product")
+		}
 	case ast.OpDiv:
-		// Int division traps per element; only float chains fuse it.
-		return matrix.WDivF, float
+		if !b.plan.Float {
+			return 0, b.decline(x, "int division")
+		}
 	}
-	return 0, false
+	ops, ok := arith[op]
+	if !ok {
+		return 0, b.decline(x, "stage operator")
+	}
+	return ops[pick(b.plan.Float, 1, 0)], true
 }
 
 // pick is a when c holds, else b.

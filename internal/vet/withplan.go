@@ -1,9 +1,10 @@
-// With-loop compilation proofs — the second Facts family. A
+// With-loop compilation proofs, and the plan every Facts entry is. A
 // genarray/fold body that is an effect-free scalar index expression is
-// written here in the flat postfix plan language of matrix.WithInstr;
+// written here in the flat postfix plan language of matrix.WithInstr (a
+// fused chain, facts.go, in the same language by the same builder);
 // the VM has matrix.CompileWith turn the plan into a strip program,
-// binds the leaf names — a local's register, or a global read once at
-// loop entry — and runs the loop through matrix.GenArrayFlat/FoldFlat
+// binds the leaves — a local's register, or a global read once at loop
+// entry — and runs the loop through matrix.GenArrayFlat/FoldFlat
 // instead of a per-element closure. What is decided here is not decided
 // again: the VM compiles flat every site proven here and no other.
 //
@@ -36,18 +37,20 @@
 // cannot prove pure, `end` (needs the enclosing indexing context),
 // nested genarrays (matrix values), a genarray whose shape does not
 // have one extent an id (admission fails), a leaf in a global
-// initializer naming a global not bound yet (the closure path fails
-// "undeclared" at the first cell), and any leaf that is not a plain
-// identifier or literal. Transform clauses are no reason: only the C
-// back end applies them, and every engine here computes what the
-// untransformed loop does. A float-typed `/` is total (IEEE), so it is
-// allowed on float bodies. A nested fold keeps a plan of its own as
-// well: it is what runs when the outer loop stays on the closure path.
+// initializer, or in a function one calls, naming a global not bound
+// yet (the closure path fails "undeclared" at the first cell), and any
+// leaf that is not a plain identifier or literal. Transform clauses are
+// no reason: only the C back end applies them, and every engine here
+// computes what the untransformed loop does. A float-typed `/` is total
+// (IEEE), so it is allowed on float bodies. A nested fold keeps a plan
+// of its own as well: it is what runs when the outer loop stays on the
+// closure path.
 package vet
 
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/ast"
@@ -58,75 +61,66 @@ import (
 	"repro/internal/types"
 )
 
-// WithPlan is a proven flat-compilable with-loop body. Leaves are
-// recorded by name; the VM binds a local's register, or loads a global
-// once at loop entry, after the bounds, the shape and the base. The
-// body cannot rebind a global (it is pure), so only a spawned task
-// could between two cells: a determinacy race, which cmvet reports.
+// WithPlan is a proven flat plan: a with-loop's body, or a chain (see
+// facts.go). Leaves are the identifiers — and a chain range's int
+// literal bounds — each slot reads, at its first use; the VM binds each
+// before the loop, in slot order: a local's register, a global loaded
+// then, after the bounds, the shape and the base, an int literal, or
+// an int scalar promoted into a float slot (a chain's). The body cannot
+// rebind a global (it is pure), so only a spawned task could between
+// two cells: a determinacy race, which cmvet reports.
 type WithPlan struct {
-	Fold    bool
-	Kind    matrix.FoldKind // Fold only
-	Code    []matrix.WithInstr
-	Mats    []string      // matrix leaf names, by WLoad* slot
-	MatElem []matrix.Elem // proven element type per matrix leaf
-	ScalarI []string      // int scalar leaf names, by WPushScalarI slot
-	ScalarF []string      // float scalar leaf names, by WPushScalarF slot
-	Float   bool          // body's static type is float
-	Inline  int           // frames the deepest call emitted in place opens below the loop's: enclosing nested folds + calls nested; 0: none
+	Fold     bool
+	Kind     matrix.FoldKind // Fold only
+	Rank     int             // the loop's generated ids; a chain's is 1
+	Code     []matrix.WithInstr
+	Mats     []ast.Expr    // matrix leaves, by WLoad* slot
+	MatElem  []matrix.Elem // proven element type per matrix leaf
+	ScalarI  []ast.Expr    // int scalar leaves, by WPushScalarI slot
+	ScalarF  []ast.Expr    // float scalar leaves, by WPushScalarF slot
+	Float    bool          // body's static type is float
+	OutFloat bool          // the cells written, or the fold's accumulator, are float
+	Inline   int           // frames the deepest call emitted in place opens below the loop's: enclosing nested folds + calls nested; 0: none
+	Nodes    []ast.Node    // a chain's admissions in plan order — a range leaf's RangeExpr, a stage's BinaryExpr — where its errors anchor; nil for a with-loop
 }
 
-// WithDecline is why a with-loop has no flat plan: the first rule of the
-// plan language its body breaks, and the node that breaks it.
+// Spec is the plan as the strip compiler takes it.
+func (p *WithPlan) Spec() matrix.WithSpec {
+	return matrix.WithSpec{Code: p.Code, Rank: p.Rank, MatElem: p.MatElem, ScalarI: len(p.ScalarI),
+		ScalarF: len(p.ScalarF), Float: p.Float, OutFloat: p.OutFloat}
+}
+
+// WithDecline is why a site has no flat plan: the first rule of the plan
+// language it breaks, and the node that breaks it.
 type WithDecline struct {
 	Rule string
 	Span source.Span
 }
 
-// WithSite is one with-loop and what ComputeFacts proves of it: a plan,
-// or the decline (Rule "" when Plan is set).
+// WithSite is one site ComputeFacts tries — a with-loop, or a chain
+// root — and what it proves of it: a plan, or the decline (Rule "" when
+// Plan is set).
 type WithSite struct {
-	Loop    *ast.WithLoop
+	At      ast.Expr
 	Plan    *WithPlan
 	Decline WithDecline
 }
 
-// WithSites lists every with-loop of a checked program, inner loops first:
-// the explain pass (ComputeFacts, whose table is cached, keeps no list).
+// WithSites lists every site of a checked program, a with-loop after
+// the loops in it and a chain root before the roots it declines: the
+// explain pass (ComputeFacts, whose table is cached, keeps no list).
 func WithSites(prog *ast.Program, info *sem.Info) []WithSite {
 	var sites []WithSite
 	computeFacts(prog, info, &sites)
 	return sites
 }
 
-// WithAt returns the flat plan proven for w, or nil.
-func (f *Facts) WithAt(w *ast.WithLoop) *WithPlan {
-	if f == nil {
-		return nil
-	}
-	return f.withs[w]
-}
-
-// WithCount reports how many with-loops were proven flat-compilable.
-func (f *Facts) WithCount() int {
-	if f == nil {
-		return 0
-	}
-	return len(f.withs)
-}
-
 // proveWith compiles w's body to a flat plan, or says which rule of the
 // flat language it breaks. unbound holds the globals not bound yet where
-// w runs: in a global initializer, that global's and the later ones'.
+// w runs: in a global initializer, or a function one calls, that global's
+// and the later ones'.
 func proveWith(info *sem.Info, w *ast.WithLoop, unbound map[string]bool) (*WithPlan, WithDecline) {
-	b := &withBuilder{
-		info:    info,
-		unbound: unbound,
-		ids:     map[string]int{},
-		plan:    &WithPlan{},
-		mats:    map[string]int{},
-		sInts:   map[string]int{},
-		sFlts:   map[string]int{},
-	}
+	b := newBuilder(info, unbound)
 	if !b.generator(w) {
 		return nil, b.why
 	}
@@ -134,6 +128,8 @@ func proveWith(info *sem.Info, w *ast.WithLoop, unbound map[string]bool) (*WithP
 		b.ids[name] = k // a repeated name shadows: the last binding wins
 	}
 	b.nids, b.strip = len(w.Ids), len(w.Ids)-1
+	b.plan.Rank = len(w.Ids)
+	t := info.TypeOf(w)
 	var body ast.Expr
 	switch op := w.Op.(type) {
 	case *ast.GenArrayOp:
@@ -141,9 +137,11 @@ func proveWith(info *sem.Info, w *ast.WithLoop, unbound map[string]bool) (*WithP
 			return nil, WithDecline{Rule: "shape arity", Span: op.Span()}
 		}
 		body = op.Body
+		b.plan.OutFloat = t != nil && t.Elem != nil && t.Elem.Kind == types.Float
 	case *ast.FoldOp:
 		body = op.Body
 		b.plan.Fold = true
+		b.plan.OutFloat = scalarKind(t) == types.Float
 		var ok bool
 		if b.plan.Kind, ok = interp.FoldKindOf(op.Kind); !ok && !b.decline(op, "fold operator") {
 			return nil, b.why
@@ -174,12 +172,14 @@ type withBuilder struct {
 	nids    int             // how many: a nested fold numbers its ids on from here
 	strip   int             // the loop's innermost id: nested fold bounds must not vary along it
 	plan    *WithPlan
-	mats    map[string]int
-	sInts   map[string]int
-	sFlts   map[string]int
 	why     WithDecline // the first rule broken
 	env     *inlined    // the callee being emitted, nil in the body itself
 	folds   int         // nested folds enclosing the node being built: each opens a frame a cell on the closure path
+	lifted  bool        // a chain holds a range or a promoting leaf
+}
+
+func newBuilder(info *sem.Info, unbound map[string]bool) *withBuilder {
+	return &withBuilder{info: info, unbound: unbound, ids: map[string]int{}, plan: &WithPlan{}}
 }
 
 func (b *withBuilder) emit(in matrix.WithInstr) {
@@ -231,11 +231,11 @@ func (b *withBuilder) build(e ast.Expr) (types.Kind, bool) {
 		}
 		switch b.kindOf(e) {
 		case types.Int:
-			s, ok := b.leaf(e, b.sInts, &b.plan.ScalarI)
+			s, ok := b.leaf(e, &b.plan.ScalarI)
 			b.emit(matrix.WithInstr{Op: matrix.WPushScalarI, A: s})
 			return types.Int, ok
 		case types.Float:
-			s, ok := b.leaf(e, b.sFlts, &b.plan.ScalarF)
+			s, ok := b.leaf(e, &b.plan.ScalarF)
 			b.emit(matrix.WithInstr{Op: matrix.WPushScalarF, A: s})
 			return types.Float, ok
 		}
@@ -545,27 +545,13 @@ func (b *withBuilder) load(e *ast.IndexExpr) (types.Kind, bool) {
 			return 0, false
 		}
 	}
-	s, ok := b.leaf(id, b.mats, &b.plan.Mats)
+	s, ok := b.mat(id, elem)
 	if !ok {
 		return 0, false
 	}
-	slot := int(s)
-	for len(b.plan.MatElem) <= slot {
-		b.plan.MatElem = append(b.plan.MatElem, elem)
-	}
-	if b.plan.MatElem[slot] != elem {
-		return 0, b.decline(id, "matrix of two element types")
-	}
-	var op matrix.WithOp
-	k := types.Int
-	if elem == matrix.Float {
-		op = matrix.WLoadF
-		k = types.Float
-	} else {
-		op = matrix.WLoadI
-	}
-	b.emit(matrix.WithInstr{Op: op, A: int32(slot), B: int32(len(e.Args))})
-	return k, true
+	float := elem == matrix.Float
+	b.emit(matrix.WithInstr{Op: pick(float, matrix.WLoadF, matrix.WLoadI), A: s, B: int32(len(e.Args))})
+	return pick(float, types.Float, types.Int), true
 }
 
 // index compiles one index subexpression: ids, int literals, int
@@ -582,7 +568,7 @@ func (b *withBuilder) index(e ast.Expr) bool {
 			return true
 		}
 		if b.kindOf(e) == types.Int {
-			s, ok := b.leaf(e, b.sInts, &b.plan.ScalarI)
+			s, ok := b.leaf(e, &b.plan.ScalarI)
 			b.emit(matrix.WithInstr{Op: matrix.WPushScalarI, A: s})
 			return ok
 		}
@@ -625,17 +611,27 @@ func (b *withBuilder) index(e ast.Expr) bool {
 	return b.decline(e, "index outside the index language")
 }
 
-// leaf interns a leaf's name into its slot list, unless it names a
-// global not bound yet where the loop runs.
-func (b *withBuilder) leaf(id *ast.Ident, m map[string]int, names *[]string) (int32, bool) {
-	if b.unbound[id.Name] {
-		return 0, b.decline(id, "global not bound yet")
+// leaf interns x — an identifier, or a chain range's int literal bound
+// — into a slot list, unless it names a global not bound yet where the
+// plan runs.
+func (b *withBuilder) leaf(x ast.Expr, slots *[]ast.Expr) (int32, bool) {
+	name := ast.ExprString(x)
+	if b.unbound[name] {
+		return 0, b.decline(x, "global not bound yet")
 	}
-	s, ok := m[id.Name]
-	if !ok {
-		s = len(*names)
-		m[id.Name] = s
-		*names = append(*names, id.Name)
+	s := slices.IndexFunc(*slots, func(l ast.Expr) bool { return ast.ExprString(l) == name })
+	if s < 0 {
+		s = len(*slots)
+		*slots = append(*slots, x)
 	}
 	return int32(s), true
+}
+
+// mat interns a matrix leaf of proven element type elem.
+func (b *withBuilder) mat(id *ast.Ident, elem matrix.Elem) (int32, bool) {
+	s, ok := b.leaf(id, &b.plan.Mats)
+	if ok && int(s) == len(b.plan.MatElem) {
+		b.plan.MatElem = append(b.plan.MatElem, elem)
+	}
+	return s, ok
 }

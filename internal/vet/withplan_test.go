@@ -15,7 +15,6 @@ import (
 	"repro/internal/parser"
 	"repro/internal/sem"
 	"repro/internal/source"
-	"repro/internal/types"
 )
 
 // factsFor parses + checks src and computes the facts side table.
@@ -33,7 +32,7 @@ func factsFor(t *testing.T, src string) *Facts {
 	return ComputeFacts(prog, info)
 }
 
-// sitesFor parses + checks src and lists its with-loop sites.
+// sitesFor parses + checks src and lists its sites.
 func sitesFor(t *testing.T, src string) []WithSite {
 	t.Helper()
 	var diags source.Diagnostics
@@ -45,13 +44,43 @@ func sitesFor(t *testing.T, src string) []WithSite {
 	return WithSites(prog, info)
 }
 
+// withs and chains split the table's plans by site.
+func withs(f *Facts) map[*ast.WithLoop]*WithPlan {
+	m := map[*ast.WithLoop]*WithPlan{}
+	for e, p := range f.plans {
+		if w, ok := e.(*ast.WithLoop); ok {
+			m[w] = p
+		}
+	}
+	return m
+}
+
+func chains(f *Facts) []*WithPlan {
+	var ps []*WithPlan
+	for e, p := range f.plans {
+		if _, ok := e.(*ast.WithLoop); !ok {
+			ps = append(ps, p)
+		}
+	}
+	return ps
+}
+
+// names lists a slot file's leaves as the source writes them.
+func names(leaves []ast.Expr) string {
+	var s []string
+	for _, l := range leaves {
+		s = append(s, ast.ExprString(l))
+	}
+	return strings.Join(s, " ")
+}
+
 // onlyPlan asserts exactly one with-loop was proven and returns its plan.
 func onlyPlan(t *testing.T, f *Facts) *WithPlan {
 	t.Helper()
-	if f.WithCount() != 1 {
-		t.Fatalf("WithCount = %d, want 1", f.WithCount())
+	if len(withs(f)) != 1 {
+		t.Fatalf("with-loop plans = %d, want 1", len(withs(f)))
 	}
-	for _, wp := range f.withs {
+	for _, wp := range withs(f) {
 		return wp
 	}
 	panic("unreachable")
@@ -76,11 +105,11 @@ int main() {
 	}
 	// Scalar leaves n and bias intern into distinct int slots; n appears
 	// twice in the source but once in the slot list.
-	if len(wp.ScalarI) != 2 || wp.ScalarI[0] != "n" || wp.ScalarI[1] != "bias" {
-		t.Fatalf("ScalarI = %v, want [n bias]", wp.ScalarI)
+	if got := names(wp.ScalarI); got != "n bias" {
+		t.Fatalf("ScalarI = %s, want n bias", got)
 	}
 	if len(wp.Mats) != 0 || len(wp.ScalarF) != 0 {
-		t.Fatalf("unexpected leaves: mats %v floats %v", wp.Mats, wp.ScalarF)
+		t.Fatalf("unexpected leaves: mats %s floats %s", names(wp.Mats), names(wp.ScalarF))
 	}
 }
 
@@ -98,11 +127,11 @@ int main() {
 	print(s);
 	return 0;
 }`)
-		if f.WithCount() != 2 {
-			t.Fatalf("%s: WithCount = %d, want 2", name, f.WithCount())
+		if len(withs(f)) != 2 {
+			t.Fatalf("%s: with-loop plans = %d, want 2", name, len(withs(f)))
 		}
 		var fold *WithPlan
-		for _, wp := range f.withs {
+		for _, wp := range withs(f) {
 			if wp.Fold {
 				fold = wp
 			}
@@ -110,9 +139,8 @@ int main() {
 		if fold == nil || fold.Kind != kind {
 			t.Fatalf("%s: fold plan %+v, want kind %v", name, fold, kind)
 		}
-		if len(fold.Mats) != 1 || fold.Mats[0] != "m" ||
-			len(fold.MatElem) != 1 || fold.MatElem[0] != matrix.Int {
-			t.Fatalf("%s: matrix leaves %v / %v", name, fold.Mats, fold.MatElem)
+		if names(fold.Mats) != "m" || len(fold.MatElem) != 1 || fold.MatElem[0] != matrix.Int {
+			t.Fatalf("%s: matrix leaves %s / %v", name, names(fold.Mats), fold.MatElem)
 		}
 	}
 }
@@ -128,8 +156,8 @@ int main() {
 	print(s);
 	return 0;
 }`)
-	if f.WithCount() != 2 {
-		t.Fatalf("WithCount = %d, want 2 (stencil indices are in the index language)", f.WithCount())
+	if len(withs(f)) != 2 {
+		t.Fatalf("with-loop plans = %d, want 2 (stencil indices are in the index language)", len(withs(f)))
 	}
 }
 
@@ -173,7 +201,7 @@ int main() {
 		}
 		t.Run(name, func(t *testing.T) {
 			f := factsFor(t, src)
-			for w, wp := range f.withs {
+			for w, wp := range withs(f) {
 				if !wp.Fold && len(w.Ids) == 1 && w.Ids[0] == "i" {
 					t.Errorf("body %q proved a genarray plan: %+v", body, wp)
 				}
@@ -225,11 +253,11 @@ int main() {
 	print(means[0, 0]);
 	return 0;
 }`)
-	if f.WithCount() != 2 {
-		t.Fatalf("WithCount = %d, want 2 (outer genarray and inner fold)", f.WithCount())
+	if len(withs(f)) != 2 {
+		t.Fatalf("with-loop plans = %d, want 2 (outer genarray and inner fold)", len(withs(f)))
 	}
 	var outer *WithPlan
-	for _, wp := range f.withs {
+	for _, wp := range withs(f) {
 		if !wp.Fold {
 			outer = wp
 		}
@@ -268,8 +296,8 @@ int main() {
 	if !sawInnerID {
 		t.Error("bracketed body never pushes the fold's id")
 	}
-	if len(outer.ScalarI) != 1 || outer.ScalarI[0] != "p" {
-		t.Errorf("ScalarI = %v, want [p] (bound and divisor share the slot)", outer.ScalarI)
+	if got := names(outer.ScalarI); got != "p" {
+		t.Errorf("ScalarI = %s, want p (bound and divisor share the slot)", got)
 	}
 }
 
@@ -287,7 +315,7 @@ int main() {
 	return 0;
 }`)
 		var outer *WithPlan
-		for _, wp := range f.withs {
+		for _, wp := range withs(f) {
 			if !wp.Fold {
 				outer = wp
 			}
@@ -347,7 +375,9 @@ int main() {
 }`)
 	var got []string
 	for _, s := range sites {
-		got = append(got, fmt.Sprintf("%s %s %s", s.Loop.Span().Start, s.Decline.Rule, s.Decline.Span.Start))
+		if _, ok := s.At.(*ast.WithLoop); ok {
+			got = append(got, fmt.Sprintf("%s %s %s", s.At.Span().Start, s.Decline.Rule, s.Decline.Span.Start))
+		}
 	}
 	want := []string{
 		"4:22  0:0",
@@ -356,6 +386,41 @@ int main() {
 		"7:44  0:0", // its own bound is no leaf of its plan
 		"7:9 global not bound yet 7:64",
 		"10:20  0:0",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("sites:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestChainPlanUnboundGlobalDeclines: a chain's leaves are interned as a
+// with-loop's are, so in a global initializer, or in a function one
+// calls, a leaf naming the global being initialized or a later one
+// declines, and the finder tries the root's operands in turn. In a
+// function only main reaches, a chain reads any global.
+func TestChainPlanUnboundGlobalDeclines(t *testing.T) {
+	var got []string
+	for _, s := range sitesFor(t, `
+Matrix float <1> early = [0 :: 3] * 0.5;
+Matrix float <1> c = early * 2.0 + late;
+Matrix float <1> d = h();
+Matrix float <1> late = [0 :: 3] * 1.0;
+Matrix float <1> f() { return early * 2.0 + late; }
+Matrix float <1> g() { return early * 2.0 + late; }
+Matrix float <1> h() { return g(); }
+int main() {
+	print(c[0] + d[0] + f()[0]);
+	return 0;
+}`) {
+		got = append(got, fmt.Sprintf("%s %s %s", s.At.Span().Start, s.Decline.Rule, s.Decline.Span.Start))
+	}
+	want := []string{
+		"2:26  0:0",
+		"3:22 global not bound yet 3:36",
+		"3:22 one stage of identifiers 3:22",
+		"5:25  0:0",
+		"6:31  0:0",
+		"7:31 global not bound yet 7:45",
+		"7:31 one stage of identifiers 7:31",
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("sites:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -399,10 +464,10 @@ int main() {
 	print(deep);
 	return 0;
 }`)
-	if f.WithCount() != 8 {
-		t.Fatalf("WithCount = %d, want 8", f.WithCount())
+	if len(withs(f)) != 8 {
+		t.Fatalf("with-loop plans = %d, want 8", len(withs(f)))
 	}
-	for w, wp := range f.withs {
+	for w, wp := range withs(f) {
 		_, ok := matrix.CompileWith(matrix.WithSpec{
 			Code: wp.Code, Rank: len(w.Ids), MatElem: wp.MatElem,
 			ScalarI: len(wp.ScalarI), ScalarF: len(wp.ScalarF),
@@ -415,10 +480,10 @@ int main() {
 }
 
 // TestChainPlan: a proven chain is written in the with-loop plan
-// language — every matrix leaf loaded at id 0 by its own slot, literals
-// as constants (an int literal on a float chain already a float), one
-// arithmetic instruction per stage in post-order — and its leaves come
-// in tree evaluation order.
+// language — every matrix leaf loaded at id 0 by its slot, literals as
+// constants (an int literal on a float chain already a float), one
+// arithmetic instruction per stage in post-order — and its leaves are
+// interned as a with-loop's are: a name read twice has one slot.
 func TestChainPlan(t *testing.T) {
 	f := factsFor(t, `
 int main() {
@@ -429,13 +494,10 @@ int main() {
 	print(r[0, 0]);
 	return 0;
 }`)
-	if f.ChainCount() != 1 {
-		t.Fatalf("ChainCount = %d, want 1", f.ChainCount())
+	if len(chains(f)) != 1 {
+		t.Fatalf("chains = %d, want 1", len(chains(f)))
 	}
-	var ch *Chain
-	for _, c := range f.chains {
-		ch = c
-	}
+	ch := chains(f)[0]
 	load := func(slot int32) []matrix.WithInstr {
 		return []matrix.WithInstr{{Op: matrix.WPushID}, {Op: matrix.WLoadF, A: slot, B: 1}}
 	}
@@ -443,41 +505,28 @@ int main() {
 	want = append(want, load(0)...)
 	want = append(want, load(1)...)
 	want = append(want, matrix.WithInstr{Op: matrix.WMulF}, matrix.WithInstr{Op: matrix.WPushScalarF, A: 0})
-	want = append(want, load(2)...)
+	want = append(want, load(0)...)
 	want = append(want, matrix.WithInstr{Op: matrix.WMulF}, matrix.WithInstr{Op: matrix.WAddF})
-	want = append(want, load(3)...)
+	want = append(want, load(1)...)
 	want = append(want, matrix.WithInstr{Op: matrix.WPushFloat, F: 2}, matrix.WithInstr{Op: matrix.WDivF}, matrix.WithInstr{Op: matrix.WSubF})
 	if !slices.Equal(ch.Code, want) {
 		t.Errorf("plan\n got  %+v\n want %+v", ch.Code, want)
 	}
-	if got := leafString(ch); got != "a, b, scalar k, a, b" {
-		t.Errorf("leaves in tree order: %s", got)
+	if got := leafString(ch); got != "a b |  | k" {
+		t.Errorf("leaves by slot: %s", got)
 	}
 	if len(ch.Nodes) != 5 {
 		t.Errorf("%d stage nodes, want 5", len(ch.Nodes))
 	}
-	_, ok := matrix.CompileWith(matrix.WithSpec{Code: ch.Code, Rank: 1,
-		MatElem: []matrix.Elem{matrix.Float, matrix.Float, matrix.Float, matrix.Float}, ScalarF: 1, Float: true, OutFloat: true})
-	if !ok {
+	if _, ok := matrix.CompileWith(ch.Spec()); !ok {
 		t.Error("the strip compiler declines the plan")
 	}
 }
 
-// leafString lists a chain's leaves: a scalar slot says so, and an int
-// slot or an int matrix on a float chain says "int".
-func leafString(ch *Chain) string {
-	var leaves []string
-	for _, l := range ch.Leaves {
-		name := ast.ExprString(l.X)
-		if l.Int && ch.Elem == types.Float {
-			name = "int " + name
-		}
-		if l.Scalar {
-			name = "scalar " + name
-		}
-		leaves = append(leaves, name)
-	}
-	return strings.Join(leaves, ", ")
+// leafString lists a plan's leaves by slot file: matrices, int scalars,
+// float scalars (an int variable there is promoted).
+func leafString(p *WithPlan) string {
+	return names(p.Mats) + " | " + names(p.ScalarI) + " | " + names(p.ScalarF)
 }
 
 // planString writes a chain plan one word an instruction.
@@ -501,8 +550,13 @@ func planString(code []matrix.WithInstr) string {
 			w += fmt.Sprint(in.K)
 		case matrix.WPushFloat:
 			w += fmt.Sprint(in.F)
-		case matrix.WPushID, matrix.WPushScalarI, matrix.WPushScalarF, matrix.WLoadI, matrix.WLoadF:
+		case matrix.WPushID, matrix.WPushScalarF, matrix.WLoadI, matrix.WLoadF:
 			w += fmt.Sprint(in.A)
+		case matrix.WPushScalarI:
+			w += fmt.Sprint(in.A)
+			if in.B != 0 {
+				w += fmt.Sprint(":", in.B) // a chain range's lo, and its hi
+			}
 		}
 		words = append(words, w)
 	}
@@ -510,7 +564,7 @@ func planString(code []matrix.WithInstr) string {
 }
 
 // TestChainPlanRangeAndPromotingLeaves: a range leaf is id 0 plus its lo
-// (hi in the int scalar slot after it, for admission alone), an int leaf
+// (naming its hi's int slot, for admission alone), an int leaf
 // of a float chain is followed by i2f, either makes one stage worth
 // fusing, and the nodes count range leaves and stages together in plan
 // order. The shapes the legality rules keep out stay out.
@@ -530,77 +584,72 @@ int main() {
 		plan, leaves, node string
 	}{
 		{"fig8_line", "float", "[x1 :: x2] * m + b",
-			"id0 sI0 addI i2f sF0 mulF sF1 addF", "scalar int x1, scalar int x2, scalar m, scalar b", "range * +"},
+			"id0 sI0:1 addI i2f sF0 mulF sF1 addF", " | x1 x2 | m b", "range * +"},
 		{"int_range", "int", "[x1 :: x2] * 3 + 1",
-			"id0 sI0 addI int3 mulI int1 addI", "scalar x1, scalar x2", "range * +"},
+			"id0 sI0:1 addI int3 mulI int1 addI", " | x1 x2 | ", "range * +"},
 		{"single_stage_literal_bounds", "float", "[0 :: 1048575] * 1.0",
-			"id0 sI0 addI i2f float1 mulF", "scalar int 0, scalar int 1048575", "range *"},
+			"id0 sI0:1 addI i2f float1 mulF", " | 0 1048575 | ", "range *"},
 		{"scalar_left_and_division", "float", "b - [x1 :: x2] / 2.0",
-			"sF0 id0 sI0 addI i2f float2 divF subF", "scalar b, scalar int x1, scalar int x2", "range / -"},
+			"sF0 id0 sI0:1 addI i2f float2 divF subF", " | x1 x2 | b", "range / -"},
 		{"two_ranges_and_an_int_scalar", "float", "[x1 :: x2] * 0.5 + [1 :: 6] * m + x2 * f",
-			"id0 sI0 addI i2f float0.5 mulF id0 sI2 addI i2f sF0 mulF addF sF1 id0 loadF0 mulF addF",
-			"scalar int x1, scalar int x2, scalar int 1, scalar int 6, scalar m, scalar x2, f", "range * range * + * +"},
+			"id0 sI0:1 addI i2f float0.5 mulF id0 sI2:3 addI i2f sF0 mulF addF sF1 id0 loadF0 mulF addF",
+			"f | x1 x2 1 6 | m x2", "range * range * + * +"},
+		{"ranges_sharing_a_bound", "float", "[x1 :: x2] * 0.5 + [6 :: x2] * m",
+			"id0 sI0:1 addI i2f float0.5 mulF id0 sI2:1 addI i2f sF0 mulF addF", " | x1 x2 6 | m", "range * range * +"},
 		{"promoting_identifier", "float", "v * 0.5",
-			"id0 loadI0 i2f float0.5 mulF", "int v", "*"},
+			"id0 loadI0 i2f float0.5 mulF", "v |  | ", "*"},
 		{"promoting_identifier_beside_a_float_matrix", "float", "f + v - 2.0",
-			"id0 loadF0 id0 loadI1 i2f addF float2 subF", "f, int v", "+ -"},
+			"id0 loadF0 id0 loadI1 i2f addF float2 subF", "f v |  | ", "+ -"},
 		{"int_identifier_on_an_int_chain", "int", "v .* [x1 :: x2]",
-			"id0 loadI0 id0 sI0 addI mulI", "v, scalar x1, scalar x2", "range .*"},
-		{"one_identifier_stage_stays_unfused", "int", "v + 1", "", "", ""},
-		{"bound_is_a_call", "float", "[two() :: x2] * m + b", "", "", ""},
-		{"bound_is_an_expression", "float", "[x1 + 1 :: x2] * m", "", "", ""},
-		{"int_division", "int", "[x1 :: x2] / 2", "", "", ""},
-		{"int_remainder", "int", "[x1 :: x2] % 4", "", "", ""},
-		{"int_stage_inside_a_float_chain", "float", "([x1 :: x2] + v) * 0.5", "id0 sI0 addI id0 loadI0 addI", "scalar x1, scalar x2, v", "range +"},
+			"id0 loadI0 id0 sI0:1 addI mulI", "v | x1 x2 | ", "range .*"},
+		{"one_identifier_stage_stays_unfused", "int", "v + 1", "", "one stage of identifiers", ""},
+		{"bound_is_a_call", "float", "[two() :: x2] * m + b", "", "range bound", ""},
+		{"bound_is_an_expression", "float", "[x1 + 1 :: x2] * m", "", "range bound", ""},
+		{"int_division", "int", "[x1 :: x2] / 2", "", "int division", ""},
+		{"int_remainder", "int", "[x1 :: x2] % 4", "", "stage operator", ""},
+		{"int_stage_inside_a_float_chain", "float", "([x1 :: x2] + v) * 0.5", "id0 sI0:1 addI id0 loadI0 addI", "v | x1 x2 | ", "range +"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			f := factsFor(t, decls+"\tMatrix "+tc.typ+" <1> r = "+tc.expr+";\n\tprint(r[0]);\n\treturn 0;\n}")
+			src := decls + "\tMatrix " + tc.typ + " <1> r = " + tc.expr + ";\n\tprint(r[0]);\n\treturn 0;\n}"
+			f := factsFor(t, src)
 			if tc.plan == "" {
-				if f.ChainCount() != 0 {
-					t.Fatalf("ChainCount = %d, want the expression unfused", f.ChainCount())
+				if len(chains(f)) != 0 {
+					t.Fatalf("chains = %d, want the expression unfused", len(chains(f)))
 				}
-				return
-			}
-			if f.ChainCount() != 1 {
-				t.Fatalf("ChainCount = %d, want 1", f.ChainCount())
-			}
-			for _, ch := range f.chains {
-				if got := planString(ch.Code); got != tc.plan {
-					t.Errorf("plan\n got  %s\n want %s", got, tc.plan)
-				}
-				if got := leafString(ch); got != tc.leaves {
-					t.Errorf("leaves\n got  %s\n want %s", got, tc.leaves)
-				}
-				var nodes []string
-				for _, n := range ch.Nodes {
-					if b, ok := n.(*ast.BinaryExpr); ok {
-						nodes = append(nodes, b.Op.String())
-					} else {
-						nodes = append(nodes, "range")
+				// The root is the first chain site tried.
+				for _, s := range sitesFor(t, src) {
+					if _, ok := s.At.(*ast.BinaryExpr); ok {
+						if s.Decline.Rule != tc.leaves {
+							t.Errorf("declined %q, want %q", s.Decline.Rule, tc.leaves)
+						}
+						return
 					}
 				}
-				if got := strings.Join(nodes, " "); got != tc.node {
-					t.Errorf("admission nodes %q, want %q", got, tc.node)
+				t.Fatal("no chain site")
+			}
+			if len(chains(f)) != 1 {
+				t.Fatalf("chains = %d, want 1", len(chains(f)))
+			}
+			ch := chains(f)[0]
+			if got := planString(ch.Code); got != tc.plan {
+				t.Errorf("plan\n got  %s\n want %s", got, tc.plan)
+			}
+			if got := leafString(ch); got != tc.leaves {
+				t.Errorf("leaves\n got  %s\n want %s", got, tc.leaves)
+			}
+			var nodes []string
+			for _, n := range ch.Nodes {
+				if b, ok := n.(*ast.BinaryExpr); ok {
+					nodes = append(nodes, b.Op.String())
+				} else {
+					nodes = append(nodes, "range")
 				}
-				var elems []matrix.Elem
-				sI, sF := 0, 0
-				for _, l := range ch.Leaves {
-					switch {
-					case !l.Scalar && l.Int:
-						elems = append(elems, matrix.Int)
-					case !l.Scalar:
-						elems = append(elems, matrix.Float)
-					case l.Int:
-						sI++
-					default:
-						sF++
-					}
-				}
-				float := ch.Elem == types.Float
-				if _, ok := matrix.CompileWith(matrix.WithSpec{Code: ch.Code, Rank: 1, MatElem: elems,
-					ScalarI: sI, ScalarF: sF, Float: float, OutFloat: float}); !ok {
-					t.Error("the strip compiler declines the plan")
-				}
+			}
+			if got := strings.Join(nodes, " "); got != tc.node {
+				t.Errorf("admission nodes %q, want %q", got, tc.node)
+			}
+			if _, ok := matrix.CompileWith(ch.Spec()); !ok {
+				t.Error("the strip compiler declines the plan")
 			}
 		})
 	}
@@ -709,7 +758,7 @@ int main() {
 }`)
 			// The genarray's site: a callee's own with-loop is a site too.
 			site := sites[len(sites)-1]
-			if _, ok := site.Loop.Op.(*ast.GenArrayOp); !ok || site.Plan != nil {
+			if w, ok := site.At.(*ast.WithLoop); !ok || site.Plan != nil || w.Op.(*ast.GenArrayOp) == nil {
 				t.Fatalf("sites %+v, want the genarray's last and declined", sites)
 			}
 			if got := site.Decline.Rule; got != tc.rule {

@@ -117,11 +117,6 @@ type compiler struct {
 	globals    []globalDef
 	globIdx    map[string]int
 	ginit      *proto
-	// ginitDeclared limits global visibility while compiling global
-	// initializers: the tree walker binds globals one at a time, so an
-	// initializer referencing a later global fails "undeclared".
-	inGinit       bool
-	ginitDeclared int
 
 	consts []value
 	kInt   map[int64]int32
@@ -282,14 +277,11 @@ func (f *fnc) resolve(name string) (varSlot, bool) {
 	return varSlot{}, false
 }
 
-// resolveGlobal respects the tree walker's one-at-a-time global
-// binding order inside the global initializer.
+// resolveGlobal finds a global by name. Whether it is bound yet where
+// it is read or written is the machine's to say (Machine.bound).
 func (f *fnc) resolveGlobal(name string) (int, *globalDef, bool) {
 	gi, ok := f.c.globIdx[name]
 	if !ok {
-		return 0, nil, false
-	}
-	if f.c.inGinit && gi >= f.c.ginitDeclared {
 		return 0, nil, false
 	}
 	return gi, &f.c.globals[gi], true
@@ -352,8 +344,6 @@ func (c *compiler) compileFunc(pi int, fd *ast.FuncDecl) {
 // flush after every global, and bind-into-slot semantics identical to
 // the tree's global frame.
 func (c *compiler) compileGinit() {
-	c.inGinit = true
-	c.ginitDeclared = 0
 	f := &fnc{c: c}
 	f.pushScope()
 	gi := 0
@@ -379,15 +369,13 @@ func (c *compiler) compileGinit() {
 			if cl != clR {
 				bail("global %q: class mismatch %d vs %d", g.Name, def.cl, cl)
 			}
-			f.emit(instr{op: opGBindR, a: int32(gi), b: reg, nd: g})
+			f.emit(instr{op: opGBindR, a: int32(gi), b: reg, c: 1, nd: g})
 		} else {
-			f.emit(instr{op: opGStore, a: int32(gi), b: reg, nd: g})
+			f.emit(instr{op: opGStore, a: int32(gi), b: reg, c: 1, nd: g})
 		}
 		f.emit(instr{op: opFlush})
 		gi++
-		c.ginitDeclared = gi
 	}
-	c.inGinit = false
 	c.ginit = &proto{name: "<globals>", code: f.code, nregs: f.nreg}
 }
 

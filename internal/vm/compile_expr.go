@@ -61,7 +61,7 @@ func (f *fnc) compileExprTo(e ast.Expr, d dest) (int32, class) {
 			// so they are loaded into a temporary at this exact point in
 			// the evaluation order.
 			r := f.out(d, def.cl)
-			f.emit(instr{op: opGLoad, a: r, b: int32(gi)})
+			f.emit(instr{op: opGLoad, a: r, b: int32(gi), nd: e})
 			return r, def.cl
 		}
 		f.emit(instr{op: opFail, nd: e, aux: interp.Errorf(e, "undeclared variable %q", e.Name)})
@@ -259,10 +259,11 @@ func (f *fnc) compileBinary(e *ast.BinaryExpr, d dest) (int32, class) {
 	// A vet.Facts-proven fusable chain compiles to one opFused loop
 	// instead of a kernel pass per stage. Chains are matrix-typed, so
 	// the scalar fast paths below never compete with this.
-	if ch := f.c.facts.ChainAt(e); ch != nil {
-		if r, cl, ok := f.compileFused(e, ch); ok {
-			return r, cl
-		}
+	if p := f.c.facts.PlanAt(e); p != nil {
+		dst := f.reg()
+		f.emit(instr{op: opFused, a: dst, nd: e, aux: f.flatPlan(e, p)})
+		f.c.fusedSites++
+		return dst, clR
 	}
 
 	lk := f.c.info.TypeOf(e.L).Kind
@@ -323,55 +324,6 @@ func (f *fnc) compileBinary(e *ast.BinaryExpr, d dest) (int32, class) {
 	f.emit(instr{op: opBinM, a: dst, b: int32(cl), nd: e,
 		aux: &binDesc{e: e, l: argDesc{reg: l, cl: lcl}, r: argDesc{reg: r, cl: rcl}}})
 	return dst, cl
-}
-
-// compileFused lowers a proven chain to one opFused instruction: the
-// chain's plan compiled to its strip program, leaves bound like a flat
-// with-loop's. Leaves — identifiers, and a range leaf's bounds — compile
-// in tree evaluation order, so an undeclared-global error in a global
-// initializer still surfaces at the right leaf; an int scalar on a float
-// chain converts here, mirroring the charge-free int→float scalar
-// conversion BroadcastExec performs. Returns ok = false to fall back to
-// the generic opBinM lowering when a leaf does not resolve to the
-// expected register class or the strip compiler declines the plan
-// (unreachable in checked programs; the few dead leaf loads already
-// emitted are side-effect free).
-func (f *fnc) compileFused(e *ast.BinaryExpr, ch *vet.Chain) (int32, class, bool) {
-	float := ch.Elem == types.Float
-	d := &chainDesc{nodes: ch.Nodes}
-	var elems []matrix.Elem
-	for _, lf := range ch.Leaves {
-		r, cl := f.compileExpr(lf.X)
-		switch {
-		case !lf.Scalar && cl == clR && lf.Int:
-			d.flat.mats, elems = append(d.flat.mats, r), append(elems, matrix.Int)
-		case !lf.Scalar && cl == clR:
-			d.flat.mats, elems = append(d.flat.mats, r), append(elems, matrix.Float)
-		case lf.Scalar && lf.Int && cl == clI:
-			d.flat.sI = append(d.flat.sI, r)
-		case lf.Scalar && !lf.Int && cl == clI:
-			out := f.reg()
-			f.emit(instr{op: opI2F, a: out, b: r})
-			d.flat.sF = append(d.flat.sF, out)
-		case lf.Scalar && !lf.Int && cl == clF:
-			d.flat.sF = append(d.flat.sF, r)
-		default:
-			return 0, 0, false
-		}
-	}
-	var ok bool
-	d.flat.prog, ok = matrix.CompileWith(matrix.WithSpec{
-		Code: ch.Code, Rank: 1, MatElem: elems,
-		ScalarI: len(d.flat.sI), ScalarF: len(d.flat.sF),
-		Float: float, OutFloat: float,
-	})
-	if !ok {
-		return 0, 0, false
-	}
-	dst := f.reg()
-	f.emit(instr{op: opFused, a: dst, nd: e, aux: d})
-	f.c.fusedSites++
-	return dst, clR, true
 }
 
 // floatOperand evaluates a statically numeric operand into a float
@@ -672,11 +624,8 @@ func (f *fnc) cannotFail(e ast.Expr) bool {
 	case *ast.IntLit:
 		return true
 	case *ast.Ident:
-		// A global initializer cannot see a later global: that read fails.
+		// A global's read fails while it is not bound yet.
 		_, ok := f.resolve(e.Name)
-		if !ok {
-			_, _, ok = f.resolveGlobal(e.Name)
-		}
 		return ok
 	case *ast.UnaryExpr:
 		return e.Op == ast.OpNeg && f.cannotFail(e.X)
@@ -771,12 +720,7 @@ func (f *fnc) compileWith(w *ast.WithLoop) (int32, class) {
 			shape[k] = f.compileInt(se)
 		}
 		d.shape = shape
-		elem, eerr := vmElemOf(w, f.c.info.TypeOf(w))
-		if eerr != nil {
-			d.staticFail = eerr
-		} else {
-			d.elem = elem
-		}
+		d.elem = elemOf(w, f.c.info.TypeOf(w))
 		d.resCl = clR
 		bodyExpr = op.Body
 	case *ast.FoldOp:
@@ -793,8 +737,8 @@ func (f *fnc) compileWith(w *ast.WithLoop) (int32, class) {
 	}
 	d.body, d.captures = f.compileWithBody(w, bodyExpr)
 	op := opWith
-	if wp := f.c.facts.WithAt(w); wp != nil {
-		d.flat = f.flatWithPlan(w, d, wp)
+	if p := f.c.facts.PlanAt(w); p != nil {
+		d.flat = f.flatPlan(w, p)
 		f.c.withSites++
 		op = opWithGen
 		if d.fold {
@@ -806,50 +750,32 @@ func (f *fnc) compileWith(w *ast.WithLoop) (int32, class) {
 	return dst, d.resCl
 }
 
-// flatWithPlan binds a vet-proven flat plan's leaves — a local's
-// register, or a global loaded here, at loop entry, after the bounds,
-// the shape and the base, as a chain's global leaves are — and compiles
-// the plan to its strip program, whose cells are the loop's static type.
-func (f *fnc) flatWithPlan(w *ast.WithLoop, d *withDesc, wp *vet.WithPlan) *flatPlan {
-	fp := &flatPlan{inline: wp.Inline}
-	for _, name := range wp.Mats {
-		fp.mats = append(fp.mats, f.leaf(name))
+// flatPlan binds a proven plan's leaves in slot order — a local's
+// register, a global loaded here (at a with-loop's entry, after the
+// bounds, the shape and the base), an int literal, or an int scalar
+// promoted into a float slot — and compiles the plan to its strip
+// program. vet proved every leaf bound where the plan runs.
+func (f *fnc) flatPlan(site ast.Expr, p *vet.WithPlan) *flatPlan {
+	bind := func(leaves []ast.Expr, float bool) []int32 {
+		regs := make([]int32, len(leaves))
+		for k, x := range leaves {
+			r, cl := f.compileExpr(x)
+			if float && cl == clI {
+				regs[k] = f.reg()
+				f.emit(instr{op: opI2F, a: regs[k], b: r})
+				continue
+			}
+			regs[k] = r
+		}
+		return regs
 	}
-	for _, name := range wp.ScalarI {
-		fp.sI = append(fp.sI, f.leaf(name))
-	}
-	for _, name := range wp.ScalarF {
-		fp.sF = append(fp.sF, f.leaf(name))
-	}
-	outFloat := d.resCl == clF
-	if !d.fold {
-		outFloat = d.elem == matrix.Float
-	}
+	fp := &flatPlan{mats: bind(p.Mats, false), sI: bind(p.ScalarI, false), sF: bind(p.ScalarF, true),
+		inline: p.Inline, nodes: p.Nodes}
 	var ok bool
-	fp.prog, ok = matrix.CompileWith(matrix.WithSpec{
-		Code: wp.Code, Rank: len(w.Ids), MatElem: wp.MatElem,
-		ScalarI: len(wp.ScalarI), ScalarF: len(wp.ScalarF),
-		Float: wp.Float, OutFloat: outFloat,
-	})
-	if !ok {
-		bail("the strip compiler refused the proven with-loop plan at %s", w.Span())
+	if fp.prog, ok = matrix.CompileWith(p.Spec()); !ok {
+		bail("the strip compiler refused the proven plan at %s", site.Span())
 	}
 	return fp
-}
-
-// leaf returns the register a plan leaf is read from: a local's own, or
-// a temporary its global is loaded into now.
-func (f *fnc) leaf(name string) int32 {
-	if vs, ok := f.resolve(name); ok {
-		return vs.reg
-	}
-	gi, _, ok := f.resolveGlobal(name)
-	if !ok {
-		bail("with-loop leaf %q is no variable in scope", name)
-	}
-	r := f.reg()
-	f.emit(instr{op: opGLoad, a: r, b: int32(gi)})
-	return r
 }
 
 // compileWithBody lowers the with-loop body expression as a proto of
@@ -901,31 +827,23 @@ func (f *fnc) compileWithBody(w *ast.WithLoop, body ast.Expr) (int, []capture) {
 
 func (f *fnc) compileMatMap(e *ast.MatrixMap) (int32, class) {
 	ar, ac := f.compileExpr(e.Arg)
-	d := &mapDesc{e: e, arg: argDesc{reg: ar, cl: ac}, general: e.General}
-	dims := make([]int, 0, len(e.Dims))
+	d := &mapDesc{e: e, arg: argDesc{reg: ar, cl: ac}, general: e.General, elem: elemOf(e, f.c.info.TypeOf(e))}
 	for _, de := range e.Dims {
 		lit, ok := de.(*ast.IntLit)
 		if !ok {
-			d.badDim = de
-			break
+			bail("matrixMap dimension at %s is no integer literal", de.Span())
 		}
-		dims = append(dims, int(lit.Value))
+		d.dims = append(d.dims, int(lit.Value))
 	}
-	d.dims = dims
-	if sig, ok := f.c.info.Funcs[e.Fun]; ok {
-		d.proto = f.protoOf(sig.Decl)
-		if n := len(sig.Decl.Params); n != 1 {
-			// The checker admits one matrix parameter only; execMatMap
-			// binds exactly that one.
-			bail("matrixMap function %q takes %d parameters", e.Fun, n)
-		}
-	} else {
-		d.fnMissing = true
+	sig, ok := f.c.info.Funcs[e.Fun]
+	if !ok {
+		bail("matrixMap function %q is undeclared", e.Fun)
 	}
-	if elem, eerr := vmElemOf(e, f.c.info.TypeOf(e)); eerr != nil {
-		d.elemFail = eerr
-	} else {
-		d.elem = elem
+	d.proto = f.protoOf(sig.Decl)
+	if n := len(sig.Decl.Params); n != 1 {
+		// The checker admits one matrix parameter only; execMatMap
+		// binds exactly that one.
+		bail("matrixMap function %q takes %d parameters", e.Fun, n)
 	}
 	dst := f.reg()
 	f.emit(instr{op: opMatMap, a: dst, nd: e, aux: d})
@@ -947,4 +865,14 @@ func vmElemOf(n ast.Node, ty *types.Type) (matrix.Elem, error) {
 		return matrix.Bool, nil
 	}
 	return 0, interp.Errorf(n, "internal error: bad matrix element type %s", ty.Elem)
+}
+
+// elemOf is vmElemOf for a with-loop's or a matrixMap's type, which the
+// checker pins: a type it rejects is a bail.
+func elemOf(n ast.Node, ty *types.Type) matrix.Elem {
+	elem, err := vmElemOf(n, ty)
+	if err != nil {
+		bail("%v", err)
+	}
+	return elem
 }

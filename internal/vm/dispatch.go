@@ -210,11 +210,27 @@ func (mc *Machine) exec(fr *frame, p *proto) error {
 		case opMove:
 			regs[in.a].i, regs[in.a].f = regs[in.b].i, regs[in.b].f
 
+		// A global not bound yet goes to execSlow, which binds it at its
+		// initializer's store and fails every other access.
 		case opGLoad:
-			regs[in.a] = mc.globals[in.b]
+			if int(in.b) < mc.bound {
+				regs[in.a] = mc.globals[in.b]
+			} else {
+				return mc.execSlow(fr, in)
+			}
 		case opGStore:
+			if int(in.a) >= mc.bound {
+				if err := mc.execSlow(fr, in); err != nil {
+					return err
+				}
+			}
 			mc.globals[in.a] = regs[in.b]
 		case opGBindR:
+			if int(in.a) >= mc.bound {
+				if err := mc.execSlow(fr, in); err != nil {
+					return err
+				}
+			}
 			v := regs[in.b].r
 			mc.in.BindValue(v)
 			mc.in.ReleaseValue(mc.globals[in.a].r)

@@ -21,6 +21,9 @@ type Machine struct {
 	p       *Program
 	in      *interp.Interp
 	globals []value
+	// bound counts the globals bound: the tree walker binds them one at
+	// a time, as their initializers complete.
+	bound int
 	// ticking is whether a statement tick has anything to do in this
 	// run: a step budget to debit or a cancellable context to poll.
 	ticking bool
@@ -163,7 +166,7 @@ func (mc *Machine) run() (int, error) {
 	if mc.p.main < 0 {
 		return 0, fmt.Errorf("interp: program has no main function")
 	}
-	mc.globals = make([]value, len(mc.p.globals))
+	mc.globals, mc.bound = make([]value, len(mc.p.globals)), 0
 	gfr := mc.p.ginit.frame(mc.in.Pool(), 0)
 	if err := mc.exec(gfr, mc.p.ginit); err != nil {
 		// Globals are deliberately not released on error (tree parity).

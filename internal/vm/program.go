@@ -113,8 +113,8 @@ const (
 
 	// Globals.
 	opGLoad  // a = globals[b]
-	opGStore // globals[a] = b (scalar)
-	opGBindR // globals[a] = b with rc bind/release (boxed class)
+	opGStore // globals[a] = b (scalar); c = 1: the global's initializer binds it
+	opGBindR // globals[a] = b with rc bind/release (boxed class); c as opGStore
 
 	// Int arithmetic.
 	opAddI
@@ -221,7 +221,7 @@ const (
 	opSpawn  // spawn per aux *spawnDesc
 	opSync
 
-	// Fused elementwise chain (vet.Facts-proven legality), aux *chainDesc.
+	// Fused elementwise chain (vet.Facts-proven legality), aux *flatPlan.
 	opFused
 
 	// Flat-compiled with-loops (vet.Facts-proven bodies): aux is the
@@ -337,45 +337,43 @@ type capture struct {
 
 // withDesc drives opWith.
 type withDesc struct {
-	w          *ast.WithLoop
-	fold       bool
-	lower      []int32 // I regs
-	upper      []int32
-	shape      []int32 // genarray
-	elem       matrix.Elem
-	foldKind   matrix.FoldKind
-	foldInit   argDesc
-	body       int // body proto index
-	captures   []capture
-	ids        int // w.Ids occupy body regs [0, ids)
-	resCl      class
-	staticFail error     // deferred "internal error" diagnosis, nil normally
-	flat       *flatPlan // non-nil for opWithGen/opWithFold sites
+	w        *ast.WithLoop
+	fold     bool
+	lower    []int32 // I regs
+	upper    []int32
+	shape    []int32 // genarray
+	elem     matrix.Elem
+	foldKind matrix.FoldKind
+	foldInit argDesc
+	body     int // body proto index
+	captures []capture
+	ids      int // w.Ids occupy body regs [0, ids)
+	resCl    class
+	flat     *flatPlan // non-nil for opWithGen/opWithFold sites
 }
 
-// flatPlan is a vet.WithPlan or vet.Chain compiled for this site: the
-// strip program (immutable, shared by every run of the cached program)
-// and the registers its leaves are read from at run time — a local's
-// own, or a temporary a global leaf is loaded into at the site's entry.
+// flatPlan is a vet.WithPlan compiled for this site, a with-loop or
+// (opFused's aux) a chain: the strip program (immutable, shared by every
+// run of the cached program) and the registers its leaves are read from
+// at run time — a local's own, or a temporary a global leaf is loaded
+// into at the site's entry.
 type flatPlan struct {
 	prog   *matrix.WithProg
-	mats   []int32 // R regs, by load slot
-	sI     []int32 // I regs, by int scalar slot
-	sF     []int32 // F regs, by float scalar slot
-	inline int     // calls nested in the plan, emitted in place (see execWithFlat)
+	mats   []int32    // R regs, by load slot
+	sI     []int32    // I regs, by int scalar slot
+	sF     []int32    // F regs, by float scalar slot
+	inline int        // calls nested in the plan, emitted in place (see execWithFlat)
+	nodes  []ast.Node // a chain's admissions: where the tree walker reports each one's error
 }
 
 // mapDesc drives opMatMap.
 type mapDesc struct {
-	e         *ast.MatrixMap
-	arg       argDesc
-	dims      []int
-	badDim    ast.Node // first non-literal dimension (checked after the nil check)
-	proto     int
-	fnMissing bool
-	elem      matrix.Elem
-	elemFail  error
-	general   bool
+	e       *ast.MatrixMap
+	arg     argDesc
+	dims    []int
+	proto   int
+	elem    matrix.Elem
+	general bool
 }
 
 // targetRef resolves a spawn target at compile time.
@@ -400,15 +398,6 @@ type spawnDesc struct {
 	args   []argDesc
 	target targetRef
 	name   string // target name for the undeclared error
-}
-
-// chainDesc drives opFused: the chain's strip program with the
-// registers its leaves are read from, and per stage the node any error
-// that stage's admission raises is anchored at, matching the span the
-// tree walker would report for the same stage.
-type chainDesc struct {
-	flat  flatPlan
-	nodes []ast.Node
 }
 
 // paramDef is one compiled parameter.

@@ -26,6 +26,17 @@ func (mc *Machine) execSlow(fr *frame, in *instr) error {
 				m.Rank(), m.Rank(), int(in.b))
 		}
 
+	// A global not bound yet (exec took the bound case): the tree
+	// walker's "undeclared" for a read or a write, unless in is the store
+	// of the global's own initializer (c = 1), which binds it.
+	case opGLoad:
+		return interp.Errorf(in.nd, "undeclared variable %q", mc.p.globals[in.b].name)
+	case opGStore, opGBindR:
+		if in.c == 0 {
+			return interp.Errorf(in.nd, "undeclared variable %q", mc.p.globals[in.a].name)
+		}
+		mc.bound = int(in.a) + 1
+
 	// The error exits of the rank-1 group (exec took the in-range case):
 	// an unassigned base, else whatever matrix makes of the index.
 	case opIdx1F, opIdx1I, opIdx1B:
@@ -319,9 +330,6 @@ func (fr *frame) buildSpecs(plans []specPlan, specs []matrix.IndexSpec) ([]matri
 // only, exactly like the tree walker).
 func (mc *Machine) execWith(fr *frame, in *instr) error {
 	d := in.aux.(*withDesc)
-	if d.staticFail != nil {
-		return d.staticFail
-	}
 	lower := make([]int, len(d.lower))
 	upper := make([]int, len(d.upper))
 	for k := range d.lower {
@@ -424,16 +432,13 @@ func (fp *flatPlan) bind(fr *frame, run *matrix.WithRun) {
 // nothing to fall back to and nothing to decline: admission replays the
 // unfused stages', and an error is anchored at its stage's node.
 func (mc *Machine) execChain(fr *frame, in *instr) error {
-	d := in.aux.(*chainDesc)
-	run := d.flat.prog.NewRun()
+	fp := in.aux.(*flatPlan)
+	run := fp.prog.NewRun()
 	defer run.Release()
-	d.flat.bind(fr, run) // a nil leaf is the failing stage's "unassigned matrix"
+	fp.bind(fr, run) // a nil leaf is the failing stage's "unassigned matrix"
 	out, failed, err := matrix.ChainFlat(run, mc.in.Exec(fr.pool))
 	if err != nil {
-		nd := in.nd
-		if failed >= 0 {
-			nd = d.nodes[failed]
-		}
+		nd := fp.nodes[failed]
 		if errors.Is(err, matrix.ErrUnassignedOperand) {
 			return interp.Errorf(nd, "use of unassigned matrix")
 		}
@@ -521,15 +526,6 @@ func (mc *Machine) execMatMap(fr *frame, in *instr) error {
 	if !ok || m == nil {
 		return interp.Errorf(d.e, "matrixMap requires a matrix argument")
 	}
-	if d.badDim != nil {
-		return interp.Errorf(d.badDim, "matrixMap dimensions must be integer literals")
-	}
-	if d.fnMissing {
-		return interp.Errorf(d.e, "undeclared function %q", d.e.Fun)
-	}
-	if d.elemFail != nil {
-		return d.elemFail
-	}
 	p := mc.p.protos[d.proto]
 	mapF := func(sub *matrix.Matrix, store func(*matrix.Matrix) error) error {
 		// callProto for the one matrix argument (compileMatMap saw to
@@ -580,7 +576,7 @@ func (mc *Machine) execSpawnOp(fr *frame, in *instr) error {
 		mc.in.BindValue(v)
 		args[k] = v
 	}
-	if d.target.kind == tgUndeclared {
+	if d.target.kind == tgUndeclared || d.target.kind == tgGlobal && int(d.target.reg) >= mc.bound {
 		return interp.Errorf(d.s, "spawn target %q is not declared", d.name)
 	}
 	fut := &vmFuture{done: make(chan struct{}), node: d.s, args: args, target: d.target}

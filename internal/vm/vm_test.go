@@ -283,3 +283,41 @@ int main() {
 	}
 	wg.Wait()
 }
+
+// TestBailsAreCheckerRejected: the VM compiles the checker's verdicts,
+// and defers none of them to run time. Each program below reaches one of
+// the compile-time bails that replaced a deferred diagnosis — a
+// with-loop's element type, a matrixMap's dimension, function or element
+// type — and the checker rejects every one, so no checked program meets
+// them.
+func TestBailsAreCheckerRejected(t *testing.T) {
+	for _, tc := range []struct{ name, body, decls, want string }{
+		{"genarray matrix body", "Matrix int <1> r = with ([0] <= [i] < [2]) genarray([2], m);", "",
+			"genarray element expression must be scalar"},
+		{"genarray string body", `Matrix int <1> r = with ([0] <= [i] < [2]) genarray([2], "s");`, "",
+			"genarray element expression must be scalar"},
+		{"matrixMap dimension", "int d = 1;\n\tMatrix int <2> r = matrixMap(f, g, [d]);", "Matrix int <1> f(Matrix int <1> v) { return v; }\n",
+			"matrixMap dimensions must be integer literals"},
+		{"matrixMap function", "Matrix int <2> r = matrixMap(h, g, [1]);", "",
+			`undeclared function "h" in matrixMap`},
+		{"matrixMap element type", "Matrix int <2> r = matrixMap(f, g, [1]);", "Matrix int <2> f(Matrix int <1> v) { return g; }\n",
+			"matrixMap function \"f\" must return a rank-1 matrix"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := "Matrix int <2> g = init(Matrix int <2>, 2, 2);\n" + tc.decls +
+				"int main() {\n\tMatrix int <1> m = [0 :: 1];\n\t" + tc.body + "\n\treturn 0;\n}"
+			var d source.Diagnostics
+			p := parser.ParseFile("t.xc", src, parser.AllExtensions(), &d)
+			if p == nil {
+				t.Fatalf("parse failed:\n%s", d.String())
+			}
+			info := sem.Check(p, &d)
+			if !strings.Contains(d.String(), tc.want) {
+				t.Errorf("the checker said\n%s\nwant a diagnostic with %q", d.String(), tc.want)
+			}
+			if _, err := Compile(p, info); err == nil {
+				t.Error("the VM compiles it regardless: no bail")
+			}
+		})
+	}
+}

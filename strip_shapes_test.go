@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -25,7 +24,6 @@ import (
 	"repro/internal/parser"
 	"repro/internal/sem"
 	"repro/internal/source"
-	"repro/internal/types"
 	"repro/internal/vet"
 )
 
@@ -47,73 +45,16 @@ func programPlans(t *testing.T, name, src string) (withs, chains []matrix.WithSp
 		return nil, nil
 	}
 	for _, s := range vet.WithSites(prog, info) {
-		if p := s.Plan; p != nil {
-			withs = append(withs, matrix.WithSpec{Code: p.Code, Rank: len(s.Loop.Ids), MatElem: p.MatElem,
-				ScalarI: len(p.ScalarI), ScalarF: len(p.ScalarF), Float: p.Float, OutFloat: p.Float})
+		if s.Plan == nil {
+			continue
 		}
-	}
-	facts := vet.ComputeFacts(prog, info)
-	for _, e := range binaryExprs(prog) {
-		if ch := facts.ChainAt(e); ch != nil {
-			chains = append(chains, chainSpec(ch))
+		if _, ok := s.At.(*ast.WithLoop); ok {
+			withs = append(withs, s.Plan.Spec())
+		} else {
+			chains = append(chains, s.Plan.Spec())
 		}
 	}
 	return withs, chains
-}
-
-// chainSpec is the spec the VM compiles a chain with, its leaves read
-// off the plan.
-func chainSpec(ch *vet.Chain) matrix.WithSpec {
-	spec := matrix.WithSpec{Code: ch.Code, Rank: 1, Float: ch.Elem == types.Float, OutFloat: ch.Elem == types.Float}
-	for _, in := range ch.Code {
-		switch in.Op {
-		case matrix.WLoadI, matrix.WLoadF:
-			spec.MatElem = append(spec.MatElem, map[bool]matrix.Elem{true: matrix.Float, false: matrix.Int}[in.Op == matrix.WLoadF])
-		case matrix.WPushScalarI:
-			spec.ScalarI = max(spec.ScalarI, int(in.A)+2) // a range leaf reads slots A and A+1
-		case matrix.WPushScalarF:
-			spec.ScalarF = max(spec.ScalarF, int(in.A)+1)
-		}
-	}
-	return spec
-}
-
-// binaryExprs walks the tree for its binary expressions, outermost
-// first.
-func binaryExprs(prog *ast.Program) []*ast.BinaryExpr {
-	var out []*ast.BinaryExpr
-	seen := map[uintptr]bool{}
-	binType := reflect.TypeOf((*ast.BinaryExpr)(nil))
-	var walk func(v reflect.Value)
-	walk = func(v reflect.Value) {
-		switch v.Kind() {
-		case reflect.Interface:
-			if !v.IsNil() {
-				walk(v.Elem())
-			}
-		case reflect.Pointer:
-			if v.IsNil() || seen[v.Pointer()] {
-				return
-			}
-			seen[v.Pointer()] = true
-			if v.Type() == binType {
-				out = append(out, v.Interface().(*ast.BinaryExpr))
-			}
-			walk(v.Elem())
-		case reflect.Struct:
-			for i := 0; i < v.NumField(); i++ {
-				if v.Type().Field(i).IsExported() {
-					walk(v.Field(i))
-				}
-			}
-		case reflect.Slice, reflect.Array:
-			for i := 0; i < v.Len(); i++ {
-				walk(v.Index(i))
-			}
-		}
-	}
-	walk(reflect.ValueOf(prog))
-	return out
 }
 
 // shapeVal is one value of the histogram's walk over a plan: uniform

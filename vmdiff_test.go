@@ -2519,6 +2519,87 @@ int main() {
 		unchecked: "err_genarray_shape_arity.xc:5:39: error: genarray shape has 1 dimension(s) but the generator defines 2 index(es)", src: shapeArityMismatchSrc},
 	{name: "fig9_transform_mean", threads: []int{1, 2, 3, 7}, pin: &pinned{"4.97\n", 1170},
 		opts: interp.Options{Files: map[string]*matrix.Matrix{"ssh.data": sshCube(9, 10, 12, 5)}}, src: fig9TransformMeanSrc},
+	// A function a global initializer calls reads or writes a global not
+	// bound yet (the tree walker's error pinned at 5f935f6, where the VM
+	// read 0, ran on, or failed with another text).
+	{name: "err_global_read_before_bound", threads: []int{1, 2, 3, 7}, pin: &pinned{"5\n", 0},
+		errIs: `err_global_read_before_bound.xc:4:31: runtime error: undeclared variable "late"`, src: `
+int early = peek();
+int late = 7;
+int peek() { print(5); return late + 1; }
+int main() {
+	print(early);
+	return 0;
+}`},
+	{name: "err_global_write_before_bound", threads: []int{1, 2, 3, 7}, pin: &pinned{"2\n", 0},
+		errIs: `err_global_write_before_bound.xc:4:29: runtime error: undeclared variable "late"`, src: `
+int early = poke(2);
+int late = 7;
+int poke(int v) { print(v); late = v * 3; return v; }
+int main() {
+	print(early + late);
+	return 0;
+}`},
+	{name: "err_global_read_while_initialized", threads: []int{1, 2, 3, 7}, pin: &pinned{"1\n", 0},
+		errIs: `err_global_read_while_initialized.xc:3:32: runtime error: undeclared variable "self"`, src: `
+int self = again();
+int again() { print(1); return self + 1; }
+int main() {
+	print(self);
+	return 0;
+}`},
+	{name: "err_global_chain_before_bound", threads: []int{1, 2, 3, 7}, pin: &pinned{"", 0},
+		errIs: `err_global_chain_before_bound.xc:4:36: runtime error: undeclared variable "late"`, src: `
+Matrix float <1> early = triple();
+Matrix float <1> late = init(Matrix float <1>, 4);
+Matrix float <1> triple() { return late + late + late; }
+int main() {
+	print(early[0]);
+	return 0;
+}`},
+	// vet declines a plan leaf such a function names (global not bound
+	// yet): the chain admits two stages, the with-loop its output, before
+	// the read fails, and an empty with-loop reads nothing.
+	{name: "err_global_spawn_before_bound", threads: []int{1, 2, 3, 7}, pin: &pinned{"1\n", 0},
+		errIs: `err_global_spawn_before_bound.xc:5:25: runtime error: spawn target "late" is not declared`, src: `
+int early = start();
+int late = 7;
+int three() { return 3; }
+int start() { print(1); spawn late = three(); sync; return 1; }
+int main() {
+	print(early);
+	return 0;
+}`},
+	{name: "err_global_chain_admits_before_bound", threads: []int{1, 2, 3, 7}, pin: &pinned{"", 8},
+		errIs: `err_global_chain_admits_before_bound.xc:6:17: runtime error: undeclared variable "late"`, src: `
+Matrix float <1> early = mk();
+Matrix float <1> late = init(Matrix float <1>, 4);
+Matrix float <1> mk() {
+	Matrix float <1> a = init(Matrix float <1>, 4);
+	return a + a + late;
+}
+int main() {
+	print(early[0]);
+	return 0;
+}`},
+	{name: "err_global_with_before_bound", threads: []int{1, 2, 3, 7}, pin: &pinned{"", 4},
+		errIs: `err_global_with_before_bound.xc:4:75: runtime error: undeclared variable "late"`, src: `
+Matrix float <1> early = mk(4);
+Matrix float <1> late = init(Matrix float <1>, 4);
+Matrix float <1> mk(int n) { return with ([0] <= [i] < [n]) genarray([n], late[i] * 2.0); }
+int main() {
+	print(early[0]);
+	return 0;
+}`},
+	{name: "global_with_empty_before_bound", threads: []int{1, 2, 3, 7}, pin: &pinned{"0\n0\n", 8}, src: `
+Matrix float <1> early = mk(0);
+Matrix float <1> late = init(Matrix float <1>, 4);
+Matrix float <1> mk(int n) { return with ([0] <= [i] < [n]) genarray([n], late[i] * 2.0); }
+int main() {
+	print(dimSize(early, 0));
+	print(mk(4)[3]);
+	return 0;
+}`},
 }
 
 func TestVMDifferentialCorpus(t *testing.T) {
@@ -2749,9 +2830,9 @@ func FuzzVMDiff(f *testing.F) {
 		}
 		vmp, cerr := vm.Compile(p, info)
 		if cerr != nil {
-			// A compiler bail is a legitimate fallback (the driver runs
-			// the tree walker), not a divergence.
-			return
+			// No checked program reaches a bail (vm/compile.go): the
+			// driver reports one as an internal error.
+			t.Fatalf("the bytecode compiler bailed on a checked program: %v\n%s", cerr, src)
 		}
 		// The third arm: no chain fused, no with-loop compiled flat. What
 		// the compiler accepts does not depend on the facts.

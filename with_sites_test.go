@@ -1,7 +1,8 @@
-// The with-loop decline golden: every with-loop site of the shipped
-// programs (testdata/, the vet goldens, examples/ and bench/programs/),
-// with the flat plan vet proves for it or the rule its body breaks. A
-// change to the plan language shows here as the sites it flips.
+// The with-loop decline golden: every with-loop site and every chain root
+// vet tries in the shipped programs (testdata/, the vet goldens,
+// examples/ and bench/programs/), with the flat plan vet proves for it
+// or the rule it breaks. A change to the plan language or to the chain
+// rules shows here as the sites it flips.
 // Regenerate with:
 //
 //	go test -run TestWithSitesGolden -update-with-sites
@@ -18,6 +19,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/driver"
 	"repro/internal/parser"
 	"repro/internal/sem"
@@ -52,8 +54,8 @@ func withSitePrograms(t *testing.T) []corpusProgram {
 func TestWithSitesGolden(t *testing.T) {
 	progs := withSitePrograms(t)
 	var b strings.Builder
-	b.WriteString("# With-loop sites: flat, or the rule the body breaks. Regenerate: go test -run TestWithSitesGolden -update-with-sites\n")
-	flat, declined := 0, 0
+	b.WriteString("# With-loop sites and chain roots: flat (a chain fused), or the rule it breaks. Regenerate: go test -run TestWithSitesGolden -update-with-sites\n")
+	var flat, declined, fused, unfused int
 	for _, p := range progs {
 		var d source.Diagnostics
 		prog := parser.ParseFile(p.name, p.src, parser.AllExtensions(), &d)
@@ -65,25 +67,34 @@ func TestWithSitesGolden(t *testing.T) {
 			continue
 		}
 		sites := vet.WithSites(prog, info)
-		slices.SortFunc(sites, func(x, y vet.WithSite) int {
-			a, c := x.Loop.Span().Start, y.Loop.Span().Start
+		slices.SortStableFunc(sites, func(x, y vet.WithSite) int {
+			a, c := x.At.Span().Start, y.At.Span().Start
 			if a.Line != c.Line {
 				return a.Line - c.Line
 			}
 			return a.Col - c.Col
 		})
 		for _, s := range sites {
-			fmt.Fprintf(&b, "%s:%s ", p.name, s.Loop.Span().Start)
-			if s.Plan != nil {
+			_, loop := s.At.(*ast.WithLoop)
+			fmt.Fprintf(&b, "%s:%s ", p.name, s.At.Span().Start)
+			switch {
+			case loop && s.Plan != nil:
 				b.WriteString("flat\n")
 				flat++
-				continue
+			case s.Plan != nil:
+				b.WriteString("chain fused\n")
+				fused++
+			case loop:
+				fmt.Fprintf(&b, "declined: %s at %s\n", s.Decline.Rule, s.Decline.Span.Start)
+				declined++
+			default:
+				fmt.Fprintf(&b, "chain declined: %s at %s\n", s.Decline.Rule, s.Decline.Span.Start)
+				unfused++
 			}
-			fmt.Fprintf(&b, "declined: %s at %s\n", s.Decline.Rule, s.Decline.Span.Start)
-			declined++
 		}
 	}
 	fmt.Fprintf(&b, "# %d flat, %d declined\n", flat, declined)
+	fmt.Fprintf(&b, "# %d chains fused, %d declined\n", fused, unfused)
 	got := b.String()
 	if *updateWithSites {
 		if err := os.WriteFile(withSitesPath, []byte(got), 0o644); err != nil {
@@ -98,6 +109,22 @@ func TestWithSitesGolden(t *testing.T) {
 	if got != string(want) {
 		t.Errorf("with-loop sites drifted from %s.\nIf the change is intended, regenerate with -update-with-sites.\n--- got ---\n%s--- want ---\n%s", withSitesPath, got, want)
 	}
+}
+
+// provenSites counts the with-loops and the chains vet proves flat, from
+// its list of sites.
+func provenSites(prog *ast.Program, info *sem.Info) (withs, chains int) {
+	for _, s := range vet.WithSites(prog, info) {
+		if s.Plan == nil {
+			continue
+		}
+		if _, loop := s.At.(*ast.WithLoop); loop {
+			withs++
+		} else {
+			chains++
+		}
+	}
+	return withs, chains
 }
 
 // TestWithSitesAreTheVMs: vet alone decides which with-loops run flat.
@@ -127,14 +154,8 @@ func TestWithSitesAreTheVMs(t *testing.T) {
 		for _, f := range vet.Check(prog, info) {
 			racy[p.name] = racy[p.name] || f.Code == vet.CodeRace || f.Code == vet.CodeSyncMissing
 		}
-		flat := 0
-		for _, s := range vet.WithSites(prog, info) {
-			if s.Plan != nil {
-				flat++
-			}
-		}
-		facts := vet.ComputeFacts(prog, info)
-		vp, err := vm.CompileWithFacts(prog, info, facts)
+		flat, fused := provenSites(prog, info)
+		vp, err := vm.CompileWithFacts(prog, info, vet.ComputeFacts(prog, info))
 		if err != nil {
 			t.Errorf("%s: the bytecode compiler bailed on a checked program: %v", p.name, err)
 			continue
@@ -142,8 +163,8 @@ func TestWithSitesAreTheVMs(t *testing.T) {
 		if vp.WithCompiled() != flat {
 			t.Errorf("%s: vet proves %d with-loops flat, the VM compiles %d", p.name, flat, vp.WithCompiled())
 		}
-		if vp.FusedSites() != facts.ChainCount() {
-			t.Errorf("%s: vet proves %d chains, the VM fuses %d", p.name, facts.ChainCount(), vp.FusedSites())
+		if vp.FusedSites() != fused {
+			t.Errorf("%s: vet proves %d chains, the VM fuses %d", p.name, fused, vp.FusedSites())
 		}
 	}
 	exts, err := driver.ParseExtensions("all")

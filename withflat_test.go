@@ -103,7 +103,7 @@ func TestWithFlatAdmissionFailsFlat(t *testing.T) {
 }
 
 // TestChainNoRuntimeDeclines: over the shipped programs the VM compiles
-// every chain vet proves — FusedSites is ChainCount, program by program
+// every chain vet proves — FusedSites is vet's count, program by program
 // — and an execution has nowhere to decline to: every run of a site is
 // one fused loop, the same count serial and pooled, and the count the
 // source says where it says one. Not parallel: the counter is
@@ -132,19 +132,19 @@ func TestChainNoRuntimeDeclines(t *testing.T) {
 		if d.HasErrors() {
 			continue
 		}
-		facts := vet.ComputeFacts(prog, info)
-		p, err := vm.CompileWithFacts(prog, info, facts)
+		p, err := vm.CompileWithFacts(prog, info, vet.ComputeFacts(prog, info))
 		if err != nil {
 			t.Errorf("%s: the bytecode compiler bailed on a checked program: %v", sp.name, err)
 			continue
 		}
-		if p.FusedSites() != facts.ChainCount() {
-			t.Errorf("%s: %d fused sites for %d proven chains", sp.name, p.FusedSites(), facts.ChainCount())
+		_, proven := provenSites(prog, info)
+		if p.FusedSites() != proven {
+			t.Errorf("%s: %d fused sites for %d proven chains", sp.name, p.FusedSites(), proven)
 		}
-		if facts.ChainCount() == 0 {
+		if proven == 0 {
 			continue
 		}
-		chains += facts.ChainCount()
+		chains += proven
 		var ran [2]int64
 		for k, threads := range []int{1, 4} {
 			before := vm.FusedLoopsRun()
