@@ -9,7 +9,8 @@
 #     then go test (the allocation ceilings of alloc_ceiling_test.go included)
 #   - go test -race, a package at a time (-race turns checkptr on over the matrix header)
 #   - the strip engine and the fused corpus entries on a GOAMD64=v3 build (FMA hardware)
-#   - the C back end against the interpreter (gcc-guarded)
+#   - the C back end against the interpreter (gcc-guarded), the transform clause legality table, and
+#     Fig 9 compiled at -par pthread and run at -t 2 under -fsanitize=address,undefined and -fsanitize=thread
 #   - the service contract, the fleet's chaos suites, the tenant registry
 #   - the VM differential corpus under -race (the err_global_* entries: a global read or written before it is bound),
 #     vet's flat with-loop sites and chains against the VM's (TestWithSitesAreTheVMs), and the checker rejecting
@@ -120,8 +121,28 @@ else
     echo "no FMA/AVX2 on this CPU: skipped"
 fi
 
-echo "== C back end against the interpreter (gcc-guarded: Fig 8, Fig 11, vectorize stride regression) =="
+echo "== C back end against the interpreter (gcc-guarded: Fig 8, Fig 11, vectorize stride regression; clause legality and scalar bodies in sem alone; split and tile remainders; Fig 9 at -par pthread under ASan+UBSan and TSan) =="
 go test -run 'TestE3|TestFig8Compiled|TestVectorize' -count=1 ./internal/cgen
+go test -run 'TestTransformLegality|TestSplitRemainderCompiledMatchesVM|TestTileRemainderCompiled' -count=1 .
+go test -run 'TestTileRemainder|TestQuickSplitPreserves' -count=1 ./internal/loopir
+go test -run 'TestScalarBodies' -count=1 ./internal/sem
+if command -v gcc >/dev/null 2>&1; then
+    san_dir=$(mktemp -d)
+    go build -o "$san_dir/" ./cmd/cmc ./cmd/sshgen
+    "$san_dir/sshgen" -lat 9 -lon 10 -time 12 -q -o "$san_dir/ssh.data" >/dev/null
+    "$san_dir/cmc" -par pthread -o "$san_dir/fig9.c" testdata/transform_mean.xc
+    for san in address,undefined thread; do
+        gcc -O1 -g -fsanitize=$san -fno-sanitize-recover=all -o "$san_dir/fig9" "$san_dir/fig9.c" -lpthread -lm
+        if ! (cd "$san_dir" && ./fig9 -t 2 >/dev/null); then
+            echo "Fig 9 at -par pthread, -t 2, failed under -fsanitize=$san" >&2
+            rm -rf "$san_dir"
+            exit 1
+        fi
+    done
+    rm -rf "$san_dir"
+else
+    echo "no gcc: the sanitized Fig 9 runs skipped"
+fi
 
 echo "== service contract (cmrun's body through a shard's strict decoder; race) =="
 go test -race -run 'TestRunRemoteBodyPassesShardDecoder' -count=1 ./cmd/cmrun

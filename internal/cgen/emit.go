@@ -14,26 +14,23 @@ import (
 	"repro/internal/loopir"
 )
 
-// emitNest writes the hoisted prelude and the (possibly lifted) nest
-// into the function body.
-func (f *fnEmitter) emitNest(w *wlState, nest []loopir.Stmt) error {
+// emitNest writes the hoisted prelude, the (possibly lifted) nest and
+// then rest, the remainder nests of its splits, into the function body.
+func (f *fnEmitter) emitNest(w *wlState, nest, rest []loopir.Stmt) {
 	f.b.raw(w.hoisted.String())
 	// pthread lifting of a parallel outermost loop.
 	if f.g.opts.Par == ParPthread {
 		if outer, ok := nest[0].(*loopir.Loop); ok && outer.Parallel && len(nest) == 1 {
-			if err := f.liftParallel(w, outer); err == nil {
-				return nil
+			// Lifting can fail for un-analyzable (raw) bodies; then the
+			// same nest is emitted sequentially.
+			if f.liftParallel(w, outer) == nil {
+				nest = nil
 			}
-			// Lifting can fail for un-analyzable (raw) bodies; fall
-			// through to sequential emission of the same nest.
 		}
 	}
 	body := &indentWriter{indent: f.b.indent}
-	if err := emitC(f.g, body, nest); err != nil {
-		return err
-	}
+	emitC(f.g, body, append(nest, rest...))
 	f.b.b.WriteString(body.String())
-	return nil
 }
 
 // liftParallel emits the nest's outer loop as a pool worker function:
@@ -86,12 +83,9 @@ func (f *fnEmitter) liftParallel(w *wlState, outer *loopir.Loop) error {
 	fmt.Fprintf(&lf, "    long _hi = _lo + _chunk;\n")
 	fmt.Fprintf(&lf, "    if (_hi > _a->_phi) _hi = _a->_phi;\n")
 	// Worker's own copy of the outer loop over its chunk.
-	workerLoop := &loopir.Loop{Index: outer.Index, Lo: loopir.V("_lo"), Hi: loopir.V("_hi"),
-		Body: outer.Body, VectorLanes: outer.VectorLanes}
+	workerLoop := &loopir.Loop{Index: outer.Index, Lo: loopir.V("_lo"), Hi: loopir.V("_hi"), Body: outer.Body}
 	body := &indentWriter{indent: 1}
-	if err := emitC(f.g, body, []loopir.Stmt{workerLoop}); err != nil {
-		return err
-	}
+	emitC(f.g, body, []loopir.Stmt{workerLoop})
 	lf.WriteString(body.String())
 	fmt.Fprintf(&lf, "}\n\n")
 	f.g.lifted.WriteString(lf.String())
@@ -185,14 +179,12 @@ func freeVars(body []loopir.Stmt) ([]string, error) {
 // intrinsics; parallel loops get an OpenMP pragma in omp mode (in
 // pthread mode the outermost parallel loop was lifted before reaching
 // here, so a stray Parallel flag emits a comment only).
-func emitC(g *generator, b *indentWriter, body []loopir.Stmt) error {
+func emitC(g *generator, b *indentWriter, body []loopir.Stmt) {
 	for _, s := range body {
 		switch s := s.(type) {
 		case *loopir.Loop:
 			if s.VectorLanes > 0 {
-				if err := emitVectorLoop(g, b, s); err != nil {
-					return err
-				}
+				emitVectorLoop(b, s)
 				continue
 			}
 			if s.Parallel {
@@ -204,9 +196,7 @@ func emitC(g *generator, b *indentWriter, body []loopir.Stmt) error {
 			}
 			b.line("for (long %s = %s; %s < %s; %s++) {", s.Index, s.Lo, s.Index, s.Hi, s.Index)
 			b.indent++
-			if err := emitC(g, b, s.Body); err != nil {
-				return err
-			}
+			emitC(g, b, s.Body)
 			b.indent--
 			b.line("}")
 		case *loopir.DeclStmt:
@@ -217,11 +207,8 @@ func emitC(g *generator, b *indentWriter, body []loopir.Stmt) error {
 			}
 		case *loopir.AssignStmt:
 			b.line("%s = %s;", s.LHS, s.RHS)
-		case *loopir.Comment:
-			b.line("/* %s */", s.Text)
 		case *loopir.Raw:
 			b.raw(s.Code)
 		}
 	}
-	return nil
 }

@@ -11,147 +11,67 @@ import (
 	"repro/internal/types"
 )
 
-// lowerBody tries to lower a with-loop body expression to a scalar
-// loopir expression (plus prelude statements for nested folds).
-// ok == false means the caller must use the general fallback.
-func (w *wlState) lowerBody(e ast.Expr) (pre []loopir.Stmt, val loopir.Expr, ok bool) {
+// lowerBody lowers a with-loop body expression, which sem found scalar
+// (Info.ScalarBodies), to a scalar loopir expression plus prelude
+// statements for nested folds.
+func (w *wlState) lowerBody(e ast.Expr) (pre []loopir.Stmt, val loopir.Expr) {
 	switch e := e.(type) {
 	case *ast.IntLit:
-		return nil, loopir.IC(e.Value), true
+		return nil, loopir.IC(e.Value)
 	case *ast.FloatLit:
-		return nil, loopir.FC(e.Value), true
+		return nil, loopir.FC(e.Value)
 	case *ast.BoolLit:
 		if e.Value {
-			return nil, loopir.IC(1), true
+			return nil, loopir.IC(1)
 		}
-		return nil, loopir.IC(0), true
-
+		return nil, loopir.IC(0)
 	case *ast.Ident:
-		if w.ids[e.Name] {
-			return nil, loopir.V(cname(e.Name)), true
-		}
-		ty := w.varType(e.Name)
-		if ty == nil || !ty.IsScalar() {
-			return nil, nil, false
-		}
-		return nil, loopir.V(cname(e.Name)), true
-
+		return nil, loopir.V(cname(e.Name))
 	case *ast.BinaryExpr:
-		if w.f.g.info.TypeOf(e).IsMatrix() {
-			return nil, nil, false
-		}
-		lp, lv, ok := w.lowerBody(e.L)
-		if !ok {
-			return nil, nil, false
-		}
-		rp, rv, ok := w.lowerBody(e.R)
-		if !ok {
-			return nil, nil, false
-		}
-		op, ok := cOpScalar[e.Op]
-		if !ok {
-			return nil, nil, false
-		}
-		return append(lp, rp...), loopir.B(op, lv, rv), true
-
+		lp, lv := w.lowerBody(e.L)
+		rp, rv := w.lowerBody(e.R)
+		return append(lp, rp...), loopir.B(cOpScalar[e.Op], lv, rv)
 	case *ast.UnaryExpr:
-		p, v, ok := w.lowerBody(e.X)
-		if !ok {
-			return nil, nil, false
-		}
+		p, v := w.lowerBody(e.X)
 		if e.Op == ast.OpNeg {
-			return p, &loopir.Un{Op: "-", X: v}, true
+			return p, &loopir.Un{Op: "-", X: v}
 		}
-		return p, &loopir.Un{Op: "!", X: v}, true
-
+		return p, &loopir.Un{Op: "!", X: v}
 	case *ast.CastExpr:
-		p, v, ok := w.lowerBody(e.X)
-		if !ok {
-			return nil, nil, false
+		p, v := w.lowerBody(e.X)
+		if e.To == ast.PrimInt {
+			return p, &loopir.Un{Op: "(long)", X: v}
 		}
-		switch e.To {
-		case ast.PrimInt:
-			return p, &loopir.Un{Op: "(long)", X: v}, true
-		case ast.PrimFloat:
-			return p, &loopir.Un{Op: "(float)", X: v}, true
-		}
-		return nil, nil, false
-
-	case *ast.CallExpr:
-		if e.Fun == "dimSize" {
-			m, okm := e.Args[0].(*ast.Ident)
-			if !okm || !w.f.g.info.TypeOf(e.Args[0]).IsMatrix() {
-				return nil, nil, false
-			}
-			p, d, ok := w.lowerBody(e.Args[1])
-			if !ok {
-				return nil, nil, false
-			}
-			return p, loopir.Call("cm_dim", loopir.V(cname(m.Name)), d), true
-		}
-		return nil, nil, false
-
+		return p, &loopir.Un{Op: "(float)", X: v}
+	case *ast.CallExpr: // dimSize(m, d)
+		p, d := w.lowerBody(e.Args[1])
+		return p, loopir.Call("cm_dim", loopir.V(cname(e.Args[0].(*ast.Ident).Name)), d)
 	case *ast.EndExpr:
-		if len(w.endStk) == 0 {
-			return nil, nil, false
-		}
-		return nil, w.endStk[len(w.endStk)-1](), true
-
+		return nil, w.endStk[len(w.endStk)-1]()
 	case *ast.IndexExpr:
 		return w.lowerIndex(e)
-
 	case *ast.WithLoop:
-		fo, isFold := e.Op.(*ast.FoldOp)
-		if !isFold {
-			return nil, nil, false
-		}
-		return w.lowerNestedFold(e, fo)
+		return w.lowerNestedFold(e, e.Op.(*ast.FoldOp))
 	}
-	return nil, nil, false
-}
-
-// varType resolves the semantic type of a user variable during
-// lowering.
-func (w *wlState) varType(name string) *types.Type {
-	if t, ok := w.f.vars[name]; ok {
-		return t
-	}
-	if t, ok := w.f.g.info.GlobalTypes[name]; ok {
-		return t
-	}
-	return nil
+	panic(fmt.Sprintf("cgen: %T in a with-loop body sem found scalar", e))
 }
 
 // lowerIndex compiles m[i, j, k] with all-scalar indices into either a
 // direct strided load (slice elimination, -O) or a bounds-checked
 // runtime accessor call (the ablation baseline).
-func (w *wlState) lowerIndex(e *ast.IndexExpr) (pre []loopir.Stmt, val loopir.Expr, ok bool) {
-	base, isIdent := e.X.(*ast.Ident)
-	if !isIdent {
-		return nil, nil, false
-	}
-	baseTy := w.varType(base.Name)
-	if baseTy == nil || baseTy.Kind != types.Matrix || len(e.Args) != baseTy.Rank {
-		return nil, nil, false
-	}
-	cn := cname(base.Name)
+func (w *wlState) lowerIndex(e *ast.IndexExpr) (pre []loopir.Stmt, val loopir.Expr) {
+	baseTy := w.f.g.info.TypeOf(e.X)
+	cn := cname(e.X.(*ast.Ident).Name)
 	idxs := make([]loopir.Expr, len(e.Args))
 	for d, a := range e.Args {
-		sc, isScalar := a.(*ast.IdxScalar)
-		if !isScalar || w.f.g.info.TypeOf(sc.X).Kind != types.Int {
-			return nil, nil, false
-		}
 		// bind 'end' to shape[d]-1; the dim variable is hoisted only
 		// if 'end' actually occurs in this index expression
 		dd := d
 		w.endStk = append(w.endStk, func() loopir.Expr {
 			return loopir.B("-", loopir.V(w.dimVar(cn, dd)), loopir.IC(1))
 		})
-		p, v, ok := w.lowerBody(sc.X)
+		p, v := w.lowerBody(a.(*ast.IdxScalar).X)
 		w.endStk = w.endStk[:len(w.endStk)-1]
-		if !ok {
-			return nil, nil, false
-		}
 		pre = append(pre, p...)
 		idxs[d] = v
 	}
@@ -160,9 +80,9 @@ func (w *wlState) lowerIndex(e *ast.IndexExpr) (pre []loopir.Stmt, val loopir.Ex
 		args := append([]loopir.Expr{loopir.V(cn)}, idxs...)
 		call := loopir.Call(fmt.Sprintf("cm_at%d", len(idxs)), args...)
 		if baseTy.Elem.Kind == types.Int {
-			return pre, &loopir.Un{Op: "(long)", X: call}, true
+			return pre, &loopir.Un{Op: "(long)", X: call}
 		}
-		return pre, &loopir.Un{Op: "(float)", X: call}, true
+		return pre, &loopir.Un{Op: "(float)", X: call}
 	}
 	// Direct load through hoisted data and stride pointers.
 	dn := w.dataVar(cn, baseTy)
@@ -178,7 +98,7 @@ func (w *wlState) lowerIndex(e *ast.IndexExpr) (pre []loopir.Stmt, val loopir.Ex
 			linear = loopir.B("+", linear, term)
 		}
 	}
-	return pre, loopir.Ld(dn, linear), true
+	return pre, loopir.Ld(dn, linear)
 }
 
 // dimVar hoists (once) a variable holding cm_dim(m, d).
@@ -210,38 +130,20 @@ func (w *wlState) strideVar(cn string, d int) string {
 
 // lowerNestedFold lowers an inner scalar fold with-loop (the Fig 1 →
 // Fig 3 pattern) to an accumulator declaration plus a loop.
-func (w *wlState) lowerNestedFold(wl *ast.WithLoop, fo *ast.FoldOp) (pre []loopir.Stmt, val loopir.Expr, ok bool) {
+func (w *wlState) lowerNestedFold(wl *ast.WithLoop, fo *ast.FoldOp) (pre []loopir.Stmt, val loopir.Expr) {
 	rank := len(wl.Ids)
 	los := make([]loopir.Expr, rank)
 	his := make([]loopir.Expr, rank)
 	for d := 0; d < rank; d++ {
-		p, lo, ok := w.lowerBody(wl.Lower[d])
-		if !ok {
-			return nil, nil, false
-		}
+		p, lo := w.lowerBody(wl.Lower[d])
 		pre = append(pre, p...)
-		p2, hi, ok := w.lowerBody(wl.Upper[d])
-		if !ok {
-			return nil, nil, false
-		}
+		p2, hi := w.lowerBody(wl.Upper[d])
 		pre = append(pre, p2...)
 		los[d], his[d] = lo, hi
 	}
-	pInit, initV, ok := w.lowerBody(fo.Init)
-	if !ok {
-		return nil, nil, false
-	}
+	pInit, initV := w.lowerBody(fo.Init)
 	pre = append(pre, pInit...)
-	for _, id := range wl.Ids {
-		w.ids[id] = true
-	}
-	bodyPre, bodyV, ok := w.lowerBody(fo.Body)
-	for _, id := range wl.Ids {
-		delete(w.ids, id)
-	}
-	if !ok {
-		return nil, nil, false
-	}
+	bodyPre, bodyV := w.lowerBody(fo.Body)
 	resTy := w.f.g.info.TypeOf(wl)
 	accType := "float"
 	if resTy.Kind == types.Int {
@@ -258,7 +160,7 @@ func (w *wlState) lowerNestedFold(wl *ast.WithLoop, fo *ast.FoldOp) (pre []loopi
 		body = []loopir.Stmt{&loopir.Loop{Index: cname(wl.Ids[d]), Lo: los[d], Hi: his[d], Body: body}}
 	}
 	pre = append(pre, body...)
-	return pre, loopir.V(acc), true
+	return pre, loopir.V(acc)
 }
 
 // generalBody translates an arbitrary body expression with the general

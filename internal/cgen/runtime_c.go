@@ -424,7 +424,7 @@ static struct {
     volatile long done;
     cm_work_fn fn;
     void *arg;
-    volatile int stop;
+    int stop;                     /* written by cm_pool_shutdown, read by every worker */
     pthread_t tids[256];
 } cm_pool;
 
@@ -434,7 +434,7 @@ static void *cm_pool_worker(void *p) {
     cm_in_worker = 1;
     for (;;) {
         while (__atomic_load_n(&cm_pool.gen, __ATOMIC_SEQ_CST) == last) {
-            if (cm_pool.stop) return 0;
+            if (__atomic_load_n(&cm_pool.stop, __ATOMIC_SEQ_CST)) return 0;
             sched_yield();          /* spin lock with polite backoff */
         }
         last = __atomic_load_n(&cm_pool.gen, __ATOMIC_SEQ_CST);
@@ -462,7 +462,7 @@ static void cm_pool_run(cm_work_fn fn, void *arg) {
 
 static void cm_pool_shutdown(void) {
     if (cm_pool.n <= 0) return;
-    cm_pool.stop = 1;
+    __atomic_store_n(&cm_pool.stop, 1, __ATOMIC_SEQ_CST);
     for (int w = 0; w < cm_pool.n; w++) pthread_join(cm_pool.tids[w], 0);
     cm_pool.n = 0;
 }

@@ -20,62 +20,41 @@ type vecCtx struct {
 	vecVars map[string]bool
 }
 
-// emitVectorLoop expands a VectorLanes=4 loop.
-func emitVectorLoop(g *generator, b *indentWriter, l *loopir.Loop) error {
-	trip, ok := l.Hi.(*loopir.IntConst)
-	if !ok || trip.V%4 != 0 {
-		return fmt.Errorf("cgen: vectorized loop %q needs a constant trip count divisible by 4", l.Index)
-	}
+// emitVectorLoop expands a VectorLanes=4 loop, whose bounds are
+// literals four or a multiple of four apart.
+func emitVectorLoop(b *indentWriter, l *loopir.Loop) {
+	lo, hi := l.Lo.(*loopir.IntConst).V, l.Hi.(*loopir.IntConst).V
 	v := &vecCtx{index: l.Index, vecVars: map[string]bool{}}
 	b.line("/* loop %s vectorized: 4 x 32-bit single-precision lanes (SSE) */", l.Index)
-	emitBody := func() error { return v.stmts(b, l.Body) }
-	if trip.V == 4 {
+	if hi-lo == 4 {
 		// The whole loop collapses into straight-line vector code with
-		// the index fixed at lane origin 0 (the Fig 11 presentation).
+		// the index fixed at the lane origin (the Fig 11 presentation).
 		b.line("{")
 		b.indent++
-		b.line("long %s = 0;", l.Index)
-		if err := emitBody(); err != nil {
-			return err
-		}
-		b.indent--
-		b.line("}")
-		return nil
+		b.line("long %s = %d;", l.Index, lo)
+	} else {
+		b.line("for (long %s = %d; %s < %d; %s += 4) {", l.Index, lo, l.Index, hi, l.Index)
+		b.indent++
 	}
-	b.line("for (long %s = 0; %s < %d; %s += 4) {", l.Index, l.Index, trip.V, l.Index)
-	b.indent++
-	if err := emitBody(); err != nil {
-		return err
-	}
+	v.stmts(b, l.Body)
 	b.indent--
 	b.line("}")
-	return nil
 }
 
-func (v *vecCtx) stmts(b *indentWriter, body []loopir.Stmt) error {
+func (v *vecCtx) stmts(b *indentWriter, body []loopir.Stmt) {
 	for _, s := range body {
 		switch s := s.(type) {
 		case *loopir.DeclStmt:
 			init := "_mm_setzero_ps()"
 			if s.Init != nil {
-				var err error
-				init, err = v.expr(s.Init)
-				if err != nil {
-					return err
-				}
+				init = v.expr(s.Init)
 			}
 			b.line("__m128 %s = %s;", s.Name, init)
 			v.vecVars[s.Name] = true
 		case *loopir.AssignStmt:
-			rhs, err := v.expr(s.RHS)
-			if err != nil {
-				return err
-			}
+			rhs := v.expr(s.RHS)
 			switch lhs := s.LHS.(type) {
 			case *loopir.VarRef:
-				if !v.vecVars[lhs.Name] {
-					return fmt.Errorf("cgen: vectorized store to scalar %q", lhs.Name)
-				}
 				b.line("%s = %s;", lhs.Name, rhs)
 			case *loopir.Load:
 				if stride1(lhs.Idx, v.index) {
@@ -85,117 +64,74 @@ func (v *vecCtx) stmts(b *indentWriter, body []loopir.Stmt) error {
 					tmp := fmt.Sprintf("_lanes_%s", lhs.Array)
 					b.line("{ float %s[4]; _mm_storeu_ps(%s, %s);", tmp, tmp, rhs)
 					for k := 0; k < 4; k++ {
-						b.line("  %s[%s] = %s[%d];", lhs.Array, laneIdx(lhs.Idx, v.index, k), tmp, k)
+						b.line("  %s[%s] = %s[%d];", lhs.Array, laneExpr(lhs.Idx, v.index, k), tmp, k)
 					}
 					b.line("}")
 				}
-			default:
-				return fmt.Errorf("cgen: vectorized store to %T", s.LHS)
 			}
 		case *loopir.Loop:
 			// Inner scalar loop over vector state (Fig 11's k loop).
-			if dependsOn(s.Lo, v.index) || dependsOn(s.Hi, v.index) {
-				return fmt.Errorf("cgen: inner loop %q bounds depend on the vectorized index", s.Index)
-			}
 			b.line("for (long %s = %s; %s < %s; %s++) {", s.Index, s.Lo, s.Index, s.Hi, s.Index)
 			b.indent++
-			if err := v.stmts(b, s.Body); err != nil {
-				return err
-			}
+			v.stmts(b, s.Body)
 			b.indent--
 			b.line("}")
-		case *loopir.Comment:
-			b.line("/* %s */", s.Text)
 		default:
-			return fmt.Errorf("cgen: cannot vectorize statement %T", s)
+			panic(fmt.Sprintf("cgen: %T in a vectorized loop", s))
 		}
 	}
-	return nil
 }
 
 // expr renders an IR expression as a 4-lane vector expression.
-func (v *vecCtx) expr(e loopir.Expr) (string, error) {
+func (v *vecCtx) expr(e loopir.Expr) string {
 	switch e := e.(type) {
 	case *loopir.IntConst:
-		return fmt.Sprintf("_mm_set1_ps(%d.0f)", e.V), nil
+		return fmt.Sprintf("_mm_set1_ps(%d.0f)", e.V)
 	case *loopir.FloatConst:
-		return fmt.Sprintf("_mm_set1_ps(%s)", e.String()), nil
+		return fmt.Sprintf("_mm_set1_ps(%s)", e.String())
 	case *loopir.VarRef:
 		if e.Name == v.index {
-			return fmt.Sprintf("_mm_add_ps(_mm_set1_ps((float)%s), _mm_setr_ps(0, 1, 2, 3))", e.Name), nil
+			return fmt.Sprintf("_mm_add_ps(_mm_set1_ps((float)%s), _mm_setr_ps(0, 1, 2, 3))", e.Name)
 		}
 		if v.vecVars[e.Name] {
-			return e.Name, nil
+			return e.Name
 		}
-		return fmt.Sprintf("_mm_set1_ps((float)%s)", e.Name), nil
+		return fmt.Sprintf("_mm_set1_ps((float)%s)", e.Name)
 	case *loopir.Bin:
-		l, err := v.expr(e.L)
-		if err != nil {
-			return "", err
-		}
-		r, err := v.expr(e.R)
-		if err != nil {
-			return "", err
-		}
 		op := map[string]string{"+": "_mm_add_ps", "-": "_mm_sub_ps", "*": "_mm_mul_ps", "/": "_mm_div_ps"}[e.Op]
-		if op == "" {
-			return "", fmt.Errorf("cgen: cannot vectorize operator %q", e.Op)
-		}
-		return fmt.Sprintf("%s(%s, %s)", op, l, r), nil
+		return fmt.Sprintf("%s(%s, %s)", op, v.expr(e.L), v.expr(e.R))
 	case *loopir.Un:
-		x, err := v.expr(e.X)
-		if err != nil {
-			return "", err
+		if e.Op == "-" {
+			return fmt.Sprintf("_mm_sub_ps(_mm_setzero_ps(), %s)", v.expr(e.X))
 		}
-		switch e.Op {
-		case "-":
-			return fmt.Sprintf("_mm_sub_ps(_mm_setzero_ps(), %s)", x), nil
-		case "(float)", "(long)":
-			return x, nil // all lanes are floats already
-		}
-		return "", fmt.Errorf("cgen: cannot vectorize unary %q", e.Op)
+		return v.expr(e.X) // (float) and (long): all lanes are floats already
 	case *loopir.Load:
 		if stride1(e.Idx, v.index) {
-			return fmt.Sprintf("_mm_loadu_ps(&%s[%s])", e.Array, e.Idx), nil
+			return fmt.Sprintf("_mm_loadu_ps(&%s[%s])", e.Array, e.Idx)
 		}
 		if !dependsOn(e.Idx, v.index) {
-			return fmt.Sprintf("_mm_set1_ps((float)%s[%s])", e.Array, e.Idx), nil
+			return fmt.Sprintf("_mm_set1_ps((float)%s[%s])", e.Array, e.Idx)
 		}
 		// lane-wise gather (e.g. Fig 11's strided mat accesses)
 		return fmt.Sprintf("_mm_setr_ps((float)%s[%s], (float)%s[%s], (float)%s[%s], (float)%s[%s])",
-			e.Array, laneIdx(e.Idx, v.index, 0), e.Array, laneIdx(e.Idx, v.index, 1),
-			e.Array, laneIdx(e.Idx, v.index, 2), e.Array, laneIdx(e.Idx, v.index, 3)), nil
+			e.Array, laneExpr(e.Idx, v.index, 0), e.Array, laneExpr(e.Idx, v.index, 1),
+			e.Array, laneExpr(e.Idx, v.index, 2), e.Array, laneExpr(e.Idx, v.index, 3))
 	case *loopir.Cond:
-		// min/max accumulators: (a < b ? a : b) and (a > b ? a : b).
-		if c, ok := e.C.(*loopir.Bin); ok {
-			l, lerr := v.expr(e.T)
-			r, rerr := v.expr(e.F)
-			if lerr == nil && rerr == nil && c.L.String() == e.T.String() && c.R.String() == e.F.String() {
-				switch c.Op {
-				case "<":
-					return fmt.Sprintf("_mm_min_ps(%s, %s)", l, r), nil
-				case ">":
-					return fmt.Sprintf("_mm_max_ps(%s, %s)", l, r), nil
-				}
-			}
+		// A nested min/max fold's accumulator: (a < b ? a : b) and
+		// (a > b ? a : b).
+		if e.C.(*loopir.Bin).Op == "<" {
+			return fmt.Sprintf("_mm_min_ps(%s, %s)", v.expr(e.T), v.expr(e.F))
 		}
-		return "", fmt.Errorf("cgen: cannot vectorize conditional expression")
-	case *loopir.CallE:
-		if !dependsOn(e, v.index) {
-			return fmt.Sprintf("_mm_set1_ps((float)%s)", e.String()), nil
-		}
-		// lane-wise gather through the call (e.g. the bounds-checked
-		// cm_at accessors of the unoptimized ablation path)
-		return fmt.Sprintf("_mm_setr_ps((float)%s, (float)%s, (float)%s, (float)%s)",
-			laneExpr(e, v.index, 0), laneExpr(e, v.index, 1),
-			laneExpr(e, v.index, 2), laneExpr(e, v.index, 3)), nil
+		return fmt.Sprintf("_mm_max_ps(%s, %s)", v.expr(e.T), v.expr(e.F))
 	}
-	return "", fmt.Errorf("cgen: cannot vectorize expression %T", e)
-}
-
-// laneIdx renders the index expression at lane k.
-func laneIdx(idx loopir.Expr, index string, k int) string {
-	return loopir.SubstExpr(idx, index, loopir.B("+", loopir.V(index), loopir.IC(int64(k)))).String()
+	// A call: the bounds-checked cm_at accessors of the unoptimized
+	// ablation path, gathered lane-wise when they read the index.
+	if !dependsOn(e, v.index) {
+		return fmt.Sprintf("_mm_set1_ps((float)%s)", e.String())
+	}
+	return fmt.Sprintf("_mm_setr_ps((float)%s, (float)%s, (float)%s, (float)%s)",
+		laneExpr(e, v.index, 0), laneExpr(e, v.index, 1),
+		laneExpr(e, v.index, 2), laneExpr(e, v.index, 3))
 }
 
 // laneExpr renders any expression at lane k of the vectorized index.

@@ -1,14 +1,14 @@
 // With-loop and matrixMap lowering (§III-A.4/5, §V, §III-C).
 //
 // A with-loop expands to an explicit loop nest (Fig 1 → Fig 3). When
-// the body is scalar-lowerable the nest reads matrix data through
-// hoisted data/stride pointers — the slice-elimination optimization of
-// §III-A.4 ("there was no need to iterate over a copied slice of
-// mat"); with -O off, element access goes through bounds-checked
-// runtime accessors instead (the ablation baseline). Nested scalar
-// folds lower into accumulator loops inside the nest, which is exactly
-// the Fig 3 shape. Bodies that cannot be scalar-lowered fall back to
-// general translated C inside the nest.
+// sem found the body scalar (Info.ScalarBodies) the nest reads matrix
+// data through hoisted data/stride pointers — the slice-elimination
+// optimization of §III-A.4 ("there was no need to iterate over a
+// copied slice of mat"); with -O off, element access goes through
+// bounds-checked runtime accessors instead (the ablation baseline).
+// Nested scalar folds lower into accumulator loops inside the nest,
+// which is exactly the Fig 3 shape. Every other body is general
+// translated C inside the nest.
 //
 // User transform clauses (§V) apply loopir rewrites; the outermost
 // loop is auto-parallelized per §III-C — lifted into a worker function
@@ -35,11 +35,8 @@ type wlState struct {
 	hoisted *indentWriter
 	// types of hoisted / captured C variables, for pthread lifting.
 	varTypes map[string]string
-	// matrices whose data/stride pointers are already hoisted.
-	direct map[string]bool
-	ids    map[string]bool // loop indices in scope
-	endStk []func() loopir.Expr
-	seq    int
+	endStk   []func() loopir.Expr
+	seq      int
 	// uid distinguishes this nest's hoisted pointer names: two
 	// with-loops in one function may read the same matrix (which can
 	// be rebound between them), so each nest re-reads data/stride/dim
@@ -50,7 +47,7 @@ type wlState struct {
 func (f *fnEmitter) newWL() *wlState {
 	f.wlN++
 	return &wlState{f: f, hoisted: &indentWriter{}, uid: f.wlN,
-		varTypes: map[string]string{}, direct: map[string]bool{}, ids: map[string]bool{}}
+		varTypes: map[string]string{}}
 }
 
 func (w *wlState) hoist(ctype, name, init string) string {
@@ -76,7 +73,6 @@ func (f *fnEmitter) emitWithLoop(wl *ast.WithLoop) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		w.ids[wl.Ids[d]] = true
 	}
 
 	switch op := wl.Op.(type) {
@@ -141,10 +137,8 @@ func (f *fnEmitter) emitGenArray(w *wlState, wl *ast.WithLoop, op *ast.GenArrayO
 	// full output shape skips the strided nest (whose inner stride is
 	// the source row length) for the cache-blocked runtime kernel.
 	if src, ok := w.transposeSource(wl, op, resTy); ok {
-		if err := f.emitNest(w, []loopir.Stmt{
-			&loopir.Raw{Code: fmt.Sprintf("cm_transpose(%s, %s);", out, cname(src))}}); err != nil {
-			return "", err
-		}
+		f.emitNest(w, []loopir.Stmt{
+			&loopir.Raw{Code: fmt.Sprintf("cm_transpose(%s, %s);", out, cname(src))}}, nil)
 		f.temps = append(f.temps, out)
 		return out, nil
 	}
@@ -157,8 +151,8 @@ func (f *fnEmitter) emitGenArray(w *wlState, wl *ast.WithLoop, op *ast.GenArrayO
 	}
 
 	var inner []loopir.Stmt
-	pre, val, ok := w.lowerBody(op.Body)
-	if ok {
+	if f.g.info.ScalarBodies[wl] {
+		pre, val := w.lowerBody(op.Body)
 		inner = append(pre, &loopir.AssignStmt{LHS: loopir.Ld(outD, linear), RHS: val})
 	} else {
 		raw, cval, err := f.generalBody(op.Body)
@@ -168,15 +162,9 @@ func (f *fnEmitter) emitGenArray(w *wlState, wl *ast.WithLoop, op *ast.GenArrayO
 		raw += fmt.Sprintf("cm_put(%s, %s, (double)(%s));\n", out, linear, cval)
 		inner = []loopir.Stmt{&loopir.Raw{Code: strings.TrimRight(raw, "\n")}}
 	}
-	nest := buildNest(wl.Ids, los, his, inner)
-	nest, err := f.applyTransforms(nest, wl.Transforms)
-	if err != nil {
-		return "", err
-	}
+	nest, rest := f.applyTransforms(buildNest(wl.Ids, los, his, inner), wl.Transforms)
 	f.autoParallel(nest, wl.Transforms)
-	if err := f.emitNest(w, nest); err != nil {
-		return "", err
-	}
+	f.emitNest(w, nest, rest)
 	f.temps = append(f.temps, out)
 	if !f.g.opts.Optimize {
 		// Library-style baseline of §III-A.4: the with-loop result is
@@ -201,8 +189,8 @@ func (f *fnEmitter) emitFold(w *wlState, wl *ast.WithLoop, op *ast.FoldOp,
 	w.hoist(accType, acc, fmt.Sprintf("(%s)(%s)", accType, initV))
 
 	var inner []loopir.Stmt
-	pre, val, ok := w.lowerBody(op.Body)
-	if ok {
+	if f.g.info.ScalarBodies[wl] {
+		pre, val := w.lowerBody(op.Body)
 		inner = append(pre, &loopir.AssignStmt{LHS: loopir.V(acc), RHS: foldCombine(op.Kind, loopir.V(acc), val)})
 	} else {
 		raw, cval, err := f.generalBody(op.Body)
@@ -212,16 +200,10 @@ func (f *fnEmitter) emitFold(w *wlState, wl *ast.WithLoop, op *ast.FoldOp,
 		raw += fmt.Sprintf("%s = %s;\n", acc, foldCombine(op.Kind, loopir.V(acc), loopir.V("("+cval+")")))
 		inner = []loopir.Stmt{&loopir.Raw{Code: strings.TrimRight(raw, "\n")}}
 	}
-	nest := buildNest(wl.Ids, los, his, inner)
-	nest, err = f.applyTransforms(nest, wl.Transforms)
-	if err != nil {
-		return "", err
-	}
 	// Folds run sequentially in generated code (the parallel construct
 	// is the enclosing genarray, as in Fig 1); see DESIGN.md.
-	if err := f.emitNest(w, nest); err != nil {
-		return "", err
-	}
+	nest, rest := f.applyTransforms(buildNest(wl.Ids, los, his, inner), wl.Transforms)
+	f.emitNest(w, nest, rest)
 	return acc, nil
 }
 
@@ -271,11 +253,11 @@ func (w *wlState) transposeSource(wl *ast.WithLoop, op *ast.GenArrayOp,
 		return "", false
 	}
 	base, ok := ix.X.(*ast.Ident)
-	if !ok || w.ids[base.Name] {
+	if !ok {
 		return "", false
 	}
-	ty := w.varType(base.Name)
-	if ty == nil || ty.Kind != types.Matrix || ty.Rank != 2 ||
+	ty := w.f.g.info.TypeOf(base)
+	if ty.Kind != types.Matrix || ty.Rank != 2 ||
 		ty.Elem.Kind != resTy.Elem.Kind {
 		return "", false
 	}
@@ -322,38 +304,35 @@ func (w *wlState) boundExpr(e ast.Expr) (loopir.Expr, error) {
 	return loopir.V(w.hoist("long", w.f.g.fresh("b"), v)), nil
 }
 
-// applyTransforms runs the §V clauses against the nest.
-func (f *fnEmitter) applyTransforms(nest []loopir.Stmt, clauses []ast.TransformClause) ([]loopir.Stmt, error) {
-	var err error
+// applyTransforms applies the §V clauses, which sem has checked, to
+// the nest; rest collects the remainder nests of its splits.
+func (f *fnEmitter) applyTransforms(nest []loopir.Stmt, clauses []ast.TransformClause) (out, rest []loopir.Stmt) {
 	for _, c := range clauses {
+		var r []loopir.Stmt
 		switch c := c.(type) {
 		case *ast.SplitClause:
-			nest, err = loopir.Split(nest, cname(c.Index), c.Factor.(*ast.IntLit).Value,
+			nest, r = loopir.Split(nest, cname(c.Index), c.Factor.(*ast.IntLit).Value,
 				cname(c.Inner), cname(c.Outer))
 		case *ast.VectorizeClause:
-			nest, err = loopir.Vectorize(nest, cname(c.Index))
-			if err == nil {
-				f.g.usesVectors = true
-			}
+			loopir.Vectorize(nest, cname(c.Index))
+			f.g.usesVectors = true
 		case *ast.ParallelizeClause:
-			nest, err = loopir.Parallelize(nest, cname(c.Index))
+			loopir.Parallelize(nest, cname(c.Index))
 		case *ast.ReorderClause:
 			order := make([]string, len(c.Indices))
 			for i, n := range c.Indices {
 				order[i] = cname(n)
 			}
-			nest, err = loopir.Reorder(nest, order)
+			nest = loopir.Reorder(nest, order)
 		case *ast.TileClause:
-			nest, err = loopir.Tile(nest, cname(c.IndexA), c.FactorA.(*ast.IntLit).Value,
+			nest, r = loopir.Tile(nest, cname(c.IndexA), c.FactorA.(*ast.IntLit).Value,
 				cname(c.IndexB), c.FactorB.(*ast.IntLit).Value)
 		case *ast.UnrollClause:
-			nest, err = loopir.Unroll(nest, cname(c.Index), c.Factor.(*ast.IntLit).Value)
+			nest = loopir.Unroll(nest, cname(c.Index), c.Factor.(*ast.IntLit).Value)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("cgen: %w", err)
-		}
+		rest = append(rest, r...)
 	}
-	return nest, nil
+	return nest, rest
 }
 
 // autoParallel marks the outermost loop parallel (§III-C automatic

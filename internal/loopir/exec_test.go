@@ -208,7 +208,7 @@ func (e *Env) Exec(body []Stmt) error {
 			default:
 				return fmt.Errorf("loopir eval: cannot assign to %T", s.LHS)
 			}
-		case *Comment, *Raw:
+		case *Raw:
 			// no effect
 		}
 	}

@@ -128,9 +128,6 @@ type AssignStmt struct {
 	RHS Expr
 }
 
-// Comment is a freeform comment line in the emitted code.
-type Comment struct{ Text string }
-
 // Raw is a raw C statement (used by the code generator for pieces
 // outside the loop-transformation fragment).
 type Raw struct{ Code string }
@@ -138,7 +135,6 @@ type Raw struct{ Code string }
 func (*Loop) stmtNode()       {}
 func (*DeclStmt) stmtNode()   {}
 func (*AssignStmt) stmtNode() {}
-func (*Comment) stmtNode()    {}
 func (*Raw) stmtNode()        {}
 
 // --- expression utilities ---
@@ -191,9 +187,8 @@ func SubstStmt(s Stmt, name string, repl Expr) Stmt {
 		return &DeclStmt{s.CType, s.Name, init}
 	case *AssignStmt:
 		return &AssignStmt{SubstExpr(s.LHS, name, repl), SubstExpr(s.RHS, name, repl)}
-	default:
-		return s
 	}
+	panic(fmt.Sprintf("loopir: cannot substitute %s into %T", name, s))
 }
 
 // SubstBlock maps SubstStmt over a statement list.
@@ -260,8 +255,6 @@ func printBlock(b *strings.Builder, body []Stmt, depth int) {
 			}
 		case *AssignStmt:
 			fmt.Fprintf(b, "%s%s = %s;\n", ind, s.LHS, s.RHS)
-		case *Comment:
-			fmt.Fprintf(b, "%s/* %s */\n", ind, s.Text)
 		case *Raw:
 			fmt.Fprintf(b, "%s%s\n", ind, s.Code)
 		}

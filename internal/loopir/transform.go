@@ -5,172 +5,99 @@
 // for the Fig 11 emission, reorder permutes a perfect nest, tile is
 // the derived transformation (two splits and a reorder), and unroll
 // replicates the body.
+//
+// The rewrites check nothing: the transform extension's semantic
+// rules (internal/sem) accept a clause only where its rewrite is
+// defined and keeps every cell's value, and these functions apply
+// what they accepted.
 package loopir
 
 import "fmt"
 
-// Split replaces the loop indexed by index with an outer loop of
-// name outer and an inner loop of name inner with trip count factor,
-// substituting outer*factor + inner for the original index (Fig 10).
-// As in the paper's example, the trip count is assumed to be a
-// multiple of factor; EmitGuard adds a remainder check when false is
-// not acceptable.
-func Split(body []Stmt, index string, factor int64, inner, outer string) ([]Stmt, error) {
-	if factor < 1 {
-		return nil, fmt.Errorf("loopir: split factor must be positive, got %d", factor)
-	}
+// Split replaces the loop indexed by index, which starts at 0, with an
+// outer loop of name outer and an inner loop of name inner with trip
+// count factor, substituting outer*factor + inner for the original
+// index (Fig 10). The cells past the last full tile come back as rest:
+// the loops that enclose index, then an inner loop over hi % factor
+// with outer fixed at hi / factor, over the same substituted body.
+// rest is nil when hi is a literal multiple of factor.
+func Split(body []Stmt, index string, factor int64, inner, outer string) (nest, rest []Stmt) {
 	container, pos, l := findLoop(body, index)
-	if l == nil {
-		return nil, fmt.Errorf("loopir: split: no loop with index %q", index)
-	}
-	if ic, ok := l.Lo.(*IntConst); !ok || ic.V != 0 {
-		return nil, fmt.Errorf("loopir: split requires a zero-based loop, %q starts at %s", index, l.Lo)
-	}
 	// j -> jout*factor + jin
 	repl := B("+", B("*", V(outer), IC(factor)), V(inner))
 	newBody := SubstBlock(l.Body, index, repl)
-	innerLoop := &Loop{Index: inner, Lo: IC(0), Hi: IC(factor), Body: newBody,
-		VectorLanes: 0}
+	if hi, ok := l.Hi.(*IntConst); !ok || hi.V%factor != 0 {
+		tail := &Loop{Index: inner, Lo: IC(0), Hi: B("%", l.Hi, IC(factor)),
+			Body: SubstBlock(newBody, outer, B("/", l.Hi, IC(factor)))}
+		rest = pathTo(body, l, tail)
+	}
+	innerLoop := &Loop{Index: inner, Lo: IC(0), Hi: IC(factor), Body: newBody}
 	outerLoop := &Loop{Index: outer, Lo: IC(0), Hi: B("/", l.Hi, IC(factor)),
 		Body: []Stmt{innerLoop}, Parallel: l.Parallel}
 	container[pos] = outerLoop
-	return body, nil
+	return body, rest
+}
+
+// pathTo copies the loops of body that enclose target, without their
+// other statements (the copies an unroll made) or their marks, with
+// repl in target's place.
+func pathTo(body []Stmt, target *Loop, repl Stmt) []Stmt {
+	for _, s := range body {
+		l, ok := s.(*Loop)
+		if !ok {
+			continue
+		}
+		if l == target {
+			return []Stmt{repl}
+		}
+		if in := pathTo(l.Body, target, repl); in != nil {
+			return []Stmt{&Loop{Index: l.Index, Lo: l.Lo, Hi: l.Hi, Body: in}}
+		}
+	}
+	return nil
 }
 
 // Vectorize marks the loop for 4-lane single-precision SSE emission
-// (Fig 11). The loop must have a constant trip count divisible by the
-// lane width — split provides exactly that.
-func Vectorize(body []Stmt, index string) ([]Stmt, error) {
-	l := FindLoop(body, index)
-	if l == nil {
-		return nil, fmt.Errorf("loopir: vectorize: no loop with index %q", index)
-	}
-	if n, ok := l.Hi.(*IntConst); !ok || n.V%4 != 0 {
-		return nil, fmt.Errorf("loopir: vectorize requires a constant trip count divisible by 4; split %q by 4 first", index)
-	}
-	// Inner loops are allowed — they stay scalar over vector state, as
-	// in Fig 11's time loop — but their bounds must not depend on the
-	// vectorized index.
-	var checkInner func(ss []Stmt) error
-	checkInner = func(ss []Stmt) error {
-		for _, s := range ss {
-			if il, ok := s.(*Loop); ok {
-				if exprUses(il.Lo, index) || exprUses(il.Hi, index) {
-					return fmt.Errorf("loopir: vectorize: inner loop %q bounds depend on %q", il.Index, index)
-				}
-				if err := checkInner(il.Body); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if err := checkInner(l.Body); err != nil {
-		return nil, err
-	}
-	l.VectorLanes = 4
-	return body, nil
+// (Fig 11). Inner loops stay scalar over vector state, as in Fig 11's
+// time loop.
+func Vectorize(body []Stmt, index string) {
+	FindLoop(body, index).VectorLanes = 4
 }
 
 // Parallelize marks the loop for parallel execution (OpenMP pragma or
 // pthread-pool dispatch in the emitted C).
-func Parallelize(body []Stmt, index string) ([]Stmt, error) {
-	l := FindLoop(body, index)
-	if l == nil {
-		return nil, fmt.Errorf("loopir: parallelize: no loop with index %q", index)
-	}
-	l.Parallel = true
-	return body, nil
+func Parallelize(body []Stmt, index string) {
+	FindLoop(body, index).Parallel = true
 }
 
 // Reorder permutes a perfectly nested chain of loops so that their
-// indices appear in the given order, outermost first. The loops must
-// form a perfect nest (each loop's body is exactly the next loop).
-func Reorder(body []Stmt, order []string) ([]Stmt, error) {
-	if len(order) < 2 {
-		return nil, fmt.Errorf("loopir: reorder needs at least two indices")
-	}
+// indices appear in the given order, outermost first.
+func Reorder(body []Stmt, order []string) []Stmt {
 	// The outermost loop of the nest is whichever named loop appears
 	// first in a pre-order walk (the names form one nest).
 	named := map[string]bool{}
 	for _, n := range order {
 		named[n] = true
 	}
-	container, pos, outer := findFirstNamed(body, named)
-	if outer == nil {
-		return nil, fmt.Errorf("loopir: reorder: no loop with any of the indices %v", order)
-	}
-	var chain []*Loop
-	cur := outer
+	container, pos, cur := findFirstNamed(body, named)
+	byName := map[string]*Loop{}
 	for {
-		if !named[cur.Index] {
-			return nil, fmt.Errorf("loopir: reorder: loop %q is not in the reorder list but sits inside the nest", cur.Index)
-		}
-		chain = append(chain, cur)
-		if len(chain) == len(order) {
+		byName[cur.Index] = cur
+		if len(byName) == len(order) {
 			break
 		}
-		if len(cur.Body) != 1 {
-			return nil, fmt.Errorf("loopir: reorder requires a perfect loop nest; %q has %d statements", cur.Index, len(cur.Body))
-		}
-		next, ok := cur.Body[0].(*Loop)
-		if !ok {
-			return nil, fmt.Errorf("loopir: reorder requires a perfect loop nest under %q", cur.Index)
-		}
-		cur = next
+		cur = cur.Body[0].(*Loop)
 	}
-	byName := map[string]*Loop{}
-	for _, l := range chain {
-		if !named[l.Index] {
-			return nil, fmt.Errorf("loopir: reorder: nest contains unnamed loop %q", l.Index)
-		}
-		byName[l.Index] = l
-	}
-	for _, n := range order {
-		if byName[n] == nil {
-			return nil, fmt.Errorf("loopir: reorder: no loop with index %q in the nest", n)
-		}
-	}
-	innermostBody := chain[len(chain)-1].Body
 	// Rebuild in the requested order, preserving each loop's own
 	// bounds and flags.
-	var rebuilt *Loop
+	rebuilt := cur.Body
 	for k := len(order) - 1; k >= 0; k-- {
 		src := byName[order[k]]
-		nl := &Loop{Index: src.Index, Lo: src.Lo, Hi: src.Hi,
-			Parallel: src.Parallel, VectorLanes: src.VectorLanes}
-		if rebuilt == nil {
-			nl.Body = innermostBody
-		} else {
-			nl.Body = []Stmt{rebuilt}
-		}
-		rebuilt = nl
+		rebuilt = []Stmt{&Loop{Index: src.Index, Lo: src.Lo, Hi: src.Hi, Body: rebuilt,
+			Parallel: src.Parallel, VectorLanes: src.VectorLanes}}
 	}
-	container[pos] = rebuilt
-	return body, nil
-}
-
-// exprUses reports whether e references name.
-func exprUses(e Expr, name string) bool {
-	switch e := e.(type) {
-	case *VarRef:
-		return e.Name == name
-	case *Bin:
-		return exprUses(e.L, name) || exprUses(e.R, name)
-	case *Un:
-		return exprUses(e.X, name)
-	case *Load:
-		return exprUses(e.Idx, name)
-	case *CallE:
-		for _, a := range e.Args {
-			if exprUses(a, name) {
-				return true
-			}
-		}
-	case *Cond:
-		return exprUses(e.C, name) || exprUses(e.T, name) || exprUses(e.F, name)
-	}
-	return false
+	container[pos] = rebuilt[0]
+	return body
 }
 
 // findFirstNamed returns the first loop (pre-order) whose index is in
@@ -194,43 +121,20 @@ func findFirstNamed(body []Stmt, named map[string]bool) ([]Stmt, int, *Loop) {
 // Tile is the derived transformation of §V: "a transformation
 // specification to tile two nested loops indexed by x and y can be
 // specified as two splits and a reorder": split x into xin/xout,
-// split y into yin/yout, then reorder to xout, yout, xin, yin.
-func Tile(body []Stmt, x string, fx int64, y string, fy int64) ([]Stmt, error) {
+// split y into yin/yout, then reorder to xout, yout, xin, yin. rest
+// holds the remainders of both splits.
+func Tile(body []Stmt, x string, fx int64, y string, fy int64) (nest, rest []Stmt) {
 	xin, xout := x+"in", x+"out"
 	yin, yout := y+"in", y+"out"
-	b, err := Split(body, x, fx, xin, xout)
-	if err != nil {
-		return nil, fmt.Errorf("loopir: tile: %w", err)
-	}
-	b, err = Split(b, y, fy, yin, yout)
-	if err != nil {
-		return nil, fmt.Errorf("loopir: tile: %w", err)
-	}
-	b, err = Reorder(b, []string{xout, yout, xin, yin})
-	if err != nil {
-		return nil, fmt.Errorf("loopir: tile: %w", err)
-	}
-	return b, nil
+	b, restX := Split(body, x, fx, xin, xout)
+	b, restY := Split(b, y, fy, yin, yout)
+	return Reorder(b, []string{xout, yout, xin, yin}), append(restX, restY...)
 }
 
-// Unroll replicates the loop body factor times, advancing the index;
-// the trip count must be a constant multiple of the factor.
-func Unroll(body []Stmt, index string, factor int64) ([]Stmt, error) {
-	if factor < 1 {
-		return nil, fmt.Errorf("loopir: unroll factor must be positive")
-	}
+// Unroll replicates the body of a loop that starts at 0 factor times,
+// advancing the index; its trip count is a literal multiple of factor.
+func Unroll(body []Stmt, index string, factor int64) []Stmt {
 	container, pos, l := findLoop(body, index)
-	if l == nil {
-		return nil, fmt.Errorf("loopir: unroll: no loop with index %q", index)
-	}
-	hi, ok := l.Hi.(*IntConst)
-	if !ok || hi.V%factor != 0 {
-		return nil, fmt.Errorf("loopir: unroll requires a constant trip count divisible by %d", factor)
-	}
-	lo, ok := l.Lo.(*IntConst)
-	if !ok || lo.V != 0 {
-		return nil, fmt.Errorf("loopir: unroll requires a zero-based loop")
-	}
 	base := B("*", V(index), IC(factor))
 	var newBody []Stmt
 	for k := int64(0); k < factor; k++ {
@@ -238,9 +142,19 @@ func Unroll(body []Stmt, index string, factor int64) ([]Stmt, error) {
 		if k > 0 {
 			idxExpr = B("+", base, IC(k))
 		}
-		newBody = append(newBody, SubstBlock(l.Body, index, idxExpr)...)
+		copied := SubstBlock(l.Body, index, idxExpr)
+		// Each copy declares its own nested-fold accumulators: the
+		// copies share one C block.
+		for i, s := range copied {
+			if d, ok := s.(*DeclStmt); ok && k > 0 {
+				name := fmt.Sprintf("%s_u%d", d.Name, k)
+				copied[i] = &DeclStmt{d.CType, name, d.Init}
+				copy(copied[i+1:], SubstBlock(copied[i+1:], d.Name, V(name)))
+			}
+		}
+		newBody = append(newBody, copied...)
 	}
-	container[pos] = &Loop{Index: index, Lo: IC(0), Hi: IC(hi.V / factor),
+	container[pos] = &Loop{Index: index, Lo: IC(0), Hi: IC(l.Hi.(*IntConst).V / factor),
 		Body: newBody, Parallel: l.Parallel}
-	return body, nil
+	return body
 }

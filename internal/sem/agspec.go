@@ -11,8 +11,6 @@
 package sem
 
 import (
-	"strings"
-
 	"repro/internal/ast"
 	"repro/internal/attr"
 	"repro/internal/types"
@@ -808,6 +806,3 @@ func (b specBuilder) addErrsProjections() {
 		})
 	}
 }
-
-// fmtNames joins names for error messages.
-func fmtNames(names []string) string { return strings.Join(names, ", ") }

@@ -53,16 +53,20 @@ func Check(prog *ast.Program, diags *source.Diagnostics) *Info {
 	// The equations write nothing; Info is read off the decorated tree.
 	// Evaluating the root's errs has put a type on every expression node.
 	ge := tree.Syn(aGlobalEnv).(globalEnvVal)
-	info := &Info{Types: make(map[ast.Expr]*types.Type, exprs), Funcs: ge.funcs, GlobalTypes: ge.globals}
-	recordTypes(tree, info.Types)
+	info := &Info{Types: make(map[ast.Expr]*types.Type, exprs), Funcs: ge.funcs, GlobalTypes: ge.globals,
+		ScalarBodies: map[*ast.WithLoop]bool{}}
+	record(tree, info)
 	return info
 }
 
-func recordTypes(t *attr.Tree, into map[ast.Expr]*types.Type) {
+func record(t *attr.Tree, info *Info) {
 	if e, ok := t.Value.(ast.Expr); ok {
-		into[e] = typOf(t)
+		info.Types[e] = typOf(t)
+		if wl, ok := e.(*ast.WithLoop); ok && scan(t, false).bad == nil {
+			info.ScalarBodies[wl] = true
+		}
 	}
 	for i := 0; i < t.NumChildren(); i++ {
-		recordTypes(t.Child(i), into)
+		record(t.Child(i), info)
 	}
 }

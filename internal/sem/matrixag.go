@@ -2,8 +2,8 @@
 // transform extensions. These add equations for the host's analysis
 // attributes on the extensions' own productions (with-loops,
 // matrixMap, init, transform clauses), plus the transform extension's
-// own loopIds/idsOut attributes — composing with the host spec exactly
-// as the paper's Silver extension specifications do.
+// own loopIds/idsOut attributes (transformag.go) — composing with the
+// host spec exactly as the paper's Silver extension specifications do.
 package sem
 
 import (
@@ -248,152 +248,6 @@ func MatrixAG() *attr.AGSpec {
 
 	// --- empty transform suffix ---
 	syn("emptySuffix", aOwnErrs, func(t *attr.Tree) any { return errlist(nil) })
-
-	s.addErrsProjections()
-	return s.AGSpec
-}
-
-// TransformAG builds the transform extension's semantic specification
-// (§V): clause indices must name loop indices that exist at that point
-// in the clause sequence, split/tile factors must be positive, and
-// split-introduced names must be fresh.
-func TransformAG() *attr.AGSpec {
-	s := newSpec(OwnerTransformSem)
-	s.nts(ntClause)
-	s.attrs(attr.Inherited, aLoopIds)
-	s.attrs(attr.Synthesized, aIdsOut)
-	occ, p, syn, inh := s.occ, s.prod, s.syn, s.inh
-	occ(aLoopIds, ntWithSuffix, ntClause)
-	occ(aIdsOut, ntClause)
-	occ(aErrs, ntClause)
-	occ(aOwnErrs, ntClause)
-	p("transformSuffix", ntWithSuffix, true, ntClause)
-	for _, c := range []string{"splitClause", "vectorizeClause", "parallelizeClause",
-		"reorderClause", "tileClause", "unrollClause"} {
-		p(c, ntClause, false)
-	}
-
-	// The matrix extension's withLoop production supplies the initial
-	// loop-index set to its WithSuffix child. The transform extension
-	// owns the loopIds attribute, so it provides this equation — the
-	// composition pattern the MWDA's ownership rule permits.
-	inh("withLoop", 3, aLoopIds, func(p *attr.Tree, c int) any {
-		return append([]string(nil), p.Value.(*ast.WithLoop).Ids...)
-	})
-
-	syn("transformSuffix", aOwnErrs, func(t *attr.Tree) any { return errlist(nil) })
-	inh("transformSuffix", -1, aLoopIds, func(p *attr.Tree, c int) any {
-		if c == 0 {
-			return p.Inh(aLoopIds)
-		}
-		return p.Child(c - 1).Syn(aIdsOut)
-	})
-
-	ids := func(t *attr.Tree) []string { return t.Inh(aLoopIds).([]string) }
-	has := func(list []string, x string) bool {
-		for _, s := range list {
-			if s == x {
-				return true
-			}
-		}
-		return false
-	}
-
-	syn("splitClause", aOwnErrs, func(t *attr.Tree) any {
-		c := t.Value.(*ast.SplitClause)
-		var errs errlist
-		if !has(ids(t), c.Index) {
-			errs = append(errs, errf(c, "split: no loop index %q in this with-loop (have %s)", c.Index, fmtNames(ids(t))))
-		}
-		if f, ok := c.Factor.(*ast.IntLit); !ok || f.Value < 1 {
-			errs = append(errs, errf(c, "split factor must be a positive integer"))
-		}
-		if c.Inner == c.Outer {
-			errs = append(errs, errf(c, "split inner and outer names must differ"))
-		}
-		for _, n := range []string{c.Inner, c.Outer} {
-			if has(ids(t), n) {
-				errs = append(errs, errf(c, "split name %q collides with an existing loop index", n))
-			}
-		}
-		return errs
-	})
-	syn("splitClause", aIdsOut, func(t *attr.Tree) any {
-		c := t.Value.(*ast.SplitClause)
-		var out []string
-		for _, id := range ids(t) {
-			if id != c.Index {
-				out = append(out, id)
-			}
-		}
-		return append(out, c.Inner, c.Outer)
-	})
-
-	indexOnly := func(word string, get func(v any) string) func(t *attr.Tree) any {
-		return func(t *attr.Tree) any {
-			idx := get(t.Value)
-			if !has(ids(t), idx) {
-				return errlist{errf(t.Value.(ast.Node),
-					"%s: no loop index %q in this with-loop (have %s)", word, idx, fmtNames(ids(t)))}
-			}
-			return errlist(nil)
-		}
-	}
-	passIds := func(t *attr.Tree) any { return ids(t) }
-
-	syn("vectorizeClause", aOwnErrs, indexOnly("vectorize",
-		func(v any) string { return v.(*ast.VectorizeClause).Index }))
-	syn("vectorizeClause", aIdsOut, passIds)
-	syn("parallelizeClause", aOwnErrs, indexOnly("parallelize",
-		func(v any) string { return v.(*ast.ParallelizeClause).Index }))
-	syn("parallelizeClause", aIdsOut, passIds)
-
-	syn("reorderClause", aOwnErrs, func(t *attr.Tree) any {
-		c := t.Value.(*ast.ReorderClause)
-		var errs errlist
-		for _, idx := range c.Indices {
-			if !has(ids(t), idx) {
-				errs = append(errs, errf(c, "reorder: no loop index %q in this with-loop (have %s)", idx, fmtNames(ids(t))))
-			}
-		}
-		return errs
-	})
-	syn("reorderClause", aIdsOut, passIds)
-
-	syn("tileClause", aOwnErrs, func(t *attr.Tree) any {
-		c := t.Value.(*ast.TileClause)
-		var errs errlist
-		for _, idx := range []string{c.IndexA, c.IndexB} {
-			if !has(ids(t), idx) {
-				errs = append(errs, errf(c, "tile: no loop index %q in this with-loop (have %s)", idx, fmtNames(ids(t))))
-			}
-		}
-		for _, f := range []ast.Expr{c.FactorA, c.FactorB} {
-			if lit, ok := f.(*ast.IntLit); !ok || lit.Value < 1 {
-				errs = append(errs, errf(c, "tile factors must be positive integers"))
-			}
-		}
-		if c.IndexA == c.IndexB {
-			errs = append(errs, errf(c, "tile requires two distinct loop indices"))
-		}
-		return errs
-	})
-	syn("tileClause", aIdsOut, func(t *attr.Tree) any {
-		// tile desugars to split a + split b + reorder (see loopir);
-		// the derived inner/outer names are internal, so later clauses
-		// keep referring to the original indices.
-		return ids(t)
-	})
-
-	syn("unrollClause", aOwnErrs, func(t *attr.Tree) any {
-		c := t.Value.(*ast.UnrollClause)
-		errs := indexOnly("unroll", func(v any) string { return v.(*ast.UnrollClause).Index })(t).(errlist)
-		if lit, ok := c.Factor.(*ast.IntLit); !ok || lit.Value < 1 {
-			errs = append(errs, errf(c, "unroll factor must be a positive integer"))
-		}
-		return errs
-	})
-	syn("unrollClause", aIdsOut, passIds)
 
 	s.addErrsProjections()
 	return s.AGSpec

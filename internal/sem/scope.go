@@ -95,6 +95,10 @@ type Info struct {
 	Funcs map[string]*FuncSig
 	// GlobalTypes maps global variable names to their types.
 	GlobalTypes map[string]*types.Type
+	// ScalarBodies holds every with-loop whose body the C back end
+	// lowers to scalar loop code (§III-A.4); the others run a general
+	// translated body. split, tile, unroll and vectorize need one.
+	ScalarBodies map[*ast.WithLoop]bool
 }
 
 // TypeOf returns the recorded type of e (InvalidT if unrecorded).
