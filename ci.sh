@@ -9,8 +9,10 @@
 #     then go test (the allocation ceilings of alloc_ceiling_test.go included)
 #   - go test -race, a package at a time (-race turns checkptr on over the matrix header)
 #   - the strip engine and the fused corpus entries on a GOAMD64=v3 build (FMA hardware)
-#   - the C back end against the interpreter (gcc-guarded), the transform clause legality table, and
-#     Fig 9 compiled at -par pthread and run at -t 2 under -fsanitize=address,undefined and -fsanitize=thread
+#   - the C back end against the interpreter (gcc-guarded), the transform clause legality table, every
+#     checked program translated at every -par and -O, and Fig 9, tuple_ret_spawn and the release probes
+#     (spawn targets, untargeted spawns, break/continue) compiled at -par pthread and run at -t 2 under
+#     -fsanitize=address,undefined and -fsanitize=thread
 #   - the service contract, the fleet's chaos suites, the tenant registry
 #   - the VM differential corpus under -race (the err_global_* entries: a global read or written before it is bound),
 #     vet's flat with-loop sites and chains against the VM's (TestWithSitesAreTheVMs), and the checker rejecting
@@ -121,10 +123,10 @@ else
     echo "no FMA/AVX2 on this CPU: skipped"
 fi
 
-echo "== C back end against the interpreter (gcc-guarded: Fig 8, Fig 11, vectorize stride regression; clause legality and scalar bodies in sem alone; split and tile remainders; Fig 9 at -par pthread under ASan+UBSan and TSan) =="
-go test -run 'TestE3|TestFig8Compiled|TestVectorize' -count=1 ./internal/cgen
-go test -run 'TestTransformLegality|TestSplitRemainderCompiledMatchesVM|TestTileRemainderCompiled' -count=1 .
-go test -run 'TestTileRemainder|TestQuickSplitPreserves' -count=1 ./internal/loopir
+echo "== C back end against the interpreter (gcc-guarded: Fig 8, Fig 11, vectorize stride regression; clause legality and scalar bodies in sem alone; split and tile remainders; every checked program translates; nested-fold clauses, their loop names and lifting; Fig 9, tuple_ret_spawn and the release probes at -par pthread under ASan+UBSan and TSan) =="
+go test -run 'TestE3|TestFig8Compiled|TestVectorize|TestNestedFoldOwnClauses|TestPthreadLiftsNestInGeneralBody' -count=1 ./internal/cgen
+go test -run 'TestTransformLegality|TestSplitRemainderCompiledMatchesVM|TestTileRemainderCompiled|TestIntegrationAllProgramsTranslate|TestCompiledReleasesUnderSanitizers' -count=1 .
+go test -run 'TestTileRemainder|TestQuickSplitPreserves|TestSubstRenamesCapturingLoop' -count=1 ./internal/loopir
 go test -run 'TestScalarBodies' -count=1 ./internal/sem
 if command -v gcc >/dev/null 2>&1; then
     san_dir=$(mktemp -d)

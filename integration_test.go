@@ -138,29 +138,121 @@ func TestIntegrationTransformedMeanMatchesPlain(t *testing.T) {
 	}
 }
 
-// Every testdata program must also translate to C without errors in
-// every parallelization mode (compilation by gcc is covered in
-// internal/cgen's tests).
+// Every checked program translates to C at every -par and -O: sem
+// decided everything translation depends on, so cgen rejects nothing
+// (testdata/, bench/programs/ and the checked VM corpus).
 func TestIntegrationAllProgramsTranslate(t *testing.T) {
-	entries, err := os.ReadDir("testdata")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), ".xc") {
-			continue
-		}
-		src, err := os.ReadFile(filepath.Join("testdata", e.Name()))
+	var progs []corpusProgram
+	for _, pat := range []string{"testdata/*.xc", "bench/programs/*.xc"} {
+		files, err := filepath.Glob(pat)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := driver.New().Compile(context.Background(), driver.CompileRequest{
-			Name: e.Name(), Source: string(src), Exts: parser.AllExtensions(), Codegen: cgen.DefaultOptions()})
-		if !res.OK {
-			t.Errorf("%s: %s", e.Name(), strings.Join(res.Diagnostics, "\n"))
+		for _, file := range files {
+			src, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			progs = append(progs, corpusProgram{name: file, src: string(src)})
 		}
-		if !strings.Contains(res.Output, "u_main") {
-			t.Errorf("%s: no main emitted", e.Name())
+	}
+	for _, tc := range vmCorpus {
+		if tc.unchecked == "" {
+			progs = append(progs, corpusProgram{name: tc.name + ".xc", src: tc.src})
 		}
+	}
+	d := driver.New()
+	for _, p := range progs {
+		for _, par := range []cgen.ParMode{cgen.ParNone, cgen.ParPthread, cgen.ParOMP} {
+			for _, opt := range []bool{false, true} {
+				res := d.Compile(context.Background(), driver.CompileRequest{Name: p.name, Source: p.src,
+					Exts: parser.AllExtensions(), Codegen: cgen.Options{Par: par, Optimize: opt}})
+				if !res.OK {
+					t.Errorf("%s at -par %s, -O=%v: %s", p.name, par, opt, strings.Join(res.Diagnostics, "\n"))
+				} else if !strings.Contains(res.Output, "u_main") {
+					t.Errorf("%s at -par %s, -O=%v: no main emitted", p.name, par, opt)
+				}
+			}
+		}
+	}
+}
+
+// releaseProbes exercise the references the generated C releases
+// beyond a statement's temporaries: spawn targets of rc-pointer type
+// (and, in the VM corpus's tuple_ret_spawn, of tuple type), the owned
+// results of untargeted spawns, and the block locals a break or a
+// continue leaves.
+var releaseProbes = []corpusProgram{
+	{name: "spawn_rc_target", src: `
+refcounted int * mk(int n) { return rcnew(n); }
+int main() {
+	refcounted int * c = rcnew(1);
+	spawn c = mk(5);
+	sync;
+	print(rcget(c));
+	return 0;
+}`},
+	{name: "spawn_untargeted", src: `
+refcounted int * mk(int n) { return rcnew(n); }
+(int, Matrix int <1>) tm(int n) { return (n * 2, [0 :: n]); }
+int main() {
+	spawn mk(5);
+	spawn tm(4);
+	sync;
+	print(1);
+	return 0;
+}`},
+	{name: "early_exits", src: `
+int main() {
+	int s = 0;
+	for (int k = 0; k < 5; k = k + 1) {
+		Matrix int <1> a = [0 :: 3];
+		if (k == 1) { continue; }
+		if (k == 3) { break; }
+		s = s + a[end];
+	}
+	print(s);
+	int k = 0;
+	while (k < 5) {
+		k = k + 1;
+		Matrix int <1> b = [0 :: k];
+		if (k == 2) { continue; }
+		if (k == 4) { break; }
+		s = s + b[end];
+	}
+	print(s);
+	return 0;
+}`},
+}
+
+// The release probes and tuple_ret_spawn, compiled at -par pthread and
+// run at two pool threads, print what the VM prints and exit 0 under
+// ASan+UBSan, whose leak check is on, and under TSan.
+func TestCompiledReleasesUnderSanitizers(t *testing.T) {
+	if !haveGCC() {
+		t.Skip("gcc not available")
+	}
+	progs := releaseProbes
+	for _, tc := range vmCorpus {
+		if tc.name == "tuple_ret_spawn" {
+			progs = append(progs, corpusProgram{name: tc.name, src: tc.src})
+		}
+	}
+	for _, p := range progs {
+		t.Run(p.name, func(t *testing.T) {
+			var vmOut bytes.Buffer
+			res, err := driver.New().Run(context.Background(), driver.RunRequest{Name: "t.xc", Source: p.src,
+				Exts: parser.AllExtensions(), Threads: 1, Stdout: &vmOut})
+			if err != nil || !res.OK {
+				t.Fatalf("VM: %v %q", err, res.Diagnostics)
+			}
+			csrc := compileC(t, p.src)
+			for _, san := range []string{"address,undefined", "thread"} {
+				got := runC(t, csrc, t.TempDir(), nil, "-g", "-fsanitize="+san, "-fno-sanitize-recover=all")
+				if got != vmOut.String() {
+					t.Errorf("-fsanitize=%s: generated C printed %q, the VM %q", san, got, vmOut.String())
+				}
+			}
+		})
 	}
 }

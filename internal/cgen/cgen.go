@@ -46,10 +46,30 @@ type Options struct {
 // DefaultOptions is what cmd/cmc uses.
 func DefaultOptions() Options { return Options{Par: ParPthread, Optimize: true} }
 
-// Generate translates a checked program to C source.
-func Generate(prog *ast.Program, info *sem.Info, opts Options) (string, error) {
+// Generate translates a checked program to C source. It is total over
+// the programs sem accepts: sem decided every condition translation
+// depends on, so no emitter below returns an error. A program sem
+// should have rejected reaches an internalError, recovered here.
+func Generate(prog *ast.Program, info *sem.Info, opts Options) (c string, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			ie, ok := r.(internalError)
+			if !ok {
+				panic(r)
+			}
+			err = fmt.Errorf("%s", string(ie))
+		}
+	}()
 	g := &generator{info: info, opts: opts, tupleTypes: map[string]string{}}
-	return g.run(prog)
+	return g.run(prog), nil
+}
+
+// internalError aborts the translation of a program sem should have
+// rejected (recovered in Generate).
+type internalError string
+
+func bug(format string, args ...any) internalError {
+	return internalError(fmt.Sprintf("cgen: "+format, args...))
 }
 
 type generator struct {
@@ -124,7 +144,7 @@ func elemEnum(t *types.Type) string {
 	}
 }
 
-func (g *generator) run(prog *ast.Program) (string, error) {
+func (g *generator) run(prog *ast.Program) string {
 	// Globals first (C file scope), then functions.
 	var globals strings.Builder
 	for _, d := range prog.Decls {
@@ -149,9 +169,7 @@ func (g *generator) run(prog *ast.Program) (string, error) {
 		if !ok {
 			continue
 		}
-		if err := g.emitFunc(fn); err != nil {
-			return "", err
-		}
+		g.emitFunc(fn)
 	}
 	// Global initializers + main wrapper.
 	var init strings.Builder
@@ -175,11 +193,7 @@ func (g *generator) run(prog *ast.Program) (string, error) {
 		if gv.Init == nil {
 			continue
 		}
-		val, err := ge.expr(gv.Init)
-		if err != nil {
-			return "", err
-		}
-		ge.assignVar(cname(gv.Name), ty, val, g.info.TypeOf(gv.Init))
+		ge.assignVar(cname(gv.Name), ty, ge.expr(gv.Init), g.info.TypeOf(gv.Init))
 		ge.releaseTemps()
 	}
 	init.WriteString(ge.b.String())
@@ -211,7 +225,7 @@ func (g *generator) run(prog *ast.Program) (string, error) {
 	out.WriteString(g.funcs.String())
 	out.WriteString("\n")
 	out.WriteString(init.String())
-	return out.String(), nil
+	return out.String()
 }
 
 func padType(t string) string {
@@ -265,7 +279,7 @@ type fnEmitter struct {
 	temps       []string
 	cellTemps   []string
 	ownedTuples []scopedVar
-	contLabels  []string
+	loops       []loopExit
 	cilk        bool // this function contains spawn/sync
 	// scopes tracks matrix-holding locals for scope-exit release.
 	scopes [][]scopedVar
@@ -276,6 +290,14 @@ type fnEmitter struct {
 type scopedVar struct {
 	cname string
 	ty    *types.Type
+}
+
+// loopExit is what break and continue need of their loop: the label
+// continue jumps to ("" for a plain continue) and the number of scopes
+// open outside the loop's body, whose locals the jump keeps.
+type loopExit struct {
+	cont  string
+	depth int
 }
 
 func (g *generator) newFnEmitter(fn *ast.FuncDecl) *fnEmitter {
@@ -304,41 +326,40 @@ func (f *fnEmitter) releaseTemps() {
 	}
 	f.cellTemps = f.cellTemps[:0]
 	for _, v := range f.ownedTuples {
-		f.releaseVar(v)
+		release(f.b, v.cname, v.ty)
 	}
 	f.ownedTuples = f.ownedTuples[:0]
 }
 
 func (f *fnEmitter) pushScope() { f.scopes = append(f.scopes, nil) }
 
-func (f *fnEmitter) popScope(emitRelease bool) {
-	top := f.scopes[len(f.scopes)-1]
+// popScope closes the innermost scope, releasing its locals.
+func (f *fnEmitter) popScope() {
+	f.releaseScopes(len(f.scopes) - 1)
 	f.scopes = f.scopes[:len(f.scopes)-1]
-	if emitRelease {
-		for _, v := range top {
-			f.releaseVar(v)
-		}
-	}
 }
 
-func (f *fnEmitter) releaseVar(v scopedVar) {
-	switch v.ty.Kind {
+// release emits the release of one reference held in cexpr.
+func release(b *indentWriter, cexpr string, ty *types.Type) {
+	switch ty.Kind {
 	case types.Matrix, types.AnyMatrix:
-		f.b.line("cm_decref(%s);", v.cname)
+		b.line("cm_decref(%s);", cexpr)
 	case types.RcPtr:
-		f.b.line("cm_cell_decref(%s);", v.cname)
+		b.line("cm_cell_decref(%s);", cexpr)
 	case types.Tuple:
-		for i, e := range v.ty.Elems {
-			f.releaseVar(scopedVar{fmt.Sprintf("%s._%d", v.cname, i), e})
+		for i, e := range ty.Elems {
+			release(b, fmt.Sprintf("%s._%d", cexpr, i), e)
 		}
 	}
 }
 
-// releaseAllScopes emits releases for every live scope (for returns).
-func (f *fnEmitter) releaseAllScopes() {
-	for k := len(f.scopes) - 1; k >= 0; k-- {
+// releaseScopes emits the releases of the locals of every scope from
+// the from-th outward in, innermost first: a jump out of them (return,
+// break, continue) leaves them.
+func (f *fnEmitter) releaseScopes(from int) {
+	for k := len(f.scopes) - 1; k >= from; k-- {
 		for _, v := range f.scopes[k] {
-			f.releaseVar(v)
+			release(f.b, v.cname, v.ty)
 		}
 	}
 }
@@ -388,7 +409,7 @@ func (f *fnEmitter) assignVar(cn string, varTy *types.Type, val string, valTy *t
 		tmp := f.g.fresh("n")
 		f.b.line("%s %s = %s;", f.g.tupleType(varTy), tmp, val)
 		f.retain(tmp, varTy)
-		f.releaseVar(scopedVar{cn, varTy})
+		release(f.b, cn, varTy)
 		f.b.line("%s = %s;", cn, tmp)
 	default:
 		f.b.line("%s = %s;", cn, val)
@@ -403,7 +424,7 @@ func promoteScalar(val string, from, to *types.Type) string {
 	return val
 }
 
-func (g *generator) emitFunc(fn *ast.FuncDecl) error {
+func (g *generator) emitFunc(fn *ast.FuncDecl) {
 	sig := g.info.Funcs[fn.Name]
 	f := g.newFnEmitter(fn)
 	f.b.indent = 1
@@ -421,18 +442,23 @@ func (g *generator) emitFunc(fn *ast.FuncDecl) error {
 		f.trackVar(cname(p.Name), sig.Type.Params[i])
 	}
 	for _, s := range fn.Body.Stmts {
-		if err := f.stmt(s); err != nil {
-			return err
+		f.stmt(s)
+	}
+	// A body that ends in a return has released everything on its way out.
+	if n := len(fn.Body.Stmts); n == 0 || !isReturn(fn.Body.Stmts[n-1]) {
+		if f.cilk {
+			f.b.line("cm_sync_from(_cilk_mark); /* implicit sync at function exit */")
 		}
-	}
-	if f.cilk {
-		f.b.line("cm_sync_from(_cilk_mark); /* implicit sync at function exit */")
-	}
-	f.popScope(true)
-	if sig.Type.Ret.Kind == types.Int && fn.Name == "main" {
-		f.b.line("return 0;")
+		f.popScope()
+		if sig.Type.Ret.Kind == types.Int && fn.Name == "main" {
+			f.b.line("return 0;")
+		}
 	}
 	fmt.Fprintf(&g.funcs, "static %s%s(%s) {\n%s}\n\n",
 		padType(g.cType(sig.Type.Ret)), cname(fn.Name), g.paramList(fn, sig), f.b.String())
-	return nil
+}
+
+func isReturn(s ast.Stmt) bool {
+	_, ok := s.(*ast.ReturnStmt)
+	return ok
 }

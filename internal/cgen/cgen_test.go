@@ -181,6 +181,23 @@ func TestE2SplitProducesFig10(t *testing.T) {
 	}
 }
 
+// A nested fold's own clauses rewrite its loop inside the enclosing
+// nest, and its split remainder follows it there.
+func TestNestedFoldOwnClauses(t *testing.T) {
+	src := strings.Replace(fig1Src, "fold(+, 0.0, mat[i, j, k])",
+		"fold(+, 0.0, mat[i, j, k]) transform split k by 4, kin, kout", 1)
+	c := gen(t, src, Options{Par: ParNone, Optimize: true})
+	for _, want := range []string{
+		"for (long u_kout = 0; u_kout < (u_p / 4); u_kout++) {",
+		"for (long u_kin = 0; u_kin < 4; u_kin++) {",
+		"for (long u_kin = 0; u_kin < (u_p % 4); u_kin++) {",
+	} {
+		if !strings.Contains(c, want) {
+			t.Errorf("generated C missing %q", want)
+		}
+	}
+}
+
 // E3: vectorize + parallelize produce the Fig 11 shape — SSE
 // intrinsics with the scalar k loop over vector accumulators, and an
 // OpenMP parallel-for on the outer loop in omp mode.
@@ -215,6 +232,39 @@ func TestPthreadLifting(t *testing.T) {
 		if !strings.Contains(c, want) {
 			t.Errorf("generated C missing %q", want)
 		}
+	}
+}
+
+// A nest over a scalar body inside a general body is lifted too, and
+// captures the enclosing with-loop's index; the general body's own
+// nest runs where it stands.
+func TestPthreadLiftsNestInGeneralBody(t *testing.T) {
+	const src = `
+float twice(float x) { return x * 2.0; }
+int main() {
+	Matrix float <1> v = with ([0] <= [i] < [16]) genarray([16], (float)i * 0.5);
+	Matrix float <1> r = with ([0] <= [i] < [4]) genarray([4], twice((with ([0] <= [k] < [8]) genarray([8], v[k] + (float)i))[1]));
+	print(r[3]);
+	return 0;
+}
+`
+	c := gen(t, src, Options{Par: ParPthread, Optimize: true})
+	if n := strings.Count(c, "cm_pool_run(_wlwork"); n != 2 {
+		t.Errorf("%d nests lifted, want v's and the inner one", n)
+	}
+	if !strings.Contains(c, "long u_i;") {
+		t.Error("the inner nest does not capture the outer index")
+	}
+	if !haveGCC() {
+		return
+	}
+	dir := t.TempDir()
+	out, err := exec.Command(compileC(t, c, dir), "-t", "2").CombinedOutput()
+	if err != nil {
+		t.Fatalf("compiled program failed: %v\n%s", err, out)
+	}
+	if want := runInterp(t, src, nil, 1); string(out) != want {
+		t.Fatalf("stdout differs:\ncompiled: %q\ninterp:   %q", out, want)
 	}
 }
 

@@ -62,15 +62,17 @@ func containsCilk(s ast.Stmt) bool {
 	return false
 }
 
-// emitSpawn lifts one spawn site.
-func (f *fnEmitter) emitSpawn(s *ast.SpawnStmt) error {
+// emitSpawn lifts one spawn site. A target receives the callee's owned
+// result at sync, released and stored as assignVar does; an untargeted
+// spawn releases it in the thread.
+func (f *fnEmitter) emitSpawn(s *ast.SpawnStmt) {
 	call, ok := s.Call.(*ast.CallExpr)
 	if !ok {
-		return fmt.Errorf("cgen: spawn requires a function call")
+		panic(bug("spawn of %s, not a call", ast.ExprString(s.Call)))
 	}
 	sig, ok := f.g.info.Funcs[call.Fun]
 	if !ok {
-		return fmt.Errorf("cgen: spawn of unknown function %q", call.Fun)
+		panic(bug("spawn of unknown function %q", call.Fun))
 	}
 	ret := sig.Type.Ret
 	var tgtTy *types.Type
@@ -80,59 +82,70 @@ func (f *fnEmitter) emitSpawn(s *ast.SpawnStmt) error {
 		} else if t, ok := f.g.info.GlobalTypes[s.Target]; ok {
 			tgtTy = t
 		} else {
-			return fmt.Errorf("cgen: spawn target %q not found", s.Target)
-		}
-		if tgtTy.Kind == types.Tuple || tgtTy.Kind == types.RcPtr {
-			return fmt.Errorf("cgen: spawn targets of type %s are not supported by the C back end", tgtTy)
+			panic(bug("spawn target %q not found", s.Target))
 		}
 	}
 
 	f.g.liftN++
 	id := f.g.liftN
-	var lf strings.Builder
-	fmt.Fprintf(&lf, "/* spawn site %d: %s */\n", id, call.Fun)
-	fmt.Fprintf(&lf, "typedef struct {\n")
+	lf := &indentWriter{}
+	lf.line("/* spawn site %d: %s */", id, call.Fun)
+	lf.line("typedef struct {")
 	for i, pt := range sig.Type.Params {
-		fmt.Fprintf(&lf, "    %s_a%d;\n", padType(f.g.cType(pt)), i)
+		lf.line("    %s_a%d;", padType(f.g.cType(pt)), i)
 	}
 	if tgtTy != nil {
-		fmt.Fprintf(&lf, "    %s_res;\n", padType(f.g.cType(tgtTy)))
-		fmt.Fprintf(&lf, "    %s*_dst;\n", padType(f.g.cType(tgtTy)))
+		lf.line("    %s_res;", padType(f.g.cType(tgtTy)))
+		lf.line("    %s*_dst;", padType(f.g.cType(tgtTy)))
 	}
-	fmt.Fprintf(&lf, "} _spargs%d;\n", id)
+	lf.line("} _spargs%d;", id)
 
-	fmt.Fprintf(&lf, "static void *_spwrap%d(void *_p) {\n", id)
-	fmt.Fprintf(&lf, "    _spargs%d *_a = (_spargs%d *)_p;\n", id, id)
+	lf.line("static void *_spwrap%d(void *_p) {", id)
+	lf.indent++
+	lf.line("_spargs%d *_a = (_spargs%d *)_p;", id, id)
 	var argv []string
 	for i := range sig.Type.Params {
 		argv = append(argv, fmt.Sprintf("_a->_a%d", i))
 	}
 	callText := fmt.Sprintf("%s(%s)", cname(call.Fun), strings.Join(argv, ", "))
-	if tgtTy != nil {
-		callText = fmt.Sprintf("_a->_res = %s", promoteScalar(callText, ret, tgtTy))
-	} else if ret.IsMatrix() {
-		// discard an owned result
-		callText = fmt.Sprintf("cm_decref(%s)", callText)
+	switch {
+	case tgtTy != nil:
+		lf.line("_a->_res = %s;", promoteScalar(callText, ret, tgtTy))
+	case ret.Kind == types.Tuple:
+		lf.line("%s _r = %s;", f.g.tupleType(ret), callText)
+		release(lf, "_r", ret)
+	case ret.IsMatrix() || ret.Kind == types.RcPtr:
+		release(lf, callText, ret) // discard an owned result
+	default:
+		lf.line("%s;", callText)
 	}
-	fmt.Fprintf(&lf, "    %s;\n", callText)
-	fmt.Fprintf(&lf, "    return 0;\n}\n")
+	lf.line("return 0;")
+	lf.indent--
+	lf.line("}")
 
-	fmt.Fprintf(&lf, "static void _spfini%d(void *_p) {\n", id)
-	fmt.Fprintf(&lf, "    _spargs%d *_a = (_spargs%d *)_p;\n", id, id)
+	lf.line("static void _spfini%d(void *_p) {", id)
+	lf.indent++
+	lf.line("_spargs%d *_a = (_spargs%d *)_p;", id, id)
 	for i, pt := range sig.Type.Params {
 		if pt.IsMatrix() {
-			fmt.Fprintf(&lf, "    cm_decref(_a->_a%d); /* argument reference taken at spawn */\n", i)
+			lf.line("cm_decref(_a->_a%d); /* argument reference taken at spawn */", i)
 		}
 	}
-	if tgtTy != nil {
-		if tgtTy.IsMatrix() {
-			fmt.Fprintf(&lf, "    cm_decref(*_a->_dst);\n")
-			fmt.Fprintf(&lf, "    *_a->_dst = _a->_res; /* ownership transferred from the callee */\n")
-		} else {
-			fmt.Fprintf(&lf, "    *_a->_dst = _a->_res;\n")
+	switch {
+	case tgtTy == nil:
+	case tgtTy.IsScalar():
+		lf.line("*_a->_dst = _a->_res;")
+	default:
+		dst := "*_a->_dst"
+		if tgtTy.Kind == types.Tuple {
+			dst = "(*_a->_dst)"
 		}
+		release(lf, dst, tgtTy)
+		lf.line("*_a->_dst = _a->_res; /* ownership transferred from the callee */")
 	}
-	fmt.Fprintf(&lf, "}\n\n")
+	lf.indent--
+	lf.line("}")
+	lf.line("")
 	f.g.lifted.WriteString(lf.String())
 
 	// Call site: evaluate arguments now (Cilk semantics), take matrix
@@ -141,11 +154,7 @@ func (f *fnEmitter) emitSpawn(s *ast.SpawnStmt) error {
 	args := f.g.fresh("sa")
 	f.b.line("_spargs%d *%s = (_spargs%d *)malloc(sizeof(_spargs%d));", id, args, id, id)
 	for i, a := range call.Args {
-		v, err := f.expr(a)
-		if err != nil {
-			return err
-		}
-		f.b.line("%s->_a%d = %s;", args, i, promoteScalar(v, f.g.info.TypeOf(a), sig.Type.Params[i]))
+		f.b.line("%s->_a%d = %s;", args, i, promoteScalar(f.expr(a), f.g.info.TypeOf(a), sig.Type.Params[i]))
 		if sig.Type.Params[i].IsMatrix() {
 			f.b.line("cm_incref(%s->_a%d);", args, i)
 		}
@@ -158,5 +167,4 @@ func (f *fnEmitter) emitSpawn(s *ast.SpawnStmt) error {
 	f.b.line("pthread_create(&%s, 0, _spwrap%d, %s);", tid, id, args)
 	f.b.line("cm_spawn_push(%s, %s, _spfini%d);", tid, args, id)
 	f.releaseTemps()
-	return nil
 }

@@ -8,7 +8,7 @@ package cgen
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/loopir"
@@ -16,16 +16,14 @@ import (
 
 // emitNest writes the hoisted prelude, the (possibly lifted) nest and
 // then rest, the remainder nests of its splits, into the function body.
+// In pthread mode a parallel outermost loop over a body sem found
+// scalar is lifted onto the pool; any other nest runs where it stands.
 func (f *fnEmitter) emitNest(w *wlState, nest, rest []loopir.Stmt) {
 	f.b.raw(w.hoisted.String())
-	// pthread lifting of a parallel outermost loop.
-	if f.g.opts.Par == ParPthread {
-		if outer, ok := nest[0].(*loopir.Loop); ok && outer.Parallel && len(nest) == 1 {
-			// Lifting can fail for un-analyzable (raw) bodies; then the
-			// same nest is emitted sequentially.
-			if f.liftParallel(w, outer) == nil {
-				nest = nil
-			}
+	if f.g.opts.Par == ParPthread && f.g.info.ScalarBodies[w.wl] && len(nest) == 1 {
+		if outer, ok := nest[0].(*loopir.Loop); ok && outer.Parallel {
+			f.liftParallel(w, outer)
+			nest = nil
 		}
 	}
 	body := &indentWriter{indent: f.b.indent}
@@ -37,30 +35,24 @@ func (f *fnEmitter) emitNest(w *wlState, nest, rest []loopir.Stmt) {
 // captured free variables travel in an args struct, each worker runs a
 // block-distributed chunk of the outer iteration space, and the call
 // site releases the workers and waits in the stop barrier.
-func (f *fnEmitter) liftParallel(w *wlState, outer *loopir.Loop) error {
-	free, err := freeVars([]loopir.Stmt{outer})
-	if err != nil {
-		return err
-	}
+func (f *fnEmitter) liftParallel(w *wlState, outer *loopir.Loop) {
 	// Resolve capture types; globals are file-scope and need no capture.
 	type capture struct{ name, ctype string }
 	var caps []capture
-	for _, name := range free {
+	for _, name := range freeVars([]loopir.Stmt{outer}) {
 		if ct, ok := w.varTypes[name]; ok {
 			caps = append(caps, capture{name, ct})
 			continue
 		}
-		if strings.HasPrefix(name, "u_") {
-			user := strings.TrimPrefix(name, "u_")
-			if _, isGlobal := f.g.info.GlobalTypes[user]; isGlobal {
-				continue
-			}
-			if ty, ok := f.vars[user]; ok {
-				caps = append(caps, capture{name, strings.TrimRight(f.g.cType(ty), " ") + " "})
-				continue
-			}
+		user, isUser := strings.CutPrefix(name, "u_")
+		if _, isGlobal := f.g.info.GlobalTypes[user]; isUser && isGlobal {
+			continue
 		}
-		return fmt.Errorf("cgen: cannot determine capture type of %q", name)
+		ty, ok := f.vars[user]
+		if !isUser || !ok {
+			panic(bug("cannot determine capture type of %q", name))
+		}
+		caps = append(caps, capture{name, strings.TrimRight(f.g.cType(ty), " ") + " "})
 	}
 
 	f.g.liftN++
@@ -100,14 +92,13 @@ func (f *fnEmitter) liftParallel(w *wlState, outer *loopir.Loop) error {
 		fmt.Sprintf("._phi = %s", exprC(outer.Hi)))
 	f.b.line("_wlargs%d %s = {%s};", id, args, strings.Join(inits, ", "))
 	f.b.line("cm_pool_run(_wlwork%d, &%s); /* release workers; wait in the stop barrier */", id, args)
-	return nil
 }
 
 func exprC(e loopir.Expr) string { return e.String() }
 
 // freeVars collects variable and array names referenced but not bound
-// inside the statement list. Raw statements defeat the analysis.
-func freeVars(body []loopir.Stmt) ([]string, error) {
+// inside the statement list, a nest over a scalar body.
+func freeVars(body []loopir.Stmt) []string {
 	used := map[string]bool{}
 	bound := map[string]bool{}
 	var walkExpr func(e loopir.Expr)
@@ -137,8 +128,8 @@ func freeVars(body []loopir.Stmt) ([]string, error) {
 			walkExpr(e.F)
 		}
 	}
-	var walk func(ss []loopir.Stmt) error
-	walk = func(ss []loopir.Stmt) error {
+	var walk func(ss []loopir.Stmt)
+	walk = func(ss []loopir.Stmt) {
 		for _, s := range ss {
 			switch s := s.(type) {
 			case *loopir.Loop:
@@ -146,9 +137,7 @@ func freeVars(body []loopir.Stmt) ([]string, error) {
 				walkExpr(s.Hi)
 				was := bound[s.Index]
 				bound[s.Index] = true
-				if err := walk(s.Body); err != nil {
-					return err
-				}
+				walk(s.Body)
 				bound[s.Index] = was
 			case *loopir.DeclStmt:
 				if s.Init != nil {
@@ -158,27 +147,23 @@ func freeVars(body []loopir.Stmt) ([]string, error) {
 			case *loopir.AssignStmt:
 				walkExpr(s.LHS)
 				walkExpr(s.RHS)
-			case *loopir.Raw:
-				return fmt.Errorf("cgen: raw body defeats free-variable analysis")
+			default:
+				panic(bug("%T in a nest over a scalar body", s))
 			}
 		}
-		return nil
 	}
-	if err := walk(body); err != nil {
-		return nil, err
-	}
+	walk(body)
 	var out []string
 	for n := range used {
 		out = append(out, n)
 	}
-	sort.Strings(out)
-	return out, nil
+	slices.Sort(out)
+	return out
 }
 
 // emitC renders loop IR as C. Vectorized loops expand to SSE
 // intrinsics; parallel loops get an OpenMP pragma in omp mode (in
-// pthread mode the outermost parallel loop was lifted before reaching
-// here, so a stray Parallel flag emits a comment only).
+// pthread mode emitNest lifted the one it runs on the pool).
 func emitC(g *generator, b *indentWriter, body []loopir.Stmt) {
 	for _, s := range body {
 		switch s := s.(type) {
@@ -187,12 +172,8 @@ func emitC(g *generator, b *indentWriter, body []loopir.Stmt) {
 				emitVectorLoop(b, s)
 				continue
 			}
-			if s.Parallel {
-				if g.opts.Par == ParOMP {
-					b.line("#pragma omp parallel for")
-				} else if g.opts.Par == ParPthread {
-					b.line("/* parallel loop (executed by the enclosing pool worker) */")
-				}
+			if s.Parallel && g.opts.Par == ParOMP {
+				b.line("#pragma omp parallel for")
 			}
 			b.line("for (long %s = %s; %s < %s; %s++) {", s.Index, s.Lo, s.Index, s.Hi, s.Index)
 			b.indent++

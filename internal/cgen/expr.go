@@ -36,54 +36,48 @@ func cFloat(v float64) string {
 	return s + "f"
 }
 
-func (f *fnEmitter) expr(e ast.Expr) (string, error) {
+func (f *fnEmitter) expr(e ast.Expr) string {
 	switch e := e.(type) {
 	case *ast.IntLit:
-		return fmt.Sprintf("%dL", e.Value), nil
+		return fmt.Sprintf("%dL", e.Value)
 	case *ast.FloatLit:
-		return cFloat(e.Value), nil
+		return cFloat(e.Value)
 	case *ast.BoolLit:
 		if e.Value {
-			return "1", nil
+			return "1"
 		}
-		return "0", nil
+		return "0"
 	case *ast.StrLit:
-		return fmt.Sprintf("%q", e.Value), nil
+		return fmt.Sprintf("%q", e.Value)
 	case *ast.Ident:
-		return cname(e.Name), nil
+		return cname(e.Name)
 
 	case *ast.BinaryExpr:
 		return f.binary(e)
 
 	case *ast.UnaryExpr:
-		x, err := f.expr(e.X)
-		if err != nil {
-			return "", err
-		}
+		x := f.expr(e.X)
 		if f.g.info.TypeOf(e.X).IsMatrix() {
 			neg := "0"
 			if e.Op == ast.OpNeg {
 				neg = "1"
 			}
-			return f.temp("cm_mat *", fmt.Sprintf("cm_unary(%s, %s)", neg, x)), nil
+			return f.temp("cm_mat *", fmt.Sprintf("cm_unary(%s, %s)", neg, x))
 		}
 		if e.Op == ast.OpNeg {
-			return "(-(" + x + "))", nil
+			return "(-(" + x + "))"
 		}
-		return "(!(" + x + "))", nil
+		return "(!(" + x + "))"
 
 	case *ast.CastExpr:
-		x, err := f.expr(e.X)
-		if err != nil {
-			return "", err
-		}
+		x := f.expr(e.X)
 		switch e.To {
 		case ast.PrimInt:
-			return "((long)(" + x + "))", nil
+			return "((long)(" + x + "))"
 		case ast.PrimFloat:
-			return "((float)(" + x + "))", nil
+			return "((float)(" + x + "))"
 		default:
-			return "((" + x + ") != 0)", nil
+			return "((" + x + ") != 0)"
 		}
 
 	case *ast.CallExpr:
@@ -94,32 +88,22 @@ func (f *fnEmitter) expr(e ast.Expr) (string, error) {
 
 	case *ast.EndExpr:
 		if len(f.endCtx) == 0 {
-			return "", fmt.Errorf("cgen: 'end' outside index context")
+			panic(bug("'end' outside index context"))
 		}
-		return f.endCtx[len(f.endCtx)-1], nil
+		return f.endCtx[len(f.endCtx)-1]
 
 	case *ast.RangeExpr:
-		lo, err := f.expr(e.Lo)
-		if err != nil {
-			return "", err
-		}
-		hi, err := f.expr(e.Hi)
-		if err != nil {
-			return "", err
-		}
-		return f.temp("cm_mat *", fmt.Sprintf("cm_rangevec(%s, %s)", lo, hi)), nil
+		lo := f.expr(e.Lo)
+		hi := f.expr(e.Hi)
+		return f.temp("cm_mat *", fmt.Sprintf("cm_rangevec(%s, %s)", lo, hi))
 
 	case *ast.TupleExpr:
 		ty := f.g.info.TypeOf(e)
 		parts := make([]string, len(e.Elems))
 		for i, el := range e.Elems {
-			v, err := f.expr(el)
-			if err != nil {
-				return "", err
-			}
-			parts[i] = promoteScalar(v, f.g.info.TypeOf(el), ty.Elems[i])
+			parts[i] = promoteScalar(f.expr(el), f.g.info.TypeOf(el), ty.Elems[i])
 		}
-		return fmt.Sprintf("(%s){%s}", f.g.tupleType(ty), strings.Join(parts, ", ")), nil
+		return fmt.Sprintf("(%s){%s}", f.g.tupleType(ty), strings.Join(parts, ", "))
 
 	case *ast.WithLoop:
 		return f.emitWithLoop(e)
@@ -131,43 +115,33 @@ func (f *fnEmitter) expr(e ast.Expr) (string, error) {
 		ty := f.g.info.TypeOf(e)
 		dims := make([]string, len(e.Dims))
 		for i, d := range e.Dims {
-			v, err := f.expr(d)
-			if err != nil {
-				return "", err
-			}
-			dims[i] = v
+			dims[i] = f.expr(d)
 		}
 		return f.temp("cm_mat *", fmt.Sprintf("cm_alloc(%s, %d, (long[]){%s})",
-			elemEnum(ty), ty.Rank, strings.Join(dims, ", "))), nil
+			elemEnum(ty), ty.Rank, strings.Join(dims, ", ")))
 	}
-	return "", fmt.Errorf("cgen: unknown expression %T", e)
+	panic(bug("unknown expression %T", e))
 }
 
-func (f *fnEmitter) binary(e *ast.BinaryExpr) (string, error) {
+func (f *fnEmitter) binary(e *ast.BinaryExpr) string {
 	lt := f.g.info.TypeOf(e.L)
 	rt := f.g.info.TypeOf(e.R)
-	l, err := f.expr(e.L)
-	if err != nil {
-		return "", err
-	}
-	r, err := f.expr(e.R)
-	if err != nil {
-		return "", err
-	}
+	l := f.expr(e.L)
+	r := f.expr(e.R)
 	switch {
 	case lt.IsMatrix() && rt.IsMatrix():
 		if e.Op == ast.OpMul {
-			return f.temp("cm_mat *", fmt.Sprintf("cm_matmul(%s, %s)", l, r)), nil
+			return f.temp("cm_mat *", fmt.Sprintf("cm_matmul(%s, %s)", l, r))
 		}
-		return f.temp("cm_mat *", fmt.Sprintf("cm_ew(%s, %s, %s)", cOpEnum[e.Op], l, r)), nil
+		return f.temp("cm_mat *", fmt.Sprintf("cm_ew(%s, %s, %s)", cOpEnum[e.Op], l, r))
 	case lt.IsMatrix():
 		return f.temp("cm_mat *", fmt.Sprintf("cm_bc(%s, %s, (double)(%s), %s, 1)",
-			cOpEnum[e.Op], l, r, scalarElemEnum(rt))), nil
+			cOpEnum[e.Op], l, r, scalarElemEnum(rt)))
 	case rt.IsMatrix():
 		return f.temp("cm_mat *", fmt.Sprintf("cm_bc(%s, %s, (double)(%s), %s, 0)",
-			cOpEnum[e.Op], r, l, scalarElemEnum(lt))), nil
+			cOpEnum[e.Op], r, l, scalarElemEnum(lt)))
 	default:
-		return fmt.Sprintf("(%s %s %s)", l, cOpScalar[e.Op], r), nil
+		return fmt.Sprintf("(%s %s %s)", l, cOpScalar[e.Op], r)
 	}
 }
 
@@ -182,41 +156,20 @@ func scalarElemEnum(t *types.Type) string {
 	}
 }
 
-func (f *fnEmitter) call(e *ast.CallExpr) (string, error) {
+func (f *fnEmitter) call(e *ast.CallExpr) string {
 	// Builtins first.
 	switch e.Fun {
 	case "dimSize":
-		m, err := f.expr(e.Args[0])
-		if err != nil {
-			return "", err
-		}
-		d, err := f.expr(e.Args[1])
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("cm_dim(%s, %s)", m, d), nil
+		m := f.expr(e.Args[0])
+		return fmt.Sprintf("cm_dim(%s, %s)", m, f.expr(e.Args[1]))
 	case "readMatrix":
-		name, err := f.expr(e.Args[0])
-		if err != nil {
-			return "", err
-		}
-		return f.temp("cm_mat *", fmt.Sprintf("cm_read(%s)", name)), nil
+		return f.temp("cm_mat *", fmt.Sprintf("cm_read(%s)", f.expr(e.Args[0])))
 	case "writeMatrix":
-		name, err := f.expr(e.Args[0])
-		if err != nil {
-			return "", err
-		}
-		m, err := f.expr(e.Args[1])
-		if err != nil {
-			return "", err
-		}
-		f.b.line("cm_write(%s, %s);", name, m)
-		return "", nil
+		name := f.expr(e.Args[0])
+		f.b.line("cm_write(%s, %s);", name, f.expr(e.Args[1]))
+		return ""
 	case "print":
-		v, err := f.expr(e.Args[0])
-		if err != nil {
-			return "", err
-		}
+		v := f.expr(e.Args[0])
 		switch f.g.info.TypeOf(e.Args[0]).Kind {
 		case types.Float:
 			f.b.line("printf(\"%%g\\n\", (double)(%s));", v)
@@ -227,54 +180,33 @@ func (f *fnEmitter) call(e *ast.CallExpr) (string, error) {
 		default:
 			f.b.line("printf(\"%%ld\\n\", (long)(%s));", v)
 		}
-		return "", nil
+		return ""
 	case "rcnew":
-		v, err := f.expr(e.Args[0])
-		if err != nil {
-			return "", err
-		}
+		v := f.expr(e.Args[0])
 		name := f.g.fresh("cell")
 		f.b.line("cm_cell *%s = cm_cell_new((double)(%s));", name, v)
 		f.cellTemps = append(f.cellTemps, name)
-		return name, nil
+		return name
 	case "rcget":
-		p, err := f.expr(e.Args[0])
-		if err != nil {
-			return "", err
-		}
+		p := f.expr(e.Args[0])
 		ty := f.g.info.TypeOf(e)
-		return fmt.Sprintf("((%s)cm_cell_get(%s))", strings.TrimSpace(f.g.cType(ty)), p), nil
+		return fmt.Sprintf("((%s)cm_cell_get(%s))", strings.TrimSpace(f.g.cType(ty)), p)
 	case "rcset":
-		p, err := f.expr(e.Args[0])
-		if err != nil {
-			return "", err
-		}
-		v, err := f.expr(e.Args[1])
-		if err != nil {
-			return "", err
-		}
-		f.b.line("cm_cell_set(%s, (double)(%s));", p, v)
-		return "", nil
+		p := f.expr(e.Args[0])
+		f.b.line("cm_cell_set(%s, (double)(%s));", p, f.expr(e.Args[1]))
+		return ""
 	case "rcrelease":
-		p, err := f.expr(e.Args[0])
-		if err != nil {
-			return "", err
-		}
-		f.b.line("cm_cell_release(%s);", p)
-		return "", nil
+		f.b.line("cm_cell_release(%s);", f.expr(e.Args[0]))
+		return ""
 	}
 
 	sig, ok := f.g.info.Funcs[e.Fun]
 	if !ok {
-		return "", fmt.Errorf("cgen: unknown function %q", e.Fun)
+		panic(bug("unknown function %q", e.Fun))
 	}
 	args := make([]string, len(e.Args))
 	for i, a := range e.Args {
-		v, err := f.expr(a)
-		if err != nil {
-			return "", err
-		}
-		args[i] = promoteScalar(v, f.g.info.TypeOf(a), sig.Type.Params[i])
+		args[i] = promoteScalar(f.expr(a), f.g.info.TypeOf(a), sig.Type.Params[i])
 	}
 	callExpr := fmt.Sprintf("%s(%s)", cname(e.Fun), strings.Join(args, ", "))
 	ret := sig.Type.Ret
@@ -282,49 +214,43 @@ func (f *fnEmitter) call(e *ast.CallExpr) (string, error) {
 	case types.Matrix, types.AnyMatrix:
 		// Function results carry one owned reference (see stmt.go's
 		// return protocol); register it as a statement temp.
-		return f.temp("cm_mat *", callExpr), nil
+		return f.temp("cm_mat *", callExpr)
 	case types.Tuple:
 		name := f.g.fresh("tt")
 		f.b.line("%s %s = %s;", f.g.tupleType(ret), name, callExpr)
 		f.ownedTuples = append(f.ownedTuples, scopedVar{name, ret})
-		return name, nil
+		return name
 	case types.Void:
 		f.b.line("%s;", callExpr)
-		return "", nil
+		return ""
 	default:
-		return callExpr, nil
+		return callExpr
 	}
 }
 
 // indexLoad compiles m[args...]: all-scalar selections load one
 // element; others produce an owned sub-matrix.
-func (f *fnEmitter) indexLoad(e *ast.IndexExpr) (string, error) {
-	base, err := f.expr(e.X)
-	if err != nil {
-		return "", err
-	}
+func (f *fnEmitter) indexLoad(e *ast.IndexExpr) string {
+	base := f.expr(e.X)
 	// 'end' needs a stable base to take cm_dim of.
 	if !isSimpleCName(base) {
 		b := f.g.fresh("b")
 		f.b.line("cm_mat *%s = %s;", b, base)
 		base = b
 	}
-	specs, err := f.indexSpecArray(e, base)
-	if err != nil {
-		return "", err
-	}
+	specs := f.indexSpecArray(e, base)
 	resTy := f.g.info.TypeOf(e)
 	if resTy.IsMatrix() {
-		return f.temp("cm_mat *", fmt.Sprintf("cm_index(%s, %d, %s)", base, len(e.Args), specs)), nil
+		return f.temp("cm_mat *", fmt.Sprintf("cm_index(%s, %d, %s)", base, len(e.Args), specs))
 	}
 	load := fmt.Sprintf("cm_index_scalar(%s, %d, %s)", base, len(e.Args), specs)
 	switch resTy.Kind {
 	case types.Float:
-		return "((float)" + load + ")", nil
+		return "((float)" + load + ")"
 	case types.Bool:
-		return "(" + load + " != 0)", nil
+		return "(" + load + " != 0)"
 	default:
-		return "((long)" + load + ")", nil
+		return "((long)" + load + ")"
 	}
 }
 
@@ -340,45 +266,31 @@ func isSimpleCName(s string) bool {
 
 // indexSpecArray materializes a cm_spec array variable for e's index
 // arguments, binding 'end' to the base's dimension sizes.
-func (f *fnEmitter) indexSpecArray(e *ast.IndexExpr, base string) (string, error) {
+func (f *fnEmitter) indexSpecArray(e *ast.IndexExpr, base string) string {
 	parts := make([]string, len(e.Args))
 	for d, a := range e.Args {
 		f.endCtx = append(f.endCtx, fmt.Sprintf("(cm_dim(%s, %d) - 1)", base, d))
-		spec, err := f.oneSpec(a)
+		parts[d] = f.oneSpec(a)
 		f.endCtx = f.endCtx[:len(f.endCtx)-1]
-		if err != nil {
-			return "", err
-		}
-		parts[d] = spec
 	}
 	name := f.g.fresh("sp")
 	f.b.line("cm_spec %s[] = {%s};", name, strings.Join(parts, ", "))
-	return name, nil
+	return name
 }
 
-func (f *fnEmitter) oneSpec(a ast.IndexArg) (string, error) {
+func (f *fnEmitter) oneSpec(a ast.IndexArg) string {
 	switch a := a.(type) {
 	case *ast.IdxScalar:
-		v, err := f.expr(a.X)
-		if err != nil {
-			return "", err
-		}
+		v := f.expr(a.X)
 		if f.g.info.TypeOf(a.X).IsMatrix() {
-			return fmt.Sprintf("cm_maskspec(%s)", v), nil
+			return fmt.Sprintf("cm_maskspec(%s)", v)
 		}
-		return fmt.Sprintf("cm_scalar(%s)", v), nil
+		return fmt.Sprintf("cm_scalar(%s)", v)
 	case *ast.IdxRange:
-		lo, err := f.expr(a.Lo)
-		if err != nil {
-			return "", err
-		}
-		hi, err := f.expr(a.Hi)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("cm_span(%s, %s)", lo, hi), nil
+		lo := f.expr(a.Lo)
+		return fmt.Sprintf("cm_span(%s, %s)", lo, f.expr(a.Hi))
 	case *ast.IdxAll:
-		return "cm_allspec()", nil
+		return "cm_allspec()"
 	}
-	return "", fmt.Errorf("cgen: unknown index arg %T", a)
+	panic(bug("unknown index argument %T", a))
 }

@@ -5,6 +5,7 @@ package cgen
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/ast"
 	"repro/internal/loopir"
@@ -53,7 +54,7 @@ func (w *wlState) lowerBody(e ast.Expr) (pre []loopir.Stmt, val loopir.Expr) {
 	case *ast.WithLoop:
 		return w.lowerNestedFold(e, e.Op.(*ast.FoldOp))
 	}
-	panic(fmt.Sprintf("cgen: %T in a with-loop body sem found scalar", e))
+	panic(bug("%T in a with-loop body sem found scalar", e))
 }
 
 // lowerIndex compiles m[i, j, k] with all-scalar indices into either a
@@ -129,7 +130,8 @@ func (w *wlState) strideVar(cn string, d int) string {
 }
 
 // lowerNestedFold lowers an inner scalar fold with-loop (the Fig 1 →
-// Fig 3 pattern) to an accumulator declaration plus a loop.
+// Fig 3 pattern) to its accumulator's declaration, its nest and the
+// remainder nests of its splits.
 func (w *wlState) lowerNestedFold(wl *ast.WithLoop, fo *ast.FoldOp) (pre []loopir.Stmt, val loopir.Expr) {
 	rank := len(wl.Ids)
 	los := make([]loopir.Expr, rank)
@@ -144,36 +146,27 @@ func (w *wlState) lowerNestedFold(wl *ast.WithLoop, fo *ast.FoldOp) (pre []loopi
 	pInit, initV := w.lowerBody(fo.Init)
 	pre = append(pre, pInit...)
 	bodyPre, bodyV := w.lowerBody(fo.Body)
-	resTy := w.f.g.info.TypeOf(wl)
-	accType := "float"
-	if resTy.Kind == types.Int {
-		accType = "long"
-	}
+	ctype := w.f.accCType(wl)
 	w.seq++
 	acc := fmt.Sprintf("_acc%d_%d", w.f.g.tmpN, w.seq)
-	pre = append(pre, &loopir.DeclStmt{CType: accType, Name: acc,
-		Init: &loopir.Un{Op: "(" + accType + ")", X: initV}})
-	inner := append(bodyPre,
-		&loopir.AssignStmt{LHS: loopir.V(acc), RHS: foldCombine(fo.Kind, loopir.V(acc), bodyV)})
-	body := inner
-	for d := rank - 1; d >= 0; d-- {
-		body = []loopir.Stmt{&loopir.Loop{Index: cname(wl.Ids[d]), Lo: los[d], Hi: his[d], Body: body}}
-	}
-	pre = append(pre, body...)
-	return pre, loopir.V(acc)
+	pre = append(pre, &loopir.DeclStmt{CType: ctype, Name: acc,
+		Init: &loopir.Un{Op: "(" + ctype + ")", X: initV}})
+	nest, rest := w.f.foldNest(wl, acc, los, his, bodyPre, bodyV)
+	return append(append(pre, nest...), rest...), loopir.V(acc)
 }
 
 // generalBody translates an arbitrary body expression with the general
-// expression emitter, for nests whose bodies are not scalar-lowerable.
-// It returns raw C statements plus the C expression of the body value.
-func (f *fnEmitter) generalBody(e ast.Expr) (string, string, error) {
+// expression emitter, for nests whose bodies are not scalar-lowerable;
+// ids are the with-loop's indices, long in C. It returns raw C
+// statements plus the C expression of the body value.
+func (f *fnEmitter) generalBody(ids []string, e ast.Expr) (string, string) {
 	sub := f.g.newFnEmitter(f.fn)
-	sub.vars = f.vars
-	sub.endCtx = f.endCtx
-	val, err := sub.expr(e)
-	if err != nil {
-		return "", "", err
+	sub.vars = maps.Clone(f.vars)
+	for _, id := range ids {
+		sub.vars[id] = types.IntT
 	}
+	sub.endCtx = f.endCtx
+	val := sub.expr(e)
 	// Materialize before releasing body temporaries.
 	ty := f.g.info.TypeOf(e)
 	ctype := "double"
@@ -183,5 +176,5 @@ func (f *fnEmitter) generalBody(e ast.Expr) (string, string, error) {
 	res := f.g.fresh("bv")
 	sub.b.line("%s %s = (%s)(%s);", ctype, res, ctype, val)
 	sub.releaseTemps()
-	return sub.b.String(), res, nil
+	return sub.b.String(), res
 }

@@ -10,16 +10,13 @@ import (
 	"repro/internal/ast"
 )
 
-func (f *fnEmitter) emitMatrixMap(e *ast.MatrixMap) (string, error) {
-	arg, err := f.expr(e.Arg)
-	if err != nil {
-		return "", err
-	}
+func (f *fnEmitter) emitMatrixMap(e *ast.MatrixMap) string {
+	arg := f.expr(e.Arg)
 	dims := make([]string, len(e.Dims))
 	for i, d := range e.Dims {
 		lit, ok := d.(*ast.IntLit)
 		if !ok {
-			return "", fmt.Errorf("cgen: matrixMap dimensions must be integer literals")
+			panic(bug("matrixMap dimensions must be integer literals"))
 		}
 		dims[i] = fmt.Sprintf("%d", lit.Value)
 	}
@@ -29,7 +26,7 @@ func (f *fnEmitter) emitMatrixMap(e *ast.MatrixMap) (string, error) {
 		fn = "cm_matrixmapg"
 	}
 	return f.temp("cm_mat *", fmt.Sprintf("%s(%s, %d, (int[]){%s}, %s, %s)",
-		fn, arg, len(e.Dims), strings.Join(dims, ", "), elemEnum(resTy), cname(e.Fun))), nil
+		fn, arg, len(e.Dims), strings.Join(dims, ", "), elemEnum(resTy), cname(e.Fun)))
 }
 
 // cRuntimeExtras holds the runtime pieces beyond the core prelude:

@@ -11,23 +11,19 @@ import (
 	"repro/internal/types"
 )
 
-func (f *fnEmitter) stmt(s ast.Stmt) error {
+func (f *fnEmitter) stmt(s ast.Stmt) {
 	switch s := s.(type) {
 	case nil:
-		return nil
 	case *ast.BlockStmt:
 		f.b.line("{")
 		f.b.indent++
 		f.pushScope()
 		for _, st := range s.Stmts {
-			if err := f.stmt(st); err != nil {
-				return err
-			}
+			f.stmt(st)
 		}
-		f.popScope(true)
+		f.popScope()
 		f.b.indent--
 		f.b.line("}")
-		return nil
 
 	case *ast.DeclStmt:
 		ty := types.MustFrom(s.Type)
@@ -45,47 +41,25 @@ func (f *fnEmitter) stmt(s ast.Stmt) error {
 				f.b.line("%s%s = 0;", padType(f.g.cType(ty)), cn)
 			}
 			f.trackVar(cn, ty)
-			return nil
+			return
 		}
-		val, err := f.expr(s.Init)
-		if err != nil {
-			return err
-		}
-		val = promoteScalar(val, f.g.info.TypeOf(s.Init), ty)
+		val := promoteScalar(f.expr(s.Init), f.g.info.TypeOf(s.Init), ty)
 		f.b.line("%s%s = %s;", padType(f.g.cType(ty)), cn, val)
 		f.retain(cn, ty)
 		f.trackVar(cn, ty)
 		f.releaseTemps()
-		return nil
 
 	case *ast.AssignStmt:
-		return f.assignStmt(s)
+		f.assignStmt(s)
 
 	case *ast.IfStmt:
-		cond, err := f.materializeCond(s.Cond)
-		if err != nil {
-			return err
-		}
-		f.b.line("if (%s) {", cond)
-		f.b.indent++
-		f.pushScope()
-		if err := f.stmt(s.Then); err != nil {
-			return err
-		}
-		f.popScope(true)
-		f.b.indent--
+		f.b.line("if (%s) {", f.materializeCond(s.Cond))
+		f.scoped(s.Then)
 		if s.Else != nil {
 			f.b.line("} else {")
-			f.b.indent++
-			f.pushScope()
-			if err := f.stmt(s.Else); err != nil {
-				return err
-			}
-			f.popScope(true)
-			f.b.indent--
+			f.scoped(s.Else)
 		}
 		f.b.line("}")
-		return nil
 
 	case *ast.WhileStmt:
 		// Conditions may allocate temporaries (matrix compares reduce
@@ -93,79 +67,44 @@ func (f *fnEmitter) stmt(s ast.Stmt) error {
 		// evaluate the condition inside the loop with a break-out.
 		f.b.line("for (;;) {")
 		f.b.indent++
-		cond, err := f.materializeCond(s.Cond)
-		if err != nil {
-			return err
-		}
-		f.b.line("if (!%s) break;", cond)
-		f.contLabels = append(f.contLabels, "")
-		f.pushScope()
-		if err := f.stmt(s.Body); err != nil {
-			return err
-		}
-		f.popScope(true)
-		f.contLabels = f.contLabels[:len(f.contLabels)-1]
+		f.b.line("if (!%s) break;", f.materializeCond(s.Cond))
+		f.loopBody(s.Body, "")
 		f.b.indent--
 		f.b.line("}")
-		return nil
 
 	case *ast.ForStmt:
 		f.b.line("{")
 		f.b.indent++
 		f.pushScope()
-		if s.Init != nil {
-			if err := f.stmt(s.Init); err != nil {
-				return err
-			}
-		}
+		f.stmt(s.Init)
 		f.b.line("for (;;) {")
 		f.b.indent++
 		if s.Cond != nil {
-			cond, err := f.materializeCond(s.Cond)
-			if err != nil {
-				return err
-			}
-			f.b.line("if (!%s) break;", cond)
+			f.b.line("if (!%s) break;", f.materializeCond(s.Cond))
 		}
 		// 'continue' must still run the post statement; route it
 		// through a label placed before the post.
 		label := f.g.fresh("cont")
-		f.contLabels = append(f.contLabels, label)
-		f.pushScope()
-		if err := f.stmt(s.Body); err != nil {
-			return err
-		}
-		f.popScope(true)
-		f.contLabels = f.contLabels[:len(f.contLabels)-1]
+		f.loopBody(s.Body, label)
 		f.b.line("%s:;", label)
-		if s.Post != nil {
-			if err := f.stmt(s.Post); err != nil {
-				return err
-			}
-		}
+		f.stmt(s.Post)
 		f.b.indent--
 		f.b.line("}")
-		f.popScope(true)
+		f.popScope()
 		f.b.indent--
 		f.b.line("}")
-		return nil
 
 	case *ast.ReturnStmt:
 		if s.Value == nil {
 			if f.cilk {
 				f.b.line("cm_sync_from(_cilk_mark); /* implicit sync at function exit */")
 			}
-			f.releaseAllScopes()
+			f.releaseScopes(0)
 			f.b.line("return;")
-			return nil
+			return
 		}
-		val, err := f.expr(s.Value)
-		if err != nil {
-			return err
-		}
-		sig := f.g.info.Funcs[f.fn.Name]
-		retTy := sig.Type.Ret
-		val = promoteScalar(val, f.g.info.TypeOf(s.Value), retTy)
+		retTy := f.g.info.Funcs[f.fn.Name].Type.Ret
+		val := promoteScalar(f.expr(s.Value), f.g.info.TypeOf(s.Value), retTy)
 		ret := f.g.fresh("ret")
 		f.b.line("%s%s = %s;", padType(f.g.cType(retTy)), ret, val)
 		// Secure the result before temp and scope releases: returned
@@ -175,85 +114,86 @@ func (f *fnEmitter) stmt(s ast.Stmt) error {
 		if f.cilk {
 			f.b.line("cm_sync_from(_cilk_mark); /* implicit sync at function exit */")
 		}
-		f.releaseAllScopes()
+		f.releaseScopes(0)
 		f.b.line("return %s;", ret)
-		return nil
 
 	case *ast.ExprStmt:
-		val, err := f.expr(s.X)
-		if err != nil {
-			return err
-		}
-		if val != "" {
+		if val := f.expr(s.X); val != "" {
 			f.b.line("(void)(%s);", val)
 		}
 		f.releaseTemps()
-		return nil
 
 	case *ast.BreakStmt:
-		// NOTE: block locals between here and the loop are not
-		// released on this edge (a known simplification, documented in
-		// DESIGN.md); results are unaffected.
+		f.releaseScopes(f.loops[len(f.loops)-1].depth)
 		f.b.line("break;")
-		return nil
 	case *ast.ContinueStmt:
-		if n := len(f.contLabels); n > 0 && f.contLabels[n-1] != "" {
-			f.b.line("goto %s;", f.contLabels[n-1])
+		l := f.loops[len(f.loops)-1]
+		f.releaseScopes(l.depth)
+		if l.cont != "" {
+			f.b.line("goto %s;", l.cont)
 		} else {
 			f.b.line("continue;")
 		}
-		return nil
 
 	case *ast.SpawnStmt:
 		f.g.usesCilk = true
-		return f.emitSpawn(s)
+		f.emitSpawn(s)
 	case *ast.SyncStmt:
 		f.b.line("cm_sync_from(_cilk_mark);")
-		return nil
+	default:
+		panic(bug("unknown statement %T", s))
 	}
-	return fmt.Errorf("cgen: unknown statement %T", s)
+}
+
+// scoped emits s one level in, in a scope of its own.
+func (f *fnEmitter) scoped(s ast.Stmt) {
+	f.b.indent++
+	f.pushScope()
+	f.stmt(s)
+	f.popScope()
+	f.b.indent--
+}
+
+// loopBody emits a loop's body in a scope of its own; break and
+// continue inside it release every scope from that one in, and
+// continue jumps to cont ("": a plain continue).
+func (f *fnEmitter) loopBody(body ast.Stmt, cont string) {
+	f.loops = append(f.loops, loopExit{cont, len(f.scopes)})
+	f.pushScope()
+	f.stmt(body)
+	f.popScope()
+	f.loops = f.loops[:len(f.loops)-1]
 }
 
 // materializeCond evaluates a (scalar bool) condition into a fresh C
 // variable and releases the expression's temporaries, so the condition
 // value never references memory freed by RC insertion.
-func (f *fnEmitter) materializeCond(e ast.Expr) (string, error) {
-	cond, err := f.expr(e)
-	if err != nil {
-		return "", err
-	}
+func (f *fnEmitter) materializeCond(e ast.Expr) string {
+	cond := f.expr(e)
 	cn := f.g.fresh("c")
 	f.b.line("int %s = (%s);", cn, cond)
 	f.releaseTemps()
-	return cn, nil
+	return cn
 }
 
-func (f *fnEmitter) assignStmt(s *ast.AssignStmt) error {
-	rhs, err := f.expr(s.RHS)
-	if err != nil {
-		return err
-	}
+func (f *fnEmitter) assignStmt(s *ast.AssignStmt) {
+	rhs := f.expr(s.RHS)
 	rhsTy := f.g.info.TypeOf(s.RHS)
 	if len(s.LHS) == 1 {
-		if err := f.assignLValue(s.LHS[0], rhs, rhsTy); err != nil {
-			return err
-		}
+		f.assignLValue(s.LHS[0], rhs, rhsTy)
 		f.releaseTemps()
-		return nil
+		return
 	}
 	// Tuple destructuring: bind the struct once, then assign members.
 	tmp := f.g.fresh("d")
 	f.b.line("%s %s = %s;", f.g.tupleType(rhsTy), tmp, rhs)
 	for k, l := range s.LHS {
-		if err := f.assignLValue(l, fmt.Sprintf("%s._%d", tmp, k), rhsTy.Elems[k]); err != nil {
-			return err
-		}
+		f.assignLValue(l, fmt.Sprintf("%s._%d", tmp, k), rhsTy.Elems[k])
 	}
 	f.releaseTemps()
-	return nil
 }
 
-func (f *fnEmitter) assignLValue(lhs ast.Expr, val string, valTy *types.Type) error {
+func (f *fnEmitter) assignLValue(lhs ast.Expr, val string, valTy *types.Type) {
 	switch l := lhs.(type) {
 	case *ast.Ident:
 		ty, ok := f.vars[l.Name]
@@ -261,22 +201,15 @@ func (f *fnEmitter) assignLValue(lhs ast.Expr, val string, valTy *types.Type) er
 			ty = f.g.info.TypeOf(l)
 		}
 		f.assignVar(cname(l.Name), ty, val, valTy)
-		return nil
 	case *ast.IndexExpr:
-		base, err := f.expr(l.X)
-		if err != nil {
-			return err
-		}
-		specs, err := f.indexSpecArray(l, base)
-		if err != nil {
-			return err
-		}
+		base := f.expr(l.X)
+		specs := f.indexSpecArray(l, base)
 		if valTy.IsMatrix() {
 			f.b.line("cm_store(%s, %d, %s, %s);", base, len(l.Args), specs, val)
 		} else {
 			f.b.line("cm_store_scalar(%s, %d, %s, (double)(%s));", base, len(l.Args), specs, val)
 		}
-		return nil
+	default:
+		panic(bug("cannot assign to %s", ast.ExprString(lhs)))
 	}
-	return fmt.Errorf("cgen: cannot assign to %s", ast.ExprString(lhs))
 }

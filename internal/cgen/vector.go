@@ -77,7 +77,7 @@ func (v *vecCtx) stmts(b *indentWriter, body []loopir.Stmt) {
 			b.indent--
 			b.line("}")
 		default:
-			panic(fmt.Sprintf("cgen: %T in a vectorized loop", s))
+			panic(bug("%T in a vectorized loop", s))
 		}
 	}
 }
@@ -109,7 +109,7 @@ func (v *vecCtx) expr(e loopir.Expr) string {
 		if stride1(e.Idx, v.index) {
 			return fmt.Sprintf("_mm_loadu_ps(&%s[%s])", e.Array, e.Idx)
 		}
-		if !dependsOn(e.Idx, v.index) {
+		if !loopir.Mentions(e.Idx, v.index) {
 			return fmt.Sprintf("_mm_set1_ps((float)%s[%s])", e.Array, e.Idx)
 		}
 		// lane-wise gather (e.g. Fig 11's strided mat accesses)
@@ -126,7 +126,7 @@ func (v *vecCtx) expr(e loopir.Expr) string {
 	}
 	// A call: the bounds-checked cm_at accessors of the unoptimized
 	// ablation path, gathered lane-wise when they read the index.
-	if !dependsOn(e, v.index) {
+	if !loopir.Mentions(e, v.index) {
 		return fmt.Sprintf("_mm_set1_ps((float)%s)", e.String())
 	}
 	return fmt.Sprintf("_mm_setr_ps((float)%s, (float)%s, (float)%s, (float)%s)",
@@ -137,29 +137,6 @@ func (v *vecCtx) expr(e loopir.Expr) string {
 // laneExpr renders any expression at lane k of the vectorized index.
 func laneExpr(e loopir.Expr, index string, k int) string {
 	return loopir.SubstExpr(e, index, loopir.B("+", loopir.V(index), loopir.IC(int64(k)))).String()
-}
-
-// dependsOn reports whether e references the given variable.
-func dependsOn(e loopir.Expr, name string) bool {
-	switch e := e.(type) {
-	case *loopir.VarRef:
-		return e.Name == name
-	case *loopir.Bin:
-		return dependsOn(e.L, name) || dependsOn(e.R, name)
-	case *loopir.Un:
-		return dependsOn(e.X, name)
-	case *loopir.Load:
-		return dependsOn(e.Idx, name)
-	case *loopir.CallE:
-		for _, a := range e.Args {
-			if dependsOn(a, name) {
-				return true
-			}
-		}
-	case *loopir.Cond:
-		return dependsOn(e.C, name) || dependsOn(e.T, name) || dependsOn(e.F, name)
-	}
-	return false
 }
 
 // stride1 reports whether idx advances by exactly 1 when the given
@@ -211,5 +188,5 @@ func indexCoeff(e loopir.Expr, index string) (c int64, ok bool) {
 	}
 	// Whatever is left is affine (with coefficient 0) only as a
 	// loop invariant.
-	return 0, !dependsOn(e, index)
+	return 0, !loopir.Mentions(e, index)
 }

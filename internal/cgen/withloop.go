@@ -29,7 +29,8 @@ import (
 
 // wlState is per-with-loop lowering state.
 type wlState struct {
-	f *fnEmitter
+	f  *fnEmitter
+	wl *ast.WithLoop
 	// hoisted declarations emitted before the nest ("floated above
 	// the outermost for loop", Fig 11).
 	hoisted *indentWriter
@@ -44,9 +45,9 @@ type wlState struct {
 	uid int
 }
 
-func (f *fnEmitter) newWL() *wlState {
+func (f *fnEmitter) newWL(wl *ast.WithLoop) *wlState {
 	f.wlN++
-	return &wlState{f: f, hoisted: &indentWriter{}, uid: f.wlN,
+	return &wlState{f: f, wl: wl, hoisted: &indentWriter{}, uid: f.wlN,
 		varTypes: map[string]string{}}
 }
 
@@ -58,21 +59,14 @@ func (w *wlState) hoist(ctype, name, init string) string {
 
 // emitWithLoop compiles one with-loop expression, returning the C
 // expression holding its value.
-func (f *fnEmitter) emitWithLoop(wl *ast.WithLoop) (string, error) {
-	w := f.newWL()
+func (f *fnEmitter) emitWithLoop(wl *ast.WithLoop) string {
+	w := f.newWL(wl)
 	rank := len(wl.Ids)
 	los := make([]loopir.Expr, rank)
 	his := make([]loopir.Expr, rank)
 	for d := 0; d < rank; d++ {
-		var err error
-		los[d], err = w.boundExpr(wl.Lower[d])
-		if err != nil {
-			return "", err
-		}
-		his[d], err = w.boundExpr(wl.Upper[d])
-		if err != nil {
-			return "", err
-		}
+		los[d] = w.boundExpr(wl.Lower[d])
+		his[d] = w.boundExpr(wl.Upper[d])
 	}
 
 	switch op := wl.Op.(type) {
@@ -81,7 +75,7 @@ func (f *fnEmitter) emitWithLoop(wl *ast.WithLoop) (string, error) {
 	case *ast.FoldOp:
 		return f.emitFold(w, wl, op, los, his)
 	}
-	return "", fmt.Errorf("cgen: unknown with-loop op %T", wl.Op)
+	panic(bug("unknown with-loop op %T", wl.Op))
 }
 
 func cElemType(t *types.Type) string {
@@ -107,18 +101,14 @@ func dataField(t *types.Type) string {
 }
 
 func (f *fnEmitter) emitGenArray(w *wlState, wl *ast.WithLoop, op *ast.GenArrayOp,
-	los, his []loopir.Expr) (string, error) {
+	los, his []loopir.Expr) string {
 	resTy := f.g.info.TypeOf(wl)
 	rank := len(wl.Ids)
 	shs := make([]loopir.Expr, rank)
 	shStrs := make([]string, rank)
 	for d, se := range op.Shape {
-		sh, err := w.boundExpr(se)
-		if err != nil {
-			return "", err
-		}
-		shs[d] = sh
-		shStrs[d] = sh.String()
+		shs[d] = w.boundExpr(se)
+		shStrs[d] = shs[d].String()
 	}
 	out := f.g.fresh("wl")
 	w.hoisted.line("cm_mat *%s = cm_alloc(%s, %d, (long[]){%s});",
@@ -140,7 +130,7 @@ func (f *fnEmitter) emitGenArray(w *wlState, wl *ast.WithLoop, op *ast.GenArrayO
 		f.emitNest(w, []loopir.Stmt{
 			&loopir.Raw{Code: fmt.Sprintf("cm_transpose(%s, %s);", out, cname(src))}}, nil)
 		f.temps = append(f.temps, out)
-		return out, nil
+		return out
 	}
 	outD := w.hoist(cElemType(resTy)+" *", out+"_d", out+"->"+dataField(resTy))
 
@@ -155,10 +145,7 @@ func (f *fnEmitter) emitGenArray(w *wlState, wl *ast.WithLoop, op *ast.GenArrayO
 		pre, val := w.lowerBody(op.Body)
 		inner = append(pre, &loopir.AssignStmt{LHS: loopir.Ld(outD, linear), RHS: val})
 	} else {
-		raw, cval, err := f.generalBody(op.Body)
-		if err != nil {
-			return "", err
-		}
+		raw, cval := f.generalBody(wl.Ids, op.Body)
 		raw += fmt.Sprintf("cm_put(%s, %s, (double)(%s));\n", out, linear, cval)
 		inner = []loopir.Stmt{&loopir.Raw{Code: strings.TrimRight(raw, "\n")}}
 	}
@@ -169,42 +156,48 @@ func (f *fnEmitter) emitGenArray(w *wlState, wl *ast.WithLoop, op *ast.GenArrayO
 	if !f.g.opts.Optimize {
 		// Library-style baseline of §III-A.4: the with-loop result is
 		// copied into its destination instead of moved.
-		return f.temp("cm_mat *", fmt.Sprintf("cm_copy(%s)", out)), nil
+		return f.temp("cm_mat *", fmt.Sprintf("cm_copy(%s)", out))
 	}
-	return out, nil
+	return out
 }
 
 func (f *fnEmitter) emitFold(w *wlState, wl *ast.WithLoop, op *ast.FoldOp,
-	los, his []loopir.Expr) (string, error) {
-	resTy := f.g.info.TypeOf(wl)
-	accType := "float"
-	if resTy.Kind == types.Int {
-		accType = "long"
-	}
-	initV, err := f.expr(op.Init)
-	if err != nil {
-		return "", err
-	}
-	acc := f.g.fresh("acc")
-	w.hoist(accType, acc, fmt.Sprintf("(%s)(%s)", accType, initV))
-
-	var inner []loopir.Stmt
+	los, his []loopir.Expr) string {
+	ctype := f.accCType(wl)
+	initV := f.expr(op.Init)
+	acc := w.hoist(ctype, f.g.fresh("acc"), fmt.Sprintf("(%s)(%s)", ctype, initV))
+	var pre []loopir.Stmt
+	var val loopir.Expr
 	if f.g.info.ScalarBodies[wl] {
-		pre, val := w.lowerBody(op.Body)
-		inner = append(pre, &loopir.AssignStmt{LHS: loopir.V(acc), RHS: foldCombine(op.Kind, loopir.V(acc), val)})
+		pre, val = w.lowerBody(op.Body)
 	} else {
-		raw, cval, err := f.generalBody(op.Body)
-		if err != nil {
-			return "", err
-		}
-		raw += fmt.Sprintf("%s = %s;\n", acc, foldCombine(op.Kind, loopir.V(acc), loopir.V("("+cval+")")))
-		inner = []loopir.Stmt{&loopir.Raw{Code: strings.TrimRight(raw, "\n")}}
+		raw, cval := f.generalBody(wl.Ids, op.Body)
+		pre, val = []loopir.Stmt{&loopir.Raw{Code: strings.TrimRight(raw, "\n")}}, loopir.V("("+cval+")")
 	}
 	// Folds run sequentially in generated code (the parallel construct
 	// is the enclosing genarray, as in Fig 1); see DESIGN.md.
-	nest, rest := f.applyTransforms(buildNest(wl.Ids, los, his, inner), wl.Transforms)
+	nest, rest := f.foldNest(wl, acc, los, his, pre, val)
 	f.emitNest(w, nest, rest)
-	return acc, nil
+	return acc
+}
+
+// accCType is the C type of a fold's accumulator: its static type's.
+func (f *fnEmitter) accCType(wl *ast.WithLoop) string {
+	if f.g.info.TypeOf(wl).Kind == types.Int {
+		return "long"
+	}
+	return "float"
+}
+
+// foldNest builds a fold's loop nest over [los, his), at top level or
+// nested in a scalar body: pre computes each cell's value val, which
+// the body combines into acc, and the fold's own transform clauses
+// rewrite the nest. rest holds the remainder nests of their splits.
+func (f *fnEmitter) foldNest(wl *ast.WithLoop, acc string, los, his []loopir.Expr,
+	pre []loopir.Stmt, val loopir.Expr) (nest, rest []loopir.Stmt) {
+	inner := append(pre, &loopir.AssignStmt{LHS: loopir.V(acc),
+		RHS: foldCombine(wl.Op.(*ast.FoldOp).Kind, loopir.V(acc), val)})
+	return f.applyTransforms(buildNest(wl.Ids, los, his, inner), wl.Transforms)
 }
 
 func foldCombine(kind ast.FoldKind, acc, v loopir.Expr) loopir.Expr {
@@ -293,15 +286,12 @@ func sameBound(a, b ast.Expr) bool {
 // literals stay as IR constants (so transformations like split see
 // zero-based, constant-trip loops); anything else is evaluated once
 // and hoisted into a variable.
-func (w *wlState) boundExpr(e ast.Expr) (loopir.Expr, error) {
+func (w *wlState) boundExpr(e ast.Expr) loopir.Expr {
 	if lit, ok := e.(*ast.IntLit); ok {
-		return loopir.IC(lit.Value), nil
+		return loopir.IC(lit.Value)
 	}
-	v, err := w.f.expr(e)
-	if err != nil {
-		return nil, err
-	}
-	return loopir.V(w.hoist("long", w.f.g.fresh("b"), v)), nil
+	v := w.f.expr(e)
+	return loopir.V(w.hoist("long", w.f.g.fresh("b"), v))
 }
 
 // applyTransforms applies the §V clauses, which sem has checked, to

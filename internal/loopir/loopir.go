@@ -166,8 +166,55 @@ func SubstExpr(e Expr, name string, repl Expr) Expr {
 	}
 }
 
+// Mentions reports whether e reads the variable name.
+func Mentions(e Expr, name string) bool {
+	switch e := e.(type) {
+	case *VarRef:
+		return e.Name == name
+	case *Bin:
+		return Mentions(e.L, name) || Mentions(e.R, name)
+	case *Un:
+		return Mentions(e.X, name)
+	case *Load:
+		return Mentions(e.Idx, name)
+	case *CallE:
+		for _, a := range e.Args {
+			if Mentions(a, name) {
+				return true
+			}
+		}
+	case *Cond:
+		return Mentions(e.C, name) || Mentions(e.T, name) || Mentions(e.F, name)
+	}
+	return false
+}
+
+// usedIn reports whether the statements bind or read name.
+func usedIn(body []Stmt, name string) bool {
+	for _, s := range body {
+		switch s := s.(type) {
+		case *Loop:
+			if s.Index == name || Mentions(s.Lo, name) || Mentions(s.Hi, name) || usedIn(s.Body, name) {
+				return true
+			}
+		case *DeclStmt:
+			if s.Name == name || s.Init != nil && Mentions(s.Init, name) {
+				return true
+			}
+		case *AssignStmt:
+			if Mentions(s.LHS, name) || Mentions(s.RHS, name) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // SubstStmt replaces references to name with repl throughout a
-// statement tree. Loops that rebind name shadow the substitution.
+// statement tree. Loops that rebind name shadow the substitution, and
+// a loop whose index repl reads is renamed first, so that it does not
+// capture repl's variable (a nested fold's loop named by its own
+// clause like one the enclosing nest's clauses made).
 func SubstStmt(s Stmt, name string, repl Expr) Stmt {
 	switch s := s.(type) {
 	case *Loop:
@@ -177,7 +224,16 @@ func SubstStmt(s Stmt, name string, repl Expr) Stmt {
 			out.Body = s.Body // shadowed
 			return out
 		}
-		out.Body = SubstBlock(s.Body, name, repl)
+		body := s.Body
+		if Mentions(repl, s.Index) && usedIn(body, name) {
+			fresh := s.Index + "_r"
+			for Mentions(repl, fresh) || usedIn(body, fresh) {
+				fresh += "_r"
+			}
+			out.Index = fresh
+			body = SubstBlock(body, s.Index, V(fresh))
+		}
+		out.Body = SubstBlock(body, name, repl)
 		return out
 	case *DeclStmt:
 		var init Expr

@@ -291,6 +291,32 @@ func TestSubstShadowing(t *testing.T) {
 	}
 }
 
+// Split i into kin, iout over a body whose own loop is named kin (a
+// nested fold's, named by its own clause): the inner loop is renamed,
+// so the substituted iout*4 + kin still reads the outer kin.
+func TestSubstRenamesCapturingLoop(t *testing.T) {
+	build := func() []Stmt {
+		k := &Loop{Index: "kin", Lo: IC(0), Hi: IC(3), Body: []Stmt{
+			&AssignStmt{Ld("out", V("i")), B("+", Ld("out", V("i")), B("*", V("i"), V("kin")))},
+		}}
+		return []Stmt{&Loop{Index: "i", Lo: IC(0), Hi: IC(8), Body: []Stmt{k}}}
+	}
+	ref := NewEnv()
+	ref.Arrays["out"] = make([]float64, 8)
+	if err := ref.Exec(build()); err != nil {
+		t.Fatal(err)
+	}
+	nest, _ := Split(build(), "i", 4, "kin", "iout")
+	env := NewEnv()
+	env.Arrays["out"] = make([]float64, 8)
+	if err := env.Exec(nest); err != nil {
+		t.Fatal(err)
+	}
+	if !almostSame(env.Arrays["out"], ref.Arrays["out"]) {
+		t.Fatalf("split changed the values: %v, want %v\n%s", env.Arrays["out"], ref.Arrays["out"], Print(nest))
+	}
+}
+
 func TestExecErrors(t *testing.T) {
 	env := NewEnv()
 	if err := env.Exec([]Stmt{&AssignStmt{Ld("ghost", IC(0)), IC(1)}}); err == nil {

@@ -53,6 +53,8 @@ var legalityProbes = []struct {
 	// loop's index like any scalar.
 	{name: "vectorize_reads_outer_index", stmts: `Matrix float <1> r = with ([0] <= [i] < [4]) genarray([4], (with ([0] <= [k] < [8]) genarray([8], v[k] + (float)i) transform vectorize k)[0]); print(r[3]);`},
 	{name: "split_reads_outer_index", stmts: `Matrix float <1> r = with ([0] <= [i] < [4]) genarray([4], (with ([0] <= [k] < [6]) genarray([6], v[k] * (float)i) transform split k by 4, kin, kout)[5]); print(r[3]);`},
+	{name: "nested_fold_own_clauses", stmts: `Matrix float <1> r = with ([0] <= [i] < [8]) genarray([8], with ([0] <= [k] < [8]) fold(+, 0.0, v[i + k]) transform unroll k by 2. split k by 4, kin, kout); print(r[7]); print(r[2]);`},
+	{name: "nested_fold_clause_names_like_outer_split", stmts: `Matrix float <1> r = with ([0] <= [i] < [8]) genarray([8], with ([0] <= [k] < [8]) fold(+, 0.0, v[i + k]) transform split k by 4, kin, kout) transform split i by 4, kin, iout; print(r[5]);`},
 	{name: "split_nested_fold_rebinds_index", stmts: `Matrix float <1> r = with ([0] <= [i] < [8]) genarray([8], with ([0] <= [i] < [4]) fold(+, 0.0, v[i]) + (float)i) transform split i by 4, iin, iout; print(r[5]);`},
 
 	// The probes the C back end used to reject at 1:1 in mangled names.
@@ -181,9 +183,9 @@ func haveGCC() bool {
 	return err == nil
 }
 
-// runC compiles generated C with gcc, runs it at two pool threads in
-// dir after writing files there, and returns its stdout.
-func runC(t *testing.T, csrc, dir string, files map[string]*matrix.Matrix) string {
+// runC compiles generated C with gcc and flags, runs it at two pool
+// threads in dir after writing files there, and returns its stdout.
+func runC(t *testing.T, csrc, dir string, files map[string]*matrix.Matrix, flags ...string) string {
 	t.Helper()
 	for name, m := range files {
 		if err := matio.WriteFile(filepath.Join(dir, name), m); err != nil {
@@ -193,15 +195,17 @@ func runC(t *testing.T, csrc, dir string, files map[string]*matrix.Matrix) strin
 	if err := os.WriteFile(filepath.Join(dir, "prog.c"), []byte(csrc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if out, err := exec.Command("gcc", "-O1", "-o", filepath.Join(dir, "prog"),
-		filepath.Join(dir, "prog.c"), "-lpthread", "-lm").CombinedOutput(); err != nil {
+	args := append([]string{"-O1", "-o", filepath.Join(dir, "prog"), filepath.Join(dir, "prog.c")}, flags...)
+	if out, err := exec.Command("gcc", append(args, "-lpthread", "-lm")...).CombinedOutput(); err != nil {
 		t.Fatalf("gcc: %v\n%s", err, out)
 	}
 	cmd := exec.Command(filepath.Join(dir, "prog"), "-t", "2")
 	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		t.Fatalf("compiled program: %v", err)
+		t.Fatalf("compiled program: %v\n%s", err, stderr.String())
 	}
 	return string(out)
 }
