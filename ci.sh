@@ -11,8 +11,11 @@
 #   - the strip engine and the fused corpus entries on a GOAMD64=v3 build (FMA hardware)
 #   - the C back end against the interpreter (gcc-guarded), the transform clause legality table, every
 #     checked program translated at every -par and -O, and Fig 9, tuple_ret_spawn and the release probes
-#     (spawn targets, untargeted spawns, break/continue) compiled at -par pthread and run at -t 2 under
-#     -fsanitize=address,undefined and -fsanitize=thread
+#     (spawn targets, untargeted spawns, a spawned rc argument and the matrix in its cell, break/continue)
+#     compiled at -par pthread and run at -t 2 under -fsanitize=address,undefined and -fsanitize=thread;
+#     the C arm (TestCArm, run by the go test pass above: every program the VM runs cleanly prints its
+#     bytes from gcc-compiled C at -par none, and at -par pthread under -fsanitize=address,undefined at
+#     -t 1 and -t 2, leak checks off where the VM's run leaves rc cells live)
 #   - the service contract, the fleet's chaos suites, the tenant registry
 #   - the VM differential corpus under -race (the err_global_* entries: a global read or written before it is bound),
 #     vet's flat with-loop sites and chains against the VM's (TestWithSitesAreTheVMs), and the checker rejecting
@@ -123,7 +126,7 @@ else
     echo "no FMA/AVX2 on this CPU: skipped"
 fi
 
-echo "== C back end against the interpreter (gcc-guarded: Fig 8, Fig 11, vectorize stride regression; clause legality and scalar bodies in sem alone; split and tile remainders; every checked program translates; nested-fold clauses, their loop names and lifting; Fig 9, tuple_ret_spawn and the release probes at -par pthread under ASan+UBSan and TSan) =="
+echo "== C back end against the interpreter (gcc-guarded: Fig 8, Fig 11, vectorize stride regression; clause legality and scalar bodies in sem alone; split and tile remainders; every checked program translates; nested-fold clauses, their loop names and lifting; Fig 9, tuple_ret_spawn and the release probes at -par pthread under ASan+UBSan and TSan; the C arm runs in go test) =="
 go test -run 'TestE3|TestFig8Compiled|TestVectorize|TestNestedFoldOwnClauses|TestPthreadLiftsNestInGeneralBody' -count=1 ./internal/cgen
 go test -run 'TestTransformLegality|TestSplitRemainderCompiledMatchesVM|TestTileRemainderCompiled|TestIntegrationAllProgramsTranslate|TestCompiledReleasesUnderSanitizers' -count=1 .
 go test -run 'TestTileRemainder|TestQuickSplitPreserves|TestSubstRenamesCapturingLoop' -count=1 ./internal/loopir

@@ -180,8 +180,9 @@ func TestIntegrationAllProgramsTranslate(t *testing.T) {
 // releaseProbes exercise the references the generated C releases
 // beyond a statement's temporaries: spawn targets of rc-pointer type
 // (and, in the VM corpus's tuple_ret_spawn, of tuple type), the owned
-// results of untargeted spawns, and the block locals a break or a
-// continue leaves.
+// results of untargeted spawns, an rc-pointer argument the spawned
+// thread holds past its owner's scope (and the matrix in it, past its
+// own owner's), and the block locals a break or a continue leaves.
 var releaseProbes = []corpusProgram{
 	{name: "spawn_rc_target", src: `
 refcounted int * mk(int n) { return rcnew(n); }
@@ -200,6 +201,33 @@ int main() {
 	spawn tm(4);
 	sync;
 	print(1);
+	return 0;
+}`},
+	{name: "spawn_rc_argument", src: `
+int get(refcounted int * c) {
+	int s = 0;
+	for (int k = 0; k < 100000; k = k + 1) { s = s + 1; }
+	return s + rcget(c);
+}
+int main() {
+	int r = 0;
+	{ refcounted int * c = rcnew(5); spawn r = get(c); }
+	sync;
+	print(r);
+	return 0;
+}`},
+	{name: "spawn_rc_matrix_cell", src: `
+float total(refcounted Matrix float <1> * c) {
+	float s = 0.0;
+	for (int k = 0; k < 100000; k = k + 1) { s = s + 1.0; }
+	Matrix float <1> m = rcget(c);
+	return s + m[2];
+}
+int main() {
+	float r = 0.0;
+	{ Matrix float <1> m = [0 :: 3] * 1.5; refcounted Matrix float <1> * c = rcnew(m); spawn r = total(c); }
+	sync;
+	print(r);
 	return 0;
 }`},
 	{name: "early_exits", src: `

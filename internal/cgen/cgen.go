@@ -60,7 +60,7 @@ func Generate(prog *ast.Program, info *sem.Info, opts Options) (c string, err er
 			err = fmt.Errorf("%s", string(ie))
 		}
 	}()
-	g := &generator{info: info, opts: opts, tupleTypes: map[string]string{}}
+	g := &generator{info: info, opts: opts, tupleTypes: map[string]string{}, helpers: map[string]string{}}
 	return g.run(prog), nil
 }
 
@@ -77,6 +77,7 @@ type generator struct {
 	opts Options
 
 	tupleTypes map[string]string // signature -> struct name
+	helpers    map[string]string // generated helper functions: tuple conversions, cell drops
 	tupleDefs  strings.Builder
 	protos     strings.Builder
 	lifted     strings.Builder // lifted with-loop worker functions
@@ -102,7 +103,7 @@ func (g *generator) cType(t *types.Type) string {
 	case types.Int:
 		return "long"
 	case types.Float:
-		return "float"
+		return "double"
 	case types.Bool:
 		return "int"
 	case types.Void:
@@ -133,8 +134,9 @@ func (g *generator) tupleType(t *types.Type) string {
 	return name
 }
 
+// elemEnum is the runtime's element code for a scalar type.
 func elemEnum(t *types.Type) string {
-	switch t.Elem.Kind {
+	switch t.Kind {
 	case types.Float:
 		return "CM_FLOAT"
 	case types.Int:
@@ -189,7 +191,6 @@ func (g *generator) run(prog *ast.Program) string {
 			continue
 		}
 		ty := types.MustFrom(gv.Type)
-		ge.vars[gv.Name] = ty
 		if gv.Init == nil {
 			continue
 		}
@@ -205,8 +206,8 @@ func (g *generator) run(prog *ast.Program) string {
 
 	var out strings.Builder
 	out.WriteString("/* Generated by cmc, the extensible CMINUS translator. */\n")
-	if g.opts.Par == ParOMP || g.usesVectors {
-		out.WriteString("#include <xmmintrin.h>\n")
+	if g.usesVectors {
+		out.WriteString("#include <emmintrin.h>\n")
 	}
 	out.WriteString(cRuntime)
 	out.WriteString(cRuntimeExtras)
@@ -273,20 +274,26 @@ type fnEmitter struct {
 	g    *generator
 	b    *indentWriter
 	fn   *ast.FuncDecl
-	vars map[string]*types.Type // user var name -> type
-	// temps holds owned cm_mat temporaries to decref after the
-	// current statement — the translator's §III-B RC insertion.
-	temps       []string
-	cellTemps   []string
-	ownedTuples []scopedVar
-	loops       []loopExit
-	cilk        bool // this function contains spawn/sync
-	// scopes tracks matrix-holding locals for scope-exit release.
-	scopes [][]scopedVar
+	vars map[string]scopedVar // user name -> its binding in scope
+	// temps holds the owned references of the current statement's
+	// temporaries, released after it — the translator's §III-B RC
+	// insertion.
+	temps []scopedVar
+	loops []loopExit
+	cilk  bool // this function contains spawn/sync
+	// scopes tracks the refcounted locals of each open scope, for
+	// scope-exit release, and the bindings its declarations shadow.
+	scopes []scope
 	endCtx []string // C expressions for 'end' per index dimension
 	wlN    int      // with-loops emitted, for per-nest hoisted names
 }
 
+type scope struct {
+	owned    []scopedVar
+	shadowed map[string]scopedVar // name -> the binding it had before the scope, if any
+}
+
+// scopedVar is a variable's or a temporary's C name and type.
 type scopedVar struct {
 	cname string
 	ty    *types.Type
@@ -301,41 +308,105 @@ type loopExit struct {
 }
 
 func (g *generator) newFnEmitter(fn *ast.FuncDecl) *fnEmitter {
-	return &fnEmitter{g: g, b: &indentWriter{}, fn: fn, vars: map[string]*types.Type{}}
+	return &fnEmitter{g: g, b: &indentWriter{}, fn: fn, vars: map[string]scopedVar{}}
+}
+
+// cvar is the C name of a variable in scope: a global's or an
+// unshadowed local's is cname's.
+func (f *fnEmitter) cvar(name string) string {
+	if l, ok := f.vars[name]; ok {
+		return l.cname
+	}
+	return cname(name)
+}
+
+// localType is the type of the local whose C name is c, or nil.
+func (f *fnEmitter) localType(c string) *types.Type {
+	for _, l := range f.vars {
+		if l.cname == c {
+			return l.ty
+		}
+	}
+	return nil
+}
+
+// declare binds a local in the innermost scope and returns its C name:
+// a fresh one when it shadows a local, parameter or global, so its
+// initializer still reads the outer binding, as the VM's does.
+func (f *fnEmitter) declare(name string, ty *types.Type) string {
+	c := cname(name)
+	_, isLocal := f.vars[name]
+	if _, isGlobal := f.g.info.GlobalTypes[name]; isLocal || isGlobal {
+		f.g.tmpN++
+		c = fmt.Sprintf("u%d_%s", f.g.tmpN, name)
+	}
+	f.bind(name, scopedVar{c, ty})
+	return c
+}
+
+// bind binds name in the innermost scope, which restores what it shadows.
+func (f *fnEmitter) bind(name string, l scopedVar) {
+	sc := &f.scopes[len(f.scopes)-1]
+	if sc.shadowed == nil {
+		sc.shadowed = map[string]scopedVar{}
+	}
+	if _, done := sc.shadowed[name]; !done {
+		sc.shadowed[name] = f.vars[name]
+	}
+	f.vars[name] = l
+}
+
+// withIds emits body with a with-loop's indices bound, as the long
+// loop variables the nest declares, in a scope of their own.
+func (f *fnEmitter) withIds(ids []string, body func()) {
+	f.pushScope()
+	for _, id := range ids {
+		f.bind(id, scopedVar{cname(id), types.IntT})
+	}
+	body()
+	f.popScope()
 }
 
 func (f *fnEmitter) temp(ctype, init string) string {
 	name := f.g.fresh("t")
 	f.b.line("%s%s = %s;", padType(ctype), name, init)
-	if ctype == "cm_mat *" {
-		f.temps = append(f.temps, name)
-	}
 	return name
 }
 
-// releaseTemps decrefs owned temporaries created by the current
-// statement ("anytime a variable goes out of scope, or gets assigned a
-// new piece of data, then we decrement its reference counter").
-func (f *fnEmitter) releaseTemps() {
-	for _, t := range f.temps {
-		f.b.line("cm_decref(%s);", t)
-	}
-	f.temps = f.temps[:0]
-	for _, t := range f.cellTemps {
-		f.b.line("cm_cell_decref(%s);", t)
-	}
-	f.cellTemps = f.cellTemps[:0]
-	for _, v := range f.ownedTuples {
-		release(f.b, v.cname, v.ty)
-	}
-	f.ownedTuples = f.ownedTuples[:0]
+// owned declares a temporary holding an owned reference of type ty,
+// released after the statement.
+func (f *fnEmitter) owned(ty *types.Type, init string) string {
+	name := f.temp(f.g.cType(ty), init)
+	f.temps = append(f.temps, scopedVar{name, ty})
+	return name
 }
 
-func (f *fnEmitter) pushScope() { f.scopes = append(f.scopes, nil) }
+// releaseTemps releases the current statement's owned temporaries
+// ("anytime a variable goes out of scope, or gets assigned a new piece
+// of data, then we decrement its reference counter").
+func (f *fnEmitter) releaseTemps() { f.releaseTempsFrom(0) }
 
-// popScope closes the innermost scope, releasing its locals.
+// releaseTempsFrom releases the temporaries from the mark-th on.
+func (f *fnEmitter) releaseTempsFrom(mark int) {
+	for _, v := range f.temps[mark:] {
+		release(f.b, v.cname, v.ty)
+	}
+	f.temps = f.temps[:mark]
+}
+
+func (f *fnEmitter) pushScope() { f.scopes = append(f.scopes, scope{}) }
+
+// popScope closes the innermost scope, releasing its locals and
+// restoring the bindings they shadowed.
 func (f *fnEmitter) popScope() {
 	f.releaseScopes(len(f.scopes) - 1)
+	for name, l := range f.scopes[len(f.scopes)-1].shadowed {
+		if l.ty == nil {
+			delete(f.vars, name)
+		} else {
+			f.vars[name] = l
+		}
+	}
 	f.scopes = f.scopes[:len(f.scopes)-1]
 }
 
@@ -358,7 +429,7 @@ func release(b *indentWriter, cexpr string, ty *types.Type) {
 // break, continue) leaves them.
 func (f *fnEmitter) releaseScopes(from int) {
 	for k := len(f.scopes) - 1; k >= from; k-- {
-		for _, v := range f.scopes[k] {
+		for _, v := range f.scopes[k].owned {
 			release(f.b, v.cname, v.ty)
 		}
 	}
@@ -370,20 +441,21 @@ func (f *fnEmitter) trackVar(cn string, ty *types.Type) {
 	}
 	switch ty.Kind {
 	case types.Matrix, types.AnyMatrix, types.RcPtr, types.Tuple:
-		f.scopes[len(f.scopes)-1] = append(f.scopes[len(f.scopes)-1], scopedVar{cn, ty})
+		sc := &f.scopes[len(f.scopes)-1]
+		sc.owned = append(sc.owned, scopedVar{cn, ty})
 	}
 }
 
 // retain emits an incref for a value of the given type.
-func (f *fnEmitter) retain(cexpr string, ty *types.Type) {
+func retain(b *indentWriter, cexpr string, ty *types.Type) {
 	switch ty.Kind {
 	case types.Matrix, types.AnyMatrix:
-		f.b.line("cm_incref(%s);", cexpr)
+		b.line("cm_incref(%s);", cexpr)
 	case types.RcPtr:
-		f.b.line("cm_cell_incref(%s);", cexpr)
+		b.line("cm_cell_incref(%s);", cexpr)
 	case types.Tuple:
 		for i, e := range ty.Elems {
-			f.retain(fmt.Sprintf("%s._%d", cexpr, i), e)
+			retain(b, fmt.Sprintf("%s._%d", cexpr, i), e)
 		}
 	}
 }
@@ -391,24 +463,12 @@ func (f *fnEmitter) retain(cexpr string, ty *types.Type) {
 // assignVar stores val into an existing variable with RC maintenance
 // and int->float promotion.
 func (f *fnEmitter) assignVar(cn string, varTy *types.Type, val string, valTy *types.Type) {
-	val = promoteScalar(val, valTy, varTy)
+	val = f.g.convert(val, valTy, varTy)
 	switch varTy.Kind {
-	case types.Matrix, types.AnyMatrix:
+	case types.Matrix, types.AnyMatrix, types.RcPtr, types.Tuple:
 		tmp := f.g.fresh("n")
-		f.b.line("cm_mat *%s = %s;", tmp, val)
-		f.b.line("cm_incref(%s);", tmp)
-		f.b.line("cm_decref(%s);", cn)
-		f.b.line("%s = %s;", cn, tmp)
-	case types.RcPtr:
-		tmp := f.g.fresh("n")
-		f.b.line("cm_cell *%s = %s;", tmp, val)
-		f.b.line("cm_cell_incref(%s);", tmp)
-		f.b.line("cm_cell_decref(%s);", cn)
-		f.b.line("%s = %s;", cn, tmp)
-	case types.Tuple:
-		tmp := f.g.fresh("n")
-		f.b.line("%s %s = %s;", f.g.tupleType(varTy), tmp, val)
-		f.retain(tmp, varTy)
+		f.b.line("%s%s = %s;", padType(f.g.cType(varTy)), tmp, val)
+		retain(f.b, tmp, varTy)
 		release(f.b, cn, varTy)
 		f.b.line("%s = %s;", cn, tmp)
 	default:
@@ -416,12 +476,55 @@ func (f *fnEmitter) assignVar(cn string, varTy *types.Type, val string, valTy *t
 	}
 }
 
-// promoteScalar inserts a C cast for int->float assignment contexts.
-func promoteScalar(val string, from, to *types.Type) string {
-	if from != nil && to != nil && from.Kind == types.Int && to.Kind == types.Float {
-		return "(float)(" + val + ")"
+// convert converts val of type from to type to, as AssignableTo admits:
+// an int becomes a double, and a tuple converts element by element
+// through a function generated once for the pair of tuple types.
+func (g *generator) convert(val string, from, to *types.Type) string {
+	switch {
+	case from == nil || to == nil:
+	case from.Kind == types.Int && to.Kind == types.Float:
+		return "(double)(" + val + ")"
+	case from.Kind == types.Tuple && to.Kind == types.Tuple && !types.Equal(from, to):
+		key := from.String() + " -> " + to.String()
+		fn, ok := g.helpers[key]
+		if !ok {
+			parts := make([]string, len(to.Elems))
+			for i := range to.Elems {
+				parts[i] = g.convert(fmt.Sprintf("v._%d", i), from.Elems[i], to.Elems[i])
+			}
+			fn = fmt.Sprintf("cm_conv%d", len(g.helpers))
+			g.helpers[key] = fn
+			fmt.Fprintf(&g.tupleDefs, "static %s %s(%s v) { return (%s){%s}; } /* %s */\n",
+				g.tupleType(to), fn, g.tupleType(from), g.tupleType(to), strings.Join(parts, ", "), key)
+		}
+		return fn + "(" + val + ")"
 	}
 	return val
+}
+
+// cellDrop names the function that releases the references held by a
+// cell's value of type ty, generated once per type; "0" when the value
+// holds none.
+func (g *generator) cellDrop(ty *types.Type) string {
+	var body indentWriter
+	body.indent = 1
+	release(&body, fmt.Sprintf("(*(%s *)v)", strings.TrimSpace(g.cType(ty))), ty)
+	if body.b.Len() == 0 {
+		return "0"
+	}
+	key := "drop " + ty.String()
+	fn, ok := g.helpers[key]
+	if !ok {
+		fn = fmt.Sprintf("cm_drop%d", len(g.helpers))
+		g.helpers[key] = fn
+		fmt.Fprintf(&g.tupleDefs, "static void %s(void *v) {\n%s}\n", fn, body.String())
+	}
+	return fn
+}
+
+// cellVal is the lvalue of the value of type ty in the cell at p.
+func (g *generator) cellVal(ty *types.Type, p string) string {
+	return fmt.Sprintf("(*(%s *)cm_cell_val(%s))", strings.TrimSpace(g.cType(ty)), p)
 }
 
 func (g *generator) emitFunc(fn *ast.FuncDecl) {
@@ -435,10 +538,10 @@ func (g *generator) emitFunc(fn *ast.FuncDecl) {
 	}
 	f.pushScope()
 	for i, p := range fn.Params {
-		f.vars[p.Name] = sig.Type.Params[i]
+		f.vars[p.Name] = scopedVar{cname(p.Name), sig.Type.Params[i]}
 		// Parameters are borrowed references: retained on entry and
 		// released on exit, so callees may reassign them freely.
-		f.retain(cname(p.Name), sig.Type.Params[i])
+		retain(f.b, cname(p.Name), sig.Type.Params[i])
 		f.trackVar(cname(p.Name), sig.Type.Params[i])
 	}
 	for _, s := range fn.Body.Stmts {

@@ -130,8 +130,8 @@ func TestE1Fig1ExpandsToFig3Shape(t *testing.T) {
 
 func TestE1AblationUsesCheckedAccessors(t *testing.T) {
 	c := gen(t, fig1Src, Options{Par: ParNone, Optimize: false})
-	if !strings.Contains(c, "cm_at3(") {
-		t.Error("unoptimized output should access elements via cm_at3")
+	if !strings.Contains(c, "u_mat->f[cm_off(u_mat, u_i, u_j, u_k)]") {
+		t.Error("unoptimized output should access elements at the bounds-checked cm_off")
 	}
 	if !strings.Contains(c, "cm_copy(_wl") {
 		t.Error("unoptimized output should copy the with-loop result (no fusion)")
@@ -198,19 +198,20 @@ func TestNestedFoldOwnClauses(t *testing.T) {
 	}
 }
 
-// E3: vectorize + parallelize produce the Fig 11 shape — SSE
-// intrinsics with the scalar k loop over vector accumulators, and an
-// OpenMP parallel-for on the outer loop in omp mode.
+// E3: vectorize + parallelize produce the Fig 11 shape — SSE2
+// intrinsics (Fig 11's _ps listing in double lanes, _pd) with the
+// scalar k loop over vector accumulators, and an OpenMP parallel-for
+// on the outer loop in omp mode.
 func TestE3VectorizeProducesFig11(t *testing.T) {
 	c := gen(t, fig9Src, Options{Par: ParOMP, Optimize: true})
 	for _, want := range []string{
-		"#include <xmmintrin.h>",
+		"#include <emmintrin.h>",
 		"#pragma omp parallel for",
-		"_mm_set1_ps",
-		"_mm_add_ps",
-		"_mm_setr_ps", // strided gathers of mat elements, as in Fig 11
-		"_mm_storeu_ps",
-		"__m128",
+		"_mm_set1_pd",
+		"_mm_add_pd",
+		"_mm_setr_pd", // strided gathers of mat elements, as in Fig 11
+		"_mm_storeu_pd",
+		"__m128d",
 		"for (long u_k = ", // the time loop stays scalar over vectors
 	} {
 		if !strings.Contains(c, want) {
@@ -373,9 +374,9 @@ int main() {
 }
 `
 
-// Compile AND execute the Fig 1 program; its output file must match
-// the interpreter's result (within float32 precision, since the
-// generated C uses the paper's 32-bit floats).
+// Compile AND execute the Fig 1 program; its output file must equal
+// the interpreter's result bit for bit (the generated C computes in
+// the VM's doubles).
 func TestE1CompiledMatchesInterpreter(t *testing.T) {
 	if !haveGCC() {
 		t.Skip("gcc not available")
@@ -415,7 +416,7 @@ func TestE1CompiledMatchesInterpreter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !matrix.AlmostEqual(got, want, 1e-3) {
+		if !matrix.Equal(got, want) {
 			t.Fatalf("compiled C result differs from interpreter (options %+v)", opt)
 		}
 	}
@@ -475,7 +476,7 @@ func TestFig8CompiledMatchesInterpreter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !matrix.AlmostEqual(got, want, 1e-3) {
+	if !matrix.Equal(got, want) {
 		t.Fatal("compiled Fig 8 scores differ from the interpreter")
 	}
 }
@@ -510,7 +511,7 @@ func TestE3VectorizedCompiledMatchesInterpreter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !matrix.AlmostEqual(got, want, 1e-3) {
+	if !matrix.Equal(got, want) {
 		t.Fatal("vectorized C result differs from interpreter")
 	}
 }
@@ -648,8 +649,8 @@ func TestVectorizeStrideIsStructural(t *testing.T) {
 		{"c * i", "vectorize i", false},
 	} {
 		out := gen(t, vecIndexSrc(c.idx, c.transform), Options{Par: ParNone, Optimize: true})
-		loadu := strings.Contains(out, "_mm_loadu_ps(&u_v")
-		gather := strings.Contains(out, "_mm_setr_ps((float)u_v")
+		loadu := strings.Contains(out, "_mm_loadu_pd(&u_v")
+		gather := strings.Contains(out, "_mm_setr_pd((double)u_v")
 		if loadu != c.unit || gather == c.unit {
 			t.Errorf("v[%s] under %q: loadu=%v gather=%v, want unit stride = %v", c.idx, c.transform, loadu, gather, c.unit)
 		}

@@ -77,8 +77,8 @@ func (f *fnEmitter) emitSpawn(s *ast.SpawnStmt) {
 	ret := sig.Type.Ret
 	var tgtTy *types.Type
 	if s.Target != "" {
-		if t, ok := f.vars[s.Target]; ok {
-			tgtTy = t
+		if l, ok := f.vars[s.Target]; ok {
+			tgtTy = l.ty
 		} else if t, ok := f.g.info.GlobalTypes[s.Target]; ok {
 			tgtTy = t
 		} else {
@@ -103,6 +103,9 @@ func (f *fnEmitter) emitSpawn(s *ast.SpawnStmt) {
 	lf.line("static void *_spwrap%d(void *_p) {", id)
 	lf.indent++
 	lf.line("_spargs%d *_a = (_spargs%d *)_p;", id, id)
+	// The pool serves one construct at a time: a spawned call runs its
+	// parallel constructs in its own thread, as a pool worker does.
+	lf.line("cm_in_worker = 1;")
 	var argv []string
 	for i := range sig.Type.Params {
 		argv = append(argv, fmt.Sprintf("_a->_a%d", i))
@@ -110,7 +113,7 @@ func (f *fnEmitter) emitSpawn(s *ast.SpawnStmt) {
 	callText := fmt.Sprintf("%s(%s)", cname(call.Fun), strings.Join(argv, ", "))
 	switch {
 	case tgtTy != nil:
-		lf.line("_a->_res = %s;", promoteScalar(callText, ret, tgtTy))
+		lf.line("_a->_res = %s;", f.g.convert(callText, ret, tgtTy))
 	case ret.Kind == types.Tuple:
 		lf.line("%s _r = %s;", f.g.tupleType(ret), callText)
 		release(lf, "_r", ret)
@@ -127,9 +130,7 @@ func (f *fnEmitter) emitSpawn(s *ast.SpawnStmt) {
 	lf.indent++
 	lf.line("_spargs%d *_a = (_spargs%d *)_p;", id, id)
 	for i, pt := range sig.Type.Params {
-		if pt.IsMatrix() {
-			lf.line("cm_decref(_a->_a%d); /* argument reference taken at spawn */", i)
-		}
+		release(lf, fmt.Sprintf("_a->_a%d", i), pt) // the argument references taken at spawn
 	}
 	switch {
 	case tgtTy == nil:
@@ -148,19 +149,19 @@ func (f *fnEmitter) emitSpawn(s *ast.SpawnStmt) {
 	lf.line("")
 	f.g.lifted.WriteString(lf.String())
 
-	// Call site: evaluate arguments now (Cilk semantics), take matrix
-	// references for the thread's lifetime, create the thread, push
-	// the task.
+	// Call site: evaluate arguments now (Cilk semantics), take
+	// references to refcounted ones for the thread's lifetime, create
+	// the thread, push the task.
 	args := f.g.fresh("sa")
+	vals := f.operands(call.Args...)
 	f.b.line("_spargs%d *%s = (_spargs%d *)malloc(sizeof(_spargs%d));", id, args, id, id)
 	for i, a := range call.Args {
-		f.b.line("%s->_a%d = %s;", args, i, promoteScalar(f.expr(a), f.g.info.TypeOf(a), sig.Type.Params[i]))
-		if sig.Type.Params[i].IsMatrix() {
-			f.b.line("cm_incref(%s->_a%d);", args, i)
-		}
+		arg := fmt.Sprintf("%s->_a%d", args, i)
+		f.b.line("%s = %s;", arg, f.g.convert(vals[i], f.g.info.TypeOf(a), sig.Type.Params[i]))
+		retain(f.b, arg, sig.Type.Params[i])
 	}
 	if tgtTy != nil {
-		f.b.line("%s->_dst = &%s;", args, cname(s.Target))
+		f.b.line("%s->_dst = &%s;", args, f.cvar(s.Target))
 	}
 	tid := f.g.fresh("tid")
 	f.b.line("pthread_t %s;", tid)

@@ -44,15 +44,13 @@ func (f *fnEmitter) liftParallel(w *wlState, outer *loopir.Loop) {
 			caps = append(caps, capture{name, ct})
 			continue
 		}
-		user, isUser := strings.CutPrefix(name, "u_")
-		if _, isGlobal := f.g.info.GlobalTypes[user]; isUser && isGlobal {
+		if ty := f.localType(name); ty != nil {
+			caps = append(caps, capture{name, strings.TrimRight(f.g.cType(ty), " ") + " "})
 			continue
 		}
-		ty, ok := f.vars[user]
-		if !isUser || !ok {
+		if user, isUser := strings.CutPrefix(name, "u_"); !isUser || f.g.info.GlobalTypes[user] == nil {
 			panic(bug("cannot determine capture type of %q", name))
 		}
-		caps = append(caps, capture{name, strings.TrimRight(f.g.cType(ty), " ") + " "})
 	}
 
 	f.g.liftN++
@@ -114,8 +112,9 @@ func freeVars(body []loopir.Stmt) []string {
 		case *loopir.Un:
 			walkExpr(e.X)
 		case *loopir.Load:
-			if !bound[e.Array] {
-				used[e.Array] = true
+			// m->f[cm_off(m, ...)], the ablation's load, reads m
+			if arr, _, _ := strings.Cut(e.Array, "->"); !bound[arr] {
+				used[arr] = true
 			}
 			walkExpr(e.Idx)
 		case *loopir.CallE:

@@ -27,26 +27,38 @@ func (w *wlState) lowerBody(e ast.Expr) (pre []loopir.Stmt, val loopir.Expr) {
 		}
 		return nil, loopir.IC(0)
 	case *ast.Ident:
-		return nil, loopir.V(cname(e.Name))
+		return nil, loopir.V(w.f.cvar(e.Name))
 	case *ast.BinaryExpr:
 		lp, lv := w.lowerBody(e.L)
 		rp, rv := w.lowerBody(e.R)
-		return append(lp, rp...), loopir.B(cOpScalar[e.Op], lv, rv)
+		pre = append(lp, rp...)
+		// Index arithmetic stays plain C (an index that wraps is out of
+		// range, which the VM traps), so unit strides stay visible.
+		if fn := cOpInt[e.Op]; fn != "" && w.index == 0 && w.f.g.info.TypeOf(e).Kind == types.Int {
+			return pre, loopir.Call(fn, lv, rv)
+		}
+		return pre, loopir.B(cOpScalar[e.Op], lv, rv)
 	case *ast.UnaryExpr:
 		p, v := w.lowerBody(e.X)
-		if e.Op == ast.OpNeg {
-			return p, &loopir.Un{Op: "-", X: v}
+		switch {
+		case e.Op != ast.OpNeg:
+			return p, &loopir.Un{Op: "!", X: v}
+		case w.index == 0 && w.f.g.info.TypeOf(e).Kind == types.Int:
+			return p, loopir.Call("cm_isub", loopir.IC(0), v)
 		}
-		return p, &loopir.Un{Op: "!", X: v}
+		return p, &loopir.Un{Op: "-", X: v}
 	case *ast.CastExpr:
 		p, v := w.lowerBody(e.X)
-		if e.To == ast.PrimInt {
-			return p, &loopir.Un{Op: "(long)", X: v}
+		switch {
+		case e.To == ast.PrimFloat:
+			return p, &loopir.Un{Op: "(double)", X: v}
+		case w.f.g.info.TypeOf(e.X).Kind == types.Float:
+			return p, loopir.Call("cm_ftoi", v)
 		}
-		return p, &loopir.Un{Op: "(float)", X: v}
+		return p, &loopir.Un{Op: "(long)", X: v}
 	case *ast.CallExpr: // dimSize(m, d)
 		p, d := w.lowerBody(e.Args[1])
-		return p, loopir.Call("cm_dim", loopir.V(cname(e.Args[0].(*ast.Ident).Name)), d)
+		return p, loopir.Call("cm_dim", loopir.V(w.f.cvar(e.Args[0].(*ast.Ident).Name)), d)
 	case *ast.EndExpr:
 		return nil, w.endStk[len(w.endStk)-1]()
 	case *ast.IndexExpr:
@@ -58,11 +70,11 @@ func (w *wlState) lowerBody(e ast.Expr) (pre []loopir.Stmt, val loopir.Expr) {
 }
 
 // lowerIndex compiles m[i, j, k] with all-scalar indices into either a
-// direct strided load (slice elimination, -O) or a bounds-checked
-// runtime accessor call (the ablation baseline).
+// direct strided load (slice elimination, -O) or a load at the
+// bounds-checked cm_off (the ablation baseline).
 func (w *wlState) lowerIndex(e *ast.IndexExpr) (pre []loopir.Stmt, val loopir.Expr) {
 	baseTy := w.f.g.info.TypeOf(e.X)
-	cn := cname(e.X.(*ast.Ident).Name)
+	cn := w.f.cvar(e.X.(*ast.Ident).Name)
 	idxs := make([]loopir.Expr, len(e.Args))
 	for d, a := range e.Args {
 		// bind 'end' to shape[d]-1; the dim variable is hoisted only
@@ -71,19 +83,17 @@ func (w *wlState) lowerIndex(e *ast.IndexExpr) (pre []loopir.Stmt, val loopir.Ex
 		w.endStk = append(w.endStk, func() loopir.Expr {
 			return loopir.B("-", loopir.V(w.dimVar(cn, dd)), loopir.IC(1))
 		})
+		w.index++
 		p, v := w.lowerBody(a.(*ast.IdxScalar).X)
+		w.index--
 		w.endStk = w.endStk[:len(w.endStk)-1]
 		pre = append(pre, p...)
 		idxs[d] = v
 	}
 	if !w.f.g.opts.Optimize {
-		// Baseline: bounds-checked accessor (no slice elimination).
-		args := append([]loopir.Expr{loopir.V(cn)}, idxs...)
-		call := loopir.Call(fmt.Sprintf("cm_at%d", len(idxs)), args...)
-		if baseTy.Elem.Kind == types.Int {
-			return pre, &loopir.Un{Op: "(long)", X: call}
-		}
-		return pre, &loopir.Un{Op: "(float)", X: call}
+		// Baseline: bounds-checked offset (no slice elimination).
+		off := loopir.Call("cm_off", append([]loopir.Expr{loopir.V(cn)}, idxs...)...)
+		return pre, loopir.Ld(cn+"->"+dataField(baseTy), off)
 	}
 	// Direct load through hoisted data and stride pointers.
 	dn := w.dataVar(cn, baseTy)
@@ -102,31 +112,29 @@ func (w *wlState) lowerIndex(e *ast.IndexExpr) (pre []loopir.Stmt, val loopir.Ex
 	return pre, loopir.Ld(dn, linear)
 }
 
-// dimVar hoists (once) a variable holding cm_dim(m, d).
-func (w *wlState) dimVar(cn string, d int) string {
-	name := fmt.Sprintf("%s_dim%d_w%d", cn, d, w.uid)
+// hoistField hoists (once) name, holding a field of the matrix cn, or 0
+// while cn is unassigned: a nest whose range is empty runs with a
+// matrix its body would read still unbound, as the VM does.
+func (w *wlState) hoistField(ctype, name, cn, field string) string {
 	if _, done := w.varTypes[name]; !done {
-		w.hoist("long", name, fmt.Sprintf("%s->shape[%d]", cn, d))
+		w.hoist(ctype, name, fmt.Sprintf("%s ? %s->%s : 0", cn, cn, field))
 	}
 	return name
+}
+
+// dimVar hoists (once) a variable holding the size of m's dimension d.
+func (w *wlState) dimVar(cn string, d int) string {
+	return w.hoistField("long", fmt.Sprintf("%s_dim%d_w%d", cn, d, w.uid), cn, fmt.Sprintf("shape[%d]", d))
 }
 
 // dataVar hoists (once) the matrix's raw data pointer.
 func (w *wlState) dataVar(cn string, ty *types.Type) string {
-	name := fmt.Sprintf("%s_d_w%d", cn, w.uid)
-	if _, done := w.varTypes[name]; !done {
-		w.hoist(cElemType(ty)+" *", name, cn+"->"+dataField(ty))
-	}
-	return name
+	return w.hoistField(cElemType(ty.Elem)+" *", fmt.Sprintf("%s_d_w%d", cn, w.uid), cn, dataField(ty))
 }
 
 // strideVar hoists (once) one stride of the matrix.
 func (w *wlState) strideVar(cn string, d int) string {
-	name := fmt.Sprintf("%s_s%d_w%d", cn, d, w.uid)
-	if _, done := w.varTypes[name]; !done {
-		w.hoist("long", name, fmt.Sprintf("%s->strides[%d]", cn, d))
-	}
-	return name
+	return w.hoistField("long", fmt.Sprintf("%s_s%d_w%d", cn, d, w.uid), cn, fmt.Sprintf("strides[%d]", d))
 }
 
 // lowerNestedFold lowers an inner scalar fold with-loop (the Fig 1 →
@@ -145,7 +153,9 @@ func (w *wlState) lowerNestedFold(wl *ast.WithLoop, fo *ast.FoldOp) (pre []loopi
 	}
 	pInit, initV := w.lowerBody(fo.Init)
 	pre = append(pre, pInit...)
-	bodyPre, bodyV := w.lowerBody(fo.Body)
+	var bodyPre []loopir.Stmt
+	var bodyV loopir.Expr
+	w.f.withIds(wl.Ids, func() { bodyPre, bodyV = w.lowerBody(fo.Body) })
 	ctype := w.f.accCType(wl)
 	w.seq++
 	acc := fmt.Sprintf("_acc%d_%d", w.f.g.tmpN, w.seq)
@@ -157,24 +167,14 @@ func (w *wlState) lowerNestedFold(wl *ast.WithLoop, fo *ast.FoldOp) (pre []loopi
 
 // generalBody translates an arbitrary body expression with the general
 // expression emitter, for nests whose bodies are not scalar-lowerable;
-// ids are the with-loop's indices, long in C. It returns raw C
-// statements plus the C expression of the body value.
-func (f *fnEmitter) generalBody(ids []string, e ast.Expr) (string, string) {
+// the with-loop's indices are bound in f. It returns raw C statements
+// plus the C variable holding the body value, in its own type.
+func (f *fnEmitter) generalBody(e ast.Expr) (string, string) {
 	sub := f.g.newFnEmitter(f.fn)
 	sub.vars = maps.Clone(f.vars)
-	for _, id := range ids {
-		sub.vars[id] = types.IntT
-	}
 	sub.endCtx = f.endCtx
-	val := sub.expr(e)
 	// Materialize before releasing body temporaries.
-	ty := f.g.info.TypeOf(e)
-	ctype := "double"
-	if ty.Kind == types.Int {
-		ctype = "long"
-	}
-	res := f.g.fresh("bv")
-	sub.b.line("%s %s = (%s)(%s);", ctype, res, ctype, val)
+	res := sub.temp(f.g.cType(f.g.info.TypeOf(e)), sub.expr(e))
 	sub.releaseTemps()
 	return sub.b.String(), res
 }

@@ -25,45 +25,54 @@ func (f *fnEmitter) emitMatrixMap(e *ast.MatrixMap) string {
 	if e.General {
 		fn = "cm_matrixmapg"
 	}
-	return f.temp("cm_mat *", fmt.Sprintf("%s(%s, %d, (int[]){%s}, %s, %s)",
-		fn, arg, len(e.Dims), strings.Join(dims, ", "), elemEnum(resTy), cname(e.Fun)))
+	return f.owned(resTy, fmt.Sprintf("%s(%s, %d, (int[]){%s}, %s, %s)",
+		fn, arg, len(e.Dims), strings.Join(dims, ", "), elemEnum(resTy.Elem), cname(e.Fun)))
 }
 
 // cRuntimeExtras holds the runtime pieces beyond the core prelude:
-// bounds-checked element accessors (the no-slice-elimination ablation
-// path), matrix copy (the no-fusion ablation path), matrix printing,
-// and the reference-counting extension's cells.
+// matrix copy (the no-fusion ablation path), print, the generalized
+// matrixMap, and the reference-counting extension's cells.
 const cRuntimeExtras = `
 /* ---- runtime extras ---- */
-static double cm_at1(cm_mat *m, long i) {
-    cm_spec s[1] = {cm_scalar(i)};
-    return cm_index_scalar(m, 1, s);
-}
-static double cm_at2(cm_mat *m, long i, long j) {
-    cm_spec s[2] = {cm_scalar(i), cm_scalar(j)};
-    return cm_index_scalar(m, 2, s);
-}
-static double cm_at3(cm_mat *m, long i, long j, long k) {
-    cm_spec s[3] = {cm_scalar(i), cm_scalar(j), cm_scalar(k)};
-    return cm_index_scalar(m, 3, s);
-}
 static cm_mat *cm_copy(cm_mat *m) {
     cm_mat *out = cm_alloc(m->elem, m->rank, m->shape);
-    if (m->f) memcpy(out->f, m->f, m->size * sizeof(float));
-    if (m->i) memcpy(out->i, m->i, m->size * sizeof(long));
-    if (m->b) memcpy(out->b, m->b, m->size);
+    memcpy(out->p, m->p, m->size * cm_esize(m->elem));
     return out;
 }
-static void cm_printmat(cm_mat *m) {
-    printf("Matrix %s [", m->elem == CM_FLOAT ? "float" : (m->elem == CM_INT ? "int" : "bool"));
+/* print, byte for byte as interp.PrintValue and Matrix.String: a float
+   in the shortest digits that read back to it (Go's %g), an exponent
+   when the decimal one is below -4 or at least 6 */
+static void cm_fmt(char *s, int elem, const void *p) {
+    if (elem == CM_INT) { sprintf(s, "%ld", *(const long *)p); return; }
+    if (elem == CM_BOOL) { strcpy(s, *(const unsigned char *)p ? "true" : "false"); return; }
+    double v = *(const double *)p;
+    if (v - v != 0) { strcpy(s, v != v ? "NaN" : v > 0 ? "+Inf" : "-Inf"); return; }
+    int prec = 1;
+    while (sprintf(s, "%.*e", prec - 1, v), prec < 17 && strtod(s, 0) != v) prec++;
+    int e = atoi(strchr(s, 'e') + 1);
+    if (e >= -4 && e < 6) sprintf(s, "%.*f", prec - 1 - e > 0 ? prec - 1 - e : 0, v);
+}
+static void cm_print(int elem, const void *p) {
+    char s[32];
+    cm_fmt(s, elem, p);
+    puts(s);
+}
+static void cm_printm(cm_mat *m) {
+    static const char *names[] = {"float", "int", "bool"};
+    char s[32];
+    flockfile(stdout);
+    printf("Matrix %s [", names[m->elem]);
     for (int d = 0; d < m->rank; d++) printf(d ? " %ld" : "%ld", m->shape[d]);
-    printf("]");
-    if (m->size <= 64) {
-        printf(" {");
-        for (long k = 0; k < m->size; k++) printf(k ? " %g" : "%g", cm_get(m, k));
-        printf("}");
+    if (m->size > 64) printf("] (%ld elements)\n", m->size);
+    else {
+        printf("] [");
+        for (long k = 0; k < m->size; k++) {
+            cm_fmt(s, m->elem, (char *)m->p + k * cm_esize(m->elem));
+            printf(k ? " %s" : "%s", s);
+        }
+        printf("]\n");
     }
-    printf("\n");
+    funlockfile(stdout);
 }
 /* generalized matrixMap (§III-A.5's "being developed" form): the
  * mapped function may change the mapped dimensions' sizes; the output
@@ -133,11 +142,15 @@ static cm_mat *cm_matrixmapg(cm_mat *in, int ndims, const int *dims, int outElem
     return out;
 }
 
-/* reference-counting extension cells (§III-B surface syntax) */
-typedef struct { int rc; int released; double v; } cm_cell;
-static cm_cell *cm_cell_new(double v) {
-    cm_cell *c = (cm_cell *)malloc(sizeof(cm_cell));
-    c->rc = 1; c->released = 0; c->v = v;
+/* reference-counting extension cells (§III-B surface syntax): a
+   count, a released mark and the release of what the value holds,
+   then the value, of any type; the cell holds its own reference to a
+   matrix or cell in its value */
+typedef struct { int rc; int released; void (*drop)(void *); } cm_cell;
+static cm_cell *cm_cell_new(size_t size, void (*drop)(void *)) {
+    cm_cell *c = (cm_cell *)calloc(1, sizeof(cm_cell) + size);
+    if (!c) cm_die("out of memory");
+    c->rc = 1; c->drop = drop;
     return c;
 }
 static void cm_cell_incref(cm_cell *c) {
@@ -146,18 +159,17 @@ static void cm_cell_incref(cm_cell *c) {
 static void cm_cell_decref(cm_cell *c) {
     /* cells survive an explicit rcrelease until the last automatic
        reference drops, so stale aliases fail loudly instead of
-       reading freed memory */
-    if (c && __atomic_sub_fetch(&c->rc, 1, __ATOMIC_SEQ_CST) == 0) free(c);
+       reading freed memory; the value's references go with the cell */
+    if (c && __atomic_sub_fetch(&c->rc, 1, __ATOMIC_SEQ_CST) == 0) {
+        if (c->drop) c->drop(c + 1);
+        free(c);
+    }
 }
-static double cm_cell_get(cm_cell *c) {
-    if (!c) cm_die("rcget of null refcounted pointer");
-    if (c->released) cm_die("rc: rcget of a released refcounted pointer");
-    return c->v;
-}
-static void cm_cell_set(cm_cell *c, double v) {
-    if (!c) cm_die("rcset of null refcounted pointer");
-    if (c->released) cm_die("rc: rcset of a released refcounted pointer");
-    c->v = v;
+/* the value of a live cell: *(T *)cm_cell_val(c) */
+static void *cm_cell_val(cm_cell *c) {
+    if (!c) cm_die("null refcounted pointer");
+    if (c->released) cm_die("rc: use of a released refcounted pointer");
+    return c + 1;
 }
 static void cm_cell_release(cm_cell *c) {
     if (!c) cm_die("rcrelease of null refcounted pointer");

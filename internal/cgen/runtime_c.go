@@ -29,13 +29,33 @@ typedef struct cm_mat {
     long shape[CM_MAX_RANK];
     long strides[CM_MAX_RANK];
     long size;
-    float *f; long *i; unsigned char *b;
+    union { double *f; long *i; unsigned char *b; void *p; };
 } cm_mat;
 
 static void cm_die(const char *msg) {
     fprintf(stderr, "runtime error: %s\n", msg);
     exit(2);
 }
+
+/* ---- the value model (DESIGN §2.4): float is a double and int a long
+   that wraps in two's complement, as in the VM ---- */
+static long cm_iadd(long a, long b) { return (long)((unsigned long)a + (unsigned long)b); }
+static long cm_isub(long a, long b) { return (long)((unsigned long)a - (unsigned long)b); }
+static long cm_imul(long a, long b) { return (long)((unsigned long)a * (unsigned long)b); }
+static long cm_idiv(long a, long b) {
+    if (!b) cm_die("integer division by zero");
+    return b == -1 ? cm_isub(0, a) : a / b;
+}
+static long cm_imod(long a, long b) {
+    if (!b) cm_die("integer modulo by zero");
+    return b == -1 ? 0 : a % b;
+}
+/* (int)x: truncation, and the one out-of-range answer amd64 gives */
+static long cm_ftoi(double x) {
+    return x >= -9223372036854775808.0 && x < 9223372036854775808.0 ? (long)x : (long)(1UL << 63);
+}
+
+static size_t cm_esize(int elem) { return elem == CM_FLOAT ? sizeof(double) : elem == CM_INT ? sizeof(long) : 1; }
 
 static cm_mat *cm_alloc(int elem, int rank, const long *shape) {
     cm_mat *m = (cm_mat *)calloc(1, sizeof(cm_mat));
@@ -46,11 +66,8 @@ static cm_mat *cm_alloc(int elem, int rank, const long *shape) {
     long acc = 1;
     for (int d = rank - 1; d >= 0; d--) { m->strides[d] = acc; acc *= shape[d]; }
     m->size = size;
-    switch (elem) {
-    case CM_FLOAT: m->f = (float *)calloc(size ? size : 1, sizeof(float)); break;
-    case CM_INT:   m->i = (long *)calloc(size ? size : 1, sizeof(long)); break;
-    default:       m->b = (unsigned char *)calloc(size ? size : 1, 1); break;
-    }
+    m->p = calloc(size ? size : 1, cm_esize(elem));
+    if (!m->p) cm_die("out of memory");
     return m;
 }
 
@@ -60,7 +77,7 @@ static void cm_incref(cm_mat *m) {
 static void cm_decref(cm_mat *m) {
     if (!m) return;
     if (__atomic_sub_fetch(&m->rc, 1, __ATOMIC_SEQ_CST) == 0) {
-        free(m->f); free(m->i); free(m->b); free(m);
+        free(m->p); free(m);
     }
 }
 
@@ -69,18 +86,28 @@ static long cm_dim(cm_mat *m, long d) {
     return m->shape[d];
 }
 
-static double cm_get(cm_mat *m, long off) {
-    switch (m->elem) {
-    case CM_FLOAT: return m->f[off];
-    case CM_INT:   return (double)m->i[off];
-    default:       return m->b[off] ? 1.0 : 0.0;
+/* The offset of the cell at n scalar indices, each checked against its
+   dimension: every scalar load and store of any rank goes through it,
+   as m->f[cm_off(m, i, j)]. */
+static long cm_offn(const cm_mat *m, int n, const long *idx) {
+    if (!m) cm_die("index of unassigned matrix");
+    if (n != m->rank) cm_die("wrong number of indices");
+    long off = 0;
+    for (int d = 0; d < n; d++) {
+        if (idx[d] < 0 || idx[d] >= m->shape[d]) cm_die("index out of range");
+        off += idx[d] * m->strides[d];
     }
+    return off;
 }
-static void cm_put(cm_mat *m, long off, double v) {
-    switch (m->elem) {
-    case CM_FLOAT: m->f[off] = (float)v; break;
-    case CM_INT:   m->i[off] = (long)v; break;
-    default:       m->b[off] = v != 0.0; break;
+#define cm_off(m, ...) cm_offn(m, sizeof((long[]){__VA_ARGS__}) / sizeof(long), (long[]){__VA_ARGS__})
+
+/* dst[doff] = src[soff]; a float cell takes an int one converted, the
+   one promotion a store makes */
+static void cm_move(cm_mat *dst, long doff, const cm_mat *src, long soff) {
+    switch (dst->elem) {
+    case CM_FLOAT: dst->f[doff] = src->elem == CM_INT ? (double)src->i[soff] : src->f[soff]; break;
+    case CM_INT:   dst->i[doff] = src->i[soff]; break;
+    default:       dst->b[doff] = src->b[soff]; break;
     }
 }
 
@@ -175,7 +202,7 @@ static cm_mat *cm_index(cm_mat *m, int n, cm_spec *specs) {
             long pos = (sel[d].n >= 0) ? sel[d].list[counters[kd++]] : sel[d].scalar;
             src += pos * m->strides[d];
         }
-        cm_put(out, cell, cm_get(m, src));
+        cm_move(out, cell, m, src);
         for (int k = outrank - 1; k >= 0; k--) {
             if (++counters[k] < outshape[k]) break;
             counters[k] = 0;
@@ -183,18 +210,6 @@ static cm_mat *cm_index(cm_mat *m, int n, cm_spec *specs) {
     }
     cm_sel_free(sel, n);
     return out;
-}
-
-static double cm_index_scalar(cm_mat *m, int n, cm_spec *specs) {
-    if (!m) cm_die("index of unassigned matrix");
-    if (n != m->rank) cm_die("wrong number of indices");
-    long off = 0;
-    for (int d = 0; d < n; d++) {
-        if (specs[d].kind != CM_SPEC_SCALAR) cm_die("non-scalar index in scalar load");
-        if (specs[d].i < 0 || specs[d].i >= m->shape[d]) cm_die("index out of range");
-        off += specs[d].i * m->strides[d];
-    }
-    return cm_get(m, off);
 }
 
 static void cm_store(cm_mat *m, int n, cm_spec *specs, cm_mat *src) {
@@ -213,7 +228,7 @@ static void cm_store(cm_mat *m, int n, cm_spec *specs, cm_mat *src) {
             long pos = (sel[d].n >= 0) ? sel[d].list[counters[kd++]] : sel[d].scalar;
             dst += pos * m->strides[d];
         }
-        cm_put(m, dst, cm_get(src, cell));
+        cm_move(m, dst, src, cell);
         for (int k = outrank - 1; k >= 0; k--) {
             if (++counters[k] < outshape[k]) break;
             counters[k] = 0;
@@ -222,84 +237,84 @@ static void cm_store(cm_mat *m, int n, cm_spec *specs, cm_mat *src) {
     cm_sel_free(sel, n);
 }
 
-static void cm_store_scalar(cm_mat *m, int n, cm_spec *specs, double v) {
-    if (!m) cm_die("store into unassigned matrix");
-    long off = 0;
-    for (int d = 0; d < n; d++) {
-        if (specs[d].kind != CM_SPEC_SCALAR) cm_die("non-scalar index in scalar store");
-        if (specs[d].i < 0 || specs[d].i >= m->shape[d]) cm_die("index out of range");
-        off += specs[d].i * m->strides[d];
-    }
-    cm_put(m, off, v);
-}
-
-/* ---- overloaded arithmetic (§III-A.2) ---- */
-static double cm_apply(int op, double a, double b) {
-    switch (op) {
-    case CM_ADD: return a + b;
-    case CM_SUB: return a - b;
-    case CM_MUL: return a * b;
-    case CM_DIV: return a / b;
-    case CM_MOD: return (double)((long)a % (long)b);
-    case CM_EQ:  return a == b;
-    case CM_NE:  return a != b;
-    case CM_LT:  return a < b;
-    case CM_LE:  return a <= b;
-    case CM_GT:  return a > b;
-    case CM_GE:  return a >= b;
-    case CM_AND: return (a != 0) && (b != 0);
-    default:     return (a != 0) || (b != 0);
-    }
-}
-
+/* ---- overloaded arithmetic (§III-A.2) ----
+   Each operand is read in its own type: an int cell is converted only
+   where it meets a float, and int arithmetic wraps, as the VM's. A
+   broadcast scalar is a rank-0 operand read at offset 0. */
 static int cm_result_elem(int op, int ea, int eb) {
     if (op >= CM_EQ) return CM_BOOL;
     if (ea == CM_FLOAT || eb == CM_FLOAT) return CM_FLOAT;
     return CM_INT;
 }
 
+/* an operand's cell in a float operation: an int one promoted, as the VM promotes it */
+#define CM_FLT(m, k) ((m)->elem == CM_FLOAT ? (m)->f[k] : (double)(m)->i[k])
+#define CM_CMP(X, Y) \
+    switch (op) { \
+    case CM_EQ: for (long k = 0; k < n; k++) d[k] = X == Y; break; \
+    case CM_NE: for (long k = 0; k < n; k++) d[k] = X != Y; break; \
+    case CM_LT: for (long k = 0; k < n; k++) d[k] = X < Y; break; \
+    case CM_LE: for (long k = 0; k < n; k++) d[k] = X <= Y; break; \
+    case CM_GT: for (long k = 0; k < n; k++) d[k] = X > Y; break; \
+    default:    for (long k = 0; k < n; k++) d[k] = X >= Y; break; \
+    }
+#define CM_ARITH(X, Y) \
+    switch (op) { \
+    case CM_ADD: for (long k = 0; k < n; k++) d[k] = X + Y; break; \
+    case CM_SUB: for (long k = 0; k < n; k++) d[k] = X - Y; break; \
+    case CM_MUL: for (long k = 0; k < n; k++) d[k] = X * Y; break; \
+    default:     for (long k = 0; k < n; k++) d[k] = X / Y; break; \
+    }
 static cm_mat *cm_ew(int op, cm_mat *a, cm_mat *b) {
     if (!a || !b) cm_die("elementwise op on unassigned matrix");
-    if (a->rank != b->rank || a->size != b->size) cm_die("shape mismatch");
-    for (int d = 0; d < a->rank; d++)
-        if (a->shape[d] != b->shape[d]) cm_die("shape mismatch");
-    cm_mat *out = cm_alloc(cm_result_elem(op, a->elem, b->elem), a->rank, a->shape);
-    long size = a->size;
-    /* Typed fast paths: the hot arithmetic combinations run directly on
-       the backing arrays instead of boxing every element through
-       cm_get/cm_apply/cm_put (mirrors the Go runtime's kernels). */
-    if (a->elem == CM_FLOAT && b->elem == CM_FLOAT && op <= CM_DIV) {
-        const float *x = a->f, *y = b->f; float *d = out->f;
-        switch (op) {
-        case CM_ADD: for (long k = 0; k < size; k++) d[k] = x[k] + y[k]; break;
-        case CM_SUB: for (long k = 0; k < size; k++) d[k] = x[k] - y[k]; break;
-        case CM_MUL: for (long k = 0; k < size; k++) d[k] = x[k] * y[k]; break;
-        default:     for (long k = 0; k < size; k++) d[k] = x[k] / y[k]; break;
-        }
-        return out;
+    if (a->rank && b->rank) {
+        if (a->rank != b->rank) cm_die("shape mismatch");
+        for (int d = 0; d < a->rank; d++)
+            if (a->shape[d] != b->shape[d]) cm_die("shape mismatch");
     }
-    if (a->elem == CM_INT && b->elem == CM_INT && op <= CM_MUL) {
+    const cm_mat *sh = a->rank ? a : b;
+    cm_mat *out = cm_alloc(cm_result_elem(op, a->elem, b->elem), sh->rank, sh->shape);
+    long n = out->size, sa = a->rank != 0, sb = b->rank != 0;
+    if (op >= CM_AND) {
+        unsigned char *d = out->b;
+        for (long k = 0; k < n; k++)
+            d[k] = op == CM_AND ? a->b[k * sa] && b->b[k * sb] : a->b[k * sa] || b->b[k * sb];
+    } else if (op >= CM_EQ) {
+        unsigned char *d = out->b;
+        if (a->elem == CM_FLOAT || b->elem == CM_FLOAT) CM_CMP(CM_FLT(a, k * sa), CM_FLT(b, k * sb))
+        else if (a->elem == CM_INT) CM_CMP(a->i[k * sa], b->i[k * sb])
+        else CM_CMP(a->b[k * sa], b->b[k * sb])
+    } else if (a->elem == CM_FLOAT && b->elem == CM_FLOAT) {
+        /* typed fast paths: the operator chosen once, outside the loop */
+        const double *x = a->f, *y = b->f; double *d = out->f;
+        CM_ARITH(x[k * sa], y[k * sb])
+    } else if (a->elem == CM_INT && b->elem == CM_INT && op <= CM_MUL) {
         const long *x = a->i, *y = b->i; long *d = out->i;
-        switch (op) {
-        case CM_ADD: for (long k = 0; k < size; k++) d[k] = x[k] + y[k]; break;
-        case CM_SUB: for (long k = 0; k < size; k++) d[k] = x[k] - y[k]; break;
-        default:     for (long k = 0; k < size; k++) d[k] = x[k] * y[k]; break;
+        CM_ARITH((unsigned long)x[k * sa], (unsigned long)y[k * sb]) /* wraps; no division here */
+    } else if (out->elem == CM_FLOAT) {
+        double *d = out->f;
+        for (long k = 0; k < n; k++) {
+            double x = CM_FLT(a, k * sa), y = CM_FLT(b, k * sb);
+            d[k] = op == CM_ADD ? x + y : op == CM_SUB ? x - y : op == CM_MUL ? x * y : x / y;
         }
-        return out;
+    } else {
+        long *d = out->i;
+        for (long k = 0; k < n; k++) {
+            long x = a->i[k * sa], y = b->i[k * sb];
+            d[k] = op == CM_ADD ? cm_iadd(x, y) : op == CM_SUB ? cm_isub(x, y) : op == CM_MUL ? cm_imul(x, y)
+                 : op == CM_DIV ? cm_idiv(x, y) : cm_imod(x, y);
+        }
     }
-    for (long k = 0; k < size; k++)
-        cm_put(out, k, cm_apply(op, cm_get(a, k), cm_get(b, k)));
     return out;
 }
 
-static cm_mat *cm_bc(int op, cm_mat *a, double s, int sElem, int matLeft) {
+/* a op s (left) or s op a: s is the scalar of type elem, in i or f */
+static cm_mat *cm_bc(int op, cm_mat *a, int elem, long i, double f, int left) {
+    unsigned char b = i != 0;
+    cm_mat s = {.elem = elem, .size = 1};
+    s.p = elem == CM_FLOAT ? (void *)&f : elem == CM_INT ? (void *)&i : (void *)&b;
     if (!a) cm_die("broadcast op on unassigned matrix");
-    cm_mat *out = cm_alloc(cm_result_elem(op, a->elem, sElem), a->rank, a->shape);
-    for (long k = 0; k < a->size; k++) {
-        double v = matLeft ? cm_apply(op, cm_get(a, k), s) : cm_apply(op, s, cm_get(a, k));
-        cm_put(out, k, v);
-    }
-    return out;
+    return left ? cm_ew(op, a, &s) : cm_ew(op, &s, a);
 }
 
 static cm_mat *cm_matmul(cm_mat *a, cm_mat *b) {
@@ -307,50 +322,27 @@ static cm_mat *cm_matmul(cm_mat *a, cm_mat *b) {
         cm_die("bad matmul operands");
     long m = a->shape[0], kk = a->shape[1], n = b->shape[1];
     long shp[2] = {m, n};
-    int elem = (a->elem == CM_INT && b->elem == CM_INT) ? CM_INT : CM_FLOAT;
-    cm_mat *out = cm_alloc(elem, 2, shp);
+    cm_mat *out = cm_alloc(cm_result_elem(CM_MUL, a->elem, b->elem), 2, shp);
     /* i-k-j loop order: the inner loop walks one row of b and the
-       accumulator row sequentially (unit stride), unlike the naive
-       i-j-k order which strides down b's columns. */
-    if (elem == CM_INT) {
-        /* exact in long; k-blocked so a block of b's rows stays
-           cache-resident across the output rows that stream it */
-        const long BK = 128;
-        for (long k0 = 0; k0 < kk; k0 += BK) {
-            long k1 = k0 + BK < kk ? k0 + BK : kk;
-            for (long i = 0; i < m; i++) {
-                long *row = out->i + i * n;
-                const long *ar = a->i + i * kk;
-                for (long x = k0; x < k1; x++) {
-                    long av = ar[x];
-                    const long *br = b->i + x * n;
-                    for (long j = 0; j < n; j++) row[j] += av * br[j];
+       output row sequentially (unit stride); k-blocked so a block of
+       b's rows stays cache-resident across the output rows that stream
+       it. Each cell still sums its products in ascending k from 0, as
+       the VM's kernel does. */
+    const long BK = 128;
+    for (long k0 = 0; k0 < kk; k0 += BK)
+        for (long i = 0; i < m; i++)
+            for (long x = k0; x < kk && x < k0 + BK; x++) {
+                if (out->elem == CM_INT) {
+                    long av = a->i[i * kk + x], *row = out->i + i * n;
+                    for (long j = 0; j < n; j++) row[j] = cm_iadd(row[j], cm_imul(av, b->i[x * n + j]));
+                } else {
+                    double av = CM_FLT(a, i * kk + x), *row = out->f + i * n;
+                    if (b->elem == CM_FLOAT)
+                        for (long j = 0; j < n; j++) row[j] += av * b->f[x * n + j];
+                    else
+                        for (long j = 0; j < n; j++) row[j] += av * (double)b->i[x * n + j];
                 }
             }
-        }
-        return out;
-    }
-    /* float result: accumulate each output row in double (at least the
-       precision of the previous per-cell double accumulator), then
-       store once as float */
-    double *acc = (double *)calloc(n ? n : 1, sizeof(double));
-    if (!acc) cm_die("out of memory");
-    int fastFF = (a->elem == CM_FLOAT && b->elem == CM_FLOAT);
-    for (long i = 0; i < m; i++) {
-        for (long j = 0; j < n; j++) acc[j] = 0;
-        for (long x = 0; x < kk; x++) {
-            double av = fastFF ? a->f[i * kk + x] : cm_get(a, i * kk + x);
-            if (fastFF) {
-                const float *br = b->f + x * n;
-                for (long j = 0; j < n; j++) acc[j] += av * br[j];
-            } else {
-                for (long j = 0; j < n; j++) acc[j] += av * cm_get(b, x * n + j);
-            }
-        }
-        float *row = out->f + i * n;
-        for (long j = 0; j < n; j++) row[j] = (float)acc[j];
-    }
-    free(acc);
     return out;
 }
 
@@ -358,7 +350,11 @@ static cm_mat *cm_unary(int neg, cm_mat *a) {
     if (!a) cm_die("unary op on unassigned matrix");
     cm_mat *out = cm_alloc(a->elem, a->rank, a->shape);
     for (long k = 0; k < a->size; k++)
-        cm_put(out, k, neg ? -cm_get(a, k) : !(cm_get(a, k) != 0));
+        switch (a->elem) {
+        case CM_FLOAT: out->f[k] = -a->f[k]; break;
+        case CM_INT:   out->i[k] = cm_isub(0, a->i[k]); break;
+        default:       out->b[k] = !a->b[k]; break;
+        }
     return out;
 }
 
@@ -370,7 +366,8 @@ static cm_mat *cm_rangevec(long lo, long hi) {
     return out;
 }
 
-/* ---- matrix file I/O (CMXM format, matching internal/matio) ---- */
+/* ---- matrix file I/O (CMXM format, matching internal/matio): the
+   file's float64/int64/bool8 cells are the matrix's own ---- */
 static cm_mat *cm_read(const char *name) {
     FILE *fp = fopen(name, "rb");
     if (!fp) cm_die("readMatrix: cannot open file");
@@ -379,16 +376,11 @@ static cm_mat *cm_read(const char *name) {
     if (fread(mg, 1, 4, fp) != 4 || memcmp(mg, "CMXM", 4) != 0) cm_die("bad matrix file");
     if (fread(head, 8, 2, fp) != 2) cm_die("bad matrix header");
     long elem = head[0], rank = head[1];
-    if (rank < 1 || rank > CM_MAX_RANK) cm_die("bad matrix rank");
+    if (elem < CM_FLOAT || elem > CM_BOOL || rank < 1 || rank > CM_MAX_RANK) cm_die("bad matrix header");
     long shape[CM_MAX_RANK];
     if (fread(shape, 8, rank, fp) != (size_t)rank) cm_die("bad matrix shape");
-    /* file stores float64/int64/bool8 */
-    cm_mat *m = cm_alloc(elem == 0 ? CM_FLOAT : (elem == 1 ? CM_INT : CM_BOOL), (int)rank, shape);
-    for (long k = 0; k < m->size; k++) {
-        if (m->elem == CM_FLOAT) { double v; if (fread(&v, 8, 1, fp) != 1) cm_die("short read"); m->f[k] = (float)v; }
-        else if (m->elem == CM_INT) { long v; if (fread(&v, 8, 1, fp) != 1) cm_die("short read"); m->i[k] = v; }
-        else { unsigned char v; if (fread(&v, 1, 1, fp) != 1) cm_die("short read"); m->b[k] = v; }
-    }
+    cm_mat *m = cm_alloc((int)elem, (int)rank, shape);
+    if (fread(m->p, cm_esize(m->elem), m->size, fp) != (size_t)m->size) cm_die("short read");
     fclose(fp);
     return m;
 }
@@ -397,14 +389,10 @@ static void cm_write(const char *name, cm_mat *m) {
     FILE *fp = fopen(name, "wb");
     if (!fp) cm_die("writeMatrix: cannot open file");
     fwrite("CMXM", 1, 4, fp);
-    long head[2] = {m->elem == CM_FLOAT ? 0 : (m->elem == CM_INT ? 1 : 2), m->rank};
+    long head[2] = {m->elem, m->rank};
     fwrite(head, 8, 2, fp);
     fwrite(m->shape, 8, m->rank, fp);
-    for (long k = 0; k < m->size; k++) {
-        if (m->elem == CM_FLOAT) { double v = m->f[k]; fwrite(&v, 8, 1, fp); }
-        else if (m->elem == CM_INT) { fwrite(&m->i[k], 8, 1, fp); }
-        else { fwrite(&m->b[k], 1, 1, fp); }
-    }
+    fwrite(m->p, cm_esize(m->elem), m->size, fp);
     fclose(fp);
 }
 

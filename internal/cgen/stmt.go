@@ -27,25 +27,21 @@ func (f *fnEmitter) stmt(s ast.Stmt) {
 
 	case *ast.DeclStmt:
 		ty := types.MustFrom(s.Type)
-		f.vars[s.Name] = ty
-		cn := cname(s.Name)
 		if s.Init == nil {
-			switch ty.Kind {
-			case types.Matrix, types.AnyMatrix:
-				f.b.line("cm_mat *%s = 0;", cn)
-			case types.RcPtr:
-				f.b.line("cm_cell *%s = 0;", cn)
-			case types.Tuple:
+			cn := f.declare(s.Name, ty)
+			if ty.Kind == types.Tuple {
 				f.b.line("%s %s = {0};", f.g.tupleType(ty), cn)
-			default:
+			} else {
 				f.b.line("%s%s = 0;", padType(f.g.cType(ty)), cn)
 			}
 			f.trackVar(cn, ty)
 			return
 		}
-		val := promoteScalar(f.expr(s.Init), f.g.info.TypeOf(s.Init), ty)
+		// The initializer reads the bindings outside the declaration.
+		val := f.g.convert(f.expr(s.Init), f.g.info.TypeOf(s.Init), ty)
+		cn := f.declare(s.Name, ty)
 		f.b.line("%s%s = %s;", padType(f.g.cType(ty)), cn, val)
-		f.retain(cn, ty)
+		retain(f.b, cn, ty)
 		f.trackVar(cn, ty)
 		f.releaseTemps()
 
@@ -104,12 +100,12 @@ func (f *fnEmitter) stmt(s ast.Stmt) {
 			return
 		}
 		retTy := f.g.info.Funcs[f.fn.Name].Type.Ret
-		val := promoteScalar(f.expr(s.Value), f.g.info.TypeOf(s.Value), retTy)
+		val := f.g.convert(f.expr(s.Value), f.g.info.TypeOf(s.Value), retTy)
 		ret := f.g.fresh("ret")
 		f.b.line("%s%s = %s;", padType(f.g.cType(retTy)), ret, val)
 		// Secure the result before temp and scope releases: returned
 		// values carry one owned reference out of the function.
-		f.retain(ret, retTy)
+		retain(f.b, ret, retTy)
 		f.releaseTemps()
 		if f.cilk {
 			f.b.line("cm_sync_from(_cilk_mark); /* implicit sync at function exit */")
@@ -179,6 +175,11 @@ func (f *fnEmitter) materializeCond(e ast.Expr) string {
 func (f *fnEmitter) assignStmt(s *ast.AssignStmt) {
 	rhs := f.expr(s.RHS)
 	rhsTy := f.g.info.TypeOf(s.RHS)
+	// The VM evaluates the value first: a target's index that calls a
+	// function must not change it.
+	if f.effects(s.LHS...) {
+		rhs = f.snapshot(rhs, rhsTy)
+	}
 	if len(s.LHS) == 1 {
 		f.assignLValue(s.LHS[0], rhs, rhsTy)
 		f.releaseTemps()
@@ -196,18 +197,17 @@ func (f *fnEmitter) assignStmt(s *ast.AssignStmt) {
 func (f *fnEmitter) assignLValue(lhs ast.Expr, val string, valTy *types.Type) {
 	switch l := lhs.(type) {
 	case *ast.Ident:
-		ty, ok := f.vars[l.Name]
-		if !ok {
-			ty = f.g.info.TypeOf(l)
+		ty := f.g.info.TypeOf(l)
+		if v, ok := f.vars[l.Name]; ok {
+			ty = v.ty
 		}
-		f.assignVar(cname(l.Name), ty, val, valTy)
+		f.assignVar(f.cvar(l.Name), ty, val, valTy)
 	case *ast.IndexExpr:
-		base := f.expr(l.X)
-		specs := f.indexSpecArray(l, base)
+		base, vals := f.indexOperands(l)
 		if valTy.IsMatrix() {
-			f.b.line("cm_store(%s, %d, %s, %s);", base, len(l.Args), specs, val)
+			f.b.line("cm_store(%s, %d, %s, %s);", base, len(l.Args), f.indexSpecArray(l, vals), val)
 		} else {
-			f.b.line("cm_store_scalar(%s, %d, %s, (double)(%s));", base, len(l.Args), specs, val)
+			f.b.line("%s = %s;", cellRef(base, f.g.info.TypeOf(l.X), vals), f.g.convert(val, valTy, f.g.info.TypeOf(l)))
 		}
 	default:
 		panic(bug("cannot assign to %s", ast.ExprString(lhs)))

@@ -1,11 +1,13 @@
-// SSE vector emission for vectorized loops (§V, Fig 11). A loop
-// marked by "vectorize" executes its iterations as the four lanes of
-// 128-bit single-precision vectors: scalar float declarations become
-// __m128 vectors, arithmetic becomes _mm_*_ps intrinsics, stride-1
-// loads and stores become _mm_loadu_ps/_mm_storeu_ps and other access
-// patterns become lane-wise gathers/scatters, and inner loops (like
-// Fig 11's time dimension) remain scalar loops over vector
-// accumulators.
+// SSE2 vector emission for vectorized loops (§V, Fig 11). A loop
+// marked by "vectorize" executes its iterations as four double lanes,
+// held as the pair of 128-bit vectors name[0] (lanes 0, 1) and name[1]
+// (lanes 2, 3): scalar declarations become __m128d pairs, arithmetic
+// becomes _mm_*_pd intrinsics a half at a time, stride-1 loads and
+// stores become _mm_loadu_pd/_mm_storeu_pd and other access patterns
+// become lane-wise gathers/scatters, and inner loops (like Fig 11's
+// time dimension) remain scalar loops over vector accumulators. Every
+// lane computes in the VM's double, so a vectorized loop's cells are
+// the unvectorized loop's bit for bit.
 package cgen
 
 import (
@@ -25,7 +27,7 @@ type vecCtx struct {
 func emitVectorLoop(b *indentWriter, l *loopir.Loop) {
 	lo, hi := l.Lo.(*loopir.IntConst).V, l.Hi.(*loopir.IntConst).V
 	v := &vecCtx{index: l.Index, vecVars: map[string]bool{}}
-	b.line("/* loop %s vectorized: 4 x 32-bit single-precision lanes (SSE) */", l.Index)
+	b.line("/* loop %s vectorized: 4 double lanes, two SSE2 vectors */", l.Index)
 	if hi-lo == 4 {
 		// The whole loop collapses into straight-line vector code with
 		// the index fixed at the lane origin (the Fig 11 presentation).
@@ -45,28 +47,30 @@ func (v *vecCtx) stmts(b *indentWriter, body []loopir.Stmt) {
 	for _, s := range body {
 		switch s := s.(type) {
 		case *loopir.DeclStmt:
-			init := "_mm_setzero_ps()"
+			init := [2]string{"_mm_setzero_pd()", "_mm_setzero_pd()"}
 			if s.Init != nil {
-				init = v.expr(s.Init)
+				init = [2]string{v.expr(s.Init, 0), v.expr(s.Init, 1)}
 			}
-			b.line("__m128 %s = %s;", s.Name, init)
+			b.line("__m128d %s[2] = {%s, %s};", s.Name, init[0], init[1])
 			v.vecVars[s.Name] = true
 		case *loopir.AssignStmt:
-			rhs := v.expr(s.RHS)
-			switch lhs := s.LHS.(type) {
-			case *loopir.VarRef:
-				b.line("%s = %s;", lhs.Name, rhs)
-			case *loopir.Load:
-				if stride1(lhs.Idx, v.index) {
-					b.line("_mm_storeu_ps(&%s[%s], %s);", lhs.Array, lhs.Idx, rhs)
-				} else {
-					// lane-wise scatter
-					tmp := fmt.Sprintf("_lanes_%s", lhs.Array)
-					b.line("{ float %s[4]; _mm_storeu_ps(%s, %s);", tmp, tmp, rhs)
-					for k := 0; k < 4; k++ {
-						b.line("  %s[%s] = %s[%d];", lhs.Array, laneExpr(lhs.Idx, v.index, k), tmp, k)
+			for h := 0; h < 2; h++ {
+				rhs := v.expr(s.RHS, h)
+				switch lhs := s.LHS.(type) {
+				case *loopir.VarRef:
+					b.line("%s[%d] = %s;", lhs.Name, h, rhs)
+				case *loopir.Load:
+					if stride1(lhs.Idx, v.index) {
+						b.line("_mm_storeu_pd(&%s[%s], %s);", lhs.Array, v.lane(lhs.Idx, 2*h), rhs)
+					} else {
+						// lane-wise scatter
+						tmp := fmt.Sprintf("_lanes_%s", lhs.Array)
+						b.line("{ double %s[2]; _mm_storeu_pd(%s, %s);", tmp, tmp, rhs)
+						for k := 0; k < 2; k++ {
+							b.line("  %s[%s] = %s[%d];", lhs.Array, v.lane(lhs.Idx, 2*h+k), tmp, k)
+						}
+						b.line("}")
 					}
-					b.line("}")
 				}
 			}
 		case *loopir.Loop:
@@ -82,56 +86,59 @@ func (v *vecCtx) stmts(b *indentWriter, body []loopir.Stmt) {
 	}
 }
 
-// expr renders an IR expression as a 4-lane vector expression.
-func (v *vecCtx) expr(e loopir.Expr) string {
+// expr renders an IR expression as half h (lanes 2h and 2h+1) of its
+// four-lane vector value. Ints read (variables, loads, constants) are
+// converted to double as the VM promotes them.
+func (v *vecCtx) expr(e loopir.Expr, h int) string {
 	switch e := e.(type) {
 	case *loopir.IntConst:
-		return fmt.Sprintf("_mm_set1_ps(%d.0f)", e.V)
+		return fmt.Sprintf("_mm_set1_pd(%d.0)", e.V)
 	case *loopir.FloatConst:
-		return fmt.Sprintf("_mm_set1_ps(%s)", e.String())
+		return fmt.Sprintf("_mm_set1_pd(%s)", e.String())
 	case *loopir.VarRef:
 		if e.Name == v.index {
-			return fmt.Sprintf("_mm_add_ps(_mm_set1_ps((float)%s), _mm_setr_ps(0, 1, 2, 3))", e.Name)
+			return fmt.Sprintf("_mm_setr_pd((double)%s, (double)%s)", v.lane(e, 2*h), v.lane(e, 2*h+1))
 		}
 		if v.vecVars[e.Name] {
-			return e.Name
+			return fmt.Sprintf("%s[%d]", e.Name, h)
 		}
-		return fmt.Sprintf("_mm_set1_ps((float)%s)", e.Name)
+		return fmt.Sprintf("_mm_set1_pd((double)%s)", e.Name)
 	case *loopir.Bin:
-		op := map[string]string{"+": "_mm_add_ps", "-": "_mm_sub_ps", "*": "_mm_mul_ps", "/": "_mm_div_ps"}[e.Op]
-		return fmt.Sprintf("%s(%s, %s)", op, v.expr(e.L), v.expr(e.R))
+		op := map[string]string{"+": "_mm_add_pd", "-": "_mm_sub_pd", "*": "_mm_mul_pd", "/": "_mm_div_pd"}[e.Op]
+		return fmt.Sprintf("%s(%s, %s)", op, v.expr(e.L, h), v.expr(e.R, h))
 	case *loopir.Un:
 		if e.Op == "-" {
-			return fmt.Sprintf("_mm_sub_ps(_mm_setzero_ps(), %s)", v.expr(e.X))
+			return fmt.Sprintf("_mm_xor_pd(%s, _mm_set1_pd(-0.0))", v.expr(e.X, h)) // flips the sign, of a zero too
 		}
-		return v.expr(e.X) // (float) and (long): all lanes are floats already
+		return v.expr(e.X, h) // (double): every lane is a double already
 	case *loopir.Load:
 		if stride1(e.Idx, v.index) {
-			return fmt.Sprintf("_mm_loadu_ps(&%s[%s])", e.Array, e.Idx)
+			return fmt.Sprintf("_mm_loadu_pd(&%s[%s])", e.Array, v.lane(e.Idx, 2*h))
 		}
-		if !loopir.Mentions(e.Idx, v.index) {
-			return fmt.Sprintf("_mm_set1_ps((float)%s[%s])", e.Array, e.Idx)
-		}
-		// lane-wise gather (e.g. Fig 11's strided mat accesses)
-		return fmt.Sprintf("_mm_setr_ps((float)%s[%s], (float)%s[%s], (float)%s[%s], (float)%s[%s])",
-			e.Array, laneExpr(e.Idx, v.index, 0), e.Array, laneExpr(e.Idx, v.index, 1),
-			e.Array, laneExpr(e.Idx, v.index, 2), e.Array, laneExpr(e.Idx, v.index, 3))
 	case *loopir.Cond:
-		// A nested min/max fold's accumulator: (a < b ? a : b) and
-		// (a > b ? a : b).
-		if e.C.(*loopir.Bin).Op == "<" {
-			return fmt.Sprintf("_mm_min_ps(%s, %s)", v.expr(e.T), v.expr(e.F))
+		// A nested min/max fold's step: (acc < x ? acc : x) is min,
+		// (acc < x ? x : acc) max, and _mm_min_pd(a, b) / _mm_max_pd(a, b)
+		// are (a < b ? a : b) / (a > b ? a : b), NaNs included.
+		fn := "_mm_max_pd"
+		if e.T.String() == e.C.(*loopir.Bin).L.String() {
+			fn = "_mm_min_pd"
 		}
-		return fmt.Sprintf("_mm_max_ps(%s, %s)", v.expr(e.T), v.expr(e.F))
+		return fmt.Sprintf("%s(%s, %s)", fn, v.expr(e.T, h), v.expr(e.F, h))
 	}
-	// A call: the bounds-checked cm_at accessors of the unoptimized
-	// ablation path, gathered lane-wise when they read the index.
+	// A call (cm_dim) or any other load, gathered lane-wise when it
+	// reads the index.
 	if !loopir.Mentions(e, v.index) {
-		return fmt.Sprintf("_mm_set1_ps((float)%s)", e.String())
+		return fmt.Sprintf("_mm_set1_pd((double)%s)", e.String())
 	}
-	return fmt.Sprintf("_mm_setr_ps((float)%s, (float)%s, (float)%s, (float)%s)",
-		laneExpr(e, v.index, 0), laneExpr(e, v.index, 1),
-		laneExpr(e, v.index, 2), laneExpr(e, v.index, 3))
+	return fmt.Sprintf("_mm_setr_pd((double)%s, (double)%s)", v.lane(e, 2*h), v.lane(e, 2*h+1))
+}
+
+// lane renders e at lane k of the vectorized index.
+func (v *vecCtx) lane(e loopir.Expr, k int) string {
+	if k == 0 {
+		return e.String()
+	}
+	return laneExpr(e, v.index, k)
 }
 
 // laneExpr renders any expression at lane k of the vectorized index.

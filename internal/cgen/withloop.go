@@ -37,6 +37,7 @@ type wlState struct {
 	// types of hoisted / captured C variables, for pthread lifting.
 	varTypes map[string]string
 	endStk   []func() loopir.Expr
+	index    int // > 0 while an index argument lowers
 	seq      int
 	// uid distinguishes this nest's hoisted pointer names: two
 	// with-loops in one function may read the same matrix (which can
@@ -78,10 +79,11 @@ func (f *fnEmitter) emitWithLoop(wl *ast.WithLoop) string {
 	panic(bug("unknown with-loop op %T", wl.Op))
 }
 
+// cElemType is the C type of a matrix cell of scalar type t.
 func cElemType(t *types.Type) string {
-	switch t.Elem.Kind {
+	switch t.Kind {
 	case types.Float:
-		return "float"
+		return "double"
 	case types.Int:
 		return "long"
 	default:
@@ -112,7 +114,7 @@ func (f *fnEmitter) emitGenArray(w *wlState, wl *ast.WithLoop, op *ast.GenArrayO
 	}
 	out := f.g.fresh("wl")
 	w.hoisted.line("cm_mat *%s = cm_alloc(%s, %d, (long[]){%s});",
-		out, elemEnum(resTy), rank, strings.Join(shStrs, ", "))
+		out, elemEnum(resTy.Elem), rank, strings.Join(shStrs, ", "))
 	w.varTypes[out] = "cm_mat *"
 	// "the shape in the operation must be a superset of the indexes in
 	// the generator, which is something that can be checked at runtime"
@@ -128,11 +130,11 @@ func (f *fnEmitter) emitGenArray(w *wlState, wl *ast.WithLoop, op *ast.GenArrayO
 	// the source row length) for the cache-blocked runtime kernel.
 	if src, ok := w.transposeSource(wl, op, resTy); ok {
 		f.emitNest(w, []loopir.Stmt{
-			&loopir.Raw{Code: fmt.Sprintf("cm_transpose(%s, %s);", out, cname(src))}}, nil)
-		f.temps = append(f.temps, out)
+			&loopir.Raw{Code: fmt.Sprintf("cm_transpose(%s, %s);", out, f.cvar(src))}}, nil)
+		f.temps = append(f.temps, scopedVar{out, resTy})
 		return out
 	}
-	outD := w.hoist(cElemType(resTy)+" *", out+"_d", out+"->"+dataField(resTy))
+	outD := w.hoist(cElemType(resTy.Elem)+" *", out+"_d", out+"->"+dataField(resTy))
 
 	// Linear output offset ((i*sh1 + j)*sh2 + k)...
 	var linear loopir.Expr = loopir.V(cname(wl.Ids[0]))
@@ -141,22 +143,24 @@ func (f *fnEmitter) emitGenArray(w *wlState, wl *ast.WithLoop, op *ast.GenArrayO
 	}
 
 	var inner []loopir.Stmt
-	if f.g.info.ScalarBodies[wl] {
-		pre, val := w.lowerBody(op.Body)
-		inner = append(pre, &loopir.AssignStmt{LHS: loopir.Ld(outD, linear), RHS: val})
-	} else {
-		raw, cval := f.generalBody(wl.Ids, op.Body)
-		raw += fmt.Sprintf("cm_put(%s, %s, (double)(%s));\n", out, linear, cval)
-		inner = []loopir.Stmt{&loopir.Raw{Code: strings.TrimRight(raw, "\n")}}
-	}
+	f.withIds(wl.Ids, func() {
+		if f.g.info.ScalarBodies[wl] {
+			pre, val := w.lowerBody(op.Body)
+			inner = append(pre, &loopir.AssignStmt{LHS: loopir.Ld(outD, linear), RHS: val})
+		} else {
+			raw, cval := f.generalBody(op.Body)
+			raw += fmt.Sprintf("%s = %s;", loopir.Ld(outD, linear), cval)
+			inner = []loopir.Stmt{&loopir.Raw{Code: raw}}
+		}
+	})
 	nest, rest := f.applyTransforms(buildNest(wl.Ids, los, his, inner), wl.Transforms)
 	f.autoParallel(nest, wl.Transforms)
 	f.emitNest(w, nest, rest)
-	f.temps = append(f.temps, out)
+	f.temps = append(f.temps, scopedVar{out, resTy})
 	if !f.g.opts.Optimize {
 		// Library-style baseline of §III-A.4: the with-loop result is
 		// copied into its destination instead of moved.
-		return f.temp("cm_mat *", fmt.Sprintf("cm_copy(%s)", out))
+		return f.owned(resTy, fmt.Sprintf("cm_copy(%s)", out))
 	}
 	return out
 }
@@ -168,12 +172,14 @@ func (f *fnEmitter) emitFold(w *wlState, wl *ast.WithLoop, op *ast.FoldOp,
 	acc := w.hoist(ctype, f.g.fresh("acc"), fmt.Sprintf("(%s)(%s)", ctype, initV))
 	var pre []loopir.Stmt
 	var val loopir.Expr
-	if f.g.info.ScalarBodies[wl] {
-		pre, val = w.lowerBody(op.Body)
-	} else {
-		raw, cval := f.generalBody(wl.Ids, op.Body)
-		pre, val = []loopir.Stmt{&loopir.Raw{Code: strings.TrimRight(raw, "\n")}}, loopir.V("("+cval+")")
-	}
+	f.withIds(wl.Ids, func() {
+		if f.g.info.ScalarBodies[wl] {
+			pre, val = w.lowerBody(op.Body)
+		} else {
+			raw, cval := f.generalBody(op.Body)
+			pre, val = []loopir.Stmt{&loopir.Raw{Code: strings.TrimRight(raw, "\n")}}, loopir.V(cval)
+		}
+	})
 	// Folds run sequentially in generated code (the parallel construct
 	// is the enclosing genarray, as in Fig 1); see DESIGN.md.
 	nest, rest := f.foldNest(wl, acc, los, his, pre, val)
@@ -182,12 +188,7 @@ func (f *fnEmitter) emitFold(w *wlState, wl *ast.WithLoop, op *ast.FoldOp,
 }
 
 // accCType is the C type of a fold's accumulator: its static type's.
-func (f *fnEmitter) accCType(wl *ast.WithLoop) string {
-	if f.g.info.TypeOf(wl).Kind == types.Int {
-		return "long"
-	}
-	return "float"
-}
+func (f *fnEmitter) accCType(wl *ast.WithLoop) string { return f.g.cType(f.g.info.TypeOf(wl)) }
 
 // foldNest builds a fold's loop nest over [los, his), at top level or
 // nested in a scalar body: pre computes each cell's value val, which
@@ -196,21 +197,28 @@ func (f *fnEmitter) accCType(wl *ast.WithLoop) string {
 func (f *fnEmitter) foldNest(wl *ast.WithLoop, acc string, los, his []loopir.Expr,
 	pre []loopir.Stmt, val loopir.Expr) (nest, rest []loopir.Stmt) {
 	inner := append(pre, &loopir.AssignStmt{LHS: loopir.V(acc),
-		RHS: foldCombine(wl.Op.(*ast.FoldOp).Kind, loopir.V(acc), val)})
+		RHS: foldCombine(wl.Op.(*ast.FoldOp).Kind, f.g.info.TypeOf(wl).Kind == types.Int, loopir.V(acc), val)})
 	return f.applyTransforms(buildNest(wl.Ids, los, his, inner), wl.Transforms)
 }
 
-func foldCombine(kind ast.FoldKind, acc, v loopir.Expr) loopir.Expr {
-	switch kind {
-	case ast.FoldAdd:
-		return loopir.B("+", acc, v)
-	case ast.FoldMul:
-		return loopir.B("*", acc, v)
-	case ast.FoldMin:
+// foldCombine is one fold step, as matrix's combine: an int + or *
+// wraps; of two equal values min keeps the right operand and max the
+// left, and since a comparison with a NaN is false, min takes the right
+// operand and max keeps the left.
+func foldCombine(kind ast.FoldKind, isInt bool, acc, v loopir.Expr) loopir.Expr {
+	switch {
+	case kind == ast.FoldMin:
 		return &loopir.Cond{C: loopir.B("<", acc, v), T: acc, F: v}
-	default:
-		return &loopir.Cond{C: loopir.B(">", acc, v), T: acc, F: v}
+	case kind == ast.FoldMax:
+		return &loopir.Cond{C: loopir.B("<", acc, v), T: v, F: acc}
+	case isInt && kind == ast.FoldAdd:
+		return loopir.Call("cm_iadd", acc, v)
+	case isInt:
+		return loopir.Call("cm_imul", acc, v)
+	case kind == ast.FoldAdd:
+		return loopir.B("+", acc, v)
 	}
+	return loopir.B("*", acc, v)
 }
 
 func buildNest(ids []string, los, his []loopir.Expr, inner []loopir.Stmt) []loopir.Stmt {

@@ -9,6 +9,7 @@ package loopir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -67,12 +68,14 @@ func (*CallE) exprNode()      {}
 func (*Cond) exprNode()       {}
 
 func (e *IntConst) String() string { return fmt.Sprintf("%d", e.V) }
+
+// String renders a C double literal that reads back to V exactly.
 func (e *FloatConst) String() string {
-	s := fmt.Sprintf("%g", e.V)
-	if !strings.ContainsAny(s, ".einf") {
+	s := strconv.FormatFloat(e.V, 'g', -1, 64)
+	if !strings.ContainsAny(s, ".e") {
 		s += ".0"
 	}
-	return s + "f"
+	return s
 }
 func (e *VarRef) String() string { return e.Name }
 func (e *Bin) String() string    { return "(" + e.L.String() + " " + e.Op + " " + e.R.String() + ")" }

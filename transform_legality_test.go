@@ -12,7 +12,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -192,14 +191,7 @@ func runC(t *testing.T, csrc, dir string, files map[string]*matrix.Matrix, flags
 			t.Fatal(err)
 		}
 	}
-	if err := os.WriteFile(filepath.Join(dir, "prog.c"), []byte(csrc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	args := append([]string{"-O1", "-o", filepath.Join(dir, "prog"), filepath.Join(dir, "prog.c")}, flags...)
-	if out, err := exec.Command("gcc", append(args, "-lpthread", "-lm")...).CombinedOutput(); err != nil {
-		t.Fatalf("gcc: %v\n%s", err, out)
-	}
-	cmd := exec.Command(filepath.Join(dir, "prog"), "-t", "2")
+	cmd := exec.Command(gccBuild(t, csrc, flags...), "-t", "2")
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -223,7 +215,7 @@ func compileC(t *testing.T, src string) string {
 
 // Fig 9 on the corpus's 9×10×12 cube: split j by 4 leaves columns 8
 // and 9, which the remainder nest computes. Every mean equals the VM's
-// within float32 rounding (the generated C sums in float).
+// bit for bit (the generated C sums in the VM's doubles).
 func TestSplitRemainderCompiledMatchesVM(t *testing.T) {
 	if !haveGCC() {
 		t.Skip("gcc not available")
@@ -246,7 +238,7 @@ func TestSplitRemainderCompiledMatchesVM(t *testing.T) {
 		t.Fatalf("C wrote shape %v, the VM %v", got.Shape(), want.Shape())
 	}
 	for k := 0; k < want.Size(); k++ {
-		if d := got.GetFloat(k) - want.GetFloat(k); d < -1e-4 || d > 1e-4 {
+		if got.GetFloat(k) != want.GetFloat(k) {
 			t.Errorf("means cell %d (row %d, column %d): C %v, VM %v", k, k/10, k%10, got.GetFloat(k), want.GetFloat(k))
 		}
 	}

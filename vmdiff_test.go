@@ -2591,6 +2591,68 @@ int main() {
 	print(early[0]);
 	return 0;
 }`},
+	// An rc cell of a matrix, and of a tuple holding one, read and set
+	// through named locals.
+	{name: "rc_cell_matrix", src: `
+Matrix float <1> scaled(refcounted Matrix float <1> * c, float k) { return rcget(c) * k; }
+int main() {
+	Matrix float <1> m = [0 :: 3] * 1.5;
+	refcounted Matrix float <1> * c = rcnew(m);
+	Matrix float <1> s = scaled(c, 2.0);
+	print(s[3]);
+	Matrix float <1> n = m + 1.0;
+	rcset(c, n);
+	Matrix float <1> z = rcget(c);
+	print(z[0]);
+	print(rcget(c));
+	refcounted (int, Matrix float <1>) * p = rcnew((7, n));
+	int q; Matrix float <1> w;
+	(q, w) = rcget(p);
+	print(q + w[3]);
+	return 0;
+}`},
+	// An rc cell holds its own reference to the matrix it stores: a
+	// statement temporary stored by rcnew or rcset, or a function's
+	// result, outlives the statement that made it.
+	{name: "rc_cell_temporaries", src: `
+Matrix float <1> ramp(int n) { return [0 :: n] * 0.5; }
+refcounted Matrix float <1> * wrap(int n) { return rcnew(ramp(n)); }
+int main() {
+	refcounted Matrix float <1> * c = rcnew([0 :: 3] * 1.5);
+	print(rcget(c));
+	Matrix float <1> m = rcget(c);
+	rcset(c, m + 1.0);
+	print(rcget(c));
+	rcset(c, ramp(4));
+	m = rcget(c);
+	print(m[4]);
+	refcounted Matrix float <1> * d = wrap(2);
+	print(rcget(d));
+	refcounted (int, Matrix float <1>) * p = rcnew((1, ramp(1)));
+	int q; Matrix float <1> w;
+	(q, w) = rcget(p);
+	print(q + w[1]);
+	return 0;
+}`},
+	// A tuple stored into a tuple of other element types converts
+	// element by element: a declaration, an assignment and a spawn target.
+	{name: "tuple_promote_decl_spawn", src: `
+(int, int) pair(int n) { return (n, n + 1); }
+int main() {
+	(float, int) t = pair(3);
+	float f; int k;
+	(f, k) = t;
+	print(f / 2.0);
+	t = pair(4);
+	(f, k) = t;
+	print(f / 2.0);
+	(float, int) s;
+	spawn s = pair(5);
+	sync;
+	(f, k) = s;
+	print(f / 2.0); print(k);
+	return 0;
+}`},
 	{name: "global_with_empty_before_bound", threads: []int{1, 2, 3, 7}, pin: &pinned{"0\n0\n", 8}, src: `
 Matrix float <1> early = mk(0);
 Matrix float <1> late = init(Matrix float <1>, 4);
