@@ -2,6 +2,7 @@ package cgen
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -122,9 +123,43 @@ func TestE1Fig1ExpandsToFig3Shape(t *testing.T) {
 	if !strings.Contains(c, "_acc") {
 		t.Error("generated C missing the fold accumulator")
 	}
-	// No 'end' in the body, so no dimension variables are hoisted.
-	if strings.Contains(c, "u_mat_dim0") {
-		t.Error("dimension variables should only be hoisted when 'end' is used")
+	// Each index of the direct load is checked against its hoisted
+	// extent, as cm_off checks it.
+	if !strings.Contains(c, "cm_chk(u_i, u_mat_dim0_w1), cm_chk(u_j, u_mat_dim1_w1), cm_chk(u_k, u_mat_dim2_w1)") {
+		t.Error("the direct load should check every index against its dimension")
+	}
+}
+
+// An index out of range in a with-loop body traps in the generated C at
+// -O as it does without -O (cm_off) and on the VM: the -O load checks
+// its index against the hoisted extent (v[i + 1] over [0 :: 3] read 0
+// past the end of v's cells, and exited 0).
+func TestOptimizedLoadChecksBounds(t *testing.T) {
+	if !haveGCC() {
+		t.Skip("gcc not available")
+	}
+	const src = `
+int main() {
+	Matrix int <1> v = [0 :: 3];
+	int n = 4;
+	Matrix int <1> w = with ([0] <= [i] < [n]) genarray([n], v[i + 1]);
+	print(w[0]);
+	return 0;
+}
+`
+	for _, optimize := range []bool{true, false} {
+		bin := compileC(t, gen(t, src, Options{Par: ParNone, Optimize: optimize}), t.TempDir())
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bin)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("-O=%v: the program ended with %v, want exit status 2", optimize, err)
+		}
+		if stdout.Len() != 0 || stderr.String() != "runtime error: index out of range\n" {
+			t.Errorf("-O=%v: the program printed %q and %q on stderr, want nothing and the index error", optimize, stdout.String(), stderr.String())
+		}
 	}
 }
 

@@ -117,6 +117,10 @@ func freeVars(body []loopir.Stmt) []string {
 				used[arr] = true
 			}
 			walkExpr(e.Idx)
+			for _, c := range e.Checks {
+				walkExpr(c.Idx)
+				walkExpr(c.N)
+			}
 		case *loopir.CallE:
 			for _, a := range e.Args {
 				walkExpr(a)

@@ -70,8 +70,9 @@ func (w *wlState) lowerBody(e ast.Expr) (pre []loopir.Stmt, val loopir.Expr) {
 }
 
 // lowerIndex compiles m[i, j, k] with all-scalar indices into either a
-// direct strided load (slice elimination, -O) or a load at the
-// bounds-checked cm_off (the ablation baseline).
+// direct strided load (slice elimination, -O), each index checked
+// against its hoisted extent as cm_off checks it, or a load at cm_off
+// (the ablation baseline).
 func (w *wlState) lowerIndex(e *ast.IndexExpr) (pre []loopir.Stmt, val loopir.Expr) {
 	baseTy := w.f.g.info.TypeOf(e.X)
 	cn := w.f.cvar(e.X.(*ast.Ident).Name)
@@ -98,7 +99,9 @@ func (w *wlState) lowerIndex(e *ast.IndexExpr) (pre []loopir.Stmt, val loopir.Ex
 	// Direct load through hoisted data and stride pointers.
 	dn := w.dataVar(cn, baseTy)
 	var linear loopir.Expr
+	checks := make([]loopir.Check, len(idxs))
 	for d, idx := range idxs {
+		checks[d] = loopir.Check{Idx: idx, N: loopir.V(w.dimVar(cn, d))}
 		term := loopir.Expr(idx)
 		if baseTy.Rank > 1 {
 			term = loopir.B("*", idx, loopir.V(w.strideVar(cn, d)))
@@ -109,7 +112,7 @@ func (w *wlState) lowerIndex(e *ast.IndexExpr) (pre []loopir.Stmt, val loopir.Ex
 			linear = loopir.B("+", linear, term)
 		}
 	}
-	return pre, loopir.Ld(dn, linear)
+	return pre, &loopir.Load{Array: dn, Idx: linear, Checks: checks}
 }
 
 // hoistField hoists (once) name, holding a field of the matrix cn, or 0

@@ -101,6 +101,12 @@ static long cm_offn(const cm_mat *m, int n, const long *idx) {
 }
 #define cm_off(m, ...) cm_offn(m, sizeof((long[]){__VA_ARGS__}) / sizeof(long), (long[]){__VA_ARGS__})
 
+/* One index of a -O load, i, checked against its hoisted extent n as
+   cm_off checks it (a matrix not yet assigned has extent 0). */
+static void cm_chk(long i, long n) {
+    if (i < 0 || i >= n) cm_die("index out of range");
+}
+
 /* dst[doff] = src[soff]; a float cell takes an int one converted, the
    one promotion a store makes */
 static void cm_move(cm_mat *dst, long doff, const cm_mat *src, long soff) {

@@ -12,6 +12,7 @@ package cgen
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/loopir"
 )
@@ -113,7 +114,18 @@ func (v *vecCtx) expr(e loopir.Expr, h int) string {
 		return v.expr(e.X, h) // (double): every lane is a double already
 	case *loopir.Load:
 		if stride1(e.Idx, v.index) {
-			return fmt.Sprintf("_mm_loadu_pd(&%s[%s])", e.Array, v.lane(e.Idx, 2*h))
+			// A checked load checks both lanes' indices first.
+			var checks strings.Builder
+			for _, c := range e.Checks {
+				for k := 2 * h; k < 2*h+2; k++ {
+					fmt.Fprintf(&checks, "cm_chk(%s, %s), ", v.lane(c.Idx, k), c.N)
+				}
+			}
+			load := fmt.Sprintf("_mm_loadu_pd(&%s[%s])", e.Array, v.lane(e.Idx, 2*h))
+			if checks.Len() == 0 {
+				return load
+			}
+			return "(" + checks.String() + load + ")"
 		}
 	case *loopir.Cond:
 		// A nested min/max fold's step: (acc < x ? acc : x) is min,

@@ -495,14 +495,15 @@ func (c *ctx) evalExpr(e ast.Expr) (any, error) {
 
 // binaryVals applies a binary operator to evaluated operands.
 func (c *ctx) binaryVals(e *ast.BinaryExpr, l, r any) (any, error) {
-	return EvalBinary(e, l, r, c.exec())
+	return EvalBinary(e, l, r, c.exec(), nil)
 }
 
 // EvalBinary applies a binary operator to evaluated operands, choosing
 // among scalar, broadcast, elementwise and matmul forms (§III-A.2).
 // Exported so alternate engines share one operator semantics,
-// including the kernel-temporary recycling of chained expressions.
-func EvalBinary(e *ast.BinaryExpr, l, r any, x matrix.Exec) (any, error) {
+// including the kernel-temporary recycling of chained expressions. An
+// elementwise or broadcast result comes from k's keeping (nil: none).
+func EvalBinary(e *ast.BinaryExpr, l, r any, x matrix.Exec, k *matrix.Keep) (any, error) {
 	lm, lIsM := l.(*matrix.Matrix)
 	rm, rIsM := r.(*matrix.Matrix)
 	if lIsM && lm == nil || rIsM && rm == nil {
@@ -519,15 +520,15 @@ func EvalBinary(e *ast.BinaryExpr, l, r any, x matrix.Exec) (any, error) {
 			recycleTemps(e, lm, rm)
 			return out, WrapError(e, err)
 		}
-		out, err := matrix.ElementwiseExec(op, lm, rm, x)
+		out, err := k.Elementwise(op, lm, rm, x)
 		recycleTemps(e, lm, rm)
 		return out, WrapError(e, err)
 	case lIsM:
-		out, err := matrix.BroadcastExec(op, lm, r, true, x)
+		out, err := k.Broadcast(op, lm, r, true, x)
 		recycleTemps(e, lm, nil)
 		return out, WrapError(e, err)
 	case rIsM:
-		out, err := matrix.BroadcastExec(op, rm, l, false, x)
+		out, err := k.Broadcast(op, rm, l, false, x)
 		recycleTemps(e, nil, rm)
 		return out, WrapError(e, err)
 	default:

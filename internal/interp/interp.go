@@ -85,7 +85,11 @@ func New(prog *ast.Program, info *sem.Info, opts Options) *Interp {
 		i.stdout = os.Stdout
 	}
 	i.heap = opts.Heap
-	if i.heap == nil {
+	switch {
+	case i.heap != nil:
+	case opts.Threads > 1:
+		i.heap = rc.NewStripedHeap()
+	default:
 		i.heap = rc.NewHeap()
 	}
 	if opts.Threads > 1 {

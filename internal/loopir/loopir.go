@@ -41,10 +41,18 @@ type Un struct {
 	X  Expr
 }
 
-// Load reads one element of a flattened array: Array[Idx].
+// Load reads one element of a flattened array: Array[Idx]. Checks, when
+// there are any, bound the indices Idx is made of: each is tested
+// against its extent (cm_chk) before the load.
 type Load struct {
-	Array string
-	Idx   Expr
+	Array  string
+	Idx    Expr
+	Checks []Check
+}
+
+// Check is one index a checked load tests: Idx must lie in [0, N).
+type Check struct {
+	Idx, N Expr
 }
 
 // CallE is a call expression.
@@ -80,7 +88,18 @@ func (e *FloatConst) String() string {
 func (e *VarRef) String() string { return e.Name }
 func (e *Bin) String() string    { return "(" + e.L.String() + " " + e.Op + " " + e.R.String() + ")" }
 func (e *Un) String() string     { return "(" + e.Op + e.X.String() + ")" }
-func (e *Load) String() string   { return e.Array + "[" + e.Idx.String() + "]" }
+func (e *Load) String() string {
+	if len(e.Checks) == 0 {
+		return e.Array + "[" + e.Idx.String() + "]"
+	}
+	var b strings.Builder
+	b.WriteString(e.Array + "[(")
+	for _, c := range e.Checks {
+		b.WriteString("cm_chk(" + c.Idx.String() + ", " + c.N.String() + "), ")
+	}
+	b.WriteString(e.Idx.String() + ")]")
+	return b.String()
+}
 func (e *CallE) String() string {
 	parts := make([]string, len(e.Args))
 	for i, a := range e.Args {
@@ -97,7 +116,7 @@ func IC(v int64) *IntConst               { return &IntConst{v} }
 func FC(v float64) *FloatConst           { return &FloatConst{v} }
 func V(name string) *VarRef              { return &VarRef{name} }
 func B(op string, l, r Expr) *Bin        { return &Bin{op, l, r} }
-func Ld(arr string, idx Expr) *Load      { return &Load{arr, idx} }
+func Ld(arr string, idx Expr) *Load      { return &Load{Array: arr, Idx: idx} }
 func Call(f string, args ...Expr) *CallE { return &CallE{f, args} }
 
 // Stmt is a statement in the IR.
@@ -155,7 +174,11 @@ func SubstExpr(e Expr, name string, repl Expr) Expr {
 	case *Un:
 		return &Un{e.Op, SubstExpr(e.X, name, repl)}
 	case *Load:
-		return &Load{e.Array, SubstExpr(e.Idx, name, repl)}
+		checks := make([]Check, len(e.Checks))
+		for i, c := range e.Checks {
+			checks[i] = Check{SubstExpr(c.Idx, name, repl), SubstExpr(c.N, name, repl)}
+		}
+		return &Load{e.Array, SubstExpr(e.Idx, name, repl), checks}
 	case *CallE:
 		args := make([]Expr, len(e.Args))
 		for i, a := range e.Args {
@@ -179,6 +202,11 @@ func Mentions(e Expr, name string) bool {
 	case *Un:
 		return Mentions(e.X, name)
 	case *Load:
+		for _, c := range e.Checks {
+			if Mentions(c.Idx, name) || Mentions(c.N, name) {
+				return true
+			}
+		}
 		return Mentions(e.Idx, name)
 	case *CallE:
 		for _, a := range e.Args {

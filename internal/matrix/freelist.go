@@ -27,10 +27,13 @@ import (
 )
 
 const (
-	// minReuseCells is the smallest slice the free list retains; tiny
-	// buffers are cheaper to allocate fresh than to serialize on the
-	// free-list lock.
-	minReuseCells = 256
+	// minReuseCells is the smallest slice the free list retains. A
+	// matrix of inlineCells or fewer is one object and has no buffer of
+	// its own to give back; of the sizes above, the lock and the class
+	// scan cost what the allocator does at 16 cells on one worker, and
+	// less from there up (EXPERIMENTS.md E32: it was 256, from before
+	// small matrices were one object).
+	minReuseCells = 16
 	// maxSizeClass bounds the classes (2^47 cells is far beyond maxCells).
 	maxSizeClass = 48
 	// maxPerClass bounds retained slices per class per element type.
@@ -87,7 +90,7 @@ func (p *bufFreeList[T]) get(n int) ([]T, bool) {
 			p.classes[c] = cl[:len(cl)-1]
 			p.mu.Unlock()
 			freeListBytes.Add(-int64(cap(s)) * p.elemSize)
-			kernelBuffersReused.Add(1)
+			kernelBuffersReused.Add(stackStripe(), 1)
 			return s[:n], true
 		}
 	}

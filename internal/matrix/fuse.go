@@ -76,7 +76,7 @@ func ChainFlat(r *WithRun, x Exec) (*Matrix, int, error) {
 	if r.prog.spec.OutFloat {
 		elem = Float
 	}
-	out := alloc(elem, shape, n, false)
+	out := r.Keep.alloc(elem, shape, n, false)
 	if err := r.runFlat(out, n, x); err != nil {
 		out.Recycle()
 		return nil, root, err

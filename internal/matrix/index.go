@@ -180,6 +180,10 @@ func (m *Matrix) copyBox(sel *selection, dense *Matrix, op boxOp) {
 // the number of kept dimensions, admitted against b (nil = unlimited)
 // once every spec has been checked.
 func (m *Matrix) Index(b *Budget, specs ...IndexSpec) (any, error) {
+	return m.index(b, nil, specs)
+}
+
+func (m *Matrix) index(b *Budget, k *Keep, specs []IndexSpec) (any, error) {
 	var scratch selScratch
 	sel, err := m.resolve(specs, &scratch)
 	if err != nil {
@@ -188,7 +192,7 @@ func (m *Matrix) Index(b *Budget, specs ...IndexSpec) (any, error) {
 	if len(sel.shape) == 0 {
 		return m.Get(sel.off), nil
 	}
-	out, err := newKernelOut(b, m.elem, sel.shape) // un-zeroed: every cell is written
+	out, err := newKernelOut(b, k, m.elem, sel.shape) // un-zeroed: every cell is written
 	if err != nil {
 		return nil, err
 	}

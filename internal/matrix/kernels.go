@@ -14,6 +14,8 @@ package matrix
 import (
 	"fmt"
 	"sync/atomic"
+
+	"repro/internal/rc"
 )
 
 // ParallelGrain is the minimum number of elements a parallel chunk must
@@ -29,10 +31,12 @@ var ParallelGrain = 8192
 
 // Process-wide kernel execution counters, surfaced on driver /metrics
 // as kernel_parallel_total / kernel_serial_total / kernel_buffers_reused.
+// Every small construct counts one, on each worker at once: they are
+// tallies, a stripe a worker's stack (stackStripe).
 var (
-	kernelParallelCount atomic.Int64
-	kernelSerialCount   atomic.Int64
-	kernelBuffersReused atomic.Int64
+	kernelParallelCount rc.Tally
+	kernelSerialCount   rc.Tally
+	kernelBuffersReused rc.Tally
 )
 
 // KernelStats returns the process-wide kernel counters: constructs run
@@ -59,20 +63,21 @@ func KernelOpStats() (transpose, conv, reduce int64) {
 
 // ResetKernelStats zeroes the kernel counters (tests only).
 func ResetKernelStats() {
-	kernelParallelCount.Store(0)
-	kernelSerialCount.Store(0)
-	kernelBuffersReused.Store(0)
+	kernelParallelCount.Reset()
+	kernelSerialCount.Reset()
+	kernelBuffersReused.Reset()
 }
 
 // newKernelOut allocates a kernel output like NewBudgeted — the same
 // admission — but skips zeroing a reused buffer, because the kernel
-// writes every cell of its range.
-func newKernelOut(b *Budget, elem Elem, shape []int) (*Matrix, error) {
+// writes every cell of its range. The matrix comes from k's keeping
+// (nil: none).
+func newKernelOut(b *Budget, k *Keep, elem Elem, shape []int) (*Matrix, error) {
 	n, err := admit(b, shape)
 	if err != nil {
 		return nil, err
 	}
-	return alloc(elem, shape, n, false), nil
+	return k.alloc(elem, shape, n, false), nil
 }
 
 // runKernel executes body over [0, n) in chunks of at least grain
@@ -89,10 +94,10 @@ func runKernel(x Exec, n, grain int, body func(lo, hi int) error) error {
 	grain = max(grain, 1)
 	pool := x.Pool
 	if pool.Workers() == 1 || n < 2*grain {
-		kernelSerialCount.Add(1)
+		kernelSerialCount.Add(stackStripe(), 1)
 		pool = nil
 	} else {
-		kernelParallelCount.Add(1)
+		kernelParallelCount.Add(stackStripe(), 1)
 		chunks := min((n+grain-1)/grain, pool.Workers()*4)
 		grain = (n + chunks - 1) / chunks
 	}
@@ -261,13 +266,14 @@ type lone struct {
 	a, b *Matrix
 	si   int64
 	sf   float64
+	keep *Keep // where the output comes from (nil: the allocator)
 }
 
 // run admits the output, elem cells of shape, and runs the program
 // over the cells, if there are any. An int matrix a float operation
 // promotes is converted as it is loaded: nothing is made for it.
 func (o lone) run(elem Elem, shape []int, x Exec) (*Matrix, error) {
-	out, err := newKernelOut(x.Budget, elem, shape)
+	out, err := newKernelOut(x.Budget, o.keep, elem, shape)
 	if err != nil {
 		return nil, err
 	}
@@ -288,6 +294,10 @@ func (o lone) run(elem Elem, shape []int, x Exec) (*Matrix, error) {
 // on x's pool/budget/context. The result is always freshly allocated
 // (never an alias of an operand).
 func ElementwiseExec(op Op, a, b *Matrix, x Exec) (*Matrix, error) {
+	return elementwise(op, a, b, x, nil)
+}
+
+func elementwise(op Op, a, b *Matrix, x Exec, k *Keep) (*Matrix, error) {
 	if !a.SameShape(b) {
 		return nil, fmt.Errorf("matrix: %s requires equal shapes, got %v and %v", op, a.shape(), b.shape())
 	}
@@ -295,13 +305,17 @@ func ElementwiseExec(op Op, a, b *Matrix, x Exec) (*Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	return lone{op: op, l: matClass(a.elem), r: matClass(b.elem), a: a, b: b}.run(oe, a.shape(), x)
+	return lone{op: op, l: matClass(a.elem), r: matClass(b.elem), a: a, b: b, keep: k}.run(oe, a.shape(), x)
 }
 
 // BroadcastExec applies op between a matrix and a scalar (matLeft
 // selects m op s vs s op m).
 func BroadcastExec(op Op, m *Matrix, s any, matLeft bool, x Exec) (*Matrix, error) {
-	o := lone{op: op, a: m}
+	return broadcast(op, m, s, matLeft, x, nil)
+}
+
+func broadcast(op Op, m *Matrix, s any, matLeft bool, x Exec, k *Keep) (*Matrix, error) {
+	o := lone{op: op, a: m, keep: k}
 	var sElem Elem
 	switch v := s.(type) {
 	case float64:
@@ -372,7 +386,7 @@ func MatMulExec(a, b *Matrix, x Exec) (*Matrix, error) {
 		grainRows = (ParallelGrain + rowWork - 1) / rowWork
 	}
 	if a.elem == Int && b.elem == Int {
-		out, err := newKernelOut(x.Budget, Int, []int{m, n})
+		out, err := newKernelOut(x.Budget, nil, Int, []int{m, n})
 		if err != nil {
 			return nil, err
 		}
@@ -396,7 +410,7 @@ func MatMulExec(a, b *Matrix, x Exec) (*Matrix, error) {
 		releaseFloatScratch(av, aScr)
 		return nil, err
 	}
-	out, err := newKernelOut(x.Budget, Float, []int{m, n})
+	out, err := newKernelOut(x.Budget, nil, Float, []int{m, n})
 	if err != nil {
 		releaseFloatScratch(av, aScr)
 		releaseFloatScratch(bv, bScr)

@@ -22,7 +22,7 @@ func TransposeExec(m *Matrix, x Exec) (*Matrix, error) {
 		return nil, fmt.Errorf("matrix: transpose requires a rank-2 matrix, got rank %d", m.Rank())
 	}
 	rows, cols := m.shape()[0], m.shape()[1]
-	out, err := newKernelOut(x.Budget, m.elem, []int{cols, rows})
+	out, err := newKernelOut(x.Budget, nil, m.elem, []int{cols, rows})
 	if err != nil {
 		return nil, err
 	}
@@ -125,7 +125,7 @@ func Conv2DExec(src, kern *Matrix, x Exec) (*Matrix, error) {
 		grainRows = (ParallelGrain + rowWork - 1) / rowWork
 	}
 	if src.elem == Int && kern.elem == Int {
-		out, err := newKernelOut(x.Budget, Int, []int{rows, cols})
+		out, err := newKernelOut(x.Budget, nil, Int, []int{rows, cols})
 		if err != nil {
 			return nil, err
 		}
@@ -150,7 +150,7 @@ func Conv2DExec(src, kern *Matrix, x Exec) (*Matrix, error) {
 		releaseFloatScratch(sv, sScr)
 		return nil, err
 	}
-	out, err := newKernelOut(x.Budget, Float, []int{rows, cols})
+	out, err := newKernelOut(x.Budget, nil, Float, []int{rows, cols})
 	if err != nil {
 		releaseFloatScratch(sv, sScr)
 		releaseFloatScratch(kv, kScr)
@@ -247,7 +247,7 @@ func ReduceAxisExec(kind FoldKind, m *Matrix, axis int, x Exec) (*Matrix, error)
 			outShape = append(outShape, n)
 		}
 	}
-	out, err := newKernelOut(x.Budget, m.elem, outShape)
+	out, err := newKernelOut(x.Budget, nil, m.elem, outShape)
 	if err != nil {
 		return nil, err
 	}

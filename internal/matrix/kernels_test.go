@@ -761,3 +761,31 @@ func TestLoneOpAllocs(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkFreeListVsMake prices the free list's lock against the
+// allocator at the sizes around minReuseCells: a take and a put of n
+// cells, or a fresh make of them (its collection included), on every
+// worker at once (-cpu 1,2 for one worker and two). EXPERIMENTS.md E32
+// has the numbers.
+func BenchmarkFreeListVsMake(b *testing.B) {
+	for _, n := range []int{9, 16, 64, 256} {
+		b.Run(fmt.Sprintf("freelist/%d", n), func(b *testing.B) {
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					floatFree.put(floatFree.take(n, false))
+				}
+			})
+		})
+		b.Run(fmt.Sprintf("make/%d", n), func(b *testing.B) {
+			b.RunParallel(func(pb *testing.PB) {
+				var s []float64
+				for pb.Next() {
+					s = make([]float64, n) // a size known at run time only: on the heap
+				}
+				if s != nil && len(s) != n {
+					b.Error("a short allocation")
+				}
+			})
+		})
+	}
+}

@@ -77,7 +77,7 @@ type BodyFunc func(idx []int) (any, error)
 // x.Budget before any storage is made. A non-empty box covering the
 // whole shape writes every cell, so its result takes the non-zeroing
 // allocator; any other box leaves cells that must read 0.
-func admitGenArray(elem Elem, lower, upper, shape []int, x Exec) (*Matrix, error) {
+func admitGenArray(elem Elem, lower, upper, shape []int, x Exec, k *Keep) (*Matrix, error) {
 	if len(lower) != len(shape) || len(upper) != len(shape) {
 		return nil, fmt.Errorf("matrix: genarray shape rank %d does not match generator rank %d",
 			len(shape), len(lower))
@@ -94,9 +94,9 @@ func admitGenArray(elem Elem, lower, upper, shape []int, x Exec) (*Matrix, error
 		}
 	}
 	if n > 0 && covers(lower, upper, shape) {
-		return newKernelOut(x.Budget, elem, shape)
+		return newKernelOut(x.Budget, k, elem, shape)
 	}
-	return NewBudgeted(x.Budget, elem, shape...)
+	return k.New(x.Budget, elem, shape...)
 }
 
 // covers reports whether the box [lower, upper) is the whole of shape.
@@ -113,7 +113,7 @@ func covers(lower, upper, shape []int) bool {
 // whose cells inside the generator box hold body(idx) and 0 elsewhere
 // (see admitGenArray).
 func GenArrayExec(elem Elem, lower, upper, shape []int, body BodyFunc, x Exec) (*Matrix, error) {
-	out, err := admitGenArray(elem, lower, upper, shape, x)
+	out, err := admitGenArray(elem, lower, upper, shape, x, nil)
 	if err != nil {
 		return nil, err
 	}

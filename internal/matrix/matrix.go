@@ -56,8 +56,11 @@ func (e Elem) String() string {
 type Matrix struct {
 	count rc.Count
 	rank  int32
-	elem  Elem
-	heap  *rc.Heap // the heap a tracked matrix is accounted on
+	// kept is set on a matrix a Keep holds: its last release leaves its
+	// cells in place for the Keep's next allocation.
+	kept bool
+	elem Elem
+	heap *rc.Heap // the heap a tracked matrix is accounted on
 	// data is the first of n cells of elem's type, of room allocated: the
 	// three words, in this order, are a []T's own header, which is how
 	// the typed views read them.
@@ -190,7 +193,20 @@ func (m *Matrix) Bind(h *rc.Heap) {
 	}
 	m.heap = h
 	m.count.Init()
-	h.Track()
+	h.TrackAt(m.stripe())
+}
+
+// stripe is the key m's heap counts it under: its header's 8 KB page,
+// which tells apart the spans different workers allocate from.
+func (m *Matrix) stripe() uint { return uint(uintptr(unsafe.Pointer(m)) >> 13) }
+
+// stackStripe is a counter key for the calling goroutine: the page of a
+// word on its stack, hashed, which tells apart the stacks of workers
+// counting at once. It changes when the stack moves, which costs nothing
+// but a different stripe.
+func stackStripe() uint {
+	var w byte
+	return uint((uintptr(unsafe.Pointer(&w)) >> 12) * 0x9e3779b97f4a7c15 >> 58)
 }
 
 // Tracked reports whether a variable was ever bound to m.
@@ -205,13 +221,18 @@ func (m *Matrix) IncRef() {
 }
 
 // DecRef drops a reference; the last one releases the matrix on its
-// heap and recycles its cells. It reports whether this call did.
+// heap and recycles its cells — unless a Keep holds it, which keeps them
+// for its site's next allocation. It reports whether this call did.
 func (m *Matrix) DecRef() bool {
 	if m.heap == nil || !m.count.DecRef() {
 		return false
 	}
-	m.heap.Untrack()
-	m.Recycle()
+	m.heap.UntrackAt(m.stripe())
+	if !m.kept {
+		m.Recycle()
+	} else if TestHookPoisonKept.Load() {
+		m.poison()
+	}
 	return true
 }
 
@@ -293,19 +314,27 @@ func alloc(elem Elem, shape []int, n int, zeroed bool) *Matrix {
 			setCells(m, boolFree.take(n, zeroed))
 		}
 	}
-	m.elem, m.rank = elem, int32(len(shape))
+	m.elem = elem
+	m.setShape(shape)
+	return m
+}
+
+// setShape makes shape m's: its rank and dimensions.
+func (m *Matrix) setShape(shape []int) {
+	m.rank = int32(len(shape))
 	if len(shape) <= InlineRank {
 		copy(m.dims[:], shape)
+		m.ext = nil
 	} else {
 		ext := slices.Clone(shape)
 		m.ext = &ext
 	}
-	return m
 }
 
 // inlineCells is the most cells alloc stores inside the header's object:
 // eight float or int cells, a cache line. Recycle relies on the free
-// list never retaining a buffer that small.
+// list never retaining a buffer that small, the room of an inline float
+// or int object included (its words, up to eight).
 const inlineCells = 8
 
 const _ = uint(minReuseCells - inlineCells - 1) // inlineCells < minReuseCells
@@ -344,7 +373,14 @@ func withInlineCells(elem Elem, n int) *Matrix {
 		o := new(headerAndCells[[8]uint64])
 		m, cells = &o.m, unsafe.Pointer(&o.c)
 	}
-	m.data, m.n, m.room = cells, n, n
+	// A float or int matrix's room is its object's words, so that a Keep
+	// can take it back for a few cells more than it was made with.
+	room := n
+	if elem != Bool {
+		room = (bytes + 7) / 8
+		room += room & 1
+	}
+	m.data, m.n, m.room = cells, n, room
 	return m
 }
 
@@ -392,7 +428,7 @@ func FromBools(data []bool, shape ...int) *Matrix {
 // inclusive vector-building range of Fig 8 line 27), admitted against b;
 // hi < lo is the empty vector.
 func RangeBudgeted(b *Budget, lo, hi int64) (*Matrix, error) {
-	m, err := newKernelOut(b, Int, []int{rangeCells(lo, hi)})
+	m, err := newKernelOut(b, nil, Int, []int{rangeCells(lo, hi)})
 	if err != nil {
 		return nil, err
 	}
@@ -559,7 +595,7 @@ func (m *Matrix) Copy() *Matrix {
 // CopyExec returns a deep copy (untracked) admitted against x.Budget,
 // its cells copied in spans over x.Pool.
 func (m *Matrix) CopyExec(x Exec) (*Matrix, error) {
-	out, err := newKernelOut(x.Budget, m.elem, m.shape())
+	out, err := newKernelOut(x.Budget, nil, m.elem, m.shape())
 	if err == nil {
 		err = runKernel(x, m.n, ParallelGrain, func(lo, hi int) error {
 			switch m.elem {

@@ -492,8 +492,13 @@ func TestTrackedAllocation(t *testing.T) {
 // tracked matrix of an inline rank is one object while its cells fit in
 // it (up to inlineCells of them, whatever the element type) and two —
 // header and cells — once they do not. Above InlineRank the shape moves
-// behind one pointer: a slice header and its array more.
+// behind one pointer: a slice header and its array more. The free list
+// retains nothing here, so each run counts a fresh allocation (a buffer
+// of minReuseCells or more would otherwise come back).
 func TestMatrixHeaderBudget(t *testing.T) {
+	DrainFreeLists()
+	defer freeListMaxBytes.Store(freeListMaxBytes.Load())
+	freeListMaxBytes.Store(0)
 	if size := unsafe.Sizeof(Matrix{}); size > 96 {
 		t.Errorf("a Matrix header is %d bytes, over 96", size)
 	}

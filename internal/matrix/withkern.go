@@ -106,6 +106,9 @@ type WithRun struct {
 	Mats         []*Matrix // matrix leaves, by load slot
 	ScalarI      []int64   // int scalar leaves, by slot
 	ScalarF      []float64 // float scalar leaves, by slot
+	// Keep, when the caller sets it, is where the run's result comes
+	// from: a frame-local site's (see Keep). Release clears it.
+	Keep *Keep
 
 	prog  *WithProg
 	ints  []int      // backs Lower, Upper, Shape
@@ -151,7 +154,7 @@ func (p *WithProg) NewRun() *WithRun {
 func (r *WithRun) Release() {
 	clear(r.Mats)
 	clear(r.views)
-	r.prog = nil
+	r.prog, r.Keep = nil, nil
 	withRunPool.Put(r)
 }
 
@@ -399,7 +402,7 @@ func GenArrayFlat(r *WithRun, x Exec) (*Matrix, bool, error) {
 			return nil, false, nil
 		}
 	}
-	out, err := admitGenArray(elem, lower, upper, shape, x)
+	out, err := admitGenArray(elem, lower, upper, shape, x, r.Keep)
 	if err != nil {
 		return nil, true, err
 	}
@@ -452,7 +455,7 @@ func GenArrayFlat(r *WithRun, x Exec) (*Matrix, bool, error) {
 func (r *WithRun) fill(out *Matrix, grain int, x Exec) error {
 	c := boxChunk{r: r, out: out, x: x, w: r.stripWidth(), lo: r.Lower[0], hi: r.Upper[0]}
 	if x.Pool.Workers() == 1 || c.hi-c.lo < 2*grain {
-		kernelSerialCount.Add(1)
+		kernelSerialCount.Add(stackStripe(), 1)
 		_, err := par.Solo(c, boxChunk.walk)
 		return err
 	}

@@ -11,9 +11,15 @@ import (
 // TestHeapLiveUnderConcurrentBinds: goroutines bind and release matrices
 // they share and matrices of their own on one heap; the live count
 // follows every first Bind and every last DecRef, and is back at zero
-// once the shared matrices' first references go.
+// once the shared matrices' first references go. A striped heap (a
+// parallel run's) counts the same.
 func TestHeapLiveUnderConcurrentBinds(t *testing.T) {
-	h := rc.NewHeap()
+	for _, h := range []*rc.Heap{rc.NewHeap(), rc.NewStripedHeap()} {
+		concurrentBinds(t, h)
+	}
+}
+
+func concurrentBinds(t *testing.T, h *rc.Heap) {
 	const goroutines, rounds = 8, 200
 	shared := make([]*matrix.Matrix, 4)
 	for k := range shared {

@@ -37,14 +37,21 @@ func (v *Violation) Error() string { return "rc: " + v.Msg }
 // §III-B. It accounts for nothing: its owner (a Header, a matrix) tells
 // its Heap when the allocation comes and goes.
 type Count struct {
-	n     int32
-	freed atomic.Bool
-	// forced marks an explicit early release (ForceFree): the
+	n int32
+	// state holds countFreed and countForced in one word, so that one
+	// load sees both.
+	state atomic.Uint32
+}
+
+const (
+	// countFreed marks the allocation released.
+	countFreed uint32 = 1 << iota
+	// countForced marks an explicit early release (ForceFree): the
 	// allocation is already returned to the heap, so the automatic
 	// scope-exit DecRefs that still hold stale references become
 	// no-ops instead of double-free violations.
-	forced atomic.Bool
-}
+	countForced
+)
 
 // Init sets the count to the first reference's 1.
 func (c *Count) Init() { c.n = 1 }
@@ -52,8 +59,8 @@ func (c *Count) Init() { c.n = 1 }
 // IncRef increments the reference count ("another variable also
 // becomes a reference for that same piece of data").
 func (c *Count) IncRef() {
-	if c.freed.Load() {
-		if c.forced.Load() {
+	if s := c.state.Load(); s&countFreed != 0 {
+		if s&countForced != 0 {
 			return // stale alias of an explicitly released cell; caught at use
 		}
 		panic(&Violation{Msg: "IncRef on freed allocation (use after free)"})
@@ -65,8 +72,8 @@ func (c *Count) IncRef() {
 // last reference: the allocation is now marked freed and its owner
 // releases it.
 func (c *Count) DecRef() bool {
-	if c.freed.Load() {
-		if c.forced.Load() {
+	if s := c.state.Load(); s&countFreed != 0 {
+		if s&countForced != 0 {
 			return false // scope-exit release after an explicit ForceFree
 		}
 		panic(&Violation{Msg: "DecRef on freed allocation (double free)"})
@@ -76,18 +83,40 @@ func (c *Count) DecRef() bool {
 		panic(&Violation{Msg: "reference count went negative"})
 	}
 	if n == 0 {
-		c.freed.Store(true)
+		c.set(countFreed)
 	}
 	return n == 0
+}
+
+// set adds bits to the state and returns the state it found.
+func (c *Count) set(bits uint32) uint32 {
+	for {
+		s := c.state.Load()
+		if c.state.CompareAndSwap(s, s|bits) {
+			return s
+		}
+	}
+}
+
+// Dead reports whether the last reference was dropped: the count
+// reached zero on its own, not through ForceFree.
+func (c *Count) Dead() bool { return c.state.Load() == countFreed }
+
+// Reset makes a dead count a fresh allocation's again, not yet
+// referenced: its owner is reusing the storage. It is legal only on a
+// count Dead reports, and panics on any other.
+func (c *Count) Reset() {
+	if !c.Dead() {
+		panic(&Violation{Msg: "Reset of a live or force-freed count"})
+	}
+	c.n = 0
+	c.state.Store(0)
 }
 
 // ForceFree marks the allocation released whatever its count and
 // reports whether this call did it (false: it already was).
 func (c *Count) ForceFree() bool {
-	// forced is set before freed so a concurrent DecRef that observes
-	// freed==true also observes forced==true and no-ops.
-	c.forced.Store(true)
-	return c.freed.CompareAndSwap(false, true)
+	return c.set(countFreed|countForced)&countFreed == 0
 }
 
 // Ref is a counted reference an engine holds until its statement ends:
@@ -101,19 +130,78 @@ type Header struct {
 }
 
 // Heap counts the allocations tracked on it and not yet released, for
-// leak accounting.
+// leak accounting. A heap several workers track and release on at once
+// keeps the count in a Tally, each allocation's changes on the stripe
+// its key names; a serial run's heap keeps one word.
 type Heap struct {
-	live atomic.Int64
+	live    atomic.Int64
+	striped *Tally // NewStripedHeap's
 }
 
 // NewHeap creates an empty heap.
 func NewHeap() *Heap { return &Heap{} }
 
+// NewStripedHeap creates an empty heap for concurrent workers.
+func NewStripedHeap() *Heap { return &Heap{striped: new(Tally)} }
+
 // Track records a new allocation whose Count its owner keeps.
-func (h *Heap) Track() { h.live.Add(1) }
+func (h *Heap) Track() { h.TrackAt(0) }
 
 // Untrack records the release of an allocation Track recorded.
-func (h *Heap) Untrack() { h.live.Add(-1) }
+func (h *Heap) Untrack() { h.UntrackAt(0) }
+
+// TrackAt is Track on the stripe key names: an owner that can tell its
+// allocations apart by a key of its own (a matrix, its address) keeps
+// concurrent workers off one cache line.
+func (h *Heap) TrackAt(key uint) {
+	if h.striped != nil {
+		h.striped.Add(key, 1)
+	} else {
+		h.live.Add(1)
+	}
+}
+
+// UntrackAt is Untrack on the stripe key names.
+func (h *Heap) UntrackAt(key uint) {
+	if h.striped != nil {
+		h.striped.Add(key, -1)
+	} else {
+		h.live.Add(-1)
+	}
+}
+
+// tallyStripes is how many cache lines a Tally spreads its count over.
+const tallyStripes = 8
+
+// Tally is a counter that concurrent writers update without sharing a
+// cache line: an Add lands on the stripe its key names, and Load sums
+// the stripes, the exact total once the writers it should count are
+// done. The zero value is zero.
+type Tally struct {
+	stripes [tallyStripes]struct {
+		n atomic.Int64
+		_ [56]byte
+	}
+}
+
+// Add adds d on key's stripe.
+func (t *Tally) Add(key uint, d int64) { t.stripes[key%tallyStripes].n.Add(d) }
+
+// Load returns the total.
+func (t *Tally) Load() int64 {
+	var n int64
+	for k := range t.stripes {
+		n += t.stripes[k].n.Load()
+	}
+	return n
+}
+
+// Reset sets the total to zero (tests reset counters with it).
+func (t *Tally) Reset() {
+	for k := range t.stripes {
+		t.stripes[k].n.Store(0)
+	}
+}
 
 // Alloc records a new allocation with reference count 1.
 func (h *Heap) Alloc() *Header {
@@ -154,10 +242,15 @@ func (hd *Header) ForceFree() bool {
 }
 
 // Freed reports whether the allocation was released.
-func (hd *Header) Freed() bool { return hd.c.freed.Load() }
+func (hd *Header) Freed() bool { return hd.c.state.Load()&countFreed != 0 }
 
 // Live returns the number of allocations tracked and not yet released.
-func (h *Heap) Live() int64 { return h.live.Load() }
+func (h *Heap) Live() int64 {
+	if h.striped != nil {
+		return h.striped.Load()
+	}
+	return h.live.Load()
+}
 
 // CheckLeaks returns an error when live allocations remain — used by
 // tests to enforce the RC discipline end to end.

@@ -184,3 +184,67 @@ func TestArenaFreeReuse(t *testing.T) {
 		t.Error("freed block was never reused")
 	}
 }
+
+// A count is dead once its last reference is dropped, and only then may
+// Reset make it a fresh allocation's again; a live or force-freed count
+// refuses. A reset count takes references like a new one.
+func TestCountDeadAndReset(t *testing.T) {
+	var c Count
+	c.Init()
+	if c.Dead() {
+		t.Fatal("a live count reads dead")
+	}
+	mustPanic(t, "Reset of a live count", c.Reset)
+	if !c.DecRef() || !c.Dead() {
+		t.Fatal("the last DecRef did not leave the count dead")
+	}
+	c.Reset()
+	if c.Dead() {
+		t.Fatal("a reset count reads dead")
+	}
+	c.Init()
+	c.IncRef()
+	if c.DecRef() || !c.DecRef() {
+		t.Fatal("a reset count did not count its references again")
+	}
+	var f Count
+	f.Init()
+	if !f.ForceFree() || f.Dead() {
+		t.Fatal("a force-freed count reads dead, or ForceFree did not free it")
+	}
+	mustPanic(t, "Reset of a force-freed count", f.Reset)
+}
+
+// A Tally's total is the sum of its stripes, whatever the keys.
+func TestTallySumsStripes(t *testing.T) {
+	var n Tally
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				n.Add(uint(g*7+i), 2)
+				n.Add(uint(i), -1)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := n.Load(); got != 8000 {
+		t.Fatalf("Load = %d, want 8000", got)
+	}
+	n.Reset()
+	if got := n.Load(); got != 0 {
+		t.Fatalf("Load after Reset = %d", got)
+	}
+}
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
+}

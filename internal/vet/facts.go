@@ -1,6 +1,7 @@
 // vet.Facts — proven program facts exported for consumers outside the
 // diagnostics pipeline: one table of flat plans (withplan.go's WithPlan)
-// by site. A with-loop's plan is its body; a chain's is a maximal
+// by site, and the frame-local allocation sites (framelocal.go). A
+// with-loop's plan is its body; a chain's is a maximal
 // fusable elementwise expression tree, whose every stage is
 // effect-free, whose intermediates are provably unaliased (kernel
 // results are fresh allocations and never observable), and whose
@@ -67,7 +68,8 @@ import (
 // Facts is the proven-facts side table computed once per checked
 // program and cached content-addressed by the driver.
 type Facts struct {
-	plans map[ast.Expr]*WithPlan // by with-loop, or by chain root
+	plans  map[ast.Expr]*WithPlan // by with-loop, or by chain root
+	locals map[ast.Expr]bool      // the frame-local allocation sites
 }
 
 // PlanAt returns the flat plan proven for e, a with-loop or a chain
@@ -79,17 +81,28 @@ func (f *Facts) PlanAt(e ast.Expr) *WithPlan {
 	return f.plans[e]
 }
 
+// FrameLocal reports whether e is a frame-local allocation site: every
+// matrix it makes is bound to one local variable and held by nothing
+// that does not count its reference (see framelocal.go).
+func (f *Facts) FrameLocal(e ast.Expr) bool {
+	return f != nil && f.locals[e]
+}
+
 // ComputeFacts proves fusion-legality facts over a checked program.
 // Safe on partially-checked programs (missing type info simply proves
 // nothing).
 func ComputeFacts(prog *ast.Program, info *sem.Info) *Facts {
-	return computeFacts(prog, info, nil)
+	f := computeFacts(prog, info, nil)
+	for _, s := range FrameLocals(prog, info) {
+		f.locals[s.At] = true
+	}
+	return f
 }
 
 // computeFacts is ComputeFacts, listing every site it tries in sites
 // when sites is not nil.
 func computeFacts(prog *ast.Program, info *sem.Info, sites *[]WithSite) *Facts {
-	f := &Facts{plans: map[ast.Expr]*WithPlan{}}
+	f := &Facts{plans: map[ast.Expr]*WithPlan{}, locals: map[ast.Expr]bool{}}
 	if prog == nil || info == nil {
 		return f
 	}

@@ -15,8 +15,9 @@
 // to-ident assignment unifies, kernels/slices/init/genarray allocate
 // fresh atoms, calls map through the callee's return-alias summary,
 // and rcset(p, v) folds v's aliases into p (values escape into heap
-// cells). The same walker drives both summary computation and the
-// determinacy-race scan in race.go via the access callback.
+// cells). The same walker drives summary computation, the
+// determinacy-race scan in race.go via the access callback, and the
+// frame-local scan in framelocal.go via the escape callback.
 package vet
 
 import (
@@ -131,6 +132,7 @@ type summary struct {
 	havoc         bool   // calls something the analysis cannot see
 	retParams     uint64 // return value may alias these params
 	retGlobals    map[string]bool
+	pRetain       uint64 // params that may outlive the call (see escape)
 }
 
 func newSummary() *summary {
@@ -172,6 +174,10 @@ func (s *summary) merge(o *summary) bool {
 	}
 	if o.retParams&^s.retParams != 0 {
 		s.retParams |= o.retParams
+		changed = true
+	}
+	if o.pRetain&^s.pRetain != 0 {
+		s.pRetain |= o.pRetain
 		changed = true
 	}
 	if o.io && !s.io {
@@ -272,8 +278,10 @@ type walker struct {
 	scopes    []map[string]*aset // saved bindings per block (nil = unbound)
 	nextAtom  int
 	atomName  map[int]string
-	cur       *summary // summary being built (nil in race mode)
+	nodeAtoms map[ast.Node]int // atomOf's, by the node that allocates
+	cur       *summary         // summary being built (nil in race mode)
 	race      *raceScan
+	locals    *localScan // the frame-local scan's state (nil otherwise)
 }
 
 func newWalker(prog *ast.Program, info *sem.Info, sums map[string]*summary) *walker {
@@ -307,6 +315,24 @@ func (w *walker) summarize(fd *ast.FuncDecl) *summary {
 	return w.cur
 }
 
+// atomOf is the atom of what the node n allocates: outside the race scan
+// one atom a node, the allocation-site abstraction, so that a loop's
+// passes reach their fixpoint instead of minting atoms until the pass
+// limit; the race scan tells the matrices of two iterations apart.
+func (w *walker) atomOf(n ast.Node, name string) aset {
+	if w.race != nil {
+		return w.atom(name)
+	}
+	if id, ok := w.nodeAtoms[n]; ok {
+		return aset{atoms: map[int]bool{id: true}}
+	}
+	if w.nodeAtoms == nil {
+		w.nodeAtoms = map[ast.Node]int{}
+	}
+	w.nodeAtoms[n] = w.nextAtom
+	return w.atom(name)
+}
+
 func (w *walker) atom(name string) aset {
 	id := w.nextAtom
 	w.nextAtom++
@@ -335,6 +361,21 @@ func (w *walker) access(n ast.Node, write bool, s aset) {
 	}
 	if w.race != nil {
 		w.race.access(n, write, s)
+	}
+}
+
+// escape records that the storage s names may be held past the frame,
+// or by something that does not count its reference: returned, stored
+// in a global, an rc cell, a tuple or another variable, spawned, or
+// passed to a callee that does one of these with it.
+func (w *walker) escape(s aset) {
+	if w.cur != nil {
+		w.cur.pRetain |= s.params
+	}
+	if w.locals != nil {
+		for a := range s.atoms {
+			w.locals.escaped[a] = true
+		}
 	}
 }
 
@@ -457,7 +498,9 @@ func (w *walker) stmt(s ast.Stmt) {
 		t, _ := types.FromAST(s.Type)
 		if refLike(t) {
 			if v.empty() {
-				v = w.atom(s.Name)
+				v = w.fresh(s, s.Name, s.Init)
+			} else {
+				w.escape(v)
 			}
 			w.bind(s.Name, v)
 		} else {
@@ -466,8 +509,12 @@ func (w *walker) stmt(s ast.Stmt) {
 
 	case *ast.AssignStmt:
 		rs := w.expr(s.RHS)
+		var site ast.Expr
+		if len(s.LHS) == 1 {
+			site = s.RHS
+		}
 		for _, lhs := range s.LHS {
-			w.assignTo(lhs, rs)
+			w.assignTo(lhs, rs, site)
 		}
 
 	case *ast.IfStmt:
@@ -512,6 +559,7 @@ func (w *walker) stmt(s ast.Stmt) {
 	case *ast.ReturnStmt:
 		if s.Value != nil {
 			v := w.expr(s.Value)
+			w.escape(v)
 			if w.cur != nil {
 				w.cur.retParams |= v.params
 				setUnion(w.cur.retGlobals, v.globals)
@@ -570,7 +618,9 @@ func (w *walker) loop(body func()) {
 	}
 }
 
-func (w *walker) assignTo(lhs ast.Expr, rs aset) {
+// assignTo binds rs, the value of site (nil: an element of a tuple), to
+// lhs.
+func (w *walker) assignTo(lhs ast.Expr, rs aset, site ast.Expr) {
 	switch l := lhs.(type) {
 	case *ast.Ident:
 		if w.race != nil {
@@ -580,6 +630,7 @@ func (w *walker) assignTo(lhs ast.Expr, rs aset) {
 			// Rebinding a global is a write to shared state, and the
 			// global now may alias whatever the RHS aliased.
 			w.access(l, true, aset{globals: map[string]bool{l.Name: true}})
+			w.escape(rs)
 			return
 		}
 		t := w.info.TypeOf(l)
@@ -591,7 +642,9 @@ func (w *walker) assignTo(lhs ast.Expr, rs aset) {
 		}
 		if _, ok := w.env[l.Name]; ok || refLike(t) {
 			if rs.empty() {
-				rs = w.atom(l.Name)
+				rs = w.fresh(l, l.Name, site)
+			} else {
+				w.escape(rs)
 			}
 			w.bind(l.Name, rs)
 		}
@@ -679,6 +732,7 @@ func (w *walker) expr(x ast.Expr) aset {
 		for _, el := range x.Elems {
 			out.union(w.expr(el))
 		}
+		w.escape(out)
 		return out
 
 	case *ast.WithLoop:
@@ -751,7 +805,8 @@ func (w *walker) call(x *ast.CallExpr) aset {
 			v.union(w.expr(a))
 		}
 		// A fresh cell whose content aliases the stored value.
-		out := w.atom("rcnew cell")
+		w.escape(v)
+		out := w.atomOf(x, "rcnew cell")
 		out.union(v)
 		return out
 	case "rcget":
@@ -773,6 +828,7 @@ func (w *walker) call(x *ast.CallExpr) aset {
 		p := w.expr(x.Args[0])
 		v := w.expr(x.Args[1])
 		w.access(x, true, p)
+		w.escape(v)
 		// The stored value escapes into the cell: fold it into the
 		// cell variable's alias set so later accesses through the
 		// cell conflict with direct accesses to the value.
@@ -802,6 +858,12 @@ func (w *walker) call(x *ast.CallExpr) aset {
 			// Known function without a summary (race mode over a
 			// partial program): havoc conservatively.
 			w.havocEvent(x)
+			for _, a := range args {
+				w.escape(a)
+				if w.locals != nil {
+					w.locals.unsureOf(a)
+				}
+			}
 		}
 		return aset{}
 	}
@@ -828,6 +890,9 @@ func (w *walker) applyCallee(n ast.Node, sum *summary, args []aset) aset {
 		}
 		if sum.pWrite&m != 0 {
 			w.access(n, true, a)
+		}
+		if sum.pRetain&m != 0 {
+			w.escape(a)
 		}
 	}
 	for g := range sum.gRead {
@@ -908,6 +973,7 @@ func (w *walker) spawn(s *ast.SpawnStmt) {
 	args := make([]aset, len(call.Args))
 	for k, a := range call.Args {
 		args[k] = w.expr(a)
+		w.escape(args[k])
 	}
 	sum := w.sums[call.Fun]
 	if w.race != nil {
@@ -940,7 +1006,9 @@ func (w *walker) spawn(s *ast.SpawnStmt) {
 	}
 	if _, bound := w.env[s.Target]; bound {
 		if ret.empty() {
-			ret = w.atom(s.Target)
+			ret = w.atomOf(s, s.Target)
+		} else {
+			w.escape(ret)
 		}
 		w.bind(s.Target, ret)
 	}

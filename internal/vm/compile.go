@@ -195,6 +195,8 @@ type fnc struct {
 	// rets is the first of nrets return slots: registers the elements of
 	// `return (e1, ..., ek);` are left in (a tuple-returning function's).
 	rets, nrets int32
+	// keeps counts the frame-local sites compiled (see keepFor).
+	keeps int32
 	// endStack tracks enclosing index dimensions for 'end'.
 	endStack []endEntry
 	// breaks/continues are per-enclosing-loop patch lists.
@@ -337,6 +339,17 @@ func (c *compiler) compileFunc(pi int, fd *ast.FuncDecl) {
 	pr.params = params
 	pr.refRegs = f.refRegs
 	pr.retTy = sig.Type.Ret
+	pr.keeps = int(f.keeps)
+}
+
+// keepFor numbers the frame's Keep of e when vet proved e a frame-local
+// allocation site, and is -1 for any other expression.
+func (f *fnc) keepFor(e ast.Expr) int32 {
+	if !f.c.facts.FrameLocal(e) {
+		return -1
+	}
+	f.keeps++
+	return f.keeps - 1
 }
 
 // compileGinit lowers the global initializers: no step ticks (the tree
@@ -376,7 +389,7 @@ func (c *compiler) compileGinit() {
 		f.emit(instr{op: opFlush})
 		gi++
 	}
-	c.ginit = &proto{name: "<globals>", code: f.code, nregs: f.nreg}
+	c.ginit = &proto{name: "<globals>", code: f.code, nregs: f.nreg, keeps: int(f.keeps)}
 }
 
 // zeroOf emits the declared type's zero value (interp.ZeroValue), a

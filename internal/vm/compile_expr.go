@@ -132,7 +132,7 @@ func (f *fnc) compileExprTo(e ast.Expr, d dest) (int32, class) {
 			return f.reg(), clR
 		}
 		r := f.reg()
-		f.emit(instr{op: opInit, a: r, nd: e, aux: &initDesc{elem: elem, dims: dims}})
+		f.emit(instr{op: opInit, a: r, nd: e, aux: &initDesc{elem: elem, dims: dims, keep: f.keepFor(e)}})
 		return r, clR
 	}
 	f.emit(instr{op: opFail, nd: e, aux: interp.Errorf(e, "unknown expression %T", e)})
@@ -190,7 +190,7 @@ func (f *fnc) compileLogical(e *ast.BinaryExpr) (int32, class) {
 	dst := f.reg()
 	cl := classOf(f.c.info.TypeOf(e))
 	f.emit(instr{op: opBinM, a: dst, b: int32(cl), nd: e,
-		aux: &binDesc{e: e, l: argDesc{reg: l, cl: lcl}, r: argDesc{reg: r, cl: rcl}}})
+		aux: &binDesc{e: e, l: argDesc{reg: l, cl: lcl}, r: argDesc{reg: r, cl: rcl}, keep: -1}})
 	return dst, cl
 }
 
@@ -322,7 +322,7 @@ func (f *fnc) compileBinary(e *ast.BinaryExpr, d dest) (int32, class) {
 	cl := classOf(f.c.info.TypeOf(e))
 	dst := f.out(d, cl)
 	f.emit(instr{op: opBinM, a: dst, b: int32(cl), nd: e,
-		aux: &binDesc{e: e, l: argDesc{reg: l, cl: lcl}, r: argDesc{reg: r, cl: rcl}}})
+		aux: &binDesc{e: e, l: argDesc{reg: l, cl: lcl}, r: argDesc{reg: r, cl: rcl}, keep: f.keepFor(e)}})
 	return dst, cl
 }
 
@@ -674,7 +674,7 @@ func (f *fnc) compileIndexR(e *ast.IndexExpr, d dest) (int32, class) {
 	plans := f.compilePlans(e, base)
 	dst := f.out(d, retCl)
 	f.emit(instr{op: opIndex, a: dst, b: base, c: int32(retCl), nd: e,
-		aux: &indexDesc{e: e, plans: plans}})
+		aux: &indexDesc{e: e, plans: plans, keep: f.keepFor(e)}})
 	return dst, retCl
 }
 
@@ -770,7 +770,7 @@ func (f *fnc) flatPlan(site ast.Expr, p *vet.WithPlan) *flatPlan {
 		return regs
 	}
 	fp := &flatPlan{mats: bind(p.Mats, false), sI: bind(p.ScalarI, false), sF: bind(p.ScalarF, true),
-		inline: p.Inline, nodes: p.Nodes}
+		inline: p.Inline, nodes: p.Nodes, keep: f.keepFor(site)}
 	var ok bool
 	if fp.prog, ok = matrix.CompileWith(p.Spec()); !ok {
 		bail("the strip compiler refused the proven plan at %s", site.Span())
@@ -821,6 +821,7 @@ func (f *fnc) compileWithBody(w *ast.WithLoop, body ast.Expr) (int, []capture) {
 		name:  "<with-body>",
 		code:  bf.code,
 		nregs: bf.nreg,
+		keeps: int(bf.keeps),
 	})
 	return pi, captures
 }

@@ -5,16 +5,18 @@
 package vm
 
 import (
-	"sync/atomic"
-
 	"repro/internal/ast"
 	"repro/internal/interp"
 	"repro/internal/matrix"
+	"repro/internal/rc"
 )
+
+// The construct counters below are counted by every worker at once, a
+// construct at a time: each is a tally, a stripe a frame (frame.stripe).
 
 // fusedLoopsRun counts opFused executions across all machines, for the
 // driver's vm_fused_loops metric.
-var fusedLoopsRun atomic.Int64
+var fusedLoopsRun rc.Tally
 
 // FusedLoopsRun reports the number of fused chain loops executed by
 // the VM process-wide.
@@ -23,7 +25,7 @@ func FusedLoopsRun() int64 { return fusedLoopsRun.Load() }
 // withFlatRun counts with-loops executed on the flat engine (rather
 // than falling back to the per-element closure path) across all
 // machines, for the driver's vm_with_flat_loops metric.
-var withFlatRun atomic.Int64
+var withFlatRun rc.Tally
 
 // WithFlatLoopsRun reports the number of with-loops the VM executed on
 // the flat engine process-wide.
@@ -31,7 +33,7 @@ func WithFlatLoopsRun() int64 { return withFlatRun.Load() }
 
 // withFlatDeclined counts executions of a flat-compiled with-loop that
 // the flat engine handed back to the closure path at run time.
-var withFlatDeclined atomic.Int64
+var withFlatDeclined rc.Tally
 
 // WithFlatLoopsDeclined reports the number of flat-compiled with-loop
 // executions that fell back to the closure path process-wide.

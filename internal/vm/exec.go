@@ -6,9 +6,11 @@ package vm
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/interp"
+	"repro/internal/matrix"
 	"repro/internal/par"
 	"repro/internal/rc"
 	"repro/internal/types"
@@ -49,9 +51,13 @@ func NewMachine(p *Program, in *interp.Interp) *Machine {
 // classes it names (see returnTuple).
 //
 // Frames come from their proto's pool and go back to it on a clean exit
-// only (see proto.release); DESIGN.md §11 has the lifecycle.
+// only (see proto.release); DESIGN.md §11 has the lifecycle. A frame's
+// keeps, one a frame-local site, go with it: what they hold is dead by
+// the time the frame is released, and the next activation's sites take
+// it back (DESIGN.md §11.7).
 type frame struct {
 	regs    []value
+	keeps   []matrix.Keep
 	pending []rc.Ref
 	futures []*vmFuture
 	pool    *par.Pool
@@ -59,23 +65,40 @@ type frame struct {
 	ret     value
 	retCl   class
 	hasRet  bool
+	stripe  uint // the stripe this frame counts constructs on (see dispatch.go)
 }
+
+// frameSeq numbers the frames made, for their stripes.
+var frameSeq atomic.Uint32
 
 // frame takes an activation record for p: a pooled one, whose registers
 // release left all zero, or a new one.
 func (p *proto) frame(pool *par.Pool, depth int) *frame {
 	fr, _ := p.frames.Get().(*frame)
 	if fr == nil {
-		fr = &frame{regs: make([]value, p.nregs), retCl: clR}
+		fr = &frame{regs: make([]value, p.nregs), retCl: clR, stripe: uint(frameSeq.Add(1))}
+		if p.keeps > 0 {
+			fr.keeps = make([]matrix.Keep, p.keeps)
+		}
 	}
 	fr.pool, fr.depth = pool, depth
 	return fr
 }
 
+// keep is the Keep of the frame-local site k, nil when k < 0 (a site
+// vet did not prove frame-local).
+func (fr *frame) keep(k int32) *matrix.Keep {
+	if k < 0 {
+		return nil
+	}
+	return &fr.keeps[k]
+}
+
 // release hands a finished frame back for the next activation of p. Its
 // registers are cleared, so nothing the activation reached stays
-// reachable through the pool and the next one reads every variable it
-// has not assigned as zero / unassigned. A frame a spawn may still
+// reachable through the pool but the dead matrices its keeps hold, and
+// the next one reads every variable it has not assigned as zero /
+// unassigned. A frame a spawn may still
 // write into is never handed out again; nor is one whose activation
 // failed — its caller simply does not release it.
 func (p *proto) release(fr *frame) {

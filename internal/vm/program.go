@@ -249,10 +249,12 @@ type argDesc struct {
 	cl  class
 }
 
-// binDesc drives opBinM.
+// binDesc drives opBinM. keep is the frame's Keep of a frame-local
+// site, -1 for any other (as in indexDesc, initDesc and flatPlan).
 type binDesc struct {
 	e    *ast.BinaryExpr
 	l, r argDesc
+	keep int32
 }
 
 // unDesc drives opUnM.
@@ -296,6 +298,7 @@ type castAux struct {
 type indexDesc struct {
 	e     *ast.IndexExpr
 	plans []specPlan
+	keep  int32
 }
 
 // setIndexDesc drives opSetIndex.
@@ -309,6 +312,7 @@ type setIndexDesc struct {
 type initDesc struct {
 	elem matrix.Elem
 	dims []int32
+	keep int32
 }
 
 // callDesc drives opCall. A destructuring assignment's call names in
@@ -364,6 +368,7 @@ type flatPlan struct {
 	sF     []int32    // F regs, by float scalar slot
 	inline int        // calls nested in the plan, emitted in place (see execWithFlat)
 	nodes  []ast.Node // a chain's admissions: where the tree walker reports each one's error
+	keep   int32      // the frame's Keep of a frame-local site, else -1
 }
 
 // mapDesc drives opMatMap.
@@ -418,6 +423,7 @@ type proto struct {
 	refRegs []int32 // boxed variable registers released at teardown
 	retTy   *types.Type
 	rets    int32     // the first return slot: a register an element of a tuple-typed retTy
+	keeps   int       // frame-local sites: a frame keeps their matrices (matrix.Keep)
 	frames  sync.Pool // *frame with nregs registers; scratch, not program state
 }
 

@@ -88,7 +88,7 @@ func (mc *Machine) execSlow(fr *frame, in *instr) error {
 
 	case opBinM:
 		d := in.aux.(*binDesc)
-		v, err := interp.EvalBinary(d.e, fr.box(d.l), fr.box(d.r), mc.in.Exec(fr.pool))
+		v, err := interp.EvalBinary(d.e, fr.box(d.l), fr.box(d.r), mc.in.Exec(fr.pool), fr.keep(d.keep))
 		if err != nil {
 			return err
 		}
@@ -121,7 +121,7 @@ func (mc *Machine) execSlow(fr *frame, in *instr) error {
 		if err != nil {
 			return err
 		}
-		v, err := m.Index(mc.in.Budget(), specs...)
+		v, err := fr.keep(d.keep).Index(m, mc.in.Budget(), specs...)
 		if err != nil {
 			return interp.WrapError(in.nd, err)
 		}
@@ -156,7 +156,7 @@ func (mc *Machine) execSlow(fr *frame, in *instr) error {
 		for _, r := range d.dims {
 			dims = append(dims, int(regs[r].i))
 		}
-		m, err := matrix.NewBudgeted(mc.in.Budget(), d.elem, dims...)
+		m, err := fr.keep(d.keep).New(mc.in.Budget(), d.elem, dims...)
 		if err != nil {
 			return interp.WrapError(in.nd, err)
 		}
@@ -406,17 +406,18 @@ func (mc *Machine) execWithFlat(fr *frame, in *instr) (bool, error) {
 	}
 	handled, err := mc.runFlat(fr, in, d, fp)
 	if handled {
-		withFlatRun.Add(1)
+		withFlatRun.Add(fr.stripe, 1)
 	} else {
-		withFlatDeclined.Add(1)
+		withFlatDeclined.Add(fr.stripe, 1)
 	}
 	return handled, err
 }
 
-// bind fills a run's leaves from the frame's registers. A matrix
-// register that holds no matrix (unassigned) binds nil, which the flat
-// engine reports.
+// bind fills a run's leaves from the frame's registers, and its Keep
+// from the frame's when the site is frame-local. A matrix register that
+// holds no matrix (unassigned) binds nil, which the flat engine reports.
 func (fp *flatPlan) bind(fr *frame, run *matrix.WithRun) {
+	run.Keep = fr.keep(fp.keep)
 	for k, r := range fp.mats {
 		run.Mats[k], _ = fr.regs[r].r.(*matrix.Matrix)
 	}
@@ -444,7 +445,7 @@ func (mc *Machine) execChain(fr *frame, in *instr) error {
 		}
 		return interp.WrapError(nd, err)
 	}
-	fusedLoopsRun.Add(1)
+	fusedLoopsRun.Add(fr.stripe, 1)
 	return fr.store(in.a, clR, out, in.nd)
 }
 

@@ -1492,6 +1492,220 @@ int main() {
 	print(r[3]);
 	return 0;
 }`},
+	// Frame-local matrices (out, error, cells and live count pinned at
+	// 7037eda, before a frame kept the matrices its sites make): one
+	// reused across activations as its size grows and shrinks through
+	// 0, 1, 8, 9 and 48 cells, at every producing site (a chain, an init,
+	// a flat genarray, a mask selection, a lone operation); recursion; a
+	// trap while one is live; one in a matrixMap function; and one
+	// negative case per escape route, each of which must keep its
+	// matrix out of the frame's keeping.
+	{name: "frame_local_sizes", pin: &pinned{"0\n10002\n80644\n90536\n489308\n91034\n80772\n10002\n0\n484378\n3850\n", 1565}, threads: []int{1, 2, 3, 7}, src: `
+float f(int n, float k) {
+	int hi = n - 1;
+	Matrix float <1> v = [0 :: hi] * k + 1.0;
+	Matrix float <1> w = init(Matrix float <1>, n);
+	Matrix float <1> g = with ([0] <= [i] < [n]) genarray([n], v[i] * 2.0);
+	Matrix float <1> s = v[v >= 2.0];
+	Matrix float <1> d = g * 0.5;
+	Matrix int <2> q = init(Matrix int <2>, n, 2);
+	q[:, 1] = [0 :: hi];
+	float t = with ([0] <= [i] < [n]) fold(+, 0.0, v[i] + w[i] + g[i] - d[i]);
+	return t + (float)(dimSize(s, 0) * 100 + dimSize(q, 0) * 10000);
+}
+int main() {
+	print(f(0, 1.5));
+	print(f(1, 1.5));
+	print(f(8, 0.5));
+	print(f(9, 0.25));
+	print(f(48, 2.0));
+	print(f(9, 3.0));
+	print(f(8, 1.0));
+	print(f(1, 4.0));
+	print(f(0, 1.0));
+	print(f(48, 0.125));
+	int i = 0;
+	float acc = 0.0;
+	while (i < 12) {
+		Matrix float <1> g = with ([0] <= [j] < [i]) genarray([i], (float)(j * i));
+		Matrix float <1> h = g * 2.0;
+		acc = acc + with ([0] <= [j] < [i]) fold(+, 0.0, h[j]);
+		i = i + 1;
+	}
+	print(acc);
+	return 0;
+}`},
+	{name: "frame_local_recursion", pin: &pinned{"475\n142.5\n957\n", 3832}, threads: []int{1, 2, 3, 7}, src: `
+float rec(int d, int n) {
+	Matrix float <1> v = [0 :: n] * 0.5 + 1.0;
+	float r = 0.0;
+	if (d > 0) {
+		r = rec(d - 1, n + 3);
+		r = r + rec(d - 1, n + 1);
+	}
+	Matrix float <1> g = with ([0] <= [i] < [dimSize(v, 0)]) genarray([dimSize(v, 0)], v[i] + (float)d);
+	return r + g[end] + v[0] * (float)dimSize(v, 0);
+}
+int main() {
+	print(rec(4, 2));
+	print(rec(2, 9));
+	print(rec(5, 0));
+	return 0;
+}`},
+	{name: "err_frame_local_trap_live", pin: &pinned{"6\n10\n14\n18\n22\n", 301}, threads: []int{1, 2, 3, 7},
+		errIs: "err_frame_local_trap_live.xc:6:9: runtime error: matrix: index 7 out of range [0,3) in dimension 0", live: 0, src: `
+float pick(int n, int at) {
+	int hi = n - 1;
+	Matrix float <1> v = [0 :: hi] * 2.0 + 1.0;
+	Matrix float <1> w = init(Matrix float <1>, n);
+	return v[at] + w[0];
+}
+int main() {
+	int i = 1;
+	while (i < 6) {
+		Matrix float <1> m = [0 :: i] * 2.0 + 1.0;
+		print(pick(i + 8, i) + m[end]);
+		i = i + 1;
+	}
+	Matrix float <1> last = [0 :: 2] * 1.5 + 1.0;
+	print(pick(3, 7) + last[0]);
+	return 0;
+}`},
+	{name: "frame_local_in_matrixmap", pin: &pinned{"10\n-710.75\n-330.5\n-63067.5\n", 1440}, threads: []int{1, 2, 3, 7}, src: `
+Matrix float <1> lift(Matrix float <1> ts) {
+	int hi = dimSize(ts, 0) - 1;
+	Matrix float <1> line = [0 :: hi] * 0.5 + 1.0;
+	Matrix float <1> sc = ts * 2.0;
+	float area = with ([0] <= [i] < [dimSize(line, 0)]) fold(+, 0.0, line[i] - sc[i]);
+	return with ([0] <= [i] < [dimSize(ts, 0)]) genarray([dimSize(ts, 0)], ts[i] + line[i] + area);
+}
+int main() {
+	Matrix float <3> cube;
+	cube = with ([0, 0, 0] <= [i, j, k] < [5, 4, 9]) genarray([5, 4, 9], (float)(i * 36 + j * 9 + k) * 0.25);
+	Matrix float <3> r = matrixMap(lift, cube, [2]);
+	print(r[0, 0, 0]);
+	print(r[4, 3, 8]);
+	print(r[2, 1, 5]);
+	float s = with ([0, 0, 0] <= [i, j, k] < [5, 4, 9]) fold(+, 0.0, r[i, j, k]);
+	print(s);
+	return 0;
+}`},
+	{name: "frame_local_escape_return", pin: &pinned{"21\n9\n", 45}, threads: []int{1, 2, 3, 7}, src: `
+Matrix float <1> mk(int n) {
+	Matrix float <1> v = [0 :: n] * 2.0 + 1.0;
+	return v;
+}
+int main() {
+	Matrix float <1> a = mk(3);
+	Matrix float <1> b = mk(5);
+	Matrix float <1> c = mk(1);
+	print(a[end] + b[end] + c[end]);
+	a = mk(2);
+	print(a[end] + b[0] + c[1]);
+	return 0;
+}`},
+	{name: "err_frame_local_escape_rcset", pin: &pinned{"4\n4\n3\n", 37}, threads: []int{1, 2, 3, 7},
+		errIs: "err_frame_local_escape_rcset.xc:2:1: runtime error [trap:rc]: rc: IncRef on freed allocation (use after free)", live: 2, src: `
+int keep(refcounted Matrix float <1> * c, int n) {
+	Matrix float <1> v = [0 :: n] * 2.0 + 1.0;
+	rcset(c, v);
+	return dimSize(v, 0);
+}
+int main() {
+	refcounted Matrix float <1> * c = rcnew(init(Matrix float <1>, 2));
+	refcounted Matrix float <1> * d = rcnew(init(Matrix float <1>, 2));
+	print(keep(c, 3));
+	print(keep(d, 3));
+	print(keep(d, 2));
+	Matrix float <1> z = rcget(c);
+	print(z[0]);
+	return 0;
+}`},
+	{name: "frame_local_escape_global", pin: &pinned{"4\n5\n6\n18\n", 45}, threads: []int{1, 2, 3, 7}, src: `
+Matrix float <1> g;
+int put(int n) {
+	Matrix float <1> v = [0 :: n] * 2.0 + 1.0;
+	g = v;
+	return dimSize(v, 0);
+}
+int main() {
+	print(put(3));
+	Matrix float <1> first = g;
+	print(put(4));
+	print(put(5));
+	print(first[end] + g[end]);
+	return 0;
+}`},
+	{name: "frame_local_escape_tuple", pin: &pinned{"20\n6\n", 36}, threads: []int{1, 2, 3, 7}, src: `
+(Matrix float <1>, int) tp(int n) {
+	Matrix float <1> v = [0 :: n] * 2.0 + 1.0;
+	(Matrix float <1>, int) t = (v, n);
+	return t;
+}
+int main() {
+	Matrix float <1> a;
+	Matrix float <1> b;
+	int k = 0;
+	(a, k) = tp(3);
+	(b, k) = tp(4);
+	print(a[end] + b[end] + (float)k);
+	(a, k) = tp(2);
+	print(a[end] + b[0]);
+	return 0;
+}`},
+	{name: "frame_local_escape_alias", pin: &pinned{"20\n", 33}, threads: []int{1, 2, 3, 7}, src: `
+Matrix float <1> al(int n) {
+	Matrix float <1> v = [0 :: n] * 2.0 + 1.0;
+	Matrix float <1> w = v;
+	return w;
+}
+int main() {
+	Matrix float <1> a = al(3);
+	Matrix float <1> b = al(6);
+	print(a[end] + b[end]);
+	return 0;
+}`},
+	{name: "frame_local_escape_callee", pin: &pinned{"22\n1\n", 70}, threads: []int{1, 2, 3, 7}, src: `
+Matrix float <1> same(Matrix float <1> x) { return x; }
+Matrix float <1> via(int n) {
+	Matrix float <1> v = [0 :: n] * 2.0 + 1.0;
+	Matrix float <1> r = same(v);
+	return r;
+}
+int stash(refcounted Matrix float <1> * c, Matrix float <1> x) { rcset(c, x); return 0; }
+int hold(refcounted Matrix float <1> * c, int n) {
+	Matrix float <1> v = [0 :: n] * 2.0 + 1.0;
+	return stash(c, v);
+}
+int main() {
+	Matrix float <1> a = via(3);
+	Matrix float <1> b = via(7);
+	print(a[end] + b[end]);
+	refcounted Matrix float <1> * c = rcnew(init(Matrix float <1>, 1));
+	hold(c, 4);
+	hold(c, 5);
+	print(1);
+	return 0;
+}`},
+	{name: "frame_local_escape_spawn", pin: &pinned{"38\n198\n21\n", 96}, threads: []int{1, 2, 3, 7}, src: `
+float total(Matrix float <1> x) {
+	return with ([0] <= [i] < [dimSize(x, 0)]) fold(+, 0.0, x[i]);
+}
+float fan(int n) {
+	Matrix float <1> v = [0 :: n] * 2.0 + 1.0;
+	float a = 0.0;
+	spawn a = total(v);
+	Matrix float <1> w = [0 :: n] * 3.0 + 1.0;
+	float b = total(w);
+	sync;
+	return a + b;
+}
+int main() {
+	print(fan(3));
+	print(fan(8));
+	print(fan(2));
+	return 0;
+}`},
 	// 'end' where it is read and where it is not (out, error and cells
 	// pinned at 9c66458, where every index dimension still computed its
 	// 'end' eagerly): scalar, range and nested positions, two reads in one
