@@ -20,8 +20,8 @@ import (
 )
 
 // allocCeilings holds, per program, the objects and KB one warm run may
-// allocate: what EXPERIMENTS.md E32 (E26, E25, E24, E23 or E21 where E32
-// did not move it) measured, in the comments, plus 5 % (fib_rec and chain_1m, whose
+// allocate: what EXPERIMENTS.md E33 (E32, E26, E25, E24, E23 or E21
+// where E33 did not move it) measured, in the comments, plus 5 % (fib_rec and chain_1m, whose
 // whole runs are a few dozen objects, get a handful). At PR 25 eddy_score
 // read 65 018 / 5 891 (a 208-byte header and a 48-byte rc header a
 // matrix, a []any and its boxed header a tuple return, a boxed float a
@@ -35,12 +35,14 @@ import (
 // read 35 410 / 3 447 and withloop_flat_small 3 021 / 201.0.
 // Before E32 (every frame-local matrix made afresh, and the free list
 // holding no buffer under 256 cells) eddy_score read 19 981 / 2 930 and
-// withloop_flat_small 3 021 / 154.1.
+// withloop_flat_small 3 021 / 154.1; before E33 (getTrough's slice,
+// computeArea's genarray and scoreTS's scores made afresh for each call)
+// eddy_score read 12 878 / 1 783.
 var allocCeilings = []struct {
 	file        string
 	objects, kb float64
 }{
-	{"eddy_score", 13_520, 1_875},       // 12 878, 1 783: computeArea's Line kept by its frame, buffers of 16 cells or more recycled
+	{"eddy_score", 547, 245.5},          // 521, 233.8: Line kept by its frame, the returned trough, area and scores by their callers' (E33)
 	{"fib_rec", 25, 2},                  // 21, 1.7
 	{"withloop_closure", 27, 2.1},       // 25, 2.0: weight(i, j) emitted in place, the genarray flat (E25; 6 957, 56.9 a boxed float a cell at PR 27)
 	{"tuples_rc_loop", 9_460, 76},       // 9 004, 72.3: one a trip, rcset's boxed int

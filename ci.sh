@@ -18,9 +18,11 @@
 #     -t 1 and -t 2, leak checks off where the VM's run leaves rc cells live)
 #   - the service contract, the fleet's chaos suites, the tenant registry
 #   - the VM differential corpus under -race (the err_global_* entries: a global read or written before it is bound),
-#     vet's flat with-loop sites and chains against the VM's (TestWithSitesAreTheVMs), vet's frame-local sites
-#     (TestFrameLocalsGolden) and the poison pass that checks them against execution (TestFramePoisonPass), and the
-#     checker rejecting every program that reaches a VM bail (TestBailsAreCheckerRejected)
+#     vet's flat with-loop sites and chains against the VM's (TestWithSitesAreTheVMs), vet's frame-local and
+#     return-local sites and destination calls (TestFrameLocalsGolden) and the poison pass that checks them against
+#     execution (TestFramePoisonPass, the return_local_* corpus entries among its programs), the race scan's loops
+#     reaching their fixpoint (TestRaceLoopPassesReachFixpoint), and the checker rejecting every program that reaches
+#     a VM bail (TestBailsAreCheckerRejected)
 #   - ten-second fuzz smokes
 #   - the vet findings manifest
 #   - one-shot benchmark smokes, and a scaling smoke when there are two CPUs
@@ -127,7 +129,7 @@ else
     echo "no FMA/AVX2 on this CPU: skipped"
 fi
 
-echo "== C back end against the interpreter (gcc-guarded: Fig 8, Fig 11, vectorize stride regression; clause legality and scalar bodies in sem alone; split and tile remainders; every checked program translates; nested-fold clauses, their loop names and lifting; Fig 9, tuple_ret_spawn and the release probes at -par pthread under ASan+UBSan and TSan; the C arm runs in go test) =="
+echo "== C back end against the interpreter (gcc-guarded: Fig 8, Fig 11, vectorize stride regression; index and division traps end the C as they end cmrun; clause legality and scalar bodies in sem alone; split and tile remainders; every checked program translates; nested-fold clauses, their loop names and lifting; Fig 9, tuple_ret_spawn and the release probes at -par pthread under ASan+UBSan and TSan; the C arm runs in go test) =="
 go test -run 'TestE3|TestFig8Compiled|TestVectorize|TestNestedFoldOwnClauses|TestPthreadLiftsNestInGeneralBody|TestOptimizedLoadChecksBounds' -count=1 ./internal/cgen
 go test -run 'TestTransformLegality|TestSplitRemainderCompiledMatchesVM|TestTileRemainderCompiled|TestIntegrationAllProgramsTranslate|TestCompiledReleasesUnderSanitizers' -count=1 .
 go test -run 'TestTileRemainder|TestQuickSplitPreserves|TestSubstRenamesCapturingLoop' -count=1 ./internal/loopir
@@ -160,8 +162,9 @@ go test -race -run '^TestGateHealthzDegraded$' -count=20 ./internal/fleet
 echo "== tenant registry + buckets (race) =="
 go test -race ./internal/tenant
 
-echo "== vm differential (bytecode engine vs tree-walking oracle, with facts and without; the frame_* entries are what a reused frame gets wrong, the frame_local_* entries what a frame keeping its matrices does, the chain_range_* / chain_promote_* / err_oom_chain_* entries what a fused range or promoting leaf does, the err_global_* entries a global read or written before it is bound; the MaxSteps sweep over every loop shape; vet's flat with-loop sites and chains are the VM's; vet's frame-local sites, and the poison pass over every kept matrix; every bail is checker-rejected; race) =="
+echo "== vm differential (bytecode engine vs tree-walking oracle, with facts and without; the frame_* entries are what a reused frame gets wrong, the frame_local_* entries what a frame keeping its matrices does, the return_local_* entries what a caller's destination does, the chain_range_* / chain_promote_* / err_oom_chain_* entries what a fused range or promoting leaf does, the err_global_* entries a global read or written before it is bound; the MaxSteps sweep over every loop shape; vet's flat with-loop sites and chains are the VM's; vet's frame-local sites, and the poison pass over every kept matrix; every bail is checker-rejected; race) =="
 go test -race -run 'TestVMDifferential|TestVMStep|TestWithSitesGolden|TestWithSitesAreTheVMs|TestFrameLocalsGolden|TestFramePoisonPass' -count=1 .
+go test -race -run 'TestRaceLoopPassesReachFixpoint' -count=1 ./internal/vet
 go test -race -run 'TestBailsAreCheckerRejected' -count=1 ./internal/vm
 
 echo "== fuzz smoke (frontend + analyzer never panic) =="

@@ -1,8 +1,10 @@
 // The frame-local golden: every allocation site vet proves frame-local
-// in the shipped programs (testdata/, the vet goldens, examples/ and
+// or return-local, and every call it proves a destination, in the
+// shipped programs (testdata/, the vet goldens, examples/ and
 // bench/programs/) — the site and the local its matrix is bound to. A
 // site missing here makes a fresh matrix every time it runs; a site
-// added here is one whose storage the VM's frame keeps.
+// added here is one whose storage the VM's frame keeps, or its caller's
+// when it is return-local and called at a destination.
 // Regenerate with:
 //
 //	go test -run TestFrameLocalsGolden -update-frame-locals
@@ -27,8 +29,8 @@ const frameLocalsPath = "testdata/frame_locals.txt"
 
 func TestFrameLocalsGolden(t *testing.T) {
 	var b strings.Builder
-	b.WriteString("# Frame-local allocation sites: the site, then the local it binds. Regenerate: go test -run TestFrameLocalsGolden -update-frame-locals\n")
-	n := 0
+	b.WriteString("# Frame-local allocation sites: the site, then the local it binds; return-local sites and destination calls say so. Regenerate: go test -run TestFrameLocalsGolden -update-frame-locals\n")
+	n := map[vet.LocalKind]int{}
 	for _, p := range withSitePrograms(t) {
 		var d source.Diagnostics
 		prog := parser.ParseFile(p.name, p.src, parser.AllExtensions(), &d)
@@ -40,11 +42,18 @@ func TestFrameLocalsGolden(t *testing.T) {
 			continue
 		}
 		for _, s := range vet.FrameLocals(prog, info) {
-			fmt.Fprintf(&b, "%s:%s %s\n", p.name, s.At.Span().Start, s.Name)
-			n++
+			line := fmt.Sprintf("%s:%s", p.name, s.At.Span().Start)
+			if s.Kind != vet.InFrame {
+				line += " " + s.Kind.String()
+			}
+			if s.Name != "" {
+				line += " " + s.Name
+			}
+			fmt.Fprintln(&b, line)
+			n[s.Kind]++
 		}
 	}
-	fmt.Fprintf(&b, "# %d frame-local sites\n", n)
+	fmt.Fprintf(&b, "# %d frame-local sites, %d return-local sites, %d destinations\n", n[vet.InFrame], n[vet.ReturnLocal], n[vet.Destination])
 	got := b.String()
 	if *updateFrameLocals {
 		if err := os.WriteFile(frameLocalsPath, []byte(got), 0o644); err != nil {

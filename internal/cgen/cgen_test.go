@@ -125,40 +125,113 @@ func TestE1Fig1ExpandsToFig3Shape(t *testing.T) {
 	}
 	// Each index of the direct load is checked against its hoisted
 	// extent, as cm_off checks it.
-	if !strings.Contains(c, "cm_chk(u_i, u_mat_dim0_w1), cm_chk(u_j, u_mat_dim1_w1), cm_chk(u_k, u_mat_dim2_w1)") {
+	if !strings.Contains(c, "cm_chk(u_i, u_mat_dim0_w1, 0), cm_chk(u_j, u_mat_dim1_w1, 1), cm_chk(u_k, u_mat_dim2_w1, 2)") {
 		t.Error("the direct load should check every index against its dimension")
 	}
 }
 
-// An index out of range in a with-loop body traps in the generated C at
-// -O as it does without -O (cm_off) and on the VM: the -O load checks
-// its index against the hoisted extent (v[i + 1] over [0 :: 3] read 0
-// past the end of v's cells, and exited 0).
+// A trap the VM reports as a runtime error ends the generated C as it
+// ends cmrun, at -O and without: the same exit status (1), the same
+// output before it, and the VM's message (cmrun prefixes it with the
+// source position). The -O load checks each index against its hoisted
+// extent (v[i + 1] over [0 :: 3] once read 0 past the end of v's cells,
+// and exited 0); cm_off, the index specs and integer / and % do too.
 func TestOptimizedLoadChecksBounds(t *testing.T) {
 	if !haveGCC() {
 		t.Skip("gcc not available")
 	}
-	const src = `
+	dir := t.TempDir()
+	cmrun := filepath.Join(dir, "cmrun")
+	if out, err := exec.Command("go", "build", "-o", cmrun, "repro/cmd/cmrun").CombinedOutput(); err != nil {
+		t.Fatalf("building cmrun: %v\n%s", err, out)
+	}
+	progs := map[string]string{
+		"with_load": `
 int main() {
 	Matrix int <1> v = [0 :: 3];
 	int n = 4;
 	Matrix int <1> w = with ([0] <= [i] < [n]) genarray([n], v[i + 1]);
 	print(w[0]);
 	return 0;
-}
-`
-	for _, optimize := range []bool{true, false} {
-		bin := compileC(t, gen(t, src, Options{Par: ParNone, Optimize: optimize}), t.TempDir())
-		var stdout, stderr bytes.Buffer
-		cmd := exec.Command(bin)
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+}`,
+		"scalar_index": `
+int main() {
+	Matrix int <2> m = init(Matrix int <2>, 2, 3);
+	int j = 3;
+	print(m[1, 2]);
+	print(m[1, j]);
+	return 0;
+}`,
+		"spec_scalar": `
+int main() {
+	Matrix int <2> m = init(Matrix int <2>, 2, 3);
+	int j = 2;
+	Matrix int <1> r = m[j, :];
+	print(r[0]);
+	return 0;
+}`,
+		"spec_range": `
+int main() {
+	Matrix int <1> v = [0 :: 3];
+	int j = 5;
+	Matrix int <1> r = v[1 : j];
+	print(r[0]);
+	return 0;
+}`,
+		"spec_mask": `
+int main() {
+	Matrix int <1> v = [0 :: 3];
+	Matrix int <1> u = [0 :: 4];
+	Matrix int <1> r = v[u > 1];
+	print(r[0]);
+	return 0;
+}`,
+		"div_zero": `
+int main() {
+	int z = 0;
+	print(7);
+	print(7 / z);
+	return 0;
+}`,
+		"mod_zero": `
+int main() {
+	Matrix int <1> v = [1 :: 3];
+	int z = 0;
+	Matrix int <1> w = v % z;
+	print(w[0]);
+	return 0;
+}`,
+	}
+	for name, src := range progs {
+		file := filepath.Join(dir, name+".xc")
+		if err := os.WriteFile(file, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var vmOut, vmErr bytes.Buffer
+		cmd := exec.Command(cmrun, file)
+		cmd.Stdout, cmd.Stderr = &vmOut, &vmErr
 		err := cmd.Run()
 		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("-O=%v: the program ended with %v, want exit status 2", optimize, err)
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("%s: cmrun ended with %v (%s), want exit status 1", name, err, vmErr.String())
 		}
-		if stdout.Len() != 0 || stderr.String() != "runtime error: index out of range\n" {
-			t.Errorf("-O=%v: the program printed %q and %q on stderr, want nothing and the index error", optimize, stdout.String(), stderr.String())
+		_, msg, ok := strings.Cut(strings.TrimSpace(vmErr.String()), ": runtime error: ")
+		if !ok {
+			t.Fatalf("%s: cmrun printed %q, want a runtime error", name, vmErr.String())
+		}
+		for _, optimize := range []bool{true, false} {
+			bin := compileC(t, gen(t, src, Options{Par: ParNone, Optimize: optimize}), t.TempDir())
+			var stdout, stderr bytes.Buffer
+			cmd := exec.Command(bin)
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				t.Errorf("%s at -O=%v: the program ended with %v, want exit status 1, as cmrun's", name, optimize, err)
+			}
+			if stdout.String() != vmOut.String() || stderr.String() != "runtime error: "+msg+"\n" {
+				t.Errorf("%s at -O=%v: the program printed %q and %q on stderr, want cmrun's %q and %q",
+					name, optimize, stdout.String(), stderr.String(), vmOut.String(), "runtime error: "+msg+"\n")
+			}
 		}
 	}
 }

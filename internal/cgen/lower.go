@@ -101,7 +101,7 @@ func (w *wlState) lowerIndex(e *ast.IndexExpr) (pre []loopir.Stmt, val loopir.Ex
 	var linear loopir.Expr
 	checks := make([]loopir.Check, len(idxs))
 	for d, idx := range idxs {
-		checks[d] = loopir.Check{Idx: idx, N: loopir.V(w.dimVar(cn, d))}
+		checks[d] = loopir.Check{Idx: idx, N: loopir.V(w.dimVar(cn, d)), Dim: d}
 		term := loopir.Expr(idx)
 		if baseTy.Rank > 1 {
 			term = loopir.B("*", idx, loopir.V(w.strideVar(cn, d)))

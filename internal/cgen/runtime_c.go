@@ -10,6 +10,7 @@ package cgen
 
 // cRuntime is the prelude text. It is self-contained C99 + pthreads.
 const cRuntime = `/* ---- CMINUS matrix runtime (generated; do not edit) ---- */
+#include <stdarg.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
@@ -37,17 +38,30 @@ static void cm_die(const char *msg) {
     exit(2);
 }
 
+/* A trap the VM reports in the same words: an index out of range, an
+   integer division by zero. It prints the VM's message and exits 1, as
+   cmrun does for it. */
+static void cm_trap(const char *fmt, ...) {
+    va_list ap;
+    va_start(ap, fmt);
+    fputs("runtime error: ", stderr);
+    vfprintf(stderr, fmt, ap);
+    fputc('\n', stderr);
+    va_end(ap);
+    exit(1);
+}
+
 /* ---- the value model (DESIGN §2.4): float is a double and int a long
    that wraps in two's complement, as in the VM ---- */
 static long cm_iadd(long a, long b) { return (long)((unsigned long)a + (unsigned long)b); }
 static long cm_isub(long a, long b) { return (long)((unsigned long)a - (unsigned long)b); }
 static long cm_imul(long a, long b) { return (long)((unsigned long)a * (unsigned long)b); }
 static long cm_idiv(long a, long b) {
-    if (!b) cm_die("integer division by zero");
+    if (!b) cm_trap("matrix: integer division by zero");
     return b == -1 ? cm_isub(0, a) : a / b;
 }
 static long cm_imod(long a, long b) {
-    if (!b) cm_die("integer modulo by zero");
+    if (!b) cm_trap("matrix: integer modulo by zero");
     return b == -1 ? 0 : a % b;
 }
 /* (int)x: truncation, and the one out-of-range answer amd64 gives */
@@ -94,7 +108,8 @@ static long cm_offn(const cm_mat *m, int n, const long *idx) {
     if (n != m->rank) cm_die("wrong number of indices");
     long off = 0;
     for (int d = 0; d < n; d++) {
-        if (idx[d] < 0 || idx[d] >= m->shape[d]) cm_die("index out of range");
+        if (idx[d] < 0 || idx[d] >= m->shape[d])
+            cm_trap("matrix: index %ld out of range [0,%ld) in dimension %d", idx[d], m->shape[d], d);
         off += idx[d] * m->strides[d];
     }
     return off;
@@ -102,9 +117,10 @@ static long cm_offn(const cm_mat *m, int n, const long *idx) {
 #define cm_off(m, ...) cm_offn(m, sizeof((long[]){__VA_ARGS__}) / sizeof(long), (long[]){__VA_ARGS__})
 
 /* One index of a -O load, i, checked against its hoisted extent n as
-   cm_off checks it (a matrix not yet assigned has extent 0). */
-static void cm_chk(long i, long n) {
-    if (i < 0 || i >= n) cm_die("index out of range");
+   cm_off checks it in dimension d (a matrix not yet assigned has extent
+   0). */
+static void cm_chk(long i, long n, int d) {
+    if (i < 0 || i >= n) cm_trap("matrix: index %ld out of range [0,%ld) in dimension %d", i, n, d);
 }
 
 /* dst[doff] = src[soff]; a float cell takes an int one converted, the
@@ -158,10 +174,12 @@ static void cm_resolve1(cm_spec sp, long dimsize, int d, cm_sel1 *out) {
     out->list = 0; out->n = -1;
     switch (sp.kind) {
     case CM_SPEC_SCALAR:
-        if (sp.i < 0 || sp.i >= dimsize) cm_die("index out of range");
+        if (sp.i < 0 || sp.i >= dimsize)
+            cm_trap("matrix: index %ld out of range [0,%ld) in dimension %d", sp.i, dimsize, d);
         out->scalar = sp.i; return;
     case CM_SPEC_RANGE: {
-        if (sp.lo < 0 || sp.hi >= dimsize || sp.lo > sp.hi) cm_die("bad index range");
+        if (sp.lo < 0 || sp.hi >= dimsize || sp.lo > sp.hi)
+            cm_trap("matrix: range %ld:%ld invalid for dimension %d of size %ld", sp.lo, sp.hi, d, dimsize);
         out->n = sp.hi - sp.lo + 1;
         out->list = (long *)malloc(out->n * sizeof(long));
         for (long k = 0; k < out->n; k++) out->list[k] = sp.lo + k;
@@ -173,8 +191,10 @@ static void cm_resolve1(cm_spec sp, long dimsize, int d, cm_sel1 *out) {
         return; }
     default: {
         cm_mat *mk = sp.mask;
-        if (!mk || mk->elem != CM_BOOL || mk->rank != 1 || mk->size != dimsize)
-            cm_die("bad logical index");
+        if (!mk || mk->elem != CM_BOOL || mk->rank != 1)
+            cm_trap("matrix: logical index for dimension %d must be a rank-1 bool matrix", d);
+        if (mk->size != dimsize)
+            cm_trap("matrix: logical index length %ld does not match dimension %d of size %ld", mk->size, d, dimsize);
         long n = 0;
         for (long k = 0; k < dimsize; k++) if (mk->b[k]) n++;
         out->n = n;

@@ -118,7 +118,7 @@ func (v *vecCtx) expr(e loopir.Expr, h int) string {
 			var checks strings.Builder
 			for _, c := range e.Checks {
 				for k := 2 * h; k < 2*h+2; k++ {
-					fmt.Fprintf(&checks, "cm_chk(%s, %s), ", v.lane(c.Idx, k), c.N)
+					fmt.Fprintf(&checks, "cm_chk(%s, %s, %d), ", v.lane(c.Idx, k), c.N, c.Dim)
 				}
 			}
 			load := fmt.Sprintf("_mm_loadu_pd(&%s[%s])", e.Array, v.lane(e.Idx, 2*h))

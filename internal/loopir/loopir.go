@@ -50,9 +50,11 @@ type Load struct {
 	Checks []Check
 }
 
-// Check is one index a checked load tests: Idx must lie in [0, N).
+// Check is one index a checked load tests: Idx must lie in [0, N), the
+// extent of dimension Dim.
 type Check struct {
 	Idx, N Expr
+	Dim    int
 }
 
 // CallE is a call expression.
@@ -95,7 +97,7 @@ func (e *Load) String() string {
 	var b strings.Builder
 	b.WriteString(e.Array + "[(")
 	for _, c := range e.Checks {
-		b.WriteString("cm_chk(" + c.Idx.String() + ", " + c.N.String() + "), ")
+		fmt.Fprintf(&b, "cm_chk(%s, %s, %d), ", c.Idx, c.N, c.Dim)
 	}
 	b.WriteString(e.Idx.String() + ")]")
 	return b.String()
@@ -176,7 +178,7 @@ func SubstExpr(e Expr, name string, repl Expr) Expr {
 	case *Load:
 		checks := make([]Check, len(e.Checks))
 		for i, c := range e.Checks {
-			checks[i] = Check{SubstExpr(c.Idx, name, repl), SubstExpr(c.N, name, repl)}
+			checks[i] = Check{SubstExpr(c.Idx, name, repl), SubstExpr(c.N, name, repl), c.Dim}
 		}
 		return &Load{e.Array, SubstExpr(e.Idx, name, repl), checks}
 	case *CallE:

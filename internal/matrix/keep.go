@@ -17,6 +17,8 @@ package matrix
 import (
 	"math"
 	"sync/atomic"
+
+	"repro/internal/rc"
 )
 
 // Keep holds the matrices one site made for one frame: two, so that a
@@ -70,6 +72,19 @@ func (k *Keep) alloc(elem Elem, shape []int, n int, zeroed bool) *Matrix {
 		k.m[slot] = m
 	}
 	return m
+}
+
+// Adopt binds m to h when k holds it and nothing has bound it yet: a
+// matrix a return-local site made, which its caller consumes as a
+// temporary. Its one count is then the caller's escape reference, and
+// once the caller drops that at its statement's end, k takes m back. It
+// reports whether it bound m.
+func (k *Keep) Adopt(m *Matrix, h *rc.Heap) bool {
+	if k == nil || m == nil || m.heap != nil || k.m[0] != m && k.m[1] != m {
+		return false
+	}
+	m.Bind(h)
+	return true
 }
 
 // dead reports whether m was bound and its last reference dropped.

@@ -59,6 +59,36 @@ func TestKeepReusesDeadMatrices(t *testing.T) {
 	}
 }
 
+// Adopt binds a matrix its Keep made that nothing has bound, a returned
+// temporary, with one count: when that is dropped the Keep takes the
+// matrix back. It leaves alone a bound matrix, one the Keep does not
+// hold, and a nil Keep's.
+func TestKeepAdopt(t *testing.T) {
+	h := rc.NewHeap()
+	var k Keep
+	a, _ := k.New(nil, Float, 3)
+	if !k.Adopt(a, h) || !a.Tracked() || h.Live() != 1 {
+		t.Fatal("Adopt did not bind an unbound kept matrix")
+	}
+	if k.Adopt(a, h) {
+		t.Fatal("Adopt bound a bound matrix again")
+	}
+	other := New(Float, 3)
+	if k.Adopt(other, h) || other.Tracked() {
+		t.Fatal("Adopt bound a matrix the Keep does not hold")
+	}
+	var none *Keep
+	if none.Adopt(other, h) || other.Tracked() {
+		t.Fatal("a nil Keep adopted a matrix")
+	}
+	if !a.DecRef() || h.Live() != 0 {
+		t.Fatal("dropping the adopted count did not release the matrix")
+	}
+	if b, _ := k.New(nil, Float, 2); b != a {
+		t.Fatal("the Keep did not take back the adopted matrix once dead")
+	}
+}
+
 // Taking a kept matrix back changes nothing admission decides: the
 // budget is charged, and TestHookAllocFail consulted, as for a fresh one.
 func TestKeepAdmitsLikeNew(t *testing.T) {

@@ -1,6 +1,7 @@
 // vet.Facts — proven program facts exported for consumers outside the
 // diagnostics pipeline: one table of flat plans (withplan.go's WithPlan)
-// by site, and the frame-local allocation sites (framelocal.go). A
+// by site, and what the frame-local scan proves of allocation sites and
+// calls (framelocal.go). A
 // with-loop's plan is its body; a chain's is a maximal
 // fusable elementwise expression tree, whose every stage is
 // effect-free, whose intermediates are provably unaliased (kernel
@@ -69,7 +70,7 @@ import (
 // program and cached content-addressed by the driver.
 type Facts struct {
 	plans  map[ast.Expr]*WithPlan // by with-loop, or by chain root
-	locals map[ast.Expr]bool      // the frame-local allocation sites
+	locals map[ast.Expr]LocalKind // the frame-local scan's verdicts
 }
 
 // PlanAt returns the flat plan proven for e, a with-loop or a chain
@@ -85,7 +86,21 @@ func (f *Facts) PlanAt(e ast.Expr) *WithPlan {
 // matrix it makes is bound to one local variable and held by nothing
 // that does not count its reference (see framelocal.go).
 func (f *Facts) FrameLocal(e ast.Expr) bool {
-	return f != nil && f.locals[e]
+	return f != nil && f.locals[e] == InFrame
+}
+
+// ReturnLocal reports whether e is a return-local allocation site: every
+// matrix it makes leaves its frame by return alone, so it may come from a
+// destination its caller provides (see framelocal.go).
+func (f *Facts) ReturnLocal(e ast.Expr) bool {
+	return f != nil && f.locals[e] == ReturnLocal
+}
+
+// Destination reports whether e is a call whose matrix result stays in
+// the caller's frame as a frame-local site's does: the caller may keep
+// storage for it, which the callee's return-local sites allocate from.
+func (f *Facts) Destination(e ast.Expr) bool {
+	return f != nil && f.locals[e] == Destination
 }
 
 // ComputeFacts proves fusion-legality facts over a checked program.
@@ -94,7 +109,7 @@ func (f *Facts) FrameLocal(e ast.Expr) bool {
 func ComputeFacts(prog *ast.Program, info *sem.Info) *Facts {
 	f := computeFacts(prog, info, nil)
 	for _, s := range FrameLocals(prog, info) {
-		f.locals[s.At] = true
+		f.locals[s.At] = s.Kind
 	}
 	return f
 }
@@ -102,7 +117,7 @@ func ComputeFacts(prog *ast.Program, info *sem.Info) *Facts {
 // computeFacts is ComputeFacts, listing every site it tries in sites
 // when sites is not nil.
 func computeFacts(prog *ast.Program, info *sem.Info, sites *[]WithSite) *Facts {
-	f := &Facts{plans: map[ast.Expr]*WithPlan{}, locals: map[ast.Expr]bool{}}
+	f := &Facts{plans: map[ast.Expr]*WithPlan{}, locals: map[ast.Expr]LocalKind{}}
 	if prog == nil || info == nil {
 		return f
 	}

@@ -13,7 +13,9 @@
 // Branches scan with copies of the outstanding set and union at the
 // join; loop bodies are rescanned until the state stabilizes so
 // cross-iteration races (spawn in one iteration, conflicting access
-// in the next) are seen. A (spawn, symbol) dedup map shared across
+// in the next) are seen. Each pass mints new atoms for what the body
+// allocates, so two passes' states are compared up to that renaming:
+// by the nodes the atoms were made at. A (spawn, symbol) dedup map shared across
 // branch copies keeps each race reported once. I/O-vs-I/O overlap is
 // deliberately not flagged: spawned prints interleave, but that is
 // visible nondeterminism the user asked for, not a memory race.
@@ -21,6 +23,7 @@ package vet
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ast"
 	"repro/internal/source"
@@ -73,20 +76,21 @@ func (r *raceScan) join(other *raceScan) bool {
 	return changed
 }
 
-func (r *raceScan) activeKey() map[*spawnInfo]bool {
-	out := make(map[*spawnInfo]bool, len(r.active))
-	for _, sp := range r.active {
-		out[sp] = true
-	}
-	return out
+// sameActive reports whether before, the outstanding spawns a loop pass
+// started with, are r's up to the renaming of atoms: a pass that spawns
+// again what an earlier one spawned, over matrices made at the same
+// nodes, adds nothing the scan has not seen.
+func (r *raceScan) sameActive(before []*spawnInfo) bool {
+	return r.spawnsWithin(before, r.active) && r.spawnsWithin(r.active, before)
 }
 
-func activeEqual(a, b map[*spawnInfo]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for sp := range a {
-		if !b[sp] {
+// spawnsWithin reports whether every spawn of a has a like one in b.
+func (r *raceScan) spawnsWithin(a, b []*spawnInfo) bool {
+	for _, x := range a {
+		if !slices.ContainsFunc(b, func(y *spawnInfo) bool {
+			return x == y || x.stmt == y.stmt && x.target == y.target && x.havoc == y.havoc &&
+				r.w.sameSet(x.reads, y.reads) && r.w.sameSet(x.writes, y.writes)
+		}) {
 			return false
 		}
 	}
@@ -262,18 +266,23 @@ func builtinSpawnEffects(call *ast.CallExpr, args []aset) (reads, writes aset) {
 // raceCheck runs the determinacy-race scan over every function.
 func raceCheck(c *checker, prog *ast.Program, sums map[string]*summary) {
 	for _, d := range prog.Decls {
-		fd, ok := d.(*ast.FuncDecl)
-		if !ok {
-			continue
+		if fd, ok := d.(*ast.FuncDecl); ok {
+			raceScanFunc(c, prog, sums, fd)
 		}
-		spawns := false
-		scanSpawn(fd.Body, &spawns)
-		if !spawns {
-			continue
-		}
-		w := newWalker(prog, c.info, sums)
-		w.race = &raceScan{c: c, w: w, seen: map[string]bool{}}
-		w.bindParams(fd)
-		w.stmt(fd.Body)
 	}
+}
+
+// raceScanFunc runs the race scan over fd when it spawns, and returns
+// the walker that did (nil when it does not spawn).
+func raceScanFunc(c *checker, prog *ast.Program, sums map[string]*summary, fd *ast.FuncDecl) *walker {
+	spawns := false
+	scanSpawn(fd.Body, &spawns)
+	if !spawns {
+		return nil
+	}
+	w := newWalker(prog, c.info, sums)
+	w.race = &raceScan{c: c, w: w, seen: map[string]bool{}}
+	w.bindParams(fd)
+	w.stmt(fd.Body)
+	return w
 }

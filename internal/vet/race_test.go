@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ast"
+	"repro/internal/parser"
+	"repro/internal/sem"
 	"repro/internal/source"
 )
 
@@ -314,4 +317,44 @@ int main() {
 	return 0;
 }`)
 	wantCodes(t, findings)
+}
+
+// A loop body that declares a matrix mints a new atom for it on every
+// pass of the race scan (two iterations' matrices are told apart), and
+// spawns a read of it: the passes compare their environments and
+// outstanding spawns by the nodes the atoms were made at, so the loop
+// stops at its fixpoint, not at the pass limit of 8.
+func TestRaceLoopPassesReachFixpoint(t *testing.T) {
+	var diags source.Diagnostics
+	prog := parser.ParseFile("test.xc", `
+float total(Matrix float <1> x) {
+	return with ([0] <= [i] < [dimSize(x, 0)]) fold(+, 0.0, x[i]);
+}
+int main() {
+	float s = 0.0;
+	int i = 0;
+	while (i < 4) {
+		Matrix float <1> a = [0 :: i] * 2.0;
+		spawn s = total(a);
+		i = i + 1;
+	}
+	sync;
+	print(s);
+	return 0;
+}`, parser.AllExtensions(), &diags)
+	info := sem.Check(prog, &diags)
+	if diags.HasErrors() {
+		t.Fatalf("unexpected errors: %v", diags.All())
+	}
+	c := &checker{info: info}
+	sums := computeSummaries(prog, info)
+	for _, d := range prog.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Name == "main" {
+			w := raceScanFunc(c, prog, sums, fd)
+			if w.passes > 3 {
+				t.Errorf("the loop took %d race-scan passes, want at most 3", w.passes)
+			}
+		}
+	}
+	wantCodes(t, c.diags)
 }

@@ -17,11 +17,13 @@
 // and rcset(p, v) folds v's aliases into p (values escape into heap
 // cells). The same walker drives summary computation, the
 // determinacy-race scan in race.go via the access callback, and the
-// frame-local scan in framelocal.go via the escape callback.
+// frame-local scan in framelocal.go via the escape and returned
+// callbacks.
 package vet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/ast"
@@ -114,7 +116,7 @@ func (s aset) overlapDesc(o aset, w *walker) (string, bool) {
 	}
 	for a := range s.atoms {
 		if o.atoms[a] {
-			names = append(names, fmt.Sprintf("%q", w.atomName[a]))
+			names = append(names, fmt.Sprintf("%q", w.atoms[a].name))
 		}
 	}
 	if len(names) == 0 {
@@ -197,6 +199,11 @@ func refLike(t *types.Type) bool {
 	return t != nil && (t.Kind == types.Matrix || t.Kind == types.RcPtr || t.Kind == types.AnyMatrix)
 }
 
+// scalar reports whether a type is an int, float or bool.
+func scalar(t *types.Type) bool {
+	return t != nil && (t.Kind == types.Int || t.Kind == types.Float || t.Kind == types.Bool)
+}
+
 // usesSpawn reports whether any function body contains a SpawnStmt.
 func usesSpawn(prog *ast.Program) bool {
 	found := false
@@ -277,19 +284,26 @@ type walker struct {
 	env       map[string]aset
 	scopes    []map[string]*aset // saved bindings per block (nil = unbound)
 	nextAtom  int
-	atomName  map[int]string
+	atoms     []atomInfo       // by atom id, in the race scan
 	nodeAtoms map[ast.Node]int // atomOf's, by the node that allocates
 	cur       *summary         // summary being built (nil in race mode)
 	race      *raceScan
 	locals    *localScan // the frame-local scan's state (nil otherwise)
+	passes    int        // loop bodies walked, a pass each
+}
+
+// atomInfo is what an allocation atom of the race scan stands for: the
+// node that made it and a name for diagnostics.
+type atomInfo struct {
+	node ast.Node
+	name string
 }
 
 func newWalker(prog *ast.Program, info *sem.Info, sums map[string]*summary) *walker {
 	return &walker{
 		prog: prog, info: info, sums: sums,
-		params:   map[string]int{},
-		env:      map[string]aset{},
-		atomName: map[int]string{},
+		params: map[string]int{},
+		env:    map[string]aset{},
 	}
 }
 
@@ -316,12 +330,13 @@ func (w *walker) summarize(fd *ast.FuncDecl) *summary {
 }
 
 // atomOf is the atom of what the node n allocates: outside the race scan
-// one atom a node, the allocation-site abstraction, so that a loop's
-// passes reach their fixpoint instead of minting atoms until the pass
-// limit; the race scan tells the matrices of two iterations apart.
+// one atom a node, the allocation-site abstraction; the race scan mints
+// one each time, telling the matrices of two iterations apart, and a
+// loop's passes compare their environments by the nodes their atoms were
+// made at (sameSet), so that they reach their fixpoint either way.
 func (w *walker) atomOf(n ast.Node, name string) aset {
 	if w.race != nil {
-		return w.atom(name)
+		return w.atom(n, name)
 	}
 	if id, ok := w.nodeAtoms[n]; ok {
 		return aset{atoms: map[int]bool{id: true}}
@@ -330,13 +345,15 @@ func (w *walker) atomOf(n ast.Node, name string) aset {
 		w.nodeAtoms = map[ast.Node]int{}
 	}
 	w.nodeAtoms[n] = w.nextAtom
-	return w.atom(name)
+	return w.atom(n, name)
 }
 
-func (w *walker) atom(name string) aset {
+func (w *walker) atom(n ast.Node, name string) aset {
 	id := w.nextAtom
 	w.nextAtom++
-	w.atomName[id] = name
+	if w.race != nil {
+		w.atoms = append(w.atoms, atomInfo{node: n, name: name})
+	}
 	return aset{atoms: map[int]bool{id: true}}
 }
 
@@ -365,9 +382,10 @@ func (w *walker) access(n ast.Node, write bool, s aset) {
 }
 
 // escape records that the storage s names may be held past the frame,
-// or by something that does not count its reference: returned, stored
-// in a global, an rc cell, a tuple or another variable, spawned, or
-// passed to a callee that does one of these with it.
+// or by something that does not count its reference: stored in a
+// global, an rc cell, a tuple or another variable, spawned, or passed to
+// a callee that does one of these with it or returns it (returned has
+// the frame's own return).
 func (w *walker) escape(s aset) {
 	if w.cur != nil {
 		w.cur.pRetain |= s.params
@@ -375,6 +393,23 @@ func (w *walker) escape(s aset) {
 	if w.locals != nil {
 		for a := range s.atoms {
 			w.locals.escaped[a] = true
+		}
+	}
+}
+
+// returned records that the storage s names is returned: for a summary
+// a parameter returned may outlive the call as an escaped one does; the
+// frame-local scan tells a returned site from an escaped one.
+func (w *walker) returned(s aset) {
+	if w.cur != nil {
+		w.cur.pRetain |= s.params
+	}
+	if w.locals != nil && len(s.atoms) > 0 {
+		if w.locals.returned == nil {
+			w.locals.returned = map[int]bool{}
+		}
+		for a := range s.atoms {
+			w.locals.returned[a] = true
 		}
 	}
 }
@@ -454,28 +489,59 @@ func (w *walker) joinEnv(other map[string]aset) {
 	}
 }
 
-func envEqual(a, b map[string]aset) bool {
+// envEqual reports whether two environments bind every name to the same
+// set (see sameSet).
+func (w *walker) envEqual(a, b map[string]aset) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for k, va := range a {
 		vb, ok := b[k]
-		if !ok || va.unknown != vb.unknown || va.params != vb.params ||
-			len(va.globals) != len(vb.globals) || len(va.atoms) != len(vb.atoms) {
+		if !ok || !w.sameSet(va, vb) {
 			return false
-		}
-		for g := range va.globals {
-			if !vb.globals[g] {
-				return false
-			}
-		}
-		for at := range va.atoms {
-			if !vb.atoms[at] {
-				return false
-			}
 		}
 	}
 	return true
+}
+
+// sameSet reports whether two alias sets name the same storage up to the
+// race scan's renaming: the same parameters and globals, and atoms made
+// at the same nodes.
+func (w *walker) sameSet(a, b aset) bool {
+	if a.unknown != b.unknown || a.params != b.params || len(a.globals) != len(b.globals) {
+		return false
+	}
+	for g := range a.globals {
+		if !b.globals[g] {
+			return false
+		}
+	}
+	return w.atomsWithin(a, b) && w.atomsWithin(b, a)
+}
+
+// atomsWithin reports whether every atom of a was made at a node one of
+// b's was (outside the race scan, a node has one atom).
+func (w *walker) atomsWithin(a, b aset) bool {
+	for x := range a.atoms {
+		if b.atoms[x] {
+			continue
+		}
+		if w.race == nil || !w.madeAlike(x, b) {
+			return false
+		}
+	}
+	return true
+}
+
+// madeAlike reports whether the race scan made an atom of b at the node
+// it made x at.
+func (w *walker) madeAlike(x int, b aset) bool {
+	for y := range b.atoms {
+		if w.atoms[x].node == w.atoms[y].node {
+			return true
+		}
+	}
+	return false
 }
 
 // --- statements ---
@@ -497,24 +563,28 @@ func (w *walker) stmt(s ast.Stmt) {
 		}
 		t, _ := types.FromAST(s.Type)
 		if refLike(t) {
-			if v.empty() {
+			switch {
+			case v.empty():
 				v = w.fresh(s, s.Name, s.Init)
-			} else {
+			case !w.own(s.Init, v, s.Name):
 				w.escape(v)
 			}
 			w.bind(s.Name, v)
 		} else {
+			if w.own(s.Init, v, "") {
+				w.escape(v) // a tuple a call made, kept whole
+			}
 			w.bind(s.Name, aset{})
 		}
 
 	case *ast.AssignStmt:
 		rs := w.expr(s.RHS)
 		var site ast.Expr
-		if len(s.LHS) == 1 {
+		if len(s.LHS) == 1 || w.own(s.RHS, rs, "") {
 			site = s.RHS
 		}
 		for _, lhs := range s.LHS {
-			w.assignTo(lhs, rs, site)
+			w.assignTo(lhs, rs, site, len(s.LHS) > 1)
 		}
 
 	case *ast.IfStmt:
@@ -558,8 +628,8 @@ func (w *walker) stmt(s ast.Stmt) {
 
 	case *ast.ReturnStmt:
 		if s.Value != nil {
-			v := w.expr(s.Value)
-			w.escape(v)
+			v := w.returnValue(s.Value)
+			w.returned(v)
 			if w.cur != nil {
 				w.cur.retParams |= v.params
 				setUnion(w.cur.retGlobals, v.globals)
@@ -600,27 +670,28 @@ func (w *walker) loop(body func()) {
 		entryRace = w.race.snapshot()
 	}
 	for i := 0; i < 8; i++ {
+		w.passes++
 		before := w.snapshotEnv()
-		var beforeActive map[*spawnInfo]bool
+		var beforeActive []*spawnInfo
 		if w.race != nil {
-			beforeActive = w.race.activeKey()
+			beforeActive = slices.Clone(w.race.active)
 		}
 		body()
 		w.joinEnv(entry)
 		raceStable := true
 		if w.race != nil {
 			w.race.join(entryRace)
-			raceStable = activeEqual(beforeActive, w.race.activeKey())
+			raceStable = w.race.sameActive(beforeActive)
 		}
-		if envEqual(before, w.env) && raceStable {
+		if w.envEqual(before, w.env) && raceStable {
 			break
 		}
 	}
 }
 
 // assignTo binds rs, the value of site (nil: an element of a tuple), to
-// lhs.
-func (w *walker) assignTo(lhs ast.Expr, rs aset, site ast.Expr) {
+// lhs; unpacked says lhs is one element of a destructured tuple.
+func (w *walker) assignTo(lhs ast.Expr, rs aset, site ast.Expr, unpacked bool) {
 	switch l := lhs.(type) {
 	case *ast.Ident:
 		if w.race != nil {
@@ -641,9 +712,13 @@ func (w *walker) assignTo(lhs ast.Expr, rs aset, site ast.Expr) {
 			}
 		}
 		if _, ok := w.env[l.Name]; ok || refLike(t) {
-			if rs.empty() {
+			switch {
+			case rs.empty():
 				rs = w.fresh(l, l.Name, site)
-			} else {
+			case refLike(t) && w.own(site, rs, l.Name):
+			case unpacked && scalar(t) && w.own(site, rs, ""):
+				rs = aset{} // a scalar element of a call's tuple
+			default:
 				w.escape(rs)
 			}
 			w.bind(l.Name, rs)
@@ -865,9 +940,11 @@ func (w *walker) call(x *ast.CallExpr) aset {
 				}
 			}
 		}
-		return aset{}
+		return w.result(x, aset{})
 	}
-	return w.applyCallee(x, sum, args)
+	ret := w.applyCallee(x, sum, args)
+	w.opaqueArgs(x, args)
+	return w.result(x, ret)
 }
 
 // applyCallee maps a callee summary into the caller's alias frame:

@@ -195,7 +195,8 @@ type fnc struct {
 	// rets is the first of nrets return slots: registers the elements of
 	// `return (e1, ..., ek);` are left in (a tuple-returning function's).
 	rets, nrets int32
-	// keeps counts the frame-local sites compiled (see keepFor).
+	// keeps counts the frame-local sites and destination calls compiled
+	// (see keepFor).
 	keeps int32
 	// endStack tracks enclosing index dimensions for 'end'.
 	endStack []endEntry
@@ -343,13 +344,17 @@ func (c *compiler) compileFunc(pi int, fd *ast.FuncDecl) {
 }
 
 // keepFor numbers the frame's Keep of e when vet proved e a frame-local
-// allocation site, and is -1 for any other expression.
+// allocation site or a destination call, is keepDest when it proved e a
+// return-local site, and is -1 for any other expression.
 func (f *fnc) keepFor(e ast.Expr) int32 {
-	if !f.c.facts.FrameLocal(e) {
-		return -1
+	switch {
+	case f.c.facts.FrameLocal(e) || f.c.facts.Destination(e):
+		f.keeps++
+		return f.keeps - 1
+	case f.c.facts.ReturnLocal(e):
+		return keepDest
 	}
-	f.keeps++
-	return f.keeps - 1
+	return -1
 }
 
 // compileGinit lowers the global initializers: no step ticks (the tree

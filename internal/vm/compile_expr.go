@@ -434,7 +434,7 @@ func (f *fnc) compileTupleCall(s *ast.AssignStmt) []argDesc {
 		rets[k] = argDesc{reg: f.reg(), cl: classOf(ty)}
 	}
 	f.emit(instr{op: opCall, a: -1, nd: e,
-		aux: &callDesc{proto: f.protoOf(sig.Decl), args: args, retCl: clR, rets: rets, stmt: s}})
+		aux: &callDesc{proto: f.protoOf(sig.Decl), args: args, retCl: clR, rets: rets, stmt: s, dest: f.keepFor(e)}})
 	return rets
 }
 
@@ -445,7 +445,7 @@ func (f *fnc) compileCall(e *ast.CallExpr, d dest) (int32, class) {
 		ret := sig.Type.Ret
 		if ret == nil || ret.Kind == types.Void || ret.Kind == types.Invalid {
 			f.emit(instr{op: opCall, a: -1, nd: e,
-				aux: &callDesc{proto: pi, args: args, retCl: clR}})
+				aux: &callDesc{proto: pi, args: args, retCl: clR, dest: -1}})
 			// The tree walker's void-call value is nil; a never-written
 			// boxed register reads as exactly that.
 			return f.reg(), clR
@@ -453,7 +453,7 @@ func (f *fnc) compileCall(e *ast.CallExpr, d dest) (int32, class) {
 		retCl := classOf(ret)
 		dst := f.out(d, retCl)
 		f.emit(instr{op: opCall, a: dst, nd: e,
-			aux: &callDesc{proto: pi, args: args, retCl: retCl}})
+			aux: &callDesc{proto: pi, args: args, retCl: retCl, dest: f.keepFor(e)}})
 		return dst, retCl
 	}
 	need := func(n int) {

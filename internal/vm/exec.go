@@ -31,7 +31,8 @@ type Machine struct {
 	ticking bool
 	// mapApp is what a matrixMap application is an activation of: no
 	// code, no registers, a frame whose pending list is where the
-	// result's escape reference waits for the result to be stored.
+	// result's escape reference waits for the result to be stored, and
+	// whose one Keep is the destination it hands the mapped function.
 	mapApp proto
 }
 
@@ -39,7 +40,7 @@ type Machine struct {
 // (which supplies budgets, the worker pool, rc heap and I/O).
 func NewMachine(p *Program, in *interp.Interp) *Machine {
 	_, maxSteps := in.StepBudget()
-	return &Machine{p: p, in: in, ticking: maxSteps > 0 || in.Cancellable()}
+	return &Machine{p: p, in: in, ticking: maxSteps > 0 || in.Cancellable(), mapApp: proto{keeps: 1}}
 }
 
 // frame is one activation of a proto: its registers, its statement-
@@ -52,12 +53,15 @@ func NewMachine(p *Program, in *interp.Interp) *Machine {
 //
 // Frames come from their proto's pool and go back to it on a clean exit
 // only (see proto.release); DESIGN.md §11 has the lifecycle. A frame's
-// keeps, one a frame-local site, go with it: what they hold is dead by
-// the time the frame is released, and the next activation's sites take
-// it back (DESIGN.md §11.7).
+// keeps, one a frame-local site or destination call, go with it: what
+// they hold is dead by the time the frame is released, and the next
+// activation's sites take it back (DESIGN.md §11.7). dest is the Keep
+// of the caller's destination call this activation serves, which its
+// return-local sites allocate from, and nil for any other activation.
 type frame struct {
 	regs    []value
 	keeps   []matrix.Keep
+	dest    *matrix.Keep
 	pending []rc.Ref
 	futures []*vmFuture
 	pool    *par.Pool
@@ -85,13 +89,21 @@ func (p *proto) frame(pool *par.Pool, depth int) *frame {
 	return fr
 }
 
-// keep is the Keep of the frame-local site k, nil when k < 0 (a site
-// vet did not prove frame-local).
+// keepDest is the keep number of a return-local site: it allocates from
+// the frame's dest.
+const keepDest = -2
+
+// keep is the Keep of the frame-local site or destination call k, the
+// frame's dest for keepDest, and nil for -1 (a site vet proved nothing
+// of).
 func (fr *frame) keep(k int32) *matrix.Keep {
-	if k < 0 {
-		return nil
+	switch {
+	case k >= 0:
+		return &fr.keeps[k]
+	case k == keepDest:
+		return fr.dest
 	}
-	return &fr.keeps[k]
+	return nil
 }
 
 // release hands a finished frame back for the next activation of p. Its
@@ -106,7 +118,7 @@ func (p *proto) release(fr *frame) {
 		return
 	}
 	clear(fr.regs)
-	fr.ret, fr.retCl, fr.hasRet, fr.pool = value{}, clR, false, nil
+	fr.ret, fr.retCl, fr.hasRet, fr.pool, fr.dest = value{}, clR, false, nil, nil
 	p.frames.Put(fr)
 }
 
@@ -288,12 +300,24 @@ func (mc *Machine) finish(fr *frame, p *proto, callerPending *[]rc.Ref, dst *tup
 		}
 	}
 	if fr.hasRet && cl == clR && ret.r != nil {
-		*callerPending = mc.in.EscapeRef(ret.r, *callerPending)
+		*callerPending = mc.escape(fr, ret.r, *callerPending)
 	}
 	mc.flush(fr)
 	mc.releaseRefRegs(fr, p)
 	p.release(fr)
 	return ret, cl, err
+}
+
+// escape appends the escape reference of v, a value fr returns, to its
+// caller's pending list. A matrix fr's destination holds that nothing has
+// bound — a return-local site's, returned whole — is bound with that
+// reference as its one count, so that when the caller drops it at its
+// statement's end, the destination takes it back.
+func (mc *Machine) escape(fr *frame, v any, pending []rc.Ref) []rc.Ref {
+	if m, ok := v.(*matrix.Matrix); ok && fr.dest.Adopt(m, mc.in.Heap()) {
+		return append(pending, m)
+	}
+	return mc.in.EscapeRef(v, pending)
 }
 
 // returnTuple hands over what `return (e1, ..., ek);` left in fr's return
@@ -320,7 +344,7 @@ func (mc *Machine) returnTuple(fr *frame, p *proto, tup []argDesc, dst *tupleDst
 			v, cl = value{f: float64(v.i)}, clF
 		case cl == clR && v.r != nil:
 			v.r = interp.PromoteScalar(ty, v.r)
-			to.pending = mc.in.EscapeRef(v.r, to.pending)
+			to.pending = mc.escape(fr, v.r, to.pending)
 		}
 		if cl == t.cl {
 			to.regs[t.reg] = v
@@ -363,6 +387,9 @@ func (mc *Machine) call(fr *frame, in *instr) error {
 	cf, err := mc.enter(p, in.nd, fr.depth, fr.pool)
 	if err != nil {
 		return err
+	}
+	if d.dest >= 0 {
+		cf.dest = &fr.keeps[d.dest]
 	}
 	for k, pd := range p.params {
 		ad := d.args[k]

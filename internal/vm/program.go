@@ -317,13 +317,16 @@ type initDesc struct {
 
 // callDesc drives opCall. A destructuring assignment's call names in
 // rets the registers its callee's tuple elements arrive in, one each, and
-// in stmt the assignment (the node of the arity check).
+// in stmt the assignment (the node of the arity check). dest numbers
+// the caller's Keep that a destination call hands its callee (whose
+// return-local sites allocate from it), and is -1 for any other call.
 type callDesc struct {
 	proto int
 	args  []argDesc
 	retCl class
 	rets  []argDesc
 	stmt  ast.Node
+	dest  int32
 }
 
 // rcSetDesc drives opRcSet.
@@ -423,7 +426,7 @@ type proto struct {
 	refRegs []int32 // boxed variable registers released at teardown
 	retTy   *types.Type
 	rets    int32     // the first return slot: a register an element of a tuple-typed retTy
-	keeps   int       // frame-local sites: a frame keeps their matrices (matrix.Keep)
+	keeps   int       // frame-local sites and destination calls: a frame keeps their matrices (matrix.Keep)
 	frames  sync.Pool // *frame with nregs registers; scratch, not program state
 }
 

@@ -541,7 +541,10 @@ func (mc *Machine) execMatMap(fr *frame, in *instr) error {
 		if err := mc.bind(cf, p.params[0], sub, d.e); err != nil {
 			return err
 		}
+		// The application stores the result by copying it and then drops
+		// it: a destination, as a destination call's caller is.
 		af := mc.mapApp.frame(nil, fr.depth)
+		cf.dest = &af.keeps[0]
 		v, cl, err := mc.finish(cf, p, &af.pending, nil)
 		if err != nil {
 			return err

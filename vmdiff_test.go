@@ -1706,6 +1706,308 @@ int main() {
 	print(fan(2));
 	return 0;
 }`},
+	// Returned matrices (out, error, cells and live count pinned at
+	// 0b33205, before a caller's frame gave its callee a destination): a
+	// destructured returned slice rebound in a loop, a returned genarray
+	// consumed by an index store, a matrixMap function returning its init,
+	// recursion returning a matrix, and 0-, 1-, 8- and 48-cell returns at
+	// every producing site; then one negative case per route by which a
+	// returned matrix escapes its caller — a global, an rc cell, a tuple
+	// kept whole, a spawn, a retaining callee, a tuple parameter into an
+	// rc cell and a second return — each of which must keep the call from
+	// being a destination.
+	{name: "return_local_tuple_loop", pin: &pinned{"2\n3\n4\n4\n4\n3\n4\n4\n4\n3\n4\n4\n4\n3\n4\n4\n4\n3\n4\n4\n4\n3\n2\n7009\n20\n", 142}, threads: []int{1, 2, 3, 7}, src: `
+(Matrix float <1>, int, int) seg(Matrix float <1> ts, int i) {
+	int b = i;
+	int n = dimSize(ts, 0);
+	while (i + 1 < n && ts[i] >= ts[i + 1])
+		i = i + 1;
+	while (i + 1 < n && ts[i] < ts[i + 1])
+		i = i + 1;
+	return (ts[b :: i], b, i);
+}
+int main() {
+	Matrix float <1> ts = with ([0] <= [k] < [60]) genarray([60], (float)((k * 7) % 11 + k / 20));
+	Matrix float <1> t;
+	int b = 0;
+	int i = 0;
+	float acc = 0.0;
+	while (i < 59) {
+		(t, b, i) = seg(ts, i);
+		print(dimSize(t, 0));
+		acc = acc + t[0] * 3.0 + t[end] * (float)b;
+	}
+	print(acc);
+	print(t[0] + t[end]);
+	return 0;
+}`},
+	{name: "return_local_index_store", pin: &pinned{"0\n16.5\n402.5\n12460\n", 320}, threads: []int{1, 2, 3, 7}, src: `
+Matrix float <1> area(Matrix float <1> a) {
+	int n = dimSize(a, 0);
+	float s = with ([0] <= [i] < [n]) fold(+, 0.0, a[i]);
+	return with ([0] <= [i] < [n]) genarray([n], s - a[i]);
+}
+int main() {
+	Matrix float <1> out = init(Matrix float <1>, 64);
+	int at = 0;
+	int w = 1;
+	while (at + w <= 64) {
+		Matrix float <1> piece = [at :: at + w - 1] * 0.5 + 1.0;
+		out[at : at + w - 1] = area(piece);
+		at = at + w;
+		w = w + 2;
+	}
+	print(out[0]);
+	print(out[5]);
+	print(out[63]);
+	print(with ([0] <= [i] < [64]) fold(+, 0.0, out[i]));
+	return 0;
+}`},
+	{name: "return_local_in_matrixmap", pin: &pinned{"0\n81.5\n38\n7335\n", 720}, threads: []int{1, 2, 3, 7}, src: `
+Matrix float <1> prof(Matrix float <1> ts) {
+	int n = dimSize(ts, 0);
+	Matrix float <1> out = init(Matrix float <1>, n);
+	int i = 0;
+	while (i < n) {
+		out[i] = ts[i] * 2.0 - (float)i;
+		i = i + 1;
+	}
+	return out;
+}
+int main() {
+	Matrix float <3> cube;
+	cube = with ([0, 0, 0] <= [i, j, k] < [5, 4, 9]) genarray([5, 4, 9], (float)(i * 36 + j * 9 + k) * 0.25);
+	Matrix float <3> r = matrixMap(prof, cube, [2]);
+	print(r[0, 0, 0]);
+	print(r[4, 3, 8]);
+	print(r[2, 1, 5]);
+	print(with ([0, 0, 0] <= [i, j, k] < [5, 4, 9]) fold(+, 0.0, r[i, j, k]));
+	return 0;
+}`},
+	{name: "return_local_recursion", pin: &pinned{"3\n3\n5\n8\n7\n19\n9\n42\n11\n89\n32\n", 1294}, threads: []int{1, 2, 3, 7}, src: `
+Matrix float <1> build(int d, int n) {
+	if (d == 0) {
+		return [0 :: n] * 0.5 + 1.0;
+	}
+	Matrix float <1> a = build(d - 1, n + 2);
+	Matrix float <1> b = build(d - 1, n + 1);
+	Matrix float <1> r = with ([0] <= [i] < [dimSize(a, 0)]) genarray([dimSize(a, 0)], a[i] + b[i % dimSize(b, 0)] + (float)d);
+	return r;
+}
+int main() {
+	int d = 0;
+	while (d < 5) {
+		Matrix float <1> v = build(d, 2);
+		print(dimSize(v, 0));
+		print(v[0] + v[end]);
+		d = d + 1;
+	}
+	print(build(3, 0)[end] + build(2, 7)[1]);
+	return 0;
+}`},
+	{name: "return_local_sizes", pin: &pinned{"0\n1000101\n8040808\n48444848\n9050909\n0\n1000101\n8040808\n48444848\n9050909\n9706\n", 1162}, threads: []int{1, 2, 3, 7}, src: `
+Matrix float <1> mk(int n, float k) {
+	Matrix float <1> v = init(Matrix float <1>, n);
+	int i = 0;
+	while (i < n) {
+		v[i] = (float)i * k;
+		i = i + 1;
+	}
+	return v;
+}
+Matrix float <1> gen(int n) {
+	return with ([0] <= [i] < [n]) genarray([n], (float)(i * i));
+}
+Matrix float <1> sel(Matrix float <1> v, float t) {
+	return v[v >= t];
+}
+Matrix float <1> cut(Matrix float <1> v, int hi) {
+	return v[0 :: hi];
+}
+Matrix float <1> lone(Matrix float <1> v) {
+	return v * 0.5;
+}
+Matrix float <1> chain(int n) {
+	int hi = n - 1;
+	return [0 :: hi] * 2.0 + 1.0;
+}
+int main() {
+	int k = 0;
+	float acc = 0.0;
+	while (k < 10) {
+		int n = 0;
+		if (k % 5 == 1) { n = 1; }
+		if (k % 5 == 2) { n = 8; }
+		if (k % 5 == 3) { n = 48; }
+		if (k % 5 == 4) { n = 9; }
+		Matrix float <1> a = mk(n, 1.5);
+		Matrix float <1> g = gen(n);
+		Matrix float <1> s = sel(g, 10.0);
+		Matrix float <1> c = chain(n);
+		Matrix float <1> h = lone(c);
+		print(dimSize(a, 0) + dimSize(g, 0) * 100 + dimSize(s, 0) * 10000 + dimSize(h, 0) * 1000000);
+		if (n > 0) {
+			Matrix float <1> p = cut(g, n - 1);
+			acc = acc + a[end] + g[end] + c[0] + h[end] + p[end];
+		}
+		if (dimSize(s, 0) > 0) {
+			acc = acc + s[0];
+		}
+		k = k + 1;
+	}
+	print(acc);
+	return 0;
+}`},
+	{name: "return_local_escape_global", pin: &pinned{"4\n5\n6\n18\n", 45}, threads: []int{1, 2, 3, 7}, src: `
+Matrix float <1> g;
+Matrix float <1> mk(int n) {
+	return [0 :: n] * 2.0 + 1.0;
+}
+int put(int n) {
+	g = mk(n);
+	return dimSize(g, 0);
+}
+int main() {
+	print(put(3));
+	Matrix float <1> first = g;
+	print(put(4));
+	print(put(5));
+	print(first[end] + g[end]);
+	return 0;
+}`},
+	{name: "return_local_escape_rc", pin: &pinned{"3\n3\n2\n7\n", 41}, threads: []int{1, 2, 3, 7}, src: `
+Matrix float <1> mk(int n) {
+	return [0 :: n] * 2.0 + 1.0;
+}
+int keep(refcounted Matrix float <1> * c, int n) {
+	rcset(c, mk(n));
+	return n;
+}
+int main() {
+	refcounted Matrix float <1> * c = rcnew(init(Matrix float <1>, 2));
+	refcounted Matrix float <1> * d = rcnew(mk(1));
+	print(keep(c, 3));
+	print(keep(d, 3));
+	print(keep(d, 2));
+	Matrix float <1> z = rcget(c);
+	print(z[end]);
+	return 0;
+}`},
+	{name: "return_local_escape_tuple", pin: &pinned{"20\n11\n", 54}, threads: []int{1, 2, 3, 7}, src: `
+(Matrix float <1>, int) tp(int n) {
+	return ([0 :: n] * 2.0 + 1.0, n);
+}
+int main() {
+	(Matrix float <1>, int) t = tp(3);
+	(Matrix float <1>, int) u = tp(4);
+	Matrix float <1> a;
+	Matrix float <1> b;
+	int k = 0;
+	(a, k) = t;
+	(b, k) = u;
+	print(a[end] + b[end] + (float)k);
+	int i = 0;
+	while (i < 3) {
+		t = tp(i + 1);
+		i = i + 1;
+	}
+	(a, k) = t;
+	print(a[end] + b[0] + (float)k);
+	return 0;
+}`},
+	{name: "return_local_escape_spawn", pin: &pinned{"125\n545\n77\n", 315}, threads: []int{1, 2, 3, 7}, src: `
+float total(Matrix float <1> x) {
+	return with ([0] <= [i] < [dimSize(x, 0)]) fold(+, 0.0, x[i]);
+}
+Matrix float <1> mk(int n) {
+	return [0 :: n] * 2.0 + 1.0;
+}
+float fan(int n) {
+	float a = 0.0;
+	float b = 0.0;
+	int i = 0;
+	while (i < 3) {
+		Matrix float <1> v = mk(n + i);
+		spawn a = total(v);
+		b = b + total(mk(n));
+		sync;
+		b = b + a;
+		i = i + 1;
+	}
+	return b;
+}
+int main() {
+	print(fan(3));
+	print(fan(8));
+	print(fan(2));
+	return 0;
+}`},
+	{name: "err_return_local_escape_callee", pin: &pinned{"22\n", 91}, threads: []int{1, 2, 3, 7},
+		errIs: "err_return_local_escape_callee.xc:2:1: runtime error [trap:rc]: rc: IncRef on freed allocation (use after free)", live: 3, src: `
+Matrix float <1> same(Matrix float <1> x) { return x; }
+Matrix float <1> mk(int n) {
+	return [0 :: n] * 2.0 + 1.0;
+}
+int stash(refcounted Matrix float <1> * c, Matrix float <1> x) { rcset(c, x); return 0; }
+int main() {
+	Matrix float <1> a = same(mk(3));
+	Matrix float <1> b = same(mk(7));
+	print(a[end] + b[end]);
+	refcounted Matrix float <1> * c = rcnew(init(Matrix float <1>, 1));
+	int i = 0;
+	while (i < 3) {
+		stash(c, mk(i + 4));
+		i = i + 1;
+	}
+	Matrix float <1> z = rcget(c);
+	print(z[end]);
+	return 0;
+}`},
+	{name: "err_return_local_escape_tuple_param", pin: &pinned{"", 42}, threads: []int{1, 2, 3, 7},
+		errIs: "err_return_local_escape_tuple_param.xc:2:1: runtime error [trap:rc]: rc: IncRef on freed allocation (use after free)", live: 1, src: `
+(Matrix float <1>, int) tp(int n) {
+	return ([0 :: n] * 2.0 + 1.0, n);
+}
+int stash(refcounted (Matrix float <1>, int) * c, (Matrix float <1>, int) t) {
+	rcset(c, t);
+	return 0;
+}
+int main() {
+	refcounted (Matrix float <1>, int) * c = rcnew(tp(1));
+	int i = 0;
+	while (i < 3) {
+		stash(c, tp(i + 2));
+		i = i + 1;
+	}
+	Matrix float <1> z;
+	int k = 0;
+	(z, k) = rcget(c);
+	print(z[end]);
+	print(k);
+	return 0;
+}`},
+	{name: "return_local_escape_return", pin: &pinned{"40\n10\n", 81}, threads: []int{1, 2, 3, 7}, src: `
+Matrix float <1> mk(int n) {
+	return [0 :: n] * 2.0 + 1.0;
+}
+Matrix float <1> pass(int n) {
+	Matrix float <1> r = mk(n);
+	return r;
+}
+Matrix float <1> again(int n) {
+	return mk(n);
+}
+int main() {
+	Matrix float <1> a = pass(3);
+	Matrix float <1> b = pass(5);
+	Matrix float <1> c = again(4);
+	Matrix float <1> d = again(6);
+	print(a[end] + b[end] + c[end] + d[end]);
+	a = pass(2);
+	c = again(1);
+	print(a[end] + b[0] + c[end] + d[0]);
+	return 0;
+}`},
 	// 'end' where it is read and where it is not (out, error and cells
 	// pinned at 9c66458, where every index dimension still computed its
 	// 'end' eagerly): scalar, range and nested positions, two reads in one
