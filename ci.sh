@@ -23,7 +23,7 @@
 #     execution (TestFramePoisonPass, the return_local_* corpus entries among its programs), the race scan's loops
 #     reaching their fixpoint (TestRaceLoopPassesReachFixpoint), and the checker rejecting every program that reaches
 #     a VM bail (TestBailsAreCheckerRejected)
-#   - ten-second fuzz smokes
+#   - ten-second fuzz smokes (FuzzParse also holds ast.Inspect to every node of each tree it parses, once a path)
 #   - the vet findings manifest
 #   - one-shot benchmark smokes, and a scaling smoke when there are two CPUs
 #   - the bench/ module (its own go.mod): vet, tests, a two-second run of each workload

@@ -43,23 +43,17 @@ static void cm_sync_from(int mark) {
 
 // containsCilk reports whether a statement tree uses spawn or sync.
 func containsCilk(s ast.Stmt) bool {
-	switch s := s.(type) {
-	case *ast.SpawnStmt, *ast.SyncStmt:
-		return true
-	case *ast.BlockStmt:
-		for _, st := range s.Stmts {
-			if containsCilk(st) {
-				return true
-			}
+	found := false
+	ast.Inspect(s, func(n ast.Node) bool {
+		switch n.(type) {
+		case *ast.SpawnStmt, *ast.SyncStmt:
+			found = true
+		case ast.Expr, ast.TypeExpr:
+			return false
 		}
-	case *ast.IfStmt:
-		return containsCilk(s.Then) || containsCilk(s.Else)
-	case *ast.WhileStmt:
-		return containsCilk(s.Body)
-	case *ast.ForStmt:
-		return containsCilk(s.Init) || containsCilk(s.Post) || containsCilk(s.Body)
-	}
-	return false
+		return !found
+	})
+	return found
 }
 
 // emitSpawn lifts one spawn site. A target receives the callee's owned

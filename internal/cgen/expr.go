@@ -150,52 +150,21 @@ func (f *fnEmitter) sequence(es []ast.Expr, ends []string) []string {
 // effects reports whether evaluating any of es can change a value an
 // operand read before it: whether it calls a user function.
 func (f *fnEmitter) effects(es ...ast.Expr) bool {
-	for _, e := range es {
-		var more []ast.Expr
-		switch e := e.(type) {
+	found := false
+	visit := func(n ast.Node) bool {
+		switch n := n.(type) {
 		case *ast.CallExpr:
-			if _, user := f.g.info.Funcs[e.Fun]; user {
-				return true
-			}
-			more = e.Args
+			_, user := f.g.info.Funcs[n.Fun]
+			found = found || user
 		case *ast.MatrixMap:
-			return true
-		case *ast.BinaryExpr:
-			more = []ast.Expr{e.L, e.R}
-		case *ast.UnaryExpr:
-			more = []ast.Expr{e.X}
-		case *ast.CastExpr:
-			more = []ast.Expr{e.X}
-		case *ast.RangeExpr:
-			more = []ast.Expr{e.Lo, e.Hi}
-		case *ast.TupleExpr:
-			more = e.Elems
-		case *ast.InitExpr:
-			more = e.Dims
-		case *ast.IndexExpr:
-			more = []ast.Expr{e.X}
-			for _, a := range e.Args {
-				switch a := a.(type) {
-				case *ast.IdxScalar:
-					more = append(more, a.X)
-				case *ast.IdxRange:
-					more = append(more, a.Lo, a.Hi)
-				}
-			}
-		case *ast.WithLoop:
-			more = append(append(more, e.Lower...), e.Upper...)
-			switch op := e.Op.(type) {
-			case *ast.GenArrayOp:
-				more = append(append(more, op.Shape...), op.Body)
-			case *ast.FoldOp:
-				more = append(more, op.Init, op.Body)
-			}
+			found = true
 		}
-		if f.effects(more...) {
-			return true
-		}
+		return !found
 	}
-	return false
+	for _, e := range es {
+		ast.Inspect(e, visit)
+	}
+	return found
 }
 
 // snapshot reads val into a temporary now, unless it is a constant or

@@ -111,7 +111,8 @@ func FuzzScanDiff(f *testing.F) {
 
 // FuzzParse drives the full frontend (parse + semantic check): for any
 // input it must either produce a program or report diagnostics, and
-// must never panic.
+// must never panic. On every program it produces, ast.Inspect visits
+// each node once for each path to it (checkInspect).
 func FuzzParse(f *testing.F) {
 	addSeeds(f)
 	f.Fuzz(func(t *testing.T, src string) {
@@ -126,5 +127,6 @@ func FuzzParse(f *testing.F) {
 		// The checker must also hold the no-panic contract on whatever
 		// tree error recovery produced.
 		sem.Check(prog, &diags)
+		checkInspect(t, "fuzz.xc", prog)
 	})
 }

@@ -1,6 +1,8 @@
 package sem
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -311,47 +313,39 @@ func TestValidPrograms(t *testing.T) {
 	}
 }
 
+// TestTypesRecordedForAllExprs: the checker types every expression of
+// every shipped program, with two exemptions, literals it reads as
+// syntax and never types: matrixMap's dimensions and the factors of
+// transform clauses.
 func TestTypesRecordedForAllExprs(t *testing.T) {
-	prog, info := mustCheck(t, fig1)
-	missing := 0
-	var walkExpr func(e ast.Expr)
-	walkExpr = func(e ast.Expr) {
-		if e == nil {
-			return
-		}
-		if _, ok := info.Types[e]; !ok {
-			missing++
-			t.Errorf("no type recorded for %s", ast.ExprString(e))
-		}
-		switch e := e.(type) {
-		case *ast.BinaryExpr:
-			walkExpr(e.L)
-			walkExpr(e.R)
-		case *ast.IndexExpr:
-			walkExpr(e.X)
-		case *ast.WithLoop:
-			for _, x := range e.Lower {
-				walkExpr(x)
-			}
-			for _, x := range e.Upper {
-				walkExpr(x)
-			}
-		case *ast.CallExpr:
-			for _, a := range e.Args {
-				walkExpr(a)
-			}
-		}
+	var paths []string
+	for _, glob := range []string{"../../testdata/*.xc", "../../bench/programs/*.xc"} {
+		more, _ := filepath.Glob(glob)
+		paths = append(paths, more...)
 	}
-	fn := prog.Decls[0].(*ast.FuncDecl)
-	for _, s := range fn.Body.Stmts {
-		switch s := s.(type) {
-		case *ast.DeclStmt:
-			walkExpr(s.Init)
-		case *ast.AssignStmt:
-			walkExpr(s.RHS)
-		}
+	if len(paths) < 20 {
+		t.Fatalf("only %d programs found", len(paths))
 	}
-	_ = missing
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, info := mustCheck(t, string(raw))
+		dims := map[ast.Expr]bool{}
+		ast.Inspect(prog, func(n ast.Node) bool {
+			if e, ok := n.(ast.Expr); ok && !dims[e] && info.Types[e] == nil {
+				t.Errorf("%s:%s: no type recorded for %s", path, e.Span().Start, ast.ExprString(e))
+			}
+			if m, ok := n.(*ast.MatrixMap); ok {
+				for _, d := range m.Dims {
+					dims[d] = true
+				}
+			}
+			_, clause := n.(ast.TransformClause)
+			return !clause
+		})
+	}
 }
 
 // --- MWDA over the real language specs (§VI-B: "All extensions

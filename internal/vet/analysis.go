@@ -428,7 +428,7 @@ func (c *checker) stmt(s ast.Stmt, e env) bool {
 		if s.Value != nil {
 			c.expr(s.Value, e)
 		}
-		for _, name := range sortedNames(e) {
+		for _, name := range sortedKeys(e) {
 			c.mergeRcExit(e[name])
 		}
 		return false
@@ -609,20 +609,6 @@ func copyEnv(dst, src env) {
 			dst[name] = st
 		}
 	}
-}
-
-func sortedNames(e env) []string {
-	names := make([]string, 0, len(e))
-	for name := range e {
-		names = append(names, name)
-	}
-	// insertion sort: envs are small and this avoids importing sort here
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
-	return names
 }
 
 // isConstTrue reports whether a loop condition is the literal true (or

@@ -135,7 +135,7 @@ func computeFacts(prog *ast.Program, info *sem.Info, sites *[]WithSite) *Facts {
 	}
 	var first map[string]int
 	if len(globals) > 0 {
-		first = firstCallers(prog)
+		first = firstCallers(prog, info)
 	}
 	unbound := func(from int) map[string]bool {
 		m := map[string]bool{}
@@ -152,10 +152,10 @@ func computeFacts(prog *ast.Program, info *sem.Info, sites *[]WithSite) *Facts {
 			if from, ok := first[d.Name]; ok {
 				ff.unbound = unbound(from)
 			}
-			ff.stmt(d.Body)
+			ast.Inspect(d.Body, ff.visit)
 		case *ast.GlobalVarDecl:
 			ff.unbound = unbound(gi)
-			ff.expr(d.Init)
+			ast.Inspect(d.Init, ff.visit)
 			gi++
 		}
 	}
@@ -164,14 +164,14 @@ func computeFacts(prog *ast.Program, info *sem.Info, sites *[]WithSite) *Facts {
 
 // firstCallers maps every function a global initializer calls, directly
 // or through other functions, to the index of the first such global.
-func firstCallers(prog *ast.Program) map[string]int {
+func firstCallers(prog *ast.Program, info *sem.Info) map[string]int {
 	first := map[string]int{}
 	callees := map[string]map[string]bool{}
 	gi := 0
 	for _, d := range prog.Decls {
 		if fn, ok := d.(*ast.FuncDecl); ok {
-			fx := newEffects()
-			stmtEffects(fn.Body, fx)
+			fx := newEffects(info)
+			fx.add(fn.Body)
 			callees[fn.Name] = fx.callees
 		}
 	}
@@ -180,8 +180,8 @@ func firstCallers(prog *ast.Program) map[string]int {
 		if !ok {
 			continue
 		}
-		fx := newEffects()
-		exprEffects(g.Init, fx)
+		fx := newEffects(info)
+		fx.add(g.Init)
 		for work := fx.callees; len(work) > 0; {
 			next := map[string]bool{}
 			for name := range work {
@@ -204,119 +204,24 @@ type factFinder struct {
 	unbound map[string]bool // in a global initializer, the globals not bound yet
 }
 
-func (ff *factFinder) stmt(s ast.Stmt) {
-	switch s := s.(type) {
-	case nil:
-	case *ast.BlockStmt:
-		for _, st := range s.Stmts {
-			ff.stmt(st)
-		}
-	case *ast.DeclStmt:
-		ff.expr(s.Init)
-	case *ast.AssignStmt:
-		for _, l := range s.LHS {
-			ff.expr(l)
-		}
-		ff.expr(s.RHS)
-	case *ast.IfStmt:
-		ff.expr(s.Cond)
-		ff.stmt(s.Then)
-		ff.stmt(s.Else)
-	case *ast.WhileStmt:
-		ff.expr(s.Cond)
-		ff.stmt(s.Body)
-	case *ast.ForStmt:
-		ff.stmt(s.Init)
-		ff.expr(s.Cond)
-		ff.stmt(s.Body)
-		ff.stmt(s.Post)
-	case *ast.ReturnStmt:
-		ff.expr(s.Value)
-	case *ast.ExprStmt:
-		ff.expr(s.X)
-	case *ast.SpawnStmt:
-		ff.expr(s.Call)
-	}
-}
-
-// expr records the maximal fusable chain rooted at x, or recurses into
-// subexpressions looking for nested roots.
-func (ff *factFinder) expr(x ast.Expr) {
-	if x == nil {
-		return
-	}
-	if b, ok := x.(*ast.BinaryExpr); ok && ff.chain(b) {
+// visit records the sites rooted at n: a chain root before the roots
+// inside it that it declines, and a with-loop after the sites in its
+// bounds and body.
+func (ff *factFinder) visit(n ast.Node) bool {
+	switch x := n.(type) {
+	case *ast.BinaryExpr:
 		// Leaves of a proven chain hold no further chains: they are
 		// identifiers and literals by construction.
-		return
-	}
-	switch x := x.(type) {
-	case *ast.UnaryExpr:
-		ff.expr(x.X)
-	case *ast.BinaryExpr:
-		ff.expr(x.L)
-		ff.expr(x.R)
-	case *ast.CastExpr:
-		ff.expr(x.X)
-	case *ast.CallExpr:
-		for _, a := range x.Args {
-			ff.expr(a)
-		}
-	case *ast.IndexExpr:
-		ff.expr(x.X)
-		for _, a := range x.Args {
-			switch a := a.(type) {
-			case *ast.IdxScalar:
-				ff.expr(a.X)
-			case *ast.IdxRange:
-				ff.expr(a.Lo)
-				ff.expr(a.Hi)
-			}
-		}
-	case *ast.RangeExpr:
-		ff.expr(x.Lo)
-		ff.expr(x.Hi)
-	case *ast.TupleExpr:
-		for _, el := range x.Elems {
-			ff.expr(el)
-		}
+		return !ff.chain(x)
 	case *ast.WithLoop:
-		ff.withLoop(x)
-	case *ast.MatrixMap:
-		ff.expr(x.Arg)
-		for _, d := range x.Dims {
-			ff.expr(d)
-		}
-	case *ast.InitExpr:
-		for _, d := range x.Dims {
-			ff.expr(d)
-		}
+		// Bodies and bounds keep their own facts (a nested with-loop
+		// inside a non-flat body can still get its own plan).
+		ast.Inspect(x, func(n ast.Node) bool { return n == x || ff.visit(n) })
+		p, why := proveWith(ff.info, x, ff.unbound)
+		ff.record(x, p, why)
+		return false
 	}
-}
-
-// withLoop records the facts of a with-loop: its bounds' and body's,
-// then its own plan (kept out of expr, whose frame every node pays for).
-func (ff *factFinder) withLoop(x *ast.WithLoop) {
-	for _, b := range x.Lower {
-		ff.expr(b)
-	}
-	for _, b := range x.Upper {
-		ff.expr(b)
-	}
-	switch op := x.Op.(type) {
-	case *ast.GenArrayOp:
-		for _, sx := range op.Shape {
-			ff.expr(sx)
-		}
-		ff.expr(op.Body)
-	case *ast.FoldOp:
-		ff.expr(op.Init)
-		ff.expr(op.Body)
-	}
-	// Bodies and bounds keep their own facts (a nested with-loop
-	// inside a non-flat body can still get its own plan).
-	p, why := proveWith(ff.info, x, ff.unbound)
-	ff.record(x, p, why)
+	return true
 }
 
 // chain tries the matrix-typed binary expression x as a chain root and

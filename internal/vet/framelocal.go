@@ -203,50 +203,30 @@ func allocSite(info *sem.Info, e ast.Expr) bool {
 // a function with none, that calls no returner and that no one calls,
 // is not scanned.
 func hasSite(info *sem.Info, s ast.Stmt) bool {
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		for _, st := range s.Stmts {
-			if hasSite(info, st) {
-				return true
-			}
+	return anyStmt(s, func(s ast.Stmt) bool {
+		switch s := s.(type) {
+		case *ast.DeclStmt:
+			return s.Init != nil && allocSite(info, s.Init)
+		case *ast.AssignStmt:
+			return len(s.LHS) == 1 && allocSite(info, s.RHS)
 		}
-	case *ast.DeclStmt:
-		return s.Init != nil && allocSite(info, s.Init)
-	case *ast.AssignStmt:
-		return len(s.LHS) == 1 && allocSite(info, s.RHS)
-	case *ast.IfStmt:
-		return hasSite(info, s.Then) || hasSite(info, s.Else)
-	case *ast.WhileStmt:
-		return hasSite(info, s.Body)
-	case *ast.ForStmt:
-		return hasSite(info, s.Init) || hasSite(info, s.Body) || hasSite(info, s.Post)
-	}
-	return false
+		return false
+	})
 }
 
 // returnsSite reports whether s returns a site's matrix directly, whole
 // or as an element of a tuple literal.
 func returnsSite(info *sem.Info, s ast.Stmt) bool {
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		for _, st := range s.Stmts {
-			if returnsSite(info, st) {
-				return true
-			}
+	return anyStmt(s, func(s ast.Stmt) bool {
+		r, ok := s.(*ast.ReturnStmt)
+		if !ok || r.Value == nil {
+			return false
 		}
-	case *ast.ReturnStmt:
-		if t, ok := s.Value.(*ast.TupleExpr); ok {
+		if t, ok := r.Value.(*ast.TupleExpr); ok {
 			return slices.ContainsFunc(t.Elems, func(e ast.Expr) bool { return allocSite(info, e) })
 		}
-		return s.Value != nil && allocSite(info, s.Value)
-	case *ast.IfStmt:
-		return returnsSite(info, s.Then) || returnsSite(info, s.Else)
-	case *ast.WhileStmt:
-		return returnsSite(info, s.Body)
-	case *ast.ForStmt:
-		return returnsSite(info, s.Body)
-	}
-	return false
+		return allocSite(info, r.Value)
+	})
 }
 
 // carriesMatrix reports whether a value of type t is or holds a matrix.
@@ -288,103 +268,22 @@ func returners(prog *ast.Program, info *sem.Info) map[string]bool {
 // never gets a destination).
 func callsOf(s ast.Stmt, rets, called map[string]bool) bool {
 	found := false
-	var expr func(x ast.Expr)
-	expr = func(x ast.Expr) {
-		switch x := x.(type) {
+	ast.Inspect(s, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SpawnStmt:
+			return false
 		case *ast.CallExpr:
-			if rets[x.Fun] {
-				called[x.Fun] = true
+			if rets[n.Fun] {
+				called[n.Fun] = true
 				found = true
 			}
-			for _, a := range x.Args {
-				expr(a)
-			}
 		case *ast.MatrixMap:
-			if rets[x.Fun] {
-				called[x.Fun] = true
-			}
-			expr(x.Arg)
-			for _, d := range x.Dims {
-				expr(d)
-			}
-		case *ast.InitExpr:
-			for _, d := range x.Dims {
-				expr(d)
-			}
-		case *ast.UnaryExpr:
-			expr(x.X)
-		case *ast.BinaryExpr:
-			expr(x.L)
-			expr(x.R)
-		case *ast.CastExpr:
-			expr(x.X)
-		case *ast.IndexExpr:
-			expr(x.X)
-			for _, a := range x.Args {
-				switch a := a.(type) {
-				case *ast.IdxScalar:
-					expr(a.X)
-				case *ast.IdxRange:
-					expr(a.Lo)
-					expr(a.Hi)
-				}
-			}
-		case *ast.RangeExpr:
-			expr(x.Lo)
-			expr(x.Hi)
-		case *ast.TupleExpr:
-			for _, el := range x.Elems {
-				expr(el)
-			}
-		case *ast.WithLoop:
-			for _, b := range x.Lower {
-				expr(b)
-			}
-			for _, b := range x.Upper {
-				expr(b)
-			}
-			switch op := x.Op.(type) {
-			case *ast.GenArrayOp:
-				for _, d := range op.Shape {
-					expr(d)
-				}
-				expr(op.Body)
-			case *ast.FoldOp:
-				expr(op.Init)
-				expr(op.Body)
+			if rets[n.Fun] {
+				called[n.Fun] = true
 			}
 		}
-	}
-	var stmt func(s ast.Stmt)
-	stmt = func(s ast.Stmt) {
-		switch s := s.(type) {
-		case *ast.BlockStmt:
-			for _, st := range s.Stmts {
-				stmt(st)
-			}
-		case *ast.DeclStmt:
-			expr(s.Init)
-		case *ast.AssignStmt:
-			expr(s.RHS)
-		case *ast.IfStmt:
-			expr(s.Cond)
-			stmt(s.Then)
-			stmt(s.Else)
-		case *ast.WhileStmt:
-			expr(s.Cond)
-			stmt(s.Body)
-		case *ast.ForStmt:
-			stmt(s.Init)
-			expr(s.Cond)
-			stmt(s.Post)
-			stmt(s.Body)
-		case *ast.ReturnStmt:
-			expr(s.Value)
-		case *ast.ExprStmt:
-			expr(s.X)
-		}
-	}
-	stmt(s)
+		return true
+	})
 	return found
 }
 

@@ -185,10 +185,10 @@ func (r *raceScan) spawned(s *ast.SpawnStmt, call *ast.CallExpr, sum *summary, a
 				"spawned call to %q has no target and no observable effect; the spawned work is dead",
 				call.Fun)
 		}
-	} else if isBuiltin(call.Fun) {
-		sp.reads, sp.writes = builtinSpawnEffects(call, args)
 	} else if _, declared := r.w.info.Funcs[call.Fun]; declared {
 		sp.havoc = true
+	} else {
+		sp.reads, sp.writes = builtinSpawnEffects(call, args)
 	}
 
 	for _, old := range r.active {
@@ -275,9 +275,7 @@ func raceCheck(c *checker, prog *ast.Program, sums map[string]*summary) {
 // raceScanFunc runs the race scan over fd when it spawns, and returns
 // the walker that did (nil when it does not spawn).
 func raceScanFunc(c *checker, prog *ast.Program, sums map[string]*summary, fd *ast.FuncDecl) *walker {
-	spawns := false
-	scanSpawn(fd.Body, &spawns)
-	if !spawns {
+	if !spawns(fd.Body) {
 		return nil
 	}
 	w := newWalker(prog, c.info, sums)

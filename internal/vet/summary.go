@@ -206,36 +206,18 @@ func scalar(t *types.Type) bool {
 
 // usesSpawn reports whether any function body contains a SpawnStmt.
 func usesSpawn(prog *ast.Program) bool {
-	found := false
-	for _, d := range prog.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok {
-			scanSpawn(fd.Body, &found)
-		}
-	}
-	return found
+	return slices.ContainsFunc(prog.Decls, func(d ast.Decl) bool {
+		fd, ok := d.(*ast.FuncDecl)
+		return ok && spawns(fd.Body)
+	})
 }
 
-func scanSpawn(s ast.Stmt, found *bool) {
-	if *found {
-		return
-	}
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		for _, st := range s.Stmts {
-			scanSpawn(st, found)
-		}
-	case *ast.IfStmt:
-		scanSpawn(s.Then, found)
-		scanSpawn(s.Else, found)
-	case *ast.WhileStmt:
-		scanSpawn(s.Body, found)
-	case *ast.ForStmt:
-		scanSpawn(s.Init, found)
-		scanSpawn(s.Post, found)
-		scanSpawn(s.Body, found)
-	case *ast.SpawnStmt:
-		*found = true
-	}
+// spawns reports whether s contains a SpawnStmt.
+func spawns(s ast.Stmt) bool {
+	return anyStmt(s, func(s ast.Stmt) bool {
+		_, ok := s.(*ast.SpawnStmt)
+		return ok
+	})
 }
 
 // computeSummaries runs the whole-program effect fixpoint. The result

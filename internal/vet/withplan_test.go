@@ -427,6 +427,33 @@ int main() {
 	}
 }
 
+// TestBuiltinNamedCalleeReadsUnboundGlobal: a call resolves to a user
+// function before a builtin, as sem resolves it and the VM runs it. A
+// global initializer's callee named dimSize reads the later global b
+// before it is bound, like the same callee named mk.
+func TestBuiltinNamedCalleeReadsUnboundGlobal(t *testing.T) {
+	for _, name := range []string{"mk", "dimSize"} {
+		fn := "Matrix float <1> " + name + "(int n) { return with ([0] <= [i] < [n]) genarray([n], b[i] + 1.0); }"
+		sites := sitesFor(t, fn+`
+Matrix float <1> a = `+name+`(3);
+Matrix float <1> b = [0 :: 2] * 1.0;
+int main() {
+	print(a[0] + b[0]);
+	return 0;
+}`)
+		want := fmt.Sprintf("global not bound yet 1:%d", strings.Index(fn, "b[i]")+1)
+		var got []string
+		for _, s := range sites {
+			if _, ok := s.At.(*ast.WithLoop); ok {
+				got = append(got, fmt.Sprintf("%s %s", s.Decline.Rule, s.Decline.Span.Start))
+			}
+		}
+		if len(got) != 1 || got[0] != want {
+			t.Errorf("callee %s: with-loop sites %q, want one declined: %s", name, got, want)
+		}
+	}
+}
+
 // TestWithPlanShapeArityDeclines: a genarray whose shape has not one
 // extent an id — a program the checker rejects — proves nothing.
 func TestWithPlanShapeArityDeclines(t *testing.T) {
